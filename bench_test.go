@@ -1,5 +1,5 @@
-// Benchmark harness: one testing.B benchmark per experiment in DESIGN.md §4
-// (EXP-F1..F3, EXP-L1..L3, EXP-C1..C3) plus the ablation benches of §5.
+// Benchmark harness: one testing.B benchmark per reproduction experiment
+// (EXP-F1..F3, EXP-L1..L3, EXP-C1..C3) plus the ablation benches.
 // The full experiment tables are regenerated by `go run ./cmd/mqss-bench`;
 // these benches time the hot paths of each experiment so regressions
 // surface in `go test -bench`.
@@ -350,7 +350,7 @@ func BenchmarkC3PulseAnsatzEnergy(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations ---
 
 func BenchmarkAblationLoweringCacheOff(b *testing.B) {
 	stack, _ := benchStack(b)

@@ -1,5 +1,5 @@
-// mqss-bench regenerates the paper-reproduction experiment tables
-// (DESIGN.md §4, recorded in EXPERIMENTS.md).
+// mqss-bench regenerates the paper-reproduction experiment tables and
+// writes the machine-readable bench report the CI gate compares.
 //
 // Usage:
 //
@@ -35,12 +35,16 @@ type benchEntry struct {
 }
 
 // benchReport is the -json report document: the sweep, evolve, fleet,
-// telemetry, shot-parallel, and static-analysis experiments plus
-// derived ratios.
+// telemetry, shot-parallel, and static-analysis experiments plus derived
+// numbers. Speedups are the ratios benchgate holds a floor under;
+// Informational carries absolute throughputs and ratios that are a
+// property of the machine (core count) or that an optimisation is meant
+// to lower — reported, schema-checked, never gated.
 type benchReport struct {
-	Points      int                `json:"points"`
-	Experiments []benchEntry       `json:"experiments"`
-	Speedups    map[string]float64 `json:"speedups"`
+	Points        int                `json:"points"`
+	Experiments   []benchEntry       `json:"experiments"`
+	Speedups      map[string]float64 `json:"speedups"`
+	Informational map[string]float64 `json:"informational"`
 }
 
 // measure runs f under testing.Benchmark and folds the result into a
@@ -127,8 +131,10 @@ func telemetryEntry() (benchEntry, error) {
 
 // shotsEntries benchmarks a 256-shot open-system job under the serial
 // density engine and under 4-worker Monte-Carlo trajectory unraveling (the
-// ISSUE 8 tentpole numbers), and derives both the speedup ratio and the
-// absolute shots/sec throughput of each path.
+// ISSUE 8 tentpole numbers), and derives the ratio of the two and the
+// absolute shots/sec throughput of each path — all informational: the
+// ratio scales with the core count and falls whenever the density engine
+// gets faster.
 func shotsEntries() ([]benchEntry, map[string]float64, error) {
 	ex, sp, err := experiments.ShotBenchRig()
 	if err != nil {
@@ -194,15 +200,12 @@ func writeBenchJSON(path string) error {
 		}
 		entries = append(entries, e)
 	}
-	shotEntries, shotRatios, err := shotsEntries()
+	shotEntries, informational, err := shotsEntries()
 	if err != nil {
 		return err
 	}
 	entries = append(entries, shotEntries...)
-	for k, v := range shotRatios {
-		speedups[k] = v
-	}
-	report := benchReport{Points: points, Experiments: entries, Speedups: speedups}
+	report := benchReport{Points: points, Experiments: entries, Speedups: speedups, Informational: informational}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -215,10 +218,10 @@ func writeBenchJSON(path string) error {
 		fmt.Printf("  %-24s %12.4gms/op %8d allocs/op\n", e.Name, e.NsPerOp/1e6, e.AllocsPerOp)
 	}
 	fmt.Printf("  speedup recompile/bound: %.1f×\n", report.Speedups["recompile_over_bound"])
-	fmt.Printf("  speedup serial-density/parallel-trajectory: %.1f× (%.0f → %.0f shots/s)\n",
-		report.Speedups["serial_density_over_parallel_trajectory"],
-		report.Speedups["shots_per_sec_serial_density"],
-		report.Speedups["shots_per_sec_parallel_trajectory"])
+	fmt.Printf("  serial-density/parallel-trajectory (not gated): %.1f× (%.0f → %.0f shots/s)\n",
+		informational["serial_density_over_parallel_trajectory"],
+		informational["shots_per_sec_serial_density"],
+		informational["shots_per_sec_parallel_trajectory"])
 	return nil
 }
 
@@ -228,7 +231,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs")
 	jsonOut := flag.Bool("json", false,
 		"benchmark the sweep, evolve, fleet, telemetry, shot-parallel, and mqssvet paths and write a machine-readable report")
-	out := flag.String("out", "BENCH_9.json", "output path for the -json report")
+	out := flag.String("out", "BENCH_12.json", "output path for the -json report")
 	flag.Parse()
 
 	ids := []string{"EXP-F1", "EXP-F2", "EXP-F3", "EXP-L1", "EXP-L2", "EXP-L3",

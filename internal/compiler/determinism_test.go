@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"mqsspulse/internal/devices"
 	"mqsspulse/internal/qir"
 	"mqsspulse/internal/qpi"
 )
@@ -44,6 +45,34 @@ func TestCompileDeterministic(t *testing.T) {
 		if !bytes.Equal(res.Payload, first) {
 			t.Fatalf("compile %d produced a different payload (%d vs %d bytes)",
 				i, len(res.Payload), len(first))
+		}
+	}
+}
+
+// TestLinkDeterministicThreeSites: the device's link-time measure lowering
+// is under the same contract. The middle site of a 3-site chain has two
+// couplers; 50 links of a base-profile measure of it must give one
+// schedule, barrier port order included.
+func TestLinkDeterministicThreeSites(t *testing.T) {
+	dev, err := devices.Superconducting("sc-chain", 3, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := &qir.Module{
+		ID: "chain", Profile: qir.ProfileBase, EntryName: "chain",
+		NumQubits: 3, NumResults: 1,
+		Body: []qir.Call{{Callee: qir.IntrMz, Args: []qir.Arg{qir.QubitArg(1), qir.ResultArg(0)}}},
+	}
+	var first string
+	for i := 0; i < 50; i++ {
+		sched, err := dev.BuildScheduleForPayload(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = sched.String()
+		} else if got := sched.String(); got != first {
+			t.Fatalf("link %d produced a different schedule:\n%s\nwant:\n%s", i, got, first)
 		}
 	}
 }

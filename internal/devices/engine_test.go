@@ -1,0 +1,223 @@
+package devices
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+
+	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qir"
+	"mqsspulse/internal/readout"
+	"mqsspulse/internal/telemetry"
+	"mqsspulse/internal/testutil"
+)
+
+// openSC builds an open-system (T1/T2) superconducting device.
+func openSC(t *testing.T, sites int) *SimDevice {
+	t.Helper()
+	d, err := SuperconductingWithCoherence("sc-open", sites, 30e-6, 20e-6, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// skipJobs moves a fresh device to the job-seed position of one that has
+// already run n jobs (a device's k-th job draws the k-th seed of its job
+// stream): same (payload, seed) for the next job, cold engine.
+func skipJobs(d *SimDevice, n int) *SimDevice {
+	for i := 0; i < n; i++ {
+		d.jobRng.Int63()
+	}
+	return d
+}
+
+func bellModule() *qir.Module {
+	return gateModule("bell", 2, 2, []qir.Call{
+		g1(qir.IntrH, 0),
+		{Callee: qir.IntrCX, Args: []qir.Arg{qir.QubitArg(0), qir.QubitArg(1)}},
+		mz(0, 0), mz(1, 1),
+	})
+}
+
+// runOthers pushes n assorted jobs through d, filling its engine's caches
+// with propagators the job under test never asks for as well as ones it
+// does.
+func runOthers(t *testing.T, d *SimDevice, n int) {
+	t.Helper()
+	kernels := []*qir.Module{
+		gateModule("x", 2, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)}),
+		gateModule("h", 2, 1, []qir.Call{g1(qir.IntrH, 1), mz(1, 0)}),
+		bellModule(),
+	}
+	for i := 0; i < n; i++ {
+		runOpts(t, d, kernels[i%len(kernels)], qdmi.JobOptions{Shots: 2, ShotWorkers: 1 + i%3})
+	}
+}
+
+// TestResultsIndependentOfEngineWarmth: a job's counts and IQ records are
+// a function of (payload, seed) alone — identical on a device whose engine
+// the job itself builds and on one that 50 other jobs have warmed, under
+// the density engine (1 worker) and under trajectories (2 and 4 workers,
+// which must also agree with each other).
+func TestResultsIndependentOfEngineWarmth(t *testing.T) {
+	const others = 50
+	var trajectory *qdmi.Result
+	for _, workers := range []int{1, 2, 4} {
+		opts := qdmi.JobOptions{Shots: 64, MeasLevel: readout.LevelKerneled, ShotWorkers: workers}
+		cold := runOpts(t, skipJobs(openSC(t, 2), others), bellModule(), opts)
+		warm := openSC(t, 2)
+		runOthers(t, warm, others)
+		got := runOpts(t, warm, bellModule(), opts)
+		if len(got.IQ) != opts.Shots {
+			t.Fatalf("%d workers: %d IQ records, want %d", workers, len(got.IQ), opts.Shots)
+		}
+		if !reflect.DeepEqual(got.Counts, cold.Counts) || !reflect.DeepEqual(got.IQ, cold.IQ) {
+			t.Fatalf("%d workers: warm device disagrees with a fresh one:\n%v\n%v", workers, got.Counts, cold.Counts)
+		}
+		if workers == 1 {
+			continue
+		}
+		if trajectory == nil {
+			trajectory = got
+		} else if !reflect.DeepEqual(got.Counts, trajectory.Counts) || !reflect.DeepEqual(got.IQ, trajectory.IQ) {
+			t.Fatalf("trajectory results differ between 2 and %d workers", workers)
+		}
+	}
+}
+
+// TestAdvanceTimeRebuildsEngine is the stale-model guard: after the true
+// physics drifts, a warm device must simulate the drifted model, exactly
+// as a fresh device advanced the same way does. The drift is made large
+// (10% amplitude, MHz detuning) so an engine kept across AdvanceTime
+// could not pass by luck.
+func TestAdvanceTimeRebuildsEngine(t *testing.T) {
+	mk := func() *SimDevice {
+		cfg := openSC(t, 1).cfg
+		cfg.Drift = DriftConfig{FreqSigmaHz: 2e6, FreqTauSeconds: 60, AmpSigma: 0.1, AmpTauSeconds: 60}
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	opts := qdmi.JobOptions{Shots: 4000}
+
+	warm := mk()
+	before := runOpts(t, warm, x, opts)
+	warm.AdvanceTime(600)
+	after := runOpts(t, warm, x, opts)
+
+	fresh := skipJobs(mk(), 1)
+	fresh.AdvanceTime(600)
+	want := runOpts(t, fresh, x, opts)
+	if !reflect.DeepEqual(after.Counts, want.Counts) {
+		t.Fatalf("warm device after AdvanceTime: %v, fresh device advanced the same way: %v", after.Counts, want.Counts)
+	}
+	if reflect.DeepEqual(after.Counts, before.Counts) {
+		t.Fatalf("drift left the counts at %v: the guard has nothing to catch", after.Counts)
+	}
+}
+
+// TestConcurrentJobsShareOneEngine: eight jobs submitted at once to one
+// device run against one engine and one propagator cache (the race
+// detector watches them) and return, as a set, what eight jobs submitted
+// one after another return; every job goroutine is gone afterwards.
+func TestConcurrentJobsShareOneEngine(t *testing.T) {
+	testutil.AssertNoLeaks(t)
+	const jobs = 8
+	opts := qdmi.JobOptions{Shots: 24, MeasLevel: readout.LevelKerneled, ShotWorkers: 2}
+	payload := []byte(bellModule().Emit())
+	key := func(r *qdmi.Result) string { return fmt.Sprint(r.Counts, r.IQ) }
+
+	serial := openSC(t, 2)
+	var want []string
+	for i := 0; i < jobs; i++ {
+		want = append(want, key(runOpts(t, serial, bellModule(), opts)))
+	}
+
+	d := openSC(t, 2)
+	got := make([]string, jobs)
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			job, err := d.SubmitJobOpts(payload, qdmi.FormatQIRBase, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if st := job.Wait(context.Background()); st != qdmi.JobDone {
+				t.Errorf("job %d: status %v", i, st)
+				return
+			}
+			res, err := job.Result()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = key(res)
+		}(i)
+	}
+	wg.Wait()
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("concurrent jobs returned a different set of results than the same jobs run one by one")
+	}
+}
+
+// TestWarmJobAllocations pins the per-job fixed cost on the device: a
+// warm X+Measure job on an open-system site — parse, link, resolve, run,
+// sample — stays under 350 objects (1,645 when every job rebuilt the model
+// and the dissipator allocated its temporaries on every tick).
+func TestWarmJobAllocations(t *testing.T) {
+	d := openSC(t, 1)
+	payload := []byte(gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)}).Emit())
+	job := func() {
+		j, err := d.SubmitJobOpts(payload, qdmi.FormatQIRBase, qdmi.JobOptions{Shots: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := j.Wait(context.Background()); st != qdmi.JobDone {
+			t.Fatalf("job status %v", st)
+		}
+	}
+	job() // builds the engine and fills its cache
+	if n := testing.AllocsPerRun(50, job); n > 350 {
+		t.Fatalf("warm job allocates %v objects, want ≤ 350", n)
+	}
+}
+
+// TestEngineTelemetryCounters: the metrics dump shows a warm device has
+// stopped exponentiating — the second identical job adds cache hits and
+// dissipator steps but no miss, fleet-wide and per device.
+func TestEngineTelemetryCounters(t *testing.T) {
+	d := openSC(t, 1)
+	reg := telemetry.NewRegistry()
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	counters := func() (hit, miss, steps int64) {
+		runOpts(t, d, x, qdmi.JobOptions{Shots: 16, Telemetry: telemetry.NewTimeline("", reg)})
+		for _, name := range []string{"simq/prop_cache/hit", "simq/prop_cache/miss", "simq/dissipator_steps"} {
+			if all, dev := reg.Counter(name).Load(), reg.Counter(name+"/"+d.cfg.Name).Load(); all != dev {
+				t.Fatalf("%s = %d but %s/%s = %d", name, all, name, d.cfg.Name, dev)
+			}
+		}
+		return reg.Counter("simq/prop_cache/hit").Load(), reg.Counter("simq/prop_cache/miss").Load(),
+			reg.Counter("simq/dissipator_steps").Load()
+	}
+	coldHit, coldMiss, coldSteps := counters()
+	if coldMiss == 0 || coldSteps == 0 {
+		t.Fatalf("cold job: %d misses, %d dissipator steps; want both positive", coldMiss, coldSteps)
+	}
+	hit, miss, steps := counters()
+	if miss != coldMiss || hit <= coldHit || steps != 2*coldSteps {
+		t.Fatalf("warm job: hits %d→%d, misses %d→%d, steps %d→%d; want more hits, no new miss, the same steps again",
+			coldHit, hit, coldMiss, miss, coldSteps, steps)
+	}
+}

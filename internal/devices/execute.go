@@ -220,8 +220,10 @@ func (d *SimDevice) lowerMeasure(s *pulse.Schedule, qubit, result int64) error {
 	}
 	site := int(qubit)
 	group := []string{d.drivePort[site], d.readPort[site]}
-	for pair, cp := range d.couplePort {
-		if pair[0] == site || pair[1] == site {
+	// Couplers join in pair order, never in map order: the barrier is part
+	// of a schedule the determinism contract covers.
+	for _, pair := range [][2]int{{site - 1, site}, {site, site + 1}} {
+		if cp, ok := d.couplePort[pair]; ok {
 			group = append(group, cp)
 		}
 	}
@@ -234,17 +236,34 @@ func (d *SimDevice) lowerMeasure(s *pulse.Schedule, qubit, result int64) error {
 	})
 }
 
+// executor returns the device's execution engine, building it from the
+// current true physics if AdvanceTime (or New) left none. Jobs share it:
+// everything in it is immutable or locked, and what it caches is a
+// deterministic function of the model, so a job's result does not depend
+// on how many jobs ran before it.
+func (d *SimDevice) executor() (*simq.Executor, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.engine == nil {
+		model, err := d.trueModel()
+		if err != nil {
+			return nil, err
+		}
+		d.engine = simq.NewExecutor(model)
+	}
+	return d.engine, nil
+}
+
 // trueModel builds the system model from the drifted true physics: channel
 // carriers sit at the true transition frequencies, so frames tuned to
-// (stale) calibrated frequencies acquire detuning errors.
+// (stale) calibrated frequencies acquire detuning errors. Callers hold
+// d.mu.
 func (d *SimDevice) trueModel() (*simq.SystemModel, error) {
-	d.mu.Lock()
 	ampScale := 1 + d.drift.ampScale.x
 	trueFreqs := make([]float64, len(d.cfg.Sites))
 	for i, s := range d.cfg.Sites {
 		trueFreqs[i] = s.FreqHz + d.drift.freqOffsetHz[i].x
 	}
-	d.mu.Unlock()
 
 	dims := make([]int, len(d.cfg.Sites))
 	for i, s := range d.cfg.Sites {
@@ -417,7 +436,7 @@ func (d *SimDevice) runJob(job *qdmi.AsyncJob, mod *qir.Module, binding *qir.Dev
 	if job.Aborted() {
 		return
 	}
-	model, err := d.trueModel()
+	engine, err := d.executor()
 	if err != nil {
 		job.Fail(err)
 		return
@@ -440,7 +459,7 @@ func (d *SimDevice) runJob(job *qdmi.AsyncJob, mod *qir.Module, binding *qir.Dev
 		execOpts.Readout = d.readoutModel(opts)
 	}
 	execStart := time.Now()
-	res, err := simq.NewExecutor(model).Run(sp, execOpts)
+	res, err := engine.Run(sp, execOpts)
 	if err != nil {
 		if !errors.Is(err, simq.ErrInterrupted) {
 			job.Fail(err)
@@ -484,6 +503,13 @@ func (d *SimDevice) recordShotMetrics(reg *telemetry.Registry, res *simq.ExecRes
 	}
 	reg.Add("simq/shots", int64(res.Shots))
 	reg.Add("simq/shots/"+d.cfg.Name, int64(res.Shots))
+	// A warm device shows hits and no misses: it stopped exponentiating.
+	reg.Add("simq/prop_cache/hit", res.PropCacheHits)
+	reg.Add("simq/prop_cache/hit/"+d.cfg.Name, res.PropCacheHits)
+	reg.Add("simq/prop_cache/miss", res.PropCacheMisses)
+	reg.Add("simq/prop_cache/miss/"+d.cfg.Name, res.PropCacheMisses)
+	reg.Add("simq/dissipator_steps", res.DissipatorSteps)
+	reg.Add("simq/dissipator_steps/"+d.cfg.Name, res.DissipatorSteps)
 	if wall > 0 {
 		reg.Observe("simq/shot_latency/"+d.cfg.Name, wall/time.Duration(res.Shots))
 	}

@@ -11,6 +11,7 @@ import (
 
 	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/simq"
 	"mqsspulse/internal/waveform"
 )
 
@@ -30,6 +31,11 @@ type SimDevice struct {
 	// Simulated wall clock in seconds; drift advances with it.
 	nowSeconds float64
 	drift      *driftState
+	// engine is the execution engine of the current true physics — system
+	// model, sparse operators, collapse precompute, propagator cache —
+	// built by the first job that needs it and kept for every later one.
+	// It is a function of drift alone, so whatever writes drift drops it.
+	engine *simq.Executor
 	// Calibration table: what the control electronics believe.
 	calibFreqHz []float64 //mqss:calibrated
 	calibPiAmp  []float64 //mqss:calibrated
@@ -183,6 +189,7 @@ func (d *SimDevice) SetJobOverhead(t time.Duration) {
 func (d *SimDevice) AdvanceTime(seconds float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.engine = nil // the true physics is about to move
 	// Subdivide long advances so OU statistics stay faithful.
 	remaining := seconds
 	for remaining > 0 {

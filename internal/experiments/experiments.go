@@ -1,8 +1,7 @@
 // Package experiments implements the reproduction harness: one experiment
-// per figure, listing, and quantitative claim of the paper (see DESIGN.md
-// §4). Each experiment returns a Table that cmd/mqss-bench renders and
-// EXPERIMENTS.md records; bench_test.go wraps the same code in testing.B
-// loops.
+// per figure, listing, and quantitative claim of the paper. Each
+// experiment returns a Table that cmd/mqss-bench renders; bench_test.go
+// wraps the same code in testing.B loops.
 package experiments
 
 import (

@@ -98,100 +98,82 @@ type Collapse struct {
 	Rate float64 // γ in 1/s
 }
 
-// LindbladRHS computes dρ/dt = -i[H,ρ] + Σ γ_k (L_k ρ L_k† − ½{L_k†L_k, ρ})
-// with H in angular-frequency units (rad/s).
-func LindbladRHS(h *linalg.Matrix, rho *linalg.Matrix, collapses []Collapse) *linalg.Matrix {
-	// -i[H, ρ]
-	out := linalg.Commutator(h, rho).Scale(complex(0, -1))
+// collapseSet is the precomputed form of a model's collapse channels: the
+// sparse jump operators (the embedded a and a†a have O(n) non-zeros) and
+// the decay operator D = Σ γ_k·L_k†L_k, sparse and dense. NewSystemModel
+// builds it once; the density engine's dissipator and the trajectory
+// engine's effective Hamiltonian both read it and never write.
+type collapseSet struct {
+	ops        []sparseCollapse // channels with γ ≠ 0
+	decay      *linalg.Sparse
+	decayDense *linalg.Matrix
+}
+
+// sparseCollapse is one collapse channel: the sparse jump operator and
+// its rate γ.
+type sparseCollapse struct {
+	op   *linalg.Sparse
+	rate float64
+}
+
+func newCollapseSet(n int, collapses []Collapse) *collapseSet {
+	cs := &collapseSet{decayDense: linalg.NewMatrix(n, n)}
 	for _, c := range collapses {
 		if c.Rate == 0 {
 			continue
 		}
-		ld := c.L.Dagger()
-		ldl := ld.Mul(c.L)
-		jump := c.L.Mul(rho).Mul(ld)
-		anti := linalg.AntiCommutator(ldl, rho).Scale(0.5)
-		out.AddInPlace(jump.Sub(anti), complex(c.Rate, 0))
+		cs.ops = append(cs.ops, sparseCollapse{op: linalg.NewSparse(c.L), rate: c.Rate})
+		cs.decayDense.AddInPlace(c.L.Dagger().Mul(c.L), complex(c.Rate, 0))
 	}
-	return out
+	cs.decay = linalg.NewSparse(cs.decayDense)
+	return cs
 }
 
-// LindbladStepRK4 advances ρ by dt seconds under constant H using classical
-// Runge-Kutta 4. H is in rad/s.
-func LindbladStepRK4(h *linalg.Matrix, rho *Density, collapses []Collapse, dt float64) {
-	k1 := LindbladRHS(h, rho.Rho, collapses)
-	r2 := rho.Rho.Clone()
-	r2.AddInPlace(k1, complex(dt/2, 0))
-	k2 := LindbladRHS(h, r2, collapses)
-	r3 := rho.Rho.Clone()
-	r3.AddInPlace(k2, complex(dt/2, 0))
-	k3 := LindbladRHS(h, r3, collapses)
-	r4 := rho.Rho.Clone()
-	r4.AddInPlace(k3, complex(dt, 0))
-	k4 := LindbladRHS(h, r4, collapses)
-
-	rho.Rho.AddInPlace(k1, complex(dt/6, 0))
-	rho.Rho.AddInPlace(k2, complex(dt/3, 0))
-	rho.Rho.AddInPlace(k3, complex(dt/3, 0))
-	rho.Rho.AddInPlace(k4, complex(dt/6, 0))
+// dissipatorRHS fills out with Σ γ_k·L_k ρ L_k† − ½(Dρ + ρD), the
+// dissipative part of the Lindblad equation, without allocating.
+//
+//mqss:hotloop
+func (s *matStepper) dissipatorRHS(cs *collapseSet, out, rho *linalg.Matrix) {
+	clear(out.Data)
+	for i := range cs.ops {
+		c := &cs.ops[i]
+		clear(s.tmp.Data)
+		c.op.MulMatAccum(s.tmp, rho, complex(c.rate, 0))
+		c.op.MatMulDaggerAccum(out, s.tmp, 1)
+	}
+	cs.decay.MulMatAccum(out, rho, -0.5)
+	cs.decay.MatMulAccum(out, rho, -0.5)
 }
 
-// DissipatorRHS computes only the dissipative part of the Lindblad
-// equation: Σ γ_k (L_k ρ L_k† − ½{L_k†L_k, ρ}).
-func DissipatorRHS(rho *linalg.Matrix, collapses []Collapse) *linalg.Matrix {
-	out := linalg.NewMatrix(rho.Rows, rho.Cols)
-	for _, c := range collapses {
-		if c.Rate == 0 {
-			continue
-		}
-		ld := c.L.Dagger()
-		ldl := ld.Mul(c.L)
-		jump := c.L.Mul(rho).Mul(ld)
-		anti := linalg.AntiCommutator(ldl, rho).Scale(0.5)
-		out.AddInPlace(jump.Sub(anti), complex(c.Rate, 0))
-	}
-	return out
+// dissipate advances rho by dt under the dissipator alone with one RK4
+// step. Combined with an exact unitary conjugation this gives a splitting
+// integrator that stays stable for arbitrarily fast Hamiltonian phase
+// rotation — RK4 on the full Lindblad generator diverges once ‖H‖·dt
+// exceeds its stability region, which a transmon anharmonicity reaches at
+// tens of nanoseconds. The stepper's Taylor scratch doubles as the RK4
+// buffers (slope in term, evaluation point in work, running sum in acc);
+// none of it is live between calls.
+//
+//mqss:hotloop
+func (s *matStepper) dissipate(cs *collapseSet, rho *linalg.Matrix, dt float64) {
+	copy(s.acc.Data, rho.Data)
+	s.rk4Stage(cs, rho, rho, dt/6, dt/2)
+	s.rk4Stage(cs, rho, s.work, dt/3, dt/2)
+	s.rk4Stage(cs, rho, s.work, dt/3, dt)
+	s.rk4Stage(cs, rho, s.work, dt/6, 0)
+	copy(rho.Data, s.acc.Data)
 }
 
-// DissipatorStepRK4 advances ρ by dt under the dissipator alone. Combined
-// with an exact unitary conjugation this gives a splitting integrator that
-// stays stable for arbitrarily fast Hamiltonian phase rotation — RK4 on the
-// full Lindblad generator diverges once ‖H‖·dt exceeds its stability
-// region, which a transmon anharmonicity reaches at tens of nanoseconds.
-func DissipatorStepRK4(rho *Density, collapses []Collapse, dt float64) {
-	if len(collapses) == 0 {
-		return
+// rk4Stage evaluates the slope k at `at`, adds wSum·k to the running sum
+// and leaves the next evaluation point rho + wNext·k in s.work.
+//
+//mqss:hotloop
+func (s *matStepper) rk4Stage(cs *collapseSet, rho, at *linalg.Matrix, wSum, wNext float64) {
+	s.dissipatorRHS(cs, s.term, at)
+	for i, k := range s.term.Data {
+		s.acc.Data[i] += complex(wSum*real(k), wSum*imag(k))
+		s.work.Data[i] = rho.Data[i] + complex(wNext*real(k), wNext*imag(k))
 	}
-	k1 := DissipatorRHS(rho.Rho, collapses)
-	r2 := rho.Rho.Clone()
-	r2.AddInPlace(k1, complex(dt/2, 0))
-	k2 := DissipatorRHS(r2, collapses)
-	r3 := rho.Rho.Clone()
-	r3.AddInPlace(k2, complex(dt/2, 0))
-	k3 := DissipatorRHS(r3, collapses)
-	r4 := rho.Rho.Clone()
-	r4.AddInPlace(k3, complex(dt, 0))
-	k4 := DissipatorRHS(r4, collapses)
-	rho.Rho.AddInPlace(k1, complex(dt/6, 0))
-	rho.Rho.AddInPlace(k2, complex(dt/3, 0))
-	rho.Rho.AddInPlace(k3, complex(dt/3, 0))
-	rho.Rho.AddInPlace(k4, complex(dt/6, 0))
-}
-
-// SplitStep advances ρ by dt under constant H (rad/s) plus collapses using
-// first-order splitting: exact unitary conjugation followed by a dissipator
-// RK4 step. This is the reference integrator (IntegratorExact); the fast
-// path applies the same splitting but evaluates the unitary conjugation
-// matrix-free through matStepper, skipping the per-sample
-// eigendecomposition.
-func SplitStep(h *linalg.Matrix, rho *Density, collapses []Collapse, dt float64) error {
-	u, err := linalg.ExpI(h, dt)
-	if err != nil {
-		return err
-	}
-	rho.ApplyFull(u)
-	DissipatorStepRK4(rho, collapses, dt)
-	return nil
 }
 
 // RelaxationCollapses builds the standard T1/T2 collapse operators for one

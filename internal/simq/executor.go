@@ -1,11 +1,12 @@
 package simq
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
+	"slices"
 	"time"
 
 	"mqsspulse/internal/linalg"
@@ -133,17 +134,74 @@ type ExecResult struct {
 	// phase; the ratio of each entry to the largest is that worker's
 	// utilization (telemetry feeds these into per-device histograms).
 	WorkerBusy []time.Duration
+	// EngineStats counts the run's propagator-cache traffic and dissipator
+	// steps (summed over shot workers for trajectory runs).
+	EngineStats
+}
+
+// EngineStats is what a run did that a warm executor saves or a closed
+// system never does: a job on a warm device shows hits and no misses.
+type EngineStats struct {
+	// PropCacheHits and PropCacheMisses count look-ups of the executor's
+	// propagator cache; every miss is one dense matrix exponential.
+	PropCacheHits, PropCacheMisses int64
+	// DissipatorSteps counts RK4 steps of the density engine's dissipator.
+	DissipatorSteps int64
+}
+
+func (s *EngineStats) add(o EngineStats) {
+	s.PropCacheHits += o.PropCacheHits
+	s.PropCacheMisses += o.PropCacheMisses
+	s.DissipatorSteps += o.DissipatorSteps
 }
 
 // Executor integrates scheduled pulse programs against a SystemModel. It is
 // the simulated analogue of the vendor "hardware runtime" that QIR pulse
 // intrinsics link against (paper, Section 5.4).
+//
+// An Executor holds everything that is a function of the model and not of
+// the program: the spectrally shifted sparse drift and the propagator
+// cache (the model itself carries the channels' sparse operators and the
+// collapse precompute). All of it is immutable or locked, so one Executor
+// serves any number of Runs, concurrently; only scratch is built per run.
 type Executor struct {
 	Model *SystemModel
+
+	cache *propCache
+	// drift is the sparse view of Drift − λI (nil when that is zero) and
+	// lam the spectral shift λ in rad/s; see fastEngine.
+	drift *linalg.Sparse
+	lam   float64
 }
 
 // NewExecutor wraps a system model.
-func NewExecutor(m *SystemModel) *Executor { return &Executor{Model: m} }
+func NewExecutor(m *SystemModel) *Executor {
+	e := &Executor{Model: m, cache: newPropCache()}
+	if m.Drift.MaxAbs() == 0 {
+		return e
+	}
+	n := m.HilbertDim()
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := 0; i < n; i++ {
+		d := real(m.Drift.At(i, i))
+		lo, hi = math.Min(lo, d), math.Max(hi, d)
+	}
+	e.lam = (lo + hi) / 2
+	shifted := m.Drift
+	if e.lam != 0 {
+		shifted = m.Drift.Clone()
+		for i := 0; i < n; i++ {
+			shifted.Set(i, i, shifted.At(i, i)-complex(e.lam, 0))
+		}
+	}
+	if sp := linalg.NewSparse(shifted); sp.NNZ() > 0 {
+		e.drift = sp
+	}
+	return e
+}
+
+// driftFree reports whether the drift Hamiltonian is exactly zero.
+func (e *Executor) driftFree() bool { return e.drift == nil && e.lam == 0 }
 
 // playEvent is an active waveform on a channel with latched frame state.
 type playEvent struct {
@@ -238,7 +296,7 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 	}
 
 	makespan := sp.TotalDuration()
-	sort.Slice(captures, func(i, j int) bool { return captures[i].bit < captures[j].bit })
+	slices.SortFunc(captures, func(a, b captureEvent) int { return cmp.Compare(a.bit, b.bit) })
 
 	workers := opts.ShotWorkers
 	if workers < 1 {
@@ -252,6 +310,7 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 
 	var st *State
 	var rho *Density
+	var stats EngineStats
 	if !useTraj {
 		// Deterministic (shot-independent) evolution: integrate once, then
 		// every shot samples the same final state.
@@ -260,9 +319,11 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 		} else {
 			st = NewState(e.Model.Dims)
 		}
-		if err := e.evolve(st, rho, plays, makespan, dt, opts); err != nil {
+		eng := e.newFastEngine(useDensity, dt)
+		if err := e.evolve(eng, st, rho, plays, makespan, opts); err != nil {
 			return nil, err
 		}
+		stats = eng.EngineStats
 	}
 
 	res := &ExecResult{
@@ -273,6 +334,7 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 		FinalState:      st,
 		FinalDensity:    rho,
 		Workers:         workers,
+		EngineStats:     stats,
 	}
 	if len(captures) == 0 {
 		// Still stamp the requested level so callers (and the remote wire)
@@ -343,34 +405,14 @@ func (e *Executor) sampleDt(sp *pulse.ScheduledProgram) (float64, error) {
 }
 
 // evolve integrates the dynamics over [0, makespan) ticks. Idle segments
-// are always advanced exactly (one ExpI per segment); driven segments go
-// through either the matrix-free fast path (IntegratorAuto) or the
-// reference per-sample eigendecomposition (IntegratorExact).
-func (e *Executor) evolve(st *State, rho *Density, plays []playEvent, makespan int64, dt float64, opts ExecOptions) error {
-	n := e.Model.HilbertDim()
-	sort.Slice(plays, func(i, j int) bool { return plays[i].start < plays[j].start })
-
-	// Segment boundaries: every play start/end.
-	bounds := map[int64]bool{0: true, makespan: true}
-	for _, p := range plays {
-		bounds[p.start] = true
-		bounds[p.start+int64(len(p.samples))] = true
-	}
-	ticks := make([]int64, 0, len(bounds))
-	for t := range bounds {
-		if t >= 0 && t <= makespan {
-			ticks = append(ticks, t)
-		}
-	}
-	sort.Slice(ticks, func(i, j int) bool { return ticks[i] < ticks[j] })
-
-	h := linalg.NewMatrix(n, n)
-	driftIsZero := e.Model.Drift.MaxAbs() == 0
-
-	var eng *fastEngine
-	if opts.Integrator != IntegratorExact {
-		eng = e.newFastEngine(rho != nil, dt)
-	}
+// are always advanced exactly (one cached ExpI per distinct segment
+// length); driven segments go through either the matrix-free fast path
+// (IntegratorAuto) or the reference per-sample eigendecomposition
+// (IntegratorExact).
+func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, plays []playEvent, makespan int64, opts ExecOptions) error {
+	sortPlays(plays)
+	ticks := segmentTicks(plays, makespan)
+	collapse := e.Model.collapse
 
 	// poll charges `consumed` driven ticks against the cancellation budget
 	// and checks Interrupted once interruptPollTicks have accumulated, so
@@ -393,44 +435,36 @@ func (e *Executor) evolve(st *State, rho *Density, plays []playEvent, makespan i
 		if t0 == t1 {
 			continue
 		}
-		active := activePlays(plays, t0)
-		if len(active) == 0 {
+		eng.active = activePlays(eng.active[:0], plays, t0)
+		if len(eng.active) == 0 {
 			// Idle segment: constant drift (+ decoherence). The unitary part
 			// is applied exactly in one shot; the dissipator is integrated
 			// with capped RK4 steps (its rates are slow, so this is stable).
-			segT := float64(t1-t0) * dt
-			if rho != nil {
-				if !driftIsZero {
-					u, err := linalg.ExpI(e.Model.Drift, segT)
-					if err != nil {
-						return err
-					}
-					rho.ApplyFull(u)
-				}
-				if len(e.Model.Collapses) > 0 {
-					steps := int(math.Ceil(segT / opts.MaxIdleStep))
-					if steps < 1 {
-						steps = 1
-					}
-					sub := segT / float64(steps)
-					for k := 0; k < steps; k++ {
-						DissipatorStepRK4(rho, e.Model.Collapses, sub)
-					}
-				}
-			} else if !driftIsZero {
-				u, err := linalg.ExpI(e.Model.Drift, segT)
+			if !e.driftFree() {
+				u, err := e.propagator(eng, propUnitary, nil, nil, t1-t0)
 				if err != nil {
 					return err
 				}
-				st.ApplyFull(u)
+				eng.apply(u, st, rho)
+			}
+			if rho != nil && len(collapse.ops) > 0 {
+				segT := float64(t1-t0) * eng.dt
+				steps := int(math.Ceil(segT / opts.MaxIdleStep))
+				if steps < 1 {
+					steps = 1
+				}
+				sub := segT / float64(steps)
+				for k := 0; k < steps; k++ {
+					eng.dissipate(collapse, rho, sub)
+				}
 			}
 			continue
 		}
 		var err error
-		if eng != nil {
-			err = e.drivenFast(eng, st, rho, active, t0, t1, dt, h, poll)
+		if opts.Integrator != IntegratorExact {
+			err = e.drivenFast(eng, st, rho, t0, t1, poll)
 		} else {
-			err = e.drivenExact(st, rho, active, t0, t1, dt, h, poll)
+			err = e.drivenExact(eng, st, rho, t0, t1, poll)
 		}
 		if err != nil {
 			return err
@@ -440,6 +474,28 @@ func (e *Executor) evolve(st *State, rho *Density, plays []playEvent, makespan i
 		st.Renormalize()
 	}
 	return nil
+}
+
+// sortPlays orders plays by start tick, simultaneous plays in program
+// order.
+func sortPlays(plays []playEvent) {
+	slices.SortStableFunc(plays, func(a, b playEvent) int { return cmp.Compare(a.start, b.start) })
+}
+
+// segmentTicks returns the boundaries of a run's integration segments in
+// ascending order: 0, the makespan, and every play start and end between
+// them. Within a segment the set of sounding plays is constant.
+func segmentTicks(plays []playEvent, makespan int64) []int64 {
+	ticks := append(make([]int64, 0, 2+2*len(plays)), 0, makespan)
+	for _, p := range plays {
+		for _, t := range [2]int64{p.start, p.start + int64(len(p.samples))} {
+			if t > 0 && t < makespan {
+				ticks = append(ticks, t)
+			}
+		}
+	}
+	slices.Sort(ticks)
+	return slices.Compact(ticks)
 }
 
 // chiAt evaluates a play's latched drive value χ(t) at an absolute tick:
@@ -458,8 +514,10 @@ func chiAt(p *playEvent, tick int64, dt float64) complex128 {
 }
 
 // drivenExact steps a driven segment with the reference integrator: dense
-// Hamiltonian assembly plus one eigendecomposition per sample tick.
-func (e *Executor) drivenExact(st *State, rho *Density, active []playEvent, t0, t1 int64, dt float64, h *linalg.Matrix, poll func(int64) bool) error {
+// Hamiltonian assembly plus one eigendecomposition per sample tick (and,
+// on the density engine, the same dissipator step as the fast path).
+func (e *Executor) drivenExact(eng *fastEngine, st *State, rho *Density, t0, t1 int64, poll func(int64) bool) error {
+	h, active := eng.denseScratch(e.Model.HilbertDim()), eng.active
 	for tick := t0; tick < t1; tick++ {
 		if poll(1) {
 			return ErrInterrupted
@@ -467,18 +525,15 @@ func (e *Executor) drivenExact(st *State, rho *Density, active []playEvent, t0, 
 		copy(h.Data, e.Model.Drift.Data)
 		for i := range active {
 			p := &active[i]
-			p.ch.driveTerm(h, chiAt(p, tick, dt))
+			p.ch.driveTerm(h, chiAt(p, tick, eng.dt))
 		}
+		u, err := linalg.ExpI(h, eng.dt)
+		if err != nil {
+			return err
+		}
+		eng.apply(u, st, rho)
 		if rho != nil {
-			if err := SplitStep(h, rho, e.Model.Collapses, dt); err != nil {
-				return err
-			}
-		} else {
-			u, err := linalg.ExpI(h, dt)
-			if err != nil {
-				return err
-			}
-			st.ApplyFull(u)
+			eng.dissipate(e.Model.collapse, rho, eng.dt)
 		}
 	}
 	return nil
@@ -490,8 +545,8 @@ func (e *Executor) drivenExact(st *State, rho *Density, active []playEvent, t0, 
 // cache, and applied as dense matrix-vector products; every other tick is
 // advanced matrix-free by the scaled-Taylor stepper with zero
 // steady-state allocations.
-func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, active []playEvent, t0, t1 int64, dt float64, h *linalg.Matrix, poll func(int64) bool) error {
-	collapses := e.Model.Collapses
+func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 int64, poll func(int64) bool) error {
+	collapse, active, dt := e.Model.collapse, eng.active, eng.dt
 	for tick := t0; tick < t1; {
 		chis := eng.chis[:0]
 		allZero := true
@@ -528,7 +583,7 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, active [
 			eng.loadHam(active, chis)
 			if rho != nil {
 				eng.mat.conjugate(eng.ham, rho.Rho, dt)
-				DissipatorStepRK4(rho, collapses, dt)
+				eng.dissipate(collapse, rho, dt)
 			} else {
 				eng.vec.step(eng.ham, st.Amp, dt)
 				if eng.tickPhase != 1 {
@@ -541,12 +596,12 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, active [
 				return ErrInterrupted
 			}
 			tick++
-		case allZero && eng.ham.drift == nil && eng.lam == 0:
+		case allZero && e.driftFree():
 			// Zero drive over zero drift: nothing evolves (decoherence still
 			// applies on the density engine).
-			if rho != nil && len(collapses) > 0 {
+			if rho != nil && len(collapse.ops) > 0 {
 				for k := int64(0); k < run; k++ {
-					DissipatorStepRK4(rho, collapses, dt)
+					eng.dissipate(collapse, rho, dt)
 					if poll(1) {
 						return ErrInterrupted
 					}
@@ -555,18 +610,18 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, active [
 				return ErrInterrupted
 			}
 			tick += run
-		case rho != nil && len(collapses) > 0:
+		case rho != nil && len(collapse.ops) > 0:
 			// Constant stretch with decoherence: the splitting integrator
 			// still interleaves the dissipator per tick, but the unitary
 			// factor is exponentiated once and applied with the stepper's
 			// allocation-free conjugation.
-			u, err := e.stretchPropagator(eng, active, chis, 1, dt, h)
+			u, err := e.propagator(eng, propUnitary, active, chis, 1)
 			if err != nil {
 				return err
 			}
 			for k := int64(0); k < run; k++ {
 				eng.mat.conjugateWith(u, rho.Rho)
-				DissipatorStepRK4(rho, collapses, dt)
+				eng.dissipate(collapse, rho, dt)
 				if poll(1) {
 					return ErrInterrupted
 				}
@@ -575,16 +630,11 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, active [
 		default:
 			// Constant stretch, unitary dynamics: one exact exponential for
 			// the whole stretch.
-			u, err := e.stretchPropagator(eng, active, chis, run, dt, h)
+			u, err := e.propagator(eng, propUnitary, active, chis, run)
 			if err != nil {
 				return err
 			}
-			if rho != nil {
-				rho.ApplyFull(u)
-			} else {
-				u.MulVecInto(eng.scratch, st.Amp)
-				st.Amp, eng.scratch = eng.scratch, st.Amp
-			}
+			eng.apply(u, st, rho)
 			if poll(run) {
 				return ErrInterrupted
 			}
@@ -594,9 +644,11 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, active [
 	return nil
 }
 
-// fastEngine bundles the per-run state of the fast integration path: the
-// sparse operator views, the reusable implicit Hamiltonian, the Taylor
-// steppers' scratch, and the constant-stretch propagator cache.
+// fastEngine is the mutable scratch of one run (or of one trajectory shot
+// worker): the reusable implicit Hamiltonian, the Taylor steppers, key and
+// play buffers, and the run's counters. Everything it reads besides —
+// sparse operators, collapse precompute, propagator cache — belongs to the
+// executor and its model and outlives the run.
 //
 // The implicit Hamiltonian is spectrally shifted: the steppers integrate
 // H − λI with λ centered on the drift's diagonal, which roughly halves
@@ -606,48 +658,28 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, active [
 // density conjugation, so only the state-vector engine re-applies it (as
 // tickPhase per tick).
 type fastEngine struct {
+	EngineStats
 	ham       *tickHam
 	vec       *vecStepper // state-vector engine
 	mat       *matStepper // density engine
-	cache     *propCache
-	spOps     map[string]*linalg.Sparse // channel port → sparse raising op
+	dt        float64     // sample period of the run
+	active    []playEvent // plays of the segment in flight
 	chis      []complex128
 	scratch   []complex128
-	keyBuf    []byte     // per-engine propagator-cache key scratch
-	lam       float64    // spectral shift λ (rad/s)
-	tickPhase complex128 // e^{-iλ·dt}, applied per state-vector tick
+	dense     *linalg.Matrix // Hamiltonian assembly scratch, built on first cache miss
+	keyBuf    []byte         // propagator-cache key scratch
+	tickPhase complex128     // e^{-iλ·dt}, applied per state-vector tick
 }
 
 func (e *Executor) newFastEngine(forDensity bool, dt float64) *fastEngine {
 	n := e.Model.HilbertDim()
 	eng := &fastEngine{
-		ham:       &tickHam{dim: n},
-		cache:     newPropCache(),
-		spOps:     make(map[string]*linalg.Sparse, len(e.Model.Channels)),
+		ham:       &tickHam{drift: e.drift},
+		dt:        dt,
 		tickPhase: 1,
 	}
-	if e.Model.Drift.MaxAbs() != 0 {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < n; i++ {
-			d := real(e.Model.Drift.At(i, i))
-			lo, hi = math.Min(lo, d), math.Max(hi, d)
-		}
-		eng.lam = (lo + hi) / 2
-		shifted := e.Model.Drift
-		if eng.lam != 0 {
-			shifted = e.Model.Drift.Clone()
-			for i := 0; i < n; i++ {
-				shifted.Set(i, i, shifted.At(i, i)-complex(eng.lam, 0))
-			}
-			eng.tickPhase = cmplx.Exp(complex(0, -eng.lam*dt))
-		}
-		if sp := linalg.NewSparse(shifted); sp.NNZ() > 0 {
-			eng.ham.drift = sp
-			eng.ham.driftNorm = sp.NormBound()
-		}
-	}
-	for id, ch := range e.Model.Channels {
-		eng.spOps[id] = ch.sparseOp()
+	if e.lam != 0 {
+		eng.tickPhase = cmplx.Exp(complex(0, -e.lam*dt))
 	}
 	if forDensity {
 		eng.mat = newMatStepper(n)
@@ -667,37 +699,80 @@ func (eng *fastEngine) loadHam(active []playEvent, chis []complex128) {
 			continue
 		}
 		ch := active[i].ch
-		eng.ham.add(eng.spOps[ch.PortID], complex(math.Pi*ch.RabiHz, 0)*chis[i])
+		eng.ham.add(ch.opSparse, complex(math.Pi*ch.RabiHz, 0)*chis[i])
 	}
 }
 
-// stretchPropagator returns exp(-i·H·ticks·dt) for the constant
-// Hamiltonian defined by (active, chis), consulting the propagator cache
-// first. The dense assembly on a miss uses the true (unshifted) drift, so
-// cached stretch propagators are exact. h is caller scratch.
-func (e *Executor) stretchPropagator(eng *fastEngine, active []playEvent, chis []complex128, ticks int64, dt float64, h *linalg.Matrix) (*linalg.Matrix, error) {
-	eng.keyBuf = propKey(eng.keyBuf, propUnitary, active, chis, ticks)
-	if u, ok := eng.cache.get(eng.keyBuf); ok {
+// apply advances whichever state the run carries by the dense unitary u
+// without allocating.
+func (eng *fastEngine) apply(u *linalg.Matrix, st *State, rho *Density) {
+	if rho != nil {
+		eng.mat.conjugateWith(u, rho.Rho)
+		return
+	}
+	u.MulVecInto(eng.scratch, st.Amp)
+	st.Amp, eng.scratch = eng.scratch, st.Amp
+}
+
+// dissipate advances rho by one counted dissipator step; a model without
+// collapse channels (ForceDensity on a closed system) has none to take.
+func (eng *fastEngine) dissipate(cs *collapseSet, rho *Density, dt float64) {
+	if len(cs.ops) == 0 {
+		return
+	}
+	eng.DissipatorSteps++
+	eng.mat.dissipate(cs, rho.Rho, dt)
+}
+
+// denseScratch returns the run's n×n Hamiltonian assembly buffer; a run
+// served entirely from a warm cache never allocates it.
+func (eng *fastEngine) denseScratch(n int) *linalg.Matrix {
+	if eng.dense == nil {
+		eng.dense = linalg.NewMatrix(n, n)
+	}
+	return eng.dense
+}
+
+// propagator returns the dense propagator over `ticks` samples of the
+// constant Hamiltonian defined by (active, chis) — no plays for an idle
+// stretch — consulting the executor's cache first: exp(-i·H·t) for
+// propUnitary, the trajectory engine's no-jump exp(-i·(H − (i/2)·D)·t)
+// for propEffective (expEffective; linalg.ExpI's Hermitian
+// eigendecomposition does not apply there). The dense assembly on a miss
+// uses the true (unshifted) drift, so cached propagators are exact.
+func (e *Executor) propagator(eng *fastEngine, flavor byte, active []playEvent, chis []complex128, ticks int64) (*linalg.Matrix, error) {
+	eng.keyBuf = propKey(eng.keyBuf, flavor, eng.dt, active, chis, ticks)
+	if u, ok := e.cache.get(eng.keyBuf); ok {
+		eng.PropCacheHits++
 		return u, nil
 	}
+	eng.PropCacheMisses++
+	h := eng.denseScratch(e.Model.HilbertDim())
 	copy(h.Data, e.Model.Drift.Data)
 	for i := range active {
 		active[i].ch.driveTerm(h, chis[i])
 	}
-	u, err := linalg.ExpI(h, float64(ticks)*dt)
-	if err != nil {
-		return nil, err
+	t := float64(ticks) * eng.dt
+	var u *linalg.Matrix
+	if flavor == propEffective {
+		h.AddInPlace(e.Model.collapse.decayDense, complex(0, -0.5))
+		u = expEffective(h, t)
+	} else {
+		var err error
+		if u, err = linalg.ExpI(h, t); err != nil {
+			return nil, err
+		}
 	}
-	eng.cache.put(eng.keyBuf, u)
+	e.cache.put(eng.keyBuf, u)
 	return u, nil
 }
 
-func activePlays(plays []playEvent, t int64) []playEvent {
-	var out []playEvent
+// activePlays appends to dst the plays sounding at tick t.
+func activePlays(dst, plays []playEvent, t int64) []playEvent {
 	for _, p := range plays {
 		if p.start <= t && t < p.start+int64(len(p.samples)) {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }

@@ -31,29 +31,22 @@ type ControlChannel struct {
 
 	// opSparse is the sparse view of OpRaise (the embedded σ±/a/a†/ZZ
 	// operators are O(n)-sparse); prebuilt by the package constructors,
-	// lazily built for literal-constructed channels.
+	// and by NewSystemModel for literal-constructed channels.
 	opSparse *linalg.Sparse
-}
-
-// sparseOp returns the channel's raising operator in sparse form, building
-// it on first use for channels assembled by struct literal. Not safe for
-// concurrent first use on a shared channel; the device layer builds a
-// fresh model per job.
-func (c *ControlChannel) sparseOp() *linalg.Sparse {
-	if c.opSparse == nil {
-		c.opSparse = linalg.NewSparse(c.OpRaise)
-	}
-	return c.opSparse
 }
 
 // SystemModel is everything the executor needs to integrate the dynamics:
 // local dimensions, the drift Hamiltonian in the rotating frame (rad/s),
-// the port→channel map, and decoherence channels.
+// the port→channel map, and decoherence channels. A model is immutable
+// once NewSystemModel returns, so executors and their concurrent runs
+// share it freely.
 type SystemModel struct {
 	Dims      []int
 	Drift     *linalg.Matrix // rad/s; zero matrix for ideal resonant frames
 	Channels  map[string]*ControlChannel
 	Collapses []Collapse
+
+	collapse *collapseSet // Collapses, precomputed for both open-system engines
 }
 
 // NewSystemModel validates and assembles a model.
@@ -88,9 +81,13 @@ func NewSystemModel(dims []int, drift *linalg.Matrix, channels []*ControlChannel
 		if _, dup := chm[c.PortID]; dup {
 			return nil, fmt.Errorf("simq: duplicate channel for port %s", c.PortID)
 		}
+		if c.opSparse == nil {
+			c.opSparse = linalg.NewSparse(c.OpRaise)
+		}
 		chm[c.PortID] = c
 	}
-	return &SystemModel{Dims: dims, Drift: drift, Channels: chm, Collapses: collapses}, nil
+	return &SystemModel{Dims: dims, Drift: drift, Channels: chm, Collapses: collapses,
+		collapse: newCollapseSet(n, collapses)}, nil
 }
 
 // HilbertDim returns the total dimension.
@@ -105,9 +102,8 @@ func (c *ControlChannel) driveTerm(h *linalg.Matrix, chi complex128) {
 		return
 	}
 	w := complex(math.Pi*c.RabiHz, 0)
-	sp := c.sparseOp()
-	sp.AddToDense(h, w*chi)
-	sp.DaggerAddToDense(h, w*cmplx.Conj(chi))
+	c.opSparse.AddToDense(h, w*chi)
+	c.opSparse.DaggerAddToDense(h, w*cmplx.Conj(chi))
 }
 
 // newChannel assembles a channel with its sparse operator view prebuilt.

@@ -14,9 +14,9 @@ import (
 // per-sample Hamiltonian without ever materializing a dense H, running an
 // eigendecomposition, or allocating in steady state. The exact
 // eigendecomposition propagator (linalg.ExpI) remains the reference — it
-// is still used for idle segments (once per segment), for constant-
-// envelope stretches (once per stretch, memoized in a propagator cache),
-// and for the whole run under ExecOptions' IntegratorExact.
+// is still used for idle segments and constant-envelope stretches (once
+// per distinct stretch, memoized in the executor's propagator cache), and
+// for every driven tick under ExecOptions' IntegratorExact.
 //
 // Accuracy: each sample tick applies exp(-i·H·dt) expanded as a Taylor
 // series on the state, sub-stepped so that ‖H‖·dt_sub ≤ taylorThetaMax
@@ -44,9 +44,10 @@ const (
 	// single 100k-sample Play lands in microseconds, rare enough that the
 	// callback (an atomic load in devices) costs nothing.
 	interruptPollTicks = 1024
-	// propCacheLimit bounds the constant-stretch propagator cache; real
-	// schedules hold a handful of distinct (envelope value, duration)
-	// pairs, so a small cap only guards against adversarial programs.
+	// propCacheLimit bounds the constant-stretch propagator cache; a
+	// device's calibrated schedules hold a handful of distinct (envelope
+	// value, duration) pairs, so a small cap only guards against sweeps
+	// over square-pulse amplitudes and adversarial programs.
 	propCacheLimit = 128
 )
 
@@ -64,18 +65,15 @@ type driveCoeff struct {
 // rebuilt by reslicing — appending to ops reuses the backing array, so
 // steady-state operation allocates nothing.
 type tickHam struct {
-	dim       int
-	drift     *linalg.Sparse // nil when the drift is zero
-	driftNorm float64
-	ops       []driveCoeff
+	drift *linalg.Sparse // nil when the (spectrally shifted) drift is zero
+	ops   []driveCoeff
 	// decay, when non-nil, turns the Hamiltonian into the trajectory
 	// engine's effective generator H_eff = H − (i/2)·decay, where decay is
 	// the rate-weighted sum Σ γ_k·L_k†L_k of the collapse channels. decay
 	// is positive semidefinite, so exp(-i·H_eff·t) is a contraction and
 	// the state norm decreases monotonically — the property the
 	// norm-threshold jump search relies on.
-	decay     *linalg.Sparse
-	decayNorm float64
+	decay *linalg.Sparse
 }
 
 func (h *tickHam) reset() { h.ops = h.ops[:0] }
@@ -89,12 +87,15 @@ func (h *tickHam) add(op *linalg.Sparse, w complex128) {
 //
 //mqss:hotloop
 func (h *tickHam) normBound() float64 {
-	n := h.driftNorm
+	var n float64
+	if h.drift != nil {
+		n = h.drift.NormBound()
+	}
 	for _, d := range h.ops {
 		n += 2 * cmplx.Abs(d.w) * d.op.NormBound()
 	}
 	if h.decay != nil {
-		n += 0.5 * h.decayNorm
+		n += 0.5 * h.decay.NormBound()
 	}
 	return n
 }
@@ -189,8 +190,8 @@ func (s *vecStepper) step(h *tickHam, psi []complex128, dt float64) {
 // unitary part of the dynamics: U = exp(-i·H·dt) is built densely by the
 // scaled-Taylor series applied to the identity (a one-sided matrix-free
 // expansion), then ρ ← U·ρ·U† is two allocation-free dense products. The
-// dissipator is stepped separately by the splitting integrator, exactly
-// as with the eigendecomposition path.
+// dissipator is stepped separately by the splitting integrator
+// (dissipate, in density.go), on the same scratch.
 type matStepper struct {
 	u, acc, term, tmp, work *linalg.Matrix
 }
@@ -280,12 +281,14 @@ const (
 )
 
 // propKey appends the lookup key for a constant-χ stretch to buf[:0] and
-// returns the filled buffer: a flavor byte, the number of ticks, then per
-// active play (in order) the channel port and the latched χ value. It is
-// a free function — every caller owns its scratch buffer, so concurrent
+// returns the filled buffer: a flavor byte, the sample period and the
+// number of ticks, then per active play (in order) the channel port and
+// the latched χ value; an idle stretch has no plays. It is a free
+// function — every caller owns its scratch buffer, so concurrent runs and
 // shot workers never share key-building state.
-func propKey(buf []byte, flavor byte, active []playEvent, chis []complex128, ticks int64) []byte {
+func propKey(buf []byte, flavor byte, dt float64, active []playEvent, chis []complex128, ticks int64) []byte {
 	b := append(buf[:0], flavor)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(dt))
 	b = binary.LittleEndian.AppendUint64(b, uint64(ticks))
 	for i, p := range active {
 		b = append(b, p.ch.PortID...)
@@ -298,14 +301,16 @@ func propKey(buf []byte, flavor byte, active []playEvent, chis []complex128, tic
 
 // propCache memoizes exact propagators for constant-envelope stretches:
 // the key encodes the active (port, χ) pairs and the stretch duration, so
-// square pulses, flat-tops, and repeated calibrated envelopes
-// exponentiate once per distinct shape and reuse the dense unitary
-// afterwards. One cache is shared by all shot workers of a run, so access
-// is guarded: lookups take a read lock (the hot case — a warmed cache
-// serves concurrent readers without contention), inserts a write lock.
-// Cached matrices are immutable after insertion. Builds are deterministic
-// functions of the key, so two workers racing to insert the same key
-// produce bit-identical matrices and results never depend on which win.
+// square pulses, flat-tops, idle gaps and repeated calibrated envelopes
+// exponentiate once per distinct shape and reuse the dense propagator
+// afterwards. The cache belongs to the Executor and is shared by all of
+// its runs and their shot workers, so access is guarded: lookups take a
+// read lock (the hot case — a warmed cache serves concurrent readers
+// without contention), inserts a write lock. Cached matrices are
+// immutable after insertion. Builds are deterministic functions of the
+// key and of the executor's model, so two workers racing to insert the
+// same key produce bit-identical matrices and a result never depends on
+// which won, nor on whether the cache was cold or warm.
 type propCache struct {
 	mu sync.RWMutex
 	m  map[string]*linalg.Matrix

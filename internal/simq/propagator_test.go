@@ -38,7 +38,7 @@ func TestVecStepperMatchesExpI(t *testing.T) {
 		scale := math.Pow(10, 7+3*rng.Float64()) // 1e7..1e10 rad/s
 		h := randHermitianM(rng, n, scale)
 		sp := linalg.NewSparse(h)
-		ham := &tickHam{dim: n, drift: sp, driftNorm: sp.NormBound()}
+		ham := &tickHam{drift: sp}
 
 		psi := make([]complex128, n)
 		for i := range psi {
@@ -77,7 +77,7 @@ func TestMatStepperMatchesExpI(t *testing.T) {
 		n := 2 + rng.Intn(5)
 		h := randHermitianM(rng, n, 1e9)
 		sp := linalg.NewSparse(h)
-		ham := &tickHam{dim: n, drift: sp, driftNorm: sp.NormBound()}
+		ham := &tickHam{drift: sp}
 
 		// Random pure-state density matrix.
 		psi := make([]complex128, n)

@@ -193,8 +193,6 @@ func (e *Executor) newShotRunner(st *State, rho *Density, plays []playEvent, cap
 		sh := newTrajShared(e, plays, makespan, dt)
 		r.traj = make([]*trajWorker, workers)
 		for i := range r.traj {
-			// Serial construction: engines touch lazily-built shared
-			// sparse operator views (ControlChannel.sparseOp).
 			r.traj[i] = sh.newWorker(opts.Interrupted)
 		}
 	} else {
@@ -361,5 +359,8 @@ func (r *shotRunner) sampleAll(res *ExecResult) error {
 		res.Counts[m]++
 	}
 	res.WorkerBusy = busy
+	for _, tw := range r.traj {
+		res.add(tw.eng.EngineStats)
+	}
 	return nil
 }

@@ -157,8 +157,10 @@ func (s *State) Probabilities() []float64 {
 
 // SiteLevel extracts the level of the given site from a flat basis index.
 func SiteLevel(dims []int, index, site int) int {
-	st := strides(dims)
-	return (index / st[site]) % dims[site]
+	for i := len(dims) - 1; i > site; i-- {
+		index /= dims[i]
+	}
+	return index % dims[site]
 }
 
 // SampleBits draws `shots` joint measurement outcomes for the listed sites.

@@ -38,13 +38,6 @@ import (
 // dt·2⁻²⁰ ≈ 1 fs at 1 GS/s, far below any decoherence timescale.
 const trajBisectIters = 20
 
-// trajCollapse is one collapse channel prepared for unraveling: the
-// sparse jump operator and its rate γ.
-type trajCollapse struct {
-	op   *linalg.Sparse
-	rate float64
-}
-
 // trajSpan is a precomputed run of sample ticks sharing one active-play
 // set: either a constant-χ stretch (chis set, advanced by one cached
 // dense propagator per shot) or a varying-envelope run (tickChis set,
@@ -57,47 +50,29 @@ type trajSpan struct {
 }
 
 // trajShared is the read-only per-run context shared by every trajectory
-// shot worker: the flattened integration spans, the collapse channels,
-// the decay operator D = Σ γ_k·L_k†L_k in sparse and dense form, and the
-// propagator cache all workers share. It is built once, before the
-// worker pool starts, and never mutated afterwards.
+// shot worker: the flattened integration spans of this program, next to
+// the executor whose model carries the collapse channels and the decay
+// operator D = Σ γ_k·L_k†L_k and whose propagator cache all workers (and
+// all runs) share. It is built once, before the worker pool starts, and
+// never mutated afterwards.
 type trajShared struct {
-	ex         *Executor
-	spans      []trajSpan
-	cols       []trajCollapse
-	decay      *linalg.Sparse
-	decayDense *linalg.Matrix
-	decayNorm  float64
-	cache      *propCache
-	dt         float64
-	dims       []int
-	n          int
+	ex    *Executor
+	spans []trajSpan
+	cols  []sparseCollapse
+	dt    float64
+	dims  []int
+	n     int
 }
 
-// newTrajShared precomputes the shared trajectory context for one run.
+// newTrajShared flattens the program for one trajectory run.
 func newTrajShared(e *Executor, plays []playEvent, makespan int64, dt float64) *trajShared {
-	n := e.Model.HilbertDim()
-	decayDense := linalg.NewMatrix(n, n)
-	cols := make([]trajCollapse, 0, len(e.Model.Collapses))
-	for _, c := range e.Model.Collapses {
-		if c.Rate == 0 {
-			continue
-		}
-		cols = append(cols, trajCollapse{op: linalg.NewSparse(c.L), rate: c.Rate})
-		decayDense.AddInPlace(c.L.Dagger().Mul(c.L), complex(c.Rate, 0))
-	}
-	decay := linalg.NewSparse(decayDense)
 	return &trajShared{
-		ex:         e,
-		spans:      buildTrajSpans(plays, makespan, dt),
-		cols:       cols,
-		decay:      decay,
-		decayDense: decayDense,
-		decayNorm:  decay.NormBound(),
-		cache:      newPropCache(),
-		dt:         dt,
-		dims:       e.Model.Dims,
-		n:          n,
+		ex:    e,
+		spans: buildTrajSpans(plays, makespan, dt),
+		cols:  e.Model.collapse.ops,
+		dt:    dt,
+		dims:  e.Model.Dims,
+		n:     e.Model.HilbertDim(),
 	}
 }
 
@@ -108,27 +83,8 @@ func newTrajShared(e *Executor, plays []playEvent, makespan int64, dt float64) *
 // precomputed data and allocates nothing.
 func buildTrajSpans(plays []playEvent, makespan int64, dt float64) []trajSpan {
 	sorted := append([]playEvent(nil), plays...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].start < sorted[j-1].start; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	bounds := map[int64]bool{0: true, makespan: true}
-	for _, p := range sorted {
-		bounds[p.start] = true
-		bounds[p.start+int64(len(p.samples))] = true
-	}
-	ticks := make([]int64, 0, len(bounds))
-	for t := range bounds {
-		if t >= 0 && t <= makespan {
-			ticks = append(ticks, t)
-		}
-	}
-	for i := 1; i < len(ticks); i++ {
-		for j := i; j > 0 && ticks[j] < ticks[j-1]; j-- {
-			ticks[j], ticks[j-1] = ticks[j-1], ticks[j]
-		}
-	}
+	sortPlays(sorted)
+	ticks := segmentTicks(sorted, makespan)
 
 	var spans []trajSpan
 	for si := 0; si+1 < len(ticks); si++ {
@@ -136,7 +92,7 @@ func buildTrajSpans(plays []playEvent, makespan int64, dt float64) []trajSpan {
 		if t0 == t1 {
 			continue
 		}
-		active := activePlays(sorted, t0)
+		active := activePlays(nil, sorted, t0) // retained by the spans
 		if len(active) == 0 {
 			spans = append(spans, trajSpan{ticks: t1 - t0})
 			continue
@@ -181,12 +137,10 @@ func buildTrajSpans(plays []playEvent, makespan int64, dt float64) []trajSpan {
 }
 
 // trajWorker is one shot worker's private trajectory state: a fast
-// engine (state-vector steppers, spectral shift, key scratch) pointed at
-// the shared propagator cache, the state and its scratch vectors, and
-// the norm threshold of the trajectory in flight. Workers must be
-// created serially — engine construction touches lazily-built shared
-// sparse operator views — but run concurrently, sharing only trajShared
-// and the locked cache.
+// engine (state-vector steppers, key scratch, counters), the state and
+// its scratch vectors, and the norm threshold of the trajectory in
+// flight. Workers run concurrently, sharing only trajShared, the
+// executor's immutable precompute and its locked cache.
 type trajWorker struct {
 	sh          *trajShared
 	eng         *fastEngine
@@ -199,7 +153,6 @@ type trajWorker struct {
 	jmp     []complex128 // jump-operator application scratch
 	jumpCum []float64    // cumulative jump-channel weights
 	cum     []float64    // cumulative |ψ|² for outcome sampling
-	h       *linalg.Matrix
 
 	r         float64 // current norm² threshold
 	sincePoll int64   // ticks since Interrupted was last polled
@@ -208,9 +161,7 @@ type trajWorker struct {
 // newWorker builds one trajectory worker wired to the shared context.
 func (sh *trajShared) newWorker(interrupted func() bool) *trajWorker {
 	eng := sh.ex.newFastEngine(false, sh.dt)
-	eng.cache = sh.cache
-	eng.ham.decay = sh.decay
-	eng.ham.decayNorm = sh.decayNorm
+	eng.ham.decay = sh.ex.Model.collapse.decay
 	return &trajWorker{
 		sh:          sh,
 		eng:         eng,
@@ -222,7 +173,6 @@ func (sh *trajShared) newWorker(interrupted func() bool) *trajWorker {
 		jmp:         make([]complex128, sh.n),
 		jumpCum:     make([]float64, len(sh.cols)),
 		cum:         make([]float64, sh.n),
-		h:           linalg.NewMatrix(sh.n, sh.n),
 	}
 }
 
@@ -281,7 +231,10 @@ func (w *trajWorker) runShot(rng *rand.Rand) error {
 // resolve the jump matrix-free inside it. Jumps are rare on decoherence
 // timescales, so the expensive path amortizes to nothing.
 func (w *trajWorker) constantSpan(active []playEvent, chis []complex128, ticks int64, rng *rand.Rand) error {
-	u := w.effPropagator(active, chis, ticks)
+	u, err := w.sh.ex.propagator(w.eng, propEffective, active, chis, ticks)
+	if err != nil {
+		return err
+	}
 	copy(w.prev, w.psi)
 	u.MulVecInto(w.tmp, w.psi)
 	w.psi, w.tmp = w.tmp, w.psi
@@ -293,7 +246,10 @@ func (w *trajWorker) constantSpan(active []playEvent, chis []complex128, ticks i
 	}
 	// At least one jump fires inside the stretch: rewind and scan.
 	copy(w.psi, w.prev)
-	u1 := w.effPropagator(active, chis, 1)
+	u1, err := w.sh.ex.propagator(w.eng, propEffective, active, chis, 1)
+	if err != nil {
+		return err
+	}
 	hamLoaded := false
 	for k := int64(0); k < ticks; k++ {
 		copy(w.prev, w.psi)
@@ -401,29 +357,6 @@ func (w *trajWorker) sampleOutcome(rng *rand.Rand, sites []int) uint64 {
 		w.cum[i] = acc
 	}
 	return siteMask(w.sh.dims, sites, drawIndex(rng, w.cum, acc))
-}
-
-// effPropagator returns the dense no-jump propagator
-// exp(−i·H_eff·ticks·dt) for the constant χ tuple, consulting the shared
-// cache first. Misses assemble H_eff = H − (i/2)·D densely and
-// exponentiate with expEffective (linalg.ExpI's Hermitian
-// eigendecomposition does not apply to the non-Hermitian H_eff). Builds
-// are deterministic functions of the key, so workers racing to insert
-// the same key produce bit-identical matrices.
-func (w *trajWorker) effPropagator(active []playEvent, chis []complex128, ticks int64) *linalg.Matrix {
-	w.eng.keyBuf = propKey(w.eng.keyBuf, propEffective, active, chis, ticks)
-	if u, ok := w.eng.cache.get(w.eng.keyBuf); ok {
-		return u
-	}
-	h := w.h
-	copy(h.Data, w.sh.ex.Model.Drift.Data)
-	for i := range active {
-		active[i].ch.driveTerm(h, chis[i])
-	}
-	h.AddInPlace(w.sh.decayDense, complex(0, -0.5))
-	u := expEffective(h, float64(ticks)*w.sh.dt)
-	w.eng.cache.put(w.eng.keyBuf, u)
-	return u
 }
 
 // expEffective exponentiates exp(−i·h·t) for a dense, not necessarily

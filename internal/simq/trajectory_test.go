@@ -307,6 +307,31 @@ func TestShotDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestShotDeterminismOnWarmExecutor: the propagator cache outlives a run,
+// so the same executor serves trajectory runs at 1 and 4 workers — cold,
+// then warm — and every one of them must return what a fresh executor
+// returns.
+func TestShotDeterminismOnWarmExecutor(t *testing.T) {
+	opts := ExecOptions{Shots: 1500, Seed: 11, ReadoutP01: 0.02, ReadoutP10: 0.05, Integrator: IntegratorTrajectory}
+	s, fresh := twoTransmonRig(t, 0.5e-6, 0.4e-6)
+	opts.ShotWorkers = 4
+	want := runSchedule(t, s, fresh, opts)
+	if want.PropCacheMisses == 0 {
+		t.Fatal("a fresh executor served its first run without a cache miss")
+	}
+	_, shared := twoTransmonRig(t, 0.5e-6, 0.4e-6)
+	for i, workers := range []int{1, 4, 1} {
+		opts.ShotWorkers = workers
+		got := runSchedule(t, s, shared, opts)
+		if !reflect.DeepEqual(got.Counts, want.Counts) {
+			t.Fatalf("run %d (%d workers) on the shared executor: %v, fresh executor: %v", i, workers, got.Counts, want.Counts)
+		}
+		if i > 0 && got.PropCacheMisses != 0 {
+			t.Fatalf("run %d on the warm executor missed the cache %d times", i, got.PropCacheMisses)
+		}
+	}
+}
+
 func TestShotDeterminismIQRecords(t *testing.T) {
 	// Exact (bitwise) equality of synthesized IQ records across worker
 	// counts, for both per-shot and averaged return modes (the averaged

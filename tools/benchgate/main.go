@@ -4,18 +4,20 @@
 // tracked speedup regressed beyond the tolerance.
 //
 //	go run ./cmd/mqss-bench -json -out BENCH_ci.json
-//	go run ./tools/benchgate -baseline BENCH_9.json -current BENCH_ci.json
+//	go run ./tools/benchgate -baseline BENCH_12.json -current BENCH_ci.json
 //
-// Two invariants are enforced. Schema: every experiment name and every
-// speedup key in the baseline must still exist in the current report —
-// a benchmark that silently vanishes is a gate bypass, not a cleanup.
-// Performance: every speedup entry (all are higher-is-better ratios or
-// throughputs) must stay above baseline×(1−tolerance); the default 25%
-// leaves room for runner jitter while catching the order-of-magnitude
-// claims (recompile-over-bound, serial-over-trajectory) falling over.
-// Absolute ns/op is deliberately not gated: CI runners vary too much,
-// but a *ratio* measured in the same process on the same machine does
-// not.
+// Two invariants are enforced. Schema: every experiment name, speedup key
+// and informational key in the baseline must still exist in the current
+// report — a benchmark that silently vanishes is a gate bypass, not a
+// cleanup. Performance: every speedup entry (all are higher-is-better
+// ratios) must stay above baseline×(1−tolerance); the default 25% leaves
+// room for runner jitter while catching an order-of-magnitude claim
+// (recompile-over-bound) falling over. Absolute ns/op and throughputs
+// are deliberately not gated: CI runners vary too much, but a *ratio*
+// measured in the same process on the same machine does not. Ratios that
+// scale with the core count, or that a speed-up of their numerator is
+// meant to lower (serial-density over parallel-trajectory), live in the
+// report's informational map: present, never compared.
 package main
 
 import (
@@ -31,7 +33,8 @@ type report struct {
 	Experiments []struct {
 		Name string `json:"name"`
 	} `json:"experiments"`
-	Speedups map[string]float64 `json:"speedups"`
+	Speedups      map[string]float64 `json:"speedups"`
+	Informational map[string]float64 `json:"informational"`
 }
 
 func main() {
@@ -80,7 +83,8 @@ func loadReport(path string) (*report, error) {
 }
 
 // compare returns every schema hole and speedup regression of current
-// against baseline, empty when the gate passes.
+// against baseline, empty when the gate passes. Informational entries
+// only have to exist.
 func compare(baseline, current *report, tolerance float64) []string {
 	var violations []string
 
@@ -105,6 +109,11 @@ func compare(baseline, current *report, tolerance float64) []string {
 			violations = append(violations, fmt.Sprintf(
 				"speedup %s regressed: %.2f → %.2f (floor %.2f at %.0f%% tolerance)",
 				name, base, cur, floor, tolerance*100))
+		}
+	}
+	for name := range baseline.Informational {
+		if _, ok := current.Informational[name]; !ok {
+			violations = append(violations, fmt.Sprintf("informational entry %s vanished from the current report", name))
 		}
 	}
 	return violations
