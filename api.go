@@ -110,10 +110,9 @@ func WithTag(tag string) ExecOption { return qpi.WithTag(tag) }
 func WithPool(name string) ExecOption { return qpi.WithPool(name) }
 
 // WithShotWorkers asks the executing device to spread the job's
-// independent shots across n parallel workers (and, for open-system
-// simulations, lets the Auto integrator switch to Monte-Carlo trajectory
-// unraveling). Zero keeps the device's configured default; shot outcomes
-// never depend on worker scheduling or completion order.
+// independent shots across n parallel workers (at most one per
+// processor). Zero keeps the device's configured default. The count never
+// changes a result: a job returns the same counts and IQ records at any n.
 func WithShotWorkers(n int) ExecOption { return qpi.WithShotWorkers(n) }
 
 // WithDeadline bounds the execution; past it the job is cancelled.
@@ -260,13 +259,6 @@ func Run(ctx context.Context, b Backend, c *Circuit, opts ...ExecOption) (*Resul
 func Start(ctx context.Context, b Backend, c *Circuit, opts ...ExecOption) (Handle, error) {
 	return qpi.Start(ctx, b, c, opts...)
 }
-
-// Execute dispatches a finished kernel synchronously, detached from any
-// context.
-//
-// Deprecated: use Run, which threads a context.Context through every
-// layer and accepts functional options.
-func Execute(b Backend, c *Circuit, shots int) (*Result, error) { return qpi.Execute(b, c, shots) }
 
 // Port kinds (used to locate drive/readout channels by inspection).
 const (

@@ -681,44 +681,30 @@ func BenchmarkEvolveDensityFast(b *testing.B) { benchEvolveDensity(b, simq.Integ
 // sample.
 func BenchmarkEvolveDensityExact(b *testing.B) { benchEvolveDensity(b, simq.IntegratorExact) }
 
-// --- Shot-parallel execution (ISSUE 8 tentpole) ---
+// --- Open-system shots ---
 
-// benchShots runs the shared ShotBenchRig job (2-transmon d=3 open system,
-// square pulses, idle gap, captures on both sites) at 256 shots and
-// reports throughput in shots/s alongside ns/op.
-func benchShots(b *testing.B, opts simq.ExecOptions) {
-	b.Helper()
+// BenchmarkShotsSerial runs the shared ShotBenchRig job (2-transmon d=3
+// open system, square pulses, idle gap, captures on both sites) at 256
+// shots under default options — one density evolution with a per-tick
+// dissipator, then 256 sequential readout draws — and reports throughput
+// in shots/s alongside ns/op.
+func BenchmarkShotsSerial(b *testing.B) {
 	ex, sp, err := experiments.ShotBenchRig()
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts.Shots = 256
+	const shots = 256
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Run(sp, opts); err != nil {
+		if _, err := ex.Run(sp, simq.ExecOptions{Shots: shots}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(opts.Shots)*float64(b.N)/secs, "shots/s")
+		b.ReportMetric(shots*float64(b.N)/secs, "shots/s")
 	}
-}
-
-// BenchmarkShotsSerial is the before picture: the serial density engine —
-// one O(d²) Lindblad evolution with a per-tick dissipator, then 256
-// sequential readout draws.
-func BenchmarkShotsSerial(b *testing.B) {
-	benchShots(b, simq.ExecOptions{ForceDensity: true})
-}
-
-// BenchmarkShotsParallel is the after picture: 256 Monte-Carlo trajectory
-// shots at O(d) state cost each, spread across 4 shot workers sharing the
-// memoized propagator cache. The acceptance floor is ≥3× the serial
-// density throughput (BENCH_8.json records the measured ratio).
-func BenchmarkShotsParallel(b *testing.B) {
-	benchShots(b, simq.ExecOptions{ShotWorkers: 4, Integrator: simq.IntegratorTrajectory})
 }
 
 // --- EXP-S1: deferred binding (parametric template sweep) ---

@@ -35,11 +35,10 @@ type benchEntry struct {
 }
 
 // benchReport is the -json report document: the sweep, evolve, fleet,
-// telemetry, shot-parallel, and static-analysis experiments plus derived
-// numbers. Speedups are the ratios benchgate holds a floor under;
-// Informational carries absolute throughputs and ratios that are a
-// property of the machine (core count) or that an optimisation is meant
-// to lower — reported, schema-checked, never gated.
+// telemetry, open-system shots, and static-analysis experiments plus
+// derived numbers. Speedups are the ratios benchgate holds a floor under;
+// Informational carries absolute throughputs, a property of the machine
+// — reported, schema-checked, never gated.
 type benchReport struct {
 	Points        int                `json:"points"`
 	Experiments   []benchEntry       `json:"experiments"`
@@ -129,40 +128,24 @@ func telemetryEntry() (benchEntry, error) {
 	})
 }
 
-// shotsEntries benchmarks a 256-shot open-system job under the serial
-// density engine and under 4-worker Monte-Carlo trajectory unraveling (the
-// ISSUE 8 tentpole numbers), and derives the ratio of the two and the
-// absolute shots/sec throughput of each path — all informational: the
-// ratio scales with the core count and falls whenever the density engine
-// gets faster.
-func shotsEntries() ([]benchEntry, map[string]float64, error) {
+// shotsEntry benchmarks a 256-shot open-system job under default options
+// (density engine, serial sampling) and derives its absolute shots/sec
+// throughput — informational: a property of the machine.
+func shotsEntry() (benchEntry, map[string]float64, error) {
 	ex, sp, err := experiments.ShotBenchRig()
 	if err != nil {
-		return nil, nil, err
+		return benchEntry{}, nil, err
 	}
 	const shots = 256
-	run := func(opts simq.ExecOptions) func() error {
-		opts.Shots = shots
-		return func() error {
-			_, err := ex.Run(sp, opts)
-			return err
-		}
-	}
-	serial, err := measure(fmt.Sprintf("shots_serial_density_%d", shots),
-		run(simq.ExecOptions{ForceDensity: true}))
+	serial, err := measure(fmt.Sprintf("shots_serial_density_%d", shots), func() error {
+		_, err := ex.Run(sp, simq.ExecOptions{Shots: shots})
+		return err
+	})
 	if err != nil {
-		return nil, nil, err
+		return benchEntry{}, nil, err
 	}
-	parallel, err := measure(fmt.Sprintf("shots_parallel_trajectory_%d", shots),
-		run(simq.ExecOptions{ShotWorkers: 4, Integrator: simq.IntegratorTrajectory}))
-	if err != nil {
-		return nil, nil, err
-	}
-	perSec := func(e benchEntry) float64 { return shots * 1e9 / e.NsPerOp }
-	return []benchEntry{serial, parallel}, map[string]float64{
-		"serial_density_over_parallel_trajectory": serial.NsPerOp / parallel.NsPerOp,
-		"shots_per_sec_serial_density":            perSec(serial),
-		"shots_per_sec_parallel_trajectory":       perSec(parallel),
+	return serial, map[string]float64{
+		"shots_per_sec_serial_density": shots * 1e9 / serial.NsPerOp,
 	}, nil
 }
 
@@ -200,11 +183,11 @@ func writeBenchJSON(path string) error {
 		}
 		entries = append(entries, e)
 	}
-	shotEntries, informational, err := shotsEntries()
+	shots, informational, err := shotsEntry()
 	if err != nil {
 		return err
 	}
-	entries = append(entries, shotEntries...)
+	entries = append(entries, shots)
 	report := benchReport{Points: points, Experiments: entries, Speedups: speedups, Informational: informational}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -218,10 +201,7 @@ func writeBenchJSON(path string) error {
 		fmt.Printf("  %-24s %12.4gms/op %8d allocs/op\n", e.Name, e.NsPerOp/1e6, e.AllocsPerOp)
 	}
 	fmt.Printf("  speedup recompile/bound: %.1f×\n", report.Speedups["recompile_over_bound"])
-	fmt.Printf("  serial-density/parallel-trajectory (not gated): %.1f× (%.0f → %.0f shots/s)\n",
-		informational["serial_density_over_parallel_trajectory"],
-		informational["shots_per_sec_serial_density"],
-		informational["shots_per_sec_parallel_trajectory"])
+	fmt.Printf("  serial density (not gated): %.0f shots/s\n", informational["shots_per_sec_serial_density"])
 	return nil
 }
 
@@ -230,8 +210,8 @@ func main() {
 	exp := flag.String("exp", "", "run a single experiment by ID (e.g. EXP-F1)")
 	list := flag.Bool("list", false, "list experiment IDs")
 	jsonOut := flag.Bool("json", false,
-		"benchmark the sweep, evolve, fleet, telemetry, shot-parallel, and mqssvet paths and write a machine-readable report")
-	out := flag.String("out", "BENCH_12.json", "output path for the -json report")
+		"benchmark the sweep, evolve, fleet, telemetry, open-system shots, and mqssvet paths and write a machine-readable report")
+	out := flag.String("out", "BENCH_13.json", "output path for the -json report")
 	flag.Parse()
 
 	ids := []string{"EXP-F1", "EXP-F2", "EXP-F3", "EXP-L1", "EXP-L2", "EXP-L3",

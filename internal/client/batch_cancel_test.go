@@ -335,7 +335,7 @@ func TestRemoteCancelledContextPoisonsConnection(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("submit returned after %v, want ≈120ms", elapsed)
 	}
-	if _, err := remote.SubmitPayload("dev", []byte("payload"), qdmi.FormatQIRBase, 16); err == nil {
+	if _, err := remote.SubmitPayloadCtx(context.Background(), "dev", []byte("payload"), qdmi.FormatQIRBase, SubmitOptions{Shots: 16}); err == nil {
 		t.Fatal("poisoned connection accepted a submission")
 	}
 }
@@ -367,7 +367,7 @@ func TestServerMaxJobTime(t *testing.T) {
 	}
 	defer remote.Close()
 	// No client deadline: the server-side cap alone bounds the job.
-	if _, err := remote.SubmitPayload("hpcqc-sc", payload, format, 16); err == nil {
+	if _, err := remote.SubmitPayloadCtx(context.Background(), "hpcqc-sc", payload, format, SubmitOptions{Shots: 16}); err == nil {
 		t.Fatal("server job cap did not fire")
 	}
 }

@@ -499,20 +499,6 @@ func (c *Client) RunCtx(ctx context.Context, k *qpi.Circuit, device string, opts
 	return resultFromQDMI(res), nil
 }
 
-// Submit compiles and enqueues a kernel detached from any context.
-//
-// Deprecated: use SubmitCtx so cancellation and deadlines propagate.
-func (c *Client) Submit(k *qpi.Circuit, device string, opts SubmitOptions) (*qrm.Ticket, error) {
-	return c.SubmitCtx(context.Background(), k, device, opts)
-}
-
-// Run is the synchronous convenience wrapper detached from any context.
-//
-// Deprecated: use RunCtx.
-func (c *Client) Run(k *qpi.Circuit, device string, opts SubmitOptions) (*qpi.Result, error) {
-	return c.RunCtx(context.Background(), k, device, opts)
-}
-
 // BatchResult pairs one batch entry's outcome with its error; exactly one
 // of the fields is set.
 type BatchResult struct {
@@ -629,13 +615,6 @@ func (a *NativeAdapter) Submit(ctx context.Context, k *qpi.Circuit, cfg qpi.Exec
 		}()
 	}
 	return &ticketHandle{tk: tk}, nil
-}
-
-// Execute runs a kernel synchronously, detached from any context.
-//
-// Deprecated: use qpi.Run(ctx, adapter, kernel, opts...) instead.
-func (a *NativeAdapter) Execute(k *qpi.Circuit, shots int) (*qpi.Result, error) {
-	return a.Client.RunCtx(context.Background(), k, a.Target, SubmitOptions{Shots: shots})
 }
 
 // ticketHandle adapts a QRM ticket to the qpi.Handle future interface.

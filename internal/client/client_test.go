@@ -41,7 +41,7 @@ func bell(t *testing.T) *qpi.Circuit {
 
 func TestClientRunBell(t *testing.T) {
 	c, _ := testStack(t)
-	res, err := c.Run(bell(t), "hpcqc-sc", SubmitOptions{Shots: 4000})
+	res, err := c.RunCtx(context.Background(), bell(t), "hpcqc-sc", SubmitOptions{Shots: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +58,16 @@ func TestClientRunBell(t *testing.T) {
 func TestClientValidation(t *testing.T) {
 	c, _ := testStack(t)
 	unfinished := qpi.NewCircuit("u", 1, 0).X(0)
-	if _, err := c.Submit(unfinished, "hpcqc-sc", SubmitOptions{Shots: 10}); err == nil {
+	if _, err := c.SubmitCtx(context.Background(), unfinished, "hpcqc-sc", SubmitOptions{Shots: 10}); err == nil {
 		t.Fatal("unfinished kernel accepted")
 	}
 	bad := qpi.NewCircuit("b", 1, 0).X(9)
 	_ = bad.End()
-	if _, err := c.Submit(bad, "hpcqc-sc", SubmitOptions{Shots: 10}); err == nil {
+	if _, err := c.SubmitCtx(context.Background(), bad, "hpcqc-sc", SubmitOptions{Shots: 10}); err == nil {
 		t.Fatal("broken kernel accepted")
 	}
 	good := bell(t)
-	if _, err := c.Submit(good, "ghost", SubmitOptions{Shots: 10}); err == nil {
+	if _, err := c.SubmitCtx(context.Background(), good, "ghost", SubmitOptions{Shots: 10}); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 }
@@ -118,7 +118,7 @@ func TestNativeAdapter(t *testing.T) {
 	if !strings.Contains(backend.Name(), "hpcqc-sc") {
 		t.Fatal("adapter name missing target")
 	}
-	res, err := qpi.Execute(backend, bell(t), 1000)
+	res, err := qpi.Run(context.Background(), backend, bell(t), qpi.WithShots(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestInterpretedAdapterParses(t *testing.T) {
 	if k.Name != "bell" || k.CountKind(qpi.OpGate) != 2 || k.CountKind(qpi.OpMeasure) != 2 {
 		t.Fatalf("parsed kernel wrong: %+v", k)
 	}
-	res, err := a.Execute(bellProgram, 2000)
+	res, err := a.ExecuteCtx(context.Background(), bellProgram, SubmitOptions{Shots: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRemoteRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	res, err := remote.SubmitPayload("hpcqc-sc", payload, format, 2000)
+	res, err := remote.SubmitPayloadCtx(context.Background(), "hpcqc-sc", payload, format, SubmitOptions{Shots: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +240,11 @@ func TestRemoteRoundtrip(t *testing.T) {
 		t.Fatalf("remote Bell p00=%g", res.Probability(0b00))
 	}
 	// Error path: unknown device.
-	if _, err := remote.SubmitPayload("ghost", payload, format, 10); err == nil {
+	if _, err := remote.SubmitPayloadCtx(context.Background(), "ghost", payload, format, SubmitOptions{Shots: 10}); err == nil {
 		t.Fatal("remote accepted unknown device")
 	}
 	// Second submission reuses the connection.
-	if _, err := remote.SubmitPayload("hpcqc-sc", payload, format, 100); err != nil {
+	if _, err := remote.SubmitPayloadCtx(context.Background(), "hpcqc-sc", payload, format, SubmitOptions{Shots: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -261,7 +261,7 @@ func TestRemoteAdapterClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote.Close()
-	if _, err := remote.SubmitPayload("hpcqc-sc", []byte("x"), qdmi.FormatQIRBase, 10); err == nil {
+	if _, err := remote.SubmitPayloadCtx(context.Background(), "hpcqc-sc", []byte("x"), qdmi.FormatQIRBase, SubmitOptions{Shots: 10}); err == nil {
 		t.Fatal("closed adapter accepted submission")
 	}
 }
@@ -285,7 +285,7 @@ func TestQRMCalibrationMaintenanceIntegration(t *testing.T) {
 	// Push the device past its Ramsey cadence.
 	dev.AdvanceTime(pol.RamseyEverySeconds + 60)
 	before := len(sched.Events)
-	if _, err := c.Run(bell(t), "hpcqc-sc", SubmitOptions{Shots: 200}); err != nil {
+	if _, err := c.RunCtx(context.Background(), bell(t), "hpcqc-sc", SubmitOptions{Shots: 200}); err != nil {
 		t.Fatal(err)
 	}
 	if len(sched.Events) <= before {

@@ -186,10 +186,3 @@ func (a *InterpretedAdapter) ExecuteCtx(ctx context.Context, src string, opts Su
 	}
 	return a.Client.RunCtx(ctx, c, a.Target, opts)
 }
-
-// Execute parses and runs a textual program detached from any context.
-//
-// Deprecated: use ExecuteCtx.
-func (a *InterpretedAdapter) Execute(src string, shots int) (*qpi.Result, error) {
-	return a.ExecuteCtx(context.Background(), src, SubmitOptions{Shots: shots})
-}

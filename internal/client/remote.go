@@ -735,13 +735,6 @@ func (r *RemoteAdapter) wireError(ctx context.Context, err error) error {
 	return err
 }
 
-// SubmitPayload sends a payload detached from any context.
-//
-// Deprecated: use SubmitPayloadCtx so deadlines cross the wire.
-func (r *RemoteAdapter) SubmitPayload(device string, payload []byte, format qdmi.ProgramFormat, shots int) (*qpi.Result, error) {
-	return r.SubmitPayloadCtx(context.Background(), device, payload, format, SubmitOptions{Shots: shots})
-}
-
 // StartPayloadCtx is the asynchronous form of SubmitPayloadCtx: it returns
 // a qpi.Handle immediately and performs the wire round trip in the
 // background. The handle's Timeline carries the full cross-machine trace —

@@ -89,7 +89,7 @@ func TestSweepE2ERabi1024(t *testing.T) {
 		if err := ref.End(); err != nil {
 			t.Fatal(err)
 		}
-		refRes, err := refClient.Run(ref, "hpcqc-sc", SubmitOptions{Shots: shots})
+		refRes, err := refClient.RunCtx(context.Background(), ref, "hpcqc-sc", SubmitOptions{Shots: shots})
 		if err != nil {
 			t.Fatalf("point %d reference: %v", i, err)
 		}
@@ -203,7 +203,7 @@ func TestCompileRejectsParametricKernel(t *testing.T) {
 	if _, _, err := c.Compile(k, "hpcqc-sc"); err == nil {
 		t.Fatal("concrete compile accepted a parametric kernel")
 	}
-	if _, err := c.Run(k, "hpcqc-sc", SubmitOptions{Shots: 8}); err == nil {
+	if _, err := c.RunCtx(context.Background(), k, "hpcqc-sc", SubmitOptions{Shots: 8}); err == nil {
 		t.Fatal("Run accepted a parametric kernel")
 	}
 }

@@ -102,11 +102,10 @@ type Config struct {
 	// ShotWorkers is the default number of parallel shot workers a job
 	// runs with when the submission does not set its own count
 	// (qdmi.JobOptions.ShotWorkers): 0 or 1 serializes, n > 1 spreads a
-	// job's independent shots across n goroutines and — for open-system
-	// simulations — switches the Auto integrator to Monte-Carlo
-	// trajectory unraveling, and a negative value uses runtime.NumCPU().
-	// Shot outcomes never depend on worker scheduling or completion
-	// order.
+	// job's independent shots across n goroutines (capped per job at
+	// runtime.GOMAXPROCS), and a negative value uses runtime.NumCPU().
+	// A job's result never depends on the worker count, scheduling or
+	// completion order.
 	ShotWorkers int
 }
 

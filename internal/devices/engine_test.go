@@ -60,31 +60,28 @@ func runOthers(t *testing.T, d *SimDevice, n int) {
 
 // TestResultsIndependentOfEngineWarmth: a job's counts and IQ records are
 // a function of (payload, seed) alone — identical on a device whose engine
-// the job itself builds and on one that 50 other jobs have warmed, under
-// the density engine (1 worker) and under trajectories (2 and 4 workers,
-// which must also agree with each other).
+// the job itself builds and on one that 50 other jobs have warmed, and
+// identical across 1, 2 and 4 shot workers.
 func TestResultsIndependentOfEngineWarmth(t *testing.T) {
 	const others = 50
-	var trajectory *qdmi.Result
+	var want *qdmi.Result
 	for _, workers := range []int{1, 2, 4} {
 		opts := qdmi.JobOptions{Shots: 64, MeasLevel: readout.LevelKerneled, ShotWorkers: workers}
 		cold := runOpts(t, skipJobs(openSC(t, 2), others), bellModule(), opts)
+		if want == nil {
+			want = cold
+		}
 		warm := openSC(t, 2)
 		runOthers(t, warm, others)
 		got := runOpts(t, warm, bellModule(), opts)
 		if len(got.IQ) != opts.Shots {
 			t.Fatalf("%d workers: %d IQ records, want %d", workers, len(got.IQ), opts.Shots)
 		}
-		if !reflect.DeepEqual(got.Counts, cold.Counts) || !reflect.DeepEqual(got.IQ, cold.IQ) {
-			t.Fatalf("%d workers: warm device disagrees with a fresh one:\n%v\n%v", workers, got.Counts, cold.Counts)
-		}
-		if workers == 1 {
-			continue
-		}
-		if trajectory == nil {
-			trajectory = got
-		} else if !reflect.DeepEqual(got.Counts, trajectory.Counts) || !reflect.DeepEqual(got.IQ, trajectory.IQ) {
-			t.Fatalf("trajectory results differ between 2 and %d workers", workers)
+		for name, r := range map[string]*qdmi.Result{"fresh": cold, "warm": got} {
+			if !reflect.DeepEqual(r.Counts, want.Counts) || !reflect.DeepEqual(r.IQ, want.IQ) {
+				t.Fatalf("%s device at %d workers disagrees with a fresh one at 1 worker:\n%v\n%v",
+					name, workers, r.Counts, want.Counts)
+			}
 		}
 	}
 }
@@ -174,8 +171,9 @@ func TestConcurrentJobsShareOneEngine(t *testing.T) {
 
 // TestWarmJobAllocations pins the per-job fixed cost on the device: a
 // warm X+Measure job on an open-system site — parse, link, resolve, run,
-// sample — stays under 350 objects (1,645 when every job rebuilt the model
-// and the dissipator allocated its temporaries on every tick).
+// sample — stays under 112 objects, none of them per shot (1,645 when every
+// job rebuilt the model and the dissipator allocated its temporaries on
+// every tick; 120 at 16 shots when every shot built its own RNG).
 func TestWarmJobAllocations(t *testing.T) {
 	d := openSC(t, 1)
 	payload := []byte(gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)}).Emit())
@@ -189,8 +187,8 @@ func TestWarmJobAllocations(t *testing.T) {
 		}
 	}
 	job() // builds the engine and fills its cache
-	if n := testing.AllocsPerRun(50, job); n > 350 {
-		t.Fatalf("warm job allocates %v objects, want ≤ 350", n)
+	if n := testing.AllocsPerRun(50, job); n > 112 {
+		t.Fatalf("warm job allocates %v objects, want ≤ 112", n)
 	}
 }
 

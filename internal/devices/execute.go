@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"mqsspulse/internal/pulse"
@@ -310,15 +311,6 @@ func (d *SimDevice) SubmitJobOpts(payload []byte, format qdmi.ProgramFormat, opt
 	default:
 		return nil, fmt.Errorf("%w: format %q", qdmi.ErrNotSupported, format)
 	}
-	shots := opts.Shots
-	if shots <= 0 || shots > d.cfg.MaxShots {
-		return nil, fmt.Errorf("%w: shots %d outside (0, %d]", qdmi.ErrInvalidArgument, shots, d.cfg.MaxShots)
-	}
-	switch opts.MeasLevel {
-	case readout.LevelDiscriminated, readout.LevelKerneled, readout.LevelRaw:
-	default:
-		return nil, fmt.Errorf("%w: measurement level %v", qdmi.ErrInvalidArgument, opts.MeasLevel)
-	}
 	mod, err := qir.ParseModule(string(payload))
 	if err != nil {
 		return nil, err
@@ -326,26 +318,14 @@ func (d *SimDevice) SubmitJobOpts(payload []byte, format qdmi.ProgramFormat, opt
 	if mod.UsesPulse() && format != qdmi.FormatQIRPulse {
 		return nil, fmt.Errorf("%w: pulse payload under %q", qdmi.ErrInvalidArgument, format)
 	}
-	binding, err := d.Binding(mod.PortNames)
-	if err != nil {
-		return nil, err
-	}
-	d.mu.Lock()
-	d.nextJob++
-	id := fmt.Sprintf("%s-job-%d", d.cfg.Name, d.nextJob)
-	seed := d.jobRng.Int63()
-	d.mu.Unlock()
-
-	job := qdmi.NewAsyncJob(id)
-	go d.runJob(job, mod, binding, opts, seed)
-	return job, nil
+	return d.submit(mod, opts)
 }
 
 // SubmitModule implements the qdmi.ModuleSubmitter capability: the
 // bind-aware execution path of the template subsystem. Bound sweep points
 // arrive as in-memory QIR modules and skip the emit-text/parse-text round
 // trip SubmitJobOpts pays per payload; everything downstream of parsing is
-// identical (same binding, same job RNG stream, same runJob pipeline).
+// the same submit.
 func (d *SimDevice) SubmitModule(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, error) {
 	if mod == nil {
 		return nil, fmt.Errorf("%w: nil module", qdmi.ErrInvalidArgument)
@@ -357,6 +337,13 @@ func (d *SimDevice) SubmitModule(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Jo
 	if err := mod.Verify(); err != nil {
 		return nil, fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err)
 	}
+	return d.submit(mod, opts)
+}
+
+// submit is the one body behind the three exported submit entry points:
+// it validates the job options, binds the module's ports, draws the job ID
+// and seed from the device's job stream, and starts the job.
+func (d *SimDevice) submit(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, error) {
 	shots := opts.Shots
 	if shots <= 0 || shots > d.cfg.MaxShots {
 		return nil, fmt.Errorf("%w: shots %d outside (0, %d]", qdmi.ErrInvalidArgument, shots, d.cfg.MaxShots)
@@ -445,6 +432,10 @@ func (d *SimDevice) runJob(job *qdmi.AsyncJob, mod *qir.Module, binding *qir.Dev
 	if opts.ShotWorkers > 0 {
 		workers = opts.ShotWorkers
 	}
+	// The per-job count arrives unvalidated from the wire. Workers beyond
+	// the processor count only add goroutines, and the count cannot change
+	// a result, so cap it.
+	workers = min(workers, runtime.GOMAXPROCS(0))
 	execOpts := simq.ExecOptions{
 		Shots: opts.Shots,
 		Seed:  seed,

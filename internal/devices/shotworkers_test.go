@@ -78,32 +78,63 @@ func TestShotTelemetryCounters(t *testing.T) {
 	if n := reg.Hist("simq/shot_latency/" + d.cfg.Name).Snapshot().Count; n != 1 {
 		t.Fatalf("shot-latency histogram has %d observations, want 1", n)
 	}
-	if n := reg.Hist("simq/worker_busy/" + d.cfg.Name).Snapshot().Count; n != 2 {
-		t.Fatalf("worker-busy histogram has %d observations, want one per worker (2)", n)
+	if n, want := busyObservations(reg, d), min(2, runtime.GOMAXPROCS(0)); n != want {
+		t.Fatalf("worker-busy histogram has %d observations, want one per worker (%d)", n, want)
 	}
+}
+
+// busyObservations counts the worker-busy observations d's jobs left in
+// reg: one per shot worker per job.
+func busyObservations(reg *telemetry.Registry, d *SimDevice) int {
+	return int(reg.Hist("simq/worker_busy/" + d.cfg.Name).Snapshot().Count)
 }
 
 func TestShotWorkersJobOverrideMatchesDeviceConfig(t *testing.T) {
 	// The per-job ShotWorkers override and the device-level default must
 	// resolve to the same execution: a job overriding to 4 workers on a
-	// serial-default device is bitwise identical to the same job on a
-	// device configured with 4 workers. (Serial vs parallel runs of an
-	// open-system device are only statistically equivalent — the Auto
-	// integrator switches engines — so the plumbing pin compares equal
-	// resolved worker counts.)
+	// serial-default device runs on as many workers as the same job on a
+	// device configured with 4, and both return the serial counts.
 	m := gateModule("hsw", 1, 1, []qir.Call{g1(qir.IntrH, 0), mz(0, 0)})
-	mk := func(workers int) *SimDevice {
+	run := func(configured, override int) (*qdmi.Result, int) {
 		d, err := Superconducting("sc-sw", 1, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.cfg.ShotWorkers = workers
-		return d
+		d.cfg.ShotWorkers = configured
+		reg := telemetry.NewRegistry()
+		res := runOpts(t, d, m, qdmi.JobOptions{Shots: 2000, ShotWorkers: override, Telemetry: telemetry.NewTimeline("", reg)})
+		return res, busyObservations(reg, d)
 	}
-	viaConfig := runOpts(t, mk(4), m, qdmi.JobOptions{Shots: 2000})
-	viaOverride := runOpts(t, mk(1), m, qdmi.JobOptions{Shots: 2000, ShotWorkers: 4})
-	if !reflect.DeepEqual(viaConfig.Counts, viaOverride.Counts) {
-		t.Fatalf("counts differ between device-config and job-override worker selection:\n%v\n%v",
-			viaConfig.Counts, viaOverride.Counts)
+	serial, _ := run(1, 0)
+	want := min(4, runtime.GOMAXPROCS(0))
+	for name, r := range map[string][2]int{"device config": {4, 0}, "job override": {1, 4}} {
+		res, workers := run(r[0], r[1])
+		if workers != want {
+			t.Fatalf("%s: job ran on %d workers, want %d", name, workers, want)
+		}
+		if !reflect.DeepEqual(res.Counts, serial.Counts) {
+			t.Fatalf("%s: counts differ from the serial run:\n%v\n%v", name, res.Counts, serial.Counts)
+		}
+	}
+}
+
+func TestShotWorkersClampedToGOMAXPROCS(t *testing.T) {
+	// The per-job worker count arrives unvalidated from the wire: an absurd
+	// request must not start more workers than there are processors, and —
+	// as for any worker count — must not change the result.
+	m := gateModule("hclamp", 1, 1, []qir.Call{g1(qir.IntrH, 0), mz(0, 0)})
+	run := func(workers int) (*qdmi.Result, int) {
+		d := openSC(t, 1)
+		reg := telemetry.NewRegistry()
+		res := runOpts(t, d, m, qdmi.JobOptions{Shots: 4096, ShotWorkers: workers, Telemetry: telemetry.NewTimeline("", reg)})
+		return res, busyObservations(reg, d)
+	}
+	serial, _ := run(1)
+	res, workers := run(1_000_000)
+	if workers < 1 || workers > runtime.GOMAXPROCS(0) {
+		t.Fatalf("job asking for 1,000,000 workers ran on %d, GOMAXPROCS = %d", workers, runtime.GOMAXPROCS(0))
+	}
+	if !reflect.DeepEqual(res.Counts, serial.Counts) {
+		t.Fatalf("counts differ from the 1-worker run:\n%v\n%v", res.Counts, serial.Counts)
 	}
 }

@@ -779,12 +779,11 @@ func EvolveBenchRig(env waveform.Envelope, samples int, collapses []simq.Collaps
 // ShotBenchRig builds the shot-throughput bench workload: the same
 // 2-transmon (d=3) open system as EvolveBenchRig (anharmonic drift, two
 // drives, ZZ coupler, T1/T2 collapses on both sites) driven by square
-// pulses — constant-χ stretches, the engines' cached-propagator paths —
-// followed by an idle gap and one capture per site. It is the single
-// source of the shot-parallel bench job, shared by BenchmarkShotsSerial /
-// BenchmarkShotsParallel and the mqss-bench shots_* report entries, so the
-// before (serial density) and after (parallel trajectory) numbers always
-// measure the same job.
+// pulses — constant-χ stretches, the density engine's cached-propagator
+// path — followed by an idle gap and one capture per site. It is the
+// single source of the open-system shots job, shared by
+// BenchmarkShotsSerial, the mqss-bench shots_* report entry and the
+// benchmark's simq layer probes, so they always measure the same job.
 func ShotBenchRig() (*simq.Executor, *pulse.ScheduledProgram, error) {
 	dims := []int{3, 3}
 	drift := simq.TransmonDrift(dims, 0, 0, -220e6).Add(simq.TransmonDrift(dims, 1, 0, -210e6))

@@ -65,9 +65,8 @@ const (
 	DevicePropCalibrationEpoch // int64
 	// DevicePropShotWorkers is the device's default per-job shot-worker
 	// count (int): how many cores the runtime spreads one job's
-	// independent shots (and, for open-system simulations, Monte-Carlo
-	// trajectories) across when the submission does not request its own
-	// count via JobOptions.ShotWorkers.
+	// independent shots across when the submission does not request its
+	// own count via JobOptions.ShotWorkers.
 	DevicePropShotWorkers // int
 )
 
@@ -227,9 +226,9 @@ type JobOptions struct {
 	// (the scheduler's dispatch span); zero attaches them at top level.
 	TelemetryParent telemetry.SpanID
 	// ShotWorkers, when positive, overrides the device's default worker
-	// count (DevicePropShotWorkers) for this job's per-shot execution
-	// phase. Shot outcomes never depend on worker scheduling or
-	// completion order.
+	// count (DevicePropShotWorkers) for this job's per-shot sampling
+	// phase; devices cap it at their processor count. A job's result
+	// never depends on the worker count, scheduling or completion order.
 	ShotWorkers int
 }
 

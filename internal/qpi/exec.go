@@ -103,10 +103,9 @@ type ExecOption func(*ExecConfig)
 func WithShots(n int) ExecOption { return func(c *ExecConfig) { c.Shots = n } }
 
 // WithShotWorkers asks the executing device to spread the job's
-// independent shots across n parallel workers (and, for open-system
-// simulations, lets the Auto integrator switch to Monte-Carlo trajectory
-// unraveling). Zero keeps the device's configured default; shot outcomes
-// never depend on worker scheduling or completion order.
+// independent shots across n parallel workers (at most one per
+// processor). Zero keeps the device's configured default. The count never
+// changes a result: a job returns the same counts and IQ records at any n.
 func WithShotWorkers(n int) ExecOption { return func(c *ExecConfig) { c.ShotWorkers = n } }
 
 // WithPriority sets the scheduler priority (higher dispatches first).
@@ -217,12 +216,4 @@ func Run(ctx context.Context, b Backend, c *Circuit, opts ...ExecOption) (*Resul
 		return nil, err
 	}
 	return h.Wait(ctx)
-}
-
-// Execute dispatches a kernel synchronously, detached from any context.
-//
-// Deprecated: use Run, which threads a context.Context through every layer
-// (cancellation, deadlines) and accepts functional options.
-func Execute(b Backend, c *Circuit, shots int) (*Result, error) {
-	return Run(context.Background(), b, c, WithShots(shots))
 }

@@ -215,21 +215,6 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 }
 
-func TestExecuteShim(t *testing.T) {
-	c := NewCircuit("c", 1, 1).X(0).Measure(0, 0)
-	if err := c.End(); err != nil {
-		t.Fatal(err)
-	}
-	b := &fakeBackend{}
-	res, err := Execute(b, c, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.lastCfg.Shots != 100 || res.Shots != 100 {
-		t.Fatal("shot count not threaded")
-	}
-}
-
 func TestNewCircuitFirstErrorWins(t *testing.T) {
 	// All three arguments are invalid; the name check comes first and must
 	// be the error reported, not overwritten by later checks.
@@ -258,17 +243,17 @@ func TestExecStatusStrings(t *testing.T) {
 func TestExecuteRejections(t *testing.T) {
 	b := &fakeBackend{}
 	unfinished := NewCircuit("c", 1, 0).X(0)
-	if _, err := Execute(b, unfinished, 10); err == nil {
+	if _, err := Run(context.Background(), b, unfinished, WithShots(10)); err == nil {
 		t.Fatal("unfinished circuit executed")
 	}
 	bad := NewCircuit("c", 1, 0).X(7)
 	_ = bad.End()
-	if _, err := Execute(b, bad, 10); err == nil {
+	if _, err := Run(context.Background(), b, bad, WithShots(10)); err == nil {
 		t.Fatal("erroneous circuit executed")
 	}
 	good := NewCircuit("c", 1, 0).X(0)
 	_ = good.End()
-	if _, err := Execute(b, good, 0); err == nil {
+	if _, err := Run(context.Background(), b, good, WithShots(0)); err == nil {
 		t.Fatal("zero shots accepted")
 	}
 }

@@ -205,14 +205,6 @@ func (s *Scheduler) SetMaintenanceHook(h MaintenanceHook) {
 	s.hook = h
 }
 
-// Submit enqueues a request detached from any context.
-//
-// Deprecated: use SubmitCtx so cancellation and deadlines propagate into
-// the queue.
-func (s *Scheduler) Submit(req Request) (*Ticket, error) {
-	return s.SubmitCtx(context.Background(), req)
-}
-
 // SubmitCtx enqueues a request bound to ctx and returns its ticket.
 // Cancelling ctx cancels the ticket: queued work never dispatches, and
 // in-flight work is aborted where the device supports it.
@@ -518,6 +510,10 @@ func (s *Scheduler) checkEpoch(dispatchDevice string, req Request) error {
 // skips the emit/parse round trip; devices without it receive emitted
 // payload bytes through the ordinary path.
 func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi.Job, error) {
+	opts := qdmi.JobOptions{
+		Shots: req.Shots, MeasLevel: req.MeasLevel, MeasReturn: req.MeasReturn,
+		Telemetry: req.Timeline, TelemetryParent: parent, ShotWorkers: req.ShotWorkers,
+	}
 	if req.Template != nil {
 		bindStart := time.Now()
 		mod, err := req.Template.Bind(req.Bindings)
@@ -525,10 +521,6 @@ func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi
 			return nil, err
 		}
 		req.Timeline.Record(telemetry.StageBind, dev.Name(), bindStart, time.Since(bindStart), parent)
-		opts := qdmi.JobOptions{
-			Shots: req.Shots, MeasLevel: req.MeasLevel, MeasReturn: req.MeasReturn,
-			Telemetry: req.Timeline, TelemetryParent: parent, ShotWorkers: req.ShotWorkers,
-		}
 		if ms, ok := dev.(qdmi.ModuleSubmitter); ok {
 			return ms.SubmitModule(mod, opts)
 		}
@@ -536,10 +528,7 @@ func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi
 		req.Format = req.Template.Format
 	}
 	if as, ok := dev.(qdmi.AcquisitionSubmitter); ok {
-		return as.SubmitJobOpts(req.Payload, req.Format, qdmi.JobOptions{
-			Shots: req.Shots, MeasLevel: req.MeasLevel, MeasReturn: req.MeasReturn,
-			Telemetry: req.Timeline, TelemetryParent: parent, ShotWorkers: req.ShotWorkers,
-		})
+		return as.SubmitJobOpts(req.Payload, req.Format, opts)
 	}
 	if req.MeasLevel != readout.LevelDiscriminated {
 		return nil, fmt.Errorf("%w: device %s cannot return %s measurement data",

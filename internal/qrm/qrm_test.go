@@ -87,7 +87,7 @@ func rig(t *testing.T) (*Scheduler, *slowDevice) {
 func TestSubmitAndWait(t *testing.T) {
 	s, _ := rig(t)
 	defer s.Close()
-	tk, err := s.Submit(Request{Device: "qpu", Payload: []byte("job"), Format: qdmi.FormatQIRBase, Shots: 10})
+	tk, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("job"), Format: qdmi.FormatQIRBase, Shots: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +110,13 @@ func TestSubmitAndWait(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	s, _ := rig(t)
 	defer s.Close()
-	if _, err := s.Submit(Request{Device: "qpu", Payload: []byte("x"), Shots: 0}); err == nil {
+	if _, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("x"), Shots: 0}); err == nil {
 		t.Fatal("zero shots accepted")
 	}
-	if _, err := s.Submit(Request{Device: "qpu", Shots: 5}); err == nil {
+	if _, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Shots: 5}); err == nil {
 		t.Fatal("empty payload accepted")
 	}
-	if _, err := s.Submit(Request{Device: "ghost", Payload: []byte("x"), Shots: 5}); err == nil {
+	if _, err := s.SubmitCtx(context.Background(), Request{Device: "ghost", Payload: []byte("x"), Shots: 5}); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 }
@@ -125,7 +125,7 @@ func TestFailurePropagation(t *testing.T) {
 	s, dev := rig(t)
 	defer s.Close()
 	dev.failOn = "poison"
-	tk, err := s.Submit(Request{Device: "qpu", Payload: []byte("poison"), Format: qdmi.FormatQIRBase, Shots: 5})
+	tk, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("poison"), Format: qdmi.FormatQIRBase, Shots: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestManyJobsAllComplete(t *testing.T) {
 	const n = 50
 	tickets := make([]*Ticket, n)
 	for i := 0; i < n; i++ {
-		tk, err := s.Submit(Request{Device: "qpu",
+		tk, err := s.SubmitCtx(context.Background(), Request{Device: "qpu",
 			Payload: []byte(fmt.Sprintf("job-%02d", i)), Format: qdmi.FormatQIRBase, Shots: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -169,14 +169,14 @@ func TestPriorityOrdering(t *testing.T) {
 	s, dev := rig(t)
 	defer s.Close()
 	// Prime with one job to occupy the worker.
-	first, _ := s.Submit(Request{Device: "qpu", Payload: []byte("first"), Format: qdmi.FormatQIRBase, Shots: 1})
+	first, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("first"), Format: qdmi.FormatQIRBase, Shots: 1})
 	var tickets []*Ticket
 	for i := 0; i < 5; i++ {
-		tk, _ := s.Submit(Request{Device: "qpu",
+		tk, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu",
 			Payload: []byte(fmt.Sprintf("low-%d", i)), Format: qdmi.FormatQIRBase, Shots: 1, Priority: 0})
 		tickets = append(tickets, tk)
 	}
-	hi, _ := s.Submit(Request{Device: "qpu", Payload: []byte("high"), Format: qdmi.FormatQIRBase, Shots: 1, Priority: 10})
+	hi, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("high"), Format: qdmi.FormatQIRBase, Shots: 1, Priority: 10})
 	tickets = append(tickets, hi, first)
 	for _, tk := range tickets {
 		if _, err := tk.Wait(context.Background()); err != nil {
@@ -209,7 +209,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				tk, err := s.Submit(Request{Device: "qpu",
+				tk, err := s.SubmitCtx(context.Background(), Request{Device: "qpu",
 					Payload: []byte(fmt.Sprintf("g%d-%d", g, i)), Format: qdmi.FormatQIRBase, Shots: 1})
 				if err != nil {
 					failures.Add(1)
@@ -238,7 +238,7 @@ func TestMaintenanceHookRuns(t *testing.T) {
 		calls.Add(1)
 		return nil
 	})
-	tk, _ := s.Submit(Request{Device: "qpu", Payload: []byte("j"), Format: qdmi.FormatQIRBase, Shots: 1})
+	tk, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("j"), Format: qdmi.FormatQIRBase, Shots: 1})
 	if _, err := tk.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestMaintenanceHookFailureFailsJob(t *testing.T) {
 	s, _ := rig(t)
 	defer s.Close()
 	s.SetMaintenanceHook(func(qdmi.Device) error { return errors.New("cal broken") })
-	tk, _ := s.Submit(Request{Device: "qpu", Payload: []byte("j"), Format: qdmi.FormatQIRBase, Shots: 1})
+	tk, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("j"), Format: qdmi.FormatQIRBase, Shots: 1})
 	if _, err := tk.Wait(context.Background()); err == nil {
 		t.Fatal("maintenance failure not propagated")
 	}
@@ -262,12 +262,12 @@ func TestMaintenanceHookFailureFailsJob(t *testing.T) {
 
 func TestCloseRejectsNewWork(t *testing.T) {
 	s, _ := rig(t)
-	tk, _ := s.Submit(Request{Device: "qpu", Payload: []byte("j"), Format: qdmi.FormatQIRBase, Shots: 1})
+	tk, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("j"), Format: qdmi.FormatQIRBase, Shots: 1})
 	if _, err := tk.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if _, err := s.Submit(Request{Device: "qpu", Payload: []byte("j2"), Format: qdmi.FormatQIRBase, Shots: 1}); err == nil {
+	if _, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("j2"), Format: qdmi.FormatQIRBase, Shots: 1}); err == nil {
 		t.Fatal("submit after close accepted")
 	}
 	s.Close() // double close is safe
@@ -287,7 +287,7 @@ func TestTwoDevicesRunIndependently(t *testing.T) {
 		if i%2 == 1 {
 			name = "b"
 		}
-		tk, err := s.Submit(Request{Device: name, Payload: []byte(fmt.Sprintf("j%d", i)),
+		tk, err := s.SubmitCtx(context.Background(), Request{Device: name, Payload: []byte(fmt.Sprintf("j%d", i)),
 			Format: qdmi.FormatQIRBase, Shots: 1})
 		if err != nil {
 			t.Fatal(err)

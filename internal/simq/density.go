@@ -100,13 +100,11 @@ type Collapse struct {
 
 // collapseSet is the precomputed form of a model's collapse channels: the
 // sparse jump operators (the embedded a and a†a have O(n) non-zeros) and
-// the decay operator D = Σ γ_k·L_k†L_k, sparse and dense. NewSystemModel
-// builds it once; the density engine's dissipator and the trajectory
-// engine's effective Hamiltonian both read it and never write.
+// the sparse decay operator D = Σ γ_k·L_k†L_k. NewSystemModel builds it
+// once; the density engine's dissipator reads it and never writes.
 type collapseSet struct {
-	ops        []sparseCollapse // channels with γ ≠ 0
-	decay      *linalg.Sparse
-	decayDense *linalg.Matrix
+	ops   []sparseCollapse // channels with γ ≠ 0
+	decay *linalg.Sparse
 }
 
 // sparseCollapse is one collapse channel: the sparse jump operator and
@@ -117,15 +115,16 @@ type sparseCollapse struct {
 }
 
 func newCollapseSet(n int, collapses []Collapse) *collapseSet {
-	cs := &collapseSet{decayDense: linalg.NewMatrix(n, n)}
+	cs := &collapseSet{}
+	decay := linalg.NewMatrix(n, n)
 	for _, c := range collapses {
 		if c.Rate == 0 {
 			continue
 		}
 		cs.ops = append(cs.ops, sparseCollapse{op: linalg.NewSparse(c.L), rate: c.Rate})
-		cs.decayDense.AddInPlace(c.L.Dagger().Mul(c.L), complex(c.Rate, 0))
+		decay.AddInPlace(c.L.Dagger().Mul(c.L), complex(c.Rate, 0))
 	}
-	cs.decay = linalg.NewSparse(cs.decayDense)
+	cs.decay = linalg.NewSparse(decay)
 	return cs
 }
 

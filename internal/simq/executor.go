@@ -25,9 +25,6 @@ type ExecOptions struct {
 	// Seed seeds the shot sampler (0 picks a fixed default for
 	// reproducibility).
 	Seed int64
-	// ForceDensity runs the density-matrix engine even without collapse
-	// operators.
-	ForceDensity bool
 	// MaxIdleStep caps the dissipator integration step (seconds) used for
 	// idle segments in the density engine; default 500 ns (the unitary part
 	// of idle evolution is applied exactly, so only collapse rates bound
@@ -48,22 +45,18 @@ type ExecOptions struct {
 	// every interruptPollTicks (1024) driven samples inside them, so even a
 	// single very long Play cancels promptly; once it reports true the run
 	// aborts with ErrInterrupted. Devices wire it to their job-cancellation
-	// state. Shot workers additionally poll it between shots (and inside
-	// each trajectory integration at the same 1024-tick bound), so a
+	// state. Shot workers additionally poll it between shots, so a
 	// cancelled batch drains without emitting further shot results.
 	Interrupted func() bool
 	// Integrator selects the driven-sample time-evolution algorithm; the
 	// zero value IntegratorAuto is the fast path.
 	Integrator Integrator
-	// ShotWorkers is the number of goroutines the per-shot phase (readout
-	// sampling, IQ synthesis, and — for open systems — Monte-Carlo
-	// trajectory integration) is spread across. 0 or 1 runs serially.
-	// For a fixed integrator selection, results are byte-identical for
-	// any worker count: every shot's outcome is a pure function of (Seed,
-	// shot index) and aggregation is performed in shot order. (Under
-	// IntegratorAuto an open-system job switches from the density engine
-	// to trajectories once ShotWorkers > 1 — statistically, not bitwise,
-	// equivalent.)
+	// ShotWorkers is the number of goroutines that draw shots (projective
+	// sampling, readout error, IQ synthesis) from the already-evolved
+	// state. 0 or 1 runs serially. It never selects an engine and never
+	// changes a result: every shot's outcome is a pure function of (Seed,
+	// shot index) and aggregation is performed in shot order, so Counts,
+	// IQ and Raw are byte-identical for any worker count.
 	ShotWorkers int
 }
 
@@ -81,15 +74,6 @@ const (
 	// (linalg.ExpI) for every driven tick — orders of magnitude slower.
 	// It exists for property tests and before/after benchmarks.
 	IntegratorExact
-	// IntegratorTrajectory unravels open-system dynamics as Monte-Carlo
-	// quantum trajectories: each shot evolves a pure state under the
-	// effective non-Hermitian Hamiltonian H − (i/2)·Σγ·L†L and applies
-	// stochastic collapse jumps at norm-threshold crossings, at O(d) state
-	// cost per shot instead of the density engine's O(d²). Statistically
-	// equivalent to the density reference (pinned by the convergence
-	// tests); requires collapse operators and captures, otherwise the run
-	// falls back to the closed-system state engine or the density engine.
-	IntegratorTrajectory
 )
 
 // ExecResult is the outcome of executing a scheduled pulse program.
@@ -115,18 +99,16 @@ type ExecResult struct {
 	// Raw holds the per-sample capture traces, [shot][capture][sample];
 	// set for raw runs only.
 	Raw [][][]complex128
-	// FinalState is set when the state-vector engine ran.
+	// FinalState is set when the state-vector engine ran (a model without
+	// collapse operators).
 	FinalState *State
-	// FinalDensity is set when the density-matrix engine ran. Trajectory
-	// runs set neither FinalState nor FinalDensity: there is no single
-	// final state, only the per-shot ensemble the counts were drawn from.
+	// FinalDensity is set when the density-matrix engine ran (a model with
+	// collapse operators). Exactly one of the two is set.
 	FinalDensity *Density
 	// ReadoutWall is the wall-clock time spent sampling and post-processing
 	// measurement outcomes (bit sampling, readout error, IQ synthesis) after
 	// the state evolution finished — the telemetry split between the
-	// device-execute and readout-post stages. Zero for capture-free runs and
-	// for trajectory runs, whose integration and readout are fused into one
-	// per-shot pipeline (the whole wall time is device execution).
+	// device-execute and readout-post stages. Zero for capture-free runs.
 	ReadoutWall time.Duration
 	// Workers is the number of shot workers the run actually used.
 	Workers int
@@ -135,7 +117,7 @@ type ExecResult struct {
 	// utilization (telemetry feeds these into per-device histograms).
 	WorkerBusy []time.Duration
 	// EngineStats counts the run's propagator-cache traffic and dissipator
-	// steps (summed over shot workers for trajectory runs).
+	// steps.
 	EngineStats
 }
 
@@ -147,12 +129,6 @@ type EngineStats struct {
 	PropCacheHits, PropCacheMisses int64
 	// DissipatorSteps counts RK4 steps of the density engine's dissipator.
 	DissipatorSteps int64
-}
-
-func (s *EngineStats) add(o EngineStats) {
-	s.PropCacheHits += o.PropCacheHits
-	s.PropCacheMisses += o.PropCacheMisses
-	s.DissipatorSteps += o.DissipatorSteps
 }
 
 // Executor integrates scheduled pulse programs against a SystemModel. It is
@@ -305,25 +281,22 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 	if workers > opts.Shots {
 		workers = opts.Shots
 	}
-	useTraj := e.useTrajectory(opts, len(captures), workers)
-	useDensity := !useTraj && (opts.ForceDensity || len(e.Model.Collapses) > 0)
 
+	// The engine follows from the model alone: collapse operators need the
+	// density matrix, a closed system the state vector. Either way the
+	// evolution is shot-independent: integrate once, then every shot
+	// samples the same final state.
 	var st *State
 	var rho *Density
-	var stats EngineStats
-	if !useTraj {
-		// Deterministic (shot-independent) evolution: integrate once, then
-		// every shot samples the same final state.
-		if useDensity {
-			rho = NewDensity(e.Model.Dims)
-		} else {
-			st = NewState(e.Model.Dims)
-		}
-		eng := e.newFastEngine(useDensity, dt)
-		if err := e.evolve(eng, st, rho, plays, makespan, opts); err != nil {
-			return nil, err
-		}
-		stats = eng.EngineStats
+	useDensity := len(e.Model.Collapses) > 0
+	if useDensity {
+		rho = NewDensity(e.Model.Dims)
+	} else {
+		st = NewState(e.Model.Dims)
+	}
+	eng := e.newFastEngine(useDensity, dt)
+	if err := e.evolve(eng, st, rho, plays, makespan, opts); err != nil {
+		return nil, err
 	}
 
 	res := &ExecResult{
@@ -334,7 +307,7 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 		FinalState:      st,
 		FinalDensity:    rho,
 		Workers:         workers,
-		EngineStats:     stats,
+		EngineStats:     eng.EngineStats,
 	}
 	if len(captures) == 0 {
 		// Still stamp the requested level so callers (and the remote wire)
@@ -346,42 +319,15 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 	}
 
 	roStart := time.Now()
-	runner := e.newShotRunner(st, rho, plays, captures, makespan, dt, seed, workers, opts, useTraj)
+	runner := e.newShotRunner(st, rho, captures, dt, seed, workers, opts)
 	for _, c := range captures {
 		res.MeasuredBits = append(res.MeasuredBits, c.bit)
 	}
 	if err := runner.sampleAll(res); err != nil {
 		return nil, err
 	}
-	if !useTraj {
-		// Trajectory runs fuse integration and readout into one per-shot
-		// pipeline, so the whole wall time counts as device execution.
-		res.ReadoutWall = time.Since(roStart)
-	}
+	res.ReadoutWall = time.Since(roStart)
 	return res, nil
-}
-
-// useTrajectory decides whether a run unravels as Monte-Carlo
-// trajectories. Trajectories need collapse operators (a closed system's
-// trajectory IS the state-vector fast path) and captures (a capture-free
-// job's deliverable is the final state, which one trajectory cannot
-// represent — the density engine stays the faithful answer). ForceDensity
-// always wins: it is the reference override the statistical tests pin
-// against. Under IntegratorAuto trajectories switch on once the caller
-// asks for parallelism (ShotWorkers > 1) — a serial open-system job keeps
-// the bit-stable density path, so existing callers see no change.
-func (e *Executor) useTrajectory(opts ExecOptions, captures, workers int) bool {
-	if len(e.Model.Collapses) == 0 || opts.ForceDensity || captures == 0 {
-		return false
-	}
-	switch opts.Integrator {
-	case IntegratorTrajectory:
-		return true
-	case IntegratorAuto:
-		return workers > 1
-	default:
-		return false
-	}
 }
 
 // sampleDt returns the common sample period; mixed sample rates across
@@ -441,7 +387,7 @@ func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, plays []play
 			// is applied exactly in one shot; the dissipator is integrated
 			// with capped RK4 steps (its rates are slow, so this is stable).
 			if !e.driftFree() {
-				u, err := e.propagator(eng, propUnitary, nil, nil, t1-t0)
+				u, err := e.propagator(eng, nil, nil, t1-t0)
 				if err != nil {
 					return err
 				}
@@ -615,7 +561,7 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 			// still interleaves the dissipator per tick, but the unitary
 			// factor is exponentiated once and applied with the stepper's
 			// allocation-free conjugation.
-			u, err := e.propagator(eng, propUnitary, active, chis, 1)
+			u, err := e.propagator(eng, active, chis, 1)
 			if err != nil {
 				return err
 			}
@@ -630,7 +576,7 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 		default:
 			// Constant stretch, unitary dynamics: one exact exponential for
 			// the whole stretch.
-			u, err := e.propagator(eng, propUnitary, active, chis, run)
+			u, err := e.propagator(eng, active, chis, run)
 			if err != nil {
 				return err
 			}
@@ -644,11 +590,11 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 	return nil
 }
 
-// fastEngine is the mutable scratch of one run (or of one trajectory shot
-// worker): the reusable implicit Hamiltonian, the Taylor steppers, key and
-// play buffers, and the run's counters. Everything it reads besides —
-// sparse operators, collapse precompute, propagator cache — belongs to the
-// executor and its model and outlives the run.
+// fastEngine is the mutable scratch of one run: the reusable implicit
+// Hamiltonian, the Taylor steppers, key and play buffers, and the run's
+// counters. Everything it reads besides — sparse operators, collapse
+// precompute, propagator cache — belongs to the executor and its model
+// and outlives the run.
 //
 // The implicit Hamiltonian is spectrally shifted: the steppers integrate
 // H − λI with λ centered on the drift's diagonal, which roughly halves
@@ -714,8 +660,8 @@ func (eng *fastEngine) apply(u *linalg.Matrix, st *State, rho *Density) {
 	st.Amp, eng.scratch = eng.scratch, st.Amp
 }
 
-// dissipate advances rho by one counted dissipator step; a model without
-// collapse channels (ForceDensity on a closed system) has none to take.
+// dissipate advances rho by one counted dissipator step; a model whose
+// collapse channels all have zero rate has none to take.
 func (eng *fastEngine) dissipate(cs *collapseSet, rho *Density, dt float64) {
 	if len(cs.ops) == 0 {
 		return
@@ -735,13 +681,11 @@ func (eng *fastEngine) denseScratch(n int) *linalg.Matrix {
 
 // propagator returns the dense propagator over `ticks` samples of the
 // constant Hamiltonian defined by (active, chis) — no plays for an idle
-// stretch — consulting the executor's cache first: exp(-i·H·t) for
-// propUnitary, the trajectory engine's no-jump exp(-i·(H − (i/2)·D)·t)
-// for propEffective (expEffective; linalg.ExpI's Hermitian
-// eigendecomposition does not apply there). The dense assembly on a miss
-// uses the true (unshifted) drift, so cached propagators are exact.
-func (e *Executor) propagator(eng *fastEngine, flavor byte, active []playEvent, chis []complex128, ticks int64) (*linalg.Matrix, error) {
-	eng.keyBuf = propKey(eng.keyBuf, flavor, eng.dt, active, chis, ticks)
+// stretch — exp(-i·H·t), consulting the executor's cache first. The dense
+// assembly on a miss uses the true (unshifted) drift, so cached
+// propagators are exact.
+func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []complex128, ticks int64) (*linalg.Matrix, error) {
+	eng.keyBuf = propKey(eng.keyBuf, eng.dt, active, chis, ticks)
 	if u, ok := e.cache.get(eng.keyBuf); ok {
 		eng.PropCacheHits++
 		return u, nil
@@ -752,16 +696,9 @@ func (e *Executor) propagator(eng *fastEngine, flavor byte, active []playEvent, 
 	for i := range active {
 		active[i].ch.driveTerm(h, chis[i])
 	}
-	t := float64(ticks) * eng.dt
-	var u *linalg.Matrix
-	if flavor == propEffective {
-		h.AddInPlace(e.Model.collapse.decayDense, complex(0, -0.5))
-		u = expEffective(h, t)
-	} else {
-		var err error
-		if u, err = linalg.ExpI(h, t); err != nil {
-			return nil, err
-		}
+	u, err := linalg.ExpI(h, float64(ticks)*eng.dt)
+	if err != nil {
+		return nil, err
 	}
 	e.cache.put(eng.keyBuf, u)
 	return u, nil

@@ -60,20 +60,12 @@ type driveCoeff struct {
 }
 
 // tickHam is the implicit (never densified) Hamiltonian of one sample
-// tick: the constant drift plus the active drive terms, plus — for the
-// trajectory engine — the anti-Hermitian no-jump decay term. It is
-// rebuilt by reslicing — appending to ops reuses the backing array, so
-// steady-state operation allocates nothing.
+// tick: the constant drift plus the active drive terms. It is rebuilt by
+// reslicing — appending to ops reuses the backing array, so steady-state
+// operation allocates nothing.
 type tickHam struct {
 	drift *linalg.Sparse // nil when the (spectrally shifted) drift is zero
 	ops   []driveCoeff
-	// decay, when non-nil, turns the Hamiltonian into the trajectory
-	// engine's effective generator H_eff = H − (i/2)·decay, where decay is
-	// the rate-weighted sum Σ γ_k·L_k†L_k of the collapse channels. decay
-	// is positive semidefinite, so exp(-i·H_eff·t) is a contraction and
-	// the state norm decreases monotonically — the property the
-	// norm-threshold jump search relies on.
-	decay *linalg.Sparse
 }
 
 func (h *tickHam) reset() { h.ops = h.ops[:0] }
@@ -94,9 +86,6 @@ func (h *tickHam) normBound() float64 {
 	for _, d := range h.ops {
 		n += 2 * cmplx.Abs(d.w) * d.op.NormBound()
 	}
-	if h.decay != nil {
-		n += 0.5 * h.decay.NormBound()
-	}
 	return n
 }
 
@@ -114,9 +103,6 @@ func (h *tickHam) applyVec(dst, src []complex128) {
 		d.op.MulVecAccum(dst, src, d.w)
 		d.op.DaggerMulVecAccum(dst, src, cmplx.Conj(d.w))
 	}
-	if h.decay != nil {
-		h.decay.MulVecAccum(dst, src, complex(0, -0.5))
-	}
 }
 
 // applyLeft computes dst = H·src for dense src.
@@ -132,9 +118,6 @@ func (h *tickHam) applyLeft(dst, src *linalg.Matrix) {
 	for _, d := range h.ops {
 		d.op.MulMatAccum(dst, src, d.w)
 		d.op.DaggerMulMatAccum(dst, src, cmplx.Conj(d.w))
-	}
-	if h.decay != nil {
-		h.decay.MulMatAccum(dst, src, complex(0, -0.5))
 	}
 }
 
@@ -272,23 +255,14 @@ func setIdentity(m *linalg.Matrix) {
 	}
 }
 
-// Key flavors for the propagator cache: unitary stretch propagators (the
-// closed-system fast path) and effective no-jump propagators (trajectory
-// engine, non-unitary) live in the same cache but must never collide.
-const (
-	propUnitary   byte = 0
-	propEffective byte = 1
-)
-
 // propKey appends the lookup key for a constant-χ stretch to buf[:0] and
-// returns the filled buffer: a flavor byte, the sample period and the
-// number of ticks, then per active play (in order) the channel port and
-// the latched χ value; an idle stretch has no plays. It is a free
-// function — every caller owns its scratch buffer, so concurrent runs and
-// shot workers never share key-building state.
-func propKey(buf []byte, flavor byte, dt float64, active []playEvent, chis []complex128, ticks int64) []byte {
-	b := append(buf[:0], flavor)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(dt))
+// returns the filled buffer: the sample period and the number of ticks,
+// then per active play (in order) the channel port and the latched χ
+// value; an idle stretch has no plays. It is a free function — every
+// caller owns its scratch buffer, so concurrent runs never share
+// key-building state.
+func propKey(buf []byte, dt float64, active []playEvent, chis []complex128, ticks int64) []byte {
+	b := binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(dt))
 	b = binary.LittleEndian.AppendUint64(b, uint64(ticks))
 	for i, p := range active {
 		b = append(b, p.ch.PortID...)
@@ -304,11 +278,11 @@ func propKey(buf []byte, flavor byte, dt float64, active []playEvent, chis []com
 // square pulses, flat-tops, idle gaps and repeated calibrated envelopes
 // exponentiate once per distinct shape and reuse the dense propagator
 // afterwards. The cache belongs to the Executor and is shared by all of
-// its runs and their shot workers, so access is guarded: lookups take a
+// its runs, which may be concurrent, so access is guarded: lookups take a
 // read lock (the hot case — a warmed cache serves concurrent readers
 // without contention), inserts a write lock. Cached matrices are
 // immutable after insertion. Builds are deterministic functions of the
-// key and of the executor's model, so two workers racing to insert the
+// key and of the executor's model, so two runs racing to insert the
 // same key produce bit-identical matrices and a result never depends on
 // which won, nor on whether the cache was cold or warm.
 type propCache struct {

@@ -11,11 +11,11 @@ import (
 
 // This file implements the shot-parallel execution phase: per-shot
 // deterministic RNG streams, the worker pool, and the per-shot sampling
-// pipeline (trajectory integration → projective draw → readout error or
-// IQ synthesis). The determinism contract: every shot's outcome is a
-// pure function of (job seed, shot index) and all aggregation happens in
-// shot order, so results are byte-identical for any ShotWorkers value
-// and any shot-completion order.
+// pipeline (projective draw → readout error or IQ synthesis) over the
+// final state the engine evolved once. The determinism contract: every
+// shot's outcome is a pure function of (job seed, shot index) and all
+// aggregation happens in shot order, so results are byte-identical for
+// any ShotWorkers value and any shot-completion order.
 
 const (
 	// shotStreamGamma is the SplitMix64 golden-ratio increment.
@@ -54,9 +54,9 @@ func shotStreamState(jobSeed int64, shot int) uint64 {
 	return mix64(mix64(uint64(jobSeed)) + (uint64(shot)+1)*shotStreamGamma)
 }
 
-// shotSource is a SplitMix64 rand.Source64. Each shot gets its own
-// instance seeded from shotStreamState, so the draws a shot sees are
-// identical whatever worker ran it. Distinct streams are windows of one
+// shotSource is a SplitMix64 rand.Source64. Each shot starts its own
+// stream at shotStreamState, so the draws a shot sees are identical
+// whatever worker ran it. Distinct streams are windows of one
 // 2⁶⁴-cycle sequence at mixed (effectively random) offsets; with ≤ 2³¹
 // draws per shot the overlap probability is negligible (< 2⁻³²·shots²).
 type shotSource struct{ state uint64 }
@@ -77,9 +77,8 @@ func (s *shotSource) Seed(seed int64) { s.state = uint64(seed) }
 // the given number of workers. Work is handed out by an atomic counter,
 // so completion order is arbitrary — determinism comes from fn depending
 // only on the shot index. Every worker checks Interrupted between shots
-// (fn additionally polls it inside long integrations at the 1024-tick
-// bound) and a shared stop flag drains all workers as soon as one
-// observes cancellation or fails, so no shot result is emitted after.
+// and a shared stop flag drains all workers as soon as one observes
+// cancellation or fails, so no shot result is emitted after.
 // Returns each worker's busy wall time and the first error.
 func shotPool(workers, lo, hi int, interrupted func() bool, fn func(worker, shot int) error) ([]time.Duration, error) {
 	busy := make([]time.Duration, workers)
@@ -136,12 +135,10 @@ func shotPool(workers, lo, hi int, interrupted func() bool, fn func(worker, shot
 	return busy, nil
 }
 
-// shotRunner is the per-run context of the shot-parallel sampling phase.
-// For deterministic engines (state vector, density) it holds the final
-// probability distribution every shot samples; for trajectory runs it
-// holds one integration worker per pool worker.
+// shotRunner is the per-run context of the shot-parallel sampling phase:
+// the final probability distribution every shot samples, the readout
+// configuration, and one RNG per pool worker.
 type shotRunner struct {
-	e           *Executor
 	captures    []captureEvent
 	sites       []int
 	dims        []int
@@ -153,22 +150,29 @@ type shotRunner struct {
 	workers     int
 	interrupted func() bool
 
-	// Deterministic-engine sampling: the shared cumulative distribution.
+	// The shared cumulative distribution of the evolved state.
 	cum   []float64
 	total float64
 
-	// Trajectory engine: one private worker per pool slot.
-	traj []*trajWorker
+	rngs []workerRNG
+}
+
+// workerRNG is one pool worker's generator, re-pointed at shot k's stream
+// before each shot. Nothing in the pipeline calls Rand.Read — the only
+// rand.Rand method with state outside the source — so re-seeding the
+// source alone gives a shot exactly the draws a fresh rand.New would.
+type workerRNG struct {
+	src  shotSource
+	rand *rand.Rand
 }
 
 // newShotRunner assembles the sampling phase for a run whose captures
-// are non-empty. st/rho carry the evolved final state for deterministic
-// engines; useTraj switches to per-shot trajectory integration.
-func (e *Executor) newShotRunner(st *State, rho *Density, plays []playEvent, captures []captureEvent,
-	makespan int64, dt float64, seed int64, workers int, opts ExecOptions, useTraj bool) *shotRunner {
+// are non-empty. Exactly one of st and rho carries the evolved final
+// state.
+func (e *Executor) newShotRunner(st *State, rho *Density, captures []captureEvent,
+	dt float64, seed int64, workers int, opts ExecOptions) *shotRunner {
 
 	r := &shotRunner{
-		e:           e,
 		captures:    captures,
 		dims:        e.Model.Dims,
 		dt:          dt,
@@ -189,42 +193,31 @@ func (e *Executor) newShotRunner(st *State, rho *Density, plays []playEvent, cap
 			r.siteErr = func(int) (float64, float64) { return opts.ReadoutP01, opts.ReadoutP10 }
 		}
 	}
-	if useTraj {
-		sh := newTrajShared(e, plays, makespan, dt)
-		r.traj = make([]*trajWorker, workers)
-		for i := range r.traj {
-			r.traj[i] = sh.newWorker(opts.Interrupted)
-		}
+	var probs []float64
+	if rho != nil {
+		probs = rho.Populations()
 	} else {
-		var probs []float64
-		if rho != nil {
-			probs = rho.Populations()
-		} else {
-			probs = st.Probabilities()
-		}
-		r.cum = make([]float64, len(probs))
-		r.total = buildCum(r.cum, probs)
+		probs = st.Probabilities()
+	}
+	r.cum = make([]float64, len(probs))
+	r.total = buildCum(r.cum, probs)
+	r.rngs = make([]workerRNG, workers)
+	for i := range r.rngs {
+		r.rngs[i].rand = rand.New(&r.rngs[i].src)
 	}
 	return r
 }
 
-// runShot executes shot k on pool worker w: (trajectory integration +)
-// one projective draw, then per-capture readout error or IQ synthesis —
-// all from the shot's private RNG stream. Outputs land at index k of the
-// destination slices, never in a shared accumulator, so concurrent shots
-// don't contend and ordering is immaterial.
-func (r *shotRunner) runShot(w, k int, masks []uint64, points [][]readout.IQ, traces [][][]complex128, wantRaw bool) error {
-	rng := rand.New(&shotSource{state: shotStreamState(r.seed, k)})
-	var raw uint64
-	if r.traj != nil {
-		tw := r.traj[w]
-		if err := tw.runShot(rng); err != nil {
-			return err
-		}
-		raw = tw.sampleOutcome(rng, r.sites)
-	} else {
-		raw = siteMask(r.dims, r.sites, drawIndex(rng, r.cum, r.total))
-	}
+// runShot executes shot k on pool worker w: one projective draw, then
+// per-capture readout error or IQ synthesis — all from the shot's private
+// RNG stream. Outputs land at index k of the destination slices, never in
+// a shared accumulator, so concurrent shots don't contend and ordering is
+// immaterial.
+func (r *shotRunner) runShot(w, k int, masks []uint64, points [][]readout.IQ, traces [][][]complex128, wantRaw bool) {
+	wr := &r.rngs[w]
+	wr.src.state = shotStreamState(r.seed, k)
+	rng := wr.rand
+	raw := siteMask(r.dims, r.sites, drawIndex(rng, r.cum, r.total))
 	var mask uint64
 	if r.model != nil {
 		pts := make([]readout.IQ, len(r.captures))
@@ -258,7 +251,6 @@ func (r *shotRunner) runShot(w, k int, masks []uint64, points [][]readout.IQ, tr
 		}
 	}
 	masks[k] = mask
-	return nil
 }
 
 // sampleAll drives the whole sampling phase and fills res: counts from
@@ -283,7 +275,8 @@ func (r *shotRunner) sampleAll(res *ExecResult) error {
 		}
 	}
 	run := func(w, k int) error {
-		return r.runShot(w, k, masks, points, traces, wantRaw)
+		r.runShot(w, k, masks, points, traces, wantRaw)
+		return nil
 	}
 
 	var busy []time.Duration
@@ -359,8 +352,5 @@ func (r *shotRunner) sampleAll(res *ExecResult) error {
 		res.Counts[m]++
 	}
 	res.WorkerBusy = busy
-	for _, tw := range r.traj {
-		res.add(tw.eng.EngineStats)
-	}
 	return nil
 }

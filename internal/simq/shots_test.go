@@ -74,7 +74,7 @@ func TestPropCacheConcurrentHammer(t *testing.T) {
 			var buf []byte
 			for i := 0; i < 5000; i++ {
 				k := rng.Intn(3 * propCacheLimit)
-				buf = append(buf[:0], propUnitary, byte(k), byte(k>>8))
+				buf = append(buf[:0], byte(k), byte(k>>8))
 				if u, ok := c.get(buf); ok {
 					if got := real(u.At(0, 0)); got != float64(k) {
 						t.Errorf("cache returned value %g for key %d", got, k)
@@ -95,7 +95,7 @@ func TestPropCacheConcurrentHammer(t *testing.T) {
 
 func TestPropCachePutIsFirstWriterWins(t *testing.T) {
 	c := newPropCache()
-	key := []byte{propUnitary, 1}
+	key := []byte{1}
 	m1 := linalg.NewMatrix(1, 1)
 	m1.Set(0, 0, 1)
 	m2 := linalg.NewMatrix(1, 1)

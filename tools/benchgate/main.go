@@ -4,7 +4,7 @@
 // tracked speedup regressed beyond the tolerance.
 //
 //	go run ./cmd/mqss-bench -json -out BENCH_ci.json
-//	go run ./tools/benchgate -baseline BENCH_12.json -current BENCH_ci.json
+//	go run ./tools/benchgate -baseline BENCH_13.json -current BENCH_ci.json
 //
 // Two invariants are enforced. Schema: every experiment name, speedup key
 // and informational key in the baseline must still exist in the current
@@ -14,10 +14,9 @@
 // room for runner jitter while catching an order-of-magnitude claim
 // (recompile-over-bound) falling over. Absolute ns/op and throughputs
 // are deliberately not gated: CI runners vary too much, but a *ratio*
-// measured in the same process on the same machine does not. Ratios that
-// scale with the core count, or that a speed-up of their numerator is
-// meant to lower (serial-density over parallel-trajectory), live in the
-// report's informational map: present, never compared.
+// measured in the same process on the same machine does not. Absolute
+// throughputs (shots per second) live in the report's informational map:
+// present, never compared.
 package main
 
 import (

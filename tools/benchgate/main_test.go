@@ -63,15 +63,15 @@ func TestCompareNewEntriesIgnored(t *testing.T) {
 }
 
 // TestCompareInformationalNotGated pins the split: an informational entry
-// may fall by any amount — a faster density engine lowers the
-// density-over-trajectory ratio — but may not vanish.
+// may fall by any amount — a throughput is a property of the runner —
+// but may not vanish.
 func TestCompareInformationalNotGated(t *testing.T) {
 	baseline := mkReport(nil, map[string]float64{"x": 2.0})
-	baseline.Informational = map[string]float64{"ratio": 22.0, "per_sec": 8000}
+	baseline.Informational = map[string]float64{"per_sec": 82000, "other_per_sec": 8000}
 	current := mkReport(nil, map[string]float64{"x": 2.0})
-	current.Informational = map[string]float64{"ratio": 3.0}
+	current.Informational = map[string]float64{"per_sec": 9000}
 	v := compare(baseline, current, 0.25)
-	if len(v) != 1 || !strings.Contains(v[0], "informational entry per_sec vanished") {
+	if len(v) != 1 || !strings.Contains(v[0], "informational entry other_per_sec vanished") {
 		t.Fatalf("violations = %v", v)
 	}
 }

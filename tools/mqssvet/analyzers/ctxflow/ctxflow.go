@@ -3,14 +3,12 @@
 // a function takes a context.Context it is the first parameter. A
 // context.Background() (or TODO()) buried inside internal code detaches
 // that call tree from caller cancellation and deadlines — exactly the
-// silent contract drift the async API redesign removed. Deprecated shims
-// are exempt: bridging context-free callers is their documented job.
+// silent contract drift the async API redesign removed.
 package ctxflow
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"mqsspulse/tools/mqssvet/analysis"
 )
@@ -18,7 +16,7 @@ import (
 // Analyzer is the ctxflow check.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc:  "context.Context must be the first parameter; context.Background()/TODO() are forbidden outside package main and Deprecated shims",
+	Doc:  "context.Context must be the first parameter; context.Background()/TODO() are forbidden outside package main",
 	Run:  run,
 }
 
@@ -35,9 +33,6 @@ func run(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			checkParamOrder(pass, fn)
-			if isDeprecated(fn) {
-				continue
-			}
 			if fn.Body == nil {
 				continue
 			}
@@ -105,18 +100,4 @@ func contextRootCall(pass *analysis.Pass, call *ast.CallExpr) string {
 		return ""
 	}
 	return sel.Sel.Name
-}
-
-// isDeprecated reports whether the function's doc comment marks it as a
-// deprecated compatibility shim.
-func isDeprecated(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if strings.Contains(c.Text, "Deprecated:") {
-			return true
-		}
-	}
-	return false
 }

@@ -1,5 +1,5 @@
 // Package hotalloc guards the simulator's zero-allocation contract
-// (PR 5/8): the pulse-integration and trajectory hot loops hold their
+// (PR 5/12): the pulse-integration and dissipator hot loops hold their
 // throughput only because the steady state allocates nothing — the
 // AllocsPerRun tests pin the end result, but they cannot point at the
 // line that broke it. Functions marked //mqss:hotloop opt into a

@@ -30,11 +30,3 @@ func BadTODO() error {
 	_ = ctx
 	return nil
 }
-
-// OldEntry predates the context plumbing.
-//
-// Deprecated: use Good.
-func OldEntry() error {
-	ctx := context.Background()
-	return Good(ctx, 1)
-}
