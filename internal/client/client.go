@@ -15,32 +15,31 @@
 // against a deterministic representative member and the fleet scheduler
 // places the job on the least-loaded one; admission-control rejections
 // surface as qrm.ErrOverloaded (also across the remote wire protocol) so
-// callers can back off. The pre-context entry points (Submit, Run) remain
-// as deprecated shims.
+// callers can back off.
+//
+// Every program — a concrete kernel or a parametric template, which differ
+// only in whether they declare parameters — takes one path: lower looks it
+// up in the lowering cache (or compiles it) as a ptemplate.Compiled, submit
+// hands that to the scheduler, and the scheduler gives the device the
+// cached in-memory module. QIR text is the wire format only: it is read
+// where text is the interface (Compile/CompileTraced callers, the remote
+// server, a device without qdmi.ModuleSubmitter), never parsed back
+// in-process.
 package client
 
 import (
 	"bytes"
 	"container/list"
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
-	"math"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"mqsspulse/internal/compiler"
 	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/qrm"
-	"mqsspulse/internal/readout"
 	"mqsspulse/internal/telemetry"
 )
 
@@ -60,39 +59,33 @@ type Client struct {
 	telem *telemetry.Registry
 
 	mu sync.Mutex //mqss:lockrank 10
-	// loweringCache memoizes compiled payloads keyed by (device, kernel
-	// fingerprint); ablation benchmarks toggle it. It is a bounded LRU
-	// (cacheLimit entries; lruList front = most recently used), and every
-	// entry records the calibration epoch of the device it was compiled
-	// against: a lookup whose target has recalibrated since invalidates
-	// the entry instead of serving a stale payload.
+	// loweringCache memoizes compiled programs keyed by their descriptor
+	// (ptemplate.Descriptor: device, kernel structure, declared parameter
+	// space); ablation benchmarks toggle it. It is a bounded LRU (cacheLimit
+	// entries; lruList front = most recently used), and every program
+	// records the calibration epoch of the device it was lowered against: a
+	// lookup whose target has recalibrated since invalidates the entry
+	// instead of serving a stale program.
 	loweringCache map[string]*list.Element
 	lruList       *list.List
 	cacheLimit    int
 	CacheEnabled  bool
 	cacheStats    CacheStats
-	// templateEntries tracks how many cache entries hold compiled parametric
-	// templates (kept incrementally; removeLocked maintains it).
+	// templateEntries tracks how many cached programs have parameters (kept
+	// incrementally; removeLocked maintains it).
 	templateEntries int
 }
 
-// cacheEntry stores the compiled payload together with its exchange
-// format (so cache hits never re-derive the format from payload bytes)
-// and the compile-time calibration epoch of the target device. Template
-// entries carry the compiled parametric artifact instead of payload bytes:
-// one entry serves every sweep point, so a lookup hit is a bind, not a
-// payload reuse.
+// cacheEntry is one cached program under its descriptor. A template's entry
+// serves every sweep point, so a hit on it is a bind, not a payload reuse.
 type cacheEntry struct {
 	key     string
-	payload []byte
-	format  qdmi.ProgramFormat
-	epoch   int64
-	tpl     *ptemplate.Compiled
+	program *ptemplate.Compiled
 }
 
 // CacheStats is a point-in-time snapshot of the lowering-cache counters.
 type CacheStats struct {
-	// Hits counts lookups served from the cache.
+	// Hits counts concrete-kernel lookups served from the cache.
 	Hits int64
 	// Misses counts lookups that fell through to the JIT compiler.
 	Misses int64
@@ -201,7 +194,7 @@ func (c *Client) evictLocked() {
 // removeLocked unlinks one cache entry from both index and LRU list.
 func (c *Client) removeLocked(el *list.Element) {
 	entry := el.Value.(*cacheEntry)
-	if entry.tpl != nil {
+	if len(entry.program.Params) > 0 {
 		c.templateEntries--
 	}
 	delete(c.loweringCache, entry.key)
@@ -211,50 +204,10 @@ func (c *Client) removeLocked(el *list.Element) {
 // Close shuts down the scheduler.
 func (c *Client) Close() { c.qrm.Close() }
 
-// fingerprint builds a cache key from the kernel structure in one linear
-// pass over the ops (a strings.Builder, not repeated concatenation).
-// Waveform sample data participates through a digest: two kernels that
-// define different samples under the same waveform name must not collide.
-func fingerprint(k *qpi.Circuit, device string) string {
-	var b strings.Builder
-	b.Grow(64 + 48*len(k.Ops))
-	fmt.Fprintf(&b, "%s/%s/%d/%d/%d", device, k.Name, k.Qubits, k.Classical, len(k.Ops))
-	for _, op := range k.Ops {
-		fmt.Fprintf(&b, "|%d:%s:%v:%v:%s:%s:%g:%g:%d:%d:%d",
-			op.Kind, op.Gate, op.Qubits, op.Params, op.WaveformName, op.Port,
-			op.FrequencyHz, op.PhaseRad, op.DelaySamples, op.Qubit, op.Cbit)
-	}
-	if len(k.Waveforms) > 0 {
-		fmt.Fprintf(&b, "|wf:%016x", waveformDigest(k))
-	}
-	return b.String()
-}
-
-// waveformDigest hashes every waveform's sample data in name order.
-func waveformDigest(k *qpi.Circuit) uint64 {
-	names := make([]string, 0, len(k.Waveforms))
-	for name := range k.Waveforms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h := fnv.New64a()
-	var buf [16]byte
-	for _, name := range names {
-		_, _ = io.WriteString(h, name)
-		_, _ = h.Write([]byte{0})
-		for _, s := range k.Waveforms[name].Samples {
-			binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(real(s)))
-			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(s)))
-			_, _ = h.Write(buf[:])
-		}
-	}
-	return h.Sum64()
-}
-
 // Compile lowers a kernel for a device, using the lowering cache when
-// enabled.
+// enabled, and returns its exchange-format text.
 func (c *Client) Compile(k *qpi.Circuit, device string) ([]byte, qdmi.ProgramFormat, error) {
-	payload, format, _, _, err := c.compile(k, device, false)
+	payload, format, _, err := c.CompileTraced(k, device, nil)
 	return payload, format, err
 }
 
@@ -263,17 +216,32 @@ func (c *Client) Compile(k *qpi.Circuit, device string) ([]byte, qdmi.ProgramFor
 // the calibration epoch the payload was compiled against. It is the
 // compile half of the split compile/submit path the remote adapter uses.
 func (c *Client) CompileTraced(k *qpi.Circuit, device string, tl *telemetry.Timeline) ([]byte, qdmi.ProgramFormat, int64, error) {
-	payload, format, epoch, _, err := c.compileTraced(k, device, false, tl)
-	return payload, format, epoch, err
+	program, err := c.lowerTraced(k, nil, device, false, tl)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	return program.Payload, program.Format, program.Epoch, nil
 }
 
-// compileTraced wraps compile in a StageCompile span with a cache-hit or
+// CompileTemplate lowers a parametric template against a device exactly
+// once per (template, device, calibration epoch) and serves every
+// subsequent lookup from the lowering cache. Bound parameter values never
+// enter the cache key, so an N-point sweep costs one compilation: the
+// first lookup records a miss, the remaining N−1 record binds (see
+// CacheStats.Binds), and a calibration-epoch bump invalidates the entry
+// exactly like a concrete kernel's.
+func (c *Client) CompileTemplate(t *ptemplate.Template, device string) (*ptemplate.Compiled, error) {
+	program, _, err := c.lower(t.Circuit, t.Params, device, false)
+	return program, err
+}
+
+// lowerTraced wraps lower in a StageCompile span with a cache-hit or
 // cache-miss child on tl (nil tl records nothing).
-func (c *Client) compileTraced(k *qpi.Circuit, device string, bypassCache bool, tl *telemetry.Timeline) ([]byte, qdmi.ProgramFormat, int64, bool, error) {
+func (c *Client) lowerTraced(k *qpi.Circuit, params []ptemplate.Param, device string, bypassCache bool, tl *telemetry.Timeline) (*ptemplate.Compiled, error) {
 	start := time.Now()
-	payload, format, epoch, hit, err := c.compile(k, device, bypassCache)
+	program, hit, err := c.lower(k, params, device, bypassCache)
 	if err != nil {
-		return nil, "", 0, false, err
+		return nil, err
 	}
 	d := time.Since(start)
 	span := tl.Record(telemetry.StageCompile, device, start, d, 0)
@@ -282,87 +250,71 @@ func (c *Client) compileTraced(k *qpi.Circuit, device string, bypassCache bool, 
 		cacheStage = telemetry.StageCacheHit
 	}
 	tl.Record(cacheStage, device, start, d, span)
-	return payload, format, epoch, hit, nil
+	return program, nil
 }
 
-// deviceEpoch reads a device's calibration epoch. Epoch-unaware devices
-// (ErrNotSupported) report zero, which disables downstream staleness
-// checks; any other failure — a device advertising the property but
-// answering it with the wrong type — propagates, because treating it as
-// epoch-unaware would silently drop every staleness protection.
-func deviceEpoch(dev qdmi.Device) (int64, error) {
-	epoch, err := qdmi.QueryCalibrationEpoch(dev)
-	if err != nil {
-		if errors.Is(err, qdmi.ErrNotSupported) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	return epoch, nil
-}
-
-// compile lowers a kernel and returns the payload, its exchange format,
-// the calibration epoch it was compiled against, and whether the payload
-// was served from the lowering cache.
-func (c *Client) compile(k *qpi.Circuit, device string, bypassCache bool) ([]byte, qdmi.ProgramFormat, int64, bool, error) {
-	if k.IsParametric() {
-		return nil, "", 0, false, fmt.Errorf(
-			"client: kernel %q carries unbound parameters %v; wrap it in a ptemplate.Template and use SubmitSweepCtx/RunSweep",
-			k.Name, k.ParamNames())
-	}
+// lower is the one path through the lowering cache: it returns the compiled
+// program for (kernel, declared parameters, device) and whether the cache
+// served it. params is empty for a concrete kernel.
+func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string, bypassCache bool) (*ptemplate.Compiled, bool, error) {
 	dev, err := c.session.Device(device)
 	if err != nil {
-		return nil, "", 0, false, err
+		return nil, false, err
 	}
-	// The epoch is read before any lowering query: if a recalibration
-	// lands mid-compile the recorded epoch is already superseded, so the
-	// dispatch-time check (or the next cache lookup) forces a recompile —
-	// the race can only err toward recompiling, never toward staleness.
-	epoch, err := deviceEpoch(dev)
+	if !c.CacheEnabled || bypassCache {
+		program, err := ptemplate.LowerCircuit(k, params, dev, device)
+		return program, false, err
+	}
+	// The epoch is read before the probe: a recalibration landing mid-lookup
+	// can only make the entry look stale, and one landing mid-compile is
+	// caught by the dispatch-time check or the next lookup — the race can
+	// only err toward recompiling, never toward staleness.
+	epoch, err := ptemplate.DeviceEpoch(dev)
 	if err != nil {
-		return nil, "", 0, false, err
+		return nil, false, err
 	}
-	useCache := c.CacheEnabled && !bypassCache
-	key := ""
-	if useCache {
-		key = fingerprint(k, device)
-		c.mu.Lock()
-		if el, ok := c.loweringCache[key]; ok {
-			entry := el.Value.(*cacheEntry)
-			if entry.epoch == epoch {
+	key := ptemplate.Descriptor(k, params, device)
+	c.mu.Lock()
+	if el, ok := c.loweringCache[key]; ok {
+		entry := el.Value.(*cacheEntry)
+		if entry.program.Epoch == epoch {
+			if len(params) == 0 {
 				c.cacheStats.Hits++
-				c.lruList.MoveToFront(el)
-				c.mu.Unlock()
-				c.telem.Add("client/cache_hits", 1)
-				return entry.payload, entry.format, entry.epoch, true, nil
+			} else {
+				// A cache-hot template: this sweep point pays a bind, not a
+				// compile — the distinction CacheStats.Binds exists to show.
+				c.cacheStats.Binds++
 			}
-			// Compiled against a calibration the device has left.
-			c.removeLocked(el)
-			c.cacheStats.Invalidations++
-		}
-		c.cacheStats.Misses++
-		c.mu.Unlock()
-		c.telem.Add("client/cache_misses", 1)
-	}
-	res, err := compiler.Compile(k, dev)
-	if err != nil {
-		return nil, "", 0, false, err
-	}
-	format := compiler.FormatFor(res.QIR)
-	if useCache {
-		c.mu.Lock()
-		if el, ok := c.loweringCache[key]; ok {
-			// A concurrent compile of the same kernel won the race; keep
-			// its entry and just refresh recency.
 			c.lruList.MoveToFront(el)
-		} else {
-			entry := &cacheEntry{key: key, payload: res.Payload, format: format, epoch: epoch}
-			c.loweringCache[key] = c.lruList.PushFront(entry)
-			c.evictLocked()
+			c.mu.Unlock()
+			c.telem.Add("client/cache_hits", 1)
+			return entry.program, true, nil
 		}
-		c.mu.Unlock()
+		// Compiled against a calibration the device has left.
+		c.removeLocked(el)
+		c.cacheStats.Invalidations++
 	}
-	return res.Payload, format, epoch, false, nil
+	c.cacheStats.Misses++
+	c.mu.Unlock()
+	c.telem.Add("client/cache_misses", 1)
+	program, err := ptemplate.LowerCircuit(k, params, dev, device)
+	if err != nil {
+		return nil, false, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.loweringCache[key]; ok {
+		// A concurrent lowering of the same program won the race; keep its
+		// entry and just refresh recency.
+		c.lruList.MoveToFront(el)
+		return el.Value.(*cacheEntry).program, false, nil
+	}
+	c.loweringCache[key] = c.lruList.PushFront(&cacheEntry{key: key, program: program})
+	if len(params) > 0 {
+		c.templateEntries++
+	}
+	c.evictLocked()
+	return program, false, nil
 }
 
 // containsPulse reports whether a QIR payload carries the pulse profile
@@ -371,48 +323,9 @@ func containsPulse(payload []byte) bool {
 	return bytes.Contains(payload, []byte(`"qir_profiles"="pulse"`))
 }
 
-// SubmitOptions tunes a submission.
-type SubmitOptions struct {
-	// Shots is the number of measurement samples (qpi.DefaultShots when
-	// zero).
-	Shots int
-	// ShotWorkers, when positive, spreads the job's independent shots
-	// across that many device-side workers (zero keeps the device's
-	// configured default). Shot outcomes never depend on worker
-	// scheduling or completion order.
-	ShotWorkers int
-	// Priority orders scheduler dispatch: higher runs first.
-	Priority int
-	// Tag labels the ticket for tracing and per-tenant accounting.
-	Tag string
-	// Pool, when non-empty, targets a named QRM device pool instead of the
-	// device argument (which is then ignored): the kernel compiles against
-	// a deterministic representative member and the scheduler places the
-	// job on the least-loaded one.
-	Pool string
-	// BypassCache skips the lowering cache for this submission.
-	BypassCache bool
-	// CalibrationEpoch declares the calibration epoch a precompiled
-	// payload was built against; it is only consulted by the raw-payload
-	// remote path (RemoteAdapter.SubmitPayloadCtx), where the caller did
-	// the compiling. Kernel submissions through the client derive the
-	// epoch from their own compile step and ignore this field. Zero skips
-	// the server's dispatch-time staleness check.
-	CalibrationEpoch int64
-	// MeasLevel selects the measurement level (discriminated counts by
-	// default; kerneled/raw return IQ acquisition records).
-	MeasLevel readout.MeasLevel
-	// MeasReturn selects per-shot or shot-averaged acquisition records.
-	MeasReturn readout.MeasReturn
-	// TraceID is the telemetry trace identifier for this submission; empty
-	// mints one. Ignored when Timeline is set (the timeline carries its own).
-	TraceID string
-	// Timeline, when non-nil, is the trace the submission's lifecycle spans
-	// are recorded onto — used by callers that already recorded spans (a
-	// separate compile step) before submitting. Nil creates a fresh
-	// timeline per submission.
-	Timeline *telemetry.Timeline
-}
+// SubmitOptions tunes a submission: the QPI's execution config, carried
+// as is rather than re-declared.
+type SubmitOptions = qpi.ExecConfig
 
 // resultFromQDMI converts a device-layer result into the QPI form,
 // carrying the acquisition records through unchanged.
@@ -452,12 +365,6 @@ func (c *Client) SubmitCtx(ctx context.Context, k *qpi.Circuit, device string, o
 	if !k.Finished() {
 		return nil, fmt.Errorf("client: kernel %q not finished", k.Name)
 	}
-	if opts.Shots <= 0 {
-		opts.Shots = qpi.DefaultShots
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("client: submit: %w", err)
-	}
 	target, err := c.compileTarget(device, opts)
 	if err != nil {
 		return nil, err
@@ -468,21 +375,77 @@ func (c *Client) SubmitCtx(ctx context.Context, k *qpi.Circuit, device string, o
 	} else {
 		tl.AttachRegistry(c.telem)
 	}
-	payload, format, epoch, _, err := c.compileTraced(k, target, opts.BypassCache, tl)
+	return c.submit(ctx, k, nil, nil, device, target, opts, tl)
+}
+
+// submit is the one job path behind SubmitCtx and every sweep point: lower
+// the program through the cache (onto tl's compile span), describe the job
+// to the scheduler, enqueue. The scheduler re-checks the program's epoch at
+// dispatch and binds b then, if the program has parameters. A non-zero
+// opts.Deadline bounds the job: its expiry cancels the ticket itself.
+func (c *Client) submit(ctx context.Context, k *qpi.Circuit, params []ptemplate.Param, b ptemplate.Bindings,
+	device, target string, opts SubmitOptions, tl *telemetry.Timeline) (tk *qrm.Ticket, err error) {
+
+	if !opts.Deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, opts.Deadline)
+		defer func() {
+			if tk == nil {
+				cancel()
+				return
+			}
+			// Release the deadline timer once the ticket resolves.
+			go func() {
+				<-tk.DoneCh()
+				cancel()
+			}()
+		}()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("client: submit: %w", err)
+	}
+	program, err := c.lowerTraced(k, params, target, opts.BypassCache, tl)
 	if err != nil {
 		return nil, err
 	}
 	req := qrm.Request{
-		Device: device, Payload: payload, Format: format,
+		Device: device, Template: program, Bindings: b,
 		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
 		MeasLevel: opts.MeasLevel, MeasReturn: opts.MeasReturn,
-		CalibrationEpoch: epoch, CompiledFor: target,
+		CalibrationEpoch: program.Epoch, CompiledFor: target,
 		Timeline: tl, ShotWorkers: opts.ShotWorkers,
+	}
+	if req.Shots <= 0 {
+		req.Shots = qpi.DefaultShots
 	}
 	if opts.Pool != "" {
 		req.Device, req.Pool = "", opts.Pool
 	}
 	return c.qrm.SubmitCtx(ctx, req)
+}
+
+// wait blocks on one ticket under ctx and converts its result.
+func wait(ctx context.Context, tk *qrm.Ticket) (*qpi.Result, error) {
+	res, err := tk.Wait(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return resultFromQDMI(res), nil
+}
+
+// waitAll is the one ticket wait loop behind RunBatch and RunSweep: the
+// result slice is parallel to tickets, and an entry that never got a ticket
+// carries its submission error.
+func waitAll(ctx context.Context, tickets []*qrm.Ticket, errs []error) []BatchResult {
+	out := make([]BatchResult, len(tickets))
+	for i, tk := range tickets {
+		if tk == nil {
+			out[i].Err = errs[i]
+			continue
+		}
+		out[i].Result, out[i].Err = wait(ctx, tk)
+	}
+	return out
 }
 
 // RunCtx is the synchronous context-aware path: compile, schedule, and
@@ -492,11 +455,7 @@ func (c *Client) RunCtx(ctx context.Context, k *qpi.Circuit, device string, opts
 	if err != nil {
 		return nil, err
 	}
-	res, err := tk.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromQDMI(res), nil
+	return wait(ctx, tk)
 }
 
 // BatchResult pairs one batch entry's outcome with its error; exactly one
@@ -555,20 +514,7 @@ func (c *Client) RunBatch(ctx context.Context, kernels []*qpi.Circuit, device st
 		return nil, fmt.Errorf("client: batch: %w", err)
 	}
 	tickets, errs := c.SubmitBatch(ctx, kernels, device, opts)
-	out := make([]BatchResult, len(kernels))
-	for i, tk := range tickets {
-		if tk == nil {
-			out[i].Err = errs[i]
-			continue
-		}
-		res, err := tk.Wait(ctx)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Result = resultFromQDMI(res)
-	}
-	return out, nil
+	return waitAll(ctx, tickets, errs), nil
 }
 
 // NativeAdapter is the MQSS QPI Adapter: a compiled, in-process qpi.Backend
@@ -581,38 +527,12 @@ type NativeAdapter struct {
 // Name implements qpi.Backend.
 func (a *NativeAdapter) Name() string { return "qpi-native/" + a.Target }
 
-// Submit implements qpi.Backend: it threads the execution config into the
-// client and wraps the scheduler ticket as a qpi.Handle. A config deadline
-// derives a deadline context whose expiry cancels the job itself.
+// Submit implements qpi.Backend: the execution config is the client's
+// submit options, and the scheduler ticket is wrapped as a qpi.Handle.
 func (a *NativeAdapter) Submit(ctx context.Context, k *qpi.Circuit, cfg qpi.ExecConfig) (qpi.Handle, error) {
-	opts := SubmitOptions{
-		Shots:       cfg.Shots,
-		ShotWorkers: cfg.ShotWorkers,
-		Priority:    cfg.Priority,
-		Tag:         cfg.Tag,
-		Pool:        cfg.Pool,
-		BypassCache: cfg.BypassCache,
-		MeasLevel:   cfg.MeasLevel,
-		MeasReturn:  cfg.MeasReturn,
-		TraceID:     cfg.TraceID,
-	}
-	var cancel context.CancelFunc
-	if !cfg.Deadline.IsZero() {
-		ctx, cancel = context.WithDeadline(ctx, cfg.Deadline)
-	}
-	tk, err := a.Client.SubmitCtx(ctx, k, a.Target, opts)
+	tk, err := a.Client.SubmitCtx(ctx, k, a.Target, cfg)
 	if err != nil {
-		if cancel != nil {
-			cancel()
-		}
 		return nil, err
-	}
-	if cancel != nil {
-		// Release the deadline timer once the ticket resolves.
-		go func() {
-			<-tk.DoneCh()
-			cancel()
-		}()
 	}
 	return &ticketHandle{tk: tk}, nil
 }
@@ -649,10 +569,4 @@ func (h *ticketHandle) Cancel() { h.tk.Cancel() }
 func (h *ticketHandle) Timeline() *telemetry.Timeline { return h.tk.Timeline() }
 
 // Wait implements qpi.Handle.
-func (h *ticketHandle) Wait(ctx context.Context) (*qpi.Result, error) {
-	res, err := h.tk.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromQDMI(res), nil
-}
+func (h *ticketHandle) Wait(ctx context.Context) (*qpi.Result, error) { return wait(ctx, h.tk) }

@@ -116,6 +116,11 @@ func TestRemotePoolSubmission(t *testing.T) {
 		SubmitOptions{Shots: 64, Pool: "ghost"}); !errors.Is(err, qrm.ErrNoSuchTarget) {
 		t.Fatalf("err = %v, want ErrNoSuchTarget across the wire", err)
 	}
+	// So do the scheduler's own request rejections, not only the device's.
+	if _, err := remote.SubmitPayloadCtx(context.Background(), fmtDev(0), payload, format,
+		SubmitOptions{Shots: 0}); !errors.Is(err, qdmi.ErrInvalidArgument) {
+		t.Fatalf("err = %v, want ErrInvalidArgument across the wire for zero shots", err)
+	}
 }
 
 func TestWireErrorKindRoundTrip(t *testing.T) {

@@ -483,10 +483,30 @@ func (r *RemoteAdapter) closeLocked() {
 func (r *RemoteAdapter) SubmitPayloadCtx(ctx context.Context, device string, payload []byte, format qdmi.ProgramFormat, opts SubmitOptions) (*qpi.Result, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.submitLocked(ctx, device, payload, format, nil, nil, opts)
+}
+
+// submitLocked builds the one wire submission (r.mu must be held): a text
+// payload, or — when compiled is non-nil — a bindings frame referencing a
+// template this connection has registered (registering it first if not).
+func (r *RemoteAdapter) submitLocked(ctx context.Context, device string, payload []byte, format qdmi.ProgramFormat,
+	compiled *ptemplate.Compiled, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
+
 	req := remoteRequest{
-		Device: device, Pool: opts.Pool, Format: string(format), Payload: string(payload),
+		Device: device, Pool: opts.Pool, Format: string(format), Payload: string(payload), Bindings: b,
 		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
 		ShotWorkers: opts.ShotWorkers, CalibrationEpoch: opts.CalibrationEpoch,
+	}
+	if compiled != nil {
+		if err := r.registerLocked(ctx, compiled); err != nil {
+			return nil, err
+		}
+		req.Op, req.TemplateID = "submit_bound", compiled.Fingerprint
+		if req.CalibrationEpoch == 0 {
+			// Default to the epoch the template was lowered against, so the
+			// scheduler's staleness gate protects bound points automatically.
+			req.CalibrationEpoch = compiled.Epoch
+		}
 	}
 	if opts.MeasLevel != readout.LevelDiscriminated {
 		req.MeasLevel = opts.MeasLevel.String()
@@ -578,29 +598,7 @@ func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compi
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.registerLocked(ctx, compiled); err != nil {
-		return nil, err
-	}
-	req := remoteRequest{
-		Op: "submit_bound", TemplateID: compiled.Fingerprint, Bindings: b,
-		Device: device, Pool: opts.Pool,
-		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
-		ShotWorkers: opts.ShotWorkers, CalibrationEpoch: opts.CalibrationEpoch,
-	}
-	if req.CalibrationEpoch == 0 {
-		// Default to the epoch the template was lowered against, so the
-		// scheduler's staleness gate protects bound points automatically.
-		req.CalibrationEpoch = compiled.Epoch
-	}
-	if opts.MeasLevel != readout.LevelDiscriminated {
-		req.MeasLevel = opts.MeasLevel.String()
-		req.MeasReturn = opts.MeasReturn.String()
-	}
-	resp, err := r.exchangeTraced(ctx, &req, opts)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromWire(resp, opts)
+	return r.submitLocked(ctx, device, nil, "", compiled, b, opts)
 }
 
 // exchangeLocked performs one line-framed request/response round trip on

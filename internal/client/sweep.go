@@ -3,87 +3,11 @@ package client
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"mqsspulse/internal/ptemplate"
-	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/qrm"
 	"mqsspulse/internal/telemetry"
 )
-
-// CompileTemplate lowers a parametric template against a device exactly
-// once per (template fingerprint, device, calibration epoch) and serves
-// every subsequent lookup from the lowering cache. Bound parameter values
-// never enter the cache key, so an N-point sweep costs one compilation:
-// the first lookup records a miss, the remaining N−1 record binds (see
-// CacheStats.Binds), and a calibration-epoch bump invalidates the entry
-// exactly like a concrete payload's.
-func (c *Client) CompileTemplate(t *ptemplate.Template, device string) (*ptemplate.Compiled, error) {
-	compiled, _, err := c.compileTemplate(t, device)
-	return compiled, err
-}
-
-// compileTemplate is CompileTemplate plus a cache-hot flag: true when the
-// lookup was served from a cached compiled template (a bind, not a
-// compile) — the flag the sweep path turns into cache-hit/miss spans.
-func (c *Client) compileTemplate(t *ptemplate.Template, device string) (*ptemplate.Compiled, bool, error) {
-	dev, err := c.session.Device(device)
-	if err != nil {
-		return nil, false, err
-	}
-	// Epoch before the cache probe, mirroring compile(): a recalibration
-	// landing mid-lookup can only make the entry look stale.
-	epoch, err := deviceEpoch(dev)
-	if err != nil {
-		return nil, false, err
-	}
-	key := ""
-	if c.CacheEnabled {
-		key = t.Fingerprint(device)
-		c.mu.Lock()
-		if el, ok := c.loweringCache[key]; ok {
-			entry := el.Value.(*cacheEntry)
-			if entry.tpl != nil && entry.epoch == epoch {
-				// Cache-hot template: this sweep point is a bind, not a
-				// compile — the distinction CacheStats.Binds exists to show.
-				c.cacheStats.Binds++
-				c.lruList.MoveToFront(el)
-				c.mu.Unlock()
-				c.telem.Add("client/cache_hits", 1)
-				return entry.tpl, true, nil
-			}
-			// Compiled against a calibration the device has left (or the key
-			// collided with a non-template entry): drop and recompile.
-			c.removeLocked(el)
-			c.cacheStats.Invalidations++
-		}
-		c.cacheStats.Misses++
-		c.mu.Unlock()
-		c.telem.Add("client/cache_misses", 1)
-	}
-	compiled, err := ptemplate.Lower(t, dev, device)
-	if err != nil {
-		return nil, false, err
-	}
-	if c.CacheEnabled {
-		c.mu.Lock()
-		if el, ok := c.loweringCache[key]; ok {
-			// A concurrent lowering of the same template won the race; keep
-			// its entry and just refresh recency.
-			c.lruList.MoveToFront(el)
-			if entry := el.Value.(*cacheEntry); entry.tpl != nil {
-				compiled = entry.tpl
-			}
-		} else {
-			entry := &cacheEntry{key: key, format: compiled.Format, epoch: compiled.Epoch, tpl: compiled}
-			c.loweringCache[key] = c.lruList.PushFront(entry)
-			c.templateEntries++
-			c.evictLocked()
-		}
-		c.mu.Unlock()
-	}
-	return compiled, false, nil
-}
 
 // SubmitSweepCtx enqueues one job per sweep point: the template lowers at
 // most once (served cache-hot afterwards, see CompileTemplate) and each
@@ -97,21 +21,12 @@ func (c *Client) SubmitSweepCtx(ctx context.Context, t *ptemplate.Template, devi
 
 	tickets := make([]*qrm.Ticket, len(bindings))
 	errs := make([]error, len(bindings))
-	fail := func(err error) ([]*qrm.Ticket, []error) {
+	target, err := c.compileTarget(device, opts)
+	if err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
 		return tickets, errs
-	}
-	if opts.Shots <= 0 {
-		opts.Shots = qpi.DefaultShots
-	}
-	if err := ctx.Err(); err != nil {
-		return fail(fmt.Errorf("client: sweep: %w", err))
-	}
-	target, err := c.compileTarget(device, opts)
-	if err != nil {
-		return fail(err)
 	}
 	// One trace ID spans the sweep; each point gets its own timeline under
 	// a /p<i> suffix so per-point stage latencies stay separable while the
@@ -121,35 +36,12 @@ func (c *Client) SubmitSweepCtx(ctx context.Context, t *ptemplate.Template, devi
 		sweepTrace = telemetry.NewTraceID()
 	}
 	for i, b := range bindings {
+		// Per-point lookup: point 0 compiles, the rest bind. Going through
+		// the cache each iteration (rather than hoisting one compile) keeps a
+		// mid-sweep recalibration from dispatching stale points — the
+		// invalidated entry recompiles at the new epoch.
 		tl := telemetry.NewTimeline(fmt.Sprintf("%s/p%d", sweepTrace, i), c.telem)
-		// Per-point template lookup: point 0 compiles, the rest bind. Going
-		// through the cache each iteration (rather than hoisting one compile)
-		// keeps a mid-sweep recalibration from dispatching stale points —
-		// the invalidated entry recompiles at the new epoch.
-		compileStart := time.Now()
-		compiled, hot, err := c.compileTemplate(t, target)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		compileDur := time.Since(compileStart)
-		span := tl.Record(telemetry.StageCompile, target, compileStart, compileDur, 0)
-		cacheStage := telemetry.StageCacheMiss
-		if hot {
-			cacheStage = telemetry.StageCacheHit
-		}
-		tl.Record(cacheStage, target, compileStart, compileDur, span)
-		req := qrm.Request{
-			Device: device, Template: compiled, Bindings: b,
-			Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
-			MeasLevel: opts.MeasLevel, MeasReturn: opts.MeasReturn,
-			CalibrationEpoch: compiled.Epoch, CompiledFor: target,
-			Timeline: tl, ShotWorkers: opts.ShotWorkers,
-		}
-		if opts.Pool != "" {
-			req.Device, req.Pool = "", opts.Pool
-		}
-		tickets[i], errs[i] = c.qrm.SubmitCtx(ctx, req)
+		tickets[i], errs[i] = c.submit(ctx, t.Circuit, t.Params, b, device, target, opts, tl)
 	}
 	return tickets, errs
 }
@@ -165,18 +57,5 @@ func (c *Client) RunSweep(ctx context.Context, t *ptemplate.Template, device str
 		return nil, fmt.Errorf("client: sweep: %w", err)
 	}
 	tickets, errs := c.SubmitSweepCtx(ctx, t, device, bindings, opts)
-	out := make([]BatchResult, len(bindings))
-	for i, tk := range tickets {
-		if tk == nil {
-			out[i].Err = errs[i]
-			continue
-		}
-		res, err := tk.Wait(ctx)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Result = resultFromQDMI(res)
-	}
-	return out, nil
+	return waitAll(ctx, tickets, errs), nil
 }

@@ -181,8 +181,8 @@ func TestSweepRequestValidation(t *testing.T) {
 	if _, err := c.QRM().SubmitCtx(context.Background(), qrm.Request{
 		Device: "hpcqc-sc", Template: compiled, Bindings: ptemplate.Bindings{"theta": 1},
 		Payload: []byte("x"), Shots: 8,
-	}); err == nil {
-		t.Fatal("request with both payload and template accepted")
+	}); !errors.Is(err, qdmi.ErrInvalidArgument) {
+		t.Fatalf("request with both payload and template: err = %v, want ErrInvalidArgument", err)
 	}
 	if _, err := c.QRM().SubmitCtx(context.Background(), qrm.Request{
 		Device: "hpcqc-sc", Template: compiled, Bindings: ptemplate.Bindings{"theta": -5},

@@ -7,29 +7,53 @@ import (
 	"mqsspulse/internal/compiler"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
+	"mqsspulse/internal/qpi"
 )
 
-// Compiled is a lowered template: a parametric QIR module with unbound
-// slots plus the metadata needed to bind, dispatch, and invalidate it. It
-// is valid for exactly one (device, calibration epoch) pair — the epoch is
-// read before lowering, so a recalibration landing mid-compile can only
-// make the artifact look stale, never silently fresh.
+// Compiled is a lowered program: a QIR module plus the metadata needed to
+// bind, dispatch, and invalidate it — the one artifact the client's
+// lowering cache holds. A template's module carries unbound slots; a
+// concrete kernel is the same thing with no parameters, its module ready to
+// run as is. Either is valid for exactly one (device, calibration epoch)
+// pair — the epoch is read before lowering, so a recalibration landing
+// mid-compile can only make the artifact look stale, never silently fresh.
+// A Compiled is shared by every job that uses it and must not be modified.
 type Compiled struct {
-	// Fingerprint is the template's cache/wire identity (see
-	// Template.Fingerprint); bound values never contribute to it.
+	// Fingerprint is the program's wire identity (see Template.Fingerprint);
+	// bound values never contribute to it.
 	Fingerprint string
-	// Device is the target the template was lowered against.
+	// Device is the target the program was lowered against.
 	Device string
 	// Epoch is the device's calibration epoch at lowering time; zero means
 	// the device is epoch-unaware and staleness checks are skipped.
 	Epoch int64
-	// Format is the QDMI submission format of bound payloads.
+	// Format is the QDMI submission format of the (bound) payload.
 	Format qdmi.ProgramFormat
 	// Params is the declared parameter space, carried along so a Compiled
 	// decoded from the wire can validate bindings without the Template.
+	// Empty for a concrete kernel.
 	Params []Param
-	// Module is the parametric QIR payload.
+	// Module is the QIR payload, parametric iff Params is non-empty.
 	Module *qir.Module
+	// Payload is the module's exchange-format text as the compiler emitted
+	// it, for the consumers whose interface is text: Client.Compile callers,
+	// the remote wire, devices without qdmi.ModuleSubmitter. Nil for a
+	// parametric program (text exists only per bound point) and for a
+	// Compiled decoded from the wire.
+	Payload []byte
+}
+
+// DeviceEpoch reads a device's calibration epoch. Epoch-unaware devices
+// (ErrNotSupported) report zero, which disables downstream staleness
+// checks; any other failure — a device advertising the property but
+// answering it with the wrong type — propagates, because treating it as
+// epoch-unaware would silently drop every staleness protection.
+func DeviceEpoch(dev qdmi.Device) (int64, error) {
+	epoch, err := qdmi.QueryCalibrationEpoch(dev)
+	if err != nil && !errors.Is(err, qdmi.ErrNotSupported) {
+		return 0, fmt.Errorf("ptemplate: reading calibration epoch: %w", err)
+	}
+	return epoch, nil
 }
 
 // Lower compiles the template against a device exactly once, producing the
@@ -39,30 +63,41 @@ func Lower(t *Template, dev qdmi.Device, deviceName string) (*Compiled, error) {
 	if t == nil {
 		return nil, errors.New("ptemplate: nil template")
 	}
+	return LowerCircuit(t.Circuit, t.Params, dev, deviceName)
+}
+
+// LowerCircuit is the step Lower shares with concrete kernels: it compiles
+// a finished circuit whose slots, if any, are declared by params. New stays
+// the only way to build a Template and keeps rejecting a circuit with no
+// slots; a circuit with slots and no declared parameters is rejected here.
+func LowerCircuit(k *qpi.Circuit, params []Param, dev qdmi.Device, deviceName string) (*Compiled, error) {
 	if dev == nil {
 		return nil, errors.New("ptemplate: nil device")
+	}
+	if len(params) == 0 && k.IsParametric() {
+		return nil, fmt.Errorf(
+			"ptemplate: kernel %q carries unbound parameters %v; wrap it in a Template and use SubmitSweepCtx/RunSweep",
+			k.Name, k.ParamNames())
 	}
 	// Epoch before lowering: if recalibration lands mid-compile, the
 	// recorded epoch is already superseded and dispatch will reject the
 	// artifact as stale — the race errs toward recompiling.
-	epoch, err := qdmi.QueryCalibrationEpoch(dev)
+	epoch, err := DeviceEpoch(dev)
 	if err != nil {
-		if !errors.Is(err, qdmi.ErrNotSupported) {
-			return nil, fmt.Errorf("ptemplate: reading calibration epoch: %w", err)
-		}
-		epoch = 0
+		return nil, err
 	}
-	res, err := compiler.Compile(t.Circuit, dev)
+	res, err := compiler.Compile(k, dev)
 	if err != nil {
-		return nil, fmt.Errorf("ptemplate: lowering template %q: %w", t.Circuit.Name, err)
+		return nil, fmt.Errorf("ptemplate: lowering %q: %w", k.Name, err)
 	}
 	return &Compiled{
-		Fingerprint: t.Fingerprint(deviceName),
+		Fingerprint: fingerprint(Descriptor(k, params, deviceName)),
 		Device:      deviceName,
 		Epoch:       epoch,
 		Format:      compiler.FormatFor(res.QIR),
-		Params:      append([]Param(nil), t.Params...),
+		Params:      append([]Param(nil), params...),
 		Module:      res.QIR,
+		Payload:     res.Payload,
 	}, nil
 }
 

@@ -24,7 +24,7 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"mqsspulse/internal/qpi"
 )
@@ -224,45 +224,89 @@ func validateBindings(params []Param, b Bindings) error {
 	return nil
 }
 
-// Fingerprint returns a deterministic identity for (template structure,
-// declared parameter space, device). It is the lowering-cache key and the
-// wire-protocol template ID: bound values never appear in it, so every
-// sweep point shares one cache entry.
-func (t *Template) Fingerprint(device string) string {
-	var b strings.Builder
-	k := t.Circuit
-	fmt.Fprintf(&b, "tpl/%s/%s/%d/%d/%d", device, k.Name, k.Qubits, k.Classical, len(k.Ops))
+// Descriptor renders (circuit structure, declared parameter space, device)
+// as one string: the lowering-cache key. It is the only circuit descriptor
+// in the stack and covers every field of qpi.Op, so two programs that lower
+// differently never share a cache entry; bound values never appear in it,
+// so every sweep point of a template shares one. A concrete kernel is the
+// no-parameter case. Strings are quoted and floats rendered as exact bits,
+// so neither a separator inside a name nor a difference below print
+// precision can make two descriptors collide.
+func Descriptor(k *qpi.Circuit, params []Param, device string) string {
+	b := make([]byte, 0, 64+96*len(k.Ops))
+	str := func(s string) { b = append(strconv.AppendQuote(b, s), ':') }
+	num := func(n int64) { b = append(strconv.AppendInt(b, n, 10), ':') }
+	f64 := func(f float64) { b = append(strconv.AppendUint(b, math.Float64bits(f), 16), ':') }
+	str(device)
+	str(k.Name)
+	num(int64(k.Qubits))
+	num(int64(k.Classical))
+	num(int64(len(k.Ops)))
 	for i := range k.Ops {
 		op := &k.Ops[i]
-		fmt.Fprintf(&b, "|%d:%s:%v:%v:%s:%s:%g:%g:%d:%d:%d:%d",
-			op.Kind, op.Gate, op.Qubits, op.Params, op.WaveformName, op.Port,
-			op.FrequencyHz, op.PhaseRad, op.DelaySamples, op.Qubit, op.Cbit, op.WindowSamples)
-		for _, e := range []*qpi.ParamExpr{op.AngleExpr, op.FreqExpr, op.PhaseExpr, op.DelayExpr, op.AmpExpr} {
+		b = append(b, '|')
+		num(int64(op.Kind))
+		str(op.Gate)
+		num(int64(len(op.Qubits)))
+		for _, q := range op.Qubits {
+			num(int64(q))
+		}
+		num(int64(len(op.Params)))
+		for _, p := range op.Params {
+			f64(p)
+		}
+		str(op.WaveformName)
+		str(op.Port)
+		f64(op.FrequencyHz)
+		f64(op.PhaseRad)
+		num(op.DelaySamples)
+		num(int64(op.Qubit))
+		num(int64(op.Cbit))
+		num(op.WindowSamples)
+		for _, e := range [...]*qpi.ParamExpr{op.AngleExpr, op.FreqExpr, op.PhaseExpr, op.DelayExpr, op.AmpExpr} {
 			if e == nil {
-				b.WriteString("|-")
-			} else {
-				// Exact coefficient bits: two expressions differing below %g
-				// precision must not collide into one cache entry.
-				fmt.Fprintf(&b, "|%s:%016x:%016x", e.Param,
-					math.Float64bits(e.Scale), math.Float64bits(e.Offset))
+				b = append(b, '-', ':')
+				continue
 			}
+			str(e.Param)
+			f64(e.Scale)
+			f64(e.Offset)
 		}
 	}
-	for _, p := range t.Params {
-		fmt.Fprintf(&b, "|p:%s:%016x:%016x", p.Name, math.Float64bits(p.Min), math.Float64bits(p.Max))
+	for _, p := range params {
+		b = append(b, '|', 'p')
+		str(p.Name)
+		f64(p.Min)
+		f64(p.Max)
 	}
 	if len(k.Waveforms) > 0 {
-		fmt.Fprintf(&b, "|wf:%016x", templateWaveformDigest(k))
+		b = append(b, '|', 'w')
+		b = strconv.AppendUint(b, waveformDigest(k), 16)
 	}
-	// Collapse to a fixed-width ID: the full description is hashed, keeping
-	// the cache key and wire frame small regardless of circuit size.
+	return string(b)
+}
+
+// fingerprint collapses a descriptor to a fixed-width ID — the wire
+// protocol's template ID, small regardless of circuit size. The cache keys
+// on the full descriptor, so a hash collision can at worst confuse two
+// templates registered on one remote connection, never serve a wrong
+// cached program.
+func fingerprint(descriptor string) string {
 	h := fnv.New64a()
-	_, _ = io.WriteString(h, b.String())
+	_, _ = io.WriteString(h, descriptor)
 	return fmt.Sprintf("tpl-%016x", h.Sum64())
 }
 
-// templateWaveformDigest hashes every waveform's sample data in name order.
-func templateWaveformDigest(k *qpi.Circuit) uint64 {
+// Fingerprint returns the template's wire identity on a device: the hash of
+// its Descriptor.
+func (t *Template) Fingerprint(device string) string {
+	return fingerprint(Descriptor(t.Circuit, t.Params, device))
+}
+
+// waveformDigest hashes every waveform's sample data in name order: two
+// kernels that define different samples under one waveform name must not
+// collide.
+func waveformDigest(k *qpi.Circuit) uint64 {
 	names := make([]string, 0, len(k.Waveforms))
 	for name := range k.Waveforms {
 		names = append(names, name)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -279,5 +280,79 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	if a.Fingerprint("sc") == build(0.2, math.Pi).Fingerprint("sc") {
 		t.Fatal("fingerprint ignores declared parameter range")
+	}
+}
+
+// TestDescriptorCoversEveryOpField perturbs each field of qpi.Op — and each
+// field of each parametric slot — one at a time and requires the descriptor
+// to change, so a field added to Op cannot be left out of the cache key (as
+// WindowSamples once was from the concrete-kernel fingerprint). A field of
+// a kind the test cannot perturb fails it: teach perturb the new kind.
+func TestDescriptorCoversEveryOpField(t *testing.T) {
+	perturb := func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 0.25)
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Slice:
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		default:
+			t.Fatalf("cannot perturb a %s field", v.Kind())
+		}
+	}
+	exprType := reflect.TypeOf(&qpi.ParamExpr{})
+	describe := func(op qpi.Op) string {
+		k := &qpi.Circuit{Name: "k", Qubits: 2, Classical: 1, Ops: []qpi.Op{op}}
+		return Descriptor(k, nil, "dev")
+	}
+	filled := func() qpi.Op {
+		op := qpi.Op{Qubits: []int{0}, Params: []float64{0.5}}
+		v := reflect.ValueOf(&op).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Type() == exprType {
+				v.Field(i).Set(reflect.ValueOf(&qpi.ParamExpr{Param: "p", Scale: 1}))
+			}
+		}
+		return op
+	}
+	opType := reflect.TypeOf(qpi.Op{})
+	for i := 0; i < opType.NumField(); i++ {
+		name := opType.Field(i).Name
+		if opType.Field(i).Type != exprType {
+			op := filled()
+			perturb(reflect.ValueOf(&op).Elem().Field(i))
+			if describe(op) == describe(filled()) {
+				t.Errorf("descriptor ignores Op.%s", name)
+			}
+			continue
+		}
+		empty := filled()
+		reflect.ValueOf(&empty).Elem().Field(i).Set(reflect.Zero(exprType))
+		if describe(empty) == describe(filled()) {
+			t.Errorf("descriptor ignores whether Op.%s is set", name)
+		}
+		for j := 0; j < exprType.Elem().NumField(); j++ {
+			op := filled()
+			e := *reflect.ValueOf(&op).Elem().Field(i).Interface().(*qpi.ParamExpr)
+			perturb(reflect.ValueOf(&e).Elem().Field(j))
+			reflect.ValueOf(&op).Elem().Field(i).Set(reflect.ValueOf(&e))
+			if describe(op) == describe(filled()) {
+				t.Errorf("descriptor ignores Op.%s.%s", name, exprType.Elem().Field(j).Name)
+			}
+		}
+	}
+	// Slice elements, not only lengths.
+	op := filled()
+	op.Qubits[0]++
+	if describe(op) == describe(filled()) {
+		t.Error("descriptor ignores the values in Op.Qubits")
+	}
+	op = filled()
+	op.Params[0]++
+	if describe(op) == describe(filled()) {
+		t.Error("descriptor ignores the values in Op.Params")
 	}
 }

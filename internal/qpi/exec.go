@@ -78,7 +78,7 @@ type ExecConfig struct {
 	// backend's default device: the scheduler places the job on the
 	// least-loaded compatible member.
 	Pool string
-	// Deadline, when non-zero, bounds the whole execution: the backend
+	// Deadline, when non-zero, bounds the whole execution: the client
 	// derives a deadline context so the job is cancelled when it passes.
 	Deadline time.Time
 	// BypassCache skips any compilation caches for this submission.
@@ -92,8 +92,20 @@ type ExecConfig struct {
 	// layer the submission crosses (client, scheduler, device, remote
 	// wire). Start mints one when the caller leaves it empty, so every
 	// execution is traceable; WithTraceID overrides it to correlate a
-	// submission with an external tracing system.
+	// submission with an external tracing system. Ignored when Timeline is
+	// set (the timeline carries its own).
 	TraceID string
+	// Timeline, when non-nil, is the trace the submission's lifecycle spans
+	// are recorded onto — set by callers that already recorded spans (a
+	// separate compile step) before submitting. Nil creates a fresh timeline
+	// per submission.
+	Timeline *telemetry.Timeline
+	// CalibrationEpoch declares the calibration epoch a precompiled payload
+	// was built against; it is only consulted where the caller did the
+	// compiling (the remote adapter's payload path). Kernel submissions
+	// derive the epoch from their own compile step and ignore this field.
+	// Zero skips the dispatch-time staleness check.
+	CalibrationEpoch int64
 }
 
 // ExecOption tunes one submission.

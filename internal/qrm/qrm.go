@@ -94,14 +94,15 @@ type Request struct {
 	// differ from the device the job is placed on. Empty means the
 	// dispatch device itself.
 	CompiledFor string
-	// Template is the deferred-binding path: a compiled parametric template
-	// whose Bindings are substituted at dispatch time, after the epoch
-	// check. When set, Payload must be empty — the scheduler produces the
-	// concrete program itself (handing the bound module to a
-	// qdmi.ModuleSubmitter device directly, or emitting payload bytes as a
-	// fallback).
+	// Template is a compiled program — the in-process form every local
+	// client job takes; Payload/Format is the form that came off the wire.
+	// When set, Payload must be empty: the scheduler hands the program's
+	// module to a qdmi.ModuleSubmitter device directly (text only as a
+	// fallback), substituting Bindings first — at dispatch time, after the
+	// epoch check — when the program has parameters.
 	Template *ptemplate.Compiled
-	// Bindings is this job's sweep point; required when Template is set.
+	// Bindings is this job's sweep point: one value per Template parameter
+	// (none for a concrete kernel).
 	Bindings ptemplate.Bindings
 	// Timeline, when non-nil, is the job's telemetry trace: the scheduler
 	// records queue-wait, dispatch, and (template) bind spans onto it, and
@@ -214,11 +215,11 @@ func (s *Scheduler) SetMaintenanceHook(h MaintenanceHook) {
 // ErrOverloaded (see SetMaxQueueDepth).
 func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error) {
 	if req.Shots <= 0 {
-		return nil, errors.New("qrm: non-positive shots")
+		return nil, fmt.Errorf("%w: qrm: non-positive shots %d", qdmi.ErrInvalidArgument, req.Shots)
 	}
 	if req.Template != nil {
 		if len(req.Payload) != 0 {
-			return nil, errors.New("qrm: request carries both a payload and a template")
+			return nil, fmt.Errorf("%w: qrm: request carries both a payload and a template", qdmi.ErrInvalidArgument)
 		}
 		// Bad sweep points fail here — before queueing, dispatch, or any
 		// device involvement — with a typed ErrBadParam the caller can test.
@@ -226,7 +227,7 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error)
 			return nil, err
 		}
 	} else if len(req.Payload) == 0 {
-		return nil, errors.New("qrm: empty payload")
+		return nil, fmt.Errorf("%w: qrm: empty payload", qdmi.ErrInvalidArgument)
 	}
 	if (req.Device == "") == (req.Pool == "") {
 		return nil, fmt.Errorf("%w: request must target exactly one of Device or Pool", qdmi.ErrInvalidArgument)
@@ -504,28 +505,35 @@ func (s *Scheduler) checkEpoch(dispatchDevice string, req Request) error {
 
 // submitToDevice dispatches a request, routing through the acquisition
 // capability when the device offers it; devices without it can only serve
-// discriminated counts. Template requests bind here — after the epoch gate
-// in runItem, so a stale template fails with ErrStaleCalibration before any
-// binding work — and prefer the qdmi.ModuleSubmitter capability, which
-// skips the emit/parse round trip; devices without it receive emitted
-// payload bytes through the ordinary path.
+// discriminated counts. A compiled program (req.Template) with parameters
+// binds here — after the epoch gate in runItem, so a stale template fails
+// with ErrStaleCalibration before any binding work; one without runs its
+// cached module as is, shared and unmodified. Either prefers the
+// qdmi.ModuleSubmitter capability, which skips the emit/parse round trip;
+// a device without it receives text through the ordinary path — the
+// program's cached payload, or a bound module's fresh emit.
 func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi.Job, error) {
 	opts := qdmi.JobOptions{
 		Shots: req.Shots, MeasLevel: req.MeasLevel, MeasReturn: req.MeasReturn,
 		Telemetry: req.Timeline, TelemetryParent: parent, ShotWorkers: req.ShotWorkers,
 	}
-	if req.Template != nil {
-		bindStart := time.Now()
-		mod, err := req.Template.Bind(req.Bindings)
-		if err != nil {
-			return nil, err
+	if p := req.Template; p != nil {
+		mod, text := p.Module, p.Payload
+		if len(p.Params) > 0 {
+			bindStart := time.Now()
+			var err error
+			if mod, err = p.Bind(req.Bindings); err != nil {
+				return nil, err
+			}
+			req.Timeline.Record(telemetry.StageBind, dev.Name(), bindStart, time.Since(bindStart), parent)
 		}
-		req.Timeline.Record(telemetry.StageBind, dev.Name(), bindStart, time.Since(bindStart), parent)
 		if ms, ok := dev.(qdmi.ModuleSubmitter); ok {
 			return ms.SubmitModule(mod, opts)
 		}
-		req.Payload = []byte(mod.Emit())
-		req.Format = req.Template.Format
+		if text == nil {
+			text = []byte(mod.Emit())
+		}
+		req.Payload, req.Format = text, p.Format
 	}
 	if as, ok := dev.(qdmi.AcquisitionSubmitter); ok {
 		return as.SubmitJobOpts(req.Payload, req.Format, opts)

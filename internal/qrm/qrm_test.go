@@ -110,11 +110,11 @@ func TestSubmitAndWait(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	s, _ := rig(t)
 	defer s.Close()
-	if _, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("x"), Shots: 0}); err == nil {
-		t.Fatal("zero shots accepted")
+	if _, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("x"), Shots: 0}); !errors.Is(err, qdmi.ErrInvalidArgument) {
+		t.Fatalf("zero shots: err = %v, want ErrInvalidArgument", err)
 	}
-	if _, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Shots: 5}); err == nil {
-		t.Fatal("empty payload accepted")
+	if _, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Shots: 5}); !errors.Is(err, qdmi.ErrInvalidArgument) {
+		t.Fatalf("empty payload: err = %v, want ErrInvalidArgument", err)
 	}
 	if _, err := s.SubmitCtx(context.Background(), Request{Device: "ghost", Payload: []byte("x"), Shots: 5}); err == nil {
 		t.Fatal("unknown device accepted")
