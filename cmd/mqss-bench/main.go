@@ -211,7 +211,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs")
 	jsonOut := flag.Bool("json", false,
 		"benchmark the sweep, evolve, fleet, telemetry, open-system shots, and mqssvet paths and write a machine-readable report")
-	out := flag.String("out", "BENCH_14.json", "output path for the -json report")
+	out := flag.String("out", "BENCH_15.json", "output path for the -json report")
 	flag.Parse()
 
 	ids := []string{"EXP-F1", "EXP-F2", "EXP-F3", "EXP-L1", "EXP-L2", "EXP-L3",

@@ -41,7 +41,7 @@ func runKerneled(ctx context.Context, dev qdmi.Device, mod *qir.Module, shots in
 		return nil, fmt.Errorf("%w: device %s cannot return kerneled measurement data",
 			qdmi.ErrNotSupported, dev.Name())
 	}
-	job, err := as.SubmitJobOpts([]byte(mod.Emit()), qdmi.FormatQIRPulse, qdmi.JobOptions{
+	job, err := as.SubmitJobOpts(mod.Emit(), qdmi.FormatQIRPulse, qdmi.JobOptions{
 		Shots: shots, MeasLevel: readout.LevelKerneled,
 	})
 	if err != nil {

@@ -179,7 +179,7 @@ func runPrepBoth(dev qdmi.Device) (map[uint64]int, int, error) {
 			{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(3), qir.ResultArg(1), qir.I64Arg(window)}},
 		},
 	}
-	job, err := dev.SubmitJob([]byte(m.Emit()), qdmi.FormatQIRPulse, shots)
+	job, err := dev.SubmitJob(m.Emit(), qdmi.FormatQIRPulse, shots)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -77,7 +77,7 @@ func readoutWindow(dev qdmi.Device, site int) int64 {
 // runP1 submits a single-capture pulse module and returns the observed
 // P(bit=1).
 func runP1(ctx context.Context, dev qdmi.Device, mod *qir.Module, shots int) (float64, error) {
-	job, err := dev.SubmitJob([]byte(mod.Emit()), qdmi.FormatQIRPulse, shots)
+	job, err := dev.SubmitJob(mod.Emit(), qdmi.FormatQIRPulse, shots)
 	if err != nil {
 		return 0, err
 	}

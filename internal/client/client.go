@@ -21,10 +21,10 @@
 // only in whether they declare parameters — takes one path: lower looks it
 // up in the lowering cache (or compiles it) as a ptemplate.Compiled, submit
 // hands that to the scheduler, and the scheduler gives the device the
-// cached in-memory module. QIR text is the wire format only: it is read
-// where text is the interface (Compile/CompileTraced callers, the remote
-// server, a device without qdmi.ModuleSubmitter), never parsed back
-// in-process.
+// cached in-memory module. QIR text is the wire format only: lowering does
+// not produce it, and it is emitted (once per program) and read where text
+// is the interface — Compile/CompileTraced callers, the remote server, a
+// device without qdmi.ModuleSubmitter — never parsed back in-process.
 package client
 
 import (
@@ -216,11 +216,15 @@ func (c *Client) Compile(k *qpi.Circuit, device string) ([]byte, qdmi.ProgramFor
 // the calibration epoch the payload was compiled against. It is the
 // compile half of the split compile/submit path the remote adapter uses.
 func (c *Client) CompileTraced(k *qpi.Circuit, device string, tl *telemetry.Timeline) ([]byte, qdmi.ProgramFormat, int64, error) {
-	program, err := c.lowerTraced(k, nil, device, false, tl)
+	start := time.Now()
+	program, hit, err := c.lower(k, nil, device, false)
 	if err != nil {
 		return nil, "", 0, err
 	}
-	return program.Payload, program.Format, program.Epoch, nil
+	// Emitted by the first caller to ask, inside that caller's compile span.
+	text := program.Text()
+	recordCompile(tl, device, start, hit)
+	return text, program.Format, program.Epoch, nil
 }
 
 // CompileTemplate lowers a parametric template against a device exactly
@@ -235,14 +239,20 @@ func (c *Client) CompileTemplate(t *ptemplate.Template, device string) (*ptempla
 	return program, err
 }
 
-// lowerTraced wraps lower in a StageCompile span with a cache-hit or
-// cache-miss child on tl (nil tl records nothing).
+// lowerTraced is lower with its time recorded on tl.
 func (c *Client) lowerTraced(k *qpi.Circuit, params []ptemplate.Param, device string, bypassCache bool, tl *telemetry.Timeline) (*ptemplate.Compiled, error) {
 	start := time.Now()
 	program, hit, err := c.lower(k, params, device, bypassCache)
 	if err != nil {
 		return nil, err
 	}
+	recordCompile(tl, device, start, hit)
+	return program, nil
+}
+
+// recordCompile puts the time since start on tl as a StageCompile span with
+// a cache-hit or cache-miss child (nil tl records nothing).
+func recordCompile(tl *telemetry.Timeline, device string, start time.Time, hit bool) {
 	d := time.Since(start)
 	span := tl.Record(telemetry.StageCompile, device, start, d, 0)
 	cacheStage := telemetry.StageCacheMiss
@@ -250,7 +260,6 @@ func (c *Client) lowerTraced(k *qpi.Circuit, params []ptemplate.Param, device st
 		cacheStage = telemetry.StageCacheHit
 	}
 	tl.Record(cacheStage, device, start, d, span)
-	return program, nil
 }
 
 // lower is the one path through the lowering cache: it returns the compiled
@@ -261,8 +270,9 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string, 
 	if err != nil {
 		return nil, false, err
 	}
+	key := ptemplate.Descriptor(k, params, device)
 	if !c.CacheEnabled || bypassCache {
-		program, err := ptemplate.LowerCircuit(k, params, dev, device)
+		program, err := ptemplate.LowerCircuit(k, params, dev, device, key)
 		return program, false, err
 	}
 	// The epoch is read before the probe: a recalibration landing mid-lookup
@@ -273,7 +283,6 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string, 
 	if err != nil {
 		return nil, false, err
 	}
-	key := ptemplate.Descriptor(k, params, device)
 	c.mu.Lock()
 	if el, ok := c.loweringCache[key]; ok {
 		entry := el.Value.(*cacheEntry)
@@ -297,7 +306,7 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string, 
 	c.cacheStats.Misses++
 	c.mu.Unlock()
 	c.telem.Add("client/cache_misses", 1)
-	program, err := ptemplate.LowerCircuit(k, params, dev, device)
+	program, err := ptemplate.LowerCircuit(k, params, dev, device, key)
 	if err != nil {
 		return nil, false, err
 	}

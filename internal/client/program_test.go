@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mqsspulse/internal/compiler"
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/qdmi"
@@ -152,26 +154,38 @@ func TestCachedJobReachesDeviceAsModule(t *testing.T) {
 	}
 }
 
-// TestDeviceWithoutModulesGetsCachedText: a device that only takes text
-// receives the bytes the compiler emitted once, not a per-job re-emit.
+// TestDeviceWithoutModulesGetsCachedText: lowering stores no text, so a
+// device that only takes text has it emitted when the first job is
+// dispatched; later jobs and Compile callers get those same bytes, not a
+// re-emit each, and they are the bytes compiler.Compile produces.
 func TestDeviceWithoutModulesGetsCachedText(t *testing.T) {
 	c, dev := countingStack(t, false)
 	k := bell(t)
-	cached, _, err := c.Compile(k, "hpcqc-sc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var texts [][]byte
 	for i := 0; i < 2; i++ {
 		if _, err := c.RunCtx(context.Background(), k, "hpcqc-sc", SubmitOptions{Shots: 16}); err != nil {
 			t.Fatal(err)
 		}
-		got := dev.lastText()
+		texts = append(texts, dev.lastText())
+	}
+	cached, _, err := c.Compile(k, "hpcqc-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range texts {
 		if len(got) == 0 || &got[0] != &cached[0] {
 			t.Fatalf("job %d: device received a fresh copy of the payload, want the cached bytes", i)
 		}
 	}
 	if p := dev.payloads.Load(); p != 2 {
 		t.Fatalf("SubmitJobOpts calls = %d, want 2", p)
+	}
+	ref, err := compiler.Compile(k, dev.sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cached, ref.Payload) {
+		t.Fatal("the text the device received differs from compiler.Compile's payload")
 	}
 }
 
@@ -183,7 +197,8 @@ func TestModuleAndTextSubmissionsAgree(t *testing.T) {
 	for _, level := range []readout.MeasLevel{readout.LevelDiscriminated, readout.LevelKerneled, readout.LevelRaw} {
 		run := func(asModule bool) *qdmi.Result {
 			c, dev := sweepStack(t, 2024)
-			program, err := ptemplate.LowerCircuit(bell(t), nil, dev, "hpcqc-sc")
+			k := bell(t)
+			program, err := ptemplate.LowerCircuit(k, nil, dev, "hpcqc-sc", ptemplate.Descriptor(k, nil, "hpcqc-sc"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +206,7 @@ func TestModuleAndTextSubmissionsAgree(t *testing.T) {
 			if asModule {
 				req.Template = program
 			} else {
-				req.Payload, req.Format = program.Payload, program.Format
+				req.Payload, req.Format = program.Text(), program.Format
 			}
 			tk, err := c.QRM().SubmitCtx(context.Background(), req)
 			if err != nil {

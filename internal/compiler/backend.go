@@ -18,6 +18,11 @@ func Backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 	if err := m.Verify(); err != nil {
 		return nil, err
 	}
+	return backend(m, dev)
+}
+
+// backend is Backend for a module the caller has just verified.
+func backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 	if len(m.Sequences) != 1 {
 		return nil, fmt.Errorf("compiler: backend expects one sequence, got %d", len(m.Sequences))
 	}
@@ -45,7 +50,7 @@ func Backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 	// stored samples are the base envelope until Bind scales them.
 	wfOfValue := map[string]string{}
 	for _, def := range m.WaveformDefs {
-		w, err := def.Spec.Materialize()
+		w, err := def.Materialize()
 		if err != nil {
 			return nil, err
 		}
@@ -239,8 +244,10 @@ type StageTimings struct {
 
 // Result bundles the artifacts of one JIT compilation.
 type Result struct {
-	MLIR    *mlir.Module
-	QIR     *qir.Module
+	MLIR *mlir.Module
+	QIR  *qir.Module
+	// Payload is QIR's exchange-format text; nil from Lower and for a
+	// parametric module.
 	Payload []byte
 	Timings StageTimings
 	Stats   map[string]int
@@ -249,6 +256,18 @@ type Result struct {
 // Compile is the end-to-end JIT path: QPI kernel → MLIR → pass pipeline
 // (with QDMI queries against the target) → QIR Pulse Profile payload.
 func Compile(c *qpi.Circuit, dev qdmi.Device) (*Result, error) {
+	res, err := Lower(c, dev)
+	if err != nil {
+		return nil, err
+	}
+	res.emit()
+	return res, nil
+}
+
+// Lower is Compile up to the QIR module, for a caller that hands the module
+// itself to the device and wants text only if someone asks: Result.Payload
+// stays nil.
+func Lower(c *qpi.Circuit, dev qdmi.Device) (*Result, error) {
 	res := &Result{}
 	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
 	t0 := time.Now()
@@ -257,31 +276,8 @@ func Compile(c *qpi.Circuit, dev qdmi.Device) (*Result, error) {
 		return nil, err
 	}
 	res.Timings.Frontend = time.Since(t0)
-
-	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
-	t1 := time.Now()
-	ctx := passes.NewContext(dev)
-	pm := passes.DefaultPipeline()
-	if err := pm.Run(m, ctx); err != nil {
+	if err := res.lowerModule(m, dev); err != nil {
 		return nil, err
-	}
-	res.Timings.Midend = time.Since(t1)
-	res.Timings.Passes = ctx.Timings
-	res.Stats = ctx.Stats
-	res.MLIR = m
-
-	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
-	t2 := time.Now()
-	q, err := Backend(m, dev)
-	if err != nil {
-		return nil, err
-	}
-	res.Timings.Backend = time.Since(t2)
-	res.QIR = q
-	if !q.IsParametric() {
-		// A parametric module has no concrete payload until Bind; leaving
-		// Payload nil forces callers through the template bind path.
-		res.Payload = []byte(q.Emit())
 	}
 	return res, nil
 }
@@ -290,16 +286,26 @@ func Compile(c *qpi.Circuit, dev qdmi.Device) (*Result, error) {
 // paper's Qiskit/CUDAQ adapters produce IR rather than QPI calls): parse,
 // run the pipeline, emit QIR.
 func CompileMLIRText(src string, dev qdmi.Device) (*Result, error) {
-	res := &Result{}
 	m, err := mlir.Parse(src)
 	if err != nil {
 		return nil, err
 	}
+	res := &Result{}
+	if err := res.lowerModule(m, dev); err != nil {
+		return nil, err
+	}
+	res.emit()
+	return res, nil
+}
+
+// lowerModule runs the midend and the backend over m, filling in
+// everything of the result but the frontend timing and the payload.
+func (res *Result) lowerModule(m *mlir.Module, dev qdmi.Device) error {
 	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
 	t1 := time.Now()
 	ctx := passes.NewContext(dev)
 	if err := passes.DefaultPipeline().Run(m, ctx); err != nil {
-		return nil, err
+		return err
 	}
 	res.Timings.Midend = time.Since(t1)
 	res.Timings.Passes = ctx.Timings
@@ -308,14 +314,24 @@ func CompileMLIRText(src string, dev qdmi.Device) (*Result, error) {
 
 	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
 	t2 := time.Now()
-	q, err := Backend(m, dev)
+	// The pipeline verified m after its last pass that writes to it, so
+	// Backend's entry check would re-check the same module.
+	q, err := backend(m, dev)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.Timings.Backend = time.Since(t2)
 	res.QIR = q
-	res.Payload = []byte(q.Emit())
-	return res, nil
+	return nil
+}
+
+// emit renders the payload. A parametric module has no concrete payload
+// until Bind; leaving Payload nil forces callers through the template bind
+// path.
+func (res *Result) emit() {
+	if !res.QIR.IsParametric() {
+		res.Payload = res.QIR.Emit()
+	}
 }
 
 // FormatFor returns the QDMI submission format for a compiled module.

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"strings"
@@ -329,6 +330,36 @@ func TestCompileMLIRTextPath(t *testing.T) {
 	}
 	if !res.QIR.UsesPulse() {
 		t.Fatal("MLIR-text path did not lower to pulse")
+	}
+	// Same module in, same text out as the QPI path.
+	direct, err := Compile(bellCircuit(t), dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Payload) == 0 || !bytes.Equal(res.Payload, direct.Payload) {
+		t.Fatalf("MLIR-text payload (%d bytes) differs from Compile's (%d bytes)", len(res.Payload), len(direct.Payload))
+	}
+	// A parametric module has no text until it is bound. The MLIR parser
+	// takes no parameter expressions today, so such a module cannot arrive
+	// on this path; if it ever does, the rule both paths share (emit)
+	// withholds the payload rather than emit "<unbound param ...>" tokens.
+	sym := qpi.NewCircuit("rabi", 1, 1).RXP(0, qpi.Sym("theta")).Measure(0, 0)
+	if err := sym.End(); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = Frontend(sym, dev); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := CompileMLIRText(m.Print(), dev); err == nil && res.Payload != nil {
+		t.Fatalf("parametric MLIR text produced a %d-byte payload", len(res.Payload))
+	}
+	lowered, err := Lower(sym, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lowered.emit(); !lowered.QIR.IsParametric() || lowered.Payload != nil {
+		t.Fatalf("parametric module: IsParametric=%v, payload of %d bytes; want a parametric module and no payload",
+			lowered.QIR.IsParametric(), len(lowered.Payload))
 	}
 	if _, err := CompileMLIRText("not mlir at all", dev); err == nil {
 		t.Fatal("garbage accepted")

@@ -17,7 +17,7 @@ func run(t *testing.T, d *SimDevice, m *qir.Module, shots int) *qdmi.Result {
 	if m.UsesPulse() {
 		format = qdmi.FormatQIRPulse
 	}
-	job, err := d.SubmitJob([]byte(m.Emit()), format, shots)
+	job, err := d.SubmitJob(m.Emit(), format, shots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestPulsePayloadRequiresPulseFormat(t *testing.T) {
 			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("w")}},
 		},
 	}
-	if _, err := d.SubmitJob([]byte(m.Emit()), qdmi.FormatQIRBase, 10); err == nil {
+	if _, err := d.SubmitJob(m.Emit(), qdmi.FormatQIRBase, 10); err == nil {
 		t.Fatal("pulse payload accepted under base format")
 	}
 }
@@ -266,13 +266,13 @@ func TestPulsePayloadRequiresPulseFormat(t *testing.T) {
 func TestSubmitJobValidation(t *testing.T) {
 	d := newSC(t)
 	m := gateModule("v", 1, 1, []qir.Call{mz(0, 0)})
-	if _, err := d.SubmitJob([]byte(m.Emit()), qdmi.FormatMLIRPulse, 10); err == nil {
+	if _, err := d.SubmitJob(m.Emit(), qdmi.FormatMLIRPulse, 10); err == nil {
 		t.Fatal("unsupported format accepted")
 	}
-	if _, err := d.SubmitJob([]byte(m.Emit()), qdmi.FormatQIRBase, 0); err == nil {
+	if _, err := d.SubmitJob(m.Emit(), qdmi.FormatQIRBase, 0); err == nil {
 		t.Fatal("zero shots accepted")
 	}
-	if _, err := d.SubmitJob([]byte(m.Emit()), qdmi.FormatQIRBase, 1<<30); err == nil {
+	if _, err := d.SubmitJob(m.Emit(), qdmi.FormatQIRBase, 1<<30); err == nil {
 		t.Fatal("excess shots accepted")
 	}
 	if _, err := d.SubmitJob([]byte("not qir"), qdmi.FormatQIRBase, 10); err == nil {
@@ -284,7 +284,7 @@ func TestSubmitJobValidation(t *testing.T) {
 		Body: []qir.Call{
 			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("w")}},
 		}}
-	if _, err := d.SubmitJob([]byte(bad.Emit()), qdmi.FormatQIRPulse, 10); err == nil {
+	if _, err := d.SubmitJob(bad.Emit(), qdmi.FormatQIRPulse, 10); err == nil {
 		t.Fatal("unknown port accepted")
 	}
 }
@@ -618,7 +618,7 @@ func TestJobsSerializePerDevice(t *testing.T) {
 	// physics internally via its own locks; jobs run on goroutines).
 	d := newSC(t)
 	m := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
-	payload := []byte(m.Emit())
+	payload := m.Emit()
 	jobs := make([]qdmi.Job, 8)
 	for i := range jobs {
 		j, err := d.SubmitJob(payload, qdmi.FormatQIRBase, 100)

@@ -128,7 +128,7 @@ func TestConcurrentJobsShareOneEngine(t *testing.T) {
 	testutil.AssertNoLeaks(t)
 	const jobs = 8
 	opts := qdmi.JobOptions{Shots: 24, MeasLevel: readout.LevelKerneled, ShotWorkers: 2}
-	payload := []byte(bellModule().Emit())
+	payload := bellModule().Emit()
 	key := func(r *qdmi.Result) string { return fmt.Sprint(r.Counts, r.IQ) }
 
 	serial := openSC(t, 2)
@@ -176,7 +176,7 @@ func TestConcurrentJobsShareOneEngine(t *testing.T) {
 // every tick; 120 at 16 shots when every shot built its own RNG).
 func TestWarmJobAllocations(t *testing.T) {
 	d := openSC(t, 1)
-	payload := []byte(gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)}).Emit())
+	payload := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)}).Emit()
 	job := func() {
 		j, err := d.SubmitJobOpts(payload, qdmi.FormatQIRBase, qdmi.JobOptions{Shots: 16})
 		if err != nil {

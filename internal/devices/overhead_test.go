@@ -17,7 +17,7 @@ func TestJobOverheadCancelReleasesDevice(t *testing.T) {
 	}
 	d.SetJobOverhead(30 * time.Second) // long enough that only cancel ends it
 	m := gateModule("ovh", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
-	job, err := d.SubmitJob([]byte(m.Emit()), qdmi.FormatQIRBase, 10)
+	job, err := d.SubmitJob(m.Emit(), qdmi.FormatQIRBase, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // runOpts executes a module through SubmitJobOpts and returns the result.
 func runOpts(t *testing.T, d *SimDevice, m *qir.Module, opts qdmi.JobOptions) *qdmi.Result {
 	t.Helper()
-	job, err := d.SubmitJobOpts([]byte(m.Emit()), qdmi.FormatQIRBase, opts)
+	job, err := d.SubmitJobOpts(m.Emit(), qdmi.FormatQIRBase, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

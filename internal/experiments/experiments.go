@@ -177,7 +177,7 @@ func compileDetail(k *qpi.Circuit, dev *devices.SimDevice) (*compileDetailResult
 	out.payloadBytes = len(payload)
 
 	t3 := time.Now()
-	parsed, err := qir.ParseModule(payload)
+	parsed, err := qir.ParseModule(string(payload))
 	if err != nil {
 		return nil, err
 	}

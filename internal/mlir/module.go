@@ -12,12 +12,40 @@ import (
 // envelope spec.
 type WaveformDef struct {
 	Name string
+	// Spec defines the samples. Once the def is in a module, replace it
+	// through SetSpec: the def remembers the samples it materialized.
 	Spec waveform.Spec
 	// AmpExpr, when non-nil, marks the definition as an unbound template
 	// slot: the stored samples are the base envelope, multiplied by the
 	// expression's bound value at bind time. Legalization (padding) applies
 	// to the base samples and preserves the slot.
 	AmpExpr *ParamExpr
+
+	// samples is Spec materialized, nil until first asked for.
+	samples *waveform.Waveform
+}
+
+// Materialize returns the def's samples: Spec is sampled and range-checked
+// on the first call, and the verifier, the passes and the backend share that
+// one result for the rest of the compilation. The waveform is shared and
+// must not be modified.
+//
+//mqss:hotloop
+func (w *WaveformDef) Materialize() (*waveform.Waveform, error) {
+	if w.samples != nil {
+		return w.samples, nil
+	}
+	samples, err := w.Spec.Materialize()
+	if err != nil {
+		return nil, err
+	}
+	w.samples = samples
+	return samples, nil
+}
+
+// SetSpec replaces the def's spec and forgets the old spec's samples.
+func (w *WaveformDef) SetSpec(spec waveform.Spec) {
+	w.Spec, w.samples = spec, nil
 }
 
 // Sequence is a pulse.sequence: the pulse-level analogue of a function. Its
@@ -81,7 +109,7 @@ func (m *Module) Verify() error {
 			return fmt.Errorf("mlir: duplicate waveform def @%s", w.Name)
 		}
 		seen[w.Name] = true
-		if _, err := w.Spec.Materialize(); err != nil {
+		if _, err := w.Materialize(); err != nil {
 			return fmt.Errorf("mlir: waveform def @%s: %w", w.Name, err)
 		}
 	}

@@ -453,7 +453,7 @@ func (LegalizePass) Run(m *mlir.Module, ctx *Context) error {
 	}
 	padded := 0
 	for _, def := range m.WaveformDefs {
-		w, err := def.Spec.Materialize()
+		w, err := def.Materialize()
 		if err != nil {
 			return err
 		}
@@ -464,11 +464,13 @@ func (LegalizePass) Run(m *mlir.Module, ctx *Context) error {
 		if w.Len() < minS {
 			w = w.Concat(mustZero(minS - w.Len()))
 		}
-		w = w.PadTo(gran)
+		if gran > 1 && w.Len()%gran != 0 {
+			w = w.PadTo(gran)
+		}
 		if w.Len() != orig {
 			spec := w.ToSpec()
 			spec.Name = def.Name
-			def.Spec = spec
+			def.SetSpec(spec)
 			padded++
 		}
 	}

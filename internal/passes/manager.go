@@ -46,12 +46,21 @@ type Pass interface {
 	Run(m *mlir.Module, ctx *Context) error
 }
 
+// ReadOnlyPass is a Pass that declares it never writes to the module: it
+// inspects it and returns a verdict. The module it leaves behind is the one
+// it was handed, so the manager does not verify again after it.
+type ReadOnlyPass interface {
+	Pass
+	ReadOnly()
+}
+
 // Manager executes a pass pipeline, recording timings and verifying the
-// module after every pass (the dialect-agnostic orchestration the paper
-// attributes to the LLVM pass manager).
+// module after every pass that may have changed it (the dialect-agnostic
+// orchestration the paper attributes to the LLVM pass manager).
 type Manager struct {
 	passes []Pass
-	// VerifyEach re-verifies the module after every pass (default true via
+	// VerifyEach re-verifies the module after every pass that is not a
+	// ReadOnlyPass, before the next pass sees it (default true via
 	// NewManager).
 	VerifyEach bool
 }
@@ -87,7 +96,7 @@ func (pm *Manager) Run(m *mlir.Module, ctx *Context) error {
 		ctx.Timings = append(ctx.Timings, PassTiming{
 			Pass: p.Name(), Duration: time.Since(start), OpsIn: in, OpsOut: m.OpCount(),
 		})
-		if pm.VerifyEach {
+		if _, readOnly := p.(ReadOnlyPass); pm.VerifyEach && !readOnly {
 			if err := m.Verify(); err != nil {
 				return fmt.Errorf("passes: module invalid after %s: %w", p.Name(), err)
 			}
@@ -119,3 +128,6 @@ func (VerifyPass) Name() string { return "verify" }
 
 // Run implements Pass.
 func (VerifyPass) Run(m *mlir.Module, _ *Context) error { return m.Verify() }
+
+// ReadOnly implements ReadOnlyPass.
+func (VerifyPass) ReadOnly() {}

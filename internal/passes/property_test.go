@@ -132,6 +132,33 @@ func propertyModule(ops []mlir.Op, defs []*mlir.WaveformDef) *mlir.Module {
 	return &mlir.Module{WaveformDefs: defs, Sequences: []*mlir.Sequence{seq}}
 }
 
+// randomGateOps is the property tests' program corpus: one to ten gates and
+// phase shifts over the two drive frames of propertyModule.
+func randomGateOps(rng *rand.Rand) []mlir.Op {
+	oneQ := []string{"x", "y", "sx", "h", "z", "s", "t"}
+	frames := []mlir.Value{mlir.Ref("f0"), mlir.Ref("f1")}
+	var ops []mlir.Op
+	for i, n := 0, 1+rng.Intn(10); i < n; i++ {
+		switch rng.Intn(4) {
+		case 0:
+			ops = append(ops, &mlir.StandardGateOp{
+				Gate: oneQ[rng.Intn(len(oneQ))], Frames: []mlir.Value{frames[rng.Intn(2)]}})
+		case 1:
+			g := []string{"rx", "ry", "rz"}[rng.Intn(3)]
+			ops = append(ops, &mlir.StandardGateOp{
+				Gate: g, Frames: []mlir.Value{frames[rng.Intn(2)]},
+				Params: []float64{(rng.Float64() - 0.5) * 6 * math.Pi}})
+		case 2:
+			ops = append(ops, &mlir.StandardGateOp{
+				Gate: "cz", Frames: []mlir.Value{frames[0], frames[1]}})
+		case 3:
+			ops = append(ops, &mlir.ShiftPhaseOp{
+				Frame: frames[rng.Intn(2)], Phase: mlir.Lit(phaseCases[rng.Intn(len(phaseCases))])})
+		}
+	}
+	return ops
+}
+
 // TestPipelinePreservesScheduleInvariants: random gate programs survive
 // the full pipeline (lowering, canonicalization, DCE, legalization) and
 // the lowered timing still resolves without port overlap — asserted by
@@ -142,28 +169,8 @@ func TestPipelinePreservesScheduleInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(41))
-	oneQ := []string{"x", "y", "sx", "h", "z", "s", "t"}
-	frames := []mlir.Value{mlir.Ref("f0"), mlir.Ref("f1")}
 	for trial := 0; trial < 40; trial++ {
-		var ops []mlir.Op
-		for i, n := 0, 1+rng.Intn(10); i < n; i++ {
-			switch rng.Intn(4) {
-			case 0:
-				ops = append(ops, &mlir.StandardGateOp{
-					Gate: oneQ[rng.Intn(len(oneQ))], Frames: []mlir.Value{frames[rng.Intn(2)]}})
-			case 1:
-				g := []string{"rx", "ry", "rz"}[rng.Intn(3)]
-				ops = append(ops, &mlir.StandardGateOp{
-					Gate: g, Frames: []mlir.Value{frames[rng.Intn(2)]},
-					Params: []float64{(rng.Float64() - 0.5) * 6 * math.Pi}})
-			case 2:
-				ops = append(ops, &mlir.StandardGateOp{
-					Gate: "cz", Frames: []mlir.Value{frames[0], frames[1]}})
-			case 3:
-				ops = append(ops, &mlir.ShiftPhaseOp{
-					Frame: frames[rng.Intn(2)], Phase: mlir.Lit(phaseCases[rng.Intn(len(phaseCases))])})
-			}
-		}
+		ops := randomGateOps(rng)
 		m := propertyModule(ops, nil)
 		if err := DefaultPipeline().Run(m, NewContext(dev)); err != nil {
 			t.Fatalf("trial %d: pipeline: %v", trial, err)

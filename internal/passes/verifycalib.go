@@ -7,7 +7,6 @@ import (
 	"mqsspulse/internal/mlir"
 	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
-	"mqsspulse/internal/waveform"
 )
 
 // VerifyCalibrationPass re-checks a lowered module against the target's
@@ -42,6 +41,9 @@ func (VerifyCalibrationPass) Run(m *mlir.Module, ctx *Context) error {
 	}
 	return nil
 }
+
+// ReadOnly implements ReadOnlyPass.
+func (VerifyCalibrationPass) ReadOnly() {}
 
 // verifyLoweredSequence checks one sequence and returns how many plays it
 // verified.
@@ -90,7 +92,6 @@ func verifyLoweredSequence(m *mlir.Module, seq *mlir.Sequence, dev qdmi.Device) 
 		return pid, nil
 	}
 
-	materialized := map[string]*waveform.Waveform{}
 	wfOfValue := map[string]string{}
 	plays, captures := 0, 0
 	schedulable := true
@@ -103,17 +104,13 @@ func verifyLoweredSequence(m *mlir.Module, seq *mlir.Sequence, dev qdmi.Device) 
 			if !ok {
 				return plays, fmt.Errorf("play of unbound waveform value %%%s", o.Waveform.Ref)
 			}
-			w, ok := materialized[name]
-			if !ok {
-				def, found := defByName[name]
-				if !found {
-					return plays, fmt.Errorf("play references undefined waveform @%s", name)
-				}
-				var err error
-				if w, err = def.Spec.Materialize(); err != nil {
-					return plays, err
-				}
-				materialized[name] = w
+			def, found := defByName[name]
+			if !found {
+				return plays, fmt.Errorf("play references undefined waveform @%s", name)
+			}
+			w, err := def.Materialize()
+			if err != nil {
+				return plays, err
 			}
 			pid, err := portOf(o.Frame)
 			if err != nil {

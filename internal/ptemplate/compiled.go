@@ -3,6 +3,7 @@ package ptemplate
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"mqsspulse/internal/compiler"
 	"mqsspulse/internal/qdmi"
@@ -17,7 +18,8 @@ import (
 // run as is. Either is valid for exactly one (device, calibration epoch)
 // pair — the epoch is read before lowering, so a recalibration landing
 // mid-compile can only make the artifact look stale, never silently fresh.
-// A Compiled is shared by every job that uses it and must not be modified.
+// A Compiled is shared by every job that uses it and must not be modified
+// or copied.
 type Compiled struct {
 	// Fingerprint is the program's wire identity (see Template.Fingerprint);
 	// bound values never contribute to it.
@@ -35,12 +37,25 @@ type Compiled struct {
 	Params []Param
 	// Module is the QIR payload, parametric iff Params is non-empty.
 	Module *qir.Module
-	// Payload is the module's exchange-format text as the compiler emitted
-	// it, for the consumers whose interface is text: Client.Compile callers,
-	// the remote wire, devices without qdmi.ModuleSubmitter. Nil for a
-	// parametric program (text exists only per bound point) and for a
-	// Compiled decoded from the wire.
-	Payload []byte
+
+	// text is Module's exchange-format text, emitted by the first Text call.
+	textOnce sync.Once
+	text     []byte
+}
+
+// Text returns the program's exchange-format text, for the consumers whose
+// interface is text: Client.Compile callers, the remote wire, devices
+// without qdmi.ModuleSubmitter. A job that runs in this process hands the
+// device Module and never asks, so the text is emitted by the first call
+// and shared by every later one; callers must not modify it. Nil for a
+// parametric program, whose text exists only per bound point (BindPayload).
+func (c *Compiled) Text() []byte {
+	c.textOnce.Do(func() {
+		if !c.Module.IsParametric() {
+			c.text = c.Module.Emit()
+		}
+	})
+	return c.text
 }
 
 // DeviceEpoch reads a device's calibration epoch. Epoch-unaware devices
@@ -63,14 +78,16 @@ func Lower(t *Template, dev qdmi.Device, deviceName string) (*Compiled, error) {
 	if t == nil {
 		return nil, errors.New("ptemplate: nil template")
 	}
-	return LowerCircuit(t.Circuit, t.Params, dev, deviceName)
+	return LowerCircuit(t.Circuit, t.Params, dev, deviceName, Descriptor(t.Circuit, t.Params, deviceName))
 }
 
 // LowerCircuit is the step Lower shares with concrete kernels: it compiles
 // a finished circuit whose slots, if any, are declared by params. New stays
 // the only way to build a Template and keeps rejecting a circuit with no
 // slots; a circuit with slots and no declared parameters is rejected here.
-func LowerCircuit(k *qpi.Circuit, params []Param, dev qdmi.Device, deviceName string) (*Compiled, error) {
+// descriptor is Descriptor(k, params, deviceName), passed in because a
+// caller with a cache has already rendered it as the key.
+func LowerCircuit(k *qpi.Circuit, params []Param, dev qdmi.Device, deviceName, descriptor string) (*Compiled, error) {
 	if dev == nil {
 		return nil, errors.New("ptemplate: nil device")
 	}
@@ -86,18 +103,17 @@ func LowerCircuit(k *qpi.Circuit, params []Param, dev qdmi.Device, deviceName st
 	if err != nil {
 		return nil, err
 	}
-	res, err := compiler.Compile(k, dev)
+	res, err := compiler.Lower(k, dev)
 	if err != nil {
 		return nil, fmt.Errorf("ptemplate: lowering %q: %w", k.Name, err)
 	}
 	return &Compiled{
-		Fingerprint: fingerprint(Descriptor(k, params, deviceName)),
+		Fingerprint: fingerprint(descriptor),
 		Device:      deviceName,
 		Epoch:       epoch,
 		Format:      compiler.FormatFor(res.QIR),
 		Params:      append([]Param(nil), params...),
 		Module:      res.QIR,
-		Payload:     res.Payload,
 	}, nil
 }
 
@@ -130,5 +146,5 @@ func (c *Compiled) BindPayload(b Bindings) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []byte(mod.Emit()), nil
+	return mod.Emit(), nil
 }

@@ -28,7 +28,7 @@ func TestAcquisitionPayloadRoundTrip(t *testing.T) {
 	if err := m.Verify(); err != nil {
 		t.Fatalf("seed module invalid: %v", err)
 	}
-	parsed, err := ParseModule(m.Emit())
+	parsed, err := ParseModule(string(m.Emit()))
 	if err != nil {
 		t.Fatalf("ParseModule: %v", err)
 	}

@@ -1,130 +1,226 @@
 package qir
 
 import (
-	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 )
+
+// emitter appends exchange-format text to one buffer. Emit sizes the buffer
+// for the whole module up front, so the appends below do not allocate.
+type emitter struct{ b []byte }
+
+func (e *emitter) str(s string)  { e.b = append(e.b, s...) }
+func (e *emitter) int(n int64)   { e.b = strconv.AppendInt(e.b, n, 10) }
+func (e *emitter) f64(f float64) { e.b = strconv.AppendFloat(e.b, f, 'g', -1, 64) }
+
+// unbound writes the token an unbound template slot renders as. A slot has
+// no textual form; emitting one is a caller bug (Bind must run first) and
+// the token fails loudly at parse time.
+func (e *emitter) unbound(param string) {
+	e.str("<unbound param ")
+	e.b = strconv.AppendQuote(e.b, param)
+	e.str(">")
+}
+
+// maxF64Text is the longest 'g' rendering of a float64
+// ("-2.2250738585072014e-308").
+const maxF64Text = 24
+
+// textSizeBound is an upper estimate of the module's emitted size: exact
+// for the fixed text, worst-case for every number.
+func (m *Module) textSizeBound() int {
+	n := 512 + len(m.ID) + len(m.EntryName) + len(m.Profile)
+	for _, w := range m.Waveforms {
+		n += 64 + len(w.Name) + 2*len(w.Samples)*(len(", double ")+maxF64Text)
+	}
+	for _, c := range m.Body {
+		// Once in the body, at most once among the declarations.
+		n += 32 + 2*len(c.Callee)
+		for _, a := range c.Args {
+			n += 64 + len(a.Sym)
+			if a.Expr != nil {
+				n += 2 * len(a.Expr.Param)
+			}
+		}
+	}
+	for _, p := range m.PortNames {
+		n += 8 + len(p)
+	}
+	return n
+}
 
 // Emit renders the module as human-readable LLVM-flavored IR, matching the
 // shape of the paper's Listing 3: opaque type declarations, waveform
 // constants, one entry function of straight-line intrinsic calls, intrinsic
-// declarations, and the attribute group carrying the profile.
-func (m *Module) Emit() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "; ModuleID = '%s'\n", m.ID)
-	sb.WriteString("%Qubit = type opaque\n")
-	sb.WriteString("%Result = type opaque\n")
-	sb.WriteString("%Port = type opaque\n")
-	sb.WriteString("%Waveform = type opaque\n")
-	sb.WriteString("%Frame = type opaque\n")
-	sb.WriteString("\n")
+// declarations, and the attribute group carrying the profile. The result is
+// the exchange-format payload as devices and the wire take it.
+func (m *Module) Emit() []byte {
+	e := &emitter{b: make([]byte, 0, m.textSizeBound())}
+	e.str("; ModuleID = '")
+	e.str(m.ID)
+	e.str("'\n" +
+		"%Qubit = type opaque\n" +
+		"%Result = type opaque\n" +
+		"%Port = type opaque\n" +
+		"%Waveform = type opaque\n" +
+		"%Frame = type opaque\n" +
+		"\n")
 
 	for _, w := range m.Waveforms {
+		e.str("@")
+		e.str(w.Name)
 		if w.AmpExpr != nil {
-			// An unbound waveform has no concrete sample image; emitting one
-			// is a caller bug (Bind must run first). Fail loudly at parse.
-			fmt.Fprintf(&sb, "@%s = <unbound param %q>\n", w.Name, w.AmpExpr.Param)
+			// An unbound waveform has no concrete sample image.
+			e.str(" = ")
+			e.unbound(w.AmpExpr.Param)
+			e.str("\n")
 			continue
 		}
 		// Interleaved I/Q doubles, like an AWG memory image.
-		fmt.Fprintf(&sb, "@%s = private constant [%d x double] [", w.Name, 2*len(w.Samples))
-		for i, s := range w.Samples {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "double %g, double %g", real(s), imag(s))
-		}
-		sb.WriteString("]\n")
+		e.str(" = private constant [")
+		e.int(int64(2 * len(w.Samples)))
+		e.str(" x double] [")
+		e.samples(w.Samples)
+		e.str("]\n")
 	}
 	if len(m.Waveforms) > 0 {
-		sb.WriteString("\n")
+		e.str("\n")
 	}
 
-	fmt.Fprintf(&sb, "define void @%s() #0 {\n", m.EntryName)
-	sb.WriteString("entry:\n")
+	e.str("define void @")
+	e.str(m.EntryName)
+	e.str("() #0 {\nentry:\n")
 	for _, c := range m.Body {
-		sb.WriteString("  call void @" + c.Callee + "(")
+		e.str("  call void @")
+		e.str(c.Callee)
+		e.str("(")
 		for i, a := range c.Args {
 			if i > 0 {
-				sb.WriteString(", ")
+				e.str(", ")
 			}
-			sb.WriteString(renderArg(a))
+			e.arg(a)
 		}
-		sb.WriteString(")\n")
+		e.str(")\n")
 	}
-	sb.WriteString("  ret void\n")
-	sb.WriteString("}\n\n")
+	e.str("  ret void\n}\n\n")
 
-	// Declarations for every callee used.
-	declared := map[string]bool{}
+	// Declarations for every callee used, in first-use order. The distinct
+	// callees are a handful of intrinsics, so a scan beats a map.
+	var declared [32]string
+	seen := declared[:0]
 	for _, c := range m.Body {
-		if declared[c.Callee] {
+		if slices.Contains(seen, c.Callee) {
 			continue
 		}
-		declared[c.Callee] = true
-		fmt.Fprintf(&sb, "declare void @%s(%s)\n", c.Callee, declArgs(c))
+		seen = append(seen, c.Callee)
+		e.str("declare void @")
+		e.str(c.Callee)
+		e.str("(")
+		for i, a := range c.Args {
+			if i > 0 {
+				e.str(", ")
+			}
+			e.str(declType(a.Kind))
+		}
+		e.str(")\n")
 	}
-	sb.WriteString("\n")
+	e.str("\n")
 
-	fmt.Fprintf(&sb, "attributes #0 = { \"entry_point\" \"qir_profiles\"=\"%s\" "+
-		"\"output_labeling_schema\"=\"labeled\" \"required_num_qubits\"=\"%d\" "+
-		"\"required_num_results\"=\"%d\" \"required_num_ports\"=\"%d\" }\n",
-		m.Profile, m.NumQubits, m.NumResults, m.NumPorts)
+	e.str("attributes #0 = { \"entry_point\" \"qir_profiles\"=\"")
+	e.str(m.Profile)
+	e.str("\" \"output_labeling_schema\"=\"labeled\" \"required_num_qubits\"=\"")
+	e.int(int64(m.NumQubits))
+	e.str("\" \"required_num_results\"=\"")
+	e.int(int64(m.NumResults))
+	e.str("\" \"required_num_ports\"=\"")
+	e.int(int64(m.NumPorts))
+	e.str("\" }\n")
 
 	if len(m.PortNames) > 0 {
-		sb.WriteString("\n!ports = !{")
+		e.str("\n!ports = !{")
 		for i, p := range m.PortNames {
 			if i > 0 {
-				sb.WriteString(", ")
+				e.str(", ")
 			}
-			fmt.Fprintf(&sb, "!\"%s\"", p)
+			e.str("!\"")
+			e.str(p)
+			e.str("\"")
 		}
-		sb.WriteString("}\n")
+		e.str("}\n")
 	}
-	return sb.String()
+	return e.b
 }
 
-func renderArg(a Arg) string {
+// samples writes a waveform constant's interleaved I/Q image. Nearly all of
+// a pulse payload's bytes come out of this loop.
+//
+//mqss:hotloop
+func (e *emitter) samples(samples []complex128) {
+	for i, s := range samples {
+		if i > 0 {
+			e.str(", ")
+		}
+		e.str("double ")
+		e.f64(real(s))
+		e.str(", double ")
+		e.f64(imag(s))
+	}
+}
+
+func (e *emitter) arg(a Arg) {
 	if a.Expr != nil {
-		// An unbound slot has no textual form; emitting one is a caller bug
-		// (Bind must run first). The token fails loudly at parse time.
-		return fmt.Sprintf("<unbound param %q>", a.Expr.Param)
+		e.unbound(a.Expr.Param)
+		return
 	}
 	switch a.Kind {
 	case ArgQubit:
-		return fmt.Sprintf("%%Qubit* inttoptr (i64 %d to %%Qubit*)", a.I)
+		e.handle("%Qubit*", a.I)
 	case ArgResult:
-		return fmt.Sprintf("%%Result* inttoptr (i64 %d to %%Result*)", a.I)
+		e.handle("%Result*", a.I)
 	case ArgPort:
-		return fmt.Sprintf("%%Port* inttoptr (i64 %d to %%Port*)", a.I)
+		e.handle("%Port*", a.I)
 	case ArgWaveform:
-		return fmt.Sprintf("%%Waveform* @%s", a.Sym)
+		e.str("%Waveform* @")
+		e.str(a.Sym)
 	case ArgF64:
-		return fmt.Sprintf("double %g", a.F)
+		e.str("double ")
+		e.f64(a.F)
 	case ArgI64:
-		return fmt.Sprintf("i64 %d", a.I)
+		e.str("i64 ")
+		e.int(a.I)
 	default:
-		return fmt.Sprintf("<bad arg kind %d>", int(a.Kind))
+		e.str("<bad arg kind ")
+		e.int(int64(a.Kind))
+		e.str(">")
 	}
 }
 
-func declArgs(c Call) string {
-	parts := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		switch a.Kind {
-		case ArgQubit:
-			parts[i] = "%Qubit*"
-		case ArgResult:
-			parts[i] = "%Result*"
-		case ArgPort:
-			parts[i] = "%Port*"
-		case ArgWaveform:
-			parts[i] = "%Waveform*"
-		case ArgF64:
-			parts[i] = "double"
-		case ArgI64:
-			parts[i] = "i64"
-		}
+// handle writes an opaque-pointer handle: ty inttoptr (i64 n to ty).
+func (e *emitter) handle(ty string, n int64) {
+	e.str(ty)
+	e.str(" inttoptr (i64 ")
+	e.int(n)
+	e.str(" to ")
+	e.str(ty)
+	e.str(")")
+}
+
+// declType is an argument kind's type in an intrinsic declaration.
+func declType(k ArgKind) string {
+	switch k {
+	case ArgQubit:
+		return "%Qubit*"
+	case ArgResult:
+		return "%Result*"
+	case ArgPort:
+		return "%Port*"
+	case ArgWaveform:
+		return "%Waveform*"
+	case ArgF64:
+		return "double"
+	case ArgI64:
+		return "i64"
+	default:
+		return ""
 	}
-	return strings.Join(parts, ", ")
 }

@@ -2,10 +2,9 @@ package qir
 
 import "testing"
 
-// FuzzParseModule exercises the textual QIR parser with arbitrary input:
-// whatever it accepts must survive an Emit → ParseModule round trip with
-// its structural fields intact.
-func FuzzParseModule(f *testing.F) {
+// fuzzSeeds is FuzzParseModule's seed corpus, shared with the emitter's
+// reference test.
+func fuzzSeeds() []string {
 	valid := &Module{
 		ID: "seed", Profile: ProfilePulse, EntryName: "main",
 		NumQubits: 1, NumResults: 1, NumPorts: 2,
@@ -17,16 +16,27 @@ func FuzzParseModule(f *testing.F) {
 			{Callee: IntrCapture, Args: []Arg{PortArg(1), ResultArg(0), I64Arg(96)}},
 		},
 	}
-	f.Add(valid.Emit())
-	f.Add("define void @empty() #0 {\nentry:\n  ret void\n}\n")
-	f.Add("; ModuleID = 'x'\n@w = private constant [2 x double] [double 1, double 0]\ndefine void @m() {\nentry:\n}\n")
-	f.Add("garbage")
+	return []string{
+		string(valid.Emit()),
+		"define void @empty() #0 {\nentry:\n  ret void\n}\n",
+		"; ModuleID = 'x'\n@w = private constant [2 x double] [double 1, double 0]\ndefine void @m() {\nentry:\n}\n",
+		"garbage",
+	}
+}
+
+// FuzzParseModule exercises the textual QIR parser with arbitrary input:
+// whatever it accepts must survive an Emit → ParseModule round trip with
+// its structural fields intact.
+func FuzzParseModule(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := ParseModule(src)
 		if err != nil {
 			return
 		}
-		again, err := ParseModule(m.Emit())
+		again, err := ParseModule(string(m.Emit()))
 		if err != nil {
 			t.Fatalf("re-parse of emitted module failed: %v\nemitted:\n%s", err, m.Emit())
 		}

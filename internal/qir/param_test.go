@@ -100,7 +100,7 @@ func TestBindRejections(t *testing.T) {
 // TestEmitRefusesUnboundSlots: emitting a parametric module produces
 // tokens that cannot parse, so a missed Bind fails loudly downstream.
 func TestEmitRefusesUnboundSlots(t *testing.T) {
-	text := parametricModule().Emit()
+	text := string(parametricModule().Emit())
 	if _, err := ParseModule(text); err == nil {
 		t.Fatal("emitted parametric module parsed cleanly")
 	}

@@ -46,7 +46,7 @@ func TestListing3Verifies(t *testing.T) {
 }
 
 func TestEmitContainsListing3Landmarks(t *testing.T) {
-	text := listing3Module().Emit()
+	text := string(listing3Module().Emit())
 	for _, want := range []string{
 		"; ModuleID = 'my_pulse'",
 		"%Port = type opaque",
@@ -69,7 +69,7 @@ func TestEmitContainsListing3Landmarks(t *testing.T) {
 
 func TestEmitParseRoundtrip(t *testing.T) {
 	m := listing3Module()
-	text := m.Emit()
+	text := string(m.Emit())
 	back, err := ParseModule(text)
 	if err != nil {
 		t.Fatalf("%v\nsource:\n%s", err, text)
@@ -77,7 +77,7 @@ func TestEmitParseRoundtrip(t *testing.T) {
 	if err := back.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if back.Emit() != text {
+	if string(back.Emit()) != text {
 		t.Fatalf("roundtrip not stable:\n%s\nvs\n%s", text, back.Emit())
 	}
 	if back.ID != "my_pulse" || back.Profile != ProfilePulse {
@@ -263,7 +263,7 @@ func TestArgKindStrings(t *testing.T) {
 func TestEmitNegativeAndSmallFloats(t *testing.T) {
 	m := listing3Module()
 	m.Body[2].Args[2] = F64Arg(-math.Pi)
-	text := m.Emit()
+	text := string(m.Emit())
 	back, err := ParseModule(text)
 	if err != nil {
 		t.Fatal(err)
@@ -273,62 +273,68 @@ func TestEmitNegativeAndSmallFloats(t *testing.T) {
 	}
 }
 
+// randomModule generates a structurally valid pulse-profile module.
+func randomModule(rng *rand.Rand, trial int) *Module {
+	m := &Module{
+		ID: fmt.Sprintf("mod_%d", trial), Profile: ProfilePulse,
+		EntryName: fmt.Sprintf("entry_%d", trial),
+		NumQubits: 1 + rng.Intn(3), NumResults: 1 + rng.Intn(3),
+		NumPorts: 1 + rng.Intn(3),
+	}
+	for p := 0; p < m.NumPorts; p++ {
+		m.PortNames = append(m.PortNames, fmt.Sprintf("port-%d", p))
+	}
+	nw := 1 + rng.Intn(3)
+	for w := 0; w < nw; w++ {
+		n := 1 + rng.Intn(16)
+		samples := make([]complex128, n)
+		for i := range samples {
+			samples[i] = complex(rng.Float64()*1.6-0.8, rng.Float64()*1.6-0.8)
+		}
+		m.Waveforms = append(m.Waveforms, WaveformConst{
+			Name: fmt.Sprintf("wf_%d", w), Samples: samples})
+	}
+	ops := 1 + rng.Intn(10)
+	for o := 0; o < ops; o++ {
+		port := PortArg(int64(rng.Intn(m.NumPorts)))
+		switch rng.Intn(6) {
+		case 0:
+			m.Body = append(m.Body, Call{Callee: IntrPlay, Args: []Arg{
+				port, WaveformArg(fmt.Sprintf("wf_%d", rng.Intn(nw)))}})
+		case 1:
+			m.Body = append(m.Body, Call{Callee: IntrFrameChange, Args: []Arg{
+				port, F64Arg(rng.NormFloat64() * 1e9), F64Arg(rng.NormFloat64())}})
+		case 2:
+			m.Body = append(m.Body, Call{Callee: IntrShiftPhase, Args: []Arg{
+				port, F64Arg(rng.NormFloat64())}})
+		case 3:
+			m.Body = append(m.Body, Call{Callee: IntrDelay, Args: []Arg{
+				port, I64Arg(int64(rng.Intn(1000)))}})
+		case 4:
+			m.Body = append(m.Body, Call{Callee: IntrBarrier, Args: []Arg{port}})
+		case 5:
+			m.Body = append(m.Body, Call{Callee: IntrMz, Args: []Arg{
+				QubitArg(int64(rng.Intn(m.NumQubits))),
+				ResultArg(int64(rng.Intn(m.NumResults)))}})
+		}
+	}
+	return m
+}
+
 func TestQuickEmitParseRoundtrip(t *testing.T) {
 	// Property: any structurally valid module survives emit→parse→emit.
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
-		m := &Module{
-			ID: fmt.Sprintf("mod_%d", trial), Profile: ProfilePulse,
-			EntryName: fmt.Sprintf("entry_%d", trial),
-			NumQubits: 1 + rng.Intn(3), NumResults: 1 + rng.Intn(3),
-			NumPorts: 1 + rng.Intn(3),
-		}
-		for p := 0; p < m.NumPorts; p++ {
-			m.PortNames = append(m.PortNames, fmt.Sprintf("port-%d", p))
-		}
-		nw := 1 + rng.Intn(3)
-		for w := 0; w < nw; w++ {
-			n := 1 + rng.Intn(16)
-			samples := make([]complex128, n)
-			for i := range samples {
-				samples[i] = complex(rng.Float64()*1.6-0.8, rng.Float64()*1.6-0.8)
-			}
-			m.Waveforms = append(m.Waveforms, WaveformConst{
-				Name: fmt.Sprintf("wf_%d", w), Samples: samples})
-		}
-		ops := 1 + rng.Intn(10)
-		for o := 0; o < ops; o++ {
-			port := PortArg(int64(rng.Intn(m.NumPorts)))
-			switch rng.Intn(6) {
-			case 0:
-				m.Body = append(m.Body, Call{Callee: IntrPlay, Args: []Arg{
-					port, WaveformArg(fmt.Sprintf("wf_%d", rng.Intn(nw)))}})
-			case 1:
-				m.Body = append(m.Body, Call{Callee: IntrFrameChange, Args: []Arg{
-					port, F64Arg(rng.NormFloat64() * 1e9), F64Arg(rng.NormFloat64())}})
-			case 2:
-				m.Body = append(m.Body, Call{Callee: IntrShiftPhase, Args: []Arg{
-					port, F64Arg(rng.NormFloat64())}})
-			case 3:
-				m.Body = append(m.Body, Call{Callee: IntrDelay, Args: []Arg{
-					port, I64Arg(int64(rng.Intn(1000)))}})
-			case 4:
-				m.Body = append(m.Body, Call{Callee: IntrBarrier, Args: []Arg{port}})
-			case 5:
-				m.Body = append(m.Body, Call{Callee: IntrMz, Args: []Arg{
-					QubitArg(int64(rng.Intn(m.NumQubits))),
-					ResultArg(int64(rng.Intn(m.NumResults)))}})
-			}
-		}
+		m := randomModule(rng, trial)
 		if err := m.Verify(); err != nil {
 			t.Fatalf("trial %d: generated invalid module: %v", trial, err)
 		}
-		text := m.Emit()
+		text := string(m.Emit())
 		back, err := ParseModule(text)
 		if err != nil {
 			t.Fatalf("trial %d: parse: %v", trial, err)
 		}
-		if back.Emit() != text {
+		if string(back.Emit()) != text {
 			t.Fatalf("trial %d: roundtrip unstable", trial)
 		}
 	}

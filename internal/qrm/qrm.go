@@ -511,14 +511,15 @@ func (s *Scheduler) checkEpoch(dispatchDevice string, req Request) error {
 // cached module as is, shared and unmodified. Either prefers the
 // qdmi.ModuleSubmitter capability, which skips the emit/parse round trip;
 // a device without it receives text through the ordinary path — the
-// program's cached payload, or a bound module's fresh emit.
+// program's text, emitted once however many jobs ask, or a bound module's
+// fresh emit.
 func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi.Job, error) {
 	opts := qdmi.JobOptions{
 		Shots: req.Shots, MeasLevel: req.MeasLevel, MeasReturn: req.MeasReturn,
 		Telemetry: req.Timeline, TelemetryParent: parent, ShotWorkers: req.ShotWorkers,
 	}
 	if p := req.Template; p != nil {
-		mod, text := p.Module, p.Payload
+		mod := p.Module
 		if len(p.Params) > 0 {
 			bindStart := time.Now()
 			var err error
@@ -530,10 +531,11 @@ func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi
 		if ms, ok := dev.(qdmi.ModuleSubmitter); ok {
 			return ms.SubmitModule(mod, opts)
 		}
-		if text == nil {
-			text = []byte(mod.Emit())
+		// A template has no text of its own; its bound module does.
+		if req.Payload = p.Text(); req.Payload == nil {
+			req.Payload = mod.Emit()
 		}
-		req.Payload, req.Format = text, p.Format
+		req.Format = p.Format
 	}
 	if as, ok := dev.(qdmi.AcquisitionSubmitter); ok {
 		return as.SubmitJobOpts(req.Payload, req.Format, opts)

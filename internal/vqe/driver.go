@@ -37,7 +37,7 @@ func (e *Estimator) Energy(ctx context.Context, h *Hamiltonian, a Ansatz, params
 		if err != nil {
 			return 0, 0, err
 		}
-		job, err := e.Dev.SubmitJob([]byte(mod.Emit()), formatFor(mod), e.Shots)
+		job, err := e.Dev.SubmitJob(mod.Emit(), formatFor(mod), e.Shots)
 		if err != nil {
 			return 0, 0, err
 		}

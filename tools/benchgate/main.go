@@ -4,7 +4,7 @@
 // tracked speedup regressed beyond the tolerance.
 //
 //	go run ./cmd/mqss-bench -json -out BENCH_ci.json
-//	go run ./tools/benchgate -baseline BENCH_14.json -current BENCH_ci.json
+//	go run ./tools/benchgate -baseline BENCH_15.json -current BENCH_ci.json
 //
 // Two invariants are enforced. Schema: every experiment name, speedup key
 // and informational key in the baseline must still exist in the current
