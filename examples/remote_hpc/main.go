@@ -1,7 +1,9 @@
 // Remote submission (paper Fig. 2): an HPC login node compiles a kernel
-// locally with the JIT pipeline, then ships the QIR pulse-profile exchange
-// payload over TCP to an MQSS client colocated with the QPU — the portable
-// exchange format crossing a machine boundary.
+// locally with the JIT pipeline, then runs it on an MQSS client colocated
+// with the QPU — the portable exchange format crossing a machine boundary.
+// The QIR pulse-profile text crosses once per connection (the adapter
+// registers it under an ID that covers its calibration epoch); each job
+// after that is a small frame naming the ID and the job options.
 package main
 
 import (
@@ -32,7 +34,7 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("MQSS endpoint listening on %s\n", srv.Addr())
 
-	// "Login-node side": build + compile, then submit the payload remotely.
+	// "Login-node side": build + compile, then run the payload remotely.
 	ghz := mqsspulse.NewCircuit("bell_plus_phase", 2, 2).
 		H(0).
 		CX(0, 1).

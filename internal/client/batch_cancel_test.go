@@ -366,8 +366,10 @@ func TestServerMaxJobTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	// No client deadline: the server-side cap alone bounds the job.
-	if _, err := remote.SubmitPayloadCtx(context.Background(), "hpcqc-sc", payload, format, SubmitOptions{Shots: 16}); err == nil {
-		t.Fatal("server job cap did not fire")
+	// No client deadline: the server-side cap alone bounds the job, and the
+	// caller hears a deadline, not a bare message.
+	_, err = remote.SubmitPayloadCtx(context.Background(), "hpcqc-sc", payload, format, SubmitOptions{Shots: 16})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("server job cap: err = %v, want context.DeadlineExceeded", err)
 	}
 }

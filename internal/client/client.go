@@ -25,10 +25,16 @@
 // not produce it, and it is emitted (once per program) and read where text
 // is the interface — Compile/CompileTraced callers, the remote server, a
 // device without qdmi.ModuleSubmitter — never parsed back in-process.
+//
+// The remote path is the same path with a wire in it. A program — template
+// or not, its slots are part of the text — is registered once per
+// connection and parsed once by the server, which keeps it as the same
+// ptemplate.Compiled the lowering cache holds; each remote job then names
+// it by ID and becomes the qrm.Request a local job makes (remote.go has the
+// protocol, ARCHITECTURE.md its field table).
 package client
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"fmt"
@@ -324,12 +330,6 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string, 
 	}
 	c.evictLocked()
 	return program, false, nil
-}
-
-// containsPulse reports whether a QIR payload carries the pulse profile
-// attribute (format sniffing for raw payloads).
-func containsPulse(payload []byte) bool {
-	return bytes.Contains(payload, []byte(`"qir_profiles"="pulse"`))
 }
 
 // SubmitOptions tunes a submission: the QPI's execution config, carried

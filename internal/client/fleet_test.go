@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"mqsspulse/internal/devices"
@@ -134,6 +135,8 @@ func TestWireErrorKindRoundTrip(t *testing.T) {
 		{qdmi.ErrNotSupported, "not_supported"},
 		{qdmi.ErrInvalidArgument, "invalid_argument"},
 		{qdmi.ErrFatal, "fatal"},
+		{context.DeadlineExceeded, "deadline_exceeded"},
+		{errUnknownProgram, "unknown_program"},
 		{errors.New("plain"), ""},
 	}
 	for _, tc := range cases {
@@ -147,5 +150,11 @@ func TestWireErrorKindRoundTrip(t *testing.T) {
 	}
 	if !errors.Is(errorFromWire("overloaded", "queue full"), qrm.ErrOverloaded) {
 		t.Fatal("overloaded kind lost across the wire")
+	}
+	// A job its deadline ended is both cancelled and timed out; the deadline
+	// is what the caller has to hear.
+	both := fmt.Errorf("%w: %w", context.DeadlineExceeded, qrm.ErrCancelled)
+	if got := errorKind(both); got != "deadline_exceeded" {
+		t.Fatalf("errorKind(%v) = %q, want deadline_exceeded", both, got)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -19,50 +21,63 @@ import (
 )
 
 // The remote protocol is one JSON object per line in each direction —
-// the REST-like submission path of Fig. 2, reduced to its essentials.
-// Deadlines cross the machine boundary: the adapter ships the remaining
-// context budget as timeout_ms and the server bounds the job with it.
+// the REST-like submission path of Fig. 2, reduced to its essentials — and
+// it has one form for every program. A program crosses the wire as its
+// exchange text, once per connection: "register" ships it under an ID with
+// its declared parameters and calibration epoch, and the server parses,
+// verifies and keeps it. Every job afterwards is a "submit" naming that ID,
+// with the job options and — for a template — one point's bindings; a
+// concrete kernel is the template with no parameters and sends none.
+// "telemetry" fetches the server's metrics. Deadlines cross the machine
+// boundary: the adapter ships the remaining context budget as timeout_ms and
+// the server bounds the job with it. ARCHITECTURE.md has the field table.
 
-// remoteRequest is the wire form of a job submission.
+// maxStoredPrograms bounds the programs a server keeps per connection (the
+// oldest registration goes first) and the IDs an adapter remembers having
+// sent. Neither side needs the other's view to be right: a submit that
+// names an ID the server does not hold answers unknown_program, and the
+// adapter registers and retries.
+const maxStoredPrograms = 64
+
+// remoteRequest is the wire form of a request.
 type remoteRequest struct {
-	// Op selects the request kind: "" (or "submit") is a legacy payload
-	// submission, "register_template" ships a parametric payload once per
-	// connection, "submit_bound" references it by fingerprint with a
-	// small per-point bindings frame, and "telemetry" fetches the server's
-	// fleet metrics snapshot.
-	Op string `json:"op,omitempty"`
-	// Template is the Compiled.Encode frame for op "register_template".
-	Template json.RawMessage `json:"template,omitempty"`
-	// TemplateID names a previously registered template (its fingerprint)
-	// for op "submit_bound".
-	TemplateID string `json:"template_id,omitempty"`
-	// Bindings carries the per-point parameter values for op "submit_bound".
-	Bindings map[string]float64 `json:"bindings,omitempty"`
+	// Op selects the request kind: "register", "submit" or "telemetry".
+	Op string `json:"op"`
+	// ID names a program on this connection. The adapter derives it from
+	// the program's fingerprint (or, for bare text, a content hash) and its
+	// calibration epoch, so a program re-lowered after a recalibration is a
+	// different program on the wire.
+	ID string `json:"id,omitempty"`
 
-	Device string `json:"device"`
+	// Program, Params and Epoch are the body of "register": the exchange
+	// text (slots included), the declared parameter space, and the
+	// calibration epoch the program was lowered at. The server checks every
+	// job on the program against that epoch and rejects it with
+	// stale_calibration once the target has recalibrated past it; zero
+	// disables the check.
+	Program string            `json:"program,omitempty"`
+	Params  []ptemplate.Param `json:"params,omitempty"`
+	Epoch   int64             `json:"epoch,omitempty"`
+
+	// Bindings carries one value per declared parameter for "submit"; the
+	// rest of the fields are its job options.
+	Bindings map[string]float64 `json:"bindings,omitempty"`
+	Device   string             `json:"device,omitempty"`
 	// Pool targets a named server-side device pool instead of Device.
 	Pool     string `json:"pool,omitempty"`
-	Format   string `json:"format"`
-	Payload  string `json:"payload"`
-	Shots    int    `json:"shots"`
+	Shots    int    `json:"shots,omitempty"`
 	Priority int    `json:"priority,omitempty"`
 	Tag      string `json:"tag,omitempty"`
 	// ShotWorkers asks the executing device to spread the job's shots
-	// across that many workers; 0 (legacy clients) keeps the device
-	// default.
+	// across that many workers; 0 keeps the device default.
 	ShotWorkers int `json:"shot_workers,omitempty"`
 	// TimeoutMs bounds the job server-side; 0 means no client deadline.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// MeasLevel/MeasReturn select the acquisition data shape
 	// ("discriminated"/"kerneled"/"raw", "single"/"avg"); empty means
-	// discriminated counts (legacy clients).
+	// discriminated counts.
 	MeasLevel  string `json:"meas_level,omitempty"`
 	MeasReturn string `json:"meas_return,omitempty"`
-	// CalibrationEpoch is the calibration epoch the payload was compiled
-	// against; the server rejects the job with a stale_calibration error
-	// if the target has recalibrated past it. Zero (legacy clients)
-	// disables the check.
-	CalibrationEpoch int64 `json:"calibration_epoch,omitempty"`
 	// TraceID propagates the submission's telemetry trace across the wire:
 	// the server records its lifecycle spans under this ID and returns them
 	// in the response, so the client-side timeline covers both machines.
@@ -195,10 +210,10 @@ func (s *Server) serve(conn net.Conn) {
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	enc := json.NewEncoder(conn)
-	// Registered templates are scoped to the connection: the registry dies
-	// with it, so a reconnecting adapter must re-register (and a server
-	// restart can never serve stale parametric payloads).
-	templates := map[string]*ptemplate.Compiled{}
+	// Registered programs are scoped to the connection: the store dies with
+	// it, so a reconnecting adapter re-registers (and a restarted server can
+	// never run a program it did not parse itself).
+	store := &programStore{byID: map[string]*ptemplate.Compiled{}}
 	for {
 		if s.cfg.idleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout))
@@ -206,16 +221,31 @@ func (s *Server) serve(conn net.Conn) {
 		if !scanner.Scan() {
 			return
 		}
-		var req remoteRequest
-		if err := json.Unmarshal(scanner.Bytes(), &req); err != nil {
-			_ = enc.Encode(remoteResponse{Error: "malformed request: " + err.Error()})
-			continue
-		}
-		resp := s.handle(&req, templates)
-		if err := enc.Encode(resp); err != nil {
+		if err := enc.Encode(s.handleLine(scanner.Bytes(), store)); err != nil {
 			return
 		}
 	}
+}
+
+// programStore is one connection's registered programs, at most
+// maxStoredPrograms of them.
+type programStore struct {
+	byID map[string]*ptemplate.Compiled
+	// order lists the IDs oldest registration first.
+	order []string
+}
+
+// put stores p under id, evicting the oldest registration when the store is
+// full. Registering an ID again replaces its program and keeps its age.
+func (st *programStore) put(id string, p *ptemplate.Compiled) {
+	if _, ok := st.byID[id]; !ok {
+		if len(st.order) == maxStoredPrograms {
+			delete(st.byID, st.order[0])
+			st.order = st.order[:copy(st.order, st.order[1:])]
+		}
+		st.order = append(st.order, id)
+	}
+	st.byID[id] = p
 }
 
 // jobContext derives the context bounding one remote job from the server
@@ -234,17 +264,33 @@ func (s *Server) jobContext(req *remoteRequest) (context.Context, context.Cancel
 	return context.WithCancel(s.ctx)
 }
 
-func (s *Server) handle(req *remoteRequest, templates map[string]*ptemplate.Compiled) remoteResponse {
+// failure is the response for a request that ended in err, typed for the
+// wire where err wraps a sentinel errorKind knows.
+func failure(err error) remoteResponse {
+	return remoteResponse{Error: err.Error(), ErrorKind: errorKind(err)}
+}
+
+// handleLine answers one request line against the connection's store.
+func (s *Server) handleLine(line []byte, store *programStore) remoteResponse {
+	var req remoteRequest
+	if err := json.Unmarshal(line, &req); err != nil {
+		return failure(fmt.Errorf("%w: malformed request: %v", qdmi.ErrInvalidArgument, err))
+	}
 	switch req.Op {
-	case "", "submit", "submit_bound":
-		return s.handleSubmit(req, templates)
-	case "register_template":
-		tpl, err := ptemplate.Decode(req.Template)
-		if err != nil {
-			return remoteResponse{Error: "bad template frame: " + err.Error()}
+	case "register":
+		if req.ID == "" {
+			return failure(fmt.Errorf("%w: register without a program id", qdmi.ErrInvalidArgument))
 		}
-		templates[tpl.Fingerprint] = tpl
+		// Parsed, verified and checked against its declared parameters here,
+		// once; every submit that names the ID runs the stored module.
+		program, err := ptemplate.FromText(req.ID, req.Program, req.Params, req.Epoch)
+		if err != nil {
+			return failure(err)
+		}
+		store.put(req.ID, program)
 		return remoteResponse{}
+	case "submit":
+		return s.handleSubmit(&req, store)
 	case "telemetry":
 		snap, err := json.Marshal(s.client.Telemetry())
 		if err != nil {
@@ -252,77 +298,63 @@ func (s *Server) handle(req *remoteRequest, templates map[string]*ptemplate.Comp
 		}
 		return remoteResponse{Telemetry: snap}
 	default:
-		return remoteResponse{Error: fmt.Sprintf("unknown op %q", req.Op)}
+		return failure(fmt.Errorf("%w: unknown op %q", qdmi.ErrInvalidArgument, req.Op))
 	}
 }
 
-func (s *Server) handleSubmit(req *remoteRequest, templates map[string]*ptemplate.Compiled) remoteResponse {
-	ctx, cancel := s.jobContext(req)
-	defer cancel()
-	qreq := qrm.Request{}
-	if req.Op == "submit_bound" {
-		tpl, ok := templates[req.TemplateID]
-		if !ok {
-			return remoteResponse{
-				Error:     fmt.Sprintf("template %q not registered on this connection", req.TemplateID),
-				ErrorKind: "unknown_template",
-			}
-		}
-		qreq.Template = tpl
-		qreq.Bindings = req.Bindings
-	} else {
-		format := qdmi.ProgramFormat(req.Format)
-		if format == "" {
-			// Legacy clients may omit the format; sniff the payload profile.
-			format = qdmi.FormatQIRBase
-			if containsPulse([]byte(req.Payload)) {
-				format = qdmi.FormatQIRPulse
-			}
-		}
-		qreq.Payload = []byte(req.Payload)
-		qreq.Format = format
+// handleSubmit runs one job on a registered program. This is the one place
+// a wire request becomes a qrm.Request, and it is the request a local job
+// makes: the stored program, the point's bindings, the program's own epoch
+// for the staleness gate.
+func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteResponse {
+	program, ok := store.byID[req.ID]
+	if !ok {
+		return failure(fmt.Errorf("%w: %q", errUnknownProgram, req.ID))
 	}
 	level, err := readout.ParseMeasLevel(req.MeasLevel)
 	if err != nil {
-		return remoteResponse{Error: err.Error()}
+		return failure(fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err))
 	}
 	ret, err := readout.ParseMeasReturn(req.MeasReturn)
 	if err != nil {
-		return remoteResponse{Error: err.Error()}
+		return failure(fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err))
 	}
 	device := req.Device
 	compiledFor := ""
 	if req.Pool != "" {
 		// Pool targeting wins, mirroring Client.SubmitCtx — including the
-		// compile-target convention: a pool payload's epoch refers to the
+		// compile-target convention: a pool program's epoch refers to the
 		// deterministic representative member.
 		device = ""
 		if members, merr := s.client.qrm.PoolMembers(req.Pool); merr == nil {
 			compiledFor = members[0]
 		}
 	}
-	qreq.Device = device
-	qreq.Pool = req.Pool
-	qreq.Shots = req.Shots
-	qreq.ShotWorkers = req.ShotWorkers
-	qreq.Priority = req.Priority
-	qreq.Tag = req.Tag
-	qreq.MeasLevel = level
-	qreq.MeasReturn = ret
-	qreq.CalibrationEpoch = req.CalibrationEpoch
-	qreq.CompiledFor = compiledFor
 	// The server-side timeline shares the caller's trace ID and feeds the
 	// server's own fleet registry; its spans ship back with the response so
 	// the client-side timeline covers both machines.
 	tl := s.client.NewTimeline(req.TraceID)
-	qreq.Timeline = tl
-	tk, err := s.client.qrm.SubmitCtx(ctx, qreq)
-	if err != nil {
-		return remoteResponse{Error: err.Error(), ErrorKind: errorKind(err), Spans: telemetry.ToWire(tl.Spans())}
+	ctx, cancel := s.jobContext(req)
+	defer cancel()
+	tk, err := s.client.qrm.SubmitCtx(ctx, qrm.Request{
+		Device: device, Pool: req.Pool, Template: program, Bindings: req.Bindings,
+		Shots: req.Shots, Priority: req.Priority, Tag: req.Tag, ShotWorkers: req.ShotWorkers,
+		MeasLevel: level, MeasReturn: ret,
+		CalibrationEpoch: program.Epoch, CompiledFor: compiledFor, Timeline: tl,
+	})
+	var res *qdmi.Result
+	if err == nil {
+		res, err = tk.Wait(ctx)
 	}
-	res, err := tk.Wait(ctx)
 	if err != nil {
-		return remoteResponse{Error: err.Error(), ErrorKind: errorKind(err), Spans: telemetry.ToWire(tl.Spans())}
+		if errors.Is(err, qrm.ErrCancelled) && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			// The scheduler reports a job its deadline ended as cancelled,
+			// with the cause in prose; give the cause back its type.
+			err = fmt.Errorf("%w: %v", context.DeadlineExceeded, err)
+		}
+		resp := failure(err)
+		resp.Spans = telemetry.ToWire(tl.Spans())
+		return resp
 	}
 	counts := make(map[string]int, len(res.Counts))
 	for mask, n := range res.Counts {
@@ -361,10 +393,21 @@ func (s *Server) handleSubmit(req *remoteRequest, templates map[string]*ptemplat
 	return resp
 }
 
+// errUnknownProgram is the server's answer to a submit naming an ID its
+// connection does not hold; the adapter reacts by registering the program
+// and retrying once, so callers see it only if that fails too.
+var errUnknownProgram = errors.New("program not registered on this connection")
+
 // errorKind classifies a scheduler error for the wire, so typed sentinels
 // survive the machine boundary.
 func errorKind(err error) string {
 	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		// Before cancelled: a job ended by timeout_ms or the server's job-time
+		// cap is both.
+		return "deadline_exceeded"
+	case errors.Is(err, errUnknownProgram):
+		return "unknown_program"
 	case errors.Is(err, qrm.ErrOverloaded):
 		return "overloaded"
 	case errors.Is(err, qrm.ErrNoSuchTarget):
@@ -405,8 +448,10 @@ func errorFromWire(kind, msg string) error {
 		return fmt.Errorf("client: remote: %w: %s", qdmi.ErrInvalidArgument, msg)
 	case "fatal":
 		return fmt.Errorf("client: remote: %w: %s", qdmi.ErrFatal, msg)
-	case "unknown_template":
-		return fmt.Errorf("client: remote: template not registered: %s", msg)
+	case "deadline_exceeded":
+		return fmt.Errorf("client: remote: %w: %s", context.DeadlineExceeded, msg)
+	case "unknown_program":
+		return fmt.Errorf("client: remote: %w: %s", errUnknownProgram, msg)
 	default:
 		return fmt.Errorf("client: remote: %s", msg)
 	}
@@ -431,8 +476,9 @@ type RemoteAdapter struct {
 	mu   sync.Mutex
 	conn net.Conn
 	rd   *bufio.Reader
-	// registered tracks template fingerprints already shipped on this
-	// connection, so a sweep sends the parametric payload exactly once.
+	// registered holds the IDs of the programs already shipped on this
+	// connection, so a program's text crosses the wire once however many
+	// jobs run it. It is a hint, not the truth — see maxStoredPrograms.
 	registered map[string]bool
 }
 
@@ -454,7 +500,12 @@ func NewRemoteAdapterCtx(ctx context.Context, addr string, opts ...RemoteOption)
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteAdapter{addr: addr, conn: conn, rd: bufio.NewReaderSize(conn, 1<<20)}, nil
+	return newRemoteAdapter(addr, conn), nil
+}
+
+// newRemoteAdapter wraps an established connection.
+func newRemoteAdapter(addr string, conn net.Conn) *RemoteAdapter {
+	return &RemoteAdapter{addr: addr, conn: conn, rd: bufio.NewReaderSize(conn, 1<<20), registered: map[string]bool{}}
 }
 
 // Close shuts the connection.
@@ -469,76 +520,103 @@ func (r *RemoteAdapter) closeLocked() {
 		r.conn.Close()
 		r.conn = nil
 		r.rd = nil
-		// Server-side template registries are per-connection; forget what
-		// this one shipped so a future adapter re-registers from scratch.
-		r.registered = nil
 	}
 }
 
-// SubmitPayloadCtx sends a precompiled exchange-format payload and waits
-// for the result under ctx. The remaining context budget ships to the
-// server as the job timeout, and a cancelled ctx interrupts a blocked read
-// immediately (the connection is then closed: the protocol has no way to
-// resynchronize a half-read response).
+// wireProgram is what the adapter needs of a program to put it on the wire:
+// the register frame's fields under the ID every submit names.
+type wireProgram struct {
+	id     string
+	text   []byte
+	params []ptemplate.Param
+	epoch  int64
+}
+
+// SubmitPayloadCtx runs precompiled exchange-format text on the server and
+// waits for the result under ctx. The text is registered under a hash of
+// its content and opts.CalibrationEpoch the first time this connection sees
+// it; later jobs on the same payload send only the ID. format is not sent —
+// the server derives it from the program's profile. The remaining context
+// budget ships to the server as the job timeout, and a cancelled ctx
+// interrupts a blocked read immediately (the connection is then closed: the
+// protocol has no way to resynchronize a half-read response).
 func (r *RemoteAdapter) SubmitPayloadCtx(ctx context.Context, device string, payload []byte, format qdmi.ProgramFormat, opts SubmitOptions) (*qpi.Result, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.submitLocked(ctx, device, payload, format, nil, nil, opts)
+	h := fnv.New64a()
+	_, _ = h.Write(payload)
+	id := fmt.Sprintf("txt-%016x-%d@%d", h.Sum64(), len(payload), opts.CalibrationEpoch)
+	return r.submit(ctx, device, wireProgram{id: id, text: payload, epoch: opts.CalibrationEpoch}, nil, opts)
 }
 
-// submitLocked builds the one wire submission (r.mu must be held): a text
-// payload, or — when compiled is non-nil — a bindings frame referencing a
-// template this connection has registered (registering it first if not).
-func (r *RemoteAdapter) submitLocked(ctx context.Context, device string, payload []byte, format qdmi.ProgramFormat,
-	compiled *ptemplate.Compiled, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
-
-	req := remoteRequest{
-		Device: device, Pool: opts.Pool, Format: string(format), Payload: string(payload), Bindings: b,
-		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
-		ShotWorkers: opts.ShotWorkers, CalibrationEpoch: opts.CalibrationEpoch,
+// SubmitBoundCtx submits one sweep point of a compiled program: the text
+// ships once per connection and every point afterwards is a small bindings
+// frame naming it by fingerprint and epoch, the epoch it was lowered at
+// (opts.CalibrationEpoch is for bare text and is ignored here). Bindings are
+// validated locally first, so an out-of-range or non-finite value fails
+// with ptemplate.ErrBadParam before touching the wire.
+func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compiled *ptemplate.Compiled, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
+	if err := compiled.Validate(b); err != nil {
+		return nil, err
 	}
-	if compiled != nil {
-		if err := r.registerLocked(ctx, compiled); err != nil {
-			return nil, err
-		}
-		req.Op, req.TemplateID = "submit_bound", compiled.Fingerprint
-		if req.CalibrationEpoch == 0 {
-			// Default to the epoch the template was lowered against, so the
-			// scheduler's staleness gate protects bound points automatically.
-			req.CalibrationEpoch = compiled.Epoch
-		}
+	id := compiled.Fingerprint + "@" + strconv.FormatInt(compiled.Epoch, 10)
+	return r.submit(ctx, device, wireProgram{id: id, text: compiled.Text(), params: compiled.Params, epoch: compiled.Epoch}, b, opts)
+}
+
+// submit is the one wire submission: a submit frame naming p, preceded by
+// p's register frame when this connection has not sent it. The exchange is
+// recorded as a client-side dispatch span on opts.Timeline, the trace ID
+// ships in the request, and the server-side spans returned in the response
+// are imported under the dispatch span — marked Remote so their durations
+// never double-count into local histograms. A nil timeline records nothing.
+func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
+	req := remoteRequest{
+		Op: "submit", ID: p.id, Bindings: b, Device: device, Pool: opts.Pool,
+		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
+		ShotWorkers: opts.ShotWorkers, TraceID: opts.TraceID,
 	}
 	if opts.MeasLevel != readout.LevelDiscriminated {
 		req.MeasLevel = opts.MeasLevel.String()
 		req.MeasReturn = opts.MeasReturn.String()
 	}
-	resp, err := r.exchangeTraced(ctx, &req, opts)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromWire(resp, opts)
-}
-
-// exchangeTraced is exchangeLocked plus telemetry (r.mu must be held): the
-// whole wire round trip is recorded as a client-side dispatch span on
-// opts.Timeline, the trace ID ships in the request, and the server-side
-// spans returned in the response are imported under the dispatch span —
-// marked Remote so their durations never double-count into local
-// histograms. A nil timeline degrades to a plain exchange.
-func (r *RemoteAdapter) exchangeTraced(ctx context.Context, req *remoteRequest, opts SubmitOptions) (*remoteResponse, error) {
 	tl := opts.Timeline
-	req.TraceID = opts.TraceID
 	if tl != nil {
 		req.TraceID = tl.TraceID()
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	ds := tl.StartSpan(telemetry.StageDispatch, "remote:"+r.addr, 0)
-	resp, err := r.exchangeLocked(ctx, req)
+	resp, err := r.submitRegisteredLocked(ctx, &req, p)
 	ds.End()
 	if err != nil {
 		return nil, err
 	}
 	tl.Import(telemetry.FromWire(resp.Spans), ds.ID())
-	return resp, nil
+	return resultFromWire(resp, opts)
+}
+
+// submitRegisteredLocked sends req, registering p first if this connection
+// has not (r.mu must be held). The server may not hold an ID the adapter
+// remembers sending — its store is bounded, and a server restarted behind a
+// relay starts empty — so an unknown_program answer is met by registering
+// and submitting again, once.
+func (r *RemoteAdapter) submitRegisteredLocked(ctx context.Context, req *remoteRequest, p wireProgram) (*remoteResponse, error) {
+	for attempt := 0; ; attempt++ {
+		if !r.registered[p.id] {
+			reg := remoteRequest{Op: "register", ID: p.id, Program: string(p.text), Params: p.params, Epoch: p.epoch}
+			if _, err := r.exchangeLocked(ctx, &reg); err != nil {
+				return nil, err
+			}
+			if len(r.registered) >= maxStoredPrograms {
+				// The server has started evicting; so does the hint.
+				clear(r.registered)
+			}
+			r.registered[p.id] = true
+		}
+		resp, err := r.exchangeLocked(ctx, req)
+		if attempt > 0 || !errors.Is(err, errUnknownProgram) {
+			return resp, err
+		}
+		delete(r.registered, p.id)
+	}
 }
 
 // Telemetry fetches the remote server's fleet metrics snapshot — every
@@ -556,49 +634,6 @@ func (r *RemoteAdapter) Telemetry(ctx context.Context) (telemetry.Snapshot, erro
 		return telemetry.Snapshot{}, fmt.Errorf("client: remote telemetry frame: %w", err)
 	}
 	return snap, nil
-}
-
-// RegisterTemplate ships a compiled parametric template to the server,
-// where it lives for the rest of the connection. SubmitBoundCtx registers
-// lazily, so calling this explicitly is only an optimization (front-loading
-// the one large frame before a latency-sensitive sweep).
-func (r *RemoteAdapter) RegisterTemplate(ctx context.Context, compiled *ptemplate.Compiled) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.registerLocked(ctx, compiled)
-}
-
-func (r *RemoteAdapter) registerLocked(ctx context.Context, compiled *ptemplate.Compiled) error {
-	if r.registered[compiled.Fingerprint] {
-		return nil
-	}
-	frame, err := compiled.Encode()
-	if err != nil {
-		return fmt.Errorf("client: remote: %w", err)
-	}
-	req := remoteRequest{Op: "register_template", Template: json.RawMessage(frame)}
-	if _, err := r.exchangeLocked(ctx, &req); err != nil {
-		return err
-	}
-	if r.registered == nil {
-		r.registered = map[string]bool{}
-	}
-	r.registered[compiled.Fingerprint] = true
-	return nil
-}
-
-// SubmitBoundCtx submits one sweep point: the compiled template ships once
-// per connection (first call registers it) and every point afterwards is a
-// small bindings frame referencing it by fingerprint. Bindings are
-// validated locally first, so an out-of-range or non-finite value fails
-// with ptemplate.ErrBadParam before touching the wire.
-func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compiled *ptemplate.Compiled, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
-	if err := compiled.Validate(b); err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.submitLocked(ctx, device, nil, "", compiled, b, opts)
 }
 
 // exchangeLocked performs one line-framed request/response round trip on

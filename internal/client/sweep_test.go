@@ -208,9 +208,9 @@ func TestCompileRejectsParametricKernel(t *testing.T) {
 	}
 }
 
-// TestRemoteSweepTemplate: the parametric payload ships once per
-// connection and every point afterwards is a small bindings frame; results
-// match a local sweep on an identically seeded stack.
+// TestRemoteSweepTemplate: a template's points submitted over the wire
+// match a local sweep on an identically seeded stack. (That the text ships
+// once per connection is TestRemoteProgramTextCrossesOnce.)
 func TestRemoteSweepTemplate(t *testing.T) {
 	const points, shots, seed = 16, 32, 99
 	serverClient, _ := sweepStack(t, seed)
@@ -226,8 +226,8 @@ func TestRemoteSweepTemplate(t *testing.T) {
 	}
 	defer adapter.Close()
 
-	// The template is lowered against the local twin; fingerprint and
-	// epoch transfer with the frame.
+	// The template is lowered against the local twin; its epoch transfers
+	// with the register frame.
 	compiled, err := localClient.CompileTemplate(rabiSweepTemplate(t), "hpcqc-sc")
 	if err != nil {
 		t.Fatal(err)
@@ -257,16 +257,13 @@ func TestRemoteSweepTemplate(t *testing.T) {
 	}
 }
 
-// TestSweepBindWireErrorKinds: the bad_param and unknown_template error
-// kinds rebuild their typed (or descriptive) errors from the wire.
+// TestSweepBindWireErrorKinds: the bad_param error kind rebuilds its typed
+// error from the wire.
 func TestSweepBindWireErrorKinds(t *testing.T) {
 	if err := errorFromWire("bad_param", "x"); !errors.Is(err, ptemplate.ErrBadParam) {
 		t.Fatalf("bad_param kind lost the sentinel: %v", err)
 	}
 	if kind := errorKind(fmt.Errorf("wrap: %w", ptemplate.ErrBadParam)); kind != "bad_param" {
 		t.Fatalf("errorKind = %q, want bad_param", kind)
-	}
-	if err := errorFromWire("unknown_template", "tpl-x"); err == nil {
-		t.Fatal("unknown_template kind mapped to nil")
 	}
 }

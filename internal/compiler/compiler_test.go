@@ -339,10 +339,10 @@ func TestCompileMLIRTextPath(t *testing.T) {
 	if len(res.Payload) == 0 || !bytes.Equal(res.Payload, direct.Payload) {
 		t.Fatalf("MLIR-text payload (%d bytes) differs from Compile's (%d bytes)", len(res.Payload), len(direct.Payload))
 	}
-	// A parametric module has no text until it is bound. The MLIR parser
-	// takes no parameter expressions today, so such a module cannot arrive
-	// on this path; if it ever does, the rule both paths share (emit)
-	// withholds the payload rather than emit "<unbound param ...>" tokens.
+	// A parametric module has no runnable payload until it is bound. The
+	// MLIR parser takes no parameter expressions today, so such a module
+	// cannot arrive on this path; if it ever does, the rule both paths share
+	// (emit) withholds the payload rather than hand out text no device runs.
 	sym := qpi.NewCircuit("rabi", 1, 1).RXP(0, qpi.Sym("theta")).Measure(0, 0)
 	if err := sym.End(); err != nil {
 		t.Fatal(err)

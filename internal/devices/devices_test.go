@@ -2,6 +2,7 @@ package devices
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -287,6 +288,42 @@ func TestSubmitJobValidation(t *testing.T) {
 	if _, err := d.SubmitJob(bad.Emit(), qdmi.FormatQIRPulse, 10); err == nil {
 		t.Fatal("unknown port accepted")
 	}
+}
+
+// TestUnboundTemplateRejectedAtEveryEntry: a template's slots are part of
+// the exchange text, so text can carry one to a device as well as a module
+// can; a device runs neither until someone has bound it.
+func TestUnboundTemplateRejectedAtEveryEntry(t *testing.T) {
+	d := newSC(t)
+	tpl := &qir.Module{
+		ID: "tpl", Profile: qir.ProfilePulse, EntryName: "tpl",
+		NumResults: 1, NumPorts: 2, PortNames: []string{"q0-drive", "q0-readout"},
+		Waveforms: []qir.WaveformConst{{Name: "env", Samples: []complex128{0.1, 0.2, 0.2, 0.1, 0.1, 0.2, 0.2, 0.1},
+			AmpExpr: &qir.ParamExpr{Param: "amp", Scale: 1}}},
+		Body: []qir.Call{
+			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("env")}},
+			{Callee: qir.IntrShiftPhase, Args: []qir.Arg{qir.PortArg(0), {Kind: qir.ArgF64, Expr: &qir.ParamExpr{Param: "phi", Scale: 2}}}},
+			{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(96)}},
+		},
+	}
+	if back, err := qir.ParseModule(string(tpl.Emit())); err != nil || !back.IsParametric() {
+		t.Fatalf("the template's text does not carry its slots: %v", err)
+	}
+	opts := qdmi.JobOptions{Shots: 10}
+	if _, err := d.SubmitJobOpts(tpl.Emit(), qdmi.FormatQIRPulse, opts); !errors.Is(err, qdmi.ErrInvalidArgument) {
+		t.Fatalf("SubmitJobOpts on slot-carrying text: err = %v, want qdmi.ErrInvalidArgument", err)
+	}
+	if _, err := d.SubmitJob(tpl.Emit(), qdmi.FormatQIRPulse, 10); !errors.Is(err, qdmi.ErrInvalidArgument) {
+		t.Fatalf("SubmitJob on slot-carrying text: err = %v, want qdmi.ErrInvalidArgument", err)
+	}
+	if _, err := d.SubmitModule(tpl, opts); !errors.Is(err, qdmi.ErrInvalidArgument) {
+		t.Fatalf("SubmitModule on an unbound template: err = %v, want qdmi.ErrInvalidArgument", err)
+	}
+	bound, err := tpl.Bind(map[string]float64{"amp": 0.5, "phi": 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, d, bound, 10)
 }
 
 func TestQDMIQueries(t *testing.T) {

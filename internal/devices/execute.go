@@ -330,10 +330,6 @@ func (d *SimDevice) SubmitModule(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Jo
 	if mod == nil {
 		return nil, fmt.Errorf("%w: nil module", qdmi.ErrInvalidArgument)
 	}
-	if mod.IsParametric() {
-		return nil, fmt.Errorf("%w: module %q still carries unbound parameters %v",
-			qdmi.ErrInvalidArgument, mod.ID, mod.ParamNames())
-	}
 	if err := mod.Verify(); err != nil {
 		return nil, fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err)
 	}
@@ -341,9 +337,14 @@ func (d *SimDevice) SubmitModule(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Jo
 }
 
 // submit is the one body behind the three exported submit entry points:
-// it validates the job options, binds the module's ports, draws the job ID
-// and seed from the device's job stream, and starts the job.
+// it refuses a template nobody bound (slots parse, so text can carry them
+// this far too), validates the job options, binds the module's ports, draws
+// the job ID and seed from the device's job stream, and starts the job.
 func (d *SimDevice) submit(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, error) {
+	if mod.IsParametric() {
+		return nil, fmt.Errorf("%w: module %q still carries unbound parameters %v",
+			qdmi.ErrInvalidArgument, mod.ID, mod.ParamNames())
+	}
 	shots := opts.Shots
 	if shots <= 0 || shots > d.cfg.MaxShots {
 		return nil, fmt.Errorf("%w: shots %d outside (0, %d]", qdmi.ErrInvalidArgument, shots, d.cfg.MaxShots)

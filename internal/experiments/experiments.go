@@ -13,6 +13,7 @@ import (
 
 	"mqsspulse/internal/calib"
 	"mqsspulse/internal/client"
+	"mqsspulse/internal/compiler"
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/mlir"
 	"mqsspulse/internal/optctl"
@@ -151,7 +152,7 @@ type compileDetailResult struct {
 func compileDetail(k *qpi.Circuit, dev *devices.SimDevice) (*compileDetailResult, error) {
 	out := &compileDetailResult{}
 	t0 := time.Now()
-	m, err := compilerFrontend(k, dev)
+	m, err := compiler.Frontend(k, dev)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +168,7 @@ func compileDetail(k *qpi.Circuit, dev *devices.SimDevice) (*compileDetailResult
 	out.mlirOpsAfter = m.OpCount()
 
 	t2 := time.Now()
-	q, err := compilerBackend(m, dev)
+	q, err := compiler.Backend(m, dev)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +426,7 @@ func L2MLIR(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := compilerFrontend(PulseKernel(dev), dev)
+	m, err := compiler.Frontend(PulseKernel(dev), dev)
 	if err != nil {
 		return nil, err
 	}
@@ -489,7 +490,7 @@ func L3QIR(ctx context.Context) (*Table, error) {
 	}
 	for _, dev := range []*devices.SimDevice{sc, ion, atom} {
 		kernel := PulseKernel(dev)
-		res, err := compilerCompile(kernel, dev)
+		res, err := compiler.Compile(kernel, dev)
 		if err != nil {
 			return nil, err
 		}

@@ -32,8 +32,8 @@ type Compiled struct {
 	// Format is the QDMI submission format of the (bound) payload.
 	Format qdmi.ProgramFormat
 	// Params is the declared parameter space, carried along so a Compiled
-	// decoded from the wire can validate bindings without the Template.
-	// Empty for a concrete kernel.
+	// rebuilt from its text (FromText) can validate bindings without the
+	// Template. Empty for a concrete kernel.
 	Params []Param
 	// Module is the QIR payload, parametric iff Params is non-empty.
 	Module *qir.Module
@@ -47,15 +47,50 @@ type Compiled struct {
 // interface is text: Client.Compile callers, the remote wire, devices
 // without qdmi.ModuleSubmitter. A job that runs in this process hands the
 // device Module and never asks, so the text is emitted by the first call
-// and shared by every later one; callers must not modify it. Nil for a
-// parametric program, whose text exists only per bound point (BindPayload).
+// and shared by every later one; callers must not modify it. A template's
+// text carries its slots (FromText reads it back); only a bound point's
+// text (BindPayload) is something a device can run.
 func (c *Compiled) Text() []byte {
-	c.textOnce.Do(func() {
-		if !c.Module.IsParametric() {
-			c.text = c.Module.Emit()
-		}
-	})
+	c.textOnce.Do(func() { c.text = c.Module.Emit() })
 	return c.text
+}
+
+// FromText rebuilds a program from what crosses a machine boundary: its
+// exchange text, the declared parameter space and the calibration epoch it
+// was lowered at, under the identity the sender gave it. The text is parsed
+// and verified here, once, and params must declare every parameter the
+// text's slots name, each once, so a program that arrives malformed fails at
+// the boundary (wrapping qdmi.ErrInvalidArgument) and not at bind or
+// dispatch. A declared parameter with no slot is legal: lowering drops a
+// waveform that is defined and never played, amplitude slot and all.
+func FromText(id, text string, params []Param, epoch int64) (*Compiled, error) {
+	mod, err := qir.ParseModule(text)
+	if err == nil {
+		err = mod.Verify()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: ptemplate: program text: %v", qdmi.ErrInvalidArgument, err)
+	}
+	declared := make(map[string]bool, len(params))
+	for _, p := range params {
+		if declared[p.Name] {
+			return nil, fmt.Errorf("%w: ptemplate: parameter %q declared twice", qdmi.ErrInvalidArgument, p.Name)
+		}
+		declared[p.Name] = true
+	}
+	for _, name := range mod.ParamNames() {
+		if !declared[name] {
+			return nil, fmt.Errorf("%w: ptemplate: program text has a slot for undeclared parameter %q",
+				qdmi.ErrInvalidArgument, name)
+		}
+	}
+	return &Compiled{
+		Fingerprint: id,
+		Epoch:       epoch,
+		Format:      compiler.FormatFor(mod),
+		Params:      params,
+		Module:      mod,
+	}, nil
 }
 
 // DeviceEpoch reads a device's calibration epoch. Epoch-unaware devices

@@ -14,6 +14,11 @@
 // scale, delays stay non-negative). Bind then only needs range and
 // finiteness checks, so a malformed point fails with ErrBadParam before it
 // reaches a scheduler or device.
+//
+// A lowered program has one serialised form, concrete or not: its QIR
+// exchange text (Compiled.Text), in which an unbound slot is written
+// param("name", scale, offset). FromText is the inverse, for the far side of
+// a machine boundary.
 package ptemplate
 
 import (
@@ -36,14 +41,15 @@ var ErrBadParam = errors.New("ptemplate: bad parameter value")
 
 // Param declares one template parameter and its inclusive legal range.
 // Template compilation proves the whole range lowers legally, so Bind can
-// admit any in-range finite value without consulting the compiler.
+// admit any in-range finite value without consulting the compiler. The JSON
+// form is the remote wire's (a register frame's "params").
 type Param struct {
 	// Name identifies the parameter; expressions reference it by name.
-	Name string
+	Name string `json:"name"`
 	// Min is the smallest admissible value (inclusive).
-	Min float64
+	Min float64 `json:"min"`
 	// Max is the largest admissible value (inclusive).
-	Max float64
+	Max float64 `json:"max"`
 }
 
 // Bindings assigns a concrete value to every template parameter for one
@@ -192,7 +198,7 @@ func (t *Template) Validate(b Bindings) error {
 }
 
 // validateBindings is the shared bind-time check used by Template and
-// Compiled (which may have been decoded from the wire without a Template).
+// Compiled (which may have been rebuilt from text without a Template).
 func validateBindings(params []Param, b Bindings) error {
 	for _, p := range params {
 		v, ok := b[p.Name]
@@ -286,11 +292,11 @@ func Descriptor(k *qpi.Circuit, params []Param, device string) string {
 	return string(b)
 }
 
-// fingerprint collapses a descriptor to a fixed-width ID — the wire
-// protocol's template ID, small regardless of circuit size. The cache keys
-// on the full descriptor, so a hash collision can at worst confuse two
-// templates registered on one remote connection, never serve a wrong
-// cached program.
+// fingerprint collapses a descriptor to a fixed-width ID — with the
+// calibration epoch, the wire protocol's program ID, small regardless of
+// circuit size. The cache keys on the full descriptor, so a hash collision
+// can at worst confuse two programs registered on one remote connection,
+// never serve a wrong cached program.
 func fingerprint(descriptor string) string {
 	h := fnv.New64a()
 	_, _ = io.WriteString(h, descriptor)

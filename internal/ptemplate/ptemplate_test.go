@@ -10,6 +10,7 @@ import (
 
 	"mqsspulse/internal/compiler"
 	"mqsspulse/internal/devices"
+	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/waveform"
 )
@@ -213,47 +214,75 @@ func TestBindRejectsBeforeDevice(t *testing.T) {
 	}
 }
 
-// TestWireRoundTrip: Encode/Decode preserves the parametric payload — the
-// decoded template binds to byte-identical programs under the original
-// fingerprint.
-func TestWireRoundTrip(t *testing.T) {
+// TestFromTextRebuildsProgram: a template's text, declared parameters and
+// epoch are enough to rebuild it on the far side of a machine boundary — the
+// rebuilt program binds to byte-identical payloads, and its format follows
+// from the module's profile. Text that does not parse or verify, and a
+// declaration that misses one of the text's slots, fail typed; a declared
+// parameter whose only slot lowering dropped (a waveform never played) does
+// not.
+func TestFromTextRebuildsProgram(t *testing.T) {
 	dev := templateDevice(t)
 	compiled, err := Lower(rabiTemplate(t), dev, "tpl-sc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := compiled.Encode()
+	rebuilt, err := FromText("id-1", string(compiled.Text()), compiled.Params, compiled.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := Decode(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Fingerprint != compiled.Fingerprint {
-		t.Fatalf("fingerprint %q != %q after round trip", decoded.Fingerprint, compiled.Fingerprint)
-	}
-	if decoded.Epoch != compiled.Epoch || decoded.Format != compiled.Format {
-		t.Fatalf("epoch/format drifted: %d/%s vs %d/%s",
-			decoded.Epoch, decoded.Format, compiled.Epoch, compiled.Format)
+	if rebuilt.Fingerprint != "id-1" || rebuilt.Epoch != compiled.Epoch || rebuilt.Format != compiled.Format {
+		t.Fatalf("identity/epoch/format = %q/%d/%s, want id-1/%d/%s",
+			rebuilt.Fingerprint, rebuilt.Epoch, rebuilt.Format, compiled.Epoch, compiled.Format)
 	}
 	want, err := compiled.BindPayload(Bindings{"theta": 1.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decoded.BindPayload(Bindings{"theta": 1.25})
+	got, err := rebuilt.BindPayload(Bindings{"theta": 1.25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("decoded template binds a different payload")
+		t.Fatal("rebuilt template binds a different payload")
+	}
+	if _, err := rebuilt.Bind(Bindings{"theta": 99}); !errors.Is(err, ErrBadParam) {
+		t.Fatalf("rebuilt template lost its parameter range: err = %v", err)
 	}
 
-	if _, err := Decode([]byte(`{"fingerprint":""}`)); err == nil {
-		t.Fatal("Decode accepted a frame with no fingerprint")
+	unplayed := qpi.NewCircuit("unplayed", 1, 1).
+		WaveformEnvelopeP("unused", waveform.Gaussian{Amplitude: 1, SigmaFrac: 0.2}, 16, qpi.Sym("amp")).
+		RXP(0, qpi.Sym("theta")).Measure(0, 0)
+	if err := unplayed.End(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Decode([]byte(`{not json`)); err == nil {
-		t.Fatal("Decode accepted malformed JSON")
+	tpl, err := New(unplayed, Param{Name: "amp", Min: 0, Max: 1}, Param{Name: "theta", Min: 0.1, Max: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped, err := Lower(tpl, dev, "tpl-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromText("id-3", string(dropped.Text()), dropped.Params, dropped.Epoch); err != nil {
+		t.Fatalf("a parameter whose slot lowering dropped: %v", err)
+	}
+
+	text := string(compiled.Text())
+	unverifiable := strings.Replace(text, `"required_num_ports"="`, `"required_num_ports"="9`, 1)
+	for name, tc := range map[string]struct {
+		text   string
+		params []Param
+	}{
+		"not a program":      {"garbage", nil},
+		"does not verify":    {unverifiable, compiled.Params},
+		"undeclared slot":    {text, nil},
+		"misnamed parameter": {text, []Param{{Name: "phi", Min: 0, Max: 1}}},
+		"declared twice":     {text, append(compiled.Params[:1:1], compiled.Params...)},
+	} {
+		if _, err := FromText("id-2", tc.text, tc.params, 0); !errors.Is(err, qdmi.ErrInvalidArgument) {
+			t.Errorf("%s: err = %v, want qdmi.ErrInvalidArgument", name, err)
+		}
 	}
 }
 

@@ -27,7 +27,8 @@ func fixedKernel(t *testing.T) *qpi.Circuit {
 // TestTextEmittedOnceForAllCallers: lowering stores no text; the first
 // Text call emits it and every caller — here 16 at once, for the race
 // detector — gets those same bytes, which are what compiler.Compile
-// returns for the kernel. A template has no text until a point is bound.
+// returns for the kernel. A template's text is emitted the same way and
+// carries its slots.
 func TestTextEmittedOnceForAllCallers(t *testing.T) {
 	dev := templateDevice(t)
 	k := fixedKernel(t)
@@ -65,8 +66,11 @@ func TestTextEmittedOnceForAllCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if text := tpl.Text(); text != nil {
-		t.Fatalf("unbound template has %d bytes of text", len(text))
+	if tpl.text != nil {
+		t.Fatal("lowering a template emitted text nobody asked for")
+	}
+	if text := tpl.Text(); !bytes.Contains(text, []byte(`param("theta", `)) {
+		t.Fatalf("template text carries no slot for theta:\n%s", text)
 	}
 }
 

@@ -13,13 +13,26 @@ func (e *emitter) str(s string)  { e.b = append(e.b, s...) }
 func (e *emitter) int(n int64)   { e.b = strconv.AppendInt(e.b, n, 10) }
 func (e *emitter) f64(f float64) { e.b = strconv.AppendFloat(e.b, f, 'g', -1, 64) }
 
-// unbound writes the token an unbound template slot renders as. A slot has
-// no textual form; emitting one is a caller bug (Bind must run first) and
-// the token fails loudly at parse time.
-func (e *emitter) unbound(param string) {
-	e.str("<unbound param ")
-	e.b = strconv.AppendQuote(e.b, param)
-	e.str(">")
+// slot writes an unbound template slot, param("name", scale, offset): the
+// value scale·name + offset that Bind substitutes. The name is quoted, so
+// any string survives the round trip through ParseModule.
+func (e *emitter) slot(x *ParamExpr) {
+	e.str("param(")
+	e.b = strconv.AppendQuote(e.b, x.Param)
+	e.str(", ")
+	e.f64(x.Scale)
+	e.str(", ")
+	e.f64(x.Offset)
+	e.str(")")
+}
+
+// slotTextBound is an upper estimate of one slot's text (a quoted byte
+// takes at most four).
+func slotTextBound(x *ParamExpr) int {
+	if x == nil {
+		return 0
+	}
+	return 16 + 4*len(x.Param) + 2*maxF64Text
 }
 
 // maxF64Text is the longest 'g' rendering of a float64
@@ -31,16 +44,13 @@ const maxF64Text = 24
 func (m *Module) textSizeBound() int {
 	n := 512 + len(m.ID) + len(m.EntryName) + len(m.Profile)
 	for _, w := range m.Waveforms {
-		n += 64 + len(w.Name) + 2*len(w.Samples)*(len(", double ")+maxF64Text)
+		n += 64 + len(w.Name) + 2*len(w.Samples)*(len(", double ")+maxF64Text) + slotTextBound(w.AmpExpr)
 	}
 	for _, c := range m.Body {
 		// Once in the body, at most once among the declarations.
 		n += 32 + 2*len(c.Callee)
 		for _, a := range c.Args {
-			n += 64 + len(a.Sym)
-			if a.Expr != nil {
-				n += 2 * len(a.Expr.Param)
-			}
+			n += 64 + len(a.Sym) + slotTextBound(a.Expr)
 		}
 	}
 	for _, p := range m.PortNames {
@@ -53,7 +63,9 @@ func (m *Module) textSizeBound() int {
 // shape of the paper's Listing 3: opaque type declarations, waveform
 // constants, one entry function of straight-line intrinsic calls, intrinsic
 // declarations, and the attribute group carrying the profile. The result is
-// the exchange-format payload as devices and the wire take it.
+// the exchange-format payload as devices and the wire take it; a template's
+// unbound slots are part of the text (see slot), so ParseModule(Emit(m))
+// gives m back whether or not m is parametric.
 func (m *Module) Emit() []byte {
 	e := &emitter{b: make([]byte, 0, m.textSizeBound())}
 	e.str("; ModuleID = '")
@@ -67,21 +79,20 @@ func (m *Module) Emit() []byte {
 		"\n")
 
 	for _, w := range m.Waveforms {
+		// Interleaved I/Q doubles, like an AWG memory image.
 		e.str("@")
 		e.str(w.Name)
-		if w.AmpExpr != nil {
-			// An unbound waveform has no concrete sample image.
-			e.str(" = ")
-			e.unbound(w.AmpExpr.Param)
-			e.str("\n")
-			continue
-		}
-		// Interleaved I/Q doubles, like an AWG memory image.
 		e.str(" = private constant [")
 		e.int(int64(2 * len(w.Samples)))
 		e.str(" x double] [")
 		e.samples(w.Samples)
-		e.str("]\n")
+		e.str("]")
+		if w.AmpExpr != nil {
+			// An amplitude slot: the samples are the base envelope.
+			e.str(", !amp ")
+			e.slot(w.AmpExpr)
+		}
+		e.str("\n")
 	}
 	if len(m.Waveforms) > 0 {
 		e.str("\n")
@@ -167,11 +178,9 @@ func (e *emitter) samples(samples []complex128) {
 	}
 }
 
+// arg writes one call argument. Only the two numeric kinds can carry a
+// slot (Verify rejects one anywhere else).
 func (e *emitter) arg(a Arg) {
-	if a.Expr != nil {
-		e.unbound(a.Expr.Param)
-		return
-	}
 	switch a.Kind {
 	case ArgQubit:
 		e.handle("%Qubit*", a.I)
@@ -184,10 +193,18 @@ func (e *emitter) arg(a Arg) {
 		e.str(a.Sym)
 	case ArgF64:
 		e.str("double ")
-		e.f64(a.F)
+		if a.Expr != nil {
+			e.slot(a.Expr)
+		} else {
+			e.f64(a.F)
+		}
 	case ArgI64:
 		e.str("i64 ")
-		e.int(a.I)
+		if a.Expr != nil {
+			e.slot(a.Expr)
+		} else {
+			e.int(a.I)
+		}
 	default:
 		e.str("<bad arg kind ")
 		e.int(int64(a.Kind))

@@ -1,7 +1,9 @@
 package qir_test
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mqsspulse/internal/compiler"
@@ -62,5 +64,63 @@ func TestEmitMatchesReferenceOnCompiledModules(t *testing.T) {
 		if got, want := string(res.QIR.Emit()), qir.EmitReference(res.QIR); got != want {
 			t.Errorf("%s: Emit differs from the reference\ngot:\n%s\nwant:\n%s", name, got, want)
 		}
+	}
+}
+
+// TestParametricTextRoundTrip: the exchange text says everything a module
+// holds, slots included — ParseModule(Emit(m)) deep-equals m for the
+// hand-written and random slotted modules and for a Rabi template as the
+// compiler lowers it, and the parsed template binds to the bytes the
+// original binds to. (This is what the JSON module codec's round-trip test
+// checked, on the one format that is left.)
+func TestParametricTextRoundTrip(t *testing.T) {
+	dev, err := devices.Superconducting("sc-emit", 2, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rabi := qpi.NewCircuit("rabi", 1, 1).
+		RXP(0, qpi.Sym("theta")).RZP(0, qpi.SymAffine("phi", 2, 0.5)).Measure(0, 0)
+	if err := rabi.End(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := compiler.Lower(rabi, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.QIR.IsParametric() {
+		t.Fatal("the compiled template carries no slot")
+	}
+	corpus := qir.SlottedModules()
+	corpus["compiled-rabi"] = res.QIR
+	for name, m := range corpus {
+		text := m.Emit()
+		back, err := qir.ParseModule(string(text))
+		if err != nil {
+			t.Errorf("%s: %v\n%s", name, err, text)
+			continue
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Errorf("%s: the parsed module differs from the emitted one\ntext:\n%s\nparsed: %+v\nwant:   %+v", name, text, back, m)
+		}
+		if again := back.Emit(); !bytes.Equal(again, text) {
+			t.Errorf("%s: not a fixed point\nfirst:\n%s\nsecond:\n%s", name, text, again)
+		}
+	}
+
+	back, err := qir.ParseModule(string(res.QIR.Emit()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := map[string]float64{"theta": 1.25, "phi": -0.3}
+	want, err := res.QIR.Bind(point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.Bind(point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Emit(), want.Emit()) {
+		t.Fatal("the parsed template binds a different payload")
 	}
 }

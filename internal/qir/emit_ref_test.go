@@ -19,12 +19,6 @@ func EmitReference(m *Module) string {
 	sb.WriteString("\n")
 
 	for _, w := range m.Waveforms {
-		if w.AmpExpr != nil {
-			// An unbound waveform has no concrete sample image; emitting one
-			// is a caller bug (Bind must run first). Fail loudly at parse.
-			fmt.Fprintf(&sb, "@%s = <unbound param %q>\n", w.Name, w.AmpExpr.Param)
-			continue
-		}
 		// Interleaved I/Q doubles, like an AWG memory image.
 		fmt.Fprintf(&sb, "@%s = private constant [%d x double] [", w.Name, 2*len(w.Samples))
 		for i, s := range w.Samples {
@@ -33,7 +27,11 @@ func EmitReference(m *Module) string {
 			}
 			fmt.Fprintf(&sb, "double %g, double %g", real(s), imag(s))
 		}
-		sb.WriteString("]\n")
+		sb.WriteString("]")
+		if w.AmpExpr != nil {
+			sb.WriteString(", !amp " + refSlot(w.AmpExpr))
+		}
+		sb.WriteString("\n")
 	}
 	if len(m.Waveforms) > 0 {
 		sb.WriteString("\n")
@@ -83,11 +81,17 @@ func EmitReference(m *Module) string {
 	return sb.String()
 }
 
+// refSlot renders an unbound template slot.
+func refSlot(e *ParamExpr) string {
+	return fmt.Sprintf("param(%q, %g, %g)", e.Param, e.Scale, e.Offset)
+}
+
 func refRenderArg(a Arg) string {
-	if a.Expr != nil {
-		// An unbound slot has no textual form; emitting one is a caller bug
-		// (Bind must run first). The token fails loudly at parse time.
-		return fmt.Sprintf("<unbound param %q>", a.Expr.Param)
+	switch {
+	case a.Expr != nil && a.Kind == ArgF64:
+		return "double " + refSlot(a.Expr)
+	case a.Expr != nil && a.Kind == ArgI64:
+		return "i64 " + refSlot(a.Expr)
 	}
 	switch a.Kind {
 	case ArgQubit:

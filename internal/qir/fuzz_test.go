@@ -1,6 +1,9 @@
 package qir
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // fuzzSeeds is FuzzParseModule's seed corpus, shared with the emitter's
 // reference test.
@@ -21,12 +24,17 @@ func fuzzSeeds() []string {
 		"define void @empty() #0 {\nentry:\n  ret void\n}\n",
 		"; ModuleID = 'x'\n@w = private constant [2 x double] [double 1, double 0]\ndefine void @m() {\nentry:\n}\n",
 		"garbage",
+		// Templates: slots on a waveform constant, a double and an i64.
+		string(parametricModule().Emit()),
+		"@w = private constant [2 x double] [double 1, double 0], !amp param(\"a, (b\", -0.5, 1e-3)\n" +
+			"define void @m() #0 {\n  call void @__quantum__pulse__delay__body(%Port* inttoptr (i64 0 to %Port*), i64 param(`dt`, 1, 0))\n}\n",
 	}
 }
 
 // FuzzParseModule exercises the textual QIR parser with arbitrary input:
 // whatever it accepts must survive an Emit → ParseModule round trip with
-// its structural fields intact.
+// its structural fields intact, and the emitted text must be a fixed point
+// of Emit∘ParseModule — the canonical form of a program, template or not.
 func FuzzParseModule(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -36,9 +44,13 @@ func FuzzParseModule(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := ParseModule(string(m.Emit()))
+		text := m.Emit()
+		again, err := ParseModule(string(text))
 		if err != nil {
-			t.Fatalf("re-parse of emitted module failed: %v\nemitted:\n%s", err, m.Emit())
+			t.Fatalf("re-parse of emitted module failed: %v\nemitted:\n%s", err, text)
+		}
+		if second := again.Emit(); !bytes.Equal(second, text) {
+			t.Fatalf("emitted text is not a fixed point\nfirst:\n%s\nsecond:\n%s", text, second)
 		}
 		if again.EntryName != m.EntryName || again.Profile != m.Profile ||
 			again.NumQubits != m.NumQubits || again.NumResults != m.NumResults ||

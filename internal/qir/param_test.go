@@ -1,7 +1,9 @@
 package qir
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -97,11 +99,49 @@ func TestBindRejections(t *testing.T) {
 	}
 }
 
-// TestEmitRefusesUnboundSlots: emitting a parametric module produces
-// tokens that cannot parse, so a missed Bind fails loudly downstream.
-func TestEmitRefusesUnboundSlots(t *testing.T) {
-	text := string(parametricModule().Emit())
-	if _, err := ParseModule(text); err == nil {
-		t.Fatal("emitted parametric module parsed cleanly")
+// SlottedModules is the in-package half of the parametric round-trip
+// corpus: the hand-written template above, one whose parameter names hold
+// everything a quoted string can, and the property test's random modules
+// with a share of their numeric arguments and waveform constants turned into
+// slots. It is exported (from a _test.go file) so the external test, which
+// adds what the compiler produces, can use it.
+func SlottedModules() map[string]*Module {
+	awkward := parametricModule()
+	awkward.ID = "awkward"
+	awkward.Waveforms[0].AmpExpr.Param = `a "quoted", (nested) name`
+	awkward.Body[0].Args[1].Expr = &ParamExpr{Param: "line\nbreak\\θ", Scale: -1e-300, Offset: math.MaxFloat64}
+	awkward.Body[1].Args[1].Expr.Param = ""
+	corpus := map[string]*Module{"hand-written": parametricModule(), "awkward": awkward}
+	rng := rand.New(rand.NewSource(16))
+	slot := func() *ParamExpr {
+		return &ParamExpr{Param: fmt.Sprintf("p%d", rng.Intn(4)), Scale: rng.NormFloat64(), Offset: rng.NormFloat64()}
+	}
+	for trial := 0; trial < 40; trial++ {
+		m := randomModule(rng, trial)
+		for wi := range m.Waveforms {
+			if rng.Intn(2) == 0 {
+				m.Waveforms[wi].AmpExpr = slot()
+			}
+		}
+		for _, c := range m.Body {
+			for ai, a := range c.Args {
+				if (a.Kind == ArgF64 || a.Kind == ArgI64) && rng.Intn(2) == 0 {
+					c.Args[ai] = Arg{Kind: a.Kind, Expr: slot()}
+				}
+			}
+		}
+		corpus[m.ID] = m
+	}
+	return corpus
+}
+
+// TestVerifyRejectsSlotOnHandle: only numeric arguments can be slots; the
+// text has no way to say anything else, and Verify holds in-memory modules
+// to the same rule.
+func TestVerifyRejectsSlotOnHandle(t *testing.T) {
+	m := parametricModule()
+	m.Body[0].Args[0].Expr = &ParamExpr{Param: "port", Scale: 1}
+	if err := m.Verify(); err == nil {
+		t.Fatal("Verify accepted a slot on a port handle")
 	}
 }

@@ -9,7 +9,8 @@ import (
 // ParseModule reads the textual form produced by Emit. The parser accepts
 // the straight-line Base/Pulse-Profile subset: one entry function of call
 // instructions, waveform constants, the #0 attribute group, and the !ports
-// metadata line.
+// metadata line — with a template's unbound slots where Emit writes them,
+// on double and i64 arguments and on waveform constants.
 func ParseModule(src string) (*Module, error) {
 	m := &Module{Profile: ProfileBase}
 	lines := strings.Split(src, "\n")
@@ -76,6 +77,7 @@ func ParseModule(src string) (*Module, error) {
 
 func parseWaveformConst(line string) (WaveformConst, error) {
 	// @name = private constant [N x double] [double a, double b, ...]
+	// optionally followed by an amplitude slot: , !amp param("p", s, o)
 	var w WaveformConst
 	eq := strings.Index(line, " =")
 	if eq < 0 {
@@ -86,9 +88,20 @@ func parseWaveformConst(line string) (WaveformConst, error) {
 	if open < 0 {
 		return w, fmt.Errorf("malformed waveform data")
 	}
-	data := line[open+3:]
-	if i := strings.LastIndex(data, "]"); i >= 0 {
-		data = data[:i]
+	data, tail, closed := strings.Cut(line[open+3:], "]")
+	if !closed {
+		return w, fmt.Errorf("unterminated waveform data")
+	}
+	if tail != "" {
+		slot, ok := strings.CutPrefix(tail, ", !amp ")
+		if !ok {
+			return w, fmt.Errorf("unrecognized text %q after waveform data", tail)
+		}
+		expr, err := parseSlot(slot)
+		if err != nil {
+			return w, err
+		}
+		w.AmpExpr = expr
 	}
 	fields := strings.Split(data, ",")
 	vals := make([]float64, 0, len(fields))
@@ -131,13 +144,19 @@ func parseCall(line string) (Call, error) {
 	return c, nil
 }
 
-// splitTopLevel splits on commas not inside parentheses (inttoptr args
-// contain nested parens).
+// splitTopLevel splits on commas not inside parentheses (inttoptr args and
+// slots contain nested parens) or inside a slot's quoted parameter name.
 func splitTopLevel(s string) []string {
 	var parts []string
 	depth, start := 0, 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
+		case '"':
+			for i++; i < len(s) && s[i] != '"'; i++ {
+				if s[i] == '\\' {
+					i++
+				}
+			}
 		case '(':
 			depth++
 		case ')':
@@ -166,6 +185,12 @@ func parseArg(s string) (Arg, error) {
 		return PortArg(i), err
 	case strings.HasPrefix(s, "%Waveform* @"):
 		return WaveformArg(strings.TrimPrefix(s, "%Waveform* @")), nil
+	case strings.HasPrefix(s, "double param("):
+		expr, err := parseSlot(strings.TrimPrefix(s, "double "))
+		return Arg{Kind: ArgF64, Expr: expr}, err
+	case strings.HasPrefix(s, "i64 param("):
+		expr, err := parseSlot(strings.TrimPrefix(s, "i64 "))
+		return Arg{Kind: ArgI64, Expr: expr}, err
 	case strings.HasPrefix(s, "double "):
 		v, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimPrefix(s, "double ")), 64)
 		return F64Arg(v), err
@@ -175,6 +200,37 @@ func parseArg(s string) (Arg, error) {
 	default:
 		return Arg{}, fmt.Errorf("unrecognized argument %q", s)
 	}
+}
+
+// parseSlot reads an unbound template slot: param("name", scale, offset).
+func parseSlot(s string) (*ParamExpr, error) {
+	body, ok := strings.CutPrefix(s, "param(")
+	if !ok || !strings.HasSuffix(body, ")") {
+		return nil, fmt.Errorf("malformed slot %q", s)
+	}
+	body = body[:len(body)-1]
+	quoted, err := strconv.QuotedPrefix(body)
+	if err != nil {
+		return nil, fmt.Errorf("slot %q: parameter name is not a quoted string", s)
+	}
+	name, err := strconv.Unquote(quoted)
+	if err != nil {
+		return nil, fmt.Errorf("slot %q: %v", s, err)
+	}
+	// What follows the name is ", scale, offset".
+	fields := strings.Split(body[len(quoted):], ",")
+	if len(fields) != 3 || strings.TrimSpace(fields[0]) != "" {
+		return nil, fmt.Errorf("slot %q: want a name, a scale and an offset", s)
+	}
+	scale, err := strconv.ParseFloat(strings.TrimSpace(fields[1]), 64)
+	if err != nil {
+		return nil, fmt.Errorf("slot %q: bad scale: %v", s, err)
+	}
+	offset, err := strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
+	if err != nil {
+		return nil, fmt.Errorf("slot %q: bad offset: %v", s, err)
+	}
+	return &ParamExpr{Param: name, Scale: scale, Offset: offset}, nil
 }
 
 // extractHandle pulls N out of "%T* inttoptr (i64 N to %T*)".

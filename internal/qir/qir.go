@@ -104,7 +104,8 @@ type Arg struct {
 	Sym  string  // waveform symbol
 	// Expr, when non-nil, marks the argument as an unbound template slot of
 	// the declared Kind (ArgF64 or ArgI64 only); Bind evaluates it. The
-	// literal fields are placeholders until then.
+	// literal fields are placeholders until then and are not part of the
+	// exchange text.
 	Expr *ParamExpr
 }
 
@@ -214,7 +215,8 @@ var intrinsicSigs = map[string][]ArgKind{
 
 // Verify checks profile conformance: declared resource counts cover every
 // handle used, waveform references resolve, intrinsics and signatures are
-// known, and pulse intrinsics only appear under the Pulse Profile.
+// known, pulse intrinsics only appear under the Pulse Profile, and template
+// slots sit only on numeric arguments.
 func (m *Module) Verify() error {
 	if m.EntryName == "" {
 		return errors.New("qir: module has no entry point")
@@ -266,6 +268,9 @@ func (m *Module) Verify() error {
 			}
 		}
 		for ai, a := range c.Args {
+			if a.Expr != nil && a.Kind != ArgF64 && a.Kind != ArgI64 {
+				return fmt.Errorf("qir: call %d arg %d: a %s argument cannot be a template slot", ci, ai, a.Kind)
+			}
 			switch a.Kind {
 			case ArgQubit:
 				if a.I < 0 || a.I >= int64(m.NumQubits) {

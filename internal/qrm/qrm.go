@@ -94,9 +94,9 @@ type Request struct {
 	// differ from the device the job is placed on. Empty means the
 	// dispatch device itself.
 	CompiledFor string
-	// Template is a compiled program — the in-process form every local
-	// client job takes; Payload/Format is the form that came off the wire.
-	// When set, Payload must be empty: the scheduler hands the program's
+	// Template is a compiled program — the form every client job takes,
+	// local or off the wire; Payload/Format is for callers that hold only
+	// text. When set, Payload must be empty: the scheduler hands the program's
 	// module to a qdmi.ModuleSubmitter device directly (text only as a
 	// fallback), substituting Bindings first — at dispatch time, after the
 	// epoch check — when the program has parameters.
@@ -531,9 +531,12 @@ func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi
 		if ms, ok := dev.(qdmi.ModuleSubmitter); ok {
 			return ms.SubmitModule(mod, opts)
 		}
-		// A template has no text of its own; its bound module does.
-		if req.Payload = p.Text(); req.Payload == nil {
+		// A device runs concrete text: a bound point's own emit, or the
+		// program's shared text when there was nothing to bind.
+		if len(p.Params) > 0 {
 			req.Payload = mod.Emit()
+		} else {
+			req.Payload = p.Text()
 		}
 		req.Format = p.Format
 	}
