@@ -704,8 +704,8 @@ func (r *RemoteAdapter) exchangeLocked(ctx context.Context, req *remoteRequest) 
 func resultFromWire(resp *remoteResponse, opts SubmitOptions) (*qpi.Result, error) {
 	counts := map[uint64]int{}
 	for k, v := range resp.Counts {
-		var mask uint64
-		if _, err := fmt.Sscanf(k, "%d", &mask); err != nil {
+		mask, err := strconv.ParseUint(k, 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("client: remote counts key %q: %v", k, err)
 		}
 		counts[mask] = v

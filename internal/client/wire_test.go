@@ -543,3 +543,35 @@ func TestLocalAndRemoteAgreeAtEveryMeasLevel(t *testing.T) {
 		})
 	}
 }
+
+// TestResultFromWireCountsKeys pins the counts decoder to whole decimal
+// uint64 keys: anything else in a server's response is an error that names
+// the key, never a silently truncated bitmask.
+func TestResultFromWireCountsKeys(t *testing.T) {
+	for _, tc := range []struct {
+		key  string
+		mask uint64
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"3", 3, true},
+		{"12abc", 0, false},
+		{"-1", 0, false},
+		{"", 0, false},
+		{" 3", 0, false},
+		{"18446744073709551616", 0, false}, // 2^64
+	} {
+		res, err := resultFromWire(&remoteResponse{Counts: map[string]int{tc.key: 7}, Shots: 7}, SubmitOptions{})
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.key)) {
+				t.Errorf("key %q: err = %v, want an error naming the key", tc.key, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("key %q: %v", tc.key, err)
+		} else if res.Counts[tc.mask] != 7 || len(res.Counts) != 1 {
+			t.Errorf("key %q: counts = %v, want {%d: 7}", tc.key, res.Counts, tc.mask)
+		}
+	}
+}

@@ -566,68 +566,6 @@ func TestTechnologyDiversityViaQDMI(t *testing.T) {
 	}
 }
 
-func TestMaterializePulseImpl(t *testing.T) {
-	d := newSC(t)
-	// Build a schedule from a custom impl that exercises every step kind.
-	spec := waveform.SpecFromEnvelope("w", waveform.Gaussian{Amplitude: 0.4, SigmaFrac: 0.2}, 32)
-	impl := &qdmi.PulseImpl{Operation: "combo", Steps: []qdmi.PulseStep{
-		{Kind: "play", PortRole: "drive0", Waveform: &spec},
-		{Kind: "shift_phase", PortRole: "drive0", PhaseRad: 0.3},
-		{Kind: "frame_change", PortRole: "drive0", FreqHz: 4.95e9, PhaseRad: -0.1},
-		{Kind: "set_frequency", PortRole: "drive0", FreqHz: 4.9e9},
-		{Kind: "delay", PortRole: "drive0", Samples: 16},
-		{Kind: "barrier"},
-		{Kind: "play", PortRole: "coupler", Waveform: &spec},
-		{Kind: "capture", PortRole: "readout0", Samples: 64},
-	}}
-	if err := impl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	binding, err := d.Binding(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Build an empty schedule with the device's ports/frames via a trivial
-	// module, then materialize on top of it.
-	mod := &qir.Module{ID: "m", Profile: qir.ProfilePulse, EntryName: "m"}
-	s, err := qir.BuildSchedule(mod, binding)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.MaterializePulseImpl(s, impl, []int{0, 1}, 3); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != len(impl.Steps) {
-		t.Fatalf("schedule has %d instructions, want %d", s.Len(), len(impl.Steps))
-	}
-	sp, err := s.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.CheckNoOverlap(); err != nil {
-		t.Fatal(err)
-	}
-	// Bad roles are rejected.
-	badRole := &qdmi.PulseImpl{Operation: "bad", Steps: []qdmi.PulseStep{
-		{Kind: "play", PortRole: "warp0", Waveform: &spec},
-	}}
-	if err := d.MaterializePulseImpl(s, badRole, []int{0}, 0); err == nil {
-		t.Fatal("unknown role accepted")
-	}
-	outOfRange := &qdmi.PulseImpl{Operation: "bad2", Steps: []qdmi.PulseStep{
-		{Kind: "play", PortRole: "drive5", Waveform: &spec},
-	}}
-	if err := d.MaterializePulseImpl(s, outOfRange, []int{0}, 0); err == nil {
-		t.Fatal("out-of-range role accepted")
-	}
-	couplerNoPair := &qdmi.PulseImpl{Operation: "bad3", Steps: []qdmi.PulseStep{
-		{Kind: "play", PortRole: "coupler", Waveform: &spec},
-	}}
-	if err := d.MaterializePulseImpl(s, couplerNoPair, []int{0}, 0); err == nil {
-		t.Fatal("coupler role with one site accepted")
-	}
-}
-
 func TestSuperconductingWithCoherence(t *testing.T) {
 	base, err := Superconducting("base", 2, 3)
 	if err != nil {

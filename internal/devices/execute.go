@@ -13,7 +13,6 @@ import (
 	"mqsspulse/internal/readout"
 	"mqsspulse/internal/simq"
 	"mqsspulse/internal/telemetry"
-	"mqsspulse/internal/waveform"
 )
 
 // readoutStimulusRabiHz is the (negligible) coupling assigned to readout
@@ -510,103 +509,12 @@ func (d *SimDevice) recordShotMetrics(reg *telemetry.Registry, res *simq.ExecRes
 	}
 }
 
-// BuildScheduleForPayload is an exported hook used by benchmarks and the
-// compiler's JIT stage to lower a payload without executing it.
+// BuildScheduleForPayload lowers a payload to a schedule without executing
+// it.
 func (d *SimDevice) BuildScheduleForPayload(mod *qir.Module) (*pulse.Schedule, error) {
 	binding, err := d.Binding(mod.PortNames)
 	if err != nil {
 		return nil, err
 	}
 	return qir.BuildSchedule(mod, binding)
-}
-
-// MaterializePulseImpl appends a calibrated PulseImpl onto a schedule,
-// resolving port roles ("drive0", "coupler", "readout1", ...) against the
-// concrete site tuple. It is used when clients install custom operations.
-func (d *SimDevice) MaterializePulseImpl(s *pulse.Schedule, impl *qdmi.PulseImpl, sites []int, resultBit int) error {
-	role := func(r string) (string, error) {
-		var idx int
-		switch {
-		case len(r) > 5 && r[:5] == "drive":
-			if _, err := fmt.Sscanf(r, "drive%d", &idx); err != nil || idx >= len(sites) {
-				return "", fmt.Errorf("%w: bad role %q", qdmi.ErrInvalidArgument, r)
-			}
-			return d.drivePort[sites[idx]], nil
-		case len(r) > 7 && r[:7] == "readout":
-			if _, err := fmt.Sscanf(r, "readout%d", &idx); err != nil || idx >= len(sites) {
-				return "", fmt.Errorf("%w: bad role %q", qdmi.ErrInvalidArgument, r)
-			}
-			return d.readPort[sites[idx]], nil
-		case r == "coupler":
-			if len(sites) != 2 {
-				return "", fmt.Errorf("%w: coupler role needs two sites", qdmi.ErrInvalidArgument)
-			}
-			a, b := sites[0], sites[1]
-			if a > b {
-				a, b = b, a
-			}
-			cp, ok := d.couplePort[[2]int{a, b}]
-			if !ok {
-				return "", fmt.Errorf("%w: sites %v not coupled", qdmi.ErrNotSupported, sites)
-			}
-			return cp, nil
-		default:
-			return "", fmt.Errorf("%w: unknown role %q", qdmi.ErrInvalidArgument, r)
-		}
-	}
-	for _, st := range impl.Steps {
-		switch st.Kind {
-		case "barrier":
-			if err := s.Append(&pulse.Barrier{}); err != nil {
-				return err
-			}
-			continue
-		}
-		port, err := role(st.PortRole)
-		if err != nil {
-			return err
-		}
-		frame := port + "-frame"
-		switch st.Kind {
-		case "play":
-			w, err := waveformFromSpec(st.Waveform)
-			if err != nil {
-				return err
-			}
-			err = s.Append(&pulse.Play{Port: port, Frame: frame, Waveform: w})
-			if err != nil {
-				return err
-			}
-		case "shift_phase":
-			if err := s.Append(&pulse.ShiftPhase{Port: port, Frame: frame, Phase: st.PhaseRad}); err != nil {
-				return err
-			}
-		case "set_frequency":
-			if err := s.Append(&pulse.SetFrequency{Port: port, Frame: frame, Hz: st.FreqHz}); err != nil {
-				return err
-			}
-		case "frame_change":
-			if err := s.Append(&pulse.FrameChange{Port: port, Frame: frame, Hz: st.FreqHz, Phase: st.PhaseRad}); err != nil {
-				return err
-			}
-		case "delay":
-			if err := s.Append(&pulse.Delay{Port: port, Samples: st.Samples}); err != nil {
-				return err
-			}
-		case "capture":
-			if err := s.Append(&pulse.Capture{Port: port, Frame: frame, Bit: resultBit, DurationSamples: st.Samples}); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("%w: step kind %q", qdmi.ErrInvalidArgument, st.Kind)
-		}
-	}
-	return nil
-}
-
-func waveformFromSpec(spec *waveform.Spec) (*waveform.Waveform, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("%w: play without waveform", qdmi.ErrInvalidArgument)
-	}
-	return spec.Materialize()
 }

@@ -1,7 +1,6 @@
 // Package experiments implements the reproduction harness: one experiment
 // per figure, listing, and quantitative claim of the paper. Each
-// experiment returns a Table that cmd/mqss-bench renders; bench_test.go
-// wraps the same code in testing.B loops.
+// experiment returns a Table that cmd/mqss-bench renders.
 package experiments
 
 import (
@@ -395,12 +394,8 @@ func L1Overhead(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
-// InterpretedPulseProgram renders the Listing-1 kernel in the interpreted
-// adapter's textual grammar (shared with bench_test.go).
-func InterpretedPulseProgram(dev *devices.SimDevice) string {
-	return interpretedPulseProgram(dev)
-}
-
+// interpretedPulseProgram renders the Listing-1 kernel in the interpreted
+// adapter's textual grammar.
 func interpretedPulseProgram(dev *devices.SimDevice) string {
 	amp := dev.CalibratedPiAmplitude(0)
 	var sb strings.Builder
@@ -730,12 +725,11 @@ func C3CtrlVQE(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
-// EvolveBenchRig builds the 2-transmon (d=3) bench system — anharmonic
-// drift, two drive channels, a ZZ coupler — and a schedule playing the
-// envelope on all three ports simultaneously. It is the single source of
-// the pulse-integration bench workload, shared by EXP-P1 and the root
-// BenchmarkEvolve* benches so both always measure the same system.
-func EvolveBenchRig(env waveform.Envelope, samples int, collapses []simq.Collapse) (*simq.Executor, *pulse.ScheduledProgram, error) {
+// benchRig builds the 2-transmon (d=3) bench system — anharmonic drift, two
+// drive channels, a ZZ coupler, the given collapses — and a schedule that
+// plays w on all three ports simultaneously. The caller appends whatever
+// follows the plays and resolves the schedule.
+func benchRig(w *waveform.Waveform, collapses []simq.Collapse) (*simq.Executor, *pulse.Schedule, error) {
 	dims := []int{3, 3}
 	drift := simq.TransmonDrift(dims, 0, 0, -220e6).Add(simq.TransmonDrift(dims, 1, 0, -210e6))
 	model, err := simq.NewSystemModel(dims, drift, []*simq.ControlChannel{
@@ -747,80 +741,61 @@ func EvolveBenchRig(env waveform.Envelope, samples int, collapses []simq.Collaps
 		return nil, nil, err
 	}
 	s := pulse.NewSchedule()
-	for _, p := range []*pulse.Port{
-		{ID: "d0", Kind: pulse.PortDrive, Sites: []int{0}, SampleRateHz: 1e9, MaxAmplitude: 1},
-		{ID: "d1", Kind: pulse.PortDrive, Sites: []int{1}, SampleRateHz: 1e9, MaxAmplitude: 1},
-		{ID: "c01", Kind: pulse.PortCoupler, Sites: []int{0, 1}, SampleRateHz: 1e9, MaxAmplitude: 1},
+	for _, p := range []struct {
+		port  *pulse.Port
+		frame *pulse.Frame
+	}{
+		{&pulse.Port{ID: "d0", Kind: pulse.PortDrive, Sites: []int{0}, SampleRateHz: 1e9, MaxAmplitude: 1}, pulse.NewFrame("f0", 5.0e9)},
+		{&pulse.Port{ID: "d1", Kind: pulse.PortDrive, Sites: []int{1}, SampleRateHz: 1e9, MaxAmplitude: 1}, pulse.NewFrame("f1", 5.1e9)},
+		{&pulse.Port{ID: "c01", Kind: pulse.PortCoupler, Sites: []int{0, 1}, SampleRateHz: 1e9, MaxAmplitude: 1}, pulse.NewFrame("fc", 0)},
 	} {
-		if err := s.AddPort(p); err != nil {
+		if err := s.AddPort(p.port); err != nil {
+			return nil, nil, err
+		}
+		if err := s.AddFrame(p.frame); err != nil {
+			return nil, nil, err
+		}
+		if err := s.Append(&pulse.Play{Port: p.port.ID, Frame: p.frame.ID, Waveform: w}); err != nil {
 			return nil, nil, err
 		}
 	}
-	for id, hz := range map[string]float64{"f0": 5.0e9, "f1": 5.1e9, "fc": 0} {
-		if err := s.AddFrame(pulse.NewFrame(id, hz)); err != nil {
-			return nil, nil, err
-		}
-	}
+	return simq.NewExecutor(model), s, nil
+}
+
+// EvolveBenchRig is the pulse-integration workload of the benchmark's simq
+// layer probes: the envelope played on every port of the benchRig system.
+func EvolveBenchRig(env waveform.Envelope, samples int, collapses []simq.Collapse) (*simq.Executor, *pulse.ScheduledProgram, error) {
 	w, err := env.Materialize("w", samples)
 	if err != nil {
 		return nil, nil, err
 	}
-	for port, frame := range map[string]string{"d0": "f0", "d1": "f1", "c01": "fc"} {
-		if err := s.Append(&pulse.Play{Port: port, Frame: frame, Waveform: w}); err != nil {
-			return nil, nil, err
-		}
+	ex, s, err := benchRig(w, collapses)
+	if err != nil {
+		return nil, nil, err
 	}
 	sp, err := s.Resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	return simq.NewExecutor(model), sp, nil
+	return ex, sp, nil
 }
 
-// ShotBenchRig builds the shot-throughput bench workload: the same
-// 2-transmon (d=3) open system as EvolveBenchRig (anharmonic drift, two
-// drives, ZZ coupler, T1/T2 collapses on both sites) driven by square
-// pulses — constant-χ stretches, the density engine's cached-propagator
-// path — followed by an idle gap and one capture per site. It is the
-// single source of the open-system shots job, shared by
-// BenchmarkShotsSerial, the mqss-bench shots_* report entry and the
-// benchmark's simq layer probes, so they always measure the same job.
+// ShotBenchRig is the open-system shots job of the benchmark's simq layer
+// probes: the benchRig system with T1/T2 collapses on both sites, driven by
+// square pulses — constant-χ stretches, the density engine's
+// cached-propagator path — followed by an idle gap and one capture per
+// site.
 func ShotBenchRig() (*simq.Executor, *pulse.ScheduledProgram, error) {
 	dims := []int{3, 3}
-	drift := simq.TransmonDrift(dims, 0, 0, -220e6).Add(simq.TransmonDrift(dims, 1, 0, -210e6))
 	collapses := append(simq.RelaxationCollapses(dims, 0, 25e-6, 18e-6),
 		simq.RelaxationCollapses(dims, 1, 30e-6, 21e-6)...)
-	model, err := simq.NewSystemModel(dims, drift, []*simq.ControlChannel{
-		simq.TransmonDriveChannel("d0", dims, 0, 40e6, 5.0e9),
-		simq.TransmonDriveChannel("d1", dims, 1, 40e6, 5.1e9),
-		simq.ZZCouplerChannel("c01", dims, 0, 2e6),
-	}, collapses)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := pulse.NewSchedule()
-	for _, p := range []*pulse.Port{
-		{ID: "d0", Kind: pulse.PortDrive, Sites: []int{0}, SampleRateHz: 1e9, MaxAmplitude: 1},
-		{ID: "d1", Kind: pulse.PortDrive, Sites: []int{1}, SampleRateHz: 1e9, MaxAmplitude: 1},
-		{ID: "c01", Kind: pulse.PortCoupler, Sites: []int{0, 1}, SampleRateHz: 1e9, MaxAmplitude: 1},
-	} {
-		if err := s.AddPort(p); err != nil {
-			return nil, nil, err
-		}
-	}
-	for id, hz := range map[string]float64{"f0": 5.0e9, "f1": 5.1e9, "fc": 0} {
-		if err := s.AddFrame(pulse.NewFrame(id, hz)); err != nil {
-			return nil, nil, err
-		}
-	}
 	w, err := waveform.Constant{Amplitude: 0.5}.Materialize("w", 256)
 	if err != nil {
 		return nil, nil, err
 	}
-	for port, frame := range map[string]string{"d0": "f0", "d1": "f1", "c01": "fc"} {
-		if err := s.Append(&pulse.Play{Port: port, Frame: frame, Waveform: w}); err != nil {
-			return nil, nil, err
-		}
+	ex, s, err := benchRig(w, collapses)
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := s.Append(&pulse.Barrier{}); err != nil {
 		return nil, nil, err
@@ -838,107 +813,34 @@ func ShotBenchRig() (*simq.Executor, *pulse.ScheduledProgram, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return simq.NewExecutor(model), sp, nil
+	return ex, sp, nil
 }
 
-// P1PulseIntegration measures the executor's driven-evolution hot path on
-// the 2-transmon (d=3) bench system: exact per-sample eigendecomposition
-// vs the matrix-free fast path, for a varying (Gaussian) and a constant
-// (square) envelope, on both engines. Accuracy is reported as the
-// infidelity between the two final states.
-func P1PulseIntegration(ctx context.Context) (*Table, error) {
-	t := &Table{
-		ID:      "EXP-P1",
-		Title:   "Pulse-integration hot loop: exact eigendecomposition vs matrix-free propagator",
-		Columns: []string{"engine", "envelope", "samples", "exact", "fast", "speedup", "infidelity"},
-	}
-	cases := []struct {
-		engine   string
-		env      waveform.Envelope
-		envLabel string
-		samples  int
-		decohere bool
-	}{
-		{"state", waveform.Gaussian{Amplitude: 0.5, SigmaFrac: 0.2}, "gaussian", 1024, false},
-		{"state", waveform.Constant{Amplitude: 0.5}, "square", 1024, false},
-		{"density", waveform.Gaussian{Amplitude: 0.5, SigmaFrac: 0.2}, "gaussian", 256, true},
-	}
-	for _, c := range cases {
-		var collapses []simq.Collapse
-		if c.decohere {
-			dims := []int{3, 3}
-			collapses = append(
-				simq.RelaxationCollapses(dims, 0, 30e-6, 20e-6),
-				simq.RelaxationCollapses(dims, 1, 25e-6, 18e-6)...)
-		}
-		ex, sp, err := EvolveBenchRig(c.env, c.samples, collapses)
-		if err != nil {
-			return nil, err
-		}
-		startExact := time.Now()
-		exact, err := ex.Run(sp, simq.ExecOptions{Shots: 1, Integrator: simq.IntegratorExact})
-		if err != nil {
-			return nil, err
-		}
-		exactT := time.Since(startExact)
-		startFast := time.Now()
-		fast, err := ex.Run(sp, simq.ExecOptions{Shots: 1})
-		if err != nil {
-			return nil, err
-		}
-		fastT := time.Since(startFast)
-		var infidelity float64
-		if c.decohere {
-			// Compare density matrices by max entry deviation.
-			infidelity = fast.FinalDensity.Rho.Sub(exact.FinalDensity.Rho).MaxAbs()
-		} else {
-			infidelity = 1 - simq.Fidelity(fast.FinalState, exact.FinalState)
-		}
-		t.Rows = append(t.Rows, []string{
-			c.engine, c.envLabel, fmt.Sprintf("%d", c.samples),
-			dur(exactT), dur(fastT),
-			fmt.Sprintf("%.1fx", float64(exactT)/float64(fastT)),
-			fmt.Sprintf("%.2g", infidelity),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"2 transmons at d=3 (drives + ZZ coupler), 1 GS/s; the workload every calibration, readout, and VQE loop bottlenecks on",
-		"square envelopes hit the constant-stretch propagator cache: one exponentiation per stretch",
-		"density rows report max |Δρ| entry deviation instead of state infidelity")
-	return t, nil
+// Experiment is one entry of the reproduction table list.
+type Experiment struct {
+	ID  string
+	Run func(context.Context) (*Table, error)
 }
 
-// All runs every experiment in order.
-func All(ctx context.Context) ([]*Table, error) {
-	runs := []func(context.Context) (*Table, error){
-		F1TopDown, F2EndToEnd, F3QDMI, L1Overhead, L2MLIR, L3QIR,
-		C1Calibration, C2OptimalControl, C3CtrlVQE, P1PulseIntegration,
-	}
-	var out []*Table
-	for _, run := range runs {
-		tab, err := run(ctx)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tab)
-	}
-	return out, nil
+// Experiments lists every experiment in the order -all runs them.
+var Experiments = []Experiment{
+	{"EXP-F1", F1TopDown},
+	{"EXP-F2", F2EndToEnd},
+	{"EXP-F3", F3QDMI},
+	{"EXP-L1", L1Overhead},
+	{"EXP-L2", L2MLIR},
+	{"EXP-L3", L3QIR},
+	{"EXP-C1", C1Calibration},
+	{"EXP-C2", C2OptimalControl},
+	{"EXP-C3", C3CtrlVQE},
 }
 
-// ByID resolves one experiment by its table ID.
+// ByID resolves one experiment by its table ID, case-insensitively.
 func ByID(id string) (func(context.Context) (*Table, error), bool) {
-	m := map[string]func(context.Context) (*Table, error){
-		"EXP-F1": F1TopDown,
-		"EXP-F2": F2EndToEnd,
-		"EXP-F3": F3QDMI,
-		"EXP-L1": L1Overhead,
-		"EXP-L2": L2MLIR,
-		"EXP-L3": L3QIR,
-		"EXP-C1": C1Calibration,
-		"EXP-C2": C2OptimalControl,
-		"EXP-C3": C3CtrlVQE,
-		"EXP-P1": P1PulseIntegration,
+	for _, e := range Experiments {
+		if strings.EqualFold(e.ID, id) {
+			return e.Run, true
+		}
 	}
-	f, ok := m[strings.ToUpper(id)]
-	return f, ok
+	return nil, false
 }

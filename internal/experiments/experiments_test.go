@@ -86,13 +86,12 @@ func TestL3QIRShape(t *testing.T) {
 }
 
 func TestByIDResolvesAll(t *testing.T) {
-	for _, id := range []string{"EXP-F1", "EXP-F2", "EXP-F3", "EXP-L1", "EXP-L2",
-		"EXP-L3", "EXP-C1", "EXP-C2", "EXP-C3", "EXP-P1"} {
-		if _, ok := ByID(id); !ok {
-			t.Errorf("%s unresolvable", id)
+	for _, e := range Experiments {
+		if _, ok := ByID(e.ID); !ok {
+			t.Errorf("%s unresolvable", e.ID)
 		}
-		if _, ok := ByID(strings.ToLower(id)); !ok {
-			t.Errorf("%s (lowercase) unresolvable", id)
+		if _, ok := ByID(strings.ToLower(e.ID)); !ok {
+			t.Errorf("%s (lowercase) unresolvable", e.ID)
 		}
 	}
 	if _, ok := ByID("EXP-Z9"); ok {

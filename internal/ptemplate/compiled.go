@@ -49,7 +49,7 @@ type Compiled struct {
 // device Module and never asks, so the text is emitted by the first call
 // and shared by every later one; callers must not modify it. A template's
 // text carries its slots (FromText reads it back); only a bound point's
-// text (BindPayload) is something a device can run.
+// text (Bind, then Emit) is something a device can run.
 func (c *Compiled) Text() []byte {
 	c.textOnce.Do(func() { c.text = c.Module.Emit() })
 	return c.text
@@ -171,15 +171,4 @@ func (c *Compiled) Bind(b Bindings) (*qir.Module, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadParam, err)
 	}
 	return mod, nil
-}
-
-// BindPayload binds one sweep point and emits the concrete QIR text
-// payload — byte-identical to compiling the circuit with the same values
-// substituted directly.
-func (c *Compiled) BindPayload(b Bindings) ([]byte, error) {
-	mod, err := c.Bind(b)
-	if err != nil {
-		return nil, err
-	}
-	return mod.Emit(), nil
 }

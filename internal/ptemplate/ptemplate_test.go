@@ -180,10 +180,11 @@ func TestBindMatchesPerPointCompile(t *testing.T) {
 		t.Fatal("lowered template lost its unbound slots")
 	}
 	for _, theta := range []float64{0.1, 0.7, 1.5, math.Pi / 2, 3.0, math.Pi} {
-		bound, err := compiled.BindPayload(Bindings{"theta": theta})
+		mod, err := compiled.Bind(Bindings{"theta": theta})
 		if err != nil {
 			t.Fatalf("theta=%g: %v", theta, err)
 		}
+		bound := mod.Emit()
 		ref := qpi.NewCircuit("rabi", 1, 1).RX(0, theta).Measure(0, 0)
 		if err := ref.End(); err != nil {
 			t.Fatal(err)
@@ -235,15 +236,15 @@ func TestFromTextRebuildsProgram(t *testing.T) {
 		t.Fatalf("identity/epoch/format = %q/%d/%s, want id-1/%d/%s",
 			rebuilt.Fingerprint, rebuilt.Epoch, rebuilt.Format, compiled.Epoch, compiled.Format)
 	}
-	want, err := compiled.BindPayload(Bindings{"theta": 1.25})
+	want, err := compiled.Bind(Bindings{"theta": 1.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rebuilt.BindPayload(Bindings{"theta": 1.25})
+	got, err := rebuilt.Bind(Bindings{"theta": 1.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(got.Emit(), want.Emit()) {
 		t.Fatal("rebuilt template binds a different payload")
 	}
 	if _, err := rebuilt.Bind(Bindings{"theta": 99}); !errors.Is(err, ErrBadParam) {

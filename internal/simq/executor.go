@@ -48,9 +48,6 @@ type ExecOptions struct {
 	// state. Shot workers additionally poll it between shots, so a
 	// cancelled batch drains without emitting further shot results.
 	Interrupted func() bool
-	// Integrator selects the driven-sample time-evolution algorithm; the
-	// zero value IntegratorAuto is the fast path.
-	Integrator Integrator
 	// ShotWorkers is the number of goroutines that draw shots (projective
 	// sampling, readout error, IQ synthesis) from the already-evolved
 	// state. 0 or 1 runs serially. It never selects an engine and never
@@ -58,23 +55,14 @@ type ExecOptions struct {
 	// shot index) and aggregation is performed in shot order, so Counts,
 	// IQ and Raw are byte-identical for any worker count.
 	ShotWorkers int
+
+	// exact replaces the fast driven-sample path (matrix-free scaled-Taylor
+	// propagator, memoized propagators for constant-envelope stretches)
+	// with the reference per-sample eigendecomposition (linalg.ExpI) —
+	// orders of magnitude slower. Only this package's property tests set
+	// it: they pin the fast path against it (state fidelity ≥ 1−1e−9).
+	exact bool
 }
-
-// Integrator selects the time-evolution algorithm used for driven sample
-// ticks.
-type Integrator int
-
-const (
-	// IntegratorAuto (the default) advances driven samples with the
-	// matrix-free scaled-Taylor propagator and memoizes exact propagators
-	// for constant-envelope stretches; accuracy is pinned against the
-	// exact path by property tests (state fidelity ≥ 1−1e−9).
-	IntegratorAuto Integrator = iota
-	// IntegratorExact forces the reference per-sample eigendecomposition
-	// (linalg.ExpI) for every driven tick — orders of magnitude slower.
-	// It exists for property tests and before/after benchmarks.
-	IntegratorExact
-)
 
 // ExecResult is the outcome of executing a scheduled pulse program.
 type ExecResult struct {
@@ -352,9 +340,8 @@ func (e *Executor) sampleDt(sp *pulse.ScheduledProgram) (float64, error) {
 
 // evolve integrates the dynamics over [0, makespan) ticks. Idle segments
 // are always advanced exactly (one cached ExpI per distinct segment
-// length); driven segments go through either the matrix-free fast path
-// (IntegratorAuto) or the reference per-sample eigendecomposition
-// (IntegratorExact).
+// length); driven segments go through the matrix-free fast path, or the
+// reference per-sample eigendecomposition when a test sets opts.exact.
 func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, plays []playEvent, makespan int64, opts ExecOptions) error {
 	sortPlays(plays)
 	ticks := segmentTicks(plays, makespan)
@@ -407,10 +394,10 @@ func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, plays []play
 			continue
 		}
 		var err error
-		if opts.Integrator != IntegratorExact {
-			err = e.drivenFast(eng, st, rho, t0, t1, poll)
-		} else {
+		if opts.exact {
 			err = e.drivenExact(eng, st, rho, t0, t1, poll)
+		} else {
+			err = e.drivenFast(eng, st, rho, t0, t1, poll)
 		}
 		if err != nil {
 			return err

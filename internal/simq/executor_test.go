@@ -438,20 +438,20 @@ func TestCancelDuringLongPlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, integ := range []Integrator{IntegratorAuto, IntegratorExact} {
+	for _, exact := range []bool{false, true} {
 		calls := 0
-		_, err = ex.Run(sp, ExecOptions{Shots: 1, Integrator: integ, Interrupted: func() bool {
+		_, err = ex.Run(sp, ExecOptions{Shots: 1, exact: exact, Interrupted: func() bool {
 			calls++
 			return calls > 1
 		}})
 		if err != ErrInterrupted {
-			t.Fatalf("integrator %d: err = %v, want ErrInterrupted", integ, err)
+			t.Fatalf("exact=%v: err = %v, want ErrInterrupted", exact, err)
 		}
 		// Two segment-boundary-equivalent polls plus at most a few in-loop
 		// polls: the abort must not have waited for the full 100k samples
 		// (which would have needed ~97 further polls).
 		if calls > 5 {
-			t.Fatalf("integrator %d: %d polls before abort; cancellation latency unbounded", integ, calls)
+			t.Fatalf("exact=%v: %d polls before abort; cancellation latency unbounded", exact, calls)
 		}
 	}
 }

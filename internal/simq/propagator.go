@@ -16,7 +16,7 @@ import (
 // eigendecomposition propagator (linalg.ExpI) remains the reference — it
 // is still used for idle segments and constant-envelope stretches (once
 // per distinct stretch, memoized in the executor's propagator cache), and
-// for every driven tick under ExecOptions' IntegratorExact.
+// for every driven tick when a property test sets ExecOptions.exact.
 //
 // Accuracy: each sample tick applies exp(-i·H·dt) expanded as a Taylor
 // series on the state, sub-stepped so that ‖H‖·dt_sub ≤ taylorThetaMax

@@ -184,7 +184,7 @@ func TestFastIntegratorMatchesExactState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := ex.Run(sp, ExecOptions{Shots: 1, Integrator: IntegratorExact})
+		exact, err := ex.Run(sp, ExecOptions{Shots: 1, exact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestFastIntegratorMatchesExactDensity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := ex.Run(sp, ExecOptions{Shots: 1, Integrator: IntegratorExact})
+		exact, err := ex.Run(sp, ExecOptions{Shots: 1, exact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestFastIntegratorDetunedDrive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ex.Run(sp, ExecOptions{Shots: 1, Integrator: IntegratorExact})
+	exact, err := ex.Run(sp, ExecOptions{Shots: 1, exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -240,26 +239,4 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms[name] = h.Snapshot()
 	}
 	return snap
-}
-
-// HistogramNames returns the snapshot's histogram names sorted for stable
-// rendering.
-func (s Snapshot) HistogramNames() []string {
-	names := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// CounterNames returns the snapshot's counter names sorted for stable
-// rendering.
-func (s Snapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,11 +1,9 @@
 // Package suite assembles the full mqssvet analyzer suite in one
-// importable place, so the mqssvet command, its tests, and mqss-bench's
-// analysis wall-time experiment all run exactly the same checks.
+// importable place, so the mqssvet command and its tests run exactly the
+// same checks.
 package suite
 
 import (
-	"go/token"
-
 	"mqsspulse/tools/mqssvet/analysis"
 	"mqsspulse/tools/mqssvet/analyzers/ctxcancel"
 	"mqsspulse/tools/mqssvet/analyzers/ctxflow"
@@ -33,15 +31,4 @@ var All = []*analysis.Analyzer{
 	goleak.Analyzer,
 	hotalloc.Analyzer,
 	doccomment.Analyzer,
-}
-
-// Analyze loads the packages matching patterns from dir and runs the
-// whole suite over them — the programmatic equivalent of
-// `go run ./tools/mqssvet <patterns>` without the go vet pass.
-func Analyze(dir string, patterns []string) ([]analysis.Diagnostic, *token.FileSet, error) {
-	pkgs, fset, err := analysis.Load(dir, patterns)
-	if err != nil {
-		return nil, nil, err
-	}
-	return analysis.Run(fset, pkgs, All), fset, nil
 }
