@@ -95,6 +95,11 @@ var ErrNoSuchTarget = qrm.ErrNoSuchTarget
 // protocol, so errors.Is works against remote submissions too.
 var ErrStaleCalibration = qrm.ErrStaleCalibration
 
+// ErrTooLarge is the sentinel wrapped into the failure of a remote
+// submission whose request or response line passed the wire's 16 MiB frame
+// bound; test with errors.Is.
+var ErrTooLarge = client.ErrTooLarge
+
 // WithShots sets the number of measurement shots.
 func WithShots(n int) ExecOption { return qpi.WithShots(n) }
 

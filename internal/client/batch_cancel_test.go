@@ -223,15 +223,15 @@ func TestLoweringCacheWaveformSamplesKeyed(t *testing.T) {
 	if string(p1) == string(p2) {
 		t.Fatal("different waveform samples collided in the lowering cache")
 	}
-	if c.CacheHits() != 0 {
-		t.Fatalf("cache hits = %d, want 0 (distinct kernels)", c.CacheHits())
+	if c.CacheStats().Hits != 0 {
+		t.Fatalf("cache hits = %d, want 0 (distinct kernels)", c.CacheStats().Hits)
 	}
 	// Same samples do hit.
 	if _, _, err := c.Compile(make2(0.9), "hpcqc-sc"); err != nil {
 		t.Fatal(err)
 	}
-	if c.CacheHits() != 1 {
-		t.Fatalf("cache hits = %d, want 1", c.CacheHits())
+	if c.CacheStats().Hits != 1 {
+		t.Fatalf("cache hits = %d, want 1", c.CacheStats().Hits)
 	}
 }
 
@@ -246,15 +246,15 @@ func TestSubmitBypassCache(t *testing.T) {
 		SubmitOptions{Shots: 16, BypassCache: true}); err != nil {
 		t.Fatal(err)
 	}
-	if c.CacheHits() != 0 {
-		t.Fatalf("bypass still hit the cache (%d)", c.CacheHits())
+	if c.CacheStats().Hits != 0 {
+		t.Fatalf("bypass still hit the cache (%d)", c.CacheStats().Hits)
 	}
 	// A normal submission hits.
 	if _, err := c.RunCtx(context.Background(), k, "hpcqc-sc", SubmitOptions{Shots: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if c.CacheHits() != 1 {
-		t.Fatalf("cache hits = %d", c.CacheHits())
+	if c.CacheStats().Hits != 1 {
+		t.Fatalf("cache hits = %d", c.CacheStats().Hits)
 	}
 }
 

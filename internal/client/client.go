@@ -67,15 +67,13 @@ type Client struct {
 	mu sync.Mutex //mqss:lockrank 10
 	// loweringCache memoizes compiled programs keyed by their descriptor
 	// (ptemplate.Descriptor: device, kernel structure, declared parameter
-	// space); ablation benchmarks toggle it. It is a bounded LRU (cacheLimit
-	// entries; lruList front = most recently used), and every program
-	// records the calibration epoch of the device it was lowered against: a
-	// lookup whose target has recalibrated since invalidates the entry
-	// instead of serving a stale program.
+	// space). It is a bounded LRU (cacheLimit entries; lruList front = most
+	// recently used), and every program records the calibration epoch of the
+	// device it was lowered against: a lookup whose target has recalibrated
+	// since invalidates the entry instead of serving a stale program.
 	loweringCache map[string]*list.Element
 	lruList       *list.List
 	cacheLimit    int
-	CacheEnabled  bool
 	cacheStats    CacheStats
 	// templateEntries tracks how many cached programs have parameters (kept
 	// incrementally; removeLocked maintains it).
@@ -122,7 +120,6 @@ func New(session *qdmi.Session) *Client {
 		loweringCache: map[string]*list.Element{},
 		lruList:       list.New(),
 		cacheLimit:    DefaultCacheEntries,
-		CacheEnabled:  true,
 	}
 	// One registry spans the stack: client compile/bind stages, scheduler
 	// queue-wait and dispatch counters, and device execution stages all
@@ -156,13 +153,6 @@ func (c *Client) Devices() ([]string, error) { return c.session.Devices() }
 
 // Device resolves a device for direct QDMI queries.
 func (c *Client) Device(name string) (qdmi.Device, error) { return c.session.Device(name) }
-
-// CacheHits reports lowering-cache hits (ablation metric).
-func (c *Client) CacheHits() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cacheStats.Hits
-}
 
 // CacheStats snapshots the lowering-cache counters.
 func (c *Client) CacheStats() CacheStats {
@@ -277,7 +267,7 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string, 
 		return nil, false, err
 	}
 	key := ptemplate.Descriptor(k, params, device)
-	if !c.CacheEnabled || bypassCache {
+	if bypassCache {
 		program, err := ptemplate.LowerCircuit(k, params, dev, device, key)
 		return program, false, err
 	}
@@ -335,15 +325,6 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string, 
 // SubmitOptions tunes a submission: the QPI's execution config, carried
 // as is rather than re-declared.
 type SubmitOptions = qpi.ExecConfig
-
-// resultFromQDMI converts a device-layer result into the QPI form,
-// carrying the acquisition records through unchanged.
-func resultFromQDMI(res *qdmi.Result) *qpi.Result {
-	return &qpi.Result{
-		Counts: res.Counts, Shots: res.Shots, DurationSeconds: res.DurationSeconds,
-		MeasLevel: res.MeasLevel, Bits: res.Bits, IQ: res.IQ, Raw: res.Raw,
-	}
-}
 
 // compileTarget resolves the device a submission compiles against: the
 // named device, or — for pool submissions — the pool's first member in
@@ -433,15 +414,6 @@ func (c *Client) submit(ctx context.Context, k *qpi.Circuit, params []ptemplate.
 	return c.qrm.SubmitCtx(ctx, req)
 }
 
-// wait blocks on one ticket under ctx and converts its result.
-func wait(ctx context.Context, tk *qrm.Ticket) (*qpi.Result, error) {
-	res, err := tk.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromQDMI(res), nil
-}
-
 // waitAll is the one ticket wait loop behind RunBatch and RunSweep: the
 // result slice is parallel to tickets, and an entry that never got a ticket
 // carries its submission error.
@@ -452,7 +424,7 @@ func waitAll(ctx context.Context, tickets []*qrm.Ticket, errs []error) []BatchRe
 			out[i].Err = errs[i]
 			continue
 		}
-		out[i].Result, out[i].Err = wait(ctx, tk)
+		out[i].Result, out[i].Err = tk.Wait(ctx)
 	}
 	return out
 }
@@ -464,7 +436,7 @@ func (c *Client) RunCtx(ctx context.Context, k *qpi.Circuit, device string, opts
 	if err != nil {
 		return nil, err
 	}
-	return wait(ctx, tk)
+	return tk.Wait(ctx)
 }
 
 // BatchResult pairs one batch entry's outcome with its error; exactly one
@@ -578,4 +550,4 @@ func (h *ticketHandle) Cancel() { h.tk.Cancel() }
 func (h *ticketHandle) Timeline() *telemetry.Timeline { return h.tk.Timeline() }
 
 // Wait implements qpi.Handle.
-func (h *ticketHandle) Wait(ctx context.Context) (*qpi.Result, error) { return wait(ctx, h.tk) }
+func (h *ticketHandle) Wait(ctx context.Context) (*qpi.Result, error) { return h.tk.Wait(ctx) }

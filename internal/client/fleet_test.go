@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
 	"mqsspulse/internal/devices"
@@ -60,7 +59,7 @@ func TestClientPoolSubmission(t *testing.T) {
 	if _, err := c.RunCtx(context.Background(), bell(t), "", SubmitOptions{Shots: 64, Pool: "sims"}); err != nil {
 		t.Fatal(err)
 	}
-	if c.CacheHits() == 0 {
+	if c.CacheStats().Hits == 0 {
 		t.Fatal("pool submissions bypassed the lowering cache")
 	}
 }
@@ -121,40 +120,5 @@ func TestRemotePoolSubmission(t *testing.T) {
 	if _, err := remote.SubmitPayloadCtx(context.Background(), fmtDev(0), payload, format,
 		SubmitOptions{Shots: 0}); !errors.Is(err, qdmi.ErrInvalidArgument) {
 		t.Fatalf("err = %v, want ErrInvalidArgument across the wire for zero shots", err)
-	}
-}
-
-func TestWireErrorKindRoundTrip(t *testing.T) {
-	cases := []struct {
-		err  error
-		kind string
-	}{
-		{qrm.ErrOverloaded, "overloaded"},
-		{qrm.ErrNoSuchTarget, "no_such_target"},
-		{qrm.ErrCancelled, "cancelled"},
-		{qdmi.ErrNotSupported, "not_supported"},
-		{qdmi.ErrInvalidArgument, "invalid_argument"},
-		{qdmi.ErrFatal, "fatal"},
-		{context.DeadlineExceeded, "deadline_exceeded"},
-		{errUnknownProgram, "unknown_program"},
-		{errors.New("plain"), ""},
-	}
-	for _, tc := range cases {
-		if got := errorKind(tc.err); got != tc.kind {
-			t.Fatalf("errorKind(%v) = %q, want %q", tc.err, got, tc.kind)
-		}
-		rebuilt := errorFromWire(tc.kind, tc.err.Error())
-		if tc.kind != "" && !errors.Is(rebuilt, tc.err) {
-			t.Fatalf("errorFromWire(%q) = %v, does not match sentinel", tc.kind, rebuilt)
-		}
-	}
-	if !errors.Is(errorFromWire("overloaded", "queue full"), qrm.ErrOverloaded) {
-		t.Fatal("overloaded kind lost across the wire")
-	}
-	// A job its deadline ended is both cancelled and timed out; the deadline
-	// is what the caller has to hear.
-	both := fmt.Errorf("%w: %w", context.DeadlineExceeded, qrm.ErrCancelled)
-	if got := errorKind(both); got != "deadline_exceeded" {
-		t.Fatalf("errorKind(%v) = %q, want deadline_exceeded", both, got)
 	}
 }

@@ -31,11 +31,6 @@ import (
 type InterpretedAdapter struct {
 	Client *Client
 	Target string
-	// ParseCacheEnabled memoizes parsed programs (ablation knob); off by
-	// default to model a naive interpreter.
-	ParseCacheEnabled bool
-
-	cache map[string]*qpi.Circuit
 }
 
 // Name identifies the adapter.
@@ -43,14 +38,6 @@ func (a *InterpretedAdapter) Name() string { return "interpreted/" + a.Target }
 
 // ParseProgram interprets the textual program into a QPI kernel.
 func (a *InterpretedAdapter) ParseProgram(src string) (*qpi.Circuit, error) {
-	if a.ParseCacheEnabled {
-		if a.cache == nil {
-			a.cache = map[string]*qpi.Circuit{}
-		}
-		if c, ok := a.cache[src]; ok {
-			return c, nil
-		}
-	}
 	var c *qpi.Circuit
 	for ln, raw := range strings.Split(src, "\n") {
 		line := strings.TrimSpace(raw)
@@ -170,9 +157,6 @@ func (a *InterpretedAdapter) ParseProgram(src string) (*qpi.Circuit, error) {
 	}
 	if err := c.End(); err != nil {
 		return nil, err
-	}
-	if a.ParseCacheEnabled {
-		a.cache[src] = c
 	}
 	return c, nil
 }

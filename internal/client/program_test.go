@@ -130,8 +130,8 @@ func TestCachedJobReachesDeviceAsModule(t *testing.T) {
 	if m, p := dev.modules.Load(), dev.payloads.Load(); m != 1 || p != 0 {
 		t.Fatalf("cached job: %d SubmitModule and %d SubmitJobOpts calls, want 1 and 0", m, p)
 	}
-	if c.CacheHits() != 1 {
-		t.Fatalf("cache hits = %d, want 1", c.CacheHits())
+	if c.CacheStats().Hits != 1 {
+		t.Fatalf("cache hits = %d, want 1", c.CacheStats().Hits)
 	}
 
 	program, _, err := c.lower(k, nil, "hpcqc-sc", false)

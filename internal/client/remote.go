@@ -39,6 +39,12 @@ import (
 // adapter registers and retries.
 const maxStoredPrograms = 64
 
+// maxFrameBytes bounds one line of the protocol in either direction. The
+// side that reads a longer one answers (server) or fails (adapter) with
+// ErrTooLarge and gives the connection up: what follows an abandoned line
+// cannot be told from the start of the next.
+const maxFrameBytes = 1 << 24
+
 // remoteRequest is the wire form of a request.
 type remoteRequest struct {
 	// Op selects the request kind: "register", "submit" or "telemetry".
@@ -208,7 +214,7 @@ func (s *Server) serve(conn net.Conn) {
 	stop := context.AfterFunc(s.ctx, func() { _ = conn.SetDeadline(time.Now()) })
 	defer stop()
 	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	scanner.Buffer(make([]byte, 0, 1<<20), maxFrameBytes)
 	enc := json.NewEncoder(conn)
 	// Registered programs are scoped to the connection: the store dies with
 	// it, so a reconnecting adapter re-registers (and a restarted server can
@@ -219,6 +225,9 @@ func (s *Server) serve(conn net.Conn) {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout))
 		}
 		if !scanner.Scan() {
+			if errors.Is(scanner.Err(), bufio.ErrTooLong) {
+				_ = enc.Encode(failure(fmt.Errorf("%w: request line over %d bytes", ErrTooLarge, maxFrameBytes)))
+			}
 			return
 		}
 		if err := enc.Encode(s.handleLine(scanner.Bytes(), store)); err != nil {
@@ -398,63 +407,57 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 // and retrying once, so callers see it only if that fails too.
 var errUnknownProgram = errors.New("program not registered on this connection")
 
-// errorKind classifies a scheduler error for the wire, so typed sentinels
-// survive the machine boundary.
-func errorKind(err error) string {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		// Before cancelled: a job ended by timeout_ms or the server's job-time
-		// cap is both.
-		return "deadline_exceeded"
-	case errors.Is(err, errUnknownProgram):
-		return "unknown_program"
-	case errors.Is(err, qrm.ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, qrm.ErrNoSuchTarget):
-		return "no_such_target"
-	case errors.Is(err, qrm.ErrStaleCalibration):
-		return "stale_calibration"
-	case errors.Is(err, ptemplate.ErrBadParam):
-		return "bad_param"
-	case errors.Is(err, qrm.ErrCancelled):
-		return "cancelled"
-	case errors.Is(err, qdmi.ErrNotSupported):
-		return "not_supported"
-	case errors.Is(err, qdmi.ErrInvalidArgument):
-		return "invalid_argument"
-	case errors.Is(err, qdmi.ErrFatal):
-		return "fatal"
-	default:
-		return ""
-	}
+// ErrTooLarge is wrapped into the failure of an exchange whose request or
+// response line would pass maxFrameBytes (raw-level IQ for many shots gets
+// there). A line that was already on the wire costs the connection; program
+// text refused before sending does not.
+var ErrTooLarge = errors.New("client: wire frame too large")
+
+// wireErrorKinds is the one place a wire error kind is spelled: each row
+// pairs the error_kind string with the sentinel it stands for, so whatever
+// the server can encode the adapter can decode. Order matters to errorKind
+// only where one error wraps two sentinels: a job ended by timeout_ms or the
+// server's job-time cap is both deadline_exceeded and cancelled, and the
+// deadline is what the caller has to hear. ARCHITECTURE.md documents the
+// kinds; TestWireErrorKindRoundTrip checks every row and that every
+// exported sentinel of the layers below has one.
+var wireErrorKinds = []struct {
+	kind     string
+	sentinel error
+}{
+	{"deadline_exceeded", context.DeadlineExceeded},
+	{"unknown_program", errUnknownProgram},
+	{"too_large", ErrTooLarge},
+	{"overloaded", qrm.ErrOverloaded},
+	{"no_such_target", qrm.ErrNoSuchTarget},
+	{"stale_calibration", qrm.ErrStaleCalibration},
+	{"bad_param", ptemplate.ErrBadParam},
+	{"cancelled", qrm.ErrCancelled},
+	{"not_supported", qdmi.ErrNotSupported},
+	{"invalid_argument", qdmi.ErrInvalidArgument},
+	{"fatal", qdmi.ErrFatal},
 }
 
-// errorFromWire rebuilds a typed submission error from the wire fields.
-func errorFromWire(kind, msg string) error {
-	switch kind {
-	case "overloaded":
-		return fmt.Errorf("client: remote: %w: %s", qrm.ErrOverloaded, msg)
-	case "no_such_target":
-		return fmt.Errorf("client: remote: %w: %s", qrm.ErrNoSuchTarget, msg)
-	case "stale_calibration":
-		return fmt.Errorf("client: remote: %w: %s", qrm.ErrStaleCalibration, msg)
-	case "bad_param":
-		return fmt.Errorf("client: remote: %w: %s", ptemplate.ErrBadParam, msg)
-	case "cancelled":
-		return fmt.Errorf("client: remote: %w: %s", qrm.ErrCancelled, msg)
-	case "not_supported":
-		return fmt.Errorf("client: remote: %w: %s", qdmi.ErrNotSupported, msg)
-	case "invalid_argument":
-		return fmt.Errorf("client: remote: %w: %s", qdmi.ErrInvalidArgument, msg)
-	case "fatal":
-		return fmt.Errorf("client: remote: %w: %s", qdmi.ErrFatal, msg)
-	case "deadline_exceeded":
-		return fmt.Errorf("client: remote: %w: %s", context.DeadlineExceeded, msg)
-	case "unknown_program":
-		return fmt.Errorf("client: remote: %w: %s", errUnknownProgram, msg)
-	default:
-		return fmt.Errorf("client: remote: %s", msg)
+// errorKind classifies an error for the wire, so typed sentinels survive
+// the machine boundary: the first row whose sentinel err wraps, or "".
+func errorKind(err error) string {
+	for _, k := range wireErrorKinds {
+		if errors.Is(err, k.sentinel) {
+			return k.kind
+		}
 	}
+	return ""
+}
+
+// errorFromWire rebuilds a typed submission error from the wire fields; an
+// unknown or empty kind keeps the message only.
+func errorFromWire(kind, msg string) error {
+	for _, k := range wireErrorKinds {
+		if k.kind == kind {
+			return fmt.Errorf("client: remote: %w: %s", k.sentinel, msg)
+		}
+	}
+	return fmt.Errorf("client: remote: %s", msg)
 }
 
 // RemoteOption tunes a RemoteAdapter.
@@ -583,13 +586,18 @@ func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ds := tl.StartSpan(telemetry.StageDispatch, "remote:"+r.addr, 0)
-	resp, err := r.submitRegisteredLocked(ctx, &req, p)
-	ds.End()
+	var (
+		resp *remoteResponse
+		err  error
+	)
+	tl.Span(telemetry.StageDispatch, "remote:"+r.addr, 0, func(id telemetry.SpanID) {
+		if resp, err = r.submitRegisteredLocked(ctx, &req, p); err == nil {
+			tl.Import(telemetry.FromWire(resp.Spans), id)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	tl.Import(telemetry.FromWire(resp.Spans), ds.ID())
 	return resultFromWire(resp, opts)
 }
 
@@ -601,6 +609,10 @@ func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram
 func (r *RemoteAdapter) submitRegisteredLocked(ctx context.Context, req *remoteRequest, p wireProgram) (*remoteResponse, error) {
 	for attempt := 0; ; attempt++ {
 		if !r.registered[p.id] {
+			if len(p.text) >= maxFrameBytes {
+				// The server would stop reading mid-line; nothing is sent.
+				return nil, fmt.Errorf("client: remote: %w: program text of %d bytes", ErrTooLarge, len(p.text))
+			}
 			reg := remoteRequest{Op: "register", ID: p.id, Program: string(p.text), Params: p.params, Epoch: p.epoch}
 			if _, err := r.exchangeLocked(ctx, &reg); err != nil {
 				return nil, err
@@ -677,10 +689,16 @@ func (r *RemoteAdapter) exchangeLocked(ctx context.Context, req *remoteRequest) 
 	var line []byte
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-		chunk, err := r.rd.ReadBytes('\n')
+		chunk, err := r.rd.ReadSlice('\n')
 		line = append(line, chunk...)
+		if len(line) > maxFrameBytes {
+			return nil, r.wireError(ctx, fmt.Errorf("client: remote: %w: response line over %d bytes", ErrTooLarge, maxFrameBytes))
+		}
 		if err == nil {
 			break
+		}
+		if errors.Is(err, bufio.ErrBufferFull) {
+			continue // a line longer than the reader's buffer: keep collecting
 		}
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() && ctx.Err() == nil {

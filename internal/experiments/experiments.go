@@ -316,21 +316,14 @@ func F3QDMI(ctx context.Context) (*Table, error) {
 
 // L1Overhead reproduces the Section 5.1 claim: the compiled QPI has far
 // lower per-submission overhead than a scripting-style interpreted
-// interface. Measured is the classical cost only (construct + compile),
-// with the lowering cache off so every iteration pays full cost.
+// interface. Measured is the classical cost only (construct + compile);
+// the compiler is called directly, so every iteration pays the full JIT.
 func L1Overhead(ctx context.Context) (*Table, error) {
 	dev, err := devices.Superconducting("l1-sc", 2, 104)
 	if err != nil {
 		return nil, err
 	}
-	drv := qdmi.NewDriver()
-	if err := drv.RegisterDevice(dev); err != nil {
-		return nil, err
-	}
-	cl := client.New(drv.OpenSession())
-	defer cl.Close()
-	cl.CacheEnabled = false
-	interp := &client.InterpretedAdapter{Client: cl, Target: "l1-sc"}
+	interp := &client.InterpretedAdapter{Target: "l1-sc"}
 
 	program := interpretedPulseProgram(dev)
 	const iters = 300
@@ -373,7 +366,7 @@ func L1Overhead(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		_, _, err = cl.Compile(k, "l1-sc")
+		_, err = compiler.Compile(k, dev)
 		return err
 	}); err != nil {
 		return nil, err
@@ -383,7 +376,7 @@ func L1Overhead(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		_, _, err = cl.Compile(k, "l1-sc")
+		_, err = compiler.Compile(k, dev)
 		return err
 	}); err != nil {
 		return nil, err

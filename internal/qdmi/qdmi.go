@@ -189,26 +189,8 @@ func (s JobStatus) String() string {
 	}
 }
 
-// Result is a completed job's measurement data. Counts are always
-// populated; the IQ-level fields are set when the job was submitted at a
-// kerneled or raw measurement level through an AcquisitionSubmitter.
-type Result struct {
-	Counts          map[uint64]int
-	Shots           int
-	DurationSeconds float64 // executed schedule wall-clock length
-
-	// MeasLevel records the measurement level of the returned data.
-	MeasLevel readout.MeasLevel
-	// Bits lists the classical-bit positions captured, in the column order
-	// of IQ and Raw.
-	Bits []int
-	// IQ holds one integrated point per capture per shot (one averaged row
-	// under MeasReturn avg); kerneled and raw levels only.
-	IQ [][]readout.IQ
-	// Raw holds per-sample capture traces, [shot][capture][sample]; raw
-	// level only.
-	Raw [][][]complex128
-}
+// Result is a completed job's measurement data.
+type Result = readout.Result
 
 // JobOptions extends plain (payload, format, shots) submission with the
 // acquisition parameters of the pulse extension.

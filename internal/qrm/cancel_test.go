@@ -10,6 +10,7 @@ import (
 
 	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/telemetry"
 )
 
 // blockingDevice is a mock device whose jobs run until released, so tests
@@ -22,6 +23,9 @@ type blockingDevice struct {
 	order   []string
 	nextJob int
 	release chan struct{} // jobs finish only after this closes
+
+	submitErr error // when set, SubmitJob refuses every job with it
+	noAbort   bool  // when set, jobs lack the RunningCanceller capability
 }
 
 func newBlockingDevice(name string) *blockingDevice {
@@ -55,6 +59,9 @@ func (d *blockingDevice) SetPulseImpl(string, []int, *qdmi.PulseImpl) error {
 }
 
 func (d *blockingDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots int) (qdmi.Job, error) {
+	if d.submitErr != nil {
+		return nil, d.submitErr
+	}
 	d.mu.Lock()
 	d.nextJob++
 	id := fmt.Sprintf("%s-%d", d.name, d.nextJob)
@@ -68,6 +75,10 @@ func (d *blockingDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, sh
 		<-d.release
 		j.Finish(&qdmi.Result{Counts: map[uint64]int{0: shots}, Shots: shots})
 	}()
+	if d.noAbort {
+		// Embedding the interface hides AsyncJob's CancelRunning.
+		return struct{ qdmi.Job }{j}, nil
+	}
 	return j, nil
 }
 
@@ -254,5 +265,63 @@ func TestCancelIsIdempotentAfterCompletion(t *testing.T) {
 	}
 	if res, err := tk.Wait(context.Background()); err != nil || res == nil {
 		t.Fatalf("result lost after late cancel: %v %v", res, err)
+	}
+}
+
+// TestDispatchSpanOnTimelineBeforeWaiterWakes checks, for every way a
+// dispatched job can end, that a goroutine woken by Ticket.Wait finds the
+// job's one dispatch span already recorded: the span closes inside the
+// worker before the ticket resolves, never after.
+func TestDispatchSpanOnTimelineBeforeWaiterWakes(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(*blockingDevice)
+		end   func(*Ticket, *blockingDevice) // nil: the job ends by itself
+		want  error
+	}{
+		{"device refuses the job", func(d *blockingDevice) { d.submitErr = qdmi.ErrFatal }, nil, qdmi.ErrFatal},
+		{"cancelled mid-flight, device cannot abort", func(d *blockingDevice) { d.noAbort = true },
+			func(tk *Ticket, _ *blockingDevice) { tk.Cancel() }, ErrCancelled},
+		{"completes", func(*blockingDevice) {},
+			func(_ *Ticket, d *blockingDevice) { close(d.release) }, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, dev := blockingRig(t)
+			tc.setup(dev)
+			tk, err := s.SubmitCtx(context.Background(), Request{
+				Device: "qpu", Payload: []byte("job"), Format: qdmi.FormatQIRBase, Shots: 1,
+				Timeline: telemetry.NewTimeline("", nil),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			type woken struct {
+				err      error
+				dispatch int
+			}
+			seen := make(chan woken, 1)
+			go func() {
+				_, err := tk.Wait(context.Background())
+				n := 0
+				for _, sp := range tk.Timeline().Spans() {
+					if sp.Stage == telemetry.StageDispatch {
+						n++
+					}
+				}
+				seen <- woken{err, n}
+			}()
+			if tc.end != nil {
+				waitRunning(t, tk)
+				tc.end(tk, dev)
+			}
+			got := <-seen
+			if !errors.Is(got.err, tc.want) {
+				t.Fatalf("err = %v, want %v", got.err, tc.want)
+			}
+			if got.dispatch != 1 {
+				t.Fatalf("waiter woke to %d dispatch spans, want 1", got.dispatch)
+			}
+		})
 	}
 }

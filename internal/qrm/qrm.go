@@ -406,26 +406,48 @@ func (s *Scheduler) runItem(d *deviceState, item *queued, hook MaintenanceHook) 
 		s.mu.Unlock()
 	}
 	// A cancel that landed during maintenance still prevents dispatch.
-	if item.ticket.ctx.Err() != nil {
+	if item.ticket.ctx.Err() != nil || !item.ticket.startDispatch() {
 		s.cancelled(item)
 		return
 	}
-	// The dispatch span stays open across the whole device round trip so
-	// the bind and device-side spans can nest under it; StartSpan allocates
-	// its ID up front for exactly that reason. It is ended (idempotently)
-	// before the ticket resolves on every path, so a waiter that wakes on
-	// ticket completion always sees the complete timeline.
-	ds := item.req.Timeline.StartSpan(telemetry.StageDispatch, d.name, 0)
-	job, err := submitToDevice(dev, item.req, ds.ID())
-	if err != nil {
-		ds.End()
+	// The dispatch span stays open across the whole device round trip, with
+	// the bind and device-side spans nested under its ID, and is recorded
+	// when dispatch returns — before the ticket resolves below, so a waiter
+	// woken by ticket completion always finds it on the timeline.
+	var (
+		st  qdmi.JobStatus
+		res *qdmi.Result
+	)
+	item.req.Timeline.Span(telemetry.StageDispatch, d.name, 0, func(id telemetry.SpanID) {
+		st, res, err = s.dispatch(d, dev, item, id)
+	})
+	switch st {
+	case qdmi.JobCancelled:
+		s.cancelled(item)
+	case qdmi.JobDone:
+		s.mu.Lock()
+		s.n.completed++
+		s.mu.Unlock()
+		reg.Add("qrm/completed", 1)
+		item.ticket.finish(res, nil, qdmi.JobDone)
+	default: // JobFailed
 		s.fail(item, err)
-		return
+	}
+}
+
+// dispatch hands item's job to dev under the dispatch span and waits for it
+// to end or for the ticket to be cancelled. It reports how the job ended —
+// JobDone with its result, JobFailed with its error, or JobCancelled — and
+// leaves resolving the ticket to runItem.
+func (s *Scheduler) dispatch(d *deviceState, dev qdmi.Device, item *queued, span telemetry.SpanID) (qdmi.JobStatus, *qdmi.Result, error) {
+	job, err := submitToDevice(dev, item.req, span)
+	if err != nil {
+		return qdmi.JobFailed, nil, err
 	}
 	s.mu.Lock()
 	d.dispatched++
 	s.mu.Unlock()
-	reg.Add("qrm/dispatched", 1)
+	s.telem.Load().Add("qrm/dispatched", 1)
 	st := job.Wait(item.ticket.ctx)
 	if !st.Terminal() {
 		// The ticket was cancelled while the device job was in flight.
@@ -438,35 +460,22 @@ func (s *Scheduler) runItem(d *deviceState, item *queued, hook MaintenanceHook) 
 		}
 		st = job.Status()
 		if !st.Terminal() {
-			// The device cannot abort: resolve the ticket as cancelled
-			// and let the orphaned job finish unobserved.
-			ds.End()
-			s.cancelled(item)
-			return
+			// The device cannot abort: the ticket resolves as cancelled
+			// and the orphaned job finishes unobserved.
+			return qdmi.JobCancelled, nil, nil
 		}
 	}
-	ds.End()
-	switch st {
-	case qdmi.JobCancelled:
-		s.cancelled(item)
-	case qdmi.JobDone:
-		res, err := job.Result()
-		if err != nil {
-			s.fail(item, err)
-			return
-		}
-		s.mu.Lock()
-		s.n.completed++
-		s.mu.Unlock()
-		reg.Add("qrm/completed", 1)
-		item.ticket.finish(res, nil, qdmi.JobDone)
-	default: // JobFailed
-		_, err := job.Result()
-		if err == nil {
-			err = fmt.Errorf("qrm: job %d failed", item.ticket.id)
-		}
-		s.fail(item, err)
+	if st == qdmi.JobCancelled {
+		return qdmi.JobCancelled, nil, nil
 	}
+	res, err := job.Result()
+	if err == nil && st == qdmi.JobDone {
+		return qdmi.JobDone, res, nil
+	}
+	if err == nil {
+		err = fmt.Errorf("qrm: job %d failed", item.ticket.id)
+	}
+	return qdmi.JobFailed, nil, err
 }
 
 // checkEpoch verifies at dispatch time that the device the payload was

@@ -28,10 +28,13 @@ type Ticket struct {
 
 	mu     sync.Mutex //mqss:lockrank 30
 	status qdmi.JobStatus
-	device string // set at dispatch: the device the job was placed on
-	result *qdmi.Result
-	err    error
-	done   chan struct{} // closed when the ticket reaches a terminal state
+	// dispatching is set once the worker commits to handing the job to the
+	// device; from then on only the worker resolves the ticket.
+	dispatching bool
+	device      string // set at dispatch: the device the job was placed on
+	result      *qdmi.Result
+	err         error
+	done        chan struct{} // closed when the ticket reaches a terminal state
 }
 
 func newTicket(ctx context.Context, id int64, prio int, seq int64, tag string, tl *telemetry.Timeline) *Ticket {
@@ -43,8 +46,9 @@ func newTicket(ctx context.Context, id int64, prio int, seq int64, tag string, t
 		done:   make(chan struct{}),
 	}
 	// When the submit context (or an explicit Cancel) fires, resolve a
-	// still-queued ticket immediately so waiters unblock and the worker
-	// skips it. Running tickets are resolved by the worker.
+	// ticket the worker has not dispatched yet immediately, so waiters
+	// unblock and the worker skips it. A dispatched ticket is resolved by
+	// the worker, which waits on the device job under the same context.
 	context.AfterFunc(tctx, t.onCtxDone)
 	return t
 }
@@ -109,9 +113,9 @@ func (t *Ticket) Done() bool { return t.Status().Terminal() }
 // state; use it to select over many tickets.
 func (t *Ticket) DoneCh() <-chan struct{} { return t.done }
 
-// onCtxDone resolves a still-queued ticket when its context fires.
+// onCtxDone resolves a not-yet-dispatched ticket when its context fires.
 func (t *Ticket) onCtxDone() {
-	t.finish(nil, t.cancelErr(), qdmi.JobCancelled)
+	t.resolve(nil, t.cancelErr(), qdmi.JobCancelled, false)
 }
 
 // cancelErr builds the cancellation error, attaching the context cause so
@@ -135,17 +139,38 @@ func (t *Ticket) startRunning() bool {
 	return true
 }
 
-// finish records the terminal state once; later calls are no-ops. It also
-// releases the ticket's context resources.
-func (t *Ticket) finish(r *qdmi.Result, err error, status qdmi.JobStatus) bool {
+// startDispatch commits the ticket to the device round trip: false means it
+// resolved first (cancelled during maintenance) and must not be dispatched.
+// Afterwards a fired context no longer resolves the ticket by itself — the
+// worker sees it end the device wait and calls finish once the dispatch span
+// is on the timeline, so no waiter wakes to a trace missing that span.
+func (t *Ticket) startDispatch() bool {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.status.Terminal() {
-		t.mu.Unlock()
 		return false
+	}
+	t.dispatching = true
+	return true
+}
+
+// finish is the worker's resolution of the ticket: it records the terminal
+// state once; later calls are no-ops.
+func (t *Ticket) finish(r *qdmi.Result, err error, status qdmi.JobStatus) {
+	t.resolve(r, err, status, true)
+}
+
+// resolve records the terminal state once and releases the ticket's context
+// resources. A resolution that does not come from the worker yields to a
+// dispatch in progress.
+func (t *Ticket) resolve(r *qdmi.Result, err error, status qdmi.JobStatus, worker bool) {
+	t.mu.Lock()
+	if t.status.Terminal() || (t.dispatching && !worker) {
+		t.mu.Unlock()
+		return
 	}
 	t.result, t.err, t.status = r, err, status
 	close(t.done)
 	t.mu.Unlock()
 	t.cancelCtx()
-	return true
 }

@@ -174,31 +174,43 @@ func (t *Timeline) Record(stage Stage, device string, start time.Time, d time.Du
 	if d < 0 {
 		d = 0
 	}
-	t.mu.Lock()
-	t.nextID++
-	id := t.nextID
-	t.spans = append(t.spans, Span{
-		ID: id, Parent: parent, Stage: stage, Device: device, Start: start, Duration: d,
-	})
-	reg := t.reg
-	t.mu.Unlock()
-	reg.Observe("stage/"+string(stage), d)
-	return id
+	return t.add(Span{Parent: parent, Stage: stage, Device: device, Start: start, Duration: d})
 }
 
-// StartSpan opens a span at the current time and allocates its ID
-// immediately, so children may reference it before End. The span only
-// appears in the timeline once End is called. Returns nil on a nil
-// timeline (the returned nil *ActiveSpan is itself safe to use).
-func (t *Timeline) StartSpan(stage Stage, device string, parent SpanID) *ActiveSpan {
+// add appends s — under a fresh ID unless s already carries the one Span
+// allocated for it — and feeds its duration to the registry.
+func (t *Timeline) add(s Span) SpanID {
+	t.mu.Lock()
+	if s.ID == 0 {
+		t.nextID++
+		s.ID = t.nextID
+	}
+	t.spans = append(t.spans, s)
+	reg := t.reg
+	t.mu.Unlock()
+	reg.Observe("stage/"+string(s.Stage), s.Duration)
+	return s.ID
+}
+
+// Span runs fn inside a span of the given stage. The span's ID is allocated
+// before fn starts and handed to it, so fn can record children (or import
+// remote spans) under it; the span itself lands on the timeline when fn
+// returns or panics, never earlier and never twice. On a nil timeline fn
+// still runs, with ID zero.
+func (t *Timeline) Span(stage Stage, device string, parent SpanID, fn func(id SpanID)) {
 	if t == nil {
-		return nil
+		fn(0)
+		return
 	}
 	t.mu.Lock()
 	t.nextID++
 	id := t.nextID
 	t.mu.Unlock()
-	return &ActiveSpan{tl: t, id: id, parent: parent, stage: stage, device: device, start: time.Now()}
+	start := time.Now()
+	defer func() {
+		t.add(Span{ID: id, Parent: parent, Stage: stage, Device: device, Start: start, Duration: time.Since(start)})
+	}()
+	fn(id)
 }
 
 // Import grafts spans recorded elsewhere (the far side of the remote wire)
@@ -275,42 +287,4 @@ func (t *Timeline) Wall() time.Duration {
 		}
 	}
 	return last.Sub(first)
-}
-
-// ActiveSpan is a span opened by StartSpan and not yet recorded. All
-// methods are nil-receiver safe.
-type ActiveSpan struct {
-	tl     *Timeline
-	id     SpanID
-	parent SpanID
-	stage  Stage
-	device string
-	start  time.Time
-	done   atomic.Bool
-}
-
-// ID returns the span's pre-allocated identifier (usable as a child's
-// parent before End); zero on nil.
-func (a *ActiveSpan) ID() SpanID {
-	if a == nil {
-		return 0
-	}
-	return a.id
-}
-
-// End closes the span at the current time and records it into the
-// timeline; idempotent and nil-safe.
-func (a *ActiveSpan) End() {
-	if a == nil || !a.done.CompareAndSwap(false, true) {
-		return
-	}
-	d := time.Since(a.start)
-	t := a.tl
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{
-		ID: a.id, Parent: a.parent, Stage: a.stage, Device: a.device, Start: a.start, Duration: d,
-	})
-	reg := t.reg
-	t.mu.Unlock()
-	reg.Observe("stage/"+string(a.stage), d)
 }

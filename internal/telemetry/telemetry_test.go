@@ -49,41 +49,63 @@ func TestTimelineNilSafe(t *testing.T) {
 	if id := tl.Record(StageCompile, "", time.Now(), time.Second, 0); id != 0 {
 		t.Fatalf("nil timeline recorded span %d", id)
 	}
-	sp := tl.StartSpan(StageDispatch, "", 0)
-	if sp.ID() != 0 {
-		t.Fatal("nil active span has an ID")
+	ran := false
+	tl.Span(StageDispatch, "", 0, func(id SpanID) {
+		ran = true
+		if id != 0 {
+			t.Errorf("nil timeline handed out span ID %d", id)
+		}
+	})
+	if !ran {
+		t.Fatal("Span on a nil timeline did not run fn")
 	}
-	sp.End() // must not panic
 	tl.Import([]Span{{ID: 1, Stage: StageBind}}, 0)
 	if tl.Spans() != nil || tl.TraceID() != "" || tl.Wall() != 0 {
 		t.Fatal("nil timeline leaked state")
 	}
 }
 
-// TestActiveSpanParentBeforeEnd checks a child may reference the parent's
-// ID before the parent ends (the dispatch span stays open across the
-// device-execute child).
-func TestActiveSpanParentBeforeEnd(t *testing.T) {
+// TestSpanParentBeforeReturn checks the ID handed to fn is a valid parent
+// for a child recorded before fn returns (the dispatch span stays open
+// across the device-execute child), and that the span itself is on the
+// timeline only once fn has returned.
+func TestSpanParentBeforeReturn(t *testing.T) {
 	tl := NewTimeline("trace-x", nil)
-	parent := tl.StartSpan(StageDispatch, "dev", 0)
-	tl.Record(StageDeviceExecute, "dev", time.Now(), time.Millisecond, parent.ID())
-	parent.End()
-	parent.End() // idempotent
+	tl.Span(StageDispatch, "dev", 0, func(id SpanID) {
+		tl.Record(StageDeviceExecute, "dev", time.Now(), time.Millisecond, id)
+		if _, open := tl.Find(StageDispatch); open {
+			t.Error("dispatch span recorded before fn returned")
+		}
+	})
 	spans := tl.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
-	var child, disp *Span
-	for i := range spans {
-		switch spans[i].Stage {
-		case StageDeviceExecute:
-			child = &spans[i]
-		case StageDispatch:
-			disp = &spans[i]
-		}
-	}
-	if child == nil || disp == nil || child.Parent != disp.ID {
+	child, _ := tl.Find(StageDeviceExecute)
+	disp, _ := tl.Find(StageDispatch)
+	if child.ID == 0 || disp.ID == 0 || child.ID == disp.ID || child.Parent != disp.ID {
 		t.Fatalf("parent link broken: %+v", spans)
+	}
+}
+
+// TestSpanRecordedOnPanic checks a panic inside fn still records the span,
+// once, with the registry fed, and propagates.
+func TestSpanRecordedOnPanic(t *testing.T) {
+	reg := NewRegistry()
+	tl := NewTimeline("", reg)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("panic swallowed by Span")
+			}
+		}()
+		tl.Span(StageDispatch, "dev", 0, func(SpanID) { panic("boom") })
+	}()
+	if spans := tl.Spans(); len(spans) != 1 || spans[0].Stage != StageDispatch || spans[0].Device != "dev" {
+		t.Fatalf("spans after panic = %+v, want one dispatch span", spans)
+	}
+	if n := reg.Snapshot().Histograms["stage/dispatch"].Count; n != 1 {
+		t.Fatalf("stage/dispatch observed %d times, want 1", n)
 	}
 }
 
@@ -101,9 +123,9 @@ func TestTimelineConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				sp := tl.StartSpan(StageDispatch, "dev", 0)
-				tl.Record(StageBind, "dev", time.Now(), time.Microsecond, sp.ID())
-				sp.End()
+				tl.Span(StageDispatch, "dev", 0, func(id SpanID) {
+					tl.Record(StageBind, "dev", time.Now(), time.Microsecond, id)
+				})
 				if i%100 == 0 {
 					_ = tl.Spans()
 					_ = tl.Wall()
@@ -126,9 +148,9 @@ func TestImportWire(t *testing.T) {
 	server.Record(StageDeviceExecute, "sc-0", start.Add(time.Millisecond), 2*time.Millisecond, qw)
 
 	local := NewTimeline("trace-r", NewRegistry())
-	disp := local.StartSpan(StageDispatch, "remote", 0)
-	local.Import(FromWire(ToWire(server.Spans())), disp.ID())
-	disp.End()
+	local.Span(StageDispatch, "remote", 0, func(id SpanID) {
+		local.Import(FromWire(ToWire(server.Spans())), id)
+	})
 
 	spans := local.Spans()
 	if len(spans) != 3 {

@@ -1,8 +1,8 @@
 // Package cfg builds per-function control-flow graphs from go/ast syntax
 // and solves forward dataflow problems over them. It is the analysis core
-// behind mqssvet's flow-sensitive analyzers (lockorder, goleak, ctxcancel,
-// spanend): where PR 9's checks reasoned lexically, these reason over
-// actual paths — early returns, panic edges, select branches, goto.
+// behind mqssvet's flow-sensitive analyzers (lockorder, goleak, ctxcancel):
+// where PR 9's checks reasoned lexically, these reason over actual paths —
+// early returns, panic edges, select branches, goto.
 //
 // The graph is deliberately small: basic blocks hold the statements and
 // branch-condition expressions executed straight-line, edges follow every
@@ -46,9 +46,6 @@ type Block struct {
 	Succs []*Block
 	// Preds are the predecessor blocks (inverse of Succs).
 	Preds []*Block
-	// Term classifies how the block ends when it has a direct edge to
-	// Exit: the return statement, panic call, or nil for ordinary flow.
-	Term ast.Node
 }
 
 // addSucc links b → s exactly once.
@@ -164,12 +161,12 @@ func (b *builder) stmt(s ast.Stmt) {
 
 	case *ast.ReturnStmt:
 		b.add(s)
-		b.terminate(s)
+		b.terminate()
 
 	case *ast.ExprStmt:
 		b.add(s)
 		if isPanicCall(s.X) {
-			b.terminate(s)
+			b.terminate()
 		}
 
 	case *ast.DeferStmt:
@@ -453,10 +450,9 @@ func (b *builder) jump(target *Block) {
 	b.cur = nil
 }
 
-// terminate routes the current block to Exit, recording the terminator.
-func (b *builder) terminate(n ast.Node) {
+// terminate routes the current block to Exit (a return or a panic).
+func (b *builder) terminate() {
 	if b.cur != nil {
-		b.cur.Term = n
 		b.cur.addSucc(b.g.Exit)
 	}
 	b.cur = nil

@@ -57,23 +57,21 @@ func TestExitReachable(t *testing.T) {
 	}
 }
 
-// TestPanicTerminates pins that a panic call ends its block with an edge
-// to Exit and records the terminator.
+// TestPanicTerminates pins that a panic call ends its block: the block
+// holding it leads to Exit and nowhere else.
 func TestPanicTerminates(t *testing.T) {
 	g := parseFunc(t, `if bad() { panic("x") }; work()`)
-	var panicBlock *Block
 	for _, b := range g.Blocks {
-		if b.Term != nil {
-			for _, s := range b.Succs {
-				if s == g.Exit {
-					panicBlock = b
+		for _, n := range b.Nodes {
+			if es, ok := n.(*ast.ExprStmt); ok && isPanicCall(es.X) {
+				if len(b.Succs) != 1 || b.Succs[0] != g.Exit {
+					t.Fatalf("panic block has successors %v, want only Exit", b.Succs)
 				}
+				return
 			}
 		}
 	}
-	if panicBlock == nil {
-		t.Fatal("no terminated block with an Exit edge found")
-	}
+	t.Fatal("no block holds the panic call")
 }
 
 // TestDefersRecorded pins that defer statements land on Graph.Defers.

@@ -2,8 +2,8 @@ package cfg
 
 // The dataflow solver: a forward worklist iteration over a join
 // semilattice of facts. Facts are comparable values — analyzers use
-// small enums (spanend's ended/open) or interned bit sets (lockorder's
-// held-lock masks) so the fixpoint test is plain equality.
+// small enums or interned bit sets (lockorder's held-lock masks) so the
+// fixpoint test is plain equality.
 
 // A Result holds the solved facts of one forward dataflow problem.
 type Result[F comparable] struct {

@@ -1,6 +1,6 @@
 // Command mqssvet is the stack's static-analysis entry point: a
 // multichecker that enforces the cross-layer invariants accumulated over
-// PRs 3-10 — wire error-kind symmetry, telemetry span lifecycles,
+// PRs 3-10 that no test can hold, because they span paths no test drives —
 // calibration-epoch bumps, byte-determinism of the lowering pipeline,
 // context plumbing and cancellability, lock ordering, goroutine
 // termination, hot-loop allocation discipline, and doc-comment coverage.

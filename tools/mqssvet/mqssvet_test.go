@@ -12,8 +12,6 @@ import (
 	"mqsspulse/tools/mqssvet/analyzers/hotalloc"
 	"mqsspulse/tools/mqssvet/analyzers/lockorder"
 	"mqsspulse/tools/mqssvet/analyzers/nodrift"
-	"mqsspulse/tools/mqssvet/analyzers/spanend"
-	"mqsspulse/tools/mqssvet/analyzers/wirekind"
 	"mqsspulse/tools/mqssvet/suite"
 )
 
@@ -23,10 +21,6 @@ func TestCtxflow(t *testing.T) {
 
 func TestNodrift(t *testing.T) {
 	analysistest.Run(t, "./testdata/src/nodrift", nodrift.Analyzer)
-}
-
-func TestSpanend(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/spanend", spanend.Analyzer)
 }
 
 func TestEpochbump(t *testing.T) {
@@ -39,18 +33,6 @@ func TestHotalloc(t *testing.T) {
 
 func TestDoccomment(t *testing.T) {
 	analysistest.Run(t, "./testdata/src/doccomment", doccomment.Analyzer)
-}
-
-// TestWirekindCovered pins the negative case: full both-direction coverage
-// (including through the ErrBusy alias) stays silent.
-func TestWirekindCovered(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/wirekind", wirekind.Analyzer)
-}
-
-// TestWirekindOrphans is the orphan regression: encoded-never-decoded,
-// decoded-never-encoded, and sentinels missing a direction.
-func TestWirekindOrphans(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/wirekindorphan", wirekind.Analyzer)
 }
 
 // TestSuppression pins the //lint:mqssvet contract end to end: a matching
@@ -77,16 +59,10 @@ func TestLockorder(t *testing.T) {
 	analysistest.Run(t, "./testdata/src/lockorder", lockorder.Analyzer)
 }
 
-// TestSpanendCFG covers the paths the lexical v1 could not see: early
-// returns inside branches, panic edges, select arms, and closures.
-func TestSpanendCFG(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/spanendcfg", spanend.Analyzer)
-}
-
 // TestSuiteListsAllAnalyzers guards the multichecker registration: a new
 // analyzer package that never lands in the suite would silently not run.
 func TestSuiteListsAllAnalyzers(t *testing.T) {
-	want := []string{"wirekind", "spanend", "epochbump", "nodrift", "ctxflow", "ctxcancel", "lockorder", "goleak", "hotalloc", "doccomment"}
+	want := []string{"epochbump", "nodrift", "ctxflow", "ctxcancel", "lockorder", "goleak", "hotalloc", "doccomment"}
 	if len(suite.All) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite.All), len(want))
 	}
@@ -98,11 +74,11 @@ func TestSuiteListsAllAnalyzers(t *testing.T) {
 }
 
 func TestSelectAnalyzers(t *testing.T) {
-	picked, err := selectAnalyzers("spanend,ctxflow")
+	picked, err := selectAnalyzers("goleak,ctxflow")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(picked) != 2 || picked[0].Name != "spanend" || picked[1].Name != "ctxflow" {
+	if len(picked) != 2 || picked[0].Name != "goleak" || picked[1].Name != "ctxflow" {
 		t.Fatalf("picked = %v", picked)
 	}
 	if _, err := selectAnalyzers("nosuch"); err == nil {

@@ -13,16 +13,12 @@ import (
 	"mqsspulse/tools/mqssvet/analyzers/hotalloc"
 	"mqsspulse/tools/mqssvet/analyzers/lockorder"
 	"mqsspulse/tools/mqssvet/analyzers/nodrift"
-	"mqsspulse/tools/mqssvet/analyzers/spanend"
-	"mqsspulse/tools/mqssvet/analyzers/wirekind"
 )
 
 // All is every analyzer the multichecker knows, in report order. The
 // PR 10 CFG-backed concurrency checks (ctxcancel, lockorder, goleak)
-// sit with ctxflow; spanend has been CFG-backed since the same PR.
+// sit with ctxflow.
 var All = []*analysis.Analyzer{
-	wirekind.Analyzer,
-	spanend.Analyzer,
 	epochbump.Analyzer,
 	nodrift.Analyzer,
 	ctxflow.Analyzer,
