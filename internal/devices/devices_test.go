@@ -288,6 +288,20 @@ func TestSubmitJobValidation(t *testing.T) {
 	if _, err := d.SubmitJob(bad.Emit(), qdmi.FormatQIRPulse, 10); err == nil {
 		t.Fatal("unknown port accepted")
 	}
+	bad.NumPorts, bad.PortNames = 2, []string{"q0-drive", "q0-drive"}
+	if _, err := d.SubmitModule(bad, qdmi.JobOptions{Shots: 10}); !errors.Is(err, qdmi.ErrInvalidArgument) {
+		t.Fatalf("port named twice: err = %v, want ErrInvalidArgument", err)
+	}
+	// A refused submission draws nothing from the device's job stream: the
+	// first accepted job is job 1.
+	job, err := d.SubmitJob(m.Emit(), qdmi.FormatQIRBase, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := d.Name() + "-job-1"; job.ID() != want {
+		t.Fatalf("first accepted job is %q, want %q", job.ID(), want)
+	}
+	waitResult(t, job)
 }
 
 // TestUnboundTemplateRejectedAtEveryEntry: a template's slots are part of

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strconv"
 	"time"
 
 	"mqsspulse/internal/pulse"
@@ -25,25 +27,15 @@ const readoutStimulusRabiHz = 1e3
 // the module maps to the device port named module.PortNames[i]; all
 // remaining device ports follow so calibrated gate lowering can use them.
 func (d *SimDevice) Binding(portNames []string) (*qir.DeviceBinding, error) {
-	byID := map[string]*pulse.Port{}
-	for _, p := range d.ports {
-		byID[p.ID] = p
+	if err := d.checkPortNames(portNames); err != nil {
+		return nil, err
 	}
-	var ports []*pulse.Port
-	used := map[string]bool{}
+	ports := make([]*pulse.Port, 0, len(d.ports))
 	for _, name := range portNames {
-		p, ok := byID[name]
-		if !ok {
-			return nil, fmt.Errorf("%w: payload references unknown port %q", qdmi.ErrInvalidArgument, name)
-		}
-		if used[name] {
-			return nil, fmt.Errorf("%w: payload references port %q twice", qdmi.ErrInvalidArgument, name)
-		}
-		used[name] = true
-		ports = append(ports, p)
+		ports = append(ports, d.ports[d.portIndex(name)])
 	}
 	for _, p := range d.ports {
-		if !used[p.ID] {
+		if !slices.Contains(portNames, p.ID) {
 			ports = append(ports, p)
 		}
 	}
@@ -53,6 +45,27 @@ func (d *SimDevice) Binding(portNames []string) (*qir.DeviceBinding, error) {
 		LowerGate:    d.lowerGate,
 		LowerMeasure: d.lowerMeasure,
 	}, nil
+}
+
+// checkPortNames is the part of Binding every job pays, prepared or not:
+// each name a payload declares is a device port, named once. It allocates
+// nothing; a list it accepts is no longer than the port table.
+func (d *SimDevice) checkPortNames(portNames []string) error {
+	for i, name := range portNames {
+		if d.portIndex(name) < 0 {
+			return fmt.Errorf("%w: payload references unknown port %q", qdmi.ErrInvalidArgument, name)
+		}
+		if slices.Contains(portNames[:i], name) {
+			return fmt.Errorf("%w: payload references port %q twice", qdmi.ErrInvalidArgument, name)
+		}
+	}
+	return nil
+}
+
+// portIndex returns the position of a port in the device's port table, or
+// -1 if the device has no such port.
+func (d *SimDevice) portIndex(id string) int {
+	return slices.IndexFunc(d.ports, func(p *pulse.Port) bool { return p.ID == id })
 }
 
 // frameFor creates the initial carrier frame of a port from the calibration
@@ -236,14 +249,12 @@ func (d *SimDevice) lowerMeasure(s *pulse.Schedule, qubit, result int64) error {
 	})
 }
 
-// executor returns the device's execution engine, building it from the
-// current true physics if AdvanceTime (or New) left none. Jobs share it:
+// executorLocked returns the device's execution engine, building it from
+// the current true physics if AdvanceTime (or New) left none. Jobs share it:
 // everything in it is immutable or locked, and what it caches is a
 // deterministic function of the model, so a job's result does not depend
-// on how many jobs ran before it.
-func (d *SimDevice) executor() (*simq.Executor, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// on how many jobs ran before it. Callers hold d.mu.
+func (d *SimDevice) executorLocked() (*simq.Executor, error) {
 	if d.engine == nil {
 		model, err := d.trueModel()
 		if err != nil {
@@ -252,6 +263,81 @@ func (d *SimDevice) executor() (*simq.Executor, error) {
 		d.engine = simq.NewExecutor(model)
 	}
 	return d.engine, nil
+}
+
+// preparedCap bounds the device's prepared-program store. A device's hot
+// set is the handful of kernels its clients resubmit; one-shot modules
+// (every bound sweep point is one) pass through a ring this size without
+// growing anything.
+const preparedCap = 32
+
+// preparedProgram is what the device derives from (module, calibration,
+// engine) and not from a job's seed, shots or options: the module linked
+// against the port, frame and calibration tables, resolved to start ticks
+// and latched against the engine's channels. The first job that presents a
+// module builds it; later jobs presenting the same *qir.Module reuse it.
+//
+// Identity, not content, is the key: the holders that resubmit a program —
+// the lowering cache, a server connection's program store — keep one
+// module per program and never write to it, and hashing the content per
+// job would cost what the store saves. An entry is current only while
+// epoch and engine are still the device's own, which prepared checks by
+// comparison at look-up: nothing that moves the calibration or the true
+// physics has to know the store exists. The entry keeps its module and its
+// engine reachable, so neither address can be reused while it could match.
+type preparedProgram struct {
+	mod    *qir.Module
+	epoch  int64
+	engine *simq.Executor
+	prog   *simq.Program
+}
+
+// prepared returns the module's prepared program under the device's current
+// calibration epoch and engine, preparing and storing it when the store has
+// none that is current.
+func (d *SimDevice) prepared(mod *qir.Module) (*simq.Program, error) {
+	d.mu.Lock()
+	engine, err := d.executorLocked()
+	epoch := d.calibEpoch
+	var prog *simq.Program
+	if i := slices.IndexFunc(d.programs[:], func(p preparedProgram) bool {
+		return p.mod == mod && p.epoch == epoch && p.engine == engine
+	}); i >= 0 {
+		prog = d.programs[i].prog
+	}
+	d.mu.Unlock()
+	if err != nil || prog != nil {
+		return prog, err
+	}
+
+	// epoch and engine were read before the tables are: a calibration write
+	// or AdvanceTime racing this link leaves an entry that already fails the
+	// comparison above, never a stale one that passes it.
+	sched, err := d.BuildScheduleForPayload(mod)
+	if err != nil {
+		return nil, err
+	}
+	sp, err := sched.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	if prog, err = engine.Prepare(sp); err != nil {
+		return nil, err
+	}
+
+	d.mu.Lock()
+	d.programs[d.nextProgram] = preparedProgram{mod: mod, epoch: epoch, engine: engine, prog: prog}
+	d.nextProgram = (d.nextProgram + 1) % preparedCap
+	// The epoch only grows and a dropped engine never comes back, so an
+	// entry of another epoch or engine can never match again: let go of it,
+	// and the store pins no engine but the current one.
+	for i := range d.programs {
+		if p := &d.programs[i]; p.epoch != d.calibEpoch || p.engine != d.engine {
+			*p = preparedProgram{}
+		}
+	}
+	d.mu.Unlock()
+	return prog, nil
 }
 
 // trueModel builds the system model from the drifted true physics: channel
@@ -337,8 +423,9 @@ func (d *SimDevice) SubmitModule(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Jo
 
 // submit is the one body behind the three exported submit entry points:
 // it refuses a template nobody bound (slots parse, so text can carry them
-// this far too), validates the job options, binds the module's ports, draws
-// the job ID and seed from the device's job stream, and starts the job.
+// this far too), validates the job options and the module's port names,
+// draws the job ID and seed from the device's job stream, and starts the
+// job.
 func (d *SimDevice) submit(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, error) {
 	if mod.IsParametric() {
 		return nil, fmt.Errorf("%w: module %q still carries unbound parameters %v",
@@ -353,37 +440,20 @@ func (d *SimDevice) submit(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, err
 	default:
 		return nil, fmt.Errorf("%w: measurement level %v", qdmi.ErrInvalidArgument, opts.MeasLevel)
 	}
-	binding, err := d.Binding(mod.PortNames)
-	if err != nil {
+	if err := d.checkPortNames(mod.PortNames); err != nil {
 		return nil, err
 	}
 	d.mu.Lock()
 	d.nextJob++
-	id := fmt.Sprintf("%s-job-%d", d.cfg.Name, d.nextJob)
+	n := d.nextJob
 	seed := d.jobRng.Int63()
 	d.mu.Unlock()
 
-	job := qdmi.NewAsyncJob(id)
-	go d.runJob(job, mod, binding, opts, seed)
+	var buf [48]byte
+	id := strconv.AppendInt(append(buf[:0], d.names.jobPrefix...), int64(n), 10)
+	job := qdmi.NewAsyncJob(string(id))
+	go d.runJob(job, mod, opts, seed)
 	return job, nil
-}
-
-// readoutModel builds the per-site IQ synthesis model from the device's
-// true physics (drifting fidelity is not modeled; the believed calibration
-// table plays no role here — readout errors are physical).
-func (d *SimDevice) readoutModel(opts qdmi.JobOptions) *simq.ReadoutModel {
-	m := &simq.ReadoutModel{
-		Level:  opts.MeasLevel,
-		Return: opts.MeasReturn,
-		Sites:  make(map[int]simq.ReadoutSite, len(d.cfg.Sites)),
-	}
-	for i, s := range d.cfg.Sites {
-		m.Sites[i] = simq.ReadoutSite{
-			Fidelity:  d.trueReadoutFidelity(i),
-			T1Seconds: s.T1Seconds,
-		}
-	}
-	return m
 }
 
 // runJob executes a payload on the simulated hardware. SimDevice jobs
@@ -392,7 +462,7 @@ func (d *SimDevice) readoutModel(opts qdmi.JobOptions) *simq.ReadoutModel {
 // integration segments and every ~1024 driven samples inside them, so a
 // CancelRunning lands promptly — even mid-way through a single long
 // Play — and the result of an aborted job is discarded.
-func (d *SimDevice) runJob(job *qdmi.AsyncJob, mod *qir.Module, binding *qir.DeviceBinding, opts qdmi.JobOptions, seed int64) {
+func (d *SimDevice) runJob(job *qdmi.AsyncJob, mod *qir.Module, opts qdmi.JobOptions, seed int64) {
 	if !job.Start() {
 		return
 	}
@@ -410,22 +480,12 @@ func (d *SimDevice) runJob(job *qdmi.AsyncJob, mod *qir.Module, binding *qir.Dev
 			return
 		}
 	}
-	sched, err := qir.BuildSchedule(mod, binding)
-	if err != nil {
-		job.Fail(err)
-		return
-	}
-	sp, err := sched.Resolve()
+	prog, err := d.prepared(mod)
 	if err != nil {
 		job.Fail(err)
 		return
 	}
 	if job.Aborted() {
-		return
-	}
-	engine, err := d.executor()
-	if err != nil {
-		job.Fail(err)
 		return
 	}
 	workers := d.ShotWorkers()
@@ -437,20 +497,19 @@ func (d *SimDevice) runJob(job *qdmi.AsyncJob, mod *qir.Module, binding *qir.Dev
 	// a result, so cap it.
 	workers = min(workers, runtime.GOMAXPROCS(0))
 	execOpts := simq.ExecOptions{
-		Shots: opts.Shots,
-		Seed:  seed,
-		SiteError: func(site int) (float64, float64) {
-			p := 1 - d.trueReadoutFidelity(site)
-			return p, p
-		},
+		Shots:       opts.Shots,
+		Seed:        seed,
+		SiteError:   d.siteError,
 		Interrupted: job.Aborted,
 		ShotWorkers: workers,
 	}
 	if opts.MeasLevel != readout.LevelDiscriminated {
-		execOpts.Readout = d.readoutModel(opts)
+		// The believed calibration table plays no role here: readout errors
+		// are physical.
+		execOpts.Readout = &simq.ReadoutModel{Level: opts.MeasLevel, Return: opts.MeasReturn, Sites: d.readoutSites}
 	}
 	execStart := time.Now()
-	res, err := engine.Run(sp, execOpts)
+	res, err := prog.Run(execOpts)
 	if err != nil {
 		if !errors.Is(err, simq.ErrInterrupted) {
 			job.Fail(err)
@@ -493,19 +552,39 @@ func (d *SimDevice) recordShotMetrics(reg *telemetry.Registry, res *simq.ExecRes
 		return
 	}
 	reg.Add("simq/shots", int64(res.Shots))
-	reg.Add("simq/shots/"+d.cfg.Name, int64(res.Shots))
+	reg.Add(d.names.shots, int64(res.Shots))
 	// A warm device shows hits and no misses: it stopped exponentiating.
 	reg.Add("simq/prop_cache/hit", res.PropCacheHits)
-	reg.Add("simq/prop_cache/hit/"+d.cfg.Name, res.PropCacheHits)
+	reg.Add(d.names.propHit, res.PropCacheHits)
 	reg.Add("simq/prop_cache/miss", res.PropCacheMisses)
-	reg.Add("simq/prop_cache/miss/"+d.cfg.Name, res.PropCacheMisses)
+	reg.Add(d.names.propMiss, res.PropCacheMisses)
 	reg.Add("simq/dissipator_steps", res.DissipatorSteps)
-	reg.Add("simq/dissipator_steps/"+d.cfg.Name, res.DissipatorSteps)
+	reg.Add(d.names.dissipatorSteps, res.DissipatorSteps)
 	if wall > 0 {
-		reg.Observe("simq/shot_latency/"+d.cfg.Name, wall/time.Duration(res.Shots))
+		reg.Observe(d.names.shotLatency, wall/time.Duration(res.Shots))
 	}
 	for _, b := range res.WorkerBusy {
-		reg.Observe("simq/worker_busy/"+d.cfg.Name, b)
+		reg.Observe(d.names.workerBusy, b)
+	}
+}
+
+// deviceNames are the strings a job spells with the device's name in them,
+// built once in New.
+type deviceNames struct {
+	jobPrefix string // "<name>-job-", completed by the job number
+	// per-device metric names
+	shots, propHit, propMiss, dissipatorSteps, shotLatency, workerBusy string
+}
+
+func newDeviceNames(name string) deviceNames {
+	return deviceNames{
+		jobPrefix:       name + "-job-",
+		shots:           "simq/shots/" + name,
+		propHit:         "simq/prop_cache/hit/" + name,
+		propMiss:        "simq/prop_cache/miss/" + name,
+		dissipatorSteps: "simq/dissipator_steps/" + name,
+		shotLatency:     "simq/shot_latency/" + name,
+		workerBusy:      "simq/worker_busy/" + name,
 	}
 }
 

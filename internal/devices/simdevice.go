@@ -36,6 +36,10 @@ type SimDevice struct {
 	// built by the first job that needs it and kept for every later one.
 	// It is a function of drift alone, so whatever writes drift drops it.
 	engine *simq.Executor
+	// programs is the prepared-program store, a ring written at nextProgram;
+	// see preparedProgram for what makes an entry current.
+	programs    [preparedCap]preparedProgram
+	nextProgram int
 	// Calibration table: what the control electronics believe.
 	calibFreqHz []float64 //mqss:calibrated
 	calibPiAmp  []float64 //mqss:calibrated
@@ -57,6 +61,13 @@ type SimDevice struct {
 	drivePort  []string // per site
 	readPort   []string // per site
 	couplePort map[[2]int]string
+
+	// Per-job values that are functions of the config alone.
+	names        deviceNames
+	readoutSites map[int]simq.ReadoutSite // IQ synthesis model, from the true physics
+	// siteError is the discriminated-level flip model: a site's true
+	// assignment error, symmetric in 0 and 1.
+	siteError func(site int) (p01, p10 float64)
 }
 
 // New builds a simulated device from a config. The device starts perfectly
@@ -92,6 +103,12 @@ func New(cfg Config) (*SimDevice, error) {
 		customPulses: map[string]*qdmi.PulseImpl{},
 		couplePort:   map[[2]int]string{},
 		calibEpoch:   1, // a fresh device is at its first calibration
+		names:        newDeviceNames(cfg.Name),
+		readoutSites: make(map[int]simq.ReadoutSite, len(cfg.Sites)),
+	}
+	d.siteError = func(site int) (float64, float64) {
+		p := 1 - d.trueReadoutFidelity(site)
+		return p, p
 	}
 	for i, s := range cfg.Sites {
 		if s.Dim < 2 {
@@ -102,8 +119,10 @@ func New(cfg Config) (*SimDevice, error) {
 		}
 		d.calibFreqHz = append(d.calibFreqHz, s.FreqHz)
 	}
-	for i := range cfg.Sites {
+	for i, s := range cfg.Sites {
 		d.calibReadoutFid = append(d.calibReadoutFid, d.trueReadoutFidelity(i))
+		// Drifting fidelity is not modeled, so the readout model never moves.
+		d.readoutSites[i] = simq.ReadoutSite{Fidelity: d.trueReadoutFidelity(i), T1Seconds: s.T1Seconds}
 	}
 	// Calibrated π amplitude from the nominal Rabi rate and gate envelope.
 	unitArea := d.unitGateArea()
@@ -470,16 +489,11 @@ func (d *SimDevice) Ports() []*pulse.Port { return d.ports }
 
 // QueryPortProperty implements qdmi.Device.
 func (d *SimDevice) QueryPortProperty(portID string, p qdmi.PortProperty) (any, error) {
-	var port *pulse.Port
-	for _, q := range d.ports {
-		if q.ID == portID {
-			port = q
-			break
-		}
-	}
-	if port == nil {
+	i := d.portIndex(portID)
+	if i < 0 {
 		return nil, fmt.Errorf("%w: unknown port %q", qdmi.ErrInvalidArgument, portID)
 	}
+	port := d.ports[i]
 	switch p {
 	case qdmi.PortPropKind:
 		return port.Kind, nil

@@ -268,6 +268,31 @@ func TestCancelIsIdempotentAfterCompletion(t *testing.T) {
 	}
 }
 
+// TestNormalFinishNeverRunsCtxDone: the worker's resolution detaches
+// onCtxDone before it releases the ticket's context, so a job that simply
+// finishes spawns no goroutine to format a cancellation error for nobody.
+// context.AfterFunc's stop reports true exactly when it kept the function
+// from ever running.
+func TestNormalFinishNeverRunsCtxDone(t *testing.T) {
+	tk := newTicket(context.Background(), 1, 0, 1, "", nil)
+	detached := false
+	stop := tk.stopCtxDone
+	tk.stopCtxDone = func() bool { detached = stop(); return detached }
+	if !tk.startRunning() || !tk.startDispatch() {
+		t.Fatal("fresh ticket refused dispatch")
+	}
+	tk.finish(&qdmi.Result{}, nil, qdmi.JobDone)
+	if !detached {
+		t.Fatal("finish released the context with onCtxDone still attached")
+	}
+	if tk.ctx.Err() == nil {
+		t.Fatal("finish did not release the ticket's context")
+	}
+	if res, err := tk.Wait(context.Background()); err != nil || res == nil || tk.Status() != qdmi.JobDone {
+		t.Fatalf("finished ticket: %v, %v, %v", res, err, tk.Status())
+	}
+}
+
 // TestDispatchSpanOnTimelineBeforeWaiterWakes checks, for every way a
 // dispatched job can end, that a goroutine woken by Ticket.Wait finds the
 // job's one dispatch span already recorded: the span closes inside the

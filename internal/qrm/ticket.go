@@ -25,6 +25,11 @@ type Ticket struct {
 	// waits on the device job under it.
 	ctx       context.Context
 	cancelCtx context.CancelFunc
+	// stopCtxDone detaches onCtxDone from ctx, so that the worker's
+	// resolution can release the context without running (and formatting an
+	// error for) a cancellation nobody asked for. Only the worker reads it:
+	// onCtxDone may already be running when newTicket stores it.
+	stopCtxDone func() bool
 
 	mu     sync.Mutex //mqss:lockrank 30
 	status qdmi.JobStatus
@@ -49,7 +54,7 @@ func newTicket(ctx context.Context, id int64, prio int, seq int64, tag string, t
 	// ticket the worker has not dispatched yet immediately, so waiters
 	// unblock and the worker skips it. A dispatched ticket is resolved by
 	// the worker, which waits on the device job under the same context.
-	context.AfterFunc(tctx, t.onCtxDone)
+	t.stopCtxDone = context.AfterFunc(tctx, t.onCtxDone)
 	return t
 }
 
@@ -172,5 +177,8 @@ func (t *Ticket) resolve(r *qdmi.Result, err error, status qdmi.JobStatus, worke
 	t.result, t.err, t.status = r, err, status
 	close(t.done)
 	t.mu.Unlock()
+	if worker {
+		t.stopCtxDone()
+	}
 	t.cancelCtx()
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/cmplx"
 	"slices"
+	"sync"
 	"time"
 
 	"mqsspulse/internal/linalg"
@@ -127,7 +128,8 @@ type EngineStats struct {
 // the program: the spectrally shifted sparse drift and the propagator
 // cache (the model itself carries the channels' sparse operators and the
 // collapse precompute). All of it is immutable or locked, so one Executor
-// serves any number of Runs, concurrently; only scratch is built per run.
+// serves any number of Runs, concurrently; a run's mutable scratch comes
+// from the executor's pool and goes back when the evolution ends.
 type Executor struct {
 	Model *SystemModel
 
@@ -136,6 +138,9 @@ type Executor struct {
 	// lam the spectral shift λ in rad/s; see fastEngine.
 	drift *linalg.Sparse
 	lam   float64
+	// scratch holds idle *fastEngine values. They are sized by the model,
+	// so one executor's engines fit every program it runs.
+	scratch sync.Pool
 }
 
 // NewExecutor wraps a system model.
@@ -167,6 +172,10 @@ func NewExecutor(m *SystemModel) *Executor {
 // driftFree reports whether the drift Hamiltonian is exactly zero.
 func (e *Executor) driftFree() bool { return e.drift == nil && e.lam == 0 }
 
+// openSystem reports whether the model has collapse operators, which is
+// what picks the density engine over the state-vector one.
+func (e *Executor) openSystem() bool { return len(e.Model.Collapses) > 0 }
+
 // playEvent is an active waveform on a channel with latched frame state.
 type playEvent struct {
 	start   int64
@@ -183,21 +192,39 @@ type captureEvent struct {
 	samples int64
 }
 
-// Run executes the scheduled program. The port set of the schedule must be
-// covered by the model's channels for every played port; capture ports must
-// reference single-site ports.
-func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResult, error) {
-	if opts.Shots <= 0 {
-		opts.Shots = 1024
-	}
-	if opts.MaxIdleStep <= 0 {
-		opts.MaxIdleStep = 500e-9
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 0x6d717373 // "mqss"
-	}
+// Program is a scheduled pulse program prepared for one Executor:
+// everything a run derives from (program, model) and nothing it derives
+// from ExecOptions — the plays with their latched frame state and control
+// channel, the integration segment boundaries, the captures in classical-bit
+// order, the makespan and the sample period. It is immutable, so any number
+// of runs, concurrent or not, may share it; it holds the inputs of the
+// evolution, never its output.
+type Program struct {
+	exec     *Executor
+	plays    []playEvent // by start tick, simultaneous plays in program order
+	ticks    []int64     // segmentTicks(plays, makespan)
+	captures []captureEvent
+	bits     []int // captures' classical bits, ascending
+	sites    []int // captures' sites, in bits order
+	makespan int64
+	dt       float64
+}
 
+// Run executes the scheduled program: Prepare, then one run of the
+// prepared program. A caller that runs the same program again keeps the
+// Program and calls its Run instead.
+func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResult, error) {
+	p, err := e.Prepare(sp)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(opts)
+}
+
+// Prepare links a scheduled program against the executor's model. The port
+// set of the schedule must be covered by the model's channels for every
+// played port; capture ports must reference single-site ports.
+func (e *Executor) Prepare(sp *pulse.ScheduledProgram) (*Program, error) {
 	// Latch frame states as instructions execute, in time order.
 	frames := map[string]*pulse.Frame{}
 	for _, f := range sp.Schedule.Frames() {
@@ -209,9 +236,7 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 		return nil, err
 	}
 
-	var plays []playEvent
-	var captures []captureEvent
-	var captureEnd int64
+	p := &Program{exec: e, dt: dt, makespan: sp.TotalDuration()}
 	for _, ti := range sp.Timed {
 		switch v := ti.Instr.(type) {
 		case *pulse.Play:
@@ -220,7 +245,7 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 				return nil, fmt.Errorf("simq: no control channel for port %s", v.Port)
 			}
 			f := frames[v.Frame]
-			plays = append(plays, playEvent{
+			p.plays = append(p.plays, playEvent{
 				start:   ti.Start,
 				samples: v.Waveform.Samples,
 				chi0:    cmplx.Exp(complex(0, -f.PhaseRad)),
@@ -243,15 +268,12 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 			if len(port.Sites) != 1 {
 				return nil, fmt.Errorf("simq: capture on multi-site port %s", v.Port)
 			}
-			for _, c := range captures {
+			for _, c := range p.captures {
 				if c.bit == v.Bit {
 					return nil, fmt.Errorf("simq: classical bit %d written twice", v.Bit)
 				}
 			}
-			captures = append(captures, captureEvent{bit: v.Bit, site: port.Sites[0], samples: v.DurationSamples})
-			if end := ti.Start + v.DurationSamples; end > captureEnd {
-				captureEnd = end
-			}
+			p.captures = append(p.captures, captureEvent{bit: v.Bit, site: port.Sites[0], samples: v.DurationSamples})
 		case *pulse.Delay, *pulse.Barrier:
 			// Timing-only; already resolved.
 		default:
@@ -259,8 +281,31 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 		}
 	}
 
-	makespan := sp.TotalDuration()
-	slices.SortFunc(captures, func(a, b captureEvent) int { return cmp.Compare(a.bit, b.bit) })
+	sortPlays(p.plays)
+	p.ticks = segmentTicks(p.plays, p.makespan)
+	slices.SortFunc(p.captures, func(a, b captureEvent) int { return cmp.Compare(a.bit, b.bit) })
+	for _, c := range p.captures {
+		p.bits = append(p.bits, c.bit)
+		p.sites = append(p.sites, c.site)
+	}
+	return p, nil
+}
+
+// Run executes the prepared program once. Everything per run — state,
+// shot sampling, counters — is built or reset here; the Program is only
+// read.
+func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
+	e := p.exec
+	if opts.Shots <= 0 {
+		opts.Shots = 1024
+	}
+	if opts.MaxIdleStep <= 0 {
+		opts.MaxIdleStep = 500e-9
+	}
+	seed := opts.Seed
+	if seed == 0 {
+		seed = 0x6d717373 // "mqss"
+	}
 
 	workers := opts.ShotWorkers
 	if workers < 1 {
@@ -276,28 +321,30 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 	// samples the same final state.
 	var st *State
 	var rho *Density
-	useDensity := len(e.Model.Collapses) > 0
-	if useDensity {
+	if e.openSystem() {
 		rho = NewDensity(e.Model.Dims)
 	} else {
 		st = NewState(e.Model.Dims)
 	}
-	eng := e.newFastEngine(useDensity, dt)
-	if err := e.evolve(eng, st, rho, plays, makespan, opts); err != nil {
+	eng := e.acquireEngine(p.dt)
+	err := e.evolve(eng, st, rho, p, opts)
+	stats := eng.EngineStats
+	e.scratch.Put(eng)
+	if err != nil {
 		return nil, err
 	}
 
 	res := &ExecResult{
 		Counts:          map[uint64]int{},
 		Shots:           opts.Shots,
-		DurationSamples: makespan,
-		DurationSeconds: float64(makespan) * dt,
+		DurationSamples: p.makespan,
+		DurationSeconds: float64(p.makespan) * p.dt,
 		FinalState:      st,
 		FinalDensity:    rho,
 		Workers:         workers,
-		EngineStats:     eng.EngineStats,
+		EngineStats:     stats,
 	}
-	if len(captures) == 0 {
+	if len(p.captures) == 0 {
 		// Still stamp the requested level so callers (and the remote wire)
 		// can tell an empty acquisition apart from a level downgrade.
 		if opts.Readout != nil {
@@ -307,10 +354,9 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 	}
 
 	roStart := time.Now()
-	runner := e.newShotRunner(st, rho, captures, dt, seed, workers, opts)
-	for _, c := range captures {
-		res.MeasuredBits = append(res.MeasuredBits, c.bit)
-	}
+	runner := p.newShotRunner(st, rho, seed, workers, opts)
+	// The caller owns the result; the Program's slice stays its own.
+	res.MeasuredBits = slices.Clone(p.bits)
 	if err := runner.sampleAll(res); err != nil {
 		return nil, err
 	}
@@ -342,9 +388,8 @@ func (e *Executor) sampleDt(sp *pulse.ScheduledProgram) (float64, error) {
 // are always advanced exactly (one cached ExpI per distinct segment
 // length); driven segments go through the matrix-free fast path, or the
 // reference per-sample eigendecomposition when a test sets opts.exact.
-func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, plays []playEvent, makespan int64, opts ExecOptions) error {
-	sortPlays(plays)
-	ticks := segmentTicks(plays, makespan)
+func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, opts ExecOptions) error {
+	plays, ticks := p.plays, p.ticks
 	collapse := e.Model.collapse
 
 	// poll charges `consumed` driven ticks against the cancellation budget
@@ -583,6 +628,12 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 // precompute, propagator cache — belongs to the executor and its model
 // and outlives the run.
 //
+// Engines are pooled per executor (acquireEngine), so a run may start on
+// one a previous run — finished, failed or interrupted mid-segment — left
+// behind. Nothing carries over: the counters and the play, χ and operator
+// lists are reset on acquisition, and every numeric buffer (stepper
+// matrices, scratch, dense) is written in full before it is read.
+//
 // The implicit Hamiltonian is spectrally shifted: the steppers integrate
 // H − λI with λ centered on the drift's diagonal, which roughly halves
 // ‖H‖·dt for anharmonicity-dominated transmon drifts and with it the
@@ -606,19 +657,38 @@ type fastEngine struct {
 
 func (e *Executor) newFastEngine(forDensity bool, dt float64) *fastEngine {
 	n := e.Model.HilbertDim()
-	eng := &fastEngine{
-		ham:       &tickHam{drift: e.drift},
-		dt:        dt,
-		tickPhase: 1,
-	}
-	if e.lam != 0 {
-		eng.tickPhase = cmplx.Exp(complex(0, -e.lam*dt))
-	}
+	eng := &fastEngine{ham: &tickHam{drift: e.drift}}
+	eng.setDt(e.lam, dt)
 	if forDensity {
 		eng.mat = newMatStepper(n)
 	} else {
 		eng.vec = newVecStepper(n)
 		eng.scratch = make([]complex128, n)
+	}
+	return eng
+}
+
+// setDt points the engine at a run's sample period.
+func (eng *fastEngine) setDt(lam, dt float64) {
+	eng.dt, eng.tickPhase = dt, 1
+	if lam != 0 {
+		eng.tickPhase = cmplx.Exp(complex(0, -lam*dt))
+	}
+}
+
+// acquireEngine returns scratch for one run at sample period dt: an idle
+// engine from the pool, reset, or a new one. The caller Puts it back into
+// e.scratch once the evolution has ended, however it ended.
+func (e *Executor) acquireEngine(dt float64) *fastEngine {
+	eng, _ := e.scratch.Get().(*fastEngine)
+	if eng == nil {
+		return e.newFastEngine(e.openSystem(), dt)
+	}
+	eng.EngineStats = EngineStats{}
+	eng.ham.reset()
+	eng.active, eng.chis, eng.keyBuf = eng.active[:0], eng.chis[:0], eng.keyBuf[:0]
+	if eng.dt != dt {
+		eng.setDt(e.lam, dt)
 	}
 	return eng
 }

@@ -166,24 +166,19 @@ type workerRNG struct {
 	rand *rand.Rand
 }
 
-// newShotRunner assembles the sampling phase for a run whose captures
-// are non-empty. Exactly one of st and rho carries the evolved final
-// state.
-func (e *Executor) newShotRunner(st *State, rho *Density, captures []captureEvent,
-	dt float64, seed int64, workers int, opts ExecOptions) *shotRunner {
-
+// newShotRunner assembles the sampling phase for a run of a program whose
+// captures are non-empty. Exactly one of st and rho carries the evolved
+// final state.
+func (p *Program) newShotRunner(st *State, rho *Density, seed int64, workers int, opts ExecOptions) *shotRunner {
 	r := &shotRunner{
-		captures:    captures,
-		dims:        e.Model.Dims,
-		dt:          dt,
+		captures:    p.captures,
+		sites:       p.sites,
+		dims:        p.exec.Model.Dims,
+		dt:          p.dt,
 		seed:        seed,
 		shots:       opts.Shots,
 		workers:     workers,
 		interrupted: opts.Interrupted,
-	}
-	r.sites = make([]int, len(captures))
-	for i, c := range captures {
-		r.sites[i] = c.site
 	}
 	if m := opts.Readout; m != nil && m.Level != readout.LevelDiscriminated {
 		r.model = m
