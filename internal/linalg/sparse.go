@@ -133,29 +133,3 @@ func (s *Sparse) DaggerMulMatAccum(dst, src *Matrix, scale complex128) {
 		}
 	}
 }
-
-// MatMulAccum accumulates dst += scale·src·S. Each sparse entry (i,j,v)
-// contributes scale·v·src_col(i) to dst_col(j). dst and src must not
-// alias.
-func (s *Sparse) MatMulAccum(dst, src *Matrix, scale complex128) {
-	cols := dst.Cols
-	for k, val := range s.Vals {
-		c := scale * val
-		i, j := s.RowIdx[k], s.ColIdx[k]
-		for r := 0; r < src.Rows; r++ {
-			dst.Data[r*cols+j] += c * src.Data[r*cols+i]
-		}
-	}
-}
-
-// MatMulDaggerAccum accumulates dst += scale·src·S†.
-func (s *Sparse) MatMulDaggerAccum(dst, src *Matrix, scale complex128) {
-	cols := dst.Cols
-	for k, val := range s.Vals {
-		c := scale * cmplx.Conj(val)
-		i, j := s.RowIdx[k], s.ColIdx[k]
-		for r := 0; r < src.Rows; r++ {
-			dst.Data[r*cols+i] += c * src.Data[r*cols+j]
-		}
-	}
-}

@@ -123,14 +123,6 @@ func TestSparseMatKernels(t *testing.T) {
 		dst = NewMatrix(n, n)
 		s.DaggerMulMatAccum(dst, src, scale)
 		check("DaggerMulMatAccum", dst, m.Dagger().Mul(src).Scale(scale))
-
-		dst = NewMatrix(n, n)
-		s.MatMulAccum(dst, src, scale)
-		check("MatMulAccum", dst, src.Mul(m).Scale(scale))
-
-		dst = NewMatrix(n, n)
-		s.MatMulDaggerAccum(dst, src, scale)
-		check("MatMulDaggerAccum", dst, src.Mul(m.Dagger()).Scale(scale))
 	}
 }
 

@@ -1,9 +1,12 @@
 package simq
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
+	"slices"
 
 	"mqsspulse/internal/linalg"
 )
@@ -99,49 +102,108 @@ type Collapse struct {
 }
 
 // collapseSet is the precomputed form of a model's collapse channels: the
-// sparse jump operators (the embedded a and a†a have O(n) non-zeros) and
-// the sparse decay operator D = Σ γ_k·L_k†L_k. NewSystemModel builds it
-// once; the density engine's dissipator reads it and never writes.
+// generator of the dissipator as one sparse matrix over row-major vec(ρ),
+//
+//	G = Σ_k γ_k·(L_k ⊗ L_k*) − ½(D ⊗ I + I ⊗ Dᵀ),  D = Σ_k γ_k·L_k†L_k,
+//
+// so that vec(dρ/dt) = G·vec(ρ) with ρ_ij at index i·n + j. It is stored
+// row-compressed: row r's entries are cols/vals[rowStart[r]:rowStart[r+1]],
+// columns ascending, exact zeros dropped. The embedded a and a†a have at
+// most one non-zero per row, so G has at most (K+1)·n² entries — a few per
+// row. NewSystemModel builds it once; the density engine's dissipator reads
+// it and never writes.
 type collapseSet struct {
-	ops   []sparseCollapse // channels with γ ≠ 0
-	decay *linalg.Sparse
+	rowStart []int // n²+1 offsets into cols and vals
+	cols     []int
+	vals     []complex128
 }
 
-// sparseCollapse is one collapse channel: the sparse jump operator and
-// its rate γ.
-type sparseCollapse struct {
-	op   *linalg.Sparse
-	rate float64
+// empty reports whether there is nothing to dissipate: no channel with a
+// non-zero rate, or channels whose generator vanishes identically.
+func (cs *collapseSet) empty() bool { return len(cs.vals) == 0 }
+
+// generatorEntry is one contribution to G during assembly.
+type generatorEntry struct {
+	row, col int
+	val      complex128
 }
 
+// newCollapseSet assembles G from the non-zeros of the jump operators:
+// nnz(L_k)² products per channel for the jump term and n·nnz(D) entries
+// for each half of the anticommutator, then one sort to merge entries
+// that land on the same (row, col). NewSystemModel has checked that every
+// L is n×n and every rate is finite and non-negative.
 func newCollapseSet(n int, collapses []Collapse) *collapseSet {
-	cs := &collapseSet{}
+	var entries []generatorEntry
 	decay := linalg.NewMatrix(n, n)
 	for _, c := range collapses {
 		if c.Rate == 0 {
 			continue
 		}
-		cs.ops = append(cs.ops, sparseCollapse{op: linalg.NewSparse(c.L), rate: c.Rate})
-		decay.AddInPlace(c.L.Dagger().Mul(c.L), complex(c.Rate, 0))
+		l, rate := linalg.NewSparse(c.L), complex(c.Rate, 0)
+		for a, va := range l.Vals {
+			i, k := l.RowIdx[a], l.ColIdx[a]
+			for b, vb := range l.Vals {
+				j, m := l.RowIdx[b], l.ColIdx[b]
+				// γ·L_ik·conj(L_jm): ρ_km feeds (LρL†)_ij.
+				entries = append(entries, generatorEntry{i*n + j, k*n + m, rate * va * cmplx.Conj(vb)})
+				// γ·conj(L_ik)·L_im accumulates D_km when a and b share a row.
+				if i == j {
+					decay.Data[k*n+m] += rate * cmplx.Conj(va) * vb
+				}
+			}
+		}
 	}
-	cs.decay = linalg.NewSparse(decay)
+	d := linalg.NewSparse(decay)
+	for a, v := range d.Vals {
+		i, k := d.RowIdx[a], d.ColIdx[a]
+		for j := 0; j < n; j++ {
+			// −½(Dρ)_ij takes D_ik·ρ_kj; −½(ρD)_jk takes ρ_ji·D_ik.
+			entries = append(entries,
+				generatorEntry{i*n + j, k*n + j, -0.5 * v},
+				generatorEntry{j*n + k, j*n + i, -0.5 * v})
+		}
+	}
+	// Stable, so entries of one (row, col) are summed in assembly order and
+	// the model is a deterministic function of its collapses.
+	slices.SortStableFunc(entries, func(a, b generatorEntry) int {
+		return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(a.col, b.col))
+	})
+	cs := &collapseSet{rowStart: make([]int, n*n+1)}
+	for a := 0; a < len(entries); {
+		e := entries[a]
+		for a++; a < len(entries) && entries[a].row == e.row && entries[a].col == e.col; a++ {
+			e.val += entries[a].val
+		}
+		if e.val != 0 {
+			cs.cols = append(cs.cols, e.col)
+			cs.vals = append(cs.vals, e.val)
+			cs.rowStart[e.row+1]++
+		}
+	}
+	for r := 0; r < n*n; r++ {
+		cs.rowStart[r+1] += cs.rowStart[r]
+	}
 	return cs
 }
 
 // dissipatorRHS fills out with Σ γ_k·L_k ρ L_k† − ½(Dρ + ρD), the
-// dissipative part of the Lindblad equation, without allocating.
+// dissipative part of the Lindblad equation: one sparse apply of the
+// generator to vec(ρ), without allocating. out and rho must not alias.
 //
 //mqss:hotloop
 func (s *matStepper) dissipatorRHS(cs *collapseSet, out, rho *linalg.Matrix) {
-	clear(out.Data)
-	for i := range cs.ops {
-		c := &cs.ops[i]
-		clear(s.tmp.Data)
-		c.op.MulMatAccum(s.tmp, rho, complex(c.rate, 0))
-		c.op.MatMulDaggerAccum(out, s.tmp, 1)
+	x, cols, vals := rho.Data, cs.cols, cs.vals
+	lo := 0
+	for r := range out.Data {
+		hi := cs.rowStart[r+1]
+		var sum complex128
+		for k := lo; k < hi; k++ {
+			sum += vals[k] * x[cols[k]]
+		}
+		out.Data[r] = sum
+		lo = hi
 	}
-	cs.decay.MulMatAccum(out, rho, -0.5)
-	cs.decay.MatMulAccum(out, rho, -0.5)
 }
 
 // dissipate advances rho by dt under the dissipator alone with one RK4

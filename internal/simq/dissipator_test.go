@@ -79,7 +79,7 @@ func TestDissipatorMatchesDenseReference(t *testing.T) {
 
 // twoTransmonOpenRig is the sc-2 shape: two d=3 transmons with
 // anharmonic drift, one drive each, T1/T2 on both.
-func twoTransmonOpenRig(t *testing.T) *Executor {
+func twoTransmonOpenRig(t testing.TB) *Executor {
 	t.Helper()
 	dims := []int{3, 3}
 	drift := TransmonDrift(dims, 0, 0, -220e6).Add(TransmonDrift(dims, 1, 0, -210e6))

@@ -425,7 +425,7 @@ func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, 
 				}
 				eng.apply(u, st, rho)
 			}
-			if rho != nil && len(collapse.ops) > 0 {
+			if rho != nil && !collapse.empty() {
 				segT := float64(t1-t0) * eng.dt
 				steps := int(math.Ceil(segT / opts.MaxIdleStep))
 				if steps < 1 {
@@ -577,7 +577,7 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 		case allZero && e.driftFree():
 			// Zero drive over zero drift: nothing evolves (decoherence still
 			// applies on the density engine).
-			if rho != nil && len(collapse.ops) > 0 {
+			if rho != nil && !collapse.empty() {
 				for k := int64(0); k < run; k++ {
 					eng.dissipate(collapse, rho, dt)
 					if poll(1) {
@@ -588,7 +588,7 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 				return ErrInterrupted
 			}
 			tick += run
-		case rho != nil && len(collapse.ops) > 0:
+		case rho != nil && !collapse.empty():
 			// Constant stretch with decoherence: the splitting integrator
 			// still interleaves the dissipator per tick, but the unitary
 			// factor is exponentiated once and applied with the stepper's
@@ -720,7 +720,7 @@ func (eng *fastEngine) apply(u *linalg.Matrix, st *State, rho *Density) {
 // dissipate advances rho by one counted dissipator step; a model whose
 // collapse channels all have zero rate has none to take.
 func (eng *fastEngine) dissipate(cs *collapseSet, rho *Density, dt float64) {
-	if len(cs.ops) == 0 {
+	if cs.empty() {
 		return
 	}
 	eng.DissipatorSteps++

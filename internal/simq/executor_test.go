@@ -517,6 +517,22 @@ func TestSystemModelValidation(t *testing.T) {
 	if _, err := NewSystemModel(dims, nil, []*ControlChannel{&bad2}, nil); err == nil {
 		t.Fatal("empty port ID accepted")
 	}
+	lower := linalg.Annihilation(2)
+	for name, c := range map[string]Collapse{
+		"nil operator":  {L: nil, Rate: 1e4},
+		"3x3 operator":  {L: linalg.Annihilation(3), Rate: 1e4},
+		"negative rate": {L: lower, Rate: -1e4},
+		"NaN rate":      {L: lower, Rate: math.NaN()},
+		"infinite rate": {L: lower, Rate: math.Inf(1)},
+	} {
+		if _, err := NewSystemModel(dims, nil, nil, []Collapse{c}); err == nil {
+			t.Fatalf("collapse with %s accepted", name)
+		}
+	}
+	model, err := NewSystemModel(dims, nil, nil, []Collapse{{L: lower, Rate: 0}})
+	if err != nil || !model.collapse.empty() {
+		t.Fatalf("zero-rate collapse: err %v, want it accepted and dropped", err)
+	}
 }
 
 func TestDriveTermHermiticity(t *testing.T) {

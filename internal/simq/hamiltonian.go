@@ -46,7 +46,7 @@ type SystemModel struct {
 	Channels  map[string]*ControlChannel
 	Collapses []Collapse
 
-	collapse *collapseSet // Collapses, precomputed for both open-system engines
+	collapse *collapseSet // Collapses as the dissipator's generator, for the density engine
 }
 
 // NewSystemModel validates and assembles a model.
@@ -85,6 +85,14 @@ func NewSystemModel(dims []int, drift *linalg.Matrix, channels []*ControlChannel
 			c.opSparse = linalg.NewSparse(c.OpRaise)
 		}
 		chm[c.PortID] = c
+	}
+	for i, c := range collapses {
+		if c.L == nil || c.L.Rows != n || c.L.Cols != n {
+			return nil, fmt.Errorf("simq: collapse %d operator dimension mismatch", i)
+		}
+		if c.Rate < 0 || math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0) {
+			return nil, fmt.Errorf("simq: collapse %d has rate %g, want finite and non-negative", i, c.Rate)
+		}
 	}
 	return &SystemModel{Dims: dims, Drift: drift, Channels: chm, Collapses: collapses,
 		collapse: newCollapseSet(n, collapses)}, nil
