@@ -126,9 +126,6 @@ func WithDeadline(t time.Time) ExecOption { return qpi.WithDeadline(t) }
 // WithTimeout is WithDeadline relative to now.
 func WithTimeout(d time.Duration) ExecOption { return qpi.WithTimeout(d) }
 
-// WithoutCache bypasses compilation caches for this submission.
-func WithoutCache() ExecOption { return qpi.WithoutCache() }
-
 // WithTraceID sets the telemetry trace identifier instead of letting the
 // stack mint one — the hook for correlating a submission with an external
 // tracing system.
@@ -234,16 +231,17 @@ func NewReadoutMitigator(bits []int, mats []ReadoutConfusion) (*ReadoutMitigator
 
 // ReadoutCalibrate trains a discriminator from prep-0/prep-1 experiments
 // and writes the measured assignment fidelity back into the device's
-// calibration table.
-func ReadoutCalibrate(ctx context.Context, dev *SimDevice, site, shots int) (*ReadoutCalibResult, error) {
-	return calib.ReadoutCalibrate(ctx, dev, site, shots)
+// calibration table. Like every calibration routine it runs its jobs
+// through c, the client dev is registered on.
+func ReadoutCalibrate(ctx context.Context, c *Client, dev *SimDevice, site, shots int) (*ReadoutCalibResult, error) {
+	return calib.ReadoutCalibrate(ctx, c, dev, site, shots)
 }
 
 // MeasureReadoutMitigator measures per-site assignment matrices through
 // prep experiments and builds the mitigator for kernels measuring
 // sites[i] into classical bit i.
-func MeasureReadoutMitigator(ctx context.Context, dev Device, sites []int, shots int) (*ReadoutMitigator, error) {
-	return calib.ReadoutMitigator(ctx, dev, sites, shots)
+func MeasureReadoutMitigator(ctx context.Context, c *Client, dev Device, sites []int, shots int) (*ReadoutMitigator, error) {
+	return calib.ReadoutMitigator(ctx, c, dev, sites, shots)
 }
 
 // NewCircuit begins a kernel (the paper's qCircuitBegin).
@@ -529,7 +527,9 @@ func ParseMLIR(src string) (*MLIRModule, error) { return mlir.Parse(src) }
 // ParseQIR parses QIR exchange text.
 func ParseQIR(src string) (*QIRModule, error) { return qir.ParseModule(src) }
 
-// Calibration (paper Section 2.1, use case 1).
+// Calibration (paper Section 2.1, use case 1). Routines are clients of the
+// stack: each takes the Client its device is registered on and runs its
+// kernels through it as tagged, prioritised jobs.
 type (
 	// CalibrationTarget is the device surface calibration routines need.
 	CalibrationTarget = calib.Target
@@ -544,13 +544,13 @@ type (
 )
 
 // RabiCalibrate re-fits the π-pulse amplitude of a site.
-func RabiCalibrate(ctx context.Context, dev CalibrationTarget, site, points, shots int) (*RabiResult, error) {
-	return calib.RabiCalibrate(ctx, dev, site, points, shots)
+func RabiCalibrate(ctx context.Context, c *Client, dev CalibrationTarget, site, points, shots int) (*RabiResult, error) {
+	return calib.RabiCalibrate(ctx, c, dev, site, points, shots)
 }
 
 // RamseyCalibrate re-fits the qubit frequency of a site.
-func RamseyCalibrate(ctx context.Context, dev CalibrationTarget, site int, probeHz float64, points, shots int) (*RamseyResult, error) {
-	return calib.RamseyCalibrate(ctx, dev, site, probeHz, points, shots)
+func RamseyCalibrate(ctx context.Context, c *Client, dev CalibrationTarget, site int, probeHz float64, points, shots int) (*RamseyResult, error) {
+	return calib.RamseyCalibrate(ctx, c, dev, site, probeHz, points, shots)
 }
 
 // CalibrationPolicyFor derives a technology-appropriate cadence via QDMI.
@@ -564,19 +564,19 @@ func CalibrationEpoch(dev Device) (int64, error) { return qdmi.QueryCalibrationE
 
 // RamseyErrorBenchmark measures frequency-drift-induced error: a resonant
 // sx–idle–sx sequence that lands in |1⟩ when calibration is fresh.
-func RamseyErrorBenchmark(ctx context.Context, dev CalibrationTarget, site int, tauSeconds float64, shots int) (float64, error) {
-	return calib.RamseyErrorBenchmark(ctx, dev, site, tauSeconds, shots)
+func RamseyErrorBenchmark(ctx context.Context, c *Client, dev CalibrationTarget, site int, tauSeconds float64, shots int) (float64, error) {
+	return calib.RamseyErrorBenchmark(ctx, c, dev, site, tauSeconds, shots)
 }
 
 // PulseTrainBenchmark measures amplitude-drift-induced error via an odd
 // π-pulse train.
-func PulseTrainBenchmark(ctx context.Context, dev CalibrationTarget, site, n, shots int) (float64, error) {
-	return calib.PulseTrainBenchmark(ctx, dev, site, n, shots)
+func PulseTrainBenchmark(ctx context.Context, c *Client, dev CalibrationTarget, site, n, shots int) (float64, error) {
+	return calib.PulseTrainBenchmark(ctx, c, dev, site, n, shots)
 }
 
 // NewCalibrationScheduler builds the cadence tracker.
-func NewCalibrationScheduler(dev CalibrationTarget, p CalibrationPolicy) *CalibrationScheduler {
-	return calib.NewScheduler(dev, p)
+func NewCalibrationScheduler(c *Client, dev CalibrationTarget, p CalibrationPolicy) *CalibrationScheduler {
+	return calib.NewScheduler(c, dev, p)
 }
 
 // Optimal control (paper Section 2.1, use case 2).
@@ -625,7 +625,8 @@ func NewPulseAnsatz(dev Device, qubits int) (*PulseAnsatz, error) {
 	return vqe.NewPulseAnsatz(dev, qubits)
 }
 
-// RunVQE minimizes the measured energy over ansatz parameters.
-func RunVQE(ctx context.Context, dev Device, h *PauliHamiltonian, a vqe.Ansatz, x0 []float64, opts VQEOptions) (*VQEResult, error) {
-	return vqe.Run(ctx, dev, h, a, x0, opts)
+// RunVQE minimizes the measured energy over ansatz parameters; every
+// evaluation is a job on the named device through c's scheduler.
+func RunVQE(ctx context.Context, c *Client, device string, h *PauliHamiltonian, a vqe.Ansatz, x0 []float64, opts VQEOptions) (*VQEResult, error) {
+	return vqe.Run(ctx, c.QRM(), device, h, a, x0, opts)
 }

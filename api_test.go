@@ -120,25 +120,30 @@ func TestFacadeCalibrationRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stack, err := mqsspulse.NewStack(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
 	dev.SetCalibratedFrequency(0, dev.TrueFrequency(0)+250e3)
-	rr, err := mqsspulse.RamseyCalibrate(context.Background(), dev, 0, 1e6, 16, 600)
+	rr, err := mqsspulse.RamseyCalibrate(context.Background(), stack.Client, dev, 0, 1e6, 16, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(rr.MeasuredOffsetHz-250e3) > 40e3 {
 		t.Fatalf("offset %g", rr.MeasuredOffsetHz)
 	}
-	if _, err := mqsspulse.RamseyErrorBenchmark(context.Background(), dev, 0, 2e-6, 400); err != nil {
+	if _, err := mqsspulse.RamseyErrorBenchmark(context.Background(), stack.Client, dev, 0, 2e-6, 400); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mqsspulse.PulseTrainBenchmark(context.Background(), dev, 0, 5, 400); err != nil {
+	if _, err := mqsspulse.PulseTrainBenchmark(context.Background(), stack.Client, dev, 0, 5, 400); err != nil {
 		t.Fatal(err)
 	}
 	pol, err := mqsspulse.CalibrationPolicyFor(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := mqsspulse.NewCalibrationScheduler(dev, pol)
+	sched := mqsspulse.NewCalibrationScheduler(stack.Client, dev, pol)
 	if sched == nil {
 		t.Fatal("nil scheduler")
 	}

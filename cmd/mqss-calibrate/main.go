@@ -1,7 +1,7 @@
 // mqss-calibrate demonstrates the automated-calibration use case (paper
 // §2.1): it drifts a simulated device forward in time, shows the benchmark
-// degradation, runs Ramsey + Rabi calibration through pulse-level QDMI
-// jobs, and shows the recovery.
+// degradation, runs Ramsey + Rabi calibration as pulse-level jobs through
+// the stack (client → QRM → QDMI), and shows the recovery.
 //
 // Usage:
 //
@@ -15,7 +15,9 @@ import (
 	"os"
 
 	"mqsspulse/internal/calib"
+	"mqsspulse/internal/client"
 	"mqsspulse/internal/devices"
+	"mqsspulse/internal/qdmi"
 )
 
 func main() {
@@ -43,6 +45,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	drv := qdmi.NewDriver()
+	if err := drv.RegisterDevice(dev); err != nil {
+		fatal(err)
+	}
+	cl := client.New(drv.OpenSession())
+	defer cl.Close()
 	ctx := context.Background()
 	policy, err := calib.PolicyFor(dev)
 	if err != nil {
@@ -56,18 +64,18 @@ func main() {
 		(dev.CalibratedFrequency(0)-dev.TrueFrequency(0))/1e3)
 	fmt.Printf("  true amplitude scale %+.3f%%\n", (dev.TrueAmpScale()-1)*100)
 
-	before, err := calib.RamseyErrorBenchmark(ctx, dev, 0, tau, 2000)
+	before, err := calib.RamseyErrorBenchmark(ctx, cl, dev, 0, tau, 2000)
 	if err != nil {
 		fatal(err)
 	}
-	beforeTrain, err := calib.PulseTrainBenchmark(ctx, dev, 0, 11, 2000)
+	beforeTrain, err := calib.PulseTrainBenchmark(ctx, cl, dev, 0, 11, 2000)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  benchmark error before calibration: ramsey=%.4f  train=%.4f\n", before, beforeTrain)
 
 	fmt.Println("running Ramsey frequency calibration...")
-	rr, err := calib.RamseyCalibrate(ctx, dev, 0, policy.ProbeHz, 16, 800)
+	rr, err := calib.RamseyCalibrate(ctx, cl, dev, 0, policy.ProbeHz, 16, 800)
 	if err != nil {
 		fatal(err)
 	}
@@ -75,18 +83,18 @@ func main() {
 		rr.MeasuredOffsetHz/1e3, rr.OldFreq/1e9, rr.NewFreq/1e9)
 
 	fmt.Println("running Rabi amplitude calibration...")
-	ra, err := calib.RabiCalibrate(ctx, dev, 0, 12, 800)
+	ra, err := calib.RabiCalibrate(ctx, cl, dev, 0, 12, 800)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  pi amplitude %.4f -> %.4f (%+.2f%%)\n",
 		ra.OldAmp, ra.NewAmp, (ra.NewAmp/ra.OldAmp-1)*100)
 
-	after, err := calib.RamseyErrorBenchmark(ctx, dev, 0, tau, 2000)
+	after, err := calib.RamseyErrorBenchmark(ctx, cl, dev, 0, tau, 2000)
 	if err != nil {
 		fatal(err)
 	}
-	afterTrain, err := calib.PulseTrainBenchmark(ctx, dev, 0, 11, 2000)
+	afterTrain, err := calib.PulseTrainBenchmark(ctx, cl, dev, 0, 11, 2000)
 	if err != nil {
 		fatal(err)
 	}

@@ -50,7 +50,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sched := mqsspulse.NewCalibrationScheduler(maintained, policy)
+		// Calibration jobs and benchmarks go through the stack like any job.
+		stack, err := mqsspulse.NewStack(maintained, neglected)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sched := mqsspulse.NewCalibrationScheduler(stack.Client, maintained, policy)
 
 		fmt.Printf("=== %s: %.1f simulated hours, Ramsey cadence %.0f s ===\n",
 			tc.name, tc.hours, policy.RamseyEverySeconds)
@@ -62,11 +67,11 @@ func main() {
 			if _, err := sched.Tick(context.Background()); err != nil {
 				log.Fatal(err)
 			}
-			ec, err := mqsspulse.RamseyErrorBenchmark(context.Background(), maintained, 0, tc.tau, 800)
+			ec, err := mqsspulse.RamseyErrorBenchmark(context.Background(), stack.Client, maintained, 0, tc.tau, 800)
 			if err != nil {
 				log.Fatal(err)
 			}
-			er, err := mqsspulse.RamseyErrorBenchmark(context.Background(), neglected, 0, tc.tau, 800)
+			er, err := mqsspulse.RamseyErrorBenchmark(context.Background(), stack.Client, neglected, 0, tc.tau, 800)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -79,6 +84,7 @@ func main() {
 		fmt.Printf("  final frequency error: maintained %+.2f kHz  neglected %+.2f kHz\n\n",
 			(maintained.CalibratedFrequency(0)-maintained.TrueFrequency(0))/1e3,
 			(neglected.CalibratedFrequency(0)-neglected.TrueFrequency(0))/1e3)
+		stack.Close()
 	}
 	if err := epochDemo(seed); err != nil {
 		log.Fatal(err)
@@ -122,7 +128,7 @@ func epochDemo(seed int64) error {
 
 	// Hours of drift, then a Rabi writeback: the epoch moves.
 	dev.AdvanceTime(4 * 3600)
-	if _, err := mqsspulse.RabiCalibrate(context.Background(), dev, 0, 12, 400); err != nil {
+	if _, err := mqsspulse.RabiCalibrate(context.Background(), stack.Client, dev, 0, 12, 400); err != nil {
 		return err
 	}
 	epoch, _ = mqsspulse.CalibrationEpoch(dev)

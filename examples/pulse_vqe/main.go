@@ -20,6 +20,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	stack, err := mqsspulse.NewStack(dev)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stack.Close()
 	h := mqsspulse.H2Hamiltonian()
 	exact, err := h.GroundEnergy()
 	if err != nil {
@@ -33,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("running ctrl-VQE (pulse ansatz: 2 drive amps, 2 frame phases, 1 coupler amp)...")
-	pres, err := mqsspulse.RunVQE(context.Background(), dev, h, pulseAnsatz,
+	pres, err := mqsspulse.RunVQE(context.Background(), stack.Client, dev.Name(), h, pulseAnsatz,
 		[]float64{0.9, 0.15, 0.0, 0.0, 0.1},
 		mqsspulse.VQEOptions{Shots: 800, MaxEvals: 80, InitStep: 0.15})
 	if err != nil {
@@ -46,7 +51,7 @@ func main() {
 	// --- gate-level VQE for comparison ---
 	gateAnsatz := &mqsspulse.GateAnsatz{Qubits: 2, Layers: 1}
 	fmt.Println("running gate-level VQE (RY layers + CZ entangler)...")
-	gres, err := mqsspulse.RunVQE(context.Background(), dev, h, gateAnsatz,
+	gres, err := mqsspulse.RunVQE(context.Background(), stack.Client, dev.Name(), h, gateAnsatz,
 		[]float64{math.Pi - 0.2, 0.2, -0.2, 0.2},
 		mqsspulse.VQEOptions{Shots: 800, MaxEvals: 80, InitStep: 0.3})
 	if err != nil {

@@ -92,7 +92,7 @@ func main() {
 	// write the measured assignment fidelity into the calibration table.
 	fmt.Println("--- readout calibration ---")
 	for site := 0; site < 2; site++ {
-		cal, err := mqsspulse.ReadoutCalibrate(ctx, dev, site, 4000)
+		cal, err := mqsspulse.ReadoutCalibrate(ctx, stack.Client, dev, site, 4000)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func main() {
 	defer bstack.Close()
 	bbackend := &mqsspulse.NativeAdapter{Client: bstack.Client, Target: biased.Name()}
 
-	mit, err := mqsspulse.MeasureReadoutMitigator(ctx, biased, []int{0, 1}, 6000)
+	mit, err := mqsspulse.MeasureReadoutMitigator(ctx, bstack.Client, biased, []int{0, 1}, 6000)
 	if err != nil {
 		log.Fatal(err)
 	}

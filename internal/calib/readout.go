@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"mqsspulse/internal/client"
 	"mqsspulse/internal/qdmi"
-	"mqsspulse/internal/qir"
 	"mqsspulse/internal/readout"
 )
 
@@ -33,25 +33,20 @@ type ReadoutCalibResult struct {
 	Model []byte
 }
 
-// runKerneled submits a module at kerneled measurement level and returns
-// the IQ point of the single capture for every shot.
-func runKerneled(ctx context.Context, dev qdmi.Device, mod *qir.Module, shots int) ([]readout.IQ, error) {
-	as, ok := dev.(qdmi.AcquisitionSubmitter)
-	if !ok {
-		return nil, fmt.Errorf("%w: device %s cannot return kerneled measurement data",
-			qdmi.ErrNotSupported, dev.Name())
+// prep runs one of the two single-capture preparation experiments on the
+// bench's site: prep-0 measures the idle qubit, prep-1 measures after a
+// calibrated π pulse.
+func (b *bench) prep(ctx context.Context, one bool) (*readout.Result, error) {
+	if one {
+		return b.run(ctx, b.kernel("readout_prep1", "x"))
 	}
-	job, err := as.SubmitJobOpts(mod.Emit(), qdmi.FormatQIRPulse, qdmi.JobOptions{
-		Shots: shots, MeasLevel: readout.LevelKerneled,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if st := job.Wait(ctx); st != qdmi.JobDone {
-		_, rerr := job.Result()
-		return nil, fmt.Errorf("calib: job %s %v: %v", job.ID(), st, rerr)
-	}
-	res, err := job.Result()
+	return b.run(ctx, b.kernel("readout_prep0"))
+}
+
+// prepIQ is prep at the kerneled measurement level: the IQ point of the
+// single capture for every shot.
+func (b *bench) prepIQ(ctx context.Context, one bool) ([]readout.IQ, error) {
+	res, err := b.prep(ctx, one)
 	if err != nil {
 		return nil, err
 	}
@@ -63,30 +58,6 @@ func runKerneled(ctx context.Context, dev qdmi.Device, mod *qir.Module, shots in
 		points = append(points, row[0])
 	}
 	return points, nil
-}
-
-// prepModules builds the prep-0 and prep-1 single-capture experiments.
-func prepModules(dev qdmi.Device, site int) (prep0, prep1 *qir.Module, err error) {
-	drive, ro, err := sitePorts(dev, site)
-	if err != nil {
-		return nil, nil, err
-	}
-	xw, err := gateWaveform(dev, "x", site)
-	if err != nil {
-		return nil, nil, err
-	}
-	window := readoutWindow(dev, site)
-	prep0 = pulseModule("readout_prep0", drive, ro, nil, []qir.Call{
-		{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(window)}},
-	})
-	prep1 = pulseModule("readout_prep1", drive, ro,
-		[]qir.WaveformConst{{Name: "x", Samples: xw}},
-		[]qir.Call{
-			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("x")}},
-			{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1)}},
-			{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(window)}},
-		})
-	return prep0, prep1, nil
 }
 
 // splitShots interleaves a shot set into train and hold-out halves, so
@@ -102,12 +73,12 @@ func splitShots(points []readout.IQ) (train, hold []readout.IQ) {
 	return train, hold
 }
 
-// ReadoutCalibrate runs prep-0/prep-1 experiments through QDMI at the
+// ReadoutCalibrate runs prep-0/prep-1 experiments through the stack at the
 // kerneled measurement level, trains a state discriminator on half the
 // shots, evaluates it on the held-out half, and writes the measured
 // assignment fidelity back into the device's calibration table — the
 // readout analogue of the Rabi/Ramsey routines.
-func ReadoutCalibrate(ctx context.Context, dev ReadoutTarget, site, shots int) (*ReadoutCalibResult, error) {
+func ReadoutCalibrate(ctx context.Context, cl *client.Client, dev ReadoutTarget, site, shots int) (*ReadoutCalibResult, error) {
 	if shots <= 0 {
 		shots = 2000
 	}
@@ -118,15 +89,16 @@ func ReadoutCalibrate(ctx context.Context, dev ReadoutTarget, site, shots int) (
 		return nil, fmt.Errorf("%w: readout calibration needs at least %d shots, got %d",
 			qdmi.ErrInvalidArgument, minShots, shots)
 	}
-	prep0, prep1, err := prepModules(dev, site)
+	b, err := newBench(cl, dev, site, shots)
 	if err != nil {
 		return nil, err
 	}
-	zeros, err := runKerneled(ctx, dev, prep0, shots)
+	b.opts.MeasLevel = readout.LevelKerneled
+	zeros, err := b.prepIQ(ctx, false)
 	if err != nil {
 		return nil, err
 	}
-	ones, err := runKerneled(ctx, dev, prep1, shots)
+	ones, err := b.prepIQ(ctx, true)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +133,7 @@ func ReadoutCalibrate(ctx context.Context, dev ReadoutTarget, site, shots int) (
 // matrix is measured through the same readout chain user jobs use. The
 // returned mitigator corrects counts of kernels that measure sites[i]
 // into classical bit i (the convention of in-order Measure calls).
-func ReadoutMitigator(ctx context.Context, dev qdmi.Device, sites []int, shots int) (*readout.Mitigator, error) {
+func ReadoutMitigator(ctx context.Context, cl *client.Client, dev qdmi.Device, sites []int, shots int) (*readout.Mitigator, error) {
 	if shots <= 0 {
 		shots = 2000
 	}
@@ -171,20 +143,20 @@ func ReadoutMitigator(ctx context.Context, dev qdmi.Device, sites []int, shots i
 	bits := make([]int, len(sites))
 	mats := make([]readout.Confusion, len(sites))
 	for i, site := range sites {
-		prep0, prep1, err := prepModules(dev, site)
+		b, err := newBench(cl, dev, site, shots)
 		if err != nil {
 			return nil, err
 		}
-		p1Given0, err := runP1(ctx, dev, prep0, shots)
+		given0, err := b.prep(ctx, false)
 		if err != nil {
 			return nil, err
 		}
-		p1Given1, err := runP1(ctx, dev, prep1, shots)
+		given1, err := b.prep(ctx, true)
 		if err != nil {
 			return nil, err
 		}
 		bits[i] = i
-		mats[i] = readout.Confusion{P01: p1Given0, P10: 1 - p1Given1}
+		mats[i] = readout.Confusion{P01: given0.Probability(1), P10: 1 - given1.Probability(1)}
 	}
 	return readout.NewMitigator(bits, mats)
 }

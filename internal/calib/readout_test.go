@@ -6,9 +6,10 @@ import (
 	"math"
 	"testing"
 
+	"mqsspulse/internal/client"
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/qdmi"
-	"mqsspulse/internal/qir"
+	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/readout"
 )
 
@@ -24,7 +25,7 @@ func TestReadoutCalibrateTrainsToConfiguredFidelity(t *testing.T) {
 	}
 	configured := want.(float64)
 
-	res, err := ReadoutCalibrate(context.Background(), dev, site, 4000)
+	res, err := ReadoutCalibrate(context.Background(), clientFor(t, dev), dev, site, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,12 @@ func TestReadoutCalibratePerSiteSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, err := ReadoutCalibrate(context.Background(), cfgDev, 0, 4000)
+	cl := clientFor(t, cfgDev)
+	r0, err := ReadoutCalibrate(context.Background(), cl, cfgDev, 0, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := ReadoutCalibrate(context.Background(), cfgDev, 1, 4000)
+	r1, err := ReadoutCalibrate(context.Background(), cl, cfgDev, 1, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +91,13 @@ func TestReadoutMitigatorReducesReadoutError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mit, err := ReadoutMitigator(context.Background(), dev, []int{0, 1}, 6000)
+	cl := clientFor(t, dev)
+	mit, err := ReadoutMitigator(context.Background(), cl, dev, []int{0, 1}, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Prepare |11⟩ and measure through the noisy chain.
-	counts, shots, err := runPrepBoth(dev)
+	counts, shots, err := runPrepBoth(cl, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,52 +145,22 @@ func biasedConfig(name string, fids []float64, seed int64) devices.Config {
 	return cfg
 }
 
-// runPrepBoth plays an x pulse on every site and captures both readout
-// ports, returning the discriminated counts (bit i = site i).
-func runPrepBoth(dev qdmi.Device) (map[uint64]int, int, error) {
-	shots := 8000
-	d0, r0, err := sitePorts(dev, 0)
-	if err != nil {
+// runPrepBoth plays an x pulse on every site and measures both, returning
+// the discriminated counts (bit i = site i).
+func runPrepBoth(cl *client.Client, dev qdmi.Device) (map[uint64]int, int, error) {
+	c := qpi.NewCircuit("prep_both", 2, 2)
+	for site := range 2 {
+		b, err := newBench(cl, dev, site, 8000)
+		if err != nil {
+			return nil, 0, err
+		}
+		name := fmt.Sprintf("x%d", site)
+		c.Waveform(name, b.env["x"]).PlayWaveform(b.drive, name)
+	}
+	if err := c.Measure(0, 0).Measure(1, 1).End(); err != nil {
 		return nil, 0, err
 	}
-	d1, r1, err := sitePorts(dev, 1)
-	if err != nil {
-		return nil, 0, err
-	}
-	x0, err := gateWaveform(dev, "x", 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	x1, err := gateWaveform(dev, "x", 1)
-	if err != nil {
-		return nil, 0, err
-	}
-	window := readoutWindow(dev, 0)
-	m := &qir.Module{
-		ID: "prep_both", Profile: qir.ProfilePulse, EntryName: "prep_both",
-		NumQubits: 2, NumResults: 2, NumPorts: 4,
-		PortNames: []string{d0, r0, d1, r1},
-		Waveforms: []qir.WaveformConst{
-			{Name: "x0", Samples: x0},
-			{Name: "x1", Samples: x1},
-		},
-		Body: []qir.Call{
-			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("x0")}},
-			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(2), qir.WaveformArg("x1")}},
-			{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1), qir.PortArg(2), qir.PortArg(3)}},
-			{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(window)}},
-			{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(3), qir.ResultArg(1), qir.I64Arg(window)}},
-		},
-	}
-	job, err := dev.SubmitJob(m.Emit(), qdmi.FormatQIRPulse, shots)
-	if err != nil {
-		return nil, 0, err
-	}
-	if st := job.Wait(context.Background()); st != qdmi.JobDone {
-		_, rerr := job.Result()
-		return nil, 0, fmt.Errorf("prep job %v: %v", st, rerr)
-	}
-	res, err := job.Result()
+	res, err := cl.RunCtx(context.Background(), c, dev.Name(), client.SubmitOptions{Shots: 8000})
 	if err != nil {
 		return nil, 0, err
 	}

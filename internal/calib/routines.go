@@ -5,9 +5,21 @@ import (
 	"fmt"
 	"math"
 
+	"mqsspulse/internal/client"
+	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
-	"mqsspulse/internal/qir"
+	"mqsspulse/internal/qpi"
+)
+
+// Calibration is a client of the stack like any other: every routine builds
+// QPI kernels and runs them through the client its device is registered on,
+// so its jobs are compiled, cached, queued, epoch-gated and traced as user
+// jobs are. Tag labels them; Priority puts a due calibration ahead of the
+// user work already queued on the device.
+const (
+	Tag      = "calibration"
+	Priority = 100
 )
 
 // Target is the device surface calibration routines need: the full QDMI
@@ -23,26 +35,6 @@ type Target interface {
 	Now() float64
 }
 
-// sitePorts resolves the drive and readout port IDs of a site from the
-// device's advertised port list — calibration never assumes naming schemes.
-func sitePorts(dev qdmi.Device, site int) (drive, readout string, err error) {
-	for _, p := range dev.Ports() {
-		if len(p.Sites) != 1 || p.Sites[0] != site {
-			continue
-		}
-		switch p.Kind {
-		case pulse.PortDrive:
-			drive = p.ID
-		case pulse.PortReadout:
-			readout = p.ID
-		}
-	}
-	if drive == "" || readout == "" {
-		return "", "", fmt.Errorf("calib: site %d has no drive/readout ports", site)
-	}
-	return drive, readout, nil
-}
-
 // gateWaveform fetches the calibrated envelope of op ("x" or "sx") via the
 // QDMI default-pulse query.
 func gateWaveform(dev qdmi.Device, op string, site int) ([]complex128, error) {
@@ -50,57 +42,112 @@ func gateWaveform(dev qdmi.Device, op string, site int) ([]complex128, error) {
 	if err != nil {
 		return nil, fmt.Errorf("calib: default pulse for %s: %w", op, err)
 	}
-	for _, st := range impl.Steps {
-		if st.Kind == "play" && st.Waveform != nil {
-			w, err := st.Waveform.Materialize()
-			if err != nil {
-				return nil, err
-			}
-			return w.Samples, nil
-		}
+	w, err := impl.Envelope()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("calib: %s impl has no play step", op)
+	return w.Samples, nil
 }
 
-// readoutWindow picks the capture length from the measure operation.
-func readoutWindow(dev qdmi.Device, site int) int64 {
-	if impl, err := dev.DefaultPulse("measure", []int{site}); err == nil {
-		for _, st := range impl.Steps {
-			if st.Kind == "capture" {
-				return st.Samples
-			}
-		}
-	}
-	return 128
+// bench builds and runs one routine's single-site kernels.
+type bench struct {
+	cl     *client.Client
+	device string
+	site   int
+	// drive is the site's drive port, resolved from the device's advertised
+	// port list — calibration never assumes naming schemes.
+	drive string
+	// rate is the device sample rate in Hz.
+	rate float64
+	// env holds the calibrated "x" and "sx" envelopes of the site.
+	env  map[string][]complex128
+	opts client.SubmitOptions
 }
 
-// runP1 submits a single-capture pulse module and returns the observed
-// P(bit=1).
-func runP1(ctx context.Context, dev qdmi.Device, mod *qir.Module, shots int) (float64, error) {
-	job, err := dev.SubmitJob(mod.Emit(), qdmi.FormatQIRPulse, shots)
+func newBench(cl *client.Client, dev qdmi.Device, site, shots int) (*bench, error) {
+	b := &bench{cl: cl, device: dev.Name(), site: site, env: map[string][]complex128{},
+		opts: client.SubmitOptions{Shots: shots, Priority: Priority, Tag: Tag}}
+	for _, p := range dev.Ports() {
+		if p.Kind == pulse.PortDrive && len(p.Sites) == 1 && p.Sites[0] == site {
+			b.drive = p.ID
+		}
+	}
+	if b.drive == "" {
+		return nil, fmt.Errorf("calib: site %d has no drive port", site)
+	}
+	var err error
+	if b.rate, err = qdmi.QueryFloat(dev, qdmi.DevicePropSampleRateHz); err != nil {
+		return nil, err
+	}
+	for _, op := range []string{"x", "sx"} {
+		if b.env[op], err = gateWaveform(dev, op, site); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// kernel begins a kernel on the site that plays the named calibrated gates.
+func (b *bench) kernel(name string, gates ...string) *qpi.Circuit {
+	return b.play(qpi.NewCircuit(name, b.site+1, 1), gates...)
+}
+
+// play appends the calibrated envelopes of the named gates ("x", "sx") to
+// the site's drive port, in order.
+func (b *bench) play(c *qpi.Circuit, gates ...string) *qpi.Circuit {
+	for _, g := range gates {
+		if _, defined := c.Waveforms[g]; !defined {
+			c.Waveform(g, b.env[g])
+		}
+		c.PlayWaveform(b.drive, g)
+	}
+	return c
+}
+
+// run measures the site (barrier, then a capture over the device's readout
+// window), finishes the kernel and runs it.
+func (b *bench) run(ctx context.Context, c *qpi.Circuit) (*qpi.Result, error) {
+	if err := c.Measure(b.site, 0).End(); err != nil {
+		return nil, err
+	}
+	return b.cl.RunCtx(ctx, c, b.device, b.opts)
+}
+
+// p1 is run reduced to the observed P(bit=1).
+func (b *bench) p1(ctx context.Context, c *qpi.Circuit) (float64, error) {
+	res, err := b.run(ctx, c)
 	if err != nil {
 		return 0, err
 	}
-	if st := job.Wait(ctx); st != qdmi.JobDone {
-		_, rerr := job.Result()
-		return 0, fmt.Errorf("calib: job %s %v: %v", job.ID(), st, rerr)
-	}
-	res, err := job.Result()
-	if err != nil {
-		return 0, err
-	}
-	return float64(res.Counts[1]) / float64(res.Shots), nil
+	return res.Probability(1), nil
 }
 
-// pulseModule assembles a two-port (drive, readout) pulse-profile module.
-func pulseModule(name, drive, readout string, waveforms []qir.WaveformConst, body []qir.Call) *qir.Module {
-	return &qir.Module{
-		ID: name, Profile: qir.ProfilePulse, EntryName: name,
-		NumQubits: 1, NumResults: 1, NumPorts: 2,
-		PortNames: []string{drive, readout},
-		Waveforms: waveforms,
-		Body:      body,
+// sweepP1 measures the site, then runs the kernel — a template whose one
+// slot is param — at every value: one compilation, one bind per point.
+func (b *bench) sweepP1(ctx context.Context, c *qpi.Circuit, param ptemplate.Param, values []float64) ([]float64, error) {
+	if err := c.Measure(b.site, 0).End(); err != nil {
+		return nil, err
 	}
+	tpl, err := ptemplate.New(c, param)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]ptemplate.Bindings, len(values))
+	for i, v := range values {
+		points[i] = ptemplate.Bindings{param.Name: v}
+	}
+	results, err := b.cl.RunSweep(ctx, tpl, b.device, points, b.opts)
+	if err != nil {
+		return nil, err
+	}
+	p1s := make([]float64, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			return nil, r.Err
+		}
+		p1s[i] = r.Result.Probability(1)
+	}
+	return p1s, nil
 }
 
 // RabiResult reports an amplitude calibration.
@@ -114,22 +161,20 @@ type RabiResult struct {
 
 // RabiCalibrate sweeps the drive amplitude, fits the Rabi oscillation, and
 // writes the corrected π amplitude back into the device calibration table.
-func RabiCalibrate(ctx context.Context, dev Target, site int, points, shots int) (*RabiResult, error) {
+func RabiCalibrate(ctx context.Context, cl *client.Client, dev Target, site int, points, shots int) (*RabiResult, error) {
 	if points < 5 {
 		points = 12
 	}
 	if shots <= 0 {
 		shots = 400
 	}
-	drive, readout, err := sitePorts(dev, site)
+	b, err := newBench(cl, dev, site, shots)
 	if err != nil {
 		return nil, err
 	}
-	samples, err := gateWaveform(dev, "x", site)
-	if err != nil {
-		return nil, err
-	}
-	// Normalize the envelope to unit peak so sweep amplitudes are absolute.
+	samples := b.env["x"]
+	// Sweep amplitudes are absolute: the slot scales the calibrated envelope
+	// by amp/peak.
 	peak := 0.0
 	for _, s := range samples {
 		if m := math.Hypot(real(s), imag(s)); m > peak {
@@ -139,28 +184,18 @@ func RabiCalibrate(ctx context.Context, dev Target, site int, points, shots int)
 	if peak == 0 {
 		return nil, fmt.Errorf("calib: degenerate x envelope")
 	}
-	window := readoutWindow(dev, site)
 	res := &RabiResult{Site: site, OldAmp: dev.CalibratedPiAmplitude(site)}
-	for i := 0; i < points; i++ {
+	scales := make([]float64, points)
+	for i := range scales {
 		amp := 0.08 + (1.0-0.08)*float64(i)/float64(points-1)
-		scaled := make([]complex128, len(samples))
-		f := complex(amp/peak, 0)
-		for j, s := range samples {
-			scaled[j] = s * f
-		}
-		mod := pulseModule(fmt.Sprintf("rabi_%d", i), drive, readout,
-			[]qir.WaveformConst{{Name: "sweep", Samples: scaled}},
-			[]qir.Call{
-				{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("sweep")}},
-				{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1)}},
-				{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(window)}},
-			})
-		p1, err := runP1(ctx, dev, mod, shots)
-		if err != nil {
-			return nil, err
-		}
 		res.Amps = append(res.Amps, amp)
-		res.P1s = append(res.P1s, p1)
+		scales[i] = amp / peak
+	}
+	c := b.kernel("rabi").WaveformP("sweep", samples, qpi.Sym("scale")).PlayWaveform(b.drive, "sweep")
+	res.P1s, err = b.sweepP1(ctx, c,
+		ptemplate.Param{Name: "scale", Min: scales[0], Max: scales[points-1]}, scales)
+	if err != nil {
+		return nil, err
 	}
 	k, err := FitRabiRate(res.Amps, res.P1s)
 	if err != nil {
@@ -181,51 +216,16 @@ func RabiCalibrate(ctx context.Context, dev Target, site int, points, shots int)
 // with slope ∝ N — pushing the fit precision far below the coarse Rabi
 // sweep's shot-noise floor (the practice behind fine-amplitude schemas and
 // the adaptive tracking of the paper's reference [4]).
-func FineAmplitudeCalibrate(ctx context.Context, dev Target, site int, shots int) (*RabiResult, error) {
+func FineAmplitudeCalibrate(ctx context.Context, cl *client.Client, dev Target, site int, shots int) (*RabiResult, error) {
 	if shots <= 0 {
 		shots = 800
 	}
-	drive, readout, err := sitePorts(dev, site)
+	b, err := newBench(cl, dev, site, shots)
 	if err != nil {
 		return nil, err
-	}
-	xw, err := gateWaveform(dev, "x", site)
-	if err != nil {
-		return nil, err
-	}
-	sxw, err := gateWaveform(dev, "sx", site)
-	if err != nil {
-		return nil, err
-	}
-	window := readoutWindow(dev, site)
-
-	runTrain := func(nPi int) (float64, error) {
-		body := []qir.Call{
-			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("sx")}},
-		}
-		for i := 0; i < nPi; i++ {
-			body = append(body, qir.Call{Callee: qir.IntrPlay,
-				Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("x")}})
-		}
-		body = append(body,
-			qir.Call{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1)}},
-			qir.Call{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(window)}},
-		)
-		mod := pulseModule(fmt.Sprintf("fineamp_%d", nPi), drive, readout,
-			[]qir.WaveformConst{{Name: "x", Samples: xw}, {Name: "sx", Samples: sxw}}, body)
-		return runP1(ctx, dev, mod, shots)
 	}
 	// Readout floor from a single π pulse.
-	pSingle, err := func() (float64, error) {
-		body := []qir.Call{
-			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("x")}},
-			{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1)}},
-			{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(window)}},
-		}
-		mod := pulseModule("fineamp_ref", drive, readout,
-			[]qir.WaveformConst{{Name: "x", Samples: xw}}, body)
-		return runP1(ctx, dev, mod, shots)
-	}()
+	pSingle, err := b.p1(ctx, b.kernel("fineamp_ref", "x"))
 	if err != nil {
 		return nil, err
 	}
@@ -240,11 +240,13 @@ func FineAmplitudeCalibrate(ctx context.Context, dev Target, site int, shots int
 	trains := []int{1, 3, 5, 9}
 	meas := make([]float64, len(trains))
 	for i, n := range trains {
-		p, err := runTrain(n)
-		if err != nil {
+		c := b.kernel(fmt.Sprintf("fineamp_%d", n), "sx")
+		for range n {
+			b.play(c, "x")
+		}
+		if meas[i], err = b.p1(ctx, c); err != nil {
 			return nil, err
 		}
-		meas[i] = p
 	}
 	model := func(eps float64, n int) float64 {
 		theta := (2*float64(n) + 1) * math.Pi / 2 * (1 + eps)
@@ -283,7 +285,7 @@ type RamseyResult struct {
 // Ramsey fringe sweeps (±probe to resolve the sign) and writes the
 // corrected frequency back. The probe detuning must exceed the expected
 // error magnitude.
-func RamseyCalibrate(ctx context.Context, dev Target, site int, probeHz float64, points, shots int) (*RamseyResult, error) {
+func RamseyCalibrate(ctx context.Context, cl *client.Client, dev Target, site int, probeHz float64, points, shots int) (*RamseyResult, error) {
 	if probeHz <= 0 {
 		return nil, fmt.Errorf("calib: probe detuning must be positive")
 	}
@@ -293,66 +295,39 @@ func RamseyCalibrate(ctx context.Context, dev Target, site int, probeHz float64,
 	if shots <= 0 {
 		shots = 400
 	}
-	drive, readout, err := sitePorts(dev, site)
+	b, err := newBench(cl, dev, site, shots)
 	if err != nil {
 		return nil, err
 	}
-	sx, err := gateWaveform(dev, "sx", site)
-	if err != nil {
-		return nil, err
-	}
-	rate, err := qdmi.QueryFloat(dev, qdmi.DevicePropSampleRateHz)
-	if err != nil {
-		return nil, err
-	}
-	window := readoutWindow(dev, site)
 	// Sweep τ over ~2.2 probe periods.
-	maxTau := 2.2 / probeHz
-	fPlus, err := ramseySweep(ctx, dev, drive, readout, sx, +probeHz, maxTau, rate, window, points, shots, probeHz)
+	taus, ts := make([]float64, points), make([]float64, points)
+	for i := range taus {
+		taus[i] = math.Round(2.2 / probeHz * float64(i) / float64(points-1) * b.rate)
+		ts[i] = taus[i] / b.rate
+	}
+	old := dev.CalibratedFrequency(site)
+	fringe := func(detuneHz float64) (float64, error) {
+		c := b.kernel("ramsey").FrameChange(b.drive, old+detuneHz, 0)
+		b.play(c, "sx").DelayP(b.drive, qpi.Sym("tau"))
+		p1s, err := b.sweepP1(ctx, b.play(c, "sx"), ptemplate.Param{Name: "tau", Max: taus[points-1]}, taus)
+		if err != nil {
+			return 0, err
+		}
+		return FitOscillation(ts, p1s, 0.05*probeHz, 3*probeHz)
+	}
+	fPlus, err := fringe(+probeHz)
 	if err != nil {
 		return nil, err
 	}
-	fMinus, err := ramseySweep(ctx, dev, drive, readout, sx, -probeHz, maxTau, rate, window, points, shots, probeHz)
+	fMinus, err := fringe(-probeHz)
 	if err != nil {
 		return nil, err
 	}
 	offset := (fPlus - fMinus) / 2 // = calibrated − true, valid while |offset| < probe
-	old := dev.CalibratedFrequency(site)
 	res := &RamseyResult{Site: site, OldFreq: old, ProbeHz: probeHz,
 		MeasuredOffsetHz: offset, NewFreq: old - offset}
 	dev.SetCalibratedFrequency(site, res.NewFreq)
 	return res, nil
-}
-
-func ramseySweep(ctx context.Context, dev qdmi.Device, drive, readout string, sx []complex128,
-	probeHz, maxTau, rate float64, window int64, points, shots int, probeAbs float64) (float64, error) {
-	var ts, ys []float64
-	for i := 0; i < points; i++ {
-		tau := maxTau * float64(i) / float64(points-1)
-		tauSamples := int64(math.Round(tau * rate))
-		body := []qir.Call{
-			{Callee: qir.IntrShiftFrequency, Args: []qir.Arg{qir.PortArg(0), qir.F64Arg(probeHz)}},
-			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("sx")}},
-		}
-		if tauSamples > 0 {
-			body = append(body, qir.Call{Callee: qir.IntrDelay,
-				Args: []qir.Arg{qir.PortArg(0), qir.I64Arg(tauSamples)}})
-		}
-		body = append(body,
-			qir.Call{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("sx")}},
-			qir.Call{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1)}},
-			qir.Call{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(window)}},
-		)
-		mod := pulseModule(fmt.Sprintf("ramsey_%d", i), drive, readout,
-			[]qir.WaveformConst{{Name: "sx", Samples: sx}}, body)
-		p1, err := runP1(ctx, dev, mod, shots)
-		if err != nil {
-			return 0, err
-		}
-		ts = append(ts, float64(tauSamples)/rate)
-		ys = append(ys, p1)
-	}
-	return FitOscillation(ts, ys, 0.05*probeAbs, 3*probeAbs)
 }
 
 // T1Result reports a relaxation-time measurement.
@@ -363,49 +338,26 @@ type T1Result struct {
 
 // MeasureT1 prepares |1⟩, sweeps an idle delay, and fits the exponential
 // decay of P(1).
-func MeasureT1(ctx context.Context, dev Target, site int, maxDelaySeconds float64, points, shots int) (*T1Result, error) {
+func MeasureT1(ctx context.Context, cl *client.Client, dev Target, site int, maxDelaySeconds float64, points, shots int) (*T1Result, error) {
 	if points < 4 {
 		points = 8
 	}
 	if shots <= 0 {
 		shots = 400
 	}
-	drive, readout, err := sitePorts(dev, site)
+	b, err := newBench(cl, dev, site, shots)
 	if err != nil {
 		return nil, err
 	}
-	xw, err := gateWaveform(dev, "x", site)
+	delays, ts := make([]float64, points), make([]float64, points)
+	for i := range delays {
+		delays[i] = math.Round(maxDelaySeconds * float64(i) / float64(points-1) * b.rate)
+		ts[i] = delays[i] / b.rate
+	}
+	ys, err := b.sweepP1(ctx, b.kernel("t1", "x").DelayP(b.drive, qpi.Sym("delay")),
+		ptemplate.Param{Name: "delay", Max: delays[points-1]}, delays)
 	if err != nil {
 		return nil, err
-	}
-	rate, err := qdmi.QueryFloat(dev, qdmi.DevicePropSampleRateHz)
-	if err != nil {
-		return nil, err
-	}
-	window := readoutWindow(dev, site)
-	var ts, ys []float64
-	for i := 0; i < points; i++ {
-		delay := maxDelaySeconds * float64(i) / float64(points-1)
-		delaySamples := int64(math.Round(delay * rate))
-		body := []qir.Call{
-			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("x")}},
-		}
-		if delaySamples > 0 {
-			body = append(body, qir.Call{Callee: qir.IntrDelay,
-				Args: []qir.Arg{qir.PortArg(0), qir.I64Arg(delaySamples)}})
-		}
-		body = append(body,
-			qir.Call{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1)}},
-			qir.Call{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(window)}},
-		)
-		mod := pulseModule(fmt.Sprintf("t1_%d", i), drive, readout,
-			[]qir.WaveformConst{{Name: "x", Samples: xw}}, body)
-		p1, err := runP1(ctx, dev, mod, shots)
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, float64(delaySamples)/rate)
-		ys = append(ys, p1)
 	}
 	tau, err := FitExponentialDecay(ts, ys)
 	if err != nil {
@@ -419,31 +371,19 @@ func MeasureT1(ctx context.Context, dev Target, site int, maxDelaySeconds float6
 // the returned error 1 − P(1) by ≈ sin²(n·π·ε/2). This is the benchmark
 // that exposes drive-strength drift (laser power, motional-mode movement),
 // to which Ramsey sequences are blind.
-func PulseTrainBenchmark(ctx context.Context, dev Target, site, n, shots int) (float64, error) {
+func PulseTrainBenchmark(ctx context.Context, cl *client.Client, dev Target, site, n, shots int) (float64, error) {
 	if n%2 == 0 {
 		return 0, fmt.Errorf("calib: pulse train length must be odd, got %d", n)
 	}
-	drive, readout, err := sitePorts(dev, site)
+	b, err := newBench(cl, dev, site, shots)
 	if err != nil {
 		return 0, err
 	}
-	xw, err := gateWaveform(dev, "x", site)
-	if err != nil {
-		return 0, err
+	c := b.kernel("pulse_train_bench")
+	for range n {
+		b.play(c, "x")
 	}
-	window := readoutWindow(dev, site)
-	var body []qir.Call
-	for i := 0; i < n; i++ {
-		body = append(body, qir.Call{Callee: qir.IntrPlay,
-			Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("x")}})
-	}
-	body = append(body,
-		qir.Call{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1)}},
-		qir.Call{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(window)}},
-	)
-	mod := pulseModule("pulse_train_bench", drive, readout,
-		[]qir.WaveformConst{{Name: "x", Samples: xw}}, body)
-	p1, err := runP1(ctx, dev, mod, shots)
+	p1, err := b.p1(ctx, c)
 	if err != nil {
 		return 0, err
 	}
@@ -455,36 +395,13 @@ func PulseTrainBenchmark(ctx context.Context, dev Target, site, n, shots int) (f
 // that should land in |1⟩ when the frame is exactly on resonance. The
 // returned error is 1 − P(1); frequency miscalibration Δ raises it by
 // ≈ sin²(π·Δ·τ).
-func RamseyErrorBenchmark(ctx context.Context, dev Target, site int, tauSeconds float64, shots int) (float64, error) {
-	drive, readout, err := sitePorts(dev, site)
+func RamseyErrorBenchmark(ctx context.Context, cl *client.Client, dev Target, site int, tauSeconds float64, shots int) (float64, error) {
+	b, err := newBench(cl, dev, site, shots)
 	if err != nil {
 		return 0, err
 	}
-	sx, err := gateWaveform(dev, "sx", site)
-	if err != nil {
-		return 0, err
-	}
-	rate, err := qdmi.QueryFloat(dev, qdmi.DevicePropSampleRateHz)
-	if err != nil {
-		return 0, err
-	}
-	window := readoutWindow(dev, site)
-	tauSamples := int64(math.Round(tauSeconds * rate))
-	body := []qir.Call{
-		{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("sx")}},
-	}
-	if tauSamples > 0 {
-		body = append(body, qir.Call{Callee: qir.IntrDelay,
-			Args: []qir.Arg{qir.PortArg(0), qir.I64Arg(tauSamples)}})
-	}
-	body = append(body,
-		qir.Call{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("sx")}},
-		qir.Call{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1)}},
-		qir.Call{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(window)}},
-	)
-	mod := pulseModule("ramsey_bench", drive, readout,
-		[]qir.WaveformConst{{Name: "sx", Samples: sx}}, body)
-	p1, err := runP1(ctx, dev, mod, shots)
+	c := b.kernel("ramsey_bench", "sx").Delay(b.drive, int64(math.Round(tauSeconds*b.rate)))
+	p1, err := b.p1(ctx, b.play(c, "sx"))
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"mqsspulse/internal/client"
 	"mqsspulse/internal/qdmi"
 )
 
@@ -56,10 +57,12 @@ type Event struct {
 	AmpDelta float64
 }
 
-// Scheduler plans and executes calibration routines against a device
-// according to a policy — the resource-aware calibration management layer
-// the paper assigns to HPC centers (Section 2.1).
+// Scheduler plans calibration routines for a device according to a policy
+// and runs them through the client the device is registered on — the
+// resource-aware calibration management layer the paper assigns to HPC
+// centers (Section 2.1).
 type Scheduler struct {
+	Client *client.Client
 	Dev    Target
 	Policy Policy
 
@@ -70,8 +73,8 @@ type Scheduler struct {
 
 // NewScheduler initializes the cadence tracker; routines are considered
 // fresh at construction time (the device starts calibrated).
-func NewScheduler(dev Target, p Policy) *Scheduler {
-	s := &Scheduler{Dev: dev, Policy: p,
+func NewScheduler(cl *client.Client, dev Target, p Policy) *Scheduler {
+	s := &Scheduler{Client: cl, Dev: dev, Policy: p,
 		lastRamsey: map[int]float64{}, lastRabi: map[int]float64{}}
 	now := dev.Now()
 	for site := 0; site < dev.NumSites(); site++ {
@@ -113,7 +116,7 @@ func (s *Scheduler) Tick(ctx context.Context) (int, error) {
 	for _, ev := range due {
 		switch ev.Routine {
 		case "ramsey":
-			r, err := RamseyCalibrate(ctx, s.Dev, ev.Site, s.Policy.ProbeHz, 0, s.Policy.Shots)
+			r, err := RamseyCalibrate(ctx, s.Client, s.Dev, ev.Site, s.Policy.ProbeHz, 0, s.Policy.Shots)
 			if err != nil {
 				return len(s.Events), fmt.Errorf("calib: ramsey on site %d: %w", ev.Site, err)
 			}
@@ -123,9 +126,9 @@ func (s *Scheduler) Tick(ctx context.Context) (int, error) {
 			// Fine (error-amplified) calibration tracks the small drifts a
 			// running system sees; the coarse Rabi sweep is the fallback
 			// when the amplitude is too far off for the train fit.
-			r, err := FineAmplitudeCalibrate(ctx, s.Dev, ev.Site, s.Policy.Shots)
+			r, err := FineAmplitudeCalibrate(ctx, s.Client, s.Dev, ev.Site, s.Policy.Shots)
 			if err != nil {
-				r, err = RabiCalibrate(ctx, s.Dev, ev.Site, 0, s.Policy.Shots)
+				r, err = RabiCalibrate(ctx, s.Client, s.Dev, ev.Site, 0, s.Policy.Shots)
 			}
 			if err != nil {
 				return len(s.Events), fmt.Errorf("calib: rabi on site %d: %w", ev.Site, err)

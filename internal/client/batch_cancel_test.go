@@ -10,32 +10,92 @@ import (
 	"testing"
 	"time"
 
+	"mqsspulse/internal/devices"
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qir"
 	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/qrm"
 )
 
-// blockGate installs a maintenance hook that parks the QRM worker until
-// release is closed, holding every subsequent dispatch in the queue.
+// gatedDevice is the device testStack registers: a SimDevice whose submit
+// entry points can be gated. Until blockGate arms it, it forwards; armed, a
+// submitted job is held — the QRM worker that dispatched it stays parked on
+// it, and everything behind it stays queued — until release is closed. A
+// held job can be cancelled like a running one and then never reaches the
+// inner device.
+type gatedDevice struct {
+	*devices.SimDevice
+
+	mu               sync.Mutex
+	release, entered chan struct{}
+}
+
+// blockGate arms the stack's device: entered receives a token when a job
+// arrives at it, and closing release lets held jobs run.
 func blockGate(c *Client) (release chan struct{}, entered chan struct{}) {
-	release = make(chan struct{})
-	entered = make(chan struct{}, 16)
-	c.QRM().SetMaintenanceHook(func(qdmi.Device) error {
+	dev, err := c.Device("hpcqc-sc")
+	if err != nil {
+		panic(err)
+	}
+	g := dev.(*gatedDevice)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.release, g.entered = make(chan struct{}), make(chan struct{}, 16)
+	return g.release, g.entered
+}
+
+// hold runs submit at once when the gate is not armed, and otherwise
+// answers with a job that performs it after release.
+func (g *gatedDevice) hold(submit func() (qdmi.Job, error)) (qdmi.Job, error) {
+	g.mu.Lock()
+	release, entered := g.release, g.entered
+	g.mu.Unlock()
+	if release == nil {
+		return submit()
+	}
+	held := qdmi.NewAsyncJob(g.Name() + "-held")
+	select {
+	case entered <- struct{}{}:
+	default:
+	}
+	go func() {
 		select {
-		case entered <- struct{}{}:
-		default:
+		case <-release:
+		case <-held.Done(): // cancelled while held
+			return
 		}
-		<-release
-		return nil
-	})
-	return release, entered
+		job, err := submit()
+		if err != nil {
+			held.Fail(err)
+			return
+		}
+		job.Wait(context.Background())
+		if res, err := job.Result(); err != nil {
+			held.Fail(err)
+		} else {
+			held.Finish(res)
+		}
+	}()
+	return held, nil
+}
+
+func (g *gatedDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots int) (qdmi.Job, error) {
+	return g.hold(func() (qdmi.Job, error) { return g.SimDevice.SubmitJob(payload, format, shots) })
+}
+
+func (g *gatedDevice) SubmitJobOpts(payload []byte, format qdmi.ProgramFormat, opts qdmi.JobOptions) (qdmi.Job, error) {
+	return g.hold(func() (qdmi.Job, error) { return g.SimDevice.SubmitJobOpts(payload, format, opts) })
+}
+
+func (g *gatedDevice) SubmitModule(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, error) {
+	return g.hold(func() (qdmi.Job, error) { return g.SimDevice.SubmitModule(mod, opts) })
 }
 
 func TestClientCancelQueuedPreventsExecution(t *testing.T) {
 	c, _ := testStack(t)
 	release, entered := blockGate(c)
 
-	// First submission occupies the worker inside the maintenance hook.
+	// First submission occupies the worker: the gated device holds it.
 	first, err := c.SubmitCtx(context.Background(), bell(t), "hpcqc-sc", SubmitOptions{Shots: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -232,29 +292,6 @@ func TestLoweringCacheWaveformSamplesKeyed(t *testing.T) {
 	}
 	if c.CacheStats().Hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", c.CacheStats().Hits)
-	}
-}
-
-func TestSubmitBypassCache(t *testing.T) {
-	c, _ := testStack(t)
-	k := bell(t)
-	if _, _, err := c.Compile(k, "hpcqc-sc"); err != nil {
-		t.Fatal(err)
-	}
-	// A bypassing submission recompiles without touching hit counters.
-	if _, err := c.RunCtx(context.Background(), k, "hpcqc-sc",
-		SubmitOptions{Shots: 16, BypassCache: true}); err != nil {
-		t.Fatal(err)
-	}
-	if c.CacheStats().Hits != 0 {
-		t.Fatalf("bypass still hit the cache (%d)", c.CacheStats().Hits)
-	}
-	// A normal submission hits.
-	if _, err := c.RunCtx(context.Background(), k, "hpcqc-sc", SubmitOptions{Shots: 16}); err != nil {
-		t.Fatal(err)
-	}
-	if c.CacheStats().Hits != 1 {
-		t.Fatalf("cache hits = %d", c.CacheStats().Hits)
 	}
 }
 

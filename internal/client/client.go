@@ -128,7 +128,8 @@ func New(session *qdmi.Session) *Client {
 	return c
 }
 
-// QRM exposes the scheduler (for maintenance-hook installation).
+// QRM exposes the scheduler: fleet configuration, stats, and the submit path
+// for callers that hold exchange text instead of a kernel.
 func (c *Client) QRM() *qrm.Scheduler { return c.qrm }
 
 // TelemetryRegistry exposes the client's fleet metrics registry — the
@@ -213,7 +214,7 @@ func (c *Client) Compile(k *qpi.Circuit, device string) ([]byte, qdmi.ProgramFor
 // compile half of the split compile/submit path the remote adapter uses.
 func (c *Client) CompileTraced(k *qpi.Circuit, device string, tl *telemetry.Timeline) ([]byte, qdmi.ProgramFormat, int64, error) {
 	start := time.Now()
-	program, hit, err := c.lower(k, nil, device, false)
+	program, hit, err := c.lower(k, nil, device)
 	if err != nil {
 		return nil, "", 0, err
 	}
@@ -231,14 +232,14 @@ func (c *Client) CompileTraced(k *qpi.Circuit, device string, tl *telemetry.Time
 // CacheStats.Binds), and a calibration-epoch bump invalidates the entry
 // exactly like a concrete kernel's.
 func (c *Client) CompileTemplate(t *ptemplate.Template, device string) (*ptemplate.Compiled, error) {
-	program, _, err := c.lower(t.Circuit, t.Params, device, false)
+	program, _, err := c.lower(t.Circuit, t.Params, device)
 	return program, err
 }
 
 // lowerTraced is lower with its time recorded on tl.
-func (c *Client) lowerTraced(k *qpi.Circuit, params []ptemplate.Param, device string, bypassCache bool, tl *telemetry.Timeline) (*ptemplate.Compiled, error) {
+func (c *Client) lowerTraced(k *qpi.Circuit, params []ptemplate.Param, device string, tl *telemetry.Timeline) (*ptemplate.Compiled, error) {
 	start := time.Now()
-	program, hit, err := c.lower(k, params, device, bypassCache)
+	program, hit, err := c.lower(k, params, device)
 	if err != nil {
 		return nil, err
 	}
@@ -261,16 +262,12 @@ func recordCompile(tl *telemetry.Timeline, device string, start time.Time, hit b
 // lower is the one path through the lowering cache: it returns the compiled
 // program for (kernel, declared parameters, device) and whether the cache
 // served it. params is empty for a concrete kernel.
-func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string, bypassCache bool) (*ptemplate.Compiled, bool, error) {
+func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string) (*ptemplate.Compiled, bool, error) {
 	dev, err := c.session.Device(device)
 	if err != nil {
 		return nil, false, err
 	}
 	key := ptemplate.Descriptor(k, params, device)
-	if bypassCache {
-		program, err := ptemplate.LowerCircuit(k, params, dev, device, key)
-		return program, false, err
-	}
 	// The epoch is read before the probe: a recalibration landing mid-lookup
 	// can only make the entry look stale, and one landing mid-compile is
 	// caught by the dispatch-time check or the next lookup — the race can
@@ -394,7 +391,7 @@ func (c *Client) submit(ctx context.Context, k *qpi.Circuit, params []ptemplate.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("client: submit: %w", err)
 	}
-	program, err := c.lowerTraced(k, params, target, opts.BypassCache, tl)
+	program, err := c.lowerTraced(k, params, target, tl)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"mqsspulse/internal/calib"
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qpi"
@@ -22,7 +21,7 @@ func testStack(t *testing.T) (*Client, *devices.SimDevice) {
 		t.Fatal(err)
 	}
 	drv := qdmi.NewDriver()
-	if err := drv.RegisterDevice(dev); err != nil {
+	if err := drv.RegisterDevice(&gatedDevice{SimDevice: dev}); err != nil {
 		t.Fatal(err)
 	}
 	c := New(drv.OpenSession())
@@ -239,36 +238,5 @@ func TestRemoteAdapterClosed(t *testing.T) {
 	remote.Close()
 	if _, err := remote.SubmitPayloadCtx(context.Background(), "hpcqc-sc", []byte("x"), qdmi.FormatQIRBase, SubmitOptions{Shots: 10}); err == nil {
 		t.Fatal("closed adapter accepted submission")
-	}
-}
-
-func TestQRMCalibrationMaintenanceIntegration(t *testing.T) {
-	// The paper's resource-aware calibration planning: the QRM runs due
-	// calibration routines before dispatching user jobs. Drift the device,
-	// install a calibration maintenance hook, and verify a user job
-	// triggers recalibration.
-	c, dev := testStack(t)
-	pol, err := calib.PolicyFor(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol.Shots = 400
-	sched := calib.NewScheduler(dev, pol)
-	c.QRM().SetMaintenanceHook(func(d qdmi.Device) error {
-		_, err := sched.Tick(context.Background())
-		return err
-	})
-	// Push the device past its Ramsey cadence.
-	dev.AdvanceTime(pol.RamseyEverySeconds + 60)
-	before := len(sched.Events)
-	if _, err := c.RunCtx(context.Background(), bell(t), "hpcqc-sc", SubmitOptions{Shots: 200}); err != nil {
-		t.Fatal(err)
-	}
-	if len(sched.Events) <= before {
-		t.Fatal("user job did not trigger due calibration")
-	}
-	// Maintenance is recorded in the QRM stats.
-	if c.QRM().Stats().MaintenanceRuns == 0 {
-		t.Fatal("maintenance runs not counted")
 	}
 }

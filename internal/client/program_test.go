@@ -134,7 +134,7 @@ func TestCachedJobReachesDeviceAsModule(t *testing.T) {
 		t.Fatalf("cache hits = %d, want 1", c.CacheStats().Hits)
 	}
 
-	program, _, err := c.lower(k, nil, "hpcqc-sc", false)
+	program, _, err := c.lower(k, nil, "hpcqc-sc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,25 +309,6 @@ func TestConcurrentJobsShareOneCachedProgram(t *testing.T) {
 	if st := c.CacheStats(); st.Misses != 2 || st.Hits != 2*jobs-1 {
 		t.Fatalf("misses=%d hits=%d, want one program per compile target (2) and every other lookup a hit (%d)",
 			st.Misses, st.Hits, 2*jobs-1)
-	}
-}
-
-// TestSweepBypassCache: BypassCache on a sweep lowers every point afresh
-// and leaves the cache untouched (the sweep path used to ignore it).
-func TestSweepBypassCache(t *testing.T) {
-	c, _ := sweepStack(t, 7)
-	results, err := c.RunSweep(context.Background(), rabiSweepTemplate(t), "hpcqc-sc",
-		sweepAngles(3), SubmitOptions{Shots: 8, BypassCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range results {
-		if results[i].Err != nil {
-			t.Fatalf("point %d: %v", i, results[i].Err)
-		}
-	}
-	if st := c.CacheStats(); st.Misses != 0 || st.Binds != 0 || st.Entries != 0 {
-		t.Fatalf("bypassing sweep touched the cache: %+v", st)
 	}
 }
 

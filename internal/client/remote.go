@@ -785,89 +785,3 @@ func (r *RemoteAdapter) wireError(ctx context.Context, err error) error {
 	}
 	return err
 }
-
-// StartPayloadCtx is the asynchronous form of SubmitPayloadCtx: it returns
-// a qpi.Handle immediately and performs the wire round trip in the
-// background. The handle's Timeline carries the full cross-machine trace —
-// any spans already on opts.Timeline (a compile span from CompileTraced),
-// the client-side dispatch span around the exchange, and the imported
-// server-side spans. Cancelling the handle (or ctx) interrupts the wait.
-func (r *RemoteAdapter) StartPayloadCtx(ctx context.Context, device string, payload []byte, format qdmi.ProgramFormat, opts SubmitOptions) (qpi.Handle, error) {
-	tl := opts.Timeline
-	if tl == nil {
-		tl = telemetry.NewTimeline(opts.TraceID, nil)
-		opts.Timeline = tl
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	h := &remoteHandle{
-		id:     tl.TraceID(),
-		tl:     tl,
-		cancel: cancel,
-		done:   make(chan struct{}),
-		status: qpi.ExecRunning,
-	}
-	go func() {
-		defer close(h.done)
-		defer cancel()
-		res, err := r.SubmitPayloadCtx(hctx, device, payload, format, opts)
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		h.res, h.err = res, err
-		switch {
-		case err == nil:
-			h.status = qpi.ExecDone
-		case errors.Is(err, context.Canceled), errors.Is(err, qrm.ErrCancelled):
-			h.status = qpi.ExecCancelled
-		default:
-			h.status = qpi.ExecFailed
-		}
-	}()
-	return h, nil
-}
-
-// remoteHandle adapts an in-flight remote submission to the qpi.Handle
-// future interface. The remote protocol is synchronous per exchange, so
-// the handle tracks a background goroutine performing the round trip.
-type remoteHandle struct {
-	id     string
-	tl     *telemetry.Timeline
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	mu     sync.Mutex
-	status qpi.ExecStatus
-	res    *qpi.Result
-	err    error
-}
-
-// ID implements qpi.Handle: the submission's trace ID (the remote wire has
-// no job-ID concept of its own).
-func (h *remoteHandle) ID() string { return h.id }
-
-// Status implements qpi.Handle.
-func (h *remoteHandle) Status() qpi.ExecStatus {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.status
-}
-
-// Cancel implements qpi.Handle: the exchange context is cancelled, which
-// interrupts the wire wait (and, through the shipped timeout, bounds the
-// server-side job).
-func (h *remoteHandle) Cancel() { h.cancel() }
-
-// Wait implements qpi.Handle.
-func (h *remoteHandle) Wait(ctx context.Context) (*qpi.Result, error) {
-	select {
-	case <-h.done:
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return h.res, h.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Timeline implements qpi.Handle: the cross-machine trace of the
-// submission.
-func (h *remoteHandle) Timeline() *telemetry.Timeline { return h.tl }

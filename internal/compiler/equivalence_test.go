@@ -9,6 +9,7 @@ import (
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/linalg"
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qir"
 	"mqsspulse/internal/qpi"
 )
 
@@ -180,5 +181,108 @@ func TestRandomCircuitEquivalence(t *testing.T) {
 			t.Fatalf("trial %d (depth %d): TV distance %.4f\nops: %+v\nwant %v\ngot %v",
 				trial, depth, tv, c.Ops, want, out.Counts)
 		}
+	}
+}
+
+// TestOverriddenPulsesLowerTheSameAtLinkTime: SetPulseImpl bumps the
+// calibration epoch because it changes what DefaultPulse answers, and both
+// gate lowerings must listen — the compiler's, and the device's own at QIR
+// link time for gate-level (base-profile) payloads. With x on site 0 and cz
+// overridden by half-amplitude pulses, the same kernel as compiled pulse
+// QIR and as gate-level QIR gives the same distribution on identically
+// seeded devices; at the default pulses it would be P(11) ≈ 1.
+func TestOverriddenPulsesLowerTheSameAtLinkTime(t *testing.T) {
+	const shots = 4000
+	override := func(d *devices.SimDevice, op string, sites []int) {
+		t.Helper()
+		impl, err := d.DefaultPulse(op, sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := &qdmi.PulseImpl{Operation: op}
+		for _, st := range impl.Steps {
+			if st.Kind == "play" {
+				w, err := st.Waveform.Materialize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w, err = w.Scale(0.5); err != nil {
+					t.Fatal(err)
+				}
+				spec := w.ToSpec()
+				st.Waveform = &spec
+			}
+			half.Steps = append(half.Steps, st)
+		}
+		if err := d.SetPulseImpl(op, sites, half); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(payload []byte, format qdmi.ProgramFormat) []float64 {
+		t.Helper()
+		d := idealDevice(t)
+		override(d, "x", []int{0})
+		override(d, "cz", []int{0, 1})
+		job, err := d.SubmitJob(payload, format, shots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := job.Wait(context.Background()); st != qdmi.JobDone {
+			_, rerr := job.Result()
+			t.Fatalf("job %v: %v", st, rerr)
+		}
+		out, err := job.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		probs := make([]float64, 4)
+		for mask := range probs {
+			probs[mask] = out.Probability(uint64(mask))
+		}
+		return probs
+	}
+
+	// X(0) then a CX(0→1) spelled H·CZ·H: half an x leaves the control in
+	// superposition, and half a cz turns the target by π/2 where a whole one
+	// would flip it.
+	c := qpi.NewCircuit("override", 2, 2).X(0).H(1).CZ(0, 1).H(1).Measure(0, 0).Measure(1, 1)
+	if err := c.End(); err != nil {
+		t.Fatal(err)
+	}
+	target := idealDevice(t)
+	override(target, "x", []int{0})
+	override(target, "cz", []int{0, 1})
+	res, err := Compile(c, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := run(res.Payload, FormatFor(res.QIR))
+
+	q := func(i int64) []qir.Arg { return []qir.Arg{qir.QubitArg(i)} }
+	gates := &qir.Module{
+		ID: "override", Profile: qir.ProfileBase, EntryName: "override", NumQubits: 2, NumResults: 2,
+		Body: []qir.Call{
+			{Callee: qir.IntrX, Args: q(0)},
+			{Callee: qir.IntrH, Args: q(1)},
+			{Callee: qir.IntrCZ, Args: []qir.Arg{qir.QubitArg(0), qir.QubitArg(1)}},
+			{Callee: qir.IntrH, Args: q(1)},
+			{Callee: qir.IntrMz, Args: []qir.Arg{qir.QubitArg(0), qir.ResultArg(0)}},
+			{Callee: qir.IntrMz, Args: []qir.Arg{qir.QubitArg(1), qir.ResultArg(1)}},
+		},
+	}
+	linked := run(gates.Emit(), qdmi.FormatQIRBase)
+
+	// Two independent N-shot estimates of one probability differ by a
+	// variable of standard deviation ≤ sqrt(2·¼/N); allow five of them.
+	bound := 5 * math.Sqrt(0.5/shots)
+	for mask := range compiled {
+		if d := math.Abs(compiled[mask] - linked[mask]); d > bound {
+			t.Fatalf("P(%02b): compiled %.4f, link-time %.4f — differ by %.4f > %.4f\ncompiled %v\nlinked   %v",
+				mask, compiled[mask], linked[mask], d, bound, compiled, linked)
+		}
+	}
+	// The override is what both ran: the control is near ½, not near 1.
+	if p1 := compiled[0b01] + compiled[0b11]; math.Abs(p1-0.5) > 0.06 {
+		t.Fatalf("overridden x: P(q0=1) = %.4f, want ≈ 0.5", p1)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"mqsspulse/internal/readout"
 	"mqsspulse/internal/simq"
 	"mqsspulse/internal/telemetry"
+	"mqsspulse/internal/waveform"
 )
 
 // readoutStimulusRabiHz is the (negligible) coupling assigned to readout
@@ -91,24 +92,38 @@ func (d *SimDevice) frameFor(portID string) (*pulse.Frame, error) {
 // appendDrivePulse plays the calibrated single-qubit envelope rotating by
 // `angle` about the equatorial axis at `axisPhase`.
 func (d *SimDevice) appendDrivePulse(s *pulse.Schedule, site int, angle, axisPhase float64) error {
-	if angle == 0 {
-		return nil
-	}
 	if angle < 0 {
 		angle, axisPhase = -angle, axisPhase+math.Pi
 	}
 	// Wrap overly large angles into [0, 2π).
 	angle = math.Mod(angle, 2*math.Pi)
-	amp := d.CalibratedPiAmplitude(site) * angle / math.Pi
-	if amp > 1 {
-		// Angle in (π, 2π): rotate the other way about the opposite axis.
-		angle, axisPhase = 2*math.Pi-angle, axisPhase+math.Pi
-		amp = d.CalibratedPiAmplitude(site) * angle / math.Pi
-	}
-	if amp == 0 {
+	if angle == 0 {
 		return nil
 	}
-	w, err := d.gateEnvelope(amp)
+	var w *waveform.Waveform
+	var err error
+	if impl := d.customPulse("x", []int{site}); impl != nil {
+		// SetPulseImpl replaced the site's π pulse: play that envelope scaled
+		// by angle·(1/π), folding angles past π, exactly as the compiler's
+		// gate lowering does with what DefaultPulse answers.
+		if angle > math.Pi {
+			angle, axisPhase = 2*math.Pi-angle, axisPhase+math.Pi
+		}
+		if w, err = impl.Envelope(); err == nil {
+			w, err = w.Scale(complex(angle*(1/math.Pi), 0))
+		}
+	} else {
+		amp := d.CalibratedPiAmplitude(site) * angle / math.Pi
+		if amp > 1 {
+			// Angle in (π, 2π): rotate the other way about the opposite axis.
+			angle, axisPhase = 2*math.Pi-angle, axisPhase+math.Pi
+			amp = d.CalibratedPiAmplitude(site) * angle / math.Pi
+		}
+		if amp == 0 {
+			return nil
+		}
+		w, err = d.gateEnvelope(amp)
+	}
 	if err != nil {
 		return err
 	}
@@ -201,29 +216,43 @@ func (d *SimDevice) lowerGate(s *pulse.Schedule, gate string, params []float64, 
 	}
 }
 
-// appendCZ plays the coupler pulse for the pair, bracketed by barriers over
-// the two drive ports and the coupler.
+// appendCZ plays the pair's cz implementation — what DefaultPulse answers,
+// so one installed with SetPulseImpl is honoured — on the coupler, its
+// barriers spanning the two drive ports and the coupler.
 func (d *SimDevice) appendCZ(s *pulse.Schedule, a, b int) error {
 	if a > b {
 		a, b = b, a
 	}
-	key := [2]int{a, b}
-	cp, ok := d.couplePort[key]
+	cp, ok := d.couplePort[[2]int{a, b}]
 	if !ok {
 		return fmt.Errorf("%w: sites %d,%d are not coupled", qdmi.ErrNotSupported, a, b)
 	}
-	w, err := d.czWaveform(a, b)
+	impl, err := d.DefaultPulse("cz", []int{a, b})
 	if err != nil {
 		return err
 	}
 	group := []string{d.drivePort[a], d.drivePort[b], cp}
-	if err := s.Append(&pulse.Barrier{Ports: group}); err != nil {
-		return err
+	for _, st := range impl.Steps {
+		var in pulse.Instruction
+		switch st.Kind {
+		case "barrier":
+			in = &pulse.Barrier{Ports: group}
+		case "play":
+			w, err := st.Waveform.Materialize()
+			if err != nil {
+				return err
+			}
+			in = &pulse.Play{Port: cp, Frame: cp + "-frame", Waveform: w}
+		case "shift_phase":
+			in = &pulse.ShiftPhase{Port: cp, Frame: cp + "-frame", Phase: st.PhaseRad}
+		default:
+			return fmt.Errorf("%w: cz impl step %q", qdmi.ErrNotSupported, st.Kind)
+		}
+		if err := s.Append(in); err != nil {
+			return err
+		}
 	}
-	if err := s.Append(&pulse.Play{Port: cp, Frame: cp + "-frame", Waveform: w}); err != nil {
-		return err
-	}
-	return s.Append(&pulse.Barrier{Ports: group})
+	return nil
 }
 
 // lowerMeasure barriers the site's ports and captures the readout window.

@@ -529,12 +529,9 @@ func implKey(op string, sites []int) string { return fmt.Sprintf("%s@%v", op, si
 // implementation of an operation, synthesized on demand from the current
 // calibration table.
 func (d *SimDevice) DefaultPulse(op string, sites []int) (*qdmi.PulseImpl, error) {
-	d.mu.Lock()
-	if impl, ok := d.customPulses[implKey(op, sites)]; ok {
-		d.mu.Unlock()
+	if impl := d.customPulse(op, sites); impl != nil {
 		return impl, nil
 	}
-	d.mu.Unlock()
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("%w: DefaultPulse needs a site tuple", qdmi.ErrInvalidArgument)
 	}
@@ -583,6 +580,16 @@ func (d *SimDevice) DefaultPulse(op string, sites []int) (*qdmi.PulseImpl, error
 	default:
 		return nil, fmt.Errorf("%w: no default pulse for %q", qdmi.ErrNotSupported, op)
 	}
+}
+
+// customPulse returns the implementation SetPulseImpl installed for op on
+// sites, or nil: the look-up DefaultPulse and link-time gate lowering both
+// make first, so a payload lowered on the device and one lowered by the
+// compiler play the same pulse.
+func (d *SimDevice) customPulse(op string, sites []int) *qdmi.PulseImpl {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.customPulses[implKey(op, sites)]
 }
 
 // SetPulseImpl implements qdmi.Device: experts can install custom

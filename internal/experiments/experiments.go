@@ -112,6 +112,18 @@ func PulseKernel(dev *devices.SimDevice) *qpi.Circuit {
 
 func dur(d time.Duration) string { return fmt.Sprintf("%.3gµs", float64(d.Nanoseconds())/1e3) }
 
+// stackOver registers the devices with a fresh driver and returns a client
+// over them; the caller closes it.
+func stackOver(devs ...qdmi.Device) (*client.Client, error) {
+	drv := qdmi.NewDriver()
+	for _, d := range devs {
+		if err := drv.RegisterDevice(d); err != nil {
+			return nil, err
+		}
+	}
+	return client.New(drv.OpenSession()), nil
+}
+
 // F1TopDown traces Fig. 1: per-stage lowering cost and artifact sizes as a
 // kernel descends algorithm → circuit → MLIR → scheduled pulses → QIR.
 func F1TopDown(ctx context.Context) (*Table, error) {
@@ -203,11 +215,10 @@ func F2EndToEnd(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	drv := qdmi.NewDriver()
-	if err := drv.RegisterDevice(dev); err != nil {
+	cl, err := stackOver(dev)
+	if err != nil {
 		return nil, err
 	}
-	cl := client.New(drv.OpenSession())
 	defer cl.Close()
 
 	t := &Table{
@@ -562,7 +573,12 @@ func C1Calibration(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sched := calib.NewScheduler(calDev, policy)
+		cl, err := stackOver(calDev, rawDev)
+		if err != nil {
+			return nil, err
+		}
+		defer cl.Close()
+		sched := calib.NewScheduler(cl, calDev, policy)
 		steps := int(tc.hours * 3600 / tc.stepSec)
 		var sumRamCal, sumRamRaw, sumTrainCal, sumTrainRaw float64
 		n := 0
@@ -572,19 +588,19 @@ func C1Calibration(ctx context.Context) (*Table, error) {
 			if _, err := sched.Tick(ctx); err != nil {
 				return nil, err
 			}
-			rc, err := calib.RamseyErrorBenchmark(ctx, calDev, 0, tc.tauBench, shots)
+			rc, err := calib.RamseyErrorBenchmark(ctx, cl, calDev, 0, tc.tauBench, shots)
 			if err != nil {
 				return nil, err
 			}
-			rr, err := calib.RamseyErrorBenchmark(ctx, rawDev, 0, tc.tauBench, shots)
+			rr, err := calib.RamseyErrorBenchmark(ctx, cl, rawDev, 0, tc.tauBench, shots)
 			if err != nil {
 				return nil, err
 			}
-			tcal, err := calib.PulseTrainBenchmark(ctx, calDev, 0, tc.trainN, shots)
+			tcal, err := calib.PulseTrainBenchmark(ctx, cl, calDev, 0, tc.trainN, shots)
 			if err != nil {
 				return nil, err
 			}
-			traw, err := calib.PulseTrainBenchmark(ctx, rawDev, 0, tc.trainN, shots)
+			traw, err := calib.PulseTrainBenchmark(ctx, cl, rawDev, 0, tc.trainN, shots)
 			if err != nil {
 				return nil, err
 			}
@@ -685,8 +701,13 @@ func C3CtrlVQE(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		cl, err := stackOver(dev)
+		if err != nil {
+			return nil, err
+		}
+		defer cl.Close()
 		gate := &vqe.GateAnsatz{Qubits: 2, Layers: 2}
-		gres, err := vqe.Run(ctx, dev, h, gate, []float64{math.Pi - 0.2, 0.2, -0.1, 0.1, -0.2, 0.2},
+		gres, err := vqe.Run(ctx, cl.QRM(), dev.Name(), h, gate, []float64{math.Pi - 0.2, 0.2, -0.1, 0.1, -0.2, 0.2},
 			vqe.Options{Shots: 700, MaxEvals: 90, InitStep: 0.3})
 		if err != nil {
 			return nil, err
@@ -701,7 +722,7 @@ func C3CtrlVQE(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pres, err := vqe.Run(ctx, dev, h, pa, []float64{0.9, 0.15, 0.0, 0.0, 0.1},
+		pres, err := vqe.Run(ctx, cl.QRM(), dev.Name(), h, pa, []float64{0.9, 0.15, 0.0, 0.0, 0.1},
 			vqe.Options{Shots: 700, MaxEvals: 70, InitStep: 0.15})
 		if err != nil {
 			return nil, err

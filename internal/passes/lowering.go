@@ -166,12 +166,7 @@ func (l *lowerer) xEnvelope(site int) (*waveform.Waveform, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, st := range impl.Steps {
-		if st.Kind == "play" && st.Waveform != nil {
-			return st.Waveform.Materialize()
-		}
-	}
-	return nil, fmt.Errorf("x impl has no play step")
+	return impl.Envelope()
 }
 
 // rotation emits the ops for a rotation of `angle` about the equatorial

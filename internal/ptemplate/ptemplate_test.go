@@ -164,38 +164,86 @@ func TestNewProvesRangeLegality(t *testing.T) {
 			t.Fatalf("legal amplitude range rejected: %v", err)
 		}
 	})
+	t.Run("explicit samples scale within full scale", func(t *testing.T) {
+		c := qpi.NewCircuit("s", 1, 1).
+			WaveformP("drive", []complex128{0.1, 0.4, 0.1, 0}, qpi.Sym("amp")).
+			PlayWaveform("q0-drive", "drive").
+			Measure(0, 0)
+		if err := c.End(); err != nil {
+			t.Fatal(err)
+		}
+		// |amp|·peak ≤ 1 with peak 0.4: the range may reach ±2.5 and no further.
+		if _, err := New(c, Param{Name: "amp", Min: -2.6, Max: 1}); err == nil {
+			t.Fatal("negative amplitude overdriving full scale accepted")
+		}
+		if _, err := New(c, Param{Name: "amp", Min: -2.5, Max: 2.5}); err != nil {
+			t.Fatalf("legal amplitude range rejected: %v", err)
+		}
+	})
 }
 
 // TestBindMatchesPerPointCompile is the deferred-binding correctness core:
 // a payload produced by compile-once-then-bind must be byte-identical to a
-// fresh compilation at the same concrete angle.
+// fresh compilation at the same concrete value — of a gate angle, and of the
+// amplitude of an explicit-sample waveform (the calibration Rabi sweep).
 func TestBindMatchesPerPointCompile(t *testing.T) {
 	dev := templateDevice(t)
-	tpl := rabiTemplate(t)
-	compiled, err := Lower(tpl, dev, "tpl-sc")
+	samples := make([]complex128, 32)
+	for i := range samples {
+		samples[i] = complex(0.5*math.Sin(math.Pi*float64(i)/31), 0.1)
+	}
+	scaledPlay := qpi.NewCircuit("scaled", 1, 1).
+		WaveformP("w", samples, qpi.Sym("amp")).PlayWaveform("q0-drive", "w").Measure(0, 0)
+	if err := scaledPlay.End(); err != nil {
+		t.Fatal(err)
+	}
+	ampTemplate, err := New(scaledPlay, Param{Name: "amp", Min: 0.05, Max: 1.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compiled.Module.IsParametric() {
-		t.Fatal("lowered template lost its unbound slots")
-	}
-	for _, theta := range []float64{0.1, 0.7, 1.5, math.Pi / 2, 3.0, math.Pi} {
-		mod, err := compiled.Bind(Bindings{"theta": theta})
+	for _, row := range []struct {
+		tpl    *Template
+		param  string
+		points []float64
+		ref    func(v float64) *qpi.Circuit
+	}{
+		{rabiTemplate(t), "theta", []float64{0.1, 0.7, 1.5, math.Pi / 2, 3.0, math.Pi},
+			func(theta float64) *qpi.Circuit { return qpi.NewCircuit("rabi", 1, 1).RX(0, theta).Measure(0, 0) }},
+		{ampTemplate, "amp", []float64{0.05, 0.3, 1, 1.9},
+			func(amp float64) *qpi.Circuit {
+				scaled := make([]complex128, len(samples))
+				for i, x := range samples {
+					scaled[i] = complex(amp, 0) * x
+				}
+				return qpi.NewCircuit("scaled", 1, 1).
+					Waveform("w", scaled).PlayWaveform("q0-drive", "w").Measure(0, 0)
+			}},
+	} {
+		compiled, err := Lower(row.tpl, dev, "tpl-sc")
 		if err != nil {
-			t.Fatalf("theta=%g: %v", theta, err)
-		}
-		bound := mod.Emit()
-		ref := qpi.NewCircuit("rabi", 1, 1).RX(0, theta).Measure(0, 0)
-		if err := ref.End(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := compiler.Compile(ref, dev)
-		if err != nil {
-			t.Fatalf("theta=%g reference compile: %v", theta, err)
+		if !compiled.Module.IsParametric() {
+			t.Fatalf("%s: lowered template lost its unbound slots", row.param)
 		}
-		if !bytes.Equal(bound, res.Payload) {
-			t.Fatalf("theta=%g: bound payload differs from per-point compile\nbound:\n%s\nref:\n%s",
-				theta, bound, res.Payload)
+		for _, v := range row.points {
+			mod, err := compiled.Bind(Bindings{row.param: v})
+			if err != nil {
+				t.Fatalf("%s=%g: %v", row.param, v, err)
+			}
+			bound := mod.Emit()
+			ref := row.ref(v)
+			if err := ref.End(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := compiler.Compile(ref, dev)
+			if err != nil {
+				t.Fatalf("%s=%g reference compile: %v", row.param, v, err)
+			}
+			if !bytes.Equal(bound, res.Payload) {
+				t.Fatalf("%s=%g: bound payload differs from per-point compile\nbound:\n%s\nref:\n%s",
+					row.param, v, bound, res.Payload)
+			}
 		}
 	}
 }

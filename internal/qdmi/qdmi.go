@@ -282,6 +282,17 @@ type PulseImpl struct {
 	Steps     []PulseStep
 }
 
+// Envelope materializes the waveform of the implementation's first play
+// step: the envelope of a single-pulse operation such as x or sx.
+func (pi *PulseImpl) Envelope() (*waveform.Waveform, error) {
+	for _, st := range pi.Steps {
+		if st.Kind == "play" && st.Waveform != nil {
+			return st.Waveform.Materialize()
+		}
+	}
+	return nil, fmt.Errorf("%w: %s impl has no play step", ErrInvalidArgument, pi.Operation)
+}
+
 // Validate checks structural sanity of a pulse implementation.
 func (pi *PulseImpl) Validate() error {
 	if pi.Operation == "" {

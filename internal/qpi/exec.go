@@ -13,7 +13,7 @@ import (
 // asynchronous counterpart of the paper's qExecute. Kernels are submitted
 // to a Backend under a context.Context and tracked through Handle futures;
 // functional options carry per-submission tuning (shots, priority,
-// deadline, tag, cache bypass) without growing the positional signature.
+// deadline, tag) without growing the positional signature.
 
 // DefaultShots is the shot count used when no WithShots option is given.
 const DefaultShots = 1024
@@ -81,8 +81,6 @@ type ExecConfig struct {
 	// Deadline, when non-zero, bounds the whole execution: the client
 	// derives a deadline context so the job is cancelled when it passes.
 	Deadline time.Time
-	// BypassCache skips any compilation caches for this submission.
-	BypassCache bool
 	// MeasLevel selects the measurement level (discriminated counts by
 	// default; kerneled or raw return IQ-plane acquisition records).
 	MeasLevel MeasLevel
@@ -140,9 +138,6 @@ func WithDeadline(t time.Time) ExecOption { return func(c *ExecConfig) { c.Deadl
 func WithTimeout(d time.Duration) ExecOption {
 	return func(c *ExecConfig) { c.Deadline = time.Now().Add(d) }
 }
-
-// WithoutCache bypasses compilation caches for this submission.
-func WithoutCache() ExecOption { return func(c *ExecConfig) { c.BypassCache = true } }
 
 // WithMeasLevel selects the measurement level of the returned data:
 // MeasDiscriminated (counts, the default), MeasKerneled (integrated IQ

@@ -151,31 +151,32 @@ func (c *Circuit) DelayP(port string, samples *ParamExpr) *Circuit {
 	return c
 }
 
-// WaveformEnvelopeP defines a named waveform whose samples are the envelope
-// scaled by a symbolic amplitude factor at bind time. The envelope
-// materializes once at template-compile time; binding multiplies the stored
-// samples by the bound factor, so a sweep re-scales without re-evaluating
-// the envelope.
+// WaveformP is Waveform with an amplitude slot: the explicit samples are
+// stored as given and binding multiplies them by the bound factor, so a
+// sweep over a measured or device-supplied envelope (a Rabi sweep over the
+// calibrated π pulse) re-scales without redefining it.
+func (c *Circuit) WaveformP(name string, amps []complex128, amp *ParamExpr) *Circuit {
+	if c.err != nil || !c.checkExpr("waveform "+name, amp) {
+		return c
+	}
+	def := len(c.Ops)
+	if c.Waveform(name, amps); c.err == nil {
+		c.Ops[def].AmpExpr = amp.clone()
+	}
+	return c
+}
+
+// WaveformEnvelopeP is WaveformP over a parametric envelope, materialized
+// once at build time: a sweep re-scales without re-evaluating the envelope.
 func (c *Circuit) WaveformEnvelopeP(name string, env waveform.Envelope, n int, amp *ParamExpr) *Circuit {
 	if c.err != nil {
 		return c
-	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
-	}
-	if !c.checkExpr("waveform "+name, amp) {
-		return c
-	}
-	if _, dup := c.Waveforms[name]; dup {
-		return c.fail("qpi: duplicate waveform %q", name)
 	}
 	w, err := env.Materialize(name, n)
 	if err != nil {
 		return c.fail("qpi: waveform %q: %v", name, err)
 	}
-	c.Waveforms[name] = w
-	c.Ops = append(c.Ops, Op{Kind: OpWaveformDef, WaveformName: name, AmpExpr: amp.clone()})
-	return c
+	return c.WaveformP(name, w.Samples, amp)
 }
 
 // IsParametric reports whether any op carries an unbound parameter slot.

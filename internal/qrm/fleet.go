@@ -268,8 +268,6 @@ type Stats struct {
 	Rejected int64
 	// Steals counts jobs an idle device took from a busy pool sibling.
 	Steals int64
-	// MaintenanceRuns counts hook invocations that did work.
-	MaintenanceRuns int64
 	// Devices breaks the fleet down per device.
 	Devices map[string]DeviceStats
 	// Pools breaks the fleet down per pool.
@@ -281,15 +279,14 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Submitted:       s.n.submitted,
-		Completed:       s.n.completed,
-		Failed:          s.n.failed,
-		Cancelled:       s.n.cancelled,
-		Rejected:        s.n.rejected,
-		Steals:          s.n.steals,
-		MaintenanceRuns: s.n.maintenanceRuns,
-		Devices:         make(map[string]DeviceStats, len(s.devices)),
-		Pools:           make(map[string]PoolStats, len(s.pools)),
+		Submitted: s.n.submitted,
+		Completed: s.n.completed,
+		Failed:    s.n.failed,
+		Cancelled: s.n.cancelled,
+		Rejected:  s.n.rejected,
+		Steals:    s.n.steals,
+		Devices:   make(map[string]DeviceStats, len(s.devices)),
+		Pools:     make(map[string]PoolStats, len(s.pools)),
 	}
 	for name, d := range s.devices {
 		u := 0.0

@@ -12,8 +12,9 @@
 // busy pool siblings so a slow QPU never strands jobs while a sibling sits
 // idle. Admission control bounds per-target queue depth (SetMaxQueueDepth);
 // submissions beyond it fail fast with ErrOverloaded so callers can back
-// off. A calibration hook lets the resource manager interleave maintenance
-// with user jobs — the paper's "resource-aware calibration planning"
+// off. Only the scheduler submits to a device: calibration, VQE and user
+// kernels are all tickets in the same heaps, so maintenance interleaves with
+// user work by priority — the paper's "resource-aware calibration planning"
 // (Section 2.1).
 //
 // Submission is context-aware: every ticket is bound to the context it was
@@ -141,10 +142,6 @@ func jobLess(a, b *queued) bool {
 	return a.ticket.seq < b.ticket.seq
 }
 
-// MaintenanceHook runs device maintenance (calibration) before a user job
-// dispatches; the scheduler calls it with the job's target device.
-type MaintenanceHook func(dev qdmi.Device) error
-
 // Scheduler is the QRM instance over a QDMI session: a fleet scheduler
 // over per-device queues, named pools, and a work-stealing placement
 // engine. The zero value is not usable; construct with New.
@@ -166,13 +163,12 @@ type Scheduler struct {
 	nextID   int64
 	nextSeq  int64
 	maxDepth int // per-target queued-job bound; 0 = unbounded
-	hook     MaintenanceHook
 	closed   bool
 
 	// Fleet-wide counters (per-device counters live on deviceState).
 	n struct {
 		submitted, completed, failed, cancelled int64
-		rejected, steals, maintenanceRuns       int64
+		rejected, steals                        int64
 	}
 
 	// telem is the fleet metrics registry (see SetTelemetry): queue-wait
@@ -198,13 +194,6 @@ func New(session *qdmi.Session) *Scheduler {
 // counters under "qrm/". Nil disables. The client installs its registry
 // here so one snapshot covers cache, scheduler, and device stages.
 func (s *Scheduler) SetTelemetry(reg *telemetry.Registry) { s.telem.Store(reg) }
-
-// SetMaintenanceHook installs the calibration hook (nil disables).
-func (s *Scheduler) SetMaintenanceHook(h MaintenanceHook) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hook = h
-}
 
 // SubmitCtx enqueues a request bound to ctx and returns its ticket.
 // Cancelling ctx cancels the ticket: queued work never dispatches, and
@@ -311,9 +300,8 @@ func (s *Scheduler) worker(d *deviceState) {
 			// give idle pool siblings a chance to steal.
 			s.cond.Broadcast()
 		}
-		hook := s.hook
 		s.mu.Unlock()
-		s.runItem(d, item, hook)
+		s.runItem(d, item)
 		s.mu.Lock()
 		d.inflight--
 	}
@@ -359,9 +347,9 @@ func bestSource(sources []*jobHeap) *jobHeap {
 	return best
 }
 
-// runItem executes one dequeued job on device d: maintenance hook, device
+// runItem executes one dequeued job on device d: staleness gate, device
 // dispatch, and result/error/cancellation bookkeeping.
-func (s *Scheduler) runItem(d *deviceState, item *queued, hook MaintenanceHook) {
+func (s *Scheduler) runItem(d *deviceState, item *queued) {
 	if !item.ticket.startRunning() {
 		// Cancelled while queued: the ticket already resolved itself; the
 		// device never sees the job.
@@ -387,25 +375,15 @@ func (s *Scheduler) runItem(d *deviceState, item *queued, hook MaintenanceHook) 
 	}
 	// Staleness gate: a payload compiled at epoch N must not dispatch once
 	// the device it was compiled against has recalibrated past N — a job
-	// can sit queued across a recalibration. The gate runs before the
-	// maintenance hook on purpose: hook-driven calibration is the
-	// scheduler's own interleaved maintenance, and failing the very job
-	// that triggered it would deadlock the pattern; its epoch bump takes
-	// effect for every subsequently compiled payload instead.
+	// can sit queued across a recalibration (calibration jobs overtake it in
+	// this very queue). There is no exception: the caller recompiles and
+	// resubmits.
 	if err := s.checkEpoch(d.name, item.req); err != nil {
 		s.fail(item, err)
 		return
 	}
-	if hook != nil {
-		if err := hook(dev); err != nil {
-			s.fail(item, fmt.Errorf("qrm: maintenance: %w", err))
-			return
-		}
-		s.mu.Lock()
-		s.n.maintenanceRuns++
-		s.mu.Unlock()
-	}
-	// A cancel that landed during maintenance still prevents dispatch.
+	// A cancel that landed since the job left the queue still prevents
+	// dispatch.
 	if item.ticket.ctx.Err() != nil || !item.ticket.startDispatch() {
 		s.cancelled(item)
 		return

@@ -230,36 +230,6 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-func TestMaintenanceHookRuns(t *testing.T) {
-	s, _ := rig(t)
-	defer s.Close()
-	var calls atomic.Int64
-	s.SetMaintenanceHook(func(dev qdmi.Device) error {
-		calls.Add(1)
-		return nil
-	})
-	tk, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("j"), Format: qdmi.FormatQIRBase, Shots: 1})
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("hook ran %d times", calls.Load())
-	}
-	if s.Stats().MaintenanceRuns != 1 {
-		t.Fatalf("stats = %+v", s.Stats())
-	}
-}
-
-func TestMaintenanceHookFailureFailsJob(t *testing.T) {
-	s, _ := rig(t)
-	defer s.Close()
-	s.SetMaintenanceHook(func(qdmi.Device) error { return errors.New("cal broken") })
-	tk, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("j"), Format: qdmi.FormatQIRBase, Shots: 1})
-	if _, err := tk.Wait(context.Background()); err == nil {
-		t.Fatal("maintenance failure not propagated")
-	}
-}
-
 func TestCloseRejectsNewWork(t *testing.T) {
 	s, _ := rig(t)
 	tk, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("j"), Format: qdmi.FormatQIRBase, Shots: 1})

@@ -145,7 +145,8 @@ func (t *Ticket) startRunning() bool {
 }
 
 // startDispatch commits the ticket to the device round trip: false means it
-// resolved first (cancelled during maintenance) and must not be dispatched.
+// resolved first (cancelled after leaving the queue) and must not be
+// dispatched.
 // Afterwards a fired context no longer resolves the ticket by itself — the
 // worker sees it end the device wait and calls finish once the dispatch span
 // is on the timeline, so no waiter wakes to a trace missing that span.

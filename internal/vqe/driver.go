@@ -7,14 +7,18 @@ import (
 	"mqsspulse/internal/optctl"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
+	"mqsspulse/internal/qrm"
 )
 
 // Estimator measures Hamiltonian expectation values by running ansatz
-// circuits on a QDMI device, one job per qubit-wise-commuting measurement
-// group.
+// circuits on a device, one job per qubit-wise-commuting measurement group.
+// It is an adapter in the paper's sense: it hands the scheduler mixed
+// gate/pulse QIR as text (Listings 1–3), and the scheduler — not the
+// estimator — submits to the device.
 type Estimator struct {
-	Dev   qdmi.Device
-	Shots int
+	QRM    *qrm.Scheduler
+	Device string
+	Shots  int
 }
 
 // formatFor picks the submission format for a module.
@@ -37,15 +41,12 @@ func (e *Estimator) Energy(ctx context.Context, h *Hamiltonian, a Ansatz, params
 		if err != nil {
 			return 0, 0, err
 		}
-		job, err := e.Dev.SubmitJob(mod.Emit(), formatFor(mod), e.Shots)
+		tk, err := e.QRM.SubmitCtx(ctx, qrm.Request{
+			Device: e.Device, Payload: mod.Emit(), Format: formatFor(mod), Shots: e.Shots})
 		if err != nil {
 			return 0, 0, err
 		}
-		if st := job.Wait(ctx); st != qdmi.JobDone {
-			_, rerr := job.Result()
-			return 0, 0, fmt.Errorf("vqe: job %s %v: %v", job.ID(), st, rerr)
-		}
-		res, err := job.Result()
+		res, err := tk.Wait(ctx)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -82,7 +83,7 @@ type RunResult struct {
 // Run minimizes the measured energy over the ansatz parameters with
 // Nelder-Mead — the classical optimizer loop of the paper's Listing 1
 // (calculate_new_parameters).
-func Run(ctx context.Context, dev qdmi.Device, h *Hamiltonian, a Ansatz, x0 []float64, opts Options) (*RunResult, error) {
+func Run(ctx context.Context, sched *qrm.Scheduler, device string, h *Hamiltonian, a Ansatz, x0 []float64, opts Options) (*RunResult, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
@@ -98,7 +99,7 @@ func Run(ctx context.Context, dev qdmi.Device, h *Hamiltonian, a Ansatz, x0 []fl
 	if opts.InitStep <= 0 {
 		opts.InitStep = 0.4
 	}
-	est := &Estimator{Dev: dev, Shots: opts.Shots}
+	est := &Estimator{QRM: sched, Device: device, Shots: opts.Shots}
 	res := &RunResult{}
 	best := 1e18
 	objective := func(x []float64) float64 {

@@ -7,7 +7,22 @@ import (
 
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/linalg"
+	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qrm"
 )
+
+// schedulerOver returns a QRM over one registered device: the path every
+// VQE evaluation takes to it.
+func schedulerOver(t *testing.T, dev qdmi.Device) *qrm.Scheduler {
+	t.Helper()
+	drv := qdmi.NewDriver()
+	if err := drv.RegisterDevice(dev); err != nil {
+		t.Fatal(err)
+	}
+	s := qrm.New(drv.OpenSession())
+	t.Cleanup(s.Close)
+	return s
+}
 
 func TestH2MinimalGroundEnergy(t *testing.T) {
 	h := H2Minimal()
@@ -223,7 +238,7 @@ func TestEstimatorEnergyHartreeFock(t *testing.T) {
 	h := H2Minimal()
 	// Ansatz: RY(π) on qubit 0 ≈ X up to phase.
 	a := &GateAnsatz{Qubits: 2, Layers: 0}
-	est := &Estimator{Dev: dev, Shots: 3000}
+	est := &Estimator{QRM: schedulerOver(t, dev), Device: dev.Name(), Shots: 3000}
 	e, dur, err := est.Energy(context.Background(), h, a, []float64{math.Pi, 0})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +265,7 @@ func TestVQEGateAnsatzConverges(t *testing.T) {
 	}
 	h := H2Minimal()
 	a := &GateAnsatz{Qubits: 2, Layers: 1}
-	res, err := Run(context.Background(), dev, h, a, []float64{math.Pi - 0.1, 0.1, -0.1, 0.1}, Options{
+	res, err := Run(context.Background(), schedulerOver(t, dev), dev.Name(), h, a, []float64{math.Pi - 0.1, 0.1, -0.1, 0.1}, Options{
 		Shots: 800, MaxEvals: 80, InitStep: 0.3,
 	})
 	if err != nil {
@@ -276,11 +291,11 @@ func TestVQEValidation(t *testing.T) {
 	dev, _ := devices.Superconducting("sc-val", 2, 8)
 	h := H2Minimal()
 	a := &GateAnsatz{Qubits: 2, Layers: 1}
-	if _, err := Run(context.Background(), dev, h, a, []float64{0.1}, Options{}); err == nil {
+	if _, err := Run(context.Background(), schedulerOver(t, dev), dev.Name(), h, a, []float64{0.1}, Options{}); err == nil {
 		t.Fatal("wrong x0 length accepted")
 	}
 	badH := &Hamiltonian{Qubits: 2, Terms: []Term{{Coeff: 1, Ops: "Q"}}}
-	if _, err := Run(context.Background(), dev, badH, a, make([]float64, 4), Options{}); err == nil {
+	if _, err := Run(context.Background(), schedulerOver(t, dev), dev.Name(), badH, a, make([]float64, 4), Options{}); err == nil {
 		t.Fatal("invalid hamiltonian accepted")
 	}
 }
@@ -316,7 +331,7 @@ func TestVQETFIMGateAnsatz(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &GateAnsatz{Qubits: 2, Layers: 1}
-	res, err := Run(context.Background(), dev, h, a, []float64{0.3, 0.3, 0.1, 0.1}, Options{
+	res, err := Run(context.Background(), schedulerOver(t, dev), dev.Name(), h, a, []float64{0.3, 0.3, 0.1, 0.1}, Options{
 		Shots: 700, MaxEvals: 70, InitStep: 0.4,
 	})
 	if err != nil {

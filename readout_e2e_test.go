@@ -141,9 +141,14 @@ func TestReadoutCalibrationAndDiscriminatorFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stack, err := mqsspulse.NewStack(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
 	for site := 0; site < 2; site++ {
 		configured := dev.CalibratedReadoutFidelity(site)
-		res, err := mqsspulse.ReadoutCalibrate(context.Background(), dev, site, 4000)
+		res, err := mqsspulse.ReadoutCalibrate(context.Background(), stack.Client, dev, site, 4000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,16 +194,15 @@ func TestMitigationOnBiasedPreset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mit, err := mqsspulse.MeasureReadoutMitigator(context.Background(), dev, []int{0, 1}, 6000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	stack, err := mqsspulse.NewStack(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stack.Close()
+	mit, err := mqsspulse.MeasureReadoutMitigator(context.Background(), stack.Client, dev, []int{0, 1}, 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	backend := &mqsspulse.NativeAdapter{Client: stack.Client, Target: dev.Name()}
 
 	c := mqsspulse.NewCircuit("x-both", 2, 2)

@@ -219,19 +219,9 @@ func TestTelemetryRemoteWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := remote.StartPayloadCtx(context.Background(), dev.Name(), payload, format,
-		mqsspulse.SubmitOptions{Shots: 16, Timeline: tl})
-	if err != nil {
+	if _, err := remote.SubmitPayloadCtx(context.Background(), dev.Name(), payload, format,
+		mqsspulse.SubmitOptions{Shots: 16, Timeline: tl}); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := h.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if h.Status() != mqsspulse.ExecDone {
-		t.Fatalf("remote handle status %v", h.Status())
-	}
-	if h.Timeline() != tl {
-		t.Fatal("remote handle does not expose the caller's timeline")
 	}
 
 	spans := requireStages(t, tl,
