@@ -7,7 +7,6 @@ import (
 
 	"mqsspulse/internal/client"
 	"mqsspulse/internal/ptemplate"
-	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qpi"
 )
@@ -35,27 +34,13 @@ type Target interface {
 	Now() float64
 }
 
-// gateWaveform fetches the calibrated envelope of op ("x" or "sx") via the
-// QDMI default-pulse query.
-func gateWaveform(dev qdmi.Device, op string, site int) ([]complex128, error) {
-	impl, err := dev.DefaultPulse(op, []int{site})
-	if err != nil {
-		return nil, fmt.Errorf("calib: default pulse for %s: %w", op, err)
-	}
-	w, err := impl.Envelope()
-	if err != nil {
-		return nil, err
-	}
-	return w.Samples, nil
-}
-
 // bench builds and runs one routine's single-site kernels.
 type bench struct {
 	cl     *client.Client
 	device string
 	site   int
-	// drive is the site's drive port, resolved from the device's advertised
-	// port list — calibration never assumes naming schemes.
+	// drive is the site's drive port, as the device's view (qdmi.Target)
+	// resolves it — calibration never assumes naming schemes.
 	drive string
 	// rate is the device sample rate in Hz.
 	rate float64
@@ -67,22 +52,22 @@ type bench struct {
 func newBench(cl *client.Client, dev qdmi.Device, site, shots int) (*bench, error) {
 	b := &bench{cl: cl, device: dev.Name(), site: site, env: map[string][]complex128{},
 		opts: client.SubmitOptions{Shots: shots, Priority: Priority, Tag: Tag}}
-	for _, p := range dev.Ports() {
-		if p.Kind == pulse.PortDrive && len(p.Sites) == 1 && p.Sites[0] == site {
-			b.drive = p.ID
-		}
-	}
-	if b.drive == "" {
+	target := qdmi.NewTarget(dev)
+	drive := target.Drive(site)
+	if drive == nil {
 		return nil, fmt.Errorf("calib: site %d has no drive port", site)
 	}
+	b.drive = drive.ID
 	var err error
 	if b.rate, err = qdmi.QueryFloat(dev, qdmi.DevicePropSampleRateHz); err != nil {
 		return nil, err
 	}
 	for _, op := range []string{"x", "sx"} {
-		if b.env[op], err = gateWaveform(dev, op, site); err != nil {
-			return nil, err
+		w, err := target.Envelope(op, site)
+		if err != nil {
+			return nil, fmt.Errorf("calib: default pulse for %s: %w", op, err)
 		}
+		b.env[op] = w.Samples
 	}
 	return b, nil
 }

@@ -272,7 +272,7 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string) 
 	// can only make the entry look stale, and one landing mid-compile is
 	// caught by the dispatch-time check or the next lookup — the race can
 	// only err toward recompiling, never toward staleness.
-	epoch, err := ptemplate.DeviceEpoch(dev)
+	epoch, err := qdmi.DeviceEpoch(dev)
 	if err != nil {
 		return nil, false, err
 	}

@@ -18,11 +18,12 @@ func Backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 	if err := m.Verify(); err != nil {
 		return nil, err
 	}
-	return backend(m, dev)
+	return backend(m, qdmi.NewTarget(dev))
 }
 
-// backend is Backend for a module the caller has just verified.
-func backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
+// backend is Backend for a module the caller has just verified, against the
+// compile's view of the device.
+func backend(m *mlir.Module, target *qdmi.Target) (*qir.Module, error) {
 	if len(m.Sequences) != 1 {
 		return nil, fmt.Errorf("compiler: backend expects one sequence, got %d", len(m.Sequences))
 	}
@@ -55,28 +56,20 @@ func backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 			return nil, err
 		}
 		out.Waveforms = append(out.Waveforms, qir.WaveformConst{
-			Name: def.Name, Samples: w.Samples, AmpExpr: qexpr(def.AmpExpr)})
+			Name: def.Name, Samples: w.Samples, AmpExpr: def.AmpExpr})
 	}
 
 	// Site lookup for residual gate ops.
-	portSite := map[string]int{}
-	if dev != nil {
-		for _, p := range dev.Ports() {
-			if len(p.Sites) == 1 {
-				portSite[p.ID] = p.Sites[0]
-			}
-		}
-	}
 	qubitOfFrame := func(v mlir.Value) (int64, error) {
 		h, ok := frameHandle[v.Ref]
 		if !ok {
 			return 0, fmt.Errorf("compiler: unknown frame %%%s", v.Ref)
 		}
-		site, ok := portSite[out.PortNames[h]]
-		if !ok {
+		port := target.Port(out.PortNames[h])
+		if port == nil || len(port.Sites) != 1 {
 			return 0, fmt.Errorf("compiler: port %s has no site for gate emission", out.PortNames[h])
 		}
-		return int64(site), nil
+		return int64(port.Sites[0]), nil
 	}
 	lit := func(v mlir.Value) (float64, error) {
 		if v.IsRef {
@@ -88,7 +81,7 @@ func backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 	// expression-carrying QIR args for Bind to evaluate.
 	f64Arg := func(v mlir.Value) (qir.Arg, error) {
 		if v.Expr != nil {
-			return qir.Arg{Kind: qir.ArgF64, Expr: qexpr(v.Expr)}, nil
+			return qir.Arg{Kind: qir.ArgF64, Expr: v.Expr}, nil
 		}
 		f, err := lit(v)
 		if err != nil {
@@ -153,7 +146,7 @@ func backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 		case *mlir.DelayOp:
 			samples := qir.I64Arg(o.Samples)
 			if o.SamplesExpr != nil {
-				samples = qir.Arg{Kind: qir.ArgI64, Expr: qexpr(o.SamplesExpr)}
+				samples = qir.Arg{Kind: qir.ArgI64, Expr: o.SamplesExpr}
 			}
 			out.Body = append(out.Body, qir.Call{Callee: qir.IntrDelay,
 				Args: []qir.Arg{qir.PortArg(frameHandle[o.Frame.Ref]), samples}})
@@ -218,14 +211,6 @@ func backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 	return out, nil
 }
 
-// qexpr converts an MLIR parameter expression to its QIR form (nil-safe).
-func qexpr(e *mlir.ParamExpr) *qir.ParamExpr {
-	if e == nil {
-		return nil
-	}
-	return &qir.ParamExpr{Param: e.Param, Scale: e.Scale, Offset: e.Offset}
-}
-
 func sortPortArgs(args []qir.Arg) {
 	for i := 1; i < len(args); i++ {
 		for j := i; j > 0 && args[j].I < args[j-1].I; j-- {
@@ -249,6 +234,10 @@ type Result struct {
 	// Payload is QIR's exchange-format text; nil from Lower and for a
 	// parametric module.
 	Payload []byte
+	// Epoch is the calibration epoch the device was at before the compile
+	// read anything else from it: the epoch the result is valid for. Zero
+	// for an epoch-unaware device.
+	Epoch   int64
 	Timings StageTimings
 	Stats   map[string]int
 }
@@ -268,15 +257,18 @@ func Compile(c *qpi.Circuit, dev qdmi.Device) (*Result, error) {
 // itself to the device and wants text only if someone asks: Result.Payload
 // stays nil.
 func Lower(c *qpi.Circuit, dev qdmi.Device) (*Result, error) {
+	// The one reading of the device this compile makes: the frontend, every
+	// pass and the backend see the same ports, constraints and pulses.
+	target := qdmi.NewTarget(dev)
 	res := &Result{}
 	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
 	t0 := time.Now()
-	m, err := Frontend(c, dev)
+	m, err := frontend(c, target)
 	if err != nil {
 		return nil, err
 	}
 	res.Timings.Frontend = time.Since(t0)
-	if err := res.lowerModule(m, dev); err != nil {
+	if err := res.lowerModule(m, target); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -291,7 +283,7 @@ func CompileMLIRText(src string, dev qdmi.Device) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	if err := res.lowerModule(m, dev); err != nil {
+	if err := res.lowerModule(m, qdmi.NewTarget(dev)); err != nil {
 		return nil, err
 	}
 	res.emit()
@@ -300,10 +292,15 @@ func CompileMLIRText(src string, dev qdmi.Device) (*Result, error) {
 
 // lowerModule runs the midend and the backend over m, filling in
 // everything of the result but the frontend timing and the payload.
-func (res *Result) lowerModule(m *mlir.Module, dev qdmi.Device) error {
+func (res *Result) lowerModule(m *mlir.Module, target *qdmi.Target) error {
+	epoch, err := target.Epoch()
+	if err != nil {
+		return err
+	}
+	res.Epoch = epoch
 	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
 	t1 := time.Now()
-	ctx := passes.NewContext(dev)
+	ctx := &passes.Context{Target: target, Stats: map[string]int{}}
 	if err := passes.DefaultPipeline().Run(m, ctx); err != nil {
 		return err
 	}
@@ -316,7 +313,7 @@ func (res *Result) lowerModule(m *mlir.Module, dev qdmi.Device) error {
 	t2 := time.Now()
 	// The pipeline verified m after its last pass that writes to it, so
 	// Backend's entry check would re-check the same module.
-	q, err := backend(m, dev)
+	q, err := backend(m, target)
 	if err != nil {
 		return err
 	}

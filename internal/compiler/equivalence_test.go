@@ -2,8 +2,11 @@ package compiler
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mqsspulse/internal/devices"
@@ -11,12 +14,17 @@ import (
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
 	"mqsspulse/internal/qpi"
+	"mqsspulse/internal/waveform"
 )
 
 // idealDevice builds a 2-transmon device with perfect readout and very long
 // coherence so that compiled-circuit statistics can be compared against
 // exact state-vector simulation.
-func idealDevice(t *testing.T) *devices.SimDevice {
+func idealDevice(t *testing.T) *devices.SimDevice { return transmons(t, 40e6) }
+
+// transmons is idealDevice at a given drive Rabi rate: the π amplitude is
+// 0.837 at 40 MHz and falls as the rate rises.
+func transmons(t *testing.T, driveRabiHz float64) *devices.SimDevice {
 	t.Helper()
 	cfg := devices.Config{
 		Name:         "ideal-sc",
@@ -31,7 +39,7 @@ func idealDevice(t *testing.T) *devices.SimDevice {
 			{Dim: 3, FreqHz: 5.05e9, AnharmHz: -220e6, T1Seconds: 1, T2Seconds: 1},
 		},
 		Couplings:       []devices.CouplingConfig{{A: 0, Kind: devices.CouplingZZ, RabiHz: 25e6}},
-		DriveRabiHz:     40e6,
+		DriveRabiHz:     driveRabiHz,
 		GateSamples:     32,
 		ReadoutSamples:  96,
 		ReadoutFidelity: 1.0,
@@ -184,105 +192,165 @@ func TestRandomCircuitEquivalence(t *testing.T) {
 	}
 }
 
-// TestOverriddenPulsesLowerTheSameAtLinkTime: SetPulseImpl bumps the
-// calibration epoch because it changes what DefaultPulse answers, and both
-// gate lowerings must listen — the compiler's, and the device's own at QIR
-// link time for gate-level (base-profile) payloads. With x on site 0 and cz
-// overridden by half-amplitude pulses, the same kernel as compiled pulse
-// QIR and as gate-level QIR gives the same distribution on identically
-// seeded devices; at the default pulses it would be P(11) ≈ 1.
-func TestOverriddenPulsesLowerTheSameAtLinkTime(t *testing.T) {
-	const shots = 4000
-	override := func(d *devices.SimDevice, op string, sites []int) {
-		t.Helper()
-		impl, err := d.DefaultPulse(op, sites)
-		if err != nil {
-			t.Fatal(err)
-		}
-		half := &qdmi.PulseImpl{Operation: op}
-		for _, st := range impl.Steps {
-			if st.Kind == "play" {
-				w, err := st.Waveform.Materialize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if w, err = w.Scale(0.5); err != nil {
-					t.Fatal(err)
-				}
-				spec := w.ToSpec()
-				st.Waveform = &spec
-			}
-			half.Steps = append(half.Steps, st)
-		}
-		if err := d.SetPulseImpl(op, sites, half); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run := func(payload []byte, format qdmi.ProgramFormat) []float64 {
-		t.Helper()
-		d := idealDevice(t)
-		override(d, "x", []int{0})
-		override(d, "cz", []int{0, 1})
-		job, err := d.SubmitJob(payload, format, shots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := job.Wait(context.Background()); st != qdmi.JobDone {
-			_, rerr := job.Result()
-			t.Fatalf("job %v: %v", st, rerr)
-		}
-		out, err := job.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		probs := make([]float64, 4)
-		for mask := range probs {
-			probs[mask] = out.Probability(uint64(mask))
-		}
-		return probs
-	}
-
-	// X(0) then a CX(0→1) spelled H·CZ·H: half an x leaves the control in
-	// superposition, and half a cz turns the target by π/2 where a whole one
-	// would flip it.
-	c := qpi.NewCircuit("override", 2, 2).X(0).H(1).CZ(0, 1).H(1).Measure(0, 0).Measure(1, 1)
-	if err := c.End(); err != nil {
-		t.Fatal(err)
-	}
-	target := idealDevice(t)
-	override(target, "x", []int{0})
-	override(target, "cz", []int{0, 1})
-	res, err := Compile(c, target)
+// halvePulse overrides op on sites with the device's own implementation at
+// half amplitude: every step kept, every play scaled by ½.
+func halvePulse(t *testing.T, d *devices.SimDevice, op string, sites []int) {
+	t.Helper()
+	impl, err := d.DefaultPulse(op, sites)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled := run(res.Payload, FormatFor(res.QIR))
-
-	q := func(i int64) []qir.Arg { return []qir.Arg{qir.QubitArg(i)} }
-	gates := &qir.Module{
-		ID: "override", Profile: qir.ProfileBase, EntryName: "override", NumQubits: 2, NumResults: 2,
-		Body: []qir.Call{
-			{Callee: qir.IntrX, Args: q(0)},
-			{Callee: qir.IntrH, Args: q(1)},
-			{Callee: qir.IntrCZ, Args: []qir.Arg{qir.QubitArg(0), qir.QubitArg(1)}},
-			{Callee: qir.IntrH, Args: q(1)},
-			{Callee: qir.IntrMz, Args: []qir.Arg{qir.QubitArg(0), qir.ResultArg(0)}},
-			{Callee: qir.IntrMz, Args: []qir.Arg{qir.QubitArg(1), qir.ResultArg(1)}},
-		},
+	half := &qdmi.PulseImpl{Operation: op}
+	for _, st := range impl.Steps {
+		if st.Kind == "play" {
+			w, err := st.Waveform.Materialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, err = w.Scale(0.5); err != nil {
+				t.Fatal(err)
+			}
+			spec := w.ToSpec()
+			st.Waveform = &spec
+		}
+		half.Steps = append(half.Steps, st)
 	}
-	linked := run(gates.Emit(), qdmi.FormatQIRBase)
+	if err := d.SetPulseImpl(op, sites, half); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	// Two independent N-shot estimates of one probability differ by a
-	// variable of standard deviation ≤ sqrt(2·¼/N); allow five of them.
-	bound := 5 * math.Sqrt(0.5/shots)
-	for mask := range compiled {
-		if d := math.Abs(compiled[mask] - linked[mask]); d > bound {
-			t.Fatalf("P(%02b): compiled %.4f, link-time %.4f — differ by %.4f > %.4f\ncompiled %v\nlinked   %v",
-				mask, compiled[mask], linked[mask], d, bound, compiled, linked)
+// TestGateTableLowersTheSameAtCompileAndLinkTime: a gate means one thing.
+// Every row of the gate table, at every angle that exercises the rotation
+// normalisation, is run twice on identically seeded devices — as a QPI
+// kernel through Compile (the pass pipeline lowers it) and as the
+// hand-written gate-level QIR module of the same kernel (the device lowers
+// it at link time) — and the two return identical counts: not close, equal,
+// because both lowerings write the same table's primitives from the same
+// calibrated pulses. The devices are the three technology presets, a
+// transmon whose π amplitude is 0.558 (so rx(3π/2) would fit under full
+// scale unfolded: the angle decides the fold, never the amplitude), and one
+// with x and cz replaced through SetPulseImpl. A row
+// with no lowering fails on both paths with the device's ErrNotSupported.
+func TestGateTableLowersTheSameAtCompileAndLinkTime(t *testing.T) {
+	const shots = 400
+	preset := func(f func(string, int, int64) (*devices.SimDevice, error)) func(*testing.T) *devices.SimDevice {
+		return func(t *testing.T) *devices.SimDevice {
+			t.Helper()
+			d, err := f("eq", 2, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
 		}
 	}
-	// The override is what both ran: the control is near ½, not near 1.
-	if p1 := compiled[0b01] + compiled[0b11]; math.Abs(p1-0.5) > 0.06 {
-		t.Fatalf("overridden x: P(q0=1) = %.4f, want ≈ 0.5", p1)
+	targets := []struct {
+		name string
+		make func(*testing.T) *devices.SimDevice
+	}{
+		{"sc", preset(devices.Superconducting)},
+		{"ion", preset(devices.TrappedIon)},
+		{"atom", preset(devices.NeutralAtom)},
+		{"sc-60MHz", func(t *testing.T) *devices.SimDevice { return transmons(t, 60e6) }},
+		{"overridden", func(t *testing.T) *devices.SimDevice {
+			d := idealDevice(t)
+			halvePulse(t, d, "x", []int{0})
+			halvePulse(t, d, "cz", []int{0, 1})
+			return d
+		}},
+	}
+	angles := []float64{0.7, -0.7, math.Pi, 3 * math.Pi / 2, 1.9 * math.Pi, 2 * math.Pi, 0}
+
+	run := func(t *testing.T, d *devices.SimDevice, payload []byte, format qdmi.ProgramFormat) (map[uint64]int, error) {
+		t.Helper()
+		job, err := d.SubmitJob(payload, format, shots)
+		if err != nil {
+			return nil, err
+		}
+		if st := job.Wait(context.Background()); st != qdmi.JobDone {
+			_, err := job.Result()
+			return nil, err
+		}
+		out, err := job.Result()
+		if err != nil {
+			return nil, err
+		}
+		return out.Counts, nil
+	}
+
+	for _, tg := range targets {
+		for i := range waveform.Gates {
+			g := &waveform.Gates[i]
+			params := [][]float64{nil}
+			if g.Params == 1 {
+				params = params[:0]
+				for _, a := range angles {
+					params = append(params, []float64{a})
+				}
+			}
+			for _, p := range params {
+				t.Run(fmt.Sprintf("%s/%s%v", tg.name, g.Name, p), func(t *testing.T) {
+					// sx on every operand before and after the gate: a phase
+					// the gate leaves on |0⟩ would otherwise go unmeasured.
+					qubits := []int{0, 1}[:g.Arity]
+					k := qpi.NewCircuit("row", 2, 2)
+					var body []qir.Call
+					sx := func() {
+						for _, q := range qubits {
+							k.SX(q)
+							body = append(body, qir.Call{Callee: qir.IntrSX, Args: []qir.Arg{qir.QubitArg(int64(q))}})
+						}
+					}
+					sx()
+					k.Gate(g.Name, qubits, p...)
+					var args []qir.Arg
+					for _, a := range p {
+						args = append(args, qir.F64Arg(a))
+					}
+					for _, q := range qubits {
+						args = append(args, qir.QubitArg(int64(q)))
+					}
+					body = append(body, qir.Call{Callee: g.QIS, Args: args})
+					sx()
+					for _, q := range qubits {
+						k.Measure(q, q)
+						body = append(body, qir.Call{Callee: qir.IntrMz,
+							Args: []qir.Arg{qir.QubitArg(int64(q)), qir.ResultArg(int64(q))}})
+					}
+					if err := k.End(); err != nil {
+						t.Fatal(err)
+					}
+					gates := &qir.Module{ID: "row", Profile: qir.ProfileBase, EntryName: "row",
+						NumQubits: 2, NumResults: 2, Body: body}
+
+					compileOn, linkOn := tg.make(t), tg.make(t)
+					linked, linkErr := run(t, linkOn, gates.Emit(), qdmi.FormatQIRBase)
+					res, compileErr := Compile(k, compileOn)
+					if !g.HasLowering() {
+						if !errors.Is(compileErr, qdmi.ErrNotSupported) || !errors.Is(linkErr, qdmi.ErrNotSupported) {
+							t.Fatalf("a gate with no lowering: compile %v, link %v; want ErrNotSupported from both", compileErr, linkErr)
+						}
+						return
+					}
+					if compileErr != nil || linkErr != nil {
+						t.Fatalf("compile %v, link %v", compileErr, linkErr)
+					}
+					compiled, err := run(t, compileOn, res.Payload, FormatFor(res.QIR))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(compiled, linked) {
+						t.Fatalf("compiled counts %v, link-time counts %v", compiled, linked)
+					}
+					// The override is what both ran: sx·x·sx is a whole turn, and
+					// half of one with the π envelope (sx scales it too) halved.
+					if tg.name == "overridden" && g.Name == "x" {
+						if p1 := float64(compiled[1]) / shots; p1 < 0.9 {
+							t.Fatalf("overridden x: P(1) = %.3f, want ≈ 1", p1)
+						}
+					}
+				})
+			}
+		}
 	}
 }

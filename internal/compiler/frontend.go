@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"mqsspulse/internal/mlir"
-	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qpi"
 )
@@ -38,56 +37,21 @@ func (pp *portPlan) frame(port string) mlir.Value {
 	return mlir.Ref(pp.argNames[pp.index[port]])
 }
 
-// deviceTopology caches the port layout of the target device.
-type deviceTopology struct {
-	drive   map[int]string
-	readout map[int]string
-	coupler map[[2]int]string
-	// readoutWindow is the capture length in samples.
-	readoutWindow int64
-}
-
-func topologyOf(dev qdmi.Device) (*deviceTopology, error) {
-	t := &deviceTopology{drive: map[int]string{}, readout: map[int]string{}, coupler: map[[2]int]string{}}
-	for _, p := range dev.Ports() {
-		switch {
-		case p.Kind == pulse.PortDrive && len(p.Sites) == 1:
-			t.drive[p.Sites[0]] = p.ID
-		case p.Kind == pulse.PortReadout && len(p.Sites) == 1:
-			t.readout[p.Sites[0]] = p.ID
-		case p.Kind == pulse.PortCoupler && len(p.Sites) == 2:
-			a, b := p.Sites[0], p.Sites[1]
-			if a > b {
-				a, b = b, a
-			}
-			t.coupler[[2]int{a, b}] = p.ID
-		}
-	}
-	t.readoutWindow = 128
-	if impl, err := dev.DefaultPulse("measure", []int{0}); err == nil {
-		for _, st := range impl.Steps {
-			if st.Kind == "capture" {
-				t.readoutWindow = st.Samples
-			}
-		}
-	}
-	return t, nil
-}
-
 // Frontend converts a finished QPI kernel into an MLIR pulse-dialect module
 // targeting the given device's port layout. Gate operations become
 // pulse.standard_* ops for the pass pipeline to lower; pulse operations map
 // 1:1 onto dialect ops.
 func Frontend(c *qpi.Circuit, dev qdmi.Device) (*mlir.Module, error) {
+	return frontend(c, qdmi.NewTarget(dev))
+}
+
+// frontend is Frontend against the compile's view of the device.
+func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	if !c.Finished() {
 		return nil, fmt.Errorf("compiler: circuit %q not finished", c.Name)
-	}
-	topo, err := topologyOf(dev)
-	if err != nil {
-		return nil, err
 	}
 	plan := &portPlan{index: map[string]int{}}
 	// Pass 1: collect every port the kernel touches, in first-use order.
@@ -95,38 +59,34 @@ func Frontend(c *qpi.Circuit, dev qdmi.Device) (*mlir.Module, error) {
 		switch op.Kind {
 		case qpi.OpGate:
 			for _, q := range op.Qubits {
-				port, ok := topo.drive[q]
-				if !ok {
+				port := target.Drive(q)
+				if port == nil {
 					return nil, fmt.Errorf("compiler: device has no drive port for qubit %d", q)
 				}
-				plan.add(port)
+				plan.add(port.ID)
 			}
 			if len(op.Qubits) == 2 {
 				a, b := op.Qubits[0], op.Qubits[1]
-				if a > b {
-					a, b = b, a
+				port := target.Coupler(a, b)
+				if port == nil {
+					return nil, fmt.Errorf("compiler: device has no coupler for qubits %d,%d", min(a, b), max(a, b))
 				}
-				port, ok := topo.coupler[[2]int{a, b}]
-				if !ok {
-					return nil, fmt.Errorf("compiler: device has no coupler for qubits %d,%d", a, b)
-				}
-				plan.add(port)
+				plan.add(port.ID)
 			}
 		case qpi.OpPlayWaveform, qpi.OpFrameChange, qpi.OpDelay, qpi.OpAcquire:
 			if op.Port != "" {
 				plan.add(op.Port)
 			}
 		case qpi.OpMeasure:
-			dp, ok := topo.drive[op.Qubit]
-			if !ok {
+			dp, rp := target.Drive(op.Qubit), target.Readout(op.Qubit)
+			if dp == nil {
 				return nil, fmt.Errorf("compiler: no drive port for qubit %d", op.Qubit)
 			}
-			rp, ok := topo.readout[op.Qubit]
-			if !ok {
+			if rp == nil {
 				return nil, fmt.Errorf("compiler: no readout port for qubit %d", op.Qubit)
 			}
-			plan.add(dp)
-			plan.add(rp)
+			plan.add(dp.ID)
+			plan.add(rp.ID)
 		}
 	}
 	if len(plan.ports) == 0 {
@@ -152,7 +112,7 @@ func Frontend(c *qpi.Circuit, dev qdmi.Device) (*mlir.Module, error) {
 		spec := w.ToSpec()
 		spec.Name = name
 		m.WaveformDefs = append(m.WaveformDefs, &mlir.WaveformDef{
-			Name: name, Spec: spec, AmpExpr: mexpr(ampOf[name])})
+			Name: name, Spec: spec, AmpExpr: ampOf[name]})
 	}
 	// Deterministic def order (map iteration is random).
 	sortWaveformDefs(m.WaveformDefs)
@@ -171,12 +131,12 @@ func Frontend(c *qpi.Circuit, dev qdmi.Device) (*mlir.Module, error) {
 			}
 			frames := make([]mlir.Value, len(op.Qubits))
 			for i, q := range op.Qubits {
-				frames[i] = plan.frame(topo.drive[q])
+				frames[i] = plan.frame(target.Drive(q).ID)
 			}
 			sg := &mlir.StandardGateOp{
 				Gate: op.Gate, Frames: frames, Params: append([]float64(nil), op.Params...)}
 			if op.AngleExpr != nil {
-				sg.ParamExprs = []*mlir.ParamExpr{mexpr(op.AngleExpr)}
+				sg.ParamExprs = []*mlir.ParamExpr{op.AngleExpr}
 			}
 			seq.Ops = append(seq.Ops, sg)
 		case qpi.OpWaveformDef:
@@ -197,26 +157,25 @@ func Frontend(c *qpi.Circuit, dev qdmi.Device) (*mlir.Module, error) {
 				Phase: mlir.Lit(op.PhaseRad),
 			}
 			if op.FreqExpr != nil {
-				fc.Freq = mlir.ExprVal(mexpr(op.FreqExpr))
+				fc.Freq = mlir.ExprVal(op.FreqExpr)
 			}
 			if op.PhaseExpr != nil {
-				fc.Phase = mlir.ExprVal(mexpr(op.PhaseExpr))
+				fc.Phase = mlir.ExprVal(op.PhaseExpr)
 			}
 			seq.Ops = append(seq.Ops, fc)
 		case qpi.OpDelay:
 			seq.Ops = append(seq.Ops, &mlir.DelayOp{
 				Frame: plan.frame(op.Port), Samples: op.DelaySamples,
-				SamplesExpr: mexpr(op.DelayExpr)})
+				SamplesExpr: op.DelayExpr})
 		case qpi.OpBarrier:
 			seq.Ops = append(seq.Ops, &mlir.BarrierOp{}) // all frames
 		case qpi.OpMeasure:
-			dp := topo.drive[op.Qubit]
-			rp := topo.readout[op.Qubit]
+			dp, rp := target.Drive(op.Qubit).ID, target.Readout(op.Qubit).ID
 			seq.Ops = append(seq.Ops, &mlir.BarrierOp{
 				Frames: []mlir.Value{plan.frame(dp), plan.frame(rp)}})
 			name := fmt.Sprintf("m%d", op.Cbit)
 			seq.Ops = append(seq.Ops, &mlir.CaptureOp{
-				Result: name, Frame: plan.frame(rp), Samples: topo.readoutWindow})
+				Result: name, Frame: plan.frame(rp), Samples: target.ReadoutWindow(op.Qubit)})
 			captureNames = append(captureNames, name)
 			seq.Results = append(seq.Results, mlir.TypeI1)
 		case qpi.OpAcquire:
@@ -253,11 +212,3 @@ func sortWaveformDefs(defs []*mlir.WaveformDef) {
 
 // angleOK rejects non-finite gate parameters early.
 func angleOK(p float64) bool { return !math.IsNaN(p) && !math.IsInf(p, 0) }
-
-// mexpr converts a QPI parameter expression to its MLIR form (nil-safe).
-func mexpr(e *qpi.ParamExpr) *mlir.ParamExpr {
-	if e == nil {
-		return nil
-	}
-	return &mlir.ParamExpr{Param: e.Param, Scale: e.Scale, Offset: e.Offset}
-}

@@ -175,7 +175,7 @@ func TestWarmJobAllocations(t *testing.T) {
 		submit  func(d *SimDevice) (qdmi.Job, error)
 		ceiling float64
 	}{
-		// Measured 2026-10-02: 86, 89 under -race (105 before prepared
+		// Measured 2026-10-02: 89, 92 under -race (105 before prepared
 		// programs and pooled scratch; 1,645 when every job rebuilt the model
 		// and the dissipator allocated its temporaries on every tick).
 		{"text", func(d *SimDevice) (qdmi.Job, error) {

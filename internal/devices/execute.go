@@ -3,7 +3,6 @@ package devices
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -89,71 +88,20 @@ func (d *SimDevice) frameFor(portID string) (*pulse.Frame, error) {
 	return nil, fmt.Errorf("%w: unknown port %q", qdmi.ErrInvalidArgument, portID)
 }
 
-// appendDrivePulse plays the calibrated single-qubit envelope rotating by
-// `angle` about the equatorial axis at `axisPhase`.
-func (d *SimDevice) appendDrivePulse(s *pulse.Schedule, site int, angle, axisPhase float64) error {
-	if angle < 0 {
-		angle, axisPhase = -angle, axisPhase+math.Pi
-	}
-	// Wrap overly large angles into [0, 2π).
-	angle = math.Mod(angle, 2*math.Pi)
-	if angle == 0 {
-		return nil
-	}
-	var w *waveform.Waveform
-	var err error
-	if impl := d.customPulse("x", []int{site}); impl != nil {
-		// SetPulseImpl replaced the site's π pulse: play that envelope scaled
-		// by angle·(1/π), folding angles past π, exactly as the compiler's
-		// gate lowering does with what DefaultPulse answers.
-		if angle > math.Pi {
-			angle, axisPhase = 2*math.Pi-angle, axisPhase+math.Pi
-		}
-		if w, err = impl.Envelope(); err == nil {
-			w, err = w.Scale(complex(angle*(1/math.Pi), 0))
-		}
-	} else {
-		amp := d.CalibratedPiAmplitude(site) * angle / math.Pi
-		if amp > 1 {
-			// Angle in (π, 2π): rotate the other way about the opposite axis.
-			angle, axisPhase = 2*math.Pi-angle, axisPhase+math.Pi
-			amp = d.CalibratedPiAmplitude(site) * angle / math.Pi
-		}
-		if amp == 0 {
-			return nil
-		}
-		w, err = d.gateEnvelope(amp)
-	}
-	if err != nil {
-		return err
-	}
-	port, frame := d.drivePort[site], d.drivePort[site]+"-frame"
-	if axisPhase != 0 {
-		if err := s.Append(&pulse.ShiftPhase{Port: port, Frame: frame, Phase: axisPhase}); err != nil {
-			return err
-		}
-	}
-	if err := s.Append(&pulse.Play{Port: port, Frame: frame, Waveform: w}); err != nil {
-		return err
-	}
-	if axisPhase != 0 {
-		return s.Append(&pulse.ShiftPhase{Port: port, Frame: frame, Phase: -axisPhase})
-	}
-	return nil
-}
-
-// appendVirtualZ applies RZ(theta) as a virtual Z: commuting RZ(θ) past a
-// subsequent equatorial rotation R(φ, α) yields R(φ−θ, α), so all later
-// drive phases on the site shift by −θ (with the residual RZ deferred past
-// the Z-basis measurement, where it is unobservable).
-func (d *SimDevice) appendVirtualZ(s *pulse.Schedule, site int, theta float64) error {
-	port, frame := d.drivePort[site], d.drivePort[site]+"-frame"
-	return s.Append(&pulse.ShiftPhase{Port: port, Frame: frame, Phase: -theta})
-}
-
 // lowerGate is the device's calibrated gate→pulse lowering, invoked at QIR
-// link time (the paper's JIT stage that queries hardware constraints).
-func (d *SimDevice) lowerGate(s *pulse.Schedule, gate string, params []float64, qubits []int64) error {
+// link time (the paper's JIT stage that queries hardware constraints). What
+// the gate means is its row of the gate table — the row the compiler's
+// lowering pass reads — so a gate-level payload and the same kernel compiled
+// play the same samples; this writes the table's three primitives as schedule
+// instructions, from the pulses DefaultPulse answers (so one installed with
+// SetPulseImpl is honoured).
+func (d *SimDevice) lowerGate(s *pulse.Schedule, gate *waveform.Gate, params []float64, qubits []int64) error {
+	if !gate.HasLowering() {
+		return fmt.Errorf("%w: gate %q has no calibrated lowering", qdmi.ErrNotSupported, gate.Name)
+	}
+	if len(qubits) != gate.Arity {
+		return fmt.Errorf("%w: %s arity", qdmi.ErrInvalidArgument, gate.Name)
+	}
 	sites := make([]int, len(qubits))
 	for i, q := range qubits {
 		if q < 0 || int(q) >= len(d.cfg.Sites) {
@@ -165,60 +113,40 @@ func (d *SimDevice) lowerGate(s *pulse.Schedule, gate string, params []float64, 
 	if len(params) > 0 {
 		theta = params[0]
 	}
-	switch gate {
-	case "x":
-		return d.appendDrivePulse(s, sites[0], math.Pi, 0)
-	case "y":
-		return d.appendDrivePulse(s, sites[0], math.Pi, math.Pi/2)
-	case "sx":
-		return d.appendDrivePulse(s, sites[0], math.Pi/2, 0)
-	case "rx":
-		return d.appendDrivePulse(s, sites[0], theta, 0)
-	case "ry":
-		return d.appendDrivePulse(s, sites[0], theta, math.Pi/2)
-	case "z":
-		return d.appendVirtualZ(s, sites[0], math.Pi)
-	case "s":
-		return d.appendVirtualZ(s, sites[0], math.Pi/2)
-	case "t":
-		return d.appendVirtualZ(s, sites[0], math.Pi/4)
-	case "rz":
-		return d.appendVirtualZ(s, sites[0], theta)
-	case "h":
-		// H ∝ RZ(π/2)·RX(π/2)·RZ(π/2): virtual-Z sandwich around one SX
-		// (appendVirtualZ handles the phase-direction convention).
-		if err := d.appendVirtualZ(s, sites[0], math.Pi/2); err != nil {
-			return err
+	return gate.Lower(theta, nil, func(p waveform.GatePulse) error {
+		switch p.Kind {
+		case waveform.PulseShiftPhase:
+			port := d.drivePort[sites[p.Qubit]]
+			return s.Append(&pulse.ShiftPhase{Port: port, Frame: port + "-frame", Phase: p.Value})
+		case waveform.PulseDrive:
+			site := sites[p.Qubit]
+			w, err := d.piEnvelope(site)
+			if err == nil {
+				w, err = w.Scale(complex(p.Value, 0))
+			}
+			if err != nil {
+				return err
+			}
+			port := d.drivePort[site]
+			return s.Append(&pulse.Play{Port: port, Frame: port + "-frame", Waveform: w})
+		default: // waveform.PulseCZ
+			return d.appendCZ(s, sites[0], sites[1])
 		}
-		if err := d.appendDrivePulse(s, sites[0], math.Pi/2, 0); err != nil {
-			return err
-		}
-		return d.appendVirtualZ(s, sites[0], math.Pi/2)
-	case "cz":
-		if len(sites) != 2 {
-			return fmt.Errorf("%w: cz arity", qdmi.ErrInvalidArgument)
-		}
-		return d.appendCZ(s, sites[0], sites[1])
-	case "cx":
-		if len(sites) != 2 {
-			return fmt.Errorf("%w: cx arity", qdmi.ErrInvalidArgument)
-		}
-		// CX = (I⊗H)·CZ·(I⊗H).
-		if err := d.lowerGate(s, "h", nil, []int64{int64(sites[1])}); err != nil {
-			return err
-		}
-		if err := d.appendCZ(s, sites[0], sites[1]); err != nil {
-			return err
-		}
-		return d.lowerGate(s, "h", nil, []int64{int64(sites[1])})
-	default:
-		return fmt.Errorf("%w: gate %q has no calibrated lowering", qdmi.ErrNotSupported, gate)
-	}
+	})
 }
 
-// appendCZ plays the pair's cz implementation — what DefaultPulse answers,
-// so one installed with SetPulseImpl is honoured — on the coupler, its
-// barriers spanning the two drive ports and the coupler.
+// piEnvelope returns the site's calibrated π envelope — the samples
+// DefaultPulse("x") carries, without the round trip through a PulseImpl when
+// nobody replaced the device's own.
+func (d *SimDevice) piEnvelope(site int) (*waveform.Waveform, error) {
+	if impl := d.customPulse("x", []int{site}); impl != nil {
+		return impl.Envelope(site)
+	}
+	return d.gateEnvelope(d.CalibratedPiAmplitude(site))
+}
+
+// appendCZ plays the pair's cz implementation on the coupler, its barriers
+// spanning the two drive ports and the coupler.
 func (d *SimDevice) appendCZ(s *pulse.Schedule, a, b int) error {
 	if a > b {
 		a, b = b, a

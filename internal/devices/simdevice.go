@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -325,7 +327,7 @@ func (d *SimDevice) QueryDeviceProperty(p qdmi.DeviceProperty) (any, error) {
 	case qdmi.DevicePropWaveformKinds:
 		return waveform.Kinds(), nil
 	case qdmi.DevicePropNativeGates:
-		return []string{"x", "y", "z", "h", "s", "t", "sx", "rx", "ry", "rz", "cz", "cx"}, nil
+		return nativeGates(), nil
 	case qdmi.DevicePropProgramFormats:
 		return []qdmi.ProgramFormat{qdmi.FormatQIRBase, qdmi.FormatQIRPulse}, nil
 	case qdmi.DevicePropMaxShots:
@@ -399,9 +401,21 @@ func (d *SimDevice) QuerySiteProperty(site int, p qdmi.SiteProperty) (any, error
 	}
 }
 
+// nativeGates lists the gate table's rows this device can play: every gate
+// with a pulse lowering, in table order.
+func nativeGates() []string {
+	var names []string
+	for i := range waveform.Gates {
+		if g := &waveform.Gates[i]; g.HasLowering() {
+			names = append(names, g.Name)
+		}
+	}
+	return names
+}
+
 // Operations implements qdmi.Device.
 func (d *SimDevice) Operations() []string {
-	ops := []string{"x", "y", "z", "h", "s", "t", "sx", "rx", "ry", "rz", "cz", "cx", "measure"}
+	ops := append(nativeGates(), "measure")
 	d.mu.Lock()
 	for k := range d.customPulses {
 		ops = append(ops, customOpName(k))
@@ -429,19 +443,15 @@ func (d *SimDevice) QueryOperationProperty(op string, sites []int, p qdmi.Operat
 	case qdmi.OpPropFidelity:
 		return d.estimateGateFidelity(op, sites), nil
 	case qdmi.OpPropArity:
-		switch op {
-		case "cz", "cx":
-			return 2, nil
-		default:
-			return 1, nil
+		if g := waveform.GateByName(op); g != nil {
+			return g.Arity, nil
 		}
+		return 1, nil // measure, custom operations
 	case qdmi.OpPropParamCount:
-		switch op {
-		case "rx", "ry", "rz":
-			return 1, nil
-		default:
-			return 0, nil
+		if g := waveform.GateByName(op); g != nil {
+			return g.Params, nil
 		}
+		return 0, nil
 	case qdmi.OpPropHasPulseImpl:
 		if _, err := d.DefaultPulse(op, sites); err != nil {
 			return false, nil
@@ -515,15 +525,20 @@ func (d *SimDevice) QueryPortProperty(portID string, p qdmi.PortProperty) (any, 
 }
 
 func customOpName(key string) string {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '@' {
-			return key[:i]
-		}
-	}
-	return key
+	op, _, _ := strings.Cut(key, "@")
+	return op
 }
 
-func implKey(op string, sites []int) string { return fmt.Sprintf("%s@%v", op, sites) }
+// implKey spells (op, site tuple) as a map key — "cz@0,1," — without fmt,
+// so the look-up every DefaultPulse and every link-time drive starts with
+// allocates nothing.
+func implKey(buf []byte, op string, sites []int) []byte {
+	buf = append(append(buf, op...), '@')
+	for _, s := range sites {
+		buf = append(strconv.AppendInt(buf, int64(s), 10), ',')
+	}
+	return buf
+}
 
 // DefaultPulse implements qdmi.Device: it returns the calibrated pulse
 // implementation of an operation, synthesized on demand from the current
@@ -587,9 +602,10 @@ func (d *SimDevice) DefaultPulse(op string, sites []int) (*qdmi.PulseImpl, error
 // make first, so a payload lowered on the device and one lowered by the
 // compiler play the same pulse.
 func (d *SimDevice) customPulse(op string, sites []int) *qdmi.PulseImpl {
+	var buf [32]byte
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.customPulses[implKey(op, sites)]
+	return d.customPulses[string(implKey(buf[:0], op, sites))]
 }
 
 // SetPulseImpl implements qdmi.Device: experts can install custom
@@ -601,7 +617,7 @@ func (d *SimDevice) SetPulseImpl(op string, sites []int, impl *qdmi.PulseImpl) e
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.customPulses[implKey(op, sites)] = impl
+	d.customPulses[string(implKey(nil, op, sites))] = impl
 	// Installing or overriding an implementation changes what DefaultPulse
 	// answers, so it participates in the epoch bump contract.
 	d.calibEpoch++

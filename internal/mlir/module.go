@@ -344,7 +344,7 @@ func renderWaveformDef(w *WaveformDef) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "pulse.def @%s", w.Name)
 	if w.AmpExpr != nil {
-		fmt.Fprintf(&sb, " amp = %s", w.AmpExpr)
+		fmt.Fprintf(&sb, " amp = %s", exprString(w.AmpExpr))
 	}
 	if w.Spec.Kind != "" {
 		fmt.Fprintf(&sb, " kind = %q length = %d params = {", w.Spec.Kind, w.Spec.Length)

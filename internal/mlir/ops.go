@@ -41,7 +41,7 @@ func (o *StandardGateOp) Render() string {
 		ps := make([]string, len(o.Params))
 		for i, p := range o.Params {
 			if i < len(o.ParamExprs) && o.ParamExprs[i] != nil {
-				ps[i] = o.ParamExprs[i].String()
+				ps[i] = exprString(o.ParamExprs[i])
 			} else {
 				ps[i] = fmt.Sprintf("%g", p)
 			}
@@ -184,7 +184,7 @@ func (o *DelayOp) OpName() string { return "pulse.delay" }
 // Render implements Op.
 func (o *DelayOp) Render() string {
 	if o.SamplesExpr != nil {
-		return fmt.Sprintf("pulse.delay(%s, %s)", o.Frame, o.SamplesExpr)
+		return fmt.Sprintf("pulse.delay(%s, %s)", o.Frame, exprString(o.SamplesExpr))
 	}
 	return fmt.Sprintf("pulse.delay(%s, %d)", o.Frame, o.Samples)
 }

@@ -1,32 +1,19 @@
 package mlir
 
-import "fmt"
+import (
+	"fmt"
 
-// ParamExpr is an affine symbolic expression over one named template
-// parameter (value = Scale·p + Offset) — the dialect-level form of an
-// unbound pulse-parameter slot. Lowering passes may rescale or negate the
-// expression but never evaluate it; evaluation happens at bind time on the
-// QIR module the backend emits.
-type ParamExpr struct {
-	// Param is the template parameter name.
-	Param string
-	// Scale multiplies the bound parameter value.
-	Scale float64
-	// Offset is added after scaling.
-	Offset float64
-}
+	"mqsspulse/internal/waveform"
+)
 
-// Eval evaluates the expression at parameter value p.
-func (e *ParamExpr) Eval(p float64) float64 { return e.Scale*p + e.Offset }
+// ParamExpr is the dialect's name for an unbound pulse-parameter slot (see
+// waveform.ParamExpr). Lowering passes may rescale or negate the expression
+// but never evaluate it; evaluation happens at bind time on the QIR module
+// the backend emits.
+type ParamExpr = waveform.ParamExpr
 
-// Neg returns the negated expression (−Scale, −Offset), used when a
-// lowering flips a slot's sign (e.g. the virtual-Z phase of rz).
-func (e *ParamExpr) Neg() *ParamExpr {
-	return &ParamExpr{Param: e.Param, Scale: -e.Scale, Offset: -e.Offset}
-}
-
-// String renders the expression in the textual form used by the printer.
-func (e *ParamExpr) String() string {
+// exprString renders the expression in the textual form used by the printer.
+func exprString(e *ParamExpr) string {
 	return fmt.Sprintf("param<%g*%s%+g>", e.Scale, e.Param, e.Offset)
 }
 

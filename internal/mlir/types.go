@@ -83,7 +83,7 @@ func (v Value) String() string {
 		return "%" + v.Ref
 	}
 	if v.Expr != nil {
-		return v.Expr.String()
+		return exprString(v.Expr)
 	}
 	return fmt.Sprintf("%g", v.Lit)
 }

@@ -1,9 +1,8 @@
 package passes
 
 import (
-	"math"
-
 	"mqsspulse/internal/mlir"
+	"mqsspulse/internal/waveform"
 )
 
 // CanonicalizePass simplifies pulse sequences without changing semantics:
@@ -52,7 +51,7 @@ func canonicalizeOps(ops []mlir.Op, ctx *Context) []mlir.Op {
 				prev.Frame == o.Frame && !prev.Phase.IsRef && !o.Phase.IsRef &&
 				prev.Phase.Expr == nil && o.Phase.Expr == nil {
 				pop()
-				sum := wrap(prev.Phase.Lit + o.Phase.Lit)
+				sum := waveform.WrapPhase(prev.Phase.Lit + o.Phase.Lit)
 				removed++
 				if sum != 0 {
 					push(&mlir.ShiftPhaseOp{Frame: o.Frame, Phase: mlir.Lit(sum)})
@@ -71,7 +70,7 @@ func canonicalizeOps(ops []mlir.Op, ctx *Context) []mlir.Op {
 				push(&mlir.FrameChangeOp{
 					Frame: o.Frame,
 					Freq:  o.Freq, // last set_frequency wins
-					Phase: mlir.Lit(wrap(prev.Phase.Lit + o.Phase.Lit)),
+					Phase: mlir.Lit(waveform.WrapPhase(prev.Phase.Lit + o.Phase.Lit)),
 				})
 				continue
 			}
@@ -115,16 +114,6 @@ func sameFrames(a, b []mlir.Value) bool {
 		}
 	}
 	return true
-}
-
-func wrap(p float64) float64 {
-	p = math.Mod(p, 2*math.Pi)
-	if p > math.Pi {
-		p -= 2 * math.Pi
-	} else if p <= -math.Pi {
-		p += 2 * math.Pi
-	}
-	return p
 }
 
 // DeadWaveformElimPass removes waveform_ref ops whose results are never

@@ -3,7 +3,6 @@ package passes
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"mqsspulse/internal/mlir"
@@ -12,11 +11,12 @@ import (
 )
 
 // GateLoweringPass replaces gate-level pulse.standard_* ops with calibrated
-// pulse sequences obtained through QDMI DefaultPulse queries — the
-// MLIR-level gate→pulse lowering the paper describes for the MQSS compiler
-// (Section 5.2). Virtual-Z gates become shift_phase ops; physical rotations
-// become plays of amplitude-scaled calibrated envelopes; two-qubit gates
-// become coupler pulses bracketed by barriers.
+// pulse sequences — the MLIR-level gate→pulse lowering the paper describes
+// for the MQSS compiler (Section 5.2). What a gate means in pulses is the gate
+// table's (waveform.Gates); this pass writes the table's three primitives as
+// dialect ops: a frame shift is a shift_phase, a drive is a play of the
+// site's calibrated π envelope scaled, a cz is the coupler pulse the device
+// answers with, bracketed by barriers.
 type GateLoweringPass struct{}
 
 // Name implements Pass.
@@ -35,13 +35,10 @@ func (GateLoweringPass) Run(m *mlir.Module, ctx *Context) error {
 	if !hasGates {
 		return nil
 	}
-	if ctx == nil || ctx.Device == nil {
+	if ctx == nil || ctx.Target == nil {
 		return errors.New("gate lowering requires a target device")
 	}
-	l := &lowerer{m: m, dev: ctx.Device}
-	if err := l.indexPorts(); err != nil {
-		return err
-	}
+	l := &lowerer{m: m, target: ctx.Target}
 	for _, seq := range m.Sequences {
 		if err := l.lowerSequence(seq); err != nil {
 			return err
@@ -55,31 +52,17 @@ func (GateLoweringPass) Run(m *mlir.Module, ctx *Context) error {
 
 type lowerer struct {
 	m       *mlir.Module
-	dev     qdmi.Device
+	target  *qdmi.Target
 	lowered int
 	nextWf  int
-	// portSite maps single-site port IDs to their site.
-	portSite map[string]int
-	// pairPort maps sorted site pairs to coupler port IDs.
-	pairPort map[[2]int]string
-}
-
-func (l *lowerer) indexPorts() error {
-	l.portSite = map[string]int{}
-	l.pairPort = map[[2]int]string{}
-	for _, p := range l.dev.Ports() {
-		switch len(p.Sites) {
-		case 1:
-			l.portSite[p.ID] = p.Sites[0]
-		case 2:
-			a, b := p.Sites[0], p.Sites[1]
-			if a > b {
-				a, b = b, a
-			}
-			l.pairPort[[2]int{a, b}] = p.ID
-		}
-	}
-	return nil
+	// Of the sequence being lowered: frame argument name → port ID, and the
+	// names sorted. Candidate frames are scanned in that order: when several
+	// args bind one port the choice must be byte-stable run to run — the
+	// lowering cache, the determinism contract and the calibration-epoch
+	// check all assume identical payloads for identical inputs, and Go map
+	// iteration order would break that.
+	framePort  map[string]string
+	frameNames []string
 }
 
 // freshWaveform installs a waveform def and returns a ref op + value. A
@@ -95,32 +78,21 @@ func (l *lowerer) freshWaveform(w *waveform.Waveform, amp *mlir.ParamExpr) (*mli
 	return &mlir.WaveformRefOp{Result: valName, Waveform: defName}, mlir.Ref(valName)
 }
 
-func (l *lowerer) lowerSequence(seq *mlir.Sequence) error {
-	// frame value name → port ID
+// framePorts maps a sequence's frame argument names to the port IDs they
+// bind.
+func framePorts(seq *mlir.Sequence) map[string]string {
 	framePort := map[string]string{}
 	for i, a := range seq.Args {
 		if a.Type == mlir.TypeMixedFrame && i < len(seq.ArgPorts) {
 			framePort[a.Name] = seq.ArgPorts[i]
 		}
 	}
-	// Candidate scans walk frame args in sorted-name order: when several
-	// args qualify (two frames on one port) the choice must be byte-stable
-	// run to run — the lowering cache, the 50×-determinism contract, and
-	// the remote calibration-epoch check all assume identical payloads for
-	// identical inputs, and Go map iteration order would break that.
-	frameNames := sortedKeys(framePort)
-	frameForSite := func(site int) (mlir.Value, error) {
-		for _, name := range frameNames {
-			port := framePort[name]
-			if s, ok := l.portSite[port]; ok && s == site {
-				if kindOfPort(l.dev, port) == "drive" {
-					return mlir.Ref(name), nil
-				}
-			}
-		}
-		return mlir.Value{}, fmt.Errorf("no drive frame arg for site %d", site)
-	}
+	return framePort
+}
 
+func (l *lowerer) lowerSequence(seq *mlir.Sequence) error {
+	l.framePort = framePorts(seq)
+	l.frameNames = sortedKeys(l.framePort)
 	var out []mlir.Op
 	for _, op := range seq.Ops {
 		g, ok := op.(*mlir.StandardGateOp)
@@ -128,7 +100,7 @@ func (l *lowerer) lowerSequence(seq *mlir.Sequence) error {
 			out = append(out, op)
 			continue
 		}
-		ops, err := l.lowerGate(seq, framePort, frameNames, frameForSite, g)
+		ops, err := l.lowerGate(g)
 		if err != nil {
 			return fmt.Errorf("lowering %s: %w", g.OpName(), err)
 		}
@@ -149,106 +121,26 @@ func sortedKeys(m map[string]string) []string {
 	return out
 }
 
-func kindOfPort(dev qdmi.Device, portID string) string {
-	v, err := dev.QueryPortProperty(portID, qdmi.PortPropKind)
-	if err != nil {
-		return ""
+// lowerGate expands one gate op through its row of the gate table.
+func (l *lowerer) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
+	row := waveform.GateByName(g.Gate)
+	if row == nil || !row.HasLowering() {
+		return nil, fmt.Errorf("%w: gate %q has no calibrated lowering", qdmi.ErrNotSupported, g.Gate)
 	}
-	if s, ok := v.(fmt.Stringer); ok {
-		return s.String()
+	if len(g.Frames) != row.Arity {
+		return nil, fmt.Errorf("gate %s arity mismatch", g.Gate)
 	}
-	return ""
-}
-
-// xEnvelope fetches the calibrated π-pulse envelope for a site.
-func (l *lowerer) xEnvelope(site int) (*waveform.Waveform, error) {
-	impl, err := l.dev.DefaultPulse("x", []int{site})
-	if err != nil {
-		return nil, err
-	}
-	return impl.Envelope()
-}
-
-// rotation emits the ops for a rotation of `angle` about the equatorial
-// axis at `axisPhase` on the frame of `site`.
-func (l *lowerer) rotation(frame mlir.Value, site int, angle, axisPhase float64) ([]mlir.Op, error) {
-	if angle < 0 {
-		angle, axisPhase = -angle, axisPhase+math.Pi
-	}
-	// Normalize before the no-op test: rx(2π) is a full rotation, not a
-	// zero-amplitude play that still consumes schedule time.
-	angle = math.Mod(angle, 2*math.Pi)
-	if angle == 0 {
-		return nil, nil
-	}
-	if angle > math.Pi {
-		angle, axisPhase = 2*math.Pi-angle, axisPhase+math.Pi
-	}
-	env, err := l.xEnvelope(site)
-	if err != nil {
-		return nil, err
-	}
-	// angle*(1/π), not angle/π: the symbolic path folds 1/π into the
-	// expression's Scale coefficient, and x*(1/π) is the bit-exact product
-	// that path reproduces at bind time — keeping bound payloads
-	// byte-identical to per-point-compiled ones.
-	scaled, err := env.Scale(complex(angle*(1/math.Pi), 0))
-	if err != nil {
-		return nil, err
-	}
-	refOp, val := l.freshWaveform(scaled, nil)
-	var ops []mlir.Op
-	if axisPhase != 0 {
-		ops = append(ops, &mlir.ShiftPhaseOp{Frame: frame, Phase: mlir.Lit(wrap(axisPhase))})
-	}
-	ops = append(ops, refOp, &mlir.PlayOp{Frame: frame, Waveform: val})
-	if axisPhase != 0 {
-		ops = append(ops, &mlir.ShiftPhaseOp{Frame: frame, Phase: mlir.Lit(wrap(-axisPhase))})
-	}
-	return ops, nil
-}
-
-// rotationSym is the deferred-binding analogue of rotation: the drive
-// amplitude becomes an unbound slot scaling the calibrated π envelope. The
-// symbolic angle carries no normalization (sign flip, mod 2π, >π fold), so
-// template compilation restricts symbolic rx/ry angles to (0, π] — the
-// interval on which the concrete path applies no normalization either,
-// keeping bind(θ) byte-identical to a fresh compile at θ.
-func (l *lowerer) rotationSym(frame mlir.Value, site int, angle *mlir.ParamExpr, axisPhase float64) ([]mlir.Op, error) {
-	env, err := l.xEnvelope(site)
-	if err != nil {
-		return nil, err
-	}
-	amp := &mlir.ParamExpr{
-		Param:  angle.Param,
-		Scale:  angle.Scale * (1 / math.Pi),
-		Offset: angle.Offset * (1 / math.Pi),
-	}
-	refOp, val := l.freshWaveform(env, amp)
-	var ops []mlir.Op
-	if axisPhase != 0 {
-		ops = append(ops, &mlir.ShiftPhaseOp{Frame: frame, Phase: mlir.Lit(wrap(axisPhase))})
-	}
-	ops = append(ops, refOp, &mlir.PlayOp{Frame: frame, Waveform: val})
-	if axisPhase != 0 {
-		ops = append(ops, &mlir.ShiftPhaseOp{Frame: frame, Phase: mlir.Lit(wrap(-axisPhase))})
-	}
-	return ops, nil
-}
-
-func (l *lowerer) lowerGate(seq *mlir.Sequence, framePort map[string]string, frameNames []string,
-	frameForSite func(int) (mlir.Value, error), g *mlir.StandardGateOp) ([]mlir.Op, error) {
-
-	siteOf := func(fv mlir.Value) (int, error) {
-		port, ok := framePort[fv.Ref]
+	sites := make([]int, len(g.Frames))
+	for i, fv := range g.Frames {
+		port, ok := l.framePort[fv.Ref]
 		if !ok {
-			return 0, fmt.Errorf("frame %%%s has no port binding", fv.Ref)
+			return nil, fmt.Errorf("frame %%%s has no port binding", fv.Ref)
 		}
-		site, ok := l.portSite[port]
-		if !ok {
-			return 0, fmt.Errorf("port %s has no single site", port)
+		p := l.target.Port(port)
+		if p == nil || len(p.Sites) != 1 {
+			return nil, fmt.Errorf("port %s has no single site", port)
 		}
-		return site, nil
+		sites[i] = p.Sites[0]
 	}
 	theta := 0.0
 	if len(g.Params) > 0 {
@@ -258,166 +150,92 @@ func (l *lowerer) lowerGate(seq *mlir.Sequence, framePort map[string]string, fra
 	if len(g.ParamExprs) > 0 {
 		thetaExpr = g.ParamExprs[0]
 	}
-	if thetaExpr != nil {
-		switch g.Gate {
-		case "rx", "ry", "rz":
-		default:
-			return nil, fmt.Errorf("gate %q does not accept a symbolic angle", g.Gate)
-		}
-	}
-	oneQubit := func() (mlir.Value, int, error) {
-		if len(g.Frames) != 1 {
-			return mlir.Value{}, 0, fmt.Errorf("gate %s arity mismatch", g.Gate)
-		}
-		site, err := siteOf(g.Frames[0])
-		return g.Frames[0], site, err
+	if thetaExpr != nil && row.Params == 0 {
+		return nil, fmt.Errorf("gate %q does not accept a symbolic angle", g.Gate)
 	}
 
-	switch g.Gate {
-	case "x":
-		f, site, err := oneQubit()
-		if err != nil {
+	// A two-qubit gate's cz is built before the gate is walked, so its
+	// waveform takes the gate's first lowered_wf_ name even where single-qubit
+	// pulses precede it (cx's H): names are payload bytes, and these are the
+	// ones every payload compiled so far carries.
+	var czOps []mlir.Op
+	if row.Arity == 2 {
+		var err error
+		if czOps, err = l.cz(g.Frames, sites); err != nil {
 			return nil, err
 		}
-		return l.rotation(f, site, math.Pi, 0)
-	case "y":
-		f, site, err := oneQubit()
-		if err != nil {
-			return nil, err
-		}
-		return l.rotation(f, site, math.Pi, math.Pi/2)
-	case "sx":
-		f, site, err := oneQubit()
-		if err != nil {
-			return nil, err
-		}
-		return l.rotation(f, site, math.Pi/2, 0)
-	case "rx":
-		f, site, err := oneQubit()
-		if err != nil {
-			return nil, err
-		}
-		if thetaExpr != nil {
-			return l.rotationSym(f, site, thetaExpr, 0)
-		}
-		return l.rotation(f, site, theta, 0)
-	case "ry":
-		f, site, err := oneQubit()
-		if err != nil {
-			return nil, err
-		}
-		if thetaExpr != nil {
-			return l.rotationSym(f, site, thetaExpr, math.Pi/2)
-		}
-		return l.rotation(f, site, theta, math.Pi/2)
-	case "z", "s", "t", "rz":
-		f, _, err := oneQubit()
-		if err != nil {
-			return nil, err
-		}
-		if thetaExpr != nil {
-			// Virtual Z with a symbolic angle: the phase slot stays unbound
-			// (negated, unwrapped — phase accumulation is mod 2π downstream).
-			return []mlir.Op{&mlir.ShiftPhaseOp{Frame: f, Phase: mlir.ExprVal(thetaExpr.Neg())}}, nil
-		}
-		phase := map[string]float64{"z": math.Pi, "s": math.Pi / 2, "t": math.Pi / 4, "rz": theta}[g.Gate]
-		if phase == 0 {
-			return nil, nil
-		}
-		// Virtual Z: RZ(θ) commutes past later pulses as a −θ phase shift.
-		return []mlir.Op{&mlir.ShiftPhaseOp{Frame: f, Phase: mlir.Lit(wrap(-phase))}}, nil
-	case "cz", "cx":
-		if len(g.Frames) != 2 {
-			return nil, fmt.Errorf("gate %s arity mismatch", g.Gate)
-		}
-		sa, err := siteOf(g.Frames[0])
-		if err != nil {
-			return nil, err
-		}
-		sb, err := siteOf(g.Frames[1])
-		if err != nil {
-			return nil, err
-		}
-		a, b := sa, sb
-		if a > b {
-			a, b = b, a
-		}
-		couplerPort, ok := l.pairPort[[2]int{a, b}]
-		if !ok {
-			return nil, fmt.Errorf("no coupler between sites %d and %d", sa, sb)
-		}
-		// Find the coupler frame arg (sorted scan: deterministic when
-		// several frame args bind the coupler port).
-		var couplerFrame mlir.Value
-		found := false
-		for _, name := range frameNames {
-			if framePort[name] == couplerPort {
-				couplerFrame = mlir.Ref(name)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("sequence has no frame arg for coupler port %s", couplerPort)
-		}
-		impl, err := l.dev.DefaultPulse("cz", []int{a, b})
-		if err != nil {
-			return nil, err
-		}
-		var czOps []mlir.Op
-		barrier := &mlir.BarrierOp{Frames: []mlir.Value{g.Frames[0], g.Frames[1], couplerFrame}}
-		for _, st := range impl.Steps {
-			switch st.Kind {
-			case "barrier":
-				czOps = append(czOps, barrier)
-			case "play":
-				w, err := st.Waveform.Materialize()
-				if err != nil {
-					return nil, err
-				}
-				refOp, val := l.freshWaveform(w, nil)
-				czOps = append(czOps, refOp, &mlir.PlayOp{Frame: couplerFrame, Waveform: val})
-			case "shift_phase":
-				czOps = append(czOps, &mlir.ShiftPhaseOp{Frame: couplerFrame, Phase: mlir.Lit(st.PhaseRad)})
-			default:
-				return nil, fmt.Errorf("cz impl step %q unsupported at IR level", st.Kind)
-			}
-		}
-		if g.Gate == "cz" {
-			return czOps, nil
-		}
-		// cx = (I⊗H)·CZ·(I⊗H): lower the H sandwich on the target frame.
-		hPre, err := l.lowerGate(seq, framePort, frameNames, frameForSite, &mlir.StandardGateOp{Gate: "h", Frames: []mlir.Value{g.Frames[1]}})
-		if err != nil {
-			return nil, err
-		}
-		hPost, err := l.lowerGate(seq, framePort, frameNames, frameForSite, &mlir.StandardGateOp{Gate: "h", Frames: []mlir.Value{g.Frames[1]}})
-		if err != nil {
-			return nil, err
-		}
-		var all []mlir.Op
-		all = append(all, hPre...)
-		all = append(all, czOps...)
-		all = append(all, hPost...)
-		return all, nil
-	case "h":
-		f, site, err := oneQubit()
-		if err != nil {
-			return nil, err
-		}
-		// H ∝ RZ(π/2)·RX(π/2)·RZ(π/2), each RZ realized as a −π/2 virtual-Z
-		// frame shift.
-		sxOps, err := l.rotation(f, site, math.Pi/2, 0)
-		if err != nil {
-			return nil, err
-		}
-		out := []mlir.Op{&mlir.ShiftPhaseOp{Frame: f, Phase: mlir.Lit(-math.Pi / 2)}}
-		out = append(out, sxOps...)
-		out = append(out, &mlir.ShiftPhaseOp{Frame: f, Phase: mlir.Lit(-math.Pi / 2)})
-		return out, nil
-	default:
-		return nil, fmt.Errorf("no lowering for gate %q", g.Gate)
 	}
+	var ops []mlir.Op
+	err := row.Lower(theta, thetaExpr, func(p waveform.GatePulse) error {
+		switch p.Kind {
+		case waveform.PulseShiftPhase:
+			phase := mlir.Lit(p.Value)
+			if p.Expr != nil {
+				phase = mlir.ExprVal(p.Expr)
+			}
+			ops = append(ops, &mlir.ShiftPhaseOp{Frame: g.Frames[p.Qubit], Phase: phase})
+		case waveform.PulseDrive:
+			w, err := l.target.Envelope("x", sites[p.Qubit])
+			if err == nil && p.Expr == nil {
+				w, err = w.Scale(complex(p.Value, 0))
+			}
+			if err != nil {
+				return err
+			}
+			// A symbolic drive keeps the π envelope whole: its scale is the
+			// def's unbound amplitude slot.
+			refOp, val := l.freshWaveform(w, p.Expr)
+			ops = append(ops, refOp, &mlir.PlayOp{Frame: g.Frames[p.Qubit], Waveform: val})
+		case waveform.PulseCZ:
+			ops = append(ops, czOps...)
+		}
+		return nil
+	})
+	return ops, err
+}
+
+// cz plays the pair's calibrated cz on the coupler frame, its barriers
+// spanning the two drive frames and the coupler.
+func (l *lowerer) cz(frames []mlir.Value, sites []int) ([]mlir.Op, error) {
+	coupler := l.target.Coupler(sites[0], sites[1])
+	if coupler == nil {
+		return nil, fmt.Errorf("no coupler between sites %d and %d", sites[0], sites[1])
+	}
+	var couplerFrame mlir.Value
+	found := false
+	for _, name := range l.frameNames {
+		if l.framePort[name] == coupler.ID {
+			couplerFrame, found = mlir.Ref(name), true
+			break
+		}
+	}
+	if !found {
+		return nil, fmt.Errorf("sequence has no frame arg for coupler port %s", coupler.ID)
+	}
+	impl, err := l.target.Pulse("cz", min(sites[0], sites[1]), max(sites[0], sites[1]))
+	if err != nil {
+		return nil, err
+	}
+	var ops []mlir.Op
+	barrier := &mlir.BarrierOp{Frames: []mlir.Value{frames[0], frames[1], couplerFrame}}
+	for _, st := range impl.Steps {
+		switch st.Kind {
+		case "barrier":
+			ops = append(ops, barrier)
+		case "play":
+			w, err := st.Waveform.Materialize()
+			if err != nil {
+				return nil, err
+			}
+			refOp, val := l.freshWaveform(w, nil)
+			ops = append(ops, refOp, &mlir.PlayOp{Frame: couplerFrame, Waveform: val})
+		case "shift_phase":
+			ops = append(ops, &mlir.ShiftPhaseOp{Frame: couplerFrame, Phase: mlir.Lit(st.PhaseRad)})
+		default:
+			return nil, fmt.Errorf("cz impl step %q unsupported at IR level", st.Kind)
+		}
+	}
+	return ops, nil
 }
 
 // LegalizePass enforces the target's waveform constraints: every waveform
@@ -431,21 +249,10 @@ func (LegalizePass) Name() string { return "legalize-hardware-constraints" }
 
 // Run implements Pass.
 func (LegalizePass) Run(m *mlir.Module, ctx *Context) error {
-	if ctx == nil || ctx.Device == nil {
+	if ctx == nil || ctx.Target == nil {
 		return nil // target-independent compilation skips legalization
 	}
-	gran, err := qdmi.QueryInt(ctx.Device, qdmi.DevicePropGranularity)
-	if err != nil {
-		gran = 1
-	}
-	minS, err := qdmi.QueryInt(ctx.Device, qdmi.DevicePropMinPulseSamples)
-	if err != nil {
-		minS = 0
-	}
-	maxS, err := qdmi.QueryInt(ctx.Device, qdmi.DevicePropMaxPulseSamples)
-	if err != nil {
-		maxS = 0
-	}
+	gran, minS, maxS := ctx.Target.Granularity, ctx.Target.MinSamples, ctx.Target.MaxSamples
 	padded := 0
 	for _, def := range m.WaveformDefs {
 		w, err := def.Materialize()

@@ -13,12 +13,14 @@ import (
 	"mqsspulse/internal/qdmi"
 )
 
-// Context carries shared state across a pipeline run: the target device
-// (for calibration queries during lowering and constraint legalization),
-// statistics, and a log of per-pass timings.
+// Context carries shared state across a pipeline run: the compile's one
+// reading of the target device (ports, constraints and calibrated pulses for
+// lowering, legalization and the calibration check), statistics, and a log
+// of per-pass timings.
 type Context struct {
-	// Device is the compilation target; nil for target-independent passes.
-	Device qdmi.Device
+	// Target is the view of the compilation target; nil for
+	// target-independent passes.
+	Target *qdmi.Target
 	// Stats accumulates named counters (ops removed, gates lowered, ...).
 	Stats map[string]int
 	// Timings records per-pass wall-clock durations.
@@ -33,9 +35,11 @@ type PassTiming struct {
 	OpsOut   int
 }
 
-// NewContext creates an empty pass context for a target device.
+// NewContext creates an empty pass context for a target device, reading the
+// device into a view of its own; a compile that already holds the view
+// builds the Context around it instead.
 func NewContext(dev qdmi.Device) *Context {
-	return &Context{Device: dev, Stats: map[string]int{}}
+	return &Context{Target: qdmi.NewTarget(dev), Stats: map[string]int{}}
 }
 
 // Pass is one module transformation.

@@ -8,6 +8,7 @@ import (
 
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/mlir"
+	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/waveform"
 )
 
@@ -29,14 +30,14 @@ func TestWrapBoundary(t *testing.T) {
 		0:            0,
 	}
 	for in, want := range exact {
-		if got := wrap(in); got != want {
+		if got := waveform.WrapPhase(in); got != want {
 			t.Fatalf("wrap(%g) = %g, want %g", in, got, want)
 		}
 	}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 2000; i++ {
 		p := (rng.Float64() - 0.5) * 40
-		w := wrap(p)
+		w := waveform.WrapPhase(p)
 		if w <= -math.Pi || w > math.Pi {
 			t.Fatalf("wrap(%g) = %g outside (-π, π]", p, w)
 		}
@@ -108,7 +109,7 @@ func TestCanonicalizePreservesAccumulatedPhase(t *testing.T) {
 		for _, f := range []string{"f0", "f1"} {
 			// The sums may differ only by whole turns, so the wrapped
 			// difference must vanish.
-			if d := wrap(before[f] - after[f]); math.Abs(d) > 1e-9 {
+			if d := waveform.WrapPhase(before[f] - after[f]); math.Abs(d) > 1e-9 {
 				t.Fatalf("trial %d frame %s: accumulated phase %g → %g (Δwrap %g)",
 					trial, f, before[f], after[f], d)
 			}
@@ -177,7 +178,7 @@ func TestPipelinePreservesScheduleInvariants(t *testing.T) {
 		}
 		// Explicit replay of the scheduling invariant, independent of the
 		// pipeline's own verification pass.
-		if _, err := verifyLoweredSequence(m, m.Sequences[0], dev); err != nil {
+		if _, err := verifyLoweredSequence(m, m.Sequences[0], qdmi.NewTarget(dev)); err != nil {
 			t.Fatalf("trial %d: lowered schedule: %v", trial, err)
 		}
 	}

@@ -25,12 +25,12 @@ func (VerifyCalibrationPass) Name() string { return "verify-calibration" }
 
 // Run implements Pass.
 func (VerifyCalibrationPass) Run(m *mlir.Module, ctx *Context) error {
-	if ctx == nil || ctx.Device == nil {
+	if ctx == nil || ctx.Target == nil {
 		return nil // target-independent compilation has no limits to check
 	}
 	plays := 0
 	for _, seq := range m.Sequences {
-		n, err := verifyLoweredSequence(m, seq, ctx.Device)
+		n, err := verifyLoweredSequence(m, seq, ctx.Target)
 		if err != nil {
 			return fmt.Errorf("sequence %s: %w", seq.Name, err)
 		}
@@ -47,17 +47,8 @@ func (VerifyCalibrationPass) ReadOnly() {}
 
 // verifyLoweredSequence checks one sequence and returns how many plays it
 // verified.
-func verifyLoweredSequence(m *mlir.Module, seq *mlir.Sequence, dev qdmi.Device) (int, error) {
-	framePort := map[string]string{}
-	for i, a := range seq.Args {
-		if a.Type == mlir.TypeMixedFrame && i < len(seq.ArgPorts) {
-			framePort[a.Name] = seq.ArgPorts[i]
-		}
-	}
-	portByID := map[string]*pulse.Port{}
-	for _, p := range dev.Ports() {
-		portByID[p.ID] = p
-	}
+func verifyLoweredSequence(m *mlir.Module, seq *mlir.Sequence, target *qdmi.Target) (int, error) {
+	framePort := framePorts(seq)
 	defByName := map[string]*mlir.WaveformDef{}
 	for _, d := range m.WaveformDefs {
 		defByName[d.Name] = d
@@ -69,8 +60,8 @@ func verifyLoweredSequence(m *mlir.Module, seq *mlir.Sequence, dev qdmi.Device) 
 	added := map[string]bool{}
 	for _, name := range sortedKeys(framePort) {
 		pid := framePort[name]
-		p, ok := portByID[pid]
-		if !ok {
+		p := target.Port(pid)
+		if p == nil {
 			return 0, fmt.Errorf("frame %%%s binds port %q unknown to target device", name, pid)
 		}
 		if added[pid] {
@@ -116,7 +107,11 @@ func verifyLoweredSequence(m *mlir.Module, seq *mlir.Sequence, dev qdmi.Device) 
 			if err != nil {
 				return plays, err
 			}
-			maxAmp := portMaxAmplitude(dev, pid)
+			// A port without a positive amplitude limit is unconstrained.
+			maxAmp := target.Port(pid).MaxAmplitude
+			if maxAmp <= 0 {
+				maxAmp = math.Inf(1)
+			}
 			// For parametric defs (AmpExpr set) the materialized samples are
 			// the base envelope — the |scale|=1 worst case; template
 			// compilation bounds |scale| ≤ 1 over the declared range, so the
@@ -190,17 +185,4 @@ func verifyLoweredSequence(m *mlir.Module, seq *mlir.Sequence, dev qdmi.Device) 
 		return plays, err
 	}
 	return plays, nil
-}
-
-// portMaxAmplitude reads a port's amplitude limit through QDMI; ports
-// without the property (or with a non-positive limit) are unconstrained.
-func portMaxAmplitude(dev qdmi.Device, portID string) float64 {
-	v, err := dev.QueryPortProperty(portID, qdmi.PortPropMaxAmplitude)
-	if err != nil {
-		return math.Inf(1)
-	}
-	if f, ok := v.(float64); ok && f > 0 {
-		return f
-	}
-	return math.Inf(1)
 }

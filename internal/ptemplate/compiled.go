@@ -16,8 +16,9 @@ import (
 // lowering cache holds. A template's module carries unbound slots; a
 // concrete kernel is the same thing with no parameters, its module ready to
 // run as is. Either is valid for exactly one (device, calibration epoch)
-// pair — the epoch is read before lowering, so a recalibration landing
-// mid-compile can only make the artifact look stale, never silently fresh.
+// pair — the epoch is the one the compile's reading of the device began
+// with (qdmi.Target), so a recalibration landing mid-compile can only make
+// the artifact look stale, never silently fresh.
 // A Compiled is shared by every job that uses it and must not be modified
 // or copied.
 type Compiled struct {
@@ -93,19 +94,6 @@ func FromText(id, text string, params []Param, epoch int64) (*Compiled, error) {
 	}, nil
 }
 
-// DeviceEpoch reads a device's calibration epoch. Epoch-unaware devices
-// (ErrNotSupported) report zero, which disables downstream staleness
-// checks; any other failure — a device advertising the property but
-// answering it with the wrong type — propagates, because treating it as
-// epoch-unaware would silently drop every staleness protection.
-func DeviceEpoch(dev qdmi.Device) (int64, error) {
-	epoch, err := qdmi.QueryCalibrationEpoch(dev)
-	if err != nil && !errors.Is(err, qdmi.ErrNotSupported) {
-		return 0, fmt.Errorf("ptemplate: reading calibration epoch: %w", err)
-	}
-	return epoch, nil
-}
-
 // Lower compiles the template against a device exactly once, producing the
 // parametric payload every subsequent Bind reuses. deviceName is the
 // QRM-visible target name recorded for dispatch and fingerprinting.
@@ -131,13 +119,6 @@ func LowerCircuit(k *qpi.Circuit, params []Param, dev qdmi.Device, deviceName, d
 			"ptemplate: kernel %q carries unbound parameters %v; wrap it in a Template and use SubmitSweepCtx/RunSweep",
 			k.Name, k.ParamNames())
 	}
-	// Epoch before lowering: if recalibration lands mid-compile, the
-	// recorded epoch is already superseded and dispatch will reject the
-	// artifact as stale — the race errs toward recompiling.
-	epoch, err := DeviceEpoch(dev)
-	if err != nil {
-		return nil, err
-	}
 	res, err := compiler.Lower(k, dev)
 	if err != nil {
 		return nil, fmt.Errorf("ptemplate: lowering %q: %w", k.Name, err)
@@ -145,7 +126,7 @@ func LowerCircuit(k *qpi.Circuit, params []Param, dev qdmi.Device, deviceName, d
 	return &Compiled{
 		Fingerprint: fingerprint(descriptor),
 		Device:      deviceName,
-		Epoch:       epoch,
+		Epoch:       res.Epoch,
 		Format:      compiler.FormatFor(res.QIR),
 		Params:      append([]Param(nil), params...),
 		Module:      res.QIR,

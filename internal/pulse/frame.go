@@ -2,7 +2,8 @@ package pulse
 
 import (
 	"fmt"
-	"math"
+
+	"mqsspulse/internal/waveform"
 )
 
 // Frame is a stateful timing and carrier-signal abstraction combining a
@@ -35,10 +36,10 @@ func (f *Frame) Clone() *Frame {
 
 // ShiftPhase adds dphi to the carrier phase (a virtual rotation; free and
 // instantaneous on hardware).
-func (f *Frame) ShiftPhase(dphi float64) { f.PhaseRad = wrapPhase(f.PhaseRad + dphi) }
+func (f *Frame) ShiftPhase(dphi float64) { f.PhaseRad = waveform.WrapPhase(f.PhaseRad + dphi) }
 
 // SetPhase overrides the carrier phase.
-func (f *Frame) SetPhase(phi float64) { f.PhaseRad = wrapPhase(phi) }
+func (f *Frame) SetPhase(phi float64) { f.PhaseRad = waveform.WrapPhase(phi) }
 
 // ShiftFrequency detunes the carrier by df.
 func (f *Frame) ShiftFrequency(df float64) { f.FrequencyHz += df }
@@ -52,17 +53,6 @@ func (f *Frame) Advance(n int64) {
 		panic(fmt.Sprintf("pulse: frame %s advanced by negative duration %d", f.ID, n))
 	}
 	f.TimeSamples += n
-}
-
-// wrapPhase maps a phase into (-π, π] to keep accumulated phases bounded.
-func wrapPhase(p float64) float64 {
-	p = math.Mod(p, 2*math.Pi)
-	if p > math.Pi {
-		p -= 2 * math.Pi
-	} else if p <= -math.Pi {
-		p += 2 * math.Pi
-	}
-	return p
 }
 
 // MixedFrame binds a frame to the port it modulates — the structure the

@@ -282,15 +282,18 @@ type PulseImpl struct {
 	Steps     []PulseStep
 }
 
-// Envelope materializes the waveform of the implementation's first play
-// step: the envelope of a single-pulse operation such as x or sx.
-func (pi *PulseImpl) Envelope() (*waveform.Waveform, error) {
-	for _, st := range pi.Steps {
-		if st.Kind == "play" && st.Waveform != nil {
-			return st.Waveform.Materialize()
-		}
+// Envelope materializes the envelope of a single-pulse operation (x, sx) on
+// a site: the one place the stack takes a calibrated drive envelope from an
+// implementation. Rotations scale that envelope, so an implementation that
+// is anything but exactly one play on drive0 — a phase step before the
+// play, a second pulse — has no scaled form, and is refused by name
+// (ErrNotSupported) rather than played in part.
+func (pi *PulseImpl) Envelope(site int) (*waveform.Waveform, error) {
+	if len(pi.Steps) != 1 || pi.Steps[0].Kind != "play" || pi.Steps[0].PortRole != "drive0" || pi.Steps[0].Waveform == nil {
+		return nil, fmt.Errorf("%w: %s on site %d is not a single play on drive0, so it has no envelope to scale",
+			ErrNotSupported, pi.Operation, site)
 	}
-	return nil, fmt.Errorf("%w: %s impl has no play step", ErrInvalidArgument, pi.Operation)
+	return pi.Steps[0].Waveform.Materialize()
 }
 
 // Validate checks structural sanity of a pulse implementation.

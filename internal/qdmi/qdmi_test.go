@@ -407,3 +407,63 @@ func TestEnumStrings(t *testing.T) {
 		}
 	}
 }
+
+// mistypedEpoch advertises the calibration epoch and answers it as a string.
+type mistypedEpoch struct{ *mockDevice }
+
+func (d mistypedEpoch) QueryDeviceProperty(p DeviceProperty) (any, error) {
+	if p == DevicePropCalibrationEpoch {
+		return "seven", nil
+	}
+	return d.mockDevice.QueryDeviceProperty(p)
+}
+
+// TestTargetEpochAndIndices: an epoch-unaware device reads as epoch zero, one
+// that answers the property wrongly as an error (never as "unaware"); ports
+// are found by site and ID, absent ones are nil, and a pulse is asked of the
+// device once per (operation, site tuple) of at most two sites.
+func TestTargetEpochAndIndices(t *testing.T) {
+	dev := newMockDevice("sim")
+	tg := NewTarget(dev)
+	if e, err := tg.Epoch(); e != 0 || err != nil {
+		t.Fatalf("epoch-unaware device: epoch %d, %v", e, err)
+	}
+	if _, err := NewTarget(mistypedEpoch{dev}).Epoch(); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("mistyped epoch: %v, want ErrInvalidArgument", err)
+	}
+	if p := tg.Drive(1); p == nil || p.ID != "q1-drive" || tg.Port("q1-drive") != p {
+		t.Fatalf("drive of site 1 = %v", p)
+	}
+	if tg.Drive(2) != nil || tg.Drive(-1) != nil || tg.Readout(0) != nil || tg.Coupler(0, 1) != nil || tg.Port("nope") != nil {
+		t.Fatal("a port the device does not have was found")
+	}
+	if tg.Granularity != 1 || tg.MinSamples != 0 || tg.MaxSamples != 0 {
+		t.Fatalf("unanswered constraints read as %d/%d/%d, want 1/0/0", tg.Granularity, tg.MinSamples, tg.MaxSamples)
+	}
+
+	spec := waveform.SpecFromEnvelope("w", waveform.Gaussian{Amplitude: 0.5, SigmaFrac: 0.2}, 32)
+	x := &PulseImpl{Operation: "x", Steps: []PulseStep{{Kind: "play", PortRole: "drive0", Waveform: &spec}}}
+	if err := dev.SetPulseImpl("x", []int{0}, x); err != nil {
+		t.Fatal(err)
+	}
+	first, err := tg.Envelope("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The view is not refreshed: what it answered once it answers again.
+	if err := dev.SetPulseImpl("x", []int{0}, &PulseImpl{Operation: "x", Steps: []PulseStep{{Kind: "barrier"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := tg.Envelope("x", 0); err != nil || again != first {
+		t.Fatalf("second ask: %v, %v", again, err)
+	}
+	if impl, err := tg.Pulse("x", 0); err != nil || impl != x {
+		t.Fatalf("Pulse after Envelope: %v, %v", impl, err)
+	}
+	if _, err := tg.Pulse("ccz", 0, 1, 2); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("three-site tuple: %v", err)
+	}
+	if w := tg.ReadoutWindow(0); w != 128 {
+		t.Fatalf("readout window without a measure pulse = %d, want 128", w)
+	}
+}

@@ -18,8 +18,9 @@ type DeviceBinding struct {
 	// per link so schedules do not share state).
 	FrameFor func(portID string) (*pulse.Frame, error)
 	// LowerGate appends the calibrated pulse implementation of a gate-level
-	// QIS call onto the schedule. Nil means gate payloads are rejected.
-	LowerGate func(s *pulse.Schedule, gate string, params []float64, qubits []int64) error
+	// QIS call — a row of the gate table — onto the schedule. Nil means gate
+	// payloads are rejected.
+	LowerGate func(s *pulse.Schedule, gate *waveform.Gate, params []float64, qubits []int64) error
 	// LowerMeasure appends the calibrated readout of qubit q into classical
 	// bit r. Nil means measurement calls are rejected.
 	LowerMeasure func(s *pulse.Schedule, qubit, result int64) error
@@ -104,11 +105,11 @@ func BuildSchedule(m *Module, b *DeviceBinding) (*pulse.Schedule, error) {
 		default:
 			// Gate-level QIS intrinsic.
 			gate, params, qubits := decodeGateCall(c)
-			if gate == "" {
+			if gate == nil {
 				return nil, fmt.Errorf("qir: call %d: unsupported intrinsic %s", ci, c.Callee)
 			}
 			if b.LowerGate == nil {
-				return nil, fmt.Errorf("qir: call %d: device cannot lower gate %s", ci, gate)
+				return nil, fmt.Errorf("qir: call %d: device cannot lower gate %s", ci, gate.Name)
 			}
 			err = b.LowerGate(s, gate, params, qubits)
 		}
@@ -119,20 +120,12 @@ func BuildSchedule(m *Module, b *DeviceBinding) (*pulse.Schedule, error) {
 	return s, nil
 }
 
-// decodeGateCall maps a QIS call back to (gate, params, qubits).
-func decodeGateCall(c Call) (string, []float64, []int64) {
-	var gate string
-	for g, callee := range GateIntrinsics {
-		if callee == c.Callee {
-			gate = g
-			break
-		}
+// decodeGateCall maps a QIS call back to (gate table row, angles, qubits);
+// the row is nil for a callee that is no gate's.
+func decodeGateCall(c Call) (gate *waveform.Gate, params []float64, qubits []int64) {
+	if gate = waveform.GateByQIS(c.Callee); gate == nil {
+		return nil, nil, nil
 	}
-	if gate == "" {
-		return "", nil, nil
-	}
-	var params []float64
-	var qubits []int64
 	for _, a := range c.Args {
 		switch a.Kind {
 		case ArgF64:

@@ -5,24 +5,16 @@ import (
 	"math"
 	"math/cmplx"
 	"sort"
+
+	"mqsspulse/internal/waveform"
 )
 
-// ParamExpr is an affine symbolic expression over one named template
-// parameter: value = Scale·p + Offset. A QIR module carrying expressions is
-// a parametric payload — the compile-once artifact of the template
-// subsystem. Bind substitutes concrete values without touching the
-// compiler, so a parameter sweep pays one compilation and N cheap binds.
-type ParamExpr struct {
-	// Param is the template parameter name.
-	Param string
-	// Scale multiplies the bound parameter value.
-	Scale float64
-	// Offset is added after scaling.
-	Offset float64
-}
-
-// Eval evaluates the expression at parameter value p.
-func (e *ParamExpr) Eval(p float64) float64 { return e.Scale*p + e.Offset }
+// ParamExpr is the exchange format's name for an unbound template slot (see
+// waveform.ParamExpr). A QIR module carrying expressions is a parametric
+// payload — the compile-once artifact of the template subsystem. Bind
+// substitutes concrete values without touching the compiler, so a parameter
+// sweep pays one compilation and N cheap binds.
+type ParamExpr = waveform.ParamExpr
 
 // IsParametric reports whether the module carries any unbound slot.
 func (m *Module) IsParametric() bool {

@@ -11,6 +11,9 @@ package qir
 import (
 	"errors"
 	"fmt"
+	"slices"
+
+	"mqsspulse/internal/waveform"
 )
 
 // Profile names (the QIR spec's qir_profiles attribute values).
@@ -50,11 +53,19 @@ const (
 	IntrMz    = "__quantum__qis__mz__body"
 )
 
-// GateIntrinsics maps QPI gate names to QIS intrinsic callees.
-var GateIntrinsics = map[string]string{
-	"x": IntrX, "y": IntrY, "z": IntrZ, "h": IntrH, "s": IntrS, "t": IntrT,
-	"sx": IntrSX, "rx": IntrRX, "ry": IntrRY, "rz": IntrRZ,
-	"cz": IntrCZ, "cx": IntrCX, "iswap": IntrISwap,
+// GateIntrinsics maps QPI gate names to QIS intrinsic callees, as the gate
+// table declares them; the Intr* constants above name the same callees for
+// hand-written modules.
+var GateIntrinsics = map[string]string{}
+
+// Every gate-table row contributes its callee and its signature: its angle
+// parameters, then its qubits.
+func init() {
+	for _, g := range waveform.Gates {
+		GateIntrinsics[g.Name] = g.QIS
+		intrinsicSigs[g.QIS] = append(slices.Repeat([]ArgKind{ArgF64}, g.Params),
+			slices.Repeat([]ArgKind{ArgQubit}, g.Arity)...)
+	}
 }
 
 // PulseIntrinsics lists every pulse-profile intrinsic.
@@ -183,8 +194,9 @@ func (m *Module) UsesPulse() bool {
 	return false
 }
 
-// intrinsicSig describes an intrinsic's expected argument kinds.
-// ArgKind(-1) marks a variadic tail of ports (barrier).
+// intrinsicSigs describes each intrinsic's expected argument kinds; a nil
+// signature marks a variadic list of ports (barrier). Gate rows are added
+// from the gate table.
 var intrinsicSigs = map[string][]ArgKind{
 	IntrWaveform: {ArgWaveform}, // upload/bind a waveform constant
 
@@ -195,21 +207,8 @@ var intrinsicSigs = map[string][]ArgKind{
 	IntrShiftFrequency: {ArgPort, ArgF64},
 	IntrSetFrequency:   {ArgPort, ArgF64},
 	IntrDelay:          {ArgPort, ArgI64},
-	IntrBarrier:        nil, // variadic ports
+	IntrBarrier:        nil,
 	IntrCapture:        {ArgPort, ArgResult, ArgI64},
-	IntrX:              {ArgQubit},
-	IntrY:              {ArgQubit},
-	IntrZ:              {ArgQubit},
-	IntrH:              {ArgQubit},
-	IntrS:              {ArgQubit},
-	IntrT:              {ArgQubit},
-	IntrSX:             {ArgQubit},
-	IntrRX:             {ArgF64, ArgQubit},
-	IntrRY:             {ArgF64, ArgQubit},
-	IntrRZ:             {ArgF64, ArgQubit},
-	IntrCZ:             {ArgQubit, ArgQubit},
-	IntrCX:             {ArgQubit, ArgQubit},
-	IntrISwap:          {ArgQubit, ArgQubit},
 	IntrMz:             {ArgQubit, ArgResult},
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mqsspulse/internal/pulse"
+	"mqsspulse/internal/waveform"
 )
 
 // listing3Module reconstructs the paper's Listing 3: a pulse-profile module
@@ -197,10 +198,10 @@ func TestBuildScheduleGateNeedsLowering(t *testing.T) {
 		t.Fatal("gate call without LowerGate accepted")
 	}
 	lowered := 0
-	b.LowerGate = func(s *pulse.Schedule, gate string, params []float64, qubits []int64) error {
+	b.LowerGate = func(s *pulse.Schedule, gate *waveform.Gate, params []float64, qubits []int64) error {
 		lowered++
-		if gate != "x" || len(qubits) != 1 {
-			t.Errorf("unexpected lowering: %s %v", gate, qubits)
+		if gate.Name != "x" || len(qubits) != 1 {
+			t.Errorf("unexpected lowering: %s %v", gate.Name, qubits)
 		}
 		return nil
 	}
@@ -231,10 +232,10 @@ func TestBuildScheduleInsufficientPorts(t *testing.T) {
 
 func TestDecodeGateCall(t *testing.T) {
 	g, p, q := decodeGateCall(Call{Callee: IntrRX, Args: []Arg{F64Arg(0.5), QubitArg(3)}})
-	if g != "rx" || len(p) != 1 || p[0] != 0.5 || len(q) != 1 || q[0] != 3 {
-		t.Fatalf("decoded %s %v %v", g, p, q)
+	if g == nil || g.Name != "rx" || len(p) != 1 || p[0] != 0.5 || len(q) != 1 || q[0] != 3 {
+		t.Fatalf("decoded %v %v %v", g, p, q)
 	}
-	if g, _, _ := decodeGateCall(Call{Callee: "nope"}); g != "" {
+	if g, _, _ := decodeGateCall(Call{Callee: "nope"}); g != nil {
 		t.Fatal("unknown callee decoded")
 	}
 }

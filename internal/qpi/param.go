@@ -7,19 +7,9 @@ import (
 )
 
 // ParamExpr is an affine symbolic expression over one named template
-// parameter: value = Scale·p + Offset. It is the QPI-level representation of
-// an unbound pulse-parameter slot (amplitude, angle, phase, detuning, or
-// duration) that the template subsystem defers to bind time. Affine
-// expressions are closed under the scalings gate→pulse lowering applies, so
-// a slot survives compilation as a slot instead of forcing recompilation.
-type ParamExpr struct {
-	// Param is the template parameter name the expression references.
-	Param string
-	// Scale multiplies the bound parameter value.
-	Scale float64
-	// Offset is added after scaling.
-	Offset float64
-}
+// parameter: value = Scale·p + Offset — the QPI's name for the one slot type
+// the whole stack carries (see waveform.ParamExpr).
+type ParamExpr = waveform.ParamExpr
 
 // Sym makes the identity expression over a named parameter (value = p).
 func Sym(name string) *ParamExpr { return &ParamExpr{Param: name, Scale: 1} }
@@ -31,20 +21,17 @@ func SymAffine(name string, scale, offset float64) *ParamExpr {
 	return &ParamExpr{Param: name, Scale: scale, Offset: offset}
 }
 
-// Eval evaluates the expression at parameter value p.
-func (e *ParamExpr) Eval(p float64) float64 { return e.Scale*p + e.Offset }
-
-// valid reports whether the expression is structurally usable: a named
+// validExpr reports whether the expression is structurally usable: a named
 // parameter and finite coefficients.
-func (e *ParamExpr) valid() bool {
+func validExpr(e *ParamExpr) bool {
 	return e != nil && e.Param != "" &&
 		!math.IsNaN(e.Scale) && !math.IsInf(e.Scale, 0) &&
 		!math.IsNaN(e.Offset) && !math.IsInf(e.Offset, 0)
 }
 
-// clone returns a private copy so later caller mutations cannot alias into
-// the recorded circuit.
-func (e *ParamExpr) clone() *ParamExpr {
+// cloneExpr returns a private copy so later caller mutations cannot alias
+// into the recorded circuit.
+func cloneExpr(e *ParamExpr) *ParamExpr {
 	cp := *e
 	return &cp
 }
@@ -55,7 +42,7 @@ func (c *Circuit) checkExpr(where string, e *ParamExpr) bool {
 		c.fail("qpi: %s: nil parameter expression", where)
 		return false
 	}
-	if !e.valid() {
+	if !validExpr(e) {
 		c.fail("qpi: %s: invalid parameter expression (param %q, scale %g, offset %g)",
 			where, e.Param, e.Scale, e.Offset)
 		return false
@@ -85,7 +72,7 @@ func (c *Circuit) gateP(name string, q int, theta *ParamExpr) *Circuit {
 		return c.fail("qpi: qubit %d out of range [0,%d)", q, c.Qubits)
 	}
 	c.Ops = append(c.Ops, Op{Kind: OpGate, Gate: name, Qubits: []int{q},
-		Params: []float64{0}, AngleExpr: theta.clone()})
+		Params: []float64{0}, AngleExpr: cloneExpr(theta)})
 	return c
 }
 
@@ -123,10 +110,10 @@ func (c *Circuit) FrameChangeP(port string, freq, phase *ParamExpr) *Circuit {
 	}
 	op := Op{Kind: OpFrameChange, Port: port}
 	if freq != nil {
-		op.FreqExpr = freq.clone()
+		op.FreqExpr = cloneExpr(freq)
 	}
 	if phase != nil {
-		op.PhaseExpr = phase.clone()
+		op.PhaseExpr = cloneExpr(phase)
 	}
 	c.Ops = append(c.Ops, op)
 	return c
@@ -147,7 +134,7 @@ func (c *Circuit) DelayP(port string, samples *ParamExpr) *Circuit {
 	if !c.checkExpr("delay", samples) {
 		return c
 	}
-	c.Ops = append(c.Ops, Op{Kind: OpDelay, Port: port, DelayExpr: samples.clone()})
+	c.Ops = append(c.Ops, Op{Kind: OpDelay, Port: port, DelayExpr: cloneExpr(samples)})
 	return c
 }
 
@@ -161,7 +148,7 @@ func (c *Circuit) WaveformP(name string, amps []complex128, amp *ParamExpr) *Cir
 	}
 	def := len(c.Ops)
 	if c.Waveform(name, amps); c.err == nil {
-		c.Ops[def].AmpExpr = amp.clone()
+		c.Ops[def].AmpExpr = cloneExpr(amp)
 	}
 	return c
 }

@@ -87,14 +87,16 @@ type GateSpec struct {
 	Params int
 }
 
-// Gates is the native gate set of the QPI. Backends may support a subset;
-// the compiler queries QDMI and lowers or rejects accordingly.
-var Gates = map[string]GateSpec{
-	"x": {1, 0}, "y": {1, 0}, "z": {1, 0}, "h": {1, 0},
-	"s": {1, 0}, "t": {1, 0}, "sx": {1, 0},
-	"rx": {1, 1}, "ry": {1, 1}, "rz": {1, 1},
-	"cz": {2, 0}, "cx": {2, 0}, "iswap": {2, 0},
-}
+// Gates is the native gate set of the QPI, read from the stack's one gate
+// table. Backends may support a subset; the compiler queries QDMI and lowers
+// or rejects accordingly.
+var Gates = func() map[string]GateSpec {
+	m := make(map[string]GateSpec, len(waveform.Gates))
+	for _, g := range waveform.Gates {
+		m[g.Name] = GateSpec{Arity: g.Arity, Params: g.Params}
+	}
+	return m
+}()
 
 // Op is one circuit operation. Fields are used according to Kind.
 type Op struct {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
 	"mqsspulse/internal/waveform"
@@ -99,23 +98,20 @@ func NewPulseAnsatz(dev qdmi.Device, qubits int) (*PulseAnsatz, error) {
 	if qubits != 2 {
 		return nil, fmt.Errorf("vqe: pulse ansatz currently supports 2 qubits, got %d", qubits)
 	}
+	target := qdmi.NewTarget(dev)
 	a := &PulseAnsatz{drivePorts: make([]string, qubits)}
-	for _, p := range dev.Ports() {
-		switch {
-		case p.Kind == pulse.PortDrive && len(p.Sites) == 1 && p.Sites[0] < qubits:
-			a.drivePorts[p.Sites[0]] = p.ID
-		case p.Kind == pulse.PortCoupler && len(p.Sites) == 2 && p.Sites[0] == 0 && p.Sites[1] == 1:
-			a.couplerPort = p.ID
-		}
-	}
-	for q, id := range a.drivePorts {
-		if id == "" {
+	for q := range a.drivePorts {
+		p := target.Drive(q)
+		if p == nil {
 			return nil, fmt.Errorf("vqe: no drive port for qubit %d", q)
 		}
+		a.drivePorts[q] = p.ID
 	}
-	if a.couplerPort == "" {
+	coupler := target.Coupler(0, 1)
+	if coupler == nil {
 		return nil, fmt.Errorf("vqe: no coupler port between qubits 0 and 1")
 	}
+	a.couplerPort = coupler.ID
 	rate, err := qdmi.QueryFloat(dev, qdmi.DevicePropSampleRateHz)
 	if err != nil {
 		return nil, err
@@ -137,10 +133,7 @@ func NewPulseAnsatz(dev qdmi.Device, qubits int) (*PulseAnsatz, error) {
 	// ~half amplitude, so half the duration at up to full amplitude spans
 	// the same entangling angles — one source of the schedule-duration
 	// advantage the paper cites.
-	gran, err := qdmi.QueryInt(dev, qdmi.DevicePropGranularity)
-	if err != nil || gran < 1 {
-		gran = 1
-	}
+	gran := target.Granularity
 	half := a.czSamples / 2
 	half -= half % gran
 	if half >= 2*gran {
