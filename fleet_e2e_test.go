@@ -10,6 +10,7 @@ import (
 
 	mqsspulse "mqsspulse"
 	"mqsspulse/internal/devices"
+	"mqsspulse/internal/testutil"
 )
 
 // tinyFleetConfig is a minimal single-qubit simulator (dim 2, short
@@ -160,4 +161,50 @@ func TestFleetOverloadBackoff(t *testing.T) {
 		t.Fatalf("stats.Rejected = %d, caller saw %d", st.Rejected, rejections)
 	}
 	t.Logf("rejections seen: %d", rejections)
+}
+
+// TestCancelReachesTheWorkerThatRunsTheJob: the QRM worker executes a
+// SimDevice job itself, so a ticket's cancel has to find it there. A job
+// held by a 30 s electronics overhead is cancelled mid-hold: its handle
+// resolves ErrCancelled at once, and the device's one worker is free for the
+// next job — no goroutine left behind to sit out the hold.
+func TestCancelReachesTheWorkerThatRunsTheJob(t *testing.T) {
+	testutil.AssertNoLeaks(t)
+	dev, err := devices.New(tinyFleetConfig("hold-1", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.SetJobOverhead(30 * time.Second)
+	stack, err := mqsspulse.NewStack(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stack.Close)
+	ad := &mqsspulse.NativeAdapter{Client: stack.Client, Target: "hold-1"}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	start := time.Now()
+	held, err := mqsspulse.Start(ctx, ad, fleetKernel(t), mqsspulse.WithShots(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for stack.Client.QRM().Stats().Devices["hold-1"].Dispatched == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("job never reached the device")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(5 * time.Millisecond) // the worker is in the hold
+	held.Cancel()
+	if _, err := held.Wait(ctx); !errors.Is(err, mqsspulse.ErrCancelled) {
+		t.Fatalf("cancelled job: err = %v, want ErrCancelled", err)
+	}
+	dev.SetJobOverhead(0)
+	if _, err := mqsspulse.Run(ctx, ad, fleetKernel(t), mqsspulse.WithShots(16)); err != nil {
+		t.Fatalf("job behind the cancelled one: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancel and the next job took %v: the worker sat out the hold", elapsed)
+	}
 }

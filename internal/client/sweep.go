@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/qrm"
@@ -35,12 +36,13 @@ func (c *Client) SubmitSweepCtx(ctx context.Context, t *ptemplate.Template, devi
 	if sweepTrace == "" {
 		sweepTrace = telemetry.NewTraceID()
 	}
+	id := append([]byte(sweepTrace), "/p"...) // the digits go in its spare capacity
 	for i, b := range bindings {
 		// Per-point lookup: point 0 compiles, the rest bind. Going through
 		// the cache each iteration (rather than hoisting one compile) keeps a
 		// mid-sweep recalibration from dispatching stale points — the
 		// invalidated entry recompiles at the new epoch.
-		tl := telemetry.NewTimeline(fmt.Sprintf("%s/p%d", sweepTrace, i), c.telem)
+		tl := telemetry.NewTimeline(string(strconv.AppendInt(id, int64(i), 10)), c.telem)
 		tickets[i], errs[i] = c.submit(ctx, t.Circuit, t.Params, b, device, target, opts, tl)
 	}
 	return tickets, errs

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
@@ -175,13 +177,13 @@ func TestWarmJobAllocations(t *testing.T) {
 		submit  func(d *SimDevice) (qdmi.Job, error)
 		ceiling float64
 	}{
-		// Measured 2026-10-02: 89, 92 under -race (105 before prepared
+		// Measured 2026-10-03: 89, 91–95 under -race (105 before prepared
 		// programs and pooled scratch; 1,645 when every job rebuilt the model
 		// and the dissipator allocated its temporaries on every tick).
 		{"text", func(d *SimDevice) (qdmi.Job, error) {
 			return d.SubmitJobOpts(payload, qdmi.FormatQIRBase, opts)
 		}, 97},
-		// Measured 2026-10-02: 22, 25–27 under -race.
+		// Measured 2026-10-03: 22, 24–27 under -race.
 		{"module", func(d *SimDevice) (qdmi.Job, error) { return d.SubmitModule(x, opts) }, 30},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +202,34 @@ func TestWarmJobAllocations(t *testing.T) {
 				t.Fatalf("warm job allocates %v objects, want ≤ %v", n, tc.ceiling)
 			}
 		})
+	}
+}
+
+// TestJobRunsOnItsWaiter is the contract that the device has no thread of
+// its own per job: a submitted job that nobody waits for stays queued and
+// spawns nothing, and the first Wait is what runs it.
+func TestJobRunsOnItsWaiter(t *testing.T) {
+	d := openSC(t, 1)
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	opts := qdmi.JobOptions{Shots: 16}
+	runOpts(t, d, x, opts) // builds the engine
+	before := runtime.NumGoroutine()
+	job, err := d.SubmitModule(x, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if st := job.Status(); st != qdmi.JobQueued {
+		t.Fatalf("job nobody waited for is %v, want still queued", st)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("submit grew the goroutine count from %d to %d", before, n)
+	}
+	if st := job.Wait(context.Background()); st != qdmi.JobDone {
+		t.Fatalf("job status %v", st)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("the job left %d goroutines behind", n-before)
 	}
 }
 

@@ -1,6 +1,7 @@
 package devices
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -340,7 +341,7 @@ func (d *SimDevice) trueModel() (*simq.SystemModel, error) {
 }
 
 // SubmitJob implements qdmi.Device. Payloads are QIR modules (pulse or base
-// profile); execution happens asynchronously on the simulated hardware.
+// profile); the simulated hardware runs the job when it is first waited on.
 func (d *SimDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots int) (qdmi.Job, error) {
 	return d.SubmitJobOpts(payload, format, qdmi.JobOptions{Shots: shots})
 }
@@ -380,9 +381,9 @@ func (d *SimDevice) SubmitModule(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Jo
 
 // submit is the one body behind the three exported submit entry points:
 // it refuses a template nobody bound (slots parse, so text can carry them
-// this far too), validates the job options and the module's port names,
-// draws the job ID and seed from the device's job stream, and starts the
-// job.
+// this far too), validates the job options and the module's port names, and
+// draws the job ID and seed from the device's job stream — at submit, so
+// results follow submit order. The job runs when it is first waited on.
 func (d *SimDevice) submit(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, error) {
 	if mod.IsParametric() {
 		return nil, fmt.Errorf("%w: module %q still carries unbound parameters %v",
@@ -404,36 +405,36 @@ func (d *SimDevice) submit(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, err
 	d.nextJob++
 	n := d.nextJob
 	seed := d.jobRng.Int63()
+	overhead := d.jobOverhead
 	d.mu.Unlock()
 
 	var buf [48]byte
 	id := strconv.AppendInt(append(buf[:0], d.names.jobPrefix...), int64(n), 10)
-	job := qdmi.NewAsyncJob(string(id))
-	go d.runJob(job, mod, opts, seed)
-	return job, nil
+	return qdmi.NewRunOnWaitJob(string(id), func(ctx context.Context, job *qdmi.AsyncJob) {
+		d.runJob(ctx, job, mod, opts, seed, overhead)
+	}), nil
 }
 
-// runJob executes a payload on the simulated hardware. SimDevice jobs
-// support the qdmi.RunningCanceller capability: the pipeline polls
-// job.Aborted between stages and the dynamics engine polls it between
-// integration segments and every ~1024 driven samples inside them, so a
-// CancelRunning lands promptly — even mid-way through a single long
-// Play — and the result of an aborted job is discarded.
-func (d *SimDevice) runJob(job *qdmi.AsyncJob, mod *qir.Module, opts qdmi.JobOptions, seed int64) {
-	if !job.Start() {
-		return
-	}
-	d.mu.Lock()
-	overhead := d.jobOverhead
-	d.mu.Unlock()
+// runJob executes a payload on the simulated hardware. It is the body of the
+// job's first Wait, on that waiter's goroutine and under its ctx — for a
+// dispatched job, the QRM worker and the ticket's. The ctx firing and a
+// CancelRunning from any goroutine (the qdmi.RunningCanceller capability)
+// both abort the run: the pipeline polls for them between stages and the
+// dynamics engine between integration segments and every ~1024 driven
+// samples inside them, so either lands promptly — even mid-way through a
+// single long Play — and the job ends JobCancelled, its result discarded.
+func (d *SimDevice) runJob(ctx context.Context, job *qdmi.AsyncJob, mod *qir.Module, opts qdmi.JobOptions, seed int64, overhead time.Duration) {
+	aborted := func() bool { return ctx.Err() != nil || job.Aborted() }
 	if overhead > 0 {
 		// Hold the device for the electronics overhead; a cancelled job
 		// releases it immediately.
 		timer := time.NewTimer(overhead)
+		defer timer.Stop()
 		select {
 		case <-timer.C:
+		case <-ctx.Done():
+			return
 		case <-job.Done():
-			timer.Stop()
 			return
 		}
 	}
@@ -442,7 +443,7 @@ func (d *SimDevice) runJob(job *qdmi.AsyncJob, mod *qir.Module, opts qdmi.JobOpt
 		job.Fail(err)
 		return
 	}
-	if job.Aborted() {
+	if aborted() {
 		return
 	}
 	workers := d.ShotWorkers()
@@ -457,7 +458,7 @@ func (d *SimDevice) runJob(job *qdmi.AsyncJob, mod *qir.Module, opts qdmi.JobOpt
 		Shots:       opts.Shots,
 		Seed:        seed,
 		SiteError:   d.siteError,
-		Interrupted: job.Aborted,
+		Interrupted: aborted,
 		ShotWorkers: workers,
 	}
 	if opts.MeasLevel != readout.LevelDiscriminated {

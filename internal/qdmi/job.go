@@ -6,11 +6,12 @@ import (
 	"sync"
 )
 
-// AsyncJob is a reusable Job implementation for devices that execute
-// payloads in a background goroutine. Devices construct it with NewAsyncJob
-// and complete it with Finish or Fail. It also implements the optional
-// RunningCanceller capability: device runtimes poll Aborted at execution
-// checkpoints and drop the result of an aborted job.
+// AsyncJob is a reusable Job implementation. A device either completes it
+// from a goroutine of its own (NewAsyncJob, then Start and Finish or Fail) or
+// gives it the execution as a body (NewRunOnWaitJob) that the first Wait runs
+// on the waiter's goroutine, so that nothing is spawned or woken per job. It
+// also implements the optional RunningCanceller capability: device runtimes
+// poll Aborted at execution checkpoints and drop the result of an aborted job.
 type AsyncJob struct {
 	id string
 
@@ -18,12 +19,19 @@ type AsyncJob struct {
 	status JobStatus
 	result *Result
 	err    error
-	done   chan struct{} // closed when the job reaches a terminal state
+	done   chan struct{}                    // closed when the job reaches a terminal state
+	run    func(context.Context, *AsyncJob) // a run-on-wait job's body, until the first Wait takes it
 }
 
-// NewAsyncJob creates a job in the queued state.
-func NewAsyncJob(id string) *AsyncJob {
-	return &AsyncJob{id: id, status: JobQueued, done: make(chan struct{})}
+// NewAsyncJob creates a job in the queued state, for a device to complete.
+func NewAsyncJob(id string) *AsyncJob { return NewRunOnWaitJob(id, nil) }
+
+// NewRunOnWaitJob creates a queued job that its first Wait runs: run is
+// called on that waiter's goroutine with that waiter's ctx, and ends the job
+// with Finish or Fail; returning without either — ctx fired, or Aborted
+// turned true — ends it JobCancelled. Cancelled before any Wait, it never runs.
+func NewRunOnWaitJob(id string, run func(ctx context.Context, j *AsyncJob)) *AsyncJob {
+	return &AsyncJob{id: id, status: JobQueued, done: make(chan struct{}), run: run}
 }
 
 // ID implements Job.
@@ -38,46 +46,47 @@ func (j *AsyncJob) Status() JobStatus {
 
 // Start transitions queued → running. It returns false if the job was
 // cancelled before execution began.
-func (j *AsyncJob) Start() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != JobQueued {
-		return false
-	}
-	j.status = JobRunning
-	return true
-}
+func (j *AsyncJob) Start() bool { return j.move(JobRunning, false, nil, nil) }
 
 // Finish completes the job successfully. It is a no-op if the job already
 // reached a terminal state (e.g. it was cancelled mid-flight).
-func (j *AsyncJob) Finish(r *Result) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status.Terminal() {
-		return
-	}
-	j.result = r
-	j.status = JobDone
-	close(j.done)
-}
+func (j *AsyncJob) Finish(r *Result) { j.move(JobDone, true, r, nil) }
 
 // Fail completes the job with an error. It is a no-op if the job already
 // reached a terminal state.
-func (j *AsyncJob) Fail(err error) {
+func (j *AsyncJob) Fail(err error) { j.move(JobFailed, true, nil, err) }
+
+// move is the job's one state transition: to st, from queued or — if started
+// allows — from running, and never out of a terminal state. It reports
+// whether the job moved.
+func (j *AsyncJob) move(st JobStatus, started bool, r *Result, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status.Terminal() {
-		return
+	if j.status != JobQueued && !(started && j.status == JobRunning) {
+		return false
 	}
-	j.err = err
-	j.status = JobFailed
-	close(j.done)
+	j.status, j.result, j.err = st, r, err
+	if st.Terminal() {
+		close(j.done)
+	}
+	return true
 }
 
 // Wait implements Job: it blocks until the job reaches a terminal state or
 // ctx is cancelled, and returns the status observed at return (which is
-// non-terminal only if ctx fired first).
+// non-terminal only if ctx fired first). The first Wait on a run-on-wait job
+// runs it instead, under its own ctx — which, fired, aborts the job — and
+// returns a terminal status. Every other Wait only waits.
 func (j *AsyncJob) Wait(ctx context.Context) JobStatus {
+	j.mu.Lock()
+	run := j.run
+	j.run = nil
+	j.mu.Unlock()
+	if run != nil && j.Start() {
+		run(ctx, j)
+		j.move(JobCancelled, true, nil, nil) // unless the body finished or failed it
+		return j.Status()
+	}
 	select {
 	case <-j.done:
 	case <-ctx.Done():
@@ -107,13 +116,9 @@ func (j *AsyncJob) Result() (*Result, error) {
 // Cancel implements Job. Only queued jobs can be cancelled; use
 // CancelRunning to abort a job that may already be executing.
 func (j *AsyncJob) Cancel() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != JobQueued {
-		return fmt.Errorf("%w: job %s is %s", ErrInvalidArgument, j.id, j.status)
+	if !j.move(JobCancelled, false, nil, nil) {
+		return fmt.Errorf("%w: job %s is %s", ErrInvalidArgument, j.id, j.Status())
 	}
-	j.status = JobCancelled
-	close(j.done)
 	return nil
 }
 
@@ -121,18 +126,10 @@ func (j *AsyncJob) Cancel() error {
 // queued or running job. The device runtime observes the transition through
 // Aborted and discards any in-flight work.
 func (j *AsyncJob) CancelRunning() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.status {
-	case JobQueued, JobRunning:
-		j.status = JobCancelled
-		close(j.done)
-		return nil
-	case JobCancelled:
-		return nil
-	default:
-		return fmt.Errorf("%w: job %s is %s", ErrInvalidArgument, j.id, j.status)
+	if !j.move(JobCancelled, true, nil, nil) && !j.Aborted() {
+		return fmt.Errorf("%w: job %s is %s", ErrInvalidArgument, j.id, j.Status())
 	}
+	return nil
 }
 
 // Aborted reports whether the job was cancelled; device execution loops

@@ -242,7 +242,10 @@ type Job interface {
 	Status() JobStatus
 	// Wait blocks until the job leaves the queue/running states or ctx is
 	// cancelled, whichever comes first, and returns the status observed at
-	// return. A cancelled ctx abandons only the wait, not the job.
+	// return. A cancelled ctx abandons only the wait, not the job — with one
+	// exception: a device may run a job on the goroutine of its first Wait
+	// (SimDevice does, see NewRunOnWaitJob), and that wait's ctx then aborts
+	// the job, which ends JobCancelled. A job nobody waits for may never run.
 	Wait(ctx context.Context) JobStatus
 	// Result returns the measurement data of a JobDone job.
 	Result() (*Result, error)

@@ -337,7 +337,12 @@ func TestDispatchSpanOnTimelineBeforeWaiterWakes(t *testing.T) {
 				seen <- woken{err, n}
 			}()
 			if tc.end != nil {
+				// Running is not yet dispatched: a cancel that lands before the
+				// device has the job ends it with no dispatch to span.
 				waitRunning(t, tk)
+				for len(dev.executed()) == 0 {
+					time.Sleep(time.Millisecond)
+				}
 				tc.end(tk, dev)
 			}
 			got := <-seen

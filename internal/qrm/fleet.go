@@ -15,10 +15,11 @@ import (
 
 // deviceState is the scheduler's view of one device: its targeted queue,
 // its dispatch slots, and its membership in pools. All fields are guarded
-// by Scheduler.mu.
+// by Scheduler.mu, except the two names, which never change.
 type deviceState struct {
-	name string
-	heap jobHeap // device-targeted jobs
+	name          string
+	queueWaitName string  // "queue_wait/device/<name>", spelled once
+	heap          jobHeap // device-targeted jobs
 
 	slots    int // configured concurrency (dispatch slots)
 	workers  int // spawned worker goroutines (converges to slots)
@@ -28,25 +29,17 @@ type deviceState struct {
 	stolen     int64 // jobs this device stole from pool siblings
 
 	pools []*poolState // pools this device serves
-}
-
-// sources lists the queues a device drains without stealing: its own and
-// those of every pool it belongs to.
-func (d *deviceState) sources() []*jobHeap {
-	srcs := make([]*jobHeap, 0, 1+len(d.pools))
-	srcs = append(srcs, &d.heap)
-	for _, p := range d.pools {
-		srcs = append(srcs, &p.heap)
-	}
-	return srcs
+	// sources lists the queues the device drains without stealing: its own
+	// and, appended by RegisterPool, those of every pool it belongs to.
+	sources []*jobHeap
 }
 
 // poolState is a named set of interchangeable devices sharing one queue.
-// Guarded by Scheduler.mu.
+// Guarded by Scheduler.mu, except the name, which never changes.
 type poolState struct {
-	name    string
-	members []*deviceState
-	heap    jobHeap // pool-targeted jobs, placed on the least-loaded member
+	queueWaitName string // "queue_wait/pool/<name>"
+	members       []*deviceState
+	heap          jobHeap // pool-targeted jobs, placed on the least-loaded member
 }
 
 // ensureDeviceLocked returns the device's scheduler state, creating it — and
@@ -55,7 +48,8 @@ type poolState struct {
 func (s *Scheduler) ensureDeviceLocked(name string) *deviceState {
 	d, ok := s.devices[name]
 	if !ok {
-		d = &deviceState{name: name, slots: 1}
+		d = &deviceState{name: name, queueWaitName: "queue_wait/device/" + name, slots: 1}
+		d.sources = []*jobHeap{&d.heap}
 		s.devices[name] = d
 		s.spawnWorkerLocked(d)
 	}
@@ -130,10 +124,11 @@ func (s *Scheduler) RegisterPool(name string, members ...string) error {
 	if _, dup := s.pools[name]; dup {
 		return fmt.Errorf("%w: duplicate pool %q", qdmi.ErrInvalidArgument, name)
 	}
-	p := &poolState{name: name}
+	p := &poolState{queueWaitName: "queue_wait/pool/" + name}
 	for _, m := range members {
 		d := s.ensureDeviceLocked(m)
 		d.pools = append(d.pools, p)
+		d.sources = append(d.sources, &p.heap)
 		p.members = append(p.members, d)
 	}
 	s.pools[name] = p

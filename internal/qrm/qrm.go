@@ -117,11 +117,12 @@ type Request struct {
 	ShotWorkers int
 }
 
-// queued pairs a ticket with its request and enqueue time (the queue-wait
-// span's start).
+// queued pairs a ticket with its request, the pool it targets (nil for a
+// device-targeted job) and its enqueue time (the queue-wait span's start).
 type queued struct {
 	ticket   *Ticket
 	req      Request
+	pool     *poolState
 	enqueued time.Time
 }
 
@@ -238,13 +239,13 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error)
 	// Resolve the target queue and apply admission control before the
 	// ticket exists, so rejected work leaves no trace beyond the counter.
 	var target *jobHeap
+	pool := s.pools[req.Pool] // nil for a device-targeted job
 	if req.Pool != "" {
-		p, ok := s.pools[req.Pool]
-		if !ok {
+		if pool == nil {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: pool %q", ErrNoSuchTarget, req.Pool)
 		}
-		target = &p.heap
+		target = &pool.heap
 	} else {
 		target = &s.ensureDeviceLocked(req.Device).heap
 	}
@@ -258,7 +259,7 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error)
 	s.nextID++
 	s.nextSeq++
 	t := newTicket(ctx, s.nextID, req.Priority, s.nextSeq, req.Tag, req.Timeline)
-	heap.Push(target, &queued{ticket: t, req: req, enqueued: time.Now()})
+	heap.Push(target, &queued{ticket: t, req: req, pool: pool, enqueued: time.Now()})
 	s.n.submitted++
 	s.telem.Load().Add("qrm/submitted", 1)
 	s.cond.Broadcast() // any idle worker may be able to take or steal this
@@ -315,7 +316,7 @@ func (s *Scheduler) worker(d *deviceState) {
 // when work would otherwise strand behind a busy QPU. The boolean reports
 // a steal.
 func (s *Scheduler) takeLocked(d *deviceState) (*queued, bool) {
-	if h := bestSource(d.sources()); h != nil {
+	if h := bestSource(d.sources); h != nil {
 		return heap.Pop(h).(*queued), false
 	}
 	var victims []*jobHeap
@@ -363,9 +364,9 @@ func (s *Scheduler) runItem(d *deviceState, item *queued) {
 	wait := time.Since(item.enqueued)
 	item.req.Timeline.Record(telemetry.StageQueueWait, d.name, item.enqueued, wait, 0)
 	reg := s.telem.Load()
-	reg.Observe("queue_wait/device/"+d.name, wait)
-	if item.req.Pool != "" {
-		reg.Observe("queue_wait/pool/"+item.req.Pool, wait)
+	reg.Observe(d.queueWaitName, wait)
+	if item.pool != nil {
+		reg.Observe(item.pool.queueWaitName, wait)
 	}
 	item.ticket.setDevice(d.name)
 	dev, err := s.session.Device(d.name)
@@ -414,9 +415,11 @@ func (s *Scheduler) runItem(d *deviceState, item *queued) {
 }
 
 // dispatch hands item's job to dev under the dispatch span and waits for it
-// to end or for the ticket to be cancelled. It reports how the job ended —
-// JobDone with its result, JobFailed with its error, or JobCancelled — and
-// leaves resolving the ticket to runItem.
+// to end or for the ticket to be cancelled — which, for a job that runs on
+// its first Wait (a SimDevice's), is this worker executing it under the
+// ticket's context. It reports how the job ended — JobDone with its result,
+// JobFailed with its error, or JobCancelled — and leaves resolving the
+// ticket to runItem.
 func (s *Scheduler) dispatch(d *deviceState, dev qdmi.Device, item *queued, span telemetry.SpanID) (qdmi.JobStatus, *qdmi.Result, error) {
 	job, err := submitToDevice(dev, item.req, span)
 	if err != nil {
@@ -428,19 +431,18 @@ func (s *Scheduler) dispatch(d *deviceState, dev qdmi.Device, item *queued, span
 	s.telem.Load().Add("qrm/dispatched", 1)
 	st := job.Wait(item.ticket.ctx)
 	if !st.Terminal() {
-		// The ticket was cancelled while the device job was in flight.
-		// Abort it where the device supports aborting running work;
+		// The ticket was cancelled while a job the device runs on a thread
+		// of its own was in flight. Abort it where the device supports that;
 		// otherwise fall back to the queued-only cancel.
 		if rc, ok := job.(qdmi.RunningCanceller); ok {
 			_ = rc.CancelRunning()
 		} else {
 			_ = job.Cancel()
 		}
-		st = job.Status()
-		if !st.Terminal() {
+		if st = job.Status(); !st.Terminal() {
 			// The device cannot abort: the ticket resolves as cancelled
-			// and the orphaned job finishes unobserved.
-			return qdmi.JobCancelled, nil, nil
+			// and the orphaned job finishes unobserved, on that thread.
+			st = qdmi.JobCancelled
 		}
 	}
 	if st == qdmi.JobCancelled {

@@ -166,10 +166,11 @@ func TestManyJobsAllComplete(t *testing.T) {
 func TestPriorityOrdering(t *testing.T) {
 	// Fill the queue while the worker is blocked on the first job, then
 	// check the high-priority job ran before the low-priority ones.
-	s, dev := rig(t)
-	defer s.Close()
-	// Prime with one job to occupy the worker.
+	s, dev := blockingRig(t)
+	// Prime with one job to occupy the worker: the device holds it until
+	// everything else is queued.
 	first, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("first"), Format: qdmi.FormatQIRBase, Shots: 1})
+	waitRunning(t, first)
 	var tickets []*Ticket
 	for i := 0; i < 5; i++ {
 		tk, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu",
@@ -178,12 +179,13 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 	hi, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("high"), Format: qdmi.FormatQIRBase, Shots: 1, Priority: 10})
 	tickets = append(tickets, hi, first)
+	close(dev.release)
 	for _, tk := range tickets {
 		if _, err := tk.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	order := dev.executionOrder()
+	order := dev.executed()
 	hiIdx, lowIdx := -1, -1
 	for i, p := range order {
 		if p == "high" && hiIdx < 0 {
