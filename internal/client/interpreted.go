@@ -64,36 +64,26 @@ func (a *InterpretedAdapter) ParseProgram(src string) (*qpi.Circuit, error) {
 		if c == nil {
 			return nil, fmt.Errorf("client: line %d: statement before circuit header", ln+1)
 		}
+		if g, ok := qpi.Gates[op]; ok { // the gate's qubits, then its angles
+			if len(fields) != 1+g.Arity+g.Params {
+				return nil, argErr()
+			}
+			qubits, params := make([]int, g.Arity), make([]float64, g.Params)
+			for i, f := range fields[1:] {
+				var err error
+				if i < g.Arity {
+					qubits[i], err = strconv.Atoi(f)
+				} else {
+					params[i-g.Arity], err = strconv.ParseFloat(f, 64)
+				}
+				if err != nil {
+					return nil, argErr()
+				}
+			}
+			c.Gate(op, qubits, params...)
+			continue
+		}
 		switch op {
-		case "x", "y", "z", "h", "s", "t", "sx":
-			if len(fields) != 2 {
-				return nil, argErr()
-			}
-			q, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, argErr()
-			}
-			c.Gate(op, []int{q})
-		case "rx", "ry", "rz":
-			if len(fields) != 3 {
-				return nil, argErr()
-			}
-			q, err1 := strconv.Atoi(fields[1])
-			theta, err2 := strconv.ParseFloat(fields[2], 64)
-			if err1 != nil || err2 != nil {
-				return nil, argErr()
-			}
-			c.Gate(op, []int{q}, theta)
-		case "cz", "cx", "iswap":
-			if len(fields) != 3 {
-				return nil, argErr()
-			}
-			qa, err1 := strconv.Atoi(fields[1])
-			qb, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return nil, argErr()
-			}
-			c.Gate(op, []int{qa, qb})
 		case "waveform":
 			if len(fields) < 3 {
 				return nil, argErr()

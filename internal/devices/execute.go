@@ -28,6 +28,12 @@ const readoutStimulusRabiHz = 1e3
 // the module maps to the device port named module.PortNames[i]; all
 // remaining device ports follow so calibrated gate lowering can use them.
 func (d *SimDevice) Binding(portNames []string) (*qir.DeviceBinding, error) {
+	return d.binding(d.calib.Load(), portNames)
+}
+
+// binding is Binding against cal: every frame and lowered gate of one link
+// reads it, so a schedule belongs to one epoch whatever recalibrates meanwhile.
+func (d *SimDevice) binding(cal *calibration, portNames []string) (*qir.DeviceBinding, error) {
 	if err := d.checkPortNames(portNames); err != nil {
 		return nil, err
 	}
@@ -41,9 +47,11 @@ func (d *SimDevice) Binding(portNames []string) (*qir.DeviceBinding, error) {
 		}
 	}
 	return &qir.DeviceBinding{
-		Ports:        ports,
-		FrameFor:     d.frameFor,
-		LowerGate:    d.lowerGate,
+		Ports:    ports,
+		FrameFor: func(portID string) (*pulse.Frame, error) { return d.frameFor(cal, portID) },
+		LowerGate: func(s *pulse.Schedule, gate *waveform.Gate, params []float64, qubits []int64) error {
+			return d.lowerGate(cal, s, gate, params, qubits)
+		},
 		LowerMeasure: d.lowerMeasure,
 	}, nil
 }
@@ -71,10 +79,10 @@ func (d *SimDevice) portIndex(id string) int {
 
 // frameFor creates the initial carrier frame of a port from the calibration
 // table.
-func (d *SimDevice) frameFor(portID string) (*pulse.Frame, error) {
+func (d *SimDevice) frameFor(cal *calibration, portID string) (*pulse.Frame, error) {
 	for i := range d.cfg.Sites {
 		if portID == d.drivePort[i] {
-			return pulse.NewFrame(portID+"-frame", d.CalibratedFrequency(i)), nil
+			return pulse.NewFrame(portID+"-frame", cal.freqHz[i]), nil
 		}
 		if portID == d.readPort[i] {
 			// Readout carrier; does not influence qubit dynamics.
@@ -94,9 +102,9 @@ func (d *SimDevice) frameFor(portID string) (*pulse.Frame, error) {
 // the gate means is its row of the gate table — the row the compiler's
 // lowering pass reads — so a gate-level payload and the same kernel compiled
 // play the same samples; this writes the table's three primitives as schedule
-// instructions, from the pulses DefaultPulse answers (so one installed with
-// SetPulseImpl is honoured).
-func (d *SimDevice) lowerGate(s *pulse.Schedule, gate *waveform.Gate, params []float64, qubits []int64) error {
+// instructions, from the pulses DefaultPulse answers under cal (so one
+// installed with SetPulseImpl is honoured).
+func (d *SimDevice) lowerGate(cal *calibration, s *pulse.Schedule, gate *waveform.Gate, params []float64, qubits []int64) error {
 	if !gate.HasLowering() {
 		return fmt.Errorf("%w: gate %q has no calibrated lowering", qdmi.ErrNotSupported, gate.Name)
 	}
@@ -121,7 +129,7 @@ func (d *SimDevice) lowerGate(s *pulse.Schedule, gate *waveform.Gate, params []f
 			return s.Append(&pulse.ShiftPhase{Port: port, Frame: port + "-frame", Phase: p.Value})
 		case waveform.PulseDrive:
 			site := sites[p.Qubit]
-			w, err := d.piEnvelope(site)
+			w, err := d.piEnvelope(cal, site)
 			if err == nil {
 				w, err = w.Scale(complex(p.Value, 0))
 			}
@@ -131,7 +139,7 @@ func (d *SimDevice) lowerGate(s *pulse.Schedule, gate *waveform.Gate, params []f
 			port := d.drivePort[site]
 			return s.Append(&pulse.Play{Port: port, Frame: port + "-frame", Waveform: w})
 		default: // waveform.PulseCZ
-			return d.appendCZ(s, sites[0], sites[1])
+			return d.appendCZ(cal, s, sites[0], sites[1])
 		}
 	})
 }
@@ -139,16 +147,16 @@ func (d *SimDevice) lowerGate(s *pulse.Schedule, gate *waveform.Gate, params []f
 // piEnvelope returns the site's calibrated π envelope — the samples
 // DefaultPulse("x") carries, without the round trip through a PulseImpl when
 // nobody replaced the device's own.
-func (d *SimDevice) piEnvelope(site int) (*waveform.Waveform, error) {
-	if impl := d.customPulse("x", []int{site}); impl != nil {
+func (d *SimDevice) piEnvelope(cal *calibration, site int) (*waveform.Waveform, error) {
+	if impl := cal.pulse("x", []int{site}); impl != nil {
 		return impl.Envelope(site)
 	}
-	return d.gateEnvelope(d.CalibratedPiAmplitude(site))
+	return d.gateEnvelope(cal.piAmp[site])
 }
 
 // appendCZ plays the pair's cz implementation on the coupler, its barriers
 // spanning the two drive ports and the coupler.
-func (d *SimDevice) appendCZ(s *pulse.Schedule, a, b int) error {
+func (d *SimDevice) appendCZ(cal *calibration, s *pulse.Schedule, a, b int) error {
 	if a > b {
 		a, b = b, a
 	}
@@ -156,9 +164,12 @@ func (d *SimDevice) appendCZ(s *pulse.Schedule, a, b int) error {
 	if !ok {
 		return fmt.Errorf("%w: sites %d,%d are not coupled", qdmi.ErrNotSupported, a, b)
 	}
-	impl, err := d.DefaultPulse("cz", []int{a, b})
-	if err != nil {
-		return err
+	impl := cal.pulse("cz", []int{a, b})
+	if impl == nil {
+		var err error
+		if impl, err = d.synthesizePulse(cal, "cz", []int{a, b}); err != nil {
+			return err
+		}
 	}
 	group := []string{d.drivePort[a], d.drivePort[b], cp}
 	for _, st := range impl.Steps {
@@ -238,28 +249,28 @@ const preparedCap = 32
 // Identity, not content, is the key: the holders that resubmit a program —
 // the lowering cache, a server connection's program store — keep one
 // module per program and never write to it, and hashing the content per
-// job would cost what the store saves. An entry is current only while
-// epoch and engine are still the device's own, which prepared checks by
-// comparison at look-up: nothing that moves the calibration or the true
-// physics has to know the store exists. The entry keeps its module and its
-// engine reachable, so neither address can be reused while it could match.
+// job would cost what the store saves. An entry is current while the
+// calibration it was linked against and its engine are still the device's
+// own, which prepared checks by pointer comparison: nothing that moves either
+// has to know the store exists. The entry keeps all three pointers
+// reachable, so no address can be reused while it could match.
 type preparedProgram struct {
 	mod    *qir.Module
-	epoch  int64
+	calib  *calibration
 	engine *simq.Executor
 	prog   *simq.Program
 }
 
 // prepared returns the module's prepared program under the device's current
-// calibration epoch and engine, preparing and storing it when the store has
-// none that is current.
+// calibration and engine, preparing and storing it when the store has none
+// that is current.
 func (d *SimDevice) prepared(mod *qir.Module) (*simq.Program, error) {
 	d.mu.Lock()
 	engine, err := d.executorLocked()
-	epoch := d.calibEpoch
+	cal := d.calib.Load()
 	var prog *simq.Program
 	if i := slices.IndexFunc(d.programs[:], func(p preparedProgram) bool {
-		return p.mod == mod && p.epoch == epoch && p.engine == engine
+		return p.mod == mod && p.calib == cal && p.engine == engine
 	}); i >= 0 {
 		prog = d.programs[i].prog
 	}
@@ -268,10 +279,11 @@ func (d *SimDevice) prepared(mod *qir.Module) (*simq.Program, error) {
 		return prog, err
 	}
 
-	// epoch and engine were read before the tables are: a calibration write
-	// or AdvanceTime racing this link leaves an entry that already fails the
-	// comparison above, never a stale one that passes it.
-	sched, err := d.BuildScheduleForPayload(mod)
+	binding, err := d.binding(cal, mod.PortNames)
+	if err != nil {
+		return nil, err
+	}
+	sched, err := qir.BuildSchedule(mod, binding)
 	if err != nil {
 		return nil, err
 	}
@@ -284,13 +296,13 @@ func (d *SimDevice) prepared(mod *qir.Module) (*simq.Program, error) {
 	}
 
 	d.mu.Lock()
-	d.programs[d.nextProgram] = preparedProgram{mod: mod, epoch: epoch, engine: engine, prog: prog}
+	d.programs[d.nextProgram] = preparedProgram{mod: mod, calib: cal, engine: engine, prog: prog}
 	d.nextProgram = (d.nextProgram + 1) % preparedCap
-	// The epoch only grows and a dropped engine never comes back, so an
-	// entry of another epoch or engine can never match again: let go of it,
-	// and the store pins no engine but the current one.
+	// A replaced calibration or a dropped engine never comes back, so an
+	// entry holding another can never match again: let go of it, and the
+	// store pins no calibration or engine but the current ones.
 	for i := range d.programs {
-		if p := &d.programs[i]; p.epoch != d.calibEpoch || p.engine != d.engine {
+		if p := &d.programs[i]; p.calib != d.calib.Load() || p.engine != d.engine {
 			*p = preparedProgram{}
 		}
 	}
@@ -304,11 +316,6 @@ func (d *SimDevice) prepared(mod *qir.Module) (*simq.Program, error) {
 // d.mu.
 func (d *SimDevice) trueModel() (*simq.SystemModel, error) {
 	ampScale := 1 + d.drift.ampScale.x
-	trueFreqs := make([]float64, len(d.cfg.Sites))
-	for i, s := range d.cfg.Sites {
-		trueFreqs[i] = s.FreqHz + d.drift.freqOffsetHz[i].x
-	}
-
 	dims := make([]int, len(d.cfg.Sites))
 	for i, s := range d.cfg.Sites {
 		dims[i] = s.Dim
@@ -320,9 +327,10 @@ func (d *SimDevice) trueModel() (*simq.SystemModel, error) {
 	var channels []*simq.ControlChannel
 	var collapses []simq.Collapse
 	for i, s := range d.cfg.Sites {
+		trueFreq := s.FreqHz + d.drift.freqOffsetHz[i].x
 		channels = append(channels,
-			simq.TransmonDriveChannel(d.drivePort[i], dims, i, d.cfg.DriveRabiHz*ampScale, trueFreqs[i]),
-			simq.TransmonDriveChannel(d.readPort[i], dims, i, readoutStimulusRabiHz, trueFreqs[i]),
+			simq.TransmonDriveChannel(d.drivePort[i], dims, i, d.cfg.DriveRabiHz*ampScale, trueFreq),
+			simq.TransmonDriveChannel(d.readPort[i], dims, i, readoutStimulusRabiHz, trueFreq),
 		)
 		collapses = append(collapses, simq.RelaxationCollapses(dims, i, s.T1Seconds, s.T2Seconds)...)
 	}

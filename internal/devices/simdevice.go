@@ -2,13 +2,15 @@ package devices
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mqsspulse/internal/pulse"
@@ -42,19 +44,8 @@ type SimDevice struct {
 	// see preparedProgram for what makes an entry current.
 	programs    [preparedCap]preparedProgram
 	nextProgram int
-	// Calibration table: what the control electronics believe.
-	calibFreqHz []float64 //mqss:calibrated
-	calibPiAmp  []float64 //mqss:calibrated
-	// calibReadoutFid is the believed per-site assignment fidelity; the
-	// readout-calibration routine writes measured values back here.
-	calibReadoutFid []float64                  //mqss:calibrated
-	customPulses    map[string]*qdmi.PulseImpl //mqss:calibrated
-	// calibEpoch implements the qdmi.DevicePropCalibrationEpoch bump
-	// contract: every calibration mutation (the four setters below and
-	// SetPulseImpl) increments it, invalidating payloads compiled against
-	// the previous calibration.
-	calibEpoch int64 //mqss:epoch
-	nextJob    int
+	calib       atomic.Pointer[calibration] // what the control electronics believe
+	nextJob     int
 	// jobOverhead models fixed control-electronics wall-clock per job
 	// (arming, waveform upload, readout transfer); zero disables it.
 	jobOverhead time.Duration
@@ -102,9 +93,7 @@ func New(cfg Config) (*SimDevice, error) {
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		jobRng:       rand.New(rand.NewSource(cfg.Seed + 2)),
 		drift:        newDriftState(&cfg),
-		customPulses: map[string]*qdmi.PulseImpl{},
 		couplePort:   map[[2]int]string{},
-		calibEpoch:   1, // a fresh device is at its first calibration
 		names:        newDeviceNames(cfg.Name),
 		readoutSites: make(map[int]simq.ReadoutSite, len(cfg.Sites)),
 	}
@@ -112,6 +101,7 @@ func New(cfg Config) (*SimDevice, error) {
 		p := 1 - d.trueReadoutFidelity(site)
 		return p, p
 	}
+	first := calibration{pulses: map[string]*qdmi.PulseImpl{}} // believed = true nominal
 	for i, s := range cfg.Sites {
 		if s.Dim < 2 {
 			return nil, fmt.Errorf("devices: site %d has dim %d", i, s.Dim)
@@ -119,10 +109,8 @@ func New(cfg Config) (*SimDevice, error) {
 		if s.ReadoutFidelity != 0 && (s.ReadoutFidelity < 0.5 || s.ReadoutFidelity > 1) {
 			return nil, fmt.Errorf("devices: site %d readout fidelity %g outside [0.5, 1]", i, s.ReadoutFidelity)
 		}
-		d.calibFreqHz = append(d.calibFreqHz, s.FreqHz)
-	}
-	for i, s := range cfg.Sites {
-		d.calibReadoutFid = append(d.calibReadoutFid, d.trueReadoutFidelity(i))
+		first.freqHz = append(first.freqHz, s.FreqHz)
+		first.readoutFid = append(first.readoutFid, d.trueReadoutFidelity(i))
 		// Drifting fidelity is not modeled, so the readout model never moves.
 		d.readoutSites[i] = simq.ReadoutSite{Fidelity: d.trueReadoutFidelity(i), T1Seconds: s.T1Seconds}
 	}
@@ -133,9 +121,8 @@ func New(cfg Config) (*SimDevice, error) {
 	if ampPi > 1 {
 		return nil, fmt.Errorf("devices: config %q cannot reach a π pulse (need amp %.3g)", cfg.Name, ampPi)
 	}
-	for range cfg.Sites {
-		d.calibPiAmp = append(d.calibPiAmp, ampPi)
-	}
+	first.piAmp = slices.Repeat([]float64{ampPi}, len(cfg.Sites))
+	d.recalibrate(func(c *calibration) { *c = first }) // epoch 0 → 1
 	d.buildPorts()
 	return d, nil
 }
@@ -165,29 +152,20 @@ func (d *SimDevice) buildPorts() {
 	if gran == 0 {
 		gran = 1
 	}
+	// add appends a port to the table and returns its ID.
+	add := func(id string, kind pulse.PortKind, sites ...int) string {
+		d.ports = append(d.ports, &pulse.Port{
+			ID: id, Kind: kind, Sites: sites, SampleRateHz: d.cfg.SampleRateHz, Granularity: gran,
+			MinSamples: d.cfg.MinSamples, MaxSamples: d.cfg.MaxSamples, MaxAmplitude: 1.0,
+		})
+		return id
+	}
 	for i := range d.cfg.Sites {
-		dp := &pulse.Port{
-			ID: fmt.Sprintf("q%d-drive", i), Kind: pulse.PortDrive, Sites: []int{i},
-			SampleRateHz: d.cfg.SampleRateHz, Granularity: gran,
-			MinSamples: d.cfg.MinSamples, MaxSamples: d.cfg.MaxSamples, MaxAmplitude: 1.0,
-		}
-		rp := &pulse.Port{
-			ID: fmt.Sprintf("q%d-readout", i), Kind: pulse.PortReadout, Sites: []int{i},
-			SampleRateHz: d.cfg.SampleRateHz, Granularity: gran,
-			MinSamples: d.cfg.MinSamples, MaxSamples: d.cfg.MaxSamples, MaxAmplitude: 1.0,
-		}
-		d.ports = append(d.ports, dp, rp)
-		d.drivePort = append(d.drivePort, dp.ID)
-		d.readPort = append(d.readPort, rp.ID)
+		d.drivePort = append(d.drivePort, add(fmt.Sprintf("q%d-drive", i), pulse.PortDrive, i))
+		d.readPort = append(d.readPort, add(fmt.Sprintf("q%d-readout", i), pulse.PortReadout, i))
 	}
 	for _, c := range d.cfg.Couplings {
-		cp := &pulse.Port{
-			ID: fmt.Sprintf("q%dq%d-coupler", c.A, c.A+1), Kind: pulse.PortCoupler,
-			Sites: []int{c.A, c.A + 1}, SampleRateHz: d.cfg.SampleRateHz, Granularity: gran,
-			MinSamples: d.cfg.MinSamples, MaxSamples: d.cfg.MaxSamples, MaxAmplitude: 1.0,
-		}
-		d.ports = append(d.ports, cp)
-		d.couplePort[[2]int{c.A, c.A + 1}] = cp.ID
+		d.couplePort[[2]int{c.A, c.A + 1}] = add(fmt.Sprintf("q%dq%d-coupler", c.A, c.A+1), pulse.PortCoupler, c.A, c.A+1)
 	}
 }
 
@@ -243,28 +221,52 @@ func (d *SimDevice) TrueAmpScale() float64 {
 	return 1 + d.drift.ampScale.x
 }
 
-// CalibratedFrequency returns the believed transition frequency of a site.
-func (d *SimDevice) CalibratedFrequency(site int) float64 {
+// calibration is what the control electronics believe at one epoch: per-site
+// frequency, π amplitude and assignment fidelity, and the installed pulse
+// implementations by implKey. Nothing writes a published value, so a reader
+// that loads the pointer once sees one epoch, and the pointer names it.
+type calibration struct {
+	epoch                     int64
+	freqHz, piAmp, readoutFid []float64
+	pulses                    map[string]*qdmi.PulseImpl
+}
+
+// recalibrate is the one writer of a device's calibration — the whole
+// qdmi.DevicePropCalibrationEpoch bump contract: it publishes a copy of the
+// current value with edit applied, one epoch later.
+func (d *SimDevice) recalibrate(edit func(c *calibration)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.calibFreqHz[site]
+	var next calibration
+	if cur := d.calib.Load(); cur != nil {
+		next = calibration{cur.epoch, slices.Clone(cur.freqHz), slices.Clone(cur.piAmp),
+			slices.Clone(cur.readoutFid), maps.Clone(cur.pulses)}
+	}
+	edit(&next)
+	next.epoch++
+	d.calib.Store(&next)
 }
+
+// pulse returns the implementation SetPulseImpl installed for op on sites,
+// or nil — the look-up DefaultPulse and link-time gate lowering both make
+// first, so a payload lowered on the device and one lowered by the compiler
+// play the same pulse.
+func (c *calibration) pulse(op string, sites []int) *qdmi.PulseImpl {
+	var buf [32]byte
+	return c.pulses[string(implKey(buf[:0], op, sites))]
+}
+
+// CalibratedFrequency returns the believed transition frequency of a site.
+func (d *SimDevice) CalibratedFrequency(site int) float64 { return d.calib.Load().freqHz[site] }
 
 // CalibrationEpoch returns the device's current calibration epoch (the
 // value QDMI reports through DevicePropCalibrationEpoch).
-func (d *SimDevice) CalibrationEpoch() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.calibEpoch
-}
+func (d *SimDevice) CalibrationEpoch() int64 { return d.calib.Load().epoch }
 
 // SetCalibratedFrequency updates the calibration table (what Ramsey-style
 // routines write back).
 func (d *SimDevice) SetCalibratedFrequency(site int, hz float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.calibFreqHz[site] = hz
-	d.calibEpoch++
+	d.recalibrate(func(c *calibration) { c.freqHz[site] = hz })
 }
 
 // trueReadoutFidelity returns the physical per-site assignment fidelity:
@@ -279,34 +281,22 @@ func (d *SimDevice) trueReadoutFidelity(site int) float64 {
 // CalibratedReadoutFidelity returns the believed assignment fidelity of a
 // site — what QDMI site queries report.
 func (d *SimDevice) CalibratedReadoutFidelity(site int) float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.calibReadoutFid[site]
+	return d.calib.Load().readoutFid[site]
 }
 
 // SetCalibratedReadoutFidelity updates the calibration table (what the
 // readout-calibration routine writes back after training a discriminator).
 func (d *SimDevice) SetCalibratedReadoutFidelity(site int, f float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.calibReadoutFid[site] = f
-	d.calibEpoch++
+	d.recalibrate(func(c *calibration) { c.readoutFid[site] = f })
 }
 
 // CalibratedPiAmplitude returns the believed full-π pulse amplitude.
-func (d *SimDevice) CalibratedPiAmplitude(site int) float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.calibPiAmp[site]
-}
+func (d *SimDevice) CalibratedPiAmplitude(site int) float64 { return d.calib.Load().piAmp[site] }
 
 // SetCalibratedPiAmplitude updates the calibration table (what Rabi-style
 // routines write back).
 func (d *SimDevice) SetCalibratedPiAmplitude(site int, amp float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.calibPiAmp[site] = amp
-	d.calibEpoch++
+	d.recalibrate(func(c *calibration) { c.piAmp[site] = amp })
 }
 
 // QueryDeviceProperty implements qdmi.Device.
@@ -394,7 +384,7 @@ func (d *SimDevice) QuerySiteProperty(site int, p qdmi.SiteProperty) (any, error
 				out = append(out, c.A)
 			}
 		}
-		sort.Ints(out)
+		slices.Sort(out)
 		return out, nil
 	default:
 		return nil, qdmi.ErrNotSupported
@@ -413,33 +403,32 @@ func nativeGates() []string {
 	return names
 }
 
-// Operations implements qdmi.Device.
+// Operations implements qdmi.Device: each name once, however many site
+// tuples carry it and whether or not it is also a native gate.
 func (d *SimDevice) Operations() []string {
 	ops := append(nativeGates(), "measure")
-	d.mu.Lock()
-	for k := range d.customPulses {
-		ops = append(ops, customOpName(k))
+	for key := range d.calib.Load().pulses {
+		op, _, _ := strings.Cut(key, "@") // an implKey
+		ops = append(ops, op)
 	}
-	d.mu.Unlock()
-	sort.Strings(ops)
-	return ops
+	slices.Sort(ops)
+	return slices.Compact(ops)
 }
 
-// QueryOperationProperty implements qdmi.Device.
+// QueryOperationProperty implements qdmi.Device; a gate's duration follows
+// from its row of the gate table.
 func (d *SimDevice) QueryOperationProperty(op string, sites []int, p qdmi.OperationProperty) (any, error) {
 	switch p {
 	case qdmi.OpPropDurationSeconds:
-		dt := 1 / d.cfg.SampleRateHz
-		switch op {
-		case "z", "s", "t", "rz":
-			return 0.0, nil // virtual
-		case "cz", "cx":
-			return float64(d.czSamples()) * dt, nil
-		case "measure":
-			return float64(d.cfg.ReadoutSamples) * dt, nil
-		default:
-			return float64(d.cfg.GateSamples) * dt, nil
+		n, g := int64(d.cfg.GateSamples), waveform.GateByName(op)
+		if _, virtual := g.Virtual(); virtual {
+			n = 0
+		} else if g.PlaysCZ() {
+			n = int64(d.czSamples())
+		} else if op == "measure" {
+			n = d.cfg.ReadoutSamples
 		}
+		return float64(n) * (1 / d.cfg.SampleRateHz), nil
 	case qdmi.OpPropFidelity:
 		return d.estimateGateFidelity(op, sites), nil
 	case qdmi.OpPropArity:
@@ -453,10 +442,8 @@ func (d *SimDevice) QueryOperationProperty(op string, sites []int, p qdmi.Operat
 		}
 		return 0, nil
 	case qdmi.OpPropHasPulseImpl:
-		if _, err := d.DefaultPulse(op, sites); err != nil {
-			return false, nil
-		}
-		return true, nil
+		_, err := d.DefaultPulse(op, sites)
+		return err == nil, nil
 	default:
 		return nil, qdmi.ErrNotSupported
 	}
@@ -466,8 +453,6 @@ func (d *SimDevice) QueryOperationProperty(op string, sites []int, p qdmi.Operat
 // QDMI: the coherent infidelity from frequency miscalibration and amplitude
 // drift. (Decoherence contributions are visible in job results instead.)
 func (d *SimDevice) estimateGateFidelity(op string, sites []int) float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	site := 0
 	if len(sites) > 0 {
 		site = sites[0]
@@ -475,23 +460,20 @@ func (d *SimDevice) estimateGateFidelity(op string, sites []int) float64 {
 	if site < 0 || site >= len(d.cfg.Sites) {
 		return 0
 	}
-	switch op {
-	case "z", "s", "t", "rz":
-		return 1.0 // virtual gates are exact
+	if _, virtual := waveform.GateByName(op).Virtual(); virtual {
+		return 1.0
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	// Detuning error relative to effective Rabi frequency during the gate.
-	detune := d.calibFreqHz[site] - (d.cfg.Sites[site].FreqHz + d.drift.freqOffsetHz[site].x)
+	detune := d.CalibratedFrequency(site) - (d.cfg.Sites[site].FreqHz + d.drift.freqOffsetHz[site].x)
 	gateT := float64(d.cfg.GateSamples) / d.cfg.SampleRateHz
 	omega := math.Pi / gateT // average angular speed of a π pulse
 	off := 2 * math.Pi * detune / (2 * omega)
 	infidDetune := off * off
 	ampErr := d.drift.ampScale.x
 	infidAmp := (math.Pi * math.Pi / 4) * ampErr * ampErr
-	f := 1 - infidDetune - infidAmp
-	if f < 0 {
-		return 0
-	}
-	return f
+	return max(0, 1-infidDetune-infidAmp)
 }
 
 // Ports implements qdmi.Device.
@@ -524,11 +506,6 @@ func (d *SimDevice) QueryPortProperty(portID string, p qdmi.PortProperty) (any, 
 	}
 }
 
-func customOpName(key string) string {
-	op, _, _ := strings.Cut(key, "@")
-	return op
-}
-
 // implKey spells (op, site tuple) as a map key — "cz@0,1," — without fmt,
 // so the look-up every DefaultPulse and every link-time drive starts with
 // allocates nothing.
@@ -541,12 +518,19 @@ func implKey(buf []byte, op string, sites []int) []byte {
 }
 
 // DefaultPulse implements qdmi.Device: it returns the calibrated pulse
-// implementation of an operation, synthesized on demand from the current
-// calibration table.
+// implementation of an operation — the installed one, as a copy the caller
+// may edit, or one synthesized from the current calibration table.
 func (d *SimDevice) DefaultPulse(op string, sites []int) (*qdmi.PulseImpl, error) {
-	if impl := d.customPulse(op, sites); impl != nil {
-		return impl, nil
+	cal := d.calib.Load()
+	if impl := cal.pulse(op, sites); impl != nil {
+		return impl.Clone(), nil
 	}
+	return d.synthesizePulse(cal, op, sites)
+}
+
+// synthesizePulse builds the device's own implementation of op from the
+// calibration cal.
+func (d *SimDevice) synthesizePulse(cal *calibration, op string, sites []int) (*qdmi.PulseImpl, error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("%w: DefaultPulse needs a site tuple", qdmi.ErrInvalidArgument)
 	}
@@ -554,9 +538,14 @@ func (d *SimDevice) DefaultPulse(op string, sites []int) (*qdmi.PulseImpl, error
 	if site < 0 || site >= len(d.cfg.Sites) {
 		return nil, fmt.Errorf("%w: site %d", qdmi.ErrInvalidArgument, site)
 	}
+	if theta, virtual := waveform.GateByName(op).Virtual(); virtual {
+		return &qdmi.PulseImpl{Operation: op, Steps: []qdmi.PulseStep{
+			{Kind: "shift_phase", PortRole: "drive0", PhaseRad: theta},
+		}}, nil
+	}
 	switch op {
 	case "x", "sx":
-		amp := d.CalibratedPiAmplitude(site)
+		amp := cal.piAmp[site]
 		if op == "sx" {
 			amp /= 2
 		}
@@ -567,11 +556,6 @@ func (d *SimDevice) DefaultPulse(op string, sites []int) (*qdmi.PulseImpl, error
 		spec := w.ToSpec()
 		return &qdmi.PulseImpl{Operation: op, Steps: []qdmi.PulseStep{
 			{Kind: "play", PortRole: "drive0", Waveform: &spec},
-		}}, nil
-	case "rz", "z", "s", "t":
-		theta := map[string]float64{"z": math.Pi, "s": math.Pi / 2, "t": math.Pi / 4, "rz": 0}[op]
-		return &qdmi.PulseImpl{Operation: op, Steps: []qdmi.PulseStep{
-			{Kind: "shift_phase", PortRole: "drive0", PhaseRad: theta},
 		}}, nil
 	case "cz":
 		if len(sites) != 2 {
@@ -597,30 +581,16 @@ func (d *SimDevice) DefaultPulse(op string, sites []int) (*qdmi.PulseImpl, error
 	}
 }
 
-// customPulse returns the implementation SetPulseImpl installed for op on
-// sites, or nil: the look-up DefaultPulse and link-time gate lowering both
-// make first, so a payload lowered on the device and one lowered by the
-// compiler play the same pulse.
-func (d *SimDevice) customPulse(op string, sites []int) *qdmi.PulseImpl {
-	var buf [32]byte
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.customPulses[string(implKey(buf[:0], op, sites))]
-}
-
 // SetPulseImpl implements qdmi.Device: experts can install custom
 // operations defined by their pulse waveforms (paper Section 5.2 footnote:
-// extending a device's native gate set).
+// extending a device's native gate set). Installing is a recalibration, of a
+// copy: the caller's later edits to impl reach no pulse.
 func (d *SimDevice) SetPulseImpl(op string, sites []int, impl *qdmi.PulseImpl) error {
 	if err := impl.Validate(); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.customPulses[string(implKey(nil, op, sites))] = impl
-	// Installing or overriding an implementation changes what DefaultPulse
-	// answers, so it participates in the epoch bump contract.
-	d.calibEpoch++
+	key, kept := string(implKey(nil, op, sites)), impl.Clone()
+	d.recalibrate(func(c *calibration) { c.pulses[key] = kept })
 	return nil
 }
 
@@ -644,19 +614,11 @@ func (d *SimDevice) czSamples() int {
 // czWaveform synthesizes the coupler pulse whose area implements phase π on
 // |11⟩ for the pair's coupling strength.
 func (d *SimDevice) czWaveform(a, b int) (*waveform.Waveform, error) {
-	key := [2]int{a, b}
-	if _, ok := d.couplePort[key]; !ok {
+	i := slices.IndexFunc(d.cfg.Couplings, func(c CouplingConfig) bool { return c.A == a && c.A+1 == b })
+	if i < 0 {
 		return nil, fmt.Errorf("%w: no coupler between sites %d,%d", qdmi.ErrNotSupported, a, b)
 	}
-	var cc *CouplingConfig
-	for i := range d.cfg.Couplings {
-		if d.cfg.Couplings[i].A == a {
-			cc = &d.cfg.Couplings[i]
-		}
-	}
-	if cc == nil {
-		return nil, fmt.Errorf("%w: no coupling config for %d,%d", qdmi.ErrNotSupported, a, b)
-	}
+	cc := d.cfg.Couplings[i]
 	n := d.czSamples()
 	base, err := waveform.GaussianSquare{Amplitude: 1.0, RiseFrac: 0.1}.Materialize("czpulse", n)
 	if err != nil {

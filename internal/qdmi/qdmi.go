@@ -10,6 +10,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qir"
@@ -297,6 +299,20 @@ func (pi *PulseImpl) Envelope(site int) (*waveform.Waveform, error) {
 			ErrNotSupported, pi.Operation, site)
 	}
 	return pi.Steps[0].Waveform.Materialize()
+}
+
+// Clone returns a deep copy of the implementation: its steps and each play's
+// waveform spec, samples and parameters included.
+func (pi *PulseImpl) Clone() *PulseImpl {
+	c := &PulseImpl{Operation: pi.Operation, Steps: slices.Clone(pi.Steps)}
+	for i, st := range c.Steps {
+		if w := st.Waveform; w != nil {
+			cw := *w
+			cw.Samples, cw.Params = slices.Clone(w.Samples), maps.Clone(w.Params)
+			c.Steps[i].Waveform = &cw
+		}
+	}
+	return c
 }
 
 // Validate checks structural sanity of a pulse implementation.

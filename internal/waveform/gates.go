@@ -1,6 +1,9 @@
 package waveform
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Gate is one row of the stack's gate table: the one place a gate's name,
 // shape, exchange-format callee and meaning in pulses are declared. The QPI's
@@ -81,6 +84,27 @@ func GateByQIS(callee string) *Gate {
 // HasLowering reports whether the gate decomposes into pulses; one that does
 // not fails with the device's "not supported" wherever it would be played.
 func (g *Gate) HasLowering() bool { return g.steps != nil }
+
+// Virtual reports whether g only shifts frames — it takes no time and is
+// exact — and the phase its row shifts by (0 for rz, whose angle is its
+// parameter). No gate (a nil row) is not virtual.
+func (g *Gate) Virtual() (phase float64, ok bool) {
+	if g == nil || !g.HasLowering() {
+		return 0, false
+	}
+	for _, st := range g.steps {
+		if st.kind != PulseShiftPhase {
+			return 0, false
+		}
+		phase += st.angle
+	}
+	return phase, true
+}
+
+// PlaysCZ reports whether g's lowering plays a cz; no gate (a nil row) does.
+func (g *Gate) PlaysCZ() bool {
+	return g != nil && slices.ContainsFunc(g.steps, func(st gateStep) bool { return st.kind == PulseCZ })
+}
 
 // PulseKind names the three primitives every gate lowers to.
 type PulseKind int

@@ -122,17 +122,10 @@ func covers(names []string, analyzer string) bool {
 }
 
 // FuncMarked reports whether fn's doc comment (or a comment group ending
-// on the line above the declaration) contains the given //mqss: marker.
-// Markers are the analyzers' opt-in contract surface: //mqss:hotloop on a
-// function, //mqss:calibrated or //mqss:epoch on a struct field.
+// on the line above the declaration) contains the given //mqss: marker —
+// the analyzers' opt-in contract surface, e.g. //mqss:hotloop.
 func FuncMarked(fn *ast.FuncDecl, marker string) bool {
 	return commentGroupHas(fn.Doc, marker)
-}
-
-// FieldMarked reports whether a struct field's doc or line comment
-// carries the given //mqss: marker.
-func FieldMarked(f *ast.Field, marker string) bool {
-	return commentGroupHas(f.Doc, marker) || commentGroupHas(f.Comment, marker)
 }
 
 func commentGroupHas(g *ast.CommentGroup, marker string) bool {

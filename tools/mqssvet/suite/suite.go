@@ -8,7 +8,6 @@ import (
 	"mqsspulse/tools/mqssvet/analyzers/ctxcancel"
 	"mqsspulse/tools/mqssvet/analyzers/ctxflow"
 	"mqsspulse/tools/mqssvet/analyzers/doccomment"
-	"mqsspulse/tools/mqssvet/analyzers/epochbump"
 	"mqsspulse/tools/mqssvet/analyzers/goleak"
 	"mqsspulse/tools/mqssvet/analyzers/hotalloc"
 	"mqsspulse/tools/mqssvet/analyzers/lockorder"
@@ -19,7 +18,6 @@ import (
 // PR 10 CFG-backed concurrency checks (ctxcancel, lockorder, goleak)
 // sit with ctxflow.
 var All = []*analysis.Analyzer{
-	epochbump.Analyzer,
 	nodrift.Analyzer,
 	ctxflow.Analyzer,
 	ctxcancel.Analyzer,
