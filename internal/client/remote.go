@@ -353,7 +353,9 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 	})
 	var res *qdmi.Result
 	if err == nil {
-		res, err = tk.Wait(ctx)
+		if res, err = tk.Wait(ctx); err != nil {
+			<-tk.DoneCh() // the worker writes tl until the ticket resolves
+		}
 	}
 	if err != nil {
 		if errors.Is(err, qrm.ErrCancelled) && errors.Is(ctx.Err(), context.DeadlineExceeded) {

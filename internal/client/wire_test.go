@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,6 +19,7 @@ import (
 	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/qrm"
 	"mqsspulse/internal/readout"
+	"mqsspulse/internal/telemetry"
 )
 
 // recordingConn keeps every frame the adapter writes (one Write is one
@@ -472,6 +474,43 @@ func TestServerTimeoutMsIsATypedDeadline(t *testing.T) {
 	}
 	if err := errorFromWire(resp.ErrorKind, resp.Error); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("rebuilt error %v does not match context.DeadlineExceeded", err)
+	}
+}
+
+// TestServerTimeoutMsWhileRunning: when the shipped budget ends a job a
+// worker is already running, the handler answers only after the worker has
+// resolved the ticket, so the dispatch span it writes on the way out is in
+// the response and never read while being written (run under -race).
+func TestServerTimeoutMsWhileRunning(t *testing.T) {
+	c, _ := testStack(t)
+	release, entered := blockGate(c)
+	defer close(release)
+	srv := serveTest(t, c)
+	payload, _, err := c.Compile(bell(t), "hpcqc-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &programStore{byID: map[string]*ptemplate.Compiled{}}
+	if resp := srv.handleLine(requestLine(t, remoteRequest{Op: "register", ID: "p", Program: string(payload)}), store); resp.Error != "" {
+		t.Fatalf("register: %s", resp.Error)
+	}
+	// The gate holds the remote job itself: it is running on the worker
+	// when its deadline fires.
+	resp := srv.handleLine(requestLine(t, remoteRequest{Op: "submit", ID: "p", Device: "hpcqc-sc", Shots: 16, TimeoutMs: 80}), store)
+	select {
+	case <-entered:
+	default:
+		t.Fatal("the job never reached the device")
+	}
+	if resp.ErrorKind != "deadline_exceeded" {
+		t.Fatalf("timed-out job answered kind %q (%s), want deadline_exceeded", resp.ErrorKind, resp.Error)
+	}
+	var stages []string
+	for _, s := range resp.Spans {
+		stages = append(stages, s.Stage)
+	}
+	if !slices.Contains(stages, string(telemetry.StageDispatch)) {
+		t.Fatalf("response spans %v lack the worker's dispatch span", stages)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Driver is the QDMI driver entity: the bespoke orchestration layer that
@@ -53,7 +54,7 @@ func (d *Driver) OpenSession() *Session {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.nextSes++
-	return &Session{driver: d, id: d.nextSes, open: true}
+	return &Session{driver: d, id: d.nextSes}
 }
 
 // deviceNames returns the sorted registry keys.
@@ -74,8 +75,7 @@ func (d *Driver) deviceNames() []string {
 type Session struct {
 	driver *Driver
 	id     int
-	mu     sync.Mutex
-	open   bool
+	closed atomic.Bool
 }
 
 // ID returns the session identifier.
@@ -83,9 +83,7 @@ func (s *Session) ID() int { return s.id }
 
 // Devices lists the names of devices visible to this session.
 func (s *Session) Devices() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.open {
+	if s.closed.Load() {
 		return nil, fmt.Errorf("%w: session %d is closed", ErrInvalidArgument, s.id)
 	}
 	return s.driver.deviceNames(), nil
@@ -93,9 +91,7 @@ func (s *Session) Devices() ([]string, error) {
 
 // Device resolves a device by name.
 func (s *Session) Device(name string) (Device, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.open {
+	if s.closed.Load() {
 		return nil, fmt.Errorf("%w: session %d is closed", ErrInvalidArgument, s.id)
 	}
 	s.driver.mu.RLock()
@@ -108,8 +104,4 @@ func (s *Session) Device(name string) (Device, error) {
 }
 
 // Close releases the session. Further calls fail with ErrInvalidArgument.
-func (s *Session) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.open = false
-}
+func (s *Session) Close() { s.closed.Store(true) }

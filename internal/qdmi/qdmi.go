@@ -204,7 +204,11 @@ type JobOptions struct {
 	MeasReturn readout.MeasReturn
 	// Telemetry, when non-nil, receives the device-side execution spans
 	// (device-execute, readout-post) of the submitting job's trace; nil
-	// submissions run uninstrumented.
+	// submissions run uninstrumented. A device records onto it only before
+	// its job is terminal and only inside the job's Wait, on the waiter's
+	// goroutine (a NewRunOnWaitJob body), so the waiter stays its one
+	// writer. A job running on a goroutine of its own can outlive a
+	// cancelled waiter, so it records no spans (Registry() is atomic).
 	Telemetry *telemetry.Timeline
 	// TelemetryParent is the span the device-side spans nest under
 	// (the scheduler's dispatch span); zero attaches them at top level.

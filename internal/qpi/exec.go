@@ -176,10 +176,10 @@ type Handle interface {
 	// Cancel requests cancellation of the execution itself: queued work
 	// never starts; running work is aborted where the device supports it.
 	Cancel()
-	// Timeline returns the job's telemetry trace: the ordered lifecycle
-	// spans (compile, queue-wait, dispatch, device-execute, ...) recorded
-	// as the submission crossed the stack. Backends that record no
-	// telemetry return nil.
+	// Timeline returns the job's telemetry trace: the lifecycle spans
+	// (compile, queue-wait, dispatch, device-execute, ...) the stack
+	// records while the job runs, to be read once it is terminal.
+	// Backends that record no telemetry return nil.
 	Timeline() *telemetry.Timeline
 }
 

@@ -278,8 +278,8 @@ func TestNormalFinishNeverRunsCtxDone(t *testing.T) {
 	detached := false
 	stop := tk.stopCtxDone
 	tk.stopCtxDone = func() bool { detached = stop(); return detached }
-	if !tk.startRunning() || !tk.startDispatch() {
-		t.Fatal("fresh ticket refused dispatch")
+	if !tk.move(qdmi.JobQueued, qdmi.JobRunning, nil, nil) {
+		t.Fatal("fresh ticket refused to run")
 	}
 	tk.finish(&qdmi.Result{}, nil, qdmi.JobDone)
 	if !detached {
@@ -353,5 +353,80 @@ func TestDispatchSpanOnTimelineBeforeWaiterWakes(t *testing.T) {
 				t.Fatalf("waiter woke to %d dispatch spans, want 1", got.dispatch)
 			}
 		})
+	}
+}
+
+// orphanDevice is a blockingDevice whose jobs cannot abort and run on a
+// goroutine of their own. Released, a job publishes a metric through its
+// timeline's registry and then finishes — after its ticket resolved, if
+// the ticket was cancelled meanwhile. Such a job records no spans
+// (qdmi.JobOptions.Telemetry).
+type orphanDevice struct {
+	*blockingDevice
+	finished chan struct{} // closed once the job has finished
+}
+
+func (d orphanDevice) SubmitJobOpts(payload []byte, _ qdmi.ProgramFormat, opts qdmi.JobOptions) (qdmi.Job, error) {
+	d.mu.Lock()
+	d.order = append(d.order, string(payload))
+	d.mu.Unlock()
+	j := qdmi.NewAsyncJob("orphan")
+	go func() {
+		defer close(d.finished)
+		j.Start()
+		<-d.release
+		opts.Telemetry.Registry().Add("orphan/finished", 1)
+		j.Finish(&qdmi.Result{Shots: opts.Shots})
+	}()
+	return struct{ qdmi.Job }{j}, nil
+}
+
+// TestOrphanedJobLeavesTheTimelineToItsReader cancels a job its device
+// cannot abort (run under -race in CI): the ticket resolves while the job
+// still runs, and the orphan then finishes and publishes to the registry
+// while the caller reads the timeline and the registry. Nothing races: the
+// worker wrote the timeline last, before done closed, and the orphan
+// touches only the registry's atomics.
+func TestOrphanedJobLeavesTheTimelineToItsReader(t *testing.T) {
+	drv := qdmi.NewDriver()
+	dev := orphanDevice{newBlockingDevice("qpu"), make(chan struct{})}
+	if err := drv.RegisterDevice(dev); err != nil {
+		t.Fatal(err)
+	}
+	s := New(drv.OpenSession())
+	defer s.Close()
+	reg := telemetry.NewRegistry()
+	tl := telemetry.NewTimeline("", reg)
+	tk, err := s.SubmitCtx(context.Background(), Request{
+		Device: "qpu", Payload: []byte("job"), Format: qdmi.FormatQIRBase, Shots: 1, Timeline: tl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(dev.executed()) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	tk.Cancel()
+	if _, err := tk.Wait(context.Background()); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+	close(dev.release)
+	for done := false; !done; {
+		select {
+		case <-dev.finished:
+			done = true
+		default:
+		}
+		stages := map[telemetry.Stage]int{}
+		for _, sp := range tl.Spans() {
+			stages[sp.Stage]++
+		}
+		if len(stages) != 2 || stages[telemetry.StageQueueWait] != 1 || stages[telemetry.StageDispatch] != 1 {
+			t.Fatalf("timeline after the ticket resolved = %v, want one queue-wait and one dispatch span", stages)
+		}
+		_ = reg.Snapshot()
+	}
+	if n := reg.Snapshot().Counters["orphan/finished"]; n != 1 {
+		t.Fatalf("orphan/finished = %d, want 1", n)
 	}
 }

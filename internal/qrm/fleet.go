@@ -9,13 +9,14 @@ package qrm
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"mqsspulse/internal/qdmi"
 )
 
 // deviceState is the scheduler's view of one device: its targeted queue,
-// its dispatch slots, and its membership in pools. All fields are guarded
-// by Scheduler.mu, except the two names, which never change.
+// its dispatch slots, and its membership in pools. Scheduler.mu guards all
+// but the two names, which never change, and the atomic dispatched.
 type deviceState struct {
 	name          string
 	queueWaitName string  // "queue_wait/device/<name>", spelled once
@@ -25,8 +26,8 @@ type deviceState struct {
 	workers  int // spawned worker goroutines (converges to slots)
 	inflight int // jobs currently held by a worker
 
-	dispatched int64 // jobs this device actually ran
-	stolen     int64 // jobs this device stole from pool siblings
+	dispatched atomic.Int64 // jobs this device actually ran
+	stolen     int64        // jobs this device stole from pool siblings
 
 	pools []*poolState // pools this device serves
 	// sources lists the queues the device drains without stealing: its own
@@ -275,9 +276,9 @@ func (s *Scheduler) Stats() Stats {
 	defer s.mu.Unlock()
 	st := Stats{
 		Submitted: s.n.submitted,
-		Completed: s.n.completed,
-		Failed:    s.n.failed,
-		Cancelled: s.n.cancelled,
+		Completed: s.n.completed.Load(),
+		Failed:    s.n.failed.Load(),
+		Cancelled: s.n.cancelled.Load(),
 		Rejected:  s.n.rejected,
 		Steals:    s.n.steals,
 		Devices:   make(map[string]DeviceStats, len(s.devices)),
@@ -293,7 +294,7 @@ func (s *Scheduler) Stats() Stats {
 			Inflight:    d.inflight,
 			Slots:       d.slots,
 			Utilization: u,
-			Dispatched:  d.dispatched,
+			Dispatched:  d.dispatched.Load(),
 			Stolen:      d.stolen,
 		}
 	}

@@ -149,7 +149,7 @@ func jobLess(a, b *queued) bool {
 type Scheduler struct {
 	session *qdmi.Session
 
-	mu sync.Mutex //mqss:lockrank 20
+	mu sync.Mutex
 	// cond is the fleet-wide wakeup: workers wait here for new work and
 	// every submission Broadcasts. Waking all idle workers is O(devices ×
 	// slots) per submit, but only idle workers are parked here — a busy
@@ -166,16 +166,27 @@ type Scheduler struct {
 	maxDepth int // per-target queued-job bound; 0 = unbounded
 	closed   bool
 
-	// Fleet-wide counters (per-device counters live on deviceState).
+	// Fleet-wide counters (per-device ones live on deviceState).
 	n struct {
-		submitted, completed, failed, cancelled int64
-		rejected, steals                        int64
+		submitted, rejected, steals  int64
+		completed, failed, cancelled atomic.Int64
 	}
 
-	// telem is the fleet metrics registry (see SetTelemetry): queue-wait
-	// histograms per device and pool, dispatch/steal counters. Atomic so
-	// the hot dispatch path reads it without taking s.mu.
-	telem atomic.Pointer[telemetry.Registry]
+	// metrics holds the fleet registry's handles (see SetTelemetry).
+	metrics atomic.Pointer[fleetMetrics]
+}
+
+// fleetMetrics are the "qrm/" counters of the registry reg, resolved once
+// per SetTelemetry so that a job bumps them with no lock held or taken.
+// With no registry every handle is nil, and a nil handle counts nothing.
+type fleetMetrics struct {
+	reg                                                         *telemetry.Registry
+	submitted, steals, dispatched, completed, failed, cancelled *telemetry.Counter
+}
+
+func newFleetMetrics(reg *telemetry.Registry) *fleetMetrics {
+	c := func(name string) *telemetry.Counter { return reg.Counter("qrm/" + name) }
+	return &fleetMetrics{reg, c("submitted"), c("steals"), c("dispatched"), c("completed"), c("failed"), c("cancelled")}
 }
 
 // New creates a scheduler over a QDMI session.
@@ -186,6 +197,7 @@ func New(session *qdmi.Session) *Scheduler {
 		pools:   map[string]*poolState{},
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.metrics.Store(newFleetMetrics(nil))
 	return s
 }
 
@@ -194,7 +206,7 @@ func New(session *qdmi.Session) *Scheduler {
 // and pool ("queue_wait/pool/<name>"), plus dispatch, steal, and outcome
 // counters under "qrm/". Nil disables. The client installs its registry
 // here so one snapshot covers cache, scheduler, and device stages.
-func (s *Scheduler) SetTelemetry(reg *telemetry.Registry) { s.telem.Store(reg) }
+func (s *Scheduler) SetTelemetry(reg *telemetry.Registry) { s.metrics.Store(newFleetMetrics(reg)) }
 
 // SubmitCtx enqueues a request bound to ctx and returns its ticket.
 // Cancelling ctx cancels the ticket: queued work never dispatches, and
@@ -261,9 +273,9 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error)
 	t := newTicket(ctx, s.nextID, req.Priority, s.nextSeq, req.Tag, req.Timeline)
 	heap.Push(target, &queued{ticket: t, req: req, pool: pool, enqueued: time.Now()})
 	s.n.submitted++
-	s.telem.Load().Add("qrm/submitted", 1)
 	s.cond.Broadcast() // any idle worker may be able to take or steal this
 	s.mu.Unlock()
+	s.metrics.Load().submitted.Add(1)
 	return t, nil
 }
 
@@ -293,7 +305,6 @@ func (s *Scheduler) worker(d *deviceState) {
 		if stolen {
 			d.stolen++
 			s.n.steals++
-			s.telem.Load().Add("qrm/steals", 1)
 		}
 		d.inflight++
 		if d.inflight >= d.slots && d.heap.Len() > 0 {
@@ -302,6 +313,9 @@ func (s *Scheduler) worker(d *deviceState) {
 			s.cond.Broadcast()
 		}
 		s.mu.Unlock()
+		if stolen {
+			s.metrics.Load().steals.Add(1)
+		}
 		s.runItem(d, item)
 		s.mu.Lock()
 		d.inflight--
@@ -351,7 +365,7 @@ func bestSource(sources []*jobHeap) *jobHeap {
 // runItem executes one dequeued job on device d: staleness gate, device
 // dispatch, and result/error/cancellation bookkeeping.
 func (s *Scheduler) runItem(d *deviceState, item *queued) {
-	if !item.ticket.startRunning() {
+	if !item.ticket.move(qdmi.JobQueued, qdmi.JobRunning, nil, nil) {
 		// Cancelled while queued: the ticket already resolved itself; the
 		// device never sees the job.
 		s.countCancelled()
@@ -363,12 +377,12 @@ func (s *Scheduler) runItem(d *deviceState, item *queued) {
 	// dispatch device and (for pool submissions) pool.
 	wait := time.Since(item.enqueued)
 	item.req.Timeline.Record(telemetry.StageQueueWait, d.name, item.enqueued, wait, 0)
-	reg := s.telem.Load()
-	reg.Observe(d.queueWaitName, wait)
+	m := s.metrics.Load()
+	m.reg.Observe(d.queueWaitName, wait)
 	if item.pool != nil {
-		reg.Observe(item.pool.queueWaitName, wait)
+		m.reg.Observe(item.pool.queueWaitName, wait)
 	}
-	item.ticket.setDevice(d.name)
+	item.ticket.device.Store(&d.name)
 	dev, err := s.session.Device(d.name)
 	if err != nil {
 		s.fail(item, err)
@@ -384,8 +398,8 @@ func (s *Scheduler) runItem(d *deviceState, item *queued) {
 		return
 	}
 	// A cancel that landed since the job left the queue still prevents
-	// dispatch.
-	if item.ticket.ctx.Err() != nil || !item.ticket.startDispatch() {
+	// dispatch; the ticket is running, so resolving it is this worker's job.
+	if item.ticket.ctx.Err() != nil {
 		s.cancelled(item)
 		return
 	}
@@ -404,10 +418,8 @@ func (s *Scheduler) runItem(d *deviceState, item *queued) {
 	case qdmi.JobCancelled:
 		s.cancelled(item)
 	case qdmi.JobDone:
-		s.mu.Lock()
-		s.n.completed++
-		s.mu.Unlock()
-		reg.Add("qrm/completed", 1)
+		s.n.completed.Add(1)
+		m.completed.Add(1)
 		item.ticket.finish(res, nil, qdmi.JobDone)
 	default: // JobFailed
 		s.fail(item, err)
@@ -425,10 +437,8 @@ func (s *Scheduler) dispatch(d *deviceState, dev qdmi.Device, item *queued, span
 	if err != nil {
 		return qdmi.JobFailed, nil, err
 	}
-	s.mu.Lock()
-	d.dispatched++
-	s.mu.Unlock()
-	s.telem.Load().Add("qrm/dispatched", 1)
+	d.dispatched.Add(1)
+	s.metrics.Load().dispatched.Add(1)
 	st := job.Wait(item.ticket.ctx)
 	if !st.Terminal() {
 		// The ticket was cancelled while a job the device runs on a thread
@@ -441,7 +451,9 @@ func (s *Scheduler) dispatch(d *deviceState, dev qdmi.Device, item *queued, span
 		}
 		if st = job.Status(); !st.Terminal() {
 			// The device cannot abort: the ticket resolves as cancelled
-			// and the orphaned job finishes unobserved, on that thread.
+			// and the orphaned job finishes unobserved, on that thread,
+			// recording no spans (qdmi.JobOptions.Telemetry): this worker
+			// stays the timeline's one writer.
 			st = qdmi.JobCancelled
 		}
 	}
@@ -540,10 +552,8 @@ func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi
 }
 
 func (s *Scheduler) fail(item *queued, err error) {
-	s.mu.Lock()
-	s.n.failed++
-	s.mu.Unlock()
-	s.telem.Load().Add("qrm/failed", 1)
+	s.n.failed.Add(1)
+	s.metrics.Load().failed.Add(1)
 	item.ticket.finish(nil, err, qdmi.JobFailed)
 }
 
@@ -553,10 +563,8 @@ func (s *Scheduler) cancelled(item *queued) {
 }
 
 func (s *Scheduler) countCancelled() {
-	s.mu.Lock()
-	s.n.cancelled++
-	s.mu.Unlock()
-	s.telem.Load().Add("qrm/cancelled", 1)
+	s.n.cancelled.Add(1)
+	s.metrics.Load().cancelled.Add(1)
 }
 
 // Close stops accepting jobs and shuts the workers down after their queues

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/telemetry"
@@ -31,15 +31,17 @@ type Ticket struct {
 	// onCtxDone may already be running when newTicket stores it.
 	stopCtxDone func() bool
 
-	mu     sync.Mutex //mqss:lockrank 30
-	status qdmi.JobStatus
-	// dispatching is set once the worker commits to handing the job to the
-	// device; from then on only the worker resolves the ticket.
-	dispatching bool
-	device      string // set at dispatch: the device the job was placed on
-	result      *qdmi.Result
-	err         error
-	done        chan struct{} // closed when the ticket reaches a terminal state
+	// state is the ticket's qdmi.JobStatus, changed only by move: queued →
+	// running by the worker that takes the job, queued → cancelled if ctx
+	// fires first, running → terminal by that worker alone, which is thus
+	// the job's one writer from dequeue to resolution, timeline included.
+	state  atomic.Int32
+	device atomic.Pointer[string] // the executing device's name, published at dispatch
+	// result and err are written by the move to a terminal state, before
+	// done closes.
+	result *qdmi.Result
+	err    error
+	done   chan struct{} // closed when the ticket reaches a terminal state
 }
 
 func newTicket(ctx context.Context, id int64, prio int, seq int64, tag string, tl *telemetry.Timeline) *Ticket {
@@ -47,13 +49,13 @@ func newTicket(ctx context.Context, id int64, prio int, seq int64, tag string, t
 	t := &Ticket{
 		id: id, priority: prio, seq: seq, tag: tag, timeline: tl,
 		ctx: tctx, cancelCtx: tcancel,
-		status: qdmi.JobQueued,
-		done:   make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	// When the submit context (or an explicit Cancel) fires, resolve a
-	// ticket the worker has not dispatched yet immediately, so waiters
-	// unblock and the worker skips it. A dispatched ticket is resolved by
-	// the worker, which waits on the device job under the same context.
+	// ticket no worker has taken yet immediately, so waiters unblock and the
+	// worker skips it. A running ticket is resolved by its worker, which
+	// checks the context before dispatch and waits on the device job under
+	// it.
 	t.stopCtxDone = context.AfterFunc(tctx, t.onCtxDone)
 	return t
 }
@@ -64,32 +66,22 @@ func (t *Ticket) ID() int64 { return t.id }
 // Tag returns the caller label given at submission.
 func (t *Ticket) Tag() string { return t.tag }
 
-// Timeline returns the job's telemetry trace (the Request.Timeline it was
-// submitted with), or nil for untraced work.
+// Timeline returns the job's telemetry trace — the Request.Timeline it was
+// submitted with, which the worker writes until DoneCh closes — or nil.
 func (t *Ticket) Timeline() *telemetry.Timeline { return t.timeline }
 
 // Status returns the ticket's lifecycle state without blocking.
-func (t *Ticket) Status() qdmi.JobStatus {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.status
-}
+func (t *Ticket) Status() qdmi.JobStatus { return qdmi.JobStatus(t.state.Load()) }
 
 // Device returns the name of the device the job was placed on: empty while
 // the ticket is still queued, then the executing device — which, for
 // pool-targeted or stolen work, may differ from the device named in the
 // request.
 func (t *Ticket) Device() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.device
-}
-
-// setDevice records the placement decision at dispatch time.
-func (t *Ticket) setDevice(name string) {
-	t.mu.Lock()
-	t.device = name
-	t.mu.Unlock()
+	if name := t.device.Load(); name != nil {
+		return *name
+	}
+	return ""
 }
 
 // Cancel requests cancellation: a queued ticket resolves immediately and
@@ -103,8 +95,6 @@ func (t *Ticket) Cancel() { t.cancelCtx() }
 func (t *Ticket) Wait(ctx context.Context) (*qdmi.Result, error) {
 	select {
 	case <-t.done:
-		t.mu.Lock()
-		defer t.mu.Unlock()
 		return t.result, t.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -118,9 +108,12 @@ func (t *Ticket) Done() bool { return t.Status().Terminal() }
 // state; use it to select over many tickets.
 func (t *Ticket) DoneCh() <-chan struct{} { return t.done }
 
-// onCtxDone resolves a not-yet-dispatched ticket when its context fires.
+// onCtxDone resolves a ticket still queued when its context fires (which
+// has released the context already).
 func (t *Ticket) onCtxDone() {
-	t.resolve(nil, t.cancelErr(), qdmi.JobCancelled, false)
+	if t.Status() == qdmi.JobQueued {
+		t.move(qdmi.JobQueued, qdmi.JobCancelled, nil, t.cancelErr())
+	}
 }
 
 // cancelErr builds the cancellation error, attaching the context cause so
@@ -132,54 +125,26 @@ func (t *Ticket) cancelErr() error {
 	return fmt.Errorf("qrm: job %d: %w", t.id, ErrCancelled)
 }
 
-// startRunning transitions queued → running; false means the ticket was
-// cancelled first and must not be dispatched.
-func (t *Ticket) startRunning() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.status != qdmi.JobQueued {
+// move is the ticket's one state transition: from → to, by compare-and-swap.
+// The move to a terminal state stores the outcome and then closes done, so
+// a woken waiter reads what its one winner wrote. It reports whether the
+// ticket moved.
+func (t *Ticket) move(from, to qdmi.JobStatus, r *qdmi.Result, err error) bool {
+	if !t.state.CompareAndSwap(int32(from), int32(to)) {
 		return false
 	}
-	t.status = qdmi.JobRunning
+	if to.Terminal() {
+		t.result, t.err = r, err
+		close(t.done)
+	}
 	return true
 }
 
-// startDispatch commits the ticket to the device round trip: false means it
-// resolved first (cancelled after leaving the queue) and must not be
-// dispatched.
-// Afterwards a fired context no longer resolves the ticket by itself — the
-// worker sees it end the device wait and calls finish once the dispatch span
-// is on the timeline, so no waiter wakes to a trace missing that span.
-func (t *Ticket) startDispatch() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.status.Terminal() {
-		return false
-	}
-	t.dispatching = true
-	return true
-}
-
-// finish is the worker's resolution of the ticket: it records the terminal
-// state once; later calls are no-ops.
+// finish is the worker's resolution of the running ticket it owns. It
+// detaches onCtxDone before releasing the context, so a job that simply
+// ends formats no cancellation nobody asked for.
 func (t *Ticket) finish(r *qdmi.Result, err error, status qdmi.JobStatus) {
-	t.resolve(r, err, status, true)
-}
-
-// resolve records the terminal state once and releases the ticket's context
-// resources. A resolution that does not come from the worker yields to a
-// dispatch in progress.
-func (t *Ticket) resolve(r *qdmi.Result, err error, status qdmi.JobStatus, worker bool) {
-	t.mu.Lock()
-	if t.status.Terminal() || (t.dispatching && !worker) {
-		t.mu.Unlock()
-		return
-	}
-	t.result, t.err, t.status = r, err, status
-	close(t.done)
-	t.mu.Unlock()
-	if worker {
-		t.stopCtxDone()
-	}
+	t.move(qdmi.JobRunning, status, r, err)
+	t.stopCtxDone()
 	t.cancelCtx()
 }

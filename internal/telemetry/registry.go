@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"maps"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,8 +49,11 @@ func bucketUpper(i int) int64 {
 	return int64(1)<<i - 1
 }
 
-// Observe records one duration (negative values count as zero).
+// Observe records one duration (negative counts as zero); nil-safe.
 func (h *Histogram) Observe(d time.Duration) {
+	if h == nil {
+		return
+	}
 	if d < 0 {
 		d = 0
 	}
@@ -133,48 +138,85 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return snap
 }
 
-// Registry is the fleet-wide metrics surface: named atomic counters and
-// latency histograms, created on first use. The hot paths (Add, Observe)
-// take a read lock plus one or two atomic operations; Snapshot is the
-// only writer-side aggregation. All methods are nil-receiver safe, so
+// Registry is the fleet-wide metrics surface: one latency histogram per
+// Stage, which timelines feed through a fixed handle, plus named atomic
+// counters and histograms created on first use. The name maps are
+// copy-on-write: a lookup is an atomic load and a map read, and only
+// creating a name takes the lock. All methods are nil-receiver safe, so
 // uninstrumented components may hold a nil *Registry.
 type Registry struct {
-	mu       sync.RWMutex //mqss:lockrank 50
-	counters map[string]*atomic.Int64
-	hists    map[string]*Histogram
+	stages   [len(stages)]Histogram // stages[i] times stages[i]'s spans
+	mu       sync.Mutex             // serialises creating a name
+	counters atomic.Pointer[map[string]*Counter]
+	hists    atomic.Pointer[map[string]*Histogram]
 }
+
+// Counter is a named counter. Snapshot lists it once Add has run on it,
+// even by zero, so a handle resolved ahead of use stays out of the view
+// until used. Add on a nil *Counter (a nil registry's) does nothing.
+type Counter struct {
+	n    atomic.Int64
+	used atomic.Bool
+}
+
+// Add increments the counter by delta.
+func (c *Counter) Add(delta int64) {
+	if c != nil {
+		c.used.Store(true)
+		c.n.Add(delta)
+	}
+}
+
+// Load returns the counter's value.
+func (c *Counter) Load() int64 { return c.n.Load() }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{counters: map[string]*atomic.Int64{}, hists: map[string]*Histogram{}}
+	r := &Registry{}
+	r.counters.Store(&map[string]*Counter{})
+	r.hists.Store(&map[string]*Histogram{})
+	return r
+}
+
+// stageHist returns the histogram for stage, or nil on a nil registry or a
+// stage outside the closed set.
+func (r *Registry) stageHist(stage Stage) *Histogram {
+	if i := slices.Index(stages[:], stage); r != nil && i >= 0 {
+		return &r.stages[i]
+	}
+	return nil
+}
+
+// named returns the metric called name in *m, creating it — by publishing
+// a copy of the map that holds it — on first use.
+func named[T any](mu *sync.Mutex, m *atomic.Pointer[map[string]*T], name string) *T {
+	if v := (*m.Load())[name]; v != nil {
+		return v
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if v := (*m.Load())[name]; v != nil {
+		return v
+	}
+	next := maps.Clone(*m.Load())
+	v := new(T)
+	next[name] = v
+	m.Store(&next)
+	return v
 }
 
 // Counter returns the named counter, creating it on first use; nil on a
 // nil registry.
-func (r *Registry) Counter(name string) *atomic.Int64 {
+func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &atomic.Int64{}
-		r.counters[name] = c
-	}
-	return c
+	return named(&r.mu, &r.counters, name)
 }
 
 // Add increments the named counter by delta; nil-safe no-op.
 func (r *Registry) Add(name string, delta int64) {
-	if c := r.Counter(name); c != nil {
-		c.Add(delta)
-	}
+	r.Counter(name).Add(delta)
 }
 
 // Hist returns the named histogram, creating it on first use; nil on a
@@ -183,26 +225,12 @@ func (r *Registry) Hist(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
+	return named(&r.mu, &r.hists, name)
 }
 
 // Observe records a duration into the named histogram; nil-safe no-op.
 func (r *Registry) Observe(name string, d time.Duration) {
-	if h := r.Hist(name); h != nil {
-		h.Observe(d)
-	}
+	r.Hist(name).Observe(d)
 }
 
 // Snapshot is the JSON-serializable point-in-time view of a registry:
@@ -215,28 +243,29 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot captures every counter and histogram; empty (not nil) maps on
-// a nil or unused registry.
+// Snapshot captures every counter Add has run on (see Counter) and every
+// histogram that has recorded something, the stage histograms as
+// "stage/<stage>". Empty (not nil) maps on a nil or unused registry.
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{Counters: map[string]int64{}, Histograms: map[string]HistogramSnapshot{}}
 	if r == nil {
 		return snap
 	}
-	r.mu.RLock()
-	counters := make(map[string]*atomic.Int64, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c
+	for name, c := range *r.counters.Load() {
+		if c.used.Load() {
+			snap.Counters[name] = c.Load()
+		}
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for name, h := range r.hists {
-		hists[name] = h
+	add := func(name string, h *Histogram) {
+		if hs := h.Snapshot(); hs.Count != 0 {
+			snap.Histograms[name] = hs
+		}
 	}
-	r.mu.RUnlock()
-	for name, c := range counters {
-		snap.Counters[name] = c.Load()
+	for name, h := range *r.hists.Load() {
+		add(name, h)
 	}
-	for name, h := range hists {
-		snap.Histograms[name] = h.Snapshot()
+	for i, s := range stages {
+		add("stage/"+string(s), &r.stages[i])
 	}
 	return snap
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -146,5 +147,38 @@ func TestSnapshotJSON(t *testing.T) {
 	h, ok := back.Histograms["queue_wait/device/sc-0"]
 	if !ok || h.Count != 1 {
 		t.Fatalf("round-tripped histogram = %+v (ok=%v)", h, ok)
+	}
+}
+
+// TestStageHistogramsAreFixed checks a span feeds its stage's fixed
+// histogram, reported as "stage/<stage>"; that a stage outside the closed
+// set, an untouched histogram and a counter only resolved as a handle
+// stay out of the snapshot, while a counter Add ran on stays in even at
+// zero, by name or by handle; and that a span's observation allocates
+// nothing.
+func TestStageHistogramsAreFixed(t *testing.T) {
+	reg := NewRegistry()
+	early := reg.Counter("resolved/early")
+	reg.Hist("resolved/early")
+	if snap := reg.Snapshot(); len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
+		t.Fatalf("fresh registry reports %+v", snap)
+	}
+	reg.Add("by/name", 0)
+	early.Add(0)
+	want := map[string]int64{"by/name": 0, "resolved/early": 0}
+	if got := reg.Snapshot().Counters; !maps.Equal(got, want) {
+		t.Fatalf("counters = %v, want %v", got, want)
+	}
+	tl := NewTimeline("", reg)
+	tl.Record(StageBind, "dev", time.Now(), time.Millisecond, 0)
+	tl.Record(Stage("custom"), "dev", time.Now(), time.Millisecond, 0)
+	snap := reg.Snapshot()
+	if len(snap.Histograms) != 1 || snap.Histograms["stage/bind"].Count != 1 {
+		t.Fatalf("histograms = %+v, want only stage/bind with one observation", snap.Histograms)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		reg.stageHist(StageDispatch).Observe(time.Microsecond)
+	}); n != 0 {
+		t.Fatalf("stage observation allocates %v objects, want 0", n)
 	}
 }

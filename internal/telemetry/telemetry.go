@@ -3,17 +3,17 @@
 // to answer "where did my job's time go: compile, queue, bind, dispatch,
 // or hardware?".
 //
-// Two surfaces, both safe for concurrent use:
+// Two surfaces:
 //
 //   - Per-job tracing: a Timeline collects the ordered lifecycle Spans of
 //     one submission as it crosses the stack (qpi → client → qrm → qdmi →
 //     device, and back over the remote wire). Every layer appends its
-//     stage span; the caller reads the assembled trace from
-//     qpi.Handle.Timeline.
+//     stage span in turn; the caller reads the assembled trace from
+//     qpi.Handle.Timeline once the job is terminal.
 //   - Fleet metrics: a Registry of atomic counters and log2-bucketed
-//     latency histograms. Timelines attached to a registry feed their
-//     stage durations into it automatically, and the scheduler records
-//     queue-wait distributions per device and pool.
+//     latency histograms, safe for concurrent use. Timelines attached to a
+//     registry feed their stage durations into it automatically, and the
+//     scheduler records queue-wait distributions per device and pool.
 //
 // Every Timeline method is nil-receiver safe, so instrumentation points
 // thread a possibly-nil *Timeline without guarding call sites; an
@@ -25,7 +25,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -61,6 +60,12 @@ const (
 	// measurement sampling and IQ-record synthesis.
 	StageReadoutPost Stage = "readout-post"
 )
+
+// stages is the closed set of stages, in a Registry's histogram order.
+var stages = [...]Stage{
+	StageCompile, StageCacheHit, StageCacheMiss, StageBind,
+	StageQueueWait, StageDispatch, StageDeviceExecute, StageReadoutPost,
+}
 
 // SpanID identifies a span within its timeline; zero means "no span" and
 // doubles as the root parent.
@@ -105,17 +110,20 @@ func NewTraceID() string {
 }
 
 // Timeline is the per-job trace: the ordered spans one submission recorded
-// while crossing the stack. A Timeline is created at submission (the
-// client mints one per job) and handed down through qrm.Request and
-// qdmi.JobOptions; each layer appends its stage. All methods are safe for
-// concurrent use and nil-receiver safe.
+// while crossing the stack, handed down through qrm.Request and
+// qdmi.JobOptions so each layer appends its stage. It has one writer at a
+// time and no lock: the submitter writes until it enqueues, the QRM worker
+// (and the device, inside the job's Wait on that worker) from dequeue to
+// the ticket's resolution, and the submitter reads once the job is
+// terminal. Each hand-off synchronises, so spans written before it are
+// visible after it; any other concurrent use is a data race. All methods
+// are nil-receiver safe.
 type Timeline struct {
 	traceID string
 	reg     *Registry
-
-	mu     sync.Mutex //mqss:lockrank 40
-	nextID SpanID
-	spans  []Span
+	nextID  SpanID
+	spans   []Span  // backed by inline until a trace outgrows it
+	inline  [8]Span // a job's trace has five to seven spans
 }
 
 // NewTimeline builds a timeline for one job. An empty traceID mints a
@@ -126,7 +134,9 @@ func NewTimeline(traceID string, reg *Registry) *Timeline {
 	if traceID == "" {
 		traceID = NewTraceID()
 	}
-	return &Timeline{traceID: traceID, reg: reg}
+	t := &Timeline{traceID: traceID, reg: reg}
+	t.spans = t.inline[:0]
+	return t
 }
 
 // TraceID returns the trace identifier carried across layers and the
@@ -141,14 +151,9 @@ func (t *Timeline) TraceID() string {
 // AttachRegistry binds the timeline to a metrics registry if it has none
 // yet (later spans feed its histograms); nil-safe no-op otherwise.
 func (t *Timeline) AttachRegistry(reg *Registry) {
-	if t == nil || reg == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.reg == nil {
+	if t != nil && t.reg == nil {
 		t.reg = reg
 	}
-	t.mu.Unlock()
 }
 
 // Registry returns the metrics registry the timeline feeds, if any; nil
@@ -159,8 +164,6 @@ func (t *Timeline) Registry() *Registry {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.reg
 }
 
@@ -178,17 +181,14 @@ func (t *Timeline) Record(stage Stage, device string, start time.Time, d time.Du
 }
 
 // add appends s — under a fresh ID unless s already carries the one Span
-// allocated for it — and feeds its duration to the registry.
+// allocated for it — and feeds its duration to its stage's histogram.
 func (t *Timeline) add(s Span) SpanID {
-	t.mu.Lock()
 	if s.ID == 0 {
 		t.nextID++
 		s.ID = t.nextID
 	}
 	t.spans = append(t.spans, s)
-	reg := t.reg
-	t.mu.Unlock()
-	reg.Observe("stage/"+string(s.Stage), s.Duration)
+	t.reg.stageHist(s.Stage).Observe(s.Duration)
 	return s.ID
 }
 
@@ -202,10 +202,8 @@ func (t *Timeline) Span(stage Stage, device string, parent SpanID, fn func(id Sp
 		fn(0)
 		return
 	}
-	t.mu.Lock()
 	t.nextID++
 	id := t.nextID
-	t.mu.Unlock()
 	start := time.Now()
 	defer func() {
 		t.add(Span{ID: id, Parent: parent, Stage: stage, Device: device, Start: start, Duration: time.Since(start)})
@@ -226,8 +224,6 @@ func (t *Timeline) Import(spans []Span, under SpanID) {
 	ordered := make([]Span, len(spans))
 	copy(ordered, spans)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	idMap := make(map[SpanID]SpanID, len(ordered))
 	for _, s := range ordered {
 		t.nextID++
@@ -248,10 +244,8 @@ func (t *Timeline) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
 	out := make([]Span, len(t.spans))
 	copy(out, t.spans)
-	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Start.Equal(out[j].Start) {
 			return out[i].Start.Before(out[j].Start)

@@ -109,33 +109,73 @@ func TestSpanRecordedOnPanic(t *testing.T) {
 	}
 }
 
-// TestTimelineConcurrent hammers one timeline from many goroutines (run
-// under -race in CI): per-job timelines are shared between the submitting
-// goroutine, the scheduler worker, and the device goroutine.
-func TestTimelineConcurrent(t *testing.T) {
+// TestTimelineOneWriterHandOff moves timelines the way jobs move them (run
+// under -race in CI): the submitter records, hands the timeline to a
+// worker over a channel, the worker records and closes done, and the
+// submitter reads. Jobs run on several workers at once, so the registry's
+// stage histograms see concurrent writers while each timeline sees one.
+func TestTimelineOneWriterHandOff(t *testing.T) {
 	testutil.AssertNoLeaks(t)
-	tl := NewTimeline("", NewRegistry())
-	const workers = 8
-	const perWorker = 500
+	reg := NewRegistry()
+	type job struct {
+		tl   *Timeline
+		done chan struct{}
+	}
+	const workers, jobs = 4, 400
+	queue := make(chan job)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				tl.Span(StageDispatch, "dev", 0, func(id SpanID) {
-					tl.Record(StageBind, "dev", time.Now(), time.Microsecond, id)
+			for j := range queue {
+				j.tl.Record(StageQueueWait, "dev", time.Now(), time.Microsecond, 0)
+				j.tl.Span(StageDispatch, "dev", 0, func(id SpanID) {
+					j.tl.Record(StageDeviceExecute, "dev", time.Now(), time.Microsecond, id)
 				})
-				if i%100 == 0 {
-					_ = tl.Spans()
-					_ = tl.Wall()
-				}
+				close(j.done)
 			}
 		}()
 	}
+	sent := make([]job, jobs)
+	for i := range sent {
+		tl := NewTimeline("", reg)
+		tl.Record(StageCompile, "dev", time.Now(), time.Microsecond, 0)
+		sent[i] = job{tl, make(chan struct{})}
+		queue <- sent[i]
+	}
+	close(queue)
+	for _, j := range sent {
+		<-j.done
+		if n := len(j.tl.Spans()); n != 4 {
+			t.Fatalf("reader after done saw %d spans, want 4", n)
+		}
+	}
 	wg.Wait()
-	if got := len(tl.Spans()); got != 2*workers*perWorker {
-		t.Fatalf("got %d spans, want %d", got, 2*workers*perWorker)
+	snap := reg.Snapshot()
+	for _, st := range []Stage{StageCompile, StageQueueWait, StageDispatch, StageDeviceExecute} {
+		if n := snap.Histograms["stage/"+string(st)].Count; n != jobs {
+			t.Fatalf("stage/%s observed %d times, want %d", st, n, jobs)
+		}
+	}
+}
+
+// TestTimelineGrowsPastInline checks a trace longer than the inline array
+// keeps every span, in order, under consecutive IDs.
+func TestTimelineGrowsPastInline(t *testing.T) {
+	tl := NewTimeline("", nil)
+	start := time.Now()
+	for i := 0; i < 3*len(Timeline{}.inline); i++ {
+		tl.Record(StageBind, "dev", start.Add(time.Duration(i)), 0, 0)
+	}
+	spans := tl.Spans()
+	if len(spans) != 3*len(Timeline{}.inline) {
+		t.Fatalf("got %d spans, want %d", len(spans), 3*len(Timeline{}.inline))
+	}
+	for i, s := range spans {
+		if s.ID != SpanID(i+1) {
+			t.Fatalf("span %d has ID %d", i, s.ID)
+		}
 	}
 }
 

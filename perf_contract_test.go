@@ -44,7 +44,7 @@ func perfContractStack(t *testing.T) *mqsspulse.Stack {
 
 // TestPerfContractSpanRecord: one lifecycle span plus one histogram
 // observation — what every stage of every job pays for being observable —
-// allocates at most one object.
+// allocates nothing.
 func TestPerfContractSpanRecord(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tl := telemetry.NewTimeline("perf-contract", reg)
@@ -54,10 +54,10 @@ func TestPerfContractSpanRecord(t *testing.T) {
 		reg.Observe("queue_wait/device/dev", time.Microsecond)
 	}
 	record() // creates the histogram
-	// Measured 2026-10-02: 1 (the stage histogram's name; the span slice's
-	// growth amortises to nothing).
-	if n := testing.AllocsPerRun(1000, record); n > 1 {
-		t.Fatalf("span record + observe allocates %v objects, want ≤ 1", n)
+	// Measured 2026-10-15: 0 (1 while a span spelled its stage histogram's
+	// name; the span slice's growth amortises to nothing).
+	if n := testing.AllocsPerRun(1000, record); n > 0 {
+		t.Fatalf("span record + observe allocates %v objects, want 0", n)
 	}
 }
 
@@ -73,12 +73,13 @@ func TestPerfContractCachedJob(t *testing.T) {
 		}
 	}
 	job() // compiles the kernel, builds the device's engine, prepares the program
-	// Measured 2026-10-03: 51, 56–57 under -race (54 and 60 while the QRM
-	// worker spelled its histogram names and listed its queues per job; 133
-	// and 136 when every job re-linked its module and built its own
-	// simulator scratch).
-	if n := testing.AllocsPerRun(200, job); n > 62 {
-		t.Fatalf("warm cached job allocates %v objects, want ≤ 62", n)
+	// Measured 2026-10-15: 41, 46–47 under -race (51 and 56–57 while a
+	// timeline grew its span slice from empty and named its stage
+	// histograms; 54 and 60 while the QRM worker spelled its histogram
+	// names and listed its queues per job; 133 and 136 when every job
+	// re-linked its module and built its own simulator scratch).
+	if n := testing.AllocsPerRun(200, job); n > 51 {
+		t.Fatalf("warm cached job allocates %v objects, want ≤ 51", n)
 	}
 }
 
@@ -137,10 +138,11 @@ func TestPerfContractBoundSweepPoint(t *testing.T) {
 		}
 	}
 	sweep() // lowers the template once
-	// Measured 2026-10-03: 118.9–119.0, 124.3–124.5 under -race (122.7 and
-	// 129.0 with a formatted trace ID per point and the worker's per-job
-	// names; 158 and 160.5 before prepared programs).
-	if perPoint := testing.AllocsPerRun(3, sweep) / points; perPoint > 136 {
-		t.Fatalf("warm bound sweep point allocates %.1f objects, want ≤ 136", perPoint)
+	// Measured 2026-10-15: 107.9, 113.3–113.6 under -race (118.9–119.0 and
+	// 124.3–124.5 with a growing span slice per timeline; 122.7 and 129.0
+	// with a formatted trace ID per point and the worker's per-job names;
+	// 158 and 160.5 before prepared programs).
+	if perPoint := testing.AllocsPerRun(3, sweep) / points; perPoint > 124 {
+		t.Fatalf("warm bound sweep point allocates %.1f objects, want ≤ 124", perPoint)
 	}
 }

@@ -28,8 +28,8 @@ type Analyzer struct {
 	// pass.Report/Reportf.
 	Run func(pass *Pass) (any, error)
 	// Finish, if non-nil, runs once after every package's Run completed,
-	// with all per-package results. Whole-program invariants (lockorder's
-	// acquisition-order graph) report from here.
+	// with all per-package results. Whole-program invariants (goleak's
+	// cross-package loop verdicts) report from here.
 	Finish func(pass *FinishPass)
 }
 

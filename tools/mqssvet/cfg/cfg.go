@@ -1,6 +1,6 @@
 // Package cfg builds per-function control-flow graphs from go/ast syntax
-// and solves forward dataflow problems over them. It is the analysis core
-// behind mqssvet's flow-sensitive analyzers (lockorder, goleak, ctxcancel):
+// and a static call graph over them. It is the analysis core behind
+// mqssvet's flow-sensitive analyzers (goleak, ctxcancel):
 // where PR 9's checks reasoned lexically, these reason over actual paths —
 // early returns, panic edges, select branches, goto.
 //

@@ -81,55 +81,3 @@ func TestDefersRecorded(t *testing.T) {
 		t.Fatalf("got %d defers, want 2", len(g.Defers))
 	}
 }
-
-// TestSolveReachingFact runs the solver on a diamond: a fact set on one
-// arm must survive to the join only under a may-join, and the loop back
-// edge must reach a fixpoint.
-func TestSolveReachingFact(t *testing.T) {
-	g := parseFunc(t, `
-if cond() {
-	mark()
-}
-for i := 0; i < 3; i++ {
-	use()
-}
-done()`)
-	// Fact: 1 once a call to mark() was seen on some path.
-	isCall := func(n ast.Node, name string) bool {
-		es, ok := n.(*ast.ExprStmt)
-		if !ok {
-			return false
-		}
-		call, ok := es.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		return ok && id.Name == name
-	}
-	res := Solve(g, 0, func(a, b int) int { return a | b }, func(b *Block, in int) int {
-		out := in
-		for _, n := range b.Nodes {
-			if isCall(n, "mark") {
-				out = 1
-			}
-		}
-		return out
-	})
-	if res.In[g.Exit] != 1 {
-		t.Errorf("fact did not reach Exit under may-join: in[Exit] = %d", res.In[g.Exit])
-	}
-	// Must-join twin: fact survives only when every path sets it.
-	must := Solve(g, 0, func(a, b int) int { return a & b }, func(b *Block, in int) int {
-		out := in
-		for _, n := range b.Nodes {
-			if isCall(n, "mark") {
-				out = 1
-			}
-		}
-		return out
-	})
-	if must.In[g.Exit] != 0 {
-		t.Errorf("fact reached Exit under must-join despite the unmarked arm: in[Exit] = %d", must.In[g.Exit])
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"mqsspulse/tools/mqssvet/analyzers/doccomment"
 	"mqsspulse/tools/mqssvet/analyzers/goleak"
 	"mqsspulse/tools/mqssvet/analyzers/hotalloc"
-	"mqsspulse/tools/mqssvet/analyzers/lockorder"
 	"mqsspulse/tools/mqssvet/analyzers/nodrift"
 	"mqsspulse/tools/mqssvet/suite"
 )
@@ -48,16 +47,10 @@ func TestCtxcancel(t *testing.T) {
 	analysistest.Run(t, "./testdata/src/ctxcancel", ctxcancel.Analyzer)
 }
 
-// TestLockorder covers rank violations, direct self-deadlock, and ABBA
-// cycles through the interprocedural summary join.
-func TestLockorder(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/lockorder", lockorder.Analyzer)
-}
-
 // TestSuiteListsAllAnalyzers guards the multichecker registration: a new
 // analyzer package that never lands in the suite would silently not run.
 func TestSuiteListsAllAnalyzers(t *testing.T) {
-	want := []string{"nodrift", "ctxflow", "ctxcancel", "lockorder", "goleak", "hotalloc", "doccomment"}
+	want := []string{"nodrift", "ctxflow", "ctxcancel", "goleak", "hotalloc", "doccomment"}
 	if len(suite.All) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite.All), len(want))
 	}
