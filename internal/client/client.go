@@ -217,7 +217,7 @@ func (c *Client) Compile(k *qpi.Circuit, device string) ([]byte, qdmi.ProgramFor
 // compile half of the split compile/submit path the remote adapter uses.
 func (c *Client) CompileTraced(k *qpi.Circuit, device string, tl *telemetry.Timeline) ([]byte, qdmi.ProgramFormat, int64, error) {
 	start := time.Now()
-	program, hit, err := c.lower(k, nil, device)
+	program, hit, err := c.lower(&lowering{k: k, target: device})
 	if err != nil {
 		return nil, "", 0, err
 	}
@@ -235,18 +235,38 @@ func (c *Client) CompileTraced(k *qpi.Circuit, device string, tl *telemetry.Time
 // CacheStats.Binds), and a calibration-epoch bump invalidates the entry
 // exactly like a concrete kernel's.
 func (c *Client) CompileTemplate(t *ptemplate.Template, device string) (*ptemplate.Compiled, error) {
-	program, _, err := c.lower(t.Circuit, t.Params, device)
+	program, _, err := c.lower(&lowering{k: t.Circuit, params: t.Params, target: device})
 	return program, err
 }
 
+// lowering is one program's way into the lowering cache: a circuit, its
+// declared parameters (none for a concrete kernel), the device it compiles
+// against, and the cache key those render to. The first lookup renders the
+// key and the lowering keeps it, so a sweep renders it once for all its
+// points.
+type lowering struct {
+	k      *qpi.Circuit
+	params []ptemplate.Param
+	target string
+	key    string
+}
+
+// cacheKey returns the lowering's cache key, ptemplate.Descriptor.
+func (l *lowering) cacheKey() string {
+	if l.key == "" {
+		l.key = ptemplate.Descriptor(l.k, l.params, l.target)
+	}
+	return l.key
+}
+
 // lowerTraced is lower with its time recorded on tl.
-func (c *Client) lowerTraced(k *qpi.Circuit, params []ptemplate.Param, device string, tl *telemetry.Timeline) (*ptemplate.Compiled, error) {
+func (c *Client) lowerTraced(l *lowering, tl *telemetry.Timeline) (*ptemplate.Compiled, error) {
 	start := time.Now()
-	program, hit, err := c.lower(k, params, device)
+	program, hit, err := c.lower(l)
 	if err != nil {
 		return nil, err
 	}
-	recordCompile(tl, device, start, hit)
+	recordCompile(tl, l.target, start, hit)
 	return program, nil
 }
 
@@ -263,14 +283,13 @@ func recordCompile(tl *telemetry.Timeline, device string, start time.Time, hit b
 }
 
 // lower is the one path through the lowering cache: it returns the compiled
-// program for (kernel, declared parameters, device) and whether the cache
-// served it. params is empty for a concrete kernel.
-func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string) (*ptemplate.Compiled, bool, error) {
-	dev, err := c.session.Device(device)
+// program for l and whether the cache served it.
+func (c *Client) lower(l *lowering) (*ptemplate.Compiled, bool, error) {
+	dev, err := c.session.Device(l.target)
 	if err != nil {
 		return nil, false, err
 	}
-	key := ptemplate.Descriptor(k, params, device)
+	key := l.cacheKey()
 	// The epoch is read before the probe: a recalibration landing mid-lookup
 	// can only make the entry look stale, and one landing mid-compile is
 	// caught by the dispatch-time check or the next lookup — the race can
@@ -283,7 +302,7 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string) 
 	if el, ok := c.loweringCache[key]; ok {
 		entry := el.Value.(*cacheEntry)
 		if entry.program.Epoch == epoch {
-			if len(params) == 0 {
+			if len(l.params) == 0 {
 				c.cacheStats.Hits++
 			} else {
 				// A cache-hot template: this sweep point pays a bind, not a
@@ -302,7 +321,7 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string) 
 	c.cacheStats.Misses++
 	c.mu.Unlock()
 	c.cacheMisses.Add(1)
-	program, err := ptemplate.LowerCircuit(k, params, dev, device, key)
+	program, err := ptemplate.LowerCircuit(l.k, l.params, dev, l.target, key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -315,7 +334,7 @@ func (c *Client) lower(k *qpi.Circuit, params []ptemplate.Param, device string) 
 		return el.Value.(*cacheEntry).program, false, nil
 	}
 	c.loweringCache[key] = c.lruList.PushFront(&cacheEntry{key: key, program: program})
-	if len(params) > 0 {
+	if len(l.params) > 0 {
 		c.templateEntries++
 	}
 	c.evictLocked()
@@ -365,16 +384,16 @@ func (c *Client) SubmitCtx(ctx context.Context, k *qpi.Circuit, device string, o
 	} else {
 		tl.AttachRegistry(c.telem)
 	}
-	return c.submit(ctx, k, nil, nil, device, target, opts, tl)
+	return c.submit(ctx, &lowering{k: k, target: target}, nil, device, opts, tl)
 }
 
 // submit is the one job path behind SubmitCtx and every sweep point: lower
 // the program through the cache (onto tl's compile span), describe the job
 // to the scheduler, enqueue. The scheduler re-checks the program's epoch at
-// dispatch and binds b then, if the program has parameters. A non-zero
+// dispatch and has b bound then, if the program has parameters. A non-zero
 // opts.Deadline bounds the job: its expiry cancels the ticket itself.
-func (c *Client) submit(ctx context.Context, k *qpi.Circuit, params []ptemplate.Param, b ptemplate.Bindings,
-	device, target string, opts SubmitOptions, tl *telemetry.Timeline) (tk *qrm.Ticket, err error) {
+func (c *Client) submit(ctx context.Context, l *lowering, b ptemplate.Bindings,
+	device string, opts SubmitOptions, tl *telemetry.Timeline) (tk *qrm.Ticket, err error) {
 
 	if !opts.Deadline.IsZero() {
 		var cancel context.CancelFunc
@@ -394,7 +413,7 @@ func (c *Client) submit(ctx context.Context, k *qpi.Circuit, params []ptemplate.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("client: submit: %w", err)
 	}
-	program, err := c.lowerTraced(k, params, target, tl)
+	program, err := c.lowerTraced(l, tl)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +421,7 @@ func (c *Client) submit(ctx context.Context, k *qpi.Circuit, params []ptemplate.
 		Device: device, Template: program, Bindings: b,
 		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
 		MeasLevel: opts.MeasLevel, MeasReturn: opts.MeasReturn,
-		CalibrationEpoch: program.Epoch, CompiledFor: target,
+		CalibrationEpoch: program.Epoch, CompiledFor: l.target,
 		Timeline: tl, ShotWorkers: opts.ShotWorkers,
 	}
 	if req.Shots <= 0 {

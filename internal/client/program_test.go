@@ -134,7 +134,7 @@ func TestCachedJobReachesDeviceAsModule(t *testing.T) {
 		t.Fatalf("cache hits = %d, want 1", c.CacheStats().Hits)
 	}
 
-	program, _, err := c.lower(k, nil, "hpcqc-sc")
+	program, _, err := c.lower(&lowering{k: k, target: "hpcqc-sc"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,9 @@ import (
 
 // SubmitSweepCtx enqueues one job per sweep point: the template lowers at
 // most once (served cache-hot afterwards, see CompileTemplate) and each
-// point ships as a (compiled template, bindings) pair that the scheduler
-// binds at dispatch time — after the calibration-epoch gate. The returned
+// point ships as a (compiled template, bindings) pair that is bound at
+// dispatch time — after the calibration-epoch gate — by the device, into the
+// template it prepared once (see qdmi.ModuleSubmitter). The returned
 // slices are parallel to bindings; a point with an out-of-range or
 // non-finite value fails in place with ptemplate.ErrBadParam before
 // reaching the scheduler queue, without sinking its siblings.
@@ -37,13 +38,16 @@ func (c *Client) SubmitSweepCtx(ctx context.Context, t *ptemplate.Template, devi
 		sweepTrace = telemetry.NewTraceID()
 	}
 	id := append([]byte(sweepTrace), "/p"...) // the digits go in its spare capacity
+	// One lowering for every point, so the cache key is rendered once.
+	l := &lowering{k: t.Circuit, params: t.Params, target: target}
 	for i, b := range bindings {
 		// Per-point lookup: point 0 compiles, the rest bind. Going through
 		// the cache each iteration (rather than hoisting one compile) keeps a
 		// mid-sweep recalibration from dispatching stale points — the
-		// invalidated entry recompiles at the new epoch.
+		// lookup probes the device's epoch, and an invalidated entry
+		// recompiles at the new one.
 		tl := telemetry.NewTimeline(string(strconv.AppendInt(id, int64(i), 10)), c.telem)
-		tickets[i], errs[i] = c.submit(ctx, t.Circuit, t.Params, b, device, target, opts, tl)
+		tickets[i], errs[i] = c.submit(ctx, l, b, device, opts, tl)
 	}
 	return tickets, errs
 }

@@ -177,7 +177,8 @@ func TestWarmJobAllocations(t *testing.T) {
 		submit  func(d *SimDevice) (qdmi.Job, error)
 		ceiling float64
 	}{
-		// Measured 2026-10-03: 89, 91–95 under -race (105 before prepared
+		// Measured 2026-10-15: 87, 90–91 under -race (89 while Prepare
+		// latched frames through a map of frame clones; 105 before prepared
 		// programs and pooled scratch; 1,645 when every job rebuilt the model
 		// and the dissipator allocated its temporaries on every tick).
 		{"text", func(d *SimDevice) (qdmi.Job, error) {

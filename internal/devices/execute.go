@@ -235,25 +235,30 @@ func (d *SimDevice) executorLocked() (*simq.Executor, error) {
 }
 
 // preparedCap bounds the device's prepared-program store. A device's hot
-// set is the handful of kernels its clients resubmit; one-shot modules
-// (every bound sweep point is one) pass through a ring this size without
-// growing anything.
+// set is the handful of kernels and templates its clients resubmit; one-shot
+// modules (a sweep point whose slot moves a duration is one) pass through a
+// ring this size without growing anything.
 const preparedCap = 32
 
 // preparedProgram is what the device derives from (module, calibration,
 // engine) and not from a job's seed, shots or options: the module linked
 // against the port, frame and calibration tables, resolved to start ticks
 // and latched against the engine's channels. The first job that presents a
-// module builds it; later jobs presenting the same *qir.Module reuse it.
+// module builds it; later jobs presenting the same *qir.Module reuse it. A
+// template's entry is keyed on the template: its program was linked from the
+// first point's binding and records which plays and frame updates each slot
+// feeds, so every later point binds into it (simq.Program.Bind).
 //
 // Identity, not content, is the key: the holders that resubmit a program —
 // the lowering cache, a server connection's program store — keep one
 // module per program and never write to it, and hashing the content per
-// job would cost what the store saves. An entry is current while the
-// calibration it was linked against and its engine are still the device's
-// own, which prepared checks by pointer comparison: nothing that moves either
-// has to know the store exists. The entry keeps all three pointers
-// reachable, so no address can be reused while it could match.
+// job would cost what the store saves. That is also why a module is
+// verified once per entry, by the link that builds it, and not per job. An
+// entry is current while the calibration it was linked against and its
+// engine are still the device's own, which lookup checks by pointer
+// comparison: nothing that moves either has to know the store exists. The
+// entry keeps all three pointers reachable, so no address can be reused
+// while it could match.
 type preparedProgram struct {
 	mod    *qir.Module
 	calib  *calibration
@@ -261,41 +266,163 @@ type preparedProgram struct {
 	prog   *simq.Program
 }
 
-// prepared returns the module's prepared program under the device's current
-// calibration and engine, preparing and storing it when the store has none
+// program returns what a job runs on mod. A concrete module runs its
+// prepared program. A template with the job's bindings runs its prepared
+// program with the point bound in — recorded as the job's bind span — unless
+// a slot moves a duration: that point binds to a concrete module and runs
+// as one.
+func (d *SimDevice) program(mod *qir.Module, opts qdmi.JobOptions) (*simq.Program, error) {
+	if opts.Bindings == nil {
+		return d.prepared(mod)
+	}
+	start := time.Now()
+	recordBind := func() {
+		opts.Telemetry.Record(telemetry.StageBind, d.cfg.Name, start, time.Since(start), opts.TelemetryParent)
+	}
+	prog, cal, engine, err := d.lookup(mod)
+	if err != nil {
+		return nil, err
+	}
+	if prog != nil {
+		var sbuf [4][]complex128
+		var vbuf [8]float64
+		samples, values, err := mod.BindSlots(opts.Bindings, sbuf[:0], vbuf[:0])
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err)
+		}
+		if prog, err = prog.Bind(simq.Binding{Samples: samples, Values: values}); err != nil {
+			return nil, err
+		}
+		recordBind()
+		return prog, nil
+	}
+	point, err := mod.Bind(opts.Bindings)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err)
+	}
+	recordBind()
+	if !bindsInPlace(mod) {
+		return d.prepared(point)
+	}
+	// The template is linked with this point's values, never its base
+	// shapes: an envelope whose base exceeds full scale is legal in a
+	// template whose amplitude range scales it down.
+	_, prog, err = d.link(cal, engine, point, mod)
+	if err != nil {
+		return nil, err
+	}
+	d.store(mod, cal, engine, prog)
+	return prog, nil
+}
+
+// bindsInPlace reports whether a template's program can take every point
+// in place. It must have no gate call, so each call links to at most one
+// play or frame update (templateSlots relies on that) and every f64 slot is
+// a frame update's frequency or phase; and no i64 slot, a delay or capture
+// count, which moves a duration.
+func bindsInPlace(tpl *qir.Module) bool {
+	for _, c := range tpl.Body {
+		if waveform.GateByQIS(c.Callee) != nil ||
+			slices.ContainsFunc(c.Args, func(a qir.Arg) bool { return a.Expr != nil && a.Kind == qir.ArgI64 }) {
+			return false
+		}
+	}
+	return true
+}
+
+// templateSlots maps the plays and frame updates of sched — linked from a
+// point of tpl — to the template's slots, numbered as qir.Module.BindSlots
+// orders a point's values. Under bindsInPlace the n-th play or frame update
+// of sched is the one the n-th play or frame-update call of tpl linked to.
+func templateSlots(tpl *qir.Module, sched *pulse.Schedule) (map[pulse.Instruction]simq.Slot, error) {
+	var fed []pulse.Instruction
+	for _, in := range sched.Instructions() {
+		switch in.(type) {
+		case *pulse.Play, *pulse.ShiftPhase, *pulse.SetPhase, *pulse.ShiftFrequency, *pulse.SetFrequency, *pulse.FrameChange:
+			fed = append(fed, in)
+		}
+	}
+	samples := map[string]int{} // amplitude-slot waveform → its index in a point's samples
+	for _, w := range tpl.Waveforms {
+		if w.AmpExpr != nil {
+			samples[w.Name] = len(samples)
+		}
+	}
+	values := 0
+	// value numbers arg's slot among the point's values, if it has one.
+	value := func(arg qir.Arg) int {
+		if arg.Expr == nil {
+			return -1
+		}
+		values++
+		return values - 1
+	}
+	slots, n := map[pulse.Instruction]simq.Slot{}, 0
+	for _, c := range tpl.Body {
+		s := simq.Slot{Samples: -1, Hz: -1, Phase: -1}
+		switch c.Callee {
+		case qir.IntrPlay:
+			if k, ok := samples[c.Args[1].Sym]; ok {
+				s.Samples = k
+			}
+		case qir.IntrShiftPhase, qir.IntrSetPhase:
+			s.Phase = value(c.Args[1])
+		case qir.IntrShiftFrequency, qir.IntrSetFrequency:
+			s.Hz = value(c.Args[1])
+		case qir.IntrFrameChange:
+			s.Hz, s.Phase = value(c.Args[1]), value(c.Args[2])
+		default:
+			continue
+		}
+		if n < len(fed) {
+			slots[fed[n]] = s
+		}
+		n++
+	}
+	if n != len(fed) {
+		return nil, fmt.Errorf("devices: template %q linked %d plays and frame updates from %d calls", tpl.ID, len(fed), n)
+	}
+	return slots, nil
+}
+
+// prepared returns mod's prepared program under the device's current
+// calibration and engine, linking and storing it when the store has none
 // that is current.
 func (d *SimDevice) prepared(mod *qir.Module) (*simq.Program, error) {
-	d.mu.Lock()
-	engine, err := d.executorLocked()
-	cal := d.calib.Load()
-	var prog *simq.Program
-	if i := slices.IndexFunc(d.programs[:], func(p preparedProgram) bool {
-		return p.mod == mod && p.calib == cal && p.engine == engine
-	}); i >= 0 {
-		prog = d.programs[i].prog
-	}
-	d.mu.Unlock()
+	prog, cal, engine, err := d.lookup(mod)
 	if err != nil || prog != nil {
 		return prog, err
 	}
+	if _, prog, err = d.link(cal, engine, mod, nil); err != nil {
+		return nil, err
+	}
+	d.store(mod, cal, engine, prog)
+	return prog, nil
+}
 
-	binding, err := d.binding(cal, mod.PortNames)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := qir.BuildSchedule(mod, binding)
-	if err != nil {
-		return nil, err
-	}
-	sp, err := sched.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	if prog, err = engine.Prepare(sp); err != nil {
-		return nil, err
-	}
-
+// lookup returns the store's program for mod under the device's current
+// calibration and engine — nil if it has none that is current — and the
+// calibration and engine a new entry is linked against.
+func (d *SimDevice) lookup(mod *qir.Module) (*simq.Program, *calibration, *simq.Executor, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	engine, err := d.executorLocked()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cal := d.calib.Load()
+	if i := slices.IndexFunc(d.programs[:], func(p preparedProgram) bool {
+		return p.mod == mod && p.calib == cal && p.engine == engine
+	}); i >= 0 {
+		return d.programs[i].prog, cal, engine, nil
+	}
+	return nil, cal, engine, nil
+}
+
+// store adds mod's program, linked against cal for engine, to the ring.
+func (d *SimDevice) store(mod *qir.Module, cal *calibration, engine *simq.Executor, prog *simq.Program) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.programs[d.nextProgram] = preparedProgram{mod: mod, calib: cal, engine: engine, prog: prog}
 	d.nextProgram = (d.nextProgram + 1) % preparedCap
 	// A replaced calibration or a dropped engine never comes back, so an
@@ -306,8 +433,44 @@ func (d *SimDevice) prepared(mod *qir.Module) (*simq.Program, error) {
 			*p = preparedProgram{}
 		}
 	}
-	d.mu.Unlock()
-	return prog, nil
+}
+
+// link is the device's one way from a module to what it runs, template or
+// not: mod linked against cal's port, frame and calibration tables by
+// qir.BuildSchedule — which verifies mod, so a module is verified once per
+// store entry — then, given an engine, resolved to start ticks and prepared
+// for it. tpl, when set, is the template mod is a point of, and the program
+// records which of its instructions the template's slots feed.
+func (d *SimDevice) link(cal *calibration, engine *simq.Executor, mod, tpl *qir.Module) (*pulse.Schedule, *simq.Program, error) {
+	binding, err := d.binding(cal, mod.PortNames)
+	if err != nil {
+		return nil, nil, err
+	}
+	sched, err := qir.BuildSchedule(mod, binding)
+	if err != nil {
+		if mod.Verify() != nil { // malformed, not merely unlinkable here
+			err = fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err)
+		}
+		return nil, nil, err
+	}
+	if engine == nil {
+		return sched, nil, nil
+	}
+	sp, err := sched.Resolve()
+	if err != nil {
+		return nil, nil, err
+	}
+	var slots map[pulse.Instruction]simq.Slot
+	if tpl != nil {
+		if slots, err = templateSlots(tpl, sched); err != nil {
+			return nil, nil, err
+		}
+	}
+	prog, err := engine.Prepare(sp, slots)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sched, prog, nil
 }
 
 // trueModel builds the system model from the drifted true physics: channel
@@ -373,27 +536,28 @@ func (d *SimDevice) SubmitJobOpts(payload []byte, format qdmi.ProgramFormat, opt
 }
 
 // SubmitModule implements the qdmi.ModuleSubmitter capability: the
-// bind-aware execution path of the template subsystem. Bound sweep points
-// arrive as in-memory QIR modules and skip the emit-text/parse-text round
-// trip SubmitJobOpts pays per payload; everything downstream of parsing is
-// the same submit.
+// in-memory path every client job takes, which skips the emit-text/parse-text
+// round trip SubmitJobOpts pays per payload. A template arrives as itself,
+// with the job's point in opts.Bindings, and binds into the template's
+// prepared program; everything downstream of parsing is the same submit. The
+// module is verified when its prepared program is built — once per store
+// entry, not per job — and a malformed one fails its job with
+// qdmi.ErrInvalidArgument before anything runs.
 func (d *SimDevice) SubmitModule(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, error) {
 	if mod == nil {
 		return nil, fmt.Errorf("%w: nil module", qdmi.ErrInvalidArgument)
-	}
-	if err := mod.Verify(); err != nil {
-		return nil, fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err)
 	}
 	return d.submit(mod, opts)
 }
 
 // submit is the one body behind the three exported submit entry points:
-// it refuses a template nobody bound (slots parse, so text can carry them
-// this far too), validates the job options and the module's port names, and
-// draws the job ID and seed from the device's job stream — at submit, so
-// results follow submit order. The job runs when it is first waited on.
+// it refuses a template that comes without a point to bind (slots parse, so
+// text can carry them this far too), validates the job options and the
+// module's port names, and draws the job ID and seed from the device's job
+// stream — at submit, so results follow submit order. The job runs when it
+// is first waited on.
 func (d *SimDevice) submit(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, error) {
-	if mod.IsParametric() {
+	if opts.Bindings == nil && mod.IsParametric() {
 		return nil, fmt.Errorf("%w: module %q still carries unbound parameters %v",
 			qdmi.ErrInvalidArgument, mod.ID, mod.ParamNames())
 	}
@@ -446,7 +610,7 @@ func (d *SimDevice) runJob(ctx context.Context, job *qdmi.AsyncJob, mod *qir.Mod
 			return
 		}
 	}
-	prog, err := d.prepared(mod)
+	prog, err := d.program(mod, opts)
 	if err != nil {
 		job.Fail(err)
 		return
@@ -557,9 +721,6 @@ func newDeviceNames(name string) deviceNames {
 // BuildScheduleForPayload lowers a payload to a schedule without executing
 // it.
 func (d *SimDevice) BuildScheduleForPayload(mod *qir.Module) (*pulse.Schedule, error) {
-	binding, err := d.Binding(mod.PortNames)
-	if err != nil {
-		return nil, err
-	}
-	return qir.BuildSchedule(mod, binding)
+	sched, _, err := d.link(d.calib.Load(), nil, mod, nil)
+	return sched, err
 }

@@ -1,14 +1,20 @@
 package devices
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
+	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
+	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/readout"
 	"mqsspulse/internal/testutil"
+	"mqsspulse/internal/waveform"
 )
 
 // runModule executes a module through SubmitModule — the entry that keeps
@@ -65,15 +71,132 @@ func sameResult(t *testing.T, what string, got, want *qdmi.Result) {
 	}
 }
 
+// sweepTemplate lowers, against d, a template with an amplitude slot (a
+// WaveformP played twice on the drive) and phase and frequency slots (an
+// RZ(Sym) and a frame change that detunes the second play) — every slot a
+// device binds into the template's prepared program — plus, with delay, a
+// delay slot, which moves a duration, so each point runs as a module of its
+// own. It returns the template's module and four points.
+func sweepTemplate(t *testing.T, d *SimDevice, delay bool) (*qir.Module, []map[string]float64) {
+	t.Helper()
+	env, err := waveform.Gaussian{Amplitude: 1, SigmaFrac: 0.2}.Materialize("env", 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0 := d.CalibratedFrequency(0)
+	k := qpi.NewCircuit("sweep", 1, 1).
+		WaveformP("env", env.Samples, qpi.Sym("amp")).
+		PlayWaveform("q0-drive", "env").
+		RZP(0, qpi.Sym("phi")).
+		FrameChangeP("q0-drive", qpi.SymAffine("det", 1, f0), qpi.SymAffine("phi", 0.5, 0)).
+		PlayWaveform("q0-drive", "env")
+	params := []ptemplate.Param{
+		{Name: "amp", Min: 0.05, Max: 1}, {Name: "phi", Min: -math.Pi, Max: math.Pi}, {Name: "det", Min: -4e6, Max: 4e6},
+	}
+	if delay {
+		k.DelayP("q0-drive", qpi.Sym("wait"))
+		params = append(params, ptemplate.Param{Name: "wait", Min: 0, Max: 64})
+	}
+	if err := k.Measure(0, 0).End(); err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := ptemplate.New(k, params...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ptemplate.Lower(tpl, d, d.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := []map[string]float64{
+		{"amp": 0.9, "phi": 0.3, "det": 2e6, "wait": 8},
+		{"amp": 0.35, "phi": -2.5, "det": -3e6, "wait": 40},
+		{"amp": 0.6, "phi": 1.7, "det": 0, "wait": 0},
+		{"amp": 1, "phi": math.Pi, "det": 4e6, "wait": 64},
+	}
+	if !delay {
+		for _, p := range points {
+			delete(p, "wait")
+		}
+	}
+	return c.Module, points
+}
+
+// overdrivenTemplate is a hand-written template whose base envelope peaks
+// at 1.6, past full scale: legal, because its amplitude range scales it back
+// inside. A device must never link the base shape itself.
+func overdrivenTemplate() (*qir.Module, []map[string]float64) {
+	return &qir.Module{
+			ID: "overdriven", Profile: qir.ProfilePulse, EntryName: "overdriven",
+			NumResults: 1, NumPorts: 2, PortNames: []string{"q0-drive", "q0-readout"},
+			Waveforms: []qir.WaveformConst{{Name: "env", Samples: []complex128{0.4, 1.2, 1.6, 1.6, 1.2, 0.4, 0.2, 0.1},
+				AmpExpr: &qir.ParamExpr{Param: "amp", Scale: 1}}},
+			Body: []qir.Call{
+				{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("env")}},
+				{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1)}},
+				{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(96)}},
+			},
+		}, []map[string]float64{
+			{"amp": 0.6}, {"amp": 0.25}, {"amp": 0.5}, {"amp": 0.1},
+		}
+}
+
+// gateTemplate is a hand-written gate-level template: its slot is an rx
+// angle, which goes through the device's gate lowering, so each point runs
+// as a module of its own.
+func gateTemplate() (*qir.Module, []map[string]float64) {
+	return gateModule("rx", 1, 1, []qir.Call{
+			{Callee: qir.IntrRX, Args: []qir.Arg{{Kind: qir.ArgF64, Expr: &qir.ParamExpr{Param: "theta", Scale: 1}}, qir.QubitArg(0)}},
+			mz(0, 0),
+		}), []map[string]float64{
+			{"theta": 0.4}, {"theta": 2.9}, {"theta": 1.5}, {"theta": math.Pi},
+		}
+}
+
+// bind binds a point into a template the way a caller without the device's
+// help does: a concrete module of its own.
+func bind(t *testing.T, tpl *qir.Module, point map[string]float64) *qir.Module {
+	t.Helper()
+	m, err := tpl.Bind(point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// withPoint returns opts carrying a sweep point.
+func withPoint(opts qdmi.JobOptions, point map[string]float64) qdmi.JobOptions {
+	opts.Bindings = point
+	return opts
+}
+
 // TestPreparedMatchesUnprepared: a job that finds its module prepared
 // returns, byte for byte, what the same job returns when the device has to
 // link, resolve and prepare it — counts, IQ and raw traces, at every
 // measurement level and 1 and 2 shot workers. Two identically seeded devices
 // run the same job sequence; one is handed the same *qir.Module every time,
-// the other a fresh deep copy per job.
+// the other a fresh deep copy per job. The same holds for sweep points: one
+// device is handed the template and each point, and binds the point into the
+// template's prepared program; the other is handed a deep copy of the module
+// the point binds to.
 func TestPreparedMatchesUnprepared(t *testing.T) {
 	const jobs = 4
 	bell := bellModule()
+	inPlace, points := sweepTemplate(t, openSC(t, 2), false)
+	withDelay, delayPoints := sweepTemplate(t, openSC(t, 2), true)
+	overdriven, overdrivenPoints := overdrivenTemplate()
+	gates, gatePoints := gateTemplate()
+	templates := []struct {
+		name    string
+		mod     *qir.Module
+		points  []map[string]float64
+		entries int // store entries for the template after its points
+	}{
+		{"amplitude, phase and frequency slots", inPlace, points, 1},
+		{"overdriven base", overdriven, overdrivenPoints, 1},
+		{"with a delay slot", withDelay, delayPoints, 0},
+		{"with a gate call", gates, gatePoints, 0},
+	}
 	for _, level := range []readout.MeasLevel{readout.LevelDiscriminated, readout.LevelKerneled, readout.LevelRaw} {
 		for _, workers := range []int{1, 2} {
 			opts := qdmi.JobOptions{Shots: 48, MeasLevel: level, ShotWorkers: workers}
@@ -85,6 +208,17 @@ func TestPreparedMatchesUnprepared(t *testing.T) {
 			}
 			if n := preparedFor(hit, bell); n != 1 {
 				t.Fatalf("%d prepared programs for one module presented %d times, want 1", n, jobs)
+			}
+			for _, tpl := range templates {
+				for i, point := range tpl.points {
+					got := runModule(t, hit, tpl.mod, withPoint(opts, point))
+					want := runModule(t, miss, deepCopy(t, bind(t, tpl.mod, point)), opts)
+					sameResult(t, fmt.Sprintf("%s: %s point %d bound by the device vs bound first", level, tpl.name, i), got, want)
+				}
+				if n := preparedFor(hit, tpl.mod); n != tpl.entries {
+					t.Fatalf("%s: %d prepared programs for the template after %d points, want %d",
+						tpl.name, n, len(tpl.points), tpl.entries)
+				}
 			}
 		}
 	}
@@ -136,47 +270,68 @@ var calibrationMoves = []struct {
 // TestPreparedProgramGoesStale: between two submissions of the same module
 // pointer the device's calibration or true physics moves; the second job
 // must return what a device that never prepared anything returns in the
-// same state, not what the program prepared for the first job would.
+// same state, not what the program prepared for the first job would. The
+// same holds for a template's entry between two sweep points. A template's
+// pulses were lowered at compile time, so of the visible moves only the
+// calibrated π amplitude does not reach it: the link-time frames and the
+// true physics do.
 func TestPreparedProgramGoesStale(t *testing.T) {
 	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	tpl, points := sweepTemplate(t, driftingSC(t), false)
 	opts := qdmi.JobOptions{Shots: 4000}
+	programs := []struct {
+		name          string
+		mod           *qir.Module
+		first, second qdmi.JobOptions
+		want          *qir.Module // what a device that binds nothing runs for second
+		visible       func(move string) bool
+	}{
+		{"module", x, opts, opts, x, func(string) bool { return true }},
+		{"template", tpl, withPoint(opts, points[0]), withPoint(opts, points[1]), bind(t, tpl, points[1]),
+			func(move string) bool { return move != "SetCalibratedPiAmplitude" }},
+	}
 	for _, mv := range calibrationMoves {
 		t.Run(mv.name, func(t *testing.T) {
-			warm := driftingSC(t)
-			runModule(t, warm, x, opts)
-			if err := mv.move(warm); err != nil {
-				t.Fatal(err)
-			}
-			got := runModule(t, warm, x, opts)
+			for _, p := range programs {
+				warm := driftingSC(t)
+				runModule(t, warm, p.mod, p.first)
+				if err := mv.move(warm); err != nil {
+					t.Fatal(err)
+				}
+				got := runModule(t, warm, p.mod, p.second)
 
-			fresh := skipJobs(driftingSC(t), 1)
-			if err := mv.move(fresh); err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, "second job after "+mv.name+" vs a fresh device in the same state",
-				got, runModule(t, fresh, deepCopy(t, x), opts))
-			if n := preparedFor(warm, x); n != 1 {
-				t.Fatalf("%d prepared programs for the module, want the current one only", n)
-			}
+				fresh := skipJobs(driftingSC(t), 1)
+				if err := mv.move(fresh); err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, p.name+": second job after "+mv.name+" vs a fresh device in the same state",
+					got, runModule(t, fresh, deepCopy(t, p.want), opts))
+				if n := preparedFor(warm, p.mod); n != 1 {
+					t.Fatalf("%s: %d prepared programs, want the current one only", p.name, n)
+				}
 
-			// What a program kept across the move would have returned.
-			stale := runModule(t, skipJobs(driftingSC(t), 1), x, opts)
-			if mv.visible == reflect.DeepEqual(got.Counts, stale.Counts) {
-				t.Fatalf("visible=%v but counts after the move %v, without it %v", mv.visible, got.Counts, stale.Counts)
+				// What a program kept across the move would have returned.
+				stale := runModule(t, skipJobs(driftingSC(t), 1), p.want, opts)
+				if visible := mv.visible && p.visible(mv.name); visible == reflect.DeepEqual(got.Counts, stale.Counts) {
+					t.Fatalf("%s: visible=%v but counts after the move %v, without it %v",
+						p.name, visible, got.Counts, stale.Counts)
+				}
 			}
 		})
 	}
 }
 
-// TestPreparedProgramUnderConcurrentMoves: one goroutine resubmits a module
-// pointer while another walks through every calibration move; the race
-// detector watches the store, and once both are done the next job on the
+// TestPreparedProgramUnderConcurrentMoves: two goroutines resubmit a module
+// pointer and sweep a template while another walks through every
+// calibration move; the race detector watches the store and the template's
+// shared program, and once all are done the next job of each kind on the
 // device matches a fresh device brought to the same state — however the
 // moves interleaved with the look-ups, no stale program survived them.
 func TestPreparedProgramUnderConcurrentMoves(t *testing.T) {
 	testutil.AssertNoLeaks(t)
 	const jobs, rounds = 40, 3
 	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	tpl, points := sweepTemplate(t, driftingSC(t), false)
 	opts := qdmi.JobOptions{Shots: 8}
 	moveAll := func(d *SimDevice) {
 		for r := 0; r < rounds; r++ {
@@ -189,21 +344,29 @@ func TestPreparedProgramUnderConcurrentMoves(t *testing.T) {
 	}
 
 	d := driftingSC(t)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
+	// submitAll runs jobs jobs of mod on d, the i-th with opts(i).
+	submitAll := func(mod *qir.Module, opts func(i int) qdmi.JobOptions) {
 		for i := 0; i < jobs; i++ {
-			job, err := d.SubmitModule(x, opts)
+			job, err := d.SubmitModule(mod, opts(i))
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			if st := job.Wait(t.Context()); st != qdmi.JobDone {
-				t.Errorf("job %d: status %v", i, st)
+				t.Errorf("%s job %d: status %v", mod.ID, i, st)
 				return
 			}
 		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		submitAll(x, func(int) qdmi.JobOptions { return opts })
+	}()
+	go func() {
+		defer wg.Done()
+		submitAll(tpl, func(i int) qdmi.JobOptions { return withPoint(opts, points[i%len(points)]) })
 	}()
 	go func() {
 		defer wg.Done()
@@ -211,11 +374,13 @@ func TestPreparedProgramUnderConcurrentMoves(t *testing.T) {
 	}()
 	wg.Wait()
 
-	fresh := skipJobs(driftingSC(t), jobs)
+	fresh := skipJobs(driftingSC(t), 2*jobs)
 	moveAll(fresh)
 	final := qdmi.JobOptions{Shots: 2000}
 	sameResult(t, "job after concurrent moves vs a fresh device moved the same way",
 		runModule(t, d, x, final), runModule(t, fresh, deepCopy(t, x), final))
+	sameResult(t, "sweep point after concurrent moves vs a fresh device moved the same way",
+		runModule(t, d, tpl, withPoint(final, points[1])), runModule(t, fresh, deepCopy(t, bind(t, tpl, points[1])), final))
 }
 
 // TestPreparedStoreIsBounded: twice the store's capacity in one-shot
@@ -239,4 +404,80 @@ func TestPreparedStoreIsBounded(t *testing.T) {
 	if n := preparedFor(d, x); n != 1 {
 		t.Fatalf("%d prepared programs for the resubmitted module, want 1", n)
 	}
+}
+
+// TestSweepKeepsOneEntry: a 1,024-point sweep through one template leaves
+// one store entry for it — every point binds into the program its first
+// point prepared — and a kernel prepared before the sweep is still a hit:
+// the sweep pushed nothing out of a ring of preparedCap entries.
+func TestSweepKeepsOneEntry(t *testing.T) {
+	const points = 1024
+	d := openSC(t, 1)
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	opts := qdmi.JobOptions{Shots: 1}
+	runModule(t, d, x, opts)
+	tpl, _ := sweepTemplate(t, d, false)
+	for i := 0; i < points; i++ {
+		f := float64(i) / (points - 1)
+		runModule(t, d, tpl, withPoint(opts, map[string]float64{"amp": 0.05 + 0.95*f, "phi": math.Pi * (2*f - 1), "det": 1e6 * f}))
+	}
+	if n := preparedFor(d, tpl); n != 1 {
+		t.Fatalf("%d prepared programs for the template after a %d-point sweep, want 1", n, points)
+	}
+	if n := preparedFor(d, x); n != 1 {
+		t.Fatalf("the kernel prepared before the sweep has %d prepared programs after it, want 1", n)
+	}
+}
+
+// TestModuleVerifiedOncePerEntry: a module is verified by the link that
+// builds its store entry, not per job. A malformed one — concrete or a
+// template, presented once or again — fails its job with
+// qdmi.ErrInvalidArgument before anything runs and never enters the store.
+// A store hit is not verified again: the entry is the program verified when
+// it was built, whatever was done to the module since (the ModuleSubmitter
+// contract forbids changing a submitted module; this test breaks it on
+// purpose to show that no per-job check is left).
+func TestModuleVerifiedOncePerEntry(t *testing.T) {
+	d := openSC(t, 1)
+	opts := qdmi.JobOptions{Shots: 8}
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	tpl, points := sweepTemplate(t, d, false)
+	malformed := func(m *qir.Module) *qir.Module {
+		bad := *m
+		bad.Body = append([]qir.Call{{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("ghost")}}}, m.Body...)
+		return &bad
+	}
+
+	// Miss: a malformed module never runs, however often it comes back.
+	for _, c := range []struct {
+		name string
+		mod  *qir.Module
+		opts qdmi.JobOptions
+	}{
+		{"module", malformed(x), opts},
+		{"template", malformed(tpl), withPoint(opts, points[0])},
+	} {
+		for range 2 {
+			job, err := d.SubmitModule(c.mod, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := job.Wait(t.Context()); st != qdmi.JobFailed {
+				t.Fatalf("malformed %s: job %v, want failed", c.name, st)
+			}
+			if _, err := job.Result(); !errors.Is(err, qdmi.ErrInvalidArgument) {
+				t.Fatalf("malformed %s: err = %v, want qdmi.ErrInvalidArgument", c.name, err)
+			}
+			if n := preparedFor(d, c.mod); n != 0 {
+				t.Fatalf("malformed %s has %d prepared programs", c.name, n)
+			}
+		}
+	}
+
+	// Hit: the entry runs without a second look at the module.
+	runModule(t, d, x, opts)
+	runModule(t, d, tpl, withPoint(opts, points[0]))
+	*x, *tpl = *malformed(x), *malformed(tpl)
+	runModule(t, d, x, opts)
+	runModule(t, d, tpl, withPoint(opts, points[1]))
 }

@@ -218,6 +218,11 @@ type JobOptions struct {
 	// phase; devices cap it at their processor count. A job's result
 	// never depends on the worker count, scheduling or completion order.
 	ShotWorkers int
+	// Bindings is the job's sweep point when the module submitted with it
+	// (ModuleSubmitter) is a template: one value per parameter its slots
+	// name. The device binds them in; a module with slots and no Bindings is
+	// refused. Nil for a concrete module.
+	Bindings map[string]float64
 }
 
 // AcquisitionSubmitter is an optional Device capability: devices whose
@@ -229,14 +234,17 @@ type AcquisitionSubmitter interface {
 	SubmitJobOpts(payload []byte, format ProgramFormat, opts JobOptions) (Job, error)
 }
 
-// ModuleSubmitter is an optional Device capability for the deferred-binding
-// template path: devices that accept an in-memory QIR module implement it,
-// letting bound sweep points skip the emit-text/parse-text round trip a
-// byte payload would cost per point. The module must be fully concrete
-// (already bound). Callers type-assert; the QRM falls back to emitting
-// bytes for devices without it.
+// ModuleSubmitter is an optional Device capability: devices that accept an
+// in-memory QIR module implement it, so a job skips the emit-text/parse-text
+// round trip a byte payload costs. The module is either concrete or a
+// template with the job's point in JobOptions.Bindings, which the device
+// binds itself — a device may prepare the template once and bind every
+// point into that. A device keeps the module and must not modify it; the
+// caller must not modify it either. Callers type-assert; the QRM falls back
+// to emitting bytes (a template bound first) for devices without it.
 type ModuleSubmitter interface {
-	// SubmitModule enqueues a concrete QIR module with acquisition options.
+	// SubmitModule enqueues a QIR module with acquisition options and, for
+	// a template, the point to bind.
 	SubmitModule(mod *qir.Module, opts JobOptions) (Job, error)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"sort"
 
 	"mqsspulse/internal/waveform"
@@ -71,76 +72,102 @@ func evalExpr(e *ParamExpr, vals map[string]float64) (float64, error) {
 	return v, nil
 }
 
-// Bind substitutes concrete parameter values into every unbound slot and
-// returns a fully concrete module ready to emit or execute. The receiver is
-// not modified; unchanged waveforms and calls are shared, not copied. Bound
-// waveform samples are range-checked (|sample| ≤ full scale), and bound
-// delay counts must round to a non-negative integer.
-func (m *Module) Bind(vals map[string]float64) (*Module, error) {
-	out := *m
-	out.Waveforms = make([]WaveformConst, len(m.Waveforms))
+// BindSlots evaluates every unbound slot of the module at vals — the one
+// evaluation Bind is made of, checks included — and appends the results in
+// slot order: to samples, per waveform constant with an amplitude slot (in
+// Waveforms order), its base samples scaled by the bound value, each within
+// full scale; to values, per argument slot (in Body order, arguments left to
+// right), the bound value, an i64 slot's rounded to its non-negative count.
+// The pair is a template's binding vector: a device that prepared the
+// template once runs a point by writing it in, with no module built.
+func (m *Module) BindSlots(vals map[string]float64, samples [][]complex128, values []float64) ([][]complex128, []float64, error) {
 	for i := range m.Waveforms {
-		w := m.Waveforms[i]
+		w := &m.Waveforms[i]
 		if w.AmpExpr == nil {
-			out.Waveforms[i] = w
 			continue
 		}
 		v, err := evalExpr(w.AmpExpr, vals)
 		if err != nil {
-			return nil, fmt.Errorf("qir: bind waveform @%s: %w", w.Name, err)
+			return nil, nil, fmt.Errorf("qir: bind waveform @%s: %w", w.Name, err)
 		}
 		s := complex(v, 0)
-		samples := make([]complex128, len(w.Samples))
+		bound := make([]complex128, len(w.Samples))
 		for j, x := range w.Samples {
-			samples[j] = s * x
+			bound[j] = s * x
 		}
-		for j, x := range samples {
+		for j, x := range bound {
 			if a := cmplx.Abs(x); math.IsNaN(a) || a > 1.0+1e-12 {
-				return nil, fmt.Errorf("qir: bind waveform @%s: sample %d has magnitude %g", w.Name, j, a)
+				return nil, nil, fmt.Errorf("qir: bind waveform @%s: sample %d has magnitude %g", w.Name, j, a)
 			}
 		}
-		out.Waveforms[i] = WaveformConst{Name: w.Name, Samples: samples}
+		samples = append(samples, bound)
 	}
-	out.Body = make([]Call, len(m.Body))
 	for ci, c := range m.Body {
-		bound := false
-		for _, a := range c.Args {
-			if a.Expr != nil {
-				bound = true
-				break
-			}
-		}
-		if !bound {
-			out.Body[ci] = c
-			continue
-		}
-		args := make([]Arg, len(c.Args))
-		copy(args, c.Args)
-		for ai := range args {
-			e := args[ai].Expr
-			if e == nil {
+		for ai, a := range c.Args {
+			if a.Expr == nil {
 				continue
 			}
-			v, err := evalExpr(e, vals)
+			v, err := evalExpr(a.Expr, vals)
 			if err != nil {
-				return nil, fmt.Errorf("qir: bind call %d (%s) arg %d: %w", ci, c.Callee, ai, err)
+				return nil, nil, fmt.Errorf("qir: bind call %d (%s) arg %d: %w", ci, c.Callee, ai, err)
 			}
-			switch args[ai].Kind {
+			switch a.Kind {
 			case ArgF64:
-				args[ai] = F64Arg(v)
 			case ArgI64:
 				r := math.Round(v)
 				if r < 0 {
-					return nil, fmt.Errorf("qir: bind call %d (%s) arg %d: %g rounds to a negative count",
+					return nil, nil, fmt.Errorf("qir: bind call %d (%s) arg %d: %g rounds to a negative count",
 						ci, c.Callee, ai, v)
 				}
-				args[ai] = I64Arg(int64(r))
+				v = r
 			default:
-				return nil, fmt.Errorf("qir: bind call %d (%s) arg %d: %s args cannot carry expressions",
-					ci, c.Callee, ai, args[ai].Kind)
+				return nil, nil, fmt.Errorf("qir: bind call %d (%s) arg %d: %s args cannot carry expressions",
+					ci, c.Callee, ai, a.Kind)
 			}
+			values = append(values, v)
 		}
-		out.Body[ci] = Call{Callee: c.Callee, Args: args}
+	}
+	return samples, values, nil
+}
+
+// Bind substitutes concrete parameter values into every unbound slot and
+// returns a fully concrete module ready to emit or execute. The receiver is
+// not modified; unchanged waveforms and calls are shared, not copied. Bound
+// waveform samples are range-checked (|sample| ≤ full scale), and bound
+// delay counts must round to a non-negative integer (see BindSlots).
+func (m *Module) Bind(vals map[string]float64) (*Module, error) {
+	var sbuf [4][]complex128
+	var vbuf [8]float64
+	samples, values, err := m.BindSlots(vals, sbuf[:0], vbuf[:0])
+	if err != nil {
+		return nil, err
+	}
+	out := *m
+	out.Waveforms = slices.Clone(m.Waveforms)
+	for i := range out.Waveforms {
+		if w := &out.Waveforms[i]; w.AmpExpr != nil {
+			*w = WaveformConst{Name: w.Name, Samples: samples[0]}
+			samples = samples[1:]
+		}
+	}
+	out.Body = slices.Clone(m.Body)
+	for ci := range out.Body {
+		c := &out.Body[ci]
+		if !slices.ContainsFunc(c.Args, func(a Arg) bool { return a.Expr != nil }) {
+			continue
+		}
+		c.Args = slices.Clone(c.Args)
+		for ai, a := range c.Args {
+			switch {
+			case a.Expr == nil:
+				continue
+			case a.Kind == ArgF64:
+				c.Args[ai] = F64Arg(values[0])
+			default: // ArgI64
+				c.Args[ai] = I64Arg(int64(values[0]))
+			}
+			values = values[1:]
+		}
 	}
 	return &out, nil
 }

@@ -98,17 +98,20 @@ type Request struct {
 	// Template is a compiled program — the form every client job takes,
 	// local or off the wire; Payload/Format is for callers that hold only
 	// text. When set, Payload must be empty: the scheduler hands the program's
-	// module to a qdmi.ModuleSubmitter device directly (text only as a
-	// fallback), substituting Bindings first — at dispatch time, after the
-	// epoch check — when the program has parameters.
+	// module to a qdmi.ModuleSubmitter device directly, with Bindings when
+	// the program has parameters, and the device binds them; a device
+	// without that capability gets text, bound here. Either way the point is
+	// bound at dispatch time, after the epoch check.
 	Template *ptemplate.Compiled
 	// Bindings is this job's sweep point: one value per Template parameter
-	// (none for a concrete kernel).
+	// (none for a concrete kernel). It is validated at submit and again at
+	// dispatch, and must not be modified until the ticket resolves.
 	Bindings ptemplate.Bindings
 	// Timeline, when non-nil, is the job's telemetry trace: the scheduler
-	// records queue-wait, dispatch, and (template) bind spans onto it, and
-	// hands it to the device through qdmi.JobOptions for the device-side
-	// stages. Nil submissions run untraced (per-device queue-wait
+	// records queue-wait and dispatch spans onto it, and hands it to the
+	// device through qdmi.JobOptions for the device-side stages — a template
+	// point's bind among them, which the scheduler records itself only for a
+	// device that takes text. Nil submissions run untraced (per-device queue-wait
 	// histograms still accumulate when SetTelemetry installed a registry).
 	Timeline *telemetry.Timeline
 	// ShotWorkers, when positive, asks the executing device to spread the
@@ -506,38 +509,39 @@ func (s *Scheduler) checkEpoch(dispatchDevice string, req Request) error {
 
 // submitToDevice dispatches a request, routing through the acquisition
 // capability when the device offers it; devices without it can only serve
-// discriminated counts. A compiled program (req.Template) with parameters
-// binds here — after the epoch gate in runItem, so a stale template fails
-// with ErrStaleCalibration before any binding work; one without runs its
-// cached module as is, shared and unmodified. Either prefers the
-// qdmi.ModuleSubmitter capability, which skips the emit/parse round trip;
-// a device without it receives text through the ordinary path — the
-// program's text, emitted once however many jobs ask, or a bound module's
-// fresh emit.
+// discriminated counts. A compiled program (req.Template) prefers the
+// qdmi.ModuleSubmitter capability, which skips the emit/parse round trip:
+// the device gets the cached module itself, shared and unmodified, and — for
+// a template — the point, validated here, after the epoch gate in runItem, so
+// a stale template fails with ErrStaleCalibration before any binding work.
+// The device binds it and records the bind span. A device without the
+// capability receives text through the ordinary path: the program's text,
+// emitted once however many jobs ask, or a point bound here and emitted.
 func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi.Job, error) {
 	opts := qdmi.JobOptions{
 		Shots: req.Shots, MeasLevel: req.MeasLevel, MeasReturn: req.MeasReturn,
 		Telemetry: req.Timeline, TelemetryParent: parent, ShotWorkers: req.ShotWorkers,
 	}
 	if p := req.Template; p != nil {
-		mod := p.Module
-		if len(p.Params) > 0 {
+		if ms, ok := dev.(qdmi.ModuleSubmitter); ok {
+			if len(p.Params) > 0 {
+				if err := p.Validate(req.Bindings); err != nil {
+					return nil, err
+				}
+				opts.Bindings = req.Bindings
+			}
+			return ms.SubmitModule(p.Module, opts)
+		}
+		if len(p.Params) == 0 {
+			req.Payload = p.Text()
+		} else {
 			bindStart := time.Now()
-			var err error
-			if mod, err = p.Bind(req.Bindings); err != nil {
+			mod, err := p.Bind(req.Bindings)
+			if err != nil {
 				return nil, err
 			}
 			req.Timeline.Record(telemetry.StageBind, dev.Name(), bindStart, time.Since(bindStart), parent)
-		}
-		if ms, ok := dev.(qdmi.ModuleSubmitter); ok {
-			return ms.SubmitModule(mod, opts)
-		}
-		// A device runs concrete text: a bound point's own emit, or the
-		// program's shared text when there was nothing to bind.
-		if len(p.Params) > 0 {
 			req.Payload = mod.Emit()
-		} else {
-			req.Payload = p.Text()
 		}
 		req.Format = p.Format
 	}

@@ -208,13 +208,43 @@ type Program struct {
 	sites    []int // captures' sites, in bits order
 	makespan int64
 	dt       float64
+	// A template's program (Prepare with slots) also keeps every frame's
+	// state at tick 0 and the steps Prepare took from there, in time order,
+	// to update frames and latch them into plays: what Bind takes again.
+	frames []pulse.Frame
+	walk   []frameStep
+}
+
+// Slot marks an instruction of a template's scheduled program whose value
+// each job binds anew (see Program.Bind). Samples indexes the bound sample
+// sets a play takes its samples from; Hz and Phase index the bound values a
+// frame update takes its frequency and phase from. -1 marks a field the
+// instruction keeps. No slot moves a duration: the segment boundaries of a
+// template's program hold for every binding.
+type Slot struct{ Samples, Hz, Phase int }
+
+// Binding is one job's values for the slots of a template's program,
+// indexed as its Slots index them.
+type Binding struct {
+	Samples [][]complex128
+	Values  []float64
+}
+
+// frameStep is one step of a program's frame walk: in, an update of
+// frames[frame] or the play latching it into plays[play], and the Slot of
+// in (all -1 when nothing rebinds it).
+type frameStep struct {
+	in    pulse.Instruction
+	frame int
+	play  int
+	slot  Slot
 }
 
 // Run executes the scheduled program: Prepare, then one run of the
 // prepared program. A caller that runs the same program again keeps the
 // Program and calls its Run instead.
 func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResult, error) {
-	p, err := e.Prepare(sp)
+	p, err := e.Prepare(sp, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -223,46 +253,65 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 
 // Prepare links a scheduled program against the executor's model. The port
 // set of the schedule must be covered by the model's channels for every
-// played port; capture ports must reference single-site ports.
-func (e *Executor) Prepare(sp *pulse.ScheduledProgram) (*Program, error) {
-	// Latch frame states as instructions execute, in time order.
-	frames := map[string]*pulse.Frame{}
-	for _, f := range sp.Schedule.Frames() {
-		frames[f.ID] = f.Clone()
-	}
-
+// played port; capture ports must reference single-site ports. slots marks
+// the instructions of a template's program that Bind rebinds; nil for a
+// concrete program.
+func (e *Executor) Prepare(sp *pulse.ScheduledProgram, slots map[pulse.Instruction]Slot) (*Program, error) {
 	dt, err := e.sampleDt(sp)
 	if err != nil {
 		return nil, err
 	}
 
 	p := &Program{exec: e, dt: dt, makespan: sp.TotalDuration()}
+	var buf [8]pulse.Frame
+	frames := buf[:0]
+	for _, f := range sp.Schedule.Frames() {
+		frames = append(frames, *f)
+	}
+	if slots != nil {
+		p.frames = slices.Clone(frames)
+	}
+	// step applies in, which updates or latches the frame named frame, and
+	// keeps it in a template's walk.
+	step := func(in pulse.Instruction, frame string) error {
+		s, ok := slots[in]
+		if !ok {
+			s = Slot{Samples: -1, Hz: -1, Phase: -1}
+		}
+		st := frameStep{in: in, play: len(p.plays) - 1, slot: s,
+			frame: slices.IndexFunc(frames, func(f pulse.Frame) bool { return f.ID == frame })}
+		if slots != nil {
+			p.walk = append(p.walk, st)
+		}
+		return st.apply(frames, p.plays, nil)
+	}
+	var last int64
 	for _, ti := range sp.Timed {
+		// Plays are appended, and frames walked, in time order; Resolve sorts
+		// Timed so, keeping program order at equal ticks.
+		if ti.Start < last {
+			return nil, fmt.Errorf("simq: scheduled program not in start order at tick %d", ti.Start)
+		}
+		last = ti.Start
+		var err error
 		switch v := ti.Instr.(type) {
 		case *pulse.Play:
 			ch, ok := e.Model.Channels[v.Port]
 			if !ok {
 				return nil, fmt.Errorf("simq: no control channel for port %s", v.Port)
 			}
-			f := frames[v.Frame]
-			p.plays = append(p.plays, playEvent{
-				start:   ti.Start,
-				samples: v.Waveform.Samples,
-				chi0:    cmplx.Exp(complex(0, -f.PhaseRad)),
-				detune:  f.FrequencyHz - ch.CarrierFreqHz,
-				ch:      ch,
-			})
+			p.plays = append(p.plays, playEvent{start: ti.Start, samples: v.Waveform.Samples, ch: ch})
+			err = step(v, v.Frame)
 		case *pulse.ShiftPhase:
-			frames[v.Frame].ShiftPhase(v.Phase)
+			err = step(v, v.Frame)
 		case *pulse.SetPhase:
-			frames[v.Frame].SetPhase(v.Phase)
+			err = step(v, v.Frame)
 		case *pulse.ShiftFrequency:
-			frames[v.Frame].ShiftFrequency(v.Hz)
+			err = step(v, v.Frame)
 		case *pulse.SetFrequency:
-			frames[v.Frame].SetFrequency(v.Hz)
+			err = step(v, v.Frame)
 		case *pulse.FrameChange:
-			frames[v.Frame].SetFrequency(v.Hz)
-			frames[v.Frame].ShiftPhase(v.Phase)
+			err = step(v, v.Frame)
 		case *pulse.Capture:
 			port, _ := sp.Schedule.Port(v.Port)
 			if len(port.Sites) != 1 {
@@ -279,9 +328,11 @@ func (e *Executor) Prepare(sp *pulse.ScheduledProgram) (*Program, error) {
 		default:
 			return nil, fmt.Errorf("simq: unsupported instruction %T", ti.Instr)
 		}
+		if err != nil {
+			return nil, err
+		}
 	}
 
-	sortPlays(p.plays)
 	p.ticks = segmentTicks(p.plays, p.makespan)
 	slices.SortFunc(p.captures, func(a, b captureEvent) int { return cmp.Compare(a.bit, b.bit) })
 	for _, c := range p.captures {
@@ -289,6 +340,65 @@ func (e *Executor) Prepare(sp *pulse.ScheduledProgram) (*Program, error) {
 		p.sites = append(p.sites, c.site)
 	}
 	return p, nil
+}
+
+// Bind returns the program with one job's binding written in: a play with a
+// Samples slot plays b.Samples[that], a frame update with an Hz or Phase
+// slot takes b.Values[that], and the plays' latched frame state is walked
+// again from tick 0 by the steps Prepare took. Slots move no duration, so
+// the result shares p's segment ticks and captures; p itself is unchanged.
+// p must have been prepared with slots.
+func (p *Program) Bind(b Binding) (*Program, error) {
+	out := *p
+	out.plays = slices.Clone(p.plays)
+	var buf [8]pulse.Frame
+	frames := append(buf[:0], p.frames...)
+	for _, st := range p.walk {
+		if err := st.apply(frames, out.plays, &b); err != nil {
+			return nil, err
+		}
+	}
+	return &out, nil
+}
+
+// apply takes one step of a frame walk: it updates frames[st.frame] by st.in
+// or latches the frame's carrier phase (χ0) and detuning into plays[st.play]
+// — with the instruction's own values or, given a binding, its values where
+// st has a slot.
+func (st *frameStep) apply(frames []pulse.Frame, plays []playEvent, b *Binding) error {
+	f, s := &frames[st.frame], st.slot
+	// value is lit, or the binding's value i where it has one.
+	value := func(lit float64, i int) float64 {
+		if b != nil && i >= 0 {
+			return b.Values[i]
+		}
+		return lit
+	}
+	switch v := st.in.(type) {
+	case *pulse.Play:
+		pl := &plays[st.play]
+		if b != nil && s.Samples >= 0 {
+			bound := b.Samples[s.Samples]
+			if len(bound) != len(pl.samples) {
+				return fmt.Errorf("simq: bound play of %d samples in a slot of %d", len(bound), len(pl.samples))
+			}
+			pl.samples = bound
+		}
+		pl.chi0 = cmplx.Exp(complex(0, -f.PhaseRad))
+		pl.detune = f.FrequencyHz - pl.ch.CarrierFreqHz
+	case *pulse.ShiftPhase:
+		f.ShiftPhase(value(v.Phase, s.Phase))
+	case *pulse.SetPhase:
+		f.SetPhase(value(v.Phase, s.Phase))
+	case *pulse.ShiftFrequency:
+		f.ShiftFrequency(value(v.Hz, s.Hz))
+	case *pulse.SetFrequency:
+		f.SetFrequency(value(v.Hz, s.Hz))
+	case *pulse.FrameChange:
+		f.SetFrequency(value(v.Hz, s.Hz))
+		f.ShiftPhase(value(v.Phase, s.Phase))
+	}
+	return nil
 }
 
 // Run executes the prepared program once. Everything per run — state,
@@ -452,12 +562,6 @@ func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, 
 		st.Renormalize()
 	}
 	return nil
-}
-
-// sortPlays orders plays by start tick, simultaneous plays in program
-// order.
-func sortPlays(plays []playEvent) {
-	slices.SortStableFunc(plays, func(a, b playEvent) int { return cmp.Compare(a.start, b.start) })
 }
 
 // segmentTicks returns the boundaries of a run's integration segments in

@@ -130,7 +130,7 @@ func TestProgramRunsMatchExecutorRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ex.Prepare(sp)
+	prog, err := ex.Prepare(sp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,4 +154,84 @@ func TestProgramRunsMatchExecutorRun(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestBoundProgramMatchesPrepared: a program prepared with slots and then
+// bound to values runs, bit for bit, as the same schedule written with those
+// values as literals and prepared from scratch — for a play's samples and
+// every kind of frame update — and binding leaves the template's own program
+// as it was.
+func TestBoundProgramMatchesPrepared(t *testing.T) {
+	_, ex := twoTransmonRig(t, 30e-6, 20e-6)
+	env, err := waveform.Gaussian{Amplitude: 1, SigmaFrac: 0.2}.Materialize("g", 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// program writes the schedule at (amp, vals) and marks which
+	// instruction takes which of them.
+	program := func(amp float64, vals []float64) (*pulse.ScheduledProgram, map[pulse.Instruction]Slot) {
+		w, err := env.Scale(complex(amp, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := map[pulse.Instruction]Slot{}
+		sp := twoPortProgram(t, func(s *pulse.Schedule) {
+			for _, in := range []struct {
+				in   pulse.Instruction
+				slot Slot
+			}{
+				{&pulse.Play{Port: "d0", Frame: "f0", Waveform: w}, Slot{0, -1, -1}},
+				{&pulse.ShiftPhase{Port: "d0", Frame: "f0", Phase: vals[0]}, Slot{-1, -1, 0}},
+				{&pulse.SetFrequency{Port: "d1", Frame: "f1", Hz: vals[1]}, Slot{-1, 1, -1}},
+				{&pulse.Play{Port: "d1", Frame: "f1", Waveform: env}, Slot{-1, -1, -1}},
+				{&pulse.ShiftFrequency{Port: "d0", Frame: "f0", Hz: vals[2]}, Slot{-1, 2, -1}},
+				{&pulse.SetPhase{Port: "d1", Frame: "f1", Phase: vals[3]}, Slot{-1, -1, 3}},
+				{&pulse.FrameChange{Port: "d0", Frame: "f0", Hz: vals[4], Phase: vals[5]}, Slot{-1, 4, 5}},
+				{&pulse.Play{Port: "d0", Frame: "f0", Waveform: w}, Slot{0, -1, -1}},
+				{&pulse.Play{Port: "d1", Frame: "f1", Waveform: w}, Slot{0, -1, -1}},
+				{&pulse.Capture{Port: "d0", Frame: "f0", Bit: 0, DurationSamples: 8}, Slot{-1, -1, -1}},
+			} {
+				if err := s.Append(in.in); err != nil {
+					t.Fatal(err)
+				}
+				slots[in.in] = in.slot
+			}
+		})
+		return sp, slots
+	}
+	first := []float64{0.4, 5.001e9, 2e6, -1.1, 4.998e9, 2.9}
+	second := []float64{-2.7, 4.997e9, -3e6, 0.6, 5.003e9, -0.2}
+	opts := ExecOptions{Shots: 64, Seed: 3, Readout: &ReadoutModel{Level: readout.LevelKerneled}}
+
+	tpl, err := ex.Prepare(program(0.8, first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := tpl.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := env.Scale(0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := tpl.Bind(Binding{Samples: [][]complex128{bound.Samples}, Values: second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := prog.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, _ := program(0.3, second)
+	want, err := ex.Run(sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRun(t, "bound program vs the same values prepared as literals", got, want)
+	after, err := tpl.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRun(t, "template program before and after a bind", after, before)
 }
