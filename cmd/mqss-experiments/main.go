@@ -1,10 +1,10 @@
-// mqss-bench regenerates the paper-reproduction experiment tables.
+// mqss-experiments regenerates the paper-reproduction experiment tables.
 //
 // Usage:
 //
-//	mqss-bench -all        # run every experiment
-//	mqss-bench -exp EXP-C2 # run one experiment
-//	mqss-bench -list       # list experiment IDs
+//	mqss-experiments -all        # run every experiment
+//	mqss-experiments -exp EXP-C2 # run one experiment
+//	mqss-experiments -list       # list experiment IDs
 package main
 
 import (

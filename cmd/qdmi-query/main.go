@@ -41,8 +41,8 @@ func buildDevice(preset, name string, sites int, seed int64) (*devices.SimDevice
 
 // runFleet registers n preset devices as pool "fleet", pushes a burst of
 // jobs through the scheduler, and prints the fleet statistics the QRM
-// exposes: per-device queue depth, utilization, dispatch and steal counts,
-// and per-pool queue state. With telemetry set it also renders the fleet
+// exposes: per-device queue depth, dispatch and steal counts, and per-pool
+// queue state. With telemetry set it also renders the fleet
 // metrics surface: every latency histogram (stage durations, per-device
 // and per-pool queue-wait) and counter the burst accumulated.
 func runFleet(preset string, sites, n, jobs int, telemetry bool) error {
@@ -90,8 +90,7 @@ func runFleet(preset string, sites, n, jobs int, telemetry bool) error {
 
 	st := stack.Client.QRM().Stats()
 	fmt.Printf("=== fleet: %d × %s, %d jobs in %v ===\n", n, preset, jobs, elapsed.Round(time.Millisecond))
-	fmt.Printf("  %-12s %5s %8s %5s %10s %6s %11s\n",
-		"device", "slots", "inflight", "depth", "dispatched", "stolen", "utilization")
+	fmt.Printf("  %-12s %8s %5s %10s %6s\n", "device", "inflight", "depth", "dispatched", "stolen")
 	devNames := make([]string, 0, len(st.Devices))
 	for name := range st.Devices {
 		devNames = append(devNames, name)
@@ -99,8 +98,7 @@ func runFleet(preset string, sites, n, jobs int, telemetry bool) error {
 	sort.Strings(devNames)
 	for _, name := range devNames {
 		d := st.Devices[name]
-		fmt.Printf("  %-12s %5d %8d %5d %10d %6d %11.2f\n",
-			name, d.Slots, d.Inflight, d.Depth, d.Dispatched, d.Stolen, d.Utilization)
+		fmt.Printf("  %-12s %8d %5d %10d %6d\n", name, d.Inflight, d.Depth, d.Dispatched, d.Stolen)
 	}
 	fmt.Printf("\n  %-12s %5s  %s\n", "pool", "depth", "members")
 	for name, p := range st.Pools {

@@ -118,8 +118,7 @@ func main() {
 	fmt.Println("\nper-device placement:")
 	for _, name := range devNames {
 		d := st.Devices[name]
-		fmt.Printf("  %-6s slots=%d dispatched=%-3d stolen=%-2d depth=%d\n",
-			name, d.Slots, d.Dispatched, d.Stolen, d.Depth)
+		fmt.Printf("  %-6s dispatched=%-3d stolen=%-2d depth=%d\n", name, d.Dispatched, d.Stolen, d.Depth)
 	}
 	fmt.Printf("totals: submitted=%d completed=%d rejected=%d steals=%d\n",
 		st.Submitted, st.Completed, st.Rejected, st.Steals)

@@ -345,22 +345,6 @@ func (c *Client) lower(l *lowering) (*ptemplate.Compiled, bool, error) {
 // as is rather than re-declared.
 type SubmitOptions = qpi.ExecConfig
 
-// compileTarget resolves the device a submission compiles against: the
-// named device, or — for pool submissions — the pool's first member in
-// sorted order. The representative is deterministic so pool submissions
-// share lowering-cache entries; RegisterPool's compatibility check is what
-// makes the payload runnable on every member.
-func (c *Client) compileTarget(device string, opts SubmitOptions) (string, error) {
-	if opts.Pool == "" {
-		return device, nil
-	}
-	members, err := c.qrm.PoolMembers(opts.Pool)
-	if err != nil {
-		return "", err
-	}
-	return members[0], nil
-}
-
 // SubmitCtx compiles and enqueues a kernel under ctx, returning the QRM
 // ticket. Cancelling ctx cancels the job wherever it is: a queued ticket
 // never reaches the device; a running one is aborted where the device
@@ -374,7 +358,7 @@ func (c *Client) SubmitCtx(ctx context.Context, k *qpi.Circuit, device string, o
 	if !k.Finished() {
 		return nil, fmt.Errorf("client: kernel %q not finished", k.Name)
 	}
-	target, err := c.compileTarget(device, opts)
+	target, err := c.qrm.CompileTarget(device, opts.Pool)
 	if err != nil {
 		return nil, err
 	}

@@ -328,16 +328,13 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 	if err != nil {
 		return failure(fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err))
 	}
-	device := req.Device
-	compiledFor := ""
+	device, compiledFor := req.Device, ""
 	if req.Pool != "" {
-		// Pool targeting wins, mirroring Client.SubmitCtx — including the
-		// compile-target convention: a pool program's epoch refers to the
-		// deterministic representative member.
+		// Pool targeting wins, mirroring Client.SubmitCtx, and a pool
+		// program's epoch refers to the pool's compile target. An unknown
+		// pool fails the submit below.
 		device = ""
-		if members, merr := s.client.qrm.PoolMembers(req.Pool); merr == nil {
-			compiledFor = members[0]
-		}
+		compiledFor, _ = s.client.qrm.CompileTarget("", req.Pool)
 	}
 	// The server-side timeline shares the caller's trace ID and feeds the
 	// server's own fleet registry; its spans ship back with the response so

@@ -23,7 +23,7 @@ func (c *Client) SubmitSweepCtx(ctx context.Context, t *ptemplate.Template, devi
 
 	tickets := make([]*qrm.Ticket, len(bindings))
 	errs := make([]error, len(bindings))
-	target, err := c.compileTarget(device, opts)
+	target, err := c.qrm.CompileTarget(device, opts.Pool)
 	if err != nil {
 		for i := range errs {
 			errs[i] = err

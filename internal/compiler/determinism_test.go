@@ -50,8 +50,8 @@ func TestCompileDeterministic(t *testing.T) {
 }
 
 // TestLinkDeterministicThreeSites: the device's link-time measure lowering
-// is under the same contract. The middle site of a 3-site chain has two
-// couplers; 50 links of a base-profile measure of it must give one
+// is under the same contract. The middle site of a 3-site chain has the
+// most neighbours; 50 links of a base-profile measure of it must give one
 // schedule, barrier port order included.
 func TestLinkDeterministicThreeSites(t *testing.T) {
 	dev, err := devices.Superconducting("sc-chain", 3, 21)

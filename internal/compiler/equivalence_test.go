@@ -220,6 +220,23 @@ func halvePulse(t *testing.T, d *devices.SimDevice, op string, sites []int) {
 	}
 }
 
+// installMeasure gives each of sites a measurement of its own through
+// SetPulseImpl: a readout stimulus played on the readout port, then a
+// 40-sample capture — neither of which the device's own measurement has.
+func installMeasure(t *testing.T, d *devices.SimDevice, sites ...int) {
+	t.Helper()
+	stimulus := waveform.SpecFromEnvelope("stimulus", waveform.Constant{Amplitude: 0.2}, 16)
+	for _, s := range sites {
+		if err := d.SetPulseImpl("measure", []int{s}, &qdmi.PulseImpl{Operation: "measure", Steps: []qdmi.PulseStep{
+			{Kind: "barrier"},
+			{Kind: "play", PortRole: "readout0", Waveform: &stimulus},
+			{Kind: "capture", PortRole: "readout0", Samples: 40},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestGateTableLowersTheSameAtCompileAndLinkTime: a gate means one thing.
 // Every row of the gate table, at every angle that exercises the rotation
 // normalisation, is run twice on identically seeded devices — as a QPI
@@ -230,7 +247,7 @@ func halvePulse(t *testing.T, d *devices.SimDevice, op string, sites []int) {
 // calibrated pulses. The devices are the three technology presets, a
 // transmon whose π amplitude is 0.558 (so rx(3π/2) would fit under full
 // scale unfolded: the angle decides the fold, never the amplitude), and one
-// with x and cz replaced through SetPulseImpl. A row
+// with x, cz and measure replaced through SetPulseImpl. A row
 // with no lowering fails on both paths with the device's ErrNotSupported.
 func TestGateTableLowersTheSameAtCompileAndLinkTime(t *testing.T) {
 	const shots = 400
@@ -256,6 +273,7 @@ func TestGateTableLowersTheSameAtCompileAndLinkTime(t *testing.T) {
 			d := idealDevice(t)
 			halvePulse(t, d, "x", []int{0})
 			halvePulse(t, d, "cz", []int{0, 1})
+			installMeasure(t, d, 0, 1)
 			return d
 		}},
 	}

@@ -10,8 +10,10 @@ import (
 	"math"
 
 	"mqsspulse/internal/mlir"
+	"mqsspulse/internal/passes"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qpi"
+	"mqsspulse/internal/waveform"
 )
 
 // portPlan resolves which hardware ports a kernel touches and assigns the
@@ -54,8 +56,21 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 		return nil, fmt.Errorf("compiler: circuit %q not finished", c.Name)
 	}
 	plan := &portPlan{index: map[string]int{}}
+	// span adds the ports op's calibrated implementation spans on sites.
+	span := func(op string, sites ...int) error {
+		impl, err := target.Pulse(op, sites...)
+		if err != nil {
+			return fmt.Errorf("compiler: %s: %w", op, err)
+		}
+		_, ports, err := target.Resolve(impl, sites, op == "measure")
+		for _, port := range ports {
+			plan.add(port)
+		}
+		return err
+	}
 	// Pass 1: collect every port the kernel touches, in first-use order.
 	for _, op := range c.Ops {
+		var err error
 		switch op.Kind {
 		case qpi.OpGate:
 			for _, q := range op.Qubits {
@@ -65,28 +80,18 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 				}
 				plan.add(port.ID)
 			}
-			if len(op.Qubits) == 2 {
-				a, b := op.Qubits[0], op.Qubits[1]
-				port := target.Coupler(a, b)
-				if port == nil {
-					return nil, fmt.Errorf("compiler: device has no coupler for qubits %d,%d", min(a, b), max(a, b))
-				}
-				plan.add(port.ID)
+			if waveform.GateByName(op.Gate).PlaysCZ() {
+				err = span("cz", op.Qubits...)
 			}
 		case qpi.OpPlayWaveform, qpi.OpFrameChange, qpi.OpDelay, qpi.OpAcquire:
 			if op.Port != "" {
 				plan.add(op.Port)
 			}
 		case qpi.OpMeasure:
-			dp, rp := target.Drive(op.Qubit), target.Readout(op.Qubit)
-			if dp == nil {
-				return nil, fmt.Errorf("compiler: no drive port for qubit %d", op.Qubit)
-			}
-			if rp == nil {
-				return nil, fmt.Errorf("compiler: no readout port for qubit %d", op.Qubit)
-			}
-			plan.add(dp.ID)
-			plan.add(rp.ID)
+			err = span("measure", op.Qubit)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	if len(plan.ports) == 0 {
@@ -117,10 +122,11 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 	// Deterministic def order (map iteration is random).
 	sortWaveformDefs(m.WaveformDefs)
 
-	// Pass 2: emit ops.
+	// Pass 2: emit ops; a measurement is played from its implementation.
 	wfValue := map[string]mlir.Value{}
 	nextVal := 0
 	var captureNames []string
+	player := passes.NewPlayer(m, seq, target)
 	for _, op := range c.Ops {
 		switch op.Kind {
 		case qpi.OpGate:
@@ -170,12 +176,11 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 		case qpi.OpBarrier:
 			seq.Ops = append(seq.Ops, &mlir.BarrierOp{}) // all frames
 		case qpi.OpMeasure:
-			dp, rp := target.Drive(op.Qubit).ID, target.Readout(op.Qubit).ID
-			seq.Ops = append(seq.Ops, &mlir.BarrierOp{
-				Frames: []mlir.Value{plan.frame(dp), plan.frame(rp)}})
 			name := fmt.Sprintf("m%d", op.Cbit)
-			seq.Ops = append(seq.Ops, &mlir.CaptureOp{
-				Result: name, Frame: plan.frame(rp), Samples: target.ReadoutWindow(op.Qubit)})
+			var err error
+			if seq.Ops, err = player.Play(seq.Ops, "measure", []int{op.Qubit}, name); err != nil {
+				return nil, fmt.Errorf("compiler: measure of qubit %d: %w", op.Qubit, err)
+			}
 			captureNames = append(captureNames, name)
 			seq.Results = append(seq.Results, mlir.TypeI1)
 		case qpi.OpAcquire:

@@ -51,7 +51,7 @@ func TestLinkReadsOneCalibration(t *testing.T) {
 	defer close(stop)
 
 	offset := func(s *pulse.Schedule, site int) float64 {
-		f, ok := s.Frame(d.drivePort[site] + "-frame")
+		f, ok := s.Frame(d.table.Drive(site).ID + "-frame")
 		if !ok {
 			t.Fatalf("schedule has no drive frame for site %d", site)
 		}

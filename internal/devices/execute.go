@@ -24,22 +24,17 @@ import (
 // transitions.
 const readoutStimulusRabiHz = 1e3
 
-// Binding assembles the qir.DeviceBinding for a payload: port handle i of
-// the module maps to the device port named module.PortNames[i]; all
-// remaining device ports follow so calibrated gate lowering can use them.
-func (d *SimDevice) Binding(portNames []string) (*qir.DeviceBinding, error) {
-	return d.binding(d.calib.Load(), portNames)
-}
-
-// binding is Binding against cal: every frame and lowered gate of one link
-// reads it, so a schedule belongs to one epoch whatever recalibrates meanwhile.
+// binding assembles a payload's qir.DeviceBinding: port handle i maps to the
+// device port portNames[i], the remaining ports follow for calibrated
+// lowering, and every frame and lowered operation of one link reads cal, so a
+// schedule belongs to one epoch whatever recalibrates meanwhile.
 func (d *SimDevice) binding(cal *calibration, portNames []string) (*qir.DeviceBinding, error) {
 	if err := d.checkPortNames(portNames); err != nil {
 		return nil, err
 	}
 	ports := make([]*pulse.Port, 0, len(d.ports))
 	for _, name := range portNames {
-		ports = append(ports, d.ports[d.portIndex(name)])
+		ports = append(ports, d.table.Port(name))
 	}
 	for _, p := range d.ports {
 		if !slices.Contains(portNames, p.ID) {
@@ -52,7 +47,9 @@ func (d *SimDevice) binding(cal *calibration, portNames []string) (*qir.DeviceBi
 		LowerGate: func(s *pulse.Schedule, gate *waveform.Gate, params []float64, qubits []int64) error {
 			return d.lowerGate(cal, s, gate, params, qubits)
 		},
-		LowerMeasure: d.lowerMeasure,
+		LowerMeasure: func(s *pulse.Schedule, qubit, result int64) error {
+			return d.play(cal, s, "measure", []int{int(qubit)}, int(result))
+		},
 	}, nil
 }
 
@@ -61,7 +58,7 @@ func (d *SimDevice) binding(cal *calibration, portNames []string) (*qir.DeviceBi
 // nothing; a list it accepts is no longer than the port table.
 func (d *SimDevice) checkPortNames(portNames []string) error {
 	for i, name := range portNames {
-		if d.portIndex(name) < 0 {
+		if d.table.Port(name) == nil {
 			return fmt.Errorf("%w: payload references unknown port %q", qdmi.ErrInvalidArgument, name)
 		}
 		if slices.Contains(portNames[:i], name) {
@@ -71,30 +68,22 @@ func (d *SimDevice) checkPortNames(portNames []string) error {
 	return nil
 }
 
-// portIndex returns the position of a port in the device's port table, or
-// -1 if the device has no such port.
-func (d *SimDevice) portIndex(id string) int {
-	return slices.IndexFunc(d.ports, func(p *pulse.Port) bool { return p.ID == id })
-}
-
 // frameFor creates the initial carrier frame of a port from the calibration
 // table.
 func (d *SimDevice) frameFor(cal *calibration, portID string) (*pulse.Frame, error) {
-	for i := range d.cfg.Sites {
-		if portID == d.drivePort[i] {
-			return pulse.NewFrame(portID+"-frame", cal.freqHz[i]), nil
-		}
-		if portID == d.readPort[i] {
-			// Readout carrier; does not influence qubit dynamics.
-			return pulse.NewFrame(portID+"-frame", d.cfg.Sites[i].FreqHz), nil
-		}
+	p := d.table.Port(portID)
+	if p == nil {
+		return nil, fmt.Errorf("%w: unknown port %q", qdmi.ErrInvalidArgument, portID)
 	}
-	for _, id := range d.couplePort {
-		if portID == id {
-			return pulse.NewFrame(portID+"-frame", 0), nil
-		}
+	hz := 0.0 // a coupler's frame has no carrier
+	switch p.Kind {
+	case pulse.PortDrive:
+		hz = cal.freqHz[p.Sites[0]]
+	case pulse.PortReadout:
+		// Readout carrier; does not influence qubit dynamics.
+		hz = d.cfg.Sites[p.Sites[0]].FreqHz
 	}
-	return nil, fmt.Errorf("%w: unknown port %q", qdmi.ErrInvalidArgument, portID)
+	return pulse.NewFrame(portID+"-frame", hz), nil
 }
 
 // lowerGate is the device's calibrated gate→pulse lowering, invoked at QIR
@@ -125,7 +114,7 @@ func (d *SimDevice) lowerGate(cal *calibration, s *pulse.Schedule, gate *wavefor
 	return gate.Lower(theta, nil, func(p waveform.GatePulse) error {
 		switch p.Kind {
 		case waveform.PulseShiftPhase:
-			port := d.drivePort[sites[p.Qubit]]
+			port := d.table.Drive(sites[p.Qubit]).ID
 			return s.Append(&pulse.ShiftPhase{Port: port, Frame: port + "-frame", Phase: p.Value})
 		case waveform.PulseDrive:
 			site := sites[p.Qubit]
@@ -136,10 +125,10 @@ func (d *SimDevice) lowerGate(cal *calibration, s *pulse.Schedule, gate *wavefor
 			if err != nil {
 				return err
 			}
-			port := d.drivePort[site]
+			port := d.table.Drive(site).ID
 			return s.Append(&pulse.Play{Port: port, Frame: port + "-frame", Waveform: w})
 		default: // waveform.PulseCZ
-			return d.appendCZ(cal, s, sites[0], sites[1])
+			return d.play(cal, s, "cz", sites, -1)
 		}
 	})
 }
@@ -154,68 +143,47 @@ func (d *SimDevice) piEnvelope(cal *calibration, site int) (*waveform.Waveform, 
 	return d.gateEnvelope(cal.piAmp[site])
 }
 
-// appendCZ plays the pair's cz implementation on the coupler, its barriers
-// spanning the two drive ports and the coupler.
-func (d *SimDevice) appendCZ(cal *calibration, s *pulse.Schedule, a, b int) error {
-	if a > b {
-		a, b = b, a
+// play appends to s the calibrated implementation of op on sites (installed
+// under cal, else the device's own; a pair's in either order), its capture
+// writing bit (-1: none): the one way a cz or a measurement becomes schedule
+// instructions, as passes.Player.Play is the one way it becomes dialect ops.
+func (d *SimDevice) play(cal *calibration, s *pulse.Schedule, op string, sites []int, bit int) error {
+	key := sites
+	if len(sites) == 2 && sites[0] > sites[1] {
+		key = []int{sites[1], sites[0]}
 	}
-	cp, ok := d.couplePort[[2]int{a, b}]
-	if !ok {
-		return fmt.Errorf("%w: sites %d,%d are not coupled", qdmi.ErrNotSupported, a, b)
-	}
-	impl := cal.pulse("cz", []int{a, b})
+	impl := cal.pulse(op, key)
 	if impl == nil {
 		var err error
-		if impl, err = d.synthesizePulse(cal, "cz", []int{a, b}); err != nil {
+		if impl, err = d.synthesizePulse(cal, op, key); err != nil {
 			return err
 		}
 	}
-	group := []string{d.drivePort[a], d.drivePort[b], cp}
-	for _, st := range impl.Steps {
+	ports, barrier, err := d.table.Resolve(impl, sites, bit >= 0)
+	if err != nil {
+		return err
+	}
+	for i, st := range impl.Steps {
 		var in pulse.Instruction
-		switch st.Kind {
+		switch port := ports[i]; st.Kind {
 		case "barrier":
-			in = &pulse.Barrier{Ports: group}
+			in = &pulse.Barrier{Ports: barrier}
 		case "play":
 			w, err := st.Waveform.Materialize()
 			if err != nil {
 				return err
 			}
-			in = &pulse.Play{Port: cp, Frame: cp + "-frame", Waveform: w}
+			in = &pulse.Play{Port: port, Frame: port + "-frame", Waveform: w}
 		case "shift_phase":
-			in = &pulse.ShiftPhase{Port: cp, Frame: cp + "-frame", Phase: st.PhaseRad}
-		default:
-			return fmt.Errorf("%w: cz impl step %q", qdmi.ErrNotSupported, st.Kind)
+			in = &pulse.ShiftPhase{Port: port, Frame: port + "-frame", Phase: st.PhaseRad}
+		default: // capture
+			in = &pulse.Capture{Port: port, Frame: port + "-frame", Bit: bit, DurationSamples: st.Samples}
 		}
 		if err := s.Append(in); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// lowerMeasure barriers the site's ports and captures the readout window.
-func (d *SimDevice) lowerMeasure(s *pulse.Schedule, qubit, result int64) error {
-	if qubit < 0 || int(qubit) >= len(d.cfg.Sites) {
-		return fmt.Errorf("%w: qubit %d out of range", qdmi.ErrInvalidArgument, qubit)
-	}
-	site := int(qubit)
-	group := []string{d.drivePort[site], d.readPort[site]}
-	// Couplers join in pair order, never in map order: the barrier is part
-	// of a schedule the determinism contract covers.
-	for _, pair := range [][2]int{{site - 1, site}, {site, site + 1}} {
-		if cp, ok := d.couplePort[pair]; ok {
-			group = append(group, cp)
-		}
-	}
-	if err := s.Append(&pulse.Barrier{Ports: group}); err != nil {
-		return err
-	}
-	return s.Append(&pulse.Capture{
-		Port: d.readPort[site], Frame: d.readPort[site] + "-frame",
-		Bit: int(result), DurationSamples: d.cfg.ReadoutSamples,
-	})
 }
 
 // executorLocked returns the device's execution engine, building it from
@@ -492,13 +460,13 @@ func (d *SimDevice) trueModel() (*simq.SystemModel, error) {
 	for i, s := range d.cfg.Sites {
 		trueFreq := s.FreqHz + d.drift.freqOffsetHz[i].x
 		channels = append(channels,
-			simq.TransmonDriveChannel(d.drivePort[i], dims, i, d.cfg.DriveRabiHz*ampScale, trueFreq),
-			simq.TransmonDriveChannel(d.readPort[i], dims, i, readoutStimulusRabiHz, trueFreq),
+			simq.TransmonDriveChannel(d.table.Drive(i).ID, dims, i, d.cfg.DriveRabiHz*ampScale, trueFreq),
+			simq.TransmonDriveChannel(d.table.Readout(i).ID, dims, i, readoutStimulusRabiHz, trueFreq),
 		)
 		collapses = append(collapses, simq.RelaxationCollapses(dims, i, s.T1Seconds, s.T2Seconds)...)
 	}
 	for _, c := range d.cfg.Couplings {
-		id := d.couplePort[[2]int{c.A, c.A + 1}]
+		id := d.table.Coupler(c.A, c.A+1).ID
 		switch c.Kind {
 		case CouplingZZ:
 			channels = append(channels, simq.ZZCouplerChannel(id, dims, c.A, c.RabiHz*ampScale))

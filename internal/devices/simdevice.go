@@ -50,10 +50,8 @@ type SimDevice struct {
 	// (arming, waveform upload, readout transfer); zero disables it.
 	jobOverhead time.Duration
 
-	ports      []*pulse.Port
-	drivePort  []string // per site
-	readPort   []string // per site
-	couplePort map[[2]int]string
+	ports []*pulse.Port
+	table qdmi.PortTable // ports by ID and by (kind, sites)
 
 	// Per-job values that are functions of the config alone.
 	names        deviceNames
@@ -93,7 +91,6 @@ func New(cfg Config) (*SimDevice, error) {
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		jobRng:       rand.New(rand.NewSource(cfg.Seed + 2)),
 		drift:        newDriftState(&cfg),
-		couplePort:   map[[2]int]string{},
 		names:        newDeviceNames(cfg.Name),
 		readoutSites: make(map[int]simq.ReadoutSite, len(cfg.Sites)),
 	}
@@ -152,21 +149,20 @@ func (d *SimDevice) buildPorts() {
 	if gran == 0 {
 		gran = 1
 	}
-	// add appends a port to the table and returns its ID.
-	add := func(id string, kind pulse.PortKind, sites ...int) string {
+	add := func(id string, kind pulse.PortKind, sites ...int) {
 		d.ports = append(d.ports, &pulse.Port{
 			ID: id, Kind: kind, Sites: sites, SampleRateHz: d.cfg.SampleRateHz, Granularity: gran,
 			MinSamples: d.cfg.MinSamples, MaxSamples: d.cfg.MaxSamples, MaxAmplitude: 1.0,
 		})
-		return id
 	}
 	for i := range d.cfg.Sites {
-		d.drivePort = append(d.drivePort, add(fmt.Sprintf("q%d-drive", i), pulse.PortDrive, i))
-		d.readPort = append(d.readPort, add(fmt.Sprintf("q%d-readout", i), pulse.PortReadout, i))
+		add(fmt.Sprintf("q%d-drive", i), pulse.PortDrive, i)
+		add(fmt.Sprintf("q%d-readout", i), pulse.PortReadout, i)
 	}
 	for _, c := range d.cfg.Couplings {
-		d.couplePort[[2]int{c.A, c.A + 1}] = add(fmt.Sprintf("q%dq%d-coupler", c.A, c.A+1), pulse.PortCoupler, c.A, c.A+1)
+		add(fmt.Sprintf("q%dq%d-coupler", c.A, c.A+1), pulse.PortCoupler, c.A, c.A+1)
 	}
+	d.table = qdmi.NewPortTable(d.ports)
 }
 
 // Name implements qdmi.Device.
@@ -481,11 +477,10 @@ func (d *SimDevice) Ports() []*pulse.Port { return d.ports }
 
 // QueryPortProperty implements qdmi.Device.
 func (d *SimDevice) QueryPortProperty(portID string, p qdmi.PortProperty) (any, error) {
-	i := d.portIndex(portID)
-	if i < 0 {
+	port := d.table.Port(portID)
+	if port == nil {
 		return nil, fmt.Errorf("%w: unknown port %q", qdmi.ErrInvalidArgument, portID)
 	}
-	port := d.ports[i]
 	switch p {
 	case qdmi.PortPropKind:
 		return port.Kind, nil

@@ -1,6 +1,6 @@
 // Package experiments implements the reproduction harness: one experiment
 // per figure, listing, and quantitative claim of the paper. Each
-// experiment returns a Table that cmd/mqss-bench renders.
+// experiment returns a Table that cmd/mqss-experiments renders.
 package experiments
 
 import (

@@ -94,6 +94,10 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"module { pulse.sequence @s( { } }",
 		`module { pulse.sequence @s(%f: !pulse.nope) { pulse.return } }`,
 		`module { pulse.sequence @s() { pulse.playy() pulse.return } }`,
+		// Truncated input once read past the token slice and panicked.
+		"module{pulse.def",
+		"module { pulse.sequence @s",
+		"module { pulse.def @w samples = [(0.1, 0)",
 	}
 	for i, src := range cases {
 		if _, err := Parse(src); err == nil {

@@ -62,12 +62,16 @@ func tokenize(src string) []token {
 			toks = append(toks, token{kind, src[i+1 : j]})
 			i = j
 		case c == '"':
-			j := i + 1
-			for j < n && src[j] != '"' {
-				j++
+			// A string is Go-quoted, as Print writes it; a quote that opens
+			// none is a stray the grammar rejects.
+			if q, err := strconv.QuotedPrefix(src[i:]); err == nil {
+				text, _ := strconv.Unquote(q)
+				toks = append(toks, token{tokString, text})
+				i += len(q)
+			} else {
+				toks = append(toks, token{tokPunct, `"`})
+				i++
 			}
-			toks = append(toks, token{tokString, src[i+1 : j]})
-			i = j + 1
 		case c == '-' && i+1 < n && src[i+1] == '>':
 			toks = append(toks, token{tokPunct, "->"})
 			i += 2
@@ -135,8 +139,9 @@ type parser struct {
 	pos  int
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+// peek returns the current token: past the end of input, the final EOF.
+func (p *parser) peek() token { return p.toks[min(p.pos, len(p.toks)-1)] }
+func (p *parser) next() token { t := p.peek(); p.pos++; return t }
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf(format+" (near token %d %q)", append(args, p.pos, p.peek().text)...)
 }

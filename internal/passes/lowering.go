@@ -3,7 +3,8 @@ package passes
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"mqsspulse/internal/mlir"
 	"mqsspulse/internal/qdmi"
@@ -15,8 +16,8 @@ import (
 // for the MQSS compiler (Section 5.2). What a gate means in pulses is the gate
 // table's (waveform.Gates); this pass writes the table's three primitives as
 // dialect ops: a frame shift is a shift_phase, a drive is a play of the
-// site's calibrated π envelope scaled, a cz is the coupler pulse the device
-// answers with, bracketed by barriers.
+// site's calibrated π envelope scaled, a cz is the pair's calibrated
+// implementation, played (Player.Play).
 type GateLoweringPass struct{}
 
 // Name implements Pass.
@@ -24,105 +25,80 @@ func (GateLoweringPass) Name() string { return "gate-to-pulse-lowering" }
 
 // Run implements Pass.
 func (GateLoweringPass) Run(m *mlir.Module, ctx *Context) error {
-	hasGates := false
 	for _, seq := range m.Sequences {
-		for _, op := range seq.Ops {
-			if _, ok := op.(*mlir.StandardGateOp); ok {
-				hasGates = true
-			}
+		if !slices.ContainsFunc(seq.Ops, func(op mlir.Op) bool { _, ok := op.(*mlir.StandardGateOp); return ok }) {
+			continue
 		}
-	}
-	if !hasGates {
-		return nil
-	}
-	if ctx == nil || ctx.Target == nil {
-		return errors.New("gate lowering requires a target device")
-	}
-	l := &lowerer{m: m, target: ctx.Target}
-	for _, seq := range m.Sequences {
-		if err := l.lowerSequence(seq); err != nil {
+		if ctx == nil || ctx.Target == nil {
+			return errors.New("gate lowering requires a target device")
+		}
+		p := NewPlayer(m, seq, ctx.Target)
+		if err := p.lowerSequence(); err != nil {
 			return err
 		}
-	}
-	if ctx.Stats != nil {
-		ctx.Stats["lowering.gates"] += l.lowered
+		if ctx.Stats != nil {
+			ctx.Stats["lowering.gates"] += p.lowered
+		}
 	}
 	return nil
 }
 
-type lowerer struct {
+// Player writes calibrated pulses into one sequence of a module: a gate's
+// primitives, and through Play an operation's calibrated implementation.
+type Player struct {
 	m       *mlir.Module
+	seq     *mlir.Sequence
 	target  *qdmi.Target
 	lowered int
 	nextWf  int
-	// Of the sequence being lowered: frame argument name → port ID, and the
-	// names sorted. Candidate frames are scanned in that order: when several
-	// args bind one port the choice must be byte-stable run to run — the
-	// lowering cache, the determinism contract and the calibration-epoch
-	// check all assume identical payloads for identical inputs, and Go map
-	// iteration order would break that.
-	framePort  map[string]string
-	frameNames []string
+}
+
+// NewPlayer returns the player for seq, a sequence of m, against target. The
+// waveform defs it adds are numbered after those an earlier player added.
+func NewPlayer(m *mlir.Module, seq *mlir.Sequence, target *qdmi.Target) *Player {
+	p := &Player{m: m, seq: seq, target: target}
+	for _, def := range m.WaveformDefs {
+		if strings.HasPrefix(def.Name, "lowered_wf_") {
+			p.nextWf++
+		}
+	}
+	return p
 }
 
 // freshWaveform installs a waveform def and returns a ref op + value. A
 // non-nil amp marks the def as a deferred-binding slot: the stored samples
 // are the base envelope, multiplied by the bound expression value.
-func (l *lowerer) freshWaveform(w *waveform.Waveform, amp *mlir.ParamExpr) (*mlir.WaveformRefOp, mlir.Value) {
-	l.nextWf++
-	defName := fmt.Sprintf("lowered_wf_%d", l.nextWf)
-	valName := fmt.Sprintf("lw%d", l.nextWf)
+func (pl *Player) freshWaveform(w *waveform.Waveform, amp *mlir.ParamExpr) (*mlir.WaveformRefOp, mlir.Value) {
+	pl.nextWf++
+	defName := fmt.Sprintf("lowered_wf_%d", pl.nextWf)
+	valName := fmt.Sprintf("lw%d", pl.nextWf)
 	spec := w.ToSpec()
 	spec.Name = defName
-	l.m.WaveformDefs = append(l.m.WaveformDefs, &mlir.WaveformDef{Name: defName, Spec: spec, AmpExpr: amp})
+	pl.m.WaveformDefs = append(pl.m.WaveformDefs, &mlir.WaveformDef{Name: defName, Spec: spec, AmpExpr: amp})
 	return &mlir.WaveformRefOp{Result: valName, Waveform: defName}, mlir.Ref(valName)
 }
 
-// framePorts maps a sequence's frame argument names to the port IDs they
-// bind.
-func framePorts(seq *mlir.Sequence) map[string]string {
-	framePort := map[string]string{}
-	for i, a := range seq.Args {
-		if a.Type == mlir.TypeMixedFrame && i < len(seq.ArgPorts) {
-			framePort[a.Name] = seq.ArgPorts[i]
-		}
-	}
-	return framePort
-}
-
-func (l *lowerer) lowerSequence(seq *mlir.Sequence) error {
-	l.framePort = framePorts(seq)
-	l.frameNames = sortedKeys(l.framePort)
+func (pl *Player) lowerSequence() error {
 	var out []mlir.Op
-	for _, op := range seq.Ops {
+	for _, op := range pl.seq.Ops {
 		g, ok := op.(*mlir.StandardGateOp)
 		if !ok {
 			out = append(out, op)
 			continue
 		}
-		ops, err := l.lowerGate(g)
+		ops, err := pl.lowerGate(g)
 		if err != nil {
 			return fmt.Errorf("lowering %s: %w", g.OpName(), err)
 		}
 		out = append(out, ops...)
-		l.lowered++
+		pl.lowered++
 	}
-	seq.Ops = out
+	pl.seq.Ops = out
 	return nil
 }
 
-// sortedKeys returns a map's keys in sorted order, for deterministic scans.
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // lowerGate expands one gate op through its row of the gate table.
-func (l *lowerer) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
+func (pl *Player) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
 	row := waveform.GateByName(g.Gate)
 	if row == nil || !row.HasLowering() {
 		return nil, fmt.Errorf("%w: gate %q has no calibrated lowering", qdmi.ErrNotSupported, g.Gate)
@@ -132,11 +108,11 @@ func (l *lowerer) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
 	}
 	sites := make([]int, len(g.Frames))
 	for i, fv := range g.Frames {
-		port, ok := l.framePort[fv.Ref]
+		port, ok := argPort(pl.seq, fv.Ref)
 		if !ok {
 			return nil, fmt.Errorf("frame %%%s has no port binding", fv.Ref)
 		}
-		p := l.target.Port(port)
+		p := pl.target.Port(port)
 		if p == nil || len(p.Sites) != 1 {
 			return nil, fmt.Errorf("port %s has no single site", port)
 		}
@@ -154,14 +130,14 @@ func (l *lowerer) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
 		return nil, fmt.Errorf("gate %q does not accept a symbolic angle", g.Gate)
 	}
 
-	// A two-qubit gate's cz is built before the gate is walked, so its
+	// A two-qubit gate's cz is played before the gate is walked, so its
 	// waveform takes the gate's first lowered_wf_ name even where single-qubit
 	// pulses precede it (cx's H): names are payload bytes, and these are the
 	// ones every payload compiled so far carries.
 	var czOps []mlir.Op
-	if row.Arity == 2 {
+	if row.PlaysCZ() {
 		var err error
-		if czOps, err = l.cz(g.Frames, sites); err != nil {
+		if czOps, err = pl.Play(nil, "cz", sites, ""); err != nil {
 			return nil, err
 		}
 	}
@@ -175,7 +151,7 @@ func (l *lowerer) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
 			}
 			ops = append(ops, &mlir.ShiftPhaseOp{Frame: g.Frames[p.Qubit], Phase: phase})
 		case waveform.PulseDrive:
-			w, err := l.target.Envelope("x", sites[p.Qubit])
+			w, err := pl.target.Envelope("x", sites[p.Qubit])
 			if err == nil && p.Expr == nil {
 				w, err = w.Scale(complex(p.Value, 0))
 			}
@@ -184,7 +160,7 @@ func (l *lowerer) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
 			}
 			// A symbolic drive keeps the π envelope whole: its scale is the
 			// def's unbound amplitude slot.
-			refOp, val := l.freshWaveform(w, p.Expr)
+			refOp, val := pl.freshWaveform(w, p.Expr)
 			ops = append(ops, refOp, &mlir.PlayOp{Frame: g.Frames[p.Qubit], Waveform: val})
 		case waveform.PulseCZ:
 			ops = append(ops, czOps...)
@@ -194,48 +170,75 @@ func (l *lowerer) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
 	return ops, err
 }
 
-// cz plays the pair's calibrated cz on the coupler frame, its barriers
-// spanning the two drive frames and the coupler.
-func (l *lowerer) cz(frames []mlir.Value, sites []int) ([]mlir.Op, error) {
-	coupler := l.target.Coupler(sites[0], sites[1])
-	if coupler == nil {
-		return nil, fmt.Errorf("no coupler between sites %d and %d", sites[0], sites[1])
-	}
-	var couplerFrame mlir.Value
-	found := false
-	for _, name := range l.frameNames {
-		if l.framePort[name] == coupler.ID {
-			couplerFrame, found = mlir.Ref(name), true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("sequence has no frame arg for coupler port %s", coupler.ID)
-	}
-	impl, err := l.target.Pulse("cz", min(sites[0], sites[1]), max(sites[0], sites[1]))
+// Play appends to ops the calibrated implementation of op on sites, in the
+// order the operation names them, its capture defining result ("" for an
+// operation without one): the one way a cz or a measurement becomes dialect
+// ops, as the device's play is the one way it becomes schedule instructions.
+func (pl *Player) Play(ops []mlir.Op, op string, sites []int, result string) ([]mlir.Op, error) {
+	impl, err := pl.target.Pulse(op, sites...)
 	if err != nil {
 		return nil, err
 	}
-	var ops []mlir.Op
-	barrier := &mlir.BarrierOp{Frames: []mlir.Value{frames[0], frames[1], couplerFrame}}
-	for _, st := range impl.Steps {
-		switch st.Kind {
-		case "barrier":
+	ports, span, err := pl.target.Resolve(impl, sites, result != "")
+	if err != nil {
+		return nil, err
+	}
+	// Every barrier step of the implementation is this one op.
+	barrier := &mlir.BarrierOp{Frames: make([]mlir.Value, len(span))}
+	for i, port := range span {
+		if barrier.Frames[i], err = pl.frame(port); err != nil {
+			return nil, err
+		}
+	}
+	for i, st := range impl.Steps {
+		if st.Kind == "barrier" {
 			ops = append(ops, barrier)
+			continue
+		}
+		f, err := pl.frame(ports[i])
+		if err != nil {
+			return nil, err
+		}
+		switch st.Kind {
 		case "play":
 			w, err := st.Waveform.Materialize()
 			if err != nil {
 				return nil, err
 			}
-			refOp, val := l.freshWaveform(w, nil)
-			ops = append(ops, refOp, &mlir.PlayOp{Frame: couplerFrame, Waveform: val})
+			refOp, val := pl.freshWaveform(w, nil)
+			ops = append(ops, refOp, &mlir.PlayOp{Frame: f, Waveform: val})
 		case "shift_phase":
-			ops = append(ops, &mlir.ShiftPhaseOp{Frame: couplerFrame, Phase: mlir.Lit(st.PhaseRad)})
-		default:
-			return nil, fmt.Errorf("cz impl step %q unsupported at IR level", st.Kind)
+			ops = append(ops, &mlir.ShiftPhaseOp{Frame: f, Phase: mlir.Lit(st.PhaseRad)})
+		default: // capture
+			ops = append(ops, &mlir.CaptureOp{Result: result, Frame: f, Samples: st.Samples})
 		}
 	}
 	return ops, nil
+}
+
+// argPort returns the port seq's frame argument named frame binds.
+func argPort(seq *mlir.Sequence, frame string) (string, bool) {
+	for i, a := range seq.Args {
+		if a.Name == frame && a.Type == mlir.TypeMixedFrame && i < len(seq.ArgPorts) {
+			return seq.ArgPorts[i], true
+		}
+	}
+	return "", false
+}
+
+// frame returns the sequence's frame argument bound to port; of several, the
+// first by name, so identical inputs lower to identical payloads.
+func (pl *Player) frame(port string) (mlir.Value, error) {
+	name, found := "", false
+	for i, a := range pl.seq.Args {
+		if a.Type == mlir.TypeMixedFrame && i < len(pl.seq.ArgPorts) && pl.seq.ArgPorts[i] == port && (!found || a.Name < name) {
+			name, found = a.Name, true
+		}
+	}
+	if !found {
+		return mlir.Value{}, fmt.Errorf("sequence has no frame arg for port %s", port)
+	}
+	return mlir.Ref(name), nil
 }
 
 // LegalizePass enforces the target's waveform constraints: every waveform

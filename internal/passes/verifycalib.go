@@ -48,7 +48,6 @@ func (VerifyCalibrationPass) ReadOnly() {}
 // verifyLoweredSequence checks one sequence and returns how many plays it
 // verified.
 func verifyLoweredSequence(m *mlir.Module, seq *mlir.Sequence, target *qdmi.Target) (int, error) {
-	framePort := framePorts(seq)
 	defByName := map[string]*mlir.WaveformDef{}
 	for _, d := range m.WaveformDefs {
 		defByName[d.Name] = d
@@ -58,11 +57,14 @@ func verifyLoweredSequence(m *mlir.Module, seq *mlir.Sequence, target *qdmi.Targ
 	// unqualified barriers synchronize the same port set the runtime sees.
 	sched := pulse.NewSchedule()
 	added := map[string]bool{}
-	for _, name := range sortedKeys(framePort) {
-		pid := framePort[name]
+	for i, a := range seq.Args {
+		if a.Type != mlir.TypeMixedFrame || i >= len(seq.ArgPorts) {
+			continue
+		}
+		pid := seq.ArgPorts[i]
 		p := target.Port(pid)
 		if p == nil {
-			return 0, fmt.Errorf("frame %%%s binds port %q unknown to target device", name, pid)
+			return 0, fmt.Errorf("frame %%%s binds port %q unknown to target device", a.Name, pid)
 		}
 		if added[pid] {
 			continue
@@ -76,7 +78,7 @@ func verifyLoweredSequence(m *mlir.Module, seq *mlir.Sequence, target *qdmi.Targ
 		}
 	}
 	portOf := func(frame mlir.Value) (string, error) {
-		pid, ok := framePort[frame.Ref]
+		pid, ok := argPort(seq, frame.Ref)
 		if !ok {
 			return "", fmt.Errorf("frame %%%s has no port binding", frame.Ref)
 		}

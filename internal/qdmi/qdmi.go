@@ -278,8 +278,10 @@ type RunningCanceller interface {
 }
 
 // PulseStep is one element of a calibrated pulse implementation. PortRole
-// names a logical channel ("drive0", "drive1", "coupler", "readout0"); the
-// device maps roles onto concrete ports for the target site tuple.
+// names a port of the operation's sites, in the order it names them:
+// "driveK"/"readoutK" the drive/readout port of the K-th ("drive0"),
+// "coupler" the pair's coupler. A barrier names none: it spans the sites'
+// drive ports and every port the other steps name (PortTable.Resolve).
 type PulseStep struct {
 	Kind     string // "play", "shift_phase", "set_frequency", "frame_change", "delay", "barrier", "capture"
 	PortRole string

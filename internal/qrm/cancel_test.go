@@ -8,15 +8,16 @@ import (
 	"testing"
 	"time"
 
-	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/telemetry"
 )
 
 // blockingDevice is a mock device whose jobs run until released, so tests
 // can hold a worker busy deterministically. Its jobs are qdmi.AsyncJob, so
-// they support the RunningCanceller capability.
+// they support the RunningCanceller capability. The embedded nil Device
+// stands for the queries the scheduler never makes of it.
 type blockingDevice struct {
+	qdmi.Device
 	name string
 
 	mu      sync.Mutex
@@ -33,30 +34,6 @@ func newBlockingDevice(name string) *blockingDevice {
 }
 
 func (d *blockingDevice) Name() string { return d.name }
-func (d *blockingDevice) QueryDeviceProperty(p qdmi.DeviceProperty) (any, error) {
-	if p == qdmi.DevicePropProgramFormats {
-		return []qdmi.ProgramFormat{qdmi.FormatQIRBase, qdmi.FormatQIRPulse}, nil
-	}
-	return nil, qdmi.ErrNotSupported
-}
-func (d *blockingDevice) NumSites() int { return 1 }
-func (d *blockingDevice) QuerySiteProperty(int, qdmi.SiteProperty) (any, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *blockingDevice) Operations() []string { return nil }
-func (d *blockingDevice) QueryOperationProperty(string, []int, qdmi.OperationProperty) (any, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *blockingDevice) Ports() []*pulse.Port { return nil }
-func (d *blockingDevice) QueryPortProperty(string, qdmi.PortProperty) (any, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *blockingDevice) DefaultPulse(string, []int) (*qdmi.PulseImpl, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *blockingDevice) SetPulseImpl(string, []int, *qdmi.PulseImpl) error {
-	return qdmi.ErrNotSupported
-}
 
 func (d *blockingDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots int) (qdmi.Job, error) {
 	if d.submitErr != nil {

@@ -1,30 +1,31 @@
 package qrm
 
-// Fleet management: device pools of interchangeable backends, per-device
-// concurrency, admission control, and the fleet-level statistics surface.
+// Fleet management: device pools of interchangeable backends, admission
+// control, and the fleet-level statistics surface.
 // The placement engine itself lives in the worker loop (qrm.go): devices
 // pull the best-priority job from their own queue and their pools' queues,
 // and steal from pool siblings when idle.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"mqsspulse/internal/qdmi"
 )
 
 // deviceState is the scheduler's view of one device: its targeted queue,
-// its dispatch slots, and its membership in pools. Scheduler.mu guards all
-// but the two names, which never change, and the atomic dispatched.
+// whether its one dispatch worker holds a job, and its membership in pools.
+// Scheduler.mu guards all but the two names, which never change, and the
+// atomic dispatched.
 type deviceState struct {
 	name          string
 	queueWaitName string  // "queue_wait/device/<name>", spelled once
 	heap          jobHeap // device-targeted jobs
 
-	slots    int // configured concurrency (dispatch slots)
-	workers  int // spawned worker goroutines (converges to slots)
-	inflight int // jobs currently held by a worker
+	inflight int // jobs its worker holds: 0 or 1
 
 	dispatched atomic.Int64 // jobs this device actually ran
 	stolen     int64        // jobs this device stole from pool siblings
@@ -44,24 +45,17 @@ type poolState struct {
 }
 
 // ensureDeviceLocked returns the device's scheduler state, creating it — and
-// spawning its first dispatch worker — on first reference. Callers hold
-// s.mu.
+// starting its dispatch worker — on first reference. Callers hold s.mu.
 func (s *Scheduler) ensureDeviceLocked(name string) *deviceState {
 	d, ok := s.devices[name]
 	if !ok {
-		d = &deviceState{name: name, queueWaitName: "queue_wait/device/" + name, slots: 1}
+		d = &deviceState{name: name, queueWaitName: "queue_wait/device/" + name}
 		d.sources = []*jobHeap{&d.heap}
 		s.devices[name] = d
-		s.spawnWorkerLocked(d)
+		s.wg.Add(1)
+		go s.worker(d)
 	}
 	return d
-}
-
-// spawnWorkerLocked starts one dispatch worker for d. Callers hold s.mu.
-func (s *Scheduler) spawnWorkerLocked(d *deviceState) {
-	d.workers++
-	s.wg.Add(1)
-	go s.worker(d)
 }
 
 // RegisterPool creates a named pool of interchangeable devices. Members
@@ -157,60 +151,23 @@ func commonFormats(lists [][]qdmi.ProgramFormat) []qdmi.ProgramFormat {
 	return out
 }
 
-// PoolMembers returns the sorted member names of a pool, or ErrNoSuchTarget
-// for an unknown pool. Clients use it to pick a deterministic
-// representative device to compile pool-targeted kernels against.
-func (s *Scheduler) PoolMembers(name string) ([]string, error) {
+// CompileTarget returns the device a program for device or pool compiles
+// against: device itself, or a pool's first member in sorted order. The
+// representative is deterministic, so pool jobs share lowering-cache entries
+// and a pool program's calibration epoch names one device; RegisterPool's
+// compatibility check is what makes the program runnable on every member. An
+// unknown pool fails with ErrNoSuchTarget.
+func (s *Scheduler) CompileTarget(device, pool string) (string, error) {
+	if pool == "" {
+		return device, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pools[name]
+	p, ok := s.pools[pool]
 	if !ok {
-		return nil, fmt.Errorf("%w: pool %q", ErrNoSuchTarget, name)
+		return "", fmt.Errorf("%w: pool %q", ErrNoSuchTarget, pool)
 	}
-	out := make([]string, len(p.members))
-	for i, d := range p.members {
-		out[i] = d.name
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Pools returns the sorted names of the registered pools.
-func (s *Scheduler) Pools() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.pools))
-	for name := range s.pools {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SetDeviceConcurrency sets the number of dispatch slots of a device: the
-// jobs it may hold in flight at once. Physical QPUs serialize execution
-// (the default, 1); simulators can run several. Raising the count spawns
-// workers immediately; lowering it retires surplus workers as they finish
-// their current job. The device must be registered with the QDMI driver.
-func (s *Scheduler) SetDeviceConcurrency(device string, slots int) error {
-	if slots < 1 {
-		return fmt.Errorf("%w: concurrency %d < 1", qdmi.ErrInvalidArgument, slots)
-	}
-	if _, err := s.session.Device(device); err != nil {
-		return fmt.Errorf("%w: device %q", ErrNoSuchTarget, device)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("qrm: scheduler closed")
-	}
-	d := s.ensureDeviceLocked(device)
-	d.slots = slots
-	for d.workers < d.slots {
-		s.spawnWorkerLocked(d)
-	}
-	s.cond.Broadcast() // surplus workers observe the lowered slot count
-	return nil
+	return slices.MinFunc(p.members, func(a, b *deviceState) int { return strings.Compare(a.name, b.name) }).name, nil
 }
 
 // SetMaxQueueDepth bounds the number of queued (not yet dispatched) jobs
@@ -228,12 +185,8 @@ type DeviceStats struct {
 	// Depth is the number of queued jobs targeting this device (cancelled
 	// entries count until a worker skips them).
 	Depth int
-	// Inflight is the number of jobs workers currently hold.
+	// Inflight is the number of jobs the device's worker holds: 0 or 1.
 	Inflight int
-	// Slots is the configured concurrency.
-	Slots int
-	// Utilization is Inflight/Slots at snapshot time.
-	Utilization float64
 	// Dispatched counts jobs this device actually ran.
 	Dispatched int64
 	// Stolen counts jobs this device took from busy pool siblings.
@@ -285,17 +238,11 @@ func (s *Scheduler) Stats() Stats {
 		Pools:     make(map[string]PoolStats, len(s.pools)),
 	}
 	for name, d := range s.devices {
-		u := 0.0
-		if d.slots > 0 {
-			u = float64(d.inflight) / float64(d.slots)
-		}
 		st.Devices[name] = DeviceStats{
-			Depth:       d.heap.Len(),
-			Inflight:    d.inflight,
-			Slots:       d.slots,
-			Utilization: u,
-			Dispatched:  d.dispatched.Load(),
-			Stolen:      d.stolen,
+			Depth:      d.heap.Len(),
+			Inflight:   d.inflight,
+			Dispatched: d.dispatched.Load(),
+			Stolen:     d.stolen,
 		}
 	}
 	for name, p := range s.pools {

@@ -8,24 +8,23 @@ import (
 	"testing"
 	"time"
 
-	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
 )
 
 // fleetDevice is a scriptable pool-member mock: configurable site count and
 // program formats (for pool compatibility checks), optional blocking (jobs
-// finish only after release closes), and execution recording.
+// finish only after release closes), and execution recording. The embedded
+// nil Device stands for the queries the scheduler never makes of it.
 type fleetDevice struct {
+	qdmi.Device
 	name     string
 	numSites int
 	formats  []qdmi.ProgramFormat
 	release  chan struct{} // when non-nil, jobs block until it closes
 
-	mu          sync.Mutex
-	executed    []string
-	inflight    int
-	maxInflight int
-	nextJob     int
+	mu       sync.Mutex
+	executed []string
+	nextJob  int
 }
 
 func newFleetDevice(name string) *fleetDevice {
@@ -35,30 +34,13 @@ func newFleetDevice(name string) *fleetDevice {
 	}
 }
 
-func (d *fleetDevice) Name() string { return d.name }
+func (d *fleetDevice) Name() string  { return d.name }
+func (d *fleetDevice) NumSites() int { return d.numSites }
 func (d *fleetDevice) QueryDeviceProperty(p qdmi.DeviceProperty) (any, error) {
 	if p == qdmi.DevicePropProgramFormats {
 		return append([]qdmi.ProgramFormat(nil), d.formats...), nil
 	}
 	return nil, qdmi.ErrNotSupported
-}
-func (d *fleetDevice) NumSites() int { return d.numSites }
-func (d *fleetDevice) QuerySiteProperty(int, qdmi.SiteProperty) (any, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *fleetDevice) Operations() []string { return nil }
-func (d *fleetDevice) QueryOperationProperty(string, []int, qdmi.OperationProperty) (any, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *fleetDevice) Ports() []*pulse.Port { return nil }
-func (d *fleetDevice) QueryPortProperty(string, qdmi.PortProperty) (any, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *fleetDevice) DefaultPulse(string, []int) (*qdmi.PulseImpl, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *fleetDevice) SetPulseImpl(string, []int, *qdmi.PulseImpl) error {
-	return qdmi.ErrNotSupported
 }
 
 func (d *fleetDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots int) (qdmi.Job, error) {
@@ -73,21 +55,12 @@ func (d *fleetDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots
 		if !j.Start() {
 			return
 		}
-		d.mu.Lock()
-		d.inflight++
-		if d.inflight > d.maxInflight {
-			d.maxInflight = d.inflight
-		}
-		d.mu.Unlock()
 		if release != nil {
 			select {
 			case <-release:
 			case <-j.Done(): // cancelled mid-flight
 			}
 		}
-		d.mu.Lock()
-		d.inflight--
-		d.mu.Unlock()
 		j.Finish(&qdmi.Result{Counts: map[uint64]int{0: shots}, Shots: shots})
 	}()
 	return j, nil
@@ -203,12 +176,18 @@ func TestRegisterPoolValidation(t *testing.T) {
 	if err := s.RegisterPool("p", "a"); !errors.Is(err, qdmi.ErrInvalidArgument) {
 		t.Fatalf("duplicate pool accepted: %v", err)
 	}
-	members, err := s.PoolMembers("p")
-	if err != nil || len(members) != 2 || members[0] != "a" || members[1] != "b" {
-		t.Fatalf("members = %v, %v", members, err)
+	if members := s.Stats().Pools["p"].Members; len(members) != 2 || members[0] != "a" || members[1] != "b" {
+		t.Fatalf("members = %v", members)
 	}
-	if _, err := s.PoolMembers("ghost"); !errors.Is(err, ErrNoSuchTarget) {
-		t.Fatalf("unknown pool members: %v", err)
+	// A pool program compiles against the first member in sorted order; a
+	// device program against its device.
+	for _, tc := range []struct{ device, pool, want string }{{"b", "", "b"}, {"b", "p", "a"}, {"", "p", "a"}} {
+		if got, err := s.CompileTarget(tc.device, tc.pool); got != tc.want || err != nil {
+			t.Errorf("CompileTarget(%q, %q) = %q, %v; want %q", tc.device, tc.pool, got, err, tc.want)
+		}
+	}
+	if _, err := s.CompileTarget("", "ghost"); !errors.Is(err, ErrNoSuchTarget) {
+		t.Fatalf("unknown pool compile target: %v", err)
 	}
 }
 
@@ -256,7 +235,7 @@ func TestWorkStealingIdleSiblingTakesQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Occupy busy's single dispatch slot...
+	// Occupy busy's one worker...
 	first, err := s.SubmitCtx(context.Background(), Request{
 		Device: "busy", Payload: []byte("first"), Format: qdmi.FormatQIRBase, Shots: 1,
 	})
@@ -399,70 +378,6 @@ func TestCancelPoolQueuedTicketBeforePlacement(t *testing.T) {
 	// The device only ever saw the first payload.
 	if got := dev.ran(); len(got) != 1 || got[0] != "first" {
 		t.Fatalf("device executed %v, want [first]", got)
-	}
-}
-
-func TestDeviceConcurrencyRunsJobsInParallel(t *testing.T) {
-	dev := newFleetDevice("sim")
-	dev.release = make(chan struct{})
-	s := fleetRig(t, dev)
-	if err := s.SetDeviceConcurrency("sim", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetDeviceConcurrency("ghost", 2); !errors.Is(err, ErrNoSuchTarget) {
-		t.Fatalf("unknown device concurrency: %v", err)
-	}
-	if err := s.SetDeviceConcurrency("sim", 0); !errors.Is(err, qdmi.ErrInvalidArgument) {
-		t.Fatalf("zero concurrency accepted: %v", err)
-	}
-
-	var tickets []*Ticket
-	for i := 0; i < 3; i++ {
-		tk, err := s.SubmitCtx(context.Background(), Request{
-			Device: "sim", Payload: []byte(fmt.Sprintf("j%d", i)), Format: qdmi.FormatQIRBase, Shots: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	// All three must be in flight at once: the device mock tracks peak
-	// concurrent executions.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		dev.mu.Lock()
-		peak := dev.maxInflight
-		dev.mu.Unlock()
-		if peak == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("peak concurrency %d, want 3", peak)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st := s.Stats(); st.Devices["sim"].Slots != 3 || st.Devices["sim"].Inflight != 3 ||
-		st.Devices["sim"].Utilization != 1.0 {
-		t.Fatalf("stats = %+v", st.Devices["sim"])
-	}
-	close(dev.release)
-	for _, tk := range tickets {
-		if _, err := tk.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Lowering the slot count must retire workers without losing jobs.
-	if err := s.SetDeviceConcurrency("sim", 1); err != nil {
-		t.Fatal(err)
-	}
-	tk, err := s.SubmitCtx(context.Background(), Request{
-		Device: "sim", Payload: []byte("after"), Format: qdmi.FormatQIRBase, Shots: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -3,11 +3,9 @@
 // behind one submission interface.
 //
 // Requests target either a single named device or a named pool of
-// interchangeable devices (see RegisterPool). Every device runs a
-// configurable number of dispatch workers (one by default — QPUs serialize
-// execution; simulators can run several in-flight jobs, see
-// SetDeviceConcurrency). Placement is pull-based: the first device with a
-// free slot takes the highest-priority compatible job, so pool work always
+// interchangeable devices (see RegisterPool). Every device runs one dispatch
+// worker — QPUs serialize execution. Placement is pull-based: the first idle
+// device takes the highest-priority compatible job, so pool work always
 // lands on a least-loaded member, and idle devices steal queued work from
 // busy pool siblings so a slow QPU never strands jobs while a sibling sits
 // idle. Admission control bounds per-target queue depth (SetMaxQueueDepth);
@@ -154,8 +152,8 @@ type Scheduler struct {
 
 	mu sync.Mutex
 	// cond is the fleet-wide wakeup: workers wait here for new work and
-	// every submission Broadcasts. Waking all idle workers is O(devices ×
-	// slots) per submit, but only idle workers are parked here — a busy
+	// every submission Broadcasts. Waking all idle workers is O(devices)
+	// per submit, but only idle workers are parked here — a busy
 	// fleet wakes almost nobody — and steal eligibility crosses devices,
 	// so any narrower wake set would have to be computed per submission.
 	// Revisit with per-device conds if fleets grow past dozens of devices.
@@ -282,23 +280,16 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error)
 	return t, nil
 }
 
-// worker is one dispatch slot of a device: it drains the device's own
-// queue, the queues of pools the device belongs to, and — when all of
-// those are empty — steals queued work from pool siblings.
+// worker is a device's dispatch worker: it drains the device's own queue,
+// the queues of pools the device belongs to, and — when all of those are
+// empty — steals queued work from pool siblings.
 func (s *Scheduler) worker(d *deviceState) {
 	defer s.wg.Done()
 	s.mu.Lock()
 	for {
-		if d.workers > d.slots {
-			// Concurrency was lowered: retire this surplus slot.
-			d.workers--
-			s.mu.Unlock()
-			return
-		}
 		item, stolen := s.takeLocked(d)
 		if item == nil {
 			if s.closed {
-				d.workers--
 				s.mu.Unlock()
 				return
 			}
@@ -310,9 +301,9 @@ func (s *Scheduler) worker(d *deviceState) {
 			s.n.steals++
 		}
 		d.inflight++
-		if d.inflight >= d.slots && d.heap.Len() > 0 {
-			// This device just saturated with work still queued on it:
-			// give idle pool siblings a chance to steal.
+		if d.heap.Len() > 0 {
+			// This device just went busy with work still queued on it: give
+			// idle pool siblings a chance to steal.
 			s.cond.Broadcast()
 		}
 		s.mu.Unlock()
@@ -327,8 +318,8 @@ func (s *Scheduler) worker(d *deviceState) {
 
 // takeLocked picks the next job for device d: the best-priority item across
 // d's own queue and its pools' queues, falling back to stealing the
-// best-priority item queued on a saturated pool sibling. Stealing only
-// targets siblings with no free dispatch slot: explicit device targeting is
+// best-priority item queued on a busy pool sibling. Stealing only targets
+// siblings that hold a job: explicit device targeting is
 // honored while the device can still make progress, and overridden only
 // when work would otherwise strand behind a busy QPU. The boolean reports
 // a steal.
@@ -339,7 +330,7 @@ func (s *Scheduler) takeLocked(d *deviceState) (*queued, bool) {
 	var victims []*jobHeap
 	for _, p := range d.pools {
 		for _, sib := range p.members {
-			if sib != d && sib.inflight >= sib.slots {
+			if sib != d && sib.inflight > 0 {
 				victims = append(victims, &sib.heap)
 			}
 		}
@@ -375,7 +366,7 @@ func (s *Scheduler) runItem(d *deviceState, item *queued) {
 		return
 	}
 	// Queue-wait ends here — the instant the job leaves the queue for a
-	// device slot. It is a first-class latency: the span lands on the job's
+	// device. It is a first-class latency: the span lands on the job's
 	// own timeline, and the duration feeds the fleet histograms keyed by
 	// dispatch device and (for pool submissions) pool.
 	wait := time.Since(item.enqueued)

@@ -8,12 +8,13 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
 )
 
-// slowDevice is a scriptable mock device that records execution order.
+// slowDevice is a scriptable mock device that records execution order. The
+// embedded nil Device stands for the queries the scheduler never makes of it.
 type slowDevice struct {
+	qdmi.Device
 	name    string
 	mu      sync.Mutex
 	order   []string
@@ -22,30 +23,6 @@ type slowDevice struct {
 }
 
 func (d *slowDevice) Name() string { return d.name }
-func (d *slowDevice) QueryDeviceProperty(p qdmi.DeviceProperty) (any, error) {
-	if p == qdmi.DevicePropProgramFormats {
-		return []qdmi.ProgramFormat{qdmi.FormatQIRBase, qdmi.FormatQIRPulse}, nil
-	}
-	return nil, qdmi.ErrNotSupported
-}
-func (d *slowDevice) NumSites() int { return 1 }
-func (d *slowDevice) QuerySiteProperty(int, qdmi.SiteProperty) (any, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *slowDevice) Operations() []string { return nil }
-func (d *slowDevice) QueryOperationProperty(string, []int, qdmi.OperationProperty) (any, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *slowDevice) Ports() []*pulse.Port { return nil }
-func (d *slowDevice) QueryPortProperty(string, qdmi.PortProperty) (any, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *slowDevice) DefaultPulse(string, []int) (*qdmi.PulseImpl, error) {
-	return nil, qdmi.ErrNotSupported
-}
-func (d *slowDevice) SetPulseImpl(string, []int, *qdmi.PulseImpl) error {
-	return qdmi.ErrNotSupported
-}
 
 func (d *slowDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots int) (qdmi.Job, error) {
 	d.mu.Lock()

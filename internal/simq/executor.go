@@ -26,16 +26,9 @@ type ExecOptions struct {
 	// Seed seeds the shot sampler (0 picks a fixed default for
 	// reproducibility).
 	Seed int64
-	// MaxIdleStep caps the dissipator integration step (seconds) used for
-	// idle segments in the density engine; default 500 ns (the unitary part
-	// of idle evolution is applied exactly, so only collapse rates bound
-	// the step).
-	MaxIdleStep float64
-	// ReadoutP01 is the probability a true 0 reads as 1; ReadoutP10 the
-	// probability a true 1 reads as 0 (applied per measured bit).
-	ReadoutP01, ReadoutP10 float64
-	// SiteError, when non-nil, overrides ReadoutP01/P10 with per-site
-	// assignment-error probabilities (heterogeneous readout fidelity).
+	// SiteError, when non-nil, gives each site's assignment-error
+	// probabilities, applied per measured bit: p01 that a true 0 reads as 1,
+	// p10 that a true 1 reads as 0. Nil reads every bit true.
 	SiteError func(site int) (p01, p10 float64)
 	// Readout, when non-nil and its Level is kerneled or raw, synthesizes
 	// IQ-plane measurement records instead of bit flips: discriminated bits
@@ -409,9 +402,6 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 	if opts.Shots <= 0 {
 		opts.Shots = 1024
 	}
-	if opts.MaxIdleStep <= 0 {
-		opts.MaxIdleStep = 500e-9
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 0x6d717373 // "mqss"
@@ -537,7 +527,7 @@ func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, 
 			}
 			if rho != nil && !collapse.empty() {
 				segT := float64(t1-t0) * eng.dt
-				steps := int(math.Ceil(segT / opts.MaxIdleStep))
+				steps := int(math.Ceil(segT / maxIdleStep))
 				if steps < 1 {
 					steps = 1
 				}

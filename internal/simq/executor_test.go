@@ -380,7 +380,7 @@ func TestCaptureCountsAndReadoutError(t *testing.T) {
 		t.Fatalf("ideal π pulse readout: %v", res.Counts)
 	}
 	// With 10% 1→0 readout error roughly 10% flip.
-	res2 := runSchedule(t, s, ex, ExecOptions{Shots: 4000, Seed: 7, ReadoutP10: 0.1})
+	res2 := runSchedule(t, s, ex, ExecOptions{Shots: 4000, Seed: 7, SiteError: flips(0, 0.1)})
 	frac := float64(res2.Counts[0]) / 4000
 	if math.Abs(frac-0.1) > 0.03 {
 		t.Fatalf("readout error rate %g, want ~0.1", frac)

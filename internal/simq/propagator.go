@@ -44,6 +44,9 @@ const (
 	// single 100k-sample Play lands in microseconds, rare enough that the
 	// callback (an atomic load in devices) costs nothing.
 	interruptPollTicks = 1024
+	// maxIdleStep caps the dissipator step (seconds) in idle segments, whose
+	// unitary part is exact: only the collapse rates bound it.
+	maxIdleStep = 500e-9
 	// propCacheLimit bounds the constant-stretch propagator cache; a
 	// device's calibrated schedules hold a handful of distinct (envelope
 	// value, duration) pairs, so a small cap only guards against sweeps

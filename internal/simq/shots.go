@@ -185,7 +185,7 @@ func (p *Program) newShotRunner(st *State, rho *Density, seed int64, workers int
 	} else {
 		r.siteErr = opts.SiteError
 		if r.siteErr == nil {
-			r.siteErr = func(int) (float64, float64) { return opts.ReadoutP01, opts.ReadoutP10 }
+			r.siteErr = func(int) (float64, float64) { return 0, 0 }
 		}
 	}
 	var probs []float64

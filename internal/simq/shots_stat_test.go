@@ -12,6 +12,12 @@ import (
 	"mqsspulse/internal/waveform"
 )
 
+// flips is an ExecOptions.SiteError giving every site the same assignment
+// errors.
+func flips(p01, p10 float64) func(int) (float64, float64) {
+	return func(int) (float64, float64) { return p01, p10 }
+}
+
 // Statistical acceptance harness for the shot sampler, and the
 // worker-count independence of everything it returns. The density
 // engine's populations and analytic decay curves are the pinned
@@ -74,7 +80,7 @@ func TestTrajectoryT1DecayMatchesDensityAndAnalytic(t *testing.T) {
 		dt    = 1e-9
 		shots = 20000
 		alpha = 1e-3 // per-assertion significance
-		// The idle dissipator integrates with RK4 at MaxIdleStep = 500 ns:
+		// The idle dissipator integrates with RK4 at maxIdleStep = 500 ns:
 		// the local relative error of RK4 on e^{−λ} is λ⁵/5! ≈ 8e−6 at
 		// λ = step/T1 = 0.25, so a 1e−4 relative tolerance has a 3× margin
 		// over the worst whole-test accumulation.
@@ -170,7 +176,7 @@ func TestTrajectoryChiSquareTwoTransmonCounts(t *testing.T) {
 
 	s, exd := twoTransmonRig(t, 0.5e-6, 0.4e-6)
 	res := runSchedule(t, s, exd, ExecOptions{
-		Shots: shots, Seed: 90, ReadoutP01: p01, ReadoutP10: p10, ShotWorkers: 4,
+		Shots: shots, Seed: 90, SiteError: flips(p01, p10), ShotWorkers: 4,
 	})
 	probs := res.FinalDensity.Populations()
 
@@ -254,7 +260,7 @@ func TestShotDeterminismAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) map[uint64]int {
 		s, exd := twoTransmonRig(t, 0.5e-6, 0.4e-6)
 		res := runSchedule(t, s, exd, ExecOptions{
-			Shots: 3000, Seed: 11, ReadoutP01: 0.02, ReadoutP10: 0.05, ShotWorkers: workers,
+			Shots: 3000, Seed: 11, SiteError: flips(0.02, 0.05), ShotWorkers: workers,
 		})
 		if res.Workers != workers || len(res.WorkerBusy) != workers {
 			t.Fatalf("Workers = %d, WorkerBusy = %v with ShotWorkers = %d", res.Workers, res.WorkerBusy, workers)
@@ -273,7 +279,7 @@ func TestShotDeterminismAcrossWorkerCounts(t *testing.T) {
 // so the same executor serves runs at 1 and 4 workers — cold, then warm —
 // and every one of them must return what a fresh executor returns.
 func TestShotDeterminismOnWarmExecutor(t *testing.T) {
-	opts := ExecOptions{Shots: 1500, Seed: 11, ReadoutP01: 0.02, ReadoutP10: 0.05}
+	opts := ExecOptions{Shots: 1500, Seed: 11, SiteError: flips(0.02, 0.05)}
 	s, fresh := twoTransmonRig(t, 0.5e-6, 0.4e-6)
 	opts.ShotWorkers = 4
 	want := runSchedule(t, s, fresh, opts)
