@@ -114,12 +114,6 @@ func WithTag(tag string) ExecOption { return qpi.WithTag(tag) }
 // member (see Scheduler.RegisterPool).
 func WithPool(name string) ExecOption { return qpi.WithPool(name) }
 
-// WithShotWorkers asks the executing device to spread the job's
-// independent shots across n parallel workers (at most one per
-// processor). Zero keeps the device's configured default. The count never
-// changes a result: a job returns the same counts and IQ records at any n.
-func WithShotWorkers(n int) ExecOption { return qpi.WithShotWorkers(n) }
-
 // WithDeadline bounds the execution; past it the job is cancelled.
 func WithDeadline(t time.Time) ExecOption { return qpi.WithDeadline(t) }
 

@@ -406,10 +406,7 @@ func (c *Client) submit(ctx context.Context, l *lowering, b ptemplate.Bindings,
 		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
 		MeasLevel: opts.MeasLevel, MeasReturn: opts.MeasReturn,
 		CalibrationEpoch: program.Epoch, CompiledFor: l.target,
-		Timeline: tl, ShotWorkers: opts.ShotWorkers,
-	}
-	if req.Shots <= 0 {
-		req.Shots = qpi.DefaultShots
+		Timeline: tl,
 	}
 	if opts.Pool != "" {
 		req.Device, req.Pool = "", opts.Pool

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -238,5 +239,51 @@ func TestRemoteAdapterClosed(t *testing.T) {
 	remote.Close()
 	if _, err := remote.SubmitPayloadCtx(context.Background(), "hpcqc-sc", []byte("x"), qdmi.FormatQIRBase, SubmitOptions{Shots: 10}); err == nil {
 		t.Fatal("closed adapter accepted submission")
+	}
+}
+
+// TestNonPositiveShotsFailEverywhere: the default shot count lives in
+// qpi.NewExecConfig alone, so a SubmitOptions that asks for zero or fewer
+// shots is refused the same way on every path — a local job, a sweep point
+// and a remote job all fail qdmi.ErrInvalidArgument.
+func TestNonPositiveShotsFailEverywhere(t *testing.T) {
+	ctx := context.Background()
+	c, _ := testStack(t)
+	srv := serveTest(t, c)
+	remote, err := NewRemoteAdapter(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	payload, format, err := c.Compile(bell(t), "hpcqc-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []struct {
+		name string
+		run  func(SubmitOptions) error
+	}{
+		{"local RunCtx", func(opts SubmitOptions) error {
+			_, err := c.RunCtx(ctx, bell(t), "hpcqc-sc", opts)
+			return err
+		}},
+		{"RunSweep", func(opts SubmitOptions) error {
+			res, err := c.RunSweep(ctx, rabiSweepTemplate(t), "hpcqc-sc", sweepAngles(1), opts)
+			if err != nil {
+				return err
+			}
+			return res[0].Err
+		}},
+		{"remote SubmitPayloadCtx", func(opts SubmitOptions) error {
+			_, err := remote.SubmitPayloadCtx(ctx, "hpcqc-sc", payload, format, opts)
+			return err
+		}},
+	}
+	for _, p := range paths {
+		for _, shots := range []int{0, -1} {
+			if err := p.run(SubmitOptions{Shots: shots}); !errors.Is(err, qdmi.ErrInvalidArgument) {
+				t.Errorf("%s with %d shots: err = %v, want ErrInvalidArgument", p.name, shots, err)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qpi"
+	"mqsspulse/internal/readout"
 )
 
 // wireKind reports whether kind is an error_kind the server may put on the
@@ -123,6 +125,63 @@ func FuzzServerRequest(f *testing.F) {
 			if len(store.byID) > maxStoredPrograms || len(store.order) != len(store.byID) {
 				t.Fatalf("after %q the store holds %d programs in %d slots, bound %d",
 					line, len(store.byID), len(store.order), maxStoredPrograms)
+			}
+		}
+	})
+}
+
+// FuzzResponseLine drives arbitrary response lines through the adapter's
+// decoder: decodeResponse, then resultFromWire at every measurement level a
+// caller may have asked for. Whatever arrives, it answers a result or an
+// error and never panics, and a result carries the level it was asked for
+// and one IQ row per row on the wire. Seeded with one server response per
+// measurement level.
+func FuzzResponseLine(f *testing.F) {
+	srv, c := fuzzServer(f)
+	x := qpi.NewCircuit("x", 1, 1).X(0).Measure(0, 0)
+	if err := x.End(); err != nil {
+		f.Fatal(err)
+	}
+	payload, _, err := c.Compile(x, "tiny-1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	store := &programStore{byID: map[string]*ptemplate.Compiled{}}
+	srv.handleLine([]byte(`{"op":"register","id":"x","program":`+strconv.Quote(string(payload))+`}`), store)
+	levels := []readout.MeasLevel{readout.LevelDiscriminated, readout.LevelKerneled, readout.LevelRaw}
+	for _, level := range levels {
+		req, err := json.Marshal(remoteRequest{Op: "submit", ID: "x", Device: "tiny-1", Shots: 3, MeasLevel: level.String()})
+		if err != nil {
+			f.Fatal(err)
+		}
+		resp := srv.handleLine(req, store)
+		if resp.Error != "" {
+			f.Fatalf("%s seed: %s", level, resp.Error)
+		}
+		line, err := json.Marshal(resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(line))
+	}
+	f.Add(`{"error":"queue full","error_kind":"overloaded"}`)
+	f.Add(`{"counts":{"x":1}}`)
+
+	f.Fuzz(func(t *testing.T, line string) {
+		resp, err := decodeResponse([]byte(line))
+		if err != nil {
+			return
+		}
+		for _, level := range levels {
+			res, err := resultFromWire(resp, SubmitOptions{MeasLevel: level})
+			if err != nil {
+				continue
+			}
+			if res.Counts == nil {
+				t.Fatalf("%s result of %q has nil counts", level, line)
+			}
+			if level != readout.LevelDiscriminated && (res.MeasLevel != level || len(res.IQ) != len(resp.IQ)) {
+				t.Fatalf("%s result of %q: level %s, %d IQ rows for %d on the wire", level, line, res.MeasLevel, len(res.IQ), len(resp.IQ))
 			}
 		}
 	})

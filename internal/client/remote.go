@@ -74,9 +74,6 @@ type remoteRequest struct {
 	Shots    int    `json:"shots,omitempty"`
 	Priority int    `json:"priority,omitempty"`
 	Tag      string `json:"tag,omitempty"`
-	// ShotWorkers asks the executing device to spread the job's shots
-	// across that many workers; 0 keeps the device default.
-	ShotWorkers int `json:"shot_workers,omitempty"`
 	// TimeoutMs bounds the job server-side; 0 means no client deadline.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// MeasLevel/MeasReturn select the acquisition data shape
@@ -96,8 +93,11 @@ type remoteResponse struct {
 	// ErrorKind carries the machine-readable class of Error across the
 	// wire ("overloaded", "no_such_target"), so the adapter can rebuild
 	// the typed sentinels and callers can back off with errors.Is.
-	ErrorKind       string            `json:"error_kind,omitempty"`
-	Counts          map[string]int    `json:"counts,omitempty"`
+	ErrorKind string `json:"error_kind,omitempty"`
+	// Counts is the result's own map: encoding/json writes its keys as
+	// decimal strings, sorted as strings, and refuses a key that is not a
+	// whole decimal uint64 when reading one back.
+	Counts          map[uint64]int    `json:"counts,omitempty"`
 	Shots           int               `json:"shots"`
 	DurationSeconds float64           `json:"duration_seconds"`
 	DeviceInfo      map[string]string `json:"device_info,omitempty"`
@@ -344,7 +344,7 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 	defer cancel()
 	tk, err := s.client.qrm.SubmitCtx(ctx, qrm.Request{
 		Device: device, Pool: req.Pool, Template: program, Bindings: req.Bindings,
-		Shots: req.Shots, Priority: req.Priority, Tag: req.Tag, ShotWorkers: req.ShotWorkers,
+		Shots: req.Shots, Priority: req.Priority, Tag: req.Tag,
 		MeasLevel: level, MeasReturn: ret,
 		CalibrationEpoch: program.Epoch, CompiledFor: compiledFor, Timeline: tl,
 	})
@@ -364,12 +364,8 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 		resp.Spans = telemetry.ToWire(tl.Spans())
 		return resp
 	}
-	counts := make(map[string]int, len(res.Counts))
-	for mask, n := range res.Counts {
-		counts[fmt.Sprintf("%d", mask)] = n
-	}
 	resp := remoteResponse{
-		Counts: counts, Shots: res.Shots, DurationSeconds: res.DurationSeconds,
+		Counts: res.Counts, Shots: res.Shots, DurationSeconds: res.DurationSeconds,
 		Spans: telemetry.ToWire(tl.Spans()),
 	}
 	if res.MeasLevel != readout.LevelDiscriminated {
@@ -572,8 +568,7 @@ func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compi
 func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
 	req := remoteRequest{
 		Op: "submit", ID: p.id, Bindings: b, Device: device, Pool: opts.Pool,
-		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
-		ShotWorkers: opts.ShotWorkers, TraceID: opts.TraceID,
+		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag, TraceID: opts.TraceID,
 	}
 	if opts.MeasLevel != readout.LevelDiscriminated {
 		req.MeasLevel = opts.MeasLevel.String()
@@ -706,9 +701,15 @@ func (r *RemoteAdapter) exchangeLocked(ctx context.Context, req *remoteRequest) 
 		return nil, r.wireError(ctx, err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
+	return decodeResponse(line)
+}
+
+// decodeResponse reads one response line: a failure as its typed error,
+// anything else as the response.
+func decodeResponse(line []byte) (*remoteResponse, error) {
 	var resp remoteResponse
 	if err := json.Unmarshal(line, &resp); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("client: remote response: %w", err)
 	}
 	if resp.Error != "" {
 		return nil, errorFromWire(resp.ErrorKind, resp.Error)
@@ -719,13 +720,9 @@ func (r *RemoteAdapter) exchangeLocked(ctx context.Context, req *remoteRequest) 
 // resultFromWire rebuilds a qpi.Result from a wire response, enforcing
 // that the server honored the requested measurement level.
 func resultFromWire(resp *remoteResponse, opts SubmitOptions) (*qpi.Result, error) {
-	counts := map[uint64]int{}
-	for k, v := range resp.Counts {
-		mask, err := strconv.ParseUint(k, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("client: remote counts key %q: %v", k, err)
-		}
-		counts[mask] = v
+	counts := resp.Counts
+	if counts == nil {
+		counts = map[uint64]int{}
 	}
 	out := &qpi.Result{Counts: counts, Shots: resp.Shots, DurationSeconds: resp.DurationSeconds}
 	if opts.MeasLevel != readout.LevelDiscriminated && resp.MeasLevel == "" {

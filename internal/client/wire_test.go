@@ -584,8 +584,8 @@ func TestLocalAndRemoteAgreeAtEveryMeasLevel(t *testing.T) {
 }
 
 // TestResultFromWireCountsKeys pins the counts decoder to whole decimal
-// uint64 keys: anything else in a server's response is an error that names
-// the key, never a silently truncated bitmask.
+// uint64 keys: anything else in a server's response fails the decode, never
+// a silently truncated bitmask.
 func TestResultFromWireCountsKeys(t *testing.T) {
 	for _, tc := range []struct {
 		key  string
@@ -600,17 +600,49 @@ func TestResultFromWireCountsKeys(t *testing.T) {
 		{" 3", 0, false},
 		{"18446744073709551616", 0, false}, // 2^64
 	} {
-		res, err := resultFromWire(&remoteResponse{Counts: map[string]int{tc.key: 7}, Shots: 7}, SubmitOptions{})
+		line := fmt.Sprintf(`{"counts":{%q:7},"shots":7}`, tc.key)
+		resp, err := decodeResponse([]byte(line))
 		if !tc.ok {
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.key)) {
-				t.Errorf("key %q: err = %v, want an error naming the key", tc.key, err)
+			if err == nil {
+				t.Errorf("key %q: decoded, want an error", tc.key)
 			}
 			continue
 		}
 		if err != nil {
 			t.Errorf("key %q: %v", tc.key, err)
+			continue
+		}
+		if res, err := resultFromWire(resp, SubmitOptions{}); err != nil {
+			t.Errorf("key %q: %v", tc.key, err)
 		} else if res.Counts[tc.mask] != 7 || len(res.Counts) != 1 {
 			t.Errorf("key %q: counts = %v, want {%d: 7}", tc.key, res.Counts, tc.mask)
 		}
+	}
+}
+
+// TestResponseCountsGolden: the counts cross the wire as the result's own
+// map, and the bytes are the ones a server that spelled each key with
+// fmt.Sprintf wrote — decimal keys, sorted as strings — so adapters on
+// either side of that change read each other.
+func TestResponseCountsGolden(t *testing.T) {
+	const golden = `{"counts":{"0":3,"1":5,"10":2,"2":6},"shots":16,"duration_seconds":0.000001}`
+	counts := map[uint64]int{0: 3, 1: 5, 2: 6, 10: 2}
+	line, err := json.Marshal(remoteResponse{Counts: counts, Shots: 16, DurationSeconds: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(line) != golden {
+		t.Fatalf("response line\n%s\nwant\n%s", line, golden)
+	}
+	resp, err := decodeResponse(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := resultFromWire(resp, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Counts, counts) {
+		t.Fatalf("decoded counts %v, want %v", res.Counts, counts)
 	}
 }

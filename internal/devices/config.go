@@ -99,14 +99,6 @@ type Config struct {
 	Seed int64
 	// MaxShots caps a single job.
 	MaxShots int
-	// ShotWorkers is the default number of parallel shot workers a job
-	// runs with when the submission does not set its own count
-	// (qdmi.JobOptions.ShotWorkers): 0 or 1 serializes, n > 1 spreads a
-	// job's independent shots across n goroutines (capped per job at
-	// runtime.GOMAXPROCS), and a negative value uses runtime.NumCPU().
-	// A job's result never depends on the worker count, scheduling or
-	// completion order.
-	ShotWorkers int
 }
 
 // ouProcess is a discretized Ornstein-Uhlenbeck process:

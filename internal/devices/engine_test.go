@@ -56,35 +56,25 @@ func runOthers(t *testing.T, d *SimDevice, n int) {
 		bellModule(),
 	}
 	for i := 0; i < n; i++ {
-		runOpts(t, d, kernels[i%len(kernels)], qdmi.JobOptions{Shots: 2, ShotWorkers: 1 + i%3})
+		runOpts(t, d, kernels[i%len(kernels)], qdmi.JobOptions{Shots: 2})
 	}
 }
 
 // TestResultsIndependentOfEngineWarmth: a job's counts and IQ records are
 // a function of (payload, seed) alone — identical on a device whose engine
-// the job itself builds and on one that 50 other jobs have warmed, and
-// identical across 1, 2 and 4 shot workers.
+// the job itself builds and on one that 50 other jobs have warmed.
 func TestResultsIndependentOfEngineWarmth(t *testing.T) {
 	const others = 50
-	var want *qdmi.Result
-	for _, workers := range []int{1, 2, 4} {
-		opts := qdmi.JobOptions{Shots: 64, MeasLevel: readout.LevelKerneled, ShotWorkers: workers}
-		cold := runOpts(t, skipJobs(openSC(t, 2), others), bellModule(), opts)
-		if want == nil {
-			want = cold
-		}
-		warm := openSC(t, 2)
-		runOthers(t, warm, others)
-		got := runOpts(t, warm, bellModule(), opts)
-		if len(got.IQ) != opts.Shots {
-			t.Fatalf("%d workers: %d IQ records, want %d", workers, len(got.IQ), opts.Shots)
-		}
-		for name, r := range map[string]*qdmi.Result{"fresh": cold, "warm": got} {
-			if !reflect.DeepEqual(r.Counts, want.Counts) || !reflect.DeepEqual(r.IQ, want.IQ) {
-				t.Fatalf("%s device at %d workers disagrees with a fresh one at 1 worker:\n%v\n%v",
-					name, workers, r.Counts, want.Counts)
-			}
-		}
+	opts := qdmi.JobOptions{Shots: 64, MeasLevel: readout.LevelKerneled}
+	want := runOpts(t, skipJobs(openSC(t, 2), others), bellModule(), opts)
+	warm := openSC(t, 2)
+	runOthers(t, warm, others)
+	got := runOpts(t, warm, bellModule(), opts)
+	if len(got.IQ) != opts.Shots {
+		t.Fatalf("%d IQ records, want %d", len(got.IQ), opts.Shots)
+	}
+	if !reflect.DeepEqual(got.Counts, want.Counts) || !reflect.DeepEqual(got.IQ, want.IQ) {
+		t.Fatalf("warm device disagrees with a fresh one:\n%v\n%v", got.Counts, want.Counts)
 	}
 }
 
@@ -119,7 +109,7 @@ func TestAdvanceTimeRebuildsEngine(t *testing.T) {
 func TestConcurrentJobsShareOneEngine(t *testing.T) {
 	testutil.AssertNoLeaks(t)
 	const jobs = 8
-	opts := qdmi.JobOptions{Shots: 24, MeasLevel: readout.LevelKerneled, ShotWorkers: 2}
+	opts := qdmi.JobOptions{Shots: 24, MeasLevel: readout.LevelKerneled}
 	payload := bellModule().Emit()
 	key := func(r *qdmi.Result) string { return fmt.Sprint(r.Counts, r.IQ) }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"time"
@@ -586,20 +585,11 @@ func (d *SimDevice) runJob(ctx context.Context, job *qdmi.AsyncJob, mod *qir.Mod
 	if aborted() {
 		return
 	}
-	workers := d.ShotWorkers()
-	if opts.ShotWorkers > 0 {
-		workers = opts.ShotWorkers
-	}
-	// The per-job count arrives unvalidated from the wire. Workers beyond
-	// the processor count only add goroutines, and the count cannot change
-	// a result, so cap it.
-	workers = min(workers, runtime.GOMAXPROCS(0))
 	execOpts := simq.ExecOptions{
 		Shots:       opts.Shots,
 		Seed:        seed,
 		SiteError:   d.siteError,
 		Interrupted: aborted,
-		ShotWorkers: workers,
 	}
 	if opts.MeasLevel != readout.LevelDiscriminated {
 		// The believed calibration table plays no role here: readout errors
@@ -617,10 +607,7 @@ func (d *SimDevice) runJob(ctx context.Context, job *qdmi.AsyncJob, mod *qir.Mod
 	// Device-side telemetry: the executor reports how much of the run was
 	// readout sampling/post-processing, splitting the wall time into the
 	// device-execute and readout-post stages under the scheduler's dispatch
-	// span. Both spans measure wall-clock time, so a shot-parallel run's
-	// device-execute span reflects the parallel wall time, not the sum of
-	// per-worker busy time — worker utilization lands in the histograms
-	// below instead.
+	// span.
 	execEnd := time.Now()
 	opts.Telemetry.Record(telemetry.StageDeviceExecute, d.cfg.Name,
 		execStart, execEnd.Sub(execStart)-res.ReadoutWall, opts.TelemetryParent)
@@ -641,10 +628,9 @@ func (d *SimDevice) runJob(ctx context.Context, job *qdmi.AsyncJob, mod *qir.Mod
 // recordShotMetrics publishes per-job execution throughput into the
 // trace's metrics registry: total shots executed (fleet-wide and
 // per-device counters — shots-per-second over any window is the counter
-// delta over that window), the mean per-shot latency (its reciprocal is
-// this job's shots/sec), and one busy-time observation per shot worker
-// (each entry over the job's wall time is that worker's utilization).
-// Nil-safe: uninstrumented jobs skip out on the nil registry.
+// delta over that window) and the mean per-shot latency (its reciprocal is
+// this job's shots/sec). Nil-safe: uninstrumented jobs skip out on the nil
+// registry.
 func (d *SimDevice) recordShotMetrics(reg *telemetry.Registry, res *simq.ExecResult, wall time.Duration) {
 	if reg == nil || res.Shots <= 0 {
 		return
@@ -661,9 +647,6 @@ func (d *SimDevice) recordShotMetrics(reg *telemetry.Registry, res *simq.ExecRes
 	if wall > 0 {
 		reg.Observe(d.names.shotLatency, wall/time.Duration(res.Shots))
 	}
-	for _, b := range res.WorkerBusy {
-		reg.Observe(d.names.workerBusy, b)
-	}
 }
 
 // deviceNames are the strings a job spells with the device's name in them,
@@ -671,7 +654,7 @@ func (d *SimDevice) recordShotMetrics(reg *telemetry.Registry, res *simq.ExecRes
 type deviceNames struct {
 	jobPrefix string // "<name>-job-", completed by the job number
 	// per-device metric names
-	shots, propHit, propMiss, dissipatorSteps, shotLatency, workerBusy string
+	shots, propHit, propMiss, dissipatorSteps, shotLatency string
 }
 
 func newDeviceNames(name string) deviceNames {
@@ -682,7 +665,6 @@ func newDeviceNames(name string) deviceNames {
 		propMiss:        "simq/prop_cache/miss/" + name,
 		dissipatorSteps: "simq/dissipator_steps/" + name,
 		shotLatency:     "simq/shot_latency/" + name,
-		workerBusy:      "simq/worker_busy/" + name,
 	}
 }
 

@@ -198,27 +198,25 @@ func TestPreparedMatchesUnprepared(t *testing.T) {
 		{"with a gate call", gates, gatePoints, 0},
 	}
 	for _, level := range []readout.MeasLevel{readout.LevelDiscriminated, readout.LevelKerneled, readout.LevelRaw} {
-		for _, workers := range []int{1, 2} {
-			opts := qdmi.JobOptions{Shots: 48, MeasLevel: level, ShotWorkers: workers}
-			hit, miss := openSC(t, 2), openSC(t, 2)
-			for i := 0; i < jobs; i++ {
-				got := runModule(t, hit, bell, opts)
-				want := runModule(t, miss, deepCopy(t, bell), opts)
-				sameResult(t, level.String()+" job on a prepared module vs a fresh copy", got, want)
+		opts := qdmi.JobOptions{Shots: 48, MeasLevel: level}
+		hit, miss := openSC(t, 2), openSC(t, 2)
+		for i := 0; i < jobs; i++ {
+			got := runModule(t, hit, bell, opts)
+			want := runModule(t, miss, deepCopy(t, bell), opts)
+			sameResult(t, level.String()+" job on a prepared module vs a fresh copy", got, want)
+		}
+		if n := preparedFor(hit, bell); n != 1 {
+			t.Fatalf("%d prepared programs for one module presented %d times, want 1", n, jobs)
+		}
+		for _, tpl := range templates {
+			for i, point := range tpl.points {
+				got := runModule(t, hit, tpl.mod, withPoint(opts, point))
+				want := runModule(t, miss, deepCopy(t, bind(t, tpl.mod, point)), opts)
+				sameResult(t, fmt.Sprintf("%s: %s point %d bound by the device vs bound first", level, tpl.name, i), got, want)
 			}
-			if n := preparedFor(hit, bell); n != 1 {
-				t.Fatalf("%d prepared programs for one module presented %d times, want 1", n, jobs)
-			}
-			for _, tpl := range templates {
-				for i, point := range tpl.points {
-					got := runModule(t, hit, tpl.mod, withPoint(opts, point))
-					want := runModule(t, miss, deepCopy(t, bind(t, tpl.mod, point)), opts)
-					sameResult(t, fmt.Sprintf("%s: %s point %d bound by the device vs bound first", level, tpl.name, i), got, want)
-				}
-				if n := preparedFor(hit, tpl.mod); n != tpl.entries {
-					t.Fatalf("%s: %d prepared programs for the template after %d points, want %d",
-						tpl.name, n, len(tpl.points), tpl.entries)
-				}
+			if n := preparedFor(hit, tpl.mod); n != tpl.entries {
+				t.Fatalf("%s: %d prepared programs for the template after %d points, want %d",
+					tpl.name, n, len(tpl.points), tpl.entries)
 			}
 		}
 	}

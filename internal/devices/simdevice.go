@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -329,24 +328,8 @@ func (d *SimDevice) QueryDeviceProperty(p qdmi.DeviceProperty) (any, error) {
 		return d.cfg.MaxSamples, nil
 	case qdmi.DevicePropCalibrationEpoch:
 		return d.CalibrationEpoch(), nil
-	case qdmi.DevicePropShotWorkers:
-		return d.ShotWorkers(), nil
 	default:
 		return nil, qdmi.ErrNotSupported
-	}
-}
-
-// ShotWorkers returns the device's effective default shot-worker count:
-// the configured value, runtime.NumCPU() when the config is negative, or
-// 1 (serial) when unset.
-func (d *SimDevice) ShotWorkers() int {
-	switch {
-	case d.cfg.ShotWorkers < 0:
-		return runtime.NumCPU()
-	case d.cfg.ShotWorkers == 0:
-		return 1
-	default:
-		return d.cfg.ShotWorkers
 	}
 }
 

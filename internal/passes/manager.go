@@ -58,20 +58,17 @@ type ReadOnlyPass interface {
 	ReadOnly()
 }
 
-// Manager executes a pass pipeline, recording timings and verifying the
-// module after every pass that may have changed it (the dialect-agnostic
-// orchestration the paper attributes to the LLVM pass manager).
+// Manager executes a pass pipeline, recording timings and re-verifying the
+// module after every pass that is not a ReadOnlyPass, before the next pass
+// sees it (the dialect-agnostic orchestration the paper attributes to the
+// LLVM pass manager).
 type Manager struct {
 	passes []Pass
-	// VerifyEach re-verifies the module after every pass that is not a
-	// ReadOnlyPass, before the next pass sees it (default true via
-	// NewManager).
-	VerifyEach bool
 }
 
 // NewManager builds a pipeline.
 func NewManager(passes ...Pass) *Manager {
-	return &Manager{passes: passes, VerifyEach: true}
+	return &Manager{passes: passes}
 }
 
 // Add appends a pass.
@@ -100,7 +97,7 @@ func (pm *Manager) Run(m *mlir.Module, ctx *Context) error {
 		ctx.Timings = append(ctx.Timings, PassTiming{
 			Pass: p.Name(), Duration: time.Since(start), OpsIn: in, OpsOut: m.OpCount(),
 		})
-		if _, readOnly := p.(ReadOnlyPass); pm.VerifyEach && !readOnly {
+		if _, readOnly := p.(ReadOnlyPass); !readOnly {
 			if err := m.Verify(); err != nil {
 				return fmt.Errorf("passes: module invalid after %s: %w", p.Name(), err)
 			}

@@ -65,11 +65,6 @@ const (
 	// on it and schedulers verify it at dispatch; devices predating the
 	// property answer ErrNotSupported and opt out of staleness checking.
 	DevicePropCalibrationEpoch // int64
-	// DevicePropShotWorkers is the device's default per-job shot-worker
-	// count (int): how many cores the runtime spreads one job's
-	// independent shots across when the submission does not request its
-	// own count via JobOptions.ShotWorkers.
-	DevicePropShotWorkers // int
 )
 
 // SiteProperty enumerates per-site queries (a site is a physical or logical
@@ -213,11 +208,6 @@ type JobOptions struct {
 	// TelemetryParent is the span the device-side spans nest under
 	// (the scheduler's dispatch span); zero attaches them at top level.
 	TelemetryParent telemetry.SpanID
-	// ShotWorkers, when positive, overrides the device's default worker
-	// count (DevicePropShotWorkers) for this job's per-shot sampling
-	// phase; devices cap it at their processor count. A job's result
-	// never depends on the worker count, scheduling or completion order.
-	ShotWorkers int
 	// Bindings is the job's sweep point when the module submitted with it
 	// (ModuleSubmitter) is a template: one value per parameter its slots
 	// name. The device binds them in; a module with slots and no Bindings is

@@ -64,11 +64,6 @@ type ExecConfig struct {
 	// Shots is the number of measurement samples (DefaultShots if no
 	// option is given).
 	Shots int
-	// ShotWorkers, when positive, spreads the job's independent shots
-	// across that many device-side workers; zero keeps the executing
-	// device's configured default. Shot outcomes never depend on worker
-	// scheduling or completion order.
-	ShotWorkers int
 	// Priority orders scheduler dispatch: higher runs first.
 	Priority int
 	// Tag is an optional caller label carried through the scheduler
@@ -112,11 +107,12 @@ type ExecOption func(*ExecConfig)
 // WithShots sets the number of measurement shots.
 func WithShots(n int) ExecOption { return func(c *ExecConfig) { c.Shots = n } }
 
-// WithShotWorkers asks the executing device to spread the job's
-// independent shots across n parallel workers (at most one per
-// processor). Zero keeps the device's configured default. The count never
-// changes a result: a job returns the same counts and IQ records at any n.
-func WithShotWorkers(n int) ExecOption { return func(c *ExecConfig) { c.ShotWorkers = n } }
+// WithShotWorkers returns an option that changes nothing.
+//
+// Deprecated: a job's shots are drawn serially on the goroutine that runs
+// it. WithShotWorkers is kept only because the benchmark compiles against
+// it.
+func WithShotWorkers(int) ExecOption { return func(*ExecConfig) {} }
 
 // WithPriority sets the scheduler priority (higher dispatches first).
 func WithPriority(p int) ExecOption { return func(c *ExecConfig) { c.Priority = p } }

@@ -112,10 +112,6 @@ type Request struct {
 	// device that takes text. Nil submissions run untraced (per-device queue-wait
 	// histograms still accumulate when SetTelemetry installed a registry).
 	Timeline *telemetry.Timeline
-	// ShotWorkers, when positive, asks the executing device to spread the
-	// job's per-shot work across that many workers (see
-	// qdmi.JobOptions.ShotWorkers); zero defers to the device default.
-	ShotWorkers int
 }
 
 // queued pairs a ticket with its request, the pool it targets (nil for a
@@ -511,7 +507,7 @@ func (s *Scheduler) checkEpoch(dispatchDevice string, req Request) error {
 func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi.Job, error) {
 	opts := qdmi.JobOptions{
 		Shots: req.Shots, MeasLevel: req.MeasLevel, MeasReturn: req.MeasReturn,
-		Telemetry: req.Timeline, TelemetryParent: parent, ShotWorkers: req.ShotWorkers,
+		Telemetry: req.Timeline, TelemetryParent: parent,
 	}
 	if p := req.Template; p != nil {
 		if ms, ok := dev.(qdmi.ModuleSubmitter); ok {

@@ -39,15 +39,12 @@ type ExecOptions struct {
 	// every interruptPollTicks (1024) driven samples inside them, so even a
 	// single very long Play cancels promptly; once it reports true the run
 	// aborts with ErrInterrupted. Devices wire it to their job-cancellation
-	// state. Shot workers additionally poll it between shots, so a
-	// cancelled batch drains without emitting further shot results.
+	// state. The sampler also polls it every 64 shots, so a cancelled run
+	// stops drawing within that many.
 	Interrupted func() bool
-	// ShotWorkers is the number of goroutines that draw shots (projective
-	// sampling, readout error, IQ synthesis) from the already-evolved
-	// state. 0 or 1 runs serially. It never selects an engine and never
-	// changes a result: every shot's outcome is a pure function of (Seed,
-	// shot index) and aggregation is performed in shot order, so Counts,
-	// IQ and Raw are byte-identical for any worker count.
+	// Deprecated: ShotWorkers is ignored; every run draws its shots serially
+	// on the calling goroutine. It is kept only because the benchmark
+	// compiles against it.
 	ShotWorkers int
 
 	// exact replaces the fast driven-sample path (matrix-free scaled-Taylor
@@ -92,11 +89,12 @@ type ExecResult struct {
 	// the state evolution finished — the telemetry split between the
 	// device-execute and readout-post stages. Zero for capture-free runs.
 	ReadoutWall time.Duration
-	// Workers is the number of shot workers the run actually used.
+	// Deprecated: Workers is always 1. It is kept only because the
+	// benchmark compiles against it.
 	Workers int
-	// WorkerBusy holds each worker's busy wall time over the per-shot
-	// phase; the ratio of each entry to the largest is that worker's
-	// utilization (telemetry feeds these into per-device histograms).
+	// Deprecated: WorkerBusy holds one entry, the sampling phase's busy time
+	// (ReadoutWall). It is kept only because the benchmark compiles against
+	// it.
 	WorkerBusy []time.Duration
 	// EngineStats counts the run's propagator-cache traffic and dissipator
 	// steps.
@@ -407,14 +405,6 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 		seed = 0x6d717373 // "mqss"
 	}
 
-	workers := opts.ShotWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > opts.Shots {
-		workers = opts.Shots
-	}
-
 	// The engine follows from the model alone: collapse operators need the
 	// density matrix, a closed system the state vector. Either way the
 	// evolution is shot-independent: integrate once, then every shot
@@ -441,7 +431,7 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 		DurationSeconds: float64(p.makespan) * p.dt,
 		FinalState:      st,
 		FinalDensity:    rho,
-		Workers:         workers,
+		Workers:         1,
 		EngineStats:     stats,
 	}
 	if len(p.captures) == 0 {
@@ -454,13 +444,14 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 	}
 
 	roStart := time.Now()
-	runner := p.newShotRunner(st, rho, seed, workers, opts)
+	runner := p.newShotRunner(st, rho, seed, opts)
 	// The caller owns the result; the Program's slice stays its own.
 	res.MeasuredBits = slices.Clone(p.bits)
 	if err := runner.sampleAll(res); err != nil {
 		return nil, err
 	}
 	res.ReadoutWall = time.Since(roStart)
+	res.WorkerBusy = []time.Duration{res.ReadoutWall}
 	return res, nil
 }
 

@@ -123,7 +123,7 @@ func TestPooledScratchIsClean(t *testing.T) {
 // Program is only read.
 func TestProgramRunsMatchExecutorRun(t *testing.T) {
 	s, ex := twoTransmonRig(t, 30e-6, 20e-6)
-	opts := ExecOptions{Shots: 128, Seed: 11, ShotWorkers: 2, Readout: &ReadoutModel{Level: readout.LevelKerneled}}
+	opts := ExecOptions{Shots: 128, Seed: 11, Readout: &ReadoutModel{Level: readout.LevelKerneled}}
 	want := runSchedule(t, s, ex, opts)
 
 	sp, err := s.Resolve()

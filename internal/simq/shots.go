@@ -2,34 +2,23 @@ package simq
 
 import (
 	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"mqsspulse/internal/readout"
 )
 
-// This file implements the shot-parallel execution phase: per-shot
-// deterministic RNG streams, the worker pool, and the per-shot sampling
-// pipeline (projective draw → readout error or IQ synthesis) over the
-// final state the engine evolved once. The determinism contract: every
-// shot's outcome is a pure function of (job seed, shot index) and all
-// aggregation happens in shot order, so results are byte-identical for
-// any ShotWorkers value and any shot-completion order.
+// This file implements the sampling phase: per-shot deterministic RNG
+// streams and the per-shot pipeline (projective draw → readout error or IQ
+// synthesis) over the final state the engine evolved once. Shots are drawn
+// one after another on the goroutine that runs the job. The determinism
+// contract: every shot's outcome is a pure function of (job seed, shot
+// index) and all aggregation happens in shot order.
 
 const (
 	// shotStreamGamma is the SplitMix64 golden-ratio increment.
 	shotStreamGamma = 0x9E3779B97F4A7C15
-	// serialShotPoll is how many shots a serial (single-worker) run
-	// processes between polls of Interrupted; parallel workers poll every
-	// shot (one atomic load).
+	// serialShotPoll is how many shots a run draws between polls of
+	// Interrupted.
 	serialShotPoll = 64
-	// avgChunkShots is the chunk size of the ReturnAverage pipeline: each
-	// chunk synthesizes records in parallel, then the running sums
-	// accumulate strictly in shot order and the chunk's records are
-	// released. Constant (worker-independent) so chunk boundaries never
-	// affect results; bounds memory at O(chunk·captures·samples).
-	avgChunkShots = 256
 )
 
 // mix64 is the SplitMix64 finalizer: a bijective avalanche permutation
@@ -55,8 +44,8 @@ func shotStreamState(jobSeed int64, shot int) uint64 {
 }
 
 // shotSource is a SplitMix64 rand.Source64. Each shot starts its own
-// stream at shotStreamState, so the draws a shot sees are identical
-// whatever worker ran it. Distinct streams are windows of one
+// stream at shotStreamState, so the draws a shot sees depend on its index
+// alone, not on the shots drawn before it. Distinct streams are windows of one
 // 2⁶⁴-cycle sequence at mixed (effectively random) offsets; with ≤ 2³¹
 // draws per shot the overlap probability is negligible (< 2⁻³²·shots²).
 type shotSource struct{ state uint64 }
@@ -73,71 +62,23 @@ func (s *shotSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 // Seed resets the stream state.
 func (s *shotSource) Seed(seed int64) { s.state = uint64(seed) }
 
-// shotPool runs fn(worker, shot) for every shot index in [lo, hi) across
-// the given number of workers. Work is handed out by an atomic counter,
-// so completion order is arbitrary — determinism comes from fn depending
-// only on the shot index. Every worker checks Interrupted between shots
-// and a shared stop flag drains all workers as soon as one observes
-// cancellation or fails, so no shot result is emitted after.
-// Returns each worker's busy wall time and the first error.
-func shotPool(workers, lo, hi int, interrupted func() bool, fn func(worker, shot int) error) ([]time.Duration, error) {
-	busy := make([]time.Duration, workers)
-	if workers <= 1 {
-		start := time.Now()
-		defer func() { busy[0] = time.Since(start) }()
-		for k := lo; k < hi; k++ {
-			if interrupted != nil && (k-lo)%serialShotPoll == 0 && interrupted() {
-				return busy, ErrInterrupted
-			}
-			if err := fn(0, k); err != nil {
-				return busy, err
-			}
+// eachShot runs fn for every shot index in [0, shots), in shot order, on
+// the calling goroutine. It polls interrupted before every serialShotPoll-th
+// shot, so a cancel lands within that many shots and no shot runs after the
+// poll that sees it.
+func eachShot(shots int, interrupted func() bool, fn func(shot int)) error {
+	for k := 0; k < shots; k++ {
+		if interrupted != nil && k%serialShotPoll == 0 && interrupted() {
+			return ErrInterrupted
 		}
-		return busy, nil
+		fn(k)
 	}
-	var (
-		next atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
-	)
-	errs := make([]error, workers)
-	next.Store(int64(lo))
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			start := time.Now()
-			defer func() { busy[w] = time.Since(start) }()
-			for !stop.Load() {
-				k := int(next.Add(1)) - 1
-				if k >= hi {
-					return
-				}
-				if interrupted != nil && interrupted() {
-					errs[w] = ErrInterrupted
-					stop.Store(true)
-					return
-				}
-				if err := fn(w, k); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return busy, err
-		}
-	}
-	return busy, nil
+	return nil
 }
 
-// shotRunner is the per-run context of the shot-parallel sampling phase:
-// the final probability distribution every shot samples, the readout
-// configuration, and one RNG per pool worker.
+// shotRunner is the per-run context of the sampling phase: the final
+// probability distribution every shot samples, the readout configuration,
+// and the run's one generator.
 type shotRunner struct {
 	captures    []captureEvent
 	sites       []int
@@ -147,29 +88,24 @@ type shotRunner struct {
 	dt          float64
 	seed        int64
 	shots       int
-	workers     int
 	interrupted func() bool
 
 	// The shared cumulative distribution of the evolved state.
 	cum   []float64
 	total float64
 
-	rngs []workerRNG
-}
-
-// workerRNG is one pool worker's generator, re-pointed at shot k's stream
-// before each shot. Nothing in the pipeline calls Rand.Read — the only
-// rand.Rand method with state outside the source — so re-seeding the
-// source alone gives a shot exactly the draws a fresh rand.New would.
-type workerRNG struct {
-	src  shotSource
-	rand *rand.Rand
+	// src is re-pointed at shot k's stream before each shot. Nothing in the
+	// pipeline calls Rand.Read — the only rand.Rand method with state outside
+	// the source — so re-seeding the source alone gives a shot exactly the
+	// draws a fresh rand.New would.
+	src shotSource
+	rng *rand.Rand
 }
 
 // newShotRunner assembles the sampling phase for a run of a program whose
 // captures are non-empty. Exactly one of st and rho carries the evolved
 // final state.
-func (p *Program) newShotRunner(st *State, rho *Density, seed int64, workers int, opts ExecOptions) *shotRunner {
+func (p *Program) newShotRunner(st *State, rho *Density, seed int64, opts ExecOptions) *shotRunner {
 	r := &shotRunner{
 		captures:    p.captures,
 		sites:       p.sites,
@@ -177,7 +113,6 @@ func (p *Program) newShotRunner(st *State, rho *Density, seed int64, workers int
 		dt:          p.dt,
 		seed:        seed,
 		shots:       opts.Shots,
-		workers:     workers,
 		interrupted: opts.Interrupted,
 	}
 	if m := opts.Readout; m != nil && m.Level != readout.LevelDiscriminated {
@@ -196,63 +131,49 @@ func (p *Program) newShotRunner(st *State, rho *Density, seed int64, workers int
 	}
 	r.cum = make([]float64, len(probs))
 	r.total = buildCum(r.cum, probs)
-	r.rngs = make([]workerRNG, workers)
-	for i := range r.rngs {
-		r.rngs[i].rand = rand.New(&r.rngs[i].src)
-	}
+	r.rng = rand.New(&r.src)
 	return r
 }
 
-// runShot executes shot k on pool worker w: one projective draw, then
-// per-capture readout error or IQ synthesis — all from the shot's private
-// RNG stream. Outputs land at index k of the destination slices, never in
-// a shared accumulator, so concurrent shots don't contend and ordering is
-// immaterial.
-func (r *shotRunner) runShot(w, k int, masks []uint64, points [][]readout.IQ, traces [][][]complex128, wantRaw bool) {
-	wr := &r.rngs[w]
-	wr.src.state = shotStreamState(r.seed, k)
-	rng := wr.rand
+// runShot draws shot k — one projective draw, then per-capture readout error
+// or IQ synthesis, all from the shot's own RNG stream — and returns its
+// discriminated bitmask. At kerneled and raw levels it writes the shot's
+// point per capture into pts and, when trs is non-nil, its trace into trs.
+func (r *shotRunner) runShot(k int, pts []readout.IQ, trs [][]complex128) uint64 {
+	r.src.state = shotStreamState(r.seed, k)
+	rng := r.rng
 	raw := siteMask(r.dims, r.sites, drawIndex(rng, r.cum, r.total))
 	var mask uint64
 	if r.model != nil {
-		pts := make([]readout.IQ, len(r.captures))
-		var trs [][]complex128
-		if wantRaw {
-			trs = make([][]complex128, len(r.captures))
-		}
 		for i, c := range r.captures {
 			trueBit := (raw >> uint(i)) & 1
-			rec := r.model.synthesizeShot(rng, c.site, trueBit, c.samples, float64(c.samples)*r.dt, wantRaw)
+			rec := r.model.synthesizeShot(rng, c.site, trueBit, c.samples, float64(c.samples)*r.dt, trs != nil)
 			pts[i] = rec.point
-			if wantRaw {
+			if trs != nil {
 				trs[i] = rec.trace
 			}
 			mask |= rec.bit << uint(c.bit)
 		}
-		points[k] = pts
-		if wantRaw {
-			traces[k] = trs
-		}
-	} else {
-		for i, c := range r.captures {
-			bit := (raw >> uint(i)) & 1
-			p01, p10 := r.siteErr(c.site)
-			if bit == 0 && p01 > 0 && rng.Float64() < p01 {
-				bit = 1
-			} else if bit == 1 && p10 > 0 && rng.Float64() < p10 {
-				bit = 0
-			}
-			mask |= bit << uint(c.bit)
-		}
+		return mask
 	}
-	masks[k] = mask
+	for i, c := range r.captures {
+		bit := (raw >> uint(i)) & 1
+		p01, p10 := r.siteErr(c.site)
+		if bit == 0 && p01 > 0 && rng.Float64() < p01 {
+			bit = 1
+		} else if bit == 1 && p10 > 0 && rng.Float64() < p10 {
+			bit = 0
+		}
+		mask |= bit << uint(c.bit)
+	}
+	return mask
 }
 
-// sampleAll drives the whole sampling phase and fills res: counts from
-// the per-shot masks in shot order, IQ/raw records per the model's
-// return mode, and the worker-utilization telemetry.
+// sampleAll draws every shot in shot order and fills res: counts, and the
+// IQ/raw records per the model's return mode. Averaged records are running
+// sums each shot is added into as it is drawn, so no per-shot record is
+// kept and the sums see the shots in one fixed order.
 func (r *shotRunner) sampleAll(res *ExecResult) error {
-	shots := r.shots
 	wantIQ := r.model != nil
 	wantRaw := wantIQ && r.model.Level == readout.LevelRaw
 	averaging := wantIQ && r.model.Return == readout.ReturnAverage
@@ -260,92 +181,71 @@ func (r *shotRunner) sampleAll(res *ExecResult) error {
 		res.MeasLevel = r.model.Level
 	}
 
-	masks := make([]uint64, shots)
-	var points [][]readout.IQ
-	var traces [][][]complex128
-	if wantIQ {
-		points = make([][]readout.IQ, shots)
+	n := len(r.captures)
+	var (
+		pts    []readout.IQ // the shot's records
+		trs    [][]complex128
+		points [][]readout.IQ // per shot, ReturnSingle
+		traces [][][]complex128
+		sumPts []readout.IQ // running sums, ReturnAverage
+		sumTrs [][]complex128
+	)
+	switch {
+	case averaging:
+		pts, sumPts = make([]readout.IQ, n), make([]readout.IQ, n)
 		if wantRaw {
-			traces = make([][][]complex128, shots)
+			trs, sumTrs = make([][]complex128, n), make([][]complex128, n)
+			for i, c := range r.captures {
+				sumTrs[i] = make([]complex128, c.samples)
+			}
+		}
+	case wantIQ:
+		points = make([][]readout.IQ, r.shots)
+		if wantRaw {
+			traces = make([][][]complex128, r.shots)
 		}
 	}
-	run := func(w, k int) error {
-		r.runShot(w, k, masks, points, traces, wantRaw)
+	err := eachShot(r.shots, r.interrupted, func(k int) {
+		if points != nil {
+			pts = make([]readout.IQ, n)
+			points[k] = pts
+			if wantRaw {
+				trs = make([][]complex128, n)
+				traces[k] = trs
+			}
+		}
+		res.Counts[r.runShot(k, pts, trs)]++
+		for i := range sumPts {
+			sumPts[i].I += pts[i].I
+			sumPts[i].Q += pts[i].Q
+			if wantRaw {
+				for j, v := range trs[i] {
+					sumTrs[i][j] += v
+				}
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if !averaging {
+		res.IQ, res.Raw = points, traces
 		return nil
 	}
-
-	var busy []time.Duration
-	if averaging {
-		// Keep only running sums — per-shot records would cost
-		// O(shots·captures·samples) memory just to be collapsed.
-		sumPoints := make([]readout.IQ, len(r.captures))
-		var sumTraces [][]complex128
-		if wantRaw {
-			sumTraces = make([][]complex128, len(r.captures))
-			for i, c := range r.captures {
-				sumTraces[i] = make([]complex128, c.samples)
-			}
-		}
-		busy = make([]time.Duration, r.workers)
-		for lo := 0; lo < shots; lo += avgChunkShots {
-			hi := lo + avgChunkShots
-			if hi > shots {
-				hi = shots
-			}
-			chunkBusy, err := shotPool(r.workers, lo, hi, r.interrupted, run)
-			for i, b := range chunkBusy {
-				busy[i] += b
-			}
-			if err != nil {
-				return err
-			}
-			for k := lo; k < hi; k++ {
-				for i := range r.captures {
-					sumPoints[i].I += points[k][i].I
-					sumPoints[i].Q += points[k][i].Q
-					if wantRaw {
-						for j, v := range traces[k][i] {
-							sumTraces[i][j] += v
-						}
-					}
-				}
-				points[k] = nil
-				if wantRaw {
-					traces[k] = nil
-				}
-			}
-		}
-		n := float64(shots)
-		for i := range sumPoints {
-			sumPoints[i].I /= n
-			sumPoints[i].Q /= n
-		}
-		res.IQ = [][]readout.IQ{sumPoints}
-		if wantRaw {
-			inv := complex(1/n, 0)
-			for i := range sumTraces {
-				for j := range sumTraces[i] {
-					sumTraces[i][j] *= inv
-				}
-			}
-			res.Raw = [][][]complex128{sumTraces}
-		}
-	} else {
-		var err error
-		busy, err = shotPool(r.workers, 0, shots, r.interrupted, run)
-		if err != nil {
-			return err
-		}
-		if wantIQ {
-			res.IQ = points
-			if wantRaw {
-				res.Raw = traces
-			}
-		}
+	shots := float64(r.shots)
+	for i := range sumPts {
+		sumPts[i].I /= shots
+		sumPts[i].Q /= shots
 	}
-	for _, m := range masks {
-		res.Counts[m]++
+	res.IQ = [][]readout.IQ{sumPts}
+	if wantRaw {
+		inv := complex(1/shots, 0)
+		for i := range sumTrs {
+			for j := range sumTrs[i] {
+				sumTrs[i][j] *= inv
+			}
+		}
+		res.Raw = [][][]complex128{sumTrs}
 	}
-	res.WorkerBusy = busy
 	return nil
 }

@@ -3,7 +3,6 @@ package simq
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -19,11 +18,10 @@ func flips(p01, p10 float64) func(int) (float64, float64) {
 }
 
 // Statistical acceptance harness for the shot sampler, and the
-// worker-count independence of everything it returns. The density
-// engine's populations and analytic decay curves are the pinned
-// references: every tolerance below is DERIVED from the shot count and a
-// chosen significance level, never hand-tuned. Seeds are fixed, so each
-// test is deterministic — the bounds guard against implementation error
+// determinism of everything it returns. The density engine's populations
+// and analytic decay curves are the pinned references: every tolerance
+// below is DERIVED from the shot count and a chosen significance level,
+// never hand-tuned. Seeds are fixed, so each test is deterministic — the bounds guard against implementation error
 // (a biased draw shifts the mean far outside any confidence radius), not
 // against flaky reruns.
 
@@ -160,11 +158,10 @@ func twoTransmonRig(t *testing.T, t1, t2 float64) (*pulse.Schedule, *Executor) {
 }
 
 func TestTrajectoryChiSquareTwoTransmonCounts(t *testing.T) {
-	// χ² goodness of fit of sampled counts (4 workers, asymmetric readout
-	// error) against the exact observed-mask distribution implied by the
-	// run's own density populations: joint populations → site masks →
-	// per-bit flip matrix. Critical value derived by Wilson–Hilferty, never
-	// hand-tuned.
+	// χ² goodness of fit of sampled counts (asymmetric readout error)
+	// against the exact observed-mask distribution implied by the run's own
+	// density populations: joint populations → site masks → per-bit flip
+	// matrix. Critical value derived by Wilson–Hilferty, never hand-tuned.
 	const (
 		shots = 30000
 		p01   = 0.02
@@ -176,7 +173,7 @@ func TestTrajectoryChiSquareTwoTransmonCounts(t *testing.T) {
 
 	s, exd := twoTransmonRig(t, 0.5e-6, 0.4e-6)
 	res := runSchedule(t, s, exd, ExecOptions{
-		Shots: shots, Seed: 90, SiteError: flips(p01, p10), ShotWorkers: 4,
+		Shots: shots, Seed: 90, SiteError: flips(p01, p10),
 	})
 	probs := res.FinalDensity.Populations()
 
@@ -222,10 +219,10 @@ func TestTrajectoryChiSquareTwoTransmonCounts(t *testing.T) {
 }
 
 func TestResultsIndependentOfShotWorkers(t *testing.T) {
-	// ShotWorkers is a performance knob and nothing else: an open-system
-	// job with captures returns the same Counts, IQ and Raw, bit for bit,
-	// at every worker count, measurement level and return mode under
-	// default options.
+	// ExecOptions.ShotWorkers is a deprecated field that nothing reads: an
+	// open-system job with captures returns the same Counts, IQ and Raw, bit
+	// for bit, whatever it asks for, at every measurement level and return
+	// mode.
 	sites := map[int]ReadoutSite{0: {Fidelity: 0.97}, 1: {Fidelity: 0.99, T1Seconds: 1e-6}}
 	for _, level := range []readout.MeasLevel{readout.LevelDiscriminated, readout.LevelKerneled, readout.LevelRaw} {
 		for _, ret := range []readout.MeasReturn{readout.ReturnSingle, readout.ReturnAverage} {
@@ -236,62 +233,57 @@ func TestResultsIndependentOfShotWorkers(t *testing.T) {
 					Readout: &ReadoutModel{Level: level, Return: ret, Sites: sites},
 				})
 			}
-			base := run(1)
+			base := run(0)
 			if len(base.Counts) == 0 || (level != readout.LevelDiscriminated && len(base.IQ) == 0) ||
 				(level == readout.LevelRaw && len(base.Raw) == 0) {
-				t.Fatalf("level %v return %v: 1-worker run is missing records", level, ret)
+				t.Fatalf("level %v return %v: run is missing records", level, ret)
 			}
-			for _, w := range []int{2, 4, runtime.NumCPU()} {
-				got := run(w)
-				if !reflect.DeepEqual(got.Counts, base.Counts) || !reflect.DeepEqual(got.IQ, base.IQ) ||
-					!reflect.DeepEqual(got.Raw, base.Raw) {
-					t.Fatalf("level %v return %v: results differ between 1 and %d workers", level, ret, w)
-				}
+			got := run(4)
+			if !reflect.DeepEqual(got.Counts, base.Counts) || !reflect.DeepEqual(got.IQ, base.IQ) ||
+				!reflect.DeepEqual(got.Raw, base.Raw) {
+				t.Fatalf("level %v return %v: ShotWorkers = 4 changed the result", level, ret)
 			}
 		}
 	}
 }
 
 func TestShotDeterminismAcrossWorkerCounts(t *testing.T) {
-	// Byte-identical counts whatever the worker count and whatever order
-	// shots complete in: every shot is a pure function of (seed, index)
-	// and aggregation runs in shot order. The 4-worker run repeats to also
-	// catch order-dependent accumulation.
+	// Byte-identical counts on every run, whatever the deprecated
+	// ShotWorkers asks for: every shot is a pure function of (seed, index)
+	// and the run reports the one worker it had, with one busy entry.
 	run := func(workers int) map[uint64]int {
 		s, exd := twoTransmonRig(t, 0.5e-6, 0.4e-6)
 		res := runSchedule(t, s, exd, ExecOptions{
 			Shots: 3000, Seed: 11, SiteError: flips(0.02, 0.05), ShotWorkers: workers,
 		})
-		if res.Workers != workers || len(res.WorkerBusy) != workers {
+		if res.Workers != 1 || len(res.WorkerBusy) != 1 {
 			t.Fatalf("Workers = %d, WorkerBusy = %v with ShotWorkers = %d", res.Workers, res.WorkerBusy, workers)
 		}
 		return res.Counts
 	}
-	base := run(1)
-	for _, w := range []int{4, runtime.NumCPU(), 4} {
+	base := run(0)
+	for _, w := range []int{1, 4, 4} {
 		if got := run(w); !reflect.DeepEqual(got, base) {
-			t.Fatalf("counts differ between 1 and %d workers:\n%v\n%v", w, base, got)
+			t.Fatalf("counts differ with ShotWorkers = %d:\n%v\n%v", w, base, got)
 		}
 	}
 }
 
 // TestShotDeterminismOnWarmExecutor: the propagator cache outlives a run,
-// so the same executor serves runs at 1 and 4 workers — cold, then warm —
-// and every one of them must return what a fresh executor returns.
+// so the same executor serves runs cold, then warm, and every one of them
+// must return what a fresh executor returns.
 func TestShotDeterminismOnWarmExecutor(t *testing.T) {
 	opts := ExecOptions{Shots: 1500, Seed: 11, SiteError: flips(0.02, 0.05)}
 	s, fresh := twoTransmonRig(t, 0.5e-6, 0.4e-6)
-	opts.ShotWorkers = 4
 	want := runSchedule(t, s, fresh, opts)
 	if want.PropCacheMisses == 0 {
 		t.Fatal("a fresh executor served its first run without a cache miss")
 	}
 	_, shared := twoTransmonRig(t, 0.5e-6, 0.4e-6)
-	for i, workers := range []int{1, 4, 1} {
-		opts.ShotWorkers = workers
+	for i := 0; i < 3; i++ {
 		got := runSchedule(t, s, shared, opts)
 		if !reflect.DeepEqual(got.Counts, want.Counts) {
-			t.Fatalf("run %d (%d workers) on the shared executor: %v, fresh executor: %v", i, workers, got.Counts, want.Counts)
+			t.Fatalf("run %d on the shared executor: %v, fresh executor: %v", i, got.Counts, want.Counts)
 		}
 		if i > 0 && got.PropCacheMisses != 0 {
 			t.Fatalf("run %d on the warm executor missed the cache %d times", i, got.PropCacheMisses)
@@ -300,47 +292,55 @@ func TestShotDeterminismOnWarmExecutor(t *testing.T) {
 }
 
 func TestShotDeterminismIQRecords(t *testing.T) {
-	// Exact (bitwise) equality of synthesized IQ records across worker
-	// counts, for both per-shot and averaged return modes (the averaged
-	// path accumulates in fixed shot-order chunks, so the shot count spans
-	// several of them).
-	for _, ret := range []readout.MeasReturn{readout.ReturnSingle, readout.ReturnAverage} {
-		run := func(workers int) [][]readout.IQ {
+	// Exact (bitwise) equality of synthesized records: a repeated run
+	// returns the same per-shot IQ points, and the averaged row is the
+	// shot-order mean of exactly those points, at kerneled and raw level.
+	for _, level := range []readout.MeasLevel{readout.LevelKerneled, readout.LevelRaw} {
+		run := func(ret readout.MeasReturn) *ExecResult {
 			s, exd := twoTransmonRig(t, 0.5e-6, 0.4e-6)
 			model := &ReadoutModel{
-				Level:  readout.LevelKerneled,
+				Level:  level,
 				Return: ret,
 				Sites:  map[int]ReadoutSite{0: {Fidelity: 0.97}, 1: {Fidelity: 0.99, T1Seconds: 1e-6}},
 			}
-			res := runSchedule(t, s, exd, ExecOptions{
-				Shots: 600, Seed: 23, Readout: model, ShotWorkers: workers,
-			})
-			return res.IQ
+			return runSchedule(t, s, exd, ExecOptions{Shots: 600, Seed: 23, Readout: model})
 		}
-		base := run(1)
-		if len(base) == 0 {
-			t.Fatal("no IQ records returned")
+		single := run(readout.ReturnSingle)
+		if len(single.IQ) != 600 {
+			t.Fatalf("%v: %d IQ records, want 600", level, len(single.IQ))
 		}
-		for _, w := range []int{4, runtime.NumCPU()} {
-			if got := run(w); !reflect.DeepEqual(got, base) {
-				t.Fatalf("return mode %v: IQ records differ between 1 and %d workers", ret, w)
+		if again := run(readout.ReturnSingle); !reflect.DeepEqual(again.IQ, single.IQ) || !reflect.DeepEqual(again.Raw, single.Raw) {
+			t.Fatalf("%v: a repeated run returned different records", level)
+		}
+		want := make([]readout.IQ, len(single.IQ[0]))
+		for _, row := range single.IQ {
+			for i, p := range row {
+				want[i].I += p.I
+				want[i].Q += p.Q
 			}
+		}
+		for i := range want {
+			want[i].I /= 600
+			want[i].Q /= 600
+		}
+		if avg := run(readout.ReturnAverage); !reflect.DeepEqual(avg.IQ, [][]readout.IQ{want}) {
+			t.Fatalf("%v: averaged row %v, shot-order mean of the single records %v", level, avg.IQ, want)
 		}
 	}
 }
 
 func TestCancelMidShotBatch(t *testing.T) {
-	// Cancellation mid-batch: a parallel job whose Interrupted flag flips
-	// a few shots into the sampling phase must return ErrInterrupted with
-	// no result, and the pool must stop dispatching promptly (bounded by
-	// the in-flight worker count, far below the requested shot total).
+	// Cancellation mid-batch: a job whose Interrupted flag flips a few polls
+	// into the sampling phase must return ErrInterrupted with no result, and
+	// the poll that sees the flip must be the last: the sampler polls every
+	// serialShotPoll shots, so it stops within that many.
 	s, exd := t1DecayRig(t, 2e-6, 4000)
 	sp, err := s.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A one-shot serial run polls once per evolution checkpoint and once
-	// before its only shot, which places the flip below past the evolution.
+	// A one-shot run polls once per evolution checkpoint and once before its
+	// only shot, which places the flip below past the evolution.
 	var evolvePolls atomic.Int64
 	if _, err := exd.Run(sp, ExecOptions{Shots: 1, Interrupted: func() bool { evolvePolls.Add(1); return false }}); err != nil {
 		t.Fatal(err)
@@ -348,7 +348,7 @@ func TestCancelMidShotBatch(t *testing.T) {
 	flipAt := evolvePolls.Load() - 1 + 8
 	var polls atomic.Int64
 	res, err := exd.Run(sp, ExecOptions{
-		Shots: 100000, Seed: 5, ShotWorkers: 4,
+		Shots: 100000, Seed: 5,
 		Interrupted: func() bool {
 			return polls.Add(1) > flipAt
 		},
@@ -359,10 +359,8 @@ func TestCancelMidShotBatch(t *testing.T) {
 	if res != nil {
 		t.Fatalf("cancelled run leaked a result: %+v", res)
 	}
-	// Workers poll before every shot; once one sees the flip the stop flag
-	// drains the rest, so at most one further poll per worker follows.
-	if n := polls.Load(); n > flipAt+1+4 {
-		t.Fatalf("%d interrupt polls (flip after %d) before the pool drained; cancellation not prompt", n, flipAt)
+	if n := polls.Load(); n != flipAt+1 {
+		t.Fatalf("%d interrupt polls (flip after %d): the run went on polling after it saw the flip", n, flipAt)
 	}
 }
 
@@ -374,7 +372,7 @@ func TestCancelBeforeFirstShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := exd.Run(sp, ExecOptions{
-		Shots: 1000, ShotWorkers: 4,
+		Shots:       1000,
 		Interrupted: func() bool { return true },
 	})
 	if err != ErrInterrupted || res != nil {

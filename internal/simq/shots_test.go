@@ -109,75 +109,48 @@ func TestPropCachePutIsFirstWriterWins(t *testing.T) {
 }
 
 func TestShotPoolCoversEveryShotOnce(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		const shots = 2048
-		hits := make([]atomic.Int32, shots)
-		busy, err := shotPool(workers, 0, shots, nil, func(w, k int) error {
-			hits[k].Add(1)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(busy) != workers {
-			t.Fatalf("busy slice has %d entries for %d workers", len(busy), workers)
-		}
-		for k := range hits {
-			if n := hits[k].Load(); n != 1 {
-				t.Fatalf("workers=%d: shot %d ran %d times", workers, k, n)
-			}
+	// The sampler draws every shot exactly once, in shot order.
+	const shots = 2048
+	var order []int
+	if err := eachShot(shots, nil, func(k int) { order = append(order, k) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != shots {
+		t.Fatalf("%d shots drawn, want %d", len(order), shots)
+	}
+	for i, k := range order {
+		if k != i {
+			t.Fatalf("draw %d was shot %d: shots out of order", i, k)
 		}
 	}
 }
 
 func TestShotPoolStopsDispatchAfterInterrupt(t *testing.T) {
-	// Once any worker observes cancellation, the stop flag must drain the
-	// pool: the number of shots started afterwards is bounded by the
-	// in-flight count, never the remaining backlog.
-	const workers, shots = 4, 100000
-	var started atomic.Int64
+	// A cancel seen mid-run stops the draws within serialShotPoll shots: the
+	// poll that sees it is the last, and no shot runs after it.
+	const shots, flipAt = 100000, 8
+	var drawn int
 	var cancel atomic.Bool
-	_, err := shotPool(workers, 0, shots, cancel.Load, func(w, k int) error {
-		if started.Add(1) == 8 {
+	err := eachShot(shots, cancel.Load, func(k int) {
+		if drawn++; drawn == flipAt {
 			cancel.Store(true)
 		}
-		return nil
 	})
 	if err != ErrInterrupted {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
-	if n := started.Load(); n > 8+workers {
-		t.Fatalf("%d shots started after cancellation at shot 8 (workers=%d)", n, workers)
+	if drawn > flipAt+serialShotPoll {
+		t.Fatalf("%d shots drawn after cancellation at shot %d (poll every %d)", drawn-flipAt, flipAt, serialShotPoll)
 	}
 }
 
 func TestShotPoolSerialPollsInterrupt(t *testing.T) {
 	var calls int
-	_, err := shotPool(1, 0, 10000, func() bool { return true }, func(w, k int) error {
-		calls++
-		return nil
-	})
+	err := eachShot(10000, func() bool { return true }, func(k int) { calls++ })
 	if err != ErrInterrupted {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
 	if calls != 0 {
-		t.Fatalf("serial pool ran %d shots after pre-cancelled start", calls)
-	}
-}
-
-func TestShotPoolPropagatesWorkerError(t *testing.T) {
-	wantErr := ErrInterrupted
-	var ran atomic.Int64
-	_, err := shotPool(4, 0, 50000, nil, func(w, k int) error {
-		if ran.Add(1) == 5 {
-			return wantErr
-		}
-		return nil
-	})
-	if err != wantErr {
-		t.Fatalf("err = %v, want the worker's error", err)
-	}
-	if n := ran.Load(); n > 5+4 {
-		t.Fatalf("%d shots ran after a worker failed at shot 5", n)
+		t.Fatalf("sampler drew %d shots after a pre-cancelled start", calls)
 	}
 }

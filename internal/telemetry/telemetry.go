@@ -158,7 +158,7 @@ func (t *Timeline) AttachRegistry(reg *Registry) {
 
 // Registry returns the metrics registry the timeline feeds, if any; nil
 // on a nil or unattached timeline. Devices use it to publish execution
-// metrics (shots-per-second counters, worker utilization) next to the
+// metrics (shot counters, per-shot latency) next to the
 // stage spans of the same job.
 func (t *Timeline) Registry() *Registry {
 	if t == nil {
