@@ -211,6 +211,32 @@ func TestRunBatchCancelledContext(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchCancelledContext goes past RunBatch's own ctx check: with
+// more kernels than compile workers, every batch goroutine must leave the
+// semaphore select on ctx.Done, so each entry fails typed, none gets a
+// ticket, and SubmitBatch's Wait returns with nothing left running.
+func TestSubmitBatchCancelledContext(t *testing.T) {
+	c, _ := testStack(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	kernels := make([]*qpi.Circuit, 2*batchCompileWorkers()+1)
+	for i := range kernels {
+		kernels[i] = bell(t)
+	}
+	tickets, errs := c.SubmitBatch(ctx, kernels, "hpcqc-sc", SubmitOptions{Shots: 10})
+	if len(tickets) != len(kernels) || len(errs) != len(kernels) {
+		t.Fatalf("got %d tickets and %d errors for %d kernels", len(tickets), len(errs), len(kernels))
+	}
+	for i := range kernels {
+		if tickets[i] != nil || !errors.Is(errs[i], context.Canceled) {
+			t.Fatalf("entry %d: ticket %v, err %v; want no ticket and context.Canceled", i, tickets[i], errs[i])
+		}
+	}
+	if st := c.QRM().Stats(); st.Submitted != 0 {
+		t.Fatalf("a cancelled batch reached the scheduler: %+v", st)
+	}
+}
+
 // TestRunBatchConcurrentSubmitters exercises concurrent RunBatch calls for
 // the -race pass: several goroutines batch-submit against the same client
 // and device simultaneously.

@@ -482,7 +482,7 @@ func (c *Client) SubmitBatch(ctx context.Context, kernels []*qpi.Circuit, device
 	// Every worker exits on ctx.Done before acquiring the semaphore, and
 	// SubmitCtx is itself ctx-bounded, so this Wait is bounded by
 	// cancellation and cannot be selected on.
-	wg.Wait() //lint:mqssvet disable=ctxcancel workers exit on ctx.Done, so the Wait is ctx-bounded
+	wg.Wait()
 	return tickets, errs
 }
 

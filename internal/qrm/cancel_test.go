@@ -10,6 +10,7 @@ import (
 
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/telemetry"
+	"mqsspulse/internal/testutil"
 )
 
 // blockingDevice is a mock device whose jobs run until released, so tests
@@ -67,6 +68,7 @@ func (d *blockingDevice) executed() []string {
 
 func blockingRig(t *testing.T) (*Scheduler, *blockingDevice) {
 	t.Helper()
+	testutil.AssertNoLeaks(t)
 	drv := qdmi.NewDriver()
 	dev := newBlockingDevice("qpu")
 	if err := drv.RegisterDevice(dev); err != nil {
@@ -365,6 +367,7 @@ func (d orphanDevice) SubmitJobOpts(payload []byte, _ qdmi.ProgramFormat, opts q
 // worker wrote the timeline last, before done closed, and the orphan
 // touches only the registry's atomics.
 func TestOrphanedJobLeavesTheTimelineToItsReader(t *testing.T) {
+	testutil.AssertNoLeaks(t)
 	drv := qdmi.NewDriver()
 	dev := orphanDevice{newBlockingDevice("qpu"), make(chan struct{})}
 	if err := drv.RegisterDevice(dev); err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/testutil"
 )
 
 // fleetDevice is a scriptable pool-member mock: configurable site count and
@@ -76,6 +77,7 @@ func (d *fleetDevice) ran() []string {
 // them, releasing blocked jobs and closing the scheduler at cleanup.
 func fleetRig(t *testing.T, devs ...*fleetDevice) *Scheduler {
 	t.Helper()
+	testutil.AssertNoLeaks(t)
 	drv := qdmi.NewDriver()
 	for _, d := range devs {
 		if err := drv.RegisterDevice(d); err != nil {

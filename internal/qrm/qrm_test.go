@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/testutil"
 )
 
 // slowDevice is a scriptable mock device that records execution order. The
@@ -53,6 +54,7 @@ func (d *slowDevice) executionOrder() []string {
 
 func rig(t *testing.T) (*Scheduler, *slowDevice) {
 	t.Helper()
+	testutil.AssertNoLeaks(t)
 	drv := qdmi.NewDriver()
 	dev := &slowDevice{name: "qpu"}
 	if err := drv.RegisterDevice(dev); err != nil {

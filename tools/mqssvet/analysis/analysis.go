@@ -3,10 +3,10 @@
 // written against. The container building this repository has no module
 // proxy access, so the real x/tools multichecker cannot be vendored; this
 // package reimplements the subset mqssvet needs — per-package passes with
-// full type information, cross-package result joins, and suppression
-// comments — on the standard library alone. Swapping back to x/tools
-// later is a mechanical import change: Analyzer, Pass, and Diagnostic
-// keep the upstream field names and semantics wherever both exist.
+// full type information and suppression comments — on the standard library
+// alone. Swapping back to x/tools later is a mechanical import change:
+// Analyzer, Pass, and Diagnostic keep the upstream field names and
+// semantics wherever both exist.
 package analysis
 
 import (
@@ -23,14 +23,10 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// Run executes the check on one package and may return a result value
-	// for Finish to join across packages. Diagnostics go through
-	// pass.Report/Reportf.
+	// Run executes the check on one package. Diagnostics go through
+	// pass.Report/Reportf; the result value is ignored (kept for the
+	// upstream signature).
 	Run func(pass *Pass) (any, error)
-	// Finish, if non-nil, runs once after every package's Run completed,
-	// with all per-package results. Whole-program invariants (goleak's
-	// cross-package loop verdicts) report from here.
-	Finish func(pass *FinishPass)
 }
 
 // A Pass provides one analyzer's view of one package: syntax, types, and a
@@ -54,22 +50,6 @@ func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf emits a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// A FinishPass is the whole-program view handed to Analyzer.Finish after
-// every package ran.
-type FinishPass struct {
-	// Fset is the run's shared file set.
-	Fset *token.FileSet
-	// Results maps package import path to that package's Run result
-	// (absent when Run returned nil).
-	Results map[string]any
-	report  func(Diagnostic)
-}
-
-// Reportf emits a formatted diagnostic at pos.
-func (p *FinishPass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 

@@ -9,9 +9,11 @@
 //	code() // want "regexp"
 //
 // with one or more quoted regular expressions, each consuming one
-// diagnostic reported on that line. Runs go through the full pipeline —
-// per-package Run, cross-package Finish, and the //lint:mqssvet
-// suppression filter — so fixtures can also pin the suppression contract.
+// diagnostic reported on that line. As upstream, a "// want" inside
+// another comment counts from there, so a fixture can expect a diagnostic
+// on a //lint:mqssvet line. Runs go through the full pipeline — per-package
+// Run and the //lint:mqssvet suppression filter, against the whole suite's
+// names — so fixtures can also pin the suppression contract.
 package analysistest
 
 import (
@@ -22,6 +24,7 @@ import (
 	"testing"
 
 	"mqsspulse/tools/mqssvet/analysis"
+	"mqsspulse/tools/mqssvet/suite"
 )
 
 // Run loads the fixture package at pattern (a directory path relative to
@@ -64,7 +67,7 @@ func Run(t *testing.T, pattern string, analyzers ...*analysis.Analyzer) {
 		}
 	}
 
-	for _, d := range analysis.Run(fset, pkgs, analyzers) {
+	for _, d := range analysis.Run(fset, pkgs, analyzers, suite.All) {
 		pos := fset.Position(d.Pos)
 		k := key{pos.Filename, pos.Line}
 		if i := matchWant(wants[k], d.Message); i >= 0 {
@@ -80,9 +83,10 @@ func Run(t *testing.T, pattern string, analyzers ...*analysis.Analyzer) {
 	}
 }
 
-// parseWant extracts the quoted patterns from a `// want "…" "…"` comment.
+// parseWant extracts the quoted patterns from a `// want "…" "…"` comment,
+// or from the `// want` tail of another comment.
 func parseWant(text string) ([]string, bool) {
-	body, ok := strings.CutPrefix(text, "// want ")
+	_, body, ok := strings.Cut(text, "// want ")
 	if !ok {
 		return nil, false
 	}

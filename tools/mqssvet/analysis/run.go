@@ -15,15 +15,17 @@ import (
 //
 // naming the reporting analyzer (or "all"). Suppressions are deliberate,
 // documented exceptions; the reason text is for the reader, not the tool.
+// A name that is neither "all" nor a known analyzer is reported.
 const SuppressPrefix = "//lint:mqssvet"
 
-// Run executes every analyzer over every package, applies Finish hooks,
-// filters suppressed findings, and returns the surviving diagnostics in
-// position order.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+// Run executes every analyzer over every package, filters suppressed
+// findings, and returns the surviving diagnostics in position order. known
+// is every analyzer a suppression may name — the whole suite, not only the
+// ones run, so an -only run accepts the others' suppressions; a suppression
+// naming anything else is itself a finding.
+func Run(fset *token.FileSet, pkgs []*Package, analyzers, known []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		results := map[string]any{}
 		collect := func(d Diagnostic) {
 			d.Analyzer = a.Name
 			diags = append(diags, d)
@@ -33,20 +35,12 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 				Analyzer: a, Fset: fset, Files: pkg.Files,
 				Pkg: pkg.Types, TypesInfo: pkg.Info, report: collect,
 			}
-			res, err := a.Run(pass)
-			if err != nil {
+			if _, err := a.Run(pass); err != nil {
 				collect(Diagnostic{Pos: token.NoPos, Message: fmt.Sprintf("internal error in %s: %v", pkg.Path, err)})
-				continue
 			}
-			if res != nil {
-				results[pkg.Path] = res
-			}
-		}
-		if a.Finish != nil {
-			a.Finish(&FinishPass{Fset: fset, Results: results, report: collect})
 		}
 	}
-	diags = filterSuppressed(fset, pkgs, diags)
+	diags = filterSuppressed(fset, pkgs, diags, known)
 	sort.SliceStable(diags, func(i, j int) bool {
 		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {
@@ -60,8 +54,16 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 	return diags
 }
 
-// filterSuppressed drops diagnostics covered by a //lint:mqssvet comment.
-func filterSuppressed(fset *token.FileSet, pkgs []*Package, diags []Diagnostic) []Diagnostic {
+// filterSuppressed drops diagnostics covered by a //lint:mqssvet comment
+// and adds one for every name in such a comment that is neither "all" nor a
+// known analyzer: a deleted analyzer's suppression would otherwise linger,
+// silencing nothing.
+func filterSuppressed(fset *token.FileSet, pkgs []*Package, diags []Diagnostic, known []*Analyzer) []Diagnostic {
+	valid := map[string]bool{"all": true}
+	for _, a := range known {
+		valid[a.Name] = true
+	}
+	var stale []Diagnostic
 	// filename → line → analyzers disabled on that line.
 	suppressed := map[string]map[int][]string{}
 	for _, pkg := range pkgs {
@@ -71,6 +73,12 @@ func filterSuppressed(fset *token.FileSet, pkgs []*Package, diags []Diagnostic) 
 					names, ok := parseSuppression(c.Text)
 					if !ok {
 						continue
+					}
+					for _, n := range names {
+						if !valid[n] {
+							stale = append(stale, Diagnostic{Pos: c.Pos(), Analyzer: "mqssvet",
+								Message: fmt.Sprintf("stale suppression: no analyzer named %q (see -list)", n)})
+						}
 					}
 					pos := fset.Position(c.Pos())
 					byLine := suppressed[pos.Filename]
@@ -93,7 +101,7 @@ func filterSuppressed(fset *token.FileSet, pkgs []*Package, diags []Diagnostic) 
 			kept = append(kept, d)
 		}
 	}
-	return kept
+	return append(kept, stale...)
 }
 
 // parseSuppression extracts the disabled analyzer names from a comment.

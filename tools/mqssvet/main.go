@@ -1,9 +1,10 @@
 // Command mqssvet is the stack's static-analysis entry point: a
-// multichecker that enforces the cross-layer invariants accumulated over
-// PRs 3-10 that no test can hold, because they span paths no test drives —
-// byte-determinism of the lowering pipeline, context plumbing and
-// cancellability, lock ordering, goroutine termination, hot-loop
-// allocation discipline, and doc-comment coverage.
+// multichecker that enforces the cross-layer invariants no test can hold,
+// because they span paths no test drives — byte-determinism of the
+// lowering pipeline, context plumbing, hot-loop allocation discipline, and
+// doc-comment coverage. Every analyzer reads one function at a time; which
+// functions spawn goroutines or block is a CI step's committed list, each
+// entry next to the test that ends it.
 // It is the one CI lint step:
 //
 //	go run ./tools/mqssvet ./...
@@ -64,7 +65,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags := analysis.Run(fset, pkgs, analyzers)
+	diags := analysis.Run(fset, pkgs, analyzers, suite.All)
 	if *jsonOut {
 		if err := writeJSON(os.Stdout, fset, diags); err != nil {
 			fmt.Fprintln(os.Stderr, "mqssvet: json:", err)

@@ -5,21 +5,17 @@ package suite
 
 import (
 	"mqsspulse/tools/mqssvet/analysis"
-	"mqsspulse/tools/mqssvet/analyzers/ctxcancel"
 	"mqsspulse/tools/mqssvet/analyzers/ctxflow"
 	"mqsspulse/tools/mqssvet/analyzers/doccomment"
-	"mqsspulse/tools/mqssvet/analyzers/goleak"
 	"mqsspulse/tools/mqssvet/analyzers/hotalloc"
 	"mqsspulse/tools/mqssvet/analyzers/nodrift"
 )
 
-// All is every analyzer the multichecker knows, in report order. The
-// CFG-backed concurrency checks (ctxcancel, goleak) sit with ctxflow.
+// All is every analyzer the multichecker knows, in report order. Each reads
+// one function at a time.
 var All = []*analysis.Analyzer{
 	nodrift.Analyzer,
 	ctxflow.Analyzer,
-	ctxcancel.Analyzer,
-	goleak.Analyzer,
 	hotalloc.Analyzer,
 	doccomment.Analyzer,
 }

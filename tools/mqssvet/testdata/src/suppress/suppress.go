@@ -27,3 +27,20 @@ func Untuned() error {
 	_ = ctx
 	return nil
 }
+
+// Stale names an analyzer the suite no longer has: the suppression itself
+// is reported, and it silences nothing.
+func Stale() error {
+	//lint:mqssvet disable=goleak fixture: deleted analyzer // want "stale suppression: no analyzer named \"goleak\""
+	ctx := context.Background() // want "context.Background\\(\\) in library code"
+	_ = ctx
+	return nil
+}
+
+// StaleInList keeps the valid half of a list and reports the stale half.
+func StaleInList() error {
+	//lint:mqssvet disable=ctxcancel,ctxflow fixture: one deleted name // want "stale suppression: no analyzer named \"ctxcancel\""
+	ctx := context.Background()
+	_ = ctx
+	return nil
+}
