@@ -146,8 +146,8 @@ func TestRunDeadlineThroughFullStack(t *testing.T) {
 	if err == nil {
 		t.Fatal("deadline did not fire")
 	}
-	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, qrm.ErrCancelled) {
-		t.Fatalf("err = %v", err)
+	if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, qrm.ErrCancelled) {
+		t.Fatalf("err = %v, want both context.DeadlineExceeded and qrm.ErrCancelled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("Run returned after %v, want ≈80ms", elapsed)

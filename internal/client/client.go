@@ -371,29 +371,12 @@ func (c *Client) SubmitCtx(ctx context.Context, k *qpi.Circuit, device string, o
 	return c.submit(ctx, &lowering{k: k, target: target}, nil, device, opts, tl)
 }
 
-// submit is the one job path behind SubmitCtx and every sweep point: lower
-// the program through the cache (onto tl's compile span), describe the job
-// to the scheduler, enqueue. The scheduler re-checks the program's epoch at
-// dispatch and has b bound then, if the program has parameters. A non-zero
-// opts.Deadline bounds the job: its expiry cancels the ticket itself.
+// submit is the local job path behind SubmitCtx and every sweep point:
+// lower the program through the cache (onto tl's compile span), then
+// enqueue it.
 func (c *Client) submit(ctx context.Context, l *lowering, b ptemplate.Bindings,
-	device string, opts SubmitOptions, tl *telemetry.Timeline) (tk *qrm.Ticket, err error) {
+	device string, opts SubmitOptions, tl *telemetry.Timeline) (*qrm.Ticket, error) {
 
-	if !opts.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, opts.Deadline)
-		defer func() {
-			if tk == nil {
-				cancel()
-				return
-			}
-			// Release the deadline timer once the ticket resolves.
-			go func() {
-				<-tk.DoneCh()
-				cancel()
-			}()
-		}()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("client: submit: %w", err)
 	}
@@ -401,11 +384,26 @@ func (c *Client) submit(ctx context.Context, l *lowering, b ptemplate.Bindings,
 	if err != nil {
 		return nil, err
 	}
+	return c.enqueue(ctx, program, b, device, opts, tl)
+}
+
+// enqueue is the one place a job becomes a qrm.Request, local or off the
+// wire. The staleness gate checks the program's epoch against the device
+// the request names, or the pool's representative (CompileTarget), on
+// whichever member runs it; b is bound at dispatch; opts.Deadline is the
+// ticket's, and its expiry cancels the job.
+func (c *Client) enqueue(ctx context.Context, program *ptemplate.Compiled, b ptemplate.Bindings,
+	device string, opts SubmitOptions, tl *telemetry.Timeline) (*qrm.Ticket, error) {
+
+	compiledFor, err := c.qrm.CompileTarget(device, opts.Pool)
+	if err != nil {
+		return nil, err
+	}
 	req := qrm.Request{
 		Device: device, Template: program, Bindings: b,
-		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
+		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag, Deadline: opts.Deadline,
 		MeasLevel: opts.MeasLevel, MeasReturn: opts.MeasReturn,
-		CalibrationEpoch: program.Epoch, CompiledFor: l.target,
+		CalibrationEpoch: program.Epoch, CompiledFor: compiledFor,
 		Timeline: tl,
 	}
 	if opts.Pool != "" {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/qdmi"
@@ -83,6 +84,100 @@ func TestClientUnknownPoolTyped(t *testing.T) {
 	_, err := c.RunCtx(context.Background(), bell(t), "", SubmitOptions{Shots: 16, Pool: "ghost"})
 	if !errors.Is(err, qrm.ErrNoSuchTarget) {
 		t.Fatalf("err = %v, want ErrNoSuchTarget", err)
+	}
+}
+
+// TestRemoteStolenJobCheckedAgainstNamedDevice: a job that names a pool
+// member is checked against that member's calibration whichever sibling
+// steals it, and a remote job is the job a local one is. dev-1 has
+// recalibrated since the program was compiled for dev-0; with dev-0 busy,
+// idle dev-1 steals the job and runs it on both paths. Recalibrating dev-0
+// while the job is queued fails it on both.
+func TestRemoteStolenJobCheckedAgainstNamedDevice(t *testing.T) {
+	c := fleetClient(t, 2)
+	srv, err := NewServer(c, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	remote, err := NewRemoteAdapter(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(remote.Close)
+	ctx := context.Background()
+	sim := func(name string) *devices.SimDevice {
+		dev, err := c.Device(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev.(*devices.SimDevice)
+	}
+	dev0, dev1 := sim(fmtDev(0)), sim(fmtDev(1))
+	recalibrate := func(dev *devices.SimDevice) { dev.SetCalibratedPiAmplitude(0, dev.CalibratedPiAmplitude(0)*0.9) }
+	// park holds dev's worker on a job until the returned function cancels it.
+	park := func(dev *devices.SimDevice) func() {
+		dev.SetJobOverhead(time.Minute)
+		tk, err := c.SubmitCtx(ctx, bell(t), dev.Name(), SubmitOptions{Shots: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tk.Status() == qdmi.JobQueued {
+			time.Sleep(time.Millisecond)
+		}
+		return func() {
+			tk.Cancel()
+			<-tk.DoneCh()
+		}
+	}
+
+	recalibrate(dev1)
+	k := bell(t)
+	payload, format, epoch, err := c.CompileTraced(k, dev0.Name(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SubmitOptions{Shots: 16}
+	remoteOpts := SubmitOptions{Shots: 16, CalibrationEpoch: epoch}
+	defer park(dev0)()
+
+	tk, err := c.SubmitCtx(ctx, k, dev0.Name(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(ctx); err != nil || tk.Device() != dev1.Name() {
+		t.Fatalf("local job naming dev-0: ran on %q, err = %v; want dev-1, no error", tk.Device(), err)
+	}
+	stolen := c.QRM().Stats().Devices[dev1.Name()].Stolen
+	if _, err := remote.SubmitPayloadCtx(ctx, dev0.Name(), payload, format, remoteOpts); err != nil {
+		t.Fatalf("remote job naming dev-0: %v", err)
+	}
+	if got := c.QRM().Stats().Devices[dev1.Name()].Stolen; got != stolen+1 {
+		t.Fatalf("dev-1 stole %d jobs, want %d: the remote job did not run there", got, stolen+1)
+	}
+
+	// The converse: both devices busy, so both jobs wait on dev-0's queue
+	// while dev-0 recalibrates; dev-1 steals them once it is free.
+	unpark1 := park(dev1)
+	tk, err = c.SubmitCtx(ctx, k, dev0.Name(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteErr := make(chan error, 1)
+	go func() {
+		_, err := remote.SubmitPayloadCtx(ctx, dev0.Name(), payload, format, remoteOpts)
+		remoteErr <- err
+	}()
+	for c.QRM().Stats().Devices[dev0.Name()].Depth < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	recalibrate(dev0)
+	unpark1()
+	if _, err := tk.Wait(ctx); !errors.Is(err, qrm.ErrStaleCalibration) {
+		t.Fatalf("local job queued across dev-0's recalibration: err = %v, want ErrStaleCalibration", err)
+	}
+	if err := <-remoteErr; !errors.Is(err, qrm.ErrStaleCalibration) {
+		t.Fatalf("remote job queued across dev-0's recalibration: err = %v, want ErrStaleCalibration", err)
 	}
 }
 

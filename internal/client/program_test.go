@@ -328,7 +328,7 @@ func TestSubmitOptionsDeadlineHonoured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tk.Wait(context.Background()); !errors.Is(err, qrm.ErrCancelled) {
-		t.Fatalf("job held past its deadline: err = %v, want ErrCancelled", err)
+	if _, err := tk.Wait(context.Background()); !errors.Is(err, qrm.ErrCancelled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("job held past its deadline: err = %v, want ErrCancelled and DeadlineExceeded", err)
 	}
 }

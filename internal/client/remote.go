@@ -257,22 +257,6 @@ func (st *programStore) put(id string, p *ptemplate.Compiled) {
 	st.byID[id] = p
 }
 
-// jobContext derives the context bounding one remote job from the server
-// base context, the server-side cap, and the client-requested timeout.
-func (s *Server) jobContext(req *remoteRequest) (context.Context, context.CancelFunc) {
-	timeout := time.Duration(0)
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if s.cfg.maxJobTime > 0 && (timeout == 0 || s.cfg.maxJobTime < timeout) {
-		timeout = s.cfg.maxJobTime
-	}
-	if timeout > 0 {
-		return context.WithTimeout(s.ctx, timeout)
-	}
-	return context.WithCancel(s.ctx)
-}
-
 // failure is the response for a request that ended in err, typed for the
 // wire where err wraps a sentinel errorKind knows.
 func failure(err error) remoteResponse {
@@ -311,10 +295,11 @@ func (s *Server) handleLine(line []byte, store *programStore) remoteResponse {
 	}
 }
 
-// handleSubmit runs one job on a registered program. This is the one place
-// a wire request becomes a qrm.Request, and it is the request a local job
-// makes: the stored program, the point's bindings, the program's own epoch
-// for the staleness gate.
+// handleSubmit runs one job on a registered program: the frame becomes the
+// SubmitOptions a local caller passes, and the stored program and the
+// point's bindings go through Client.enqueue, so the job is the request a
+// local job makes. timeout_ms, capped by WithServerMaxJobTime, is the job's
+// deadline.
 func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteResponse {
 	program, ok := store.byID[req.ID]
 	if !ok {
@@ -328,38 +313,29 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 	if err != nil {
 		return failure(fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err))
 	}
-	device, compiledFor := req.Device, ""
-	if req.Pool != "" {
-		// Pool targeting wins, mirroring Client.SubmitCtx, and a pool
-		// program's epoch refers to the pool's compile target. An unknown
-		// pool fails the submit below.
-		device = ""
-		compiledFor, _ = s.client.qrm.CompileTarget("", req.Pool)
+	opts := SubmitOptions{
+		Shots: req.Shots, Priority: req.Priority, Tag: req.Tag, Pool: req.Pool,
+		MeasLevel: level, MeasReturn: ret,
+	}
+	timeout := time.Duration(req.TimeoutMs) * time.Millisecond
+	if s.cfg.maxJobTime > 0 && (timeout <= 0 || s.cfg.maxJobTime < timeout) {
+		timeout = s.cfg.maxJobTime
+	}
+	if timeout > 0 {
+		opts.Deadline = time.Now().Add(timeout)
 	}
 	// The server-side timeline shares the caller's trace ID and feeds the
 	// server's own fleet registry; its spans ship back with the response so
 	// the client-side timeline covers both machines.
 	tl := s.client.NewTimeline(req.TraceID)
-	ctx, cancel := s.jobContext(req)
-	defer cancel()
-	tk, err := s.client.qrm.SubmitCtx(ctx, qrm.Request{
-		Device: device, Pool: req.Pool, Template: program, Bindings: req.Bindings,
-		Shots: req.Shots, Priority: req.Priority, Tag: req.Tag,
-		MeasLevel: level, MeasReturn: ret,
-		CalibrationEpoch: program.Epoch, CompiledFor: compiledFor, Timeline: tl,
-	})
+	tk, err := s.client.enqueue(s.ctx, program, req.Bindings, req.Device, opts, tl)
 	var res *qdmi.Result
 	if err == nil {
-		if res, err = tk.Wait(ctx); err != nil {
+		if res, err = tk.Wait(s.ctx); err != nil {
 			<-tk.DoneCh() // the worker writes tl until the ticket resolves
 		}
 	}
 	if err != nil {
-		if errors.Is(err, qrm.ErrCancelled) && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			// The scheduler reports a job its deadline ended as cancelled,
-			// with the cause in prose; give the cause back its type.
-			err = fmt.Errorf("%w: %v", context.DeadlineExceeded, err)
-		}
 		resp := failure(err)
 		resp.Spans = telemetry.ToWire(tl.Spans())
 		return resp
@@ -411,11 +387,11 @@ var ErrTooLarge = errors.New("client: wire frame too large")
 // wireErrorKinds is the one place a wire error kind is spelled: each row
 // pairs the error_kind string with the sentinel it stands for, so whatever
 // the server can encode the adapter can decode. Order matters to errorKind
-// only where one error wraps two sentinels: a job ended by timeout_ms or the
-// server's job-time cap is both deadline_exceeded and cancelled, and the
-// deadline is what the caller has to hear. ARCHITECTURE.md documents the
-// kinds; TestWireErrorKindRoundTrip checks every row and that every
-// exported sentinel of the layers below has one.
+// only where one error wraps two sentinels: a job its deadline ended is
+// both deadline_exceeded and cancelled, and the deadline is what the caller
+// has to hear. ARCHITECTURE.md documents the kinds;
+// TestWireErrorKindRoundTrip checks every row and that every exported
+// sentinel of the layers below has one.
 var wireErrorKinds = []struct {
 	kind     string
 	sentinel error
@@ -444,15 +420,25 @@ func errorKind(err error) string {
 	return ""
 }
 
-// errorFromWire rebuilds a typed submission error from the wire fields; an
-// unknown or empty kind keeps the message only.
+// remoteError is a failure the server reported: its text is the server's
+// message, which already states the sentinel, and it unwraps to the
+// sentinel its kind names (none for an unknown or empty kind).
+type remoteError struct {
+	msg      string
+	sentinel error
+}
+
+func (e *remoteError) Error() string { return e.msg }
+func (e *remoteError) Unwrap() error { return e.sentinel }
+
+// errorFromWire rebuilds a typed submission error from the wire fields.
 func errorFromWire(kind, msg string) error {
 	for _, k := range wireErrorKinds {
 		if k.kind == kind {
-			return fmt.Errorf("client: remote: %w: %s", k.sentinel, msg)
+			return &remoteError{msg: msg, sentinel: k.sentinel}
 		}
 	}
-	return fmt.Errorf("client: remote: %s", msg)
+	return &remoteError{msg: msg}
 }
 
 // RemoteOption tunes a RemoteAdapter.

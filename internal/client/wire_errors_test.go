@@ -22,17 +22,23 @@ import (
 )
 
 // TestWireErrorKindRoundTrip walks wireErrorKinds itself: every row survives
-// encode → decode → errors.Is, the deadline beats the cancellation it also
-// is, and every exported Err* sentinel of the layers whose errors reach the
-// server has a row (an alias such as qrm.ErrCancelled shares its target's).
+// encode → decode → errors.Is with its sentinel stated once, the deadline
+// beats the cancellation it also is, and every exported Err* sentinel of the
+// layers whose errors reach the server has a row (an alias such as
+// qrm.ErrCancelled shares its target's).
 func TestWireErrorKindRoundTrip(t *testing.T) {
 	rows := map[string]bool{} // sentinel message → has a row
 	for _, k := range wireErrorKinds {
-		if got := errorKind(fmt.Errorf("job 7: %w", k.sentinel)); got != k.kind {
-			t.Errorf("errorKind(%v) = %q, want %q", k.sentinel, got, k.kind)
+		resp := failure(fmt.Errorf("job 7: %w", k.sentinel))
+		if resp.ErrorKind != k.kind {
+			t.Errorf("errorKind(%v) = %q, want %q", k.sentinel, resp.ErrorKind, k.kind)
 		}
-		if back := errorFromWire(k.kind, "msg"); !errors.Is(back, k.sentinel) {
+		back := errorFromWire(resp.ErrorKind, resp.Error)
+		if !errors.Is(back, k.sentinel) {
 			t.Errorf("errorFromWire(%q) = %v, does not match its sentinel", k.kind, back)
+		}
+		if n := strings.Count(back.Error(), k.sentinel.Error()); n != 1 {
+			t.Errorf("errorFromWire(%q) = %q states %q %d times, want once", k.kind, back, k.sentinel, n)
 		}
 		rows[k.sentinel.Error()] = true
 	}

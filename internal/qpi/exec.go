@@ -74,7 +74,8 @@ type ExecConfig struct {
 	// least-loaded compatible member.
 	Pool string
 	// Deadline, when non-zero, bounds the whole execution: the client
-	// derives a deadline context so the job is cancelled when it passes.
+	// hands it to the job's scheduler ticket, which cancels the job when it
+	// passes.
 	Deadline time.Time
 	// MeasLevel selects the measurement level (discriminated counts by
 	// default; kerneled or raw return IQ-plane acquisition records).

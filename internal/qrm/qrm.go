@@ -78,6 +78,11 @@ type Request struct {
 	// Tag is an optional caller label carried through to the ticket
 	// (tracing, per-tenant accounting).
 	Tag string
+	// Deadline, when non-zero, bounds the job wherever it is: the ticket's
+	// own context expires at it, and the ticket resolves cancelled with an
+	// error that is both ErrCancelled and context.DeadlineExceeded. A
+	// deadline already past fails the submission.
+	Deadline time.Time
 	// MeasLevel selects the measurement level of the returned data
 	// (discriminated counts by default). Non-discriminated levels require
 	// the target device to implement qdmi.AcquisitionSubmitter.
@@ -234,6 +239,9 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("qrm: submit: %w", err)
 	}
+	if !req.Deadline.IsZero() && !time.Now().Before(req.Deadline) {
+		return nil, fmt.Errorf("qrm: submit: %w", context.DeadlineExceeded)
+	}
 	// Resolve a device target eagerly so unknown names fail at submit time.
 	if req.Device != "" {
 		if _, err := s.session.Device(req.Device); err != nil {
@@ -267,7 +275,7 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error)
 	}
 	s.nextID++
 	s.nextSeq++
-	t := newTicket(ctx, s.nextID, req.Priority, s.nextSeq, req.Tag, req.Timeline)
+	t := newTicket(ctx, s.nextID, s.nextSeq, &req)
 	heap.Push(target, &queued{ticket: t, req: req, pool: pool, enqueued: time.Now()})
 	s.n.submitted++
 	s.cond.Broadcast() // any idle worker may be able to take or steal this

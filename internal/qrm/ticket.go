@@ -20,9 +20,9 @@ type Ticket struct {
 	tag      string
 	timeline *telemetry.Timeline // the job's trace; nil for untraced work
 
-	// ctx is cancelled when the ticket is cancelled (explicitly or through
-	// the submit context) or reaches a terminal state; the dispatch worker
-	// waits on the device job under it.
+	// ctx is cancelled when the ticket is cancelled (explicitly, through
+	// the submit context or by Request.Deadline) or reaches a terminal
+	// state; the dispatch worker waits on the device job under it.
 	ctx       context.Context
 	cancelCtx context.CancelFunc
 	// stopCtxDone detaches onCtxDone from ctx, so that the worker's
@@ -44,18 +44,28 @@ type Ticket struct {
 	done   chan struct{} // closed when the ticket reaches a terminal state
 }
 
-func newTicket(ctx context.Context, id int64, prio int, seq int64, tag string, tl *telemetry.Timeline) *Ticket {
-	tctx, tcancel := context.WithCancel(ctx)
+// newTicket is req's ticket under the submit context ctx. A request with a
+// Deadline gets its own deadline context, released with the ticket's.
+func newTicket(ctx context.Context, id, seq int64, req *Request) *Ticket {
+	var (
+		tctx    context.Context
+		tcancel context.CancelFunc
+	)
+	if req.Deadline.IsZero() {
+		tctx, tcancel = context.WithCancel(ctx)
+	} else {
+		tctx, tcancel = context.WithDeadline(ctx, req.Deadline)
+	}
 	t := &Ticket{
-		id: id, priority: prio, seq: seq, tag: tag, timeline: tl,
+		id: id, priority: req.Priority, seq: seq, tag: req.Tag, timeline: req.Timeline,
 		ctx: tctx, cancelCtx: tcancel,
 		done: make(chan struct{}),
 	}
-	// When the submit context (or an explicit Cancel) fires, resolve a
-	// ticket no worker has taken yet immediately, so waiters unblock and the
-	// worker skips it. A running ticket is resolved by its worker, which
-	// checks the context before dispatch and waits on the device job under
-	// it.
+	// When the submit context, an explicit Cancel or the deadline fires,
+	// resolve a ticket no worker has taken yet immediately, so waiters
+	// unblock and the worker skips it. A running ticket is resolved by its
+	// worker, which checks the context before dispatch and waits on the
+	// device job under it.
 	t.stopCtxDone = context.AfterFunc(tctx, t.onCtxDone)
 	return t
 }
@@ -116,11 +126,11 @@ func (t *Ticket) onCtxDone() {
 	}
 }
 
-// cancelErr builds the cancellation error, attaching the context cause so
-// a blown deadline is distinguishable from an explicit cancel.
+// cancelErr builds the cancellation error, wrapping the context cause so a
+// blown deadline is context.DeadlineExceeded as well as ErrCancelled.
 func (t *Ticket) cancelErr() error {
 	if cause := context.Cause(t.ctx); cause != nil && !errors.Is(cause, context.Canceled) {
-		return fmt.Errorf("qrm: job %d: %w (%v)", t.id, ErrCancelled, cause)
+		return fmt.Errorf("qrm: job %d: %w (%w)", t.id, ErrCancelled, cause)
 	}
 	return fmt.Errorf("qrm: job %d: %w", t.id, ErrCancelled)
 }

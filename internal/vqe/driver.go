@@ -4,29 +4,21 @@ import (
 	"context"
 	"fmt"
 
+	"mqsspulse/internal/compiler"
 	"mqsspulse/internal/optctl"
-	"mqsspulse/internal/qdmi"
-	"mqsspulse/internal/qir"
+	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/qrm"
 )
 
 // Estimator measures Hamiltonian expectation values by running ansatz
 // circuits on a device, one job per qubit-wise-commuting measurement group.
-// It is an adapter in the paper's sense: it hands the scheduler mixed
-// gate/pulse QIR as text (Listings 1–3), and the scheduler — not the
-// estimator — submits to the device.
+// It is an adapter in the paper's sense: it hands the scheduler its mixed
+// gate/pulse QIR module (Listings 1–3) as a compiled program, and the
+// scheduler — not the estimator — submits it to the device.
 type Estimator struct {
 	QRM    *qrm.Scheduler
 	Device string
 	Shots  int
-}
-
-// formatFor picks the submission format for a module.
-func formatFor(m *qir.Module) qdmi.ProgramFormat {
-	if m.UsesPulse() {
-		return qdmi.FormatQIRPulse
-	}
-	return qdmi.FormatQIRBase
 }
 
 // Energy estimates ⟨H⟩ for the ansatz at params. It returns the energy and
@@ -42,7 +34,8 @@ func (e *Estimator) Energy(ctx context.Context, h *Hamiltonian, a Ansatz, params
 			return 0, 0, err
 		}
 		tk, err := e.QRM.SubmitCtx(ctx, qrm.Request{
-			Device: e.Device, Payload: mod.Emit(), Format: formatFor(mod), Shots: e.Shots})
+			Device: e.Device, Shots: e.Shots,
+			Template: &ptemplate.Compiled{Module: mod, Format: compiler.FormatFor(mod)}})
 		if err != nil {
 			return 0, 0, err
 		}
