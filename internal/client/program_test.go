@@ -332,3 +332,45 @@ func TestSubmitOptionsDeadlineHonoured(t *testing.T) {
 		t.Fatalf("job held past its deadline: err = %v, want ErrCancelled and DeadlineExceeded", err)
 	}
 }
+
+// TestTextPayloadResultBeyondBit63Fails: a shot's outcome is one 64-bit
+// mask. A QIR text job that writes result 63 — a pulse-level capture or a
+// gate-level mz — runs, and one that writes result 64 fails its job with
+// qdmi.ErrInvalidArgument instead of running with that outcome lost.
+func TestTextPayloadResultBeyondBit63Fails(t *testing.T) {
+	c, _ := testStack(t)
+	ctx := context.Background()
+	modules := func(result int64) []*qir.Module {
+		return []*qir.Module{{
+			ID: "capture", Profile: qir.ProfilePulse, EntryName: "capture",
+			NumQubits: 1, NumResults: int(result) + 1, NumPorts: 1, PortNames: []string{"q0-readout"},
+			Body: []qir.Call{{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(0), qir.ResultArg(result), qir.I64Arg(96)}}},
+		}, {
+			ID: "mz", Profile: qir.ProfileBase, EntryName: "mz",
+			NumQubits: 1, NumResults: int(result) + 1,
+			Body: []qir.Call{
+				{Callee: qir.IntrX, Args: []qir.Arg{qir.QubitArg(0)}},
+				{Callee: qir.IntrMz, Args: []qir.Arg{qir.QubitArg(0), qir.ResultArg(result)}},
+			},
+		}}
+	}
+	for _, result := range []int64{63, 64} {
+		for _, m := range modules(result) {
+			format := qdmi.FormatQIRBase
+			if m.Profile == qir.ProfilePulse {
+				format = qdmi.FormatQIRPulse
+			}
+			tk, err := c.QRM().SubmitCtx(ctx, qrm.Request{Device: "hpcqc-sc", Payload: m.Emit(), Format: format, Shots: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = tk.Wait(ctx)
+			if result < 64 && err != nil {
+				t.Fatalf("%s into result %d: %v", m.ID, result, err)
+			}
+			if result >= 64 && !errors.Is(err, qdmi.ErrInvalidArgument) {
+				t.Fatalf("%s into result %d: err = %v, want qdmi.ErrInvalidArgument", m.ID, result, err)
+			}
+		}
+	}
+}

@@ -178,7 +178,8 @@ func (m *Matrix) MulInto(dst, b *Matrix) {
 			if a == 0 {
 				continue
 			}
-			bk := b.Data[k*b.Cols : (k+1)*b.Cols]
+			// Re-sliced to di's length so the loop carries no bounds check.
+			bk := b.Data[k*b.Cols : (k+1)*b.Cols][:len(di)]
 			for j := range di {
 				di[j] += a * bk[j]
 			}
@@ -186,25 +187,34 @@ func (m *Matrix) MulInto(dst, b *Matrix) {
 	}
 }
 
-// MulDaggerInto computes dst = m·b† without allocating or materializing
-// the adjoint: dst[i][j] = Σ_k m[i][k]·conj(b[j][k]) (a cache-friendly
-// row-row dot). dst must have shape (m.Rows, b.Rows) and must not alias m
-// or b.
-func (m *Matrix) MulDaggerInto(dst, b *Matrix) {
-	if m.Cols != b.Cols || dst.Rows != m.Rows || dst.Cols != b.Rows {
+// MulDaggerHermInto computes dst = m·b† for a product known to be
+// Hermitian — such as W·U† with W = U·ρ, which is U·ρ·U† — without
+// allocating or materializing the adjoint. Only the entries i ≤ j are
+// computed, each a cache-friendly row-row dot Σ_k m[i][k]·conj(b[j][k]);
+// every entry below the diagonal is the conjugate of its mirror and the
+// diagonal keeps its real part, so dst is exactly Hermitian. dst must be
+// square with side m.Rows = b.Rows and must not alias m or b.
+func (m *Matrix) MulDaggerHermInto(dst, b *Matrix) {
+	n := m.Rows
+	if m.Cols != b.Cols || b.Rows != n || dst.Rows != n || dst.Cols != n {
 		panic(fmt.Sprintf("linalg: dimension mismatch %dx%d · (%dx%d)† -> %dx%d",
 			m.Rows, m.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	for i := 0; i < m.Rows; i++ {
+	for i := 0; i < n; i++ {
 		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
-		di := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Rows; j++ {
-			bj := b.Data[j*b.Cols : (j+1)*b.Cols]
+		for j := i; j < n; j++ {
+			// Re-sliced to mi's length so the loop carries no bounds check.
+			bj := b.Data[j*b.Cols : (j+1)*b.Cols][:len(mi)]
 			var acc complex128
 			for k, x := range mi {
 				acc += x * cmplx.Conj(bj[k])
 			}
-			di[j] = acc
+			if j == i {
+				dst.Data[i*n+i] = complex(real(acc), 0)
+				continue
+			}
+			dst.Data[i*n+j] = acc
+			dst.Data[j*n+i] = cmplx.Conj(acc)
 		}
 	}
 }

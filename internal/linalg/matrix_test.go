@@ -212,6 +212,58 @@ func TestOuter(t *testing.T) {
 	}
 }
 
+// TestMulIntoMatchesMul: the allocation-free product overwrites whatever
+// dst held with exactly what the allocating Mul returns, on square,
+// rectangular and partly zero operands.
+func TestMulIntoMatchesMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, sh := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 2, 7}, {9, 9, 9}} {
+		for _, density := range []float64{1, 0.5} {
+			a, b := randomMatrix(rng, sh[0], sh[1], density), randomMatrix(rng, sh[1], sh[2], density)
+			dst := randomMatrix(rng, sh[0], sh[2], 1)
+			a.MulInto(dst, b)
+			if want := a.Mul(b); !dst.Equal(want, 0) {
+				t.Fatalf("%v at density %g: MulInto off by %g", sh, density, dst.Sub(want).MaxAbs())
+			}
+		}
+	}
+}
+
+// TestMulDaggerHermIntoMatchesReference: for W = U·ρ with ρ Hermitian and
+// U arbitrary, the kernel returns W·U† as the allocating Mul/Dagger
+// reference computes it, and exactly Hermitian: every entry below the
+// diagonal is, bit for bit, the conjugate of its mirror and the diagonal
+// is real. Whatever dst held before is overwritten.
+func TestMulDaggerHermIntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, n := range []int{1, 2, 3, 9} {
+		for _, density := range []float64{1, 0.5} {
+			a := randomMatrix(rng, n, n, 1)
+			rho := a.Mul(a.Dagger())
+			u := randomMatrix(rng, n, n, density)
+			w := u.Mul(rho)
+			dst := randomMatrix(rng, n, n, 1)
+			w.MulDaggerHermInto(dst, u)
+			want := w.Mul(u.Dagger())
+			if !dst.Equal(want, 1e-12*(1+want.MaxAbs())) {
+				t.Fatalf("n=%d density %g: off by %g", n, density, dst.Sub(want).MaxAbs())
+			}
+			for i := 0; i < n; i++ {
+				if imag(dst.At(i, i)) != 0 {
+					t.Fatalf("n=%d: diagonal entry %d = %v is not real", n, i, dst.At(i, i))
+				}
+				for j := i + 1; j < n; j++ {
+					up, low := dst.At(i, j), cmplx.Conj(dst.At(j, i))
+					if !same(real(up), real(low)) || !same(imag(up), imag(low)) {
+						t.Fatalf("n=%d: entry (%d,%d) = %v is not the conjugate of (%d,%d) = %v", n, j, i, dst.At(j, i), i, j, up)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatrixPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -224,6 +276,8 @@ func TestMatrixPanics(t *testing.T) {
 	}
 	mustPanic("shape mismatch add", func() { Identity(2).Add(Identity(3)) })
 	mustPanic("dim mismatch mul", func() { Identity(2).Mul(Identity(3)) })
+	mustPanic("dim mismatch mul into", func() { Identity(2).MulInto(Identity(3), Identity(2)) })
+	mustPanic("non-square hermitian product", func() { NewMatrix(2, 3).MulDaggerHermInto(Identity(2), NewMatrix(3, 3)) })
 	mustPanic("trace non-square", func() { NewMatrix(2, 3).Trace() })
 	mustPanic("bad shape", func() { NewMatrix(0, 3) })
 	mustPanic("ragged rows", func() { FromRows([][]complex128{{1, 2}, {1}}) })

@@ -183,6 +183,10 @@ func (b *Barrier) String() string {
 
 func (b *Barrier) isInstruction() {}
 
+// OutcomeBits is the number of classical bits a shot's outcome holds: the
+// outcome is one 64-bit mask, so a Capture's Bit lies in [0, OutcomeBits).
+const OutcomeBits = 64
+
 // Capture acquires a readout signal from a port for DurationSamples and
 // stores the discriminated bit into classical register Bit (pulse.capture).
 type Capture struct {

@@ -138,6 +138,9 @@ func (s *Schedule) Append(in Instruction) error {
 		if v.Bit < 0 {
 			return fmt.Errorf("pulse: capture into negative classical bit %d", v.Bit)
 		}
+		if v.Bit >= OutcomeBits {
+			return fmt.Errorf("pulse: capture into classical bit %d beyond the %d-bit outcome", v.Bit, OutcomeBits)
+		}
 	default:
 		return fmt.Errorf("pulse: unknown instruction type %T", in)
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 
+	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/waveform"
 )
 
@@ -280,6 +281,10 @@ func (m *Module) Verify() error {
 				if a.I < 0 || a.I >= int64(m.NumResults) {
 					return fmt.Errorf("qir: call %d arg %d: result %d outside required_num_results=%d",
 						ci, ai, a.I, m.NumResults)
+				}
+				if a.I >= pulse.OutcomeBits {
+					return fmt.Errorf("qir: call %d arg %d: result %d beyond the %d-bit outcome",
+						ci, ai, a.I, pulse.OutcomeBits)
 				}
 			case ArgPort:
 				if a.I < 0 || a.I >= int64(m.NumPorts) {

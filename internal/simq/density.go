@@ -187,53 +187,63 @@ func newCollapseSet(n int, collapses []Collapse) *collapseSet {
 	return cs
 }
 
-// dissipatorRHS fills out with Σ γ_k·L_k ρ L_k† − ½(Dρ + ρD), the
-// dissipative part of the Lindblad equation: one sparse apply of the
-// generator to vec(ρ), without allocating. out and rho must not alias.
-//
-//mqss:hotloop
-func (s *matStepper) dissipatorRHS(cs *collapseSet, out, rho *linalg.Matrix) {
-	x, cols, vals := rho.Data, cs.cols, cs.vals
-	lo := 0
-	for r := range out.Data {
-		hi := cs.rowStart[r+1]
-		var sum complex128
-		for k := lo; k < hi; k++ {
-			sum += vals[k] * x[cols[k]]
-		}
-		out.Data[r] = sum
-		lo = hi
-	}
-}
-
 // dissipate advances rho by dt under the dissipator alone with one RK4
 // step. Combined with an exact unitary conjugation this gives a splitting
 // integrator that stays stable for arbitrarily fast Hamiltonian phase
 // rotation — RK4 on the full Lindblad generator diverges once ‖H‖·dt
 // exceeds its stability region, which a transmon anharmonicity reaches at
-// tens of nanoseconds. The stepper's Taylor scratch doubles as the RK4
-// buffers (slope in term, evaluation point in work, running sum in acc);
-// none of it is live between calls.
+// tens of nanoseconds. The dissipator maps Hermitian matrices to Hermitian
+// matrices, so each stage evaluates only the rows i·n + j with i ≤ j of G
+// and the step's result is mirrored. The stepper's Taylor scratch doubles
+// as the RK4 buffers (running sum in acc, evaluation points alternating
+// between work and tmp); none of it is live between calls.
 //
 //mqss:hotloop
 func (s *matStepper) dissipate(cs *collapseSet, rho *linalg.Matrix, dt float64) {
 	copy(s.acc.Data, rho.Data)
-	s.rk4Stage(cs, rho, rho, dt/6, dt/2)
-	s.rk4Stage(cs, rho, s.work, dt/3, dt/2)
-	s.rk4Stage(cs, rho, s.work, dt/3, dt)
-	s.rk4Stage(cs, rho, s.work, dt/6, 0)
-	copy(rho.Data, s.acc.Data)
+	s.rk4Stage(cs, rho, rho, s.work, dt/6, dt/2)
+	s.rk4Stage(cs, rho, s.work, s.tmp, dt/3, dt/2)
+	s.rk4Stage(cs, rho, s.tmp, s.work, dt/3, dt)
+	s.rk4Stage(cs, rho, s.work, nil, dt/6, 0)
+	n, sum := rho.Rows, s.acc.Data
+	for i := 0; i < n; i++ {
+		rho.Data[i*n+i] = complex(real(sum[i*n+i]), 0)
+		for j := i + 1; j < n; j++ {
+			rho.Data[i*n+j] = sum[i*n+j]
+			rho.Data[j*n+i] = cmplx.Conj(sum[i*n+j])
+		}
+	}
 }
 
-// rk4Stage evaluates the slope k at `at`, adds wSum·k to the running sum
-// and leaves the next evaluation point rho + wNext·k in s.work.
+// rk4Stage evaluates the slope k = G·vec(at) on the rows i·n + j with
+// i ≤ j — one sparse apply without allocating — and adds wSum·k to the
+// running sum's upper triangle. Unless next is nil it writes the next
+// evaluation point rho + wNext·k into next's upper triangle and mirrors
+// it, so the next stage's sparse apply reads a full Hermitian matrix. at
+// and next must not alias.
 //
 //mqss:hotloop
-func (s *matStepper) rk4Stage(cs *collapseSet, rho, at *linalg.Matrix, wSum, wNext float64) {
-	s.dissipatorRHS(cs, s.term, at)
-	for i, k := range s.term.Data {
-		s.acc.Data[i] += complex(wSum*real(k), wSum*imag(k))
-		s.work.Data[i] = rho.Data[i] + complex(wNext*real(k), wNext*imag(k))
+func (s *matStepper) rk4Stage(cs *collapseSet, rho, at, next *linalg.Matrix, wSum, wNext float64) {
+	n, x, cols, vals, sum := rho.Rows, at.Data, cs.cols, cs.vals, s.acc.Data
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			r := i*n + j
+			var k complex128
+			for a := cs.rowStart[r]; a < cs.rowStart[r+1]; a++ {
+				k += vals[a] * x[cols[a]]
+			}
+			sum[r] += complex(wSum*real(k), wSum*imag(k))
+			if next == nil {
+				continue
+			}
+			v := rho.Data[r] + complex(wNext*real(k), wNext*imag(k))
+			if j == i {
+				next.Data[r] = complex(real(v), 0)
+				continue
+			}
+			next.Data[r] = v
+			next.Data[j*n+i] = cmplx.Conj(v)
+		}
 	}
 }
 

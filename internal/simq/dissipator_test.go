@@ -2,6 +2,7 @@ package simq
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -20,6 +21,25 @@ func randomDensity(rng *rand.Rand, dims []int) *Density {
 	d.Rho = a.Mul(a.Dagger())
 	d.Rho = d.Rho.Scale(1 / d.Rho.Trace())
 	return d
+}
+
+// dissipatorRHS fills out with Σ γ_k·L_k ρ L_k† − ½(Dρ + ρD), the
+// dissipative part of the Lindblad equation: one sparse apply of the
+// generator to vec(ρ), without allocating. out and rho must not alias.
+//
+//mqss:hotloop
+func (s *matStepper) dissipatorRHS(cs *collapseSet, out, rho *linalg.Matrix) {
+	x, cols, vals := rho.Data, cs.cols, cs.vals
+	lo := 0
+	for r := range out.Data {
+		hi := cs.rowStart[r+1]
+		var sum complex128
+		for k := lo; k < hi; k++ {
+			sum += vals[k] * x[cols[k]]
+		}
+		out.Data[r] = sum
+		lo = hi
+	}
 }
 
 // TestDissipatorMatchesDenseReference pins the production dissipator — the
@@ -181,5 +201,73 @@ func TestExecutorWarmRunsMatchCold(t *testing.T) {
 	}
 	if fresh := run(twoTransmonOpenRig(t), slow); !other.FinalDensity.Rho.Equal(fresh.FinalDensity.Rho, 0) {
 		t.Fatal("warm executor differs from a fresh one on the second clock")
+	}
+}
+
+// hermitianDefects counts the entries of m that break exact Hermiticity: an
+// entry below the diagonal that is not, bit for bit, the conjugate of its
+// mirror, or a diagonal entry with an imaginary part. It also reports
+// whether any entry off the diagonal is non-zero.
+func hermitianDefects(m *linalg.Matrix) (defects int, coherent bool) {
+	n := m.Rows
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := 0; i < n; i++ {
+		if imag(m.At(i, i)) != 0 {
+			defects++
+		}
+		for j := i + 1; j < n; j++ {
+			up, low := m.At(i, j), cmplx.Conj(m.At(j, i))
+			if !same(real(up), real(low)) || !same(imag(up), imag(low)) {
+				defects++
+			}
+			coherent = coherent || up != 0
+		}
+	}
+	return defects, coherent
+}
+
+// TestDensityEngineKeepsRhoHermitian: every density path — a constant
+// stretch with decoherence, varying ticks, an idle segment and the exact
+// reference — leaves ρ exactly Hermitian, its lower triangle the bitwise
+// conjugate of its upper one and its diagonal real, on the sc-2 shape.
+func TestDensityEngineKeepsRhoHermitian(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		fill  func(t *testing.T, s *pulse.Schedule)
+		exact bool
+	}{
+		{"constant-stretch", func(t *testing.T, s *pulse.Schedule) {
+			playConst(t, s, "d0", "f0", 0.5, 64)
+			playConst(t, s, "d1", "f1", 0.4, 64)
+		}, false},
+		{"varying-tick", func(t *testing.T, s *pulse.Schedule) {
+			playGaussian(t, s, "d0", "f0", 0.5, 48)
+			playGaussian(t, s, "d1", "f1", 0.4, 48)
+		}, false},
+		{"idle", func(t *testing.T, s *pulse.Schedule) {
+			playGaussian(t, s, "d0", "f0", 0.5, 48)
+			if err := s.Append(&pulse.Delay{Port: "d0", Samples: 300}); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+		{"exact", func(t *testing.T, s *pulse.Schedule) {
+			playGaussian(t, s, "d0", "f0", 0.5, 16)
+			playGaussian(t, s, "d1", "f1", 0.4, 16)
+		}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sp := twoPortProgram(t, func(s *pulse.Schedule) { c.fill(t, s) })
+			res, err := twoTransmonOpenRig(t).Run(sp, ExecOptions{Shots: 1, exact: c.exact})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defects, coherent := hermitianDefects(res.FinalDensity.Rho)
+			if !coherent {
+				t.Fatal("the final ρ has no coherences to check")
+			}
+			if defects != 0 {
+				t.Fatalf("%d entries of the final ρ break exact Hermiticity", defects)
+			}
+		})
 	}
 }

@@ -28,7 +28,8 @@ type ExecOptions struct {
 	Seed int64
 	// SiteError, when non-nil, gives each site's assignment-error
 	// probabilities, applied per measured bit: p01 that a true 0 reads as 1,
-	// p10 that a true 1 reads as 0. Nil reads every bit true.
+	// p10 that a true 1 reads as 0. A run reads it once per capture. Nil
+	// reads every bit true.
 	SiteError func(site int) (p01, p10 float64)
 	// Readout, when non-nil and its Level is kerneled or raw, synthesizes
 	// IQ-plane measurement records instead of bit flips: discriminated bits
@@ -82,7 +83,9 @@ type ExecResult struct {
 	// collapse operators).
 	FinalState *State
 	// FinalDensity is set when the density-matrix engine ran (a model with
-	// collapse operators). Exactly one of the two is set.
+	// collapse operators). Exactly one of the two is set. Its matrix is
+	// exactly Hermitian: every entry below the diagonal is the conjugate of
+	// its mirror and the diagonal is real.
 	FinalDensity *Density
 	// ReadoutWall is the wall-clock time spent sampling and post-processing
 	// measurement outcomes (bit sampling, readout error, IQ synthesis) after
@@ -196,7 +199,9 @@ type Program struct {
 	ticks    []int64     // segmentTicks(plays, makespan)
 	captures []captureEvent
 	bits     []int // captures' classical bits, ascending
-	sites    []int // captures' sites, in bits order
+	// masks holds each basis index's measured bitmask: bit i set when the
+	// site of captures[i] is at level ≥ 1 (leakage reads as 1).
+	masks    []uint64
 	makespan int64
 	dt       float64
 	// A template's program (Prepare with slots) also keeps every frame's
@@ -326,9 +331,16 @@ func (e *Executor) Prepare(sp *pulse.ScheduledProgram, slots map[pulse.Instructi
 
 	p.ticks = segmentTicks(p.plays, p.makespan)
 	slices.SortFunc(p.captures, func(a, b captureEvent) int { return cmp.Compare(a.bit, b.bit) })
+	var sites []int
 	for _, c := range p.captures {
 		p.bits = append(p.bits, c.bit)
-		p.sites = append(p.sites, c.site)
+		sites = append(sites, c.site)
+	}
+	if len(p.captures) > 0 {
+		p.masks = make([]uint64, e.Model.HilbertDim())
+		for idx := range p.masks {
+			p.masks[idx] = siteMask(e.Model.Dims, sites, idx)
+		}
 	}
 	return p, nil
 }

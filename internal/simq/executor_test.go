@@ -2,6 +2,7 @@ package simq
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -384,6 +385,30 @@ func TestCaptureCountsAndReadoutError(t *testing.T) {
 	frac := float64(res2.Counts[0]) / 4000
 	if math.Abs(frac-0.1) > 0.03 {
 		t.Fatalf("readout error rate %g, want ~0.1", frac)
+	}
+}
+
+// TestCaptureBitBeyondOutcomeRejected: a shot's outcome is one 64-bit
+// mask, so a capture lands at its bit up to bit 63 and a capture into bit
+// 64 or above is refused when it is appended instead of silently reading 0.
+func TestCaptureBitBeyondOutcomeRejected(t *testing.T) {
+	for _, bit := range []int{3, 63, 64, 65} {
+		s, ex := oneQubitRig(t, 10e6, nil)
+		playConst(t, s, "q0-drive-port", "q0-drive-frame", 1.0, 50) // π pulse
+		err := s.Append(&pulse.Capture{Port: "q0-drive-port", Frame: "q0-drive-frame", Bit: bit, DurationSamples: 100})
+		if bit >= 64 {
+			if err == nil {
+				t.Fatalf("capture into bit %d accepted", bit)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := runSchedule(t, s, ex, ExecOptions{Shots: 100, Seed: 7})
+		if want := map[uint64]int{1 << uint(bit): 100}; !maps.Equal(res.Counts, want) {
+			t.Fatalf("capture into bit %d after a π pulse: counts %v, want %v", bit, res.Counts, want)
+		}
 	}
 }
 

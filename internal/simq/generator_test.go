@@ -9,10 +9,10 @@ import (
 	"mqsspulse/internal/linalg"
 )
 
-// BenchmarkDensityTick times the three per-tick costs of the density
-// engine at the sc-2 shape (two d = 3 transmons, T1/T2 on both): the
-// dissipator step alone, a tick of a constant stretch (cached propagator
-// conjugation + dissipator) and a tick of a varying envelope (Hamiltonian
+// BenchmarkDensityTick times the per-tick costs of the density engine at
+// the sc-2 shape (two d = 3 transmons, T1/T2 on both): the conjugation by a
+// cached propagator alone, the dissipator step alone, a tick of a constant
+// stretch (the two together) and a tick of a varying envelope (Hamiltonian
 // load, Taylor propagator build, conjugation, dissipator).
 func BenchmarkDensityTick(b *testing.B) {
 	ex := twoTransmonOpenRig(b)
@@ -29,6 +29,7 @@ func BenchmarkDensityTick(b *testing.B) {
 		name string
 		tick func()
 	}{
+		{"conjugate", func() { eng.mat.conjugateWith(u, rho.Rho) }},
 		{"dissipate", func() { eng.mat.dissipate(cs, rho.Rho, eng.dt) }},
 		{"constant-stretch-tick", func() {
 			eng.mat.conjugateWith(u, rho.Rho)

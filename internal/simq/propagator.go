@@ -175,7 +175,8 @@ func (s *vecStepper) step(h *tickHam, psi []complex128, dt float64) {
 // matStepper advances a density matrix by one sample tick under the
 // unitary part of the dynamics: U = exp(-i·H·dt) is built densely by the
 // scaled-Taylor series applied to the identity (a one-sided matrix-free
-// expansion), then ρ ← U·ρ·U† is two allocation-free dense products. The
+// expansion), then ρ ← U·ρ·U† is two allocation-free dense products, the
+// second computed on the upper triangle only and mirrored. The
 // dissipator is stepped separately by the splitting integrator
 // (dissipate, in density.go), on the same scratch.
 type matStepper struct {
@@ -202,12 +203,14 @@ func (s *matStepper) conjugate(h *tickHam, rho *linalg.Matrix, dt float64) {
 
 // conjugateWith advances rho ← u·rho·u† in place without allocating,
 // using the stepper's scratch; u may be any dense unitary (e.g. a cached
-// stretch propagator) and must not alias rho.
+// stretch propagator) and must not alias rho. W = u·rho is a full
+// product; of W·u† only the upper triangle is computed and mirrored, so
+// rho leaves exactly Hermitian.
 //
 //mqss:hotloop
 func (s *matStepper) conjugateWith(u, rho *linalg.Matrix) {
 	u.MulInto(s.work, rho)
-	s.work.MulDaggerInto(rho, u)
+	s.work.MulDaggerHermInto(rho, u)
 }
 
 // propagator fills s.u with the scaled-Taylor approximation of

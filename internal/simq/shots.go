@@ -80,11 +80,12 @@ func eachShot(shots int, interrupted func() bool, fn func(shot int)) error {
 // probability distribution every shot samples, the readout configuration,
 // and the run's one generator.
 type shotRunner struct {
-	captures    []captureEvent
-	sites       []int
-	dims        []int
-	model       *ReadoutModel // non-nil for kerneled/raw synthesis
-	siteErr     func(site int) (p01, p10 float64)
+	captures []captureEvent
+	masks    []uint64      // the program's measured bitmask per basis index
+	model    *ReadoutModel // non-nil for kerneled/raw synthesis
+	// errs holds each capture's assignment-error rates (p01, p10), read
+	// from ExecOptions.SiteError once per run; nil for kerneled/raw.
+	errs        [][2]float64
 	dt          float64
 	seed        int64
 	shots       int
@@ -108,8 +109,7 @@ type shotRunner struct {
 func (p *Program) newShotRunner(st *State, rho *Density, seed int64, opts ExecOptions) *shotRunner {
 	r := &shotRunner{
 		captures:    p.captures,
-		sites:       p.sites,
-		dims:        p.exec.Model.Dims,
+		masks:       p.masks,
 		dt:          p.dt,
 		seed:        seed,
 		shots:       opts.Shots,
@@ -118,19 +118,20 @@ func (p *Program) newShotRunner(st *State, rho *Density, seed int64, opts ExecOp
 	if m := opts.Readout; m != nil && m.Level != readout.LevelDiscriminated {
 		r.model = m
 	} else {
-		r.siteErr = opts.SiteError
-		if r.siteErr == nil {
-			r.siteErr = func(int) (float64, float64) { return 0, 0 }
+		r.errs = make([][2]float64, len(p.captures))
+		if opts.SiteError != nil {
+			for i, c := range p.captures {
+				r.errs[i][0], r.errs[i][1] = opts.SiteError(c.site)
+			}
 		}
 	}
-	var probs []float64
+	// The fresh probabilities become the cumulative distribution in place.
 	if rho != nil {
-		probs = rho.Populations()
+		r.cum = rho.Populations()
 	} else {
-		probs = st.Probabilities()
+		r.cum = st.Probabilities()
 	}
-	r.cum = make([]float64, len(probs))
-	r.total = buildCum(r.cum, probs)
+	r.total = buildCum(r.cum, r.cum)
 	r.rng = rand.New(&r.src)
 	return r
 }
@@ -142,7 +143,7 @@ func (p *Program) newShotRunner(st *State, rho *Density, seed int64, opts ExecOp
 func (r *shotRunner) runShot(k int, pts []readout.IQ, trs [][]complex128) uint64 {
 	r.src.state = shotStreamState(r.seed, k)
 	rng := r.rng
-	raw := siteMask(r.dims, r.sites, drawIndex(rng, r.cum, r.total))
+	raw := r.masks[drawIndex(rng, r.cum, r.total)]
 	var mask uint64
 	if r.model != nil {
 		for i, c := range r.captures {
@@ -158,7 +159,7 @@ func (r *shotRunner) runShot(k int, pts []readout.IQ, trs [][]complex128) uint64
 	}
 	for i, c := range r.captures {
 		bit := (raw >> uint(i)) & 1
-		p01, p10 := r.siteErr(c.site)
+		p01, p10 := r.errs[i][0], r.errs[i][1]
 		if bit == 0 && p01 > 0 && rng.Float64() < p01 {
 			bit = 1
 		} else if bit == 1 && p10 > 0 && rng.Float64() < p10 {

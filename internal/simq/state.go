@@ -186,7 +186,7 @@ func sampleBits(rng *rand.Rand, probs []float64, dims []int, sites []int, shots 
 
 // buildCum fills cum with the running sum of probs (negative entries —
 // numerical noise from Lindblad integration — clamp to zero) and returns
-// the total mass.
+// the total mass. cum may be probs itself.
 func buildCum(cum, probs []float64) float64 {
 	acc := 0.0
 	for i, p := range probs {
