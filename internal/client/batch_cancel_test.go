@@ -364,29 +364,34 @@ func TestRemoteSubmitDeadline(t *testing.T) {
 	}
 }
 
+// TestRemoteCancelledContextPoisonsConnection: a mute endpoint never
+// answers, so the context is guaranteed to fire mid-read. The adapter must
+// surface ctx.Err() promptly and close the half-read connection; that
+// connection is never written again, and the next submission goes out on a
+// new connection to the live server and succeeds.
 func TestRemoteCancelledContextPoisonsConnection(t *testing.T) {
-	// A mute endpoint never answers, so the context is guaranteed to fire
-	// mid-read; the adapter must surface ctx.Err() promptly and poison the
-	// half-read connection so later submissions fail fast.
+	c, _ := testStack(t)
+	srv := serveTest(t, c)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	hungUp := make(chan struct{})
 	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() { _, _ = io.Copy(io.Discard, conn) }() // swallow, never reply
+		defer close(hungUp)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
 		}
+		defer conn.Close()
+		_, _ = io.Copy(io.Discard, conn) // swallow, never reply, until the adapter hangs up
 	}()
 
-	remote, err := NewRemoteAdapter(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The pool starts on the mute connection; any connection it dials is
+	// to the live server.
+	mute := &recordingConn{Conn: dialTest(t, ln.Addr().String())}
+	remote := newRemoteAdapter(srv.Addr(), mute)
 	defer remote.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
 	defer cancel()
@@ -398,8 +403,26 @@ func TestRemoteCancelledContextPoisonsConnection(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("submit returned after %v, want ≈120ms", elapsed)
 	}
-	if _, err := remote.SubmitPayloadCtx(context.Background(), "dev", []byte("payload"), qdmi.FormatQIRBase, SubmitOptions{Shots: 16}); err == nil {
-		t.Fatal("poisoned connection accepted a submission")
+	select {
+	case <-hungUp:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the poisoned connection was not closed")
+	}
+	mute.take(t)
+
+	payload, format, err := c.Compile(bell(t), "hpcqc-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := remote.SubmitPayloadCtx(context.Background(), "hpcqc-sc", payload, format, SubmitOptions{Shots: 16})
+	if err != nil {
+		t.Fatalf("submission after a poisoned connection: %v", err)
+	}
+	if res.Shots != 16 {
+		t.Fatalf("shots = %d, want 16", res.Shots)
+	}
+	if ops, _ := mute.take(t); len(ops) != 0 {
+		t.Fatalf("the poisoned connection was written again: %v", ops)
 	}
 }
 

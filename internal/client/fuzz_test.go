@@ -28,26 +28,36 @@ func wireKind(kind string) bool {
 	return kind == ""
 }
 
+// tinyStack is a client over one-qubit devices whose jobs take
+// microseconds, one per name, each seeded by its position in names.
+func tinyStack(tb testing.TB, names ...string) *Client {
+	tb.Helper()
+	drv := qdmi.NewDriver()
+	for i, name := range names {
+		dev, err := devices.New(devices.Config{
+			Name: name, Technology: "simulator", Version: "tiny-1.0",
+			SampleRateHz: 1e9, Granularity: 1, MinSamples: 1, MaxSamples: 1 << 12,
+			DriveRabiHz: 250e6, GateSamples: 8, ReadoutSamples: 8,
+			ReadoutFidelity: 0.99, Seed: int64(i + 1), MaxShots: 64,
+			Sites: []devices.SiteConfig{{Dim: 2, FreqHz: 5e9, T1Seconds: 1e-3, T2Seconds: 1e-3}},
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := drv.RegisterDevice(dev); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	c := New(drv.OpenSession())
+	tb.Cleanup(c.Close)
+	return c
+}
+
 // fuzzServer is a Server's request handler over a one-qubit device whose
 // jobs take microseconds, without a listener: handleLine is what a
 // connection's read loop calls.
 func fuzzServer(f *testing.F) (*Server, *Client) {
-	dev, err := devices.New(devices.Config{
-		Name: "tiny-1", Technology: "simulator", Version: "tiny-1.0",
-		SampleRateHz: 1e9, Granularity: 1, MinSamples: 1, MaxSamples: 1 << 12,
-		DriveRabiHz: 250e6, GateSamples: 8, ReadoutSamples: 8,
-		ReadoutFidelity: 0.99, Seed: 1, MaxShots: 64,
-		Sites: []devices.SiteConfig{{Dim: 2, FreqHz: 5e9, T1Seconds: 1e-3, T2Seconds: 1e-3}},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	drv := qdmi.NewDriver()
-	if err := drv.RegisterDevice(dev); err != nil {
-		f.Fatal(err)
-	}
-	c := New(drv.OpenSession())
-	f.Cleanup(c.Close)
+	c := tinyStack(f, "tiny-1")
 	ctx, cancel := context.WithCancel(context.Background())
 	f.Cleanup(cancel)
 	return &Server{client: c, cfg: serverConfig{maxJobTime: 2 * time.Second}, ctx: ctx, cancel: cancel}, c

@@ -84,6 +84,7 @@ type remoteRequest struct {
 	// TraceID propagates the submission's telemetry trace across the wire:
 	// the server records its lifecycle spans under this ID and returns them
 	// in the response, so the client-side timeline covers both machines.
+	// Without one the server returns no spans.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -110,9 +111,9 @@ type remoteResponse struct {
 	// Raw is [shot][capture][sample] → [i, q].
 	Raw [][][][2]float64 `json:"raw,omitempty"`
 	// Spans carries the server-side lifecycle spans of the submission
-	// (queue-wait, dispatch, bind, device-execute, ...) back to the client,
-	// which imports them under its own dispatch span so one timeline covers
-	// the whole round trip.
+	// (queue-wait, dispatch, bind, device-execute, ...) back to a client
+	// that sent a trace ID, which imports them under its own dispatch span
+	// so one timeline covers the whole round trip.
 	Spans []telemetry.SpanWire `json:"spans,omitempty"`
 	// Telemetry is the server's fleet metrics snapshot (op "telemetry").
 	Telemetry json.RawMessage `json:"telemetry,omitempty"`
@@ -325,8 +326,9 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 		opts.Deadline = time.Now().Add(timeout)
 	}
 	// The server-side timeline shares the caller's trace ID and feeds the
-	// server's own fleet registry; its spans ship back with the response so
-	// the client-side timeline covers both machines.
+	// server's own fleet registry. Its spans ship back with the response only
+	// to a caller that traces — one that sent a trace ID — so the
+	// client-side timeline covers both machines.
 	tl := s.client.NewTimeline(req.TraceID)
 	tk, err := s.client.enqueue(s.ctx, program, req.Bindings, req.Device, opts, tl)
 	var res *qdmi.Result
@@ -335,14 +337,18 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 			<-tk.DoneCh() // the worker writes tl until the ticket resolves
 		}
 	}
+	var spans []telemetry.SpanWire
+	if req.TraceID != "" {
+		spans = telemetry.ToWire(tl.Spans())
+	}
 	if err != nil {
 		resp := failure(err)
-		resp.Spans = telemetry.ToWire(tl.Spans())
+		resp.Spans = spans
 		return resp
 	}
 	resp := remoteResponse{
 		Counts: res.Counts, Shots: res.Shots, DurationSeconds: res.DurationSeconds,
-		Spans: telemetry.ToWire(tl.Spans()),
+		Spans: spans,
 	}
 	if res.MeasLevel != readout.LevelDiscriminated {
 		resp.MeasLevel = res.MeasLevel.String()
@@ -453,17 +459,44 @@ func WithDialTimeout(d time.Duration) RemoteOption {
 	return func(c *remoteConfig) { c.dialTimeout = d }
 }
 
-// RemoteAdapter submits compiled payloads to a remote MQSS client over TCP.
-type RemoteAdapter struct {
-	addr string
+// maxConns bounds the connections a RemoteAdapter holds open at once, and so
+// its exchanges in flight: each runs alone on one connection. A caller past
+// the cap waits, under its own ctx, for an exchange to give one back.
+const maxConns = 4
 
-	mu   sync.Mutex
+// errAdapterClosed is the failure of every exchange after Close.
+var errAdapterClosed = errors.New("client: remote adapter closed")
+
+// RemoteAdapter submits compiled payloads to a remote MQSS client over TCP.
+// Concurrent callers run their exchanges side by side, each on a connection
+// of a small pool: one line-framed round trip at a time per connection, as
+// the server reads them.
+type RemoteAdapter struct {
+	addr   string
+	span   string // the dispatch span's device label, "remote:" + addr
+	dialer net.Dialer
+	// slots holds one token per connection the pool may still use; an
+	// exchange takes one before it takes or dials a connection and gives it
+	// back after, so at most maxConns connections are ever open.
+	slots chan struct{}
+
+	mu     sync.Mutex
+	idle   []*remoteConn
+	open   map[*remoteConn]struct{} // idle and in use, for Close
+	closed bool
+}
+
+// remoteConn is one connection of the pool, owned by one exchange at a time.
+type remoteConn struct {
 	conn net.Conn
 	rd   *bufio.Reader
 	// registered holds the IDs of the programs already shipped on this
-	// connection, so a program's text crosses the wire once however many
-	// jobs run it. It is a hint, not the truth — see maxStoredPrograms.
+	// connection, so a program's text crosses it once however many jobs run
+	// it. It is a hint, not the truth — see maxStoredPrograms.
 	registered map[string]bool
+	// broken is set by a wire error: the connection is closed, and the pool
+	// drops it instead of taking it back.
+	broken bool
 }
 
 // NewRemoteAdapter dials the remote server, detached from any context.
@@ -473,7 +506,8 @@ func NewRemoteAdapter(addr string, opts ...RemoteOption) (*RemoteAdapter, error)
 }
 
 // NewRemoteAdapterCtx dials the remote server under ctx: cancellation or a
-// ctx deadline aborts the dial.
+// ctx deadline aborts the dial. Later connections of the pool are dialled
+// with the same options under the ctx of the exchange that needs one.
 func NewRemoteAdapterCtx(ctx context.Context, addr string, opts ...RemoteOption) (*RemoteAdapter, error) {
 	cfg := remoteConfig{}
 	for _, o := range opts {
@@ -484,27 +518,97 @@ func NewRemoteAdapterCtx(ctx context.Context, addr string, opts ...RemoteOption)
 	if err != nil {
 		return nil, err
 	}
-	return newRemoteAdapter(addr, conn), nil
+	r := newRemoteAdapter(addr, conn)
+	r.dialer = d
+	return r, nil
 }
 
-// newRemoteAdapter wraps an established connection.
+// newRemoteAdapter is an adapter for addr whose pool starts with conn, an
+// established connection; further connections are dialled to addr.
 func newRemoteAdapter(addr string, conn net.Conn) *RemoteAdapter {
-	return &RemoteAdapter{addr: addr, conn: conn, rd: bufio.NewReaderSize(conn, 1<<20), registered: map[string]bool{}}
+	c := newRemoteConn(conn)
+	r := &RemoteAdapter{
+		addr: addr, span: "remote:" + addr, slots: make(chan struct{}, maxConns),
+		idle: []*remoteConn{c}, open: map[*remoteConn]struct{}{c: {}},
+	}
+	for range maxConns {
+		r.slots <- struct{}{}
+	}
+	return r
 }
 
-// Close shuts the connection.
+func newRemoteConn(conn net.Conn) *remoteConn {
+	return &remoteConn{conn: conn, rd: bufio.NewReaderSize(conn, 1<<20), registered: map[string]bool{}}
+}
+
+// Close closes every connection, idle or in use: an exchange in flight
+// fails, and every later one fails with the closed-adapter error.
 func (r *RemoteAdapter) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.closeLocked()
+	r.closed = true
+	for c := range r.open {
+		c.conn.Close()
+	}
+	clear(r.open)
+	r.idle = nil
 }
 
-func (r *RemoteAdapter) closeLocked() {
-	if r.conn != nil {
-		r.conn.Close()
-		r.conn = nil
-		r.rd = nil
+// take hands the caller a connection of its own: an idle one, or a new one
+// dialled under ctx. Past maxConns it waits for put, or for ctx to end.
+func (r *RemoteAdapter) take(ctx context.Context) (*remoteConn, error) {
+	select {
+	case <-r.slots:
+	case <-ctx.Done():
+		return nil, fmt.Errorf("client: remote: %w", ctx.Err())
 	}
+	r.mu.Lock()
+	closed, n := r.closed, len(r.idle)
+	var c *remoteConn
+	if !closed && n > 0 {
+		c, r.idle = r.idle[n-1], r.idle[:n-1]
+	}
+	r.mu.Unlock()
+	if closed {
+		r.slots <- struct{}{}
+		return nil, errAdapterClosed
+	}
+	if c != nil {
+		return c, nil
+	}
+	conn, err := r.dialer.DialContext(ctx, "tcp", r.addr)
+	if err != nil {
+		r.slots <- struct{}{}
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, fmt.Errorf("client: remote: %w", cerr)
+		}
+		return nil, fmt.Errorf("client: remote: %w", err)
+	}
+	c = newRemoteConn(conn)
+	r.mu.Lock()
+	if closed = r.closed; !closed {
+		r.open[c] = struct{}{}
+	}
+	r.mu.Unlock()
+	if closed {
+		conn.Close()
+		r.slots <- struct{}{}
+		return nil, errAdapterClosed
+	}
+	return c, nil
+}
+
+// put gives back a connection take handed out: to the idle list, unless a
+// wire error broke it or the adapter has closed since.
+func (r *RemoteAdapter) put(c *remoteConn) {
+	r.mu.Lock()
+	if c.broken || r.closed {
+		delete(r.open, c)
+	} else {
+		r.idle = append(r.idle, c)
+	}
+	r.mu.Unlock()
+	r.slots <- struct{}{}
 }
 
 // wireProgram is what the adapter needs of a program to put it on the wire:
@@ -518,12 +622,14 @@ type wireProgram struct {
 
 // SubmitPayloadCtx runs precompiled exchange-format text on the server and
 // waits for the result under ctx. The text is registered under a hash of
-// its content and opts.CalibrationEpoch the first time this connection sees
-// it; later jobs on the same payload send only the ID. format is not sent —
-// the server derives it from the program's profile. The remaining context
-// budget ships to the server as the job timeout, and a cancelled ctx
-// interrupts a blocked read immediately (the connection is then closed: the
-// protocol has no way to resynchronize a half-read response).
+// its content and opts.CalibrationEpoch the first time the connection that
+// carries the job sees it; later jobs there on the same payload send only
+// the ID. format is not sent — the server derives it from the program's
+// profile. The remaining context budget ships to the server as the job
+// timeout, and a cancelled ctx interrupts a blocked read within one read
+// slice. That connection is then closed and dropped, as after any wire
+// error (the protocol has no way to resynchronize a half-read response);
+// the adapter's other connections, and the next call, are unaffected.
 func (r *RemoteAdapter) SubmitPayloadCtx(ctx context.Context, device string, payload []byte, format qdmi.ProgramFormat, opts SubmitOptions) (*qpi.Result, error) {
 	h := fnv.New64a()
 	_, _ = h.Write(payload)
@@ -532,11 +638,11 @@ func (r *RemoteAdapter) SubmitPayloadCtx(ctx context.Context, device string, pay
 }
 
 // SubmitBoundCtx submits one sweep point of a compiled program: the text
-// ships once per connection and every point afterwards is a small bindings
-// frame naming it by fingerprint and epoch, the epoch it was lowered at
-// (opts.CalibrationEpoch is for bare text and is ignored here). Bindings are
-// validated locally first, so an out-of-range or non-finite value fails
-// with ptemplate.ErrBadParam before touching the wire.
+// ships once per pooled connection and every point afterwards is a small
+// bindings frame naming it by fingerprint and epoch, the epoch it was
+// lowered at (opts.CalibrationEpoch is for bare text and is ignored here).
+// Bindings are validated locally first, so an out-of-range or non-finite
+// value fails with ptemplate.ErrBadParam before touching the wire.
 func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compiled *ptemplate.Compiled, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
 	if err := compiled.Validate(b); err != nil {
 		return nil, err
@@ -546,11 +652,13 @@ func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compi
 }
 
 // submit is the one wire submission: a submit frame naming p, preceded by
-// p's register frame when this connection has not sent it. The exchange is
-// recorded as a client-side dispatch span on opts.Timeline, the trace ID
-// ships in the request, and the server-side spans returned in the response
-// are imported under the dispatch span — marked Remote so their durations
-// never double-count into local histograms. A nil timeline records nothing.
+// p's register frame when the connection it runs on has not sent it. The
+// exchange, from the wait for a connection on, is recorded as a client-side
+// dispatch span on opts.Timeline. A trace ID ships in the request only when
+// the caller traces (opts.Timeline or opts.TraceID), and only then does the
+// server return its spans, which are imported under the dispatch span —
+// marked Remote so their durations never double-count into local
+// histograms. A nil timeline records nothing.
 func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
 	req := remoteRequest{
 		Op: "submit", ID: p.id, Bindings: b, Device: device, Pool: opts.Pool,
@@ -564,14 +672,18 @@ func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram
 	if tl != nil {
 		req.TraceID = tl.TraceID()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var (
 		resp *remoteResponse
 		err  error
 	)
-	tl.Span(telemetry.StageDispatch, "remote:"+r.addr, 0, func(id telemetry.SpanID) {
-		if resp, err = r.submitRegisteredLocked(ctx, &req, p); err == nil {
+	tl.Span(telemetry.StageDispatch, r.span, 0, func(id telemetry.SpanID) {
+		var c *remoteConn
+		if c, err = r.take(ctx); err != nil {
+			return
+		}
+		resp, err = c.submitRegistered(ctx, &req, p)
+		r.put(c)
+		if err == nil {
 			tl.Import(telemetry.FromWire(resp.Spans), id)
 		}
 	})
@@ -581,43 +693,46 @@ func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram
 	return resultFromWire(resp, opts)
 }
 
-// submitRegisteredLocked sends req, registering p first if this connection
-// has not (r.mu must be held). The server may not hold an ID the adapter
-// remembers sending — its store is bounded, and a server restarted behind a
-// relay starts empty — so an unknown_program answer is met by registering
-// and submitting again, once.
-func (r *RemoteAdapter) submitRegisteredLocked(ctx context.Context, req *remoteRequest, p wireProgram) (*remoteResponse, error) {
+// submitRegistered sends req, registering p first if this connection has
+// not. The server may not hold an ID the adapter remembers sending — its
+// store is bounded, and a server restarted behind a relay starts empty — so
+// an unknown_program answer is met by registering and submitting again,
+// once.
+func (c *remoteConn) submitRegistered(ctx context.Context, req *remoteRequest, p wireProgram) (*remoteResponse, error) {
 	for attempt := 0; ; attempt++ {
-		if !r.registered[p.id] {
+		if !c.registered[p.id] {
 			if len(p.text) >= maxFrameBytes {
 				// The server would stop reading mid-line; nothing is sent.
 				return nil, fmt.Errorf("client: remote: %w: program text of %d bytes", ErrTooLarge, len(p.text))
 			}
 			reg := remoteRequest{Op: "register", ID: p.id, Program: string(p.text), Params: p.params, Epoch: p.epoch}
-			if _, err := r.exchangeLocked(ctx, &reg); err != nil {
+			if _, err := c.exchange(ctx, &reg); err != nil {
 				return nil, err
 			}
-			if len(r.registered) >= maxStoredPrograms {
+			if len(c.registered) >= maxStoredPrograms {
 				// The server has started evicting; so does the hint.
-				clear(r.registered)
+				clear(c.registered)
 			}
-			r.registered[p.id] = true
+			c.registered[p.id] = true
 		}
-		resp, err := r.exchangeLocked(ctx, req)
+		resp, err := c.exchange(ctx, req)
 		if attempt > 0 || !errors.Is(err, errUnknownProgram) {
 			return resp, err
 		}
-		delete(r.registered, p.id)
+		delete(c.registered, p.id)
 	}
 }
 
 // Telemetry fetches the remote server's fleet metrics snapshot — every
 // counter and latency histogram the server-side client accumulated.
 func (r *RemoteAdapter) Telemetry(ctx context.Context) (telemetry.Snapshot, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	c, err := r.take(ctx)
+	if err != nil {
+		return telemetry.Snapshot{}, err
+	}
 	req := remoteRequest{Op: "telemetry"}
-	resp, err := r.exchangeLocked(ctx, &req)
+	resp, err := c.exchange(ctx, &req)
+	r.put(c)
 	if err != nil {
 		return telemetry.Snapshot{}, err
 	}
@@ -628,14 +743,10 @@ func (r *RemoteAdapter) Telemetry(ctx context.Context) (telemetry.Snapshot, erro
 	return snap, nil
 }
 
-// exchangeLocked performs one line-framed request/response round trip on
-// the shared connection; r.mu must be held. The remaining ctx budget ships
-// as the server-side job timeout, and any wire error poisons the
-// connection (see wireError).
-func (r *RemoteAdapter) exchangeLocked(ctx context.Context, req *remoteRequest) (*remoteResponse, error) {
-	if r.conn == nil {
-		return nil, fmt.Errorf("client: remote adapter closed")
-	}
+// exchange performs one line-framed request/response round trip on the
+// connection. The remaining ctx budget ships as the server-side job
+// timeout, and any wire error breaks the connection (see fail).
+func (c *remoteConn) exchange(ctx context.Context, req *remoteRequest) (*remoteResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("client: remote: %w", err)
 	}
@@ -650,29 +761,29 @@ func (r *RemoteAdapter) exchangeLocked(ctx context.Context, req *remoteRequest) 
 		if req.TimeoutMs == 0 {
 			req.TimeoutMs = 1
 		}
-		_ = r.conn.SetWriteDeadline(dl)
+		_ = c.conn.SetWriteDeadline(dl)
 	}
-	conn := r.conn
+	conn := c.conn
 
 	data, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := conn.Write(append(data, '\n')); err != nil {
-		return nil, r.wireError(ctx, err)
+		return nil, c.fail(ctx, err)
 	}
 	_ = conn.SetWriteDeadline(time.Time{})
 	// Read in short deadline slices, checking ctx between them: a fired
 	// ctx surfaces within one slice, and — unlike an asynchronous
 	// interrupt — no callback can race a successful exchange and leave a
-	// stale past deadline on the shared connection.
+	// stale past deadline on a connection the pool takes back.
 	var line []byte
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-		chunk, err := r.rd.ReadSlice('\n')
+		chunk, err := c.rd.ReadSlice('\n')
 		line = append(line, chunk...)
 		if len(line) > maxFrameBytes {
-			return nil, r.wireError(ctx, fmt.Errorf("client: remote: %w: response line over %d bytes", ErrTooLarge, maxFrameBytes))
+			return nil, c.fail(ctx, fmt.Errorf("client: remote: %w: response line over %d bytes", ErrTooLarge, maxFrameBytes))
 		}
 		if err == nil {
 			break
@@ -684,7 +795,7 @@ func (r *RemoteAdapter) exchangeLocked(ctx context.Context, req *remoteRequest) 
 		if errors.As(err, &ne) && ne.Timeout() && ctx.Err() == nil {
 			continue // still waiting; partial data accumulated above
 		}
-		return nil, r.wireError(ctx, err)
+		return nil, c.fail(ctx, err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	return decodeResponse(line)
@@ -756,12 +867,14 @@ func resultFromWire(resp *remoteResponse, opts SubmitOptions) (*qpi.Result, erro
 	return out, nil
 }
 
-// wireError maps an I/O error on the shared connection. The line-oriented
-// protocol cannot resynchronize after a partial exchange, so any wire
-// error poisons the connection: close it so later submissions fail fast
-// instead of desyncing. A fired context is reported as the context error.
-func (r *RemoteAdapter) wireError(ctx context.Context, err error) error {
-	r.closeLocked()
+// fail maps an I/O error on the connection. The line-oriented protocol
+// cannot resynchronize after a partial exchange, so any wire error breaks
+// the connection: it is closed, and the pool dials a new one for the next
+// exchange instead of desyncing on this one. A fired context is reported as
+// the context error.
+func (c *remoteConn) fail(ctx context.Context, err error) error {
+	c.conn.Close()
+	c.broken = true
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("client: remote: %w", cerr)
 	}

@@ -94,11 +94,16 @@ func endlessLine(w net.Conn) {
 // TestRemoteOversizedFramesAreTyped: a program too large to register is
 // refused before it touches the wire and costs the connection nothing; a
 // response line past the bound fails the job with ErrTooLarge instead of
-// being buffered to its end, and poisons the connection.
+// being buffered to its end, and closes that connection. The connection is
+// never written again: the next job goes out on a new connection to the
+// live server and succeeds.
 func TestRemoteOversizedFramesAreTyped(t *testing.T) {
-	testutil.AssertNoLeaks(t)
+	c, _ := testStack(t)
+	srv := serveTest(t, c)
 	near, far := net.Pipe()
-	adapter := newRemoteAdapter("pipe", near)
+	// The pool starts on the pipe; any connection it dials is to srv.
+	pipe := &recordingConn{Conn: near}
+	adapter := newRemoteAdapter(srv.Addr(), pipe)
 	defer adapter.Close()
 	served := make(chan struct{})
 	go func() {
@@ -128,9 +133,18 @@ func TestRemoteOversizedFramesAreTyped(t *testing.T) {
 	if err := submit([]byte("text")); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized response: err = %v, want ErrTooLarge", err)
 	}
-	<-served
-	if err := submit([]byte("text")); err == nil || !strings.Contains(err.Error(), "closed") {
-		t.Fatalf("submit after an oversized response: err = %v, want the closed-adapter error", err)
+	<-served // endlessLine stops writing only when the adapter closed its end
+	pipe.take(t)
+
+	payload, format, err := c.Compile(bell(t), "hpcqc-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := adapter.SubmitPayloadCtx(ctx, "hpcqc-sc", payload, format, SubmitOptions{Shots: 16}); err != nil {
+		t.Fatalf("submit after an oversized response: %v", err)
+	}
+	if ops, _ := pipe.take(t); len(ops) != 0 {
+		t.Fatalf("the connection the oversized response broke was written again: %v", ops)
 	}
 }
 

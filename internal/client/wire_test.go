@@ -334,8 +334,11 @@ func TestRemoteUnknownProgramRecovers(t *testing.T) {
 	if ops := submit(1); !reflect.DeepEqual(ops, []string{"submit"}) {
 		t.Fatalf("program registered again sent %v, want one submit", ops)
 	}
-	if n := len(adapter.registered); n > maxStoredPrograms {
-		t.Fatalf("the adapter remembers %d programs, bound %d", n, maxStoredPrograms)
+	if len(adapter.idle) != 1 {
+		t.Fatalf("serial submissions left %d idle connections, want the one", len(adapter.idle))
+	}
+	if n := len(adapter.idle[0].registered); n > maxStoredPrograms {
+		t.Fatalf("the connection remembers %d programs, bound %d", n, maxStoredPrograms)
 	}
 
 	// The same bytes now reach a connection the server has never seen.
@@ -480,7 +483,8 @@ func TestServerTimeoutMsIsATypedDeadline(t *testing.T) {
 // TestServerTimeoutMsWhileRunning: when the shipped budget ends a job a
 // worker is already running, the handler answers only after the worker has
 // resolved the ticket, so the dispatch span it writes on the way out is in
-// the response and never read while being written (run under -race).
+// the response to a traced submit and never read while being written (run
+// under -race).
 func TestServerTimeoutMsWhileRunning(t *testing.T) {
 	c, _ := testStack(t)
 	release, entered := blockGate(c)
@@ -496,7 +500,7 @@ func TestServerTimeoutMsWhileRunning(t *testing.T) {
 	}
 	// The gate holds the remote job itself: it is running on the worker
 	// when its deadline fires.
-	resp := srv.handleLine(requestLine(t, remoteRequest{Op: "submit", ID: "p", Device: "hpcqc-sc", Shots: 16, TimeoutMs: 80}), store)
+	resp := srv.handleLine(requestLine(t, remoteRequest{Op: "submit", ID: "p", Device: "hpcqc-sc", Shots: 16, TimeoutMs: 80, TraceID: "trace-timeout"}), store)
 	select {
 	case <-entered:
 	default:
