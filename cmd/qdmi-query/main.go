@@ -218,7 +218,11 @@ func main() {
 		if a, ok := arity.(int); ok && a == 2 {
 			sitesArg = []int{0, 1}
 		}
-		durI, _ := dev.QueryOperationProperty(op, sitesArg, qdmi.OpPropDurationSeconds)
+		durI, err := dev.QueryOperationProperty(op, sitesArg, qdmi.OpPropDurationSeconds)
+		if err != nil { // e.g. a pair operation on a one-site device
+			fmt.Printf("  %-8s arity=%v  sites %v: %v\n", op, arity, sitesArg, err)
+			continue
+		}
 		fid, _ := dev.QueryOperationProperty(op, sitesArg, qdmi.OpPropFidelity)
 		hasPulse, _ := dev.QueryOperationProperty(op, sitesArg, qdmi.OpPropHasPulseImpl)
 		fmt.Printf("  %-8s arity=%v  duration=%v s  est. fidelity=%.6v  pulse impl=%v\n",

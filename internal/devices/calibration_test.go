@@ -205,7 +205,8 @@ func TestOperationsListsEachNameOnce(t *testing.T) {
 
 // TestOperationAnswersFollowTheGateTable pins what the device answers for
 // every gate-table row, measure and an unknown operation — duration, whether
-// its fidelity estimate is exact, whether it has a pulse, and the pulse —
+// its fidelity estimate is exact, whether it has a pulse (an operation the
+// device does not list has no answers: ErrNotSupported), and the pulse —
 // now that which gates are virtual (only frame shifts), which take a cz's
 // time (they play one) and the phase a virtual one shifts by are read from
 // the table rather than listed.
@@ -236,23 +237,31 @@ func TestOperationAnswersFollowTheGateTable(t *testing.T) {
 		{"rz", "none", true, true, "shift_phase:drive0@0"},
 		{"cz", "cz", false, true, "barrier: play:coupler barrier:"},
 		{"cx", "cz", false, false, "not_supported"},
-		{"iswap", "gate", false, false, "not_supported"},
+		{"iswap", "unlisted", false, false, "not_supported"},
 		{"measure", "readout", false, true, "barrier: capture:readout0"},
-		{"frobnicate", "gate", false, false, "not_supported"},
+		{"frobnicate", "unlisted", false, false, "not_supported"},
 	} {
 		sites := []int{0}
 		if g := waveform.GateByName(tc.op); g != nil && g.Arity == 2 {
 			sites = []int{0, 1}
 		}
-		dur, _ := d.QueryOperationProperty(tc.op, sites, qdmi.OpPropDurationSeconds)
-		if want := float64(samples[tc.duration]) * (1 / cfg.SampleRateHz); dur != want {
-			t.Errorf("%s: duration %v, want %v (%s)", tc.op, dur, want, tc.duration)
-		}
-		if fid, _ := d.QueryOperationProperty(tc.op, sites, qdmi.OpPropFidelity); (fid == 1.0) != tc.exact {
-			t.Errorf("%s: fidelity %v, exact want %v", tc.op, fid, tc.exact)
-		}
-		if has, _ := d.QueryOperationProperty(tc.op, sites, qdmi.OpPropHasPulseImpl); has != tc.has {
-			t.Errorf("%s: has pulse %v, want %v", tc.op, has, tc.has)
+		if tc.duration == "unlisted" {
+			for _, p := range []qdmi.OperationProperty{qdmi.OpPropDurationSeconds, qdmi.OpPropFidelity, qdmi.OpPropHasPulseImpl, qdmi.OpPropArity} {
+				if v, err := d.QueryOperationProperty(tc.op, sites, p); !errors.Is(err, qdmi.ErrNotSupported) {
+					t.Errorf("%s: property %v = %v, %v; want ErrNotSupported", tc.op, p, v, err)
+				}
+			}
+		} else {
+			dur, _ := d.QueryOperationProperty(tc.op, sites, qdmi.OpPropDurationSeconds)
+			if want := float64(samples[tc.duration]) * (1 / cfg.SampleRateHz); dur != want {
+				t.Errorf("%s: duration %v, want %v (%s)", tc.op, dur, want, tc.duration)
+			}
+			if fid, _ := d.QueryOperationProperty(tc.op, sites, qdmi.OpPropFidelity); (fid == 1.0) != tc.exact {
+				t.Errorf("%s: fidelity %v, exact want %v", tc.op, fid, tc.exact)
+			}
+			if has, _ := d.QueryOperationProperty(tc.op, sites, qdmi.OpPropHasPulseImpl); has != tc.has {
+				t.Errorf("%s: has pulse %v, want %v", tc.op, has, tc.has)
+			}
 		}
 		impl, err := d.DefaultPulse(tc.op, sites)
 		var got string

@@ -387,6 +387,58 @@ func TestQDMIQueries(t *testing.T) {
 	}
 }
 
+// TestOperationQueriesRefuseWhatTheDeviceLacks: an operation query answers
+// only for an operation the device lists, on a site tuple it has — in
+// range, as many sites as the operation acts on, a pair joined by a coupler.
+// Nil sites ask for the device-wide answer.
+func TestOperationQueriesRefuseWhatTheDeviceLacks(t *testing.T) {
+	d := newSC(t) // sites 0 and 1, one coupler
+	chain, err := Superconducting("sc-chain", 3, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetPulseImpl("pairgate", []int{0, 1}, keptImpl()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		dev   *SimDevice
+		op    string
+		sites []int
+		p     qdmi.OperationProperty
+		want  error // nil: answered
+	}{
+		{d, "bogus", []int{0}, qdmi.OpPropDurationSeconds, qdmi.ErrNotSupported},
+		{d, "bogus", nil, qdmi.OpPropFidelity, qdmi.ErrNotSupported},
+		{d, "bogus", nil, qdmi.OpPropArity, qdmi.ErrNotSupported},
+		{d, "iswap", []int{0, 1}, qdmi.OpPropDurationSeconds, qdmi.ErrNotSupported},
+		{d, "x", []int{7}, qdmi.OpPropFidelity, qdmi.ErrInvalidArgument},
+		{d, "x", []int{-1}, qdmi.OpPropDurationSeconds, qdmi.ErrInvalidArgument},
+		{d, "x", []int{0, 1}, qdmi.OpPropDurationSeconds, qdmi.ErrInvalidArgument},
+		{d, "cz", []int{0, 5}, qdmi.OpPropDurationSeconds, qdmi.ErrInvalidArgument},
+		{d, "cz", []int{0}, qdmi.OpPropDurationSeconds, qdmi.ErrInvalidArgument},
+		{d, "measure", []int{0, 1}, qdmi.OpPropDurationSeconds, qdmi.ErrInvalidArgument},
+		{d, "pairgate", []int{0}, qdmi.OpPropDurationSeconds, qdmi.ErrInvalidArgument},
+		{chain, "cz", []int{0, 2}, qdmi.OpPropDurationSeconds, qdmi.ErrNotSupported},
+		{chain, "cx", []int{2, 0}, qdmi.OpPropFidelity, qdmi.ErrNotSupported},
+		{d, "x", nil, qdmi.OpPropDurationSeconds, nil},
+		{d, "x", []int{1}, qdmi.OpPropFidelity, nil},
+		{d, "cz", []int{1, 0}, qdmi.OpPropDurationSeconds, nil},
+		{d, "measure", []int{1}, qdmi.OpPropDurationSeconds, nil},
+		{d, "pairgate", []int{0, 1}, qdmi.OpPropHasPulseImpl, nil},
+		{chain, "cz", []int{1, 2}, qdmi.OpPropDurationSeconds, nil},
+	} {
+		v, err := tc.dev.QueryOperationProperty(tc.op, tc.sites, tc.p)
+		if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s %s%v property %v = %v, %v; want %v", tc.dev.Name(), tc.op, tc.sites, tc.p, v, err, tc.want)
+		}
+	}
+	for op, want := range map[string]int{"x": 1, "cz": 2, "measure": 1, "pairgate": 2} {
+		if n, err := d.QueryOperationProperty(op, nil, qdmi.OpPropArity); err != nil || n != want {
+			t.Errorf("%s arity %v, %v; want %d", op, n, err, want)
+		}
+	}
+}
+
 func TestPortInventory(t *testing.T) {
 	d := newSC(t)
 	ports := d.Ports()

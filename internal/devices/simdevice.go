@@ -395,8 +395,11 @@ func (d *SimDevice) Operations() []string {
 }
 
 // QueryOperationProperty implements qdmi.Device; a gate's duration follows
-// from its row of the gate table.
+// from its row of the gate table. Nil sites ask for the device-wide answer.
 func (d *SimDevice) QueryOperationProperty(op string, sites []int, p qdmi.OperationProperty) (any, error) {
+	if err := d.checkOperation(op, sites); err != nil {
+		return nil, err
+	}
 	switch p {
 	case qdmi.OpPropDurationSeconds:
 		n, g := int64(d.cfg.GateSamples), waveform.GateByName(op)
@@ -411,10 +414,7 @@ func (d *SimDevice) QueryOperationProperty(op string, sites []int, p qdmi.Operat
 	case qdmi.OpPropFidelity:
 		return d.estimateGateFidelity(op, sites), nil
 	case qdmi.OpPropArity:
-		if g := waveform.GateByName(op); g != nil {
-			return g.Arity, nil
-		}
-		return 1, nil // measure, custom operations
+		return d.arity(op), nil
 	case qdmi.OpPropParamCount:
 		if g := waveform.GateByName(op); g != nil {
 			return g.Params, nil
@@ -428,6 +428,39 @@ func (d *SimDevice) QueryOperationProperty(op string, sites []int, p qdmi.Operat
 	}
 }
 
+// checkOperation refuses a query about an operation the device does not
+// list or a pair with no coupler (ErrNotSupported), and a site tuple of the
+// wrong length or out of range (ErrInvalidArgument). Nil sites pass.
+func (d *SimDevice) checkOperation(op string, sites []int) error {
+	switch {
+	case !slices.Contains(d.Operations(), op):
+		return fmt.Errorf("%w: no operation %q", qdmi.ErrNotSupported, op)
+	case sites == nil:
+		return nil
+	case len(sites) != d.arity(op):
+		return fmt.Errorf("%w: %s acts on %d sites, got %v", qdmi.ErrInvalidArgument, op, d.arity(op), sites)
+	case slices.ContainsFunc(sites, func(s int) bool { return s < 0 || s >= len(d.cfg.Sites) }):
+		return fmt.Errorf("%w: sites %v out of range", qdmi.ErrInvalidArgument, sites)
+	case len(sites) == 2 && d.table.Coupler(sites[0], sites[1]) == nil:
+		return fmt.Errorf("%w: no coupler between sites %v", qdmi.ErrNotSupported, sites)
+	}
+	return nil
+}
+
+// arity returns how many sites op acts on: its gate-table row's count, or
+// the count it was installed with (measure: one).
+func (d *SimDevice) arity(op string) int {
+	if g := waveform.GateByName(op); g != nil {
+		return g.Arity
+	}
+	for key := range d.calib.Load().pulses {
+		if name, sites, _ := strings.Cut(key, "@"); name == op { // an implKey
+			return strings.Count(sites, ",")
+		}
+	}
+	return 1
+}
+
 // estimateGateFidelity gives the control-error estimate exposed through
 // QDMI: the coherent infidelity from frequency miscalibration and amplitude
 // drift. (Decoherence contributions are visible in job results instead.)
@@ -435,9 +468,6 @@ func (d *SimDevice) estimateGateFidelity(op string, sites []int) float64 {
 	site := 0
 	if len(sites) > 0 {
 		site = sites[0]
-	}
-	if site < 0 || site >= len(d.cfg.Sites) {
-		return 0
 	}
 	if _, virtual := waveform.GateByName(op).Virtual(); virtual {
 		return 1.0

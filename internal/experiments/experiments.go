@@ -707,7 +707,7 @@ func C3CtrlVQE(ctx context.Context) (*Table, error) {
 		}
 		defer cl.Close()
 		gate := &vqe.GateAnsatz{Qubits: 2, Layers: 2}
-		gres, err := vqe.Run(ctx, cl.QRM(), dev.Name(), h, gate, []float64{math.Pi - 0.2, 0.2, -0.1, 0.1, -0.2, 0.2},
+		gres, err := vqe.Run(ctx, cl, dev.Name(), h, gate, []float64{math.Pi - 0.2, 0.2, -0.1, 0.1, -0.2, 0.2},
 			vqe.Options{Shots: 700, MaxEvals: 90, InitStep: 0.3})
 		if err != nil {
 			return nil, err
@@ -722,7 +722,7 @@ func C3CtrlVQE(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pres, err := vqe.Run(ctx, cl.QRM(), dev.Name(), h, pa, []float64{0.9, 0.15, 0.0, 0.0, 0.1},
+		pres, err := vqe.Run(ctx, cl, dev.Name(), h, pa, []float64{0.9, 0.15, 0.0, 0.0, 0.1},
 			vqe.Options{Shots: 700, MaxEvals: 70, InitStep: 0.15})
 		if err != nil {
 			return nil, err

@@ -4,19 +4,18 @@ import (
 	"context"
 	"fmt"
 
-	"mqsspulse/internal/compiler"
+	"mqsspulse/internal/client"
 	"mqsspulse/internal/optctl"
 	"mqsspulse/internal/ptemplate"
-	"mqsspulse/internal/qrm"
+	"mqsspulse/internal/qpi"
 )
 
 // Estimator measures Hamiltonian expectation values by running ansatz
-// circuits on a device, one job per qubit-wise-commuting measurement group.
-// It is an adapter in the paper's sense: it hands the scheduler its mixed
-// gate/pulse QIR module (Listings 1–3) as a compiled program, and the
-// scheduler — not the estimator — submits it to the device.
+// kernels on a device, one client job per qubit-wise-commuting measurement
+// group: each is lowered through the client's cache and carries its
+// calibration epoch and timeline like any other job.
 type Estimator struct {
-	QRM    *qrm.Scheduler
+	Client *client.Client
 	Device string
 	Shots  int
 }
@@ -29,17 +28,7 @@ func (e *Estimator) Energy(ctx context.Context, h *Hamiltonian, a Ansatz, params
 	energy := identity
 	var maxDur float64
 	for _, g := range groups {
-		mod, err := a.BuildModule(params, g.Basis)
-		if err != nil {
-			return 0, 0, err
-		}
-		tk, err := e.QRM.SubmitCtx(ctx, qrm.Request{
-			Device: e.Device, Shots: e.Shots,
-			Template: &ptemplate.Compiled{Module: mod, Format: compiler.FormatFor(mod)}})
-		if err != nil {
-			return 0, 0, err
-		}
-		res, err := tk.Wait(ctx)
+		res, err := e.measure(ctx, a, params, g.Basis)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -49,6 +38,24 @@ func (e *Estimator) Energy(ctx context.Context, h *Hamiltonian, a Ansatz, params
 		}
 	}
 	return energy, maxDur, nil
+}
+
+// measure runs the ansatz's kernel for one basis: a concrete kernel as a
+// job, a template as a one-point sweep.
+func (e *Estimator) measure(ctx context.Context, a Ansatz, params []float64, basis string) (*qpi.Result, error) {
+	k, tpl, point, err := a.Kernel(params, basis)
+	if err != nil {
+		return nil, err
+	}
+	opts := client.SubmitOptions{Shots: e.Shots}
+	if tpl == nil {
+		return e.Client.RunCtx(ctx, k, e.Device, opts)
+	}
+	rs, err := e.Client.RunSweep(ctx, tpl, e.Device, []ptemplate.Bindings{point}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0].Result, rs[0].Err
 }
 
 // Options configures a VQE run.
@@ -75,8 +82,9 @@ type RunResult struct {
 
 // Run minimizes the measured energy over the ansatz parameters with
 // Nelder-Mead — the classical optimizer loop of the paper's Listing 1
-// (calculate_new_parameters).
-func Run(ctx context.Context, sched *qrm.Scheduler, device string, h *Hamiltonian, a Ansatz, x0 []float64, opts Options) (*RunResult, error) {
+// (calculate_new_parameters) — every evaluation a job on device through
+// cl. The first evaluation that fails ends the run with its error.
+func Run(ctx context.Context, cl *client.Client, device string, h *Hamiltonian, a Ansatz, x0 []float64, opts Options) (*RunResult, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
@@ -92,15 +100,18 @@ func Run(ctx context.Context, sched *qrm.Scheduler, device string, h *Hamiltonia
 	if opts.InitStep <= 0 {
 		opts.InitStep = 0.4
 	}
-	est := &Estimator{QRM: sched, Device: device, Shots: opts.Shots}
+	est := &Estimator{Client: cl, Device: device, Shots: opts.Shots}
 	res := &RunResult{}
 	best := 1e18
+	var evalErr error
 	objective := func(x []float64) float64 {
+		if evalErr != nil {
+			return 0 // the run is over: a flat objective winds the simplex down
+		}
 		e, _, err := est.Energy(ctx, h, a, x)
 		if err != nil {
-			// Penalize invalid parameter regions instead of aborting the
-			// simplex; construction errors come from amplitude clipping.
-			return 1e9
+			evalErr = fmt.Errorf("vqe: evaluation %d: %w", res.Evals+1, err)
+			return 0
 		}
 		res.Evals++
 		if e < best {
@@ -112,11 +123,15 @@ func Run(ctx context.Context, sched *qrm.Scheduler, device string, h *Hamiltonia
 	x, fv, _ := optctl.NelderMead(objective, x0, optctl.NelderMeadOptions{
 		MaxEvals: opts.MaxEvals, InitStep: opts.InitStep, Tol: 1e-6,
 	})
+	if evalErr != nil {
+		return nil, evalErr
+	}
 	res.Params = x
 	res.Energy = fv
 	// Record the optimum's schedule duration with a fresh evaluation.
-	if _, dur, err := est.Energy(ctx, h, a, x); err == nil {
-		res.ScheduleSeconds = dur
+	var err error
+	if _, res.ScheduleSeconds, err = est.Energy(ctx, h, a, x); err != nil {
+		return nil, fmt.Errorf("vqe: schedule at the optimum: %w", err)
 	}
 	return res, nil
 }

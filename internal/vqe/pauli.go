@@ -1,14 +1,13 @@
 // Package vqe implements variational quantum eigensolvers at both gate and
 // pulse level — the paper's third pulse-level use case (Section 2.1,
-// ctrl-VQE). Both variants execute through the same QDMI device path: the
-// gate ansatz lowers through calibrated gates, the pulse ansatz drives
-// parameterized waveforms directly (the paper's Listing 1 kernel), so the
-// schedule-duration and energy-error comparison is apples to apples.
+// ctrl-VQE). Both variants are QPI kernels run as client jobs: the gate
+// ansatz lowers through calibrated gates, the pulse ansatz (the paper's
+// Listing 1 kernel, a template) drives parameterized waveforms directly, so
+// the schedule-duration and energy-error comparison is apples to apples.
 package vqe
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -219,27 +218,3 @@ func TFIM(n int, j, hx float64) *Hamiltonian {
 	}
 	return ham
 }
-
-// ExpectationExact computes ⟨ψ|H|ψ⟩ for a state vector (testing aid).
-func (h *Hamiltonian) ExpectationExact(amp []complex128) float64 {
-	m := h.Matrix()
-	return real(linalg.Dot(amp, m.MulVec(amp)))
-}
-
-// EnergyUpperBoundCheck reports whether e is ≥ the exact ground energy
-// (variational principle), within tol.
-func (h *Hamiltonian) EnergyUpperBoundCheck(e, tol float64) error {
-	g, err := h.GroundEnergy()
-	if err != nil {
-		return err
-	}
-	if e < g-tol {
-		return fmt.Errorf("vqe: energy %g below ground truth %g", e, g)
-	}
-	return nil
-}
-
-// Math helpers reused by the ansätze.
-
-// clampSym clamps to [-1, 1].
-func clampSym(x float64) float64 { return math.Max(-1, math.Min(1, x)) }

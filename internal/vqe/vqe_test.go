@@ -2,26 +2,47 @@ package vqe
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"mqsspulse/internal/client"
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/linalg"
+	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/qdmi"
-	"mqsspulse/internal/qrm"
+	"mqsspulse/internal/qir"
+	"mqsspulse/internal/qpi"
 )
 
-// schedulerOver returns a QRM over one registered device: the path every
+// clientOver returns a client over one registered device: the path every
 // VQE evaluation takes to it.
-func schedulerOver(t *testing.T, dev qdmi.Device) *qrm.Scheduler {
+func clientOver(t *testing.T, dev qdmi.Device) *client.Client {
 	t.Helper()
 	drv := qdmi.NewDriver()
 	if err := drv.RegisterDevice(dev); err != nil {
 		t.Fatal(err)
 	}
-	s := qrm.New(drv.OpenSession())
-	t.Cleanup(s.Close)
-	return s
+	cl := client.New(drv.OpenSession())
+	t.Cleanup(cl.Close)
+	return cl
+}
+
+// gateCount counts the kernel's gate ops named g, and with a symbolic
+// angle among them.
+func gateCount(k *qpi.Circuit, g string) (n, symbolic int) {
+	for _, op := range k.Ops {
+		if op.Kind == qpi.OpGate && op.Gate == g {
+			n++
+			if op.AngleExpr != nil {
+				symbolic++
+			}
+		}
+	}
+	return n, symbolic
 }
 
 func TestH2MinimalGroundEnergy(t *testing.T) {
@@ -144,42 +165,51 @@ func TestExpectationExactMatchesMatrix(t *testing.T) {
 	}
 }
 
-func TestGateAnsatzModuleShape(t *testing.T) {
+func TestGateAnsatzKernel(t *testing.T) {
 	a := &GateAnsatz{Qubits: 2, Layers: 1}
 	if a.NumParams() != 4 {
 		t.Fatalf("params = %d", a.NumParams())
 	}
-	mod, err := a.BuildModule([]float64{0.1, 0.2, 0.3, 0.4}, "ZZ")
+	// An angle past π is written in as given: a concrete kernel has no range.
+	params := []float64{0.1, 0.2, 0.3, 7.5}
+	k, tpl, point, err := a.Kernel(params, "ZZ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mod.Verify(); err != nil {
-		t.Fatal(err)
+	if tpl != nil || point != nil {
+		t.Fatal("gate ansatz returned a template")
 	}
-	if mod.UsesPulse() {
-		t.Fatal("gate ansatz should not use pulse intrinsics")
+	if !k.Finished() || k.HasPulseOps() || k.IsParametric() {
+		t.Fatalf("kernel finished %v, pulse ops %v, parametric %v", k.Finished(), k.HasPulseOps(), k.IsParametric())
 	}
-	// 4 ry + 1 cz + 2 mz = 7 calls in the Z basis.
-	if len(mod.Body) != 7 {
-		t.Fatalf("body has %d calls", len(mod.Body))
+	// 4 ry + 1 cz + 2 measure = 7 ops in the Z basis.
+	if len(k.Ops) != 7 || k.CountKind(qpi.OpMeasure) != 2 {
+		t.Fatalf("Z-basis kernel has %d ops, %d measurements", len(k.Ops), k.CountKind(qpi.OpMeasure))
 	}
-	modX, _ := a.BuildModule([]float64{0.1, 0.2, 0.3, 0.4}, "XX")
-	if len(modX.Body) != 9 { // + 2 H rotations
-		t.Fatalf("X-basis body has %d calls", len(modX.Body))
+	for i, want := range params {
+		if op := k.Ops[[]int{0, 1, 3, 4}[i]]; op.Gate != "ry" || op.Params[0] != want {
+			t.Fatalf("param %d: op %s(%v), want ry(%g)", i, op.Gate, op.Params, want)
+		}
 	}
-	modY, _ := a.BuildModule([]float64{0.1, 0.2, 0.3, 0.4}, "YY")
-	if len(modY.Body) != 11 { // + 2 (rz, h) pairs
-		t.Fatalf("Y-basis body has %d calls", len(modY.Body))
+	kX, _, _, _ := a.Kernel(params, "XX")
+	if h, _ := gateCount(kX, "h"); len(kX.Ops) != 9 || h != 2 { // + 2 H rotations
+		t.Fatalf("X-basis kernel has %d ops, %d h", len(kX.Ops), h)
 	}
-	if _, err := a.BuildModule([]float64{0.1}, "ZZ"); err == nil {
+	kY, _, _, _ := a.Kernel(params, "YY")
+	h, _ := gateCount(kY, "h")
+	rz, _ := gateCount(kY, "rz")
+	if len(kY.Ops) != 11 || h != 2 || rz != 2 { // + 2 (rz, h) pairs
+		t.Fatalf("Y-basis kernel has %d ops, %d h, %d rz", len(kY.Ops), h, rz)
+	}
+	if _, _, _, err := a.Kernel([]float64{0.1}, "ZZ"); err == nil {
 		t.Fatal("wrong param count accepted")
 	}
-	if _, err := a.BuildModule([]float64{0.1, 0.2, 0.3, 0.4}, "Z"); err == nil {
+	if _, _, _, err := a.Kernel(params, "Z"); err == nil {
 		t.Fatal("wrong basis length accepted")
 	}
 }
 
-func TestPulseAnsatzModuleShape(t *testing.T) {
+func TestPulseAnsatzKernel(t *testing.T) {
 	dev, err := devices.Superconducting("sc-vqe", 2, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -188,30 +218,153 @@ func TestPulseAnsatzModuleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := a.BuildModule([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "ZZ")
+	k, tpl, point, err := a.Kernel([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "ZZ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mod.Verify(); err != nil {
-		t.Fatalf("%v\n%s", err, mod.Emit())
+	if tpl == nil || k != tpl.Circuit || len(tpl.Params) != a.NumParams() {
+		t.Fatalf("kernel is not its template's (template %v)", tpl)
 	}
-	if !mod.UsesPulse() {
-		t.Fatal("pulse ansatz should use pulse intrinsics")
+	if !k.Finished() || !k.HasPulseOps() {
+		t.Fatal("pulse ansatz kernel should be a finished pulse kernel")
 	}
-	if len(mod.Waveforms) != 3 {
-		t.Fatalf("waveform count %d, want 3", len(mod.Waveforms))
+	if len(k.Waveforms) != 3 || k.CountKind(qpi.OpPlayWaveform) != 3 || k.CountKind(qpi.OpBarrier) != 2 {
+		t.Fatalf("%d waveforms, %d plays, %d barriers; want 3, 3, 2",
+			len(k.Waveforms), k.CountKind(qpi.OpPlayWaveform), k.CountKind(qpi.OpBarrier))
 	}
-	// Zero amplitudes omit pulses.
-	mod0, err := a.BuildModule([]float64{0, 0, 0.1, 0.1, 0}, "ZZ")
+	// The phases are RZ(−φ) slots, the frame's shift_phase(φ).
+	if rz, sym := gateCount(k, "rz"); rz != 2 || sym != 2 {
+		t.Fatalf("Z basis: %d rz, %d symbolic; want 2 symbolic", rz, sym)
+	}
+	if err := tpl.Validate(point); err != nil {
+		t.Fatal(err)
+	}
+	if point["phase0"] != 0.2 || point["amp1"] != -0.3 {
+		t.Fatalf("in-range params moved: %v", point)
+	}
+	kX, _, _, _ := a.Kernel([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "XX")
+	if h, _ := gateCount(kX, "h"); h != 2 || len(kX.Ops) != len(k.Ops)+2 {
+		t.Fatalf("X basis: %d h in %d ops (Z basis %d)", h, len(kX.Ops), len(k.Ops))
+	}
+	kY, _, _, _ := a.Kernel([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "YY")
+	h, _ := gateCount(kY, "h")
+	rz, sym := gateCount(kY, "rz")
+	if h != 2 || rz != 4 || sym != 2 || len(kY.Ops) != len(k.Ops)+4 {
+		t.Fatalf("Y basis: %d h, %d rz (%d symbolic) in %d ops", h, rz, sym, len(kY.Ops))
+	}
+	// Out-of-range amplitudes are clamped and phases reduced mod 2π into
+	// the declared space: no point is a bad parameter.
+	_, tpl, point, err = a.Kernel([]float64{7, -9, 4, -4, 3}, "ZZ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mod0.Waveforms) != 0 {
-		t.Fatal("zero-amplitude drives should be omitted")
+	if err := tpl.Validate(point); err != nil {
+		t.Fatalf("out-of-range params not folded in: %v", err)
 	}
-	// Out-of-range amplitudes are clamped, not rejected.
-	if _, err := a.BuildModule([]float64{7, -9, 0, 0, 3}, "ZZ"); err != nil {
-		t.Fatalf("clamping failed: %v", err)
+	if point["amp0"] != 1 || point["amp1"] != -1 || point["amp_c"] != 1 ||
+		math.Abs(point["phase0"]-(4-2*math.Pi)) > 1e-15 || math.Abs(point["phase1"]-(2*math.Pi-4)) > 1e-15 {
+		t.Fatalf("folded point %v", point)
+	}
+	// At zero amplitude the three pulses are zeros, still played.
+	_, tpl, point, err = a.Kernel([]float64{0, 0, 0.1, 0.1, 0}, "ZZ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ptemplate.Lower(tpl, dev, dev.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := prog.Bind(point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plays, zeros := 0, 0
+	for _, c := range mod.Body {
+		if c.Callee == qir.IntrPlay {
+			plays++
+		}
+	}
+	for _, w := range mod.Waveforms {
+		if !slices.ContainsFunc(w.Samples, func(s complex128) bool { return s != 0 }) {
+			zeros++
+		}
+	}
+	if plays != 3 || zeros != 3 {
+		t.Fatalf("zero amplitudes: %d plays, %d all-zero waveforms; want 3 and 3", plays, zeros)
+	}
+	if _, _, _, err := a.Kernel([]float64{0.1}, "ZZ"); err == nil {
+		t.Fatal("wrong param count accepted")
+	}
+	for _, basis := range []string{"Z", "ZZZ", "ZQ"} {
+		if _, _, _, err := a.Kernel(make([]float64, 5), basis); err == nil {
+			t.Fatalf("basis %q accepted", basis)
+		}
+	}
+}
+
+// TestPulseAnsatzJobsAreClientJobs pins that a pulse-ansatz evaluation is a
+// client job like any other: each basis lowers once and later evaluations
+// bind, every job's stages land in the client's registry, and a
+// recalibration between evaluations re-lowers instead of failing a job.
+func TestPulseAnsatzJobsAreClientJobs(t *testing.T) {
+	dev, err := devices.Superconducting("sc-vqe-client", 2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := clientOver(t, dev)
+	a, err := NewPulseAnsatz(dev, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := H2Minimal() // two groups: XX and ZZ
+	est := &Estimator{Client: cl, Device: dev.Name(), Shots: 200}
+	ctx := context.Background()
+	for _, x := range [][]float64{{0.9, 0.15, 0.2, -0.1, 0.1}, {-0.4, 0.6, 3.5, -2, 0.7}} {
+		if _, _, err := est.Energy(ctx, h, a, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cl.CacheStats(); st.Misses != 2 || st.Binds != 2 || st.Hits != 0 {
+		t.Fatalf("cache stats %+v, want 2 misses (one per basis) then 2 binds", st)
+	}
+	snap := cl.Telemetry()
+	for _, stage := range []string{"compile", "queue-wait", "dispatch", "device-execute"} {
+		if n := snap.Histograms["stage/"+stage].Count; n != 4 {
+			t.Errorf("stage %s recorded %d times, want once per job (4)", stage, n)
+		}
+	}
+	dev.SetCalibratedPiAmplitude(0, dev.CalibratedPiAmplitude(0)*1.01)
+	if _, _, err := est.Energy(ctx, h, a, []float64{0.9, 0.15, 0.2, -0.1, 0.1}); err != nil {
+		t.Fatalf("evaluation after a recalibration: %v", err)
+	}
+	if st := cl.CacheStats(); st.Invalidations < 1 || st.Misses != 4 {
+		t.Fatalf("after recalibrating: %+v, want the bases re-lowered", st)
+	}
+}
+
+// TestRunReturnsFirstEvaluationError pins that a run whose evaluations fail
+// fails: the first error ends it, wrapped, instead of being scored as a
+// penalty energy.
+func TestRunReturnsFirstEvaluationError(t *testing.T) {
+	dev, err := devices.Superconducting("sc-vqe-cancel", 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := clientOver(t, dev)
+	pa, err := NewPulseAnsatz(dev, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, a := range []Ansatz{&GateAnsatz{Qubits: 2, Layers: 1}, pa} {
+		res, err := Run(ctx, cl, dev.Name(), H2Minimal(), a, make([]float64, a.NumParams()), Options{MaxEvals: 20})
+		if !errors.Is(err, context.Canceled) || res != nil || !strings.Contains(err.Error(), "evaluation 1:") {
+			t.Fatalf("%T: Run on a cancelled ctx = %+v, %v; want evaluation 1's context.Canceled", a, res, err)
+		}
+	}
+	if st := cl.CacheStats(); st.Misses != 0 {
+		t.Fatalf("a cancelled run compiled: %+v", st)
 	}
 }
 
@@ -238,7 +391,7 @@ func TestEstimatorEnergyHartreeFock(t *testing.T) {
 	h := H2Minimal()
 	// Ansatz: RY(π) on qubit 0 ≈ X up to phase.
 	a := &GateAnsatz{Qubits: 2, Layers: 0}
-	est := &Estimator{QRM: schedulerOver(t, dev), Device: dev.Name(), Shots: 3000}
+	est := &Estimator{Client: clientOver(t, dev), Device: dev.Name(), Shots: 3000}
 	e, dur, err := est.Energy(context.Background(), h, a, []float64{math.Pi, 0})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +418,7 @@ func TestVQEGateAnsatzConverges(t *testing.T) {
 	}
 	h := H2Minimal()
 	a := &GateAnsatz{Qubits: 2, Layers: 1}
-	res, err := Run(context.Background(), schedulerOver(t, dev), dev.Name(), h, a, []float64{math.Pi - 0.1, 0.1, -0.1, 0.1}, Options{
+	res, err := Run(context.Background(), clientOver(t, dev), dev.Name(), h, a, []float64{math.Pi - 0.1, 0.1, -0.1, 0.1}, Options{
 		Shots: 800, MaxEvals: 80, InitStep: 0.3,
 	})
 	if err != nil {
@@ -291,11 +444,11 @@ func TestVQEValidation(t *testing.T) {
 	dev, _ := devices.Superconducting("sc-val", 2, 8)
 	h := H2Minimal()
 	a := &GateAnsatz{Qubits: 2, Layers: 1}
-	if _, err := Run(context.Background(), schedulerOver(t, dev), dev.Name(), h, a, []float64{0.1}, Options{}); err == nil {
+	if _, err := Run(context.Background(), clientOver(t, dev), dev.Name(), h, a, []float64{0.1}, Options{}); err == nil {
 		t.Fatal("wrong x0 length accepted")
 	}
 	badH := &Hamiltonian{Qubits: 2, Terms: []Term{{Coeff: 1, Ops: "Q"}}}
-	if _, err := Run(context.Background(), schedulerOver(t, dev), dev.Name(), badH, a, make([]float64, 4), Options{}); err == nil {
+	if _, err := Run(context.Background(), clientOver(t, dev), dev.Name(), badH, a, make([]float64, 4), Options{}); err == nil {
 		t.Fatal("invalid hamiltonian accepted")
 	}
 }
@@ -331,7 +484,7 @@ func TestVQETFIMGateAnsatz(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &GateAnsatz{Qubits: 2, Layers: 1}
-	res, err := Run(context.Background(), schedulerOver(t, dev), dev.Name(), h, a, []float64{0.3, 0.3, 0.1, 0.1}, Options{
+	res, err := Run(context.Background(), clientOver(t, dev), dev.Name(), h, a, []float64{0.3, 0.3, 0.1, 0.1}, Options{
 		Shots: 700, MaxEvals: 70, InitStep: 0.4,
 	})
 	if err != nil {
@@ -352,4 +505,23 @@ func TestTFIMGroupCount(t *testing.T) {
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d: %+v", len(groups), groups)
 	}
+}
+
+// ExpectationExact computes ⟨ψ|H|ψ⟩ for a state vector (testing aid).
+func (h *Hamiltonian) ExpectationExact(amp []complex128) float64 {
+	m := h.Matrix()
+	return real(linalg.Dot(amp, m.MulVec(amp)))
+}
+
+// EnergyUpperBoundCheck reports whether e is ≥ the exact ground energy
+// (variational principle), within tol.
+func (h *Hamiltonian) EnergyUpperBoundCheck(e, tol float64) error {
+	g, err := h.GroundEnergy()
+	if err != nil {
+		return err
+	}
+	if e < g-tol {
+		return fmt.Errorf("vqe: energy %g below ground truth %g", e, g)
+	}
+	return nil
 }
