@@ -583,15 +583,18 @@ type (
 	GrapeOptions = optctl.GrapeOptions
 	// GrapeResult reports an optimization.
 	GrapeResult = optctl.GrapeResult
-	// TransmonXProblem is the canonical mismatch scenario.
+	// TransmonXProblem is GRAPE's model of a transmon X gate.
 	TransmonXProblem = optctl.TransmonXProblem
+	// MismatchStudyResult compares open/closed/hybrid control on a device.
+	MismatchStudyResult = calib.MismatchStudyResult
 )
 
 // Grape runs gradient-ascent pulse engineering toward a target unitary.
 var Grape = optctl.GrapeUnitary
 
-// RunMismatchStudy compares open/closed/hybrid control under mismatch.
-var RunMismatchStudy = optctl.RunMismatchStudy
+// RunMismatchStudy compares open/closed/hybrid control of a site's X gate
+// through client jobs on a device, then installs the hybrid pulse as "x".
+var RunMismatchStudy = calib.RunMismatchStudy
 
 // TargetX returns the qubit-subspace X gate and the 3-level projector used
 // by the transmon control problems.

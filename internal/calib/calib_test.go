@@ -408,7 +408,7 @@ func TestKernelsMatchHandAssembledModules(t *testing.T) {
 					[]qir.WaveformConst{{Name: "sx", Samples: b.env["sx"]}}, play("sx"), delay(700), play("sx"))
 			},
 			func(b *bench, _ *devices.SimDevice) (*qpi.Result, error) {
-				return b.run(ctx, b.play(b.kernel("k", "sx").Delay(b.drive, 700), "sx"))
+				return b.run(ctx, b.play(b.kernel("k", "sx").Delay(b.drive.ID, 700), "sx"))
 			}},
 		{"detuned-ramsey-point", readout.LevelDiscriminated,
 			func(d *devices.SimDevice, b *bench) *qdmi.Result {
@@ -419,8 +419,8 @@ func TestKernelsMatchHandAssembledModules(t *testing.T) {
 			},
 			func(b *bench, d *devices.SimDevice) (*qpi.Result, error) {
 				// The Ramsey fringe template at one point, run as a sweep.
-				c := b.kernel("k").FrameChange(b.drive, d.CalibratedFrequency(0)-1e6, 0)
-				b.play(c, "sx").DelayP(b.drive, qpi.Sym("tau"))
+				c := b.kernel("k").FrameChange(b.drive.ID, d.CalibratedFrequency(0)-1e6, 0)
+				b.play(c, "sx").DelayP(b.drive.ID, qpi.Sym("tau"))
 				if err := b.play(c, "sx").Measure(0, 0).End(); err != nil {
 					return nil, err
 				}

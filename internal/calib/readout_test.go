@@ -155,7 +155,7 @@ func runPrepBoth(cl *client.Client, dev qdmi.Device) (map[uint64]int, int, error
 			return nil, 0, err
 		}
 		name := fmt.Sprintf("x%d", site)
-		c.Waveform(name, b.env["x"]).PlayWaveform(b.drive, name)
+		c.Waveform(name, b.env["x"]).PlayWaveform(b.drive.ID, name)
 	}
 	if err := c.Measure(0, 0).Measure(1, 1).End(); err != nil {
 		return nil, 0, err

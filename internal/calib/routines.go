@@ -7,6 +7,7 @@ import (
 
 	"mqsspulse/internal/client"
 	"mqsspulse/internal/ptemplate"
+	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qpi"
 )
@@ -41,9 +42,7 @@ type bench struct {
 	site   int
 	// drive is the site's drive port, as the device's view (qdmi.Target)
 	// resolves it — calibration never assumes naming schemes.
-	drive string
-	// rate is the device sample rate in Hz.
-	rate float64
+	drive *pulse.Port
 	// env holds the calibrated "x" and "sx" envelopes of the site.
 	env  map[string][]complex128
 	opts client.SubmitOptions
@@ -53,14 +52,8 @@ func newBench(cl *client.Client, dev qdmi.Device, site, shots int) (*bench, erro
 	b := &bench{cl: cl, device: dev.Name(), site: site, env: map[string][]complex128{},
 		opts: client.SubmitOptions{Shots: shots, Priority: Priority, Tag: Tag}}
 	target := qdmi.NewTarget(dev)
-	drive := target.Drive(site)
-	if drive == nil {
+	if b.drive = target.Drive(site); b.drive == nil {
 		return nil, fmt.Errorf("calib: site %d has no drive port", site)
-	}
-	b.drive = drive.ID
-	var err error
-	if b.rate, err = qdmi.QueryFloat(dev, qdmi.DevicePropSampleRateHz); err != nil {
-		return nil, err
 	}
 	for _, op := range []string{"x", "sx"} {
 		w, err := target.Envelope(op, site)
@@ -84,7 +77,7 @@ func (b *bench) play(c *qpi.Circuit, gates ...string) *qpi.Circuit {
 		if _, defined := c.Waveforms[g]; !defined {
 			c.Waveform(g, b.env[g])
 		}
-		c.PlayWaveform(b.drive, g)
+		c.PlayWaveform(b.drive.ID, g)
 	}
 	return c
 }
@@ -176,7 +169,7 @@ func RabiCalibrate(ctx context.Context, cl *client.Client, dev Target, site int,
 		res.Amps = append(res.Amps, amp)
 		scales[i] = amp / peak
 	}
-	c := b.kernel("rabi").WaveformP("sweep", samples, qpi.Sym("scale")).PlayWaveform(b.drive, "sweep")
+	c := b.kernel("rabi").WaveformP("sweep", samples, qpi.Sym("scale")).PlayWaveform(b.drive.ID, "sweep")
 	res.P1s, err = b.sweepP1(ctx, c,
 		ptemplate.Param{Name: "scale", Min: scales[0], Max: scales[points-1]}, scales)
 	if err != nil {
@@ -287,13 +280,13 @@ func RamseyCalibrate(ctx context.Context, cl *client.Client, dev Target, site in
 	// Sweep τ over ~2.2 probe periods.
 	taus, ts := make([]float64, points), make([]float64, points)
 	for i := range taus {
-		taus[i] = math.Round(2.2 / probeHz * float64(i) / float64(points-1) * b.rate)
-		ts[i] = taus[i] / b.rate
+		taus[i] = math.Round(2.2 / probeHz * float64(i) / float64(points-1) * b.drive.SampleRateHz)
+		ts[i] = taus[i] / b.drive.SampleRateHz
 	}
 	old := dev.CalibratedFrequency(site)
 	fringe := func(detuneHz float64) (float64, error) {
-		c := b.kernel("ramsey").FrameChange(b.drive, old+detuneHz, 0)
-		b.play(c, "sx").DelayP(b.drive, qpi.Sym("tau"))
+		c := b.kernel("ramsey").FrameChange(b.drive.ID, old+detuneHz, 0)
+		b.play(c, "sx").DelayP(b.drive.ID, qpi.Sym("tau"))
 		p1s, err := b.sweepP1(ctx, b.play(c, "sx"), ptemplate.Param{Name: "tau", Max: taus[points-1]}, taus)
 		if err != nil {
 			return 0, err
@@ -336,10 +329,10 @@ func MeasureT1(ctx context.Context, cl *client.Client, dev Target, site int, max
 	}
 	delays, ts := make([]float64, points), make([]float64, points)
 	for i := range delays {
-		delays[i] = math.Round(maxDelaySeconds * float64(i) / float64(points-1) * b.rate)
-		ts[i] = delays[i] / b.rate
+		delays[i] = math.Round(maxDelaySeconds * float64(i) / float64(points-1) * b.drive.SampleRateHz)
+		ts[i] = delays[i] / b.drive.SampleRateHz
 	}
-	ys, err := b.sweepP1(ctx, b.kernel("t1", "x").DelayP(b.drive, qpi.Sym("delay")),
+	ys, err := b.sweepP1(ctx, b.kernel("t1", "x").DelayP(b.drive.ID, qpi.Sym("delay")),
 		ptemplate.Param{Name: "delay", Max: delays[points-1]}, delays)
 	if err != nil {
 		return nil, err
@@ -385,7 +378,7 @@ func RamseyErrorBenchmark(ctx context.Context, cl *client.Client, dev Target, si
 	if err != nil {
 		return 0, err
 	}
-	c := b.kernel("ramsey_bench", "sx").Delay(b.drive, int64(math.Round(tauSeconds*b.rate)))
+	c := b.kernel("ramsey_bench", "sx").Delay(b.drive.ID, int64(math.Round(tauSeconds*b.drive.SampleRateHz)))
 	p1, err := b.p1(ctx, b.play(c, "sx"))
 	if err != nil {
 		return 0, err

@@ -15,7 +15,6 @@ import (
 	"mqsspulse/internal/compiler"
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/mlir"
-	"mqsspulse/internal/optctl"
 	"mqsspulse/internal/passes"
 	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
@@ -629,45 +628,54 @@ func C1Calibration(ctx context.Context) (*Table, error) {
 
 // C2OptimalControl reproduces the Section 2.1 optimal-control claim:
 // open-loop GRAPE degrades under model mismatch; closed-loop and hybrid
-// strategies recover fidelity.
+// strategies recover fidelity. Every device column comes from client jobs.
 func C2OptimalControl(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "EXP-C2",
 		Title:   "Open- vs closed-loop pulse engineering under model mismatch (§2.1)",
-		Columns: []string{"detune", "amp err", "open(model)", "open(true)", "closed", "hybrid"},
+		Columns: []string{"detune", "amp err", "open(model)", "open(device)", "closed", "hybrid"},
 	}
-	cases := []struct {
-		detuneHz float64
-		ampScale float64
-	}{
-		{0, 1.0},
-		{1e6, 1.0},
-		{3e6, 1.0},
-		{3e6, 1.05},
-		{6e6, 1.05},
-	}
+	cases := []struct{ detuneHz, ampErr float64 }{{0, 0}, {1e6, 0}, {3e6, 0}, {3e6, 0.05}, {6e6, 0.05}}
 	for i, c := range cases {
-		prob := &optctl.TransmonXProblem{
-			Slots: 32, Dt: 1e-9, AnharmHz: -220e6, RabiHz: 40e6,
-			TrueDetuneHz: c.detuneHz, TrueAmpScale: c.ampScale,
+		dev, err := devices.Superconducting("c2-sc", 1, int64(300+i))
+		if err != nil {
+			return nil, err
 		}
-		res, err := optctl.RunMismatchStudy(prob, 0, int64(300+i))
+		cl, err := stackOver(dev)
+		if err != nil {
+			return nil, err
+		}
+		staleCalibration(dev, c.detuneHz, c.ampErr)
+		res, err := calib.RunMismatchStudy(ctx, cl, dev, 0, c2Shots, int64(300+i))
+		cl.Close()
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0f MHz", c.detuneHz/1e6),
-			fmt.Sprintf("%+.0f%%", (c.ampScale-1)*100),
-			fmt.Sprintf("%.5f", res.OpenLoopModelF),
-			fmt.Sprintf("%.5f", res.OpenLoopTrueF),
-			fmt.Sprintf("%.5f", res.ClosedLoopF),
-			fmt.Sprintf("%.5f", res.HybridF),
+			fmt.Sprintf("%+.0f%%", c.ampErr*100),
+			fmt.Sprintf("%.5f", res.GrapeF),
+			fmt.Sprintf("%.4f", res.OpenLoopF),
+			fmt.Sprintf("%.4f", res.ClosedLoopF),
+			fmt.Sprintf("%.4f", res.HybridF),
 		})
 	}
 	t.Notes = append(t.Notes,
-		"X gate on a 3-level transmon, 32 ns pulse grid",
-		"hybrid = GRAPE solution refined by SPSA against the true system (the strategy the paper reports as increasingly adopted)")
+		"X gate on a 3-level sc transmon; GRAPE's model is what QDMI advertises, the mismatch is stale calibration",
+		fmt.Sprintf("device values: F̂ = ½[P(1|pulse) + P(0|pulse²)] at %d shots a job, re-measured fresh; σ(F̂) ≤ √(F̂(1−F̂)/%d)", c2Shots, 2*c2Shots),
+		"hybrid = GRAPE solution refined by SPSA on the device (the strategy the paper reports as increasingly adopted)")
 	return t, nil
+}
+
+// c2Shots is EXP-C2's shots per job.
+const c2Shots = 2000
+
+// staleCalibration leaves dev's calibration of site 0 as drift would: its
+// frequency detuneHz below the truth and its π amplitude ampErr hot, written
+// with the device's own calibration writers.
+func staleCalibration(dev *devices.SimDevice, detuneHz, ampErr float64) {
+	dev.SetCalibratedFrequency(0, dev.CalibratedFrequency(0)-detuneHz)
+	dev.SetCalibratedPiAmplitude(0, dev.CalibratedPiAmplitude(0)*(1+ampErr))
 }
 
 // C3CtrlVQE reproduces the Section 2.1 ctrl-VQE claim: the pulse-level
@@ -701,42 +709,50 @@ func C3CtrlVQE(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl, err := stackOver(dev)
+		gres, pres, err := c3Pair(ctx, dev, h)
 		if err != nil {
 			return nil, err
 		}
-		defer cl.Close()
-		gate := &vqe.GateAnsatz{Qubits: 2, Layers: 2}
-		gres, err := vqe.Run(ctx, cl, dev.Name(), h, gate, []float64{math.Pi - 0.2, 0.2, -0.1, 0.1, -0.2, 0.2},
-			vqe.Options{Shots: 700, MaxEvals: 90, InitStep: 0.3})
-		if err != nil {
-			return nil, err
+		for _, r := range []struct {
+			ansatz string
+			res    *vqe.RunResult
+		}{{"gate (RY+CZ, 2 layers)", gres}, {"ctrl-VQE (Listing 1)", pres}} {
+			t.Rows = append(t.Rows, []string{dc.label, r.ansatz,
+				fmt.Sprintf("%.3gµs", r.res.ScheduleSeconds*1e6),
+				fmt.Sprintf("%.4f", r.res.Energy),
+				fmt.Sprintf("%.4f", r.res.Energy-exact),
+				fmt.Sprintf("%d", r.res.Evals)})
 		}
-		t.Rows = append(t.Rows, []string{dc.label, "gate (RY+CZ, 2 layers)",
-			fmt.Sprintf("%.3gµs", gres.ScheduleSeconds*1e6),
-			fmt.Sprintf("%.4f", gres.Energy),
-			fmt.Sprintf("%.4f", gres.Energy-exact),
-			fmt.Sprintf("%d", gres.Evals)})
-
-		pa, err := vqe.NewPulseAnsatz(dev, 2)
-		if err != nil {
-			return nil, err
-		}
-		pres, err := vqe.Run(ctx, cl, dev.Name(), h, pa, []float64{0.9, 0.15, 0.0, 0.0, 0.1},
-			vqe.Options{Shots: 700, MaxEvals: 70, InitStep: 0.15})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{dc.label, "ctrl-VQE (Listing 1)",
-			fmt.Sprintf("%.3gµs", pres.ScheduleSeconds*1e6),
-			fmt.Sprintf("%.4f", pres.Energy),
-			fmt.Sprintf("%.4f", pres.Energy-exact),
-			fmt.Sprintf("%d", pres.Evals)})
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("exact ground energy %.4f Ha; Hartree-Fock reference -1.8370 Ha", exact),
 		"negative error = below exact, possible with shot noise + readout error; compare magnitudes")
 	return t, nil
+}
+
+// c3Shots is EXP-C3's shots per measurement group.
+const c3Shots = 700
+
+// c3Pair runs EXP-C3's two VQEs of h on dev through a fresh stack: the RY/CZ
+// gate ansatz, then ctrl-VQE's pulse ansatz.
+func c3Pair(ctx context.Context, dev *devices.SimDevice, h *vqe.Hamiltonian) (gate, pulse *vqe.RunResult, err error) {
+	cl, err := stackOver(dev)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer cl.Close()
+	gate, err = vqe.Run(ctx, cl, dev.Name(), h, &vqe.GateAnsatz{Qubits: 2, Layers: 2},
+		[]float64{math.Pi - 0.2, 0.2, -0.1, 0.1, -0.2, 0.2}, vqe.Options{Shots: c3Shots, MaxEvals: 90, InitStep: 0.3})
+	if err != nil {
+		return nil, nil, err
+	}
+	pa, err := vqe.NewPulseAnsatz(dev, 2)
+	if err != nil {
+		return nil, nil, err
+	}
+	pulse, err = vqe.Run(ctx, cl, dev.Name(), h, pa, []float64{0.9, 0.15, 0.0, 0.0, 0.1},
+		vqe.Options{Shots: c3Shots, MaxEvals: 70, InitStep: 0.15})
+	return gate, pulse, err
 }
 
 // benchRig builds the 2-transmon (d=3) bench system — anharmonic drift, two

@@ -2,9 +2,16 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"mqsspulse/internal/calib"
+	"mqsspulse/internal/client"
+	"mqsspulse/internal/devices"
+	"mqsspulse/internal/qpi"
+	"mqsspulse/internal/vqe"
 )
 
 func TestF1TopDownShape(t *testing.T) {
@@ -120,5 +127,127 @@ func TestTableRenderAlignment(t *testing.T) {
 	lines := strings.Split(out, "\n")
 	if len(lines) < 4 {
 		t.Fatal("too few lines")
+	}
+}
+
+// proxySigma bounds the standard deviation of F̂ = ½[p + (1−q)] measured
+// with shots a job: p(1−p) is concave, so ¼[p(1−p) + q(1−q)]/shots is at
+// most F̂(1−F̂)/(2·shots).
+func proxySigma(f float64, shots int) float64 {
+	return math.Sqrt(f * (1 - f) / float64(2*shots))
+}
+
+// binomialSigma is the standard deviation of a probability estimated from
+// shots trials.
+func binomialSigma(p float64, shots int) float64 {
+	return math.Sqrt(p * (1 - p) / float64(shots))
+}
+
+// TestC2MismatchStudyOnDevice pins EXP-C2's claim on its 3 MHz, +5 % case:
+// with stale calibration the open-loop GRAPE pulse loses fidelity on the
+// device, and the hybrid wins it back — every device number from client
+// jobs — and the installed winner beats the stale calibrated x through the
+// gate path. It fails if the hybrid's SPSA is replaced by its seed (0
+// iterations), or if staleCalibration drops its writes.
+func TestC2MismatchStudyOnDevice(t *testing.T) {
+	const shots, seed, xShots = 2000, 303, 32000
+	ctx := context.Background()
+	staleStack := func(detuneHz, ampErr float64) (*devices.SimDevice, *client.Client) {
+		dev, err := devices.Superconducting("c2-sc", 1, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := stackOver(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cl.Close)
+		staleCalibration(dev, detuneHz, ampErr)
+		return dev, cl
+	}
+	study := func(dev *devices.SimDevice, cl *client.Client) *calib.MismatchStudyResult {
+		res, err := calib.RunMismatchStudy(ctx, cl, dev, 0, shots, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	xP1 := func(cl *client.Client) float64 {
+		k := qpi.NewCircuit("x", 1, 1).X(0).Measure(0, 0)
+		if err := k.End(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.RunCtx(ctx, k, "c2-sc", client.SubmitOptions{Shots: xShots})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Probability(1)
+	}
+	executed := func(cl *client.Client) int {
+		return int(cl.Telemetry().Histograms["stage/device-execute"].Count)
+	}
+
+	zero := study(staleStack(0, 0))
+	dev, cl := staleStack(3e6, 0.05)
+	staleP1 := xP1(cl)
+	epoch, before := dev.CalibrationEpoch(), executed(cl)
+	res := study(dev, cl)
+	if jobs := executed(cl) - before; jobs != 2*res.Evals {
+		t.Errorf("the study ran %d device jobs for %d evaluations, want two each", jobs, res.Evals)
+	}
+	if got := dev.CalibrationEpoch(); got != epoch+1 {
+		t.Errorf("installing the winner moved the epoch %d → %d, want one bump", epoch, got)
+	}
+	installedP1 := xP1(cl)
+
+	if res.GrapeF < 0.999 {
+		t.Errorf("GRAPE reached %.5f on its own model, want ≥ 0.999", res.GrapeF)
+	}
+	gap := func(what string, lo, hi, sigma float64) {
+		if hi-lo < 4*sigma {
+			t.Errorf("%s: %.4f − %.4f = %.4f, want ≥ 4σ = %.4f", what, hi, lo, hi-lo, 4*sigma)
+		}
+	}
+	gap("open loop, zero mismatch over stale calibration", res.OpenLoopF, zero.OpenLoopF,
+		math.Hypot(proxySigma(res.OpenLoopF, shots), proxySigma(zero.OpenLoopF, shots)))
+	gap("stale calibration, hybrid over open loop", res.OpenLoopF, res.HybridF,
+		math.Hypot(proxySigma(res.OpenLoopF, shots), proxySigma(res.HybridF, shots)))
+	gap("gate-level X P(1), installed over stale", staleP1, installedP1,
+		math.Hypot(binomialSigma(staleP1, xShots), binomialSigma(installedP1, xShots)))
+	t.Logf("zero %+v\nstale %+v\nx stale %.4f installed %.4f", *zero, *res, staleP1, installedP1)
+}
+
+// TestC3PulseAnsatzShorterAtComparableEnergy pins EXP-C3's claim on its
+// T1 = 80 µs device: ctrl-VQE's schedule is shorter than the gate ansatz's,
+// and its energy is within 4√2·σ_E of the gate ansatz's, where σ_E bounds
+// the shot noise of one energy estimate. It fails if the pulse ansatz
+// drops its drive amplitudes (PulseAnsatz.Kernel binding amp0 and amp1 to
+// 0): the state then stays |00⟩, at −1.06 Ha.
+func TestC3PulseAnsatzShorterAtComparableEnergy(t *testing.T) {
+	dev, err := devices.Superconducting("c3-good", 2, 401)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := vqe.H2Minimal()
+	gate, pulse, err := c3Pair(context.Background(), dev, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pulse.ScheduleSeconds >= gate.ScheduleSeconds {
+		t.Errorf("ctrl-VQE schedule %.3g s, gate ansatz %.3g s: want shorter", pulse.ScheduleSeconds, gate.ScheduleSeconds)
+	}
+	// A group's estimate sums ±1 outcomes weighted by its terms'
+	// coefficients, so its variance is at most (Σ|c|)²/shots.
+	groups, _ := h.GroupTerms()
+	var variance float64
+	for _, g := range groups {
+		var sum float64
+		for _, term := range g.Terms {
+			sum += math.Abs(term.Coeff)
+		}
+		variance += sum * sum / c3Shots
+	}
+	if d, bound := math.Abs(pulse.Energy-gate.Energy), 4*math.Sqrt(2*variance); d > bound {
+		t.Errorf("ctrl-VQE energy %.4f, gate ansatz %.4f: %.4f apart, want ≤ %.4f", pulse.Energy, gate.Energy, d, bound)
 	}
 }

@@ -100,57 +100,73 @@ func (p *Pulse) SetFlat(x []float64) {
 
 // clip enforces the amplitude bound in place.
 func (p *Pulse) clip(maxAmp float64) {
-	if maxAmp <= 0 {
-		return
-	}
-	for k := range p.Amps {
-		for j, u := range p.Amps[k] {
-			if u > maxAmp {
-				p.Amps[k][j] = maxAmp
-			} else if u < -maxAmp {
-				p.Amps[k][j] = -maxAmp
-			}
+	for _, row := range p.Amps {
+		for j, u := range row {
+			row[j] = clamp(u, maxAmp)
 		}
 	}
 }
 
+// clamp bounds v to [−bound, bound]; a bound ≤ 0 is none.
+func clamp(v, bound float64) float64 {
+	if bound <= 0 {
+		return v
+	}
+	return math.Max(-bound, math.Min(bound, v))
+}
+
 // Propagate computes the total propagator of a pulse on the system.
 func (cs *ControlSystem) Propagate(p *Pulse) (*linalg.Matrix, error) {
-	u := linalg.Identity(cs.Drift.Rows)
-	for k := 0; k < cs.Slots; k++ {
+	us, err := cs.slotPropagators(p)
+	if err != nil {
+		return nil, err
+	}
+	return product(cs.Drift.Rows, us), nil
+}
+
+// slotPropagators returns each slot's propagator exp(−i·H_k·Δt).
+func (cs *ControlSystem) slotPropagators(p *Pulse) ([]*linalg.Matrix, error) {
+	us := make([]*linalg.Matrix, cs.Slots)
+	for k := range us {
 		h := cs.Drift.Clone()
 		for j, c := range cs.Controls {
 			if p.Amps[k][j] != 0 {
 				h.AddInPlace(c, complex(p.Amps[k][j], 0))
 			}
 		}
-		uk, err := linalg.ExpI(h, cs.Dt)
-		if err != nil {
+		var err error
+		if us[k], err = linalg.ExpI(h, cs.Dt); err != nil {
 			return nil, err
 		}
+	}
+	return us, nil
+}
+
+// product returns U_N···U_1 for slot propagators us on an n-dimensional
+// space.
+func product(n int, us []*linalg.Matrix) *linalg.Matrix {
+	u := linalg.Identity(n)
+	for _, uk := range us {
 		u = uk.Mul(u)
 	}
-	return u, nil
+	return u
 }
 
 // GateFidelity is the standard |tr(U_target† U)|²/d² measure over the full
 // space, or over a projected computational subspace when proj is non-nil
 // (for leakage-aware targets: proj selects the qubit subspace columns).
 func GateFidelity(target, u *linalg.Matrix, proj *linalg.Matrix) float64 {
-	eff := u
-	if proj != nil {
-		eff = proj.Dagger().Mul(u).Mul(proj)
-	}
-	d := complex(float64(target.Rows), 0)
-	tr := target.Dagger().Mul(eff).Trace() / d
+	tr := overlap(target, u, proj)
 	return real(tr)*real(tr) + imag(tr)*imag(tr)
 }
 
-// StateFidelityPure returns |⟨target|U|start⟩|².
-func StateFidelityPure(start, target []complex128, u *linalg.Matrix) float64 {
-	v := u.MulVec(start)
-	ov := linalg.Dot(target, v)
-	return real(ov)*real(ov) + imag(ov)*imag(ov)
+// overlap returns tr(T†·P†MP)/d, M's normalized overlap with the target T
+// on the subspace proj selects (all of it when proj is nil).
+func overlap(target, m *linalg.Matrix, proj *linalg.Matrix) complex128 {
+	if proj != nil {
+		m = proj.Dagger().Mul(m).Mul(proj)
+	}
+	return target.Dagger().Mul(m).Trace() / complex(float64(target.Rows), 0)
 }
 
 // GrapeOptions tunes the gradient ascent.
@@ -196,26 +212,11 @@ func GrapeUnitary(cs *ControlSystem, target *linalg.Matrix, proj *linalg.Matrix,
 	n := cs.Drift.Rows
 
 	fidelity := func(pl *Pulse) (float64, []*linalg.Matrix, error) {
-		// Forward pass keeping slot propagators.
-		us := make([]*linalg.Matrix, cs.Slots)
-		for k := 0; k < cs.Slots; k++ {
-			h := cs.Drift.Clone()
-			for j, c := range cs.Controls {
-				if pl.Amps[k][j] != 0 {
-					h.AddInPlace(c, complex(pl.Amps[k][j], 0))
-				}
-			}
-			uk, err := linalg.ExpI(h, cs.Dt)
-			if err != nil {
-				return 0, nil, err
-			}
-			us[k] = uk
+		us, err := cs.slotPropagators(pl)
+		if err != nil {
+			return 0, nil, err
 		}
-		total := linalg.Identity(n)
-		for k := 0; k < cs.Slots; k++ {
-			total = us[k].Mul(total)
-		}
-		return GateFidelity(target, total, proj), us, nil
+		return GateFidelity(target, product(n, us), proj), us, nil
 	}
 
 	f, us, err := fidelity(p)
@@ -240,15 +241,8 @@ func GrapeUnitary(cs *ControlSystem, target *linalg.Matrix, proj *linalg.Matrix,
 		}
 		total := fwd[cs.Slots]
 
-		// Overlap scalar: F = |g|²/d², g = tr(P† T† P U)/... handled by
-		// effective target conjugation below.
-		eff := total
-		tgt := target
-		if proj != nil {
-			eff = proj.Dagger().Mul(total).Mul(proj)
-		}
-		d := complex(float64(tgt.Rows), 0)
-		g := tgt.Dagger().Mul(eff).Trace() / d
+		// F = |g|², g the overlap of the total propagator with the target.
+		g := overlap(target, total, proj)
 
 		grad := make([][]float64, cs.Slots)
 		for k := range grad {
@@ -258,15 +252,7 @@ func GrapeUnitary(cs *ControlSystem, target *linalg.Matrix, proj *linalg.Matrix,
 			// dU/du_kj ≈ B_{k} · (-iΔt H_j U_k) · F_{k} ... assembled as
 			// bwd[k+1] · (-iΔt H_j) · fwd[k+1].
 			for j, c := range cs.Controls {
-				m := bwd[k+1].Mul(c).Mul(fwd[k+1])
-				var dg complex128
-				if proj != nil {
-					pm := proj.Dagger().Mul(m).Mul(proj)
-					dg = tgt.Dagger().Mul(pm).Trace() / d
-				} else {
-					dg = tgt.Dagger().Mul(m).Trace() / d
-				}
-				dg *= complex(0, -cs.Dt)
+				dg := overlap(target, bwd[k+1].Mul(c).Mul(fwd[k+1]), proj) * complex(0, -cs.Dt)
 				// dF/du = 2·Re(conj(g)·dg)
 				grad[k][j] = 2 * real(cmplx.Conj(g)*dg)
 			}

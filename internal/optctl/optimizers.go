@@ -121,12 +121,14 @@ type SPSAOptions struct {
 	C0 float64
 	// Seed fixes the perturbation stream.
 	Seed int64
-	// Clip bounds parameters to [-Clip, Clip] when > 0.
+	// Clip bounds every point evaluated to [-Clip, Clip] when > 0.
 	Clip float64
 }
 
-// SPSA minimizes a noisy objective with two evaluations per iteration. It
-// returns the best-seen point and value.
+// SPSA minimizes a noisy objective with three evaluations per iteration
+// (two probes and the new point), every point it evaluates inside the
+// Clip box. It returns the best-seen point, its value and the evaluation
+// count.
 func SPSA(f Objective, x0 []float64, opts SPSAOptions) ([]float64, float64, int) {
 	if opts.Iters <= 0 {
 		opts.Iters = 200
@@ -139,7 +141,10 @@ func SPSA(f Objective, x0 []float64, opts SPSAOptions) ([]float64, float64, int)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	n := len(x0)
-	x := append([]float64(nil), x0...)
+	x := make([]float64, n)
+	for i, v := range x0 {
+		x[i] = clamp(v, opts.Clip)
+	}
 	bestX := append([]float64(nil), x...)
 	bestF := f(x)
 	evals := 1
@@ -147,32 +152,18 @@ func SPSA(f Objective, x0 []float64, opts SPSAOptions) ([]float64, float64, int)
 	for k := 0; k < opts.Iters; k++ {
 		ak := opts.A0 / math.Pow(float64(k+1)+10, alpha)
 		ck := opts.C0 / math.Pow(float64(k+1), gamma)
-		delta := make([]float64, n)
-		for i := range delta {
-			if rng.Intn(2) == 0 {
-				delta[i] = 1
-			} else {
-				delta[i] = -1
-			}
-		}
-		xp := make([]float64, n)
-		xm := make([]float64, n)
+		// The probes stay in the box too: on a device, a probe outside it is
+		// a play the hardware cannot make.
+		delta, xp, xm := make([]float64, n), make([]float64, n), make([]float64, n)
 		for i := range x {
-			xp[i] = x[i] + ck*delta[i]
-			xm[i] = x[i] - ck*delta[i]
+			delta[i] = float64(1 - 2*rng.Intn(2))
+			xp[i] = clamp(x[i]+ck*delta[i], opts.Clip)
+			xm[i] = clamp(x[i]-ck*delta[i], opts.Clip)
 		}
 		fp, fm := f(xp), f(xm)
 		evals += 2
 		for i := range x {
-			g := (fp - fm) / (2 * ck * delta[i])
-			x[i] -= ak * g
-			if opts.Clip > 0 {
-				if x[i] > opts.Clip {
-					x[i] = opts.Clip
-				} else if x[i] < -opts.Clip {
-					x[i] = -opts.Clip
-				}
-			}
+			x[i] = clamp(x[i]-ak*((fp-fm)/(2*ck*delta[i])), opts.Clip)
 		}
 		if fx := f(x); fx < bestF {
 			bestF = fx

@@ -2,66 +2,43 @@ package optctl
 
 import (
 	"math"
-	"math/rand"
 
 	"mqsspulse/internal/linalg"
 )
 
 // TransmonXProblem is the canonical optimal-control scenario of the paper's
-// Section 2.1: synthesize a leakage-free X gate on a 3-level transmon.
-// The model Hamiltonian (what open-loop GRAPE sees) and the true Hamiltonian
-// (what the hardware implements) can differ in detuning and drive scale —
-// the model mismatch that degrades open-loop control.
+// Section 2.1: synthesize a leakage-free X gate on a 3-level transmon driven
+// by two quadratures in the frame of its believed frequency. It is the model
+// open-loop GRAPE optimizes on; how far the hardware sits from it is the
+// hardware's business, measured in closed loop.
 type TransmonXProblem struct {
 	// Slots and Dt define the pulse grid.
 	Slots int
 	Dt    float64
 	// AnharmHz is the transmon anharmonicity.
 	AnharmHz float64
-	// RabiHz is the nominal full-scale Rabi rate.
+	// RabiHz is the full-scale Rabi rate.
 	RabiHz float64
-	// TrueDetuneHz and TrueAmpScale define the model mismatch: the real
-	// qubit sits TrueDetuneHz away from the model frame and responds with
-	// TrueAmpScale times the modeled drive strength.
-	TrueDetuneHz float64
-	TrueAmpScale float64
 }
 
-// system builds the control system for given detuning/amp scale.
-func (p *TransmonXProblem) system(detuneHz, ampScale float64) *ControlSystem {
-	dims := []int{3}
+// ModelSystem is the control system GRAPE optimizes on.
+func (p *TransmonXProblem) ModelSystem() *ControlSystem {
 	drift := linalg.NewMatrix(3, 3)
 	for n := 0; n < 3; n++ {
-		e := 2 * math.Pi * (detuneHz*float64(n) + p.AnharmHz/2*float64(n)*float64(n-1))
-		drift.Set(n, n, complex(e, 0))
+		drift.Set(n, n, complex(2*math.Pi*(p.AnharmHz/2*float64(n)*float64(n-1)), 0))
 	}
 	a := linalg.Annihilation(3)
 	ad := linalg.Creation(3)
 	// Two quadrature controls: (a + a†) and i(a − a†), scaled so that
 	// amplitude 1.0 corresponds to the full-scale Rabi rate.
-	w := complex(math.Pi*p.RabiHz*ampScale, 0)
-	hx := a.Add(ad).Scale(w)
-	hy := a.Sub(ad).Scale(w * complex(0, 1))
-	_ = dims
+	w := complex(math.Pi*p.RabiHz, 0)
 	return &ControlSystem{
 		Drift:    drift,
-		Controls: []*linalg.Matrix{hx, hy},
+		Controls: []*linalg.Matrix{a.Add(ad).Scale(w), a.Sub(ad).Scale(w * complex(0, 1))},
 		Dt:       p.Dt,
 		Slots:    p.Slots,
 		MaxAmp:   1.0,
 	}
-}
-
-// ModelSystem is the believed (mismatch-free) system GRAPE optimizes on.
-func (p *TransmonXProblem) ModelSystem() *ControlSystem { return p.system(0, 1) }
-
-// TrueSystem is the real hardware with mismatch applied.
-func (p *TransmonXProblem) TrueSystem() *ControlSystem {
-	scale := p.TrueAmpScale
-	if scale == 0 {
-		scale = 1
-	}
-	return p.system(p.TrueDetuneHz, scale)
 }
 
 // TargetX returns the qubit-subspace X gate and the projector onto the
@@ -77,8 +54,7 @@ func TargetX() (target, proj *linalg.Matrix) {
 // GaussianSeed initializes the in-phase control with a Gaussian π-pulse
 // guess (area-calibrated for the nominal Rabi rate).
 func (p *TransmonXProblem) GaussianSeed() *Pulse {
-	cs := p.ModelSystem()
-	pl := NewPulse(cs)
+	pl := NewPulse(p.ModelSystem())
 	sigma := 0.2 * float64(p.Slots)
 	mu := float64(p.Slots-1) / 2
 	// Area for a π rotation: Σ u_k · 2π·Rabi·dt = π  (factor 2 from x+x†).
@@ -93,98 +69,4 @@ func (p *TransmonXProblem) GaussianSeed() *Pulse {
 		pl.Amps[k][0] = math.Min(1, raw[k]*scale)
 	}
 	return pl
-}
-
-// MeasuredFidelity evaluates a pulse on the true system with binomial shot
-// noise: the closed-loop objective. shots <= 0 returns the exact value.
-func (p *TransmonXProblem) MeasuredFidelity(pl *Pulse, shots int, rng *rand.Rand) (float64, error) {
-	u, err := p.TrueSystem().Propagate(pl)
-	if err != nil {
-		return 0, err
-	}
-	target, proj := TargetX()
-	f := GateFidelity(target, u, proj)
-	if shots <= 0 {
-		return f, nil
-	}
-	// Binomial estimate of a survival-probability-style fidelity proxy.
-	hits := 0
-	for i := 0; i < shots; i++ {
-		if rng.Float64() < f {
-			hits++
-		}
-	}
-	return float64(hits) / float64(shots), nil
-}
-
-// MismatchStudyResult compares the three strategies of the paper's
-// Section 2.1 under model mismatch.
-type MismatchStudyResult struct {
-	OpenLoopModelF float64 // GRAPE fidelity on its own (wrong) model
-	OpenLoopTrueF  float64 // the same pulse evaluated on the true system
-	ClosedLoopF    float64 // SPSA from the naive seed on the true system
-	HybridF        float64 // SPSA refinement of the GRAPE pulse
-	GrapeIters     int
-	ClosedEvals    int
-	HybridEvals    int
-}
-
-// RunMismatchStudy executes the full open/closed/hybrid comparison.
-func RunMismatchStudy(p *TransmonXProblem, shots int, seed int64) (*MismatchStudyResult, error) {
-	rng := rand.New(rand.NewSource(seed))
-	target, proj := TargetX()
-	res := &MismatchStudyResult{}
-
-	// Open loop: GRAPE on the (mismatched) model.
-	gr, err := GrapeUnitary(p.ModelSystem(), target, proj, p.GaussianSeed(),
-		GrapeOptions{Iters: 150, Tol: 1e-7})
-	if err != nil {
-		return nil, err
-	}
-	res.OpenLoopModelF = gr.Fidelity
-	res.GrapeIters = gr.Iterations
-	trueF, err := p.MeasuredFidelity(gr.Pulse, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.OpenLoopTrueF = trueF
-
-	objective := func(x []float64) float64 {
-		pl := NewPulse(p.ModelSystem())
-		pl.SetFlat(x)
-		pl.clip(1.0)
-		f, err := p.MeasuredFidelity(pl, shots, rng)
-		if err != nil {
-			return 1
-		}
-		return 1 - f
-	}
-
-	// Closed loop from the naive Gaussian seed.
-	seedPulse := p.GaussianSeed()
-	xc, _, evalsC := SPSA(objective, seedPulse.Flatten(),
-		SPSAOptions{Iters: 300, A0: 0.08, C0: 0.05, Seed: seed, Clip: 1.0})
-	closed := NewPulse(p.ModelSystem())
-	closed.SetFlat(xc)
-	closed.clip(1.0)
-	fClosed, err := p.MeasuredFidelity(closed, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.ClosedLoopF = fClosed
-	res.ClosedEvals = evalsC
-
-	// Hybrid: closed-loop refinement starting from the GRAPE solution.
-	xh, _, evalsH := SPSA(objective, gr.Pulse.Flatten(),
-		SPSAOptions{Iters: 300, A0: 0.04, C0: 0.03, Seed: seed + 1, Clip: 1.0})
-	hybrid := NewPulse(p.ModelSystem())
-	hybrid.SetFlat(xh)
-	hybrid.clip(1.0)
-	fHybrid, err := p.MeasuredFidelity(hybrid, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.HybridF = fHybrid
-	res.HybridEvals = evalsH
-	return res, nil
 }
