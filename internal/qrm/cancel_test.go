@@ -253,7 +253,7 @@ func TestCancelIsIdempotentAfterCompletion(t *testing.T) {
 // context.AfterFunc's stop reports true exactly when it kept the function
 // from ever running.
 func TestNormalFinishNeverRunsCtxDone(t *testing.T) {
-	tk := newTicket(context.Background(), 1, 1, &Request{})
+	tk := newTicket(context.Background(), 1, &Request{})
 	detached := false
 	stop := tk.stopCtxDone
 	tk.stopCtxDone = func() bool { detached = stop(); return detached }

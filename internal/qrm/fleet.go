@@ -2,7 +2,7 @@ package qrm
 
 // Fleet management: device pools of interchangeable backends, admission
 // control, and the fleet-level statistics surface.
-// The placement engine itself lives in the worker loop (qrm.go): devices
+// The placement engine itself lives in qrm.go (nextLocked, claim): devices
 // pull the best-priority job from their own queue and their pools' queues,
 // and steal from pool siblings when idle.
 
@@ -17,15 +17,17 @@ import (
 )
 
 // deviceState is the scheduler's view of one device: its targeted queue,
-// whether its one dispatch worker holds a job, and its membership in pools.
-// Scheduler.mu guards all but the two names, which never change, and the
-// atomic dispatched.
+// whether it holds a job, and its membership in pools. Scheduler.mu guards
+// all but the two names, which never change, and the atomics, which are
+// written under it but read without it.
 type deviceState struct {
 	name          string
 	queueWaitName string  // "queue_wait/device/<name>", spelled once
 	heap          jobHeap // device-targeted jobs
 
-	inflight int // jobs its worker holds: 0 or 1
+	// busy is set while the device runs a job, on its dispatch worker or on
+	// a waiter that claimed it (Scheduler.claim).
+	busy atomic.Bool
 
 	dispatched atomic.Int64 // jobs this device actually ran
 	stolen     int64        // jobs this device stole from pool siblings
@@ -183,9 +185,10 @@ func (s *Scheduler) SetMaxQueueDepth(n int) {
 // DeviceStats is the per-device slice of a Stats snapshot.
 type DeviceStats struct {
 	// Depth is the number of queued jobs targeting this device (cancelled
-	// entries count until a worker skips them).
+	// entries count until a worker or waiter pops them).
 	Depth int
-	// Inflight is the number of jobs the device's worker holds: 0 or 1.
+	// Inflight is the number of jobs the device runs — on its worker or on
+	// a waiter that claimed it: 0 or 1.
 	Inflight int
 	// Dispatched counts jobs this device actually ran.
 	Dispatched int64
@@ -238,9 +241,13 @@ func (s *Scheduler) Stats() Stats {
 		Pools:     make(map[string]PoolStats, len(s.pools)),
 	}
 	for name, d := range s.devices {
+		inflight := 0
+		if d.busy.Load() {
+			inflight = 1
+		}
 		st.Devices[name] = DeviceStats{
 			Depth:      d.heap.Len(),
-			Inflight:   d.inflight,
+			Inflight:   inflight,
 			Dispatched: d.dispatched.Load(),
 			Stolen:     d.stolen,
 		}

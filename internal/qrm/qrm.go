@@ -3,17 +3,18 @@
 // behind one submission interface.
 //
 // Requests target either a single named device or a named pool of
-// interchangeable devices (see RegisterPool). Every device runs one dispatch
-// worker — QPUs serialize execution. Placement is pull-based: the first idle
-// device takes the highest-priority compatible job, so pool work always
-// lands on a least-loaded member, and idle devices steal queued work from
-// busy pool siblings so a slow QPU never strands jobs while a sibling sits
-// idle. Admission control bounds per-target queue depth (SetMaxQueueDepth);
-// submissions beyond it fail fast with ErrOverloaded so callers can back
-// off. Only the scheduler submits to a device: calibration, VQE and user
-// kernels are all tickets in the same heaps, so maintenance interleaves with
-// user work by priority — the paper's "resource-aware calibration planning"
-// (Section 2.1).
+// interchangeable devices (see RegisterPool). A device runs one job at a
+// time — QPUs serialize execution — on its dispatch worker or, when nobody
+// is ahead of the job, on the goroutine waiting for it (Ticket.Wait).
+// Placement is pull-based: the first idle device takes the highest-priority
+// compatible job, so pool work always lands on a least-loaded member, and
+// idle devices steal queued work from busy pool siblings so a slow QPU never
+// strands jobs while a sibling sits idle. Admission control bounds
+// per-target queue depth (SetMaxQueueDepth); submissions beyond it fail fast
+// with ErrOverloaded so callers can back off. Only the scheduler submits to
+// a device: calibration, VQE and user kernels are all tickets in the same
+// heaps, so maintenance interleaves with user work by priority — the paper's
+// "resource-aware calibration planning" (Section 2.1).
 //
 // Submission is context-aware: every ticket is bound to the context it was
 // submitted under. Cancelling that context (or calling Ticket.Cancel)
@@ -27,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,30 +121,29 @@ type Request struct {
 	Timeline *telemetry.Timeline
 }
 
-// queued pairs a ticket with its request, the pool it targets (nil for a
-// device-targeted job) and its enqueue time (the queue-wait span's start).
-type queued struct {
-	ticket   *Ticket
-	req      Request
-	pool     *poolState
-	enqueued time.Time
-}
-
-// jobHeap orders by (priority desc, seq asc).
-type jobHeap []*queued
+// jobHeap is a queue of tickets, ordered by (priority desc, ID asc).
+type jobHeap []*Ticket
 
 func (h jobHeap) Len() int           { return len(h) }
 func (h jobHeap) Less(i, j int) bool { return jobLess(h[i], h[j]) }
 func (h jobHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)        { *h = append(*h, x.(*queued)) }
-func (h *jobHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h *jobHeap) Push(x any)        { *h = append(*h, x.(*Ticket)) }
+func (h *jobHeap) Pop() any {
+	old := *h
+	n := len(old)
+	t := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return t
+}
 
-// jobLess is the dispatch order: higher priority first, FIFO within a level.
-func jobLess(a, b *queued) bool {
-	if a.ticket.priority != b.ticket.priority {
-		return a.ticket.priority > b.ticket.priority
+// jobLess is the dispatch order: higher priority first, FIFO within a level
+// (IDs rise with submission order).
+func jobLess(a, b *Ticket) bool {
+	if a.req.Priority != b.req.Priority {
+		return a.req.Priority > b.req.Priority
 	}
-	return a.ticket.seq < b.ticket.seq
+	return a.id < b.id
 }
 
 // Scheduler is the QRM instance over a QDMI session: a fleet scheduler
@@ -164,7 +165,6 @@ type Scheduler struct {
 	devices  map[string]*deviceState
 	pools    map[string]*poolState
 	nextID   int64
-	nextSeq  int64
 	maxDepth int // per-target queued-job bound; 0 = unbounded
 	closed   bool
 
@@ -255,7 +255,10 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error)
 	}
 	// Resolve the target queue and apply admission control before the
 	// ticket exists, so rejected work leaves no trace beyond the counter.
-	var target *jobHeap
+	var (
+		target *jobHeap
+		dev    *deviceState
+	)
 	pool := s.pools[req.Pool] // nil for a device-targeted job
 	if req.Pool != "" {
 		if pool == nil {
@@ -264,7 +267,8 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error)
 		}
 		target = &pool.heap
 	} else {
-		target = &s.ensureDeviceLocked(req.Device).heap
+		dev = s.ensureDeviceLocked(req.Device)
+		target = &dev.heap
 	}
 	if s.maxDepth > 0 && target.Len() >= s.maxDepth {
 		s.n.rejected++
@@ -274,9 +278,9 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error)
 			ErrOverloaded, req.Device+req.Pool, depth, s.maxDepth)
 	}
 	s.nextID++
-	s.nextSeq++
-	t := newTicket(ctx, s.nextID, s.nextSeq, &req)
-	heap.Push(target, &queued{ticket: t, req: req, pool: pool, enqueued: time.Now()})
+	t := newTicket(ctx, s.nextID, &req)
+	t.s, t.dev, t.pool, t.enqueued = s, dev, pool, time.Now()
+	heap.Push(target, t)
 	s.n.submitted++
 	s.cond.Broadcast() // any idle worker may be able to take or steal this
 	s.mu.Unlock()
@@ -286,63 +290,102 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (*Ticket, error)
 
 // worker is a device's dispatch worker: it drains the device's own queue,
 // the queues of pools the device belongs to, and — when all of those are
-// empty — steals queued work from pool siblings.
+// empty — steals queued work from pool siblings. While a waiter that claimed
+// the device runs a job (claim), the worker takes nothing and does not exit,
+// so Close waits for that run too.
 func (s *Scheduler) worker(d *deviceState) {
 	defer s.wg.Done()
 	s.mu.Lock()
 	for {
-		item, stolen := s.takeLocked(d)
-		if item == nil {
+		if !d.busy.Load() {
+			if h, stolen := s.nextLocked(d); h != nil {
+				s.hold(d, heap.Pop(h).(*Ticket), stolen)
+				continue
+			}
 			if s.closed {
 				s.mu.Unlock()
 				return
 			}
-			s.cond.Wait()
-			continue
 		}
-		if stolen {
-			d.stolen++
-			s.n.steals++
-		}
-		d.inflight++
-		if d.heap.Len() > 0 {
-			// This device just went busy with work still queued on it: give
-			// idle pool siblings a chance to steal.
-			s.cond.Broadcast()
-		}
-		s.mu.Unlock()
-		if stolen {
-			s.metrics.Load().steals.Add(1)
-		}
-		s.runItem(d, item)
-		s.mu.Lock()
-		d.inflight--
+		s.cond.Wait()
 	}
 }
 
-// takeLocked picks the next job for device d: the best-priority item across
-// d's own queue and its pools' queues, falling back to stealing the
-// best-priority item queued on a busy pool sibling. Stealing only targets
-// siblings that hold a job: explicit device targeting is
-// honored while the device can still make progress, and overridden only
-// when work would otherwise strand behind a busy QPU. The boolean reports
-// a steal.
-func (s *Scheduler) takeLocked(d *deviceState) (*queued, bool) {
-	if h := bestSource(d.sources); h != nil {
-		return heap.Pop(h).(*queued), false
+// claim runs t on the goroutine waiting for it when nobody is ahead of it:
+// a device t may run on without a steal — the one it names, or a member of
+// its pool — holds no job, and its worker would take t next. The waiter and
+// that worker race under s.mu, and whichever pops t runs it. A waiter whose
+// devices are all busy reads their flags and leaves without the lock.
+func (s *Scheduler) claim(t *Ticket) {
+	one := [1]*deviceState{t.dev}
+	targets := one[:]
+	if t.pool != nil {
+		targets = t.pool.members
 	}
-	var victims []*jobHeap
+	if !slices.ContainsFunc(targets, func(d *deviceState) bool { return !d.busy.Load() }) {
+		return
+	}
+	s.mu.Lock()
+	for _, d := range targets {
+		if d.busy.Load() {
+			continue
+		}
+		if h := bestSource(d.sources); h != nil && (*h)[0] == t {
+			heap.Pop(h)
+			s.hold(d, t, false)
+			if h, _ := s.nextLocked(d); h != nil || s.closed {
+				// The worker parked while the device was claimed.
+				s.cond.Broadcast()
+			}
+			break
+		}
+	}
+	s.mu.Unlock()
+}
+
+// hold runs t on d from the calling goroutine — d's worker or a claiming
+// waiter — with d busy until runItem returns. The caller holds s.mu, which
+// hold releases around the run and holds again on return.
+func (s *Scheduler) hold(d *deviceState, t *Ticket, stolen bool) {
+	if stolen {
+		d.stolen++
+		s.n.steals++
+	}
+	d.busy.Store(true)
+	if d.heap.Len() > 0 {
+		// This device just went busy with work still queued on it: give
+		// idle pool siblings a chance to steal.
+		s.cond.Broadcast()
+	}
+	s.mu.Unlock()
+	if stolen {
+		s.metrics.Load().steals.Add(1)
+	}
+	s.runItem(d, t)
+	s.mu.Lock()
+	d.busy.Store(false)
+}
+
+// nextLocked returns the queue device d takes its next job from: the
+// best-priority head across d's own queue and its pools' queues, falling
+// back to the best head queued on a busy pool sibling. Stealing only
+// targets siblings that hold a job: explicit device targeting is honored
+// while the device can still make progress, and overridden only when work
+// would otherwise strand behind a busy QPU. The boolean reports a steal.
+func (s *Scheduler) nextLocked(d *deviceState) (*jobHeap, bool) {
+	if h := bestSource(d.sources); h != nil {
+		return h, false
+	}
+	var best *jobHeap
 	for _, p := range d.pools {
 		for _, sib := range p.members {
-			if sib != d && sib.inflight > 0 {
-				victims = append(victims, &sib.heap)
+			if sib != d && sib.busy.Load() && sib.heap.Len() > 0 &&
+				(best == nil || jobLess(sib.heap[0], (*best)[0])) {
+				best = &sib.heap
 			}
 		}
 	}
-	if h := bestSource(victims); h != nil {
-		return heap.Pop(h).(*queued), true
-	}
-	return nil, false
+	return best, best != nil
 }
 
 // bestSource returns the heap whose top item dispatches first, or nil if
@@ -362,8 +405,8 @@ func bestSource(sources []*jobHeap) *jobHeap {
 
 // runItem executes one dequeued job on device d: staleness gate, device
 // dispatch, and result/error/cancellation bookkeeping.
-func (s *Scheduler) runItem(d *deviceState, item *queued) {
-	if !item.ticket.move(qdmi.JobQueued, qdmi.JobRunning, nil, nil) {
+func (s *Scheduler) runItem(d *deviceState, t *Ticket) {
+	if !t.move(qdmi.JobQueued, qdmi.JobRunning, nil, nil) {
 		// Cancelled while queued: the ticket already resolved itself; the
 		// device never sees the job.
 		s.countCancelled()
@@ -373,17 +416,17 @@ func (s *Scheduler) runItem(d *deviceState, item *queued) {
 	// device. It is a first-class latency: the span lands on the job's
 	// own timeline, and the duration feeds the fleet histograms keyed by
 	// dispatch device and (for pool submissions) pool.
-	wait := time.Since(item.enqueued)
-	item.req.Timeline.Record(telemetry.StageQueueWait, d.name, item.enqueued, wait, 0)
+	wait := time.Since(t.enqueued)
+	t.req.Timeline.Record(telemetry.StageQueueWait, d.name, t.enqueued, wait, 0)
 	m := s.metrics.Load()
 	m.reg.Observe(d.queueWaitName, wait)
-	if item.pool != nil {
-		m.reg.Observe(item.pool.queueWaitName, wait)
+	if t.pool != nil {
+		m.reg.Observe(t.pool.queueWaitName, wait)
 	}
-	item.ticket.device.Store(&d.name)
+	t.device.Store(&d.name)
 	dev, err := s.session.Device(d.name)
 	if err != nil {
-		s.fail(item, err)
+		s.fail(t, err)
 		return
 	}
 	// Staleness gate: a payload compiled at epoch N must not dispatch once
@@ -391,14 +434,14 @@ func (s *Scheduler) runItem(d *deviceState, item *queued) {
 	// can sit queued across a recalibration (calibration jobs overtake it in
 	// this very queue). There is no exception: the caller recompiles and
 	// resubmits.
-	if err := s.checkEpoch(d.name, item.req); err != nil {
-		s.fail(item, err)
+	if err := s.checkEpoch(d.name, t.req); err != nil {
+		s.fail(t, err)
 		return
 	}
 	// A cancel that landed since the job left the queue still prevents
-	// dispatch; the ticket is running, so resolving it is this worker's job.
-	if item.ticket.ctx.Err() != nil {
-		s.cancelled(item)
+	// dispatch; the ticket is running, so resolving it is up to this goroutine.
+	if t.ctx.Err() != nil {
+		s.cancelled(t)
 		return
 	}
 	// The dispatch span stays open across the whole device round trip, with
@@ -409,35 +452,35 @@ func (s *Scheduler) runItem(d *deviceState, item *queued) {
 		st  qdmi.JobStatus
 		res *qdmi.Result
 	)
-	item.req.Timeline.Span(telemetry.StageDispatch, d.name, 0, func(id telemetry.SpanID) {
-		st, res, err = s.dispatch(d, dev, item, id)
+	t.req.Timeline.Span(telemetry.StageDispatch, d.name, 0, func(id telemetry.SpanID) {
+		st, res, err = s.dispatch(d, dev, t, id)
 	})
 	switch st {
 	case qdmi.JobCancelled:
-		s.cancelled(item)
+		s.cancelled(t)
 	case qdmi.JobDone:
 		s.n.completed.Add(1)
 		m.completed.Add(1)
-		item.ticket.finish(res, nil, qdmi.JobDone)
+		t.finish(res, nil, qdmi.JobDone)
 	default: // JobFailed
-		s.fail(item, err)
+		s.fail(t, err)
 	}
 }
 
-// dispatch hands item's job to dev under the dispatch span and waits for it
+// dispatch hands t's job to dev under the dispatch span and waits for it
 // to end or for the ticket to be cancelled — which, for a job that runs on
-// its first Wait (a SimDevice's), is this worker executing it under the
+// its first Wait (a SimDevice's), is this goroutine executing it under the
 // ticket's context. It reports how the job ended — JobDone with its result,
 // JobFailed with its error, or JobCancelled — and leaves resolving the
 // ticket to runItem.
-func (s *Scheduler) dispatch(d *deviceState, dev qdmi.Device, item *queued, span telemetry.SpanID) (qdmi.JobStatus, *qdmi.Result, error) {
-	job, err := submitToDevice(dev, item.req, span)
+func (s *Scheduler) dispatch(d *deviceState, dev qdmi.Device, t *Ticket, span telemetry.SpanID) (qdmi.JobStatus, *qdmi.Result, error) {
+	job, err := submitToDevice(dev, t.req, span)
 	if err != nil {
 		return qdmi.JobFailed, nil, err
 	}
 	d.dispatched.Add(1)
 	s.metrics.Load().dispatched.Add(1)
-	st := job.Wait(item.ticket.ctx)
+	st := job.Wait(t.ctx)
 	if !st.Terminal() {
 		// The ticket was cancelled while a job the device runs on a thread
 		// of its own was in flight. Abort it where the device supports that;
@@ -450,7 +493,7 @@ func (s *Scheduler) dispatch(d *deviceState, dev qdmi.Device, item *queued, span
 		if st = job.Status(); !st.Terminal() {
 			// The device cannot abort: the ticket resolves as cancelled
 			// and the orphaned job finishes unobserved, on that thread,
-			// recording no spans (qdmi.JobOptions.Telemetry): this worker
+			// recording no spans (qdmi.JobOptions.Telemetry): this goroutine
 			// stays the timeline's one writer.
 			st = qdmi.JobCancelled
 		}
@@ -463,7 +506,7 @@ func (s *Scheduler) dispatch(d *deviceState, dev qdmi.Device, item *queued, span
 		return qdmi.JobDone, res, nil
 	}
 	if err == nil {
-		err = fmt.Errorf("qrm: job %d failed", item.ticket.id)
+		err = fmt.Errorf("qrm: job %d failed", t.id)
 	}
 	return qdmi.JobFailed, nil, err
 }
@@ -550,15 +593,15 @@ func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi
 	return dev.SubmitJob(req.Payload, req.Format, req.Shots)
 }
 
-func (s *Scheduler) fail(item *queued, err error) {
+func (s *Scheduler) fail(t *Ticket, err error) {
 	s.n.failed.Add(1)
 	s.metrics.Load().failed.Add(1)
-	item.ticket.finish(nil, err, qdmi.JobFailed)
+	t.finish(nil, err, qdmi.JobFailed)
 }
 
-func (s *Scheduler) cancelled(item *queued) {
+func (s *Scheduler) cancelled(t *Ticket) {
 	s.countCancelled()
-	item.ticket.finish(nil, item.ticket.cancelErr(), qdmi.JobCancelled)
+	t.finish(nil, t.cancelErr(), qdmi.JobCancelled)
 }
 
 func (s *Scheduler) countCancelled() {
@@ -567,7 +610,7 @@ func (s *Scheduler) countCancelled() {
 }
 
 // Close stops accepting jobs and shuts the workers down after their queues
-// drain.
+// drain and any job a waiter claimed has run.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {

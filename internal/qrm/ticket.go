@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/telemetry"
@@ -13,28 +14,38 @@ import (
 // Ticket tracks a submitted request through the queue and device. It is the
 // scheduler's job handle: callers Wait on it with a context, poll Status,
 // or Cancel it.
+//
+// A ticket is also its own queue entry: the scheduler's heaps hold tickets.
 type Ticket struct {
-	id       int64
-	priority int
-	seq      int64 // FIFO tiebreaker
-	tag      string
-	timeline *telemetry.Timeline // the job's trace; nil for untraced work
+	id  int64 // rises with submission order: the FIFO tiebreaker
+	req Request
+	s   *Scheduler
+	// dev is the device a device-targeted request names, pool the pool a
+	// pool-targeted one names (each nil otherwise): where the job may run
+	// without a steal.
+	dev      *deviceState
+	pool     *poolState
+	enqueued time.Time // the queue-wait span's start
+	// submitDone is the submit context's Done: a Wait under it, or under a
+	// context that never ends, may run the job itself (Scheduler.claim).
+	submitDone <-chan struct{}
 
 	// ctx is cancelled when the ticket is cancelled (explicitly, through
 	// the submit context or by Request.Deadline) or reaches a terminal
-	// state; the dispatch worker waits on the device job under it.
+	// state; the goroutine running the job waits on the device job under it.
 	ctx       context.Context
 	cancelCtx context.CancelFunc
-	// stopCtxDone detaches onCtxDone from ctx, so that the worker's
+	// stopCtxDone detaches onCtxDone from ctx, so that a running job's
 	// resolution can release the context without running (and formatting an
-	// error for) a cancellation nobody asked for. Only the worker reads it:
+	// error for) a cancellation nobody asked for. Only finish reads it:
 	// onCtxDone may already be running when newTicket stores it.
 	stopCtxDone func() bool
 
 	// state is the ticket's qdmi.JobStatus, changed only by move: queued →
-	// running by the worker that takes the job, queued → cancelled if ctx
-	// fires first, running → terminal by that worker alone, which is thus
-	// the job's one writer from dequeue to resolution, timeline included.
+	// running by the goroutine that takes the job (its device's worker or a
+	// claiming waiter), queued → cancelled if ctx fires first, running →
+	// terminal by that goroutine alone, which is thus the job's one writer
+	// from dequeue to resolution, timeline included.
 	state  atomic.Int32
 	device atomic.Pointer[string] // the executing device's name, published at dispatch
 	// result and err are written by the move to a terminal state, before
@@ -46,7 +57,7 @@ type Ticket struct {
 
 // newTicket is req's ticket under the submit context ctx. A request with a
 // Deadline gets its own deadline context, released with the ticket's.
-func newTicket(ctx context.Context, id, seq int64, req *Request) *Ticket {
+func newTicket(ctx context.Context, id int64, req *Request) *Ticket {
 	var (
 		tctx    context.Context
 		tcancel context.CancelFunc
@@ -57,15 +68,15 @@ func newTicket(ctx context.Context, id, seq int64, req *Request) *Ticket {
 		tctx, tcancel = context.WithDeadline(ctx, req.Deadline)
 	}
 	t := &Ticket{
-		id: id, priority: req.Priority, seq: seq, tag: req.Tag, timeline: req.Timeline,
+		id: id, req: *req, submitDone: ctx.Done(),
 		ctx: tctx, cancelCtx: tcancel,
 		done: make(chan struct{}),
 	}
 	// When the submit context, an explicit Cancel or the deadline fires,
-	// resolve a ticket no worker has taken yet immediately, so waiters
-	// unblock and the worker skips it. A running ticket is resolved by its
-	// worker, which checks the context before dispatch and waits on the
-	// device job under it.
+	// resolve a ticket nobody has taken yet immediately, so waiters unblock
+	// and the scheduler skips it. A running ticket is resolved by the
+	// goroutine running it, which checks the context before dispatch and
+	// waits on the device job under it.
 	t.stopCtxDone = context.AfterFunc(tctx, t.onCtxDone)
 	return t
 }
@@ -74,11 +85,11 @@ func newTicket(ctx context.Context, id, seq int64, req *Request) *Ticket {
 func (t *Ticket) ID() int64 { return t.id }
 
 // Tag returns the caller label given at submission.
-func (t *Ticket) Tag() string { return t.tag }
+func (t *Ticket) Tag() string { return t.req.Tag }
 
 // Timeline returns the job's telemetry trace — the Request.Timeline it was
-// submitted with, which the worker writes until DoneCh closes — or nil.
-func (t *Ticket) Timeline() *telemetry.Timeline { return t.timeline }
+// submitted with, which the scheduler writes until DoneCh closes — or nil.
+func (t *Ticket) Timeline() *telemetry.Timeline { return t.req.Timeline }
 
 // Status returns the ticket's lifecycle state without blocking.
 func (t *Ticket) Status() qdmi.JobStatus { return qdmi.JobStatus(t.state.Load()) }
@@ -102,7 +113,14 @@ func (t *Ticket) Cancel() { t.cancelCtx() }
 // Wait blocks until the ticket reaches a terminal state or ctx is
 // cancelled. A cancelled ctx abandons only this wait — the job keeps its
 // place in the queue — and Wait returns ctx.Err().
+//
+// A job nobody is ahead of runs on the goroutine that waits for it: its
+// device is idle and would take it next. Only a wait whose end cancels the
+// job anyway runs it — under the submit context, or one that never ends.
 func (t *Ticket) Wait(ctx context.Context) (*qdmi.Result, error) {
+	if done := ctx.Done(); (done == nil || done == t.submitDone) && t.Status() == qdmi.JobQueued {
+		t.s.claim(t)
+	}
 	select {
 	case <-t.done:
 		return t.result, t.err
@@ -150,9 +168,9 @@ func (t *Ticket) move(from, to qdmi.JobStatus, r *qdmi.Result, err error) bool {
 	return true
 }
 
-// finish is the worker's resolution of the running ticket it owns. It
-// detaches onCtxDone before releasing the context, so a job that simply
-// ends formats no cancellation nobody asked for.
+// finish is the resolution of a running ticket by the goroutine that runs
+// it. It detaches onCtxDone before releasing the context, so a job that
+// simply ends formats no cancellation nobody asked for.
 func (t *Ticket) finish(r *qdmi.Result, err error, status qdmi.JobStatus) {
 	t.move(qdmi.JobRunning, status, r, err)
 	t.stopCtxDone()
