@@ -623,9 +623,9 @@ func NewPulseAnsatz(dev Device, qubits int) (*PulseAnsatz, error) {
 }
 
 // RunVQE minimizes the measured energy over ansatz parameters; every
-// evaluation is a client job on the named device, its ansatz a kernel (gate)
-// or a template bound per evaluation (pulse). The first failed evaluation
-// ends the run with its error.
+// evaluation is a client job on the named device, the ansatz's template
+// bound at the parameters. The first failed evaluation ends the run with
+// its error.
 func RunVQE(ctx context.Context, c *Client, device string, h *PauliHamiltonian, a vqe.Ansatz, x0 []float64, opts VQEOptions) (*VQEResult, error) {
 	return vqe.Run(ctx, c, device, h, a, x0, opts)
 }

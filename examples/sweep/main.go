@@ -43,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// The range is proven legal at construction: rx angles must stay in
-	// (0, π], so e.g. Max: 4 would be rejected here — once — instead of
+	// [−π, π], so e.g. Max: 4 would be rejected here — once — instead of
 	// failing point by point.
 	tpl, err := mqsspulse.NewTemplate(rabi,
 		mqsspulse.TemplateParam{Name: "theta", Min: 0.01, Max: math.Pi})

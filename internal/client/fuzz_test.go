@@ -196,3 +196,33 @@ func FuzzResponseLine(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseProgram drives arbitrary text through the interpreted adapter's
+// parser, a decoder of bytes the stack did not write. Whatever arrives, it
+// never panics, and it answers an error or a finished kernel that carries
+// none.
+func FuzzParseProgram(f *testing.F) {
+	for _, seed := range []string{
+		bellProgram,
+		"circuit c 1 1\nrx 0 0.5\nry 0 -4\nrz 0 NaN\nmeasure 0 0\n",
+		"circuit p 1 1\nwaveform w 0.1,0 0.2,0.1\nplay q0-drive w\nframechange q0-drive 5e9 0.1\ndelay q0-drive 8\nbarrier\nmeasure 0 0",
+		"circuit c 1 1\nwaveform w x",
+		"x 0",
+		"",
+	} {
+		f.Add(seed)
+	}
+	a := &InterpretedAdapter{}
+	f.Fuzz(func(t *testing.T, src string) {
+		k, err := a.ParseProgram(src)
+		if err != nil {
+			if k != nil {
+				t.Fatalf("an error (%v) and a kernel", err)
+			}
+			return
+		}
+		if !k.Finished() || k.Err() != nil {
+			t.Fatalf("accepted kernel: finished %v, error %v", k.Finished(), k.Err())
+		}
+	})
+}

@@ -437,6 +437,34 @@ func TestRemoteRegisterRejectsBadPrograms(t *testing.T) {
 	}
 }
 
+// TestServerRegisterRejectsNonFiniteDouble: program text whose gate angle
+// is NaN or infinite is refused at register as invalid_argument, so no
+// submit can run it.
+func TestServerRegisterRejectsNonFiniteDouble(t *testing.T) {
+	c, _ := testStack(t)
+	srv := serveTest(t, c)
+	for _, angle := range []string{"NaN", "+Inf", "-Inf"} {
+		text := "define void @m() #0 {\nentry:\n" +
+			"  call void @__quantum__qis__h__body(%Qubit* inttoptr (i64 0 to %Qubit*))\n" +
+			"  call void @__quantum__qis__rz__body(double " + angle + ", %Qubit* inttoptr (i64 0 to %Qubit*))\n" +
+			"  call void @__quantum__qis__h__body(%Qubit* inttoptr (i64 0 to %Qubit*))\n" +
+			"  call void @__quantum__qis__mz__body(%Qubit* inttoptr (i64 0 to %Qubit*), %Result* inttoptr (i64 0 to %Result*))\n" +
+			"  ret void\n}\n" +
+			`attributes #0 = { "entry_point" "qir_profiles"="base" "required_num_qubits"="1" "required_num_results"="1" "required_num_ports"="0" }` + "\n"
+		store := &programStore{byID: map[string]*ptemplate.Compiled{}}
+		resp := srv.handleLine(requestLine(t, remoteRequest{Op: "register", ID: "p", Program: text}), store)
+		if resp.ErrorKind != "invalid_argument" {
+			t.Fatalf("rz(%s): register answered kind %q (%s), want invalid_argument", angle, resp.ErrorKind, resp.Error)
+		}
+		if err := errorFromWire(resp.ErrorKind, resp.Error); !errors.Is(err, qdmi.ErrInvalidArgument) {
+			t.Fatalf("rz(%s): rebuilt error %v is not qdmi.ErrInvalidArgument", angle, err)
+		}
+		if _, kept := store.byID["p"]; kept {
+			t.Fatalf("rz(%s): the refused program was stored", angle)
+		}
+	}
+}
+
 // requestLine renders one request as the server reads it.
 func requestLine(t *testing.T, req remoteRequest) []byte {
 	t.Helper()

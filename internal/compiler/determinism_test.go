@@ -3,9 +3,11 @@ package compiler
 import (
 	"bytes"
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"mqsspulse/internal/devices"
+	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
 	"mqsspulse/internal/qpi"
 )
@@ -138,5 +140,48 @@ func TestOverfullRotationNormalizes(t *testing.T) {
 	}
 	if n := countPlays(res.QIR); n != 1 {
 		t.Fatalf("rx(θ+2π) emitted %d plays, want 1", n)
+	}
+}
+
+// TestRotationPastPiPlaysNegativeAmplitude: a concrete rx(θ), θ ∈ (π, 2π),
+// reduces to θ−2π — one play of the π envelope scaled by (θ−2π)/π, with no
+// frame-shift pair turning the axis round.
+func TestRotationPastPiPlaysNegativeAmplitude(t *testing.T) {
+	dev := scDevice(t)
+	env, err := qdmi.NewTarget(dev).Envelope("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, theta := range []float64{math.Pi + 0.01, 4, 3 * math.Pi / 2, 5.5, 2*math.Pi - 0.01} {
+		k := qpi.NewCircuit("rx-past-pi", 1, 1).RX(0, theta).Measure(0, 0)
+		if err := k.End(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Compile(k, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plays []qir.Call
+		for _, c := range res.QIR.Body {
+			switch c.Callee {
+			case qir.IntrPlay:
+				plays = append(plays, c)
+			case qir.IntrShiftPhase:
+				t.Fatalf("rx(%g) shifts a frame: %v", theta, c)
+			}
+		}
+		if len(plays) != 1 {
+			t.Fatalf("rx(%g) emitted %d plays, want 1", theta, len(plays))
+		}
+		w, _ := res.QIR.FindWaveform(plays[0].Args[1].Sym)
+		scale := (theta - 2*math.Pi) / math.Pi
+		if len(w.Samples) != len(env.Samples) {
+			t.Fatalf("rx(%g) plays %d samples, the π envelope has %d", theta, len(w.Samples), len(env.Samples))
+		}
+		for i, x := range env.Samples {
+			if d := cmplx.Abs(w.Samples[i] - complex(scale, 0)*x); d > 1e-12 {
+				t.Fatalf("rx(%g) sample %d = %v, want %v·%v", theta, i, w.Samples[i], scale, x)
+			}
+		}
 	}
 }

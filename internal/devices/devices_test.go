@@ -340,6 +340,36 @@ func TestUnboundTemplateRejectedAtEveryEntry(t *testing.T) {
 	run(t, d, bound, 10)
 }
 
+// TestNonFiniteAngleTextFails: exchange text whose gate angle is NaN or
+// infinite is malformed and fails with ErrInvalidArgument, like any program
+// that does not verify — not run, with rz(NaN) a NaN frame phase that reads
+// like no rotation at all.
+func TestNonFiniteAngleTextFails(t *testing.T) {
+	d := newSC(t)
+	for _, tc := range []struct {
+		callee string
+		angle  float64
+	}{{qir.IntrRZ, math.NaN()}, {qir.IntrRZ, math.Inf(1)}, {qir.IntrRX, math.NaN()}, {qir.IntrRY, math.Inf(-1)}} {
+		m := gateModule("nonfinite", 1, 1, []qir.Call{
+			g1(qir.IntrH, 0),
+			{Callee: tc.callee, Args: []qir.Arg{qir.F64Arg(tc.angle), qir.QubitArg(0)}},
+			g1(qir.IntrH, 0),
+			mz(0, 0),
+		})
+		job, err := d.SubmitJobOpts(m.Emit(), qdmi.FormatQIRBase, qdmi.JobOptions{Shots: 100})
+		if err == nil {
+			if st := job.Wait(t.Context()); st == qdmi.JobDone {
+				res, _ := job.Result()
+				t.Fatalf("%s(%g) ran: counts %v", tc.callee, tc.angle, res.Counts)
+			}
+			_, err = job.Result()
+		}
+		if !errors.Is(err, qdmi.ErrInvalidArgument) {
+			t.Fatalf("%s(%g): err = %v, want qdmi.ErrInvalidArgument", tc.callee, tc.angle, err)
+		}
+	}
+}
+
 func TestQDMIQueries(t *testing.T) {
 	d := newSC(t)
 	tech, err := qdmi.QueryString(d, qdmi.DevicePropTechnology)

@@ -159,36 +159,21 @@ type compileDetailResult struct {
 	schedSeconds                    float64
 }
 
+// compileDetail reads one compile's stage timings and sizes from its own
+// Result, then times the device's link of the payload.
 func compileDetail(k *qpi.Circuit, dev *devices.SimDevice) (*compileDetailResult, error) {
-	out := &compileDetailResult{}
-	t0 := time.Now()
-	m, err := compiler.Frontend(k, dev)
+	res, err := compiler.Compile(k, dev)
 	if err != nil {
 		return nil, err
 	}
-	out.frontend = time.Since(t0)
-	out.mlirOps = m.OpCount()
-
-	t1 := time.Now()
-	ctx := passes.NewContext(dev)
-	if err := passes.DefaultPipeline().Run(m, ctx); err != nil {
-		return nil, err
+	out := &compileDetailResult{
+		frontend: res.Timings.Frontend, midend: res.Timings.Midend, backend: res.Timings.Backend,
+		mlirOps: res.Timings.Passes[0].OpsIn, mlirOpsAfter: res.MLIR.OpCount(),
+		qirCalls: len(res.QIR.Body), payloadBytes: len(res.Payload),
 	}
-	out.midend = time.Since(t1)
-	out.mlirOpsAfter = m.OpCount()
 
-	t2 := time.Now()
-	q, err := compiler.Backend(m, dev)
-	if err != nil {
-		return nil, err
-	}
-	out.backend = time.Since(t2)
-	out.qirCalls = len(q.Body)
-	payload := q.Emit()
-	out.payloadBytes = len(payload)
-
-	t3 := time.Now()
-	parsed, err := qir.ParseModule(string(payload))
+	start := time.Now()
+	parsed, err := qir.ParseModule(string(res.Payload))
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +185,7 @@ func compileDetail(k *qpi.Circuit, dev *devices.SimDevice) (*compileDetailResult
 	if err != nil {
 		return nil, err
 	}
-	out.link = time.Since(t3)
+	out.link = time.Since(start)
 	out.schedInstr = sched.Len()
 	out.schedSeconds = sp.TotalDurationSeconds()
 	return out, nil

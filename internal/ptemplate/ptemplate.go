@@ -10,10 +10,10 @@
 // Templates declare a closed parameter space up front: every parameter
 // carries an inclusive [Min, Max] range, and template compilation proves —
 // per slot — that the whole range lowers legally (rotation angles stay
-// inside the normalization-free interval, amplitudes stay inside full
-// scale, delays stay non-negative). Bind then only needs range and
-// finiteness checks, so a malformed point fails with ErrBadParam before it
-// reaches a scheduler or device.
+// inside [−π, π], amplitudes stay inside full scale, delays stay
+// non-negative). Bind then only needs range and finiteness checks, so a
+// malformed point fails with ErrBadParam before it reaches a scheduler or
+// device.
 //
 // A lowered program has one serialised form, concrete or not: its QIR
 // exchange text (Compiled.Text), in which an unbound slot is written
@@ -72,9 +72,11 @@ type Template struct {
 // and returns a template. Every parameter the circuit references must be
 // declared exactly once with a finite non-empty range, and every declared
 // parameter must be referenced. Range legality is proven per slot:
-//   - symbolic rx/ry angles must stay inside (0, π] over the whole range —
-//     the interval on which lowering applies no angle normalization, so a
-//     bound payload is byte-identical to a fresh compile at that angle;
+//   - symbolic rx/ry angles must stay inside [−π, π] over the whole range —
+//     where a concrete angle reduces to itself, so a bound payload is
+//     byte-identical to a fresh compile at any nonzero angle but −π (at 0
+//     it plays a zero-amplitude envelope, at −π the π envelope negated:
+//     the same unitaries);
 //   - symbolic delays must stay non-negative;
 //   - symbolic waveform amplitudes must keep every sample inside full
 //     scale (|amp| × envelope peak ≤ 1).
@@ -153,9 +155,9 @@ func (t *Template) checkRangeLegality() error {
 		op := &t.Circuit.Ops[i]
 		if e := op.AngleExpr; e != nil && (op.Gate == "rx" || op.Gate == "ry") {
 			lo, hi := t.exprRange(e)
-			if lo <= 0 || hi > math.Pi {
+			if lo < -math.Pi || hi > math.Pi {
 				return fmt.Errorf(
-					"ptemplate: %s angle spans [%g, %g] over parameter %q's range; symbolic rotation angles must stay in (0, π]",
+					"ptemplate: %s angle spans [%g, %g] over parameter %q's range; symbolic rotation angles must stay in [−π, π]",
 					op.Gate, lo, hi, e.Param)
 			}
 		}

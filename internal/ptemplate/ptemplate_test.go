@@ -2,6 +2,7 @@ package ptemplate
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"mqsspulse/internal/compiler"
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qir"
 	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/waveform"
 )
@@ -122,13 +124,18 @@ func TestNewRejectsBadDeclarations(t *testing.T) {
 // TestNewProvesRangeLegality: illegal parameter ranges fail at template
 // construction — once — instead of surfacing per sweep point.
 func TestNewProvesRangeLegality(t *testing.T) {
-	t.Run("rx angle must stay in (0, pi]", func(t *testing.T) {
+	t.Run("rx angle must stay in [-pi, pi]", func(t *testing.T) {
 		c := qpi.NewCircuit("r", 1, 1).RXP(0, qpi.Sym("theta")).Measure(0, 0)
 		if err := c.End(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := New(c, Param{Name: "theta", Min: 0, Max: 1}); err == nil {
-			t.Fatal("range reaching 0 accepted")
+		for _, legal := range []Param{{Name: "theta", Min: -math.Pi, Max: math.Pi}, {Name: "theta", Min: 0, Max: 1}} {
+			if _, err := New(c, legal); err != nil {
+				t.Fatalf("range [%g, %g] rejected: %v", legal.Min, legal.Max, err)
+			}
+		}
+		if _, err := New(c, Param{Name: "theta", Min: -math.Pi - 0.1, Max: 0}); err == nil {
+			t.Fatal("range below -pi accepted")
 		}
 		if _, err := New(c, Param{Name: "theta", Min: 0.1, Max: math.Pi + 0.1}); err == nil {
 			t.Fatal("range past pi accepted")
@@ -184,8 +191,11 @@ func TestNewProvesRangeLegality(t *testing.T) {
 
 // TestBindMatchesPerPointCompile is the deferred-binding correctness core:
 // a payload produced by compile-once-then-bind must be byte-identical to a
-// fresh compilation at the same concrete value — of a gate angle, and of the
-// amplitude of an explicit-sample waveform (the calibration Rabi sweep).
+// fresh compilation at the same concrete value — of a gate angle anywhere in
+// (−π, π] but 0, and of the amplitude of an explicit-sample waveform (the
+// calibration Rabi sweep). At 0 and −π a bound rotation plays a different
+// schedule (a zero-amplitude envelope, the π envelope negated) for the same
+// unitary, so those points must give the fresh compile's counts instead.
 func TestBindMatchesPerPointCompile(t *testing.T) {
 	dev := templateDevice(t)
 	samples := make([]complex128, 32)
@@ -201,14 +211,35 @@ func TestBindMatchesPerPointCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rotation := func(gate string, slot func(*qpi.Circuit, int, *qpi.ParamExpr) *qpi.Circuit) (*Template, func(float64) *qpi.Circuit) {
+		c := slot(qpi.NewCircuit(gate, 1, 1), 0, qpi.Sym("theta")).Measure(0, 0)
+		if err := c.End(); err != nil {
+			t.Fatal(err)
+		}
+		tpl, err := New(c, Param{Name: "theta", Min: -math.Pi, Max: math.Pi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tpl, func(theta float64) *qpi.Circuit {
+			return qpi.NewCircuit(gate, 1, 1).Gate(gate, []int{0}, theta).Measure(0, 0)
+		}
+	}
+	rxTemplate, rxRef := rotation("rx", (*qpi.Circuit).RXP)
+	ryTemplate, ryRef := rotation("ry", (*qpi.Circuit).RYP)
+	signed := []float64{-3.0, -math.Pi / 2, -0.7, -0.1, 0.1, 0.7, math.Pi / 2, 3.0, math.Pi}
 	for _, row := range []struct {
 		tpl    *Template
 		param  string
 		points []float64
 		ref    func(v float64) *qpi.Circuit
+		// sameCounts are the points whose schedule differs from a fresh
+		// compile's but whose counts must not.
+		sameCounts []float64
 	}{
 		{rabiTemplate(t), "theta", []float64{0.1, 0.7, 1.5, math.Pi / 2, 3.0, math.Pi},
-			func(theta float64) *qpi.Circuit { return qpi.NewCircuit("rabi", 1, 1).RX(0, theta).Measure(0, 0) }},
+			func(theta float64) *qpi.Circuit { return qpi.NewCircuit("rabi", 1, 1).RX(0, theta).Measure(0, 0) }, nil},
+		{rxTemplate, "theta", signed, rxRef, []float64{0, -math.Pi}},
+		{ryTemplate, "theta", signed, ryRef, []float64{0, -math.Pi}},
 		{ampTemplate, "amp", []float64{0.05, 0.3, 1, 1.9},
 			func(amp float64) *qpi.Circuit {
 				scaled := make([]complex128, len(samples))
@@ -217,7 +248,7 @@ func TestBindMatchesPerPointCompile(t *testing.T) {
 				}
 				return qpi.NewCircuit("scaled", 1, 1).
 					Waveform("w", scaled).PlayWaveform("q0-drive", "w").Measure(0, 0)
-			}},
+			}, nil},
 	} {
 		compiled, err := Lower(row.tpl, dev, "tpl-sc")
 		if err != nil {
@@ -232,20 +263,59 @@ func TestBindMatchesPerPointCompile(t *testing.T) {
 				t.Fatalf("%s=%g: %v", row.param, v, err)
 			}
 			bound := mod.Emit()
-			ref := row.ref(v)
-			if err := ref.End(); err != nil {
+			res := compileRef(t, row.ref(v), dev)
+			if !bytes.Equal(bound, res.Payload) {
+				t.Fatalf("%s %s=%g: bound payload differs from per-point compile\nbound:\n%s\nref:\n%s",
+					row.tpl.Circuit.Name, row.param, v, bound, res.Payload)
+			}
+		}
+		for _, v := range row.sameCounts {
+			mod, err := compiled.Bind(Bindings{row.param: v})
+			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := compiler.Compile(ref, dev)
-			if err != nil {
-				t.Fatalf("%s=%g reference compile: %v", row.param, v, err)
+			ref := compileRef(t, row.ref(v), dev)
+			if bytes.Equal(mod.Emit(), ref.Payload) {
+				t.Fatalf("%s %s=%g: bound payload equals the fresh compile; the schedules should differ",
+					row.tpl.Circuit.Name, row.param, v)
 			}
-			if !bytes.Equal(bound, res.Payload) {
-				t.Fatalf("%s=%g: bound payload differs from per-point compile\nbound:\n%s\nref:\n%s",
-					row.param, v, bound, res.Payload)
+			got, want := countsOnFreshDevice(t, mod), countsOnFreshDevice(t, ref.QIR)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s=%g: bound counts %v, fresh compile's %v", row.tpl.Circuit.Name, row.param, v, got, want)
 			}
 		}
 	}
+}
+
+// compileRef finishes k and compiles it against dev.
+func compileRef(t *testing.T, k *qpi.Circuit, dev *devices.SimDevice) *compiler.Result {
+	t.Helper()
+	if err := k.End(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := compiler.Compile(k, dev)
+	if err != nil {
+		t.Fatalf("reference compile: %v", err)
+	}
+	return res
+}
+
+// countsOnFreshDevice runs mod as the first job of a newly built
+// templateDevice: two modules run this way see the same shot seeds.
+func countsOnFreshDevice(t *testing.T, mod *qir.Module) map[uint64]int {
+	t.Helper()
+	job, err := templateDevice(t).SubmitModule(mod, qdmi.JobOptions{Shots: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := job.Wait(context.Background()); st != qdmi.JobDone {
+		t.Fatalf("job status %v", st)
+	}
+	res, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Counts
 }
 
 // TestBindRejectsBeforeDevice: a bad point fails with ErrBadParam at bind

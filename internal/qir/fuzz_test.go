@@ -2,6 +2,7 @@ package qir
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -24,6 +25,9 @@ func fuzzSeeds() []string {
 		"define void @empty() #0 {\nentry:\n  ret void\n}\n",
 		"; ModuleID = 'x'\n@w = private constant [2 x double] [double 1, double 0]\ndefine void @m() {\nentry:\n}\n",
 		"garbage",
+		// A double that is not a number: parsed, and refused by Verify.
+		"define void @m() #0 {\nentry:\n  call void @__quantum__qis__rz__body(double NaN, %Qubit* inttoptr (i64 0 to %Qubit*))\n}\n" +
+			"attributes #0 = { \"qir_profiles\"=\"base\" \"required_num_qubits\"=\"1\" }\n",
 		// Templates: slots on a waveform constant, a double and an i64.
 		string(parametricModule().Emit()),
 		"@w = private constant [2 x double] [double 1, double 0], !amp param(\"a, (b\", -0.5, 1e-3)\n" +
@@ -35,6 +39,7 @@ func fuzzSeeds() []string {
 // whatever it accepts must survive an Emit → ParseModule round trip with
 // its structural fields intact, and the emitted text must be a fixed point
 // of Emit∘ParseModule — the canonical form of a program, template or not.
+// A module that also verifies carries only finite doubles.
 func FuzzParseModule(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -43,6 +48,15 @@ func FuzzParseModule(f *testing.F) {
 		m, err := ParseModule(src)
 		if err != nil {
 			return
+		}
+		if m.Verify() == nil {
+			for _, c := range m.Body {
+				for _, a := range c.Args {
+					if a.Kind == ArgF64 && a.Expr == nil && (math.IsNaN(a.F) || math.IsInf(a.F, 0)) {
+						t.Fatalf("verified module passes double %g to %s", a.F, c.Callee)
+					}
+				}
+			}
 		}
 		text := m.Emit()
 		again, err := ParseModule(string(text))

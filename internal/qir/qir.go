@@ -11,6 +11,7 @@ package qir
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"mqsspulse/internal/pulse"
@@ -215,8 +216,8 @@ var intrinsicSigs = map[string][]ArgKind{
 
 // Verify checks profile conformance: declared resource counts cover every
 // handle used, waveform references resolve, intrinsics and signatures are
-// known, pulse intrinsics only appear under the Pulse Profile, and template
-// slots sit only on numeric arguments.
+// known, pulse intrinsics only appear under the Pulse Profile, every double
+// is finite, and template slots sit only on numeric arguments.
 func (m *Module) Verify() error {
 	if m.EntryName == "" {
 		return errors.New("qir: module has no entry point")
@@ -272,6 +273,10 @@ func (m *Module) Verify() error {
 				return fmt.Errorf("qir: call %d arg %d: a %s argument cannot be a template slot", ci, ai, a.Kind)
 			}
 			switch a.Kind {
+			case ArgF64:
+				if a.Expr == nil && (math.IsNaN(a.F) || math.IsInf(a.F, 0)) {
+					return fmt.Errorf("qir: call %d arg %d: double %g is not finite", ci, ai, a.F)
+				}
 			case ArgQubit:
 				if a.I < 0 || a.I >= int64(m.NumQubits) {
 					return fmt.Errorf("qir: call %d arg %d: qubit %d outside required_num_qubits=%d",

@@ -133,6 +133,8 @@ func TestVerifyRejections(t *testing.T) {
 		{"result range", func(m *Module) { m.Body[4].Args[1] = ResultArg(5) }},
 		{"port range", func(m *Module) { m.Body[1].Args[0] = PortArg(3) }},
 		{"ghost waveform", func(m *Module) { m.Body[1].Args[1] = WaveformArg("ghost") }},
+		{"NaN double", func(m *Module) { m.Body[2].Args[2] = F64Arg(math.NaN()) }},
+		{"infinite double", func(m *Module) { m.Body[2].Args[1] = F64Arg(math.Inf(-1)) }},
 		{"barrier non-port", func(m *Module) {
 			m.Body = append(m.Body, Call{Callee: IntrBarrier, Args: []Arg{QubitArg(0)}})
 		}},

@@ -3,6 +3,7 @@ package vqe
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/qdmi"
@@ -10,16 +11,17 @@ import (
 	"mqsspulse/internal/waveform"
 )
 
-// Ansatz yields the QPI kernel of one energy measurement: the trial state
-// at a parameter vector, rotated into a measurement basis and measured.
+// Ansatz yields the template of one energy measurement: the trial state,
+// rotated into a measurement basis and measured, with the parameter vector
+// as the point to bind it at. The client lowers a template once per
+// calibration epoch, so every later evaluation binds.
 type Ansatz interface {
 	// NumParams returns the parameter vector length.
 	NumParams() int
-	// Kernel returns the finished kernel that prepares the ansatz at params
-	// and measures it in the per-qubit basis string (e.g. "XX"). A template
-	// ansatz also returns the template whose kernel it is and params as the
-	// point to bind it at; a concrete kernel comes with neither.
-	Kernel(params []float64, basis string) (k *qpi.Circuit, tpl *ptemplate.Template, point ptemplate.Bindings, err error)
+	// Kernel returns the template that prepares the ansatz and measures it
+	// in the per-qubit basis string (e.g. "XX"), and params as a point in
+	// its declared space.
+	Kernel(params []float64, basis string) (*ptemplate.Template, ptemplate.Bindings, error)
 }
 
 // measureIn appends the pre-measurement rotations for a basis string —
@@ -51,22 +53,28 @@ type GateAnsatz struct {
 // NumParams implements Ansatz.
 func (a *GateAnsatz) NumParams() int { return a.Qubits * (a.Layers + 1) }
 
-// Kernel implements Ansatz with a concrete kernel, the angles written in: a
-// template could not carry them, since a symbolic RY angle must stay inside
-// (0, π] and the optimizer's angles are unbounded.
-func (a *GateAnsatz) Kernel(params []float64, basis string) (*qpi.Circuit, *ptemplate.Template, ptemplate.Bindings, error) {
+// Kernel implements Ansatz: a template with one symbolic RY per parameter,
+// each declared over [−π, π], and params reduced into (−π, π] by
+// waveform.WrapPhase. The template is built per call; the client's cache
+// keys on its structure, so each basis still lowers once.
+func (a *GateAnsatz) Kernel(params []float64, basis string) (*ptemplate.Template, ptemplate.Bindings, error) {
 	if len(params) != a.NumParams() {
-		return nil, nil, nil, fmt.Errorf("vqe: gate ansatz wants %d params, got %d", a.NumParams(), len(params))
+		return nil, nil, fmt.Errorf("vqe: gate ansatz wants %d params, got %d", a.NumParams(), len(params))
 	}
 	if len(basis) != a.Qubits {
-		return nil, nil, nil, fmt.Errorf("vqe: basis %q for %d qubits", basis, a.Qubits)
+		return nil, nil, fmt.Errorf("vqe: basis %q for %d qubits", basis, a.Qubits)
 	}
 	k := qpi.NewCircuit("gate_vqe_ansatz", a.Qubits, a.Qubits)
-	pi := 0
+	declared := make([]ptemplate.Param, len(params))
+	point := make(ptemplate.Bindings, len(params))
+	for i, x := range params {
+		name := "theta" + strconv.Itoa(i)
+		declared[i] = ptemplate.Param{Name: name, Min: -math.Pi, Max: math.Pi}
+		point[name] = waveform.WrapPhase(x)
+	}
 	for l := 0; l <= a.Layers; l++ {
 		for q := 0; q < a.Qubits; q++ {
-			k.RY(q, params[pi])
-			pi++
+			k.RYP(q, qpi.Sym(declared[l*a.Qubits+q].Name))
 		}
 		if l < a.Layers {
 			for q := 0; q+1 < a.Qubits; q++ {
@@ -75,9 +83,10 @@ func (a *GateAnsatz) Kernel(params []float64, basis string) (*qpi.Circuit, *ptem
 		}
 	}
 	if err := measureIn(k, basis).End(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return k, nil, nil, nil
+	tpl, err := ptemplate.New(k, declared...)
+	return tpl, point, err
 }
 
 // PulseAnsatz is the ctrl-VQE ansatz of the paper's Listing 1: directly
@@ -167,24 +176,24 @@ func NewPulseAnsatz(dev qdmi.Device, qubits int) (*PulseAnsatz, error) {
 func (a *PulseAnsatz) NumParams() int { return 5 }
 
 // Kernel implements Ansatz: the basis's template, and params as a point in
-// its declared space — amplitudes clamped to full scale, phases reduced
-// mod 2π — so no parameter vector is a bad point.
-func (a *PulseAnsatz) Kernel(params []float64, basis string) (*qpi.Circuit, *ptemplate.Template, ptemplate.Bindings, error) {
+// its declared space — amplitudes clamped to full scale, phases reduced by
+// WrapPhase — so no parameter vector is a bad point.
+func (a *PulseAnsatz) Kernel(params []float64, basis string) (*ptemplate.Template, ptemplate.Bindings, error) {
 	if len(params) != a.NumParams() {
-		return nil, nil, nil, fmt.Errorf("vqe: pulse ansatz wants %d params, got %d", a.NumParams(), len(params))
+		return nil, nil, fmt.Errorf("vqe: pulse ansatz wants %d params, got %d", a.NumParams(), len(params))
 	}
 	tpl, ok := a.templates[basis]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("vqe: basis %q for 2 qubits", basis)
+		return nil, nil, fmt.Errorf("vqe: basis %q for 2 qubits", basis)
 	}
 	point := ptemplate.Bindings{
 		"amp0":   clampSym(params[0]),
 		"amp1":   clampSym(params[1]),
-		"phase0": math.Remainder(params[2], 2*math.Pi),
-		"phase1": math.Remainder(params[3], 2*math.Pi),
+		"phase0": waveform.WrapPhase(params[2]),
+		"phase1": waveform.WrapPhase(params[3]),
 		"amp_c":  clampSym(params[4]),
 	}
-	return tpl.Circuit, tpl, point, nil
+	return tpl, point, nil
 }
 
 // clampSym clamps to [-1, 1].

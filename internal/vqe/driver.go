@@ -10,8 +10,8 @@ import (
 	"mqsspulse/internal/qpi"
 )
 
-// Estimator measures Hamiltonian expectation values by running ansatz
-// kernels on a device, one client job per qubit-wise-commuting measurement
+// Estimator measures Hamiltonian expectation values by binding ansatz
+// templates on a device, one client job per qubit-wise-commuting measurement
 // group: each is lowered through the client's cache and carries its
 // calibration epoch and timeline like any other job.
 type Estimator struct {
@@ -40,18 +40,13 @@ func (e *Estimator) Energy(ctx context.Context, h *Hamiltonian, a Ansatz, params
 	return energy, maxDur, nil
 }
 
-// measure runs the ansatz's kernel for one basis: a concrete kernel as a
-// job, a template as a one-point sweep.
+// measure runs the ansatz's template for one basis as a one-point sweep.
 func (e *Estimator) measure(ctx context.Context, a Ansatz, params []float64, basis string) (*qpi.Result, error) {
-	k, tpl, point, err := a.Kernel(params, basis)
+	tpl, point, err := a.Kernel(params, basis)
 	if err != nil {
 		return nil, err
 	}
-	opts := client.SubmitOptions{Shots: e.Shots}
-	if tpl == nil {
-		return e.Client.RunCtx(ctx, k, e.Device, opts)
-	}
-	rs, err := e.Client.RunSweep(ctx, tpl, e.Device, []ptemplate.Bindings{point}, opts)
+	rs, err := e.Client.RunSweep(ctx, tpl, e.Device, []ptemplate.Bindings{point}, client.SubmitOptions{Shots: e.Shots})
 	if err != nil {
 		return nil, err
 	}

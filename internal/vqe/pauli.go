@@ -1,9 +1,10 @@
 // Package vqe implements variational quantum eigensolvers at both gate and
 // pulse level — the paper's third pulse-level use case (Section 2.1,
-// ctrl-VQE). Both variants are QPI kernels run as client jobs: the gate
-// ansatz lowers through calibrated gates, the pulse ansatz (the paper's
-// Listing 1 kernel, a template) drives parameterized waveforms directly, so
-// the schedule-duration and energy-error comparison is apples to apples.
+// ctrl-VQE). Both variants are templates run as client jobs, lowered once
+// per basis and bound per evaluation: the gate ansatz's RY slots lower
+// through calibrated gates, the pulse ansatz (the paper's Listing 1 kernel)
+// drives parameterized waveforms directly, so the schedule-duration and
+// energy-error comparison is apples to apples.
 package vqe
 
 import (

@@ -170,41 +170,52 @@ func TestGateAnsatzKernel(t *testing.T) {
 	if a.NumParams() != 4 {
 		t.Fatalf("params = %d", a.NumParams())
 	}
-	// An angle past π is written in as given: a concrete kernel has no range.
-	params := []float64{0.1, 0.2, 0.3, 7.5}
-	k, tpl, point, err := a.Kernel(params, "ZZ")
+	// An angle past π comes back as a point inside the declared period.
+	params := []float64{0.1, -0.2, 0.3, 7.5}
+	tpl, point, err := a.Kernel(params, "ZZ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tpl != nil || point != nil {
-		t.Fatal("gate ansatz returned a template")
+	k := tpl.Circuit
+	if !k.Finished() || k.HasPulseOps() || len(tpl.Params) != a.NumParams() {
+		t.Fatalf("kernel finished %v, pulse ops %v, %d params", k.Finished(), k.HasPulseOps(), len(tpl.Params))
 	}
-	if !k.Finished() || k.HasPulseOps() || k.IsParametric() {
-		t.Fatalf("kernel finished %v, pulse ops %v, parametric %v", k.Finished(), k.HasPulseOps(), k.IsParametric())
+	for _, p := range tpl.Params {
+		if p.Min != -math.Pi || p.Max != math.Pi {
+			t.Fatalf("parameter %s declared over [%g, %g], want [−π, π]", p.Name, p.Min, p.Max)
+		}
 	}
-	// 4 ry + 1 cz + 2 measure = 7 ops in the Z basis.
+	if err := tpl.Validate(point); err != nil {
+		t.Fatal(err)
+	}
+	// 4 ry + 1 cz + 2 measure = 7 ops in the Z basis, each ry its own slot.
 	if len(k.Ops) != 7 || k.CountKind(qpi.OpMeasure) != 2 {
 		t.Fatalf("Z-basis kernel has %d ops, %d measurements", len(k.Ops), k.CountKind(qpi.OpMeasure))
 	}
-	for i, want := range params {
-		if op := k.Ops[[]int{0, 1, 3, 4}[i]]; op.Gate != "ry" || op.Params[0] != want {
-			t.Fatalf("param %d: op %s(%v), want ry(%g)", i, op.Gate, op.Params, want)
+	if ry, sym := gateCount(k, "ry"); ry != 4 || sym != 4 {
+		t.Fatalf("%d ry, %d symbolic; want 4 symbolic", ry, sym)
+	}
+	want := []float64{0.1, -0.2, 0.3, 7.5 - 2*math.Pi}
+	for i, at := range []int{0, 1, 3, 4} {
+		e := k.Ops[at].AngleExpr
+		if v := point[e.Param]; e.Scale != 1 || e.Offset != 0 || math.Abs(v-want[i]) > 1e-15 {
+			t.Fatalf("param %d: ry slot %+v bound at %g, want %g", i, e, v, want[i])
 		}
 	}
-	kX, _, _, _ := a.Kernel(params, "XX")
-	if h, _ := gateCount(kX, "h"); len(kX.Ops) != 9 || h != 2 { // + 2 H rotations
-		t.Fatalf("X-basis kernel has %d ops, %d h", len(kX.Ops), h)
+	tX, _, _ := a.Kernel(params, "XX")
+	if h, _ := gateCount(tX.Circuit, "h"); len(tX.Circuit.Ops) != 9 || h != 2 { // + 2 H rotations
+		t.Fatalf("X-basis kernel has %d ops, %d h", len(tX.Circuit.Ops), h)
 	}
-	kY, _, _, _ := a.Kernel(params, "YY")
-	h, _ := gateCount(kY, "h")
-	rz, _ := gateCount(kY, "rz")
-	if len(kY.Ops) != 11 || h != 2 || rz != 2 { // + 2 (rz, h) pairs
-		t.Fatalf("Y-basis kernel has %d ops, %d h, %d rz", len(kY.Ops), h, rz)
+	tY, _, _ := a.Kernel(params, "YY")
+	h, _ := gateCount(tY.Circuit, "h")
+	rz, _ := gateCount(tY.Circuit, "rz")
+	if len(tY.Circuit.Ops) != 11 || h != 2 || rz != 2 { // + 2 (rz, h) pairs
+		t.Fatalf("Y-basis kernel has %d ops, %d h, %d rz", len(tY.Circuit.Ops), h, rz)
 	}
-	if _, _, _, err := a.Kernel([]float64{0.1}, "ZZ"); err == nil {
+	if _, _, err := a.Kernel([]float64{0.1}, "ZZ"); err == nil {
 		t.Fatal("wrong param count accepted")
 	}
-	if _, _, _, err := a.Kernel(params, "Z"); err == nil {
+	if _, _, err := a.Kernel(params, "Z"); err == nil {
 		t.Fatal("wrong basis length accepted")
 	}
 }
@@ -218,12 +229,13 @@ func TestPulseAnsatzKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, tpl, point, err := a.Kernel([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "ZZ")
+	tpl, point, err := a.Kernel([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "ZZ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tpl == nil || k != tpl.Circuit || len(tpl.Params) != a.NumParams() {
-		t.Fatalf("kernel is not its template's (template %v)", tpl)
+	k := tpl.Circuit
+	if len(tpl.Params) != a.NumParams() {
+		t.Fatalf("template declares %v", tpl.Params)
 	}
 	if !k.Finished() || !k.HasPulseOps() {
 		t.Fatal("pulse ansatz kernel should be a finished pulse kernel")
@@ -242,11 +254,13 @@ func TestPulseAnsatzKernel(t *testing.T) {
 	if point["phase0"] != 0.2 || point["amp1"] != -0.3 {
 		t.Fatalf("in-range params moved: %v", point)
 	}
-	kX, _, _, _ := a.Kernel([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "XX")
+	tX, _, _ := a.Kernel([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "XX")
+	kX := tX.Circuit
 	if h, _ := gateCount(kX, "h"); h != 2 || len(kX.Ops) != len(k.Ops)+2 {
 		t.Fatalf("X basis: %d h in %d ops (Z basis %d)", h, len(kX.Ops), len(k.Ops))
 	}
-	kY, _, _, _ := a.Kernel([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "YY")
+	tY, _, _ := a.Kernel([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "YY")
+	kY := tY.Circuit
 	h, _ := gateCount(kY, "h")
 	rz, sym := gateCount(kY, "rz")
 	if h != 2 || rz != 4 || sym != 2 || len(kY.Ops) != len(k.Ops)+4 {
@@ -254,7 +268,7 @@ func TestPulseAnsatzKernel(t *testing.T) {
 	}
 	// Out-of-range amplitudes are clamped and phases reduced mod 2π into
 	// the declared space: no point is a bad parameter.
-	_, tpl, point, err = a.Kernel([]float64{7, -9, 4, -4, 3}, "ZZ")
+	tpl, point, err = a.Kernel([]float64{7, -9, 4, -4, 3}, "ZZ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +280,7 @@ func TestPulseAnsatzKernel(t *testing.T) {
 		t.Fatalf("folded point %v", point)
 	}
 	// At zero amplitude the three pulses are zeros, still played.
-	_, tpl, point, err = a.Kernel([]float64{0, 0, 0.1, 0.1, 0}, "ZZ")
+	tpl, point, err = a.Kernel([]float64{0, 0, 0.1, 0.1, 0}, "ZZ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +306,11 @@ func TestPulseAnsatzKernel(t *testing.T) {
 	if plays != 3 || zeros != 3 {
 		t.Fatalf("zero amplitudes: %d plays, %d all-zero waveforms; want 3 and 3", plays, zeros)
 	}
-	if _, _, _, err := a.Kernel([]float64{0.1}, "ZZ"); err == nil {
+	if _, _, err := a.Kernel([]float64{0.1}, "ZZ"); err == nil {
 		t.Fatal("wrong param count accepted")
 	}
 	for _, basis := range []string{"Z", "ZZZ", "ZQ"} {
-		if _, _, _, err := a.Kernel(make([]float64, 5), basis); err == nil {
+		if _, _, err := a.Kernel(make([]float64, 5), basis); err == nil {
 			t.Fatalf("basis %q accepted", basis)
 		}
 	}
@@ -339,6 +353,31 @@ func TestPulseAnsatzJobsAreClientJobs(t *testing.T) {
 	}
 	if st := cl.CacheStats(); st.Invalidations < 1 || st.Misses != 4 {
 		t.Fatalf("after recalibrating: %+v, want the bases re-lowered", st)
+	}
+}
+
+// TestGateAnsatzJobsAreClientJobs pins that the gate ansatz is a template
+// too: each measurement group lowers once, whatever its angles — negative,
+// past π, a whole turn — and every later evaluation binds.
+func TestGateAnsatzJobsAreClientJobs(t *testing.T) {
+	dev, err := devices.Superconducting("sc-vqe-gate-client", 2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := clientOver(t, dev)
+	a := &GateAnsatz{Qubits: 2, Layers: 1}
+	h := H2Minimal() // two groups: XX and ZZ
+	est := &Estimator{Client: cl, Device: dev.Name(), Shots: 200}
+	points := [][]float64{{0.3, -0.2, 0.1, 0.4}, {math.Pi + 0.5, -4, 2 * math.Pi, 7.5}, {-math.Pi, 0, 1, -1}}
+	for _, x := range points {
+		if _, _, err := est.Energy(context.Background(), h, a, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := cl.CacheStats()
+	if st.Misses != 2 || st.Entries != 2 || st.TemplateEntries != 2 || st.Binds != 2*int64(len(points)-1) || st.Hits != 0 {
+		t.Fatalf("cache stats %+v, want 2 misses and 2 template entries (one per group), then %d binds",
+			st, 2*(len(points)-1))
 	}
 }
 

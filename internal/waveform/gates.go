@@ -172,29 +172,23 @@ func virtualZ(q int, angle float64, sym *ParamExpr, emit func(GatePulse) error) 
 
 // rotate realises a rotation by angle about the equatorial axis at phase
 // axis: the π envelope scaled by angle/π, between a frame shift onto the axis
-// and one back. The angle is normalised first — a negative one turns about
-// the opposite axis, a whole turn is nothing (not a zero-amplitude play that
-// still takes schedule time), one past π goes the short way round.
+// and one back. A concrete angle is first reduced into (−π, π] by WrapPhase
+// — a negative one plays a negative amplitude, one past π goes the short way
+// round — and a whole turn is nothing (not a zero-amplitude play that still
+// takes schedule time).
 //
-// A symbolic angle carries no normalisation, so template compilation keeps
-// it inside (0, π], where a concrete one is not normalised either; and the
-// scale is angle·(1/π), not angle/π, the product an expression's coefficients
-// reproduce bit for bit at bind time. Together they keep a bound payload
-// byte-identical to a fresh compile.
+// A symbolic angle is reduced by whoever binds it: template compilation
+// keeps its range inside [−π, π], so any point in (−π, π] reduces to itself.
+// The scale is angle·(1/π), not angle/π, the product an expression's
+// coefficients reproduce bit for bit at bind time, so a bound payload is
+// byte-identical to a fresh compile at any nonzero angle of (−π, π].
 func rotate(q int, angle float64, sym *ParamExpr, axis float64, emit func(GatePulse) error) error {
 	drive := GatePulse{Kind: PulseDrive, Qubit: q}
 	if sym != nil {
 		drive.Expr = sym.Times(1 / math.Pi)
 	} else {
-		if angle < 0 {
-			angle, axis = -angle, axis+math.Pi
-		}
-		angle = math.Mod(angle, 2*math.Pi)
-		if angle == 0 {
+		if angle = WrapPhase(angle); angle == 0 {
 			return nil
-		}
-		if angle > math.Pi {
-			angle, axis = 2*math.Pi-angle, axis+math.Pi
 		}
 		drive.Value = angle * (1 / math.Pi)
 	}
