@@ -3,12 +3,11 @@ package mqsspulse_test
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
 	mqsspulse "mqsspulse"
-	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qdmi/qdmitest"
 	"mqsspulse/internal/testutil"
 )
 
@@ -77,30 +76,6 @@ func TestStaleCalibrationRecompile(t *testing.T) {
 	}
 }
 
-// steppedDevice is the e2e's view of what the QRM hands the device: it
-// records every job's kernel name and timeline in dispatch order, and makes
-// each user job (any kernel but calibration's "ramsey") wait for a token
-// from step, so the test decides when a user job may leave the device.
-type steppedDevice struct {
-	*mqsspulse.SimDevice
-	step chan struct{}
-
-	mu        sync.Mutex
-	order     []string
-	timelines []*mqsspulse.Timeline
-}
-
-func (d *steppedDevice) SubmitModule(mod *mqsspulse.QIRModule, opts qdmi.JobOptions) (mqsspulse.Job, error) {
-	d.mu.Lock()
-	d.order = append(d.order, mod.ID)
-	d.timelines = append(d.timelines, opts.Telemetry)
-	d.mu.Unlock()
-	if mod.ID != "ramsey" {
-		<-d.step
-	}
-	return d.SimDevice.SubmitModule(mod, opts)
-}
-
 // TestCalibrationTickInterleavesAsTickets is the hook's replacement seen end
 // to end: a due calibration, run through the client while user jobs are
 // queued, overtakes them as prioritised tickets traced like any job — and
@@ -112,7 +87,17 @@ func TestCalibrationTickInterleavesAsTickets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := &steppedDevice{SimDevice: sim, step: make(chan struct{}, 2)}
+	// The test device records every job's kernel name and timeline in
+	// dispatch order, and makes each user job (any kernel but calibration's
+	// "ramsey") wait for a token from step, so the test decides when a user
+	// job may leave the device.
+	dev, step := qdmitest.Wrap(sim), make(chan struct{}, 2)
+	dev.SetHold(func(sub qdmitest.Submission) <-chan struct{} {
+		if sub.ID == "ramsey" {
+			return nil
+		}
+		return step
+	})
 	stack, err := mqsspulse.NewStack(dev)
 	if err != nil {
 		t.Fatal(err)
@@ -151,11 +136,7 @@ func TestCalibrationTickInterleavesAsTickets(t *testing.T) {
 		}
 		users = append(users, tk)
 		if len(users) == 1 {
-			await("the first user job to reach the device", func() bool {
-				dev.mu.Lock()
-				defer dev.mu.Unlock()
-				return len(dev.order) == 1
-			})
+			await("the first user job to reach the device", func() bool { return len(dev.Submissions()) == 1 })
 		}
 	}
 	tickDone := make(chan error, 1)
@@ -168,13 +149,13 @@ func TestCalibrationTickInterleavesAsTickets(t *testing.T) {
 	// reaches the device after that stays there until the routine has
 	// written back.
 	submitted(4 + points)
-	dev.step <- struct{}{}
+	step <- struct{}{}
 	submitted(4 + 2*points)
-	dev.step <- struct{}{}
+	step <- struct{}{}
 	if err := <-tickDone; err != nil {
 		t.Fatal(err)
 	}
-	close(dev.step)
+	close(step)
 
 	if _, err := users[0].Wait(ctx); err != nil {
 		t.Fatalf("user job dispatched before the calibration: %v", err)
@@ -193,23 +174,25 @@ func TestCalibrationTickInterleavesAsTickets(t *testing.T) {
 	}
 
 	// Queued behind three user jobs, the first sweep's tickets all ran first.
-	dev.mu.Lock()
-	defer dev.mu.Unlock()
-	if len(dev.order) < 1+points || dev.order[0] != "user" {
-		t.Fatalf("dispatch order %v", dev.order)
+	var order []string
+	for _, sub := range dev.Submissions() {
+		order = append(order, sub.ID)
+	}
+	if len(order) < 1+points || order[0] != "user" {
+		t.Fatalf("dispatch order %v", order)
 	}
 	for i := 1; i <= points; i++ {
-		if dev.order[i] != "ramsey" {
-			t.Fatalf("calibration did not outrank queued user work: dispatch order %v", dev.order)
+		if order[i] != "ramsey" {
+			t.Fatalf("calibration did not outrank queued user work: dispatch order %v", order)
 		}
 	}
 	calibrated := 0
-	for i, name := range dev.order {
-		if name != "ramsey" {
+	for _, sub := range dev.Submissions() {
+		if sub.ID != "ramsey" {
 			continue
 		}
 		calibrated++
-		requireStages(t, dev.timelines[i],
+		requireStages(t, sub.Timeline,
 			mqsspulse.StageCompile, mqsspulse.StageQueueWait, mqsspulse.StageBind,
 			mqsspulse.StageDispatch, mqsspulse.StageDeviceExecute, mqsspulse.StageReadoutPost)
 	}

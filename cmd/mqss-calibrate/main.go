@@ -26,25 +26,13 @@ func main() {
 	seed := flag.Int64("seed", 7, "drift random seed")
 	flag.Parse()
 
-	var dev *devices.SimDevice
-	var err error
-	var tau float64
-	switch *device {
-	case "sc":
-		dev, err = devices.Superconducting("sc", 1, *seed)
-		tau = 3e-6
-	case "ion":
-		dev, err = devices.TrappedIon("ion", 1, *seed)
-		tau = 100e-6
-	case "atom":
-		dev, err = devices.NeutralAtom("atom", 1, *seed)
-		tau = 20e-6
-	default:
-		err = fmt.Errorf("unknown device %q", *device)
-	}
+	dev, err := devices.Preset(*device, *device, 1, *seed)
 	if err != nil {
 		fatal(err)
 	}
+	tech, _ := qdmi.QueryString(dev, qdmi.DevicePropTechnology)
+	// τ is each technology's Ramsey free-evolution time.
+	tau := map[string]float64{"superconducting": 3e-6, "trapped-ion": 100e-6, "neutral-atom": 20e-6}[tech]
 	drv := qdmi.NewDriver()
 	if err := drv.RegisterDevice(dev); err != nil {
 		fatal(err)

@@ -20,19 +20,6 @@ import (
 	"mqsspulse/internal/qdmi"
 )
 
-func presetDevice(name string) (*devices.SimDevice, error) {
-	switch name {
-	case "sc", "superconducting":
-		return devices.Superconducting("sc-target", 2, 1)
-	case "ion", "trapped-ion":
-		return devices.TrappedIon("ion-target", 2, 1)
-	case "atom", "neutral-atom":
-		return devices.NeutralAtom("atom-target", 2, 1)
-	default:
-		return nil, fmt.Errorf("unknown device preset %q (sc, ion, atom)", name)
-	}
-}
-
 func main() {
 	device := flag.String("device", "sc", "target device preset: sc, ion, atom")
 	in := flag.String("in", "", "input program file (default: stdin)")
@@ -45,7 +32,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	dev, err := presetDevice(*device)
+	dev, err := devices.Preset(*device, *device+"-target", 2, 1)
 	if err != nil {
 		fatal(err)
 	}

@@ -42,18 +42,7 @@ func main() {
 		defer cancel()
 	}
 
-	var dev *devices.SimDevice
-	var err error
-	switch *device {
-	case "sc":
-		dev, err = devices.Superconducting("sc", *sites, 1)
-	case "ion":
-		dev, err = devices.TrappedIon("ion", *sites, 1)
-	case "atom":
-		dev, err = devices.NeutralAtom("atom", *sites, 1)
-	default:
-		err = fmt.Errorf("unknown device %q", *device)
-	}
+	dev, err := devices.Preset(*device, *device, *sites, 1)
 	if err != nil {
 		fatal(err)
 	}

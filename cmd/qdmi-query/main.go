@@ -25,20 +25,6 @@ import (
 	"mqsspulse/internal/qdmi"
 )
 
-// buildDevice constructs one preset simulator.
-func buildDevice(preset, name string, sites int, seed int64) (*devices.SimDevice, error) {
-	switch preset {
-	case "sc":
-		return devices.Superconducting(name, sites, seed)
-	case "ion":
-		return devices.TrappedIon(name, sites, seed)
-	case "atom":
-		return devices.NeutralAtom(name, sites, seed)
-	default:
-		return nil, fmt.Errorf("unknown device %q", preset)
-	}
-}
-
 // runFleet registers n preset devices as pool "fleet", pushes a burst of
 // jobs through the scheduler, and prints the fleet statistics the QRM
 // exposes: per-device queue depth, dispatch and steal counts, and per-pool
@@ -49,7 +35,7 @@ func runFleet(preset string, sites, n, jobs int, telemetry bool) error {
 	devs := make([]mqsspulse.Device, n)
 	names := make([]string, n)
 	for i := 0; i < n; i++ {
-		dev, err := buildDevice(preset, fmt.Sprintf("%s-%d", preset, i), sites, int64(1+i))
+		dev, err := devices.Preset(preset, fmt.Sprintf("%s-%d", preset, i), sites, int64(1+i))
 		if err != nil {
 			return err
 		}
@@ -165,7 +151,7 @@ func main() {
 		return
 	}
 
-	dev, err := buildDevice(*device, *device, *sites, 1)
+	dev, err := devices.Preset(*device, *device, *sites, 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qdmi-query:", err)
 		os.Exit(1)

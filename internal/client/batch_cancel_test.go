@@ -10,85 +10,25 @@ import (
 	"testing"
 	"time"
 
-	"mqsspulse/internal/devices"
 	"mqsspulse/internal/qdmi"
-	"mqsspulse/internal/qir"
+	"mqsspulse/internal/qdmi/qdmitest"
 	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/qrm"
 )
 
-// gatedDevice is the device testStack registers: a SimDevice whose submit
-// entry points can be gated. Until blockGate arms it, it forwards; armed, a
-// submitted job is held — the QRM worker that dispatched it stays parked on
-// it, and everything behind it stays queued — until release is closed. A
-// held job can be cancelled like a running one and then never reaches the
-// inner device.
-type gatedDevice struct {
-	*devices.SimDevice
-
-	mu               sync.Mutex
-	release, entered chan struct{}
-}
-
-// blockGate arms the stack's device: entered receives a token when a job
-// arrives at it, and closing release lets held jobs run.
+// blockGate arms the stack's device: entered receives a token as each job
+// starts on it, and the job holds the device there until release closes or
+// it is cancelled. A job cancelled while held never reaches the simulator.
 func blockGate(c *Client) (release chan struct{}, entered chan struct{}) {
-	dev, err := c.Device("hpcqc-sc")
-	if err != nil {
-		panic(err)
-	}
-	g := dev.(*gatedDevice)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.release, g.entered = make(chan struct{}), make(chan struct{}, 16)
-	return g.release, g.entered
-}
-
-// hold runs submit at once when the gate is not armed, and otherwise
-// answers with a job that performs it after release.
-func (g *gatedDevice) hold(submit func() (qdmi.Job, error)) (qdmi.Job, error) {
-	g.mu.Lock()
-	release, entered := g.release, g.entered
-	g.mu.Unlock()
-	if release == nil {
-		return submit()
-	}
-	held := qdmi.NewAsyncJob(g.Name() + "-held")
-	select {
-	case entered <- struct{}{}:
-	default:
-	}
-	go func() {
+	release, entered = make(chan struct{}), make(chan struct{}, 16)
+	stackDevice(c).SetHold(func(qdmitest.Submission) <-chan struct{} {
 		select {
-		case <-release:
-		case <-held.Done(): // cancelled while held
-			return
+		case entered <- struct{}{}:
+		default:
 		}
-		job, err := submit()
-		if err != nil {
-			held.Fail(err)
-			return
-		}
-		job.Wait(context.Background())
-		if res, err := job.Result(); err != nil {
-			held.Fail(err)
-		} else {
-			held.Finish(res)
-		}
-	}()
-	return held, nil
-}
-
-func (g *gatedDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots int) (qdmi.Job, error) {
-	return g.hold(func() (qdmi.Job, error) { return g.SimDevice.SubmitJob(payload, format, shots) })
-}
-
-func (g *gatedDevice) SubmitJobOpts(payload []byte, format qdmi.ProgramFormat, opts qdmi.JobOptions) (qdmi.Job, error) {
-	return g.hold(func() (qdmi.Job, error) { return g.SimDevice.SubmitJobOpts(payload, format, opts) })
-}
-
-func (g *gatedDevice) SubmitModule(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, error) {
-	return g.hold(func() (qdmi.Job, error) { return g.SimDevice.SubmitModule(mod, opts) })
+		return release
+	})
+	return release, entered
 }
 
 func TestClientCancelQueuedPreventsExecution(t *testing.T) {

@@ -23,8 +23,8 @@
 // hands that to the scheduler, and the scheduler gives the device the
 // cached in-memory module. QIR text is the wire format only: lowering does
 // not produce it, and it is emitted (once per program) and read where text
-// is the interface — Compile/CompileTraced callers, the remote server, a
-// device without qdmi.ModuleSubmitter — never parsed back in-process.
+// is the interface — Compile/CompileTraced callers and the remote wire —
+// never parsed back in-process.
 //
 // The remote path is the same path with a wire in it. A program — template
 // or not, its slots are part of the text — is registered once per
@@ -134,11 +134,6 @@ func New(session *qdmi.Session) *Client {
 // QRM exposes the scheduler: fleet configuration, stats, and the submit path
 // for callers that hold exchange text instead of a kernel.
 func (c *Client) QRM() *qrm.Scheduler { return c.qrm }
-
-// TelemetryRegistry exposes the client's fleet metrics registry — the
-// sink every traced job's stage durations and the scheduler's queue-wait
-// histograms accumulate into.
-func (c *Client) TelemetryRegistry() *telemetry.Registry { return c.telem }
 
 // Telemetry snapshots the fleet metrics: every counter and latency
 // histogram (with p50/p95/p99) accumulated since the client was built.

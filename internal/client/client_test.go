@@ -10,6 +10,7 @@ import (
 
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qdmi/qdmitest"
 	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/testutil"
 )
@@ -22,12 +23,21 @@ func testStack(t *testing.T) (*Client, *devices.SimDevice) {
 		t.Fatal(err)
 	}
 	drv := qdmi.NewDriver()
-	if err := drv.RegisterDevice(&gatedDevice{SimDevice: dev}); err != nil {
+	if err := drv.RegisterDevice(qdmitest.Wrap(dev)); err != nil {
 		t.Fatal(err)
 	}
 	c := New(drv.OpenSession())
 	t.Cleanup(c.Close)
 	return c, dev
+}
+
+// stackDevice is the test device testStack registers around its simulator.
+func stackDevice(c *Client) *qdmitest.Device {
+	dev, err := c.Device("hpcqc-sc")
+	if err != nil {
+		panic(err)
+	}
+	return dev.(*qdmitest.Device)
 }
 
 func bell(t *testing.T) *qpi.Circuit {

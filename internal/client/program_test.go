@@ -1,17 +1,13 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"mqsspulse/internal/compiler"
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/qdmi"
@@ -57,89 +53,32 @@ func TestLoweringCacheAcquireWindowKeyed(t *testing.T) {
 	}
 }
 
-// countingDevice wraps a SimDevice, counting the submissions that reach it
-// by entry point and keeping the last text payload. Embedding the interface
-// hides the optional capabilities, so each is forwarded explicitly.
-type countingDevice struct {
-	qdmi.Device
-	sim      *devices.SimDevice
-	modules  atomic.Int64
-	payloads atomic.Int64
-
-	mu   sync.Mutex
-	text []byte
-}
-
-func (d *countingDevice) SubmitJobOpts(payload []byte, format qdmi.ProgramFormat, opts qdmi.JobOptions) (qdmi.Job, error) {
-	d.payloads.Add(1)
-	d.mu.Lock()
-	d.text = payload
-	d.mu.Unlock()
-	return d.sim.SubmitJobOpts(payload, format, opts)
-}
-
-func (d *countingDevice) lastText() []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.text
-}
-
-// moduleDevice adds the qdmi.ModuleSubmitter capability to countingDevice.
-type moduleDevice struct{ *countingDevice }
-
-func (d moduleDevice) SubmitModule(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, error) {
-	d.modules.Add(1)
-	return d.sim.SubmitModule(mod, opts)
-}
-
-func countingStack(t *testing.T, withModules bool) (*Client, *countingDevice) {
-	t.Helper()
-	testutil.AssertNoLeaks(t)
-	sim, err := devices.Superconducting("hpcqc-sc", 2, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counting := &countingDevice{Device: sim, sim: sim}
-	var dev qdmi.Device = counting
-	if withModules {
-		dev = moduleDevice{counting}
-	}
-	drv := qdmi.NewDriver()
-	if err := drv.RegisterDevice(dev); err != nil {
-		t.Fatal(err)
-	}
-	c := New(drv.OpenSession())
-	t.Cleanup(c.Close)
-	return c, counting
-}
-
 // TestCachedJobReachesDeviceAsModule: a cached local concrete job is one
 // SubmitModule of the cached module — no text round trip — and a stale one
 // never reaches the device at all.
 func TestCachedJobReachesDeviceAsModule(t *testing.T) {
-	c, dev := countingStack(t, true)
+	c, sim := testStack(t)
+	dev := stackDevice(c)
 	ctx := context.Background()
 	k := bell(t)
 	if _, err := c.RunCtx(ctx, k, "hpcqc-sc", SubmitOptions{Shots: 16}); err != nil {
 		t.Fatal(err)
 	}
-	dev.modules.Store(0)
-	if _, err := c.RunCtx(ctx, k, "hpcqc-sc", SubmitOptions{Shots: 16}); err != nil {
-		t.Fatal(err)
-	}
-	if m, p := dev.modules.Load(), dev.payloads.Load(); m != 1 || p != 0 {
-		t.Fatalf("cached job: %d SubmitModule and %d SubmitJobOpts calls, want 1 and 0", m, p)
-	}
-	if c.CacheStats().Hits != 1 {
-		t.Fatalf("cache hits = %d, want 1", c.CacheStats().Hits)
-	}
-
 	program, _, err := c.lower(&lowering{k: k, target: "hpcqc-sc"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev.sim.SetCalibratedFrequency(0, dev.sim.CalibratedFrequency(0)+1e3)
-	dev.modules.Store(0)
+	if _, err := c.RunCtx(ctx, k, "hpcqc-sc", SubmitOptions{Shots: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if subs := dev.Submissions(); len(subs) != 2 || subs[1].Module != program.Module {
+		t.Fatalf("cached job reached the device as %+v, want the cached module", subs[len(subs)-1])
+	}
+	if c.CacheStats().Hits != 2 {
+		t.Fatalf("cache hits = %d, want 2", c.CacheStats().Hits)
+	}
+
+	sim.SetCalibratedFrequency(0, sim.CalibratedFrequency(0)+1e3)
 	tk, err := c.QRM().SubmitCtx(ctx, qrm.Request{
 		Device: "hpcqc-sc", Template: program, Shots: 16, CalibrationEpoch: program.Epoch,
 	})
@@ -149,43 +88,8 @@ func TestCachedJobReachesDeviceAsModule(t *testing.T) {
 	if _, err := tk.Wait(ctx); !errors.Is(err, qrm.ErrStaleCalibration) {
 		t.Fatalf("stale concrete program dispatched: err = %v", err)
 	}
-	if m, p := dev.modules.Load(), dev.payloads.Load(); m != 0 || p != 0 {
-		t.Fatalf("stale program reached the device (%d modules, %d payloads)", m, p)
-	}
-}
-
-// TestDeviceWithoutModulesGetsCachedText: lowering stores no text, so a
-// device that only takes text has it emitted when the first job is
-// dispatched; later jobs and Compile callers get those same bytes, not a
-// re-emit each, and they are the bytes compiler.Compile produces.
-func TestDeviceWithoutModulesGetsCachedText(t *testing.T) {
-	c, dev := countingStack(t, false)
-	k := bell(t)
-	var texts [][]byte
-	for i := 0; i < 2; i++ {
-		if _, err := c.RunCtx(context.Background(), k, "hpcqc-sc", SubmitOptions{Shots: 16}); err != nil {
-			t.Fatal(err)
-		}
-		texts = append(texts, dev.lastText())
-	}
-	cached, _, err := c.Compile(k, "hpcqc-sc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range texts {
-		if len(got) == 0 || &got[0] != &cached[0] {
-			t.Fatalf("job %d: device received a fresh copy of the payload, want the cached bytes", i)
-		}
-	}
-	if p := dev.payloads.Load(); p != 2 {
-		t.Fatalf("SubmitJobOpts calls = %d, want 2", p)
-	}
-	ref, err := compiler.Compile(k, dev.sim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cached, ref.Payload) {
-		t.Fatal("the text the device received differs from compiler.Compile's payload")
+	if n := len(dev.Submissions()); n != 2 {
+		t.Fatalf("stale program reached the device (%d submissions, want 2)", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qdmi/qdmitest"
 )
 
 // TestCalibrationEpochBumpContract pins the qdmi bump contract: every
@@ -49,17 +50,11 @@ func TestCalibrationEpochBumpContract(t *testing.T) {
 }
 
 // TestCalibrationEpochQueryTyping exercises the typed helper against a
-// device that lacks the property.
+// device that lacks the property, a stand-in for devices predating it.
 func TestCalibrationEpochQueryTyping(t *testing.T) {
-	if _, err := qdmi.QueryCalibrationEpoch(epochlessDevice{}); !errors.Is(err, qdmi.ErrNotSupported) {
+	dev := qdmitest.New("epochless", 1)
+	dev.Props = map[qdmi.DeviceProperty]any{qdmi.DevicePropCalibrationEpoch: qdmi.ErrNotSupported}
+	if _, err := qdmi.QueryCalibrationEpoch(dev); !errors.Is(err, qdmi.ErrNotSupported) {
 		t.Fatalf("epochless device: err = %v, want ErrNotSupported", err)
 	}
-}
-
-// epochlessDevice answers ErrNotSupported to everything — a stand-in for
-// devices predating the epoch property.
-type epochlessDevice struct{ qdmi.Device }
-
-func (epochlessDevice) QueryDeviceProperty(qdmi.DeviceProperty) (any, error) {
-	return nil, qdmi.ErrNotSupported
 }

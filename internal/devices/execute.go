@@ -199,8 +199,9 @@ func (d *SimDevice) executorLocked() (*simq.Executor, error) {
 
 // preparedCap bounds the device's prepared-program store. A device's hot
 // set is the handful of kernels and templates its clients resubmit; one-shot
-// modules (a sweep point whose slot moves a duration is one) pass through a
-// ring this size without growing anything.
+// concrete modules pass through a ring this size without growing anything.
+// A sweep point that cannot bind in place (a duration slot, a gate call) is
+// linked for its job and never stored.
 const preparedCap = 32
 
 // preparedProgram is what the device derives from (module, calibration,
@@ -265,7 +266,10 @@ func (d *SimDevice) program(mod *qir.Module, opts qdmi.JobOptions) (*simq.Progra
 	}
 	recordBind()
 	if !bindsInPlace(mod) {
-		return d.prepared(point)
+		// A one-shot module: linked for this job and not stored, where it
+		// could never be hit and would push out programs that can.
+		_, prog, err = d.link(cal, engine, point, nil)
+		return prog, err
 	}
 	// The template is linked with this point's values, never its base
 	// shapes: an envelope whose base exceeds full scale is legal in a

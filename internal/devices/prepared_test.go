@@ -404,26 +404,43 @@ func TestPreparedStoreIsBounded(t *testing.T) {
 	}
 }
 
-// TestSweepKeepsOneEntry: a 1,024-point sweep through one template leaves
-// one store entry for it — every point binds into the program its first
-// point prepared — and a kernel prepared before the sweep is still a hit:
-// the sweep pushed nothing out of a ring of preparedCap entries.
+// TestSweepKeepsOneEntry: a sweep leaves the store as it found it, plus at
+// most the template's own entry. A template that binds in place keeps one
+// entry however many points run; one whose points are one-shot modules (a
+// delay slot, a gate call) keeps none, and a kernel prepared before the
+// sweep is still prepared after it.
 func TestSweepKeepsOneEntry(t *testing.T) {
 	const points = 1024
 	d := openSC(t, 1)
 	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
 	opts := qdmi.JobOptions{Shots: 1}
 	runModule(t, d, x, opts)
-	tpl, _ := sweepTemplate(t, d, false)
-	for i := 0; i < points; i++ {
-		f := float64(i) / (points - 1)
-		runModule(t, d, tpl, withPoint(opts, map[string]float64{"amp": 0.05 + 0.95*f, "phi": math.Pi * (2*f - 1), "det": 1e6 * f}))
-	}
-	if n := preparedFor(d, tpl); n != 1 {
-		t.Fatalf("%d prepared programs for the template after a %d-point sweep, want 1", n, points)
-	}
-	if n := preparedFor(d, x); n != 1 {
-		t.Fatalf("the kernel prepared before the sweep has %d prepared programs after it, want 1", n)
+	inPlace, _ := sweepTemplate(t, d, false)
+	withDelay, _ := sweepTemplate(t, d, true)
+	gates, _ := gateTemplate()
+	for _, tc := range []struct {
+		name    string
+		tpl     *qir.Module
+		point   func(f float64) map[string]float64
+		entries int
+	}{
+		{"in place", inPlace, func(f float64) map[string]float64 {
+			return map[string]float64{"amp": 0.05 + 0.95*f, "phi": math.Pi * (2*f - 1), "det": 1e6 * f}
+		}, 1},
+		{"delay slot", withDelay, func(f float64) map[string]float64 {
+			return map[string]float64{"amp": 0.05 + 0.95*f, "phi": 0, "det": 0, "wait": 64 * f}
+		}, 0},
+		{"gate call", gates, func(f float64) map[string]float64 { return map[string]float64{"theta": math.Pi * f} }, 0},
+	} {
+		for i := 0; i < points; i++ {
+			runModule(t, d, tc.tpl, withPoint(opts, tc.point(float64(i)/(points-1))))
+		}
+		if n := preparedFor(d, tc.tpl); n != tc.entries {
+			t.Fatalf("%s: %d prepared programs for the template after a %d-point sweep, want %d", tc.name, n, points, tc.entries)
+		}
+		if n := preparedFor(d, x); n != 1 {
+			t.Fatalf("%s: the kernel prepared before the sweep has %d prepared programs after it, want 1", tc.name, n)
+		}
 	}
 }
 

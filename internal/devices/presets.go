@@ -8,6 +8,24 @@ package devices
 // trapped-ion motional modes drift a few hundred hertz hour-to-hour, and
 // neutral-atom laser systems need minute-scale recalibration.
 
+import "fmt"
+
+// Preset builds the device a command-line -device flag names: "sc"
+// ("superconducting"), "ion" ("trapped-ion") or "atom" ("neutral-atom"),
+// called name, with sites sites and the given seed.
+func Preset(preset, name string, sites int, seed int64) (*SimDevice, error) {
+	switch preset {
+	case "sc", "superconducting":
+		return Superconducting(name, sites, seed)
+	case "ion", "trapped-ion":
+		return TrappedIon(name, sites, seed)
+	case "atom", "neutral-atom":
+		return NeutralAtom(name, sites, seed)
+	default:
+		return nil, fmt.Errorf("unknown device preset %q (sc, ion, atom)", preset)
+	}
+}
+
 // Superconducting returns a transmon device: 3-level sites with
 // anharmonicity (so DRAG matters), nanosecond gates, ZZ couplers, and
 // frequency drift on the tens-of-minutes scale.

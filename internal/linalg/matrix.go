@@ -230,17 +230,6 @@ func (m *Matrix) Dagger() *Matrix {
 	return c
 }
 
-// Transpose returns the (non-conjugating) transpose.
-func (m *Matrix) Transpose() *Matrix {
-	c := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			c.Data[j*c.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return c
-}
-
 // Trace returns the trace of a square matrix.
 func (m *Matrix) Trace() complex128 {
 	if !m.IsSquare() {

@@ -45,12 +45,12 @@ type Compiled struct {
 }
 
 // Text returns the program's exchange-format text, for the consumers whose
-// interface is text: Client.Compile callers, the remote wire, devices
-// without qdmi.ModuleSubmitter. A job that runs in this process hands the
-// device Module and never asks, so the text is emitted by the first call
-// and shared by every later one; callers must not modify it. A template's
-// text carries its slots (FromText reads it back); only a bound point's
-// text (Bind, then Emit) is something a device can run.
+// interface is text: Client.Compile callers and the remote wire. A job that
+// runs in this process hands the device Module and never asks, so the text
+// is emitted by the first call and shared by every later one; callers must
+// not modify it. A template's text carries its slots (FromText reads it
+// back); only a bound point's text (Bind, then Emit) is something a device
+// can run.
 func (c *Compiled) Text() []byte {
 	c.textOnce.Do(func() { c.text = c.Module.Emit() })
 	return c.text

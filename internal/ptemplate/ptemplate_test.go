@@ -17,7 +17,7 @@ import (
 	"mqsspulse/internal/waveform"
 )
 
-func rabiTemplate(t *testing.T) *Template {
+func rabiTemplate(t testing.TB) *Template {
 	t.Helper()
 	c := qpi.NewCircuit("rabi", 1, 1).RXP(0, qpi.Sym("theta")).Measure(0, 0)
 	if err := c.End(); err != nil {
@@ -30,7 +30,7 @@ func rabiTemplate(t *testing.T) *Template {
 	return tpl
 }
 
-func templateDevice(t *testing.T) *devices.SimDevice {
+func templateDevice(t testing.TB) *devices.SimDevice {
 	t.Helper()
 	dev, err := devices.Superconducting("tpl-sc", 2, 11)
 	if err != nil {

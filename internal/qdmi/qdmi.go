@@ -230,8 +230,8 @@ type AcquisitionSubmitter interface {
 // template with the job's point in JobOptions.Bindings, which the device
 // binds itself — a device may prepare the template once and bind every
 // point into that. A device keeps the module and must not modify it; the
-// caller must not modify it either. Callers type-assert; the QRM falls back
-// to emitting bytes (a template bound first) for devices without it.
+// caller must not modify it either. Callers type-assert; the QRM fails a
+// compiled program's job on a device without it (ErrNotSupported).
 type ModuleSubmitter interface {
 	// SubmitModule enqueues a QIR module with acquisition options and, for
 	// a template, the point to bind.

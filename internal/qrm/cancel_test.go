@@ -3,88 +3,21 @@ package qrm
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qdmi/qdmitest"
 	"mqsspulse/internal/telemetry"
-	"mqsspulse/internal/testutil"
 )
 
-// blockingDevice is a mock device whose jobs run until released, so tests
-// can hold a worker busy deterministically. Its jobs are qdmi.AsyncJob, so
-// they support the RunningCanceller capability. The embedded nil Device
-// stands for the queries the scheduler never makes of it.
-type blockingDevice struct {
-	qdmi.Device
-	name string
-
-	mu      sync.Mutex
-	order   []string
-	nextJob int
-	release chan struct{} // jobs finish only after this closes
-
-	submitErr error // when set, SubmitJob refuses every job with it
-	noAbort   bool  // when set, jobs lack the RunningCanceller capability
-}
-
-func newBlockingDevice(name string) *blockingDevice {
-	return &blockingDevice{name: name, release: make(chan struct{})}
-}
-
-func (d *blockingDevice) Name() string { return d.name }
-
-func (d *blockingDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots int) (qdmi.Job, error) {
-	if d.submitErr != nil {
-		return nil, d.submitErr
-	}
-	d.mu.Lock()
-	d.nextJob++
-	id := fmt.Sprintf("%s-%d", d.name, d.nextJob)
-	d.order = append(d.order, string(payload))
-	d.mu.Unlock()
-	j := qdmi.NewAsyncJob(id)
-	go func() {
-		if !j.Start() {
-			return
-		}
-		<-d.release
-		j.Finish(&qdmi.Result{Counts: map[uint64]int{0: shots}, Shots: shots})
-	}()
-	if d.noAbort {
-		// Embedding the interface hides AsyncJob's CancelRunning.
-		return struct{ qdmi.Job }{j}, nil
-	}
-	return j, nil
-}
-
-func (d *blockingDevice) executed() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]string(nil), d.order...)
-}
-
-func blockingRig(t *testing.T) (*Scheduler, *blockingDevice) {
+// blockingRig is a scheduler over one device, "qpu", whose jobs run until
+// release closes or they are cancelled.
+func blockingRig(t *testing.T) (s *Scheduler, dev *qdmitest.Device, release chan struct{}) {
 	t.Helper()
-	testutil.AssertNoLeaks(t)
-	drv := qdmi.NewDriver()
-	dev := newBlockingDevice("qpu")
-	if err := drv.RegisterDevice(dev); err != nil {
-		t.Fatal(err)
-	}
-	s := New(drv.OpenSession())
-	t.Cleanup(func() {
-		// Release any still-blocked jobs so Close can drain.
-		select {
-		case <-dev.release:
-		default:
-			close(dev.release)
-		}
-		s.Close()
-	})
-	return s, dev
+	dev = device("qpu")
+	s = rig(t, dev)
+	return s, dev, hold(t, dev)
 }
 
 func submit(t *testing.T, s *Scheduler, ctx context.Context, payload string) *Ticket {
@@ -111,7 +44,7 @@ func waitRunning(t *testing.T, tk *Ticket) {
 }
 
 func TestCancelQueuedTicketPreventsDeviceExecution(t *testing.T) {
-	s, dev := blockingRig(t)
+	s, dev, release := blockingRig(t)
 	// First job occupies the single device worker...
 	first := submit(t, s, context.Background(), "first")
 	waitRunning(t, first)
@@ -130,7 +63,7 @@ func TestCancelQueuedTicketPreventsDeviceExecution(t *testing.T) {
 	}
 
 	// Let the first job finish and the queue drain.
-	close(dev.release)
+	close(release)
 	if _, err := first.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +73,7 @@ func TestCancelQueuedTicketPreventsDeviceExecution(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// The device only ever saw the first payload.
-	if got := dev.executed(); len(got) != 1 || got[0] != "first" {
+	if got := ids(dev); len(got) != 1 || got[0] != "first" {
 		t.Fatalf("device executed %v, want [first]", got)
 	}
 	st := s.Stats()
@@ -150,7 +83,7 @@ func TestCancelQueuedTicketPreventsDeviceExecution(t *testing.T) {
 }
 
 func TestWaitReturnsWithinContextDeadline(t *testing.T) {
-	s, _ := blockingRig(t)
+	s, _, _ := blockingRig(t)
 	tk := submit(t, s, context.Background(), "blocked")
 	waitRunning(t, tk)
 
@@ -172,7 +105,7 @@ func TestWaitReturnsWithinContextDeadline(t *testing.T) {
 }
 
 func TestCancelRunningTicketAbortsDeviceJob(t *testing.T) {
-	s, dev := blockingRig(t)
+	s, _, _ := blockingRig(t)
 	tk := submit(t, s, context.Background(), "inflight")
 	waitRunning(t, tk)
 
@@ -195,11 +128,10 @@ func TestCancelRunningTicketAbortsDeviceJob(t *testing.T) {
 	if st := s.Stats(); st.Cancelled != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	_ = dev // released by cleanup
 }
 
 func TestSubmitCtxRejectsCancelledContext(t *testing.T) {
-	s, _ := blockingRig(t)
+	s, _, _ := blockingRig(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.SubmitCtx(ctx, Request{
@@ -210,7 +142,7 @@ func TestSubmitCtxRejectsCancelledContext(t *testing.T) {
 }
 
 func TestTicketTagAndStatusLifecycle(t *testing.T) {
-	s, dev := blockingRig(t)
+	s, _, release := blockingRig(t)
 	tk, err := s.SubmitCtx(context.Background(), Request{
 		Device: "qpu", Payload: []byte("tagged"), Format: qdmi.FormatQIRBase,
 		Shots: 1, Tag: "tenant-a",
@@ -222,7 +154,7 @@ func TestTicketTagAndStatusLifecycle(t *testing.T) {
 		t.Fatalf("tag = %q", tk.Tag())
 	}
 	waitRunning(t, tk)
-	close(dev.release)
+	close(release)
 	if _, err := tk.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +164,9 @@ func TestTicketTagAndStatusLifecycle(t *testing.T) {
 }
 
 func TestCancelIsIdempotentAfterCompletion(t *testing.T) {
-	s, dev := blockingRig(t)
+	s, _, release := blockingRig(t)
 	tk := submit(t, s, context.Background(), "job")
-	close(dev.release)
+	close(release)
 	if _, err := tk.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -279,19 +211,19 @@ func TestNormalFinishNeverRunsCtxDone(t *testing.T) {
 func TestDispatchSpanOnTimelineBeforeWaiterWakes(t *testing.T) {
 	cases := []struct {
 		name  string
-		setup func(*blockingDevice)
-		end   func(*Ticket, *blockingDevice) // nil: the job ends by itself
+		setup func(*qdmitest.Device)
+		end   func(tk *Ticket, release chan struct{}) // nil: the job ends by itself
 		want  error
 	}{
-		{"device refuses the job", func(d *blockingDevice) { d.submitErr = qdmi.ErrFatal }, nil, qdmi.ErrFatal},
-		{"cancelled mid-flight, device cannot abort", func(d *blockingDevice) { d.noAbort = true },
-			func(tk *Ticket, _ *blockingDevice) { tk.Cancel() }, ErrCancelled},
-		{"completes", func(*blockingDevice) {},
-			func(_ *Ticket, d *blockingDevice) { close(d.release) }, nil},
+		{"device refuses the job", func(d *qdmitest.Device) { d.SubmitErr = qdmi.ErrFatal }, nil, qdmi.ErrFatal},
+		{"cancelled mid-flight, device cannot abort", func(d *qdmitest.Device) { d.NoAbort = true },
+			func(tk *Ticket, _ chan struct{}) { tk.Cancel() }, ErrCancelled},
+		{"completes", func(*qdmitest.Device) {},
+			func(_ *Ticket, release chan struct{}) { close(release) }, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, dev := blockingRig(t)
+			s, dev, release := blockingRig(t)
 			tc.setup(dev)
 			tk, err := s.SubmitCtx(context.Background(), Request{
 				Device: "qpu", Payload: []byte("job"), Format: qdmi.FormatQIRBase, Shots: 1,
@@ -319,10 +251,10 @@ func TestDispatchSpanOnTimelineBeforeWaiterWakes(t *testing.T) {
 				// Running is not yet dispatched: a cancel that lands before the
 				// device has the job ends it with no dispatch to span.
 				waitRunning(t, tk)
-				for len(dev.executed()) == 0 {
+				for len(ids(dev)) == 0 {
 					time.Sleep(time.Millisecond)
 				}
-				tc.end(tk, dev)
+				tc.end(tk, release)
 			}
 			got := <-seen
 			if !errors.Is(got.err, tc.want) {
@@ -335,46 +267,17 @@ func TestDispatchSpanOnTimelineBeforeWaiterWakes(t *testing.T) {
 	}
 }
 
-// orphanDevice is a blockingDevice whose jobs cannot abort and run on a
-// goroutine of their own. Released, a job publishes a metric through its
-// timeline's registry and then finishes — after its ticket resolved, if
-// the ticket was cancelled meanwhile. Such a job records no spans
-// (qdmi.JobOptions.Telemetry).
-type orphanDevice struct {
-	*blockingDevice
-	finished chan struct{} // closed once the job has finished
-}
-
-func (d orphanDevice) SubmitJobOpts(payload []byte, _ qdmi.ProgramFormat, opts qdmi.JobOptions) (qdmi.Job, error) {
-	d.mu.Lock()
-	d.order = append(d.order, string(payload))
-	d.mu.Unlock()
-	j := qdmi.NewAsyncJob("orphan")
-	go func() {
-		defer close(d.finished)
-		j.Start()
-		<-d.release
-		opts.Telemetry.Registry().Add("orphan/finished", 1)
-		j.Finish(&qdmi.Result{Shots: opts.Shots})
-	}()
-	return struct{ qdmi.Job }{j}, nil
-}
-
 // TestOrphanedJobLeavesTheTimelineToItsReader cancels a job its device
-// cannot abort (run under -race in CI): the ticket resolves while the job
-// still runs, and the orphan then finishes and publishes to the registry
-// while the caller reads the timeline and the registry. Nothing races: the
+// cannot abort and runs on a goroutine of its own (run under -race in CI):
+// the ticket resolves while the job still runs, and the orphan, released,
+// then finishes and publishes to its timeline's registry
+// ("qdmitest/finished") while the caller reads the timeline and the
+// registry. Nothing races: the
 // worker wrote the timeline last, before done closed, and the orphan
 // touches only the registry's atomics.
 func TestOrphanedJobLeavesTheTimelineToItsReader(t *testing.T) {
-	testutil.AssertNoLeaks(t)
-	drv := qdmi.NewDriver()
-	dev := orphanDevice{newBlockingDevice("qpu"), make(chan struct{})}
-	if err := drv.RegisterDevice(dev); err != nil {
-		t.Fatal(err)
-	}
-	s := New(drv.OpenSession())
-	defer s.Close()
+	s, dev, release := blockingRig(t)
+	dev.NoAbort = true
 	reg := telemetry.NewRegistry()
 	tl := telemetry.NewTimeline("", reg)
 	tk, err := s.SubmitCtx(context.Background(), Request{
@@ -383,20 +286,16 @@ func TestOrphanedJobLeavesTheTimelineToItsReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for len(dev.executed()) == 0 {
+	for len(ids(dev)) == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	tk.Cancel()
 	if _, err := tk.Wait(context.Background()); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
-	close(dev.release)
+	close(release)
 	for done := false; !done; {
-		select {
-		case <-dev.finished:
-			done = true
-		default:
-		}
+		done = reg.Snapshot().Counters["qdmitest/finished"] == 1
 		stages := map[telemetry.Stage]int{}
 		for _, sp := range tl.Spans() {
 			stages[sp.Stage]++
@@ -404,9 +303,5 @@ func TestOrphanedJobLeavesTheTimelineToItsReader(t *testing.T) {
 		if len(stages) != 2 || stages[telemetry.StageQueueWait] != 1 || stages[telemetry.StageDispatch] != 1 {
 			t.Fatalf("timeline after the ticket resolved = %v, want one queue-wait and one dispatch span", stages)
 		}
-		_ = reg.Snapshot()
-	}
-	if n := reg.Snapshot().Counters["orphan/finished"]; n != 1 {
-		t.Fatalf("orphan/finished = %d, want 1", n)
 	}
 }

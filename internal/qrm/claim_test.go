@@ -12,84 +12,55 @@ import (
 	"time"
 
 	"mqsspulse/internal/qdmi"
-	"mqsspulse/internal/testutil"
+	"mqsspulse/internal/qdmi/qdmitest"
 )
 
-// waitRunDevice is a pool-capable mock whose jobs run on their first Wait,
-// as a SimDevice's do, so a waiter that claims the device runs the body on
-// its own goroutine. Each body records its payload, whether it ran inside
-// Ticket.Wait, and how many bodies overlapped it; with gate set (under mu),
-// a body holds the device until gate closes or the job is cancelled.
-type waitRunDevice struct {
-	*fleetDevice // name, sites and formats for RegisterPool
+// claimProbe watches a fake device whose jobs run on their first Wait, as a
+// SimDevice's do, so a waiter that claims the device runs the body on its
+// own goroutine. As a body starts, the probe records its payload and
+// whether it runs inside Ticket.Wait; with gate set (under mu), the body
+// holds the device until gate closes or the job is cancelled.
+type claimProbe struct {
+	dev    *qdmitest.Device
+	inline atomic.Int32 // bodies run by a waiter (inside Ticket.Wait)
 
-	cur, peak atomic.Int32 // job bodies running now, and at most
-	inline    atomic.Int32 // bodies run by a waiter (inside Ticket.Wait)
-	gate      chan struct{}
-	order     []string // payloads in the order their bodies started; under mu
+	mu    sync.Mutex
+	gate  chan struct{}
+	order []string // payloads in the order their bodies started
 }
 
-func newWaitRunDevice(name string) *waitRunDevice {
-	return &waitRunDevice{fleetDevice: newFleetDevice(name)}
-}
-
-func (d *waitRunDevice) SubmitJob(payload []byte, _ qdmi.ProgramFormat, shots int) (qdmi.Job, error) {
-	d.mu.Lock()
-	gate := d.gate
-	d.mu.Unlock()
-	return qdmi.NewRunOnWaitJob(string(payload), func(ctx context.Context, j *qdmi.AsyncJob) {
-		n := d.cur.Add(1)
-		defer d.cur.Add(-1)
-		for p := d.peak.Load(); n > p && !d.peak.CompareAndSwap(p, n); p = d.peak.Load() {
-		}
+// newClaimProbe builds a probed device and a scheduler over it with the
+// leak check on, closing it at cleanup.
+func newClaimProbe(t *testing.T, name string) (*Scheduler, *claimProbe) {
+	p := &claimProbe{dev: qdmitest.New(name, 2)}
+	p.dev.SetHold(func(sub qdmitest.Submission) <-chan struct{} {
 		buf := make([]byte, 16<<10)
 		if strings.Contains(string(buf[:runtime.Stack(buf, false)]), "(*Ticket).Wait") {
-			d.inline.Add(1)
+			p.inline.Add(1)
 		}
-		d.mu.Lock()
-		d.order = append(d.order, string(payload))
-		d.mu.Unlock()
+		p.mu.Lock()
+		p.order = append(p.order, sub.ID)
+		gate := p.gate
+		p.mu.Unlock()
 		runtime.Gosched() // widen the window another body could overlap
-		if gate != nil {
-			select {
-			case <-gate:
-			case <-ctx.Done():
-				return
-			}
-		}
-		j.Finish(&qdmi.Result{Counts: map[uint64]int{0: shots}, Shots: shots})
-	}), nil
+		return gate
+	})
+	return rig(t, p.dev), p
 }
 
 // started returns the payloads in the order their bodies started.
-func (d *waitRunDevice) started() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]string(nil), d.order...)
+func (p *claimProbe) started() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]string(nil), p.order...)
 }
 
-// setGate makes the bodies of jobs dispatched from now on wait for gate
-// (nil: none waits).
-func (d *waitRunDevice) setGate(gate chan struct{}) {
-	d.mu.Lock()
-	d.gate = gate
-	d.mu.Unlock()
-}
-
-// claimRig builds a scheduler over devs with the leak check on, closing it
-// at cleanup.
-func claimRig(t *testing.T, devs ...*waitRunDevice) *Scheduler {
-	t.Helper()
-	testutil.AssertNoLeaks(t)
-	drv := qdmi.NewDriver()
-	for _, d := range devs {
-		if err := drv.RegisterDevice(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := New(drv.OpenSession())
-	t.Cleanup(s.Close)
-	return s
+// setGate makes the bodies that start from now on wait for gate (nil: none
+// waits).
+func (p *claimProbe) setGate(gate chan struct{}) {
+	p.mu.Lock()
+	p.gate = gate
+	p.mu.Unlock()
 }
 
 // oneProc runs the rest of the test at GOMAXPROCS 1, where a submitter that
@@ -106,8 +77,7 @@ func oneProc(t *testing.T) {
 // every job. The device never runs two bodies at once, every job runs at
 // most once and resolves once, and the counters balance.
 func TestWaiterClaimsKeepOneJobPerDevice(t *testing.T) {
-	dev := newWaitRunDevice("qpu")
-	s := claimRig(t, dev)
+	s, dev := newClaimProbe(t, "qpu")
 	if err := s.RegisterPool("p", "qpu"); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +131,7 @@ func TestWaiterClaimsKeepOneJobPerDevice(t *testing.T) {
 	if got := ok.Load() + cancelled.Load(); got != callers*jobs {
 		t.Fatalf("%d tickets resolved, want %d", got, callers*jobs)
 	}
-	if p := dev.peak.Load(); p != 1 {
+	if p := dev.dev.Peak(); p != 1 {
 		t.Fatalf("device ran %d job bodies at once, want 1", p)
 	}
 	seen := map[string]bool{}
@@ -196,8 +166,7 @@ func TestWaiterClaimsKeepOneJobPerDevice(t *testing.T) {
 // them.
 func TestWaiterDoesNotClaimPastHigherPriorityPoolJob(t *testing.T) {
 	oneProc(t)
-	dev := newWaitRunDevice("solo")
-	s := claimRig(t, dev)
+	s, dev := newClaimProbe(t, "solo")
 	if err := s.RegisterPool("p", "solo"); err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +204,7 @@ func TestWaiterDoesNotClaimPastHigherPriorityPoolJob(t *testing.T) {
 // completes on the worker.
 func TestWaiterUnderForeignContextNeverRunsJob(t *testing.T) {
 	oneProc(t)
-	dev := newWaitRunDevice("qpu")
-	s := claimRig(t, dev)
+	s, dev := newClaimProbe(t, "qpu")
 	submitCtx, cancelSubmit := context.WithCancel(context.Background())
 	defer cancelSubmit()
 	for i := range 10 {
@@ -293,8 +261,7 @@ func TestWaiterUnderForeignContextNeverRunsJob(t *testing.T) {
 // drains what queued behind it.
 func TestCloseWaitsForClaimingWaiter(t *testing.T) {
 	oneProc(t)
-	dev := newWaitRunDevice("qpu")
-	s := claimRig(t, dev)
+	s, dev := newClaimProbe(t, "qpu")
 	gate := make(chan struct{})
 	dev.setGate(gate)
 	// The submitter goes straight on to Wait, as qpi.Run does. Retry until
@@ -370,7 +337,7 @@ func TestCloseWaitsForClaimingWaiter(t *testing.T) {
 			t.Fatalf("job queued behind the waiter: status %v, want drained", tk.Status())
 		}
 	}
-	if p := dev.peak.Load(); p != 1 {
+	if p := dev.dev.Peak(); p != 1 {
 		t.Fatalf("device ran %d job bodies at once, want 1", p)
 	}
 }

@@ -4,101 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"mqsspulse/internal/qdmi"
-	"mqsspulse/internal/testutil"
+	"mqsspulse/internal/qdmi/qdmitest"
 )
-
-// fleetDevice is a scriptable pool-member mock: configurable site count and
-// program formats (for pool compatibility checks), optional blocking (jobs
-// finish only after release closes), and execution recording. The embedded
-// nil Device stands for the queries the scheduler never makes of it.
-type fleetDevice struct {
-	qdmi.Device
-	name     string
-	numSites int
-	formats  []qdmi.ProgramFormat
-	release  chan struct{} // when non-nil, jobs block until it closes
-
-	mu       sync.Mutex
-	executed []string
-	nextJob  int
-}
-
-func newFleetDevice(name string) *fleetDevice {
-	return &fleetDevice{
-		name: name, numSites: 2,
-		formats: []qdmi.ProgramFormat{qdmi.FormatQIRBase, qdmi.FormatQIRPulse},
-	}
-}
-
-func (d *fleetDevice) Name() string  { return d.name }
-func (d *fleetDevice) NumSites() int { return d.numSites }
-func (d *fleetDevice) QueryDeviceProperty(p qdmi.DeviceProperty) (any, error) {
-	if p == qdmi.DevicePropProgramFormats {
-		return append([]qdmi.ProgramFormat(nil), d.formats...), nil
-	}
-	return nil, qdmi.ErrNotSupported
-}
-
-func (d *fleetDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots int) (qdmi.Job, error) {
-	d.mu.Lock()
-	d.nextJob++
-	id := fmt.Sprintf("%s-%d", d.name, d.nextJob)
-	d.executed = append(d.executed, string(payload))
-	release := d.release
-	d.mu.Unlock()
-	j := qdmi.NewAsyncJob(id)
-	go func() {
-		if !j.Start() {
-			return
-		}
-		if release != nil {
-			select {
-			case <-release:
-			case <-j.Done(): // cancelled mid-flight
-			}
-		}
-		j.Finish(&qdmi.Result{Counts: map[uint64]int{0: shots}, Shots: shots})
-	}()
-	return j, nil
-}
-
-func (d *fleetDevice) ran() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]string(nil), d.executed...)
-}
-
-// fleetRig registers the given mock devices and builds a scheduler over
-// them, releasing blocked jobs and closing the scheduler at cleanup.
-func fleetRig(t *testing.T, devs ...*fleetDevice) *Scheduler {
-	t.Helper()
-	testutil.AssertNoLeaks(t)
-	drv := qdmi.NewDriver()
-	for _, d := range devs {
-		if err := drv.RegisterDevice(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := New(drv.OpenSession())
-	t.Cleanup(func() {
-		for _, d := range devs {
-			if d.release != nil {
-				select {
-				case <-d.release:
-				default:
-					close(d.release)
-				}
-			}
-		}
-		s.Close()
-	})
-	return s
-}
 
 func poolSubmit(t *testing.T, s *Scheduler, ctx context.Context, pool, payload string) *Ticket {
 	t.Helper()
@@ -112,7 +23,7 @@ func poolSubmit(t *testing.T, s *Scheduler, ctx context.Context, pool, payload s
 }
 
 func TestSubmitUnknownTargetsAreTyped(t *testing.T) {
-	s := fleetRig(t, newFleetDevice("a"))
+	s := rig(t, device("a"))
 	if _, err := s.SubmitCtx(context.Background(), Request{
 		Device: "ghost", Payload: []byte("x"), Format: qdmi.FormatQIRBase, Shots: 1,
 	}); !errors.Is(err, ErrNoSuchTarget) {
@@ -137,11 +48,9 @@ func TestSubmitUnknownTargetsAreTyped(t *testing.T) {
 }
 
 func TestRegisterPoolValidation(t *testing.T) {
-	small := newFleetDevice("small")
-	small.numSites = 1
-	odd := newFleetDevice("odd")
-	odd.formats = []qdmi.ProgramFormat{qdmi.FormatMLIRPulse}
-	s := fleetRig(t, newFleetDevice("a"), newFleetDevice("b"), small, odd)
+	odd := device("odd")
+	odd.Props = map[qdmi.DeviceProperty]any{qdmi.DevicePropProgramFormats: []qdmi.ProgramFormat{qdmi.FormatMLIRPulse}}
+	s := rig(t, device("a"), device("b"), qdmitest.New("small", 1), odd)
 
 	if err := s.RegisterPool(""); !errors.Is(err, qdmi.ErrInvalidArgument) {
 		t.Fatalf("empty name: %v", err)
@@ -194,11 +103,8 @@ func TestRegisterPoolValidation(t *testing.T) {
 }
 
 func TestPoolPlacementCompletesAcrossMembers(t *testing.T) {
-	devs := []*fleetDevice{
-		newFleetDevice("d0"), newFleetDevice("d1"),
-		newFleetDevice("d2"), newFleetDevice("d3"),
-	}
-	s := fleetRig(t, devs...)
+	devs := []*qdmitest.Device{device("d0"), device("d1"), device("d2"), device("d3")}
+	s := rig(t, devs[0], devs[1], devs[2], devs[3])
 	if err := s.RegisterPool("sims", "d0", "d1", "d2", "d3"); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +123,7 @@ func TestPoolPlacementCompletesAcrossMembers(t *testing.T) {
 	}
 	total := 0
 	for _, d := range devs {
-		total += len(d.ran())
+		total += len(ids(d))
 	}
 	if total != n {
 		t.Fatalf("fleet ran %d jobs, want %d", total, n)
@@ -229,10 +135,10 @@ func TestPoolPlacementCompletesAcrossMembers(t *testing.T) {
 }
 
 func TestWorkStealingIdleSiblingTakesQueuedJob(t *testing.T) {
-	busy := newFleetDevice("busy")
-	busy.release = make(chan struct{})
-	idle := newFleetDevice("idle")
-	s := fleetRig(t, busy, idle)
+	busy := device("busy")
+	idle := device("idle")
+	s := rig(t, busy, idle)
+	release := hold(t, busy)
 	if err := s.RegisterPool("pair", "busy", "idle"); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +168,7 @@ func TestWorkStealingIdleSiblingTakesQueuedJob(t *testing.T) {
 	if second.Device() != "idle" {
 		t.Fatalf("second ran on %q, want idle", second.Device())
 	}
-	if got := idle.ran(); len(got) != 1 || got[0] != "second" {
+	if got := ids(idle); len(got) != 1 || got[0] != "second" {
 		t.Fatalf("idle executed %v, want [second]", got)
 	}
 	st := s.Stats()
@@ -270,16 +176,16 @@ func TestWorkStealingIdleSiblingTakesQueuedJob(t *testing.T) {
 		t.Fatalf("steal stats = %+v", st)
 	}
 
-	close(busy.release)
+	close(release)
 	if _, err := first.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBoundedQueueRejectsWithErrOverloaded(t *testing.T) {
-	dev := newFleetDevice("qpu")
-	dev.release = make(chan struct{})
-	s := fleetRig(t, dev)
+	dev := device("qpu")
+	s := rig(t, dev)
+	release := hold(t, dev)
 	s.SetMaxQueueDepth(2)
 
 	submitOne := func(payload string) (*Ticket, error) {
@@ -308,7 +214,7 @@ func TestBoundedQueueRejectsWithErrOverloaded(t *testing.T) {
 	}
 
 	// Back off and retry once capacity frees up: the canonical caller loop.
-	close(dev.release)
+	close(release)
 	if _, err := first.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +241,9 @@ func TestBoundedQueueRejectsWithErrOverloaded(t *testing.T) {
 }
 
 func TestPoolQueueRejectsWithErrOverloaded(t *testing.T) {
-	dev := newFleetDevice("solo")
-	dev.release = make(chan struct{})
-	s := fleetRig(t, dev)
+	dev := device("solo")
+	s := rig(t, dev)
+	hold(t, dev)
 	if err := s.RegisterPool("p", "solo"); err != nil {
 		t.Fatal(err)
 	}
@@ -353,9 +259,9 @@ func TestPoolQueueRejectsWithErrOverloaded(t *testing.T) {
 }
 
 func TestCancelPoolQueuedTicketBeforePlacement(t *testing.T) {
-	dev := newFleetDevice("solo")
-	dev.release = make(chan struct{})
-	s := fleetRig(t, dev)
+	dev := device("solo")
+	s := rig(t, dev)
+	release := hold(t, dev)
 	if err := s.RegisterPool("p", "solo"); err != nil {
 		t.Fatal(err)
 	}
@@ -373,20 +279,20 @@ func TestCancelPoolQueuedTicketBeforePlacement(t *testing.T) {
 		t.Fatalf("cancelled ticket was placed on %q", second.Device())
 	}
 
-	close(dev.release)
+	close(release)
 	if _, err := first.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// The device only ever saw the first payload.
-	if got := dev.ran(); len(got) != 1 || got[0] != "first" {
+	if got := ids(dev); len(got) != 1 || got[0] != "first" {
 		t.Fatalf("device executed %v, want [first]", got)
 	}
 }
 
 func TestPriorityOrderAcrossPoolAndDeviceQueues(t *testing.T) {
-	dev := newFleetDevice("solo")
-	dev.release = make(chan struct{})
-	s := fleetRig(t, dev)
+	dev := device("solo")
+	s := rig(t, dev)
+	release := hold(t, dev)
 	if err := s.RegisterPool("p", "solo"); err != nil {
 		t.Fatal(err)
 	}
@@ -412,13 +318,13 @@ func TestPriorityOrderAcrossPoolAndDeviceQueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	close(dev.release)
+	close(release)
 	for _, tk := range []*Ticket{first, low, high} {
 		if _, err := tk.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	order := dev.ran()
+	order := ids(dev)
 	if len(order) != 3 || order[1] != "high" || order[2] != "low" {
 		t.Fatalf("execution order = %v, want [first high low]", order)
 	}

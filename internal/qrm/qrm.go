@@ -103,10 +103,10 @@ type Request struct {
 	// Template is a compiled program — the form every client job takes,
 	// local or off the wire; Payload/Format is for callers that hold only
 	// text. When set, Payload must be empty: the scheduler hands the program's
-	// module to a qdmi.ModuleSubmitter device directly, with Bindings when
-	// the program has parameters, and the device binds them; a device
-	// without that capability gets text, bound here. Either way the point is
-	// bound at dispatch time, after the epoch check.
+	// module to a qdmi.ModuleSubmitter device, with Bindings when the program
+	// has parameters, and the device binds them at dispatch time, after the
+	// epoch check. A device without that capability fails the job with
+	// qdmi.ErrNotSupported.
 	Template *ptemplate.Compiled
 	// Bindings is this job's sweep point: one value per Template parameter
 	// (none for a concrete kernel). It is validated at submit and again at
@@ -115,9 +115,9 @@ type Request struct {
 	// Timeline, when non-nil, is the job's telemetry trace: the scheduler
 	// records queue-wait and dispatch spans onto it, and hands it to the
 	// device through qdmi.JobOptions for the device-side stages — a template
-	// point's bind among them, which the scheduler records itself only for a
-	// device that takes text. Nil submissions run untraced (per-device queue-wait
-	// histograms still accumulate when SetTelemetry installed a registry).
+	// point's bind among them. Nil submissions run untraced (per-device
+	// queue-wait histograms still accumulate when SetTelemetry installed a
+	// registry).
 	Timeline *telemetry.Timeline
 }
 
@@ -545,43 +545,32 @@ func (s *Scheduler) checkEpoch(dispatchDevice string, req Request) error {
 	return nil
 }
 
-// submitToDevice dispatches a request, routing through the acquisition
-// capability when the device offers it; devices without it can only serve
-// discriminated counts. A compiled program (req.Template) prefers the
-// qdmi.ModuleSubmitter capability, which skips the emit/parse round trip:
-// the device gets the cached module itself, shared and unmodified, and — for
-// a template — the point, validated here, after the epoch gate in runItem, so
-// a stale template fails with ErrStaleCalibration before any binding work.
-// The device binds it and records the bind span. A device without the
-// capability receives text through the ordinary path: the program's text,
-// emitted once however many jobs ask, or a point bound here and emitted.
+// submitToDevice dispatches a request. A compiled program (req.Template)
+// reaches the device as itself, through the qdmi.ModuleSubmitter capability:
+// the cached module, shared and unmodified, and — for a template — the point,
+// validated here, after the epoch gate in runItem, so a stale template fails
+// with ErrStaleCalibration before any binding work. The device binds it and
+// records the bind span; a device without the capability cannot take the
+// job (qdmi.ErrNotSupported). Text (req.Payload) goes through the
+// acquisition capability when the device offers it; devices without it can
+// only serve discriminated counts.
 func submitToDevice(dev qdmi.Device, req Request, parent telemetry.SpanID) (qdmi.Job, error) {
 	opts := qdmi.JobOptions{
 		Shots: req.Shots, MeasLevel: req.MeasLevel, MeasReturn: req.MeasReturn,
 		Telemetry: req.Timeline, TelemetryParent: parent,
 	}
 	if p := req.Template; p != nil {
-		if ms, ok := dev.(qdmi.ModuleSubmitter); ok {
-			if len(p.Params) > 0 {
-				if err := p.Validate(req.Bindings); err != nil {
-					return nil, err
-				}
-				opts.Bindings = req.Bindings
-			}
-			return ms.SubmitModule(p.Module, opts)
+		ms, ok := dev.(qdmi.ModuleSubmitter)
+		if !ok {
+			return nil, fmt.Errorf("%w: device %s takes no compiled programs", qdmi.ErrNotSupported, dev.Name())
 		}
-		if len(p.Params) == 0 {
-			req.Payload = p.Text()
-		} else {
-			bindStart := time.Now()
-			mod, err := p.Bind(req.Bindings)
-			if err != nil {
+		if len(p.Params) > 0 {
+			if err := p.Validate(req.Bindings); err != nil {
 				return nil, err
 			}
-			req.Timeline.Record(telemetry.StageBind, dev.Name(), bindStart, time.Since(bindStart), parent)
-			req.Payload = mod.Emit()
+			opts.Bindings = req.Bindings
 		}
-		req.Format = p.Format
+		return ms.SubmitModule(p.Module, opts)
 	}
 	if as, ok := dev.(qdmi.AcquisitionSubmitter); ok {
 		return as.SubmitJobOpts(req.Payload, req.Format, opts)

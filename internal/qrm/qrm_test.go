@@ -9,63 +9,67 @@ import (
 	"testing"
 
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qdmi/qdmitest"
 	"mqsspulse/internal/testutil"
 )
 
-// slowDevice is a scriptable mock device that records execution order. The
-// embedded nil Device stands for the queries the scheduler never makes of it.
-type slowDevice struct {
-	qdmi.Device
-	name    string
-	mu      sync.Mutex
-	order   []string
-	nextJob int
-	failOn  string
+// device returns a fake device called name whose jobs run on goroutines of
+// their own, as an asynchronous device runtime's do: the worker waits on
+// them and, for a cancelled ticket, aborts them through
+// qdmi.RunningCanceller.
+func device(name string) *qdmitest.Device {
+	d := qdmitest.New(name, 2)
+	d.OffThread = true
+	return d
 }
 
-func (d *slowDevice) Name() string { return d.name }
+// plain hides every optional capability of d: it takes text through
+// SubmitJob only and returns discriminated counts.
+func plain(d qdmi.Device) qdmi.Device { return struct{ qdmi.Device }{d} }
 
-func (d *slowDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots int) (qdmi.Job, error) {
-	d.mu.Lock()
-	d.nextJob++
-	id := fmt.Sprintf("%s-%d", d.name, d.nextJob)
-	d.order = append(d.order, string(payload))
-	fail := d.failOn != "" && string(payload) == d.failOn
-	d.mu.Unlock()
-	j := qdmi.NewAsyncJob(id)
-	go func() {
-		if !j.Start() {
-			return
-		}
-		if fail {
-			j.Fail(errors.New("scripted failure"))
-			return
-		}
-		j.Finish(&qdmi.Result{Counts: map[uint64]int{0: shots}, Shots: shots})
-	}()
-	return j, nil
-}
-
-func (d *slowDevice) executionOrder() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]string(nil), d.order...)
-}
-
-func rig(t *testing.T) (*Scheduler, *slowDevice) {
+// rig registers devs and builds a scheduler over them with the leak check
+// on; cleanup closes it.
+func rig(t *testing.T, devs ...qdmi.Device) *Scheduler {
 	t.Helper()
 	testutil.AssertNoLeaks(t)
 	drv := qdmi.NewDriver()
-	dev := &slowDevice{name: "qpu"}
-	if err := drv.RegisterDevice(dev); err != nil {
-		t.Fatal(err)
+	for _, d := range devs {
+		if err := drv.RegisterDevice(d); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return New(drv.OpenSession()), dev
+	s := New(drv.OpenSession())
+	t.Cleanup(s.Close)
+	return s
+}
+
+// hold makes every job of d wait, once running, until the returned channel
+// closes; cleanup closes it, before the scheduler closes, if the test has
+// not.
+func hold(t *testing.T, d *qdmitest.Device) chan struct{} {
+	release := make(chan struct{})
+	d.SetHold(func(qdmitest.Submission) <-chan struct{} { return release })
+	t.Cleanup(func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	})
+	return release
+}
+
+// ids lists the payloads of the jobs d accepted, in submit order.
+func ids(d *qdmitest.Device) []string {
+	var out []string
+	for _, sub := range d.Submissions() {
+		out = append(out, sub.ID)
+	}
+	return out
 }
 
 func TestSubmitAndWait(t *testing.T) {
-	s, _ := rig(t)
-	defer s.Close()
+	s := rig(t, device("qpu"))
 	tk, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("job"), Format: qdmi.FormatQIRBase, Shots: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +91,7 @@ func TestSubmitAndWait(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	s, _ := rig(t)
-	defer s.Close()
+	s := rig(t, device("qpu"))
 	if _, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("x"), Shots: 0}); !errors.Is(err, qdmi.ErrInvalidArgument) {
 		t.Fatalf("zero shots: err = %v, want ErrInvalidArgument", err)
 	}
@@ -101,15 +104,15 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestFailurePropagation(t *testing.T) {
-	s, dev := rig(t)
-	defer s.Close()
-	dev.failOn = "poison"
+	dev := device("qpu")
+	dev.FailOn = "poison"
+	s := rig(t, dev)
 	tk, err := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("poison"), Format: qdmi.FormatQIRBase, Shots: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tk.Wait(context.Background()); err == nil {
-		t.Fatal("failure not propagated")
+	if _, err := tk.Wait(context.Background()); !errors.Is(err, qdmitest.ErrScripted) {
+		t.Fatalf("err = %v, want the device's scripted failure", err)
 	}
 	if s.Stats().Failed != 1 {
 		t.Fatalf("stats = %+v", s.Stats())
@@ -117,8 +120,8 @@ func TestFailurePropagation(t *testing.T) {
 }
 
 func TestManyJobsAllComplete(t *testing.T) {
-	s, dev := rig(t)
-	defer s.Close()
+	dev := device("qpu")
+	s := rig(t, dev)
 	const n = 50
 	tickets := make([]*Ticket, n)
 	for i := 0; i < n; i++ {
@@ -134,7 +137,7 @@ func TestManyJobsAllComplete(t *testing.T) {
 			t.Fatalf("job %d: %v", i, err)
 		}
 	}
-	if got := len(dev.executionOrder()); got != n {
+	if got := len(ids(dev)); got != n {
 		t.Fatalf("device ran %d jobs, want %d", got, n)
 	}
 	if s.Stats().Completed != n {
@@ -145,7 +148,7 @@ func TestManyJobsAllComplete(t *testing.T) {
 func TestPriorityOrdering(t *testing.T) {
 	// Fill the queue while the worker is blocked on the first job, then
 	// check the high-priority job ran before the low-priority ones.
-	s, dev := blockingRig(t)
+	s, dev, release := blockingRig(t)
 	// Prime with one job to occupy the worker: the device holds it until
 	// everything else is queued.
 	first, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("first"), Format: qdmi.FormatQIRBase, Shots: 1})
@@ -158,13 +161,13 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 	hi, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("high"), Format: qdmi.FormatQIRBase, Shots: 1, Priority: 10})
 	tickets = append(tickets, hi, first)
-	close(dev.release)
+	close(release)
 	for _, tk := range tickets {
 		if _, err := tk.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	order := dev.executed()
+	order := ids(dev)
 	hiIdx, lowIdx := -1, -1
 	for i, p := range order {
 		if p == "high" && hiIdx < 0 {
@@ -181,8 +184,7 @@ func TestPriorityOrdering(t *testing.T) {
 }
 
 func TestConcurrentSubmitters(t *testing.T) {
-	s, _ := rig(t)
-	defer s.Close()
+	s := rig(t, device("qpu"))
 	var wg sync.WaitGroup
 	var failures atomic.Int64
 	for g := 0; g < 8; g++ {
@@ -212,7 +214,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 }
 
 func TestCloseRejectsNewWork(t *testing.T) {
-	s, _ := rig(t)
+	s := rig(t, device("qpu"))
 	tk, _ := s.SubmitCtx(context.Background(), Request{Device: "qpu", Payload: []byte("j"), Format: qdmi.FormatQIRBase, Shots: 1})
 	if _, err := tk.Wait(context.Background()); err != nil {
 		t.Fatal(err)
@@ -225,13 +227,8 @@ func TestCloseRejectsNewWork(t *testing.T) {
 }
 
 func TestTwoDevicesRunIndependently(t *testing.T) {
-	drv := qdmi.NewDriver()
-	devA := &slowDevice{name: "a"}
-	devB := &slowDevice{name: "b"}
-	_ = drv.RegisterDevice(devA)
-	_ = drv.RegisterDevice(devB)
-	s := New(drv.OpenSession())
-	defer s.Close()
+	devA, devB := device("a"), device("b")
+	s := rig(t, devA, devB)
 	var tickets []*Ticket
 	for i := 0; i < 10; i++ {
 		name := "a"
@@ -250,7 +247,7 @@ func TestTwoDevicesRunIndependently(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(devA.executionOrder()) != 5 || len(devB.executionOrder()) != 5 {
-		t.Fatalf("split = %d/%d", len(devA.executionOrder()), len(devB.executionOrder()))
+	if len(ids(devA)) != 5 || len(ids(devB)) != 5 {
+		t.Fatalf("split = %d/%d", len(ids(devA)), len(ids(devB)))
 	}
 }
