@@ -32,20 +32,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	xWave, err := xImpl.Steps[0].Waveform.Materialize()
+	halfWave, err := xImpl.Steps[0].Waveform.Scale(0.5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	halfWave, err := xWave.Scale(0.5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	spec := halfWave.ToSpec()
-	spec.Name = "myroot_pulse"
+	halfWave.Name = "myroot_pulse"
 	custom := &mqsspulse.PulseImpl{
 		Operation: "myroot",
 		Steps: []mqsspulse.PulseStep{
-			{Kind: "play", PortRole: "drive0", Waveform: &spec},
+			{Kind: "play", PortRole: "drive0", Waveform: halfWave},
 		},
 	}
 	if err := dev.SetPulseImpl("myroot", []int{0}, custom); err != nil {

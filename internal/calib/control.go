@@ -101,12 +101,9 @@ func RunMismatchStudy(ctx context.Context, cl *client.Client, dev Target, site, 
 	if evalErr != nil {
 		return nil, evalErr
 	}
-	spec := waveform.Spec{Name: "x_optctl"}
-	for _, s := range b.controlSamples(xh) {
-		spec.Samples = append(spec.Samples, [2]float64{real(s), imag(s)})
-	}
+	w := &waveform.Waveform{Name: "x_optctl", Samples: b.controlSamples(xh)}
 	if err := dev.SetPulseImpl("x", []int{site}, &qdmi.PulseImpl{Operation: "x", Steps: []qdmi.PulseStep{
-		{Kind: "play", PortRole: "drive0", Waveform: &spec},
+		{Kind: "play", PortRole: "drive0", Waveform: w},
 	}}); err != nil {
 		return nil, err
 	}

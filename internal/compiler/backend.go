@@ -51,12 +51,8 @@ func backend(m *mlir.Module, target *qdmi.Target) (*qir.Module, error) {
 	// stored samples are the base envelope until Bind scales them.
 	wfOfValue := map[string]string{}
 	for _, def := range m.WaveformDefs {
-		w, err := def.Materialize()
-		if err != nil {
-			return nil, err
-		}
 		out.Waveforms = append(out.Waveforms, qir.WaveformConst{
-			Name: def.Name, Samples: w.Samples, AmpExpr: def.AmpExpr})
+			Name: def.Name, Samples: def.Waveform.Samples, AmpExpr: def.AmpExpr})
 	}
 
 	// Site lookup for residual gate ops.

@@ -316,6 +316,44 @@ func TestLegalizePadsOddWaveforms(t *testing.T) {
 	}
 }
 
+// TestLowerCopiesKernelWaveforms: the frontend copies each kernel waveform
+// once, and the passes, the backend and the link share that copy. A caller
+// writing to Circuit.Waveforms after Lower changes neither the compiled MLIR
+// def nor the QIR constant. The waveform is a multiple of the granularity, so
+// no padding makes a copy on the way.
+func TestLowerCopiesKernelWaveforms(t *testing.T) {
+	dev := scDevice(t) // granularity 8
+	c := qpi.NewCircuit("blip", 1, 1).
+		Waveform("blip", []complex128{0.1, 0.2, 0.3, complex(0.2, 0.1), 0.1, 0, 0, 0}).
+		PlayWaveform("q0-drive", "blip").
+		Measure(0, 0)
+	if err := c.End(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Lower(c, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats["legalize.padded"] != 0 {
+		t.Fatal("the kernel waveform was padded: the pass copied it, not the frontend")
+	}
+	def, _ := res.MLIR.FindWaveform("blip")
+	wc, _ := res.QIR.FindWaveform("blip")
+	if def == nil || wc == nil {
+		t.Fatal("the kernel waveform is not in the compiled module")
+	}
+	mlirText, qirText := res.MLIR.Print(), string(res.QIR.Emit())
+	for i := range c.Waveforms["blip"].Samples {
+		c.Waveforms["blip"].Samples[i] = 0.9
+	}
+	if got := res.MLIR.Print(); got != mlirText {
+		t.Fatalf("writing to the kernel changed the MLIR def:\n%s\nwas:\n%s", got, mlirText)
+	}
+	if got := string(res.QIR.Emit()); got != qirText {
+		t.Fatalf("writing to the kernel changed the QIR constant:\n%s\nwas:\n%s", got, qirText)
+	}
+}
+
 func TestCompileMLIRTextPath(t *testing.T) {
 	dev := scDevice(t)
 	// Build MLIR via the frontend, print it, and compile the text — the

@@ -203,15 +203,11 @@ func halvePulse(t *testing.T, d *devices.SimDevice, op string, sites []int) {
 	half := &qdmi.PulseImpl{Operation: op}
 	for _, st := range impl.Steps {
 		if st.Kind == "play" {
-			w, err := st.Waveform.Materialize()
+			w, err := st.Waveform.Scale(0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w, err = w.Scale(0.5); err != nil {
-				t.Fatal(err)
-			}
-			spec := w.ToSpec()
-			st.Waveform = &spec
+			st.Waveform = w
 		}
 		half.Steps = append(half.Steps, st)
 	}
@@ -225,11 +221,11 @@ func halvePulse(t *testing.T, d *devices.SimDevice, op string, sites []int) {
 // 40-sample capture — neither of which the device's own measurement has.
 func installMeasure(t *testing.T, d *devices.SimDevice, sites ...int) {
 	t.Helper()
-	stimulus := waveform.SpecFromEnvelope("stimulus", waveform.Constant{Amplitude: 0.2}, 16)
+	stimulus, _ := waveform.Constant{Amplitude: 0.2}.Materialize("stimulus", 16)
 	for _, s := range sites {
 		if err := d.SetPulseImpl("measure", []int{s}, &qdmi.PulseImpl{Operation: "measure", Steps: []qdmi.PulseStep{
 			{Kind: "barrier"},
-			{Kind: "play", PortRole: "readout0", Waveform: &stimulus},
+			{Kind: "play", PortRole: "readout0", Waveform: stimulus},
 			{Kind: "capture", PortRole: "readout0", Samples: 40},
 		}}); err != nil {
 			t.Fatal(err)

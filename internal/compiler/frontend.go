@@ -113,11 +113,13 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 			ampOf[op.WaveformName] = op.AmpExpr
 		}
 	}
+	// Each is cloned once: the caller may still write to c.Waveforms, and
+	// from here on the passes, the backend and the link share the copy.
 	for name, w := range c.Waveforms {
-		spec := w.ToSpec()
-		spec.Name = name
+		cw := w.Clone()
+		cw.Name = name
 		m.WaveformDefs = append(m.WaveformDefs, &mlir.WaveformDef{
-			Name: name, Spec: spec, AmpExpr: ampOf[name]})
+			Name: name, Waveform: cw, AmpExpr: ampOf[name]})
 	}
 	// Deterministic def order (map iteration is random).
 	sortWaveformDefs(m.WaveformDefs)

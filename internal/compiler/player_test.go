@@ -139,16 +139,12 @@ func TestPairCalibrationIsUnordered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := own.Steps[1].Waveform.Materialize()
-	if err == nil {
-		w, err = w.Scale(0.9)
-	}
+	w, err := own.Steps[1].Waveform.Scale(0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := w.ToSpec()
 	mine := &qdmi.PulseImpl{Operation: "cz", Steps: []qdmi.PulseStep{
-		{Kind: "barrier"}, {Kind: "play", PortRole: "coupler", Waveform: &spec}, {Kind: "barrier"},
+		{Kind: "barrier"}, {Kind: "play", PortRole: "coupler", Waveform: w}, {Kind: "barrier"},
 	}}
 	if err := d.SetPulseImpl("cz", []int{1, 0}, mine); err != nil {
 		t.Fatal(err)
@@ -181,8 +177,8 @@ func TestCZRolesResolveOnBothPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kick := waveform.SpecFromEnvelope("kick", waveform.Constant{Amplitude: 0.05}, 8)
-	steps := slices.Insert(slices.Clone(cz.Steps), 2, qdmi.PulseStep{Kind: "play", PortRole: "drive0", Waveform: &kick})
+	kick, _ := waveform.Constant{Amplitude: 0.05}.Materialize("kick", 8)
+	steps := slices.Insert(slices.Clone(cz.Steps), 2, qdmi.PulseStep{Kind: "play", PortRole: "drive0", Waveform: kick})
 	if err := d.SetPulseImpl("cz", []int{0, 1}, &qdmi.PulseImpl{Operation: "cz", Steps: steps}); err != nil {
 		t.Fatal(err)
 	}

@@ -69,21 +69,21 @@ func TestLinkReadsOneCalibration(t *testing.T) {
 }
 
 // keptImpl is a custom implementation with every part a caller could edit
-// after installing it: a parametric and an explicit waveform and a phase.
+// after installing it: a sampled envelope, an explicit waveform and a phase.
 func keptImpl() *qdmi.PulseImpl {
-	shaped := waveform.SpecFromEnvelope("g", waveform.Gaussian{Amplitude: 0.3, SigmaFrac: 0.2}, 32)
-	explicit := waveform.Spec{Name: "e", Samples: [][2]float64{{0.1, 0}, {0.2, 0.05}, {0.1, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}}}
+	shaped, _ := waveform.Gaussian{Amplitude: 0.3, SigmaFrac: 0.2}.Materialize("g", 32)
+	explicit := &waveform.Waveform{Name: "e", Samples: []complex128{0.1, complex(0.2, 0.05), 0.1, 0, 0, 0, 0, 0}}
 	return &qdmi.PulseImpl{Operation: "mygate", Steps: []qdmi.PulseStep{
-		{Kind: "play", PortRole: "drive0", Waveform: &shaped},
-		{Kind: "play", PortRole: "drive0", Waveform: &explicit},
+		{Kind: "play", PortRole: "drive0", Waveform: shaped},
+		{Kind: "play", PortRole: "drive0", Waveform: explicit},
 		{Kind: "shift_phase", PortRole: "drive0", PhaseRad: 0.1},
 	}}
 }
 
 // edit writes to every part of an implementation keptImpl built.
 func edit(impl *qdmi.PulseImpl) {
-	impl.Steps[0].Waveform.Params["amplitude"] = 0.9
-	impl.Steps[1].Waveform.Samples[0] = [2]float64{0.9, 0}
+	impl.Steps[0].Waveform.Samples[16] = 0.9
+	impl.Steps[1].Waveform.Samples[0] = 0.9
 	impl.Steps[2].PhaseRad = 1
 }
 
@@ -115,12 +115,12 @@ func TestSetPulseImplKeepsACopy(t *testing.T) {
 
 	// Link time plays the samples installed, not the caller's later ones.
 	x := &qdmi.PulseImpl{Operation: "x", Steps: []qdmi.PulseStep{
-		{Kind: "play", PortRole: "drive0", Waveform: &waveform.Spec{Name: "myx", Samples: slices.Repeat([][2]float64{{0.5, 0}}, 8)}},
+		{Kind: "play", PortRole: "drive0", Waveform: &waveform.Waveform{Name: "myx", Samples: slices.Repeat([]complex128{0.5}, 8)}},
 	}}
 	if err := d.SetPulseImpl("x", []int{0}, x); err != nil {
 		t.Fatal(err)
 	}
-	x.Steps[0].Waveform.Samples[0] = [2]float64{0.1, 0}
+	x.Steps[0].Waveform.Samples[0] = 0.1
 	s, err := d.BuildScheduleForPayload(gateModule("x", 1, 0, []qir.Call{g1(qir.IntrX, 0)}))
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +140,8 @@ func TestSetPulseImplRefusesWhatAPortCannotPlay(t *testing.T) {
 	d := newSC(t) // drive ports: 8 to 65,536 samples, in multiples of 8
 	d.table.Drive(0).MaxAmplitude = 0.5
 	play := func(n int, amp float64) qdmi.PulseStep {
-		spec := waveform.SpecFromEnvelope("w", waveform.Constant{Amplitude: amp}, n)
-		return qdmi.PulseStep{Kind: "play", PortRole: "drive0", Waveform: &spec}
+		w, _ := waveform.Constant{Amplitude: amp}.Materialize("w", n)
+		return qdmi.PulseStep{Kind: "play", PortRole: "drive0", Waveform: w}
 	}
 	write := func(st qdmi.PulseStep) error {
 		return d.SetPulseImpl("x", []int{0}, &qdmi.PulseImpl{Operation: "x", Steps: []qdmi.PulseStep{st}})
@@ -159,6 +159,8 @@ func TestSetPulseImplRefusesWhatAPortCannotPlay(t *testing.T) {
 		{"too long", play(1<<16+8, 0.1)},
 		{"off granularity", play(12, 0.1)},
 		{"above full scale", play(16, 0.8)},
+		{"not a waveform", qdmi.PulseStep{Kind: "play", PortRole: "drive0",
+			Waveform: &waveform.Waveform{Name: "w", Samples: slices.Repeat([]complex128{1.5}, 16)}}},
 		{"role with no port", qdmi.PulseStep{Kind: "shift_phase", PortRole: "drive1", PhaseRad: 0.1}},
 	} {
 		if err := write(tc.step); !errors.Is(err, qdmi.ErrInvalidArgument) {

@@ -515,9 +515,9 @@ func TestDefaultPulseQueries(t *testing.T) {
 
 func TestSetPulseImplCustomGate(t *testing.T) {
 	d := newSC(t)
-	spec := waveform.SpecFromEnvelope("custom", waveform.Gaussian{Amplitude: 0.3, SigmaFrac: 0.2}, 32)
+	w, _ := waveform.Gaussian{Amplitude: 0.3, SigmaFrac: 0.2}.Materialize("custom", 32)
 	impl := &qdmi.PulseImpl{Operation: "mygate", Steps: []qdmi.PulseStep{
-		{Kind: "play", PortRole: "drive0", Waveform: &spec},
+		{Kind: "play", PortRole: "drive0", Waveform: w},
 	}}
 	if err := d.SetPulseImpl("mygate", []int{0}, impl); err != nil {
 		t.Fatal(err)

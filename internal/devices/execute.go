@@ -164,11 +164,7 @@ func (d *SimDevice) play(cal *calibration, s *pulse.Schedule, op string, sites [
 		case "barrier":
 			in = &pulse.Barrier{Ports: barrier}
 		case "play":
-			w, err := st.Waveform.Materialize()
-			if err != nil {
-				return err
-			}
-			in = &pulse.Play{Port: port, Frame: port + "-frame", Waveform: w}
+			in = &pulse.Play{Port: port, Frame: port + "-frame", Waveform: st.Waveform}
 		case "shift_phase":
 			in = &pulse.ShiftPhase{Port: port, Frame: port + "-frame", Phase: st.PhaseRad}
 		default: // capture

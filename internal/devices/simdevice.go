@@ -565,9 +565,8 @@ func (d *SimDevice) synthesizePulse(cal *calibration, op string, sites []int) (*
 		if err != nil {
 			return nil, err
 		}
-		spec := w.ToSpec()
 		return &qdmi.PulseImpl{Operation: op, Steps: []qdmi.PulseStep{
-			{Kind: "play", PortRole: "drive0", Waveform: &spec},
+			{Kind: "play", PortRole: "drive0", Waveform: w},
 		}}, nil
 	case "cz":
 		if len(sites) != 2 {
@@ -577,10 +576,9 @@ func (d *SimDevice) synthesizePulse(cal *calibration, op string, sites []int) (*
 		if err != nil {
 			return nil, err
 		}
-		spec := w.ToSpec()
 		return &qdmi.PulseImpl{Operation: op, Steps: []qdmi.PulseStep{
 			{Kind: "barrier"},
-			{Kind: "play", PortRole: "coupler", Waveform: &spec},
+			{Kind: "play", PortRole: "coupler", Waveform: w},
 			{Kind: "barrier"},
 		}}, nil
 	case "measure":
@@ -618,10 +616,8 @@ func (d *SimDevice) SetPulseImpl(op string, sites []int, impl *qdmi.PulseImpl) e
 		if st.Kind != "play" {
 			continue
 		}
-		w, err := st.Waveform.Materialize()
-		if err == nil {
-			err = p.CheckWaveformLen(w.Len())
-		}
+		w := st.Waveform
+		err := p.CheckWaveformLen(w.Len())
 		if err == nil && w.PeakAmplitude() > p.MaxAmplitude+1e-12 {
 			err = fmt.Errorf("peak %g above port %s limit %g", w.PeakAmplitude(), p.ID, p.MaxAmplitude)
 		}

@@ -40,14 +40,6 @@ func SigmaPlus() *Matrix {
 	})
 }
 
-// SigmaMinus returns |0⟩⟨1| (lowering operator).
-func SigmaMinus() *Matrix {
-	return FromRows([][]complex128{
-		{0, 1},
-		{0, 0},
-	})
-}
-
 // Hadamard returns the Hadamard gate.
 func Hadamard() *Matrix {
 	s := complex(1/math.Sqrt2, 0)
@@ -152,20 +144,6 @@ func NumberOp(d int) *Matrix {
 		m.Set(n, n, complex(float64(n), 0))
 	}
 	return m
-}
-
-// Projector returns |k⟩⟨k| in dimension d.
-func Projector(d, k int) *Matrix {
-	m := NewMatrix(d, d)
-	m.Set(k, k, 1)
-	return m
-}
-
-// BasisState returns the basis vector |k⟩ in dimension d.
-func BasisState(d, k int) []complex128 {
-	v := make([]complex128, d)
-	v[k] = 1
-	return v
 }
 
 // EmbedOperator lifts op acting on qubit targets (each of local dimension

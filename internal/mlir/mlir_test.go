@@ -1,6 +1,8 @@
 package mlir
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,15 +12,20 @@ import (
 // listing2Module reconstructs the paper's Listing 2 kernel: three waveforms,
 // gate-level X ops, plays, frame changes, an entangling pulse, and captures.
 func listing2Module() *Module {
-	amps := [][2]float64{{0.1, 0}, {0.4, 0}, {0.8, 0}, {0.4, 0}, {0.1, 0}}
+	amps := []complex128{0.1, 0.4, 0.8, 0.4, 0.1}
+	sampled := func(name string, e waveform.Envelope, n int) *WaveformDef {
+		w, err := e.Materialize(name, n)
+		if err != nil {
+			panic(err)
+		}
+		return &WaveformDef{Name: name, Waveform: w, Envelope: e}
+	}
 	m := &Module{
 		WaveformDefs: []*WaveformDef{
-			{Name: "waveform_1", Spec: waveform.Spec{Name: "waveform_1", Samples: amps}},
-			{Name: "waveform_2", Spec: waveform.Spec{Name: "waveform_2", Samples: amps}},
-			{Name: "waveform_3", Spec: waveform.Spec{Name: "waveform_3", Kind: "gaussian_square",
-				Params: map[string]float64{"amplitude": 0.5, "rise_frac": 0.2}, Length: 64}},
-			{Name: "readout_pulse", Spec: waveform.Spec{Name: "readout_pulse", Kind: "constant",
-				Params: map[string]float64{"amplitude": 0.2}, Length: 128}},
+			{Name: "waveform_1", Waveform: &waveform.Waveform{Name: "waveform_1", Samples: amps}},
+			{Name: "waveform_2", Waveform: &waveform.Waveform{Name: "waveform_2", Samples: amps}},
+			sampled("waveform_3", waveform.GaussianSquare{Amplitude: 0.5, RiseFrac: 0.2}, 64),
+			sampled("readout_pulse", waveform.Constant{Amplitude: 0.2}, 128),
 		},
 	}
 	seq := &Sequence{
@@ -98,11 +105,48 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"module{pulse.def",
 		"module { pulse.sequence @s",
 		"module { pulse.def @w samples = [(0.1, 0)",
+		// A kind def is sampled as it is read, so its length is bounded.
+		`module { pulse.def @c kind = "constant" length = 99999999999 params = {amplitude = 0.5} }`,
 	}
 	for i, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("case %d parsed successfully", i)
 		}
+	}
+}
+
+// TestKindDefNamesExactParams: a `kind = …` def is sampled from exactly the
+// envelope's parameters. A misspelt name or a missing one is ErrBadParam, not
+// an envelope with that parameter zero (all-zero samples for a constant with
+// "amp", β = 0 for a drag with "bta").
+func TestKindDefNamesExactParams(t *testing.T) {
+	def := func(kind, params string) string {
+		return fmt.Sprintf(`module { pulse.def @g kind = %q length = 16 params = {%s} }`, kind, params)
+	}
+	for _, src := range []string{
+		def("constant", "amp = 0.5"),
+		def("drag", "amplitude = 0.5, sigma_frac = 0.2, bta = 3"),
+		def("drag", "amplitude = 0.5, sigma_frac = 0.2"),
+		def("gaussian", "amplitude = 0.5, sigma_frac = 0.2, beta = 1"),
+	} {
+		m, err := Parse(src)
+		if err == nil {
+			err = m.Verify()
+		}
+		if !errors.Is(err, waveform.ErrBadParam) {
+			t.Errorf("%s: got %v, want ErrBadParam", src, err)
+		}
+	}
+	m, err := Parse(def("drag", "amplitude = 0.5, sigma_frac = 0.2, beta = 3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := waveform.DRAG{Amplitude: 0.5, SigmaFrac: 0.2, Beta: 3}.Materialize("g", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Verify(); err != nil || !m.WaveformDefs[0].Waveform.Equal(want, 0) {
+		t.Fatalf("drag def: %v, samples %v, want %v", err, m.WaveformDefs[0].Waveform.Samples, want.Samples)
 	}
 }
 
@@ -174,13 +218,19 @@ func TestVerifyCatchesErrors(t *testing.T) {
 	}{
 		{"dup waveform", func(m *Module) {
 			m.WaveformDefs = append(m.WaveformDefs, &WaveformDef{Name: "waveform_1",
-				Spec: waveform.Spec{Name: "w", Samples: [][2]float64{{0.1, 0}}}})
+				Waveform: &waveform.Waveform{Name: "w", Samples: []complex128{0.1}}})
 		}},
 		{"empty waveform name", func(m *Module) {
 			m.WaveformDefs[0].Name = ""
 		}},
-		{"bad waveform spec", func(m *Module) {
-			m.WaveformDefs[0].Spec = waveform.Spec{Name: "w"}
+		{"waveform without samples", func(m *Module) {
+			m.WaveformDefs[0].Waveform = nil
+		}},
+		{"empty waveform", func(m *Module) {
+			m.WaveformDefs[0].Waveform = &waveform.Waveform{Name: "w"}
+		}},
+		{"waveform above full scale", func(m *Module) {
+			m.WaveformDefs[0].Waveform = &waveform.Waveform{Name: "w", Samples: []complex128{0.5, 1.5}}
 		}},
 		{"dup sequence", func(m *Module) {
 			m.Sequences = append(m.Sequences, m.Sequences[0])
@@ -317,16 +367,13 @@ func TestParsedListing2Semantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1, _ := back.FindWaveform("waveform_1")
-	mat, err := w1.Spec.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.Len() != 5 {
-		t.Fatalf("waveform_1 has %d samples, want 5", mat.Len())
+	if w1.Waveform.Len() != 5 || !w1.Waveform.Equal(m.WaveformDefs[0].Waveform, 1e-15) {
+		t.Fatalf("waveform_1 is %v, want %v", w1.Waveform.Samples, m.WaveformDefs[0].Waveform.Samples)
 	}
 	w3, _ := back.FindWaveform("waveform_3")
-	if w3.Spec.Kind != "gaussian_square" || w3.Spec.Length != 64 {
-		t.Fatalf("parametric def lost: %+v", w3.Spec)
+	if w3.Envelope == nil || w3.Envelope.Kind() != "gaussian_square" || w3.Waveform.Len() != 64 ||
+		!w3.Waveform.Equal(m.WaveformDefs[2].Waveform, 1e-15) {
+		t.Fatalf("parametric def lost: %+v", w3)
 	}
 	seq := back.Sequences[0]
 	if len(seq.ArgPorts) != 7 || seq.ArgPorts[2] != "q0q1-coupler-port" {

@@ -2,50 +2,30 @@ package mlir
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"mqsspulse/internal/waveform"
 )
 
 // WaveformDef is a module-level waveform symbol (pulse.def @name in the
-// paper's Listing 2), carrying either explicit samples or a parametric
-// envelope spec.
+// paper's Listing 2): its samples, and for a def parsed from a `kind = …`
+// line the envelope they were sampled from.
 type WaveformDef struct {
 	Name string
-	// Spec defines the samples. Once the def is in a module, replace it
-	// through SetSpec: the def remembers the samples it materialized.
-	Spec waveform.Spec
+	// Waveform holds the samples. The verifier, the passes and the backend
+	// share it: a pass that changes a def's samples replaces the waveform
+	// (and clears Envelope) rather than writing into it.
+	Waveform *waveform.Waveform
+	// Envelope, when non-nil, is the parametric envelope Waveform was
+	// sampled from, so the printer writes the def back as `kind = …`.
+	Envelope waveform.Envelope
 	// AmpExpr, when non-nil, marks the definition as an unbound template
 	// slot: the stored samples are the base envelope, multiplied by the
 	// expression's bound value at bind time. Legalization (padding) applies
 	// to the base samples and preserves the slot.
 	AmpExpr *ParamExpr
-
-	// samples is Spec materialized, nil until first asked for.
-	samples *waveform.Waveform
-}
-
-// Materialize returns the def's samples: Spec is sampled and range-checked
-// on the first call, and the verifier, the passes and the backend share that
-// one result for the rest of the compilation. The waveform is shared and
-// must not be modified.
-//
-//mqss:hotloop
-func (w *WaveformDef) Materialize() (*waveform.Waveform, error) {
-	if w.samples != nil {
-		return w.samples, nil
-	}
-	samples, err := w.Spec.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	w.samples = samples
-	return samples, nil
-}
-
-// SetSpec replaces the def's spec and forgets the old spec's samples.
-func (w *WaveformDef) SetSpec(spec waveform.Spec) {
-	w.Spec, w.samples = spec, nil
 }
 
 // Sequence is a pulse.sequence: the pulse-level analogue of a function. Its
@@ -109,7 +89,10 @@ func (m *Module) Verify() error {
 			return fmt.Errorf("mlir: duplicate waveform def @%s", w.Name)
 		}
 		seen[w.Name] = true
-		if _, err := w.Materialize(); err != nil {
+		if w.Waveform == nil {
+			return fmt.Errorf("mlir: waveform def @%s: %w", w.Name, waveform.ErrEmpty)
+		}
+		if err := w.Waveform.Check(); err != nil {
 			return fmt.Errorf("mlir: waveform def @%s: %w", w.Name, err)
 		}
 	}
@@ -346,25 +329,24 @@ func renderWaveformDef(w *WaveformDef) string {
 	if w.AmpExpr != nil {
 		fmt.Fprintf(&sb, " amp = %s", exprString(w.AmpExpr))
 	}
-	if w.Spec.Kind != "" {
-		fmt.Fprintf(&sb, " kind = %q length = %d params = {", w.Spec.Kind, w.Spec.Length)
-		first := true
-		for _, k := range sortedKeys(w.Spec.Params) {
-			if !first {
+	if w.Envelope != nil {
+		params := w.Envelope.Params()
+		fmt.Fprintf(&sb, " kind = %q length = %d params = {", w.Envelope.Kind(), w.Waveform.Len())
+		for i, k := range slices.Sorted(maps.Keys(params)) {
+			if i > 0 {
 				sb.WriteString(", ")
 			}
-			fmt.Fprintf(&sb, "%s = %g", k, w.Spec.Params[k])
-			first = false
+			fmt.Fprintf(&sb, "%s = %g", k, params[k])
 		}
 		sb.WriteString("}")
 		return sb.String()
 	}
 	sb.WriteString(" samples = [")
-	for i, p := range w.Spec.Samples {
+	for i, s := range w.Waveform.Samples {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		fmt.Fprintf(&sb, "(%g, %g)", p[0], p[1])
+		fmt.Fprintf(&sb, "(%g, %g)", real(s), imag(s))
 	}
 	sb.WriteString("]")
 	return sb.String()
@@ -404,17 +386,4 @@ func printSequence(sb *strings.Builder, s *Sequence) {
 		fmt.Fprintf(sb, "    %s\n", op.Render())
 	}
 	sb.WriteString("  }\n")
-}
-
-func sortedKeys(m map[string]float64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
-	return ks
 }

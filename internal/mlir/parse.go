@@ -20,6 +20,11 @@ func Parse(src string) (*Module, error) {
 	return m, nil
 }
 
+// maxDefSamples bounds the length of a `kind = …` def, which the parser
+// samples as it reads it: a few bytes of text may not ask for more samples
+// than the longest waveform a modelled device plays.
+const maxDefSamples = 1 << 20
+
 type token struct {
 	kind tokKind
 	text string
@@ -210,7 +215,7 @@ func (p *parser) parseWaveformDef() (*WaveformDef, error) {
 	if sym.kind != tokSymbol {
 		return nil, p.errf("expected @symbol after pulse.def")
 	}
-	w := &WaveformDef{Name: sym.text, Spec: waveform.Spec{Name: sym.text}}
+	w := &WaveformDef{Name: sym.text}
 	switch p.peek().text {
 	case "kind":
 		p.next()
@@ -221,7 +226,6 @@ func (p *parser) parseWaveformDef() (*WaveformDef, error) {
 		if k.kind != tokString {
 			return nil, p.errf("expected string envelope kind")
 		}
-		w.Spec.Kind = k.text
 		if err := p.expectIdent("length"); err != nil {
 			return nil, err
 		}
@@ -232,7 +236,9 @@ func (p *parser) parseWaveformDef() (*WaveformDef, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.Spec.Length = int(ln)
+		if ln > maxDefSamples {
+			return nil, p.errf("pulse.def @%s: length %d above %d samples", sym.text, ln, maxDefSamples)
+		}
 		if err := p.expectIdent("params"); err != nil {
 			return nil, err
 		}
@@ -242,7 +248,7 @@ func (p *parser) parseWaveformDef() (*WaveformDef, error) {
 		if err := p.expectPunct("{"); err != nil {
 			return nil, err
 		}
-		w.Spec.Params = map[string]float64{}
+		params := map[string]float64{}
 		for {
 			if p.peek().text == "}" {
 				p.next()
@@ -259,13 +265,22 @@ func (p *parser) parseWaveformDef() (*WaveformDef, error) {
 			if err != nil {
 				return nil, err
 			}
-			w.Spec.Params[key.text] = v
+			params[key.text] = v
 			if p.peek().text == "," {
 				p.next()
 			}
 		}
+		env, err := waveform.EnvelopeFromSpec(k.text, params)
+		if err == nil {
+			w.Waveform, err = env.Materialize(sym.text, int(ln))
+		}
+		if err != nil {
+			return nil, p.errf("pulse.def @%s: %w", sym.text, err)
+		}
+		w.Envelope = env
 	case "samples":
 		p.next()
+		w.Waveform = &waveform.Waveform{Name: sym.text}
 		if err := p.expectPunct("="); err != nil {
 			return nil, err
 		}
@@ -294,7 +309,7 @@ func (p *parser) parseWaveformDef() (*WaveformDef, error) {
 			if err := p.expectPunct(")"); err != nil {
 				return nil, err
 			}
-			w.Spec.Samples = append(w.Spec.Samples, [2]float64{re, im})
+			w.Waveform.Samples = append(w.Waveform.Samples, complex(re, im))
 			if p.peek().text == "," {
 				p.next()
 			}

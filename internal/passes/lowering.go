@@ -65,16 +65,14 @@ func NewPlayer(m *mlir.Module, seq *mlir.Sequence, target *qdmi.Target) *Player 
 	return p
 }
 
-// freshWaveform installs a waveform def and returns a ref op + value. A
-// non-nil amp marks the def as a deferred-binding slot: the stored samples
-// are the base envelope, multiplied by the bound expression value.
+// freshWaveform installs a waveform def holding w and returns a ref op +
+// value. A non-nil amp marks the def as a deferred-binding slot: the stored
+// samples are the base envelope, multiplied by the bound expression value.
 func (pl *Player) freshWaveform(w *waveform.Waveform, amp *mlir.ParamExpr) (*mlir.WaveformRefOp, mlir.Value) {
 	pl.nextWf++
 	defName := fmt.Sprintf("lowered_wf_%d", pl.nextWf)
 	valName := fmt.Sprintf("lw%d", pl.nextWf)
-	spec := w.ToSpec()
-	spec.Name = defName
-	pl.m.WaveformDefs = append(pl.m.WaveformDefs, &mlir.WaveformDef{Name: defName, Spec: spec, AmpExpr: amp})
+	pl.m.WaveformDefs = append(pl.m.WaveformDefs, &mlir.WaveformDef{Name: defName, Waveform: w, AmpExpr: amp})
 	return &mlir.WaveformRefOp{Result: valName, Waveform: defName}, mlir.Ref(valName)
 }
 
@@ -201,11 +199,7 @@ func (pl *Player) Play(ops []mlir.Op, op string, sites []int, result string) ([]
 		}
 		switch st.Kind {
 		case "play":
-			w, err := st.Waveform.Materialize()
-			if err != nil {
-				return nil, err
-			}
-			refOp, val := pl.freshWaveform(w, nil)
+			refOp, val := pl.freshWaveform(st.Waveform, nil)
 			ops = append(ops, refOp, &mlir.PlayOp{Frame: f, Waveform: val})
 		case "shift_phase":
 			ops = append(ops, &mlir.ShiftPhaseOp{Frame: f, Phase: mlir.Lit(st.PhaseRad)})
@@ -242,9 +236,9 @@ func (pl *Player) frame(port string) (mlir.Value, error) {
 }
 
 // LegalizePass enforces the target's waveform constraints: every waveform
-// def is materialized, padded to the device granularity and minimum length,
-// and rejected if it exceeds the maximum — the JIT-time constraint check
-// the paper routes through QDMI queries (Section 5.3).
+// def is padded to the device granularity and minimum length, and rejected
+// if it exceeds the maximum — the JIT-time constraint check the paper routes
+// through QDMI queries (Section 5.3).
 type LegalizePass struct{}
 
 // Name implements Pass.
@@ -258,10 +252,7 @@ func (LegalizePass) Run(m *mlir.Module, ctx *Context) error {
 	gran, minS, maxS := ctx.Target.Granularity, ctx.Target.MinSamples, ctx.Target.MaxSamples
 	padded := 0
 	for _, def := range m.WaveformDefs {
-		w, err := def.Materialize()
-		if err != nil {
-			return err
-		}
+		w := def.Waveform
 		orig := w.Len()
 		if maxS > 0 && orig > maxS {
 			return fmt.Errorf("waveform %s has %d samples, device maximum is %d", def.Name, orig, maxS)
@@ -273,9 +264,7 @@ func (LegalizePass) Run(m *mlir.Module, ctx *Context) error {
 			w = w.PadTo(gran)
 		}
 		if w.Len() != orig {
-			spec := w.ToSpec()
-			spec.Name = def.Name
-			def.SetSpec(spec)
+			def.Waveform, def.Envelope = w, nil
 			padded++
 		}
 	}

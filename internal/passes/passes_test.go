@@ -13,8 +13,8 @@ import (
 func pulseOnlyModule() *mlir.Module {
 	m := &mlir.Module{
 		WaveformDefs: []*mlir.WaveformDef{
-			{Name: "w1", Spec: waveform.Spec{Name: "w1", Samples: [][2]float64{{0.1, 0}, {0.2, 0}}}},
-			{Name: "w2", Spec: waveform.Spec{Name: "w2", Samples: [][2]float64{{0.3, 0}}}},
+			{Name: "w1", Waveform: &waveform.Waveform{Name: "w1", Samples: []complex128{0.1, 0.2}}},
+			{Name: "w2", Waveform: &waveform.Waveform{Name: "w2", Samples: []complex128{0.3}}},
 		},
 	}
 	seq := &mlir.Sequence{
@@ -202,11 +202,11 @@ func indexOf(s, sub string) int {
 
 func TestLegalizeWithoutDeviceIsNoop(t *testing.T) {
 	m := pulseOnlyModule()
-	before := len(m.WaveformDefs[0].Spec.Samples)
+	before := m.WaveformDefs[0].Waveform.Len()
 	if err := (LegalizePass{}).Run(m, NewContext(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.WaveformDefs[0].Spec.Samples) != before {
+	if m.WaveformDefs[0].Waveform.Len() != before {
 		t.Fatal("device-less legalize modified waveforms")
 	}
 }

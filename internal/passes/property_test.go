@@ -166,8 +166,8 @@ func TestVerifyCalibrationPassCatchesOverAmplitude(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defs := []*mlir.WaveformDef{{Name: "hot", Spec: waveform.Spec{
-		Name: "hot", Samples: [][2]float64{{1.5, 0}, {1.5, 0}, {1.5, 0}, {1.5, 0}},
+	defs := []*mlir.WaveformDef{{Name: "hot", Waveform: &waveform.Waveform{
+		Name: "hot", Samples: []complex128{1.5, 1.5, 1.5, 1.5},
 	}}}
 	ops := []mlir.Op{
 		&mlir.WaveformRefOp{Result: "w", Waveform: "hot"},

@@ -45,15 +45,11 @@ func (VerifyCalibrationPass) Run(m *mlir.Module, ctx *Context) error {
 				if p == nil {
 					return fmt.Errorf("sequence %s: frame %%%s binds no port of the target device", seq.Name, o.Frame.Ref)
 				}
-				w, err := def.Materialize()
-				if err != nil {
-					return fmt.Errorf("sequence %s: %w", seq.Name, err)
-				}
 				// For a parametric def (AmpExpr set) the samples are the base
 				// envelope, the |scale| = 1 worst case: template compilation
 				// bounds |scale| ≤ 1 over the declared range. A port without a
 				// positive limit is unconstrained.
-				if peak := w.PeakAmplitude(); p.MaxAmplitude > 0 && peak > p.MaxAmplitude+1e-12 {
+				if peak := def.Waveform.PeakAmplitude(); p.MaxAmplitude > 0 && peak > p.MaxAmplitude+1e-12 {
 					return fmt.Errorf("sequence %s: lowered waveform @%s peak %.6g exceeds port %s amplitude limit %g",
 						seq.Name, def.Name, peak, pid, p.MaxAmplitude)
 				}

@@ -113,8 +113,8 @@ func TestSupportsFormat(t *testing.T) {
 
 func TestSetAndQueryPulseImpl(t *testing.T) {
 	dev := qdmitest.New("sim", 2)
-	spec := waveform.SpecFromEnvelope("w", waveform.DRAG{Amplitude: 0.4, SigmaFrac: 0.2, Beta: 0.8}, 40)
-	impl := &qdmi.PulseImpl{Operation: "x", Steps: []qdmi.PulseStep{{Kind: "play", PortRole: "drive0", Waveform: &spec}}}
+	w, _ := waveform.DRAG{Amplitude: 0.4, SigmaFrac: 0.2, Beta: 0.8}.Materialize("w", 40)
+	impl := &qdmi.PulseImpl{Operation: "x", Steps: []qdmi.PulseStep{{Kind: "play", PortRole: "drive0", Waveform: w}}}
 	if _, err := dev.DefaultPulse("x", []int{0}); !errors.Is(err, qdmi.ErrNotSupported) {
 		t.Fatal("uncalibrated op should be qdmi.ErrNotSupported")
 	}
@@ -175,8 +175,8 @@ func TestTargetEpochAndIndices(t *testing.T) {
 		t.Fatalf("unanswered constraints read as %d/%d/%d, want 1/0/0", tg.Granularity, tg.MinSamples, tg.MaxSamples)
 	}
 
-	spec := waveform.SpecFromEnvelope("w", waveform.Gaussian{Amplitude: 0.5, SigmaFrac: 0.2}, 32)
-	x := &qdmi.PulseImpl{Operation: "x", Steps: []qdmi.PulseStep{{Kind: "play", PortRole: "drive0", Waveform: &spec}}}
+	w, _ := waveform.Gaussian{Amplitude: 0.5, SigmaFrac: 0.2}.Materialize("w", 32)
+	x := &qdmi.PulseImpl{Operation: "x", Steps: []qdmi.PulseStep{{Kind: "play", PortRole: "drive0", Waveform: w}}}
 	if err := dev.SetPulseImpl("x", []int{0}, x); err != nil {
 		t.Fatal(err)
 	}

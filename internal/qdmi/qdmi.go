@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 
 	"mqsspulse/internal/pulse"
@@ -271,11 +270,14 @@ type RunningCanceller interface {
 // names a port of the operation's sites, in the order it names them:
 // "driveK"/"readoutK" the drive/readout port of the K-th ("drive0"),
 // "coupler" the pair's coupler. A barrier names none: it spans the sites'
-// drive ports and every port the other steps name (PortTable.Resolve).
+// drive ports and every port the other steps name (PortTable.Resolve). A
+// play's Waveform is the samples themselves, shared by the compile and the
+// link that read the implementation: a device hands out and installs copies
+// (PulseImpl.Clone), and nobody writes into a waveform it did not build.
 type PulseStep struct {
 	Kind     string // "play", "shift_phase", "set_frequency", "frame_change", "delay", "barrier", "capture"
 	PortRole string
-	Waveform *waveform.Spec // for play
+	Waveform *waveform.Waveform // for play
 	PhaseRad float64
 	FreqHz   float64
 	Samples  int64 // for delay/capture
@@ -291,29 +293,31 @@ type PulseImpl struct {
 	Steps     []PulseStep
 }
 
-// Envelope materializes the envelope of a single-pulse operation (x, sx) on
-// a site: the one place the stack takes a calibrated drive envelope from an
-// implementation. Rotations scale that envelope, so an implementation that
-// is anything but exactly one play on drive0 — a phase step before the
-// play, a second pulse — has no scaled form, and is refused by name
-// (ErrNotSupported) rather than played in part.
+// Envelope returns the envelope of a single-pulse operation (x, sx) on a
+// site, checked, as the implementation holds it: the one place the stack
+// takes a calibrated drive envelope from an implementation. Rotations scale
+// that envelope, so an implementation that is anything but exactly one play
+// on drive0 — a phase step before the play, a second pulse — has no scaled
+// form, and is refused by name (ErrNotSupported) rather than played in part.
 func (pi *PulseImpl) Envelope(site int) (*waveform.Waveform, error) {
 	if len(pi.Steps) != 1 || pi.Steps[0].Kind != "play" || pi.Steps[0].PortRole != "drive0" || pi.Steps[0].Waveform == nil {
 		return nil, fmt.Errorf("%w: %s on site %d is not a single play on drive0, so it has no envelope to scale",
 			ErrNotSupported, pi.Operation, site)
 	}
-	return pi.Steps[0].Waveform.Materialize()
+	w := pi.Steps[0].Waveform
+	if err := w.Check(); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // Clone returns a deep copy of the implementation: its steps and each play's
-// waveform spec, samples and parameters included.
+// waveform, samples included.
 func (pi *PulseImpl) Clone() *PulseImpl {
 	c := &PulseImpl{Operation: pi.Operation, Steps: slices.Clone(pi.Steps)}
 	for i, st := range c.Steps {
-		if w := st.Waveform; w != nil {
-			cw := *w
-			cw.Samples, cw.Params = slices.Clone(w.Samples), maps.Clone(w.Params)
-			c.Steps[i].Waveform = &cw
+		if st.Waveform != nil {
+			c.Steps[i].Waveform = st.Waveform.Clone()
 		}
 	}
 	return c
@@ -333,7 +337,7 @@ func (pi *PulseImpl) Validate() error {
 			if st.Waveform == nil {
 				return fmt.Errorf("%w: step %d: play without waveform", ErrInvalidArgument, i)
 			}
-			if _, err := st.Waveform.Materialize(); err != nil {
+			if err := st.Waveform.Check(); err != nil {
 				return fmt.Errorf("%w: step %d: %v", ErrInvalidArgument, i, err)
 			}
 		case "shift_phase", "set_frequency", "frame_change", "barrier":

@@ -13,9 +13,9 @@ import (
 )
 
 func TestPulseImplValidate(t *testing.T) {
-	spec := waveform.SpecFromEnvelope("w", waveform.Gaussian{Amplitude: 0.5, SigmaFrac: 0.2}, 32)
+	w, _ := waveform.Gaussian{Amplitude: 0.5, SigmaFrac: 0.2}.Materialize("w", 32)
 	good := &PulseImpl{Operation: "x", Steps: []PulseStep{
-		{Kind: "play", PortRole: "drive0", Waveform: &spec},
+		{Kind: "play", PortRole: "drive0", Waveform: w},
 		{Kind: "shift_phase", PortRole: "drive0", PhaseRad: 0.5},
 		{Kind: "barrier"},
 		{Kind: "delay", PortRole: "drive0", Samples: 16},
@@ -27,6 +27,8 @@ func TestPulseImplValidate(t *testing.T) {
 		{Operation: "", Steps: good.Steps},
 		{Operation: "x"},
 		{Operation: "x", Steps: []PulseStep{{Kind: "play", PortRole: "d"}}},
+		{Operation: "x", Steps: []PulseStep{{Kind: "play", PortRole: "d", Waveform: &waveform.Waveform{}}}},
+		{Operation: "x", Steps: []PulseStep{{Kind: "play", PortRole: "d", Waveform: &waveform.Waveform{Samples: []complex128{0.5, 1.5}}}}},
 		{Operation: "x", Steps: []PulseStep{{Kind: "warp", PortRole: "d"}}},
 		{Operation: "x", Steps: []PulseStep{{Kind: "delay", PortRole: "d", Samples: 0}}},
 		{Operation: "x", Steps: []PulseStep{{Kind: "shift_phase"}}},
@@ -112,11 +114,11 @@ func TestResolvePlacesRolesAndBarrier(t *testing.T) {
 		port("d1", pulse.PortDrive, 1), port("r1", pulse.PortReadout, 1),
 		port("c01", pulse.PortCoupler, 0, 1), port("d2", pulse.PortDrive, 2),
 	})
-	spec := waveform.SpecFromEnvelope("w", waveform.Constant{Amplitude: 0.1}, 8)
+	w, _ := waveform.Constant{Amplitude: 0.1}.Materialize("w", 8)
 	step := func(kind, role string) PulseStep {
 		st := PulseStep{Kind: kind, PortRole: role, Samples: 8}
 		if kind == "play" {
-			st.Waveform = &spec
+			st.Waveform = w
 		}
 		return st
 	}

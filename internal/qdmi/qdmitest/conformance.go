@@ -181,10 +181,7 @@ func pulseCopies(t *testing.T, dev qdmi.Device) {
 			got.Steps[i].PhaseRad++
 			if w := got.Steps[i].Waveform; w != nil {
 				for k := range w.Samples {
-					w.Samples[k][0]++
-				}
-				for k := range w.Params {
-					w.Params[k]++
+					w.Samples[k]++
 				}
 			}
 		}

@@ -65,9 +65,8 @@ func BuildSchedule(m *Module, b *DeviceBinding) (s *pulse.Schedule, ends []int, 
 			// Upload hint; waveform constants are already module-resident.
 		case IntrPlay:
 			wc, _ := m.FindWaveform(c.Args[1].Sym)
-			var w *waveform.Waveform
-			w, err = waveform.New(wc.Name, wc.Samples)
-			if err == nil {
+			w := &waveform.Waveform{Name: wc.Name, Samples: wc.Samples}
+			if err = w.Check(); err == nil {
 				pid := portID(c.Args[0].I)
 				err = s.Append(&pulse.Play{Port: pid, Frame: frameOf[pid], Waveform: w})
 			}

@@ -176,10 +176,3 @@ func TransmonDrift(dims []int, site int, detuneHz, anharmHz float64) *linalg.Mat
 	}
 	return linalg.EmbedAt(local, dims, site)
 }
-
-// StaticZZDrift returns a constant ZZ coupling J (Hz) between adjacent
-// sites a and a+1, as arises from always-on dispersive coupling.
-func StaticZZDrift(dims []int, a int, jHz float64) *linalg.Matrix {
-	zz := zProj(dims[a]).Kron(zProj(dims[a+1]))
-	return linalg.EmbedTwo(zz, dims, a).Scale(complex(2*math.Pi*jHz, 0))
-}

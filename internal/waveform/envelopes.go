@@ -2,8 +2,9 @@ package waveform
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Envelope is a parametrized pulse shape: assigning concrete parameter
@@ -263,33 +264,47 @@ func (b Blackman) Materialize(name string, n int) (*Waveform, error) {
 	return New(name, samples)
 }
 
-// EnvelopeFromSpec reconstructs an Envelope from its (kind, params)
-// serialized form; the inverse of Kind()/Params(). Used by the exchange
-// format and the QDMI default-calibration tables.
+// EnvelopeFromSpec reconstructs an Envelope from its (kind, params) form,
+// the inverse of Kind()/Params(): the form an MLIR `kind = …` def is written
+// in. params must name exactly the kind's parameters; an unknown or missing
+// name is ErrBadParam, not a zero.
 func EnvelopeFromSpec(kind string, params map[string]float64) (Envelope, error) {
+	var e Envelope
 	switch kind {
 	case "gaussian":
-		return Gaussian{Amplitude: params["amplitude"], SigmaFrac: params["sigma_frac"]}, nil
+		e = Gaussian{Amplitude: params["amplitude"], SigmaFrac: params["sigma_frac"]}
 	case "drag":
-		return DRAG{Amplitude: params["amplitude"], SigmaFrac: params["sigma_frac"], Beta: params["beta"]}, nil
+		e = DRAG{Amplitude: params["amplitude"], SigmaFrac: params["sigma_frac"], Beta: params["beta"]}
 	case "constant":
-		return Constant{Amplitude: params["amplitude"]}, nil
+		e = Constant{Amplitude: params["amplitude"]}
 	case "gaussian_square":
-		return GaussianSquare{Amplitude: params["amplitude"], RiseFrac: params["rise_frac"]}, nil
+		e = GaussianSquare{Amplitude: params["amplitude"], RiseFrac: params["rise_frac"]}
 	case "raised_cosine":
-		return RaisedCosine{Amplitude: params["amplitude"]}, nil
+		e = RaisedCosine{Amplitude: params["amplitude"]}
 	case "blackman":
-		return Blackman{Amplitude: params["amplitude"]}, nil
+		e = Blackman{Amplitude: params["amplitude"]}
 	default:
 		return nil, fmt.Errorf("%w: unknown envelope kind %q", ErrBadParam, kind)
 	}
+	want := e.Params()
+	for _, k := range slices.Sorted(maps.Keys(params)) {
+		if _, ok := want[k]; !ok {
+			return nil, fmt.Errorf("%w: %s envelope has no parameter %q", ErrBadParam, kind, k)
+		}
+	}
+	for _, k := range slices.Sorted(maps.Keys(want)) {
+		if _, ok := params[k]; !ok {
+			return nil, fmt.Errorf("%w: %s envelope needs parameter %q", ErrBadParam, kind, k)
+		}
+	}
+	return e, nil
 }
 
 // Kinds returns the registered envelope kinds, sorted, for capability
 // advertisement through QDMI.
 func Kinds() []string {
 	ks := []string{"gaussian", "drag", "constant", "gaussian_square", "raised_cosine", "blackman"}
-	sort.Strings(ks)
+	slices.Sort(ks)
 	return ks
 }
 

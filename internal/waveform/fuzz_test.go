@@ -1,51 +1,73 @@
 package waveform
 
 import (
-	"math/cmplx"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// FuzzDecode exercises the JSON wire decoder with arbitrary input: it must
-// either reject the payload or produce a waveform satisfying the package
-// invariants (non-empty, full-scale amplitudes).
+// FuzzDecode exercises the parametric decoder — EnvelopeFromSpec followed by
+// Materialize, the path an MLIR `kind = …` def takes to samples — with an
+// arbitrary kind, parameter list and length: it must either reject the spec
+// or produce a waveform of that length satisfying the package invariants
+// (Check passes), and the envelope's own (Kind, Params) must decode to the
+// same samples.
 func FuzzDecode(f *testing.F) {
-	seeds := []string{
-		`{"name":"w","samples":[[0.5,0],[0.25,-0.25]]}`,
-		`{"name":"g","kind":"gaussian","params":{"amplitude":0.8,"sigma_frac":0.2},"length":32}`,
-		`{"name":"d","kind":"drag","params":{"amplitude":0.5,"sigma_frac":0.2,"beta":0.7},"length":16}`,
-		`{"name":"bad","kind":"gaussian","params":{"amplitude":0.8,"sigma_frac":0.2},"length":0}`,
-		`{"name":"both","kind":"constant","samples":[[1,0]]}`,
-		`{}`,
-		`not json`,
-		`{"name":"big","samples":[[2,0]]}`,
+	seeds := []struct {
+		kind, params string
+		n            uint16
+	}{
+		{"gaussian", "amplitude=0.8,sigma_frac=0.2", 32},
+		{"drag", "amplitude=0.5,sigma_frac=0.2,beta=0.7", 16},
+		{"gaussian", "amplitude=0.8,sigma_frac=0.2", 0},
+		{"constant", "amplitude=1", 1},
+		{"constant", "amplitude=0.5,sigma_frac=0.2", 4},
+		{"", "", 0},
+		{"not a kind", "garbage", 3},
+		{"constant", "amplitude=2", 4},
+		{"gaussian_square", "amplitude=0.9,rise_frac=0.15", 40},
+		{"raised_cosine", "amplitude=0.4", 1},
+		{"blackman", "amplitude=-0.5", 24},
 	}
 	for _, s := range seeds {
-		f.Add([]byte(s))
+		f.Add(s.kind, s.params, s.n)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		w, err := Decode(data)
+	f.Fuzz(func(t *testing.T, kind, text string, n uint16) {
+		params := map[string]float64{}
+		if text != "" {
+			for _, kv := range strings.Split(text, ",") {
+				k, v, ok := strings.Cut(kv, "=")
+				x, err := strconv.ParseFloat(v, 64)
+				if !ok || err != nil {
+					return
+				}
+				params[k] = x
+			}
+		}
+		e, err := EnvelopeFromSpec(kind, params)
 		if err != nil {
 			return
 		}
-		if w.Len() == 0 {
-			t.Fatalf("Decode accepted an empty waveform from %q", data)
-		}
-		for i, s := range w.Samples {
-			if m := cmplx.Abs(s); m > 1.0+1e-9 {
-				t.Fatalf("Decode accepted out-of-range sample %d (|s|=%g) from %q", i, m, data)
-			}
-		}
-		// A decoded waveform must re-encode and decode to the same samples.
-		enc, err := Encode(w)
+		w, err := e.Materialize("w", int(n))
 		if err != nil {
-			t.Fatalf("Encode of decoded waveform failed: %v", err)
+			return
 		}
-		w2, err := Decode(enc)
+		if w.Len() != int(n) {
+			t.Fatalf("%s %v: asked for %d samples, got %d", kind, params, n, w.Len())
+		}
+		if err := w.Check(); err != nil {
+			t.Fatalf("%s %v (n=%d): Materialize returned a waveform Check rejects: %v", kind, params, n, err)
+		}
+		re, err := EnvelopeFromSpec(e.Kind(), e.Params())
 		if err != nil {
-			t.Fatalf("round-trip decode failed: %v", err)
+			t.Fatalf("%s %v: own spec rejected: %v", kind, params, err)
+		}
+		w2, err := re.Materialize("w", int(n))
+		if err != nil {
+			t.Fatalf("%s %v: own spec does not materialize: %v", kind, params, err)
 		}
 		if !w.Equal(w2, 1e-12) {
-			t.Fatalf("round trip changed samples")
+			t.Fatalf("%s %v: round trip through (Kind, Params) changed samples", kind, params)
 		}
 	})
 }

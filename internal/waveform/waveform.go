@@ -34,18 +34,33 @@ type Waveform struct {
 // New validates and wraps an explicit sample array, mirroring the paper's
 // qWaveform(waveform, amps) QPI primitive.
 func New(name string, samples []complex128) (*Waveform, error) {
-	if len(samples) == 0 {
-		return nil, ErrEmpty
+	w := &Waveform{Name: name, Samples: samples}
+	if err := w.Check(); err != nil {
+		return nil, err
 	}
-	for i, s := range samples {
-		m := cmplx.Abs(s)
-		if math.IsNaN(m) || m > 1.0+1e-12 {
-			return nil, fmt.Errorf("%w: sample %d has magnitude %g", ErrAmplitudeRange, i, m)
+	w.Samples = make([]complex128, len(samples))
+	copy(w.Samples, samples)
+	return w, nil
+}
+
+// Check reports whether w is a waveform New would accept: at least one
+// sample, and every sample a number within full scale. A waveform built any
+// other way — a struct literal, a parsed def, a linked constant — is checked
+// with it before it is played.
+func (w *Waveform) Check() error {
+	if len(w.Samples) == 0 {
+		return ErrEmpty
+	}
+	for i, s := range w.Samples {
+		// |s|² ≤ 1 is within full scale; anything else is measured exactly.
+		if re, im := real(s), imag(s); re*re+im*im <= 1 {
+			continue
+		}
+		if m := cmplx.Abs(s); math.IsNaN(m) || m > 1.0+1e-12 {
+			return fmt.Errorf("%w: sample %d has magnitude %g", ErrAmplitudeRange, i, m)
 		}
 	}
-	cp := make([]complex128, len(samples))
-	copy(cp, samples)
-	return &Waveform{Name: name, Samples: cp}, nil
+	return nil
 }
 
 // FromReal wraps a real-valued amplitude array.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -304,64 +303,16 @@ func TestEnvelopeSpecRoundtrip(t *testing.T) {
 	if _, err := EnvelopeFromSpec("nope", nil); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-}
-
-func TestSerializeExplicitRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	samples := make([]complex128, 33)
-	for i := range samples {
-		samples[i] = complex(rng.Float64()*0.7, rng.Float64()*0.7-0.35)
-	}
-	w, err := New("rt", samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := Encode(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != "rt" || !back.Equal(w, 1e-15) {
-		t.Fatal("serialization roundtrip lossy")
-	}
-}
-
-func TestSerializeParametricRoundtrip(t *testing.T) {
-	spec := SpecFromEnvelope("g1", Gaussian{Amplitude: 0.5, SigmaFrac: 0.2}, 40)
-	w, err := spec.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, _ := Gaussian{Amplitude: 0.5, SigmaFrac: 0.2}.Materialize("g1", 40)
-	if !w.Equal(direct, 1e-15) {
-		t.Fatal("parametric spec materialization differs from direct")
-	}
-}
-
-func TestSpecValidation(t *testing.T) {
-	if _, err := (Spec{Name: "x"}).Materialize(); err == nil {
-		t.Fatal("empty spec accepted")
-	}
-	bad := Spec{Name: "x", Samples: [][2]float64{{0.1, 0}}, Kind: "gaussian"}
-	if _, err := bad.Materialize(); err == nil {
-		t.Fatal("ambiguous spec accepted")
-	}
-	nan := Spec{Name: "x", Kind: "gaussian", Params: map[string]float64{"amplitude": math.NaN()}}
-	if _, err := nan.MarshalJSON(); err == nil {
-		t.Fatal("NaN param accepted by MarshalJSON")
-	}
-	nanSample := Spec{Name: "x", Samples: [][2]float64{{math.Inf(1), 0}}}
-	if _, err := nanSample.MarshalJSON(); err == nil {
-		t.Fatal("Inf sample accepted by MarshalJSON")
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte("{nonsense")); err == nil {
-		t.Fatal("garbage accepted")
+	// A parameter the kind does not have, or one it needs and is not given,
+	// is ErrBadParam rather than a zero.
+	for _, params := range []map[string]float64{
+		{"amp": 0.5},
+		{"amplitude": 0.5, "sigma_frac": 0.2, "bta": 3},
+		{"amplitude": 0.5, "beta": 3},
+	} {
+		if _, err := EnvelopeFromSpec("drag", params); !errors.Is(err, ErrBadParam) {
+			t.Errorf("drag %v: got %v, want ErrBadParam", params, err)
+		}
 	}
 }
 
@@ -375,40 +326,37 @@ func TestKindsSortedAndComplete(t *testing.T) {
 			t.Fatal("Kinds not sorted")
 		}
 	}
+	own := map[string]map[string]float64{
+		"gaussian":        {"amplitude": 0.1, "sigma_frac": 0.2},
+		"drag":            {"amplitude": 0.1, "sigma_frac": 0.2, "beta": 0.5},
+		"constant":        {"amplitude": 0.1},
+		"gaussian_square": {"amplitude": 0.1, "rise_frac": 0.2},
+		"raised_cosine":   {"amplitude": 0.1},
+		"blackman":        {"amplitude": 0.1},
+	}
 	for _, k := range ks {
-		if _, err := EnvelopeFromSpec(k, map[string]float64{"amplitude": 0.1, "sigma_frac": 0.2, "rise_frac": 0.2}); err != nil {
+		if _, err := EnvelopeFromSpec(k, own[k]); err != nil {
 			t.Errorf("advertised kind %q not constructible: %v", k, err)
 		}
 	}
 }
 
-func TestQuickExplicitSpecRoundtrip(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
+// TestCheckIsNewsRule: Check accepts exactly the sample arrays New accepts,
+// and leaves the waveform as it is.
+func TestCheckIsNewsRule(t *testing.T) {
+	for _, samples := range [][]complex128{
+		nil,
+		{0.5, complex(0, -0.5)},
+		{1, complex(0, 1), complex(math.Sqrt(0.5), math.Sqrt(0.5))},
+		{1 + 1e-9},
+		{complex(0.8, 0.8)},
+		{complex(math.NaN(), 0)},
+		{complex(0, math.Inf(-1))},
+	} {
+		_, newErr := New("w", samples)
+		w := &Waveform{Name: "w", Samples: samples}
+		if err := w.Check(); (err == nil) != (newErr == nil) || (err != nil && err.Error() != newErr.Error()) {
+			t.Errorf("%v: Check %v, New %v", samples, err, newErr)
 		}
-		samples := make([]complex128, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-			samples = append(samples, complex(math.Mod(v, 1.0), 0))
-		}
-		w, err := New("q", samples)
-		if err != nil {
-			return false
-		}
-		data, err := Encode(w)
-		if err != nil {
-			return false
-		}
-		back, err := Decode(data)
-		if err != nil {
-			return false
-		}
-		return back.Equal(w, 1e-15)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
