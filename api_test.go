@@ -23,9 +23,10 @@ func TestFacadeStackLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stack.Close()
-	names, err := stack.Client.Devices()
-	if err != nil || len(names) != 2 {
-		t.Fatalf("devices = %v (%v)", names, err)
+	for _, name := range []string{"fac-sc", "fac-ion"} {
+		if _, err := stack.Session.Device(name); err != nil {
+			t.Fatalf("device %s: %v", name, err)
+		}
 	}
 }
 

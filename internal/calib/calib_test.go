@@ -94,23 +94,6 @@ func TestFitRabiRateSynthetic(t *testing.T) {
 	}
 }
 
-func TestFitExponentialDecaySynthetic(t *testing.T) {
-	tau0 := 35e-6
-	var ts, ys []float64
-	for i := 0; i < 10; i++ {
-		tt := float64(i) * 10e-6
-		ts = append(ts, tt)
-		ys = append(ys, 0.95*math.Exp(-tt/tau0)+0.02)
-	}
-	tau, err := FitExponentialDecay(ts, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tau-tau0)/tau0 > 0.05 {
-		t.Fatalf("fitted τ=%g, want %g", tau, tau0)
-	}
-}
-
 func newMiscalibratedSC(t *testing.T, freqErrHz, ampErrRel float64) *devices.SimDevice {
 	t.Helper()
 	d, err := devices.Superconducting("sc-cal", 1, 77)
@@ -183,18 +166,6 @@ func TestRamseyCalibrateValidation(t *testing.T) {
 	d := newMiscalibratedSC(t, 0, 0)
 	if _, err := RamseyCalibrate(context.Background(), clientFor(t, d), d, 0, -5, 8, 100); err == nil {
 		t.Fatal("negative probe accepted")
-	}
-}
-
-func TestMeasureT1(t *testing.T) {
-	d := newMiscalibratedSC(t, 0, 0)
-	// True T1 is 80 µs (preset).
-	res, err := MeasureT1(context.Background(), clientFor(t, d), d, 0, 160e-6, 8, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.T1Seconds-80e-6)/80e-6 > 0.3 {
-		t.Fatalf("T1 = %g, want ≈ 80 µs", res.T1Seconds)
 	}
 }
 

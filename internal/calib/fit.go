@@ -173,41 +173,3 @@ func FitRabiRate(amps, p1s []float64) (float64, error) {
 	}
 	return k, nil
 }
-
-// FitExponentialDecay fits y(t) = A·exp(-t/τ) + c and returns τ. Used for
-// T1 estimation.
-func FitExponentialDecay(ts, ys []float64) (float64, error) {
-	if len(ts) != len(ys) || len(ts) < 4 {
-		return 0, fmt.Errorf("%w: need at least 4 points", ErrFitFailed)
-	}
-	tMax := ts[len(ts)-1]
-	if tMax <= 0 {
-		return 0, fmt.Errorf("%w: non-positive time span", ErrFitFailed)
-	}
-	sse := func(tau float64) float64 {
-		// Linear subproblem in (A, c) for fixed τ.
-		var see, se, sy, sye float64
-		n := float64(len(ts))
-		for i, t := range ts {
-			e := math.Exp(-t / tau)
-			see += e * e
-			se += e
-			sy += ys[i]
-			sye += ys[i] * e
-		}
-		det := see*n - se*se
-		if math.Abs(det) < 1e-14 {
-			return math.Inf(1)
-		}
-		a := (sye*n - sy*se) / det
-		c := (see*sy - se*sye) / det
-		var s float64
-		for i, t := range ts {
-			r := ys[i] - (a*math.Exp(-t/tau) + c)
-			s += r * r
-		}
-		return s
-	}
-	tau := goldenMin(sse, tMax/100, tMax*20, 80)
-	return tau, nil
-}

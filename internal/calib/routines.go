@@ -308,42 +308,6 @@ func RamseyCalibrate(ctx context.Context, cl *client.Client, dev Target, site in
 	return res, nil
 }
 
-// T1Result reports a relaxation-time measurement.
-type T1Result struct {
-	Site      int
-	T1Seconds float64
-}
-
-// MeasureT1 prepares |1⟩, sweeps an idle delay, and fits the exponential
-// decay of P(1).
-func MeasureT1(ctx context.Context, cl *client.Client, dev Target, site int, maxDelaySeconds float64, points, shots int) (*T1Result, error) {
-	if points < 4 {
-		points = 8
-	}
-	if shots <= 0 {
-		shots = 400
-	}
-	b, err := newBench(cl, dev, site, shots)
-	if err != nil {
-		return nil, err
-	}
-	delays, ts := make([]float64, points), make([]float64, points)
-	for i := range delays {
-		delays[i] = math.Round(maxDelaySeconds * float64(i) / float64(points-1) * b.drive.SampleRateHz)
-		ts[i] = delays[i] / b.drive.SampleRateHz
-	}
-	ys, err := b.sweepP1(ctx, b.kernel("t1", "x").DelayP(b.drive.ID, qpi.Sym("delay")),
-		ptemplate.Param{Name: "delay", Max: delays[points-1]}, delays)
-	if err != nil {
-		return nil, err
-	}
-	tau, err := FitExponentialDecay(ts, ys)
-	if err != nil {
-		return nil, err
-	}
-	return &T1Result{Site: site, T1Seconds: tau}, nil
-}
-
 // PulseTrainBenchmark measures amplitude-calibration quality: a train of n
 // (odd) π pulses should land in |1⟩; a relative amplitude error ε raises
 // the returned error 1 − P(1) by ≈ sin²(n·π·ε/2). This is the benchmark

@@ -49,9 +49,8 @@ import (
 	"mqsspulse/internal/telemetry"
 )
 
-// DefaultCacheEntries is the lowering-cache entry bound used until
-// SetCacheLimit overrides it. The cache is LRU: under churn past the bound
-// the least-recently-compiled kernels fall out first.
+// DefaultCacheEntries bounds the lowering cache. The cache is LRU: under
+// churn past the bound the least-recently-compiled kernels fall out first.
 const DefaultCacheEntries = 4096
 
 // Client routes finished kernels through compile → schedule → execute.
@@ -147,12 +146,6 @@ func (c *Client) NewTimeline(traceID string) *telemetry.Timeline {
 	return telemetry.NewTimeline(traceID, c.telem)
 }
 
-// Devices lists the reachable device names.
-func (c *Client) Devices() ([]string, error) { return c.session.Devices() }
-
-// Device resolves a device for direct QDMI queries.
-func (c *Client) Device(name string) (qdmi.Device, error) { return c.session.Device(name) }
-
 // CacheStats snapshots the lowering-cache counters.
 func (c *Client) CacheStats() CacheStats {
 	c.mu.Lock()
@@ -162,19 +155,6 @@ func (c *Client) CacheStats() CacheStats {
 	st.Limit = c.cacheLimit
 	st.TemplateEntries = c.templateEntries
 	return st
-}
-
-// SetCacheLimit bounds the lowering cache to n entries (values below 1 are
-// clamped to 1), evicting least-recently-used entries immediately if the
-// cache is already past the new bound.
-func (c *Client) SetCacheLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cacheLimit = n
-	c.evictLocked()
 }
 
 // evictLocked drops LRU tail entries until the cache fits its bound.
@@ -323,10 +303,16 @@ func (c *Client) lower(l *lowering) (*ptemplate.Compiled, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.loweringCache[key]; ok {
-		// A concurrent lowering of the same program won the race; keep its
-		// entry and just refresh recency.
-		c.lruList.MoveToFront(el)
-		return el.Value.(*cacheEntry).program, false, nil
+		if won := el.Value.(*cacheEntry).program; won.Epoch == program.Epoch {
+			// A concurrent lowering against the same calibration won the
+			// race; keep its entry and just refresh recency.
+			c.lruList.MoveToFront(el)
+			return won, false, nil
+		}
+		// One against another calibration: this program replaces it, so a
+		// job never leaves with a program older than the one it compiled.
+		c.removeLocked(el)
+		c.cacheStats.Invalidations++
 	}
 	c.loweringCache[key] = c.lruList.PushFront(&cacheEntry{key: key, program: program})
 	if len(l.params) > 0 {

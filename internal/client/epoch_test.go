@@ -4,10 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
+	"mqsspulse/internal/devices"
+	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qdmi/qdmitest"
 	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/qrm"
+	"mqsspulse/internal/testutil"
 )
 
 // TestLoweringCacheEpochInvalidation: recalibrating the target invalidates
@@ -51,7 +56,7 @@ func TestLoweringCacheEpochInvalidation(t *testing.T) {
 func TestLoweringCacheBounded(t *testing.T) {
 	c, _ := testStack(t)
 	const limit, kernels = 64, 10000
-	c.SetCacheLimit(limit)
+	c.cacheLimit = limit
 	for i := 0; i < kernels; i++ {
 		k := qpi.NewCircuit(fmt.Sprintf("churn-%d", i), 1, 0).RZ(0, 0.25)
 		if err := k.End(); err != nil {
@@ -80,11 +85,6 @@ func TestLoweringCacheBounded(t *testing.T) {
 	}
 	if got := c.CacheStats().Hits; got != 1 {
 		t.Fatalf("most-recent entry evicted: hits = %d", got)
-	}
-	// Shrinking the limit evicts down immediately.
-	c.SetCacheLimit(8)
-	if st := c.CacheStats(); st.Entries != 8 || st.Limit != 8 {
-		t.Fatalf("after SetCacheLimit(8): entries=%d limit=%d", st.Entries, st.Limit)
 	}
 }
 
@@ -155,5 +155,99 @@ func TestRemoteStaleCalibrationCrossesWire(t *testing.T) {
 	_, err = remote.SubmitPayloadCtx(ctx, "hpcqc-sc", payload, format, opts)
 	if !errors.Is(err, qrm.ErrStaleCalibration) {
 		t.Fatalf("stale epoch accepted across the wire: err = %v", err)
+	}
+}
+
+// gatedDevice parks a compile in its DefaultPulse query on the next gate a
+// test queued, so the test orders two lowerings of one program.
+type gatedDevice struct {
+	*qdmitest.Device
+	mu      sync.Mutex
+	gates   []chan struct{}
+	reached chan struct{} // receives once per parked query
+}
+
+// gate queues a gate for the next compile to query the device.
+func (d *gatedDevice) gate() chan struct{} {
+	g := make(chan struct{})
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.gates = append(d.gates, g)
+	return g
+}
+
+// DefaultPulse implements qdmi.Device.
+func (d *gatedDevice) DefaultPulse(op string, sites []int) (*qdmi.PulseImpl, error) {
+	d.mu.Lock()
+	var g chan struct{}
+	if len(d.gates) > 0 {
+		g, d.gates = d.gates[0], d.gates[1:]
+	}
+	d.mu.Unlock()
+	if g != nil {
+		d.reached <- struct{}{}
+		<-g
+	}
+	return d.Device.DefaultPulse(op, sites)
+}
+
+// TestLoweringRaceAcrossRecalibrationKeepsTheFreshProgram: lowering A
+// starts at epoch 1 and stalls; the device recalibrates; lowering B of the
+// same program starts at epoch 2; A finishes and caches its epoch-1
+// program; then B finishes. B must return, and cache, its own epoch-2
+// program — returning A's would fail B's job ErrStaleCalibration at
+// dispatch though B compiled against the current calibration.
+func TestLoweringRaceAcrossRecalibrationKeepsTheFreshProgram(t *testing.T) {
+	testutil.AssertNoLeaks(t)
+	sim, err := devices.Superconducting("hpcqc-sc", 2, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := &gatedDevice{Device: qdmitest.Wrap(sim), reached: make(chan struct{})}
+	drv := qdmi.NewDriver()
+	if err := drv.RegisterDevice(dev); err != nil {
+		t.Fatal(err)
+	}
+	c := New(drv.OpenSession())
+	t.Cleanup(c.Close)
+	k := bell(t)
+
+	type compiled struct {
+		epoch int64
+		err   error
+	}
+	compile := func() <-chan compiled {
+		out := make(chan compiled, 1)
+		go func() {
+			_, _, epoch, err := c.CompileTraced(k, "hpcqc-sc", nil)
+			out <- compiled{epoch, err}
+		}()
+		<-dev.reached
+		return out
+	}
+	// Each lowering parks in its first calibration query on its own gate.
+	gateA := dev.gate()
+	a := compile()
+	sim.SetCalibratedPiAmplitude(0, sim.CalibratedPiAmplitude(0)*0.9)
+	fresh := sim.CalibrationEpoch()
+	gateB := dev.gate()
+	b := compile()
+	close(gateA)
+	if got := <-a; got.err != nil {
+		t.Fatal(got.err)
+	}
+	close(gateB)
+	got := <-b
+	if got.err != nil || got.epoch != fresh {
+		t.Fatalf("lowering B returned epoch %d (%v), want the epoch it compiled at, %d", got.epoch, got.err, fresh)
+	}
+	if _, _, epoch, err := c.CompileTraced(k, "hpcqc-sc", nil); err != nil || epoch != fresh {
+		t.Fatalf("cached entry is at epoch %d (%v), want %d", epoch, err, fresh)
+	}
+	if st := c.CacheStats(); st.Hits != 1 || st.Invalidations != 1 {
+		t.Fatalf("hits=%d invalidations=%d, want 1 and 1 (B replaced A's entry)", st.Hits, st.Invalidations)
+	}
+	if _, err := c.RunCtx(context.Background(), k, "hpcqc-sc", SubmitOptions{Shots: 8}); err != nil {
+		t.Fatalf("job after the race: %v", err)
 	}
 }

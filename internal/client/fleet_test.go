@@ -107,7 +107,7 @@ func TestRemoteStolenJobCheckedAgainstNamedDevice(t *testing.T) {
 	t.Cleanup(remote.Close)
 	ctx := context.Background()
 	sim := func(name string) *devices.SimDevice {
-		dev, err := c.Device(name)
+		dev, err := c.session.Device(name)
 		if err != nil {
 			t.Fatal(err)
 		}

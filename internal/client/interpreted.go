@@ -33,9 +33,6 @@ type InterpretedAdapter struct {
 	Target string
 }
 
-// Name identifies the adapter.
-func (a *InterpretedAdapter) Name() string { return "interpreted/" + a.Target }
-
 // ParseProgram interprets the textual program into a QPI kernel.
 func (a *InterpretedAdapter) ParseProgram(src string) (*qpi.Circuit, error) {
 	var c *qpi.Circuit

@@ -253,7 +253,7 @@ func TestTextPayloadResultBeyondBit63Fails(t *testing.T) {
 			ID: "mz", Profile: qir.ProfileBase, EntryName: "mz",
 			NumQubits: 1, NumResults: int(result) + 1,
 			Body: []qir.Call{
-				{Callee: qir.IntrX, Args: []qir.Arg{qir.QubitArg(0)}},
+				{Callee: qir.GateIntrinsics["x"], Args: []qir.Arg{qir.QubitArg(0)}},
 				{Callee: qir.IntrMz, Args: []qir.Arg{qir.QubitArg(0), qir.ResultArg(result)}},
 			},
 		}}

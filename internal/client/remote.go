@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
@@ -635,20 +634,6 @@ func (r *RemoteAdapter) SubmitPayloadCtx(ctx context.Context, device string, pay
 	_, _ = h.Write(payload)
 	id := fmt.Sprintf("txt-%016x-%d@%d", h.Sum64(), len(payload), opts.CalibrationEpoch)
 	return r.submit(ctx, device, wireProgram{id: id, text: payload, epoch: opts.CalibrationEpoch}, nil, opts)
-}
-
-// SubmitBoundCtx submits one sweep point of a compiled program: the text
-// ships once per pooled connection and every point afterwards is a small
-// bindings frame naming it by fingerprint and epoch, the epoch it was
-// lowered at (opts.CalibrationEpoch is for bare text and is ignored here).
-// Bindings are validated locally first, so an out-of-range or non-finite
-// value fails with ptemplate.ErrBadParam before touching the wire.
-func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compiled *ptemplate.Compiled, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
-	if err := compiled.Validate(b); err != nil {
-		return nil, err
-	}
-	id := compiled.Fingerprint + "@" + strconv.FormatInt(compiled.Epoch, 10)
-	return r.submit(ctx, device, wireProgram{id: id, text: compiled.Text(), params: compiled.Params, epoch: compiled.Epoch}, b, opts)
 }
 
 // submit is the one wire submission: a submit frame naming p, preceded by

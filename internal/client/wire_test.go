@@ -11,6 +11,7 @@ import (
 	"net"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -21,6 +22,19 @@ import (
 	"mqsspulse/internal/readout"
 	"mqsspulse/internal/telemetry"
 )
+
+// SubmitBoundCtx is the tests' client for the server's bindings frame: it
+// submits one sweep point of a compiled program, whose text ships once per
+// pooled connection, named by fingerprint and the epoch it was lowered at;
+// every point afterwards is a small bindings frame. Bindings are validated
+// locally first, as the server validates them again.
+func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compiled *ptemplate.Compiled, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
+	if err := compiled.Validate(b); err != nil {
+		return nil, err
+	}
+	id := compiled.Fingerprint + "@" + strconv.FormatInt(compiled.Epoch, 10)
+	return r.submit(ctx, device, wireProgram{id: id, text: compiled.Text(), params: compiled.Params, epoch: compiled.Epoch}, b, opts)
+}
 
 // recordingConn keeps every frame the adapter writes (one Write is one
 // request line) and can be pointed at a fresh connection — what a reconnect,

@@ -14,6 +14,7 @@ import (
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
 	"mqsspulse/internal/qpi"
+	"mqsspulse/internal/testutil"
 	"mqsspulse/internal/waveform"
 )
 
@@ -64,31 +65,31 @@ func gateMatrix(op qpi.Op) *linalg.Matrix {
 	case "z":
 		m1 = linalg.PauliZ()
 	case "h":
-		m1 = linalg.Hadamard()
+		m1 = testutil.Hadamard()
 	case "s":
-		m1 = linalg.SGate()
+		m1 = testutil.SGate()
 	case "t":
-		m1 = linalg.TGate()
+		m1 = testutil.TGate()
 	case "sx":
 		u, _ := linalg.ExpI(linalg.PauliX(), math.Pi/4)
 		m1 = u
 	case "rx":
-		m1 = linalg.RX(op.Params[0])
+		m1 = testutil.RX(op.Params[0])
 	case "ry":
-		m1 = linalg.RY(op.Params[0])
+		m1 = testutil.RY(op.Params[0])
 	case "rz":
-		m1 = linalg.RZ(op.Params[0])
+		m1 = testutil.RZ(op.Params[0])
 	case "cz":
-		return linalg.EmbedTwo(linalg.CZ(), []int{2, 2}, 0)
+		return linalg.EmbedTwo(testutil.CZ(), []int{2, 2}, 0)
 	case "cx":
 		if op.Qubits[0] == 0 {
-			return linalg.EmbedTwo(linalg.CNOT(), []int{2, 2}, 0)
+			return linalg.EmbedTwo(testutil.CNOT(), []int{2, 2}, 0)
 		}
 		// control=1, target=0: swap-conjugated CNOT.
 		sw := linalg.FromRows([][]complex128{
 			{1, 0, 0, 0}, {0, 0, 1, 0}, {0, 1, 0, 0}, {0, 0, 0, 1},
 		})
-		return sw.Mul(linalg.EmbedTwo(linalg.CNOT(), []int{2, 2}, 0)).Mul(sw)
+		return sw.Mul(linalg.EmbedTwo(testutil.CNOT(), []int{2, 2}, 0)).Mul(sw)
 	}
 	return linalg.EmbedAt(m1, []int{2, 2}, op.Qubits[0])
 }
@@ -101,7 +102,7 @@ func idealDistribution(ops []qpi.Op) []float64 {
 		if op.Kind != qpi.OpGate {
 			continue
 		}
-		psi = gateMatrix(op).MulVec(psi)
+		psi = testutil.MulVec(gateMatrix(op), psi)
 	}
 	probs := make([]float64, 4)
 	for i, a := range psi {
@@ -312,7 +313,7 @@ func TestGateTableLowersTheSameAtCompileAndLinkTime(t *testing.T) {
 					sx := func() {
 						for _, q := range qubits {
 							k.SX(q)
-							body = append(body, qir.Call{Callee: qir.IntrSX, Args: []qir.Arg{qir.QubitArg(int64(q))}})
+							body = append(body, qir.Call{Callee: qir.GateIntrinsics["sx"], Args: []qir.Arg{qir.QubitArg(int64(q))}})
 						}
 					}
 					sx()

@@ -82,7 +82,7 @@ func TestMeasureIsPlayedFromItsImplementation(t *testing.T) {
 		return d
 	}
 	k := qpi.NewCircuit("xm", 2, 2).X(0).CZ(0, 1).Measure(0, 0).Measure(1, 1)
-	body := []qir.Call{call(qir.IntrX, 0), call(qir.IntrCZ, 0, 1), mz(0, 0), mz(1, 1)}
+	body := []qir.Call{call(qir.GateIntrinsics["x"], 0), call(qir.GateIntrinsics["cz"], 0, 1), mz(0, 0), mz(1, 1)}
 	compiled, gates := bothPaths(t, device(), k, body...)
 	if !slices.Equal(compiled, gates) {
 		t.Fatalf("compiled Measure and gate-level mz link differently:\ncompiled: %q\ngates:    %q", compiled, gates)
@@ -158,7 +158,7 @@ func TestPairCalibrationIsUnordered(t *testing.T) {
 		}
 	}
 	k := qpi.NewCircuit("cz", 2, 2).CZ(0, 1).Measure(0, 0).Measure(1, 1)
-	compiled, gates := bothPaths(t, d, k, call(qir.IntrCZ, 0, 1), mz(0, 0), mz(1, 1))
+	compiled, gates := bothPaths(t, d, k, call(qir.GateIntrinsics["cz"], 0, 1), mz(0, 0), mz(1, 1))
 	want := fmt.Sprintf("play on q0q1-coupler/q0q1-coupler-frame %v", w.Samples)
 	for path, got := range map[string][]string{"compiled": compiled, "gate-level": gates} {
 		if !slices.Contains(got, want) {
@@ -184,7 +184,7 @@ func TestCZRolesResolveOnBothPaths(t *testing.T) {
 	}
 	for _, pair := range [][2]int{{0, 1}, {1, 0}} {
 		k := qpi.NewCircuit("cz", 2, 2).CZ(pair[0], pair[1]).Measure(0, 0).Measure(1, 1)
-		compiled, gates := bothPaths(t, d, k, call(qir.IntrCZ, int64(pair[0]), int64(pair[1])), mz(0, 0), mz(1, 1))
+		compiled, gates := bothPaths(t, d, k, call(qir.GateIntrinsics["cz"], int64(pair[0]), int64(pair[1])), mz(0, 0), mz(1, 1))
 		if !slices.Equal(compiled, gates) {
 			t.Fatalf("cz%v links differently:\ncompiled: %q\ngates:    %q", pair, compiled, gates)
 		}

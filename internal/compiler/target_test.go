@@ -159,14 +159,14 @@ func TestDriveEnvelopeMustBeOnePlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, compileErr := Compile(x, d)
-	_, linkErr := link(qir.Call{Callee: qir.IntrX, Args: []qir.Arg{q(0)}})
+	_, linkErr := link(qir.Call{Callee: qir.GateIntrinsics["x"], Args: []qir.Arg{q(0)}})
 	for path, err := range map[string]error{"compile": compileErr, "link": linkErr} {
 		if !errors.Is(err, qdmi.ErrNotSupported) || !strings.Contains(err.Error(), "x on site 0") {
 			t.Errorf("%s with a two-step x: %v; want ErrNotSupported naming x on site 0", path, err)
 		}
 	}
 	// Site 1 kept the device's own x.
-	if _, err := link(qir.Call{Callee: qir.IntrX, Args: []qir.Arg{q(1)}}); err != nil {
+	if _, err := link(qir.Call{Callee: qir.GateIntrinsics["x"], Args: []qir.Arg{q(1)}}); err != nil {
 		t.Errorf("x on the untouched site: %v", err)
 	}
 
@@ -181,7 +181,7 @@ func TestDriveEnvelopeMustBeOnePlay(t *testing.T) {
 	if n := countPlays(res.QIR); n != 2 {
 		t.Errorf("compiled cz plays %d pulses, want the override's 2", n)
 	}
-	sched, err := link(qir.Call{Callee: qir.IntrCZ, Args: []qir.Arg{q(0), q(1)}})
+	sched, err := link(qir.Call{Callee: qir.GateIntrinsics["cz"], Args: []qir.Arg{q(0), q(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestLinkReadsOneCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := []float64{d.CalibratedFrequency(0), d.CalibratedFrequency(1)}
-	m := gateModule("xx", 2, 0, []qir.Call{g1(qir.IntrX, 0), g1(qir.IntrX, 1)})
+	m := gateModule("xx", 2, 0, []qir.Call{g1(qir.GateIntrinsics["x"], 0), g1(qir.GateIntrinsics["x"], 1)})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -51,11 +51,13 @@ func TestLinkReadsOneCalibration(t *testing.T) {
 	defer close(stop)
 
 	offset := func(s *pulse.Schedule, site int) float64 {
-		f, ok := s.Frame(d.table.Drive(site).ID + "-frame")
-		if !ok {
-			t.Fatalf("schedule has no drive frame for site %d", site)
+		for _, f := range s.Frames() {
+			if f.ID == d.table.Drive(site).ID+"-frame" {
+				return f.FrequencyHz - base[site]
+			}
 		}
-		return f.FrequencyHz - base[site]
+		t.Fatalf("schedule has no drive frame for site %d", site)
+		return 0
 	}
 	for i := 0; i < links; i++ {
 		s, err := d.BuildScheduleForPayload(m)
@@ -121,7 +123,7 @@ func TestSetPulseImplKeepsACopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	x.Steps[0].Waveform.Samples[0] = 0.1
-	s, err := d.BuildScheduleForPayload(gateModule("x", 1, 0, []qir.Call{g1(qir.IntrX, 0)}))
+	s, err := d.BuildScheduleForPayload(gateModule("x", 1, 0, []qir.Call{g1(qir.GateIntrinsics["x"], 0)}))
 	if err != nil {
 		t.Fatal(err)
 	}

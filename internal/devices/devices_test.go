@@ -8,7 +8,6 @@ import (
 
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
-	"mqsspulse/internal/waveform"
 )
 
 // run executes a QIR module on a device and returns counts.
@@ -89,7 +88,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestXGateCounts(t *testing.T) {
 	d := newSC(t)
-	m := gateModule("xtest", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	m := gateModule("xtest", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	res := run(t, d, m, 2000)
 	p1 := float64(res.Counts[1]) / float64(res.Shots)
 	// Limited by readout fidelity (0.985) and slight decoherence.
@@ -100,7 +99,7 @@ func TestXGateCounts(t *testing.T) {
 
 func TestHHIsIdentity(t *testing.T) {
 	d := newSC(t)
-	m := gateModule("hh", 1, 1, []qir.Call{g1(qir.IntrH, 0), g1(qir.IntrH, 0), mz(0, 0)})
+	m := gateModule("hh", 1, 1, []qir.Call{g1(qir.GateIntrinsics["h"], 0), g1(qir.GateIntrinsics["h"], 0), mz(0, 0)})
 	res := run(t, d, m, 2000)
 	p0 := float64(res.Counts[0]) / float64(res.Shots)
 	if p0 < 0.95 {
@@ -110,7 +109,7 @@ func TestHHIsIdentity(t *testing.T) {
 
 func TestHGivesEqualSuperposition(t *testing.T) {
 	d := newSC(t)
-	m := gateModule("h", 1, 1, []qir.Call{g1(qir.IntrH, 0), mz(0, 0)})
+	m := gateModule("h", 1, 1, []qir.Call{g1(qir.GateIntrinsics["h"], 0), mz(0, 0)})
 	res := run(t, d, m, 8000)
 	p1 := float64(res.Counts[1]) / float64(res.Shots)
 	if math.Abs(p1-0.5) > 0.03 {
@@ -129,9 +128,9 @@ func TestVirtualZInterference(t *testing.T) {
 		{0, 0}, {math.Pi, 1}, {math.Pi / 2, 0.5},
 	} {
 		m := gateModule("hzh", 1, 1, []qir.Call{
-			g1(qir.IntrH, 0),
-			{Callee: qir.IntrRZ, Args: []qir.Arg{qir.F64Arg(tc.theta), qir.QubitArg(0)}},
-			g1(qir.IntrH, 0),
+			g1(qir.GateIntrinsics["h"], 0),
+			{Callee: qir.GateIntrinsics["rz"], Args: []qir.Arg{qir.F64Arg(tc.theta), qir.QubitArg(0)}},
+			g1(qir.GateIntrinsics["h"], 0),
 			mz(0, 0),
 		})
 		res := run(t, d, m, 4000)
@@ -146,7 +145,7 @@ func TestSGateIsSqrtZ(t *testing.T) {
 	// H·S·S·H = H·Z·H = X → P(1)≈1.
 	d := newSC(t)
 	m := gateModule("hssh", 1, 1, []qir.Call{
-		g1(qir.IntrH, 0), g1(qir.IntrS, 0), g1(qir.IntrS, 0), g1(qir.IntrH, 0), mz(0, 0),
+		g1(qir.GateIntrinsics["h"], 0), g1(qir.GateIntrinsics["s"], 0), g1(qir.GateIntrinsics["s"], 0), g1(qir.GateIntrinsics["h"], 0), mz(0, 0),
 	})
 	res := run(t, d, m, 2000)
 	p1 := float64(res.Counts[1]) / float64(res.Shots)
@@ -159,7 +158,7 @@ func TestRXSweepMatchesTheory(t *testing.T) {
 	d := newSC(t)
 	for _, theta := range []float64{0.5, 1.2, math.Pi / 2, 2.5} {
 		m := gateModule("rx", 1, 1, []qir.Call{
-			{Callee: qir.IntrRX, Args: []qir.Arg{qir.F64Arg(theta), qir.QubitArg(0)}},
+			{Callee: qir.GateIntrinsics["rx"], Args: []qir.Arg{qir.F64Arg(theta), qir.QubitArg(0)}},
 			mz(0, 0),
 		})
 		res := run(t, d, m, 6000)
@@ -175,8 +174,8 @@ func TestRXSweepMatchesTheory(t *testing.T) {
 func TestNegativeRXAngle(t *testing.T) {
 	d := newSC(t)
 	m := gateModule("rxneg", 1, 1, []qir.Call{
-		{Callee: qir.IntrRX, Args: []qir.Arg{qir.F64Arg(-math.Pi / 2), qir.QubitArg(0)}},
-		{Callee: qir.IntrRX, Args: []qir.Arg{qir.F64Arg(math.Pi / 2), qir.QubitArg(0)}},
+		{Callee: qir.GateIntrinsics["rx"], Args: []qir.Arg{qir.F64Arg(-math.Pi / 2), qir.QubitArg(0)}},
+		{Callee: qir.GateIntrinsics["rx"], Args: []qir.Arg{qir.F64Arg(math.Pi / 2), qir.QubitArg(0)}},
 		mz(0, 0),
 	})
 	res := run(t, d, m, 2000)
@@ -189,8 +188,8 @@ func TestNegativeRXAngle(t *testing.T) {
 func TestBellStateViaCX(t *testing.T) {
 	d := newSC(t)
 	m := gateModule("bell", 2, 2, []qir.Call{
-		g1(qir.IntrH, 0),
-		{Callee: qir.IntrCX, Args: []qir.Arg{qir.QubitArg(0), qir.QubitArg(1)}},
+		g1(qir.GateIntrinsics["h"], 0),
+		{Callee: qir.GateIntrinsics["cx"], Args: []qir.Arg{qir.QubitArg(0), qir.QubitArg(1)}},
 		mz(0, 0), mz(1, 1),
 	})
 	res := run(t, d, m, 8000)
@@ -210,10 +209,10 @@ func TestCZPhaseKickback(t *testing.T) {
 	// |+⟩|1⟩ -CZ→ |−⟩|1⟩; closing the Ramsey with H reads 1 on qubit 0.
 	d := newSC(t)
 	m := gateModule("czkick", 2, 2, []qir.Call{
-		g1(qir.IntrH, 0),
-		g1(qir.IntrX, 1),
-		{Callee: qir.IntrCZ, Args: []qir.Arg{qir.QubitArg(0), qir.QubitArg(1)}},
-		g1(qir.IntrH, 0),
+		g1(qir.GateIntrinsics["h"], 0),
+		g1(qir.GateIntrinsics["x"], 1),
+		{Callee: qir.GateIntrinsics["cz"], Args: []qir.Arg{qir.QubitArg(0), qir.QubitArg(1)}},
+		g1(qir.GateIntrinsics["h"], 0),
 		mz(0, 0), mz(1, 1),
 	})
 	res := run(t, d, m, 4000)
@@ -267,7 +266,7 @@ func TestPulsePayloadRequiresPulseFormat(t *testing.T) {
 func TestSubmitJobValidation(t *testing.T) {
 	d := newSC(t)
 	m := gateModule("v", 1, 1, []qir.Call{mz(0, 0)})
-	if _, err := d.SubmitJob(m.Emit(), qdmi.FormatMLIRPulse, 10); err == nil {
+	if _, err := d.SubmitJob(m.Emit(), "mlir-pulse", 10); err == nil {
 		t.Fatal("unsupported format accepted")
 	}
 	if _, err := d.SubmitJob(m.Emit(), qdmi.FormatQIRBase, 0); err == nil {
@@ -349,11 +348,11 @@ func TestNonFiniteAngleTextFails(t *testing.T) {
 	for _, tc := range []struct {
 		callee string
 		angle  float64
-	}{{qir.IntrRZ, math.NaN()}, {qir.IntrRZ, math.Inf(1)}, {qir.IntrRX, math.NaN()}, {qir.IntrRY, math.Inf(-1)}} {
+	}{{qir.GateIntrinsics["rz"], math.NaN()}, {qir.GateIntrinsics["rz"], math.Inf(1)}, {qir.GateIntrinsics["rx"], math.NaN()}, {qir.GateIntrinsics["ry"], math.Inf(-1)}} {
 		m := gateModule("nonfinite", 1, 1, []qir.Call{
-			g1(qir.IntrH, 0),
+			g1(qir.GateIntrinsics["h"], 0),
 			{Callee: tc.callee, Args: []qir.Arg{qir.F64Arg(tc.angle), qir.QubitArg(0)}},
-			g1(qir.IntrH, 0),
+			g1(qir.GateIntrinsics["h"], 0),
 			mz(0, 0),
 		})
 		job, err := d.SubmitJobOpts(m.Emit(), qdmi.FormatQIRBase, qdmi.JobOptions{Shots: 100})
@@ -513,30 +512,6 @@ func TestDefaultPulseQueries(t *testing.T) {
 	}
 }
 
-func TestSetPulseImplCustomGate(t *testing.T) {
-	d := newSC(t)
-	w, _ := waveform.Gaussian{Amplitude: 0.3, SigmaFrac: 0.2}.Materialize("custom", 32)
-	impl := &qdmi.PulseImpl{Operation: "mygate", Steps: []qdmi.PulseStep{
-		{Kind: "play", PortRole: "drive0", Waveform: w},
-	}}
-	if err := d.SetPulseImpl("mygate", []int{0}, impl); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.DefaultPulse("mygate", []int{0})
-	if err != nil || got.Operation != "mygate" {
-		t.Fatalf("custom gate not retrievable: %v", err)
-	}
-	found := false
-	for _, op := range d.Operations() {
-		if op == "mygate" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("custom gate not advertised in Operations")
-	}
-}
-
 func TestDriftMovesTrueParameters(t *testing.T) {
 	d := newSC(t)
 	f0 := d.TrueFrequency(0)
@@ -580,7 +555,7 @@ func TestMiscalibrationDegradesRealCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	m := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	good := run(t, d, m, 2000)
 	p1Good := float64(good.Counts[1]) / float64(good.Shots)
 
@@ -609,7 +584,7 @@ func TestTrappedIonXGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	m := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	res := run(t, d, m, 1000)
 	p1 := float64(res.Counts[1]) / float64(res.Shots)
 	if p1 < 0.97 {
@@ -622,7 +597,7 @@ func TestNeutralAtomXGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	m := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	res := run(t, d, m, 1000)
 	p1 := float64(res.Counts[1]) / float64(res.Shots)
 	if p1 < 0.93 {
@@ -688,7 +663,7 @@ func TestJobsSerializePerDevice(t *testing.T) {
 	// Concurrent submissions must all complete (the device serializes
 	// physics internally via its own locks; jobs run on goroutines).
 	d := newSC(t)
-	m := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	m := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	payload := m.Emit()
 	jobs := make([]qdmi.Job, 8)
 	for i := range jobs {

@@ -39,8 +39,8 @@ func skipJobs(d *SimDevice, n int) *SimDevice {
 
 func bellModule() *qir.Module {
 	return gateModule("bell", 2, 2, []qir.Call{
-		g1(qir.IntrH, 0),
-		{Callee: qir.IntrCX, Args: []qir.Arg{qir.QubitArg(0), qir.QubitArg(1)}},
+		g1(qir.GateIntrinsics["h"], 0),
+		{Callee: qir.GateIntrinsics["cx"], Args: []qir.Arg{qir.QubitArg(0), qir.QubitArg(1)}},
 		mz(0, 0), mz(1, 1),
 	})
 }
@@ -51,8 +51,8 @@ func bellModule() *qir.Module {
 func runOthers(t *testing.T, d *SimDevice, n int) {
 	t.Helper()
 	kernels := []*qir.Module{
-		gateModule("x", 2, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)}),
-		gateModule("h", 2, 1, []qir.Call{g1(qir.IntrH, 1), mz(1, 0)}),
+		gateModule("x", 2, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)}),
+		gateModule("h", 2, 1, []qir.Call{g1(qir.GateIntrinsics["h"], 1), mz(1, 0)}),
 		bellModule(),
 	}
 	for i := 0; i < n; i++ {
@@ -83,7 +83,7 @@ func TestResultsIndependentOfEngineWarmth(t *testing.T) {
 // as a fresh device advanced the same way does (driftingSC's drift is large
 // enough that an engine kept across AdvanceTime could not pass by luck).
 func TestAdvanceTimeRebuildsEngine(t *testing.T) {
-	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	opts := qdmi.JobOptions{Shots: 4000}
 
 	warm := driftingSC(t)
@@ -159,7 +159,7 @@ func TestConcurrentJobsShareOneEngine(t *testing.T) {
 // Ceilings are the -race measurement plus about 9% (see
 // perf_contract_test.go on what -race does to sync.Pool).
 func TestWarmJobAllocations(t *testing.T) {
-	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	payload := x.Emit()
 	opts := qdmi.JobOptions{Shots: 16}
 	for _, tc := range []struct {
@@ -201,7 +201,7 @@ func TestWarmJobAllocations(t *testing.T) {
 // spawns nothing, and the first Wait is what runs it.
 func TestJobRunsOnItsWaiter(t *testing.T) {
 	d := openSC(t, 1)
-	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	opts := qdmi.JobOptions{Shots: 16}
 	runOpts(t, d, x, opts) // builds the engine
 	before := runtime.NumGoroutine()
@@ -230,7 +230,7 @@ func TestJobRunsOnItsWaiter(t *testing.T) {
 func TestEngineTelemetryCounters(t *testing.T) {
 	d := openSC(t, 1)
 	reg := telemetry.NewRegistry()
-	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	counters := func() (hit, miss, steps int64) {
 		runOpts(t, d, x, qdmi.JobOptions{Shots: 16, Telemetry: telemetry.NewTimeline("", reg)})
 		for _, name := range []string{"simq/prop_cache/hit", "simq/prop_cache/miss", "simq/dissipator_steps"} {

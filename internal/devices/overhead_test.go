@@ -16,7 +16,7 @@ func TestJobOverheadCancelReleasesDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetJobOverhead(30 * time.Second) // long enough that only cancel ends it
-	m := gateModule("ovh", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	m := gateModule("ovh", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	job, err := d.SubmitJob(m.Emit(), qdmi.FormatQIRBase, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestJobOverheadDelaysCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetJobOverhead(50 * time.Millisecond)
-	m := gateModule("ovh2", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	m := gateModule("ovh2", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	start := time.Now()
 	res := run(t, d, m, 50)
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
@@ -79,7 +79,7 @@ func TestJobWaiterCtxAbortsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetJobOverhead(30 * time.Second)
-	m := gateModule("ovh3", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	m := gateModule("ovh3", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	job, err := d.SubmitJob(m.Emit(), qdmi.FormatQIRBase, 10)
 	if err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ func overdrivenTemplate() (*qir.Module, []map[string]float64) {
 // as a module of its own.
 func gateTemplate() (*qir.Module, []map[string]float64) {
 	return gateModule("rx", 1, 1, []qir.Call{
-			{Callee: qir.IntrRX, Args: []qir.Arg{{Kind: qir.ArgF64, Expr: &qir.ParamExpr{Param: "theta", Scale: 1}}, qir.QubitArg(0)}},
+			{Callee: qir.GateIntrinsics["rx"], Args: []qir.Arg{{Kind: qir.ArgF64, Expr: &qir.ParamExpr{Param: "theta", Scale: 1}}, qir.QubitArg(0)}},
 			mz(0, 0),
 		}), []map[string]float64{
 			{"theta": 0.4}, {"theta": 2.9}, {"theta": 1.5}, {"theta": math.Pi},
@@ -274,7 +274,7 @@ var calibrationMoves = []struct {
 // calibrated π amplitude does not reach it: the link-time frames and the
 // true physics do.
 func TestPreparedProgramGoesStale(t *testing.T) {
-	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	tpl, points := sweepTemplate(t, driftingSC(t), false)
 	opts := qdmi.JobOptions{Shots: 4000}
 	programs := []struct {
@@ -328,7 +328,7 @@ func TestPreparedProgramGoesStale(t *testing.T) {
 func TestPreparedProgramUnderConcurrentMoves(t *testing.T) {
 	testutil.AssertNoLeaks(t)
 	const jobs, rounds = 40, 3
-	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	tpl, points := sweepTemplate(t, driftingSC(t), false)
 	opts := qdmi.JobOptions{Shots: 8}
 	moveAll := func(d *SimDevice) {
@@ -385,7 +385,7 @@ func TestPreparedProgramUnderConcurrentMoves(t *testing.T) {
 // modules pass through without growing it, and a module they pushed out is
 // simply prepared again.
 func TestPreparedStoreIsBounded(t *testing.T) {
-	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	opts := qdmi.JobOptions{Shots: 32}
 	d := openSC(t, 1)
 	first := runModule(t, d, x, opts)
@@ -412,7 +412,7 @@ func TestPreparedStoreIsBounded(t *testing.T) {
 func TestSweepKeepsOneEntry(t *testing.T) {
 	const points = 1024
 	d := openSC(t, 1)
-	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	opts := qdmi.JobOptions{Shots: 1}
 	runModule(t, d, x, opts)
 	inPlace, _ := sweepTemplate(t, d, false)
@@ -455,7 +455,7 @@ func TestSweepKeepsOneEntry(t *testing.T) {
 func TestModuleVerifiedOncePerEntry(t *testing.T) {
 	d := openSC(t, 1)
 	opts := qdmi.JobOptions{Shots: 8}
-	x := gateModule("x", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	x := gateModule("x", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	tpl, points := sweepTemplate(t, d, false)
 	malformed := func(m *qir.Module) *qir.Module {
 		bad := *m

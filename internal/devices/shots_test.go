@@ -33,7 +33,7 @@ func TestShotTelemetryCounters(t *testing.T) {
 	d := newSC(t)
 	reg := telemetry.NewRegistry()
 	tl := telemetry.NewTimeline("", reg)
-	m := gateModule("xcount", 1, 1, []qir.Call{g1(qir.IntrX, 0), mz(0, 0)})
+	m := gateModule("xcount", 1, 1, []qir.Call{g1(qir.GateIntrinsics["x"], 0), mz(0, 0)})
 	const shots = 500
 	res := runOpts(t, d, m, qdmi.JobOptions{Shots: shots, Telemetry: tl})
 	if res.Shots != shots {

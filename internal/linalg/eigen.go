@@ -145,56 +145,6 @@ func ExpI(h *Matrix, t float64) (*Matrix, error) {
 	return vecs.Mul(d).Mul(vecs.Dagger()), nil
 }
 
-// ExpMTaylor computes exp(A) for a general square matrix using scaling and
-// squaring with a truncated Taylor series. It is the fallback used for
-// non-Hermitian generators (e.g. Lindblad superoperators in tests).
-func ExpMTaylor(a *Matrix) *Matrix {
-	if !a.IsSquare() {
-		panic("linalg: ExpMTaylor of non-square matrix")
-	}
-	if !a.IsFinite() {
-		// An Inf entry makes the norm-halving loop below spin forever
-		// (Inf/2 == Inf) and a NaN makes it exit immediately with garbage;
-		// reject both up front.
-		panic("linalg: ExpMTaylor of non-finite matrix")
-	}
-	n := a.Rows
-	// Scale so that norm/2^s <= 0.5.
-	norm := a.FrobeniusNorm()
-	s := 0
-	for norm > 0.5 {
-		norm /= 2
-		s++
-	}
-	scaled := a.Scale(complex(math.Pow(0.5, float64(s)), 0))
-
-	res := Identity(n)
-	term := Identity(n)
-	const terms = 24
-	for k := 1; k <= terms; k++ {
-		term = term.Mul(scaled).Scale(complex(1/float64(k), 0))
-		res = res.Add(term)
-		if term.MaxAbs() < 1e-18 {
-			break
-		}
-	}
-	for i := 0; i < s; i++ {
-		res = res.Mul(res)
-	}
-	return res
-}
-
-// Outer returns the outer product |a⟩⟨b|.
-func Outer(a, b []complex128) *Matrix {
-	m := NewMatrix(len(a), len(b))
-	for i, x := range a {
-		for j, y := range b {
-			m.Data[i*len(b)+j] = x * cmplx.Conj(y)
-		}
-	}
-	return m
-}
-
 // Dot returns ⟨a|b⟩ = Σ conj(a_i)·b_i.
 func Dot(a, b []complex128) complex128 {
 	if len(a) != len(b) {
@@ -214,18 +164,4 @@ func Norm2(v []complex128) float64 {
 		s += real(x)*real(x) + imag(x)*imag(x)
 	}
 	return math.Sqrt(s)
-}
-
-// Normalize scales v to unit norm in place and returns it. A zero vector is
-// returned unchanged.
-func Normalize(v []complex128) []complex128 {
-	n := Norm2(v)
-	if n == 0 {
-		return v
-	}
-	inv := complex(1/n, 0)
-	for i := range v {
-		v[i] *= inv
-	}
-	return v
 }

@@ -90,8 +90,10 @@ func TestExpIPauliXRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !u.Equal(RX(theta), 1e-9) {
-		t.Fatalf("exp(-iθσx/2) != RX(θ):\n%v\nvs\n%v", u, RX(theta))
+	c, sn := complex(math.Cos(theta/2), 0), complex(0, -math.Sin(theta/2))
+	rx := FromRows([][]complex128{{c, sn}, {sn, c}})
+	if !u.Equal(rx, 1e-9) {
+		t.Fatalf("exp(-iθσx/2) != RX(θ):\n%v\nvs\n%v", u, rx)
 	}
 }
 
@@ -208,4 +210,52 @@ func BenchmarkMatMul16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Mul(m)
 	}
+}
+
+// ExpMTaylor computes exp(A) for a general square matrix using scaling and
+// squaring with a truncated Taylor series: the reference ExpI is checked
+// against.
+func ExpMTaylor(a *Matrix) *Matrix {
+	if !a.IsSquare() {
+		panic("linalg: ExpMTaylor of non-square matrix")
+	}
+	if !a.IsFinite() {
+		// An Inf entry makes the norm-halving loop below spin forever
+		// (Inf/2 == Inf) and a NaN makes it exit immediately with garbage;
+		// reject both up front.
+		panic("linalg: ExpMTaylor of non-finite matrix")
+	}
+	n := a.Rows
+	// Scale so that norm/2^s <= 0.5.
+	norm := a.FrobeniusNorm()
+	s := 0
+	for norm > 0.5 {
+		norm /= 2
+		s++
+	}
+	scaled := a.Scale(complex(math.Pow(0.5, float64(s)), 0))
+
+	res := Identity(n)
+	term := Identity(n)
+	const terms = 24
+	for k := 1; k <= terms; k++ {
+		term = term.Mul(scaled).Scale(complex(1/float64(k), 0))
+		res = res.Add(term)
+		if term.MaxAbs() < 1e-18 {
+			break
+		}
+	}
+	for i := 0; i < s; i++ {
+		res = res.Mul(res)
+	}
+	return res
+}
+
+// FrobeniusNorm returns the Frobenius norm.
+func (m *Matrix) FrobeniusNorm() float64 {
+	var s float64
+	for _, v := range m.Data {
+		s += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return math.Sqrt(s)
 }

@@ -128,23 +128,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	return c
 }
 
-// MulVec returns the matrix-vector product m·v.
-func (m *Matrix) MulVec(v []complex128) []complex128 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: dimension mismatch %dx%d · vec(%d)", m.Rows, m.Cols, len(v)))
-	}
-	out := make([]complex128, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var acc complex128
-		for j, x := range row {
-			acc += x * v[j]
-		}
-		out[i] = acc
-	}
-	return out
-}
-
 // MulVecInto computes dst = m·v without allocating. dst must have length
 // Rows and must not alias v; it is overwritten.
 func (m *Matrix) MulVecInto(dst, v []complex128) {
@@ -275,15 +258,6 @@ func KronAll(ms ...*Matrix) *Matrix {
 	return acc
 }
 
-// FrobeniusNorm returns the Frobenius norm.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(s)
-}
-
 // MaxAbs returns max |m_ij|.
 func (m *Matrix) MaxAbs() float64 {
 	var mx float64
@@ -324,39 +298,6 @@ func (m *Matrix) IsHermitian(tol float64) bool {
 	return true
 }
 
-// IsUnitary reports whether m†m ≈ I within tol.
-func (m *Matrix) IsUnitary(tol float64) bool {
-	if !m.IsSquare() {
-		return false
-	}
-	p := m.Dagger().Mul(m)
-	for i := 0; i < p.Rows; i++ {
-		for j := 0; j < p.Cols; j++ {
-			want := complex(0, 0)
-			if i == j {
-				want = 1
-			}
-			if cmplx.Abs(p.At(i, j)-want) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Equal reports element-wise equality within tol.
-func (m *Matrix) Equal(b *Matrix, tol float64) bool {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return false
-	}
-	for i := range m.Data {
-		if cmplx.Abs(m.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var sb strings.Builder
@@ -387,9 +328,3 @@ var ErrNotHermitian = errors.New("linalg: matrix is not Hermitian")
 // NaN or Inf entries (typically a corrupted waveform or a diverged
 // integration upstream).
 var ErrNotFinite = errors.New("linalg: matrix has non-finite entries")
-
-// Commutator returns [a, b] = ab - ba.
-func Commutator(a, b *Matrix) *Matrix { return a.Mul(b).Sub(b.Mul(a)) }
-
-// AntiCommutator returns {a, b} = ab + ba.
-func AntiCommutator(a, b *Matrix) *Matrix { return a.Mul(b).Add(b.Mul(a)) }

@@ -5,9 +5,6 @@ import "math"
 // Standard single-qubit operators and common constructors used across the
 // simulators, optimal-control, and VQE packages.
 
-// PauliI returns the 2x2 identity.
-func PauliI() *Matrix { return Identity(2) }
-
 // PauliX returns σx.
 func PauliX() *Matrix {
 	return FromRows([][]complex128{
@@ -29,98 +26,6 @@ func PauliZ() *Matrix {
 	return FromRows([][]complex128{
 		{1, 0},
 		{0, -1},
-	})
-}
-
-// SigmaPlus returns |1⟩⟨0| (raising operator in computational ordering).
-func SigmaPlus() *Matrix {
-	return FromRows([][]complex128{
-		{0, 0},
-		{1, 0},
-	})
-}
-
-// Hadamard returns the Hadamard gate.
-func Hadamard() *Matrix {
-	s := complex(1/math.Sqrt2, 0)
-	return FromRows([][]complex128{
-		{s, s},
-		{s, -s},
-	})
-}
-
-// SGate returns the phase gate S = diag(1, i).
-func SGate() *Matrix {
-	return FromRows([][]complex128{
-		{1, 0},
-		{0, complex(0, 1)},
-	})
-}
-
-// TGate returns the T gate diag(1, e^{iπ/4}).
-func TGate() *Matrix {
-	return FromRows([][]complex128{
-		{1, 0},
-		{0, complex(math.Cos(math.Pi/4), math.Sin(math.Pi/4))},
-	})
-}
-
-// RX returns exp(-i θ σx / 2).
-func RX(theta float64) *Matrix {
-	c := complex(math.Cos(theta/2), 0)
-	s := complex(0, -math.Sin(theta/2))
-	return FromRows([][]complex128{
-		{c, s},
-		{s, c},
-	})
-}
-
-// RY returns exp(-i θ σy / 2).
-func RY(theta float64) *Matrix {
-	c := math.Cos(theta / 2)
-	s := math.Sin(theta / 2)
-	return FromRows([][]complex128{
-		{complex(c, 0), complex(-s, 0)},
-		{complex(s, 0), complex(c, 0)},
-	})
-}
-
-// RZ returns exp(-i θ σz / 2).
-func RZ(theta float64) *Matrix {
-	return FromRows([][]complex128{
-		{complex(math.Cos(theta/2), -math.Sin(theta/2)), 0},
-		{0, complex(math.Cos(theta/2), math.Sin(theta/2))},
-	})
-}
-
-// CNOT returns the controlled-X gate on two qubits (control = qubit 0, the
-// most significant bit in big-endian state ordering).
-func CNOT() *Matrix {
-	return FromRows([][]complex128{
-		{1, 0, 0, 0},
-		{0, 1, 0, 0},
-		{0, 0, 0, 1},
-		{0, 0, 1, 0},
-	})
-}
-
-// CZ returns the controlled-Z gate on two qubits.
-func CZ() *Matrix {
-	return FromRows([][]complex128{
-		{1, 0, 0, 0},
-		{0, 1, 0, 0},
-		{0, 0, 1, 0},
-		{0, 0, 0, -1},
-	})
-}
-
-// ISwap returns the iSWAP gate.
-func ISwap() *Matrix {
-	return FromRows([][]complex128{
-		{1, 0, 0, 0},
-		{0, 0, complex(0, 1), 0},
-		{0, complex(0, 1), 0, 0},
-		{0, 0, 0, 1},
 	})
 }
 

@@ -69,13 +69,6 @@ func (s *Sparse) NNZ() int { return len(s.Vals) }
 // propagator.
 func (s *Sparse) NormBound() float64 { return s.normBound }
 
-// Dense reconstructs the dense matrix; used by tests and slow paths.
-func (s *Sparse) Dense() *Matrix {
-	m := NewMatrix(s.Rows, s.Cols)
-	s.AddToDense(m, 1)
-	return m
-}
-
 // MulVecAccum accumulates dst += scale·S·v. dst must have length Rows and
 // v length Cols; dst and v must not alias.
 func (s *Sparse) MulVecAccum(dst, v []complex128, scale complex128) {

@@ -158,3 +158,10 @@ func TestMulVecInto(t *testing.T) {
 		}
 	}
 }
+
+// Dense reconstructs the dense matrix.
+func (s *Sparse) Dense() *Matrix {
+	m := NewMatrix(s.Rows, s.Cols)
+	s.AddToDense(m, 1)
+	return m
+}

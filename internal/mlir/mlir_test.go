@@ -3,6 +3,8 @@ package mlir
 import (
 	"errors"
 	"fmt"
+	"math/cmplx"
+	"slices"
 	"strings"
 	"testing"
 
@@ -145,7 +147,7 @@ func TestKindDefNamesExactParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Verify(); err != nil || !m.WaveformDefs[0].Waveform.Equal(want, 0) {
+	if err := m.Verify(); err != nil || !slices.Equal(m.WaveformDefs[0].Waveform.Samples, want.Samples) {
 		t.Fatalf("drag def: %v, samples %v, want %v", err, m.WaveformDefs[0].Waveform.Samples, want.Samples)
 	}
 }
@@ -351,12 +353,6 @@ func TestFindHelpers(t *testing.T) {
 	if _, ok := m.FindWaveform("nope"); ok {
 		t.Error("FindWaveform found ghost")
 	}
-	if _, ok := m.FindSequence("pulse_vqe_quantum_kernel"); !ok {
-		t.Error("FindSequence failed")
-	}
-	if _, ok := m.FindSequence("nope"); ok {
-		t.Error("FindSequence found ghost")
-	}
 }
 
 func TestParsedListing2Semantics(t *testing.T) {
@@ -367,16 +363,22 @@ func TestParsedListing2Semantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1, _ := back.FindWaveform("waveform_1")
-	if w1.Waveform.Len() != 5 || !w1.Waveform.Equal(m.WaveformDefs[0].Waveform, 1e-15) {
+	if w1.Waveform.Len() != 5 || !near(w1.Waveform, m.WaveformDefs[0].Waveform) {
 		t.Fatalf("waveform_1 is %v, want %v", w1.Waveform.Samples, m.WaveformDefs[0].Waveform.Samples)
 	}
 	w3, _ := back.FindWaveform("waveform_3")
 	if w3.Envelope == nil || w3.Envelope.Kind() != "gaussian_square" || w3.Waveform.Len() != 64 ||
-		!w3.Waveform.Equal(m.WaveformDefs[2].Waveform, 1e-15) {
+		!near(w3.Waveform, m.WaveformDefs[2].Waveform) {
 		t.Fatalf("parametric def lost: %+v", w3)
 	}
 	seq := back.Sequences[0]
 	if len(seq.ArgPorts) != 7 || seq.ArgPorts[2] != "q0q1-coupler-port" {
 		t.Fatalf("argPorts lost: %v", seq.ArgPorts)
 	}
+}
+
+// near reports whether two waveforms agree sample by sample within the
+// round-off a text round trip may leave.
+func near(a, b *waveform.Waveform) bool {
+	return slices.EqualFunc(a.Samples, b.Samples, func(x, y complex128) bool { return cmplx.Abs(x-y) <= 1e-15 })
 }

@@ -58,16 +58,6 @@ func (m *Module) FindWaveform(name string) (*WaveformDef, bool) {
 	return nil, false
 }
 
-// FindSequence returns the named sequence.
-func (m *Module) FindSequence(name string) (*Sequence, bool) {
-	for _, s := range m.Sequences {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
 // OpCount returns the total op count across sequences (pass statistics).
 func (m *Module) OpCount() int {
 	n := 0

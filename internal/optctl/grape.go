@@ -87,17 +87,6 @@ func (p *Pulse) Flatten() []float64 {
 	return out
 }
 
-// SetFlat writes a flat parameter vector back into the pulse.
-func (p *Pulse) SetFlat(x []float64) {
-	i := 0
-	for k := range p.Amps {
-		for j := range p.Amps[k] {
-			p.Amps[k][j] = x[i]
-			i++
-		}
-	}
-}
-
 // clip enforces the amplitude bound in place.
 func (p *Pulse) clip(maxAmp float64) {
 	for _, row := range p.Amps {
@@ -113,15 +102,6 @@ func clamp(v, bound float64) float64 {
 		return v
 	}
 	return math.Max(-bound, math.Min(bound, v))
-}
-
-// Propagate computes the total propagator of a pulse on the system.
-func (cs *ControlSystem) Propagate(p *Pulse) (*linalg.Matrix, error) {
-	us, err := cs.slotPropagators(p)
-	if err != nil {
-		return nil, err
-	}
-	return product(cs.Drift.Rows, us), nil
 }
 
 // slotPropagators returns each slot's propagator exp(−i·H_k·Δt).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mqsspulse/internal/linalg"
+	"mqsspulse/internal/testutil"
 )
 
 func twoLevelSystem(slots int) *ControlSystem {
@@ -95,7 +96,7 @@ func TestGrapeSynthesizesHadamard(t *testing.T) {
 		init.Amps[k][0] = 0.3
 		init.Amps[k][1] = 0.05 // break the X-rotation symmetry
 	}
-	res, err := GrapeUnitary(cs, linalg.Hadamard(), nil, init, GrapeOptions{Iters: 300})
+	res, err := GrapeUnitary(cs, testutil.Hadamard(), nil, init, GrapeOptions{Iters: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestGrapeTransmonXSuppressesLeakage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, in := range [][]complex128{{1, 0, 0}, {0, 1, 0}} {
-		out := u.MulVec(in)
+		out := testutil.MulVec(u, in)
 		leak := real(out[2])*real(out[2]) + imag(out[2])*imag(out[2])
 		if leak > 5e-3 {
 			t.Fatalf("leakage %g too high", leak)
@@ -225,5 +226,26 @@ func TestSPSAProbesStayInBox(t *testing.T) {
 	_, _, evals := SPSA(f, []float64{0.3, -0.2}, SPSAOptions{Iters: 100, A0: 1, C0: 0.1, Seed: 3, Clip: clip})
 	if seen != evals || evals != 301 {
 		t.Fatalf("objective saw %d points, SPSA reports %d, want 1 + 3·100", seen, evals)
+	}
+}
+
+// Propagate computes the total propagator of a pulse on the system.
+func (cs *ControlSystem) Propagate(p *Pulse) (*linalg.Matrix, error) {
+	us, err := cs.slotPropagators(p)
+	if err != nil {
+		return nil, err
+	}
+	return product(cs.Drift.Rows, us), nil
+}
+
+// SetFlat writes a flat parameter vector back into the pulse: Flatten's
+// inverse, which pins its layout.
+func (p *Pulse) SetFlat(x []float64) {
+	i := 0
+	for k := range p.Amps {
+		for j := range p.Amps[k] {
+			p.Amps[k][j] = x[i]
+			i++
+		}
 	}
 }

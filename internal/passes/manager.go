@@ -71,9 +71,6 @@ func NewManager(passes ...Pass) *Manager {
 	return &Manager{passes: passes}
 }
 
-// Add appends a pass.
-func (pm *Manager) Add(p Pass) { pm.passes = append(pm.passes, p) }
-
 // Passes lists the registered pass names.
 func (pm *Manager) Passes() []string {
 	out := make([]string, len(pm.passes))

@@ -40,14 +40,7 @@ func TestManagerCatchesCorruptionAtEveryPosition(t *testing.T) {
 	}
 	std := DefaultPipeline().passes
 	for pos := 0; pos <= len(std); pos++ {
-		pm := NewManager()
-		for _, p := range std[:pos] {
-			pm.Add(p)
-		}
-		pm.Add(breakingPass{})
-		for _, p := range std[pos:] {
-			pm.Add(p)
-		}
+		pm := NewManager(slices.Concat(std[:pos], []Pass{breakingPass{}}, std[pos:])...)
 		ctx := NewContext(dev)
 		err := pm.Run(verifyCorpus(1)[0], ctx)
 		if err == nil || !strings.Contains(err.Error(), "module invalid after breaker") {

@@ -186,19 +186,6 @@ func (t *Template) checkRangeLegality() error {
 	return nil
 }
 
-// Param returns the declared parameter with the given name.
-func (t *Template) Param(name string) (Param, bool) {
-	p, ok := t.byName[name]
-	return p, ok
-}
-
-// Validate checks one sweep point against the declared parameter space:
-// every declared parameter must be present, finite, and inside its range,
-// and no undeclared names may appear. Violations wrap ErrBadParam.
-func (t *Template) Validate(b Bindings) error {
-	return validateBindings(t.Params, b)
-}
-
 // validateBindings is the shared bind-time check used by Template and
 // Compiled (which may have been rebuilt from text without a Template).
 func validateBindings(params []Param, b Bindings) error {
@@ -303,12 +290,6 @@ func fingerprint(descriptor string) string {
 	h := fnv.New64a()
 	_, _ = io.WriteString(h, descriptor)
 	return fmt.Sprintf("tpl-%016x", h.Sum64())
-}
-
-// Fingerprint returns the template's wire identity on a device: the hash of
-// its Descriptor.
-func (t *Template) Fingerprint(device string) string {
-	return fingerprint(Descriptor(t.Circuit, t.Params, device))
 }
 
 // waveformDigest hashes every waveform's sample data in name order: two

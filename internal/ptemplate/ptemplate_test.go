@@ -63,7 +63,7 @@ func TestBindValidationTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tpl.Validate(tc.b)
+			err := validateBindings(tpl.Params, tc.b)
 			if tc.wantErr {
 				if !errors.Is(err, ErrBadParam) {
 					t.Fatalf("Validate(%v) = %v, want ErrBadParam", tc.b, err)
@@ -419,14 +419,17 @@ func TestFingerprintSensitivity(t *testing.T) {
 		}
 		return tpl
 	}
+	fp := func(t *Template, device string) string {
+		return fingerprint(Descriptor(t.Circuit, t.Params, device))
+	}
 	a, b := build(0.1, math.Pi), build(0.1, math.Pi)
-	if a.Fingerprint("sc") != b.Fingerprint("sc") {
+	if fp(a, "sc") != fp(b, "sc") {
 		t.Fatal("identical templates fingerprint differently")
 	}
-	if a.Fingerprint("sc") == a.Fingerprint("ion") {
+	if fp(a, "sc") == fp(a, "ion") {
 		t.Fatal("fingerprint ignores device")
 	}
-	if a.Fingerprint("sc") == build(0.2, math.Pi).Fingerprint("sc") {
+	if fp(a, "sc") == fp(build(0.2, math.Pi), "sc") {
 		t.Fatal("fingerprint ignores declared parameter range")
 	}
 }

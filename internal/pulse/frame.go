@@ -1,8 +1,6 @@
 package pulse
 
 import (
-	"fmt"
-
 	"mqsspulse/internal/waveform"
 )
 
@@ -28,12 +26,6 @@ func NewFrame(id string, freqHz float64) *Frame {
 	return &Frame{ID: id, FrequencyHz: freqHz}
 }
 
-// Clone returns a copy of the frame state.
-func (f *Frame) Clone() *Frame {
-	c := *f
-	return &c
-}
-
 // ShiftPhase adds dphi to the carrier phase (a virtual rotation; free and
 // instantaneous on hardware).
 func (f *Frame) ShiftPhase(dphi float64) { f.PhaseRad = waveform.WrapPhase(f.PhaseRad + dphi) }
@@ -46,33 +38,3 @@ func (f *Frame) ShiftFrequency(df float64) { f.FrequencyHz += df }
 
 // SetFrequency overrides the carrier frequency.
 func (f *Frame) SetFrequency(fHz float64) { f.FrequencyHz = fHz }
-
-// Advance moves the logical clock forward by n samples.
-func (f *Frame) Advance(n int64) {
-	if n < 0 {
-		panic(fmt.Sprintf("pulse: frame %s advanced by negative duration %d", f.ID, n))
-	}
-	f.TimeSamples += n
-}
-
-// MixedFrame binds a frame to the port it modulates — the structure the
-// paper (Section 5.2, IBM pulse dialect) calls a "mixed frame": port channel
-// plus frame state. Play/capture operations target mixed frames.
-type MixedFrame struct {
-	Port  *Port
-	Frame *Frame
-}
-
-// NewMixedFrame validates and pairs a port with a frame.
-func NewMixedFrame(p *Port, f *Frame) (*MixedFrame, error) {
-	if p == nil || f == nil {
-		return nil, fmt.Errorf("pulse: mixed frame needs both port and frame")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &MixedFrame{Port: p, Frame: f}, nil
-}
-
-// ID returns the canonical "frame@port" identifier.
-func (mf *MixedFrame) ID() string { return mf.Frame.ID + "@" + mf.Port.ID }

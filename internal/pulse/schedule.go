@@ -51,12 +51,6 @@ func (s *Schedule) Port(id string) (*Port, bool) {
 	return p, ok
 }
 
-// Frame looks up a registered frame.
-func (s *Schedule) Frame(id string) (*Frame, bool) {
-	f, ok := s.frames[id]
-	return f, ok
-}
-
 // Ports returns the registered ports sorted by ID.
 func (s *Schedule) Ports() []*Port {
 	out := make([]*Port, 0, len(s.ports))
@@ -163,22 +157,6 @@ func (s *Schedule) Instructions() []Instruction { return s.instrs }
 
 // Len returns the number of instructions.
 func (s *Schedule) Len() int { return len(s.instrs) }
-
-// Clone deep-copies the schedule structure (ports and frames are copied;
-// waveforms are shared since instructions never mutate them).
-func (s *Schedule) Clone() *Schedule {
-	c := NewSchedule()
-	for _, p := range s.ports {
-		cp := *p
-		cp.Sites = append([]int(nil), p.Sites...)
-		c.ports[p.ID] = &cp
-	}
-	for _, f := range s.frames {
-		c.frames[f.ID] = f.Clone()
-	}
-	c.instrs = append([]Instruction(nil), s.instrs...)
-	return c
-}
 
 // String renders the program for debugging.
 func (s *Schedule) String() string {

@@ -169,33 +169,6 @@ func TestFrameSetOverridesShift(t *testing.T) {
 	}
 }
 
-func TestFrameAdvancePanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewFrame("f", 0).Advance(-1)
-}
-
-func TestMixedFrame(t *testing.T) {
-	p := testPort("p", PortDrive, 0)
-	f := NewFrame("f", 5e9)
-	mf, err := NewMixedFrame(p, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mf.ID() != "f@p" {
-		t.Fatalf("ID = %q", mf.ID())
-	}
-	if _, err := NewMixedFrame(nil, f); err == nil {
-		t.Fatal("nil port accepted")
-	}
-	if _, err := NewMixedFrame(&Port{}, f); err == nil {
-		t.Fatal("invalid port accepted")
-	}
-}
-
 func TestScheduleAppendValidation(t *testing.T) {
 	s := newTestSchedule(t)
 	w := wf(t, "w", 32)
@@ -392,23 +365,6 @@ func TestTotalDurationSeconds(t *testing.T) {
 	want := 100e-9 // 100 samples at 1 GS/s
 	if math.Abs(sp.TotalDurationSeconds()-want) > 1e-15 {
 		t.Fatalf("seconds = %g, want %g", sp.TotalDurationSeconds(), want)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	s := newTestSchedule(t)
-	w := wf(t, "w", 16)
-	_ = s.Append(&Play{Port: "q0-drive-port", Frame: "q0-drive-frame", Waveform: w})
-	c := s.Clone()
-	f, _ := c.Frame("q0-drive-frame")
-	f.ShiftPhase(1.0)
-	orig, _ := s.Frame("q0-drive-frame")
-	if orig.PhaseRad != 0 {
-		t.Fatal("clone shares frame state with original")
-	}
-	_ = c.Append(&Delay{Port: "q0-drive-port", Samples: 5})
-	if s.Len() != 1 {
-		t.Fatal("clone shares instruction list")
 	}
 }
 

@@ -26,18 +26,10 @@ func TestDriverRegistry(t *testing.T) {
 		t.Fatal("empty name accepted")
 	}
 	ses := d.OpenSession()
-	names, err := ses.Devices()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "sim-a" || names[1] != "sim-b" {
-		t.Fatalf("devices = %v", names)
-	}
-	if err := d.UnregisterDevice("sim-b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.UnregisterDevice("sim-b"); err == nil {
-		t.Fatal("double unregister accepted")
+	for _, name := range []string{"sim-a", "sim-b"} {
+		if dev, err := ses.Device(name); err != nil || dev.Name() != name {
+			t.Fatalf("device %s: %v (%v)", name, dev, err)
+		}
 	}
 }
 
@@ -45,9 +37,6 @@ func TestSessionLifecycle(t *testing.T) {
 	d := qdmi.NewDriver()
 	_ = d.RegisterDevice(qdmitest.New("sim", 2))
 	ses := d.OpenSession()
-	if ses.ID() == 0 {
-		t.Fatal("session ID not assigned")
-	}
 	dev, err := ses.Device("sim")
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +48,6 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatal("ghost device resolved")
 	}
 	ses.Close()
-	if _, err := ses.Devices(); err == nil {
-		t.Fatal("closed session still lists devices")
-	}
 	if _, err := ses.Device("sim"); err == nil {
 		t.Fatal("closed session still resolves devices")
 	}
@@ -95,8 +81,8 @@ func TestTypedQueryHelpers(t *testing.T) {
 	if _, err := qdmi.QueryFloat(dev, qdmi.DevicePropName); err == nil {
 		t.Fatal("type mismatch accepted")
 	}
-	// Unsupported property.
-	if _, err := dev.QueryDeviceProperty(qdmi.DevicePropMaxWaveformMemory); !errors.Is(err, qdmi.ErrNotSupported) {
+	// A property the device does not know.
+	if _, err := dev.QueryDeviceProperty(qdmi.DeviceProperty(-1)); !errors.Is(err, qdmi.ErrNotSupported) {
 		t.Fatalf("want qdmi.ErrNotSupported, got %v", err)
 	}
 }
@@ -106,7 +92,7 @@ func TestSupportsFormat(t *testing.T) {
 	if !qdmi.SupportsFormat(dev, qdmi.FormatQIRPulse) {
 		t.Fatal("qir-pulse should be supported")
 	}
-	if qdmi.SupportsFormat(dev, qdmi.FormatMLIRPulse) {
+	if qdmi.SupportsFormat(dev, "mlir-pulse") {
 		t.Fatal("mlir-pulse should not be supported")
 	}
 }

@@ -2,7 +2,6 @@ package qdmi
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -38,35 +37,12 @@ func (d *Driver) RegisterDevice(dev Device) error {
 	return nil
 }
 
-// UnregisterDevice removes a device.
-func (d *Driver) UnregisterDevice(name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.devices[name]; !ok {
-		return fmt.Errorf("%w: unknown device %q", ErrInvalidArgument, name)
-	}
-	delete(d.devices, name)
-	return nil
-}
-
 // OpenSession allocates a client session over the current device set.
 func (d *Driver) OpenSession() *Session {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.nextSes++
 	return &Session{driver: d, id: d.nextSes}
-}
-
-// deviceNames returns the sorted registry keys.
-func (d *Driver) deviceNames() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	names := make([]string, 0, len(d.devices))
-	for n := range d.devices {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Session is a client's handle on the driver. All device access flows
@@ -76,17 +52,6 @@ type Session struct {
 	driver *Driver
 	id     int
 	closed atomic.Bool
-}
-
-// ID returns the session identifier.
-func (s *Session) ID() int { return s.id }
-
-// Devices lists the names of devices visible to this session.
-func (s *Session) Devices() ([]string, error) {
-	if s.closed.Load() {
-		return nil, fmt.Errorf("%w: session %d is closed", ErrInvalidArgument, s.id)
-	}
-	return s.driver.deviceNames(), nil
 }
 
 // Device resolves a device by name.

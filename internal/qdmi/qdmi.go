@@ -42,18 +42,17 @@ type DeviceProperty int
 const (
 	DevicePropName DeviceProperty = iota
 	DevicePropVersion
-	DevicePropTechnology        // "superconducting", "trapped-ion", "neutral-atom", "simulator"
-	DevicePropNumSites          // int
-	DevicePropSampleRateHz      // float64
-	DevicePropPulseSupport      // PulseSupport — the pulse extension
-	DevicePropWaveformKinds     // []string — supported parametric envelopes
-	DevicePropNativeGates       // []string
-	DevicePropProgramFormats    // []ProgramFormat
-	DevicePropMaxShots          // int
-	DevicePropGranularity       // int, device-global waveform granularity
-	DevicePropMinPulseSamples   // int
-	DevicePropMaxPulseSamples   // int
-	DevicePropMaxWaveformMemory // int, total samples uploadable per job
+	DevicePropTechnology      // "superconducting", "trapped-ion", "neutral-atom", "simulator"
+	DevicePropNumSites        // int
+	DevicePropSampleRateHz    // float64
+	DevicePropPulseSupport    // PulseSupport — the pulse extension
+	DevicePropWaveformKinds   // []string — supported parametric envelopes
+	DevicePropNativeGates     // []string
+	DevicePropProgramFormats  // []ProgramFormat
+	DevicePropMaxShots        // int
+	DevicePropGranularity     // int, device-global waveform granularity
+	DevicePropMinPulseSamples // int
+	DevicePropMaxPulseSamples // int
 	// DevicePropCalibrationEpoch is an int64 counter identifying the
 	// device's current calibration state. The bump contract: every
 	// calibration mutation — frequency, amplitude, or readout-fidelity
@@ -139,9 +138,8 @@ type ProgramFormat string
 
 // Program formats.
 const (
-	FormatQIRBase   ProgramFormat = "qir-base"
-	FormatQIRPulse  ProgramFormat = "qir-pulse" // the pulse extension
-	FormatMLIRPulse ProgramFormat = "mlir-pulse"
+	FormatQIRBase  ProgramFormat = "qir-base"
+	FormatQIRPulse ProgramFormat = "qir-pulse" // the pulse extension
 )
 
 // JobStatus is the lifecycle state of a submitted job.

@@ -40,36 +40,6 @@ func TestPulseImplValidate(t *testing.T) {
 	}
 }
 
-func TestJobCancel(t *testing.T) {
-	j := NewAsyncJob("j1")
-	if err := j.Cancel(); err != nil {
-		t.Fatal(err)
-	}
-	if j.Status() != JobCancelled {
-		t.Fatal("not cancelled")
-	}
-	if j.Start() {
-		t.Fatal("cancelled job started")
-	}
-	if _, err := j.Result(); err == nil {
-		t.Fatal("cancelled job returned result")
-	}
-	// Cancel after completion fails.
-	j2 := NewAsyncJob("j2")
-	j2.Start()
-	j2.Finish(&Result{Shots: 1})
-	if err := j2.Cancel(); err == nil {
-		t.Fatal("cancel of done job accepted")
-	}
-}
-
-func TestJobResultBeforeDone(t *testing.T) {
-	j := NewAsyncJob("j")
-	if _, err := j.Result(); err == nil {
-		t.Fatal("queued job returned result")
-	}
-}
-
 func TestJobWaitConcurrent(t *testing.T) {
 	j := NewAsyncJob("j")
 	j.Start()

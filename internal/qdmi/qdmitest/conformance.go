@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"mqsspulse/internal/pulse"
@@ -37,6 +38,8 @@ func Conformance(t *testing.T, newDevice func(*testing.T) qdmi.Device) {
 	}{
 		{"lifecycle and ctx abort", lifecycle},
 		{"Cancel or CancelRunning before the first Wait never runs the body", cancelBeforeWait},
+		{"a body never starts after an early cancel", noBodyAfterCancel},
+		{"CancelRunning of a held, running job ends it and records nothing", cancelWhileHeld},
 		{"epoch rises with every calibration write", epochRises},
 		{"DefaultPulse hands out copies", pulseCopies},
 		{"unknown ops and sites fail typed", typedErrors},
@@ -119,6 +122,66 @@ func cancelBeforeWait(t *testing.T, dev qdmi.Device) {
 	}
 }
 
+// probeCtx is a waiter's ctx that sees its job's body: a body polls Err
+// to notice an abort, and a Wait that only waits never calls it. onPoll,
+// when set, runs at the first poll, holding the body there.
+type probeCtx struct {
+	context.Context
+	polls  atomic.Int32
+	onPoll func()
+}
+
+func (c *probeCtx) Err() error {
+	if c.polls.Add(1) == 1 && c.onPoll != nil {
+		c.onPoll()
+	}
+	return c.Context.Err()
+}
+
+// noBodyAfterCancel: a job cancelled before its first Wait is over; that
+// Wait only waits, and no body starts, so nothing polls the waiter's ctx.
+func noBodyAfterCancel(t *testing.T, dev qdmi.Device) {
+	for name, cancel := range map[string]func(qdmi.Job) error{
+		"Cancel":        qdmi.Job.Cancel,
+		"CancelRunning": func(j qdmi.Job) error { return j.(qdmi.RunningCanceller).CancelRunning() },
+	} {
+		j := submit(t, dev, nil)
+		if err := cancel(j); err != nil {
+			t.Fatalf("%s of a queued job: %v", name, err)
+		}
+		ctx := &probeCtx{Context: t.Context()}
+		if st := j.Wait(ctx); st != qdmi.JobCancelled || ctx.polls.Load() != 0 {
+			t.Fatalf("%s, then Wait: %v, and a body polled the waiter's ctx %d times; want cancelled, none",
+				name, st, ctx.polls.Load())
+		}
+	}
+}
+
+// cancelWhileHeld: a job held running in its body's first poll of the
+// waiter's ctx is aborted there by CancelRunning; the body, going on, sees
+// the abort, and the job ends JobCancelled with no result and nothing
+// recorded on its trace.
+func cancelWhileHeld(t *testing.T, dev qdmi.Device) {
+	reg := telemetry.NewRegistry()
+	tl := telemetry.NewTimeline("", reg)
+	j := submit(t, dev, tl)
+	var held qdmi.JobStatus
+	var err error
+	ctx := &probeCtx{Context: t.Context(), onPoll: func() {
+		held = j.Status()
+		err = j.(qdmi.RunningCanceller).CancelRunning()
+	}}
+	if st := j.Wait(ctx); held != qdmi.JobRunning || err != nil || st != qdmi.JobCancelled {
+		t.Fatalf("CancelRunning of a job held %v in its body: %v, then Wait %v; want running, nil, cancelled", held, err, st)
+	}
+	if _, err := j.Result(); !errors.Is(err, qdmi.ErrCancelled) {
+		t.Fatalf("Result err = %v, want ErrCancelled", err)
+	}
+	if spans, counters := tl.Spans(), reg.Snapshot().Counters; len(spans) != 0 || len(counters) != 0 {
+		t.Fatalf("an aborted body recorded %d spans, counters %v", len(spans), counters)
+	}
+}
+
 // installed is a calibration write every device with a drive port on site
 // 0 accepts.
 func installed(phase float64) *qdmi.PulseImpl {
@@ -190,8 +253,8 @@ func pulseCopies(t *testing.T, dev qdmi.Device) {
 		}
 		if op == "conformance" {
 			found = true
-			if want.Steps[0].PhaseRad != 0.25 {
-				t.Fatalf("the installed pulse follows the caller's edit: phase %g", want.Steps[0].PhaseRad)
+			if want.Operation != op || want.Steps[0].PhaseRad != 0.25 {
+				t.Fatalf("the installed pulse is %q with phase %g, want %q with 0.25 despite the caller's edit", want.Operation, want.Steps[0].PhaseRad, op)
 			}
 		}
 	}

@@ -57,7 +57,7 @@ func emitCorpus(t *testing.T) map[string]*Module {
 		"empty":      {},
 		"bad-kind":   {EntryName: "b", Body: []Call{{Callee: "__unknown__", Args: []Arg{{Kind: ArgKind(42), I: 7}}}}},
 		"no-defs": {ID: "g", Profile: ProfileBase, EntryName: "g", NumQubits: 1, NumResults: 1,
-			Body: []Call{{Callee: IntrRX, Args: []Arg{F64Arg(0.5), QubitArg(0)}},
+			Body: []Call{{Callee: GateIntrinsics["rx"], Args: []Arg{F64Arg(0.5), QubitArg(0)}},
 				{Callee: IntrMz, Args: []Arg{QubitArg(0), ResultArg(0)}}}},
 	}
 	for i, seed := range fuzzSeeds() {
@@ -89,7 +89,7 @@ func TestEmitFloatMatchesFmt(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := &Module{EntryName: "f", Profile: ProfileBase}
 	for i := 0; i < 4096; i++ {
-		m.Body = append(m.Body, Call{Callee: IntrRZ,
+		m.Body = append(m.Body, Call{Callee: GateIntrinsics["rz"],
 			Args: []Arg{F64Arg(math.Float64frombits(rng.Uint64())), QubitArg(0)}})
 	}
 	if string(m.Emit()) != EmitReference(m) {

@@ -25,8 +25,8 @@ const (
 )
 
 // Intrinsic callee names. Pulse intrinsics follow the paper's
-// __quantum__pulse__*__body convention; gate intrinsics use the standard
-// QIS names.
+// __quantum__pulse__*__body convention; a gate's standard QIS name is its
+// gate-table row's (GateIntrinsics), and the measurement's is IntrMz.
 const (
 	IntrWaveform       = "__quantum__pulse__waveform__body"
 	IntrPlay           = "__quantum__pulse__waveform_play__body"
@@ -39,25 +39,11 @@ const (
 	IntrBarrier        = "__quantum__pulse__barrier__body"
 	IntrCapture        = "__quantum__pulse__capture__body"
 
-	IntrX     = "__quantum__qis__x__body"
-	IntrY     = "__quantum__qis__y__body"
-	IntrZ     = "__quantum__qis__z__body"
-	IntrH     = "__quantum__qis__h__body"
-	IntrS     = "__quantum__qis__s__body"
-	IntrT     = "__quantum__qis__t__body"
-	IntrSX    = "__quantum__qis__sx__body"
-	IntrRX    = "__quantum__qis__rx__body"
-	IntrRY    = "__quantum__qis__ry__body"
-	IntrRZ    = "__quantum__qis__rz__body"
-	IntrCZ    = "__quantum__qis__cz__body"
-	IntrCX    = "__quantum__qis__cnot__body"
-	IntrISwap = "__quantum__qis__iswap__body"
-	IntrMz    = "__quantum__qis__mz__body"
+	IntrMz = "__quantum__qis__mz__body"
 )
 
 // GateIntrinsics maps QPI gate names to QIS intrinsic callees, as the gate
-// table declares them; the Intr* constants above name the same callees for
-// hand-written modules.
+// table declares them.
 var GateIntrinsics = map[string]string{}
 
 // Every gate-table row contributes its callee and its signature: its angle

@@ -196,7 +196,7 @@ func TestBuildScheduleGateNeedsLowering(t *testing.T) {
 	m := &Module{
 		ID: "g", Profile: ProfileBase, EntryName: "g",
 		NumQubits: 1, NumResults: 1,
-		Body: []Call{{Callee: IntrX, Args: []Arg{QubitArg(0)}}},
+		Body: []Call{{Callee: GateIntrinsics["x"], Args: []Arg{QubitArg(0)}}},
 	}
 	b := testBinding()
 	b.LowerGate = nil
@@ -237,7 +237,7 @@ func TestBuildScheduleInsufficientPorts(t *testing.T) {
 }
 
 func TestDecodeGateCall(t *testing.T) {
-	g, p, q := decodeGateCall(Call{Callee: IntrRX, Args: []Arg{F64Arg(0.5), QubitArg(3)}})
+	g, p, q := decodeGateCall(Call{Callee: GateIntrinsics["rx"], Args: []Arg{F64Arg(0.5), QubitArg(3)}})
 	if g == nil || g.Name != "rx" || len(p) != 1 || p[0] != 0.5 || len(q) != 1 || q[0] != 3 {
 		t.Fatalf("decoded %v %v %v", g, p, q)
 	}

@@ -1,6 +1,10 @@
 package qpi
 
-import "testing"
+import (
+	"testing"
+
+	"mqsspulse/internal/readout"
+)
 
 func finishedAcquire(t *testing.T) *Circuit {
 	t.Helper()
@@ -77,28 +81,11 @@ func TestAcquireAfterEndRejected(t *testing.T) {
 }
 
 func TestMeasOptionsThreadIntoConfig(t *testing.T) {
-	cfg := NewExecConfig(WithMeasLevel(MeasRaw), WithMeasReturn(ReturnAverage))
-	if cfg.MeasLevel != MeasRaw || cfg.MeasReturn != ReturnAverage {
+	cfg := NewExecConfig(WithMeasLevel(readout.LevelRaw), WithMeasReturn(readout.ReturnAverage))
+	if cfg.MeasLevel != readout.LevelRaw || cfg.MeasReturn != readout.ReturnAverage {
 		t.Fatalf("config %+v", cfg)
 	}
-	if def := NewExecConfig(); def.MeasLevel != MeasDiscriminated || def.MeasReturn != ReturnSingle {
+	if def := NewExecConfig(); def.MeasLevel != readout.LevelDiscriminated || def.MeasReturn != readout.ReturnSingle {
 		t.Fatalf("defaults changed: %+v", def)
-	}
-}
-
-func TestResultIQColumn(t *testing.T) {
-	r := &Result{
-		Bits: []int{0, 2},
-		IQ: [][]IQ{
-			{{I: 1}, {I: 10}},
-			{{I: 2}, {I: 20}},
-		},
-	}
-	col := r.IQColumn(2)
-	if len(col) != 2 || col[0].I != 10 || col[1].I != 20 {
-		t.Fatalf("column for bit 2: %+v", col)
-	}
-	if r.IQColumn(5) != nil {
-		t.Fatal("unknown bit returned data")
 	}
 }

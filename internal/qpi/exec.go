@@ -48,16 +48,6 @@ func (s ExecStatus) String() string {
 	}
 }
 
-// Terminal reports whether the status is final.
-func (s ExecStatus) Terminal() bool {
-	switch s {
-	case ExecDone, ExecFailed, ExecCancelled:
-		return true
-	default:
-		return false
-	}
-}
-
 // ExecConfig is the resolved submission configuration a Backend receives.
 // Callers build it through ExecOption values; backends read it.
 type ExecConfig struct {

@@ -26,21 +26,13 @@ type (
 	MeasLevel = readout.MeasLevel
 	// MeasReturn selects per-shot or shot-averaged records.
 	MeasReturn = readout.MeasReturn
-	// IQ is one point in the in-phase/quadrature plane.
-	IQ = readout.IQ
 	// Result is the outcome of executing a kernel (the paper's
 	// QuantumResult, read via qRead).
 	Result = readout.Result
 )
 
-// Measurement levels and return modes.
-const (
-	MeasDiscriminated = readout.LevelDiscriminated
-	MeasKerneled      = readout.LevelKerneled
-	MeasRaw           = readout.LevelRaw
-	ReturnSingle      = readout.ReturnSingle
-	ReturnAverage     = readout.ReturnAverage
-)
+// MeasKerneled selects one integrated IQ point per acquisition.
+const MeasKerneled = readout.LevelKerneled
 
 // OpKind discriminates circuit operations.
 type OpKind int
@@ -406,39 +398,3 @@ func (c *Circuit) End() error {
 
 // Finished reports whether End was called successfully.
 func (c *Circuit) Finished() bool { return c.finished }
-
-// HasPulseOps reports whether the kernel uses pulse-level primitives; the
-// client uses this to pick a compilation pipeline and to check device pulse
-// support through QDMI.
-func (c *Circuit) HasPulseOps() bool {
-	for _, op := range c.Ops {
-		switch op.Kind {
-		case OpWaveformDef, OpPlayWaveform, OpFrameChange, OpAcquire:
-			return true
-		}
-	}
-	return false
-}
-
-// MeasuredBits returns the classical bits written by the kernel, in program
-// order.
-func (c *Circuit) MeasuredBits() []int {
-	var out []int
-	for _, op := range c.Ops {
-		if op.Kind == OpMeasure || op.Kind == OpAcquire {
-			out = append(out, op.Cbit)
-		}
-	}
-	return out
-}
-
-// CountKind returns the number of ops of the given kind.
-func (c *Circuit) CountKind(k OpKind) int {
-	n := 0
-	for _, op := range c.Ops {
-		if op.Kind == k {
-			n++
-		}
-	}
-	return n
-}

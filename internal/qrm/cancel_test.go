@@ -158,8 +158,8 @@ func TestTicketTagAndStatusLifecycle(t *testing.T) {
 	if _, err := tk.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if tk.Status() != qdmi.JobDone || !tk.Done() {
-		t.Fatalf("status = %v done=%v", tk.Status(), tk.Done())
+	if st := tk.Status(); st != qdmi.JobDone || !st.Terminal() {
+		t.Fatalf("status = %v terminal=%v", st, st.Terminal())
 	}
 }
 

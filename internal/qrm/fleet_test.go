@@ -49,7 +49,7 @@ func TestSubmitUnknownTargetsAreTyped(t *testing.T) {
 
 func TestRegisterPoolValidation(t *testing.T) {
 	odd := device("odd")
-	odd.Props = map[qdmi.DeviceProperty]any{qdmi.DevicePropProgramFormats: []qdmi.ProgramFormat{qdmi.FormatMLIRPulse}}
+	odd.Props = map[qdmi.DeviceProperty]any{qdmi.DevicePropProgramFormats: []qdmi.ProgramFormat{"mlir-pulse"}}
 	s := rig(t, device("a"), device("b"), qdmitest.New("small", 1), odd)
 
 	if err := s.RegisterPool(""); !errors.Is(err, qdmi.ErrInvalidArgument) {

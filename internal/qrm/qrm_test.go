@@ -81,7 +81,7 @@ func TestSubmitAndWait(t *testing.T) {
 	if res.Shots != 10 {
 		t.Fatalf("shots = %d", res.Shots)
 	}
-	if !tk.Done() {
+	if !tk.Status().Terminal() {
 		t.Fatal("ticket not done after Wait")
 	}
 	st := s.Stats()

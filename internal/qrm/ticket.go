@@ -129,9 +129,6 @@ func (t *Ticket) Wait(ctx context.Context) (*qdmi.Result, error) {
 	}
 }
 
-// Done reports whether the job has finished without blocking.
-func (t *Ticket) Done() bool { return t.Status().Terminal() }
-
 // DoneCh returns a channel closed when the ticket reaches a terminal
 // state; use it to select over many tickets.
 func (t *Ticket) DoneCh() <-chan struct{} { return t.done }

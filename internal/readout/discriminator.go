@@ -129,38 +129,6 @@ func DiscriminateAll(d Discriminator, points []IQ) []int {
 	return out
 }
 
-// AssignmentError evaluates a discriminator on labeled hold-out shots:
-// e01 is the fraction of prep-0 shots read as 1, e10 the fraction of
-// prep-1 shots read as 0.
-func AssignmentError(d Discriminator, zeros, ones []IQ) (e01, e10 float64) {
-	if len(zeros) > 0 {
-		n := 0
-		for _, p := range zeros {
-			if d.Discriminate(p) == 1 {
-				n++
-			}
-		}
-		e01 = float64(n) / float64(len(zeros))
-	}
-	if len(ones) > 0 {
-		n := 0
-		for _, p := range ones {
-			if d.Discriminate(p) == 0 {
-				n++
-			}
-		}
-		e10 = float64(n) / float64(len(ones))
-	}
-	return e01, e10
-}
-
-// AssignmentFidelity is the balanced single-shot fidelity
-// 1 − (e01 + e10)/2 of a discriminator on labeled hold-out shots.
-func AssignmentFidelity(d Discriminator, zeros, ones []IQ) float64 {
-	e01, e10 := AssignmentError(d, zeros, ones)
-	return 1 - (e01+e10)/2
-}
-
 // model is the serialized envelope of a discriminator.
 type model struct {
 	Kind string          `json:"kind"`
@@ -195,4 +163,29 @@ func DecodeDiscriminator(data []byte) (Discriminator, error) {
 		return nil, fmt.Errorf("readout: decode %s model: %w", m.Kind, err)
 	}
 	return d, nil
+}
+
+// AssignmentError evaluates a discriminator on labeled hold-out shots:
+// e01 is the fraction of prep-0 shots read as 1, e10 the fraction of
+// prep-1 shots read as 0.
+func AssignmentError(d Discriminator, zeros, ones []IQ) (e01, e10 float64) {
+	if len(zeros) > 0 {
+		n := 0
+		for _, p := range zeros {
+			if d.Discriminate(p) == 1 {
+				n++
+			}
+		}
+		e01 = float64(n) / float64(len(zeros))
+	}
+	if len(ones) > 0 {
+		n := 0
+		for _, p := range ones {
+			if d.Discriminate(p) == 0 {
+				n++
+			}
+		}
+		e10 = float64(n) / float64(len(ones))
+	}
+	return e01, e10
 }

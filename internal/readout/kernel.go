@@ -1,7 +1,5 @@
 package readout
 
-import "fmt"
-
 // Kernel integrates a raw capture trace into one IQ point — the FPGA
 // integration stage of a readout chain.
 type Kernel interface {
@@ -29,60 +27,5 @@ func (Boxcar) Integrate(trace []complex128) IQ {
 	}
 	n := complex(float64(len(trace)), 0)
 	acc /= n
-	return IQ{I: real(acc), Q: imag(acc)}
-}
-
-// Weighted integrates with per-sample weights (matched-filter style:
-// weighting by the expected |0⟩/|1⟩ trace difference maximizes SNR). The
-// result is normalized by the total weight so a flat weight vector reduces
-// to Boxcar.
-type Weighted struct {
-	Weights []float64
-}
-
-// NewWeighted validates and builds a weighted kernel.
-func NewWeighted(weights []float64) (*Weighted, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("readout: weighted kernel needs weights")
-	}
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	if sum == 0 {
-		return nil, fmt.Errorf("readout: weighted kernel weights sum to zero")
-	}
-	return &Weighted{Weights: append([]float64(nil), weights...)}, nil
-}
-
-// Name implements Kernel.
-func (*Weighted) Name() string { return "weighted" }
-
-// Integrate implements Kernel. The kernel is defined over its whole
-// window: traces longer than the weight vector use zero weight for the
-// tail, shorter traces are treated as zero-padded, and the result is
-// always normalized by the full (construction-validated, nonzero) weight
-// sum — so mixed-sign weights never hit a degenerate prefix sum.
-func (k *Weighted) Integrate(trace []complex128) IQ {
-	if len(trace) == 0 || len(k.Weights) == 0 {
-		return IQ{}
-	}
-	var wsum float64
-	for _, w := range k.Weights {
-		wsum += w
-	}
-	if wsum == 0 {
-		// Only reachable by bypassing NewWeighted.
-		return IQ{}
-	}
-	var acc complex128
-	n := len(trace)
-	if n > len(k.Weights) {
-		n = len(k.Weights)
-	}
-	for i := 0; i < n; i++ {
-		acc += complex(k.Weights[i], 0) * trace[i]
-	}
-	acc /= complex(wsum, 0)
 	return IQ{I: real(acc), Q: imag(acc)}
 }

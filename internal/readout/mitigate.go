@@ -18,9 +18,6 @@ type Confusion struct {
 	P10 float64 `json:"p10"`
 }
 
-// Fidelity is the balanced assignment fidelity 1 − (P01+P10)/2.
-func (c Confusion) Fidelity() float64 { return 1 - (c.P01+c.P10)/2 }
-
 // Validate checks the matrix is a proper, invertible assignment channel.
 func (c Confusion) Validate() error {
 	if c.P01 < 0 || c.P01 > 1 || c.P10 < 0 || c.P10 > 1 ||
@@ -77,9 +74,6 @@ func NewMitigator(bits []int, mats []Confusion) (*Mitigator, error) {
 		mats: append([]Confusion(nil), mats...),
 	}, nil
 }
-
-// Bits returns the mitigated classical-bit positions.
-func (m *Mitigator) Bits() []int { return append([]int(nil), m.bits...) }
 
 // Apply mitigates a counts histogram, returning the estimated true-state
 // probability distribution keyed by the same bitmask convention. Counts on

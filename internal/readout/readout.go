@@ -102,9 +102,6 @@ type IQ struct {
 	Q float64 `json:"q"`
 }
 
-// Complex returns the point as I + iQ.
-func (p IQ) Complex() complex128 { return complex(p.I, p.Q) }
-
 // Sub returns p − q.
 func (p IQ) Sub(q IQ) IQ { return IQ{p.I - q.I, p.Q - q.Q} }
 

@@ -23,46 +23,10 @@ type Result struct {
 	Raw [][][]complex128
 }
 
-// IQColumn returns every shot's integrated point for the capture that
-// wrote classical bit cb, or nil when the bit was not captured or the run
-// was discriminated-level.
-func (r *Result) IQColumn(cb int) []IQ {
-	for i, b := range r.Bits {
-		if b != cb {
-			continue
-		}
-		out := make([]IQ, 0, len(r.IQ))
-		for _, row := range r.IQ {
-			if i < len(row) {
-				out = append(out, row[i])
-			}
-		}
-		return out
-	}
-	return nil
-}
-
 // Probability returns the observed frequency of a classical bitmask.
 func (r *Result) Probability(mask uint64) float64 {
 	if r.Shots == 0 {
 		return 0
 	}
 	return float64(r.Counts[mask]) / float64(r.Shots)
-}
-
-// ExpectationZ returns the ±1 expectation of classical bit cb (0 → +1,
-// 1 → −1), the estimator VQE-style loops consume.
-func (r *Result) ExpectationZ(cb int) float64 {
-	if r.Shots == 0 {
-		return 0
-	}
-	acc := 0
-	for mask, n := range r.Counts {
-		if (mask>>uint(cb))&1 == 0 {
-			acc += n
-		} else {
-			acc -= n
-		}
-	}
-	return float64(acc) / float64(r.Shots)
 }

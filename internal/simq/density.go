@@ -3,9 +3,7 @@ package simq
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/cmplx"
-	"math/rand"
 	"slices"
 
 	"mqsspulse/internal/linalg"
@@ -31,33 +29,6 @@ func NewDensity(dims []int) *Density {
 	return &Density{Dims: append([]int(nil), dims...), Rho: rho}
 }
 
-// FromState builds ρ = |ψ⟩⟨ψ|.
-func FromState(s *State) *Density {
-	return &Density{Dims: append([]int(nil), s.Dims...), Rho: linalg.Outer(s.Amp, s.Amp)}
-}
-
-// Dim returns the Hilbert-space dimension.
-func (d *Density) Dim() int { return d.Rho.Rows }
-
-// Clone deep-copies.
-func (d *Density) Clone() *Density {
-	return &Density{Dims: append([]int(nil), d.Dims...), Rho: d.Rho.Clone()}
-}
-
-// ApplyFull conjugates ρ → UρU†.
-func (d *Density) ApplyFull(u *linalg.Matrix) {
-	d.Rho = u.Mul(d.Rho).Mul(u.Dagger())
-}
-
-// ApplyAt applies a local unitary to one site.
-func (d *Density) ApplyAt(op *linalg.Matrix, site int) {
-	full := linalg.EmbedAt(op, d.Dims, site)
-	d.ApplyFull(full)
-}
-
-// Trace returns tr(ρ) (should remain 1).
-func (d *Density) Trace() float64 { return real(d.Rho.Trace()) }
-
 // Populations returns the diagonal of ρ.
 func (d *Density) Populations() []float64 {
 	p := make([]float64, d.Rho.Rows)
@@ -65,33 +36,6 @@ func (d *Density) Populations() []float64 {
 		p[i] = real(d.Rho.At(i, i))
 	}
 	return p
-}
-
-// Expectation returns tr(ρM).
-func (d *Density) Expectation(m *linalg.Matrix) complex128 {
-	return d.Rho.Mul(m).Trace()
-}
-
-// PopulationOfLevel returns P(site at level).
-func (d *Density) PopulationOfLevel(site, level int) float64 {
-	var p float64
-	for i := 0; i < d.Rho.Rows; i++ {
-		if SiteLevel(d.Dims, i, site) == level {
-			p += real(d.Rho.At(i, i))
-		}
-	}
-	return p
-}
-
-// SampleBits draws joint measurement outcomes from the diagonal of ρ.
-func (d *Density) SampleBits(rng *rand.Rand, sites []int, shots int) []uint64 {
-	return sampleBits(rng, d.Populations(), d.Dims, sites, shots)
-}
-
-// StateFidelity returns ⟨ψ|ρ|ψ⟩ for a pure target.
-func StateFidelity(rho *Density, psi *State) float64 {
-	v := rho.Rho.MulVec(psi.Amp)
-	return real(linalg.Dot(psi.Amp, v))
 }
 
 // Collapse is a Lindblad jump (collapse) operator with rate γ: contributes
@@ -274,23 +218,4 @@ func RelaxationCollapses(dims []int, site int, t1, t2 float64) []Collapse {
 		}
 	}
 	return out
-}
-
-// Purity returns tr(ρ²) ∈ [1/d, 1].
-func (d *Density) Purity() float64 {
-	return real(d.Rho.Mul(d.Rho).Trace())
-}
-
-// CheckPhysical verifies trace ≈ 1 and diagonal ∈ [-tol, 1+tol]; used by
-// property tests to catch integration blow-ups.
-func (d *Density) CheckPhysical(tol float64) error {
-	if math.Abs(d.Trace()-1) > tol {
-		return fmt.Errorf("simq: trace %g deviates from 1", d.Trace())
-	}
-	for i, p := range d.Populations() {
-		if p < -tol || p > 1+tol {
-			return fmt.Errorf("simq: population[%d] = %g outside [0,1]", i, p)
-		}
-	}
-	return nil
 }

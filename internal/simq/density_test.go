@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mqsspulse/internal/linalg"
+	"mqsspulse/internal/testutil"
 )
 
 func TestNewDensityGround(t *testing.T) {
@@ -18,16 +19,6 @@ func TestNewDensityGround(t *testing.T) {
 	}
 	if math.Abs(d.Purity()-1) > 1e-12 {
 		t.Fatal("pure state should have purity 1")
-	}
-}
-
-func TestFromStateMatchesExpectations(t *testing.T) {
-	s := NewState([]int{2})
-	s.ApplyAt(linalg.Hadamard(), 0)
-	d := FromState(s)
-	ex := real(d.Expectation(linalg.PauliX()))
-	if math.Abs(ex-1) > 1e-12 {
-		t.Fatalf("⟨X⟩ = %g, want 1", ex)
 	}
 }
 
@@ -71,7 +62,7 @@ func TestT2Dephasing(t *testing.T) {
 	t2 := 15e-6
 	dims := []int{2}
 	d := NewDensity(dims)
-	d.ApplyAt(linalg.Hadamard(), 0)
+	d.ApplyAt(testutil.Hadamard(), 0)
 	collapses := RelaxationCollapses(dims, 0, 0, t2)
 	h := linalg.NewMatrix(2, 2)
 	total := 7e-6
@@ -97,7 +88,7 @@ func TestCombinedT1T2Consistency(t *testing.T) {
 		t.Fatalf("T1-limited should give only the damping collapse, got %d", len(cs))
 	}
 	d := NewDensity(dims)
-	d.ApplyAt(linalg.Hadamard(), 0)
+	d.ApplyAt(testutil.Hadamard(), 0)
 	h := linalg.NewMatrix(2, 2)
 	total := 5e-6
 	steps := 200
@@ -115,8 +106,8 @@ func TestLindbladTracePreservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	dims := []int{2, 2}
 	d := NewDensity(dims)
-	d.ApplyAt(linalg.Hadamard(), 0)
-	d.ApplyAt(linalg.RX(0.8), 1)
+	d.ApplyAt(testutil.Hadamard(), 0)
+	d.ApplyAt(testutil.RX(0.8), 1)
 	var collapses []Collapse
 	collapses = append(collapses, RelaxationCollapses(dims, 0, 30e-6, 20e-6)...)
 	collapses = append(collapses, RelaxationCollapses(dims, 1, 25e-6, 18e-6)...)
@@ -145,41 +136,10 @@ func TestLindbladTracePreservation(t *testing.T) {
 	}
 }
 
-func TestStateFidelityDensity(t *testing.T) {
-	s := NewState([]int{2})
-	s.ApplyAt(linalg.Hadamard(), 0)
-	d := FromState(s)
-	if f := StateFidelity(d, s); math.Abs(f-1) > 1e-12 {
-		t.Fatalf("fidelity = %g, want 1", f)
-	}
-	orth := NewState([]int{2})
-	orth.ApplyAt(linalg.Hadamard(), 0)
-	orth.ApplyAt(linalg.PauliZ(), 0)
-	if f := StateFidelity(d, orth); f > 1e-12 {
-		t.Fatalf("fidelity = %g, want 0", f)
-	}
-}
-
-func TestDensitySampleBits(t *testing.T) {
-	d := NewDensity([]int{2})
-	d.ApplyAt(linalg.Hadamard(), 0)
-	rng := rand.New(rand.NewSource(3))
-	n1 := 0
-	shots := 20000
-	for _, b := range d.SampleBits(rng, []int{0}, shots) {
-		if b == 1 {
-			n1++
-		}
-	}
-	if p := float64(n1) / float64(shots); math.Abs(p-0.5) > 0.02 {
-		t.Fatalf("P(1) = %g, want 0.5", p)
-	}
-}
-
 func TestPurityDecreasesUnderDecoherence(t *testing.T) {
 	dims := []int{2}
 	d := NewDensity(dims)
-	d.ApplyAt(linalg.Hadamard(), 0)
+	d.ApplyAt(testutil.Hadamard(), 0)
 	p0 := d.Purity()
 	cs := RelaxationCollapses(dims, 0, 10e-6, 5e-6)
 	h := linalg.NewMatrix(2, 2)
@@ -194,5 +154,46 @@ func TestPurityDecreasesUnderDecoherence(t *testing.T) {
 func TestRelaxationCollapsesDisabled(t *testing.T) {
 	if cs := RelaxationCollapses([]int{2}, 0, 0, 0); len(cs) != 0 {
 		t.Fatal("disabled channels should produce no collapses")
+	}
+}
+
+func TestFromStateMatchesExpectations(t *testing.T) {
+	s := NewState([]int{2})
+	s.ApplyAt(testutil.Hadamard(), 0)
+	d := FromState(s)
+	ex := real(d.Expectation(linalg.PauliX()))
+	if math.Abs(ex-1) > 1e-12 {
+		t.Fatalf("⟨X⟩ = %g, want 1", ex)
+	}
+}
+
+func TestStateFidelityDensity(t *testing.T) {
+	s := NewState([]int{2})
+	s.ApplyAt(testutil.Hadamard(), 0)
+	d := FromState(s)
+	if f := StateFidelity(d, s); math.Abs(f-1) > 1e-12 {
+		t.Fatalf("fidelity = %g, want 1", f)
+	}
+	orth := NewState([]int{2})
+	orth.ApplyAt(testutil.Hadamard(), 0)
+	orth.ApplyAt(linalg.PauliZ(), 0)
+	if f := StateFidelity(d, orth); f > 1e-12 {
+		t.Fatalf("fidelity = %g, want 0", f)
+	}
+}
+
+func TestDensitySampleBits(t *testing.T) {
+	d := NewDensity([]int{2})
+	d.ApplyAt(testutil.Hadamard(), 0)
+	rng := rand.New(rand.NewSource(3))
+	n1 := 0
+	shots := 20000
+	for _, b := range d.SampleBits(rng, []int{0}, shots) {
+		if b == 1 {
+			n1++
+		}
+	}
+	if p := float64(n1) / float64(shots); math.Abs(p-0.5) > 0.02 {
+		t.Fatalf("P(1) = %g, want 0.5", p)
 	}
 }

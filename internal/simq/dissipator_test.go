@@ -75,7 +75,7 @@ func TestDissipatorMatchesDenseReference(t *testing.T) {
 			s.dissipatorRHS(model.collapse, rhs, got.Rho)
 			// Entries of the generator scale with the rates (1/s), so the
 			// 1e-12 is relative to them.
-			if ref := LindbladRHS(noH, want.Rho, cs); !rhs.Equal(ref, 1e-12*rateSum) {
+			if ref := LindbladRHS(noH, want.Rho, cs); rhs.Sub(ref).MaxAbs() > 1e-12*rateSum {
 				t.Fatalf("dims %v %s: RHS off by %g (rates sum to %g)", dims, ch.name, rhs.Sub(ref).MaxAbs(), rateSum)
 			}
 
@@ -84,7 +84,7 @@ func TestDissipatorMatchesDenseReference(t *testing.T) {
 				s.dissipate(model.collapse, got.Rho, dt)
 				LindbladStepRK4(noH, want, cs, dt)
 			}
-			if !got.Rho.Equal(want.Rho, 1e-12) {
+			if got.Rho.Sub(want.Rho).MaxAbs() > 1e-12 {
 				t.Fatalf("dims %v %s: ρ off by %g after 200 steps", dims, ch.name, got.Rho.Sub(want.Rho).MaxAbs())
 			}
 			if tr := got.Trace(); math.Abs(tr-1) > 1e-12 {
@@ -191,7 +191,7 @@ func TestExecutorWarmRunsMatchCold(t *testing.T) {
 	if again.PropCacheMisses != 0 || again.PropCacheHits != 3 {
 		t.Fatalf("warm run: %d misses, %d hits; want 0 and 3", again.PropCacheMisses, again.PropCacheHits)
 	}
-	if !again.FinalDensity.Rho.Equal(cold.FinalDensity.Rho, 0) {
+	if again.FinalDensity.Rho.Sub(cold.FinalDensity.Rho).MaxAbs() > 0 {
 		t.Fatal("warm run differs from the cold run of the same executor")
 	}
 
@@ -199,7 +199,7 @@ func TestExecutorWarmRunsMatchCold(t *testing.T) {
 	if other.PropCacheMisses != 2 {
 		t.Fatalf("program on another clock: %d misses, want 2", other.PropCacheMisses)
 	}
-	if fresh := run(twoTransmonOpenRig(t), slow); !other.FinalDensity.Rho.Equal(fresh.FinalDensity.Rho, 0) {
+	if fresh := run(twoTransmonOpenRig(t), slow); other.FinalDensity.Rho.Sub(fresh.FinalDensity.Rho).MaxAbs() > 0 {
 		t.Fatal("warm executor differs from a fresh one on the second clock")
 	}
 }

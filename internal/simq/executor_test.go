@@ -11,6 +11,7 @@ import (
 
 	"mqsspulse/internal/linalg"
 	"mqsspulse/internal/pulse"
+	"mqsspulse/internal/testutil"
 	"mqsspulse/internal/waveform"
 )
 
@@ -147,8 +148,8 @@ func TestVirtualZHalfPhaseMakesY(t *testing.T) {
 	// Reference: RY(π/2)·RX(π/2)|0⟩ — note our drive phase convention:
 	// H = (Ω/2)(cos φ·X + sin φ·Y) with χ = e^{-iφ}.
 	want := NewState([]int{2})
-	want.ApplyAt(linalg.RX(math.Pi/2), 0)
-	want.ApplyAt(linalg.RY(math.Pi/2), 0)
+	want.ApplyAt(testutil.RX(math.Pi/2), 0)
+	want.ApplyAt(testutil.RY(math.Pi/2), 0)
 	f := Fidelity(res.FinalState, want)
 	if math.Abs(f-1) > 1e-3 {
 		t.Fatalf("fidelity vs RY·RX = %g, want 1", f)
@@ -163,7 +164,7 @@ func TestRamseyDetuningFringe(t *testing.T) {
 	detune := 20e6 // 20 MHz
 	for _, tauTicks := range []int64{0, 5, 10, 20, 25} {
 		s, ex := oneQubitRig(t, 10e6, nil)
-		f, _ := s.Frame("q0-drive-frame")
+		f := frameByID(s, "q0-drive-frame")
 		f.SetFrequency(5.0e9 + detune)
 		playConst(t, s, "q0-drive-port", "q0-drive-frame", 1.0, 25)
 		if tauTicks > 0 {
@@ -204,7 +205,7 @@ func ramseyReference(t *testing.T, detune, rabi float64, pulseTicks, idleTicks i
 		if err != nil {
 			t.Fatal(err)
 		}
-		psi = u.MulVec(psi)
+		psi = testutil.MulVec(u, psi)
 	}
 	return real(psi[1])*real(psi[1]) + imag(psi[1])*imag(psi[1])
 }
@@ -296,9 +297,9 @@ func TestZZCouplerCZPhase(t *testing.T) {
 	res := runSchedule(t, s, NewExecutor(model), ExecOptions{Shots: 1})
 
 	want := NewState(dims)
-	want.ApplyAt(linalg.RX(math.Pi/2), 0)
-	want.ApplyAt(linalg.RX(math.Pi/2), 1)
-	want.ApplyTwo(linalg.CZ(), 0, 1)
+	want.ApplyAt(testutil.RX(math.Pi/2), 0)
+	want.ApplyAt(testutil.RX(math.Pi/2), 1)
+	want.ApplyTwo(testutil.CZ(), 0, 1)
 	f := Fidelity(res.FinalState, want)
 	if math.Abs(f-1) > 2e-3 {
 		t.Fatalf("CZ fidelity = %g, want ~1", f)

@@ -125,11 +125,6 @@ func newChannel(portID string, op *linalg.Matrix, rabiHz, carrierHz float64) *Co
 	}
 }
 
-// QubitDriveChannel builds a σ+ drive channel for a 2-level site.
-func QubitDriveChannel(portID string, dims []int, site int, rabiHz, carrierHz float64) *ControlChannel {
-	return newChannel(portID, linalg.EmbedAt(linalg.SigmaPlus(), dims, site), rabiHz, carrierHz)
-}
-
 // TransmonDriveChannel builds an a† drive channel for a d-level site.
 func TransmonDriveChannel(portID string, dims []int, site int, rabiHz, carrierHz float64) *ControlChannel {
 	return newChannel(portID, linalg.EmbedAt(linalg.Creation(dims[site]), dims, site), rabiHz, carrierHz)

@@ -11,7 +11,7 @@ import "mqsspulse/internal/linalg"
 // with H in angular-frequency units (rad/s).
 func LindbladRHS(h *linalg.Matrix, rho *linalg.Matrix, collapses []Collapse) *linalg.Matrix {
 	// -i[H, ρ]
-	out := linalg.Commutator(h, rho).Scale(complex(0, -1))
+	out := h.Mul(rho).Sub(rho.Mul(h)).Scale(complex(0, -1))
 	for _, c := range collapses {
 		if c.Rate == 0 {
 			continue
@@ -19,7 +19,7 @@ func LindbladRHS(h *linalg.Matrix, rho *linalg.Matrix, collapses []Collapse) *li
 		ld := c.L.Dagger()
 		ldl := ld.Mul(c.L)
 		jump := c.L.Mul(rho).Mul(ld)
-		anti := linalg.AntiCommutator(ldl, rho).Scale(0.5)
+		anti := ldl.Mul(rho).Add(rho.Mul(ldl)).Scale(0.5)
 		out.AddInPlace(jump.Sub(anti), complex(c.Rate, 0))
 	}
 	return out

@@ -7,7 +7,6 @@ package simq
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 
 	"mqsspulse/internal/linalg"
@@ -35,26 +34,8 @@ func NewState(dims []int) *State {
 	return &State{Dims: append([]int(nil), dims...), Amp: amp}
 }
 
-// Dim returns the total Hilbert space dimension.
-func (s *State) Dim() int { return len(s.Amp) }
-
-// Clone deep-copies the state.
-func (s *State) Clone() *State {
-	c := &State{Dims: append([]int(nil), s.Dims...), Amp: make([]complex128, len(s.Amp))}
-	copy(c.Amp, s.Amp)
-	return c
-}
-
 // Norm returns ⟨ψ|ψ⟩^(1/2).
 func (s *State) Norm() float64 { return linalg.Norm2(s.Amp) }
-
-// ApplyFull applies a full-dimension unitary to the state.
-func (s *State) ApplyFull(u *linalg.Matrix) {
-	if u.Rows != len(s.Amp) {
-		panic(fmt.Sprintf("simq: unitary dim %d != state dim %d", u.Rows, len(s.Amp)))
-	}
-	s.Amp = u.MulVec(s.Amp)
-}
 
 // strides returns the stride of each site in the flattened index.
 func strides(dims []int) []int {
@@ -65,85 +46,6 @@ func strides(dims []int) []int {
 		acc *= dims[i]
 	}
 	return st
-}
-
-// ApplyAt applies a local operator (dims[site] × dims[site]) to one site
-// without building the full tensor product.
-func (s *State) ApplyAt(op *linalg.Matrix, site int) {
-	d := s.Dims[site]
-	if op.Rows != d || op.Cols != d {
-		panic(fmt.Sprintf("simq: op dim %d does not match site dim %d", op.Rows, d))
-	}
-	st := strides(s.Dims)
-	stride := st[site]
-	block := stride * d
-	tmp := make([]complex128, d)
-	for base := 0; base < len(s.Amp); base += block {
-		for off := 0; off < stride; off++ {
-			// Gather the site's amplitudes.
-			for k := 0; k < d; k++ {
-				tmp[k] = s.Amp[base+off+k*stride]
-			}
-			for r := 0; r < d; r++ {
-				var acc complex128
-				row := op.Data[r*d : (r+1)*d]
-				for k := 0; k < d; k++ {
-					acc += row[k] * tmp[k]
-				}
-				s.Amp[base+off+r*stride] = acc
-			}
-		}
-	}
-}
-
-// ApplyTwo applies a two-site operator to sites (a, b), a != b. The operator
-// is indexed with site a as the more significant subsystem.
-func (s *State) ApplyTwo(op *linalg.Matrix, a, b int) {
-	da, db := s.Dims[a], s.Dims[b]
-	if op.Rows != da*db {
-		panic(fmt.Sprintf("simq: two-site op dim %d != %d", op.Rows, da*db))
-	}
-	if a == b {
-		panic("simq: ApplyTwo with identical sites")
-	}
-	st := strides(s.Dims)
-	sa, sb := st[a], st[b]
-	n := len(s.Amp)
-	visited := make([]bool, n)
-	tmp := make([]complex128, da*db)
-	for idx := 0; idx < n; idx++ {
-		if visited[idx] {
-			continue
-		}
-		// Only process indices whose a- and b-components are zero.
-		ia := (idx / sa) % da
-		ib := (idx / sb) % db
-		if ia != 0 || ib != 0 {
-			continue
-		}
-		// Gather the da*db amplitudes of this fiber.
-		for x := 0; x < da; x++ {
-			for y := 0; y < db; y++ {
-				j := idx + x*sa + y*sb
-				tmp[x*db+y] = s.Amp[j]
-				visited[j] = true
-			}
-		}
-		for r := 0; r < da*db; r++ {
-			var acc complex128
-			row := op.Data[r*da*db : (r+1)*da*db]
-			for k := 0; k < da*db; k++ {
-				acc += row[k] * tmp[k]
-			}
-			x, y := r/db, r%db
-			s.Amp[idx+x*sa+y*sb] = acc
-		}
-	}
-}
-
-// Expectation returns ⟨ψ|M|ψ⟩ for a full-dimension operator.
-func (s *State) Expectation(m *linalg.Matrix) complex128 {
-	return linalg.Dot(s.Amp, m.MulVec(s.Amp))
 }
 
 // Probabilities returns |amp|² for every basis index.
@@ -161,27 +63,6 @@ func SiteLevel(dims []int, index, site int) int {
 		index /= dims[i]
 	}
 	return index % dims[site]
-}
-
-// SampleBits draws `shots` joint measurement outcomes for the listed sites.
-// Levels above |1⟩ (leakage) discriminate as 1, matching typical dispersive
-// readout behaviour. Each shot is a bitmask: bit i set means sites[i]
-// measured 1.
-func (s *State) SampleBits(rng *rand.Rand, sites []int, shots int) []uint64 {
-	return sampleBits(rng, s.Probabilities(), s.Dims, sites, shots)
-}
-
-func sampleBits(rng *rand.Rand, probs []float64, dims []int, sites []int, shots int) []uint64 {
-	if len(sites) > 64 {
-		panic("simq: more than 64 measured sites")
-	}
-	cum := make([]float64, len(probs))
-	total := buildCum(cum, probs)
-	out := make([]uint64, shots)
-	for k := 0; k < shots; k++ {
-		out[k] = siteMask(dims, sites, drawIndex(rng, cum, total))
-	}
-	return out
 }
 
 // buildCum fills cum with the running sum of probs (negative entries —
@@ -232,38 +113,6 @@ func siteMask(dims, sites []int, idx int) uint64 {
 func Fidelity(a, b *State) float64 {
 	d := linalg.Dot(a.Amp, b.Amp)
 	return real(d)*real(d) + imag(d)*imag(d)
-}
-
-// PopulationOfLevel returns the total probability that `site` occupies
-// `level`.
-func (s *State) PopulationOfLevel(site, level int) float64 {
-	var p float64
-	for i, a := range s.Amp {
-		if SiteLevel(s.Dims, i, site) == level {
-			p += real(a)*real(a) + imag(a)*imag(a)
-		}
-	}
-	return p
-}
-
-// GlobalPhaseAlign multiplies the state by a global phase so its largest
-// amplitude is real positive; useful when comparing states in tests.
-func (s *State) GlobalPhaseAlign() {
-	var bi int
-	var bmag float64
-	for i, a := range s.Amp {
-		if m := cmplx.Abs(a); m > bmag {
-			bmag, bi = m, i
-		}
-	}
-	if bmag == 0 {
-		return
-	}
-	ph := s.Amp[bi] / complex(bmag, 0)
-	inv := cmplx.Conj(ph)
-	for i := range s.Amp {
-		s.Amp[i] *= inv
-	}
 }
 
 // Renormalize rescales to unit norm (drift control for long integrations).

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mqsspulse/internal/linalg"
+	"mqsspulse/internal/testutil"
 )
 
 func TestNewStateGround(t *testing.T) {
@@ -39,10 +40,10 @@ func TestApplyAtMatchesFullKron(t *testing.T) {
 	for i := range s1.Amp {
 		s1.Amp[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	linalg.Normalize(s1.Amp)
+	testutil.Normalize(s1.Amp)
 	s2 := s1.Clone()
 
-	op := linalg.RX(0.7)
+	op := testutil.RX(0.7)
 	s1.ApplyAt(op, 0)
 	s2.ApplyFull(linalg.EmbedAt(op, dims, 0))
 	for i := range s1.Amp {
@@ -75,9 +76,9 @@ func TestApplyTwoMatchesEmbed(t *testing.T) {
 	for i := range s1.Amp {
 		s1.Amp[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	linalg.Normalize(s1.Amp)
+	testutil.Normalize(s1.Amp)
 	s2 := s1.Clone()
-	cz := linalg.CZ()
+	cz := testutil.CZ()
 	s1.ApplyTwo(cz, 1, 2)
 	s2.ApplyFull(linalg.EmbedTwo(cz, dims, 1))
 	for i := range s1.Amp {
@@ -92,7 +93,7 @@ func TestApplyTwoNonAdjacent(t *testing.T) {
 	dims := []int{2, 2, 2}
 	s := NewState(dims)
 	s.ApplyAt(linalg.PauliX(), 0) // |100⟩
-	s.ApplyTwo(linalg.CNOT(), 0, 2)
+	s.ApplyTwo(testutil.CNOT(), 0, 2)
 	// Expect |101⟩ = index 5.
 	if math.Abs(real(s.Amp[5])-1) > 1e-12 {
 		t.Fatalf("CNOT(0→2) failed: %v", s.Amp)
@@ -105,9 +106,9 @@ func TestUnitaryPreservesNormQuick(t *testing.T) {
 			return true
 		}
 		s := NewState([]int{2, 2})
-		s.ApplyAt(linalg.Hadamard(), 0)
-		s.ApplyTwo(linalg.CNOT(), 0, 1)
-		s.ApplyAt(linalg.RZ(math.Mod(theta, math.Pi)), 1)
+		s.ApplyAt(testutil.Hadamard(), 0)
+		s.ApplyTwo(testutil.CNOT(), 0, 1)
+		s.ApplyAt(testutil.RZ(math.Mod(theta, math.Pi)), 1)
 		return math.Abs(s.Norm()-1) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -126,8 +127,8 @@ func TestSiteLevel(t *testing.T) {
 
 func TestSampleBitsBellState(t *testing.T) {
 	s := NewState([]int{2, 2})
-	s.ApplyAt(linalg.Hadamard(), 0)
-	s.ApplyTwo(linalg.CNOT(), 0, 1)
+	s.ApplyAt(testutil.Hadamard(), 0)
+	s.ApplyTwo(testutil.CNOT(), 0, 1)
 	rng := rand.New(rand.NewSource(1))
 	shots := 20000
 	samples := s.SampleBits(rng, []int{0, 1}, shots)
@@ -162,7 +163,7 @@ func TestSampleBitsLeakageReadsAsOne(t *testing.T) {
 
 func TestPopulationOfLevel(t *testing.T) {
 	s := NewState([]int{2, 2})
-	s.ApplyAt(linalg.Hadamard(), 1)
+	s.ApplyAt(testutil.Hadamard(), 1)
 	if p := s.PopulationOfLevel(1, 1); math.Abs(p-0.5) > 1e-12 {
 		t.Fatalf("P(site1=1) = %g, want 0.5", p)
 	}
@@ -182,24 +183,15 @@ func TestFidelityPureStates(t *testing.T) {
 		t.Fatal("orthogonal states should have fidelity 0")
 	}
 	b2 := NewState([]int{2})
-	b2.ApplyAt(linalg.Hadamard(), 0)
+	b2.ApplyAt(testutil.Hadamard(), 0)
 	if f := Fidelity(a, b2); math.Abs(f-0.5) > 1e-12 {
 		t.Fatalf("fidelity = %g, want 0.5", f)
 	}
 }
 
-func TestGlobalPhaseAlign(t *testing.T) {
-	s := NewState([]int{2})
-	s.ApplyAt(linalg.RZ(1.3), 0) // adds global-ish phase to |0⟩ component
-	s.GlobalPhaseAlign()
-	if imag(s.Amp[0]) > 1e-12 || real(s.Amp[0]) < 0 {
-		t.Fatalf("not aligned: %v", s.Amp[0])
-	}
-}
-
 func TestExpectation(t *testing.T) {
 	s := NewState([]int{2})
-	s.ApplyAt(linalg.Hadamard(), 0)
+	s.ApplyAt(testutil.Hadamard(), 0)
 	x := s.Expectation(linalg.PauliX())
 	if math.Abs(real(x)-1) > 1e-12 {
 		t.Fatalf("⟨X⟩ = %v, want 1", x)
@@ -207,5 +199,14 @@ func TestExpectation(t *testing.T) {
 	z := s.Expectation(linalg.PauliZ())
 	if math.Abs(real(z)) > 1e-12 {
 		t.Fatalf("⟨Z⟩ = %v, want 0", z)
+	}
+}
+
+func TestGlobalPhaseAlign(t *testing.T) {
+	s := NewState([]int{2})
+	s.ApplyAt(testutil.RZ(1.3), 0) // adds global-ish phase to |0⟩ component
+	s.GlobalPhaseAlign()
+	if imag(s.Amp[0]) > 1e-12 || real(s.Amp[0]) < 0 {
+		t.Fatalf("not aligned: %v", s.Amp[0])
 	}
 }

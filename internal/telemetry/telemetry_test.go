@@ -224,3 +224,31 @@ func TestImportWire(t *testing.T) {
 		t.Fatalf("imported span double-counted into registry (%d)", n)
 	}
 }
+
+// Find returns the first recorded span with the given stage and whether
+// one exists.
+func (t *Timeline) Find(stage Stage) (Span, bool) {
+	for _, s := range t.Spans() {
+		if s.Stage == stage {
+			return s, true
+		}
+	}
+	return Span{}, false
+}
+
+// Wall returns the extent of the trace: earliest span start to latest span
+// end. Zero with fewer than one recorded span (or a nil timeline).
+func (t *Timeline) Wall() time.Duration {
+	spans := t.Spans()
+	if len(spans) == 0 {
+		return 0
+	}
+	first := spans[0].Start
+	last := spans[0].End()
+	for _, s := range spans[1:] {
+		if end := s.End(); end.After(last) {
+			last = end
+		}
+	}
+	return last.Sub(first)
+}

@@ -203,19 +203,3 @@ func H2Minimal() *Hamiltonian {
 		},
 	}
 }
-
-// TFIM returns the transverse-field Ising chain H = -J Σ Z_i Z_{i+1} - h Σ X_i.
-func TFIM(n int, j, hx float64) *Hamiltonian {
-	ham := &Hamiltonian{Qubits: n}
-	for i := 0; i+1 < n; i++ {
-		ops := []byte(strings.Repeat("I", n))
-		ops[i], ops[i+1] = 'Z', 'Z'
-		ham.Terms = append(ham.Terms, Term{Coeff: -j, Ops: string(ops)})
-	}
-	for i := 0; i < n; i++ {
-		ops := []byte(strings.Repeat("I", n))
-		ops[i] = 'X'
-		ham.Terms = append(ham.Terms, Term{Coeff: -hx, Ops: string(ops)})
-	}
-	return ham
-}

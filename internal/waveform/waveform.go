@@ -63,20 +63,8 @@ func (w *Waveform) Check() error {
 	return nil
 }
 
-// FromReal wraps a real-valued amplitude array.
-func FromReal(name string, amps []float64) (*Waveform, error) {
-	cs := make([]complex128, len(amps))
-	for i, a := range amps {
-		cs[i] = complex(a, 0)
-	}
-	return New(name, cs)
-}
-
 // Len returns the number of samples.
 func (w *Waveform) Len() int { return len(w.Samples) }
-
-// Duration returns the wall-clock duration given the sample period dt.
-func (w *Waveform) Duration(dt float64) float64 { return float64(len(w.Samples)) * dt }
 
 // Clone returns a deep copy.
 func (w *Waveform) Clone() *Waveform {
@@ -95,32 +83,12 @@ func (w *Waveform) Scale(s complex128) (*Waveform, error) {
 	return New(w.Name, out)
 }
 
-// PhaseShift returns a copy with samples rotated by e^{iφ}. Phase rotation
-// never changes magnitudes, so it cannot fail range validation.
-func (w *Waveform) PhaseShift(phi float64) *Waveform {
-	rot := cmplx.Exp(complex(0, phi))
-	out := make([]complex128, len(w.Samples))
-	for i, v := range w.Samples {
-		out[i] = rot * v
-	}
-	return &Waveform{Name: w.Name, Samples: out}
-}
-
 // Concat returns the concatenation w ++ v.
 func (w *Waveform) Concat(v *Waveform) *Waveform {
 	out := make([]complex128, 0, len(w.Samples)+len(v.Samples))
 	out = append(out, w.Samples...)
 	out = append(out, v.Samples...)
 	return &Waveform{Name: w.Name, Samples: out}
-}
-
-// Energy returns Σ|s_i|², a proxy for delivered pulse energy.
-func (w *Waveform) Energy() float64 {
-	var e float64
-	for _, s := range w.Samples {
-		e += real(s)*real(s) + imag(s)*imag(s)
-	}
-	return e
 }
 
 // PeakAmplitude returns max_i |s_i|.
@@ -142,50 +110,6 @@ func (w *Waveform) Area() float64 {
 		sum += s
 	}
 	return cmplx.Abs(sum)
-}
-
-// Equal reports sample-wise equality within tol.
-func (w *Waveform) Equal(v *Waveform, tol float64) bool {
-	if len(w.Samples) != len(v.Samples) {
-		return false
-	}
-	for i := range w.Samples {
-		if cmplx.Abs(w.Samples[i]-v.Samples[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// Resample returns the waveform re-sampled to n samples using linear
-// interpolation, used when retargeting a schedule to hardware with a
-// different sample clock.
-func (w *Waveform) Resample(n int) (*Waveform, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: resample length %d", ErrBadParam, n)
-	}
-	if n == len(w.Samples) {
-		return w.Clone(), nil
-	}
-	out := make([]complex128, n)
-	if len(w.Samples) == 1 {
-		for i := range out {
-			out[i] = w.Samples[0]
-		}
-		return &Waveform{Name: w.Name, Samples: out}, nil
-	}
-	scale := float64(len(w.Samples)-1) / float64(n-1)
-	for i := 0; i < n; i++ {
-		x := float64(i) * scale
-		lo := int(math.Floor(x))
-		hi := lo + 1
-		if hi >= len(w.Samples) {
-			hi = len(w.Samples) - 1
-		}
-		frac := complex(x-float64(lo), 0)
-		out[i] = w.Samples[lo]*(1-frac) + w.Samples[hi]*frac
-	}
-	return &Waveform{Name: w.Name, Samples: out}, nil
 }
 
 // PadTo returns the waveform zero-padded at the end to granularity g (the

@@ -66,31 +66,6 @@ func TestScaleRejectsOverflow(t *testing.T) {
 	}
 }
 
-func TestPhaseShiftPreservesMagnitude(t *testing.T) {
-	f := func(phi float64) bool {
-		w, _ := FromReal("w", []float64{0.7, 0.2, -0.4})
-		shifted := w.PhaseShift(phi)
-		for i := range w.Samples {
-			if math.Abs(cmplx.Abs(shifted.Samples[i])-cmplx.Abs(w.Samples[i])) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPhaseShiftComposes(t *testing.T) {
-	w, _ := FromReal("w", []float64{0.5, 0.5})
-	a := w.PhaseShift(0.3).PhaseShift(0.4)
-	b := w.PhaseShift(0.7)
-	if !a.Equal(b, 1e-12) {
-		t.Fatal("phase shifts do not compose additively")
-	}
-}
-
 func TestConcat(t *testing.T) {
 	a, _ := FromReal("a", []float64{0.1})
 	b, _ := FromReal("b", []float64{0.2, 0.3})
@@ -105,38 +80,6 @@ func TestAreaLinearInAmplitude(t *testing.T) {
 	g2, _ := Gaussian{Amplitude: 0.8, SigmaFrac: 0.2}.Materialize("g", 64)
 	if math.Abs(g2.Area()-2*g1.Area()) > 1e-9 {
 		t.Fatalf("area not linear: %g vs %g", g2.Area(), 2*g1.Area())
-	}
-}
-
-func TestResample(t *testing.T) {
-	w, _ := FromReal("w", []float64{0, 0.5, 1.0})
-	up, err := w.Resample(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.Len() != 5 {
-		t.Fatalf("len = %d, want 5", up.Len())
-	}
-	// Endpoints preserved.
-	if cmplx.Abs(up.Samples[0]-w.Samples[0]) > 1e-12 || cmplx.Abs(up.Samples[4]-w.Samples[2]) > 1e-12 {
-		t.Fatal("resample endpoints not preserved")
-	}
-	if _, err := w.Resample(0); err == nil {
-		t.Fatal("Resample(0) accepted")
-	}
-	same, _ := w.Resample(3)
-	if !same.Equal(w, 0) {
-		t.Fatal("identity resample changed samples")
-	}
-	one, _ := New("c", []complex128{0.5})
-	stretched, err := one.Resample(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range stretched.Samples {
-		if s != 0.5 {
-			t.Fatal("single-sample resample should be constant")
-		}
 	}
 }
 
@@ -359,4 +302,36 @@ func TestCheckIsNewsRule(t *testing.T) {
 			t.Errorf("%v: Check %v, New %v", samples, err, newErr)
 		}
 	}
+}
+
+// FromReal wraps a real-valued amplitude array: the tests' shorthand for
+// New.
+func FromReal(name string, amps []float64) (*Waveform, error) {
+	cs := make([]complex128, len(amps))
+	for i, a := range amps {
+		cs[i] = complex(a, 0)
+	}
+	return New(name, cs)
+}
+
+// Energy returns Σ|s_i|², a proxy for delivered pulse energy.
+func (w *Waveform) Energy() float64 {
+	var e float64
+	for _, s := range w.Samples {
+		e += real(s)*real(s) + imag(s)*imag(s)
+	}
+	return e
+}
+
+// Equal reports sample-wise equality within tol.
+func (w *Waveform) Equal(v *Waveform, tol float64) bool {
+	if len(w.Samples) != len(v.Samples) {
+		return false
+	}
+	for i := range w.Samples {
+		if cmplx.Abs(w.Samples[i]-v.Samples[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -75,13 +75,9 @@ func TestAcquireEndToEndAllMeasLevels(t *testing.T) {
 	if len(res.IQ) != shots || len(res.Bits) != 1 {
 		t.Fatalf("kerneled shape: %d rows × %d bits", len(res.IQ), len(res.Bits))
 	}
-	pts := res.IQColumn(res.Bits[0])
-	if len(pts) != shots {
-		t.Fatalf("IQColumn returned %d points", len(pts))
-	}
 	onSide := 0
-	for _, p := range pts {
-		if p.I > 0 {
+	for _, row := range res.IQ {
+		if row[0].I > 0 {
 			onSide++
 		}
 	}

@@ -10,6 +10,16 @@ import (
 	"mqsspulse/internal/devices"
 )
 
+// findSpan returns the first recorded span of the given stage.
+func findSpan(tl *mqsspulse.Timeline, stage mqsspulse.Stage) (mqsspulse.Span, bool) {
+	for _, s := range tl.Spans() {
+		if s.Stage == stage {
+			return s, true
+		}
+	}
+	return mqsspulse.Span{}, false
+}
+
 // requireStages fails unless the timeline contains every named stage, and
 // returns the first span found for each.
 func requireStages(t *testing.T, tl *mqsspulse.Timeline, stages ...mqsspulse.Stage) map[mqsspulse.Stage]mqsspulse.Span {
@@ -19,7 +29,7 @@ func requireStages(t *testing.T, tl *mqsspulse.Timeline, stages ...mqsspulse.Sta
 	}
 	found := make(map[mqsspulse.Stage]mqsspulse.Span, len(stages))
 	for _, st := range stages {
-		sp, ok := tl.Find(st)
+		sp, ok := findSpan(tl, st)
 		if !ok {
 			t.Fatalf("timeline missing %q span; have %v", st, stageNames(tl))
 		}
@@ -62,7 +72,14 @@ func checkTimelineInvariants(t *testing.T, tl *mqsspulse.Timeline) {
 		prevStart = s.Start
 		topSum += s.Duration
 	}
-	if wall := tl.Wall(); topSum > wall {
+	// The trace's wall time: its first span's start to its latest end.
+	first, last := tl.Spans()[0].Start, time.Time{}
+	for _, s := range tl.Spans() {
+		if s.End().After(last) {
+			last = s.End()
+		}
+	}
+	if wall := last.Sub(first); topSum > wall {
 		t.Fatalf("top-level stage durations sum to %v, exceeding trace wall time %v", topSum, wall)
 	}
 }
@@ -112,7 +129,7 @@ func TestTelemetryLocalLifecycle(t *testing.T) {
 		t.Fatalf("device-execute parent %d, want dispatch span %d", got, spans[mqsspulse.StageDispatch].ID)
 	}
 	// First compile for this kernel/device: the outcome child must be a miss.
-	miss, ok := tl.Find(mqsspulse.StageCacheMiss)
+	miss, ok := findSpan(tl, mqsspulse.StageCacheMiss)
 	if !ok {
 		t.Fatal("first compile recorded no cache-miss child")
 	}
@@ -128,7 +145,7 @@ func TestTelemetryLocalLifecycle(t *testing.T) {
 	if _, err := h2.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := h2.Timeline().Find(mqsspulse.StageCacheHit); !ok {
+	if _, ok := findSpan(h2.Timeline(), mqsspulse.StageCacheHit); !ok {
 		t.Fatal("warm compile recorded no cache-hit span")
 	}
 }

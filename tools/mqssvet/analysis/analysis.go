@@ -4,9 +4,10 @@
 // proxy access, so the real x/tools multichecker cannot be vendored; this
 // package reimplements the subset mqssvet needs — per-package passes with
 // full type information and suppression comments — on the standard library
-// alone. Swapping back to x/tools later is a mechanical import change:
-// Analyzer, Pass, and Diagnostic keep the upstream field names and
-// semantics wherever both exist.
+// alone, plus one hook upstream lacks: a program-level pass. Swapping back
+// to x/tools later is a mechanical import change: Analyzer, Pass, and
+// Diagnostic keep the upstream field names and semantics wherever both
+// exist.
 package analysis
 
 import (
@@ -27,6 +28,10 @@ type Analyzer struct {
 	// pass.Report/Reportf; the result value is ignored (kept for the
 	// upstream signature).
 	Run func(pass *Pass) (any, error)
+	// RunProgram, when set, runs once over every loaded package (pass.Pkgs)
+	// instead of Run once per package: for a check whose answer depends on
+	// code in other packages, such as whether anything references a name.
+	RunProgram func(pass *Pass) error
 }
 
 // A Pass provides one analyzer's view of one package: syntax, types, and a
@@ -42,7 +47,10 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo holds type information for Files.
 	TypesInfo *types.Info
-	report    func(Diagnostic)
+	// Pkgs holds every loaded package in a RunProgram pass, whose Files,
+	// Pkg and TypesInfo are unset.
+	Pkgs   []*Package
+	report func(Diagnostic)
 }
 
 // Report emits a diagnostic.
@@ -69,6 +77,8 @@ type Package struct {
 	Path string
 	// Name is the package name.
 	Name string
+	// Dir is the directory holding the package's files.
+	Dir string
 	// Files holds the parsed non-test sources.
 	Files []*ast.File
 	// Types is the type-checked package.

@@ -94,7 +94,7 @@ func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
 		if cerr != nil {
 			return nil, nil, fmt.Errorf("typecheck %s: %v", t.ImportPath, cerr)
 		}
-		pkgs = append(pkgs, &Package{Path: t.ImportPath, Name: t.Name, Files: files, Types: pkg, Info: info})
+		pkgs = append(pkgs, &Package{Path: t.ImportPath, Name: t.Name, Dir: t.Dir, Files: files, Types: pkg, Info: info})
 	}
 	return pkgs, fset, nil
 }

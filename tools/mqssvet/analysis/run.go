@@ -18,17 +18,24 @@ import (
 // A name that is neither "all" nor a known analyzer is reported.
 const SuppressPrefix = "//lint:mqssvet"
 
-// Run executes every analyzer over every package, filters suppressed
-// findings, and returns the surviving diagnostics in position order. known
-// is every analyzer a suppression may name — the whole suite, not only the
-// ones run, so an -only run accepts the others' suppressions; a suppression
-// naming anything else is itself a finding.
+// Run executes every analyzer over every package (a program-level one once
+// over all of them), filters suppressed findings, and returns the surviving
+// diagnostics in position order. known is every analyzer a suppression may
+// name — the whole suite, not only the ones run, so an -only run accepts
+// the others' suppressions; a suppression naming anything else is itself a
+// finding.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers, known []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		collect := func(d Diagnostic) {
 			d.Analyzer = a.Name
 			diags = append(diags, d)
+		}
+		if a.RunProgram != nil {
+			if err := a.RunProgram(&Pass{Analyzer: a, Fset: fset, Pkgs: pkgs, report: collect}); err != nil {
+				collect(Diagnostic{Pos: token.NoPos, Message: fmt.Sprintf("internal error: %v", err)})
+			}
+			continue
 		}
 		for _, pkg := range pkgs {
 			pass := &Pass{

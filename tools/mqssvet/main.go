@@ -1,10 +1,11 @@
 // Command mqssvet is the stack's static-analysis entry point: a
 // multichecker that enforces the cross-layer invariants no test can hold,
 // because they span paths no test drives — byte-determinism of the
-// lowering pipeline, context plumbing, hot-loop allocation discipline, and
-// doc-comment coverage. Every analyzer reads one function at a time; which
-// functions spawn goroutines or block is a CI step's committed list, each
-// entry next to the test that ends it.
+// lowering pipeline, context plumbing, hot-loop allocation discipline,
+// doc-comment coverage, and that product code has a product caller. Four
+// analyzers read one function at a time; deadexport reads the whole
+// program. Which functions spawn goroutines or block is a CI step's
+// committed list, each entry next to the test that ends it.
 // It is the one CI lint step:
 //
 //	go run ./tools/mqssvet ./...

@@ -6,16 +6,18 @@ package suite
 import (
 	"mqsspulse/tools/mqssvet/analysis"
 	"mqsspulse/tools/mqssvet/analyzers/ctxflow"
+	"mqsspulse/tools/mqssvet/analyzers/deadexport"
 	"mqsspulse/tools/mqssvet/analyzers/doccomment"
 	"mqsspulse/tools/mqssvet/analyzers/hotalloc"
 	"mqsspulse/tools/mqssvet/analyzers/nodrift"
 )
 
-// All is every analyzer the multichecker knows, in report order. Each reads
-// one function at a time.
+// All is every analyzer the multichecker knows, in report order. The first
+// four read one function at a time; deadexport reads the whole program.
 var All = []*analysis.Analyzer{
 	nodrift.Analyzer,
 	ctxflow.Analyzer,
 	hotalloc.Analyzer,
 	doccomment.Analyzer,
+	deadexport.Analyzer,
 }
