@@ -32,6 +32,9 @@ type Analyzer struct {
 	// instead of Run once per package: for a check whose answer depends on
 	// code in other packages, such as whether anything references a name.
 	RunProgram func(pass *Pass) error
+	// Fixed findings cannot be suppressed inline: the analyzer's exceptions
+	// live in its own reviewed table.
+	Fixed bool
 }
 
 // A Pass provides one analyzer's view of one package: syntax, types, and a
@@ -69,6 +72,7 @@ type Diagnostic struct {
 	Message string
 	// Analyzer is the reporting analyzer's name (filled by the runner).
 	Analyzer string
+	fixed    bool // the analyzer is Fixed
 }
 
 // A Package is one type-checked unit of the program under analysis.

@@ -13,9 +13,10 @@ import (
 //
 //	//lint:mqssvet disable=<name>[,<name>...] [reason]
 //
-// naming the reporting analyzer (or "all"). Suppressions are deliberate,
-// documented exceptions; the reason text is for the reader, not the tool.
-// A name that is neither "all" nor a known analyzer is reported.
+// naming the reporting analyzer (or "all"), unless the analyzer is Fixed.
+// Suppressions are deliberate, documented exceptions; the reason text is
+// for the reader, not the tool. A name that is neither "all" nor a known
+// analyzer is reported.
 const SuppressPrefix = "//lint:mqssvet"
 
 // Run executes every analyzer over every package (a program-level one once
@@ -28,7 +29,7 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers, known []*Analyzer) []D
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		collect := func(d Diagnostic) {
-			d.Analyzer = a.Name
+			d.Analyzer, d.fixed = a.Name, a.Fixed
 			diags = append(diags, d)
 		}
 		if a.RunProgram != nil {
@@ -104,7 +105,7 @@ func filterSuppressed(fset *token.FileSet, pkgs []*Package, diags []Diagnostic, 
 	kept := diags[:0]
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		if !covers(suppressed[pos.Filename][pos.Line], d.Analyzer) {
+		if d.fixed || !covers(suppressed[pos.Filename][pos.Line], d.Analyzer) {
 			kept = append(kept, d)
 		}
 	}

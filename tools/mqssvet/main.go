@@ -2,11 +2,11 @@
 // multichecker that enforces the cross-layer invariants no test can hold,
 // because they span paths no test drives — byte-determinism of the
 // lowering pipeline, context plumbing, hot-loop allocation discipline,
-// doc-comment coverage, and that product code has a product caller. Four
-// analyzers read one function at a time; deadexport reads the whole
-// program. Which functions spawn goroutines or block is a CI step's
-// committed list, each entry next to the test that ends it.
-// It is the one CI lint step:
+// doc-comment coverage, that product code has a product caller, and the
+// layering table of onlyhere: who may submit to a device, build a request,
+// import, spawn or wait where. Four analyzers read one function at a time;
+// deadexport and onlyhere read the whole program. It is the one CI lint
+// step:
 //
 //	go run ./tools/mqssvet ./...
 //

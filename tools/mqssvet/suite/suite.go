@@ -10,14 +10,17 @@ import (
 	"mqsspulse/tools/mqssvet/analyzers/doccomment"
 	"mqsspulse/tools/mqssvet/analyzers/hotalloc"
 	"mqsspulse/tools/mqssvet/analyzers/nodrift"
+	"mqsspulse/tools/mqssvet/analyzers/onlyhere"
 )
 
 // All is every analyzer the multichecker knows, in report order. The first
-// four read one function at a time; deadexport reads the whole program.
+// four read one function at a time; deadexport and onlyhere read the whole
+// program.
 var All = []*analysis.Analyzer{
 	nodrift.Analyzer,
 	ctxflow.Analyzer,
 	hotalloc.Analyzer,
 	doccomment.Analyzer,
 	deadexport.Analyzer,
+	onlyhere.Analyzer,
 }

@@ -44,3 +44,11 @@ func StaleInList() error {
 	_ = ctx
 	return nil
 }
+
+// Fixed shows an onlyhere finding survives both inline forms: its exception
+// belongs in the rule table.
+func Fixed(ch chan int) {
+	//lint:mqssvet disable=onlyhere fixture: not an exception
+	go close(ch) // want "no goroutines here: blocks in .Fixed"
+	<-ch         //lint:mqssvet disable=all fixture: not an exception either // want "no goroutines here: blocks in .Fixed"
+}
