@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -337,9 +338,9 @@ func TestLowerCopiesKernelWaveforms(t *testing.T) {
 	if res.Stats["legalize.padded"] != 0 {
 		t.Fatal("the kernel waveform was padded: the pass copied it, not the frontend")
 	}
-	def, _ := res.MLIR.FindWaveform("blip")
+	def := slices.IndexFunc(res.MLIR.WaveformDefs, func(d *mlir.WaveformDef) bool { return d.Name == "blip" })
 	wc, _ := res.QIR.FindWaveform("blip")
-	if def == nil || wc == nil {
+	if def < 0 || wc == nil {
 		t.Fatal("the kernel waveform is not in the compiled module")
 	}
 	mlirText, qirText := res.MLIR.Print(), string(res.QIR.Emit())

@@ -44,10 +44,19 @@ func (pp *portPlan) frame(port string) mlir.Value {
 // pulse.standard_* ops for the pass pipeline to lower; pulse operations map
 // 1:1 onto dialect ops.
 func Frontend(c *qpi.Circuit, dev qdmi.Device) (*mlir.Module, error) {
-	return frontend(c, qdmi.NewTarget(dev))
+	m, err := frontend(c, qdmi.NewTarget(dev))
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Verify(); err != nil {
+		return nil, fmt.Errorf("compiler: frontend produced invalid module: %w", err)
+	}
+	return m, nil
 }
 
-// frontend is Frontend against the compile's view of the device.
+// frontend is Frontend against the compile's view of the device, without
+// the closing check: Lower hands the module straight to the pipeline, whose
+// first pass verifies it.
 func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 	if err := c.Err(); err != nil {
 		return nil, err
@@ -203,9 +212,6 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 	}
 	seq.Ops = append(seq.Ops, ret)
 	m.Sequences = append(m.Sequences, seq)
-	if err := m.Verify(); err != nil {
-		return nil, fmt.Errorf("compiler: frontend produced invalid module: %w", err)
-	}
 	return m, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"mqsspulse/internal/waveform"
@@ -208,6 +209,58 @@ func TestParseGateParams(t *testing.T) {
 	}
 }
 
+// TestVerifyVerdictIsPerModule: Verify reuses its symbol tables from call
+// to call, so nothing one module defined may satisfy a reference of the
+// next. In order, a module with a dangling reference fails, a valid module
+// that defines the name passes, and the dangling module fails again with
+// the same message; for a %value and for a @def, once and from 8
+// goroutines at a time (the race detector watches the shared tables).
+func TestVerifyVerdictIsPerModule(t *testing.T) {
+	// module plays def @def on frame %ghost of a sequence whose frame arg
+	// is %arg.
+	module := func(arg, def string) *Module {
+		return &Module{
+			WaveformDefs: []*WaveformDef{{Name: def,
+				Waveform: &waveform.Waveform{Name: def, Samples: []complex128{0.5}}}},
+			Sequences: []*Sequence{{Name: "k", Args: []Arg{{Name: arg, Type: TypeMixedFrame}}, Ops: []Op{
+				&WaveformRefOp{Result: "wf", Waveform: "ghost"},
+				&PlayOp{Frame: Ref("ghost"), Waveform: Ref("wf")},
+				&ReturnOp{},
+			}}},
+		}
+	}
+	valid := module("ghost", "ghost")
+	dangling := map[*Module]string{
+		module("f", "ghost"):     "use of undefined value %ghost",
+		module("ghost", "other"): "reference to undefined waveform @ghost",
+	}
+	check := func() {
+		for m, want := range dangling {
+			for i, mod := range []*Module{m, valid, m} {
+				err := mod.Verify()
+				switch {
+				case mod == valid && err != nil:
+					t.Errorf("valid module after a dangling one: %v", err)
+				case mod != valid && (err == nil || !strings.Contains(err.Error(), want)):
+					t.Errorf("dangling module, call %d: %v, want an error containing %q", i+1, err, want)
+				}
+			}
+		}
+	}
+	check()
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				check()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestVerifyCatchesErrors(t *testing.T) {
 	mk := func(mutate func(*Module)) error {
 		m := listing2Module()
@@ -343,6 +396,16 @@ func TestOpRenderAll(t *testing.T) {
 			t.Errorf("%T op name %q not in pulse dialect", op, op.OpName())
 		}
 	}
+}
+
+// FindWaveform returns the named waveform def.
+func (m *Module) FindWaveform(name string) (*WaveformDef, bool) {
+	for _, w := range m.WaveformDefs {
+		if w.Name == name {
+			return w, true
+		}
+	}
+	return nil, false
 }
 
 func TestFindHelpers(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"sync"
 
 	"mqsspulse/internal/waveform"
 )
@@ -48,16 +49,6 @@ type Module struct {
 	Sequences    []*Sequence
 }
 
-// FindWaveform returns the named waveform def.
-func (m *Module) FindWaveform(name string) (*WaveformDef, bool) {
-	for _, w := range m.WaveformDefs {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return nil, false
-}
-
 // OpCount returns the total op count across sequences (pass statistics).
 func (m *Module) OpCount() int {
 	n := 0
@@ -68,9 +59,12 @@ func (m *Module) OpCount() int {
 }
 
 // Verify checks module-level and sequence-level structural invariants:
-// unique symbols, defined value uses, type sanity, single terminator.
+// unique symbols, defined value uses, type sanity, single terminator. It is
+// safe for concurrent use.
 func (m *Module) Verify() error {
-	seen := map[string]bool{}
+	vt := verifiers.Get().(*verifier)
+	defer vt.release()
+	seen := vt.defs
 	for _, w := range m.WaveformDefs {
 		if w.Name == "" {
 			return fmt.Errorf("mlir: waveform def with empty name")
@@ -86,7 +80,7 @@ func (m *Module) Verify() error {
 			return fmt.Errorf("mlir: waveform def @%s: %w", w.Name, err)
 		}
 	}
-	seqSeen := map[string]bool{}
+	seqSeen := vt.seqs
 	for _, s := range m.Sequences {
 		if s.Name == "" {
 			return fmt.Errorf("mlir: sequence with empty name")
@@ -95,18 +89,46 @@ func (m *Module) Verify() error {
 			return fmt.Errorf("mlir: duplicate sequence @%s", s.Name)
 		}
 		seqSeen[s.Name] = true
-		if err := m.verifySequence(s); err != nil {
+		if err := vt.sequence(s); err != nil {
 			return fmt.Errorf("mlir: sequence @%s: %w", s.Name, err)
 		}
 	}
 	return nil
 }
 
-func (m *Module) verifySequence(s *Sequence) error {
+// verifier holds Verify's symbol tables: the module's waveform defs and
+// sequence names, and the values of the sequence being checked. Verify
+// takes one from the pool and empties it before putting it back, so the
+// maps keep the room earlier modules grew them to, and a verdict depends
+// only on the module checked.
+type verifier struct {
+	defs, seqs map[string]bool
+	types      map[string]Type // a sequence's values
+	waveforms  map[string]bool // those of them that are waveform_ref results
+}
+
+var verifiers = sync.Pool{New: func() any {
+	return &verifier{defs: map[string]bool{}, seqs: map[string]bool{},
+		types: map[string]Type{}, waveforms: map[string]bool{}}
+}}
+
+// release empties the tables and returns them to the pool.
+func (vt *verifier) release() {
+	clear(vt.defs)
+	clear(vt.seqs)
+	clear(vt.types)
+	clear(vt.waveforms)
+	verifiers.Put(vt)
+}
+
+// sequence checks one sequence against the module's defs.
+func (vt *verifier) sequence(s *Sequence) error {
 	if len(s.ArgPorts) != 0 && len(s.ArgPorts) != len(s.Args) {
 		return fmt.Errorf("argPorts length %d != args length %d", len(s.ArgPorts), len(s.Args))
 	}
-	types := map[string]Type{}
+	clear(vt.types)
+	clear(vt.waveforms)
+	types, waveformValues := vt.types, vt.waveforms
 	for i, a := range s.Args {
 		if a.Name == "" {
 			return fmt.Errorf("arg %d has empty name", i)
@@ -164,7 +186,6 @@ func (m *Module) verifySequence(s *Sequence) error {
 		return nil
 	}
 
-	waveformValues := map[string]bool{}
 	sawReturn := false
 	for oi, op := range s.Ops {
 		if sawReturn {
@@ -190,7 +211,7 @@ func (m *Module) verifySequence(s *Sequence) error {
 			if _, dup := types[o.Result]; dup {
 				return fmt.Errorf("op %d: redefinition of %%%s", oi, o.Result)
 			}
-			if _, ok := m.FindWaveform(o.Waveform); !ok {
+			if !vt.defs[o.Waveform] {
 				return fmt.Errorf("op %d: reference to undefined waveform @%s", oi, o.Waveform)
 			}
 			types[o.Result] = TypeWaveform

@@ -48,9 +48,10 @@ type ExecOptions struct {
 	// compiles against it.
 	ShotWorkers int
 
-	// exact replaces the fast driven-sample path (matrix-free scaled-Taylor
-	// propagator, memoized propagators for constant-envelope stretches)
-	// with the reference per-sample eigendecomposition (linalg.ExpI) —
+	// exact replaces the fast path (matrix-free scaled-Taylor ticks,
+	// memoized Taylor-built propagators for idle segments and
+	// constant-envelope stretches) with the reference: one eigendecomposition
+	// (linalg.ExpI) per driven sample and per idle segment, never cached —
 	// orders of magnitude slower. Only this package's property tests set
 	// it: they pin the fast path against it (state fidelity ≥ 1−1e−9).
 	exact bool
@@ -108,7 +109,7 @@ type ExecResult struct {
 // system never does: a job on a warm device shows hits and no misses.
 type EngineStats struct {
 	// PropCacheHits and PropCacheMisses count look-ups of the executor's
-	// propagator cache; every miss is one dense matrix exponential.
+	// propagator cache; every miss is one dense Taylor build.
 	PropCacheHits, PropCacheMisses int64
 	// DissipatorSteps counts RK4 steps of the density engine's dissipator.
 	DissipatorSteps int64
@@ -488,9 +489,9 @@ func (e *Executor) sampleDt(sp *pulse.ScheduledProgram) (float64, error) {
 }
 
 // evolve integrates the dynamics over [0, makespan) ticks. Idle segments
-// are always advanced exactly (one cached ExpI per distinct segment
-// length); driven segments go through the matrix-free fast path, or the
-// reference per-sample eigendecomposition when a test sets opts.exact.
+// are advanced by one propagator each (cached per distinct segment
+// length); driven segments go through the matrix-free fast path. When a
+// test sets opts.exact, both use the reference eigendecomposition instead.
 func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, opts ExecOptions) error {
 	plays, ticks := p.plays, p.ticks
 	collapse := e.Model.collapse
@@ -522,7 +523,7 @@ func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, 
 			// is applied exactly in one shot; the dissipator is integrated
 			// with capped RK4 steps (its rates are slow, so this is stable).
 			if !e.driftFree() {
-				u, err := e.propagator(eng, nil, nil, t1-t0)
+				u, err := e.propagator(eng, nil, nil, t1-t0, opts.exact)
 				if err != nil {
 					return err
 				}
@@ -588,21 +589,20 @@ func chiAt(p *playEvent, tick int64, dt float64) complex128 {
 	return s * p.chi0 * cmplx.Exp(complex(0, -2*math.Pi*p.detune*tAbs))
 }
 
-// drivenExact steps a driven segment with the reference integrator: dense
-// Hamiltonian assembly plus one eigendecomposition per sample tick (and,
-// on the density engine, the same dissipator step as the fast path).
+// drivenExact steps a driven segment with the reference integrator: one
+// eigendecomposition per sample tick (and, on the density engine, the
+// same dissipator step as the fast path).
 func (e *Executor) drivenExact(eng *fastEngine, st *State, rho *Density, t0, t1 int64, poll func(int64) bool) error {
-	h, active := eng.denseScratch(e.Model.HilbertDim()), eng.active
+	active := eng.active
 	for tick := t0; tick < t1; tick++ {
 		if poll(1) {
 			return ErrInterrupted
 		}
-		copy(h.Data, e.Model.Drift.Data)
+		eng.chis = eng.chis[:0]
 		for i := range active {
-			p := &active[i]
-			p.ch.driveTerm(h, chiAt(p, tick, eng.dt))
+			eng.chis = append(eng.chis, chiAt(&active[i], tick, eng.dt))
 		}
-		u, err := linalg.ExpI(h, eng.dt)
+		u, err := e.propagator(eng, active, eng.chis, 1, true)
 		if err != nil {
 			return err
 		}
@@ -616,8 +616,8 @@ func (e *Executor) drivenExact(eng *fastEngine, st *State, rho *Density, t0, t1 
 
 // drivenFast steps a driven segment with the fast path. Stretches of
 // constant χ (square pulses, flat-tops, repeated samples — detected by
-// lookahead) are exponentiated exactly once, memoized in the propagator
-// cache, and applied as dense matrix-vector products; every other tick is
+// lookahead) are built once, memoized in the propagator cache, and applied
+// as dense matrix-vector products; every other tick is
 // advanced matrix-free by the scaled-Taylor stepper with zero
 // steady-state allocations.
 func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 int64, poll func(int64) bool) error {
@@ -688,9 +688,9 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 		case rho != nil && !collapse.empty():
 			// Constant stretch with decoherence: the splitting integrator
 			// still interleaves the dissipator per tick, but the unitary
-			// factor is exponentiated once and applied with the stepper's
+			// factor is built once and applied with the stepper's
 			// allocation-free conjugation.
-			u, err := e.propagator(eng, active, chis, 1)
+			u, err := e.propagator(eng, active, chis, 1, false)
 			if err != nil {
 				return err
 			}
@@ -703,9 +703,9 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 			}
 			tick += run
 		default:
-			// Constant stretch, unitary dynamics: one exact exponential for
-			// the whole stretch.
-			u, err := e.propagator(eng, active, chis, run)
+			// Constant stretch, unitary dynamics: one propagator for the
+			// whole stretch.
+			u, err := e.propagator(eng, active, chis, run, false)
 			if err != nil {
 				return err
 			}
@@ -737,17 +737,17 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 // Taylor sub-step count. The shift is exact — exp(-iH·dt) =
 // e^{-iλ·dt}·exp(-i(H−λI)·dt) — and the scalar phase cancels entirely in
 // density conjugation, so only the state-vector engine re-applies it (as
-// tickPhase per tick).
+// tickPhase per tick). A cached propagator carries it (see propagator).
 type fastEngine struct {
 	EngineStats
 	ham       *tickHam
 	vec       *vecStepper // state-vector engine
-	mat       *matStepper // density engine
+	mat       *matStepper // density engine; either engine's cache-miss build scratch
 	dt        float64     // sample period of the run
 	active    []playEvent // plays of the segment in flight
 	chis      []complex128
 	scratch   []complex128
-	dense     *linalg.Matrix // Hamiltonian assembly scratch, built on first cache miss
+	dense     *linalg.Matrix // the exact reference's Hamiltonian assembly scratch
 	keyBuf    []byte         // propagator-cache key scratch
 	tickPhase complex128     // e^{-iλ·dt}, applied per state-vector tick
 }
@@ -824,36 +824,38 @@ func (eng *fastEngine) dissipate(cs *collapseSet, rho *Density, dt float64) {
 	eng.mat.dissipate(cs, rho.Rho, dt)
 }
 
-// denseScratch returns the run's n×n Hamiltonian assembly buffer; a run
-// served entirely from a warm cache never allocates it.
-func (eng *fastEngine) denseScratch(n int) *linalg.Matrix {
-	if eng.dense == nil {
-		eng.dense = linalg.NewMatrix(n, n)
+// propagator returns the dense propagator exp(-i·H·t) over `ticks` samples
+// of the constant Hamiltonian defined by (active, chis) — no plays for an
+// idle stretch. A fast run consults the executor's cache first and builds
+// a miss by the scaled-Taylor series in the engine's mat scratch (made on
+// the state-vector engine's first miss and pooled with it), times the
+// spectral shift's phase, so cached propagators are exact. The exact
+// reference (exact set) assembles the dense Hamiltonian with the true drift
+// and runs linalg.ExpI, neither reading nor filling the cache.
+func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []complex128, ticks int64, exact bool) (*linalg.Matrix, error) {
+	n, t := e.Model.HilbertDim(), float64(ticks)*eng.dt
+	if exact {
+		if eng.dense == nil {
+			eng.dense = linalg.NewMatrix(n, n)
+		}
+		h := eng.dense
+		copy(h.Data, e.Model.Drift.Data)
+		for i := range active {
+			active[i].ch.driveTerm(h, chis[i])
+		}
+		return linalg.ExpI(h, t)
 	}
-	return eng.dense
-}
-
-// propagator returns the dense propagator over `ticks` samples of the
-// constant Hamiltonian defined by (active, chis) — no plays for an idle
-// stretch — exp(-i·H·t), consulting the executor's cache first. The dense
-// assembly on a miss uses the true (unshifted) drift, so cached
-// propagators are exact.
-func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []complex128, ticks int64) (*linalg.Matrix, error) {
 	eng.keyBuf = propKey(eng.keyBuf, eng.dt, active, chis, ticks)
 	if u, ok := e.cache.get(eng.keyBuf); ok {
 		eng.PropCacheHits++
 		return u, nil
 	}
 	eng.PropCacheMisses++
-	h := eng.denseScratch(e.Model.HilbertDim())
-	copy(h.Data, e.Model.Drift.Data)
-	for i := range active {
-		active[i].ch.driveTerm(h, chis[i])
+	if eng.mat == nil {
+		eng.mat = newMatStepper(n) // the state-vector engine's build scratch
 	}
-	u, err := linalg.ExpI(h, float64(ticks)*eng.dt)
-	if err != nil {
-		return nil, err
-	}
+	eng.loadHam(active, chis)
+	u := eng.mat.stretch(eng.ham, t, cmplx.Exp(complex(0, -e.lam*t)))
 	e.cache.put(eng.keyBuf, u)
 	return u, nil
 }

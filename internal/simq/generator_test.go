@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mqsspulse/internal/linalg"
@@ -12,8 +13,10 @@ import (
 // BenchmarkDensityTick times the per-tick costs of the density engine at
 // the sc-2 shape (two d = 3 transmons, T1/T2 on both): the conjugation by a
 // cached propagator alone, the dissipator step alone, a tick of a constant
-// stretch (the two together) and a tick of a varying envelope (Hamiltonian
-// load, Taylor propagator build, conjugation, dissipator).
+// stretch (the two together), a tick of a varying envelope (Hamiltonian
+// load, Taylor propagator build, conjugation, dissipator) and a
+// propagator-cache miss (the key, the Taylor build of a one-tick stretch
+// and its cache entry).
 func BenchmarkDensityTick(b *testing.B) {
 	ex := twoTransmonOpenRig(b)
 	cs := ex.Model.collapse
@@ -21,10 +24,11 @@ func BenchmarkDensityTick(b *testing.B) {
 	rho := randomDensity(rand.New(rand.NewSource(3)), ex.Model.Dims)
 	active := []playEvent{{ch: ex.Model.Channels["d0"]}, {ch: ex.Model.Channels["d1"]}}
 	chis := []complex128{complex(0.3, 0.1), complex(-0.2, 0.4)}
-	u, err := ex.propagator(eng, active, chis, 1)
+	u, err := ex.propagator(eng, active, chis, 1, false)
 	if err != nil {
 		b.Fatal(err)
 	}
+	missChis := slices.Clone(chis)
 	for _, bc := range []struct {
 		name string
 		tick func()
@@ -39,6 +43,12 @@ func BenchmarkDensityTick(b *testing.B) {
 			eng.loadHam(active, chis)
 			eng.mat.conjugate(eng.ham, rho.Rho, eng.dt)
 			eng.dissipate(cs, rho, eng.dt)
+		}},
+		{"stretch-miss", func() {
+			missChis[0] += 1e-6 // a χ no look-up has seen
+			if _, err := ex.propagator(eng, active, missChis, 1, false); err != nil {
+				b.Fatal(err)
+			}
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

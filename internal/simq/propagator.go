@@ -12,18 +12,20 @@ import (
 // This file implements the fast time-evolution path of the executor: a
 // matrix-free scaled-Taylor propagator that advances ψ (or ρ) under the
 // per-sample Hamiltonian without ever materializing a dense H, running an
-// eigendecomposition, or allocating in steady state. The exact
-// eigendecomposition propagator (linalg.ExpI) remains the reference — it
-// is still used for idle segments and constant-envelope stretches (once
-// per distinct stretch, memoized in the executor's propagator cache), and
-// for every driven tick when a property test sets ExecOptions.exact.
+// eigendecomposition, or allocating in steady state. Idle segments and
+// constant-envelope stretches are built densely by the same series (once
+// per distinct stretch, memoized in the executor's propagator cache). The
+// exact eigendecomposition propagator (linalg.ExpI) is the reference only:
+// a property test that sets ExecOptions.exact gets it for every propagator.
 //
 // Accuracy: each sample tick applies exp(-i·H·dt) expanded as a Taylor
 // series on the state, sub-stepped so that ‖H‖·dt_sub ≤ taylorThetaMax
 // and truncated once the next term falls below taylorTol. With
 // θ ≤ 1 the series converges superlinearly and the truncation error is
 // ≲ 1e-13 per sub-step — far below the 1e-9 state-fidelity bound the
-// property tests pin against exact ExpI.
+// property tests pin against exact ExpI. A stretch halves its duration s
+// times to reach θ ≤ 1 and squares the result s times, which can grow the
+// residual by up to 2^s; the long-stretch property tests pin that too.
 
 const (
 	// taylorThetaMax caps ‖H‖·dt per Taylor sub-step; above it the tick is
@@ -224,13 +226,50 @@ func (s *matStepper) propagator(h *tickHam, dt float64) {
 	if theta > taylorThetaMax {
 		m = int(math.Ceil(theta / taylorThetaMax))
 	}
-	sub := dt / float64(m)
+	s.series(h, dt/float64(m))
+	copy(s.u.Data, s.acc.Data)
+	for i := 1; i < m; i++ {
+		s.u.MulInto(s.work, s.acc)
+		s.u, s.work = s.work, s.u
+	}
+}
 
+// stretch returns a new matrix holding exp(-i·H·t)·phase, where phase is
+// the spectral shift's e^{-iλt}, so the result is the unshifted propagator.
+// It halves t until ‖H‖·t ≤ taylorThetaMax, expands the series there and
+// squares the result back up in the stepper's scratch; the copy it returns
+// is the build's one allocation.
+func (s *matStepper) stretch(h *tickHam, t float64, phase complex128) *linalg.Matrix {
+	halvings := 0
+	for theta := h.normBound() * t; theta > taylorThetaMax; theta /= 2 {
+		halvings++
+	}
+	s.series(h, math.Ldexp(t, -halvings))
+	x, y := s.acc, s.work
+	for range halvings {
+		x.MulInto(y, x)
+		x, y = y, x
+	}
+	u := x.Clone()
+	if phase != 1 {
+		for i := range u.Data {
+			u.Data[i] *= phase
+		}
+	}
+	return u
+}
+
+// series fills s.acc with the Taylor series of exp(-i·H·t) expanded on the
+// identity, truncated once the sup-norm of the next term drops below
+// taylorTol. t must satisfy ‖H‖·t ≤ taylorThetaMax.
+//
+//mqss:hotloop
+func (s *matStepper) series(h *tickHam, t float64) {
 	setIdentity(s.acc)
 	setIdentity(s.term)
 	for k := 1; k <= taylorMaxTerms; k++ {
 		h.applyLeft(s.tmp, s.term)
-		c := complex(0, -sub/float64(k))
+		c := complex(0, -t/float64(k))
 		var mx float64
 		for j := range s.tmp.Data {
 			v := c * s.tmp.Data[j]
@@ -243,11 +282,6 @@ func (s *matStepper) propagator(h *tickHam, dt float64) {
 		if mx < taylorTol {
 			break
 		}
-	}
-	copy(s.u.Data, s.acc.Data)
-	for i := 1; i < m; i++ {
-		s.u.MulInto(s.work, s.acc)
-		s.u, s.work = s.work, s.u
 	}
 }
 
@@ -279,10 +313,10 @@ func propKey(buf []byte, dt float64, active []playEvent, chis []complex128, tick
 	return b
 }
 
-// propCache memoizes exact propagators for constant-envelope stretches:
+// propCache memoizes propagators for constant-envelope stretches:
 // the key encodes the active (port, χ) pairs and the stretch duration, so
 // square pulses, flat-tops, idle gaps and repeated calibrated envelopes
-// exponentiate once per distinct shape and reuse the dense propagator
+// are built once per distinct shape and reuse the dense propagator
 // afterwards. The cache belongs to the Executor and is shared by all of
 // its runs, which may be concurrent, so access is guarded: lookups take a
 // read lock (the hot case — a warmed cache serves concurrent readers

@@ -323,3 +323,149 @@ func TestFastIntegratorDetunedDrive(t *testing.T) {
 		t.Fatalf("detuned fast vs exact fidelity %.15g", fid)
 	}
 }
+
+// TestLongStretchesMatchExact pins the stretch build where it is weakest: a
+// stretch halves its duration until ‖H‖·t ≤ 1 and squares the series back
+// up, which can grow the Taylor residual by up to 2^s. A 100,000-tick idle
+// segment and a 4,096-tick constant drive, each between two Gaussians so
+// the state carries coherences through it, stay within the property tests'
+// tolerances of the exact reference on both engines.
+func TestLongStretchesMatchExact(t *testing.T) {
+	gaussian := func(s *pulse.Schedule, amp float64) {
+		w, err := waveform.Gaussian{Amplitude: amp, SigmaFrac: 0.2}.Materialize("g", 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(&pulse.Play{Port: "d0", Frame: "f0", Waveform: w}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stretches := map[string]func(s *pulse.Schedule){
+		"idle 100000": func(s *pulse.Schedule) {
+			if err := s.Append(&pulse.Delay{Port: "d0", Samples: 100_000}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"drive 4096": func(s *pulse.Schedule) { playConst(t, s, "d0", "f0", 0.6, 4096) },
+	}
+	for name, stretch := range stretches {
+		for _, dims := range [][]int{{3}, {2, 2}} {
+			for _, open := range []bool{false, true} {
+				var cs []Collapse
+				if open {
+					cs = RelaxationCollapses(dims, 0, 300e-6, 200e-6)
+				}
+				s, ex := randomDriveRig(t, rand.New(rand.NewSource(43)), dims, cs)
+				gaussian(s, 0.5)
+				stretch(s)
+				gaussian(s, 0.8)
+				sp, err := s.Resolve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fast, err := ex.Run(sp, ExecOptions{Shots: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				exact, err := ex.Run(sp, ExecOptions{Shots: 1, exact: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fast.PropCacheMisses == 0 {
+					t.Fatalf("%s, dims %v: no stretch was built", name, dims)
+				}
+				if open {
+					if diff := fast.FinalDensity.Rho.Sub(exact.FinalDensity.Rho).MaxAbs(); diff > 1e-9 {
+						t.Errorf("%s, dims %v: fast vs exact density off by %g", name, dims, diff)
+					}
+					continue
+				}
+				if fid := Fidelity(fast.FinalState, exact.FinalState); fid < 1-1e-9 {
+					t.Errorf("%s, dims %v: fast vs exact fidelity %.15g", name, dims, fid)
+				}
+			}
+		}
+	}
+}
+
+// TestExactRunBypassesPropagatorCache: the exact reference computes every
+// propagator itself. A run with exact set after a fast run has filled the
+// executor's cache looks nothing up in it and adds nothing to it, on both
+// engines, so the fast path is never checked against its own output.
+func TestExactRunBypassesPropagatorCache(t *testing.T) {
+	for _, open := range []bool{false, true} {
+		var cs []Collapse
+		if open {
+			cs = RelaxationCollapses([]int{3}, 0, 30e-6, 20e-6)
+		}
+		s, ex := randomDriveRig(t, rand.New(rand.NewSource(5)), []int{3}, cs)
+		playConst(t, s, "d0", "f0", 0.4, 40)
+		if err := s.Append(&pulse.Delay{Port: "d0", Samples: 100}); err != nil {
+			t.Fatal(err)
+		}
+		playConst(t, s, "d0", "f0", 0.7, 24)
+		sp, err := s.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := ex.Run(sp, ExecOptions{Shots: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached := ex.cache.size()
+		if fast.PropCacheMisses == 0 || cached == 0 {
+			t.Fatalf("open=%v: the fast run cached nothing (%+v)", open, fast.EngineStats)
+		}
+		exact, err := ex.Run(sp, ExecOptions{Shots: 1, exact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.PropCacheHits != 0 || exact.PropCacheMisses != 0 || ex.cache.size() != cached {
+			t.Fatalf("open=%v: exact run made %d hits and %d misses, cache %d → %d entries",
+				open, exact.PropCacheHits, exact.PropCacheMisses, cached, ex.cache.size())
+		}
+	}
+}
+
+// TestStretchBuildMatchesExpI compares a propagator-cache miss with the
+// reference matrix itself, not a state it produced: the Taylor build
+// carries the spectral shift's phase e^{−iλt}, so the cached propagator is
+// exp(−iH·t) entry by entry, for one tick and for long stretches, driven and
+// idle, built in either engine's scratch.
+func TestStretchBuildMatchesExpI(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, dims := range [][]int{{2}, {3}, {2, 2}} {
+		for _, open := range []bool{false, true} {
+			var cs []Collapse
+			if open {
+				cs = RelaxationCollapses(dims, 0, 30e-6, 20e-6)
+			}
+			_, ex := randomDriveRig(t, rng, dims, cs)
+			eng := ex.newFastEngine(open, 1e-9)
+			drive := []playEvent{{ch: ex.Model.Channels["d0"]}}
+			for _, c := range []struct {
+				active []playEvent
+				chis   []complex128
+				ticks  int64
+			}{
+				{drive, []complex128{complex(0.3, -0.4)}, 1},
+				{drive, []complex128{complex(-0.7, 0.2)}, 4096},
+				{nil, nil, 1},
+				{nil, nil, 100_000},
+			} {
+				got, err := ex.propagator(eng, c.active, c.chis, c.ticks, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ex.propagator(eng, c.active, c.chis, c.ticks, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := got.Sub(want).MaxAbs(); d > 1e-9 {
+					t.Errorf("dims %v, open %v, %d ticks, %d plays: built propagator off by %g",
+						dims, open, c.ticks, len(c.active), d)
+				}
+			}
+		}
+	}
+}

@@ -2,7 +2,9 @@ package mqsspulse_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -84,6 +86,70 @@ func TestPerfContractCachedJob(t *testing.T) {
 	// scratch). The ceiling is the file's margin over the -race reading.
 	if n := testing.AllocsPerRun(200, job); n > 46 {
 		t.Fatalf("warm cached job allocates %v objects, want ≤ 46", n)
+	}
+}
+
+// TestPerfContractColdCompile: the benchmark's cold_compile operation, a
+// one-shot job whose kernel the client has never seen — a seeded 2-qubit
+// gate list of 8 to 48 gates on the benchmark's closed tiny-2 rig — through
+// qpi.Run → NativeAdapter → a lowering-cache miss (frontend, pass pipeline,
+// backend) → QRM → a device link and run whose propagators the device's
+// cache may not hold. The kernels are built before counting.
+func TestPerfContractColdCompile(t *testing.T) {
+	cfg := tinyFleetConfig("tiny-2", 7)
+	cfg.Sites = []devices.SiteConfig{{Dim: 2, FreqHz: 5e9}, {Dim: 2, FreqHz: 5.1e9}}
+	cfg.Couplings = []devices.CouplingConfig{{A: 0, Kind: devices.CouplingZZ, RabiHz: 250e6}}
+	dev, err := devices.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err := mqsspulse.NewStack(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stack.Close)
+	ad := &mqsspulse.NativeAdapter{Client: stack.Client, Target: "tiny-2"}
+
+	const jobs = 4 * 41 // each length from 8 to 48 gates four times
+	rng := rand.New(rand.NewSource(1))
+	kernels := make([]*mqsspulse.Circuit, jobs+1) // AllocsPerRun warms up on one
+	for i := range kernels {
+		k := mqsspulse.NewCircuit(fmt.Sprintf("cold_%d", i), 2, 2)
+		for range 8 + i%41 {
+			q := rng.Intn(2)
+			switch rng.Intn(6) {
+			case 0:
+				k.X(q)
+			case 1:
+				k.H(q)
+			case 2:
+				k.SX(q)
+			case 3:
+				k.RX(q, 2*math.Pi*rng.Float64())
+			case 4:
+				k.RZ(q, 2*math.Pi*rng.Float64())
+			case 5:
+				k.CZ(q, 1-q)
+			}
+		}
+		if err := k.Measure(0, 0).Measure(1, 1).End(); err != nil {
+			t.Fatal(err)
+		}
+		kernels[i] = k
+	}
+	next := 0
+	job := func() {
+		if _, err := mqsspulse.Run(context.Background(), ad, kernels[next], mqsspulse.WithShots(1)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	// Measured 2026-10-17: 811–812, 883–885 under -race (1,041–1,044 and
+	// 1,083–1,085 while every propagator-cache miss was an eigendecomposition
+	// and every module verification built its own symbol tables). The
+	// ceiling is the file's margin over the -race reading.
+	if n := testing.AllocsPerRun(jobs, job); n > 965 {
+		t.Fatalf("cold compile-and-run allocates %v objects, want ≤ 965", n)
 	}
 }
 
@@ -212,14 +278,16 @@ func TestPerfContractBoundSweepPoint(t *testing.T) {
 		}
 	}
 	sweep() // lowers the template once
-	// Measured 2026-10-15: 56.9, 62.4–62.8 under -race (107.9 and
-	// 113.3–113.6 while every point was a module of its own that the device
-	// linked and prepared; 118.9–119.0 and 124.3–124.5 with a growing span
-	// slice per timeline; 122.7 and 129.0 with a formatted trace ID per point
-	// and the worker's per-job names; 158 and 160.5 before prepared
-	// programs). The ceiling is the roadmap's 65 per point, 3.5% over the
-	// -race reading: a reading averaged over 3,072 points moves far less.
-	if perPoint := testing.AllocsPerRun(3, sweep) / points; perPoint > 65 {
-		t.Fatalf("warm bound sweep point allocates %.1f objects, want ≤ 65", perPoint)
+	// Measured 2026-10-17: 37.0, 41.9–42.0 under -race (51.9 and 57.4 while
+	// each point's one propagator-cache miss — the Gaussian's equal middle
+	// pair at a new amplitude — was an eigendecomposition; 56.9 and
+	// 62.4–62.8 on 2026-10-15; 107.9 and 113.3–113.6 while every point was
+	// a module of its own that the device linked and prepared; 118.9–119.0
+	// and 124.3–124.5 with a growing span slice per timeline; 122.7 and
+	// 129.0 with a formatted trace ID per point and the worker's per-job
+	// names; 158 and 160.5 before prepared programs). The ceiling is the
+	// file's margin over the -race reading.
+	if perPoint := testing.AllocsPerRun(3, sweep) / points; perPoint > 46 {
+		t.Fatalf("warm bound sweep point allocates %.1f objects, want ≤ 46", perPoint)
 	}
 }
