@@ -74,7 +74,7 @@ func (b *bench) kernel(name string, gates ...string) *qpi.Circuit {
 // the site's drive port, in order.
 func (b *bench) play(c *qpi.Circuit, gates ...string) *qpi.Circuit {
 	for _, g := range gates {
-		if _, defined := c.Waveforms[g]; !defined {
+		if _, defined := c.LookupWaveform(g); !defined {
 			c.Waveform(g, b.env[g])
 		}
 		c.PlayWaveform(b.drive.ID, g)

@@ -65,13 +65,12 @@ type Client struct {
 	cacheHits, cacheMisses *telemetry.Counter // telem's "client/cache_*"
 
 	mu sync.Mutex
-	// loweringCache memoizes compiled programs keyed by their descriptor
-	// (ptemplate.Descriptor: device, kernel structure, declared parameter
-	// space). It is a bounded LRU (cacheLimit entries; lruList front = most
-	// recently used), and every program records the calibration epoch of the
-	// device it was lowered against: a lookup whose target has recalibrated
-	// since invalidates the entry instead of serving a stale program.
-	loweringCache map[string]*list.Element
+	// loweringCache memoizes compiled programs by cacheKey. It is a bounded
+	// LRU (cacheLimit entries; lruList front = most recently used), and
+	// every program records the calibration epoch of the device it was
+	// lowered against: a lookup whose target has recalibrated since
+	// invalidates the entry instead of serving a stale program.
+	loweringCache map[cacheKey]*list.Element
 	lruList       *list.List
 	cacheLimit    int
 	cacheStats    CacheStats
@@ -80,10 +79,15 @@ type Client struct {
 	templateEntries int
 }
 
-// cacheEntry is one cached program under its descriptor. A template's entry
-// serves every sweep point, so a hit on it is a bind, not a payload reuse.
+// cacheKey is a lowering-cache key: the device a program compiles against
+// and the program's key, rendered once — by qpi.Circuit.End for a kernel,
+// by ptemplate.New for a template — so a lookup renders nothing.
+type cacheKey struct{ target, program string }
+
+// cacheEntry is one cached program under its key. A template's entry serves
+// every sweep point, so a hit on it is a bind, not a payload reuse.
 type cacheEntry struct {
-	key     string
+	key     cacheKey
 	program *ptemplate.Compiled
 }
 
@@ -117,7 +121,7 @@ func New(session *qdmi.Session) *Client {
 		session:       session,
 		qrm:           qrm.New(session),
 		telem:         telemetry.NewRegistry(),
-		loweringCache: map[string]*list.Element{},
+		loweringCache: map[cacheKey]*list.Element{},
 		lruList:       list.New(),
 		cacheLimit:    DefaultCacheEntries,
 	}
@@ -192,7 +196,7 @@ func (c *Client) Compile(k *qpi.Circuit, device string) ([]byte, qdmi.ProgramFor
 // compile half of the split compile/submit path the remote adapter uses.
 func (c *Client) CompileTraced(k *qpi.Circuit, device string, tl *telemetry.Timeline) ([]byte, qdmi.ProgramFormat, int64, error) {
 	start := time.Now()
-	program, hit, err := c.lower(&lowering{k: k, target: device})
+	program, hit, err := c.lower(cacheKey{device, k.Key()}, k, nil)
 	if err != nil {
 		return nil, "", 0, err
 	}
@@ -210,38 +214,23 @@ func (c *Client) CompileTraced(k *qpi.Circuit, device string, tl *telemetry.Time
 // CacheStats.Binds), and a calibration-epoch bump invalidates the entry
 // exactly like a concrete kernel's.
 func (c *Client) CompileTemplate(t *ptemplate.Template, device string) (*ptemplate.Compiled, error) {
-	program, _, err := c.lower(&lowering{k: t.Circuit, params: t.Params, target: device})
+	program, _, err := c.lower(cacheKey{device, t.Key()}, t.Circuit(), t.Params())
 	return program, err
 }
 
-// lowering is one program's way into the lowering cache: a circuit, its
-// declared parameters (none for a concrete kernel), the device it compiles
-// against, and the cache key those render to. The first lookup renders the
-// key and the lowering keeps it, so a sweep renders it once for all its
-// points.
-type lowering struct {
-	k      *qpi.Circuit
-	params []ptemplate.Param
-	target string
-	key    string
-}
+// lowerTraced is lower under ctx, with its time recorded on tl.
+func (c *Client) lowerTraced(ctx context.Context, key cacheKey, k *qpi.Circuit, params []ptemplate.Param,
+	tl *telemetry.Timeline) (*ptemplate.Compiled, error) {
 
-// cacheKey returns the lowering's cache key, ptemplate.Descriptor.
-func (l *lowering) cacheKey() string {
-	if l.key == "" {
-		l.key = ptemplate.Descriptor(l.k, l.params, l.target)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("client: submit: %w", err)
 	}
-	return l.key
-}
-
-// lowerTraced is lower with its time recorded on tl.
-func (c *Client) lowerTraced(l *lowering, tl *telemetry.Timeline) (*ptemplate.Compiled, error) {
 	start := time.Now()
-	program, hit, err := c.lower(l)
+	program, hit, err := c.lower(key, k, params)
 	if err != nil {
 		return nil, err
 	}
-	recordCompile(tl, l.target, start, hit)
+	recordCompile(tl, key.target, start, hit)
 	return program, nil
 }
 
@@ -257,14 +246,14 @@ func recordCompile(tl *telemetry.Timeline, device string, start time.Time, hit b
 	tl.Record(cacheStage, device, start, d, span)
 }
 
-// lower is the one path through the lowering cache: it returns the compiled
-// program for l and whether the cache served it.
-func (c *Client) lower(l *lowering) (*ptemplate.Compiled, bool, error) {
-	dev, err := c.session.Device(l.target)
+// lower is the one path through the lowering cache: it returns the program
+// k lowers to under key — its slots, if any, declared by params — and
+// whether the cache served it.
+func (c *Client) lower(key cacheKey, k *qpi.Circuit, params []ptemplate.Param) (*ptemplate.Compiled, bool, error) {
+	dev, err := c.session.Device(key.target)
 	if err != nil {
 		return nil, false, err
 	}
-	key := l.cacheKey()
 	// The epoch is read before the probe: a recalibration landing mid-lookup
 	// can only make the entry look stale, and one landing mid-compile is
 	// caught by the dispatch-time check or the next lookup — the race can
@@ -277,7 +266,7 @@ func (c *Client) lower(l *lowering) (*ptemplate.Compiled, bool, error) {
 	if el, ok := c.loweringCache[key]; ok {
 		entry := el.Value.(*cacheEntry)
 		if entry.program.Epoch == epoch {
-			if len(l.params) == 0 {
+			if len(params) == 0 {
 				c.cacheStats.Hits++
 			} else {
 				// A cache-hot template: this sweep point pays a bind, not a
@@ -296,7 +285,7 @@ func (c *Client) lower(l *lowering) (*ptemplate.Compiled, bool, error) {
 	c.cacheStats.Misses++
 	c.mu.Unlock()
 	c.cacheMisses.Add(1)
-	program, err := ptemplate.LowerCircuit(l.k, l.params, dev, l.target, key)
+	program, err := ptemplate.LowerCircuit(k, params, dev, key.target)
 	if err != nil {
 		return nil, false, err
 	}
@@ -315,7 +304,7 @@ func (c *Client) lower(l *lowering) (*ptemplate.Compiled, bool, error) {
 		c.cacheStats.Invalidations++
 	}
 	c.loweringCache[key] = c.lruList.PushFront(&cacheEntry{key: key, program: program})
-	if len(l.params) > 0 {
+	if len(params) > 0 {
 		c.templateEntries++
 	}
 	c.evictLocked()
@@ -337,7 +326,7 @@ func (c *Client) SubmitCtx(ctx context.Context, k *qpi.Circuit, device string, o
 		return nil, err
 	}
 	if !k.Finished() {
-		return nil, fmt.Errorf("client: kernel %q not finished", k.Name)
+		return nil, fmt.Errorf("client: kernel %q not finished", k.Name())
 	}
 	target, err := c.qrm.CompileTarget(device, opts.Pool)
 	if err != nil {
@@ -349,23 +338,11 @@ func (c *Client) SubmitCtx(ctx context.Context, k *qpi.Circuit, device string, o
 	} else {
 		tl.AttachRegistry(c.telem)
 	}
-	return c.submit(ctx, &lowering{k: k, target: target}, nil, device, opts, tl)
-}
-
-// submit is the local job path behind SubmitCtx and every sweep point:
-// lower the program through the cache (onto tl's compile span), then
-// enqueue it.
-func (c *Client) submit(ctx context.Context, l *lowering, b ptemplate.Bindings,
-	device string, opts SubmitOptions, tl *telemetry.Timeline) (*qrm.Ticket, error) {
-
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("client: submit: %w", err)
-	}
-	program, err := c.lowerTraced(l, tl)
+	program, err := c.lowerTraced(ctx, cacheKey{target, k.Key()}, k, nil, tl)
 	if err != nil {
 		return nil, err
 	}
-	return c.enqueue(ctx, program, b, device, opts, tl)
+	return c.enqueue(ctx, program, nil, device, opts, tl)
 }
 
 // enqueue is the one place a job becomes a qrm.Request, local or off the

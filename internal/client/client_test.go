@@ -133,7 +133,7 @@ func TestInterpretedAdapterParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Name != "bell" || countKind(k, qpi.OpGate) != 2 || countKind(k, qpi.OpMeasure) != 2 {
+	if k.Name() != "bell" || countKind(k, qpi.OpGate) != 2 || countKind(k, qpi.OpMeasure) != 2 {
 		t.Fatalf("parsed kernel wrong: %+v", k)
 	}
 	res, err := a.ExecuteCtx(context.Background(), bellProgram, SubmitOptions{Shots: 2000})
@@ -290,7 +290,7 @@ func TestNonPositiveShotsFailEverywhere(t *testing.T) {
 // countKind returns the number of k's ops of the given kind.
 func countKind(k *qpi.Circuit, kind qpi.OpKind) int {
 	n := 0
-	for _, op := range k.Ops {
+	for _, op := range k.Ops() {
 		if op.Kind == kind {
 			n++
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -200,11 +201,13 @@ func FuzzResponseLine(f *testing.F) {
 // FuzzParseProgram drives arbitrary text through the interpreted adapter's
 // parser, a decoder of bytes the stack did not write. Whatever arrives, it
 // never panics, and it answers an error or a finished kernel that carries
-// none.
+// none and records only finite numbers — a NaN angle or frame change is
+// rejected where it enters, not by the compiler's backend.
 func FuzzParseProgram(f *testing.F) {
+	nonFinite := "circuit c 1 1\nrx 0 0.5\nry 0 -4\nrz 0 NaN\nmeasure 0 0\n"
 	for _, seed := range []string{
 		bellProgram,
-		"circuit c 1 1\nrx 0 0.5\nry 0 -4\nrz 0 NaN\nmeasure 0 0\n",
+		nonFinite,
 		"circuit p 1 1\nwaveform w 0.1,0 0.2,0.1\nplay q0-drive w\nframechange q0-drive 5e9 0.1\ndelay q0-drive 8\nbarrier\nmeasure 0 0",
 		"circuit c 1 1\nwaveform w x",
 		"x 0",
@@ -213,6 +216,10 @@ func FuzzParseProgram(f *testing.F) {
 		f.Add(seed)
 	}
 	a := &InterpretedAdapter{}
+	if _, err := a.ParseProgram(nonFinite); err == nil {
+		f.Fatal("a NaN angle was accepted")
+	}
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	f.Fuzz(func(t *testing.T, src string) {
 		k, err := a.ParseProgram(src)
 		if err != nil {
@@ -223,6 +230,19 @@ func FuzzParseProgram(f *testing.F) {
 		}
 		if !k.Finished() || k.Err() != nil {
 			t.Fatalf("accepted kernel: finished %v, error %v", k.Finished(), k.Err())
+		}
+		for i, op := range k.Ops() {
+			nums := append([]float64{op.FrequencyHz, op.PhaseRad}, op.Params...)
+			if w, ok := k.LookupWaveform(op.WaveformName); ok && op.Kind == qpi.OpWaveformDef {
+				for _, s := range w.Samples {
+					nums = append(nums, real(s), imag(s))
+				}
+			}
+			for _, x := range nums {
+				if !finite(x) {
+					t.Fatalf("accepted kernel: op %d (%v) records %v", i, op.Kind, x)
+				}
+			}
 		}
 	})
 }

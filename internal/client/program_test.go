@@ -64,7 +64,7 @@ func TestCachedJobReachesDeviceAsModule(t *testing.T) {
 	if _, err := c.RunCtx(ctx, k, "hpcqc-sc", SubmitOptions{Shots: 16}); err != nil {
 		t.Fatal(err)
 	}
-	program, _, err := c.lower(&lowering{k: k, target: "hpcqc-sc"})
+	program, _, err := c.lower(cacheKey{"hpcqc-sc", k.Key()}, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestModuleAndTextSubmissionsAgree(t *testing.T) {
 		run := func(asModule bool) *qdmi.Result {
 			c, dev := sweepStack(t, 2024)
 			k := bell(t)
-			program, err := ptemplate.LowerCircuit(k, nil, dev, "hpcqc-sc", ptemplate.Descriptor(k, nil, "hpcqc-sc"))
+			program, err := ptemplate.LowerCircuit(k, nil, dev, "hpcqc-sc")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,8 +38,7 @@ func (c *Client) SubmitSweepCtx(ctx context.Context, t *ptemplate.Template, devi
 		sweepTrace = telemetry.NewTraceID()
 	}
 	id := append([]byte(sweepTrace), "/p"...) // the digits go in its spare capacity
-	// One lowering for every point, so the cache key is rendered once.
-	l := &lowering{k: t.Circuit, params: t.Params, target: target}
+	key := cacheKey{target, t.Key()}
 	for i, b := range bindings {
 		// Per-point lookup: point 0 compiles, the rest bind. Going through
 		// the cache each iteration (rather than hoisting one compile) keeps a
@@ -47,7 +46,12 @@ func (c *Client) SubmitSweepCtx(ctx context.Context, t *ptemplate.Template, devi
 		// lookup probes the device's epoch, and an invalidated entry
 		// recompiles at the new one.
 		tl := telemetry.NewTimeline(string(strconv.AppendInt(id, int64(i), 10)), c.telem)
-		tickets[i], errs[i] = c.submit(ctx, l, b, device, opts, tl)
+		program, err := c.lowerTraced(ctx, key, t.Circuit(), t.Params(), tl)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		tickets[i], errs[i] = c.enqueue(ctx, program, b, device, opts, tl)
 	}
 	return tickets, errs
 }

@@ -156,7 +156,7 @@ func TestRandomCircuitEquivalence(t *testing.T) {
 		if err := c.End(); err != nil {
 			t.Fatal(err)
 		}
-		want := idealDistribution(c.Ops)
+		want := idealDistribution(c.Ops())
 
 		res, err := Compile(c, dev)
 		if err != nil {
@@ -188,7 +188,7 @@ func TestRandomCircuitEquivalence(t *testing.T) {
 		}
 		if tv > 0.06 {
 			t.Fatalf("trial %d (depth %d): TV distance %.4f\nops: %+v\nwant %v\ngot %v",
-				trial, depth, tv, c.Ops, want, out.Counts)
+				trial, depth, tv, c.Ops(), want, out.Counts)
 		}
 	}
 }

@@ -7,7 +7,6 @@ package compiler
 
 import (
 	"fmt"
-	"math"
 
 	"mqsspulse/internal/mlir"
 	"mqsspulse/internal/passes"
@@ -62,7 +61,7 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 		return nil, err
 	}
 	if !c.Finished() {
-		return nil, fmt.Errorf("compiler: circuit %q not finished", c.Name)
+		return nil, fmt.Errorf("compiler: circuit %q not finished", c.Name())
 	}
 	plan := &portPlan{index: map[string]int{}}
 	// span adds the ports op's calibrated implementation spans on sites.
@@ -77,8 +76,9 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 		}
 		return err
 	}
+	ops := c.Ops()
 	// Pass 1: collect every port the kernel touches, in first-use order.
-	for _, op := range c.Ops {
+	for _, op := range ops {
 		var err error
 		switch op.Kind {
 		case qpi.OpGate:
@@ -104,33 +104,27 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 		}
 	}
 	if len(plan.ports) == 0 {
-		return nil, fmt.Errorf("compiler: kernel %q touches no hardware ports", c.Name)
+		return nil, fmt.Errorf("compiler: kernel %q touches no hardware ports", c.Name())
 	}
 
 	m := &mlir.Module{}
-	seq := &mlir.Sequence{Name: c.Name}
+	seq := &mlir.Sequence{Name: c.Name()}
 	for i, port := range plan.ports {
 		seq.Args = append(seq.Args, mlir.Arg{Name: plan.argNames[i], Type: mlir.TypeMixedFrame})
 		seq.ArgPorts = append(seq.ArgPorts, port)
 	}
 
-	// Waveform defs from the kernel. A WaveformEnvelopeP definition carries
-	// an amplitude slot on its defining op; attach it to the def.
-	ampOf := map[string]*qpi.ParamExpr{}
-	for _, op := range c.Ops {
-		if op.Kind == qpi.OpWaveformDef && op.AmpExpr != nil {
-			ampOf[op.WaveformName] = op.AmpExpr
+	// One def per defining op, carrying its amplitude slot if it has one.
+	// The def shares the kernel's waveform: nothing downstream writes
+	// samples.
+	for _, op := range ops {
+		if op.Kind == qpi.OpWaveformDef {
+			w, _ := c.LookupWaveform(op.WaveformName)
+			m.WaveformDefs = append(m.WaveformDefs, &mlir.WaveformDef{
+				Name: op.WaveformName, Waveform: w, AmpExpr: op.AmpExpr})
 		}
 	}
-	// Each is cloned once: the caller may still write to c.Waveforms, and
-	// from here on the passes, the backend and the link share the copy.
-	for name, w := range c.Waveforms {
-		cw := w.Clone()
-		cw.Name = name
-		m.WaveformDefs = append(m.WaveformDefs, &mlir.WaveformDef{
-			Name: name, Waveform: cw, AmpExpr: ampOf[name]})
-	}
-	// Deterministic def order (map iteration is random).
+	// The module lists defs by name, whatever order the kernel defined them in.
 	sortWaveformDefs(m.WaveformDefs)
 
 	// Pass 2: emit ops; a measurement is played from its implementation.
@@ -138,14 +132,9 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 	nextVal := 0
 	var captureNames []string
 	player := passes.NewPlayer(m, seq, target)
-	for _, op := range c.Ops {
+	for _, op := range ops {
 		switch op.Kind {
 		case qpi.OpGate:
-			for _, p := range op.Params {
-				if !angleOK(p) {
-					return nil, fmt.Errorf("compiler: gate %s has non-finite parameter %v", op.Gate, p)
-				}
-			}
 			frames := make([]mlir.Value, len(op.Qubits))
 			for i, q := range op.Qubits {
 				frames[i] = plan.frame(target.Drive(q).ID)
@@ -222,6 +211,3 @@ func sortWaveformDefs(defs []*mlir.WaveformDef) {
 		}
 	}
 }
-
-// angleOK rejects non-finite gate parameters early.
-func angleOK(p float64) bool { return !math.IsNaN(p) && !math.IsInf(p, 0) }

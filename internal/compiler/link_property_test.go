@@ -121,7 +121,7 @@ func TestCompiledProgramsLinkWithinPortLimits(t *testing.T) {
 				err = linkedWithinLimits(s)
 			}
 			if err != nil {
-				t.Fatalf("%s kernel %d: %v\nops: %+v", p.name, i, err, k.Ops)
+				t.Fatalf("%s kernel %d: %v\nops: %+v", p.name, i, err, k.Ops())
 			}
 		}
 	}

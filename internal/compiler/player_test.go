@@ -37,10 +37,21 @@ func linked(t *testing.T, d *devices.SimDevice, m *qir.Module) []string {
 	return out
 }
 
-// gateModule is the gate-level module of k with the given body.
+// gateModule is the gate-level module of kernel k with the given body,
+// sized by the qubit and result handles the body names.
 func gateModule(k *qpi.Circuit, body []qir.Call) *qir.Module {
-	return &qir.Module{ID: k.Name, Profile: qir.ProfileBase, EntryName: k.Name,
-		NumQubits: k.Qubits, NumResults: k.Classical, Body: body}
+	m := &qir.Module{ID: k.Name(), Profile: qir.ProfileBase, EntryName: k.Name(), Body: body}
+	for _, c := range body {
+		for _, a := range c.Args {
+			switch a.Kind {
+			case qir.ArgQubit:
+				m.NumQubits = max(m.NumQubits, int(a.I)+1)
+			case qir.ArgResult:
+				m.NumResults = max(m.NumResults, int(a.I)+1)
+			}
+		}
+	}
+	return m
 }
 
 // bothPaths links kernel k on d twice: compiled, and as the gate-level module

@@ -141,10 +141,10 @@ func F1TopDown(ctx context.Context) (*Table, error) {
 			return nil, err
 		}
 		t.Rows = append(t.Rows,
-			[]string{k.Name, "frontend (QPI→MLIR)", dur(res.frontend), fmt.Sprintf("%d MLIR ops", res.mlirOps)},
-			[]string{k.Name, "midend (pass pipeline)", dur(res.midend), fmt.Sprintf("%d MLIR ops after", res.mlirOpsAfter)},
-			[]string{k.Name, "backend (MLIR→QIR)", dur(res.backend), fmt.Sprintf("%d QIR calls, %d B payload", res.qirCalls, res.payloadBytes)},
-			[]string{k.Name, "link+schedule (QDMI)", dur(res.link), fmt.Sprintf("%d instr, %.3g µs waveforms", res.schedInstr, res.schedSeconds*1e6)},
+			[]string{k.Name(), "frontend (QPI→MLIR)", dur(res.frontend), fmt.Sprintf("%d MLIR ops", res.mlirOps)},
+			[]string{k.Name(), "midend (pass pipeline)", dur(res.midend), fmt.Sprintf("%d MLIR ops after", res.mlirOpsAfter)},
+			[]string{k.Name(), "backend (MLIR→QIR)", dur(res.backend), fmt.Sprintf("%d QIR calls, %d B payload", res.qirCalls, res.payloadBytes)},
+			[]string{k.Name(), "link+schedule (QDMI)", dur(res.link), fmt.Sprintf("%d instr, %.3g µs waveforms", res.schedInstr, res.schedSeconds*1e6)},
 		)
 	}
 	t.Notes = append(t.Notes, "every stage of Fig. 1 is exercised; waveform µs is the physical schedule makespan")

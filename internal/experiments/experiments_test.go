@@ -129,7 +129,7 @@ func TestByIDResolvesAll(t *testing.T) {
 
 func TestKernelBuilders(t *testing.T) {
 	b := BellKernel()
-	if !b.Finished() || slices.ContainsFunc(b.Ops, func(op qpi.Op) bool { return op.Kind == qpi.OpFrameChange }) {
+	if !b.Finished() || slices.ContainsFunc(b.Ops(), func(op qpi.Op) bool { return op.Kind == qpi.OpFrameChange }) {
 		t.Fatal("bell kernel malformed")
 	}
 }

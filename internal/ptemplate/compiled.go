@@ -22,8 +22,8 @@ import (
 // A Compiled is shared by every job that uses it and must not be modified
 // or copied.
 type Compiled struct {
-	// Fingerprint is the program's wire identity (see Template.Fingerprint);
-	// bound values never contribute to it.
+	// Fingerprint is the program's wire identity, a hash of the device and
+	// the program's key; bound values never contribute to it.
 	Fingerprint string
 	// Device is the target the program was lowered against.
 	Device string
@@ -101,30 +101,28 @@ func Lower(t *Template, dev qdmi.Device, deviceName string) (*Compiled, error) {
 	if t == nil {
 		return nil, errors.New("ptemplate: nil template")
 	}
-	return LowerCircuit(t.Circuit, t.Params, dev, deviceName, Descriptor(t.Circuit, t.Params, deviceName))
+	return LowerCircuit(t.circuit, t.params, dev, deviceName)
 }
 
 // LowerCircuit is the step Lower shares with concrete kernels: it compiles
 // a finished circuit whose slots, if any, are declared by params. New stays
 // the only way to build a Template and keeps rejecting a circuit with no
 // slots; a circuit with slots and no declared parameters is rejected here.
-// descriptor is Descriptor(k, params, deviceName), passed in because a
-// caller with a cache has already rendered it as the key.
-func LowerCircuit(k *qpi.Circuit, params []Param, dev qdmi.Device, deviceName, descriptor string) (*Compiled, error) {
+func LowerCircuit(k *qpi.Circuit, params []Param, dev qdmi.Device, deviceName string) (*Compiled, error) {
 	if dev == nil {
 		return nil, errors.New("ptemplate: nil device")
 	}
 	if len(params) == 0 && k.IsParametric() {
 		return nil, fmt.Errorf(
 			"ptemplate: kernel %q carries unbound parameters %v; wrap it in a Template and use SubmitSweepCtx/RunSweep",
-			k.Name, k.ParamNames())
+			k.Name(), k.ParamNames())
 	}
 	res, err := compiler.Lower(k, dev)
 	if err != nil {
-		return nil, fmt.Errorf("ptemplate: lowering %q: %w", k.Name, err)
+		return nil, fmt.Errorf("ptemplate: lowering %q: %w", k.Name(), err)
 	}
 	return &Compiled{
-		Fingerprint: fingerprint(descriptor),
+		Fingerprint: fingerprint(deviceName, k.Key(), params),
 		Device:      deviceName,
 		Epoch:       res.Epoch,
 		Format:      compiler.FormatFor(res.QIR),

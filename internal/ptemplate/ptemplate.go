@@ -22,11 +22,9 @@
 package ptemplate
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -60,13 +58,24 @@ type Bindings map[string]float64
 // space, validated for range legality and ready to lower once per
 // (device, calibration epoch).
 type Template struct {
-	// Circuit is the finished parametric kernel.
-	Circuit *qpi.Circuit
-	// Params are the declared parameters, sorted by name.
-	Params []Param
-
-	byName map[string]Param
+	circuit *qpi.Circuit
+	params  []Param // sorted by name
+	byName  map[string]Param
+	// key is the circuit's key plus the declared parameter space.
+	key string
 }
+
+// Circuit returns the finished parametric kernel.
+func (t *Template) Circuit() *qpi.Circuit { return t.circuit }
+
+// Params returns the declared parameters, sorted by name. The slice is the
+// template's own: callers must not modify it.
+func (t *Template) Params() []Param { return t.params }
+
+// Key returns the template's lowering-cache key, rendered once by New: the
+// circuit's Key and every declared range. Bound values never appear in it,
+// so every sweep point of a template shares one.
+func (t *Template) Key() string { return t.key }
 
 // New validates a parametric circuit against its declared parameter space
 // and returns a template. Every parameter the circuit references must be
@@ -88,10 +97,10 @@ func New(c *qpi.Circuit, params ...Param) (*Template, error) {
 		return nil, fmt.Errorf("ptemplate: circuit: %w", err)
 	}
 	if !c.Finished() {
-		return nil, fmt.Errorf("ptemplate: circuit %q not finished", c.Name)
+		return nil, fmt.Errorf("ptemplate: circuit %q not finished", c.Name())
 	}
 	if !c.IsParametric() {
-		return nil, fmt.Errorf("ptemplate: circuit %q has no parameter slots", c.Name)
+		return nil, fmt.Errorf("ptemplate: circuit %q has no parameter slots", c.Name())
 	}
 	byName := make(map[string]Param, len(params))
 	for _, p := range params {
@@ -130,7 +139,8 @@ func New(c *qpi.Circuit, params ...Param) (*Template, error) {
 	for _, name := range used { // used is already sorted
 		sorted = append(sorted, byName[name])
 	}
-	t := &Template{Circuit: c, Params: sorted, byName: byName}
+	t := &Template{circuit: c, params: sorted, byName: byName,
+		key: string(appendParams([]byte(c.Key()), sorted))}
 	if err := t.checkRangeLegality(); err != nil {
 		return nil, err
 	}
@@ -151,8 +161,9 @@ func (t *Template) exprRange(e *qpi.ParamExpr) (lo, hi float64) {
 // checkRangeLegality proves every slot lowers legally over its parameter's
 // whole declared range, so Bind never has to consult the compiler.
 func (t *Template) checkRangeLegality() error {
-	for i := range t.Circuit.Ops {
-		op := &t.Circuit.Ops[i]
+	ops := t.circuit.Ops()
+	for i := range ops {
+		op := &ops[i]
 		if e := op.AngleExpr; e != nil && (op.Gate == "rx" || op.Gate == "ry") {
 			lo, hi := t.exprRange(e)
 			if lo < -math.Pi || hi > math.Pi {
@@ -170,7 +181,7 @@ func (t *Template) checkRangeLegality() error {
 			}
 		}
 		if e := op.AmpExpr; e != nil {
-			w, ok := t.Circuit.Waveforms[op.WaveformName]
+			w, ok := t.circuit.LookupWaveform(op.WaveformName)
 			if !ok {
 				return fmt.Errorf("ptemplate: waveform %q has an amplitude slot but no samples", op.WaveformName)
 			}
@@ -219,98 +230,28 @@ func validateBindings(params []Param, b Bindings) error {
 	return nil
 }
 
-// Descriptor renders (circuit structure, declared parameter space, device)
-// as one string: the lowering-cache key. It is the only circuit descriptor
-// in the stack and covers every field of qpi.Op, so two programs that lower
-// differently never share a cache entry; bound values never appear in it,
-// so every sweep point of a template shares one. A concrete kernel is the
-// no-parameter case. Strings are quoted and floats rendered as exact bits,
-// so neither a separator inside a name nor a difference below print
-// precision can make two descriptors collide.
-func Descriptor(k *qpi.Circuit, params []Param, device string) string {
-	b := make([]byte, 0, 64+96*len(k.Ops))
-	str := func(s string) { b = append(strconv.AppendQuote(b, s), ':') }
-	num := func(n int64) { b = append(strconv.AppendInt(b, n, 10), ':') }
-	f64 := func(f float64) { b = append(strconv.AppendUint(b, math.Float64bits(f), 16), ':') }
-	str(device)
-	str(k.Name)
-	num(int64(k.Qubits))
-	num(int64(k.Classical))
-	num(int64(len(k.Ops)))
-	for i := range k.Ops {
-		op := &k.Ops[i]
-		b = append(b, '|')
-		num(int64(op.Kind))
-		str(op.Gate)
-		num(int64(len(op.Qubits)))
-		for _, q := range op.Qubits {
-			num(int64(q))
-		}
-		num(int64(len(op.Params)))
-		for _, p := range op.Params {
-			f64(p)
-		}
-		str(op.WaveformName)
-		str(op.Port)
-		f64(op.FrequencyHz)
-		f64(op.PhaseRad)
-		num(op.DelaySamples)
-		num(int64(op.Qubit))
-		num(int64(op.Cbit))
-		num(op.WindowSamples)
-		for _, e := range [...]*qpi.ParamExpr{op.AngleExpr, op.FreqExpr, op.PhaseExpr, op.DelayExpr, op.AmpExpr} {
-			if e == nil {
-				b = append(b, '-', ':')
-				continue
-			}
-			str(e.Param)
-			f64(e.Scale)
-			f64(e.Offset)
-		}
-	}
+// appendParams renders a declared parameter space onto a key. Strings are
+// quoted and floats rendered as exact bits, as in qpi.Circuit.Key.
+func appendParams(b []byte, params []Param) []byte {
 	for _, p := range params {
 		b = append(b, '|', 'p')
-		str(p.Name)
-		f64(p.Min)
-		f64(p.Max)
+		b = append(strconv.AppendQuote(b, p.Name), ':')
+		b = append(strconv.AppendUint(b, math.Float64bits(p.Min), 16), ':')
+		b = append(strconv.AppendUint(b, math.Float64bits(p.Max), 16), ':')
 	}
-	if len(k.Waveforms) > 0 {
-		b = append(b, '|', 'w')
-		b = strconv.AppendUint(b, waveformDigest(k), 16)
-	}
-	return string(b)
+	return b
 }
 
-// fingerprint collapses a descriptor to a fixed-width ID — with the
-// calibration epoch, the wire protocol's program ID, small regardless of
-// circuit size. The cache keys on the full descriptor, so a hash collision
-// can at worst confuse two programs registered on one remote connection,
-// never serve a wrong cached program.
-func fingerprint(descriptor string) string {
+// fingerprint collapses (device, circuit key, declared parameter space) to
+// a fixed-width ID — with the calibration epoch, the wire protocol's program
+// ID, small regardless of circuit size. The client's cache keys on the full
+// key, so a hash collision can at worst confuse two programs registered on
+// one remote connection, never serve a wrong cached program.
+func fingerprint(device, key string, params []Param) string {
+	b := make([]byte, 0, len(device)+len(key)+48*len(params)+8)
+	b = append(strconv.AppendQuote(b, device), ':')
+	b = appendParams(append(b, key...), params)
 	h := fnv.New64a()
-	_, _ = io.WriteString(h, descriptor)
+	_, _ = h.Write(b)
 	return fmt.Sprintf("tpl-%016x", h.Sum64())
-}
-
-// waveformDigest hashes every waveform's sample data in name order: two
-// kernels that define different samples under one waveform name must not
-// collide.
-func waveformDigest(k *qpi.Circuit) uint64 {
-	names := make([]string, 0, len(k.Waveforms))
-	for name := range k.Waveforms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h := fnv.New64a()
-	var buf [16]byte
-	for _, name := range names {
-		_, _ = io.WriteString(h, name)
-		_, _ = h.Write([]byte{0})
-		for _, s := range k.Waveforms[name].Samples {
-			binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(real(s)))
-			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(s)))
-			_, _ = h.Write(buf[:])
-		}
-	}
-	return h.Sum64()
 }

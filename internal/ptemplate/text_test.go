@@ -32,7 +32,7 @@ func fixedKernel(t *testing.T) *qpi.Circuit {
 func TestTextEmittedOnceForAllCallers(t *testing.T) {
 	dev := templateDevice(t)
 	k := fixedKernel(t)
-	program, err := LowerCircuit(k, nil, dev, "tpl-sc", Descriptor(k, nil, "tpl-sc"))
+	program, err := LowerCircuit(k, nil, dev, "tpl-sc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,8 @@ func TestTextEmittedOnceForAllCallers(t *testing.T) {
 func TestLowerCircuitBudget(t *testing.T) {
 	dev := templateDevice(t)
 	k := fixedKernel(t)
-	key := Descriptor(k, nil, "tpl-sc")
 	lower := func() {
-		if _, err := LowerCircuit(k, nil, dev, "tpl-sc", key); err != nil {
+		if _, err := LowerCircuit(k, nil, dev, "tpl-sc"); err != nil {
 			t.Fatal(err)
 		}
 	}

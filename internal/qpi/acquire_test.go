@@ -22,7 +22,7 @@ func TestAcquireBuilder(t *testing.T) {
 		t.Fatalf("acquire op count %d", n)
 	}
 	var op Op
-	for _, o := range c.Ops {
+	for _, o := range c.ops {
 		if o.Kind == OpAcquire {
 			op = o
 		}

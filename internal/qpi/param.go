@@ -21,12 +21,14 @@ func SymAffine(name string, scale, offset float64) *ParamExpr {
 	return &ParamExpr{Param: name, Scale: scale, Offset: offset}
 }
 
+// finite reports whether f is neither NaN nor ±Inf: every number a kernel
+// records is.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
 // validExpr reports whether the expression is structurally usable: a named
 // parameter and finite coefficients.
 func validExpr(e *ParamExpr) bool {
-	return e != nil && e.Param != "" &&
-		!math.IsNaN(e.Scale) && !math.IsInf(e.Scale, 0) &&
-		!math.IsNaN(e.Offset) && !math.IsInf(e.Offset, 0)
+	return e != nil && e.Param != "" && finite(e.Scale) && finite(e.Offset)
 }
 
 // cloneExpr returns a private copy so later caller mutations cannot alias
@@ -54,11 +56,8 @@ func (c *Circuit) checkExpr(where string, e *ParamExpr) bool {
 // expression. Only rx, ry, and rz admit symbolic angles: their lowerings are
 // affine in the angle, so the slot survives gate→pulse lowering.
 func (c *Circuit) gateP(name string, q int, theta *ParamExpr) *Circuit {
-	if c.err != nil {
+	if !c.appendable() {
 		return c
-	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
 	}
 	if !c.checkExpr("gate "+name, theta) {
 		return c
@@ -69,9 +68,9 @@ func (c *Circuit) gateP(name string, q int, theta *ParamExpr) *Circuit {
 		return c.fail("qpi: gate %q does not accept a parametric angle", name)
 	}
 	if !c.checkQubit(q) {
-		return c.fail("qpi: qubit %d out of range [0,%d)", q, c.Qubits)
+		return c.fail("qpi: qubit %d out of range [0,%d)", q, c.qubits)
 	}
-	c.Ops = append(c.Ops, Op{Kind: OpGate, Gate: name, Qubits: []int{q},
+	c.ops = append(c.ops, Op{Kind: OpGate, Gate: name, Qubits: []int{q},
 		Params: []float64{0}, AngleExpr: cloneExpr(theta)})
 	return c
 }
@@ -90,11 +89,8 @@ func (c *Circuit) RZP(q int, theta *ParamExpr) *Circuit { return c.gateP("rz", q
 // concrete value with a symbolic one, use SymAffine(param, 0, value) for the
 // concrete slot. At least one slot must be symbolic.
 func (c *Circuit) FrameChangeP(port string, freq, phase *ParamExpr) *Circuit {
-	if c.err != nil {
+	if !c.appendable() {
 		return c
-	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
 	}
 	if port == "" {
 		return c.fail("qpi: frame change on empty port name")
@@ -115,18 +111,15 @@ func (c *Circuit) FrameChangeP(port string, freq, phase *ParamExpr) *Circuit {
 	if phase != nil {
 		op.PhaseExpr = cloneExpr(phase)
 	}
-	c.Ops = append(c.Ops, op)
+	c.ops = append(c.ops, op)
 	return c
 }
 
 // DelayP idles a port for a symbolic number of samples; the bound value is
 // rounded to the nearest integer and must be non-negative.
 func (c *Circuit) DelayP(port string, samples *ParamExpr) *Circuit {
-	if c.err != nil {
+	if !c.appendable() {
 		return c
-	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
 	}
 	if port == "" {
 		return c.fail("qpi: delay on empty port name")
@@ -134,7 +127,7 @@ func (c *Circuit) DelayP(port string, samples *ParamExpr) *Circuit {
 	if !c.checkExpr("delay", samples) {
 		return c
 	}
-	c.Ops = append(c.Ops, Op{Kind: OpDelay, Port: port, DelayExpr: cloneExpr(samples)})
+	c.ops = append(c.ops, Op{Kind: OpDelay, Port: port, DelayExpr: cloneExpr(samples)})
 	return c
 }
 
@@ -146,9 +139,9 @@ func (c *Circuit) WaveformP(name string, amps []complex128, amp *ParamExpr) *Cir
 	if c.err != nil || !c.checkExpr("waveform "+name, amp) {
 		return c
 	}
-	def := len(c.Ops)
+	def := len(c.ops)
 	if c.Waveform(name, amps); c.err == nil {
-		c.Ops[def].AmpExpr = cloneExpr(amp)
+		c.ops[def].AmpExpr = cloneExpr(amp)
 	}
 	return c
 }
@@ -168,8 +161,8 @@ func (c *Circuit) WaveformEnvelopeP(name string, env waveform.Envelope, n int, a
 
 // IsParametric reports whether any op carries an unbound parameter slot.
 func (c *Circuit) IsParametric() bool {
-	for i := range c.Ops {
-		if c.Ops[i].hasExpr() {
+	for i := range c.ops {
+		if c.ops[i].hasExpr() {
 			return true
 		}
 	}
@@ -180,8 +173,8 @@ func (c *Circuit) IsParametric() bool {
 // parameter referenced by the circuit.
 func (c *Circuit) ParamNames() []string {
 	seen := map[string]bool{}
-	for i := range c.Ops {
-		for _, e := range c.Ops[i].exprs() {
+	for i := range c.ops {
+		for _, e := range c.ops[i].exprs() {
 			if e != nil {
 				seen[e.Param] = true
 			}

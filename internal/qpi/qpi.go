@@ -14,6 +14,8 @@ package qpi
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 
 	"mqsspulse/internal/readout"
 	"mqsspulse/internal/waveform"
@@ -125,15 +127,20 @@ type Op struct {
 	AmpExpr *ParamExpr
 }
 
-// Circuit is a mixed gate/pulse quantum kernel under construction, built in
-// the style of the paper's Listing 1 (qCircuitBegin ... qCircuitEnd).
+// Circuit is a mixed gate/pulse quantum kernel, built in the style of the
+// paper's Listing 1 (qCircuitBegin ... qCircuitEnd). End freezes it — a
+// builder call after it records an error and appends nothing — and renders
+// its lowering-cache key (Key) once, so every consumer may treat a finished
+// circuit as a value.
 type Circuit struct {
-	Name      string
-	Qubits    int
-	Classical int
-	Ops       []Op
-	Waveforms map[string]*waveform.Waveform
+	name      string
+	qubits    int
+	classical int
+	ops       []Op
+	waveforms map[string]*waveform.Waveform
 
+	// key is rendered by End; empty until then.
+	key      string
 	finished bool
 	err      error
 }
@@ -142,8 +149,8 @@ type Circuit struct {
 // qInitClassicalRegisters). Checks run in argument order and the first
 // failure is the one Err reports; later checks never overwrite it.
 func NewCircuit(name string, qubits, classical int) *Circuit {
-	c := &Circuit{Name: name, Qubits: qubits, Classical: classical,
-		Waveforms: map[string]*waveform.Waveform{}}
+	c := &Circuit{name: name, qubits: qubits, classical: classical,
+		waveforms: map[string]*waveform.Waveform{}}
 	switch {
 	case name == "":
 		c.err = errors.New("qpi: circuit needs a name")
@@ -153,6 +160,21 @@ func NewCircuit(name string, qubits, classical int) *Circuit {
 		c.err = errors.New("qpi: negative classical register count")
 	}
 	return c
+}
+
+// Name returns the kernel's name.
+func (c *Circuit) Name() string { return c.name }
+
+// Ops returns the kernel's operations in program order. The slice, and
+// every Op's slice fields, are the circuit's own and shared with every
+// reader: callers must not modify them.
+func (c *Circuit) Ops() []Op { return c.ops }
+
+// LookupWaveform returns the waveform defined under name, if any. The
+// waveform is the circuit's own and shared: callers must not modify it.
+func (c *Circuit) LookupWaveform(name string) (*waveform.Waveform, bool) {
+	w, ok := c.waveforms[name]
+	return w, ok
 }
 
 // Err returns the first construction error; all builder methods are no-ops
@@ -167,15 +189,21 @@ func (c *Circuit) fail(format string, args ...any) *Circuit {
 	return c
 }
 
-func (c *Circuit) checkQubit(q int) bool { return q >= 0 && q < c.Qubits }
+// appendable reports whether a builder call may append: End has not been
+// called and no error recorded. A call after End records that as the error.
+func (c *Circuit) appendable() bool {
+	if c.err == nil && c.finished {
+		c.fail("qpi: append to finished circuit")
+	}
+	return c.err == nil
+}
+
+func (c *Circuit) checkQubit(q int) bool { return q >= 0 && q < c.qubits }
 
 // Gate appends a named gate.
 func (c *Circuit) Gate(name string, qubits []int, params ...float64) *Circuit {
-	if c.err != nil {
+	if !c.appendable() {
 		return c
-	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
 	}
 	spec, ok := Gates[name]
 	if !ok {
@@ -187,17 +215,22 @@ func (c *Circuit) Gate(name string, qubits []int, params ...float64) *Circuit {
 	if len(params) != spec.Params {
 		return c.fail("qpi: gate %s expects %d params, got %d", name, spec.Params, len(params))
 	}
+	for _, p := range params {
+		if !finite(p) {
+			return c.fail("qpi: gate %s has non-finite parameter %v", name, p)
+		}
+	}
 	seen := map[int]bool{}
 	for _, q := range qubits {
 		if !c.checkQubit(q) {
-			return c.fail("qpi: qubit %d out of range [0,%d)", q, c.Qubits)
+			return c.fail("qpi: qubit %d out of range [0,%d)", q, c.qubits)
 		}
 		if seen[q] {
 			return c.fail("qpi: gate %s repeats qubit %d", name, q)
 		}
 		seen[q] = true
 	}
-	c.Ops = append(c.Ops, Op{Kind: OpGate, Gate: name,
+	c.ops = append(c.ops, Op{Kind: OpGate, Gate: name,
 		Qubits: append([]int(nil), qubits...), Params: append([]float64(nil), params...)})
 	return c
 }
@@ -235,21 +268,18 @@ func (c *Circuit) CX(a, b int) *Circuit { return c.Gate("cx", []int{a, b}) }
 // Waveform defines a named waveform from explicit amplitudes — the paper's
 // qWaveform(waveform, amps).
 func (c *Circuit) Waveform(name string, amps []complex128) *Circuit {
-	if c.err != nil {
+	if !c.appendable() {
 		return c
 	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
-	}
-	if _, dup := c.Waveforms[name]; dup {
+	if _, dup := c.waveforms[name]; dup {
 		return c.fail("qpi: duplicate waveform %q", name)
 	}
 	w, err := waveform.New(name, amps)
 	if err != nil {
 		return c.fail("qpi: waveform %q: %v", name, err)
 	}
-	c.Waveforms[name] = w
-	c.Ops = append(c.Ops, Op{Kind: OpWaveformDef, WaveformName: name})
+	c.waveforms[name] = w
+	c.ops = append(c.ops, Op{Kind: OpWaveformDef, WaveformName: name})
 	return c
 }
 
@@ -268,69 +298,60 @@ func (c *Circuit) WaveformEnvelope(name string, env waveform.Envelope, n int) *C
 // PlayWaveform emits a previously defined waveform on a named hardware port
 // — the paper's qPlayWaveform(port, waveform).
 func (c *Circuit) PlayWaveform(port, waveformName string) *Circuit {
-	if c.err != nil {
+	if !c.appendable() {
 		return c
-	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
 	}
 	if port == "" {
 		return c.fail("qpi: play on empty port name")
 	}
-	if _, ok := c.Waveforms[waveformName]; !ok {
+	if _, ok := c.waveforms[waveformName]; !ok {
 		return c.fail("qpi: play of undefined waveform %q", waveformName)
 	}
-	c.Ops = append(c.Ops, Op{Kind: OpPlayWaveform, Port: port, WaveformName: waveformName})
+	c.ops = append(c.ops, Op{Kind: OpPlayWaveform, Port: port, WaveformName: waveformName})
 	return c
 }
 
 // FrameChange adjusts the carrier frame of a port: sets drive frequency and
 // shifts phase — the paper's qFrameChange(port, frequency, phase).
 func (c *Circuit) FrameChange(port string, freqHz, phaseRad float64) *Circuit {
-	if c.err != nil {
+	if !c.appendable() {
 		return c
-	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
 	}
 	if port == "" {
 		return c.fail("qpi: frame change on empty port name")
 	}
-	c.Ops = append(c.Ops, Op{Kind: OpFrameChange, Port: port, FrequencyHz: freqHz, PhaseRad: phaseRad})
+	if !finite(freqHz) || !finite(phaseRad) {
+		return c.fail("qpi: frame change on %q: non-finite frequency %v or phase %v", port, freqHz, phaseRad)
+	}
+	c.ops = append(c.ops, Op{Kind: OpFrameChange, Port: port, FrequencyHz: freqHz, PhaseRad: phaseRad})
 	return c
 }
 
 // Delay idles a port for the given number of samples.
 func (c *Circuit) Delay(port string, samples int64) *Circuit {
-	if c.err != nil {
+	if !c.appendable() {
 		return c
-	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
 	}
 	if samples < 0 {
 		return c.fail("qpi: negative delay")
 	}
-	c.Ops = append(c.Ops, Op{Kind: OpDelay, Port: port, DelaySamples: samples})
+	c.ops = append(c.ops, Op{Kind: OpDelay, Port: port, DelaySamples: samples})
 	return c
 }
 
 // Barrier synchronizes all qubits/ports.
 func (c *Circuit) Barrier() *Circuit {
-	if c.err != nil {
+	if !c.appendable() {
 		return c
 	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
-	}
-	c.Ops = append(c.Ops, Op{Kind: OpBarrier})
+	c.ops = append(c.ops, Op{Kind: OpBarrier})
 	return c
 }
 
 // cbitWritten reports whether classical bit cb is already the target of a
 // measure or acquire op.
 func (c *Circuit) cbitWritten(cb int) bool {
-	for _, op := range c.Ops {
+	for _, op := range c.ops {
 		if (op.Kind == OpMeasure || op.Kind == OpAcquire) && op.Cbit == cb {
 			return true
 		}
@@ -340,22 +361,19 @@ func (c *Circuit) cbitWritten(cb int) bool {
 
 // Measure reads qubit q into classical bit cb — the paper's qMeasure(q, cb).
 func (c *Circuit) Measure(q, cb int) *Circuit {
-	if c.err != nil {
+	if !c.appendable() {
 		return c
-	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
 	}
 	if !c.checkQubit(q) {
 		return c.fail("qpi: measure qubit %d out of range", q)
 	}
-	if cb < 0 || cb >= c.Classical {
-		return c.fail("qpi: classical bit %d out of range [0,%d)", cb, c.Classical)
+	if cb < 0 || cb >= c.classical {
+		return c.fail("qpi: classical bit %d out of range [0,%d)", cb, c.classical)
 	}
 	if c.cbitWritten(cb) {
 		return c.fail("qpi: classical bit %d written twice", cb)
 	}
-	c.Ops = append(c.Ops, Op{Kind: OpMeasure, Qubit: q, Cbit: cb})
+	c.ops = append(c.ops, Op{Kind: OpMeasure, Qubit: q, Cbit: cb})
 	return c
 }
 
@@ -364,11 +382,8 @@ func (c *Circuit) Measure(q, cb int) *Circuit {
 // pulse-level counterpart of Measure, letting programs control their own
 // capture timing (readout calibration, custom integration windows).
 func (c *Circuit) Acquire(port string, cb int, windowSamples int64) *Circuit {
-	if c.err != nil {
+	if !c.appendable() {
 		return c
-	}
-	if c.finished {
-		return c.fail("qpi: append to finished circuit")
 	}
 	if port == "" {
 		return c.fail("qpi: acquire on empty port name")
@@ -376,25 +391,103 @@ func (c *Circuit) Acquire(port string, cb int, windowSamples int64) *Circuit {
 	if windowSamples <= 0 {
 		return c.fail("qpi: acquire window must be positive, got %d", windowSamples)
 	}
-	if cb < 0 || cb >= c.Classical {
-		return c.fail("qpi: classical bit %d out of range [0,%d)", cb, c.Classical)
+	if cb < 0 || cb >= c.classical {
+		return c.fail("qpi: classical bit %d out of range [0,%d)", cb, c.classical)
 	}
 	if c.cbitWritten(cb) {
 		return c.fail("qpi: classical bit %d written twice", cb)
 	}
-	c.Ops = append(c.Ops, Op{Kind: OpAcquire, Port: port, Cbit: cb, WindowSamples: windowSamples})
+	c.ops = append(c.ops, Op{Kind: OpAcquire, Port: port, Cbit: cb, WindowSamples: windowSamples})
 	return c
 }
 
 // End finalizes the kernel (the paper's qCircuitEnd) and returns any
-// accumulated construction error.
+// accumulated construction error. It freezes the circuit — a builder call
+// after it records an error instead of appending — and renders its Key.
 func (c *Circuit) End() error {
 	if c.err != nil {
 		return c.err
 	}
-	c.finished = true
+	if !c.finished {
+		c.finished = true
+		c.key = c.renderKey()
+	}
 	return nil
 }
 
 // Finished reports whether End was called successfully.
 func (c *Circuit) Finished() bool { return c.finished }
+
+// Key returns the finished circuit's half of the lowering-cache key (empty
+// before End): its name, register sizes, every field of every Op and a
+// digest of every waveform's samples. Two circuits that lower differently
+// never share a key; a template adds its declared parameter space and the
+// cache the device.
+func (c *Circuit) Key() string { return c.key }
+
+// renderKey renders Key. Strings are quoted and floats rendered as exact
+// bits, so neither a separator inside a name nor a difference below print
+// precision can make two keys collide; the samples enter as each def's
+// length plus one FNV-1a digest of them all, in definition order.
+func (c *Circuit) renderKey() string {
+	b := make([]byte, 0, 64+96*len(c.ops))
+	str := func(s string) { b = append(strconv.AppendQuote(b, s), ':') }
+	num := func(n int64) { b = append(strconv.AppendInt(b, n, 10), ':') }
+	f64 := func(f float64) { b = append(strconv.AppendUint(b, math.Float64bits(f), 16), ':') }
+	str(c.name)
+	num(int64(c.qubits))
+	num(int64(c.classical))
+	num(int64(len(c.ops)))
+	digest := uint64(14695981039346656037) // FNV-1a offset basis
+	for i := range c.ops {
+		op := &c.ops[i]
+		b = append(b, '|')
+		num(int64(op.Kind))
+		str(op.Gate)
+		num(int64(len(op.Qubits)))
+		for _, q := range op.Qubits {
+			num(int64(q))
+		}
+		num(int64(len(op.Params)))
+		for _, p := range op.Params {
+			f64(p)
+		}
+		str(op.WaveformName)
+		str(op.Port)
+		f64(op.FrequencyHz)
+		f64(op.PhaseRad)
+		num(op.DelaySamples)
+		num(int64(op.Qubit))
+		num(int64(op.Cbit))
+		num(op.WindowSamples)
+		for _, e := range op.exprs() {
+			if e == nil {
+				b = append(b, '-', ':')
+				continue
+			}
+			str(e.Param)
+			f64(e.Scale)
+			f64(e.Offset)
+		}
+		if w := c.waveforms[op.WaveformName]; w != nil && op.Kind == OpWaveformDef {
+			num(int64(len(w.Samples)))
+			for _, s := range w.Samples {
+				digest = fnv1a(fnv1a(digest, math.Float64bits(real(s))), math.Float64bits(imag(s)))
+			}
+		}
+	}
+	if len(c.waveforms) > 0 {
+		b = append(b, '|', 'w')
+		b = strconv.AppendUint(b, digest, 16)
+	}
+	return string(b)
+}
+
+// fnv1a folds the eight little-endian bytes of x into the FNV-1a hash h.
+func fnv1a(h, x uint64) uint64 {
+	for range 8 {
+		h = (h ^ x&0xff) * 1099511628211
+		x >>= 8
+	}
+	return h
+}

@@ -2,6 +2,7 @@ package qpi
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestBuilderGateCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.CountKind(OpGate) != 2 || c.CountKind(OpMeasure) != 2 {
-		t.Fatalf("op counts wrong: %+v", c.Ops)
+		t.Fatalf("op counts wrong: %+v", c.ops)
 	}
 	if c.HasPulseOps() {
 		t.Fatal("gate circuit reported pulse ops")
@@ -62,7 +63,7 @@ func TestBuilderErrorSticky(t *testing.T) {
 	if !strings.Contains(c.Err().Error(), "qubit 5") {
 		t.Fatalf("unexpected error: %v", c.Err())
 	}
-	if len(c.Ops) != 0 {
+	if len(c.ops) != 0 {
 		t.Fatal("ops appended after error")
 	}
 }
@@ -88,6 +89,10 @@ func TestBuilderValidationCases(t *testing.T) {
 			return NewCircuit("c", 1, 0).Waveform("w", []complex128{0.1}).PlayWaveform("", "w")
 		}},
 		{"empty fc port", func() *Circuit { return NewCircuit("c", 1, 0).FrameChange("", 1e9, 0) }},
+		{"NaN angle", func() *Circuit { return NewCircuit("c", 1, 0).RX(0, math.NaN()) }},
+		{"infinite angle", func() *Circuit { return NewCircuit("c", 1, 0).Gate("rz", []int{0}, math.Inf(-1)) }},
+		{"NaN fc frequency", func() *Circuit { return NewCircuit("c", 1, 0).FrameChange("p", math.NaN(), 0) }},
+		{"infinite fc phase", func() *Circuit { return NewCircuit("c", 1, 0).FrameChange("p", 0, math.Inf(1)) }},
 		{"negative delay", func() *Circuit { return NewCircuit("c", 1, 0).Delay("p", -1) }},
 		{"measure bad qubit", func() *Circuit { return NewCircuit("c", 1, 1).Measure(3, 0) }},
 		{"measure bad cbit", func() *Circuit { return NewCircuit("c", 1, 1).Measure(0, 1) }},
@@ -118,7 +123,7 @@ func TestWaveformEnvelope(t *testing.T) {
 	if err := c.End(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Waveforms["g"].Len() != 32 {
+	if c.waveforms["g"].Len() != 32 {
 		t.Fatal("envelope not materialized")
 	}
 	bad := NewCircuit("c", 1, 0).
@@ -293,7 +298,7 @@ func TestGateSpecTable(t *testing.T) {
 
 // HasPulseOps reports whether the kernel uses pulse-level primitives.
 func (c *Circuit) HasPulseOps() bool {
-	for _, op := range c.Ops {
+	for _, op := range c.ops {
 		switch op.Kind {
 		case OpWaveformDef, OpPlayWaveform, OpFrameChange, OpAcquire:
 			return true
@@ -306,7 +311,7 @@ func (c *Circuit) HasPulseOps() bool {
 // order.
 func (c *Circuit) MeasuredBits() []int {
 	var out []int
-	for _, op := range c.Ops {
+	for _, op := range c.ops {
 		if op.Kind == OpMeasure || op.Kind == OpAcquire {
 			out = append(out, op.Cbit)
 		}
@@ -317,7 +322,7 @@ func (c *Circuit) MeasuredBits() []int {
 // CountKind returns the number of ops of the given kind.
 func (c *Circuit) CountKind(k OpKind) int {
 	n := 0
-	for _, op := range c.Ops {
+	for _, op := range c.ops {
 		if op.Kind == k {
 			n++
 		}

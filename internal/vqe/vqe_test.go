@@ -35,7 +35,7 @@ func clientOver(t *testing.T, dev qdmi.Device) *client.Client {
 // gateCount counts the kernel's gate ops named g, and with a symbolic
 // angle among them.
 func gateCount(k *qpi.Circuit, g string) (n, symbolic int) {
-	for _, op := range k.Ops {
+	for _, op := range k.Ops() {
 		if op.Kind == qpi.OpGate && op.Gate == g {
 			n++
 			if op.AngleExpr != nil {
@@ -177,40 +177,40 @@ func TestGateAnsatzKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := tpl.Circuit
-	gateLevel := countKind(k, qpi.OpGate)+countKind(k, qpi.OpMeasure) == len(k.Ops)
-	if !k.Finished() || !gateLevel || len(tpl.Params) != a.NumParams() {
-		t.Fatalf("kernel finished %v, gate-level %v, %d params", k.Finished(), gateLevel, len(tpl.Params))
+	k := tpl.Circuit()
+	gateLevel := countKind(k, qpi.OpGate)+countKind(k, qpi.OpMeasure) == len(k.Ops())
+	if !k.Finished() || !gateLevel || len(tpl.Params()) != a.NumParams() {
+		t.Fatalf("kernel finished %v, gate-level %v, %d params", k.Finished(), gateLevel, len(tpl.Params()))
 	}
-	for _, p := range tpl.Params {
+	for _, p := range tpl.Params() {
 		if p.Min != -math.Pi || p.Max != math.Pi {
 			t.Fatalf("parameter %s declared over [%g, %g], want [−π, π]", p.Name, p.Min, p.Max)
 		}
 	}
 	inSpace(t, tpl, point)
 	// 4 ry + 1 cz + 2 measure = 7 ops in the Z basis, each ry its own slot.
-	if len(k.Ops) != 7 || countKind(k, qpi.OpMeasure) != 2 {
-		t.Fatalf("Z-basis kernel has %d ops, %d measurements", len(k.Ops), countKind(k, qpi.OpMeasure))
+	if len(k.Ops()) != 7 || countKind(k, qpi.OpMeasure) != 2 {
+		t.Fatalf("Z-basis kernel has %d ops, %d measurements", len(k.Ops()), countKind(k, qpi.OpMeasure))
 	}
 	if ry, sym := gateCount(k, "ry"); ry != 4 || sym != 4 {
 		t.Fatalf("%d ry, %d symbolic; want 4 symbolic", ry, sym)
 	}
 	want := []float64{0.1, -0.2, 0.3, 7.5 - 2*math.Pi}
 	for i, at := range []int{0, 1, 3, 4} {
-		e := k.Ops[at].AngleExpr
+		e := k.Ops()[at].AngleExpr
 		if v := point[e.Param]; e.Scale != 1 || e.Offset != 0 || math.Abs(v-want[i]) > 1e-15 {
 			t.Fatalf("param %d: ry slot %+v bound at %g, want %g", i, e, v, want[i])
 		}
 	}
 	tX, _, _ := a.Kernel(params, "XX")
-	if h, _ := gateCount(tX.Circuit, "h"); len(tX.Circuit.Ops) != 9 || h != 2 { // + 2 H rotations
-		t.Fatalf("X-basis kernel has %d ops, %d h", len(tX.Circuit.Ops), h)
+	if h, _ := gateCount(tX.Circuit(), "h"); len(tX.Circuit().Ops()) != 9 || h != 2 { // + 2 H rotations
+		t.Fatalf("X-basis kernel has %d ops, %d h", len(tX.Circuit().Ops()), h)
 	}
 	tY, _, _ := a.Kernel(params, "YY")
-	h, _ := gateCount(tY.Circuit, "h")
-	rz, _ := gateCount(tY.Circuit, "rz")
-	if len(tY.Circuit.Ops) != 11 || h != 2 || rz != 2 { // + 2 (rz, h) pairs
-		t.Fatalf("Y-basis kernel has %d ops, %d h, %d rz", len(tY.Circuit.Ops), h, rz)
+	h, _ := gateCount(tY.Circuit(), "h")
+	rz, _ := gateCount(tY.Circuit(), "rz")
+	if len(tY.Circuit().Ops()) != 11 || h != 2 || rz != 2 { // + 2 (rz, h) pairs
+		t.Fatalf("Y-basis kernel has %d ops, %d h, %d rz", len(tY.Circuit().Ops()), h, rz)
 	}
 	if _, _, err := a.Kernel([]float64{0.1}, "ZZ"); err == nil {
 		t.Fatal("wrong param count accepted")
@@ -233,16 +233,16 @@ func TestPulseAnsatzKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := tpl.Circuit
-	if len(tpl.Params) != a.NumParams() {
-		t.Fatalf("template declares %v", tpl.Params)
+	k := tpl.Circuit()
+	if len(tpl.Params()) != a.NumParams() {
+		t.Fatalf("template declares %v", tpl.Params())
 	}
 	if !k.Finished() {
 		t.Fatal("pulse ansatz kernel should be finished")
 	}
-	if len(k.Waveforms) != 3 || countKind(k, qpi.OpPlayWaveform) != 3 || countKind(k, qpi.OpBarrier) != 2 {
+	if countKind(k, qpi.OpWaveformDef) != 3 || countKind(k, qpi.OpPlayWaveform) != 3 || countKind(k, qpi.OpBarrier) != 2 {
 		t.Fatalf("%d waveforms, %d plays, %d barriers; want 3, 3, 2",
-			len(k.Waveforms), countKind(k, qpi.OpPlayWaveform), countKind(k, qpi.OpBarrier))
+			countKind(k, qpi.OpWaveformDef), countKind(k, qpi.OpPlayWaveform), countKind(k, qpi.OpBarrier))
 	}
 	// The phases are RZ(−φ) slots, the frame's shift_phase(φ).
 	if rz, sym := gateCount(k, "rz"); rz != 2 || sym != 2 {
@@ -253,16 +253,16 @@ func TestPulseAnsatzKernel(t *testing.T) {
 		t.Fatalf("in-range params moved: %v", point)
 	}
 	tX, _, _ := a.Kernel([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "XX")
-	kX := tX.Circuit
-	if h, _ := gateCount(kX, "h"); h != 2 || len(kX.Ops) != len(k.Ops)+2 {
-		t.Fatalf("X basis: %d h in %d ops (Z basis %d)", h, len(kX.Ops), len(k.Ops))
+	kX := tX.Circuit()
+	if h, _ := gateCount(kX, "h"); h != 2 || len(kX.Ops()) != len(k.Ops())+2 {
+		t.Fatalf("X basis: %d h in %d ops (Z basis %d)", h, len(kX.Ops()), len(k.Ops()))
 	}
 	tY, _, _ := a.Kernel([]float64{0.5, -0.3, 0.2, -0.1, 0.4}, "YY")
-	kY := tY.Circuit
+	kY := tY.Circuit()
 	h, _ := gateCount(kY, "h")
 	rz, sym := gateCount(kY, "rz")
-	if h != 2 || rz != 4 || sym != 2 || len(kY.Ops) != len(k.Ops)+4 {
-		t.Fatalf("Y basis: %d h, %d rz (%d symbolic) in %d ops", h, rz, sym, len(kY.Ops))
+	if h != 2 || rz != 4 || sym != 2 || len(kY.Ops()) != len(k.Ops())+4 {
+		t.Fatalf("Y basis: %d h, %d rz (%d symbolic) in %d ops", h, rz, sym, len(kY.Ops()))
 	}
 	// Out-of-range amplitudes are clamped and phases reduced mod 2π into
 	// the declared space: no point is a bad parameter.
@@ -565,10 +565,10 @@ func (h *Hamiltonian) EnergyUpperBoundCheck(e, tol float64) error {
 // inside its declared range: the check a sweep point meets at bind time.
 func inSpace(t *testing.T, tpl *ptemplate.Template, point ptemplate.Bindings) {
 	t.Helper()
-	if len(point) != len(tpl.Params) {
-		t.Fatalf("point %v binds %d names, template declares %d", point, len(point), len(tpl.Params))
+	if len(point) != len(tpl.Params()) {
+		t.Fatalf("point %v binds %d names, template declares %d", point, len(point), len(tpl.Params()))
 	}
-	for _, p := range tpl.Params {
+	for _, p := range tpl.Params() {
 		if v, ok := point[p.Name]; !ok || !(v >= p.Min && v <= p.Max) {
 			t.Fatalf("parameter %s = %v (bound %v) outside [%g, %g]", p.Name, v, ok, p.Min, p.Max)
 		}
@@ -578,7 +578,7 @@ func inSpace(t *testing.T, tpl *ptemplate.Template, point ptemplate.Bindings) {
 // countKind returns the number of k's ops of the given kind.
 func countKind(k *qpi.Circuit, kind qpi.OpKind) int {
 	n := 0
-	for _, op := range k.Ops {
+	for _, op := range k.Ops() {
 		if op.Kind == kind {
 			n++
 		}

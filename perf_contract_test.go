@@ -77,15 +77,16 @@ func TestPerfContractCachedJob(t *testing.T) {
 		}
 	}
 	job() // compiles the kernel, builds the device's engine, prepares the program
-	// Measured 2026-10-17: 36, 40–43 under -race (37 and 41–44 while the
-	// QRM's queue entry was an object apart from the ticket; 41 and 46–47
+	// Measured 2026-10-17: 34, 38–41 under -race (36 and 40–43 while every
+	// submit rendered the kernel's cache key; 37 and 41–44 while the QRM's
+	// queue entry was an object apart from the ticket; 41 and 46–47
 	// on 2026-10-15; 51 and 56–57 while a timeline grew its span slice from
 	// empty and named its stage histograms; 54 and 60 while the QRM worker
 	// spelled its histogram names and listed its queues per job; 133 and
 	// 136 when every job re-linked its module and built its own simulator
 	// scratch). The ceiling is the file's margin over the -race reading.
-	if n := testing.AllocsPerRun(200, job); n > 46 {
-		t.Fatalf("warm cached job allocates %v objects, want ≤ 46", n)
+	if n := testing.AllocsPerRun(200, job); n > 45 {
+		t.Fatalf("warm cached job allocates %v objects, want ≤ 45", n)
 	}
 }
 
@@ -144,8 +145,10 @@ func TestPerfContractColdCompile(t *testing.T) {
 		}
 		next++
 	}
-	// Measured 2026-10-17: 811–812, 883–885 under -race (1,041–1,044 and
-	// 1,083–1,085 while every propagator-cache miss was an eigendecomposition
+	// Measured 2026-10-17: 808, 882 under -race (811–812 and 883–885 while
+	// the client rendered the cache key per submit; End renders it now,
+	// before counting, so the job does no less work and the ceiling stays;
+	// 1,041–1,044 and 1,083–1,085 while every propagator-cache miss was an eigendecomposition
 	// and every module verification built its own symbol tables). The
 	// ceiling is the file's margin over the -race reading.
 	if n := testing.AllocsPerRun(jobs, job); n > 965 {
