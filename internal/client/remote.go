@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -630,10 +630,28 @@ type wireProgram struct {
 // error (the protocol has no way to resynchronize a half-read response);
 // the adapter's other connections, and the next call, are unaffected.
 func (r *RemoteAdapter) SubmitPayloadCtx(ctx context.Context, device string, payload []byte, format qdmi.ProgramFormat, opts SubmitOptions) (*qpi.Result, error) {
-	h := fnv.New64a()
-	_, _ = h.Write(payload)
-	id := fmt.Sprintf("txt-%016x-%d@%d", h.Sum64(), len(payload), opts.CalibrationEpoch)
+	id := payloadID(payload, opts.CalibrationEpoch)
 	return r.submit(ctx, device, wireProgram{id: id, text: payload, epoch: opts.CalibrationEpoch}, nil, opts)
+}
+
+// payloadID is the wire ID of exchange-format text at a calibration epoch:
+// "txt-<FNV-1a 64 of the text, 16 hex digits>-<length>@<epoch>".
+func payloadID(payload []byte, epoch int64) string {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, c := range payload {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	var buf [64]byte
+	b := append(buf[:0], "txt-0000000000000000"...)
+	for i := len(b) - 1; h != 0; i-- {
+		b[i] = "0123456789abcdef"[h&0xf]
+		h >>= 4
+	}
+	b = strconv.AppendInt(append(b, '-'), int64(len(payload)), 10)
+	b = strconv.AppendInt(append(b, '@'), epoch, 10)
+	return string(b)
 }
 
 // submit is the one wire submission: a submit frame naming p, preceded by
@@ -761,10 +779,15 @@ func (c *remoteConn) exchange(ctx context.Context, req *remoteRequest) (*remoteR
 	// Read in short deadline slices, checking ctx between them: a fired
 	// ctx surfaces within one slice, and — unlike an asynchronous
 	// interrupt — no callback can race a successful exchange and leave a
-	// stale past deadline on a connection the pool takes back.
+	// stale past deadline on a connection the pool takes back. A ctx that
+	// can never fire needs no slices: the read blocks until the response,
+	// or until closing the adapter closes the connection.
+	poll := ctx.Done() != nil
 	var line []byte
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		if poll {
+			_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		}
 		chunk, err := c.rd.ReadSlice('\n')
 		line = append(line, chunk...)
 		if len(line) > maxFrameBytes {
@@ -782,7 +805,9 @@ func (c *remoteConn) exchange(ctx context.Context, req *remoteRequest) (*remoteR
 		}
 		return nil, c.fail(ctx, err)
 	}
-	_ = conn.SetReadDeadline(time.Time{})
+	if poll {
+		_ = conn.SetReadDeadline(time.Time{})
+	}
 	return decodeResponse(line)
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/qdmi"
@@ -42,12 +44,18 @@ func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compi
 // the same adapter talking to an empty program store.
 type recordingConn struct {
 	net.Conn
-	frames []string
+	frames        []string
+	readDeadlines int // SetReadDeadline calls
 }
 
 func (c *recordingConn) Write(p []byte) (int, error) {
 	c.frames = append(c.frames, string(p))
 	return c.Conn.Write(p)
+}
+
+func (c *recordingConn) SetReadDeadline(t time.Time) error {
+	c.readDeadlines++
+	return c.Conn.SetReadDeadline(t)
 }
 
 // take returns the ops of the frames written since the last call, and the
@@ -288,6 +296,53 @@ func TestRemoteProgramTextCrossesOnce(t *testing.T) {
 			if len(f) > maxSubmitFrame || strings.Contains(f, "define void @") || strings.Contains(f, "program") {
 				t.Fatalf("%s: submit %d is %d bytes (bound %d) or carries program text:\n%s", name, i, len(f), maxSubmitFrame, f)
 			}
+		}
+	}
+}
+
+// TestRemoteBackgroundExchangeReadsWithoutDeadlines: an exchange under a
+// context that can never end reads blocking — it sets no read deadline —
+// while one under a cancellable context polls it in deadline slices.
+func TestRemoteBackgroundExchangeReadsWithoutDeadlines(t *testing.T) {
+	c, dev := testStack(t)
+	srv := serveTest(t, c)
+	adapter, rc := recordedAdapter(t, srv)
+	payload, format, err := c.Compile(bell(t), "hpcqc-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SubmitOptions{Shots: 8, CalibrationEpoch: dev.CalibrationEpoch()}
+	for i := 0; i < 3; i++ {
+		if _, err := adapter.SubmitPayloadCtx(context.Background(), "hpcqc-sc", payload, format, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rc.readDeadlines != 0 {
+		t.Fatalf("three Background exchanges set %d read deadlines, want 0", rc.readDeadlines)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := adapter.SubmitPayloadCtx(ctx, "hpcqc-sc", payload, format, opts); err != nil {
+		t.Fatal(err)
+	}
+	if rc.readDeadlines < 2 {
+		t.Fatalf("a cancellable exchange set %d read deadlines, want a slice and its clearing", rc.readDeadlines)
+	}
+}
+
+// TestPayloadIDIsFNV64a: the wire ID of exchange text is
+// "txt-<FNV-1a 64, 16 hex digits>-<length>@<epoch>", the ID a server and
+// an adapter of any version agree on.
+func TestPayloadIDIsFNV64a(t *testing.T) {
+	for _, tc := range []struct {
+		payload string
+		epoch   int64
+	}{{"", 0}, {"a", 1}, {"define void @main() {}\n", 42}, {strings.Repeat("qir ", 999), 1 << 40}, {"\x00\xff", -3}} {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(tc.payload))
+		want := fmt.Sprintf("txt-%016x-%d@%d", h.Sum64(), len(tc.payload), tc.epoch)
+		if got := payloadID([]byte(tc.payload), tc.epoch); got != want {
+			t.Fatalf("payloadID(%q, %d) = %q, want %q", tc.payload, tc.epoch, got, want)
 		}
 	}
 }

@@ -529,12 +529,13 @@ func (d *SimDevice) submit(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, err
 	n := d.nextJob
 	seed := d.jobRng.Int63()
 	overhead := d.jobOverhead
+	metrics := d.shotMetricsLocked(opts.Telemetry.Registry())
 	d.mu.Unlock()
 
 	var buf [48]byte
-	id := strconv.AppendInt(append(buf[:0], d.names.jobPrefix...), int64(n), 10)
+	id := strconv.AppendInt(append(buf[:0], d.jobPrefix...), int64(n), 10)
 	return qdmi.NewRunOnWaitJob(string(id), func(ctx context.Context, job *qdmi.AsyncJob) {
-		d.runJob(ctx, job, mod, opts, seed, overhead)
+		d.runJob(ctx, job, mod, opts, seed, overhead, metrics)
 	}), nil
 }
 
@@ -546,7 +547,7 @@ func (d *SimDevice) submit(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, err
 // dynamics engine between integration segments and every ~1024 driven
 // samples inside them, so either lands promptly — even mid-way through a
 // single long Play — and the job ends JobCancelled, its result discarded.
-func (d *SimDevice) runJob(ctx context.Context, job *qdmi.AsyncJob, mod *qir.Module, opts qdmi.JobOptions, seed int64, overhead time.Duration) {
+func (d *SimDevice) runJob(ctx context.Context, job *qdmi.AsyncJob, mod *qir.Module, opts qdmi.JobOptions, seed int64, overhead time.Duration, metrics *shotMetrics) {
 	aborted := func() bool { return ctx.Err() != nil || job.Aborted() }
 	if overhead > 0 {
 		// Hold the device for the electronics overhead; a cancelled job
@@ -597,7 +598,7 @@ func (d *SimDevice) runJob(ctx context.Context, job *qdmi.AsyncJob, mod *qir.Mod
 		execStart, execEnd.Sub(execStart)-res.ReadoutWall, opts.TelemetryParent)
 	opts.Telemetry.Record(telemetry.StageReadoutPost, d.cfg.Name,
 		execEnd.Add(-res.ReadoutWall), res.ReadoutWall, opts.TelemetryParent)
-	d.recordShotMetrics(opts.Telemetry.Registry(), res, execEnd.Sub(execStart))
+	metrics.record(res, execEnd.Sub(execStart))
 	job.Finish(&qdmi.Result{
 		Counts:          res.Counts,
 		Shots:           res.Shots,
@@ -609,46 +610,62 @@ func (d *SimDevice) runJob(ctx context.Context, job *qdmi.AsyncJob, mod *qir.Mod
 	})
 }
 
-// recordShotMetrics publishes per-job execution throughput into the
-// trace's metrics registry: total shots executed (fleet-wide and
-// per-device counters — shots-per-second over any window is the counter
-// delta over that window) and the mean per-shot latency (its reciprocal is
-// this job's shots/sec). Nil-safe: uninstrumented jobs skip out on the nil
-// registry.
-func (d *SimDevice) recordShotMetrics(reg *telemetry.Registry, res *simq.ExecResult, wall time.Duration) {
-	if reg == nil || res.Shots <= 0 {
+// shotMetrics are the handles a job's execution throughput is published
+// through, resolved in one registry: the fleet-wide "simq/..." counters and
+// their per-device twins.
+type shotMetrics struct {
+	reg                                                   *telemetry.Registry
+	shots, propHit, propMiss, dissipatorSteps             *telemetry.Counter
+	devShots, devPropHit, devPropMiss, devDissipatorSteps *telemetry.Counter
+	devShotLatency                                        *telemetry.Histogram
+}
+
+// shotMetricsLocked returns the device's handles in reg — nil for an
+// uninstrumented job — resolving them anew only when a job brings a
+// registry other than the last one's. d.mu is held.
+func (d *SimDevice) shotMetricsLocked(reg *telemetry.Registry) *shotMetrics {
+	if reg == nil {
+		return nil
+	}
+	if m := d.shotMetrics; m != nil && m.reg == reg {
+		return m
+	}
+	name := d.cfg.Name
+	d.shotMetrics = &shotMetrics{
+		reg:                reg,
+		shots:              reg.Counter("simq/shots"),
+		propHit:            reg.Counter("simq/prop_cache/hit"),
+		propMiss:           reg.Counter("simq/prop_cache/miss"),
+		dissipatorSteps:    reg.Counter("simq/dissipator_steps"),
+		devShots:           reg.Counter("simq/shots/" + name),
+		devPropHit:         reg.Counter("simq/prop_cache/hit/" + name),
+		devPropMiss:        reg.Counter("simq/prop_cache/miss/" + name),
+		devDissipatorSteps: reg.Counter("simq/dissipator_steps/" + name),
+		devShotLatency:     reg.Hist("simq/shot_latency/" + name),
+	}
+	return d.shotMetrics
+}
+
+// record publishes a job's execution throughput: total shots executed
+// (fleet-wide and per-device counters — shots-per-second over any window
+// is the counter delta over that window) and the mean per-shot latency
+// (its reciprocal is this job's shots/sec). An uninstrumented job's nil
+// handles record nothing.
+func (m *shotMetrics) record(res *simq.ExecResult, wall time.Duration) {
+	if m == nil || res.Shots <= 0 {
 		return
 	}
-	reg.Add("simq/shots", int64(res.Shots))
-	reg.Add(d.names.shots, int64(res.Shots))
+	m.shots.Add(int64(res.Shots))
+	m.devShots.Add(int64(res.Shots))
 	// A warm device shows hits and no misses: it stopped exponentiating.
-	reg.Add("simq/prop_cache/hit", res.PropCacheHits)
-	reg.Add(d.names.propHit, res.PropCacheHits)
-	reg.Add("simq/prop_cache/miss", res.PropCacheMisses)
-	reg.Add(d.names.propMiss, res.PropCacheMisses)
-	reg.Add("simq/dissipator_steps", res.DissipatorSteps)
-	reg.Add(d.names.dissipatorSteps, res.DissipatorSteps)
+	m.propHit.Add(res.PropCacheHits)
+	m.devPropHit.Add(res.PropCacheHits)
+	m.propMiss.Add(res.PropCacheMisses)
+	m.devPropMiss.Add(res.PropCacheMisses)
+	m.dissipatorSteps.Add(res.DissipatorSteps)
+	m.devDissipatorSteps.Add(res.DissipatorSteps)
 	if wall > 0 {
-		reg.Observe(d.names.shotLatency, wall/time.Duration(res.Shots))
-	}
-}
-
-// deviceNames are the strings a job spells with the device's name in them,
-// built once in New.
-type deviceNames struct {
-	jobPrefix string // "<name>-job-", completed by the job number
-	// per-device metric names
-	shots, propHit, propMiss, dissipatorSteps, shotLatency string
-}
-
-func newDeviceNames(name string) deviceNames {
-	return deviceNames{
-		jobPrefix:       name + "-job-",
-		shots:           "simq/shots/" + name,
-		propHit:         "simq/prop_cache/hit/" + name,
-		propMiss:        "simq/prop_cache/miss/" + name,
-		dissipatorSteps: "simq/dissipator_steps/" + name,
-		shotLatency:     "simq/shot_latency/" + name,
+		m.devShotLatency.Observe(wall / time.Duration(res.Shots))
 	}
 }
 

@@ -48,12 +48,15 @@ type SimDevice struct {
 	// jobOverhead models fixed control-electronics wall-clock per job
 	// (arming, waveform upload, readout transfer); zero disables it.
 	jobOverhead time.Duration
+	// shotMetrics are the metric handles in the registry of the last
+	// instrumented job submitted (shotMetricsLocked).
+	shotMetrics *shotMetrics
 
 	ports []*pulse.Port
 	table qdmi.PortTable // ports by ID and by (kind, sites)
 
 	// Per-job values that are functions of the config alone.
-	names        deviceNames
+	jobPrefix    string                   // "<name>-job-", completed by the job number
 	readoutSites map[int]simq.ReadoutSite // IQ synthesis model, from the true physics
 	// siteError is the discriminated-level flip model: a site's true
 	// assignment error, symmetric in 0 and 1.
@@ -90,7 +93,7 @@ func New(cfg Config) (*SimDevice, error) {
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		jobRng:       rand.New(rand.NewSource(cfg.Seed + 2)),
 		drift:        newDriftState(&cfg),
-		names:        newDeviceNames(cfg.Name),
+		jobPrefix:    cfg.Name + "-job-",
 		readoutSites: make(map[int]simq.ReadoutSite, len(cfg.Sites)),
 	}
 	d.siteError = func(site int) (float64, float64) {

@@ -179,25 +179,30 @@ func TestCancelIsIdempotentAfterCompletion(t *testing.T) {
 	}
 }
 
-// TestNormalFinishNeverRunsCtxDone: the worker's resolution detaches
-// onCtxDone before it releases the ticket's context, so a job that simply
-// finishes spawns no goroutine to format a cancellation error for nobody.
-// context.AfterFunc's stop reports true exactly when it kept the function
-// from ever running.
+// TestNormalFinishNeverRunsCtxDone: the worker's resolution detaches the
+// submit context's hook and the deadline timer without firing the ticket's
+// context, so a job that simply finishes runs no cancellation path —
+// onCtxDone formats no error for nobody — and leaves nothing armed: both
+// stop functions report that there was nothing left to stop.
 func TestNormalFinishNeverRunsCtxDone(t *testing.T) {
-	tk := newTicket(context.Background(), 1, &Request{})
-	detached := false
-	stop := tk.stopCtxDone
-	tk.stopCtxDone = func() bool { detached = stop(); return detached }
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tk := newTicket(parent, 1, &Request{Deadline: time.Now().Add(time.Hour)})
+	if tk.ctx.stopParent == nil || tk.ctx.timer == nil {
+		t.Fatal("a cancellable submit context and a deadline armed no hook and no timer")
+	}
 	if !tk.move(qdmi.JobQueued, qdmi.JobRunning, nil, nil) {
 		t.Fatal("fresh ticket refused to run")
 	}
 	tk.finish(&qdmi.Result{}, nil, qdmi.JobDone)
-	if !detached {
-		t.Fatal("finish released the context with onCtxDone still attached")
+	if err := tk.ctx.Err(); err != nil {
+		t.Fatalf("finish fired the ticket's context: %v", err)
 	}
-	if tk.ctx.Err() == nil {
-		t.Fatal("finish did not release the ticket's context")
+	if tk.ctx.stopParent() {
+		t.Fatal("finish left the submit context's hook armed")
+	}
+	if tk.ctx.timer.Stop() {
+		t.Fatal("finish left the deadline timer armed")
 	}
 	if res, err := tk.Wait(context.Background()); err != nil || res == nil || tk.Status() != qdmi.JobDone {
 		t.Fatalf("finished ticket: %v, %v, %v", res, err, tk.Status())

@@ -480,7 +480,7 @@ func (s *Scheduler) dispatch(d *deviceState, dev qdmi.Device, t *Ticket, span te
 	}
 	d.dispatched.Add(1)
 	s.metrics.Load().dispatched.Add(1)
-	st := job.Wait(t.ctx)
+	st := job.Wait(&t.ctx)
 	if !st.Terminal() {
 		// The ticket was cancelled while a job the device runs on a thread
 		// of its own was in flight. Abort it where the device supports that;

@@ -30,16 +30,11 @@ type Ticket struct {
 	// context that never ends, may run the job itself (Scheduler.claim).
 	submitDone <-chan struct{}
 
-	// ctx is cancelled when the ticket is cancelled (explicitly, through
-	// the submit context or by Request.Deadline) or reaches a terminal
-	// state; the goroutine running the job waits on the device job under it.
-	ctx       context.Context
-	cancelCtx context.CancelFunc
-	// stopCtxDone detaches onCtxDone from ctx, so that a running job's
-	// resolution can release the context without running (and formatting an
-	// error for) a cancellation nobody asked for. Only finish reads it:
-	// onCtxDone may already be running when newTicket stores it.
-	stopCtxDone func() bool
+	// ctx is the ticket's cancellation context: it fires when the ticket is
+	// cancelled (explicitly, through the submit context or by
+	// Request.Deadline), and the goroutine running the job waits on the
+	// device job under it.
+	ctx ticketCtx
 
 	// state is the ticket's qdmi.JobStatus, changed only by move: queued →
 	// running by the goroutine that takes the job (its device's worker or a
@@ -55,29 +50,32 @@ type Ticket struct {
 	done   chan struct{} // closed when the ticket reaches a terminal state
 }
 
-// newTicket is req's ticket under the submit context ctx. A request with a
-// Deadline gets its own deadline context, released with the ticket's.
+// newTicket is req's ticket under the submit context ctx. Its context
+// hooks onto ctx only when ctx can end, and arms a timer only for a
+// request with a Deadline.
 func newTicket(ctx context.Context, id int64, req *Request) *Ticket {
-	var (
-		tctx    context.Context
-		tcancel context.CancelFunc
-	)
-	if req.Deadline.IsZero() {
-		tctx, tcancel = context.WithCancel(ctx)
-	} else {
-		tctx, tcancel = context.WithDeadline(ctx, req.Deadline)
-	}
-	t := &Ticket{
-		id: id, req: *req, submitDone: ctx.Done(),
-		ctx: tctx, cancelCtx: tcancel,
-		done: make(chan struct{}),
+	t := &Ticket{id: id, req: *req, submitDone: ctx.Done(), done: make(chan struct{})}
+	c := &t.ctx
+	c.parent, c.deadline = ctx, req.Deadline
+	if d, ok := ctx.Deadline(); ok && (c.deadline.IsZero() || d.Before(c.deadline)) {
+		c.deadline = d // the submit context ends first: its hook fires the ticket
+	} else if !c.deadline.IsZero() {
+		c.timer = time.AfterFunc(time.Until(c.deadline), t.deadlineFired)
 	}
 	// When the submit context, an explicit Cancel or the deadline fires,
 	// resolve a ticket nobody has taken yet immediately, so waiters unblock
 	// and the scheduler skips it. A running ticket is resolved by the
 	// goroutine running it, which checks the context before dispatch and
 	// waits on the device job under it.
-	t.stopCtxDone = context.AfterFunc(tctx, t.onCtxDone)
+	if t.submitDone != nil {
+		c.stopParent = context.AfterFunc(ctx, t.parentFired)
+	}
+	// A hook that cancelled the ticket before both were stored left
+	// detaching them to this goroutine (onCtxDone).
+	c.armed.Store(true)
+	if t.Status() != qdmi.JobQueued {
+		c.detach()
+	}
 	return t
 }
 
@@ -108,7 +106,7 @@ func (t *Ticket) Device() string {
 // Cancel requests cancellation: a queued ticket resolves immediately and
 // never reaches the device; a running ticket is aborted if the device job
 // supports it. Cancel is idempotent and safe after completion.
-func (t *Ticket) Cancel() { t.cancelCtx() }
+func (t *Ticket) Cancel() { t.cancel(&endCancelled) }
 
 // Wait blocks until the ticket reaches a terminal state or ctx is
 // cancelled. A cancelled ctx abandons only this wait — the job keeps its
@@ -133,19 +131,37 @@ func (t *Ticket) Wait(ctx context.Context) (*qdmi.Result, error) {
 // state; use it to select over many tickets.
 func (t *Ticket) DoneCh() <-chan struct{} { return t.done }
 
-// onCtxDone resolves a ticket still queued when its context fires (which
-// has released the context already).
-func (t *Ticket) onCtxDone() {
-	if t.Status() == qdmi.JobQueued {
-		t.move(qdmi.JobQueued, qdmi.JobCancelled, nil, t.cancelErr())
+// cancel fires the ticket's context with end and resolves a ticket still
+// queued; a ticket whose context fired already is left alone.
+func (t *Ticket) cancel(end *ctxEnd) {
+	if t.ctx.fire(end) {
+		t.onCtxDone()
 	}
 }
 
-// cancelErr builds the cancellation error, wrapping the context cause so a
+// deadlineFired is Request.Deadline's timer.
+func (t *Ticket) deadlineFired() { t.cancel(&endDeadline) }
+
+// parentFired is the submit context's hook: the ticket ends as that
+// context did, its cause included.
+func (t *Ticket) parentFired() {
+	p := t.ctx.parent
+	t.cancel(&ctxEnd{err: p.Err(), cause: context.Cause(p)})
+}
+
+// onCtxDone resolves a ticket still queued when its context fires and
+// detaches the hooks that did not fire — once newTicket has stored them.
+func (t *Ticket) onCtxDone() {
+	if t.Status() == qdmi.JobQueued && t.move(qdmi.JobQueued, qdmi.JobCancelled, nil, t.cancelErr()) && t.ctx.armed.Load() {
+		t.ctx.detach()
+	}
+}
+
+// cancelErr builds the cancellation error, wrapping the context's cause so a
 // blown deadline is context.DeadlineExceeded as well as ErrCancelled.
 func (t *Ticket) cancelErr() error {
-	if cause := context.Cause(t.ctx); cause != nil && !errors.Is(cause, context.Canceled) {
-		return fmt.Errorf("qrm: job %d: %w (%w)", t.id, ErrCancelled, cause)
+	if end := t.ctx.end.Load(); end != nil && end.cause != nil && !errors.Is(end.cause, context.Canceled) {
+		return fmt.Errorf("qrm: job %d: %w (%w)", t.id, ErrCancelled, end.cause)
 	}
 	return fmt.Errorf("qrm: job %d: %w", t.id, ErrCancelled)
 }
@@ -166,10 +182,10 @@ func (t *Ticket) move(from, to qdmi.JobStatus, r *qdmi.Result, err error) bool {
 }
 
 // finish is the resolution of a running ticket by the goroutine that runs
-// it. It detaches onCtxDone before releasing the context, so a job that
-// simply ends formats no cancellation nobody asked for.
+// it. It detaches the submit context's hook and the deadline timer without
+// firing the ticket's context, so a job that simply ends runs no
+// cancellation nobody asked for.
 func (t *Ticket) finish(r *qdmi.Result, err error, status qdmi.JobStatus) {
 	t.move(qdmi.JobRunning, status, r, err)
-	t.stopCtxDone()
-	t.cancelCtx()
+	t.ctx.detach()
 }

@@ -15,7 +15,10 @@ type Density struct {
 	Rho  *linalg.Matrix
 }
 
-// NewDensity creates |00...0⟩⟨00...0|.
+// NewDensity creates |00...0⟩⟨00...0|. The density keeps dims, which its
+// caller must not change: a run's density shares its model's dimensions.
+// The Density and its matrix header are one allocation, the entries a
+// second.
 func NewDensity(dims []int) *Density {
 	n := 1
 	for _, d := range dims {
@@ -24,18 +27,13 @@ func NewDensity(dims []int) *Density {
 		}
 		n *= d
 	}
-	rho := linalg.NewMatrix(n, n)
-	rho.Set(0, 0, 1)
-	return &Density{Dims: append([]int(nil), dims...), Rho: rho}
-}
-
-// Populations returns the diagonal of ρ.
-func (d *Density) Populations() []float64 {
-	p := make([]float64, d.Rho.Rows)
-	for i := 0; i < d.Rho.Rows; i++ {
-		p[i] = real(d.Rho.At(i, i))
-	}
-	return p
+	b := &struct {
+		Density
+		rho linalg.Matrix
+	}{rho: linalg.Matrix{Rows: n, Cols: n, Data: make([]complex128, n*n)}}
+	b.rho.Set(0, 0, 1)
+	b.Density = Density{Dims: dims, Rho: &b.rho}
+	return &b.Density
 }
 
 // Collapse is a Lindblad jump (collapse) operator with rate γ: contributes

@@ -197,3 +197,12 @@ func TestDensitySampleBits(t *testing.T) {
 		t.Fatalf("P(1) = %g, want 0.5", p)
 	}
 }
+
+// Populations returns the diagonal of ρ.
+func (d *Density) Populations() []float64 {
+	p := make([]float64, d.Rho.Rows)
+	for i := 0; i < d.Rho.Rows; i++ {
+		p[i] = real(d.Rho.At(i, i))
+	}
+	return p
+}

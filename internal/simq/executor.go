@@ -406,8 +406,8 @@ func (st *frameStep) apply(frames []pulse.Frame, plays []playEvent, b *Binding) 
 }
 
 // Run executes the prepared program once. Everything per run — state,
-// shot sampling, counters — is built or reset here; the Program is only
-// read.
+// counters, the shot sampler's inputs — is built here or reset in the
+// pooled engine; the Program is only read.
 func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 	e := p.exec
 	if opts.Shots <= 0 {
@@ -429,11 +429,11 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 	} else {
 		st = NewState(e.Model.Dims)
 	}
+	// The engine stays acquired until sampling ends: the shot runner is
+	// part of it.
 	eng := e.acquireEngine(p.dt)
-	err := e.evolve(eng, st, rho, p, opts)
-	stats := eng.EngineStats
-	e.scratch.Put(eng)
-	if err != nil {
+	defer e.scratch.Put(eng)
+	if err := e.evolve(eng, st, rho, p, opts); err != nil {
 		return nil, err
 	}
 
@@ -445,7 +445,7 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 		FinalState:      st,
 		FinalDensity:    rho,
 		Workers:         1,
-		EngineStats:     stats,
+		EngineStats:     eng.EngineStats,
 	}
 	if len(p.captures) == 0 {
 		// Still stamp the requested level so callers (and the remote wire)
@@ -457,10 +457,10 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 	}
 
 	roStart := time.Now()
-	runner := p.newShotRunner(st, rho, seed, opts)
+	eng.shots.load(p, st, rho, seed, opts)
 	// The caller owns the result; the Program's slice stays its own.
 	res.MeasuredBits = slices.Clone(p.bits)
-	if err := runner.sampleAll(res); err != nil {
+	if err := eng.shots.sampleAll(res); err != nil {
 		return nil, err
 	}
 	res.ReadoutWall = time.Since(roStart)
@@ -720,16 +720,19 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 }
 
 // fastEngine is the mutable scratch of one run: the reusable implicit
-// Hamiltonian, the Taylor steppers, key and play buffers, and the run's
-// counters. Everything it reads besides — sparse operators, collapse
+// Hamiltonian, the Taylor steppers, key and play buffers, the run's
+// counters and its shot sampler. Everything it reads besides — sparse operators, collapse
 // precompute, propagator cache — belongs to the executor and its model
 // and outlives the run.
 //
 // Engines are pooled per executor (acquireEngine), so a run may start on
 // one a previous run — finished, failed or interrupted mid-segment — left
 // behind. Nothing carries over: the counters and the play, χ and operator
-// lists are reset on acquisition, and every numeric buffer (stepper
-// matrices, scratch, dense) is written in full before it is read.
+// lists are reset on acquisition, every numeric buffer (stepper matrices,
+// scratch, dense) is written in full before it is read, and the shot
+// sampler's load rewrites its inputs — error rates, cumulative
+// distribution, seed — before a shot is drawn (its generator is re-seeded
+// per shot).
 //
 // The implicit Hamiltonian is spectrally shifted: the steppers integrate
 // H − λI with λ centered on the drift's diagonal, which roughly halves
@@ -750,6 +753,7 @@ type fastEngine struct {
 	dense     *linalg.Matrix // the exact reference's Hamiltonian assembly scratch
 	keyBuf    []byte         // propagator-cache key scratch
 	tickPhase complex128     // e^{-iλ·dt}, applied per state-vector tick
+	shots     shotRunner     // the sampling phase, once the evolution has ended
 }
 
 func (e *Executor) newFastEngine(forDensity bool, dt float64) *fastEngine {

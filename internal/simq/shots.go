@@ -76,15 +76,16 @@ func eachShot(shots int, interrupted func() bool, fn func(shot int)) error {
 	return nil
 }
 
-// shotRunner is the per-run context of the sampling phase: the final
-// probability distribution every shot samples, the readout configuration,
-// and the run's one generator.
+// shotRunner is the sampling phase of a run: the final probability
+// distribution every shot samples, the readout configuration, and the run's
+// one generator. It lives in the pooled fastEngine, so its buffers and
+// generator outlive the run; load writes every field a run reads.
 type shotRunner struct {
 	captures []captureEvent
 	masks    []uint64      // the program's measured bitmask per basis index
 	model    *ReadoutModel // non-nil for kerneled/raw synthesis
 	// errs holds each capture's assignment-error rates (p01, p10), read
-	// from ExecOptions.SiteError once per run; nil for kerneled/raw.
+	// from ExecOptions.SiteError once per run; empty for kerneled/raw.
 	errs        [][2]float64
 	dt          float64
 	seed        int64
@@ -98,42 +99,43 @@ type shotRunner struct {
 	// src is re-pointed at shot k's stream before each shot. Nothing in the
 	// pipeline calls Rand.Read — the only rand.Rand method with state outside
 	// the source — so re-seeding the source alone gives a shot exactly the
-	// draws a fresh rand.New would.
+	// draws a fresh rand.New would, and one generator serves every run.
 	src shotSource
 	rng *rand.Rand
 }
 
-// newShotRunner assembles the sampling phase for a run of a program whose
-// captures are non-empty. Exactly one of st and rho carries the evolved
-// final state.
-func (p *Program) newShotRunner(st *State, rho *Density, seed int64, opts ExecOptions) *shotRunner {
-	r := &shotRunner{
-		captures:    p.captures,
-		masks:       p.masks,
-		dt:          p.dt,
-		seed:        seed,
-		shots:       opts.Shots,
-		interrupted: opts.Interrupted,
-	}
+// load points the runner at a run of p, whose captures are non-empty.
+// Exactly one of st and rho carries the evolved final state.
+func (r *shotRunner) load(p *Program, st *State, rho *Density, seed int64, opts ExecOptions) {
+	r.captures, r.masks, r.dt = p.captures, p.masks, p.dt
+	r.seed, r.shots, r.interrupted = seed, opts.Shots, opts.Interrupted
+	r.model, r.errs = nil, r.errs[:0]
 	if m := opts.Readout; m != nil && m.Level != readout.LevelDiscriminated {
 		r.model = m
 	} else {
-		r.errs = make([][2]float64, len(p.captures))
-		if opts.SiteError != nil {
-			for i, c := range p.captures {
-				r.errs[i][0], r.errs[i][1] = opts.SiteError(c.site)
+		for _, c := range p.captures {
+			var e [2]float64
+			if opts.SiteError != nil {
+				e[0], e[1] = opts.SiteError(c.site)
 			}
+			r.errs = append(r.errs, e)
 		}
 	}
-	// The fresh probabilities become the cumulative distribution in place.
+	// The evolved state's probabilities, made cumulative in place.
+	r.cum = r.cum[:0]
 	if rho != nil {
-		r.cum = rho.Populations()
+		for i := range rho.Rho.Rows {
+			r.cum = append(r.cum, real(rho.Rho.At(i, i)))
+		}
 	} else {
-		r.cum = st.Probabilities()
+		for _, a := range st.Amp {
+			r.cum = append(r.cum, real(a)*real(a)+imag(a)*imag(a))
+		}
 	}
 	r.total = buildCum(r.cum, r.cum)
-	r.rng = rand.New(&r.src)
-	return r
+	if r.rng == nil {
+		r.rng = rand.New(&r.src)
+	}
 }
 
 // runShot draws shot k — one projective draw, then per-capture readout error

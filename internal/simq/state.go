@@ -48,15 +48,6 @@ func strides(dims []int) []int {
 	return st
 }
 
-// Probabilities returns |amp|² for every basis index.
-func (s *State) Probabilities() []float64 {
-	p := make([]float64, len(s.Amp))
-	for i, a := range s.Amp {
-		p[i] = real(a)*real(a) + imag(a)*imag(a)
-	}
-	return p
-}
-
 // SiteLevel extracts the level of the given site from a flat basis index.
 func SiteLevel(dims []int, index, site int) int {
 	for i := len(dims) - 1; i > site; i-- {

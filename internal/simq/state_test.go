@@ -210,3 +210,12 @@ func TestGlobalPhaseAlign(t *testing.T) {
 		t.Fatalf("not aligned: %v", s.Amp[0])
 	}
 }
+
+// Probabilities returns |amp|² for every basis index.
+func (s *State) Probabilities() []float64 {
+	p := make([]float64, len(s.Amp))
+	for i, a := range s.Amp {
+		p[i] = real(a)*real(a) + imag(a)*imag(a)
+	}
+	return p
+}

@@ -106,7 +106,9 @@ func NewTraceID() string {
 	if _, err := rand.Read(b[:]); err != nil {
 		return fmt.Sprintf("trace-%08x", traceCounter.Add(1))
 	}
-	return hex.EncodeToString(b[:])
+	var dst [2 * len(b)]byte
+	hex.Encode(dst[:], b[:])
+	return string(dst[:]) // the one allocation: the ID itself
 }
 
 // Timeline is the per-job trace: the ordered spans one submission recorded

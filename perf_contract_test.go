@@ -77,7 +77,10 @@ func TestPerfContractCachedJob(t *testing.T) {
 		}
 	}
 	job() // compiles the kernel, builds the device's engine, prepares the program
-	// Measured 2026-10-17: 34, 38–41 under -race (36 and 40–43 while every
+	// Measured 2026-10-18: 19, 25–27 under -race (34 and 38–41 while a
+	// ticket built a context.WithCancel child and an AfterFunc
+	// registration, a run its shot sampler and generator, a density a copy
+	// of its dimensions, and a trace ID two objects; 36 and 40–43 while every
 	// submit rendered the kernel's cache key; 37 and 41–44 while the QRM's
 	// queue entry was an object apart from the ticket; 41 and 46–47
 	// on 2026-10-15; 51 and 56–57 while a timeline grew its span slice from
@@ -85,8 +88,8 @@ func TestPerfContractCachedJob(t *testing.T) {
 	// spelled its histogram names and listed its queues per job; 133 and
 	// 136 when every job re-linked its module and built its own simulator
 	// scratch). The ceiling is the file's margin over the -race reading.
-	if n := testing.AllocsPerRun(200, job); n > 45 {
-		t.Fatalf("warm cached job allocates %v objects, want ≤ 45", n)
+	if n := testing.AllocsPerRun(200, job); n > 30 {
+		t.Fatalf("warm cached job allocates %v objects, want ≤ 30", n)
 	}
 }
 
@@ -205,10 +208,12 @@ func TestPerfContractOpenSystemShots(t *testing.T) {
 		job()
 	}
 	runtime.ReadMemStats(&after)
-	// Measured 2026-10-16 on 2 vCPU: 41.0–41.6 (53.8 while the device drew
-	// the shots on two workers).
-	if n := float64(after.Mallocs-before.Mallocs) / jobs; n > 45 {
-		t.Fatalf("warm open-system job allocates %v objects, want ≤ 45", n)
+	// Measured 2026-10-18 on 1 vCPU: 19.0 (34.0 while the ticket's context,
+	// the shot sampler and the density's dimensions were objects of their
+	// own per job; 41.0–41.6 on 2026-10-16 on 2 vCPU; 53.8 while the device
+	// drew the shots on two workers).
+	if n := float64(after.Mallocs-before.Mallocs) / jobs; n > 21 {
+		t.Fatalf("warm open-system job allocates %v objects, want ≤ 21", n)
 	}
 }
 
@@ -281,8 +286,9 @@ func TestPerfContractBoundSweepPoint(t *testing.T) {
 		}
 	}
 	sweep() // lowers the template once
-	// Measured 2026-10-17: 37.0, 41.9–42.0 under -race (51.9 and 57.4 while
-	// each point's one propagator-cache miss — the Gaussian's equal middle
+	// Measured 2026-10-18: 23.0, 28.7–29.2 under -race (37.0 and 41.9–42.0
+	// while a point's ticket built a cancellation context and its run a shot
+	// sampler; 51.9 and 57.4 while each point's one propagator-cache miss — the Gaussian's equal middle
 	// pair at a new amplitude — was an eigendecomposition; 56.9 and
 	// 62.4–62.8 on 2026-10-15; 107.9 and 113.3–113.6 while every point was
 	// a module of its own that the device linked and prepared; 118.9–119.0
@@ -290,7 +296,7 @@ func TestPerfContractBoundSweepPoint(t *testing.T) {
 	// 129.0 with a formatted trace ID per point and the worker's per-job
 	// names; 158 and 160.5 before prepared programs). The ceiling is the
 	// file's margin over the -race reading.
-	if perPoint := testing.AllocsPerRun(3, sweep) / points; perPoint > 46 {
-		t.Fatalf("warm bound sweep point allocates %.1f objects, want ≤ 46", perPoint)
+	if perPoint := testing.AllocsPerRun(3, sweep) / points; perPoint > 32 {
+		t.Fatalf("warm bound sweep point allocates %.1f objects, want ≤ 32", perPoint)
 	}
 }

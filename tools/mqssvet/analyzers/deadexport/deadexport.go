@@ -39,6 +39,7 @@ var allowed = map[string]string{
 	"qpi.Circuit.FrameChangeP":  "the QPI builder for a swept frame change, the symbolic form of FrameChange",
 	"qrm.Ticket.Tag":            "the facade's Ticket reads back the label WithTag set; calibration tags its jobs",
 	"qrm.Ticket.Device":         "the facade's Ticket reports the device a pool or a steal placed the job on",
+	"qrm.ticketCtx.AfterFunc":   "context.WithCancel and context.AfterFunc call it through the context package's unexported afterFuncer interface, so a context derived from a ticket's starts no goroutine",
 }
 
 // key identifies a declaration across the two views of it a run holds: the
