@@ -3,7 +3,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -94,12 +93,11 @@ func FuzzServerRequest(f *testing.F) {
 	lines := func(reqs ...remoteRequest) string {
 		var sb strings.Builder
 		for _, req := range reqs {
-			line, err := json.Marshal(req)
+			line, err := appendRequest(nil, &req)
 			if err != nil {
 				f.Fatal(err)
 			}
 			sb.Write(line)
-			sb.WriteByte('\n')
 		}
 		return sb.String()
 	}
@@ -127,7 +125,7 @@ func FuzzServerRequest(f *testing.F) {
 		store := &programStore{byID: map[string]*ptemplate.Compiled{}}
 		for _, line := range bytes.Split([]byte(input), []byte("\n")) {
 			resp := srv.handleLine(line, store)
-			if _, err := json.Marshal(resp); err != nil {
+			if _, err := appendResponse(nil, &resp); err != nil {
 				t.Fatalf("response to %q does not encode: %v", line, err)
 			}
 			if !wireKind(resp.ErrorKind) || (resp.Error == "" && resp.ErrorKind != "") {
@@ -161,7 +159,7 @@ func FuzzResponseLine(f *testing.F) {
 	srv.handleLine([]byte(`{"op":"register","id":"x","program":`+strconv.Quote(string(payload))+`}`), store)
 	levels := []readout.MeasLevel{readout.LevelDiscriminated, readout.LevelKerneled, readout.LevelRaw}
 	for _, level := range levels {
-		req, err := json.Marshal(remoteRequest{Op: "submit", ID: "x", Device: "tiny-1", Shots: 3, MeasLevel: level.String()})
+		req, err := appendRequest(nil, &remoteRequest{Op: "submit", ID: "x", Device: "tiny-1", Shots: 3, MeasLevel: level.String()})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -169,11 +167,11 @@ func FuzzResponseLine(f *testing.F) {
 		if resp.Error != "" {
 			f.Fatalf("%s seed: %s", level, resp.Error)
 		}
-		line, err := json.Marshal(resp)
+		line, err := appendResponse(nil, &resp)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(string(line))
+		f.Add(strings.TrimSuffix(string(line), "\n"))
 	}
 	f.Add(`{"error":"queue full","error_kind":"overloaded"}`)
 	f.Add(`{"counts":{"x":1}}`)

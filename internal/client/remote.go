@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,7 +30,8 @@ import (
 // concrete kernel is the template with no parameters and sends none.
 // "telemetry" fetches the server's metrics. Deadlines cross the machine
 // boundary: the adapter ships the remaining context budget as timeout_ms and
-// the server bounds the job with it. ARCHITECTURE.md has the field table.
+// the server bounds the job with it. ARCHITECTURE.md has the field table;
+// wirecodec.go writes and reads the frames.
 
 // maxStoredPrograms bounds the programs a server keeps per connection (the
 // oldest registration goes first) and the IDs an adapter remembers having
@@ -94,21 +96,22 @@ type remoteResponse struct {
 	// wire ("overloaded", "no_such_target"), so the adapter can rebuild
 	// the typed sentinels and callers can back off with errors.Is.
 	ErrorKind string `json:"error_kind,omitempty"`
-	// Counts is the result's own map: encoding/json writes its keys as
-	// decimal strings, sorted as strings, and refuses a key that is not a
-	// whole decimal uint64 when reading one back.
-	Counts          map[uint64]int    `json:"counts,omitempty"`
-	Shots           int               `json:"shots"`
-	DurationSeconds float64           `json:"duration_seconds"`
-	DeviceInfo      map[string]string `json:"device_info,omitempty"`
+	// Counts is the result's own map: its keys cross as decimal strings,
+	// sorted as strings, and a key that is not a whole decimal uint64 is
+	// refused when reading one back.
+	Counts          map[uint64]int `json:"counts,omitempty"`
+	Shots           int            `json:"shots"`
+	DurationSeconds float64        `json:"duration_seconds"`
 	// MeasLevel echoes the level of the returned data.
 	MeasLevel string `json:"meas_level,omitempty"`
 	// Bits lists the captured classical-bit positions (IQ column order).
 	Bits []int `json:"bits,omitempty"`
-	// IQ is [shot][capture] → [i, q].
-	IQ [][][2]float64 `json:"iq,omitempty"`
-	// Raw is [shot][capture][sample] → [i, q].
-	Raw [][][][2]float64 `json:"raw,omitempty"`
+	// IQ is [shot][capture], each point an [i, q] pair on the wire ("iq").
+	// Raw is [shot][capture][sample], each sample an [i, q] pair ("raw").
+	// encoding/json has no pair form for readout.IQ or complex128, so only
+	// the codec (wirecodec.go) reads and writes these two.
+	IQ  [][]readout.IQ   `json:"-"`
+	Raw [][][]complex128 `json:"-"`
 	// Spans carries the server-side lifecycle spans of the submission
 	// (queue-wait, dispatch, bind, device-execute, ...) back to a client
 	// that sent a trace ID, which imports them under its own dispatch span
@@ -215,22 +218,30 @@ func (s *Server) serve(conn net.Conn) {
 	defer stop()
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 0, 1<<20), maxFrameBytes)
-	enc := json.NewEncoder(conn)
 	// Registered programs are scoped to the connection: the store dies with
 	// it, so a reconnecting adapter re-registers (and a restarted server can
 	// never run a program it did not parse itself).
 	store := &programStore{byID: map[string]*ptemplate.Compiled{}}
+	var out []byte // the response frame, written into the same buffer each time
+	respond := func(resp remoteResponse) error {
+		var err error
+		if out, err = appendResponse(out[:0], &resp); err != nil {
+			return err
+		}
+		_, err = conn.Write(out)
+		return err
+	}
 	for {
 		if s.cfg.idleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout))
 		}
 		if !scanner.Scan() {
 			if errors.Is(scanner.Err(), bufio.ErrTooLong) {
-				_ = enc.Encode(failure(fmt.Errorf("%w: request line over %d bytes", ErrTooLarge, maxFrameBytes)))
+				_ = respond(failure(fmt.Errorf("%w: request line over %d bytes", ErrTooLarge, maxFrameBytes)))
 			}
 			return
 		}
-		if err := enc.Encode(s.handleLine(scanner.Bytes(), store)); err != nil {
+		if respond(s.handleLine(scanner.Bytes(), store)) != nil {
 			return
 		}
 	}
@@ -266,7 +277,7 @@ func failure(err error) remoteResponse {
 // handleLine answers one request line against the connection's store.
 func (s *Server) handleLine(line []byte, store *programStore) remoteResponse {
 	var req remoteRequest
-	if err := json.Unmarshal(line, &req); err != nil {
+	if err := parseRequest(line, &req); err != nil {
 		return failure(fmt.Errorf("%w: malformed request: %v", qdmi.ErrInvalidArgument, err))
 	}
 	switch req.Op {
@@ -351,28 +362,9 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 	}
 	if res.MeasLevel != readout.LevelDiscriminated {
 		resp.MeasLevel = res.MeasLevel.String()
-		resp.Bits = res.Bits
-		resp.IQ = make([][][2]float64, len(res.IQ))
-		for k, row := range res.IQ {
-			pts := make([][2]float64, len(row))
-			for i, p := range row {
-				pts[i] = [2]float64{p.I, p.Q}
-			}
-			resp.IQ[k] = pts
-		}
+		resp.Bits, resp.IQ = res.Bits, res.IQ
 		if res.MeasLevel == readout.LevelRaw {
-			resp.Raw = make([][][][2]float64, len(res.Raw))
-			for k, shot := range res.Raw {
-				traces := make([][][2]float64, len(shot))
-				for i, tr := range shot {
-					enc := make([][2]float64, len(tr))
-					for j, v := range tr {
-						enc[j] = [2]float64{real(v), imag(v)}
-					}
-					traces[i] = enc
-				}
-				resp.Raw[k] = traces
-			}
+			resp.Raw = res.Raw
 		}
 	}
 	return resp
@@ -496,6 +488,15 @@ type remoteConn struct {
 	// broken is set by a wire error: the connection is closed, and the pool
 	// drops it instead of taking it back.
 	broken bool
+	// out holds the last request frame written, its capacity reused.
+	out []byte
+	// text, textEpoch and textID are the last exchange text whose ID this
+	// connection computed (a copy), its epoch and the ID, so a caller that
+	// submits the same payload job after job hashes it once: payloadID
+	// compares the bytes instead.
+	text      []byte
+	textEpoch int64
+	textID    string
 }
 
 // NewRemoteAdapter dials the remote server, detached from any context.
@@ -611,7 +612,8 @@ func (r *RemoteAdapter) put(c *remoteConn) {
 }
 
 // wireProgram is what the adapter needs of a program to put it on the wire:
-// the register frame's fields under the ID every submit names.
+// the register frame's fields under the ID every submit names. Exchange text
+// comes without an ID; the connection that carries it derives one.
 type wireProgram struct {
 	id     string
 	text   []byte
@@ -623,15 +625,26 @@ type wireProgram struct {
 // waits for the result under ctx. The text is registered under a hash of
 // its content and opts.CalibrationEpoch the first time the connection that
 // carries the job sees it; later jobs there on the same payload send only
-// the ID. format is not sent — the server derives it from the program's
-// profile. The remaining context budget ships to the server as the job
+// the ID, which the connection keeps for the last text it hashed, so
+// resubmitting one payload costs a comparison, not a hash. format is not
+// sent — the server derives it from the program's profile. The remaining
+// context budget ships to the server as the job
 // timeout, and a cancelled ctx interrupts a blocked read within one read
 // slice. That connection is then closed and dropped, as after any wire
 // error (the protocol has no way to resynchronize a half-read response);
 // the adapter's other connections, and the next call, are unaffected.
 func (r *RemoteAdapter) SubmitPayloadCtx(ctx context.Context, device string, payload []byte, format qdmi.ProgramFormat, opts SubmitOptions) (*qpi.Result, error) {
-	id := payloadID(payload, opts.CalibrationEpoch)
-	return r.submit(ctx, device, wireProgram{id: id, text: payload, epoch: opts.CalibrationEpoch}, nil, opts)
+	return r.submit(ctx, device, wireProgram{text: payload, epoch: opts.CalibrationEpoch}, nil, opts)
+}
+
+// payloadID is payloadID(text, epoch), remembered for the last text and
+// epoch this connection carried.
+func (c *remoteConn) payloadID(text []byte, epoch int64) string {
+	if c.textID == "" || c.textEpoch != epoch || !bytes.Equal(c.text, text) {
+		c.text, c.textEpoch = append(c.text[:0], text...), epoch
+		c.textID = payloadID(text, epoch)
+	}
+	return c.textID
 }
 
 // payloadID is the wire ID of exchange-format text at a calibration epoch:
@@ -664,7 +677,7 @@ func payloadID(payload []byte, epoch int64) string {
 // histograms. A nil timeline records nothing.
 func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
 	req := remoteRequest{
-		Op: "submit", ID: p.id, Bindings: b, Device: device, Pool: opts.Pool,
+		Op: "submit", Bindings: b, Device: device, Pool: opts.Pool,
 		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag, TraceID: opts.TraceID,
 	}
 	if opts.MeasLevel != readout.LevelDiscriminated {
@@ -684,6 +697,10 @@ func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram
 		if c, err = r.take(ctx); err != nil {
 			return
 		}
+		if p.id == "" {
+			p.id = c.payloadID(p.text, p.epoch)
+		}
+		req.ID = p.id
 		resp, err = c.submitRegistered(ctx, &req, p)
 		r.put(c)
 		if err == nil {
@@ -768,11 +785,12 @@ func (c *remoteConn) exchange(ctx context.Context, req *remoteRequest) (*remoteR
 	}
 	conn := c.conn
 
-	data, err := json.Marshal(req)
+	frame, err := appendRequest(c.out[:0], req)
+	c.out = frame
 	if err != nil {
 		return nil, err
 	}
-	if _, err := conn.Write(append(data, '\n')); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		return nil, c.fail(ctx, err)
 	}
 	_ = conn.SetWriteDeadline(time.Time{})
@@ -789,6 +807,10 @@ func (c *remoteConn) exchange(ctx context.Context, req *remoteRequest) (*remoteR
 			_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
 		}
 		chunk, err := c.rd.ReadSlice('\n')
+		if err == nil && line == nil {
+			line = chunk // the whole line in the reader's buffer: decoded in place
+			break
+		}
 		line = append(line, chunk...)
 		if len(line) > maxFrameBytes {
 			return nil, c.fail(ctx, fmt.Errorf("client: remote: %w: response line over %d bytes", ErrTooLarge, maxFrameBytes))
@@ -815,7 +837,7 @@ func (c *remoteConn) exchange(ctx context.Context, req *remoteRequest) (*remoteR
 // anything else as the response.
 func decodeResponse(line []byte) (*remoteResponse, error) {
 	var resp remoteResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
+	if err := parseResponse(line, &resp); err != nil {
 		return nil, fmt.Errorf("client: remote response: %w", err)
 	}
 	if resp.Error != "" {
@@ -849,30 +871,7 @@ func resultFromWire(resp *remoteResponse, opts SubmitOptions) (*qpi.Result, erro
 			return nil, fmt.Errorf("client: remote: %w: requested %s data, server returned %s",
 				qdmi.ErrNotSupported, opts.MeasLevel, level)
 		}
-		out.MeasLevel = level
-		out.Bits = resp.Bits
-		out.IQ = make([][]readout.IQ, len(resp.IQ))
-		for k, row := range resp.IQ {
-			pts := make([]readout.IQ, len(row))
-			for i, p := range row {
-				pts[i] = readout.IQ{I: p[0], Q: p[1]}
-			}
-			out.IQ[k] = pts
-		}
-		if len(resp.Raw) > 0 {
-			out.Raw = make([][][]complex128, len(resp.Raw))
-			for k, shot := range resp.Raw {
-				traces := make([][]complex128, len(shot))
-				for i, tr := range shot {
-					dec := make([]complex128, len(tr))
-					for j, v := range tr {
-						dec[j] = complex(v[0], v[1])
-					}
-					traces[i] = dec
-				}
-				out.Raw[k] = traces
-			}
-		}
+		out.MeasLevel, out.Bits, out.IQ, out.Raw = level, resp.Bits, resp.IQ, resp.Raw
 	}
 	return out, nil
 }

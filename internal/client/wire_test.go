@@ -347,6 +347,58 @@ func TestPayloadIDIsFNV64a(t *testing.T) {
 	}
 }
 
+// TestPayloadIDMemo: a connection derives a payload's ID from the bytes it
+// is handed each time — the same text at the same epoch reuses the ID it
+// remembered, while another epoch, other bytes of the same length, or the
+// caller's own buffer rewritten in place after the call all get the ID
+// payloadID computes afresh.
+func TestPayloadIDMemo(t *testing.T) {
+	near, far := net.Pipe()
+	adapter := newRemoteAdapter("pipe", near)
+	defer adapter.Close()
+	var ids []string
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		defer far.Close()
+		lines := bufio.NewScanner(far)
+		lines.Buffer(nil, 1<<20)
+		for lines.Scan() {
+			var req remoteRequest
+			if err := parseRequest(lines.Bytes(), &req); err != nil {
+				return
+			}
+			reply := "{}\n"
+			if req.Op == "submit" {
+				ids = append(ids, req.ID)
+				reply = `{"counts":{"0":1},"shots":1,"duration_seconds":0}` + "\n"
+			}
+			if _, err := far.Write([]byte(reply)); err != nil {
+				return
+			}
+		}
+	}()
+	payload := []byte("define void @m() #0 {\n}\n")
+	var want []string
+	submit := func(epoch int64) {
+		t.Helper()
+		want = append(want, payloadID(payload, epoch))
+		if _, err := adapter.SubmitPayloadCtx(context.Background(), "dev", payload, qdmi.FormatQIRBase, SubmitOptions{Shots: 1, CalibrationEpoch: epoch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(1)
+	submit(1)
+	submit(2)
+	payload[0] = 'D' // same length, other bytes, rewritten in the caller's buffer
+	submit(2)
+	adapter.Close()
+	<-served
+	if !reflect.DeepEqual(ids, want) || ids[0] != ids[1] || ids[1] == ids[2] || ids[2] == ids[3] {
+		t.Fatalf("submits named %q, want %q", ids, want)
+	}
+}
+
 // variants returns n texts of one program that differ in a trailing comment:
 // n programs as far as the wire is concerned, for the price of one compile.
 func variants(payload []byte, n int) [][]byte {

@@ -14,16 +14,17 @@ import (
 	"sync/atomic"
 
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/telemetry"
 )
 
 // deviceState is the scheduler's view of one device: its targeted queue,
 // whether it holds a job, and its membership in pools. Scheduler.mu guards
-// all but the two names, which never change, and the atomics, which are
-// written under it but read without it.
+// all but the name, which never changes, and the atomics and queueWait, which
+// are written under it or by their own protocol and read without it.
 type deviceState struct {
-	name          string
-	queueWaitName string  // "queue_wait/device/<name>", spelled once
-	heap          jobHeap // device-targeted jobs
+	name      string
+	queueWait histHandle // "queue_wait/device/<name>"
+	heap      jobHeap    // device-targeted jobs
 
 	// busy is set while the device runs a job, on its dispatch worker or on
 	// a waiter that claimed it (Scheduler.claim).
@@ -39,11 +40,35 @@ type deviceState struct {
 }
 
 // poolState is a named set of interchangeable devices sharing one queue.
-// Guarded by Scheduler.mu, except the name, which never changes.
+// Guarded by Scheduler.mu, except queueWait, which guards itself.
 type poolState struct {
-	queueWaitName string // "queue_wait/pool/<name>"
-	members       []*deviceState
-	heap          jobHeap // pool-targeted jobs, placed on the least-loaded member
+	queueWait histHandle // "queue_wait/pool/<name>"
+	members   []*deviceState
+	heap      jobHeap // pool-targeted jobs, placed on the least-loaded member
+}
+
+// histHandle is one named histogram of whichever registry the scheduler
+// records into, looked up by name once per registry rather than per job.
+type histHandle struct {
+	name string
+	last atomic.Pointer[resolvedHist]
+}
+
+// resolvedHist is a histHandle's histogram in one registry.
+type resolvedHist struct {
+	reg  *telemetry.Registry
+	hist *telemetry.Histogram
+}
+
+// in returns the histogram in reg — nil, which records nothing, for a nil
+// registry. Callers racing on a new registry each store the same handle.
+func (h *histHandle) in(reg *telemetry.Registry) *telemetry.Histogram {
+	if r := h.last.Load(); r != nil && r.reg == reg {
+		return r.hist
+	}
+	r := &resolvedHist{reg: reg, hist: reg.Hist(h.name)}
+	h.last.Store(r)
+	return r.hist
 }
 
 // ensureDeviceLocked returns the device's scheduler state, creating it — and
@@ -51,7 +76,7 @@ type poolState struct {
 func (s *Scheduler) ensureDeviceLocked(name string) *deviceState {
 	d, ok := s.devices[name]
 	if !ok {
-		d = &deviceState{name: name, queueWaitName: "queue_wait/device/" + name}
+		d = &deviceState{name: name, queueWait: histHandle{name: "queue_wait/device/" + name}}
 		d.sources = []*jobHeap{&d.heap}
 		s.devices[name] = d
 		s.wg.Add(1)
@@ -121,7 +146,7 @@ func (s *Scheduler) RegisterPool(name string, members ...string) error {
 	if _, dup := s.pools[name]; dup {
 		return fmt.Errorf("%w: duplicate pool %q", qdmi.ErrInvalidArgument, name)
 	}
-	p := &poolState{queueWaitName: "queue_wait/pool/" + name}
+	p := &poolState{queueWait: histHandle{name: "queue_wait/pool/" + name}}
 	for _, m := range members {
 		d := s.ensureDeviceLocked(m)
 		d.pools = append(d.pools, p)

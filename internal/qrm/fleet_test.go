@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qdmi/qdmitest"
+	"mqsspulse/internal/telemetry"
 )
 
 func poolSubmit(t *testing.T, s *Scheduler, ctx context.Context, pool, payload string) *Ticket {
@@ -328,4 +330,61 @@ func TestPriorityOrderAcrossPoolAndDeviceQueues(t *testing.T) {
 	if len(order) != 3 || order[1] != "high" || order[2] != "low" {
 		t.Fatalf("execution order = %v, want [first high low]", order)
 	}
+}
+
+// TestQueueWaitHistogramsPerRegistry: every job leaving a queue observes
+// its wait into "queue_wait/device/<device>" and, for a pool job,
+// "queue_wait/pool/<pool>" of the registry installed at that moment — the
+// names and counts the scheduler recorded when it looked the histograms up
+// by name per job — and a registry installed later gets the later jobs
+// under the same names.
+func TestQueueWaitHistogramsPerRegistry(t *testing.T) {
+	s := rig(t, device("d0"), device("d1"))
+	if err := s.RegisterPool("sims", "d0", "d1"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func(reg *telemetry.Registry, poolJobs, deviceJobs int) {
+		t.Helper()
+		s.SetTelemetry(reg)
+		var tks []*Ticket
+		for i := range poolJobs {
+			tks = append(tks, poolSubmit(t, s, ctx, "sims", fmt.Sprint("pool-", i)))
+		}
+		for i := range deviceJobs {
+			tk, err := s.SubmitCtx(ctx, Request{Device: "d0", Payload: []byte(fmt.Sprint("dev-", i)), Format: qdmi.FormatQIRBase, Shots: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tks = append(tks, tk)
+		}
+		for _, tk := range tks {
+			if _, err := tk.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(reg *telemetry.Registry, poolJobs, deviceJobs int) {
+		t.Helper()
+		var pool, devs int64
+		for name, h := range reg.Snapshot().Histograms {
+			switch {
+			case name == "queue_wait/pool/sims":
+				pool = h.Count
+			case name == "queue_wait/device/d0" || name == "queue_wait/device/d1":
+				devs += h.Count
+			case strings.HasPrefix(name, "queue_wait/"):
+				t.Fatalf("unexpected histogram %q", name)
+			}
+		}
+		if pool != int64(poolJobs) || devs != int64(poolJobs+deviceJobs) {
+			t.Fatalf("queue-wait counts: pool %d, devices %d; want %d and %d", pool, devs, poolJobs, poolJobs+deviceJobs)
+		}
+	}
+	first, second := telemetry.NewRegistry(), telemetry.NewRegistry()
+	run(first, 6, 3)
+	run(nil, 2, 2) // no registry records nothing
+	run(second, 2, 1)
+	check(first, 6, 3)
+	check(second, 2, 1)
 }

@@ -419,9 +419,9 @@ func (s *Scheduler) runItem(d *deviceState, t *Ticket) {
 	wait := time.Since(t.enqueued)
 	t.req.Timeline.Record(telemetry.StageQueueWait, d.name, t.enqueued, wait, 0)
 	m := s.metrics.Load()
-	m.reg.Observe(d.queueWaitName, wait)
+	d.queueWait.in(m.reg).Observe(wait)
 	if t.pool != nil {
-		m.reg.Observe(t.pool.queueWaitName, wait)
+		t.pool.queueWait.in(m.reg).Observe(wait)
 	}
 	t.device.Store(&d.name)
 	dev, err := s.session.Device(d.name)

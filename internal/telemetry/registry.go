@@ -228,11 +228,6 @@ func (r *Registry) Hist(name string) *Histogram {
 	return named(&r.mu, &r.hists, name)
 }
 
-// Observe records a duration into the named histogram; nil-safe no-op.
-func (r *Registry) Observe(name string, d time.Duration) {
-	r.Hist(name).Observe(d)
-}
-
 // Snapshot is the JSON-serializable point-in-time view of a registry:
 // the expvar-style document the remote "telemetry" op and the
 // qdmi-query -telemetry table render from.

@@ -26,7 +26,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				reg.Add("jobs", 1)
 				reg.Add(fmt.Sprintf("worker/%d", w%4), 1)
-				reg.Observe("latency", time.Duration(i)*time.Microsecond)
+				reg.Hist("latency").Observe(time.Duration(i) * time.Microsecond)
 				if i%64 == 0 {
 					// Concurrent snapshots must not race the writers.
 					_ = reg.Snapshot()
@@ -114,7 +114,7 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
 	r.Add("x", 1)
-	r.Observe("y", time.Second)
+	r.Hist("y").Observe(time.Second)
 	if c := r.Counter("x"); c != nil {
 		t.Fatal("nil registry returned a counter")
 	}
@@ -132,7 +132,7 @@ func TestRegistryNilSafe(t *testing.T) {
 func TestSnapshotJSON(t *testing.T) {
 	reg := NewRegistry()
 	reg.Add("qrm/dispatched", 3)
-	reg.Observe("queue_wait/device/sc-0", 2*time.Millisecond)
+	reg.Hist("queue_wait/device/sc-0").Observe(2 * time.Millisecond)
 	data, err := json.Marshal(reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)

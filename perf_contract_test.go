@@ -55,7 +55,7 @@ func TestPerfContractSpanRecord(t *testing.T) {
 	start := time.Now()
 	record := func() {
 		tl.Record(telemetry.StageDispatch, "dev", start, time.Microsecond, 0)
-		reg.Observe("queue_wait/device/dev", time.Microsecond)
+		reg.Hist("queue_wait/device/dev").Observe(time.Microsecond)
 	}
 	record() // creates the histogram
 	// Measured 2026-10-15: 0 (1 while a span spelled its stage histogram's
@@ -298,5 +298,50 @@ func TestPerfContractBoundSweepPoint(t *testing.T) {
 	// file's margin over the -race reading.
 	if perPoint := testing.AllocsPerRun(3, sweep) / points; perPoint > 32 {
 		t.Fatalf("warm bound sweep point allocates %.1f objects, want ≤ 32", perPoint)
+	}
+}
+
+// TestPerfContractRemoteJob: the benchmark's remote_job operation, a warm
+// discriminated 16-shot X+Measure job through RemoteAdapter.SubmitPayloadCtx
+// to a loopback Server in this process, so the count holds the adapter's
+// objects and the server's: two frames written and read, the server's job
+// through the QRM, the result rebuilt on the client.
+func TestPerfContractRemoteJob(t *testing.T) {
+	dev, err := devices.New(tinyFleetConfig("tiny-1", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err := mqsspulse.NewStack(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stack.Close)
+	payload, format, err := stack.Client.Compile(fleetKernel(t), "tiny-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := mqsspulse.NewServer(stack.Client, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ad, err := mqsspulse.NewRemoteAdapter(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ad.Close)
+	opts := mqsspulse.SubmitOptions{Shots: 16, CalibrationEpoch: dev.CalibrationEpoch()}
+	job := func() {
+		if _, err := ad.SubmitPayloadCtx(context.Background(), "tiny-1", payload, format, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job() // registers the payload on the connection, prepares the program
+	// Measured 2026-10-18: 28, 35 under -race (47 while both ends wrote and
+	// read their frames with encoding/json and the adapter rendered the
+	// payload's ID per job). The ceiling is the file's margin over the -race
+	// reading.
+	if n := testing.AllocsPerRun(200, job); n > 38 {
+		t.Fatalf("warm remote job allocates %v objects, want ≤ 38", n)
 	}
 }

@@ -21,14 +21,16 @@ import (
 )
 
 // A Rule confines facts to sites. A fact is a use of an object (path.Name,
-// path.Type.Member), a write of a field (path.Type.field=), a value of a
-// type built by a literal, new(T) or var x T (path.Type{}), a declaration
-// (def Name), a type written out ([][2]float64), a constant switch case
-// (case "sx"), a go statement, bare receive or .Wait() call (blocks), a
-// comment marker (mqss:lockrank), or path importing a module package,
-// which is then the site (path imports). Paths are relative to the module
-// root, "" being the root package; a site is a package or a declaration in
-// it (path.Func, path.Type, path.Type.Method) and holds the sites below it.
+// path.Type.Member; a method of an instantiated generic type with its type
+// arguments, path.Type[path.Arg].Method), a write of a field
+// (path.Type.field=), a value of a type built by a literal, new(T) or
+// var x T (path.Type{}), a declaration (def Name), a type written out
+// ([][2]float64), a constant switch case (case "sx"), a go statement, bare
+// receive or .Wait() call (blocks), a comment marker (mqss:lockrank), or
+// path importing a module package, which is then the site (path imports).
+// Paths are relative to the module root, "" being the root package; a site
+// is a package or a declaration in it (path.Func, path.Type,
+// path.Type.Method) and holds the sites below it.
 type Rule struct {
 	ID, Why string   // the findings' prefix, and what the rule keeps
 	Facts   []string // what it confines
@@ -91,17 +93,35 @@ func (c *checker) typeKey(t types.Type) string {
 	return types.TypeString(t, nil)
 }
 
-// member names a selected method by the type declaring it and a field by
-// the one it is selected through; it is "" for any other expression.
+// member names a selected method by the type declaring it, with the type
+// arguments it is instantiated with, and a field by the one it is selected
+// through; it is "" for any other expression.
 func (c *checker) member(info *types.Info, e ast.Expr) string {
 	s, _ := ast.Unparen(e).(*ast.SelectorExpr)
 	sel := info.Selections[s]
 	if sel == nil {
 		return ""
 	} else if fn, ok := sel.Obj().(*types.Func); ok {
-		return c.typeKey(fn.Origin().Signature().Recv().Type()) + "." + fn.Name()
+		return c.typeKey(fn.Origin().Signature().Recv().Type()) + c.typeArgs(fn.Signature().Recv().Type()) + "." + fn.Name()
 	}
 	return c.typeKey(sel.Recv()) + "." + sel.Obj().Name()
+}
+
+// typeArgs spells the type arguments of an instantiated named type or a
+// pointer to one, [path.Type,...], and is "" for any other type.
+func (c *checker) typeArgs(t types.Type) string {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok || n.TypeArgs().Len() == 0 {
+		return ""
+	}
+	args := make([]string, n.TypeArgs().Len())
+	for i := range args {
+		args[i] = c.typeKey(n.TypeArgs().At(i))
+	}
+	return "[" + strings.Join(args, ",") + "]"
 }
 
 func (c *checker) walk(pkg *analysis.Package) {
@@ -250,8 +270,10 @@ func (c *checker) stale(r *Rule) {
 		c.pass.Reportf(pos, r.ID+": stale table entry: "+format, args...)
 	}
 	for _, e := range append(append([]string{}, r.Facts...), r.Scope...) {
-		if p, name := c.split(strings.TrimRight(e, "={}")); p != nil && name != "" && lookup(p.Types, name) == nil {
-			report(token.NoPos, "%s does not exist", e)
+		for _, key := range objects(strings.TrimRight(e, "={}")) {
+			if p, name := c.split(key); p != nil && name != "" && lookup(p.Types, name) == nil {
+				report(token.NoPos, "%s does not exist", e)
+			}
 		}
 	}
 	for _, e := range r.Allow {
@@ -267,6 +289,18 @@ func (c *checker) stale(r *Rule) {
 			report(c.sites[site], "%s has no test %s", site, test)
 		}
 	}
+}
+
+// objects lists the objects an entry names: itself, or for a method of an
+// instantiated type, path.Type[path.Arg].Method, the method and each
+// argument.
+func objects(e string) []string {
+	open := strings.Index(e, "[")
+	n := strings.Index(e, "]")
+	if open <= 0 || n < open {
+		return []string{e}
+	}
+	return append([]string{e[:open] + e[n+1:]}, strings.Split(e[open+1:n], ",")...)
 }
 
 // split cuts path.Name.Member after the package path, returning the

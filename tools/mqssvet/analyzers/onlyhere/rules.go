@@ -14,7 +14,7 @@ var Rules = []Rule{
 		// synthesizePulse derives x and sx from the one calibrated π amplitude.
 		Allow: []string{"internal/devices.SimDevice.synthesizePulse", "benchmark"}},
 	{ID: "one calibration writer", Why: "recalibrate copies the calibration, applies the edit, bumps the epoch and publishes, so every write bumps the epoch",
-		Facts: []string{"sync/atomic.Pointer.Store", "internal/devices.calibration.epoch="},
+		Facts: []string{"sync/atomic.Pointer[internal/devices.calibration].Store", "internal/devices.calibration.epoch="},
 		Scope: []string{"internal/devices"}, Allow: []string{"internal/devices.SimDevice.recalibrate"}},
 	{ID: "one prepare path", Why: "a concrete module and a template's first point are linked, resolved and prepared by link alone",
 		Facts: []string{"internal/qir.BuildSchedule", "internal/simq.Executor.Prepare"},

@@ -55,12 +55,13 @@ func TestDeadexportReportsNothingOnAPartialTree(t *testing.T) {
 const fixtures = "mqsspulse/tools/mqssvet/testdata/src/onlyhere"
 
 // TestOnlyhereUses: a call of a device's method outside the QRM, a method
-// value of it, writes of a field outside its one writer, a declaration by
-// a deleted name and a spelled-out pair slice.
+// value of it, writes of a field outside its one writer, a Store of the
+// atomic pointer of one type outside its one writer while another type's
+// passes, a declaration by a deleted name and a spelled-out pair slice.
 func TestOnlyhereUses(t *testing.T) {
 	analysistest.Run(t, "./testdata/src/onlyhere/uses/...", onlyhere.New(fixtures+"/uses", []onlyhere.Rule{
 		{ID: "one way to a device", Facts: []string{"dev.Device.Submit", "dev.Submitter.Submit"}, Allow: []string{"qrm"}},
-		{ID: "one calibration writer", Facts: []string{"dev.Device.epoch="}, Allow: []string{"dev.Device.Bump"}},
+		{ID: "one calibration writer", Facts: []string{"dev.Device.epoch=", "sync/atomic.Pointer[dev.calibration].Store"}, Allow: []string{"dev.Device.Bump"}},
 		{ID: "one sampler", Facts: []string{"def ShotWorkers"}},
 		{ID: "one waveform value", Facts: []string{"[][2]float64"}},
 	}))
@@ -106,10 +107,11 @@ func TestOnlyhereMutex(t *testing.T) {
 	}))
 }
 
-// staleRules names an object, a scope and an allowed function the stale
-// fixture no longer has.
+// staleRules names an object, a scope, a type argument and an allowed
+// function the stale fixture no longer has.
 var staleRules = []onlyhere.Rule{
 	{ID: "one way to a device", Facts: []string{"dev.Device.Submit", "dev.Device.Cancel"}, Allow: []string{"qrm.Dispatch", "qrm.Gone"}},
+	{ID: "one calibration writer", Facts: []string{"sync/atomic.Pointer[dev.calibration].Store"}},
 	{ID: "one writer per trace", Facts: []string{"sync.Mutex"}, Scope: []string{"dev.Timeline"}},
 }
 
@@ -121,11 +123,13 @@ func TestOnlyhereStaleEntries(t *testing.T) {
 		want    []string
 	}{
 		{"./testdata/src/onlyhere/stale/...", []string{
+			"one calibration writer: stale table entry: sync/atomic.Pointer[dev.calibration].Store does not exist",
 			"one way to a device: stale table entry: dev.Device.Cancel does not exist",
 			"one way to a device: stale table entry: qrm.Gone holds none of [\"dev.Device.Submit\" \"dev.Device.Cancel\"]",
 			"one writer per trace: stale table entry: dev.Timeline does not exist",
 		}},
 		{"./testdata/src/onlyhere/stale/dev", []string{
+			"one calibration writer: stale table entry: sync/atomic.Pointer[dev.calibration].Store does not exist",
 			"one way to a device: stale table entry: dev.Device.Cancel does not exist",
 			"one writer per trace: stale table entry: dev.Timeline does not exist",
 		}},
