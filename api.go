@@ -106,9 +106,6 @@ func WithShots(n int) ExecOption { return qpi.WithShots(n) }
 // WithPriority sets the scheduler priority (higher dispatches first).
 func WithPriority(p int) ExecOption { return qpi.WithPriority(p) }
 
-// WithTag attaches a caller label to the submission.
-func WithTag(tag string) ExecOption { return qpi.WithTag(tag) }
-
 // WithPool targets a named device pool instead of the backend's default
 // device: the scheduler places the job on the least-loaded compatible pool
 // member (see Scheduler.RegisterPool).
@@ -476,7 +473,7 @@ func NewTemplate(c *Circuit, params ...TemplateParam) (*Template, error) {
 }
 
 // CompileTemplate lowers a template for a device through the client's
-// lowering cache: one compilation per (template fingerprint, device,
+// lowering cache: one compilation per (template, device,
 // calibration epoch), served cache-hot afterwards (see CacheStats.Binds).
 func (s *Stack) CompileTemplate(t *Template, device string) (*CompiledTemplate, error) {
 	return s.Client.CompileTemplate(t, device)

@@ -63,7 +63,7 @@ func runFleet(preset string, sites, n, jobs int, telemetry bool) error {
 	}
 	start := time.Now()
 	results, err := stack.Client.RunBatch(context.Background(), kernels, "",
-		mqsspulse.SubmitOptions{Shots: 16, Pool: "fleet", Tag: "qdmi-query"})
+		mqsspulse.SubmitOptions{Shots: 16, Pool: "fleet"})
 	if err != nil {
 		return err
 	}

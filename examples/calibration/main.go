@@ -79,6 +79,15 @@ func main() {
 			rawSum += er
 		}
 		fmt.Printf("  calibrations executed: %d\n", len(sched.Events))
+		var ramsey, rabi string
+		for _, ev := range sched.Events {
+			if ev.Routine == "ramsey" {
+				ramsey = fmt.Sprintf("ramsey at %.2f h measured %+.3f kHz", ev.AtSeconds/3600, ev.OffsetHz/1e3)
+			} else {
+				rabi = fmt.Sprintf("rabi at %.2f h corrected %+.2f%%", ev.AtSeconds/3600, ev.AmpDelta*100)
+			}
+		}
+		fmt.Printf("  last %s, last %s\n", ramsey, rabi)
 		fmt.Printf("  mean benchmark error:  maintained %.4f   neglected %.4f\n",
 			calSum/float64(steps), rawSum/float64(steps))
 		fmt.Printf("  final frequency error: maintained %+.2f kHz  neglected %+.2f kHz\n\n",

@@ -64,7 +64,7 @@ func main() {
 	}
 	start := time.Now()
 	results, err := stack.Client.RunBatch(context.Background(), kernels, "",
-		mqsspulse.SubmitOptions{Shots: 256, Pool: "sims", Tag: "burst"})
+		mqsspulse.SubmitOptions{Shots: 256, Pool: "sims"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func main() {
 	var tickets []*mqsspulse.Ticket
 	for submitted < 64 {
 		tk, err := stack.Client.SubmitCtx(context.Background(), bell, "",
-			mqsspulse.SubmitOptions{Shots: 64, Pool: "sims", Tag: "backoff"})
+			mqsspulse.SubmitOptions{Shots: 64, Pool: "sims"})
 		if errors.Is(err, mqsspulse.ErrOverloaded) {
 			rejections++
 			time.Sleep(2 * time.Millisecond) // back off, then retry

@@ -75,7 +75,7 @@ func main() {
 		sweep = append(sweep, k)
 	}
 	batch, err := stack.Client.RunBatch(ctx, sweep, "demo-sc",
-		mqsspulse.SubmitOptions{Shots: 512, Tag: "rx-sweep"})
+		mqsspulse.SubmitOptions{Shots: 512})
 	if err != nil {
 		log.Fatal(err)
 	}

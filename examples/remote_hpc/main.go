@@ -64,7 +64,7 @@ func main() {
 	}
 	defer remote.Close()
 	out, err := remote.SubmitPayloadCtx(ctx, "hpc-sc", res.Payload, mqsspulse.FormatQIRPulse,
-		mqsspulse.SubmitOptions{Shots: 4096, Tag: "login-node-demo"})
+		mqsspulse.SubmitOptions{Shots: 4096})
 	if err != nil {
 		log.Fatal(err)
 	}

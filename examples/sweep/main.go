@@ -58,7 +58,7 @@ func main() {
 		bindings[i] = mqsspulse.Bindings{"theta": math.Pi * float64(i+1) / points}
 	}
 	results, err := stack.RunSweep(ctx, tpl, "sweep-sc", bindings,
-		mqsspulse.SubmitOptions{Shots: 256, Tag: "rabi"})
+		mqsspulse.SubmitOptions{Shots: 256})
 	if err != nil {
 		log.Fatal(err)
 	}

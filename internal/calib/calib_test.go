@@ -466,24 +466,3 @@ func TestRabiSweepCompilesOnce(t *testing.T) {
 		t.Fatalf("kernel cached before the writeback: %+v, want 1 invalidation and no hit", st)
 	}
 }
-
-// TestCalibrationTicketsCarryTheTag: what a routine submits is an ordinary
-// scheduler ticket, labelled so an operator can tell it from user work.
-func TestCalibrationTicketsCarryTheTag(t *testing.T) {
-	d := newMiscalibratedSC(t, 0, 0)
-	b, err := newBench(clientFor(t, d), d, 0, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := b.kernel("k", "x").Measure(0, 0)
-	if err := c.End(); err != nil {
-		t.Fatal(err)
-	}
-	tk, err := b.cl.SubmitCtx(context.Background(), c, b.device, b.opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tk.Wait(context.Background()); err != nil || tk.Tag() != Tag {
-		t.Fatalf("ticket tag %q (err %v), want %q", tk.Tag(), err, Tag)
-	}
-}

@@ -15,12 +15,9 @@ import (
 // Calibration is a client of the stack like any other: every routine builds
 // QPI kernels and runs them through the client its device is registered on,
 // so its jobs are compiled, cached, queued, epoch-gated and traced as user
-// jobs are. Tag labels them; Priority puts a due calibration ahead of the
-// user work already queued on the device.
-const (
-	Tag      = "calibration"
-	Priority = 100
-)
+// jobs are. Priority puts a due calibration ahead of the user work already
+// queued on the device.
+const Priority = 100
 
 // Target is the device surface calibration routines need: the full QDMI
 // device interface plus calibration-table writeback. The simulated devices
@@ -50,7 +47,7 @@ type bench struct {
 
 func newBench(cl *client.Client, dev qdmi.Device, site, shots int) (*bench, error) {
 	b := &bench{cl: cl, device: dev.Name(), site: site, env: map[string][]complex128{},
-		opts: client.SubmitOptions{Shots: shots, Priority: Priority, Tag: Tag}}
+		opts: client.SubmitOptions{Shots: shots, Priority: Priority}}
 	target := qdmi.NewTarget(dev)
 	if b.drive = target.Drive(site); b.drive == nil {
 		return nil, fmt.Errorf("calib: site %d has no drive port", site)

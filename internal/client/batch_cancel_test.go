@@ -43,7 +43,7 @@ func TestClientCancelQueuedPreventsExecution(t *testing.T) {
 	<-entered
 	// Second submission sits in the queue; cancel its context.
 	ctx, cancel := context.WithCancel(context.Background())
-	second, err := c.SubmitCtx(ctx, bell(t), "hpcqc-sc", SubmitOptions{Shots: 50, Tag: "doomed"})
+	second, err := c.SubmitCtx(ctx, bell(t), "hpcqc-sc", SubmitOptions{Shots: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRunBatchConcurrentSubmitters(t *testing.T) {
 				kernels[i] = k
 			}
 			results, err := c.RunBatch(context.Background(), kernels, "hpcqc-sc",
-				SubmitOptions{Shots: 16, Tag: fmt.Sprintf("tenant-%d", g)})
+				SubmitOptions{Shots: 16})
 			if err != nil {
 				errCh <- err
 				return

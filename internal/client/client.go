@@ -285,7 +285,7 @@ func (c *Client) lower(key cacheKey, k *qpi.Circuit, params []ptemplate.Param) (
 	c.cacheStats.Misses++
 	c.mu.Unlock()
 	c.cacheMisses.Add(1)
-	program, err := ptemplate.LowerCircuit(k, params, dev, key.target)
+	program, err := ptemplate.LowerCircuit(k, params, dev)
 	if err != nil {
 		return nil, false, err
 	}
@@ -359,7 +359,7 @@ func (c *Client) enqueue(ctx context.Context, program *ptemplate.Compiled, b pte
 	}
 	req := qrm.Request{
 		Device: device, Template: program, Bindings: b,
-		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag, Deadline: opts.Deadline,
+		Shots: opts.Shots, Priority: opts.Priority, Deadline: opts.Deadline,
 		MeasLevel: opts.MeasLevel, MeasReturn: opts.MeasReturn,
 		CalibrationEpoch: program.Epoch, CompiledFor: compiledFor,
 		Timeline: tl,

@@ -102,7 +102,7 @@ func TestModuleAndTextSubmissionsAgree(t *testing.T) {
 		run := func(asModule bool) *qdmi.Result {
 			c, dev := sweepStack(t, 2024)
 			k := bell(t)
-			program, err := ptemplate.LowerCircuit(k, nil, dev, "hpcqc-sc")
+			program, err := ptemplate.LowerCircuit(k, nil, dev)
 			if err != nil {
 				t.Fatal(err)
 			}

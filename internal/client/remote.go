@@ -50,10 +50,9 @@ const maxFrameBytes = 1 << 24
 type remoteRequest struct {
 	// Op selects the request kind: "register", "submit" or "telemetry".
 	Op string `json:"op"`
-	// ID names a program on this connection. The adapter derives it from
-	// the program's fingerprint (or, for bare text, a content hash) and its
-	// calibration epoch, so a program re-lowered after a recalibration is a
-	// different program on the wire.
+	// ID names a program on this connection. The adapter derives it from a
+	// hash of the program's text and its calibration epoch, so a program
+	// re-lowered after a recalibration is a different program on the wire.
 	ID string `json:"id,omitempty"`
 
 	// Program, Params and Epoch are the body of "register": the exchange
@@ -74,7 +73,6 @@ type remoteRequest struct {
 	Pool     string `json:"pool,omitempty"`
 	Shots    int    `json:"shots,omitempty"`
 	Priority int    `json:"priority,omitempty"`
-	Tag      string `json:"tag,omitempty"`
 	// TimeoutMs bounds the job server-side; 0 means no client deadline.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// MeasLevel/MeasReturn select the acquisition data shape
@@ -287,7 +285,7 @@ func (s *Server) handleLine(line []byte, store *programStore) remoteResponse {
 		}
 		// Parsed, verified and checked against its declared parameters here,
 		// once; every submit that names the ID runs the stored module.
-		program, err := ptemplate.FromText(req.ID, req.Program, req.Params, req.Epoch)
+		program, err := ptemplate.FromText(req.Program, req.Params, req.Epoch)
 		if err != nil {
 			return failure(err)
 		}
@@ -325,7 +323,7 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 		return failure(fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err))
 	}
 	opts := SubmitOptions{
-		Shots: req.Shots, Priority: req.Priority, Tag: req.Tag, Pool: req.Pool,
+		Shots: req.Shots, Priority: req.Priority, Pool: req.Pool,
 		MeasLevel: level, MeasReturn: ret,
 	}
 	timeout := time.Duration(req.TimeoutMs) * time.Millisecond
@@ -612,10 +610,9 @@ func (r *RemoteAdapter) put(c *remoteConn) {
 }
 
 // wireProgram is what the adapter needs of a program to put it on the wire:
-// the register frame's fields under the ID every submit names. Exchange text
-// comes without an ID; the connection that carries it derives one.
+// the register frame's fields. The connection that carries it derives the
+// ID every submit names (remoteConn.payloadID).
 type wireProgram struct {
-	id     string
 	text   []byte
 	params []ptemplate.Param
 	epoch  int64
@@ -678,7 +675,7 @@ func payloadID(payload []byte, epoch int64) string {
 func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
 	req := remoteRequest{
 		Op: "submit", Bindings: b, Device: device, Pool: opts.Pool,
-		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag, TraceID: opts.TraceID,
+		Shots: opts.Shots, Priority: opts.Priority, TraceID: opts.TraceID,
 	}
 	if opts.MeasLevel != readout.LevelDiscriminated {
 		req.MeasLevel = opts.MeasLevel.String()
@@ -697,10 +694,7 @@ func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram
 		if c, err = r.take(ctx); err != nil {
 			return
 		}
-		if p.id == "" {
-			p.id = c.payloadID(p.text, p.epoch)
-		}
-		req.ID = p.id
+		req.ID = c.payloadID(p.text, p.epoch)
 		resp, err = c.submitRegistered(ctx, &req, p)
 		r.put(c)
 		if err == nil {
@@ -713,19 +707,19 @@ func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram
 	return resultFromWire(resp, opts)
 }
 
-// submitRegistered sends req, registering p first if this connection has
-// not. The server may not hold an ID the adapter remembers sending — its
+// submitRegistered sends req, registering p under req.ID first if this
+// connection has not. The server may not hold an ID the adapter remembers sending — its
 // store is bounded, and a server restarted behind a relay starts empty — so
 // an unknown_program answer is met by registering and submitting again,
 // once.
 func (c *remoteConn) submitRegistered(ctx context.Context, req *remoteRequest, p wireProgram) (*remoteResponse, error) {
 	for attempt := 0; ; attempt++ {
-		if !c.registered[p.id] {
+		if !c.registered[req.ID] {
 			if len(p.text) >= maxFrameBytes {
 				// The server would stop reading mid-line; nothing is sent.
 				return nil, fmt.Errorf("client: remote: %w: program text of %d bytes", ErrTooLarge, len(p.text))
 			}
-			reg := remoteRequest{Op: "register", ID: p.id, Program: string(p.text), Params: p.params, Epoch: p.epoch}
+			reg := remoteRequest{Op: "register", ID: req.ID, Program: string(p.text), Params: p.params, Epoch: p.epoch}
 			if _, err := c.exchange(ctx, &reg); err != nil {
 				return nil, err
 			}
@@ -733,13 +727,13 @@ func (c *remoteConn) submitRegistered(ctx context.Context, req *remoteRequest, p
 				// The server has started evicting; so does the hint.
 				clear(c.registered)
 			}
-			c.registered[p.id] = true
+			c.registered[req.ID] = true
 		}
 		resp, err := c.exchange(ctx, req)
 		if attempt > 0 || !errors.Is(err, errUnknownProgram) {
 			return resp, err
 		}
-		delete(c.registered, p.id)
+		delete(c.registered, req.ID)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"net"
 	"reflect"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -27,15 +26,14 @@ import (
 
 // SubmitBoundCtx is the tests' client for the server's bindings frame: it
 // submits one sweep point of a compiled program, whose text ships once per
-// pooled connection, named by fingerprint and the epoch it was lowered at;
-// every point afterwards is a small bindings frame. Bindings are validated
-// locally first, as the server validates them again.
+// pooled connection, named as a payload is by its text and the epoch it was
+// lowered at; every point afterwards is a small bindings frame. Bindings
+// are validated locally first, as the server validates them again.
 func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compiled *ptemplate.Compiled, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
 	if err := compiled.Validate(b); err != nil {
 		return nil, err
 	}
-	id := compiled.Fingerprint + "@" + strconv.FormatInt(compiled.Epoch, 10)
-	return r.submit(ctx, device, wireProgram{id: id, text: compiled.Text(), params: compiled.Params, epoch: compiled.Epoch}, b, opts)
+	return r.submit(ctx, device, wireProgram{text: compiled.Text(), params: compiled.Params, epoch: compiled.Epoch}, b, opts)
 }
 
 // recordingConn keeps every frame the adapter writes (one Write is one
@@ -114,7 +112,7 @@ func rotation(t *testing.T, theta float64) *qpi.Circuit {
 
 // TestRemoteRecalibrationOnOneConnection: a program lowered again after a
 // recalibration is a different program on the wire. The adapter used to
-// remember a template by its fingerprint alone, so on a connection that had
+// remember a template by its structure alone, so on a connection that had
 // seen the template before, the re-lowered module was never sent: the server
 // bound the old one, stamped with the new epoch, and the staleness gate
 // passed — stale pulses, silently. Here the π amplitude is halved between
@@ -153,9 +151,8 @@ func TestRemoteRecalibrationOnOneConnection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if after.Fingerprint != before.Fingerprint || after.Epoch == before.Epoch {
-				t.Fatalf("re-lowering: fingerprint %q → %q, epoch %d → %d; want same fingerprint, new epoch",
-					before.Fingerprint, after.Fingerprint, before.Epoch, after.Epoch)
+			if after.Epoch == before.Epoch {
+				t.Fatalf("re-lowering kept epoch %d", before.Epoch)
 			}
 			if freshConnection {
 				adapter, _ = recordedAdapter(t, srv)
@@ -270,12 +267,12 @@ func TestRemoteProgramTextCrossesOnce(t *testing.T) {
 	fronts := map[string]func(i int) error{
 		"payload": func(int) error {
 			_, err := adapter.SubmitPayloadCtx(ctx, "hpcqc-sc", payload, format,
-				SubmitOptions{Shots: 8, CalibrationEpoch: dev.CalibrationEpoch(), Tag: "sweep"})
+				SubmitOptions{Shots: 8, CalibrationEpoch: dev.CalibrationEpoch()})
 			return err
 		},
 		"bound": func(i int) error {
 			_, err := adapter.SubmitBoundCtx(ctx, "hpcqc-sc", compiled,
-				ptemplate.Bindings{"theta": math.Pi / float64(i+3)}, SubmitOptions{Shots: 8, Tag: "sweep"})
+				ptemplate.Bindings{"theta": math.Pi / float64(i+3)}, SubmitOptions{Shots: 8})
 			return err
 		},
 	}
@@ -546,7 +543,7 @@ func TestRemoteRegisterRejectsBadPrograms(t *testing.T) {
 		}
 	}
 	// Declared parameters that miss a slot of the text, on the template front.
-	undeclared := &ptemplate.Compiled{Fingerprint: "tampered", Epoch: compiled.Epoch, Module: compiled.Module}
+	undeclared := &ptemplate.Compiled{Epoch: compiled.Epoch, Module: compiled.Module}
 	if _, err := adapter.SubmitBoundCtx(ctx, "hpcqc-sc", undeclared, nil, opts); !errors.Is(err, qdmi.ErrInvalidArgument) {
 		t.Fatalf("template registered without its parameter: err = %v, want qdmi.ErrInvalidArgument", err)
 	}
@@ -797,5 +794,36 @@ func TestResponseCountsGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Counts, counts) {
 		t.Fatalf("decoded counts %v, want %v", res.Counts, counts)
+	}
+}
+
+// TestServerSkipsAnOlderClientsTag: a submit frame from a client that still
+// sends the job tag, which the wire no longer carries, decodes with the key
+// skipped and runs.
+func TestServerSkipsAnOlderClientsTag(t *testing.T) {
+	c, _ := testStack(t)
+	conn := dialTest(t, serveTest(t, c).Addr())
+	defer conn.Close()
+	payload, _, err := c.Compile(bell(t), "hpcqc-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	register, err := appendRequest(nil, &remoteRequest{Op: "register", ID: "bell", Program: string(payload)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := `{"op":"submit","id":"bell","device":"hpcqc-sc","shots":16,"tag":"calibration"}` + "\n"
+	lines := bufio.NewScanner(conn)
+	for _, frame := range [][]byte{register, []byte(submit)} {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if !lines.Scan() {
+			t.Fatalf("no response: %v", lines.Err())
+		}
+	}
+	resp, err := decodeResponse(lines.Bytes())
+	if err != nil || resp.Error != "" || resp.Shots != 16 {
+		t.Fatalf("submit with a tag: %+v, %v", resp, err)
 	}
 }

@@ -70,7 +70,6 @@ func appendRequest(dst []byte, r *remoteRequest) ([]byte, error) {
 	e.optStr(o, "pool", r.Pool)
 	e.optInt(o, "shots", int64(r.Shots))
 	e.optInt(o, "priority", int64(r.Priority))
-	e.optStr(o, "tag", r.Tag)
 	e.optInt(o, "timeout_ms", r.TimeoutMs)
 	e.optStr(o, "meas_level", r.MeasLevel)
 	e.optStr(o, "meas_return", r.MeasReturn)
@@ -412,7 +411,7 @@ func parseResponse(line []byte, r *remoteResponse) error {
 // member may select exactly or under case folding.
 var (
 	requestFields = []string{"op", "id", "program", "params", "epoch", "bindings", "device", "pool",
-		"shots", "priority", "tag", "timeout_ms", "meas_level", "meas_return", "trace_id"}
+		"shots", "priority", "timeout_ms", "meas_level", "meas_return", "trace_id"}
 	responseFields = []string{"error", "error_kind", "counts", "shots", "duration_seconds",
 		"meas_level", "bits", "iq", "raw", "spans", "telemetry"}
 	paramFields = []string{"name", "min", "max"}
@@ -472,8 +471,6 @@ func (d *wireDecoder) request(r *remoteRequest) error {
 			return decodeInt(d, &r.Shots)
 		case "priority":
 			return decodeInt(d, &r.Priority)
-		case "tag":
-			return d.string(&r.Tag)
 		case "timeout_ms":
 			return decodeInt(d, &r.TimeoutMs)
 		case "meas_level":

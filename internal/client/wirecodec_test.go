@@ -102,7 +102,9 @@ func TestJSONResponseMirrorsResponse(t *testing.T) {
 // that probe where a hand-written JSON reader can part from encoding/json.
 var wireCodecSeeds = []string{
 	`{"op":"register","id":"x@1","program":"define void @m() #0 {\n}\n","params":[{"name":"theta","min":0.001,"max":3.14}],"epoch":1}`,
-	`{"op":"submit","id":"rabi","bindings":{"theta":1.5,"phi":-2e-7},"device":"tiny-1","pool":"p","shots":16,"priority":2,"tag":"t","timeout_ms":50,"meas_level":"kerneled","meas_return":"avg","trace_id":"abc"}`,
+	`{"op":"submit","id":"rabi","bindings":{"theta":1.5,"phi":-2e-7},"device":"tiny-1","pool":"p","shots":16,"priority":2,"timeout_ms":50,"meas_level":"kerneled","meas_return":"avg","trace_id":"abc"}`,
+	// An older client's submit frame: "tag" is no field, so it is skipped.
+	`{"op":"submit","id":"rabi","device":"tiny-1","shots":16,"tag":"calibration","TAG":{"a":[1]}}`,
 	`{"op":"telemetry"}`,
 	`{"counts":{"0":3,"1":5,"10":2,"2":6},"shots":16,"duration_seconds":0.000001}`,
 	`{"shots":2,"duration_seconds":1e-7,"meas_level":"kerneled","bits":[0,1],"iq":[[[0.5,-0.25],[1,2]],[[3,4],[5,6]]]}`,
@@ -301,7 +303,7 @@ func (g *valueGen) request() remoteRequest {
 		Op: g.str(), ID: g.str(), Program: g.str(),
 		Params: genSlice(g, func() ptemplate.Param { return ptemplate.Param{Name: g.str(), Min: g.float(), Max: g.float()} }),
 		Epoch:  g.int(), Bindings: genMap(g, g.str, g.float), Device: g.str(), Pool: g.str(),
-		Shots: int(g.int()), Priority: int(g.int()), Tag: g.str(), TimeoutMs: g.int(),
+		Shots: int(g.int()), Priority: int(g.int()), TimeoutMs: g.int(),
 		MeasLevel: g.str(), MeasReturn: g.str(), TraceID: g.str(),
 	}
 }

@@ -180,6 +180,33 @@ func TestSetPulseImplRefusesWhatAPortCannotPlay(t *testing.T) {
 	}
 }
 
+// TestSetPulseImplRefusesStepsNoPlayerPlays: a measurement written with a
+// step kind that neither player plays (a leading delay, a frequency set, a
+// frame change) is refused with qdmi.ErrInvalidArgument where it is written,
+// not at its first link, and the device keeps the measurement and the epoch
+// it had.
+func TestSetPulseImplRefusesStepsNoPlayerPlays(t *testing.T) {
+	d := newSC(t)
+	before, err := d.DefaultPulse("measure", []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := d.CalibrationEpoch()
+	for _, kind := range []string{"delay", "set_frequency", "frame_change"} {
+		impl := before.Clone()
+		impl.Steps = append([]qdmi.PulseStep{{Kind: kind, PortRole: "readout0", Samples: 16}}, impl.Steps...)
+		if err := d.SetPulseImpl("measure", []int{0}, impl); !errors.Is(err, qdmi.ErrInvalidArgument) {
+			t.Errorf("%s: err = %v, want qdmi.ErrInvalidArgument", kind, err)
+		}
+		if e := d.CalibrationEpoch(); e != epoch {
+			t.Errorf("%s: a refused write moved the epoch from %d to %d", kind, epoch, e)
+		}
+		if got, _ := d.DefaultPulse("measure", []int{0}); !reflect.DeepEqual(got, before) {
+			t.Errorf("%s: a refused write changed the measurement", kind)
+		}
+	}
+}
+
 // TestOperationsListsEachNameOnce: a custom operation under a native gate's
 // name, and one installed on two site tuples, are each one operation.
 func TestOperationsListsEachNameOnce(t *testing.T) {

@@ -15,8 +15,6 @@ import (
 // A Sparse is immutable after construction; all kernels accumulate into
 // caller-owned destinations so steady-state integration allocates nothing.
 type Sparse struct {
-	// Rows and Cols are the dense shape the entries live in.
-	Rows, Cols int
 	// RowIdx, ColIdx, Vals are the parallel coordinate lists: entry k is
 	// (RowIdx[k], ColIdx[k]) = Vals[k].
 	RowIdx, ColIdx []int
@@ -29,7 +27,7 @@ type Sparse struct {
 // zero are dropped; no thresholding is applied, so the sparse view is an
 // exact representation of m.
 func NewSparse(m *Matrix) *Sparse {
-	s := &Sparse{Rows: m.Rows, Cols: m.Cols}
+	s := &Sparse{}
 	rowSum := make([]float64, m.Rows)
 	colSum := make([]float64, m.Cols)
 	for i := 0; i < m.Rows; i++ {
@@ -69,8 +67,9 @@ func (s *Sparse) NNZ() int { return len(s.Vals) }
 // propagator.
 func (s *Sparse) NormBound() float64 { return s.normBound }
 
-// MulVecAccum accumulates dst += scale·S·v. dst must have length Rows and
-// v length Cols; dst and v must not alias.
+// MulVecAccum accumulates dst += scale·S·v. dst must have as many entries as
+// the dense matrix has rows and v as many as it has columns; dst and v must
+// not alias.
 func (s *Sparse) MulVecAccum(dst, v []complex128, scale complex128) {
 	for k, val := range s.Vals {
 		dst[s.RowIdx[k]] += scale * val * v[s.ColIdx[k]]

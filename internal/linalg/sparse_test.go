@@ -29,7 +29,7 @@ func TestSparseRoundTrip(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m := randomMatrix(rng, 2+rng.Intn(7), 2+rng.Intn(7), 0.3)
 		s := NewSparse(m)
-		if !s.Dense().Equal(m, 0) {
+		if !s.Dense(m.Rows, m.Cols).Equal(m, 0) {
 			t.Fatalf("trial %d: sparse round trip lost entries", trial)
 		}
 		nnz := 0
@@ -159,9 +159,9 @@ func TestMulVecInto(t *testing.T) {
 	}
 }
 
-// Dense reconstructs the dense matrix.
-func (s *Sparse) Dense() *Matrix {
-	m := NewMatrix(s.Rows, s.Cols)
+// Dense reconstructs the dense rows × cols matrix.
+func (s *Sparse) Dense(rows, cols int) *Matrix {
+	m := NewMatrix(rows, cols)
 	s.AddToDense(m, 1)
 	return m
 }

@@ -22,11 +22,6 @@ import (
 // A Compiled is shared by every job that uses it and must not be modified
 // or copied.
 type Compiled struct {
-	// Fingerprint is the program's wire identity, a hash of the device and
-	// the program's key; bound values never contribute to it.
-	Fingerprint string
-	// Device is the target the program was lowered against.
-	Device string
 	// Epoch is the device's calibration epoch at lowering time; zero means
 	// the device is epoch-unaware and staleness checks are skipped.
 	Epoch int64
@@ -58,13 +53,13 @@ func (c *Compiled) Text() []byte {
 
 // FromText rebuilds a program from what crosses a machine boundary: its
 // exchange text, the declared parameter space and the calibration epoch it
-// was lowered at, under the identity the sender gave it. The text is parsed
+// was lowered at. The text is parsed
 // and verified here, once, and params must declare every parameter the
 // text's slots name, each once, so a program that arrives malformed fails at
 // the boundary (wrapping qdmi.ErrInvalidArgument) and not at bind or
 // dispatch. A declared parameter with no slot is legal: lowering drops a
 // waveform that is defined and never played, amplitude slot and all.
-func FromText(id, text string, params []Param, epoch int64) (*Compiled, error) {
+func FromText(text string, params []Param, epoch int64) (*Compiled, error) {
 	mod, err := qir.ParseModule(text)
 	if err == nil {
 		err = mod.Verify()
@@ -86,29 +81,29 @@ func FromText(id, text string, params []Param, epoch int64) (*Compiled, error) {
 		}
 	}
 	return &Compiled{
-		Fingerprint: id,
-		Epoch:       epoch,
-		Format:      compiler.FormatFor(mod),
-		Params:      params,
-		Module:      mod,
+		Epoch:  epoch,
+		Format: compiler.FormatFor(mod),
+		Params: params,
+		Module: mod,
 	}, nil
 }
 
 // Lower compiles the template against a device exactly once, producing the
-// parametric payload every subsequent Bind reuses. deviceName is the
-// QRM-visible target name recorded for dispatch and fingerprinting.
+// parametric payload every subsequent Bind reuses. The program names no
+// device: the caller's cache key does, so deviceName is unused and kept
+// only because the benchmark compiles against it.
 func Lower(t *Template, dev qdmi.Device, deviceName string) (*Compiled, error) {
 	if t == nil {
 		return nil, errors.New("ptemplate: nil template")
 	}
-	return LowerCircuit(t.circuit, t.params, dev, deviceName)
+	return LowerCircuit(t.circuit, t.params, dev)
 }
 
 // LowerCircuit is the step Lower shares with concrete kernels: it compiles
 // a finished circuit whose slots, if any, are declared by params. New stays
 // the only way to build a Template and keeps rejecting a circuit with no
 // slots; a circuit with slots and no declared parameters is rejected here.
-func LowerCircuit(k *qpi.Circuit, params []Param, dev qdmi.Device, deviceName string) (*Compiled, error) {
+func LowerCircuit(k *qpi.Circuit, params []Param, dev qdmi.Device) (*Compiled, error) {
 	if dev == nil {
 		return nil, errors.New("ptemplate: nil device")
 	}
@@ -122,12 +117,10 @@ func LowerCircuit(k *qpi.Circuit, params []Param, dev qdmi.Device, deviceName st
 		return nil, fmt.Errorf("ptemplate: lowering %q: %w", k.Name(), err)
 	}
 	return &Compiled{
-		Fingerprint: fingerprint(deviceName, k.Key(), params),
-		Device:      deviceName,
-		Epoch:       res.Epoch,
-		Format:      compiler.FormatFor(res.QIR),
-		Params:      append([]Param(nil), params...),
-		Module:      res.QIR,
+		Epoch:  res.Epoch,
+		Format: compiler.FormatFor(res.QIR),
+		Params: append([]Param(nil), params...),
+		Module: res.QIR,
 	}, nil
 }
 

@@ -30,7 +30,7 @@ func FuzzFromText(f *testing.F) {
 				params = append(params, Param{Name: name, Min: 0, Max: 1})
 			}
 		}
-		c, err := FromText("fuzz", text, params, 1)
+		c, err := FromText(text, params, 1)
 		if err != nil {
 			return
 		}

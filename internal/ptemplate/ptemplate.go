@@ -24,7 +24,6 @@ package ptemplate
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
@@ -240,18 +239,4 @@ func appendParams(b []byte, params []Param) []byte {
 		b = append(strconv.AppendUint(b, math.Float64bits(p.Max), 16), ':')
 	}
 	return b
-}
-
-// fingerprint collapses (device, circuit key, declared parameter space) to
-// a fixed-width ID — with the calibration epoch, the wire protocol's program
-// ID, small regardless of circuit size. The client's cache keys on the full
-// key, so a hash collision can at worst confuse two programs registered on
-// one remote connection, never serve a wrong cached program.
-func fingerprint(device, key string, params []Param) string {
-	b := make([]byte, 0, len(device)+len(key)+48*len(params)+8)
-	b = append(strconv.AppendQuote(b, device), ':')
-	b = appendParams(append(b, key...), params)
-	h := fnv.New64a()
-	_, _ = h.Write(b)
-	return fmt.Sprintf("tpl-%016x", h.Sum64())
 }

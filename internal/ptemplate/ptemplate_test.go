@@ -346,13 +346,12 @@ func TestFromTextRebuildsProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := FromText("id-1", string(compiled.Text()), compiled.Params, compiled.Epoch)
+	rebuilt, err := FromText(string(compiled.Text()), compiled.Params, compiled.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rebuilt.Fingerprint != "id-1" || rebuilt.Epoch != compiled.Epoch || rebuilt.Format != compiled.Format {
-		t.Fatalf("identity/epoch/format = %q/%d/%s, want id-1/%d/%s",
-			rebuilt.Fingerprint, rebuilt.Epoch, rebuilt.Format, compiled.Epoch, compiled.Format)
+	if rebuilt.Epoch != compiled.Epoch || rebuilt.Format != compiled.Format {
+		t.Fatalf("epoch/format = %d/%s, want %d/%s", rebuilt.Epoch, rebuilt.Format, compiled.Epoch, compiled.Format)
 	}
 	want, err := compiled.Bind(Bindings{"theta": 1.25})
 	if err != nil {
@@ -383,7 +382,7 @@ func TestFromTextRebuildsProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromText("id-3", string(dropped.Text()), dropped.Params, dropped.Epoch); err != nil {
+	if _, err := FromText(string(dropped.Text()), dropped.Params, dropped.Epoch); err != nil {
 		t.Fatalf("a parameter whose slot lowering dropped: %v", err)
 	}
 
@@ -399,15 +398,15 @@ func TestFromTextRebuildsProgram(t *testing.T) {
 		"misnamed parameter": {text, []Param{{Name: "phi", Min: 0, Max: 1}}},
 		"declared twice":     {text, append(compiled.Params[:1:1], compiled.Params...)},
 	} {
-		if _, err := FromText("id-2", tc.text, tc.params, 0); !errors.Is(err, qdmi.ErrInvalidArgument) {
+		if _, err := FromText(tc.text, tc.params, 0); !errors.Is(err, qdmi.ErrInvalidArgument) {
 			t.Errorf("%s: err = %v, want qdmi.ErrInvalidArgument", name, err)
 		}
 	}
 }
 
-// TestFingerprintSensitivity: bound values never enter the fingerprint,
-// while structure, parameter ranges, and device all do.
-func TestFingerprintSensitivity(t *testing.T) {
+// TestTemplateKeySensitivity: a template's key, the client's lowering-cache
+// key beside the device, holds its structure and declared parameter ranges.
+func TestTemplateKeySensitivity(t *testing.T) {
 	build := func(min, max float64) *Template {
 		c := qpi.NewCircuit("rabi", 1, 1).RXP(0, qpi.Sym("theta")).Measure(0, 0)
 		if err := c.End(); err != nil {
@@ -419,17 +418,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 		}
 		return tpl
 	}
-	fp := func(t *Template, device string) string {
-		return fingerprint(device, t.circuit.Key(), t.params)
-	}
 	a, b := build(0.1, math.Pi), build(0.1, math.Pi)
-	if fp(a, "sc") != fp(b, "sc") {
-		t.Fatal("identical templates fingerprint differently")
+	if a.Key() != b.Key() {
+		t.Fatal("identical templates key differently")
 	}
-	if fp(a, "sc") == fp(a, "ion") {
-		t.Fatal("fingerprint ignores device")
-	}
-	if fp(a, "sc") == fp(build(0.2, math.Pi), "sc") {
-		t.Fatal("fingerprint ignores declared parameter range")
+	if a.Key() == build(0.2, math.Pi).Key() {
+		t.Fatal("key ignores declared parameter range")
 	}
 }

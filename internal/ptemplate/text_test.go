@@ -32,7 +32,7 @@ func fixedKernel(t *testing.T) *qpi.Circuit {
 func TestTextEmittedOnceForAllCallers(t *testing.T) {
 	dev := templateDevice(t)
 	k := fixedKernel(t)
-	program, err := LowerCircuit(k, nil, dev, "tpl-sc")
+	program, err := LowerCircuit(k, nil, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestLowerCircuitBudget(t *testing.T) {
 	dev := templateDevice(t)
 	k := fixedKernel(t)
 	lower := func() {
-		if _, err := LowerCircuit(k, nil, dev, "tpl-sc"); err != nil {
+		if _, err := LowerCircuit(k, nil, dev); err != nil {
 			t.Fatal(err)
 		}
 	}

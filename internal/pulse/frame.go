@@ -16,12 +16,9 @@ type Frame struct {
 	FrequencyHz float64
 	// PhaseRad is the current accumulated carrier phase.
 	PhaseRad float64
-	// TimeSamples is the frame's logical clock in sample ticks: time that
-	// increments with use.
-	TimeSamples int64
 }
 
-// NewFrame creates a frame at phase 0, time 0.
+// NewFrame creates a frame at phase 0.
 func NewFrame(id string, freqHz float64) *Frame {
 	return &Frame{ID: id, FrequencyHz: freqHz}
 }

@@ -273,13 +273,16 @@ type RunningCanceller interface {
 // link that read the implementation: a device hands out and installs copies
 // (PulseImpl.Clone), and nobody writes into a waveform it did not build.
 type PulseStep struct {
-	Kind     string // "play", "shift_phase", "set_frequency", "frame_change", "delay", "barrier", "capture"
+	Kind     string // "play", "shift_phase", "barrier" or "capture"
 	PortRole string
 	Waveform *waveform.Waveform // for play
 	PhaseRad float64
-	FreqHz   float64
-	Samples  int64 // for delay/capture
+	Samples  int64 // for capture
 }
+
+// playedKinds are the step kinds both players play (PortTable.Resolve), and
+// so the kinds an implementation may be written with.
+var playedKinds = []string{"play", "shift_phase", "barrier", "capture"}
 
 // PulseImpl is a calibrated, device-independent description of an
 // operation's pulse sequence — what DefaultPulse queries return and what
@@ -338,13 +341,13 @@ func (pi *PulseImpl) Validate() error {
 			if err := st.Waveform.Check(); err != nil {
 				return fmt.Errorf("%w: step %d: %v", ErrInvalidArgument, i, err)
 			}
-		case "shift_phase", "set_frequency", "frame_change", "barrier":
-		case "delay", "capture":
+		case "capture":
 			if st.Samples <= 0 {
-				return fmt.Errorf("%w: step %d: %s with non-positive samples", ErrInvalidArgument, i, st.Kind)
+				return fmt.Errorf("%w: step %d: capture with non-positive samples", ErrInvalidArgument, i)
 			}
-		default:
-			return fmt.Errorf("%w: step %d: unknown kind %q", ErrInvalidArgument, i, st.Kind)
+		}
+		if !slices.Contains(playedKinds, st.Kind) {
+			return fmt.Errorf("%w: step %d: kind %q is not one of %q", ErrInvalidArgument, i, st.Kind, playedKinds)
 		}
 		if st.Kind != "barrier" && st.PortRole == "" {
 			return fmt.Errorf("%w: step %d: missing port role", ErrInvalidArgument, i)

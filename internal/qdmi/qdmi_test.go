@@ -18,7 +18,7 @@ func TestPulseImplValidate(t *testing.T) {
 		{Kind: "play", PortRole: "drive0", Waveform: w},
 		{Kind: "shift_phase", PortRole: "drive0", PhaseRad: 0.5},
 		{Kind: "barrier"},
-		{Kind: "delay", PortRole: "drive0", Samples: 16},
+		{Kind: "capture", PortRole: "readout0", Samples: 16},
 	}}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
@@ -30,7 +30,11 @@ func TestPulseImplValidate(t *testing.T) {
 		{Operation: "x", Steps: []PulseStep{{Kind: "play", PortRole: "d", Waveform: &waveform.Waveform{}}}},
 		{Operation: "x", Steps: []PulseStep{{Kind: "play", PortRole: "d", Waveform: &waveform.Waveform{Samples: []complex128{0.5, 1.5}}}}},
 		{Operation: "x", Steps: []PulseStep{{Kind: "warp", PortRole: "d"}}},
-		{Operation: "x", Steps: []PulseStep{{Kind: "delay", PortRole: "d", Samples: 0}}},
+		{Operation: "x", Steps: []PulseStep{{Kind: "capture", PortRole: "d", Samples: 0}}},
+		// Kinds no player plays (PortTable.Resolve) are refused when written.
+		{Operation: "x", Steps: []PulseStep{{Kind: "delay", PortRole: "drive0", Samples: 16}}},
+		{Operation: "x", Steps: []PulseStep{{Kind: "set_frequency", PortRole: "drive0"}}},
+		{Operation: "x", Steps: []PulseStep{{Kind: "frame_change", PortRole: "drive0"}}},
 		{Operation: "x", Steps: []PulseStep{{Kind: "shift_phase"}}},
 	}
 	for i, b := range bads {

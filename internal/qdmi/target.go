@@ -66,9 +66,8 @@ func (t *PortTable) Coupler(a, b int) *pulse.Port {
 // Resolve places impl, an operation's calibrated implementation, on its sites
 // as both players play it: each step's port ("" for a barrier), and the ports
 // a barrier spans — the sites' drive ports, then every port a step names.
-// Kinds other than barrier, play, shift_phase and capture, roles with no port
-// here, and other than one capture when result (none when not) fail
-// ErrNotSupported.
+// Kinds not in playedKinds, roles with no port here, and other than one
+// capture when result (none when not) fail ErrNotSupported.
 func (t *PortTable) Resolve(impl *PulseImpl, sites []int, result bool) (steps, barrier []string, err error) {
 	n, captures := len(impl.Steps), 0
 	ids := make([]string, n, n+len(sites)+2)
@@ -80,14 +79,14 @@ func (t *PortTable) Resolve(impl *PulseImpl, sites []int, result bool) (steps, b
 		ids = append(ids, p.ID)
 	}
 	for i, st := range impl.Steps {
+		if !slices.Contains(playedKinds, st.Kind) {
+			return nil, nil, fmt.Errorf("%w: %s step %d: %q is not played", ErrNotSupported, impl.Operation, i, st.Kind)
+		}
 		switch st.Kind {
 		case "barrier":
 			continue
 		case "capture":
 			captures++
-		case "play", "shift_phase":
-		default:
-			return nil, nil, fmt.Errorf("%w: %s step %d: %q is not played", ErrNotSupported, impl.Operation, i, st.Kind)
 		}
 		p := t.RolePort(st.PortRole, sites)
 		if p == nil {

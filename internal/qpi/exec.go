@@ -56,9 +56,6 @@ type ExecConfig struct {
 	Shots int
 	// Priority orders scheduler dispatch: higher runs first.
 	Priority int
-	// Tag is an optional caller label carried through the scheduler
-	// (tracing, per-tenant accounting).
-	Tag string
 	// Pool, when non-empty, targets a named device pool instead of the
 	// backend's default device: the scheduler places the job on the
 	// least-loaded compatible member.
@@ -107,9 +104,6 @@ func WithShotWorkers(int) ExecOption { return func(*ExecConfig) {} }
 
 // WithPriority sets the scheduler priority (higher dispatches first).
 func WithPriority(p int) ExecOption { return func(c *ExecConfig) { c.Priority = p } }
-
-// WithTag attaches a caller label to the submission.
-func WithTag(tag string) ExecOption { return func(c *ExecConfig) { c.Tag = tag } }
 
 // WithPool targets a named device pool (see the QRM's RegisterPool)
 // instead of the backend's default device: the scheduler places the job on

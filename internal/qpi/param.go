@@ -15,8 +15,8 @@ type ParamExpr = waveform.ParamExpr
 func Sym(name string) *ParamExpr { return &ParamExpr{Param: name, Scale: 1} }
 
 // SymAffine makes a general affine expression value = scale·p + offset. A
-// zero scale yields a constant that still participates in template
-// fingerprinting under the parameter's name.
+// zero scale yields a constant that still participates in the template's
+// key under the parameter's name.
 func SymAffine(name string, scale, offset float64) *ParamExpr {
 	return &ParamExpr{Param: name, Scale: scale, Offset: offset}
 }

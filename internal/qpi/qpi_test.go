@@ -169,14 +169,14 @@ func TestRunDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &fakeBackend{}
-	res, err := Run(context.Background(), b, c, WithShots(100), WithPriority(3), WithTag("t1"))
+	res, err := Run(context.Background(), b, c, WithShots(100), WithPriority(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.lastCfg.Shots != 100 || res.Shots != 100 {
 		t.Fatal("shot count not threaded")
 	}
-	if b.lastCfg.Priority != 3 || b.lastCfg.Tag != "t1" {
+	if b.lastCfg.Priority != 3 {
 		t.Fatalf("options not threaded: %+v", b.lastCfg)
 	}
 	if b.lastCfg.TraceID == "" {

@@ -61,7 +61,7 @@ func TestDiscriminatedLevelWorksWithoutCapability(t *testing.T) {
 func TestTemplateNeedsModuleSubmitter(t *testing.T) {
 	textOnly, modules := device("text"), device("modules")
 	s := rig(t, plain(textOnly), modules)
-	program, err := ptemplate.FromText("x", qdmitest.Program, nil, 0)
+	program, err := ptemplate.FromText(qdmitest.Program, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

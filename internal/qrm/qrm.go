@@ -77,9 +77,6 @@ type Request struct {
 	Shots int
 	// Priority orders dispatch: higher runs first; FIFO within a level.
 	Priority int
-	// Tag is an optional caller label carried through to the ticket
-	// (tracing, per-tenant accounting).
-	Tag string
 	// Deadline, when non-zero, bounds the job wherever it is: the ticket's
 	// own context expires at it, and the ticket resolves cancelled with an
 	// error that is both ErrCancelled and context.DeadlineExceeded. A

@@ -82,9 +82,6 @@ func newTicket(ctx context.Context, id int64, req *Request) *Ticket {
 // ID returns the scheduler-assigned job ID.
 func (t *Ticket) ID() int64 { return t.id }
 
-// Tag returns the caller label given at submission.
-func (t *Ticket) Tag() string { return t.req.Tag }
-
 // Timeline returns the job's telemetry trace — the Request.Timeline it was
 // submitted with, which the scheduler writes until DoneCh closes — or nil.
 func (t *Ticket) Timeline() *telemetry.Timeline { return t.req.Timeline }

@@ -67,8 +67,6 @@ type ExecResult struct {
 	// MeasuredBits lists the classical bit indices that were written, in
 	// ascending order.
 	MeasuredBits []int
-	// DurationSamples is the schedule makespan.
-	DurationSamples int64
 	// DurationSeconds is the makespan in wall-clock units.
 	DurationSeconds float64
 	// MeasLevel records which measurement level the run returned.
@@ -440,7 +438,6 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 	res := &ExecResult{
 		Counts:          map[uint64]int{},
 		Shots:           opts.Shots,
-		DurationSamples: p.makespan,
 		DurationSeconds: float64(p.makespan) * p.dt,
 		FinalState:      st,
 		FinalDensity:    rho,

@@ -20,7 +20,8 @@ type State struct {
 	Amp  []complex128
 }
 
-// NewState creates |00...0⟩ over the given local dimensions.
+// NewState creates |00...0⟩ over the given local dimensions, which it keeps
+// and which must not change: a run passes its model's.
 func NewState(dims []int) *State {
 	n := 1
 	for _, d := range dims {
@@ -31,7 +32,7 @@ func NewState(dims []int) *State {
 	}
 	amp := make([]complex128, n)
 	amp[0] = 1
-	return &State{Dims: append([]int(nil), dims...), Amp: amp}
+	return &State{Dims: dims, Amp: amp}
 }
 
 // Norm returns ⟨ψ|ψ⟩^(1/2).

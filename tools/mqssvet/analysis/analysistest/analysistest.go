@@ -17,7 +17,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -96,8 +95,7 @@ func parseWant(text string) ([]string, bool) {
 		if rest[0] != '"' {
 			return nil, false
 		}
-		// strconv.QuotedPrefix handles escapes inside the pattern.
-		q, err := quotedPrefix(rest)
+		q, err := strconv.QuotedPrefix(rest)
 		if err != nil {
 			return nil, false
 		}
@@ -109,20 +107,6 @@ func parseWant(text string) ([]string, bool) {
 		rest = strings.TrimSpace(rest[len(q):])
 	}
 	return patterns, len(patterns) > 0
-}
-
-// quotedPrefix returns the leading double-quoted Go string literal of s.
-func quotedPrefix(s string) (string, error) {
-	for i := 1; i < len(s); i++ {
-		if s[i] == '\\' {
-			i++
-			continue
-		}
-		if s[i] == '"' {
-			return s[:i+1], nil
-		}
-	}
-	return "", fmt.Errorf("unterminated quote")
 }
 
 // matchWant returns the index of the first pattern matching msg, or -1.

@@ -32,12 +32,7 @@ type listPkg struct {
 	Export     string
 	DepOnly    bool
 	Standard   bool
-	Error      *listErr
-}
-
-// listErr is go list's per-package error record.
-type listErr struct {
-	Err string
+	Error      *struct{ Err string }
 }
 
 // Load lists patterns (e.g. "./...") relative to dir, type-checks every
@@ -76,7 +71,12 @@ func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := ExportDataImporter(fset, exports)
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if f, ok := exports[path]; ok {
+			return os.Open(f)
+		}
+		return nil, fmt.Errorf("no export data for %q", path)
+	})
 	var pkgs []*Package
 	for _, t := range targets {
 		if len(t.GoFiles) == 0 {
@@ -90,40 +90,17 @@ func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
 			}
 			files = append(files, f)
 		}
-		pkg, info, cerr := Check(t.ImportPath, fset, files, imp)
+		info := &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		pkg, cerr := (&types.Config{Importer: imp}).Check(t.ImportPath, fset, files, info)
 		if cerr != nil {
 			return nil, nil, fmt.Errorf("typecheck %s: %v", t.ImportPath, cerr)
 		}
 		pkgs = append(pkgs, &Package{Path: t.ImportPath, Name: t.Name, Dir: t.Dir, Files: files, Types: pkg, Info: info})
 	}
 	return pkgs, fset, nil
-}
-
-// ExportDataImporter returns a types.Importer that resolves import paths
-// through a map of gc export-data files (as produced by go list -export).
-func ExportDataImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	lookup := func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	}
-	return importer.ForCompiler(fset, "gc", lookup)
-}
-
-// Check type-checks one package's parsed files with full type information.
-func Check(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkg, info, nil
 }

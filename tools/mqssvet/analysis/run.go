@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -105,7 +106,7 @@ func filterSuppressed(fset *token.FileSet, pkgs []*Package, diags []Diagnostic, 
 	kept := diags[:0]
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		if d.fixed || !covers(suppressed[pos.Filename][pos.Line], d.Analyzer) {
+		if names := suppressed[pos.Filename][pos.Line]; d.fixed || !slices.Contains(names, d.Analyzer) && !slices.Contains(names, "all") {
 			kept = append(kept, d)
 		}
 	}
@@ -127,30 +128,15 @@ func parseSuppression(text string) ([]string, bool) {
 	return nil, false
 }
 
-// covers reports whether names disables analyzer (or everything).
-func covers(names []string, analyzer string) bool {
-	for _, n := range names {
-		if n == analyzer || n == "all" {
-			return true
-		}
-	}
-	return false
-}
-
-// FuncMarked reports whether fn's doc comment (or a comment group ending
-// on the line above the declaration) contains the given //mqss: marker —
-// the analyzers' opt-in contract surface, e.g. //mqss:hotloop.
+// FuncMarked reports whether fn's doc comment contains the given //mqss:
+// marker — the analyzers' opt-in contract surface, e.g. //mqss:hotloop.
 func FuncMarked(fn *ast.FuncDecl, marker string) bool {
-	return commentGroupHas(fn.Doc, marker)
-}
-
-func commentGroupHas(g *ast.CommentGroup, marker string) bool {
-	if g == nil {
+	if fn.Doc == nil {
 		return false
 	}
-	for _, c := range g.List {
-		for _, field := range strings.Fields(c.Text) {
-			if strings.TrimPrefix(field, "//") == marker {
+	for _, c := range fn.Doc.List {
+		for _, f := range strings.Fields(c.Text) {
+			if strings.TrimPrefix(f, "//") == marker {
 				return true
 			}
 		}

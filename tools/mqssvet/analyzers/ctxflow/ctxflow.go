@@ -8,7 +8,6 @@ package ctxflow
 
 import (
 	"go/ast"
-	"go/types"
 
 	"mqsspulse/tools/mqssvet/analysis"
 )
@@ -41,7 +40,7 @@ func run(pass *analysis.Pass) (any, error) {
 				if !ok {
 					return true
 				}
-				if name := contextRootCall(pass, call); name != "" {
+				if path, name := analysis.Callee(pass.TypesInfo, call); path == "context" && (name == "Background" || name == "TODO") {
 					pass.Reportf(call.Pos(),
 						"context.%s() in library code detaches %s from caller cancellation; thread a ctx parameter instead",
 						name, fn.Name.Name)
@@ -72,32 +71,6 @@ func checkParamOrder(pass *analysis.Pass, fn *ast.FuncDecl) {
 
 // isContextType reports whether the expression denotes context.Context.
 func isContextType(pass *analysis.Pass, expr ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[expr]
-	if !ok {
-		return false
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// contextRootCall returns "Background" or "TODO" when the call is
-// context.Background() / context.TODO(), else "".
-func contextRootCall(pass *analysis.Pass, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Background" && sel.Sel.Name != "TODO") {
-		return ""
-	}
-	ident, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
-	if !ok || pkgName.Imported().Path() != "context" {
-		return ""
-	}
-	return sel.Sel.Name
+	t := pass.TypesInfo.TypeOf(expr)
+	return t != nil && analysis.Names{}.Type(t) == "context.Context"
 }

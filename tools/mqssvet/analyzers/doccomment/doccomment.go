@@ -52,7 +52,7 @@ func lintFunc(pass *analysis.Pass, d *ast.FuncDecl) {
 		return
 	}
 	if d.Recv != nil {
-		recv := receiverTypeName(d.Recv)
+		recv := strings.TrimPrefix(analysis.Names{Root: pass.Pkg.Path()}.Type(pass.TypesInfo.TypeOf(d.Recv.List[0].Type)), ".")
 		if !ast.IsExported(recv) {
 			return // method unreachable outside the package
 		}
@@ -60,28 +60,6 @@ func lintFunc(pass *analysis.Pass, d *ast.FuncDecl) {
 		return
 	}
 	pass.Reportf(d.Pos(), "exported function %s lacks a doc comment", d.Name.Name)
-}
-
-// receiverTypeName extracts the receiver's base type name.
-func receiverTypeName(recv *ast.FieldList) string {
-	if len(recv.List) == 0 {
-		return ""
-	}
-	t := recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr: // generic receiver
-			t = tt.X
-		case *ast.IndexListExpr:
-			t = tt.X
-		case *ast.Ident:
-			return tt.Name
-		default:
-			return ""
-		}
-	}
 }
 
 // lintGen checks type/const/var declarations: each exported name needs its

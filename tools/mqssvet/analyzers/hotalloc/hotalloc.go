@@ -73,12 +73,9 @@ func allocatingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		if tv, ok := pass.TypesInfo.Types[fun]; ok && tv.IsType() {
 			return convAlloc(pass, tv.Type, call)
 		}
-	case *ast.SelectorExpr:
-		if ident, ok := fun.X.(*ast.Ident); ok {
-			if pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName); ok && pkgName.Imported().Path() == "fmt" {
-				return "fmt." + fun.Sel.Name, true
-			}
-		}
+	}
+	if path, name := analysis.Callee(pass.TypesInfo, call); path == "fmt" {
+		return "fmt." + name, true
 	}
 	return "", false
 }

@@ -1,5 +1,5 @@
 // Package nodrift guards the stack's determinism contracts. Lowered
-// payloads and template fingerprints must be byte-identical across runs
+// payloads and template keys must be byte-identical across runs
 // (PR 4/6): the lowering cache, the calibration-epoch staleness gate, and
 // the remote template registry all key on exact bytes, so a stray
 // time.Now, a global math/rand call, or an unsorted map iteration in the
@@ -53,11 +53,14 @@ func run(pass *analysis.Pass) (any, error) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if name, bad := globalRandCall(pass, n); bad {
+				// A math/rand constructor (New, NewSource, ...) builds an
+				// explicit stream; every other function draws from the global one.
+				path, name := analysis.Callee(pass.TypesInfo, n)
+				if (path == "math/rand" || path == "math/rand/v2") && !strings.HasPrefix(name, "New") {
 					pass.Reportf(n.Pos(),
 						"global math/rand.%s draws from shared process state; use an explicit *rand.Rand stream", name)
 				}
-				if deterministic && isTimeNow(pass, n) {
+				if deterministic && path == "time" && name == "Now" {
 					pass.Reportf(n.Pos(),
 						"time.Now in a byte-deterministic package makes output depend on the wall clock")
 				}
@@ -90,46 +93,6 @@ func matches(pass *analysis.Pass, paths []string, marker string) bool {
 		}
 	}
 	return false
-}
-
-// globalRandCall reports calls to math/rand package-level functions that
-// touch the shared global source. Constructors (New, NewSource, …) are
-// fine: they are how the explicit streams get built.
-func globalRandCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	ident, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
-	if !ok {
-		return "", false
-	}
-	if p := pkgName.Imported().Path(); p != "math/rand" && p != "math/rand/v2" {
-		return "", false
-	}
-	switch sel.Sel.Name {
-	case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
-// isTimeNow matches time.Now().
-func isTimeNow(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Now" {
-		return false
-	}
-	ident, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
-	return ok && pkgName.Imported().Path() == "time"
 }
 
 // checkMapRange flags a range over a map whose body accumulates into
@@ -186,24 +149,12 @@ func declaredBefore(pass *analysis.Pass, ident *ast.Ident, rng *ast.RangeStmt) b
 // isAppendCall matches append(…).
 func isAppendCall(pass *analysis.Pass, expr ast.Expr) bool {
 	call, ok := expr.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	ident, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isBuiltin := pass.TypesInfo.Uses[ident].(*types.Builtin)
-	return isBuiltin && ident.Name == "append"
+	return ok && pass.TypesInfo.Types[call.Fun].IsBuiltin() && types.ExprString(call.Fun) == "append"
 }
 
 // isStringType reports whether the expression has underlying type string.
 func isStringType(pass *analysis.Pass, expr ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[expr]
-	if !ok {
-		return false
-	}
-	basic, ok := tv.Type.Underlying().(*types.Basic)
+	basic, ok := pass.TypesInfo.TypeOf(expr).Underlying().(*types.Basic)
 	return ok && basic.Info()&types.IsString != 0
 }
 
@@ -254,16 +205,13 @@ func sortedAfter(pass *analysis.Pass, file *ast.File, ident *ast.Ident, rng *ast
 // isSortCall matches sort.*/slices.* calls and any function whose name
 // contains "sort" (case-insensitive), covering local sort helpers.
 func isSortCall(pass *analysis.Pass, call *ast.CallExpr) bool {
+	if path, _ := analysis.Callee(pass.TypesInfo, call); path != "" {
+		return path == "sort" || path == "slices"
+	}
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
 		return strings.Contains(strings.ToLower(fun.Name), "sort")
 	case *ast.SelectorExpr:
-		if pkgIdent, ok := fun.X.(*ast.Ident); ok {
-			if pkgName, ok := pass.TypesInfo.Uses[pkgIdent].(*types.PkgName); ok {
-				p := pkgName.Imported().Path()
-				return p == "sort" || p == "slices"
-			}
-		}
 		return strings.Contains(strings.ToLower(fun.Sel.Name), "sort")
 	}
 	return false

@@ -48,14 +48,14 @@ var Analyzer = New("mqsspulse", Rules)
 func New(root string, rules []Rule) *analysis.Analyzer {
 	doc := "each rule of the onlyhere table confines a use, literal, import or blocking construct to the sites it allows"
 	return &analysis.Analyzer{Name: "onlyhere", Doc: doc, Fixed: true, RunProgram: func(pass *analysis.Pass) error {
-		c := &checker{pass, root, map[string][]*Rule{}, map[string]*analysis.Package{}, map[string]token.Pos{}, map[[2]any]bool{}}
+		c := &checker{pass, analysis.Names{Root: root}, map[string][]*Rule{}, map[string]*analysis.Package{}, map[string]token.Pos{}, map[[2]any]bool{}}
 		for i := range rules {
 			for _, f := range rules[i].Facts {
 				c.facts[f] = append(c.facts[f], &rules[i])
 			}
 		}
 		for _, pkg := range pass.Pkgs {
-			c.pkgs[c.rel(pkg.Path)] = pkg
+			c.pkgs[c.Rel(pkg.Path)] = pkg
 			c.walk(pkg)
 		}
 		for i := range rules {
@@ -66,70 +66,20 @@ func New(root string, rules []Rule) *analysis.Analyzer {
 }
 
 type checker struct {
-	pass  *analysis.Pass
-	root  string
+	pass *analysis.Pass
+	analysis.Names
 	facts map[string][]*Rule
 	pkgs  map[string]*analysis.Package // by path below root
 	sites map[string]token.Pos         // every declaration
 	held  map[[2]any]bool              // {rule, Allow site} where a fact occurred
 }
 
-func (c *checker) rel(path string) string {
-	if path == c.root {
-		return ""
-	}
-	return strings.TrimPrefix(path, c.root+"/")
-}
-
-// typeKey spells a named type or a pointer to one path.Type, any other
-// type as go/types does.
-func (c *checker) typeKey(t types.Type) string {
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := types.Unalias(t).(*types.Named); ok && n.Obj().Pkg() != nil {
-		return c.rel(n.Obj().Pkg().Path()) + "." + n.Obj().Name()
-	}
-	return types.TypeString(t, nil)
-}
-
-// member names a selected method by the type declaring it, with the type
-// arguments it is instantiated with, and a field by the one it is selected
-// through; it is "" for any other expression.
-func (c *checker) member(info *types.Info, e ast.Expr) string {
-	s, _ := ast.Unparen(e).(*ast.SelectorExpr)
-	sel := info.Selections[s]
-	if sel == nil {
-		return ""
-	} else if fn, ok := sel.Obj().(*types.Func); ok {
-		return c.typeKey(fn.Origin().Signature().Recv().Type()) + c.typeArgs(fn.Signature().Recv().Type()) + "." + fn.Name()
-	}
-	return c.typeKey(sel.Recv()) + "." + sel.Obj().Name()
-}
-
-// typeArgs spells the type arguments of an instantiated named type or a
-// pointer to one, [path.Type,...], and is "" for any other type.
-func (c *checker) typeArgs(t types.Type) string {
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := types.Unalias(t).(*types.Named)
-	if !ok || n.TypeArgs().Len() == 0 {
-		return ""
-	}
-	args := make([]string, n.TypeArgs().Len())
-	for i := range args {
-		args[i] = c.typeKey(n.TypeArgs().At(i))
-	}
-	return "[" + strings.Join(args, ",") + "]"
-}
-
 func (c *checker) walk(pkg *analysis.Package) {
-	rel := c.rel(pkg.Path)
+	rel := c.Rel(pkg.Path)
 	for _, f := range pkg.Files {
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); c.rel(p) != p {
-				c.emit(rel+" imports", c.rel(p), imp.Pos())
+			if p, _ := strconv.Unquote(imp.Path.Value); c.Rel(p) != p {
+				c.emit(rel+" imports", c.Rel(p), imp.Pos())
 			}
 		}
 		for _, cg := range f.Comments {
@@ -144,7 +94,7 @@ func (c *checker) walk(pkg *analysis.Package) {
 			if fd, ok := d.(*ast.FuncDecl); ok {
 				site := rel
 				if fd.Recv != nil {
-					site = c.typeKey(pkg.Info.TypeOf(fd.Recv.List[0].Type))
+					site = c.Type(pkg.Info.TypeOf(fd.Recv.List[0].Type))
 				}
 				c.inspect(pkg.Info, fd, site+"."+fd.Name.Name)
 				continue
@@ -179,20 +129,20 @@ func (c *checker) inspect(info *types.Info, decl ast.Node, site string) {
 		switch n := n.(type) {
 		case *ast.Ident:
 			if obj := info.Uses[n]; obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-				at(c.rel(obj.Pkg().Path()) + "." + obj.Name())
+				at(c.Object(obj))
 			} else if info.Defs[n] != nil {
 				at("def " + n.Name)
 			}
 		case *ast.SelectorExpr:
-			at(c.member(info, n))
+			at(c.Member(info, n))
 		case *ast.AssignStmt:
 			for _, l := range n.Lhs {
-				at(c.member(info, l) + "=")
+				at(c.Member(info, l) + "=")
 			}
 		case *ast.IncDecStmt:
-			at(c.member(info, n.X) + "=")
+			at(c.Member(info, n.X) + "=")
 		case *ast.CompositeLit:
-			t := c.typeKey(info.TypeOf(n))
+			t := c.Type(info.TypeOf(n))
 			at(t + "{}")
 			for _, e := range n.Elts {
 				if kv, ok := e.(*ast.KeyValueExpr); ok {
@@ -203,16 +153,16 @@ func (c *checker) inspect(info *types.Info, decl ast.Node, site string) {
 			}
 		case *ast.ValueSpec:
 			if _, ptr := n.Type.(*ast.StarExpr); n.Type != nil && n.Values == nil && !ptr {
-				at(c.typeKey(info.TypeOf(n.Type)) + "{}")
+				at(c.Type(info.TypeOf(n.Type)) + "{}")
 			}
 		case *ast.CallExpr:
 			if b, ok := info.Uses[ident(n.Fun)].(*types.Builtin); ok && b.Name() == "new" {
-				at(c.typeKey(info.TypeOf(n.Args[0])) + "{}")
+				at(c.Type(info.TypeOf(n.Args[0])) + "{}")
 			} else if s, ok := n.Fun.(*ast.SelectorExpr); ok && s.Sel.Name == "Wait" && len(n.Args) == 0 {
 				at("blocks")
 			}
 		case *ast.ArrayType:
-			at(c.typeKey(info.TypeOf(n)))
+			at(c.Type(info.TypeOf(n)))
 		case *ast.CaseClause:
 			for _, e := range n.List {
 				if v := info.Types[e].Value; v != nil && v.Kind() == constant.String {

@@ -88,40 +88,29 @@ func main() {
 	}
 }
 
-// jsonReport is the SARIF-lite document -json emits: enough structure
-// for CI artifact tooling to index findings by file/line/analyzer
-// without dragging in the full SARIF schema.
-type jsonReport struct {
-	Tool    string       `json:"tool"`
-	Version int          `json:"version"`
-	Results []jsonResult `json:"results"`
-}
-
-// jsonResult is one finding.
-type jsonResult struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// writeJSON marshals the findings as a SARIF-lite document.
+// writeJSON emits the findings as a SARIF-lite document: enough structure
+// for CI artifact tooling to index them by file, line and analyzer without
+// the full SARIF schema.
 func writeJSON(w *os.File, fset *token.FileSet, diags []analysis.Diagnostic) error {
-	report := jsonReport{Tool: "mqssvet", Version: 2, Results: []jsonResult{}}
+	type result struct {
+		File     string `json:"file"`
+		Line     int    `json:"line"`
+		Column   int    `json:"column"`
+		Analyzer string `json:"analyzer"`
+		Message  string `json:"message"`
+	}
+	results := []result{}
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		report.Results = append(report.Results, jsonResult{
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Column:   pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
+		results = append(results, result{pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Message})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+	return enc.Encode(struct {
+		Tool    string   `json:"tool"`
+		Version int      `json:"version"`
+		Results []result `json:"results"`
+	}{"mqssvet", 2, results})
 }
 
 // selectAnalyzers resolves the -only flag against the suite.
@@ -155,12 +144,9 @@ func runGoVet(patterns []string, toStderr bool) bool {
 		cmd.Stdout = os.Stderr
 	}
 	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		if _, ok := err.(*exec.ExitError); ok {
-			return false
-		}
+	err := cmd.Run()
+	if _, exit := err.(*exec.ExitError); err != nil && !exit {
 		fmt.Fprintln(os.Stderr, "mqssvet: go vet:", err)
-		return false
 	}
-	return true
+	return err == nil
 }

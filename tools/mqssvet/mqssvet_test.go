@@ -33,9 +33,16 @@ func TestDoccomment(t *testing.T) {
 
 // TestDeadexport runs the program-level pass over a whole tree: an uncalled
 // export and one only a _test.go file calls are reported; an interface's
-// method, a container/heap method and an allowlisted name are not.
+// method, a container/heap method and an allowlisted name are not. A field
+// written and never read is reported, and so is an option that only sets
+// it; a field read in a method called through a method value, the fields of
+// a map key, a promoted embedded field, a tagged field, a field of a type
+// the root aliases and an allowlisted field are not.
 func TestDeadexport(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/deadexport/...", deadexport.Analyzer)
+	analysistest.Run(t, "./testdata/src/deadexport/...", deadexport.New("mqsspulse/tools/mqssvet/testdata/src/deadexport", map[string]string{
+		"internal/qpi.Circuit.Y":    "a builder the fixture keeps, as the product QPI keeps Circuit.Y",
+		"internal/qpi.Config.trace": "a field the fixture keeps for a reader outside the program",
+	}))
 }
 
 // TestDeadexportReportsNothingOnAPartialTree: loaded without the root that
