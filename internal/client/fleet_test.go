@@ -127,7 +127,7 @@ func TestRemoteStolenJobCheckedAgainstNamedDevice(t *testing.T) {
 		}
 		return func() {
 			tk.Cancel()
-			<-tk.DoneCh()
+			_, _ = tk.Wait(context.Background())
 		}
 	}
 

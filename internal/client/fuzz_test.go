@@ -60,7 +60,7 @@ func fuzzServer(f *testing.F) (*Server, *Client) {
 	c := tinyStack(f, "tiny-1")
 	ctx, cancel := context.WithCancel(context.Background())
 	f.Cleanup(cancel)
-	return &Server{client: c, cfg: serverConfig{maxJobTime: 2 * time.Second}, ctx: ctx, cancel: cancel}, c
+	return &Server{client: c, cfg: serverConfig{maxJobTime: 2 * time.Second}, ctx: ctx, cancel: cancel, jobCtx: context.WithoutCancel(ctx)}, c
 }
 
 // FuzzServerRequest drives arbitrary request lines — one connection's worth
@@ -103,21 +103,22 @@ func FuzzServerRequest(f *testing.F) {
 	}
 	f.Add(lines(
 		remoteRequest{Op: "register", ID: "x@1", Program: string(payload), Epoch: 1},
-		remoteRequest{Op: "submit", ID: "x@1", Device: "tiny-1", Shots: 4},
-		remoteRequest{Op: "submit", ID: "x@1", Device: "tiny-1", Shots: 4, MeasLevel: "kerneled", MeasReturn: "avg", TimeoutMs: 50},
+		remoteRequest{Op: "submit", ID: "x@1", Device: "tiny-1", SubmitOptions: SubmitOptions{Shots: 4}},
+		remoteRequest{Op: "submit", ID: "x@1", Device: "tiny-1", TimeoutMs: 50,
+			SubmitOptions: SubmitOptions{Shots: 4, MeasLevel: readout.LevelKerneled, MeasReturn: readout.ReturnAverage}},
 	))
 	f.Add(lines(
 		remoteRequest{Op: "register", ID: "rabi", Program: string(compiled.Text()), Params: compiled.Params},
-		remoteRequest{Op: "submit", ID: "rabi", Device: "tiny-1", Shots: 2, Bindings: map[string]float64{"theta": 1.5}},
-		remoteRequest{Op: "submit", ID: "rabi", Device: "tiny-1", Shots: 2, Bindings: map[string]float64{"theta": 99}},
-		remoteRequest{Op: "submit", ID: "rabi", Pool: "nowhere", Shots: 2},
+		remoteRequest{Op: "submit", ID: "rabi", Device: "tiny-1", SubmitOptions: SubmitOptions{Shots: 2}, Bindings: map[string]float64{"theta": 1.5}},
+		remoteRequest{Op: "submit", ID: "rabi", Device: "tiny-1", SubmitOptions: SubmitOptions{Shots: 2}, Bindings: map[string]float64{"theta": 99}},
+		remoteRequest{Op: "submit", ID: "rabi", SubmitOptions: SubmitOptions{Pool: "nowhere", Shots: 2}},
 	))
 	// Enough registrations to push the store past its bound.
 	var many []remoteRequest
 	for i := 0; i < maxStoredPrograms+6; i++ {
 		many = append(many, remoteRequest{Op: "register", ID: fmt.Sprint("p", i), Program: "define void @m() #0 {\n}\n"})
 	}
-	f.Add(lines(append(many, remoteRequest{Op: "submit", ID: "p0", Device: "tiny-1", Shots: 1})...))
+	f.Add(lines(append(many, remoteRequest{Op: "submit", ID: "p0", Device: "tiny-1", SubmitOptions: SubmitOptions{Shots: 1}})...))
 	f.Add(lines(remoteRequest{Op: "telemetry"}, remoteRequest{Op: "submit", ID: "never"}, remoteRequest{Op: "register_template"}))
 	f.Add("{not json\n\n{}\n" + `{"op":"register","id":"g","program":"garbage"}` + "\n" + `{"op":"submit","shots":-1}`)
 
@@ -159,7 +160,7 @@ func FuzzResponseLine(f *testing.F) {
 	srv.handleLine([]byte(`{"op":"register","id":"x","program":`+strconv.Quote(string(payload))+`}`), store)
 	levels := []readout.MeasLevel{readout.LevelDiscriminated, readout.LevelKerneled, readout.LevelRaw}
 	for _, level := range levels {
-		req, err := appendRequest(nil, &remoteRequest{Op: "submit", ID: "x", Device: "tiny-1", Shots: 3, MeasLevel: level.String()})
+		req, err := appendRequest(nil, &remoteRequest{Op: "submit", ID: "x", Device: "tiny-1", SubmitOptions: SubmitOptions{Shots: 3, MeasLevel: level}})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"mqsspulse/internal/qdmi"
+	"mqsspulse/internal/qrm"
 	"mqsspulse/internal/telemetry"
 	"mqsspulse/internal/testutil"
 )
@@ -43,7 +43,7 @@ func countingServer(t *testing.T, c *Client) (*Server, *countingListener) {
 	}
 	ln := &countingListener{Listener: inner}
 	ctx, cancel := context.WithCancel(context.Background())
-	srv := &Server{client: c, ln: ln, ctx: ctx, cancel: cancel}
+	srv := &Server{client: c, ln: ln, ctx: ctx, cancel: cancel, jobCtx: context.WithoutCancel(ctx)}
 	srv.wg.Add(1)
 	go srv.acceptLoop()
 	t.Cleanup(srv.Close)
@@ -222,7 +222,7 @@ func TestRemoteSpansOnlyForTracedCallers(t *testing.T) {
 	rd := bufio.NewReader(conn)
 	exchange := func(req remoteRequest) []byte {
 		t.Helper()
-		if _, err := conn.Write(append(requestLine(t, req), '\n')); err != nil {
+		if _, err := conn.Write(requestLine(t, req)); err != nil {
 			t.Fatal(err)
 		}
 		line, err := rd.ReadBytes('\n')
@@ -234,22 +234,54 @@ func TestRemoteSpansOnlyForTracedCallers(t *testing.T) {
 	if line := exchange(remoteRequest{Op: "register", ID: "p", Program: string(payload)}); bytes.Contains(line, []byte(`"error"`)) {
 		t.Fatalf("register: %s", line)
 	}
-	submit := remoteRequest{Op: "submit", ID: "p", Device: "hpcqc-sc", Shots: 16}
+	submit := remoteRequest{Op: "submit", ID: "p", Device: "hpcqc-sc", SubmitOptions: SubmitOptions{Shots: 16}}
 	if line := exchange(submit); bytes.Contains(line, []byte(`"spans"`)) || bytes.Contains(line, []byte(`"error"`)) {
 		t.Fatalf("untraced response: %s", line)
 	}
 	submit.TraceID = "trace-spans"
 	var resp remoteResponse
-	if err := json.Unmarshal(exchange(submit), &resp); err != nil {
+	if err := parseResponse(exchange(submit), &resp); err != nil {
 		t.Fatal(err)
 	}
-	var stages []string
+	var stages []telemetry.Stage
 	for _, s := range resp.Spans {
 		stages = append(stages, s.Stage)
 	}
 	for _, st := range []telemetry.Stage{telemetry.StageQueueWait, telemetry.StageDispatch, telemetry.StageDeviceExecute} {
-		if !slices.Contains(stages, string(st)) {
+		if !slices.Contains(stages, st) {
 			t.Fatalf("traced response spans %v lack %s", stages, st)
 		}
+	}
+}
+
+// TestRemoteFailureKeepsTheServersSpans: a traced remote job that fails
+// still brings the server's spans home — the server ships them with a
+// failure, and the adapter imports them under its dispatch span as it does
+// for a result. A payload compiled before a recalibration fails
+// stale_calibration after the server has queued it.
+func TestRemoteFailureKeepsTheServersSpans(t *testing.T) {
+	c, dev := testStack(t)
+	adapter, _ := recordedAdapter(t, serveTest(t, c))
+	payload, format, err := c.Compile(bell(t), "hpcqc-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SubmitOptions{Shots: 10, CalibrationEpoch: dev.CalibrationEpoch(), Timeline: telemetry.NewTimeline("", nil)}
+	dev.SetCalibratedPiAmplitude(0, dev.CalibratedPiAmplitude(0)*0.9)
+	if _, err := adapter.SubmitPayloadCtx(context.Background(), "hpcqc-sc", payload, format, opts); !errors.Is(err, qrm.ErrStaleCalibration) {
+		t.Fatalf("err = %v, want stale_calibration", err)
+	}
+	spans := opts.Timeline.Spans()
+	var dispatch, wait *telemetry.Span
+	for i := range spans {
+		switch s := &spans[i]; {
+		case s.Stage == telemetry.StageDispatch && !s.Remote:
+			dispatch = s
+		case s.Stage == telemetry.StageQueueWait:
+			wait = s
+		}
+	}
+	if dispatch == nil || wait == nil || !wait.Remote || wait.Parent != dispatch.ID {
+		t.Fatalf("the failed job's timeline %+v lacks the server's queue-wait span, marked remote, under the dispatch span", spans)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mqsspulse/internal/ptemplate"
@@ -26,12 +27,13 @@ import (
 // exchange text, once per connection: "register" ships it under an ID with
 // its declared parameters and calibration epoch, and the server parses,
 // verifies and keeps it. Every job afterwards is a "submit" naming that ID,
-// with the job options and — for a template — one point's bindings; a
-// concrete kernel is the template with no parameters and sends none.
+// with the job's SubmitOptions and — for a template — one point's bindings;
+// a concrete kernel is the template with no parameters and sends none.
 // "telemetry" fetches the server's metrics. Deadlines cross the machine
-// boundary: the adapter ships the remaining context budget as timeout_ms and
-// the server bounds the job with it. ARCHITECTURE.md has the field table;
-// wirecodec.go writes and reads the frames.
+// boundary: the adapter ships what is left of the earlier of the ctx
+// deadline and SubmitOptions.Deadline as timeout_ms, and the server bounds
+// the job with it. ARCHITECTURE.md has the field table; wirecodec.go writes
+// and reads the frames.
 
 // maxStoredPrograms bounds the programs a server keeps per connection (the
 // oldest registration goes first) and the IDs an adapter remembers having
@@ -46,14 +48,18 @@ const maxStoredPrograms = 64
 // cannot be told from the start of the next.
 const maxFrameBytes = 1 << 24
 
-// remoteRequest is the wire form of a request.
+// remoteRequest is the wire form of a request: the wire's own fields and,
+// for "submit", the job's SubmitOptions. Only the codec (wirecodec.go)
+// spells a frame, and of the options it carries the pool, shots, priority,
+// measurement level and return, and trace ID; the deadline crosses as
+// TimeoutMs.
 type remoteRequest struct {
 	// Op selects the request kind: "register", "submit" or "telemetry".
-	Op string `json:"op"`
+	Op string
 	// ID names a program on this connection. The adapter derives it from a
 	// hash of the program's text and its calibration epoch, so a program
 	// re-lowered after a recalibration is a different program on the wire.
-	ID string `json:"id,omitempty"`
+	ID string
 
 	// Program, Params and Epoch are the body of "register": the exchange
 	// text (slots included), the declared parameter space, and the
@@ -61,62 +67,38 @@ type remoteRequest struct {
 	// job on the program against that epoch and rejects it with
 	// stale_calibration once the target has recalibrated past it; zero
 	// disables the check.
-	Program string            `json:"program,omitempty"`
-	Params  []ptemplate.Param `json:"params,omitempty"`
-	Epoch   int64             `json:"epoch,omitempty"`
+	Program string
+	Params  []ptemplate.Param
+	Epoch   int64
 
-	// Bindings carries one value per declared parameter for "submit"; the
-	// rest of the fields are its job options.
-	Bindings map[string]float64 `json:"bindings,omitempty"`
-	Device   string             `json:"device,omitempty"`
-	// Pool targets a named server-side device pool instead of Device.
-	Pool     string `json:"pool,omitempty"`
-	Shots    int    `json:"shots,omitempty"`
-	Priority int    `json:"priority,omitempty"`
+	// Bindings carries one value per declared parameter for "submit".
+	Bindings map[string]float64
+	Device   string
 	// TimeoutMs bounds the job server-side; 0 means no client deadline.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// MeasLevel/MeasReturn select the acquisition data shape
-	// ("discriminated"/"kerneled"/"raw", "single"/"avg"); empty means
-	// discriminated counts.
-	MeasLevel  string `json:"meas_level,omitempty"`
-	MeasReturn string `json:"meas_return,omitempty"`
-	// TraceID propagates the submission's telemetry trace across the wire:
-	// the server records its lifecycle spans under this ID and returns them
-	// in the response, so the client-side timeline covers both machines.
-	// Without one the server returns no spans.
-	TraceID string `json:"trace_id,omitempty"`
+	TimeoutMs int64
+	// A TraceID propagates the submission's telemetry trace across the
+	// wire: the server records its lifecycle spans under this ID and
+	// returns them in the response, so the client-side timeline covers
+	// both machines. Without one the server returns no spans.
+	SubmitOptions
 }
 
-// remoteResponse is the wire form of a completed job.
+// remoteResponse is the wire form of an answer: a failure, a job's result,
+// or the server's telemetry.
 type remoteResponse struct {
-	Error string `json:"error,omitempty"`
+	Error string
 	// ErrorKind carries the machine-readable class of Error across the
 	// wire ("overloaded", "no_such_target"), so the adapter can rebuild
 	// the typed sentinels and callers can back off with errors.Is.
-	ErrorKind string `json:"error_kind,omitempty"`
-	// Counts is the result's own map: its keys cross as decimal strings,
-	// sorted as strings, and a key that is not a whole decimal uint64 is
-	// refused when reading one back.
-	Counts          map[uint64]int `json:"counts,omitempty"`
-	Shots           int            `json:"shots"`
-	DurationSeconds float64        `json:"duration_seconds"`
-	// MeasLevel echoes the level of the returned data.
-	MeasLevel string `json:"meas_level,omitempty"`
-	// Bits lists the captured classical-bit positions (IQ column order).
-	Bits []int `json:"bits,omitempty"`
-	// IQ is [shot][capture], each point an [i, q] pair on the wire ("iq").
-	// Raw is [shot][capture][sample], each sample an [i, q] pair ("raw").
-	// encoding/json has no pair form for readout.IQ or complex128, so only
-	// the codec (wirecodec.go) reads and writes these two.
-	IQ  [][]readout.IQ   `json:"-"`
-	Raw [][][]complex128 `json:"-"`
+	ErrorKind string
+	readout.Result
 	// Spans carries the server-side lifecycle spans of the submission
 	// (queue-wait, dispatch, bind, device-execute, ...) back to a client
-	// that sent a trace ID, which imports them under its own dispatch span
-	// so one timeline covers the whole round trip.
-	Spans []telemetry.SpanWire `json:"spans,omitempty"`
+	// that sent a trace ID, failed or not, which imports them under its own
+	// dispatch span so one timeline covers the whole round trip.
+	Spans []telemetry.Span
 	// Telemetry is the server's fleet metrics snapshot (op "telemetry").
-	Telemetry json.RawMessage `json:"telemetry,omitempty"`
+	Telemetry json.RawMessage
 }
 
 // ServerOption tunes a Server.
@@ -150,8 +132,12 @@ type Server struct {
 	client *Client
 	ln     net.Listener
 	cfg    serverConfig
-	ctx    context.Context // cancelled on Close; parent of every job ctx
+	ctx    context.Context // cancelled on Close
 	cancel context.CancelFunc
+	// jobCtx is ctx without its end: jobs are submitted and waited for
+	// under it, and serve ends the job in flight on each connection when
+	// ctx ends, so no job hooks onto ctx itself.
+	jobCtx context.Context
 	wg     sync.WaitGroup
 	mu     sync.Mutex
 	closed bool
@@ -170,7 +156,7 @@ func NewServer(c *Client, addr string, opts ...ServerOption) (*Server, error) {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(cfg.baseCtx)
-	s := &Server{client: c, ln: ln, cfg: cfg, ctx: ctx, cancel: cancel}
+	s := &Server{client: c, ln: ln, cfg: cfg, ctx: ctx, cancel: cancel, jobCtx: context.WithoutCancel(ctx)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -211,15 +197,23 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
-	// Unblock reads when the server shuts down mid-connection.
-	stop := context.AfterFunc(s.ctx, func() { _ = conn.SetDeadline(time.Now()) })
-	defer stop()
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 1<<20), maxFrameBytes)
 	// Registered programs are scoped to the connection: the store dies with
 	// it, so a reconnecting adapter re-registers (and a restarted server can
 	// never run a program it did not parse itself).
 	store := &programStore{byID: map[string]*ptemplate.Compiled{}}
+	// When the server stops, reads end at once and the answer being
+	// written, or that of the job in flight, which is cancelled, has
+	// stopGrace to leave.
+	stop := context.AfterFunc(s.ctx, func() {
+		_ = conn.SetReadDeadline(time.Now())
+		_ = conn.SetWriteDeadline(time.Now().Add(stopGrace))
+		if tk := store.job.Load(); tk != nil && s.cancelled() {
+			tk.Cancel()
+		}
+	})
+	defer stop()
+	scanner := bufio.NewScanner(conn)
+	scanner.Buffer(make([]byte, 0, 1<<20), maxFrameBytes)
 	var out []byte // the response frame, written into the same buffer each time
 	respond := func(resp remoteResponse) error {
 		var err error
@@ -233,6 +227,9 @@ func (s *Server) serve(conn net.Conn) {
 		if s.cfg.idleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout))
 		}
+		if s.ctx.Err() != nil {
+			return // stopped: nothing more is read
+		}
 		if !scanner.Scan() {
 			if errors.Is(scanner.Err(), bufio.ErrTooLong) {
 				_ = respond(failure(fmt.Errorf("%w: request line over %d bytes", ErrTooLarge, maxFrameBytes)))
@@ -245,12 +242,22 @@ func (s *Server) serve(conn net.Conn) {
 	}
 }
 
+// stopGrace is how long a connection's last answer may take to leave once
+// the server has stopped.
+const stopGrace = time.Second
+
+// cancelled reports whether the server stopped by Close or by a cancelled
+// base context. A base context's deadline ends no job through it: that
+// deadline is every job's Deadline already, which ends it deadline_exceeded.
+func (s *Server) cancelled() bool { return errors.Is(s.ctx.Err(), context.Canceled) }
+
 // programStore is one connection's registered programs, at most
-// maxStoredPrograms of them.
+// maxStoredPrograms of them, and the ticket of the job it has in flight.
 type programStore struct {
 	byID map[string]*ptemplate.Compiled
 	// order lists the IDs oldest registration first.
 	order []string
+	job   atomic.Pointer[qrm.Ticket]
 }
 
 // put stores p under id, evicting the oldest registration when the store is
@@ -304,28 +311,17 @@ func (s *Server) handleLine(line []byte, store *programStore) remoteResponse {
 	}
 }
 
-// handleSubmit runs one job on a registered program: the frame becomes the
-// SubmitOptions a local caller passes, and the stored program and the
-// point's bindings go through Client.enqueue, so the job is the request a
-// local job makes. timeout_ms, capped by WithServerMaxJobTime, is the job's
-// deadline.
+// handleSubmit runs one job on a registered program: the frame's
+// SubmitOptions, the stored program and the point's bindings go through
+// Client.enqueue, so the job is the request a local job makes. timeout_ms,
+// capped by WithServerMaxJobTime and by the base context's deadline, is the
+// job's Deadline.
 func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteResponse {
 	program, ok := store.byID[req.ID]
 	if !ok {
 		return failure(fmt.Errorf("%w: %q", errUnknownProgram, req.ID))
 	}
-	level, err := readout.ParseMeasLevel(req.MeasLevel)
-	if err != nil {
-		return failure(fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err))
-	}
-	ret, err := readout.ParseMeasReturn(req.MeasReturn)
-	if err != nil {
-		return failure(fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err))
-	}
-	opts := SubmitOptions{
-		Shots: req.Shots, Priority: req.Priority, Pool: req.Pool,
-		MeasLevel: level, MeasReturn: ret,
-	}
+	opts := req.SubmitOptions
 	timeout := time.Duration(req.TimeoutMs) * time.Millisecond
 	if s.cfg.maxJobTime > 0 && (timeout <= 0 || s.cfg.maxJobTime < timeout) {
 		timeout = s.cfg.maxJobTime
@@ -333,37 +329,32 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 	if timeout > 0 {
 		opts.Deadline = time.Now().Add(timeout)
 	}
+	if dl, ok := s.ctx.Deadline(); ok && (opts.Deadline.IsZero() || dl.Before(opts.Deadline)) {
+		opts.Deadline = dl
+	}
 	// The server-side timeline shares the caller's trace ID and feeds the
 	// server's own fleet registry. Its spans ship back with the response only
 	// to a caller that traces — one that sent a trace ID — so the
 	// client-side timeline covers both machines.
-	tl := s.client.NewTimeline(req.TraceID)
-	tk, err := s.client.enqueue(s.ctx, program, req.Bindings, req.Device, opts, tl)
-	var res *qdmi.Result
+	tl := s.client.NewTimeline(opts.TraceID)
+	tk, err := s.client.enqueue(s.jobCtx, program, req.Bindings, req.Device, opts, tl)
+	var resp remoteResponse
 	if err == nil {
-		if res, err = tk.Wait(s.ctx); err != nil {
-			<-tk.DoneCh() // the worker writes tl until the ticket resolves
+		store.job.Store(tk)
+		if s.cancelled() {
+			tk.Cancel() // the server stopped before serve could see the job
 		}
-	}
-	var spans []telemetry.SpanWire
-	if req.TraceID != "" {
-		spans = telemetry.ToWire(tl.Spans())
+		var res *qdmi.Result
+		if res, err = tk.Wait(s.jobCtx); err == nil {
+			resp.Result = *res
+		}
+		store.job.Store(nil)
 	}
 	if err != nil {
-		resp := failure(err)
-		resp.Spans = spans
-		return resp
+		resp = failure(err)
 	}
-	resp := remoteResponse{
-		Counts: res.Counts, Shots: res.Shots, DurationSeconds: res.DurationSeconds,
-		Spans: spans,
-	}
-	if res.MeasLevel != readout.LevelDiscriminated {
-		resp.MeasLevel = res.MeasLevel.String()
-		resp.Bits, resp.IQ = res.Bits, res.IQ
-		if res.MeasLevel == readout.LevelRaw {
-			resp.Raw = res.Raw
-		}
+	if opts.TraceID != "" {
+		resp.Spans = tl.Spans()
 	}
 	return resp
 }
@@ -671,16 +662,14 @@ func payloadID(payload []byte, epoch int64) string {
 // the caller traces (opts.Timeline or opts.TraceID), and only then does the
 // server return its spans, which are imported under the dispatch span —
 // marked Remote so their durations never double-count into local
-// histograms. A nil timeline records nothing.
+// histograms, whether the job succeeded or failed. A nil timeline records
+// nothing. opts.Deadline bounds the job as the ctx deadline does (exchange);
+// one already past fails before anything is sent.
 func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
-	req := remoteRequest{
-		Op: "submit", Bindings: b, Device: device, Pool: opts.Pool,
-		Shots: opts.Shots, Priority: opts.Priority, TraceID: opts.TraceID,
+	if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {
+		return nil, fmt.Errorf("client: remote: %w", context.DeadlineExceeded)
 	}
-	if opts.MeasLevel != readout.LevelDiscriminated {
-		req.MeasLevel = opts.MeasLevel.String()
-		req.MeasReturn = opts.MeasReturn.String()
-	}
+	req := remoteRequest{Op: "submit", Bindings: b, Device: device, SubmitOptions: opts}
 	tl := opts.Timeline
 	if tl != nil {
 		req.TraceID = tl.TraceID()
@@ -697,8 +686,8 @@ func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram
 		req.ID = c.payloadID(p.text, p.epoch)
 		resp, err = c.submitRegistered(ctx, &req, p)
 		r.put(c)
-		if err == nil {
-			tl.Import(telemetry.FromWire(resp.Spans), id)
+		if resp != nil {
+			tl.Import(resp.Spans, id)
 		}
 	})
 	if err != nil {
@@ -758,13 +747,19 @@ func (r *RemoteAdapter) Telemetry(ctx context.Context) (telemetry.Snapshot, erro
 }
 
 // exchange performs one line-framed request/response round trip on the
-// connection. The remaining ctx budget ships as the server-side job
-// timeout, and any wire error breaks the connection (see fail).
+// connection. The remaining budget of the earlier of the ctx deadline and
+// the job's Deadline ships as the server-side job timeout, and any wire
+// error breaks the connection (see fail). A failure the server answered
+// comes with its response, whose spans the caller still imports.
 func (c *remoteConn) exchange(ctx context.Context, req *remoteRequest) (*remoteResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("client: remote: %w", err)
 	}
-	if dl, ok := ctx.Deadline(); ok {
+	dl, ok := ctx.Deadline()
+	if !req.Deadline.IsZero() && (!ok || req.Deadline.Before(dl)) {
+		dl, ok = req.Deadline, true
+	}
+	if ok {
 		remaining := time.Until(dl)
 		if remaining <= 0 {
 			return nil, fmt.Errorf("client: remote: %w", context.DeadlineExceeded)
@@ -827,47 +822,33 @@ func (c *remoteConn) exchange(ctx context.Context, req *remoteRequest) (*remoteR
 	return decodeResponse(line)
 }
 
-// decodeResponse reads one response line: a failure as its typed error,
-// anything else as the response.
+// decodeResponse reads one response line: a failure as its typed error
+// together with the response, anything else as the response alone.
 func decodeResponse(line []byte) (*remoteResponse, error) {
 	var resp remoteResponse
 	if err := parseResponse(line, &resp); err != nil {
 		return nil, fmt.Errorf("client: remote response: %w", err)
 	}
 	if resp.Error != "" {
-		return nil, errorFromWire(resp.ErrorKind, resp.Error)
+		return &resp, errorFromWire(resp.ErrorKind, resp.Error)
 	}
 	return &resp, nil
 }
 
-// resultFromWire rebuilds a qpi.Result from a wire response, enforcing
-// that the server honored the requested measurement level.
+// resultFromWire is the result a response carries, once it is checked to
+// hold the measurement level the job asked for: a server that ignores the
+// level (an older one answers plain counts) or downgrades it (raw →
+// kerneled) would leave the promised fields nil, so it fails loudly.
 func resultFromWire(resp *remoteResponse, opts SubmitOptions) (*qpi.Result, error) {
-	counts := resp.Counts
-	if counts == nil {
-		counts = map[uint64]int{}
+	res := &resp.Result
+	if opts.MeasLevel != readout.LevelDiscriminated && res.MeasLevel != opts.MeasLevel {
+		return nil, fmt.Errorf("client: remote: %w: requested %s data, server returned %s",
+			qdmi.ErrNotSupported, opts.MeasLevel, res.MeasLevel)
 	}
-	out := &qpi.Result{Counts: counts, Shots: resp.Shots, DurationSeconds: resp.DurationSeconds}
-	if opts.MeasLevel != readout.LevelDiscriminated && resp.MeasLevel == "" {
-		// An older server ignores the meas_level request field and returns
-		// plain counts; fail loudly rather than silently downgrading.
-		return nil, fmt.Errorf("client: remote: %w: server returned no %s measurement data",
-			qdmi.ErrNotSupported, opts.MeasLevel)
+	if res.Counts == nil {
+		res.Counts = map[uint64]int{}
 	}
-	if resp.MeasLevel != "" {
-		level, err := readout.ParseMeasLevel(resp.MeasLevel)
-		if err != nil {
-			return nil, fmt.Errorf("client: remote: %w", err)
-		}
-		if opts.MeasLevel != readout.LevelDiscriminated && level != opts.MeasLevel {
-			// A server downgrading raw → kerneled (or similar) would leave
-			// the promised fields nil; fail loudly instead.
-			return nil, fmt.Errorf("client: remote: %w: requested %s data, server returned %s",
-				qdmi.ErrNotSupported, opts.MeasLevel, level)
-		}
-		out.MeasLevel, out.Bits, out.IQ, out.Raw = level, resp.Bits, resp.IQ, resp.Raw
-	}
-	return out, nil
+	return res, nil
 }
 
 // fail maps an I/O error on the connection. The line-oriented protocol

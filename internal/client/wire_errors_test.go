@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -155,7 +154,7 @@ func TestServerAnswersOversizedRequest(t *testing.T) {
 	c, _ := testStack(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv := &Server{client: c, ctx: ctx, cancel: cancel}
+	srv := &Server{client: c, ctx: ctx, cancel: cancel, jobCtx: context.WithoutCancel(ctx)}
 	near, far := net.Pipe()
 	defer near.Close()
 	served := make(chan struct{})
@@ -169,7 +168,7 @@ func TestServerAnswersOversizedRequest(t *testing.T) {
 		t.Fatalf("no answer to an oversized request: %v", err)
 	}
 	var resp remoteResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
+	if err := parseResponse(line, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if err := errorFromWire(resp.ErrorKind, resp.Error); !errors.Is(err, ErrTooLarge) {

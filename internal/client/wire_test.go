@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -63,7 +62,7 @@ func (c *recordingConn) take(t *testing.T) (ops []string, frames []string) {
 	frames, c.frames = c.frames, nil
 	for _, f := range frames {
 		var req remoteRequest
-		if err := json.Unmarshal([]byte(f), &req); err != nil {
+		if err := parseRequest([]byte(f), &req); err != nil {
 			t.Fatalf("adapter wrote a frame that is not a request: %v\n%s", err, f)
 		}
 		ops = append(ops, req.Op)
@@ -483,7 +482,7 @@ func TestRemoteUnknownProgramTwiceIsAnError(t *testing.T) {
 		lines.Buffer(nil, 1<<20)
 		for lines.Scan() {
 			var req remoteRequest
-			if err := json.Unmarshal(lines.Bytes(), &req); err != nil {
+			if err := parseRequest(lines.Bytes(), &req); err != nil {
 				return
 			}
 			ops = append(ops, req.Op)
@@ -583,10 +582,11 @@ func TestServerRegisterRejectsNonFiniteDouble(t *testing.T) {
 	}
 }
 
-// requestLine renders one request as the server reads it.
+// requestLine is one request frame, newline included, as the adapter
+// writes it.
 func requestLine(t *testing.T, req remoteRequest) []byte {
 	t.Helper()
-	line, err := json.Marshal(req)
+	line, err := appendRequest(nil, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +617,7 @@ func TestServerTimeoutMsIsATypedDeadline(t *testing.T) {
 	if resp := srv.handleLine(requestLine(t, remoteRequest{Op: "register", ID: "p", Program: string(payload)}), store); resp.Error != "" {
 		t.Fatalf("register: %s", resp.Error)
 	}
-	resp := srv.handleLine(requestLine(t, remoteRequest{Op: "submit", ID: "p", Device: "hpcqc-sc", Shots: 16, TimeoutMs: 80}), store)
+	resp := srv.handleLine(requestLine(t, remoteRequest{Op: "submit", ID: "p", Device: "hpcqc-sc", TimeoutMs: 80, SubmitOptions: SubmitOptions{Shots: 16}}), store)
 	if resp.ErrorKind != "deadline_exceeded" {
 		t.Fatalf("timed-out job answered kind %q (%s), want deadline_exceeded", resp.ErrorKind, resp.Error)
 	}
@@ -646,7 +646,8 @@ func TestServerTimeoutMsWhileRunning(t *testing.T) {
 	}
 	// The gate holds the remote job itself: it is running on the worker
 	// when its deadline fires.
-	resp := srv.handleLine(requestLine(t, remoteRequest{Op: "submit", ID: "p", Device: "hpcqc-sc", Shots: 16, TimeoutMs: 80, TraceID: "trace-timeout"}), store)
+	resp := srv.handleLine(requestLine(t, remoteRequest{Op: "submit", ID: "p", Device: "hpcqc-sc", TimeoutMs: 80,
+		SubmitOptions: SubmitOptions{Shots: 16, TraceID: "trace-timeout"}}), store)
 	select {
 	case <-entered:
 	default:
@@ -655,12 +656,120 @@ func TestServerTimeoutMsWhileRunning(t *testing.T) {
 	if resp.ErrorKind != "deadline_exceeded" {
 		t.Fatalf("timed-out job answered kind %q (%s), want deadline_exceeded", resp.ErrorKind, resp.Error)
 	}
-	var stages []string
+	var stages []telemetry.Stage
 	for _, s := range resp.Spans {
 		stages = append(stages, s.Stage)
 	}
-	if !slices.Contains(stages, string(telemetry.StageDispatch)) {
+	if !slices.Contains(stages, telemetry.StageDispatch) {
 		t.Fatalf("response spans %v lack the worker's dispatch span", stages)
+	}
+}
+
+// TestRemoteJobDeadlineShipsAsTimeout: SubmitOptions.Deadline bounds a
+// remote job as a ctx deadline does. The earlier of the two ships as
+// timeout_ms, and a job the deadline ends while a gated device holds the
+// worker answers deadline_exceeded.
+func TestRemoteJobDeadlineShipsAsTimeout(t *testing.T) {
+	c, _ := testStack(t)
+	release, entered := blockGate(c)
+	defer close(release)
+	adapter, rc := recordedAdapter(t, serveTest(t, c))
+	payload, format, err := c.Compile(bell(t), "hpcqc-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SubmitCtx(context.Background(), bell(t), "hpcqc-sc", SubmitOptions{Shots: 16}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := adapter.SubmitPayloadCtx(ctx, "hpcqc-sc", payload, format, SubmitOptions{Shots: 16, Deadline: time.Now().Add(100 * time.Millisecond)})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want the job's deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the job outlived its deadline by seconds")
+	}
+	_, frames := rc.take(t)
+	var req remoteRequest
+	if err := parseRequest([]byte(frames[len(frames)-1]), &req); err != nil || req.Op != "submit" || req.TimeoutMs < 1 || req.TimeoutMs > 100 {
+		t.Fatalf("submit frame %q ships timeout_ms %d, want the deadline's budget of at most 100 (%v)", frames[len(frames)-1], req.TimeoutMs, err)
+	}
+}
+
+// TestRemotePassedJobDeadlineSendsNothing: a job whose Deadline has passed
+// fails with context.DeadlineExceeded before a frame is written, as a local
+// submission does.
+func TestRemotePassedJobDeadlineSendsNothing(t *testing.T) {
+	c, _ := testStack(t)
+	adapter, rc := recordedAdapter(t, serveTest(t, c))
+	payload, format, err := c.Compile(bell(t), "hpcqc-sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SubmitOptions{Shots: 16, Deadline: time.Now().Add(-time.Millisecond)}
+	if _, err := adapter.SubmitPayloadCtx(context.Background(), "hpcqc-sc", payload, format, opts); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if ops, _ := rc.take(t); len(ops) != 0 {
+		t.Fatalf("a job past its deadline sent %v", ops)
+	}
+}
+
+// TestServerEndsItsJobsInFlight: a job a gated device holds is ended when
+// the server stops — by Close or a cancelled base context, which cancel it,
+// or by the base context's deadline, which is the job's own — and its
+// caller hears how, before the server hangs up. Nothing is left running.
+func TestServerEndsItsJobsInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration // of the base context; 0 for none
+		stop    func(*Server, context.CancelFunc)
+		want    error
+	}{
+		{"close", 0, func(srv *Server, _ context.CancelFunc) { srv.Close() }, qrm.ErrCancelled},
+		{"cancelled base context", 0, func(_ *Server, cancel context.CancelFunc) { cancel() }, qrm.ErrCancelled},
+		{"base context deadline", 500 * time.Millisecond, func(*Server, context.CancelFunc) {}, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := testStack(t)
+			release, entered := blockGate(c)
+			defer close(release)
+			payload, format, err := c.Compile(bell(t), "hpcqc-sc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, cancel := context.WithCancel(context.Background())
+			if tc.timeout > 0 {
+				base, cancel = context.WithTimeout(context.Background(), tc.timeout)
+			}
+			defer cancel()
+			srv := serveTest(t, c, WithServerBaseContext(base))
+			adapter, _ := recordedAdapter(t, srv)
+			done := make(chan error, 1)
+			go func() {
+				_, err := adapter.SubmitPayloadCtx(context.Background(), "hpcqc-sc", payload, format, SubmitOptions{Shots: 16})
+				done <- err
+			}()
+			<-entered
+			tc.stop(srv, cancel)
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) || (tc.want != context.DeadlineExceeded && errors.Is(err, context.DeadlineExceeded)) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the job outlived the server")
+			}
+			srv.Close()
+		})
 	}
 }
 
@@ -777,11 +886,11 @@ func TestResultFromWireCountsKeys(t *testing.T) {
 func TestResponseCountsGolden(t *testing.T) {
 	const golden = `{"counts":{"0":3,"1":5,"10":2,"2":6},"shots":16,"duration_seconds":0.000001}`
 	counts := map[uint64]int{0: 3, 1: 5, 2: 6, 10: 2}
-	line, err := json.Marshal(remoteResponse{Counts: counts, Shots: 16, DurationSeconds: 1e-6})
+	line, err := appendResponse(nil, &remoteResponse{Result: readout.Result{Counts: counts, Shots: 16, DurationSeconds: 1e-6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(line) != golden {
+	if string(line) != golden+"\n" {
 		t.Fatalf("response line\n%s\nwant\n%s", line, golden)
 	}
 	resp, err := decodeResponse(line)

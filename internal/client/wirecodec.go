@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"time"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -25,9 +26,13 @@ import (
 // Unmarshal accepts and decode the same values — whitespace, escapes,
 // unknown fields, case-folded keys and duplicate keys included (a repeated
 // key decodes into what the earlier one left, in place, as Unmarshal
-// does). IQ points and raw samples go straight between readout.IQ or
-// complex128 and their [i, q] pairs. FuzzWireCodec holds both directions to
-// the encoding/json reference.
+// does). The frames hold the stack's own values, and the codec alone spells
+// them: the measurement level and return cross by name, and only at the
+// kerneled and raw levels, as do the bits and IQ points (raw samples only at
+// the raw level); IQ points and raw samples go straight between readout.IQ
+// or complex128 and their [i, q] pairs; a span's start crosses as Unix
+// nanoseconds. FuzzWireCodec holds both directions to the encoding/json
+// reference the tests keep.
 
 // maxWireDepth is encoding/json's nesting limit: a frame nested deeper is
 // malformed.
@@ -71,8 +76,12 @@ func appendRequest(dst []byte, r *remoteRequest) ([]byte, error) {
 	e.optInt(o, "shots", int64(r.Shots))
 	e.optInt(o, "priority", int64(r.Priority))
 	e.optInt(o, "timeout_ms", r.TimeoutMs)
-	e.optStr(o, "meas_level", r.MeasLevel)
-	e.optStr(o, "meas_return", r.MeasReturn)
+	if r.MeasLevel != readout.LevelDiscriminated {
+		e.key(o, "meas_level")
+		e.str(r.MeasLevel.String())
+		e.key(o, "meas_return")
+		e.str(r.MeasReturn.String())
+	}
 	e.optStr(o, "trace_id", r.TraceID)
 	return e.end()
 }
@@ -91,7 +100,30 @@ func appendResponse(dst []byte, r *remoteResponse) ([]byte, error) {
 	e.b = strconv.AppendInt(e.b, int64(r.Shots), 10)
 	e.key(o, "duration_seconds")
 	e.float(r.DurationSeconds)
-	e.optStr(o, "meas_level", r.MeasLevel)
+	if r.MeasLevel != readout.LevelDiscriminated {
+		e.key(o, "meas_level")
+		e.str(r.MeasLevel.String())
+		e.acquisition(o, &r.Result)
+	}
+	if len(r.Spans) > 0 {
+		e.key(o, "spans")
+		e.b = append(e.b, '[')
+		for i := range r.Spans {
+			e.sep(i)
+			e.span(&r.Spans[i])
+		}
+		e.b = append(e.b, ']')
+	}
+	if len(r.Telemetry) > 0 {
+		e.key(o, "telemetry")
+		e.compact(r.Telemetry)
+	}
+	return e.end()
+}
+
+// acquisition writes a kerneled or raw result's bits and IQ points, and at
+// the raw level its samples.
+func (e *wireEncoder) acquisition(o int, r *readout.Result) {
 	if len(r.Bits) > 0 {
 		e.key(o, "bits")
 		e.b = append(e.b, '[')
@@ -115,7 +147,7 @@ func appendResponse(dst []byte, r *remoteResponse) ([]byte, error) {
 		}
 		e.b = append(e.b, ']')
 	}
-	if len(r.Raw) > 0 {
+	if r.MeasLevel == readout.LevelRaw && len(r.Raw) > 0 {
 		e.key(o, "raw")
 		e.b = append(e.b, '[')
 		for k, shot := range r.Raw {
@@ -134,20 +166,6 @@ func appendResponse(dst []byte, r *remoteResponse) ([]byte, error) {
 		}
 		e.b = append(e.b, ']')
 	}
-	if len(r.Spans) > 0 {
-		e.key(o, "spans")
-		e.b = append(e.b, '[')
-		for i := range r.Spans {
-			e.sep(i)
-			e.span(&r.Spans[i])
-		}
-		e.b = append(e.b, ']')
-	}
-	if len(r.Telemetry) > 0 {
-		e.key(o, "telemetry")
-		e.compact(r.Telemetry)
-	}
-	return e.end()
 }
 
 // wireEncoder appends one frame to b. err is the first value encoding/json
@@ -333,19 +351,22 @@ func (e *wireEncoder) floatMap(m map[string]float64) {
 	e.b = append(e.b, '}')
 }
 
-// span writes one server-side span.
-func (e *wireEncoder) span(s *telemetry.SpanWire) {
+// span writes one server-side span. Its start crosses as Unix nanoseconds —
+// the wall clock: a monotonic reading cannot cross a process boundary — so
+// imported spans order correctly against each other but may skew against
+// local spans by the offset between the two machines' clocks.
+func (e *wireEncoder) span(s *telemetry.Span) {
 	o := e.open()
 	e.key(o, "id")
-	e.b = strconv.AppendInt(e.b, s.ID, 10)
-	e.optInt(o, "parent", s.Parent)
+	e.b = strconv.AppendInt(e.b, int64(s.ID), 10)
+	e.optInt(o, "parent", int64(s.Parent))
 	e.key(o, "stage")
-	e.str(s.Stage)
+	e.str(string(s.Stage))
 	e.optStr(o, "device", s.Device)
 	e.key(o, "start_unix_nano")
-	e.b = strconv.AppendInt(e.b, s.StartUnixNano, 10)
+	e.b = strconv.AppendInt(e.b, s.Start.UnixNano(), 10)
 	e.key(o, "duration_ns")
-	e.b = strconv.AppendInt(e.b, s.DurationNs, 10)
+	e.b = strconv.AppendInt(e.b, int64(s.Duration), 10)
 	e.b = append(e.b, '}')
 }
 
@@ -474,9 +495,9 @@ func (d *wireDecoder) request(r *remoteRequest) error {
 		case "timeout_ms":
 			return decodeInt(d, &r.TimeoutMs)
 		case "meas_level":
-			return d.string(&r.MeasLevel)
+			return decodeText(d, &r.MeasLevel, measLevel)
 		case "meas_return":
-			return d.string(&r.MeasReturn)
+			return decodeText(d, &r.MeasReturn, measReturn)
 		case "trace_id":
 			return d.string(&r.TraceID)
 		}
@@ -500,7 +521,7 @@ func (d *wireDecoder) response(r *remoteResponse) error {
 		case "duration_seconds":
 			return d.float(&r.DurationSeconds)
 		case "meas_level":
-			return d.string(&r.MeasLevel)
+			return decodeText(d, &r.MeasLevel, measLevel)
 		case "bits":
 			return decodeSlice(d, &r.Bits, decodeInt[int])
 		case "iq":
@@ -542,25 +563,32 @@ func (d *wireDecoder) param(p *ptemplate.Param) error {
 	})
 }
 
-// span decodes one server-side span.
-func (d *wireDecoder) span(s *telemetry.SpanWire) error {
-	return d.object(func(key []byte) error {
+// span decodes one server-side span. Its start is read as Unix nanoseconds,
+// zero when absent; a span decoded over an earlier one keeps that one's.
+func (d *wireDecoder) span(s *telemetry.Span) error {
+	var start int64
+	if !s.Start.IsZero() {
+		start = s.Start.UnixNano()
+	}
+	err := d.object(func(key []byte) error {
 		switch field(key, spanFields) {
 		case "id":
 			return decodeInt(d, &s.ID)
 		case "parent":
 			return decodeInt(d, &s.Parent)
 		case "stage":
-			return d.string(&s.Stage)
+			return decodeText(d, &s.Stage, stage)
 		case "device":
 			return d.string(&s.Device)
 		case "start_unix_nano":
-			return decodeInt(d, &s.StartUnixNano)
+			return decodeInt(d, &start)
 		case "duration_ns":
-			return decodeInt(d, &s.DurationNs)
+			return decodeInt(d, &s.Duration)
 		}
 		return d.skip()
 	})
+	s.Start = time.Unix(0, start)
+	return err
 }
 
 // object decodes an object into a struct: member is called for each key
@@ -669,6 +697,12 @@ func (d *wireDecoder) bindings(m *map[string]float64) error {
 
 // string decodes a string; null leaves it as it is.
 func (d *wireDecoder) string(dst *string) error {
+	return decodeText(d, dst, func(s []byte) (string, error) { return intern(s), nil })
+}
+
+// decodeText decodes a string into *dst through parse, which reads the
+// unquoted bytes; null leaves *dst as it is.
+func decodeText[T any](d *wireDecoder, dst *T, parse func([]byte) (T, error)) error {
 	switch d.peek() {
 	case 'n':
 		return d.literal("null")
@@ -680,9 +714,19 @@ func (d *wireDecoder) string(dst *string) error {
 	if err != nil {
 		return err
 	}
-	*dst = intern(s)
+	v, err := parse(s)
+	if err != nil {
+		return err
+	}
+	*dst = v
 	return nil
 }
+
+// measLevel, measReturn and stage read the names the wire gives a
+// measurement level, a measurement return and a span's stage.
+func measLevel(s []byte) (readout.MeasLevel, error)   { return readout.ParseMeasLevel(intern(s)) }
+func measReturn(s []byte) (readout.MeasReturn, error) { return readout.ParseMeasReturn(intern(s)) }
+func stage(s []byte) (telemetry.Stage, error)         { return telemetry.StageOf(s), nil }
 
 // intern returns the protocol's recurring words without allocating.
 func intern(s []byte) string {
@@ -705,7 +749,7 @@ func intern(s []byte) string {
 
 // decodeInt decodes an integer: a number with no fraction or exponent that
 // fits T. null leaves it as it is.
-func decodeInt[T int | int64](d *wireDecoder, dst *T) error {
+func decodeInt[T ~int | ~int64](d *wireDecoder, dst *T) error {
 	if d.peek() == 'n' {
 		return d.literal("null")
 	}

@@ -4,29 +4,113 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/readout"
 	"mqsspulse/internal/telemetry"
 )
 
-// jsonResponse is remoteResponse as encoding/json sees the wire, IQ points
-// and raw samples spelled as [2]float64 pairs: the codec's reference for
-// responses. TestJSONResponseMirrorsResponse keeps the two in step.
+// The encoding/json reference of the frames, independent of the codec: each
+// frame is a struct whose tags spell its keys, with the measurement levels,
+// IQ points, raw samples and span starts in their wire forms, and a pair of
+// conversions to and from the frame values. FuzzWireCodec holds the codec
+// to it; TestReferenceKeysAreTheCodecs keeps its keys the codec's.
+
+type jsonRequest struct {
+	Op         string             `json:"op"`
+	ID         string             `json:"id,omitempty"`
+	Program    string             `json:"program,omitempty"`
+	Params     []jsonParam        `json:"params,omitempty"`
+	Epoch      int64              `json:"epoch,omitempty"`
+	Bindings   map[string]float64 `json:"bindings,omitempty"`
+	Device     string             `json:"device,omitempty"`
+	Pool       string             `json:"pool,omitempty"`
+	Shots      int                `json:"shots,omitempty"`
+	Priority   int                `json:"priority,omitempty"`
+	TimeoutMs  int64              `json:"timeout_ms,omitempty"`
+	MeasLevel  jsonMeasLevel      `json:"meas_level,omitempty"`
+	MeasReturn jsonMeasReturn     `json:"meas_return,omitzero"`
+	TraceID    string             `json:"trace_id,omitempty"`
+}
+
 type jsonResponse struct {
-	Error           string               `json:"error,omitempty"`
-	ErrorKind       string               `json:"error_kind,omitempty"`
-	Counts          map[uint64]int       `json:"counts,omitempty"`
-	Shots           int                  `json:"shots"`
-	DurationSeconds float64              `json:"duration_seconds"`
-	MeasLevel       string               `json:"meas_level,omitempty"`
-	Bits            []int                `json:"bits,omitempty"`
-	IQ              [][][2]float64       `json:"iq,omitempty"`
-	Raw             [][][][2]float64     `json:"raw,omitempty"`
-	Spans           []telemetry.SpanWire `json:"spans,omitempty"`
-	Telemetry       json.RawMessage      `json:"telemetry,omitempty"`
+	Error           string           `json:"error,omitempty"`
+	ErrorKind       string           `json:"error_kind,omitempty"`
+	Counts          map[uint64]int   `json:"counts,omitempty"`
+	Shots           int              `json:"shots"`
+	DurationSeconds float64          `json:"duration_seconds"`
+	MeasLevel       jsonMeasLevel    `json:"meas_level,omitempty"`
+	Bits            []int            `json:"bits,omitempty"`
+	IQ              [][][2]float64   `json:"iq,omitempty"`
+	Raw             [][][][2]float64 `json:"raw,omitempty"`
+	Spans           []jsonSpan       `json:"spans,omitempty"`
+	Telemetry       json.RawMessage  `json:"telemetry,omitempty"`
+}
+
+type jsonParam struct {
+	Name string  `json:"name"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
+}
+
+type jsonSpan struct {
+	ID            int64  `json:"id"`
+	Parent        int64  `json:"parent,omitempty"`
+	Stage         string `json:"stage"`
+	Device        string `json:"device,omitempty"`
+	StartUnixNano int64  `json:"start_unix_nano"`
+	DurationNs    int64  `json:"duration_ns"`
+}
+
+// jsonMeasLevel is a measurement level by name; the discriminated level is
+// zero, so omitempty leaves it out.
+type jsonMeasLevel readout.MeasLevel
+
+func (l jsonMeasLevel) MarshalJSON() ([]byte, error) {
+	return json.Marshal(readout.MeasLevel(l).String())
+}
+
+func (l *jsonMeasLevel) UnmarshalJSON(b []byte) error {
+	return unmarshalName(b, func(s string) error {
+		v, err := readout.ParseMeasLevel(s)
+		*l = jsonMeasLevel(v)
+		return err
+	})
+}
+
+// jsonMeasReturn is a measurement return by name, sent only beside a level
+// that is sent.
+type jsonMeasReturn struct {
+	v    readout.MeasReturn
+	sent bool
+}
+
+func (r jsonMeasReturn) IsZero() bool { return !r.sent }
+
+func (r jsonMeasReturn) MarshalJSON() ([]byte, error) { return json.Marshal(r.v.String()) }
+
+func (r *jsonMeasReturn) UnmarshalJSON(b []byte) error {
+	return unmarshalName(b, func(s string) (err error) {
+		r.v, err = readout.ParseMeasReturn(s)
+		return err
+	})
+}
+
+// unmarshalName hands a JSON string to parse; null is a no-op, as
+// Unmarshal's convention for an Unmarshaler has it.
+func unmarshalName(b []byte, parse func(string) error) error {
+	if string(b) == "null" {
+		return nil
+	}
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return err
+	}
+	return parse(s)
 }
 
 // convert maps s element by element, keeping nil nil and empty empty.
@@ -41,29 +125,59 @@ func convert[A, B any](s []A, f func(A) B) []B {
 	return out
 }
 
-func toJSON(r *remoteResponse) jsonResponse {
+func requestToJSON(r *remoteRequest) jsonRequest {
+	j := jsonRequest{
+		Op: r.Op, ID: r.ID, Program: r.Program, Epoch: r.Epoch,
+		Bindings: r.Bindings, Device: r.Device, Pool: r.Pool, Shots: r.Shots,
+		Priority: r.Priority, TimeoutMs: r.TimeoutMs, MeasLevel: jsonMeasLevel(r.MeasLevel), TraceID: r.TraceID,
+	}
+	j.MeasReturn = jsonMeasReturn{v: r.MeasReturn, sent: r.MeasLevel != readout.LevelDiscriminated}
+	j.Params = convert(r.Params, func(p ptemplate.Param) jsonParam { return jsonParam(p) })
+	return j
+}
+
+func requestFromJSON(j *jsonRequest) remoteRequest {
+	r := remoteRequest{
+		Op: j.Op, ID: j.ID, Program: j.Program, Epoch: j.Epoch,
+		Params:   convert(j.Params, func(p jsonParam) ptemplate.Param { return ptemplate.Param(p) }),
+		Bindings: j.Bindings, Device: j.Device, TimeoutMs: j.TimeoutMs,
+	}
+	r.Pool, r.Shots, r.Priority, r.TraceID = j.Pool, j.Shots, j.Priority, j.TraceID
+	r.MeasLevel, r.MeasReturn = readout.MeasLevel(j.MeasLevel), j.MeasReturn.v
+	return r
+}
+
+func responseToJSON(r *remoteResponse) jsonResponse {
 	j := jsonResponse{
 		Error: r.Error, ErrorKind: r.ErrorKind, Counts: r.Counts, Shots: r.Shots,
-		DurationSeconds: r.DurationSeconds, MeasLevel: r.MeasLevel,
-		Bits: r.Bits, Spans: r.Spans, Telemetry: r.Telemetry,
+		DurationSeconds: r.DurationSeconds, MeasLevel: jsonMeasLevel(r.MeasLevel), Telemetry: r.Telemetry,
 	}
-	j.IQ = convert(r.IQ, func(row []readout.IQ) [][2]float64 {
-		return convert(row, func(p readout.IQ) [2]float64 { return [2]float64{p.I, p.Q} })
-	})
-	j.Raw = convert(r.Raw, func(shot [][]complex128) [][][2]float64 {
-		return convert(shot, func(trace []complex128) [][2]float64 {
-			return convert(trace, func(v complex128) [2]float64 { return [2]float64{real(v), imag(v)} })
+	if r.MeasLevel != readout.LevelDiscriminated {
+		j.Bits = r.Bits
+		j.IQ = convert(r.IQ, func(row []readout.IQ) [][2]float64 {
+			return convert(row, func(p readout.IQ) [2]float64 { return [2]float64{p.I, p.Q} })
 		})
+	}
+	if r.MeasLevel == readout.LevelRaw {
+		j.Raw = convert(r.Raw, func(shot [][]complex128) [][][2]float64 {
+			return convert(shot, func(trace []complex128) [][2]float64 {
+				return convert(trace, func(v complex128) [2]float64 { return [2]float64{real(v), imag(v)} })
+			})
+		})
+	}
+	j.Spans = convert(r.Spans, func(s telemetry.Span) jsonSpan {
+		return jsonSpan{
+			ID: int64(s.ID), Parent: int64(s.Parent), Stage: string(s.Stage), Device: s.Device,
+			StartUnixNano: s.Start.UnixNano(), DurationNs: int64(s.Duration),
+		}
 	})
 	return j
 }
 
-func fromJSON(j *jsonResponse) remoteResponse {
-	r := remoteResponse{
-		Error: j.Error, ErrorKind: j.ErrorKind, Counts: j.Counts, Shots: j.Shots,
-		DurationSeconds: j.DurationSeconds, MeasLevel: j.MeasLevel,
-		Bits: j.Bits, Spans: j.Spans, Telemetry: j.Telemetry,
-	}
+func responseFromJSON(j *jsonResponse) remoteResponse {
+	r := remoteResponse{Error: j.Error, ErrorKind: j.ErrorKind, Telemetry: j.Telemetry}
+	r.Counts, r.Shots, r.DurationSeconds = j.Counts, j.Shots, j.DurationSeconds
+	r.MeasLevel, r.Bits = readout.MeasLevel(j.MeasLevel), j.Bits
 	r.IQ = convert(j.IQ, func(row [][2]float64) []readout.IQ {
 		return convert(row, func(p [2]float64) readout.IQ { return readout.IQ{I: p[0], Q: p[1]} })
 	})
@@ -72,28 +186,36 @@ func fromJSON(j *jsonResponse) remoteResponse {
 			return convert(trace, func(p [2]float64) complex128 { return complex(p[0], p[1]) })
 		})
 	})
+	r.Spans = convert(j.Spans, func(s jsonSpan) telemetry.Span {
+		return telemetry.Span{
+			ID: telemetry.SpanID(s.ID), Parent: telemetry.SpanID(s.Parent), Stage: telemetry.Stage(s.Stage),
+			Device: s.Device, Start: time.Unix(0, s.StartUnixNano), Duration: time.Duration(s.DurationNs),
+		}
+	})
 	return r
 }
 
-// TestJSONResponseMirrorsResponse: the reference has remoteResponse's
-// fields in its order, with its types and tags, except that IQ and Raw are
-// pairs under their wire names.
-func TestJSONResponseMirrorsResponse(t *testing.T) {
-	got, want := reflect.TypeFor[jsonResponse](), reflect.TypeFor[remoteResponse]()
-	if got.NumField() != want.NumField() {
-		t.Fatalf("jsonResponse has %d fields, remoteResponse %d", got.NumField(), want.NumField())
-	}
-	pairs := map[string]string{"IQ": `json:"iq,omitempty"`, "Raw": `json:"raw,omitempty"`}
-	for i := range got.NumField() {
-		g, w := got.Field(i), want.Field(i)
-		if tag, ok := pairs[w.Name]; ok {
-			if g.Name != w.Name || string(g.Tag) != tag {
-				t.Errorf("field %d: %s %s, want %s %s", i, g.Name, g.Tag, w.Name, tag)
-			}
-			continue
+// TestReferenceKeysAreTheCodecs: the reference's json keys are the names
+// the codec matches, in the order it writes them.
+func TestReferenceKeysAreTheCodecs(t *testing.T) {
+	keys := func(typ reflect.Type) []string {
+		var out []string
+		for i := range typ.NumField() {
+			out = append(out, strings.Split(typ.Field(i).Tag.Get("json"), ",")[0])
 		}
-		if g.Name != w.Name || g.Type != w.Type || g.Tag != w.Tag {
-			t.Errorf("field %d: %s %v %s, want %s %v %s", i, g.Name, g.Type, g.Tag, w.Name, w.Type, w.Tag)
+		return out
+	}
+	for _, tc := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeFor[jsonRequest](), requestFields},
+		{reflect.TypeFor[jsonResponse](), responseFields},
+		{reflect.TypeFor[jsonSpan](), spanFields},
+		{reflect.TypeFor[jsonParam](), paramFields},
+	} {
+		if got := keys(tc.typ); !slices.Equal(got, tc.want) {
+			t.Errorf("%v keys %q, the codec's %q", tc.typ, got, tc.want)
 		}
 	}
 }
@@ -131,6 +253,21 @@ var wireCodecSeeds = []string{
 	`null`, ` `, ``, `[]`, `"op"`, `{"op":"x"} {}`, `{"op":"x",}`, `{"op" "x"}`, `{"shots":01}`, `{"shots":1.}`,
 	`{"shots":.5}`, `{"shots":+1}`, `{"shots":tru}`, `{"op":"\x01"}`, `{"op":"\u12"}`, `{"op":"\a"}`, `{"bits":[1,]}`,
 	`{"iq":[1]}`, `{"iq":{}}`, `{"spans":[null,{"id":"1"}]}`, `{"counts":[]}`, `{"raw":[[[["1",2]]]]}`,
+	// Every stage telemetry knows, one it does not, and spans without a
+	// start, decoded fresh and over spans that had one.
+	`{"spans":[{"id":1,"stage":"compile"},{"id":2,"stage":"cache-hit"},{"id":3,"stage":"cache-miss"},{"id":4,"stage":"bind"},` +
+		`{"id":5,"stage":"queue-wait"},{"id":6,"stage":"dispatch"},{"id":7,"stage":"device-execute"},{"id":8,"stage":"readout-post"}]}`,
+	`{"spans":[{"id":1,"stage":"calibrate","start_unix_nano":-5}]}`, `{"spans":[{"id":1,"stage":"Dispatch"},null,{}]}`,
+	`{"spans":[{"id":1,"start_unix_nano":9},{"id":2}],"spans":[{"stage":"bind"},{"id":3},{"id":4}]}`,
+	// Measurement levels and returns by name: other letter case, unknown
+	// names and null, alone and after a known one.
+	`{"meas_level":"Kerneled"}`, `{"meas_level":"RAW"}`, `{"meas_return":"Avg"}`, `{"meas_return":"SINGLE"}`,
+	`{"meas_level":"integrated"}`, `{"meas_return":"mean"}`, `{"meas_level":"raw","meas_return":"average"}`,
+	`{"meas_level":null,"meas_return":null}`, `{"meas_level":"raw","meas_level":null,"meas_return":"avg","meas_return":null}`,
+	`{"meas_level":"discriminated","meas_return":"single"}`, `{"meas_level":"","meas_return":""}`, `{"meas_level":1}`,
+	`{"MEAS_LEVEL":"kerneled","Meas_Return":"avg"}`, `{"meas_level":"k\u0065rneled"}`,
+	`{"shots":4,"duration_seconds":0,"meas_level":"discriminated","bits":[0],"iq":[[[1,2]]],"raw":[[[[3,4]]]]}`,
+	`{"shots":4,"duration_seconds":0,"meas_level":"kerneled","bits":[0],"iq":[[[1,2]]],"raw":[[[[3,4]]]]}`,
 }
 
 // FuzzWireCodec holds the codec to encoding/json. Every input is read as a
@@ -144,13 +281,14 @@ func FuzzWireCodec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		line := []byte(input)
-		var wantReq, gotReq remoteRequest
-		werr, gerr := json.Unmarshal(line, &wantReq), parseRequest(line, &gotReq)
+		var refReq jsonRequest
+		var gotReq remoteRequest
+		werr, gerr := json.Unmarshal(line, &refReq), parseRequest(line, &gotReq)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("request %q: encoding/json says %v, the codec %v", input, werr, gerr)
 		}
 		if werr == nil {
-			if !reflect.DeepEqual(gotReq, wantReq) {
+			if wantReq := requestFromJSON(&refReq); !reflect.DeepEqual(gotReq, wantReq) {
 				t.Fatalf("request %q decodes to\n%#v\nwant\n%#v", input, gotReq, wantReq)
 			}
 			checkRequestEncoding(t, &gotReq)
@@ -163,7 +301,7 @@ func FuzzWireCodec(f *testing.F) {
 			t.Fatalf("response %q: encoding/json says %v, the codec %v", input, werr, gerr)
 		}
 		if werr == nil {
-			if want := fromJSON(&ref); !reflect.DeepEqual(gotResp, want) {
+			if want := responseFromJSON(&ref); !reflect.DeepEqual(gotResp, want) {
 				t.Fatalf("response %q decodes to\n%#v\nwant\n%#v", input, gotResp, want)
 			}
 			checkResponseEncoding(t, &gotResp)
@@ -178,7 +316,7 @@ func FuzzWireCodec(f *testing.F) {
 
 func checkRequestEncoding(t *testing.T, r *remoteRequest) {
 	t.Helper()
-	want, werr := json.Marshal(r)
+	want, werr := json.Marshal(requestToJSON(r))
 	got, gerr := appendRequest(nil, r)
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("request %#v: encoding/json says %v, the codec %v", r, werr, gerr)
@@ -190,7 +328,7 @@ func checkRequestEncoding(t *testing.T, r *remoteRequest) {
 
 func checkResponseEncoding(t *testing.T, r *remoteResponse) {
 	t.Helper()
-	want, werr := json.Marshal(toJSON(r))
+	want, werr := json.Marshal(responseToJSON(r))
 	got, gerr := appendResponse(nil, r)
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("response %#v: encoding/json says %v, the codec %v", r, werr, gerr)
@@ -210,16 +348,39 @@ func TestWireCodecDepth(t *testing.T) {
 		line string
 		ok   bool
 	}{{nest(maxWireDepth), true}, {nest(maxWireDepth + 1), false}} {
-		var req remoteRequest
-		if err := json.Unmarshal([]byte(tc.line), &req); (err == nil) != tc.ok {
+		var ref jsonRequest
+		if err := json.Unmarshal([]byte(tc.line), &ref); (err == nil) != tc.ok {
 			t.Fatalf("encoding/json on depth %d: %v", strings.Count(tc.line, "["), err)
 		}
+		var req remoteRequest
 		if err := parseRequest([]byte(tc.line), &req); (err == nil) != tc.ok {
 			t.Fatalf("codec on depth %d: %v", strings.Count(tc.line, "["), err)
 		}
 		var resp remoteResponse
 		if err := parseResponse([]byte(tc.line), &resp); (err == nil) != tc.ok {
 			t.Fatalf("codec response on depth %d: %v", strings.Count(tc.line, "["), err)
+		}
+	}
+}
+
+// TestKnownStageDecodesWithoutAllocating: a span's stage is decoded
+// through telemetry's closed set of stages, so a stage that set knows
+// allocates no string, and only a stage it does not know costs one.
+func TestKnownStageDecodesWithoutAllocating(t *testing.T) {
+	for _, tc := range []struct {
+		stage  string
+		allocs float64
+	}{{"queue-wait", 0}, {"device-execute", 0}, {"calibrate", 1}} {
+		line := []byte(`{"id":2,"parent":1,"stage":"` + tc.stage + `","start_unix_nano":5,"duration_ns":7}`)
+		var s telemetry.Span
+		n := testing.AllocsPerRun(100, func() {
+			d := wireDecoder{data: line}
+			if err := d.span(&s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != tc.allocs || string(s.Stage) != tc.stage {
+			t.Errorf("stage %q decodes to %q with %v allocations, want %v", tc.stage, s.Stage, n, tc.allocs)
 		}
 	}
 }
@@ -298,14 +459,20 @@ func genMap[K comparable, V any](g *valueGen, key func() K, elem func() V) map[K
 	return m
 }
 
+// level and ret are a measurement level and return, now and then one that
+// has no name.
+func (g *valueGen) level() readout.MeasLevel { return readout.MeasLevel(int(g.byte()%4) - 1) }
+func (g *valueGen) ret() readout.MeasReturn  { return readout.MeasReturn(int(g.byte()%3) - 1) }
+
 func (g *valueGen) request() remoteRequest {
-	return remoteRequest{
+	r := remoteRequest{
 		Op: g.str(), ID: g.str(), Program: g.str(),
 		Params: genSlice(g, func() ptemplate.Param { return ptemplate.Param{Name: g.str(), Min: g.float(), Max: g.float()} }),
-		Epoch:  g.int(), Bindings: genMap(g, g.str, g.float), Device: g.str(), Pool: g.str(),
-		Shots: int(g.int()), Priority: int(g.int()), TimeoutMs: g.int(),
-		MeasLevel: g.str(), MeasReturn: g.str(), TraceID: g.str(),
+		Epoch:  g.int(), Bindings: genMap(g, g.str, g.float), Device: g.str(), TimeoutMs: g.int(),
 	}
+	r.Pool, r.Shots, r.Priority = g.str(), int(g.int()), int(g.int())
+	r.MeasLevel, r.MeasReturn, r.TraceID = g.level(), g.ret(), g.str()
+	return r
 }
 
 func (g *valueGen) response() remoteResponse {
@@ -313,20 +480,25 @@ func (g *valueGen) response() remoteResponse {
 	pair := func() [2]float64 { return [2]float64{g.float(), g.float()} }
 	r := remoteResponse{
 		Error: g.str(), ErrorKind: g.str(),
-		Counts: genMap(g, func() uint64 { return uint64(g.int()) }, func() int { return int(g.int()) }),
-		Shots:  int(g.int()), DurationSeconds: g.float(),
-		MeasLevel: g.str(),
-		Bits:      genSlice(g, func() int { return int(g.int()) }),
-		IQ: genSlice(g, func() []readout.IQ {
-			return genSlice(g, func() readout.IQ { p := pair(); return readout.IQ{I: p[0], Q: p[1]} })
-		}),
-		Raw: genSlice(g, func() [][]complex128 {
-			return genSlice(g, func() []complex128 {
-				return genSlice(g, func() complex128 { p := pair(); return complex(p[0], p[1]) })
-			})
-		}),
-		Spans: genSlice(g, func() telemetry.SpanWire {
-			return telemetry.SpanWire{ID: g.int(), Parent: g.int(), Stage: g.str(), Device: g.str(), StartUnixNano: g.int(), DurationNs: g.int()}
+		Result: readout.Result{
+			Counts: genMap(g, func() uint64 { return uint64(g.int()) }, func() int { return int(g.int()) }),
+			Shots:  int(g.int()), DurationSeconds: g.float(),
+			MeasLevel: g.level(),
+			Bits:      genSlice(g, func() int { return int(g.int()) }),
+			IQ: genSlice(g, func() []readout.IQ {
+				return genSlice(g, func() readout.IQ { p := pair(); return readout.IQ{I: p[0], Q: p[1]} })
+			}),
+			Raw: genSlice(g, func() [][]complex128 {
+				return genSlice(g, func() []complex128 {
+					return genSlice(g, func() complex128 { p := pair(); return complex(p[0], p[1]) })
+				})
+			}),
+		},
+		Spans: genSlice(g, func() telemetry.Span {
+			return telemetry.Span{
+				ID: telemetry.SpanID(g.int()), Parent: telemetry.SpanID(g.int()), Stage: telemetry.Stage(g.str()),
+				Device: g.str(), Start: time.Unix(0, g.int()), Duration: time.Duration(g.int()),
+			}
 		}),
 	}
 	if raw := raws[int(g.byte())%len(raws)]; raw != "" {

@@ -38,15 +38,16 @@ var ErrBadParam = errors.New("ptemplate: bad parameter value")
 
 // Param declares one template parameter and its inclusive legal range.
 // Template compilation proves the whole range lowers legally, so Bind can
-// admit any in-range finite value without consulting the compiler. The JSON
-// form is the remote wire's (a register frame's "params").
+// admit any in-range finite value without consulting the compiler. A
+// register frame carries it as {"name","min","max"} (internal/client's
+// wire codec).
 type Param struct {
 	// Name identifies the parameter; expressions reference it by name.
-	Name string `json:"name"`
+	Name string
 	// Min is the smallest admissible value (inclusive).
-	Min float64 `json:"min"`
+	Min float64
 	// Max is the largest admissible value (inclusive).
-	Max float64 `json:"max"`
+	Max float64
 }
 
 // Bindings assigns a concrete value to every template parameter for one

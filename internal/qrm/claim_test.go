@@ -15,6 +15,10 @@ import (
 	"mqsspulse/internal/qdmi/qdmitest"
 )
 
+// DoneCh returns a channel closed when the ticket reaches a terminal state,
+// for a test to select on beside a timeout.
+func (t *Ticket) DoneCh() <-chan struct{} { return t.done }
+
 // claimProbe watches a fake device whose jobs run on their first Wait, as a
 // SimDevice's do, so a waiter that claims the device runs the body on its
 // own goroutine. As a body starts, the probe records its payload and

@@ -83,7 +83,8 @@ func newTicket(ctx context.Context, id int64, req *Request) *Ticket {
 func (t *Ticket) ID() int64 { return t.id }
 
 // Timeline returns the job's telemetry trace — the Request.Timeline it was
-// submitted with, which the scheduler writes until DoneCh closes — or nil.
+// submitted with, which the scheduler writes until the ticket resolves — or
+// nil.
 func (t *Ticket) Timeline() *telemetry.Timeline { return t.req.Timeline }
 
 // Status returns the ticket's lifecycle state without blocking.
@@ -123,10 +124,6 @@ func (t *Ticket) Wait(ctx context.Context) (*qdmi.Result, error) {
 		return nil, ctx.Err()
 	}
 }
-
-// DoneCh returns a channel closed when the ticket reaches a terminal
-// state; use it to select over many tickets.
-func (t *Ticket) DoneCh() <-chan struct{} { return t.done }
 
 // cancel fires the ticket's context with end and resolves a ticket still
 // queued; a ticket whose context fired already is left alone.

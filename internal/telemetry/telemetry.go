@@ -67,6 +67,17 @@ var stages = [...]Stage{
 	StageQueueWait, StageDispatch, StageDeviceExecute, StageReadoutPost,
 }
 
+// StageOf returns the stage named name: one of the closed set, without
+// allocating, or else a new Stage (a peer's stage this build does not know).
+func StageOf(name []byte) Stage {
+	for _, s := range stages {
+		if string(name) == string(s) {
+			return s
+		}
+	}
+	return Stage(name)
+}
+
 // SpanID identifies a span within its timeline; zero means "no span" and
 // doubles as the root parent.
 type SpanID int64

@@ -179,8 +179,9 @@ func TestTimelineGrowsPastInline(t *testing.T) {
 	}
 }
 
-// TestImportWire round-trips spans through the wire form and grafts them
-// under a local parent: IDs remap, structure survives, Remote is set.
+// TestImportWire grafts another timeline's spans, as they arrive off the
+// remote wire, under a local parent: IDs remap, structure survives, Remote
+// is set.
 func TestImportWire(t *testing.T) {
 	server := NewTimeline("trace-r", nil)
 	start := time.Now()
@@ -189,7 +190,7 @@ func TestImportWire(t *testing.T) {
 
 	local := NewTimeline("trace-r", NewRegistry())
 	local.Span(StageDispatch, "remote", 0, func(id SpanID) {
-		local.Import(FromWire(ToWire(server.Spans())), id)
+		local.Import(server.Spans(), id)
 	})
 
 	spans := local.Spans()

@@ -38,7 +38,6 @@ var Rules = []Rule{
 			"internal/client.Client.SubmitBatch TestSubmitBatchCancelledContext",                       // compile workers leave on ctx.Done
 			"internal/client.NewServer TestRemoteRoundtrip",                                            // starts acceptLoop
 			"internal/client.Server.acceptLoop TestRemoteSubmitDeadline",                               // one serve goroutine per connection
-			"internal/client.Server.handleSubmit TestServerTimeoutMsWhileRunning",                      // waits out the worker
 			"internal/client.Server.Close TestServerMaxJobTime",                                        // waits for acceptLoop and every connection
 			"internal/qdmi/qdmitest.Device.submit internal/qrm.TestCancelRunningTicketAbortsDeviceJob", // an OffThread job
 		}},
