@@ -2,7 +2,6 @@ package client
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -58,9 +57,9 @@ func tinyStack(tb testing.TB, names ...string) *Client {
 // connection's read loop calls.
 func fuzzServer(f *testing.F) (*Server, *Client) {
 	c := tinyStack(f, "tiny-1")
-	ctx, cancel := context.WithCancel(context.Background())
-	f.Cleanup(cancel)
-	return &Server{client: c, cfg: serverConfig{maxJobTime: 2 * time.Second}, ctx: ctx, cancel: cancel, jobCtx: context.WithoutCancel(ctx)}, c
+	srv := newServer(c, nil, WithServerMaxJobTime(2*time.Second))
+	f.Cleanup(srv.cancel)
+	return srv, c
 }
 
 // FuzzServerRequest drives arbitrary request lines — one connection's worth

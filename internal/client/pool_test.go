@@ -42,8 +42,7 @@ func countingServer(t *testing.T, c *Client) (*Server, *countingListener) {
 		t.Fatal(err)
 	}
 	ln := &countingListener{Listener: inner}
-	ctx, cancel := context.WithCancel(context.Background())
-	srv := &Server{client: c, ln: ln, ctx: ctx, cancel: cancel, jobCtx: context.WithoutCancel(ctx)}
+	srv := newServer(c, ln)
 	srv.wg.Add(1)
 	go srv.acceptLoop()
 	t.Cleanup(srv.Close)

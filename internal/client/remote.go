@@ -146,20 +146,28 @@ type Server struct {
 // NewServer starts listening on addr ("127.0.0.1:0" for an ephemeral
 // port). Options tune idle/read deadlines and job time bounds.
 func NewServer(c *Client, addr string, opts ...ServerOption) (*Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	s := newServer(c, ln, opts...)
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return s, nil
+}
+
+// newServer builds the Server of c on ln with opts applied, accepting
+// nothing yet. ln may be nil for a caller that hands connections to serve,
+// or lines to handleLine, itself; such a server is ended by its cancel,
+// not Close.
+func newServer(c *Client, ln net.Listener, opts ...ServerOption) *Server {
 	//lint:mqssvet disable=ctxflow the default base context is overridable via WithServerBaseContext; Background is the documented fallback
 	cfg := serverConfig{baseCtx: context.Background()}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
 	ctx, cancel := context.WithCancel(cfg.baseCtx)
-	s := &Server{client: c, ln: ln, cfg: cfg, ctx: ctx, cancel: cancel, jobCtx: context.WithoutCancel(ctx)}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return &Server{client: c, ln: ln, cfg: cfg, ctx: ctx, cancel: cancel, jobCtx: context.WithoutCancel(ctx)}
 }
 
 // Addr returns the bound address.

@@ -152,9 +152,8 @@ func TestRemoteOversizedFramesAreTyped(t *testing.T) {
 func TestServerAnswersOversizedRequest(t *testing.T) {
 	testutil.AssertNoLeaks(t)
 	c, _ := testStack(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	srv := &Server{client: c, ctx: ctx, cancel: cancel, jobCtx: context.WithoutCancel(ctx)}
+	srv := newServer(c, nil)
+	defer srv.cancel()
 	near, far := net.Pipe()
 	defer near.Close()
 	served := make(chan struct{})

@@ -12,6 +12,7 @@ import (
 	"mqsspulse/internal/client"
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/qpi"
+	"mqsspulse/internal/testutil"
 	"mqsspulse/internal/vqe"
 )
 
@@ -37,13 +38,16 @@ func TestF3QDMIShape(t *testing.T) {
 	if len(tab.Rows) != 15 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	// Every query should be sub-microsecond.
+	// Every query should be sub-microsecond; the bound is 10 µs. Under
+	// -race a mean query is instrumented map and lock traffic whose time
+	// says nothing about the plain build, so there only the cells parse.
+	race := testutil.RaceDetector()
 	for _, row := range tab.Rows {
 		ns, err := strconv.ParseFloat(row[3], 64)
 		if err != nil {
 			t.Fatalf("bad ns cell %q", row[3])
 		}
-		if ns > 10000 {
+		if !race && ns > 10000 {
 			t.Fatalf("query %s took %v ns", row[1], ns)
 		}
 	}

@@ -52,9 +52,10 @@ type Collapse struct {
 // row-compressed: row r's entries are cols/vals[rowStart[r]:rowStart[r+1]],
 // columns ascending, exact zeros dropped. The embedded a and a†a have at
 // most one non-zero per row, so G has at most (K+1)·n² entries — a few per
-// row. NewSystemModel builds it once; the density engine's dissipator reads
-// it and never writes.
+// row. NewSystemModel builds it once; the density engine steps with the
+// maps built from it (stepMap), and nothing writes it.
 type collapseSet struct {
+	n        int   // the Hilbert dimension; vec(ρ) has n² entries
 	rowStart []int // n²+1 offsets into cols and vals
 	cols     []int
 	vals     []complex128
@@ -111,7 +112,7 @@ func newCollapseSet(n int, collapses []Collapse) *collapseSet {
 	slices.SortStableFunc(entries, func(a, b generatorEntry) int {
 		return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(a.col, b.col))
 	})
-	cs := &collapseSet{rowStart: make([]int, n*n+1)}
+	cs := &collapseSet{n: n, rowStart: make([]int, n*n+1)}
 	for a := 0; a < len(entries); {
 		e := entries[a]
 		for a++; a < len(entries) && entries[a].row == e.row && entries[a].col == e.col; a++ {
@@ -129,62 +130,124 @@ func newCollapseSet(n int, collapses []Collapse) *collapseSet {
 	return cs
 }
 
-// dissipate advances rho by dt under the dissipator alone with one RK4
-// step. Combined with an exact unitary conjugation this gives a splitting
+// stepMap is one classical RK4 step of the dissipator as a linear map on
+// vec(ρ). G is constant, so RK4 on vec(dρ/dt) = G·vec(ρ) is exactly
+//
+//	M(h) = I + hG + (hG)²/2 + (hG)³/6 + (hG)⁴/24
+//
+// for a step of h seconds. The dissipator maps Hermitian matrices to
+// Hermitian matrices, so only the rows i·n + j with i ≤ j are kept, in
+// row-major order: upper row k's entries are cols/vals[rowStart[k]:
+// rowStart[k+1]], columns ascending over the whole of vec(ρ), exact zeros
+// dropped. The Executor memoizes one per step size; it is never written
+// after the build.
+type stepMap struct {
+	rowStart []int // n(n+1)/2+1 offsets into cols and vals
+	cols     []int
+	vals     []complex128
+}
+
+// stepMap builds M(h) row by row. Row r is e_r + u₁ + u₂ + u₃ + u₄ with
+// u_k = (h/k)·u_{k−1}·G and u₀ = e_r: four row-vector × G products, each
+// summing G's rows in ascending order of the vector's non-zeros, so the
+// map is a deterministic function of the model and h. Its cost is about
+// 4·nnz(M)·(entries per row of G), once per executor and step size.
+func (cs *collapseSet) stepMap(h float64) *stepMap {
+	n := cs.n
+	m := &stepMap{rowStart: make([]int, 1, n*(n+1)/2+1)}
+	row, cur, next := newSparseAcc(n*n), newSparseAcc(n*n), newSparseAcc(n*n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			r := i*n + j
+			row.add(r, 1)
+			cur.add(r, 1)
+			for k := 1; k <= 4; k++ {
+				w := complex(h/float64(k), 0)
+				for _, c := range cur.idx {
+					v := w * cur.val[c]
+					for a := cs.rowStart[c]; a < cs.rowStart[c+1]; a++ {
+						next.add(cs.cols[a], v*cs.vals[a])
+					}
+				}
+				slices.Sort(next.idx) // the next product's order, too
+				for _, c := range next.idx {
+					row.add(c, next.val[c])
+				}
+				cur.clear()
+				cur, next = next, cur
+			}
+			cur.clear()
+			slices.Sort(row.idx)
+			for _, c := range row.idx {
+				if v := row.val[c]; v != 0 {
+					m.cols = append(m.cols, c)
+					m.vals = append(m.vals, v)
+				}
+			}
+			row.clear()
+			m.rowStart = append(m.rowStart, len(m.cols))
+		}
+	}
+	return m
+}
+
+// sparseAcc is a dense vector that lists the indices it has written, so
+// clearing it costs its non-zeros, not its length.
+type sparseAcc struct {
+	val []complex128
+	set []bool
+	idx []int
+}
+
+func newSparseAcc(n int) *sparseAcc {
+	return &sparseAcc{val: make([]complex128, n), set: make([]bool, n)}
+}
+
+// add accumulates v into entry c.
+func (a *sparseAcc) add(c int, v complex128) {
+	if !a.set[c] {
+		a.set[c] = true
+		a.idx = append(a.idx, c)
+	}
+	a.val[c] += v
+}
+
+// clear zeroes every written entry.
+func (a *sparseAcc) clear() {
+	for _, c := range a.idx {
+		a.val[c], a.set[c] = 0, false
+	}
+	a.idx = a.idx[:0]
+}
+
+// dissipate advances rho by one RK4 step of the dissipator alone: one
+// sparse apply of the step map into the stepper's acc scratch, then the
+// upper triangle written back with a real diagonal and mirrored below.
+// Combined with an exact unitary conjugation this gives a splitting
 // integrator that stays stable for arbitrarily fast Hamiltonian phase
 // rotation — RK4 on the full Lindblad generator diverges once ‖H‖·dt
 // exceeds its stability region, which a transmon anharmonicity reaches at
-// tens of nanoseconds. The dissipator maps Hermitian matrices to Hermitian
-// matrices, so each stage evaluates only the rows i·n + j with i ≤ j of G
-// and the step's result is mirrored. The stepper's Taylor scratch doubles
-// as the RK4 buffers (running sum in acc, evaluation points alternating
-// between work and tmp); none of it is live between calls.
+// tens of nanoseconds. rho must be Hermitian; it comes back exactly so.
 //
 //mqss:hotloop
-func (s *matStepper) dissipate(cs *collapseSet, rho *linalg.Matrix, dt float64) {
-	copy(s.acc.Data, rho.Data)
-	s.rk4Stage(cs, rho, rho, s.work, dt/6, dt/2)
-	s.rk4Stage(cs, rho, s.work, s.tmp, dt/3, dt/2)
-	s.rk4Stage(cs, rho, s.tmp, s.work, dt/3, dt)
-	s.rk4Stage(cs, rho, s.work, nil, dt/6, 0)
-	n, sum := rho.Rows, s.acc.Data
+func (s *matStepper) dissipate(step *stepMap, rho *linalg.Matrix) {
+	n, x, sum, cols, vals := rho.Rows, rho.Data, s.acc.Data, step.cols, step.vals
+	k := 0
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			var v complex128
+			for a := step.rowStart[k]; a < step.rowStart[k+1]; a++ {
+				v += vals[a] * x[cols[a]]
+			}
+			sum[i*n+j] = v
+			k++
+		}
+	}
 	for i := 0; i < n; i++ {
 		rho.Data[i*n+i] = complex(real(sum[i*n+i]), 0)
 		for j := i + 1; j < n; j++ {
 			rho.Data[i*n+j] = sum[i*n+j]
 			rho.Data[j*n+i] = cmplx.Conj(sum[i*n+j])
-		}
-	}
-}
-
-// rk4Stage evaluates the slope k = G·vec(at) on the rows i·n + j with
-// i ≤ j — one sparse apply without allocating — and adds wSum·k to the
-// running sum's upper triangle. Unless next is nil it writes the next
-// evaluation point rho + wNext·k into next's upper triangle and mirrors
-// it, so the next stage's sparse apply reads a full Hermitian matrix. at
-// and next must not alias.
-//
-//mqss:hotloop
-func (s *matStepper) rk4Stage(cs *collapseSet, rho, at, next *linalg.Matrix, wSum, wNext float64) {
-	n, x, cols, vals, sum := rho.Rows, at.Data, cs.cols, cs.vals, s.acc.Data
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			r := i*n + j
-			var k complex128
-			for a := cs.rowStart[r]; a < cs.rowStart[r+1]; a++ {
-				k += vals[a] * x[cols[a]]
-			}
-			sum[r] += complex(wSum*real(k), wSum*imag(k))
-			if next == nil {
-				continue
-			}
-			v := rho.Data[r] + complex(wNext*real(k), wNext*imag(k))
-			if j == i {
-				next.Data[r] = complex(real(v), 0)
-				continue
-			}
-			next.Data[r] = v
-			next.Data[j*n+i] = cmplx.Conj(v)
 		}
 	}
 }

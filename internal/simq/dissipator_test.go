@@ -80,8 +80,9 @@ func TestDissipatorMatchesDenseReference(t *testing.T) {
 			}
 
 			const dt = 50e-9
+			m := model.collapse.stepMap(dt)
 			for step := 0; step < 200; step++ {
-				s.dissipate(model.collapse, got.Rho, dt)
+				s.dissipate(m, got.Rho)
 				LindbladStepRK4(noH, want, cs, dt)
 			}
 			if got.Rho.Sub(want.Rho).MaxAbs() > 1e-12 {
@@ -119,18 +120,18 @@ func twoTransmonOpenRig(t testing.TB) *Executor {
 // dissipator), allocate nothing once the run's scratch exists.
 func TestDensityTickAllocatesNothing(t *testing.T) {
 	ex := twoTransmonOpenRig(t)
-	cs := ex.Model.collapse
 	eng := ex.newFastEngine(true, 1e-9)
+	step := ex.dissipatorStep(eng, eng.dt)
 	rho := randomDensity(rand.New(rand.NewSource(3)), ex.Model.Dims)
 	active := []playEvent{{ch: ex.Model.Channels["d0"]}, {ch: ex.Model.Channels["d1"]}}
 	chis := []complex128{complex(0.3, 0.1), complex(-0.2, 0.4)}
 	tick := func() {
 		eng.loadHam(active, chis)
 		eng.mat.conjugate(eng.ham, rho.Rho, eng.dt)
-		eng.dissipate(cs, rho, eng.dt)
+		eng.dissipate(step, rho)
 	}
 	tick() // grows ham.ops to its steady-state capacity
-	if n := testing.AllocsPerRun(100, func() { eng.mat.dissipate(cs, rho.Rho, eng.dt) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { eng.mat.dissipate(step, rho.Rho) }); n != 0 {
 		t.Fatalf("dissipator step allocates %v objects", n)
 	}
 	if n := testing.AllocsPerRun(100, tick); n != 0 {

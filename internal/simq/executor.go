@@ -2,6 +2,7 @@ package simq
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -109,7 +110,8 @@ type EngineStats struct {
 	// PropCacheHits and PropCacheMisses count look-ups of the executor's
 	// propagator cache; every miss is one dense Taylor build.
 	PropCacheHits, PropCacheMisses int64
-	// DissipatorSteps counts RK4 steps of the density engine's dissipator.
+	// DissipatorSteps counts RK4 steps of the density engine's dissipator,
+	// each one apply of a memoized step map.
 	DissipatorSteps int64
 }
 
@@ -118,15 +120,17 @@ type EngineStats struct {
 // intrinsics link against (paper, Section 5.4).
 //
 // An Executor holds everything that is a function of the model and not of
-// the program: the spectrally shifted sparse drift and the propagator
-// cache (the model itself carries the channels' sparse operators and the
-// collapse precompute). All of it is immutable or locked, so one Executor
-// serves any number of Runs, concurrently; a run's mutable scratch comes
-// from the executor's pool and goes back when the evolution ends.
+// the program: the spectrally shifted sparse drift, the propagator cache
+// and the dissipator's step maps (the model itself carries the channels'
+// sparse operators and the collapse precompute). All of it is immutable or
+// locked, so one Executor serves any number of Runs, concurrently; a run's
+// mutable scratch comes from the executor's pool and goes back when the
+// evolution ends.
 type Executor struct {
 	Model *SystemModel
 
-	cache *propCache
+	props *memo[*linalg.Matrix] // constant-stretch propagators, by propKey
+	steps *memo[*stepMap]       // dissipator step maps, by the step size's bits
 	// drift is the sparse view of Drift − λI (nil when that is zero) and
 	// lam the spectral shift λ in rad/s; see fastEngine.
 	drift *linalg.Sparse
@@ -138,7 +142,7 @@ type Executor struct {
 
 // NewExecutor wraps a system model.
 func NewExecutor(m *SystemModel) *Executor {
-	e := &Executor{Model: m, cache: newPropCache()}
+	e := &Executor{Model: m, props: newMemo[*linalg.Matrix](), steps: newMemo[*stepMap]()}
 	if m.Drift.MaxAbs() == 0 {
 		return e
 	}
@@ -489,9 +493,15 @@ func (e *Executor) sampleDt(sp *pulse.ScheduledProgram) (float64, error) {
 // are advanced by one propagator each (cached per distinct segment
 // length); driven segments go through the matrix-free fast path. When a
 // test sets opts.exact, both use the reference eigendecomposition instead.
+// On the density engine the dissipator's step map for a tick is resolved
+// once per run and that for an idle segment's sub-step once per segment;
+// no tick looks one up.
 func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, opts ExecOptions) error {
 	plays, ticks := p.plays, p.ticks
-	collapse := e.Model.collapse
+	var tickStep *stepMap
+	if rho != nil {
+		tickStep = e.dissipatorStep(eng, eng.dt)
+	}
 
 	// poll charges `consumed` driven ticks against the cancellation budget
 	// and checks Interrupted once interruptPollTicks have accumulated, so
@@ -518,7 +528,8 @@ func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, 
 		if len(eng.active) == 0 {
 			// Idle segment: constant drift (+ decoherence). The unitary part
 			// is applied exactly in one shot; the dissipator is integrated
-			// with capped RK4 steps (its rates are slow, so this is stable).
+			// with capped RK4 steps (its rates are slow, so this is stable),
+			// all of one size.
 			if !e.driftFree() {
 				u, err := e.propagator(eng, nil, nil, t1-t0, opts.exact)
 				if err != nil {
@@ -526,24 +537,24 @@ func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, 
 				}
 				eng.apply(u, st, rho)
 			}
-			if rho != nil && !collapse.empty() {
+			if tickStep != nil {
 				segT := float64(t1-t0) * eng.dt
 				steps := int(math.Ceil(segT / maxIdleStep))
 				if steps < 1 {
 					steps = 1
 				}
-				sub := segT / float64(steps)
+				sub := e.dissipatorStep(eng, segT/float64(steps))
 				for k := 0; k < steps; k++ {
-					eng.dissipate(collapse, rho, sub)
+					eng.dissipate(sub, rho)
 				}
 			}
 			continue
 		}
 		var err error
 		if opts.exact {
-			err = e.drivenExact(eng, st, rho, t0, t1, poll)
+			err = e.drivenExact(eng, st, rho, tickStep, t0, t1, poll)
 		} else {
-			err = e.drivenFast(eng, st, rho, t0, t1, poll)
+			err = e.drivenFast(eng, st, rho, tickStep, t0, t1, poll)
 		}
 		if err != nil {
 			return err
@@ -589,7 +600,7 @@ func chiAt(p *playEvent, tick int64, dt float64) complex128 {
 // drivenExact steps a driven segment with the reference integrator: one
 // eigendecomposition per sample tick (and, on the density engine, the
 // same dissipator step as the fast path).
-func (e *Executor) drivenExact(eng *fastEngine, st *State, rho *Density, t0, t1 int64, poll func(int64) bool) error {
+func (e *Executor) drivenExact(eng *fastEngine, st *State, rho *Density, step *stepMap, t0, t1 int64, poll func(int64) bool) error {
 	active := eng.active
 	for tick := t0; tick < t1; tick++ {
 		if poll(1) {
@@ -604,9 +615,7 @@ func (e *Executor) drivenExact(eng *fastEngine, st *State, rho *Density, t0, t1 
 			return err
 		}
 		eng.apply(u, st, rho)
-		if rho != nil {
-			eng.dissipate(e.Model.collapse, rho, eng.dt)
-		}
+		eng.dissipate(step, rho)
 	}
 	return nil
 }
@@ -616,9 +625,10 @@ func (e *Executor) drivenExact(eng *fastEngine, st *State, rho *Density, t0, t1 
 // lookahead) are built once, memoized in the propagator cache, and applied
 // as dense matrix-vector products; every other tick is
 // advanced matrix-free by the scaled-Taylor stepper with zero
-// steady-state allocations.
-func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 int64, poll func(int64) bool) error {
-	collapse, active, dt := e.Model.collapse, eng.active, eng.dt
+// steady-state allocations. step is the dissipator's step map for one
+// tick, nil when nothing dissipates.
+func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, step *stepMap, t0, t1 int64, poll func(int64) bool) error {
+	active, dt := eng.active, eng.dt
 	for tick := t0; tick < t1; {
 		chis := eng.chis[:0]
 		allZero := true
@@ -655,7 +665,7 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 			eng.loadHam(active, chis)
 			if rho != nil {
 				eng.mat.conjugate(eng.ham, rho.Rho, dt)
-				eng.dissipate(collapse, rho, dt)
+				eng.dissipate(step, rho)
 			} else {
 				eng.vec.step(eng.ham, st.Amp, dt)
 				if eng.tickPhase != 1 {
@@ -671,9 +681,9 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 		case allZero && e.driftFree():
 			// Zero drive over zero drift: nothing evolves (decoherence still
 			// applies on the density engine).
-			if rho != nil && !collapse.empty() {
+			if step != nil {
 				for k := int64(0); k < run; k++ {
-					eng.dissipate(collapse, rho, dt)
+					eng.dissipate(step, rho)
 					if poll(1) {
 						return ErrInterrupted
 					}
@@ -682,7 +692,7 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 				return ErrInterrupted
 			}
 			tick += run
-		case rho != nil && !collapse.empty():
+		case step != nil:
 			// Constant stretch with decoherence: the splitting integrator
 			// still interleaves the dissipator per tick, but the unitary
 			// factor is built once and applied with the stepper's
@@ -693,7 +703,7 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 			}
 			for k := int64(0); k < run; k++ {
 				eng.mat.conjugateWith(u, rho.Rho)
-				eng.dissipate(collapse, rho, dt)
+				eng.dissipate(step, rho)
 				if poll(1) {
 					return ErrInterrupted
 				}
@@ -718,9 +728,9 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, t0, t1 i
 
 // fastEngine is the mutable scratch of one run: the reusable implicit
 // Hamiltonian, the Taylor steppers, key and play buffers, the run's
-// counters and its shot sampler. Everything it reads besides — sparse operators, collapse
-// precompute, propagator cache — belongs to the executor and its model
-// and outlives the run.
+// counters and its shot sampler. Everything it reads besides — sparse
+// operators, propagator cache, step maps — belongs to the executor and its
+// model and outlives the run.
 //
 // Engines are pooled per executor (acquireEngine), so a run may start on
 // one a previous run — finished, failed or interrupted mid-segment — left
@@ -815,14 +825,33 @@ func (eng *fastEngine) apply(u *linalg.Matrix, st *State, rho *Density) {
 	st.Amp, eng.scratch = eng.scratch, st.Amp
 }
 
-// dissipate advances rho by one counted dissipator step; a model whose
-// collapse channels all have zero rate has none to take.
-func (eng *fastEngine) dissipate(cs *collapseSet, rho *Density, dt float64) {
-	if cs.empty() {
+// dissipate advances rho by one counted dissipator step of the map step;
+// a nil step (a closed system, or collapse channels that all have zero
+// rate) takes none.
+func (eng *fastEngine) dissipate(step *stepMap, rho *Density) {
+	if step == nil {
 		return
 	}
 	eng.DissipatorSteps++
-	eng.mat.dissipate(cs, rho.Rho, dt)
+	eng.mat.dissipate(step, rho.Rho)
+}
+
+// dissipatorStep returns the dissipator's step map M(h) from the
+// executor's memo, building it on a miss, or nil when the model has
+// nothing to dissipate. The key is h's bits, written into the engine's
+// key scratch.
+func (e *Executor) dissipatorStep(eng *fastEngine, h float64) *stepMap {
+	cs := e.Model.collapse
+	if cs.empty() {
+		return nil
+	}
+	eng.keyBuf = binary.LittleEndian.AppendUint64(eng.keyBuf[:0], math.Float64bits(h))
+	if m, ok := e.steps.get(eng.keyBuf); ok {
+		return m
+	}
+	m := cs.stepMap(h)
+	e.steps.put(eng.keyBuf, m)
+	return m
 }
 
 // propagator returns the dense propagator exp(-i·H·t) over `ticks` samples
@@ -847,7 +876,7 @@ func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []comple
 		return linalg.ExpI(h, t)
 	}
 	eng.keyBuf = propKey(eng.keyBuf, eng.dt, active, chis, ticks)
-	if u, ok := e.cache.get(eng.keyBuf); ok {
+	if u, ok := e.props.get(eng.keyBuf); ok {
 		eng.PropCacheHits++
 		return u, nil
 	}
@@ -857,7 +886,7 @@ func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []comple
 	}
 	eng.loadHam(active, chis)
 	u := eng.mat.stretch(eng.ham, t, cmplx.Exp(complex(0, -e.lam*t)))
-	e.cache.put(eng.keyBuf, u)
+	e.props.put(eng.keyBuf, u)
 	return u, nil
 }
 

@@ -1,26 +1,30 @@
 package simq
 
 import (
+	"maps"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"mqsspulse/internal/linalg"
+	"mqsspulse/internal/pulse"
 )
 
 // BenchmarkDensityTick times the per-tick costs of the density engine at
 // the sc-2 shape (two d = 3 transmons, T1/T2 on both): the conjugation by a
 // cached propagator alone, the dissipator step alone, a tick of a constant
 // stretch (the two together), a tick of a varying envelope (Hamiltonian
-// load, Taylor propagator build, conjugation, dissipator) and a
+// load, Taylor propagator build, conjugation, dissipator), a
 // propagator-cache miss (the key, the Taylor build of a one-tick stretch
-// and its cache entry).
+// and its cache entry) and a step-memo miss (the key, the build of the
+// dissipator's step map and its memo entry).
 func BenchmarkDensityTick(b *testing.B) {
 	ex := twoTransmonOpenRig(b)
-	cs := ex.Model.collapse
 	eng := ex.newFastEngine(true, 1e-9)
+	step := ex.dissipatorStep(eng, eng.dt)
 	rho := randomDensity(rand.New(rand.NewSource(3)), ex.Model.Dims)
 	active := []playEvent{{ch: ex.Model.Channels["d0"]}, {ch: ex.Model.Channels["d1"]}}
 	chis := []complex128{complex(0.3, 0.1), complex(-0.2, 0.4)}
@@ -28,27 +32,31 @@ func BenchmarkDensityTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	missChis := slices.Clone(chis)
+	missChis, missH := slices.Clone(chis), eng.dt
 	for _, bc := range []struct {
 		name string
 		tick func()
 	}{
 		{"conjugate", func() { eng.mat.conjugateWith(u, rho.Rho) }},
-		{"dissipate", func() { eng.mat.dissipate(cs, rho.Rho, eng.dt) }},
+		{"dissipate", func() { eng.mat.dissipate(step, rho.Rho) }},
 		{"constant-stretch-tick", func() {
 			eng.mat.conjugateWith(u, rho.Rho)
-			eng.dissipate(cs, rho, eng.dt)
+			eng.dissipate(step, rho)
 		}},
 		{"varying-tick", func() {
 			eng.loadHam(active, chis)
 			eng.mat.conjugate(eng.ham, rho.Rho, eng.dt)
-			eng.dissipate(cs, rho, eng.dt)
+			eng.dissipate(step, rho)
 		}},
 		{"stretch-miss", func() {
 			missChis[0] += 1e-6 // a χ no look-up has seen
 			if _, err := ex.propagator(eng, active, missChis, 1, false); err != nil {
 				b.Fatal(err)
 			}
+		}},
+		{"dissipator-build", func() {
+			missH *= 1 + 1e-9 // a step size no look-up has seen
+			ex.dissipatorStep(eng, missH)
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -84,25 +92,32 @@ func generatorNNZBound(n int, cs []Collapse) (bound, k int, onePerRow bool) {
 	return bound + 2*n*linalg.NewSparse(decay).NNZ(), k, onePerRow
 }
 
+// channelMix returns the generator tests' channels on dims: T1+T2 on every
+// site, a complex (phase-rotated) jump operator, a zero-rate channel and,
+// on two sites or more, a correlated two-site one.
+func channelMix(dims []int) []Collapse {
+	var cs []Collapse
+	for site := range dims {
+		cs = append(cs, RelaxationCollapses(dims, site, 30e-6, 20e-6)...)
+	}
+	last := len(dims) - 1
+	cs = append(cs,
+		Collapse{L: linalg.EmbedAt(linalg.Annihilation(dims[0]), dims, 0).Scale(cmplx.Exp(0.7i)), Rate: 4e4},
+		Collapse{L: linalg.EmbedAt(linalg.NumberOp(dims[last]), dims, last), Rate: 0})
+	if len(dims) > 1 {
+		aa := linalg.Annihilation(dims[0]).Kron(linalg.Annihilation(dims[1]))
+		cs = append(cs, Collapse{L: linalg.EmbedTwo(aa, dims, 0), Rate: 2e4})
+	}
+	return cs
+}
+
 // TestGeneratorMatchesDenseReference pins the vec(ρ) generator beyond the
-// T1/T2 channels TestDissipatorMatchesDenseReference draws: a complex
-// (phase-rotated) jump operator, a correlated two-site one and a zero-rate
-// channel, applied to arbitrary matrices as well as physical states.
+// T1/T2 channels TestDissipatorMatchesDenseReference draws (channelMix),
+// applied to arbitrary matrices as well as physical states.
 func TestGeneratorMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, dims := range [][]int{{2}, {3, 3}, {2, 3, 2}} {
-		var cs []Collapse
-		for site := range dims {
-			cs = append(cs, RelaxationCollapses(dims, site, 30e-6, 20e-6)...)
-		}
-		last := len(dims) - 1
-		cs = append(cs,
-			Collapse{L: linalg.EmbedAt(linalg.Annihilation(dims[0]), dims, 0).Scale(cmplx.Exp(0.7i)), Rate: 4e4},
-			Collapse{L: linalg.EmbedAt(linalg.NumberOp(dims[last]), dims, last), Rate: 0})
-		if len(dims) > 1 {
-			aa := linalg.Annihilation(dims[0]).Kron(linalg.Annihilation(dims[1]))
-			cs = append(cs, Collapse{L: linalg.EmbedTwo(aa, dims, 0), Rate: 2e4})
-		}
+		cs := channelMix(dims)
 		var rateSum float64
 		for _, c := range cs {
 			rateSum += c.Rate
@@ -159,8 +174,9 @@ func TestGeneratorMatchesDenseReference(t *testing.T) {
 
 		got := randomDensity(rng, dims)
 		want := got.Clone()
+		m := g.stepMap(50e-9)
 		for step := 0; step < 200; step++ {
-			s.dissipate(g, got.Rho, 50e-9)
+			s.dissipate(m, got.Rho)
 			LindbladStepRK4(noH, want, cs, 50e-9)
 		}
 		if got.Rho.Sub(want.Rho).MaxAbs() > 1e-12 {
@@ -172,9 +188,55 @@ func TestGeneratorMatchesDenseReference(t *testing.T) {
 	}
 }
 
+// TestDissipatorStepIsRK4: one production dissipator step — the
+// executor's memoized step map, applied once — is the four-stage RK4 step
+// of the dense reference, at a tick and at an idle segment's sub-step, on
+// the channel mix; and a Hermitian ρ comes back exactly Hermitian.
+func TestDissipatorStepIsRK4(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	const dt = 1e-9
+	idleT := 1300 * dt // three sub-steps of 433 ns
+	idle := idleT / math.Ceil(idleT/maxIdleStep)
+	for _, dims := range [][]int{{2}, {3, 3}, {2, 3, 2}} {
+		cs := channelMix(dims)
+		model, err := NewSystemModel(dims, nil, nil, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := NewExecutor(model)
+		eng := ex.newFastEngine(true, dt)
+		noH := linalg.NewMatrix(model.HilbertDim(), model.HilbertDim())
+		for _, h := range []float64{dt, idle} {
+			got := randomDensity(rng, dims)
+			want := got.Clone()
+			eng.mat.dissipate(ex.dissipatorStep(eng, h), got.Rho)
+			LindbladStepRK4(noH, want, cs, h)
+			if d, norm := got.Rho.Sub(want.Rho).MaxAbs(), want.Rho.MaxAbs(); d > 1e-13*norm {
+				t.Fatalf("dims %v h %g: one step off the RK4 reference by %g (‖ρ‖ %g)", dims, h, d, norm)
+			}
+			if defects, _ := hermitianDefects(got.Rho); defects != 0 {
+				t.Fatalf("dims %v h %g: %d entries break exact Hermiticity", dims, h, defects)
+			}
+		}
+	}
+}
+
+// upperRowNNZ counts G's entries in the rows i·n + j with i ≤ j: what one
+// RK4 stage applied.
+func upperRowNNZ(cs *collapseSet) int {
+	n, nnz := cs.n, 0
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			nnz += cs.rowStart[i*n+j+1] - cs.rowStart[i*n+j]
+		}
+	}
+	return nnz
+}
+
 // TestGeneratorWorkContract asserts the per-step work the dissipator does
-// at the shapes the devices build: one multiply-add per stored entry of G
-// per RK4 stage.
+// at the shapes the devices build: one multiply-add per stored entry of
+// the step map M, which is fewer than the four RK4 stages' applications
+// of G's upper rows.
 func TestGeneratorWorkContract(t *testing.T) {
 	dims := []int{2}
 	model, err := NewSystemModel(dims, nil, nil, RelaxationCollapses(dims, 0, 30e-6, 20e-6))
@@ -184,7 +246,112 @@ func TestGeneratorWorkContract(t *testing.T) {
 	if nnz := len(model.collapse.vals); nnz != 4 {
 		t.Fatalf("one d = 2 site with T1+T2: nnz(G) = %d, want 4", nnz)
 	}
-	if nnz := len(twoTransmonOpenRig(t).Model.collapse.vals); nnz > 152 {
+	if nnz := len(model.collapse.stepMap(1e-9).vals); nnz != 4 {
+		t.Fatalf("one d = 2 site with T1+T2: nnz(M) = %d, want 4", nnz)
+	}
+	rig := twoTransmonOpenRig(t).Model.collapse
+	if nnz := len(rig.vals); nnz > 152 {
 		t.Fatalf("two d = 3 transmons with T1+T2: nnz(G) = %d, want ≤ 152", nnz)
+	}
+	if nnz := len(rig.stepMap(1e-9).vals); nnz != 116 {
+		t.Fatalf("two d = 3 transmons with T1+T2: nnz(M) = %d, want 116", nnz)
+	}
+	for _, dims := range [][]int{{2}, {2, 2, 2, 2}, {3, 3, 3}, {4, 4}, {3, 3}} {
+		var cs []Collapse
+		for site := range dims {
+			cs = append(cs, RelaxationCollapses(dims, site, 30e-6, 20e-6)...)
+		}
+		model, err := NewSystemModel(dims, nil, nil, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := model.collapse
+		if m, stages := len(g.stepMap(1e-9).vals), 4*upperRowNNZ(g); m > stages {
+			t.Fatalf("dims %v: nnz(M) = %d, more than the %d entries four RK4 stages apply", dims, m, stages)
+		}
+	}
+}
+
+// TestDissipatorStepMemoWarmRun: an executor builds a step map once per
+// step size — a tick's and an idle segment's sub-step — and a second run
+// of the program finds both in the memo, builds none and returns the
+// same bits.
+func TestDissipatorStepMemoWarmRun(t *testing.T) {
+	ex := twoTransmonOpenRig(t)
+	sp := twoPortProgram(t, func(s *pulse.Schedule) {
+		playGaussian(t, s, "d0", "f0", 0.5, 48)
+		if err := s.Append(&pulse.Delay{Port: "d0", Samples: 1300}); err != nil {
+			t.Fatal(err)
+		}
+		playConst(t, s, "d0", "f0", 0.5, 40)
+	})
+	p, err := ex.Prepare(sp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() map[string]*stepMap {
+		ex.steps.mu.RLock()
+		defer ex.steps.mu.RUnlock()
+		return maps.Clone(ex.steps.m)
+	}
+	cold, err := p.Run(ExecOptions{Shots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := snapshot()
+	if len(built) != 2 {
+		t.Fatalf("cold run built %d step maps, want 2 (the tick and the idle sub-step)", len(built))
+	}
+	warm, err := p.Run(ExecOptions{Shots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(snapshot(), built) {
+		t.Fatal("the warm run built a step map")
+	}
+	if warm.DissipatorSteps != cold.DissipatorSteps {
+		t.Fatalf("warm run took %d dissipator steps, the cold one %d", warm.DissipatorSteps, cold.DissipatorSteps)
+	}
+	sameRun(t, "warm vs cold", warm, cold)
+}
+
+// TestDissipatorStepMemoRace: eight runs racing an executor's first use
+// of a step size store one step map between them and return bit-identical
+// results.
+func TestDissipatorStepMemoRace(t *testing.T) {
+	ex := twoTransmonOpenRig(t)
+	sp := twoPortProgram(t, func(s *pulse.Schedule) {
+		playGaussian(t, s, "d0", "f0", 0.5, 48)
+		playGaussian(t, s, "d1", "f1", 0.4, 48)
+	})
+	p, err := ex.Prepare(sp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	results := make([]*ExecResult, runs)
+	errs := make([]error, runs)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			results[g], errs[g] = p.Run(ExecOptions{Shots: 1})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", g, err)
+		}
+	}
+	if n := ex.steps.size(); n != 1 {
+		t.Fatalf("the memo holds %d step maps, want 1", n)
+	}
+	for g := 1; g < runs; g++ {
+		sameRun(t, "racing runs", results[g], results[0])
 	}
 }

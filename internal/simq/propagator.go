@@ -49,11 +49,11 @@ const (
 	// maxIdleStep caps the dissipator step (seconds) in idle segments, whose
 	// unitary part is exact: only the collapse rates bound it.
 	maxIdleStep = 500e-9
-	// propCacheLimit bounds the constant-stretch propagator cache; a
-	// device's calibrated schedules hold a handful of distinct (envelope
-	// value, duration) pairs, so a small cap only guards against sweeps
-	// over square-pulse amplitudes and adversarial programs.
-	propCacheLimit = 128
+	// memoLimit bounds each of the executor's memos; a device's calibrated
+	// schedules hold a handful of distinct (envelope value, duration) pairs
+	// and idle lengths, so a small cap only guards against sweeps over
+	// square-pulse amplitudes or delays and adversarial programs.
+	memoLimit = 128
 )
 
 // driveCoeff is one active drive contribution to a tick Hamiltonian:
@@ -313,53 +313,55 @@ func propKey(buf []byte, dt float64, active []playEvent, chis []complex128, tick
 	return b
 }
 
-// propCache memoizes propagators for constant-envelope stretches:
-// the key encodes the active (port, χ) pairs and the stretch duration, so
-// square pulses, flat-tops, idle gaps and repeated calibrated envelopes
-// are built once per distinct shape and reuse the dense propagator
-// afterwards. The cache belongs to the Executor and is shared by all of
-// its runs, which may be concurrent, so access is guarded: lookups take a
-// read lock (the hot case — a warmed cache serves concurrent readers
-// without contention), inserts a write lock. Cached matrices are
-// immutable after insertion. Builds are deterministic functions of the
-// key and of the executor's model, so two runs racing to insert the
-// same key produce bit-identical matrices and a result never depends on
-// which won, nor on whether the cache was cold or warm.
-type propCache struct {
+// memo is the Executor's store of what a run builds from the model once
+// and reuses: propagators for constant-envelope stretches, keyed by the
+// active (port, χ) pairs and the stretch duration (propKey), so square
+// pulses, flat-tops, idle gaps and repeated calibrated envelopes are
+// built once per distinct shape; and the dissipator's step maps, keyed by
+// the step size. It is shared by all of the executor's runs, which may be
+// concurrent, so access is guarded: lookups take a read lock (the hot
+// case — a warmed memo serves concurrent readers without contention),
+// inserts a write lock. Values are immutable after insertion. Builds are
+// deterministic functions of the key and of the executor's model, so two
+// runs racing to insert the same key produce bit-identical values and a
+// result never depends on which won, nor on whether the memo was cold or
+// warm.
+type memo[V any] struct {
 	mu sync.RWMutex
-	m  map[string]*linalg.Matrix
+	m  map[string]V
 }
 
-func newPropCache() *propCache { return &propCache{m: map[string]*linalg.Matrix{}} }
+func newMemo[V any]() *memo[V] { return &memo[V]{m: map[string]V{}} }
 
 // get looks up k without allocating (the map index converts the byte
 // slice in place).
-func (c *propCache) get(k []byte) (*linalg.Matrix, bool) {
+func (c *memo[V]) get(k []byte) (V, bool) {
 	c.mu.RLock()
-	u, ok := c.m[string(k)]
+	v, ok := c.m[string(k)]
 	c.mu.RUnlock()
-	return u, ok
+	return v, ok
 }
 
-// put inserts u under k. At capacity an arbitrary existing entry is
-// evicted first, so long-running jobs with many distinct stretches keep a
-// bounded footprint while still caching their current working set.
-func (c *propCache) put(k []byte, u *linalg.Matrix) {
+// put inserts v under k unless k is present: the first writer wins. At
+// capacity an arbitrary existing entry is evicted first, so long-running
+// jobs with many distinct stretches keep a bounded footprint while still
+// caching their current working set.
+func (c *memo[V]) put(k []byte, v V) {
 	c.mu.Lock()
 	if _, ok := c.m[string(k)]; !ok {
-		if len(c.m) >= propCacheLimit {
+		if len(c.m) >= memoLimit {
 			for victim := range c.m {
 				delete(c.m, victim)
 				break
 			}
 		}
-		c.m[string(k)] = u
+		c.m[string(k)] = v
 	}
 	c.mu.Unlock()
 }
 
 // size reports the current entry count (test hook).
-func (c *propCache) size() int {
+func (c *memo[V]) size() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.m)

@@ -412,7 +412,7 @@ func TestExactRunBypassesPropagatorCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cached := ex.cache.size()
+		cached := ex.props.size()
 		if fast.PropCacheMisses == 0 || cached == 0 {
 			t.Fatalf("open=%v: the fast run cached nothing (%+v)", open, fast.EngineStats)
 		}
@@ -420,9 +420,9 @@ func TestExactRunBypassesPropagatorCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if exact.PropCacheHits != 0 || exact.PropCacheMisses != 0 || ex.cache.size() != cached {
+		if exact.PropCacheHits != 0 || exact.PropCacheMisses != 0 || ex.props.size() != cached {
 			t.Fatalf("open=%v: exact run made %d hits and %d misses, cache %d → %d entries",
-				open, exact.PropCacheHits, exact.PropCacheMisses, cached, ex.cache.size())
+				open, exact.PropCacheHits, exact.PropCacheMisses, cached, ex.props.size())
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestPropCacheConcurrentHammer(t *testing.T) {
 	// 3× the capacity, mixing hits, misses, inserts, and evictions — the
 	// race detector (CI runs this with -race) catches any unsynchronized
 	// access, and value checks catch key collisions under eviction churn.
-	c := newPropCache()
+	c := newMemo[*linalg.Matrix]()
 	const goroutines = 16
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
@@ -73,7 +73,7 @@ func TestPropCacheConcurrentHammer(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			var buf []byte
 			for i := 0; i < 5000; i++ {
-				k := rng.Intn(3 * propCacheLimit)
+				k := rng.Intn(3 * memoLimit)
 				buf = append(buf[:0], byte(k), byte(k>>8))
 				if u, ok := c.get(buf); ok {
 					if got := real(u.At(0, 0)); got != float64(k) {
@@ -88,13 +88,13 @@ func TestPropCacheConcurrentHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := c.size(); n > propCacheLimit {
-		t.Fatalf("cache holds %d entries, limit %d", n, propCacheLimit)
+	if n := c.size(); n > memoLimit {
+		t.Fatalf("cache holds %d entries, limit %d", n, memoLimit)
 	}
 }
 
 func TestPropCachePutIsFirstWriterWins(t *testing.T) {
-	c := newPropCache()
+	c := newMemo[*linalg.Matrix]()
 	key := []byte{1}
 	m1 := linalg.NewMatrix(1, 1)
 	m1.Set(0, 0, 1)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/telemetry"
+	"mqsspulse/internal/testutil"
 )
 
 // The allocation contracts of the stack's per-job fixed cost, as
@@ -192,7 +192,7 @@ func TestPerfContractOpenSystemShots(t *testing.T) {
 		}
 	}
 	job() // compiles the kernel, fills the propagator cache, prepares the program
-	if raceDetector() {
+	if testutil.RaceDetector() {
 		// Each pooled scratch a dropped Put costs is rebuilt inside one job,
 		// so the -race reading scatters over 46–51; the step without the race
 		// detector asserts this contract.
@@ -215,18 +215,6 @@ func TestPerfContractOpenSystemShots(t *testing.T) {
 	if n := float64(after.Mallocs-before.Mallocs) / jobs; n > 21 {
 		t.Fatalf("warm open-system job allocates %v objects, want ≤ 21", n)
 	}
-}
-
-// raceDetector reports whether the test binary was built with -race.
-func raceDetector() bool {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" {
-				return s.Value == "true"
-			}
-		}
-	}
-	return false
 }
 
 // TestPerfContractNoGoroutinePerJob: a job runs on the goroutine that takes
