@@ -360,7 +360,7 @@ type (
 	DeviceStats = qrm.DeviceStats
 	// PoolStats is the per-pool slice of a SchedulerStats snapshot.
 	PoolStats = qrm.PoolStats
-	// ServerOption tunes a Server (idle timeouts, job time caps).
+	// ServerOption tunes a Server (base context, job time caps).
 	ServerOption = client.ServerOption
 	// RemoteOption tunes a RemoteAdapter (dial timeouts).
 	RemoteOption = client.RemoteOption
@@ -369,11 +369,6 @@ type (
 // WithServerBaseContext bounds every job the server runs.
 func WithServerBaseContext(ctx context.Context) ServerOption {
 	return client.WithServerBaseContext(ctx)
-}
-
-// WithServerIdleTimeout drops connections idle for the duration.
-func WithServerIdleTimeout(d time.Duration) ServerOption {
-	return client.WithServerIdleTimeout(d)
 }
 
 // WithServerMaxJobTime caps each remote job's wall-clock time.

@@ -107,9 +107,10 @@ func FuzzServerRequest(f *testing.F) {
 			SubmitOptions: SubmitOptions{Shots: 4, MeasLevel: readout.LevelKerneled, MeasReturn: readout.ReturnAverage}},
 	))
 	f.Add(lines(
-		remoteRequest{Op: "register", ID: "rabi", Program: string(compiled.Text()), Params: compiled.Params},
-		remoteRequest{Op: "submit", ID: "rabi", Device: "tiny-1", SubmitOptions: SubmitOptions{Shots: 2}, Bindings: map[string]float64{"theta": 1.5}},
-		remoteRequest{Op: "submit", ID: "rabi", Device: "tiny-1", SubmitOptions: SubmitOptions{Shots: 2}, Bindings: map[string]float64{"theta": 99}},
+		// A template's text has slots: refused at register, so the submits name
+		// a program the connection does not hold.
+		remoteRequest{Op: "register", ID: "rabi", Program: string(compiled.Text())},
+		remoteRequest{Op: "submit", ID: "rabi", Device: "tiny-1", SubmitOptions: SubmitOptions{Shots: 2}},
 		remoteRequest{Op: "submit", ID: "rabi", SubmitOptions: SubmitOptions{Pool: "nowhere", Shots: 2}},
 	))
 	// Enough registrations to push the store past its bound.

@@ -23,16 +23,14 @@ import (
 
 // The remote protocol is one JSON object per line in each direction —
 // the REST-like submission path of Fig. 2, reduced to its essentials — and
-// it has one form for every program. A program crosses the wire as its
-// exchange text, once per connection: "register" ships it under an ID with
-// its declared parameters and calibration epoch, and the server parses,
-// verifies and keeps it. Every job afterwards is a "submit" naming that ID,
-// with the job's SubmitOptions and — for a template — one point's bindings;
-// a concrete kernel is the template with no parameters and sends none.
-// "telemetry" fetches the server's metrics. Deadlines cross the machine
-// boundary: the adapter ships what is left of the earlier of the ctx
-// deadline and SubmitOptions.Deadline as timeout_ms, and the server bounds
-// the job with it. ARCHITECTURE.md has the field table; wirecodec.go writes
+// it carries one thing: a compiled program, as its concrete exchange text.
+// The text crosses once per connection: "register" ships it under an ID
+// with its calibration epoch, and the server parses, verifies and keeps it.
+// Every job afterwards is a "submit" naming that ID, with the job's
+// SubmitOptions. "telemetry" fetches the server's metrics. Deadlines cross
+// the machine boundary: the adapter ships what is left of the earlier of
+// the ctx deadline and SubmitOptions.Deadline as timeout_ms, and the server
+// bounds the job with it. ARCHITECTURE.md has the field table; wirecodec.go writes
 // and reads the frames.
 
 // maxStoredPrograms bounds the programs a server keeps per connection (the
@@ -61,19 +59,15 @@ type remoteRequest struct {
 	// re-lowered after a recalibration is a different program on the wire.
 	ID string
 
-	// Program, Params and Epoch are the body of "register": the exchange
-	// text (slots included), the declared parameter space, and the
-	// calibration epoch the program was lowered at. The server checks every
-	// job on the program against that epoch and rejects it with
+	// Program and Epoch are the body of "register": the concrete exchange
+	// text, and the calibration epoch the program was lowered at. The server
+	// checks every job on the program against that epoch and rejects it with
 	// stale_calibration once the target has recalibrated past it; zero
 	// disables the check.
 	Program string
-	Params  []ptemplate.Param
 	Epoch   int64
 
-	// Bindings carries one value per declared parameter for "submit".
-	Bindings map[string]float64
-	Device   string
+	Device string
 	// TimeoutMs bounds the job server-side; 0 means no client deadline.
 	TimeoutMs int64
 	// A TraceID propagates the submission's telemetry trace across the
@@ -105,20 +99,14 @@ type remoteResponse struct {
 type ServerOption func(*serverConfig)
 
 type serverConfig struct {
-	baseCtx     context.Context
-	idleTimeout time.Duration
-	maxJobTime  time.Duration
+	baseCtx    context.Context
+	maxJobTime time.Duration
 }
 
 // WithServerBaseContext bounds every job the server runs: cancelling ctx
 // cancels all in-flight remote jobs (on top of Close, which always does).
 func WithServerBaseContext(ctx context.Context) ServerOption {
 	return func(c *serverConfig) { c.baseCtx = ctx }
-}
-
-// WithServerIdleTimeout drops connections that send no request for d.
-func WithServerIdleTimeout(d time.Duration) ServerOption {
-	return func(c *serverConfig) { c.idleTimeout = d }
 }
 
 // WithServerMaxJobTime caps each remote job's wall-clock time regardless
@@ -144,7 +132,7 @@ type Server struct {
 }
 
 // NewServer starts listening on addr ("127.0.0.1:0" for an ephemeral
-// port). Options tune idle/read deadlines and job time bounds.
+// port). Options tune the jobs' base context and time bound.
 func NewServer(c *Client, addr string, opts ...ServerOption) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -232,9 +220,6 @@ func (s *Server) serve(conn net.Conn) {
 		return err
 	}
 	for {
-		if s.cfg.idleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout))
-		}
 		if s.ctx.Err() != nil {
 			return // stopped: nothing more is read
 		}
@@ -298,9 +283,9 @@ func (s *Server) handleLine(line []byte, store *programStore) remoteResponse {
 		if req.ID == "" {
 			return failure(fmt.Errorf("%w: register without a program id", qdmi.ErrInvalidArgument))
 		}
-		// Parsed, verified and checked against its declared parameters here,
-		// once; every submit that names the ID runs the stored module.
-		program, err := ptemplate.FromText(req.Program, req.Params, req.Epoch)
+		// Parsed, verified and checked to be concrete here, once; every submit
+		// that names the ID runs the stored module.
+		program, err := ptemplate.FromText(req.Program, req.Epoch)
 		if err != nil {
 			return failure(err)
 		}
@@ -320,10 +305,10 @@ func (s *Server) handleLine(line []byte, store *programStore) remoteResponse {
 }
 
 // handleSubmit runs one job on a registered program: the frame's
-// SubmitOptions, the stored program and the point's bindings go through
-// Client.enqueue, so the job is the request a local job makes. timeout_ms,
-// capped by WithServerMaxJobTime and by the base context's deadline, is the
-// job's Deadline.
+// SubmitOptions and the stored program go through Client.enqueue, so the
+// job is the request a local job makes. timeout_ms, capped by
+// WithServerMaxJobTime and by the base context's deadline, is the job's
+// Deadline.
 func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteResponse {
 	program, ok := store.byID[req.ID]
 	if !ok {
@@ -345,7 +330,7 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 	// to a caller that traces — one that sent a trace ID — so the
 	// client-side timeline covers both machines.
 	tl := s.client.NewTimeline(opts.TraceID)
-	tk, err := s.client.enqueue(s.jobCtx, program, req.Bindings, req.Device, opts, tl)
+	tk, err := s.client.enqueue(s.jobCtx, program, nil, req.Device, opts, tl)
 	var resp remoteResponse
 	if err == nil {
 		store.job.Store(tk)
@@ -608,15 +593,6 @@ func (r *RemoteAdapter) put(c *remoteConn) {
 	r.slots <- struct{}{}
 }
 
-// wireProgram is what the adapter needs of a program to put it on the wire:
-// the register frame's fields. The connection that carries it derives the
-// ID every submit names (remoteConn.payloadID).
-type wireProgram struct {
-	text   []byte
-	params []ptemplate.Param
-	epoch  int64
-}
-
 // SubmitPayloadCtx runs precompiled exchange-format text on the server and
 // waits for the result under ctx. The text is registered under a hash of
 // its content and opts.CalibrationEpoch the first time the connection that
@@ -630,7 +606,7 @@ type wireProgram struct {
 // error (the protocol has no way to resynchronize a half-read response);
 // the adapter's other connections, and the next call, are unaffected.
 func (r *RemoteAdapter) SubmitPayloadCtx(ctx context.Context, device string, payload []byte, format qdmi.ProgramFormat, opts SubmitOptions) (*qpi.Result, error) {
-	return r.submit(ctx, device, wireProgram{text: payload, epoch: opts.CalibrationEpoch}, nil, opts)
+	return r.submit(ctx, device, payload, opts)
 }
 
 // payloadID is payloadID(text, epoch), remembered for the last text and
@@ -663,21 +639,22 @@ func payloadID(payload []byte, epoch int64) string {
 	return string(b)
 }
 
-// submit is the one wire submission: a submit frame naming p, preceded by
-// p's register frame when the connection it runs on has not sent it. The
-// exchange, from the wait for a connection on, is recorded as a client-side
-// dispatch span on opts.Timeline. A trace ID ships in the request only when
-// the caller traces (opts.Timeline or opts.TraceID), and only then does the
-// server return its spans, which are imported under the dispatch span —
-// marked Remote so their durations never double-count into local
-// histograms, whether the job succeeded or failed. A nil timeline records
-// nothing. opts.Deadline bounds the job as the ctx deadline does (exchange);
-// one already past fails before anything is sent.
-func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
+// submit is the one wire submission: a submit frame naming text at
+// opts.CalibrationEpoch, preceded by its register frame when the connection
+// it runs on has not sent it. The exchange, from the wait for a connection
+// on, is recorded as a client-side dispatch span on opts.Timeline. A trace
+// ID ships in the request only when the caller traces (opts.Timeline or
+// opts.TraceID), and only then does the server return its spans, which are
+// imported under the dispatch span — marked Remote so their durations never
+// double-count into local histograms, whether the job succeeded or failed.
+// A nil timeline records nothing. opts.Deadline bounds the job as the ctx
+// deadline does (exchange); one already past fails before anything is
+// sent.
+func (r *RemoteAdapter) submit(ctx context.Context, device string, text []byte, opts SubmitOptions) (*qpi.Result, error) {
 	if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {
 		return nil, fmt.Errorf("client: remote: %w", context.DeadlineExceeded)
 	}
-	req := remoteRequest{Op: "submit", Bindings: b, Device: device, SubmitOptions: opts}
+	req := remoteRequest{Op: "submit", Device: device, SubmitOptions: opts}
 	tl := opts.Timeline
 	if tl != nil {
 		req.TraceID = tl.TraceID()
@@ -691,8 +668,8 @@ func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram
 		if c, err = r.take(ctx); err != nil {
 			return
 		}
-		req.ID = c.payloadID(p.text, p.epoch)
-		resp, err = c.submitRegistered(ctx, &req, p)
+		req.ID = c.payloadID(text, opts.CalibrationEpoch)
+		resp, err = c.submitRegistered(ctx, &req, text)
 		r.put(c)
 		if resp != nil {
 			tl.Import(resp.Spans, id)
@@ -704,19 +681,19 @@ func (r *RemoteAdapter) submit(ctx context.Context, device string, p wireProgram
 	return resultFromWire(resp, opts)
 }
 
-// submitRegistered sends req, registering p under req.ID first if this
-// connection has not. The server may not hold an ID the adapter remembers sending — its
-// store is bounded, and a server restarted behind a relay starts empty — so
-// an unknown_program answer is met by registering and submitting again,
-// once.
-func (c *remoteConn) submitRegistered(ctx context.Context, req *remoteRequest, p wireProgram) (*remoteResponse, error) {
+// submitRegistered sends req, registering text at req.CalibrationEpoch
+// under req.ID first if this connection has not. The server may not hold an
+// ID the adapter remembers sending — its store is bounded, and a server
+// restarted behind a relay starts empty — so an unknown_program answer is
+// met by registering and submitting again, once.
+func (c *remoteConn) submitRegistered(ctx context.Context, req *remoteRequest, text []byte) (*remoteResponse, error) {
 	for attempt := 0; ; attempt++ {
 		if !c.registered[req.ID] {
-			if len(p.text) >= maxFrameBytes {
+			if len(text) >= maxFrameBytes {
 				// The server would stop reading mid-line; nothing is sent.
-				return nil, fmt.Errorf("client: remote: %w: program text of %d bytes", ErrTooLarge, len(p.text))
+				return nil, fmt.Errorf("client: remote: %w: program text of %d bytes", ErrTooLarge, len(text))
 			}
-			reg := remoteRequest{Op: "register", ID: req.ID, Program: string(p.text), Params: p.params, Epoch: p.epoch}
+			reg := remoteRequest{Op: "register", ID: req.ID, Program: string(text), Epoch: req.CalibrationEpoch}
 			if _, err := c.exchange(ctx, &reg); err != nil {
 				return nil, err
 			}

@@ -208,55 +208,6 @@ func TestCompileRejectsParametricKernel(t *testing.T) {
 	}
 }
 
-// TestRemoteSweepTemplate: a template's points submitted over the wire
-// match a local sweep on an identically seeded stack. (That the text ships
-// once per connection is TestRemoteProgramTextCrossesOnce.)
-func TestRemoteSweepTemplate(t *testing.T) {
-	const points, shots, seed = 16, 32, 99
-	serverClient, _ := sweepStack(t, seed)
-	localClient, _ := sweepStack(t, seed)
-	srv, err := NewServer(serverClient, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	adapter, err := NewRemoteAdapter(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adapter.Close()
-
-	// The template is lowered against the local twin; its epoch transfers
-	// with the register frame.
-	compiled, err := localClient.CompileTemplate(rabiSweepTemplate(t), "hpcqc-sc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bindings := sweepAngles(points)
-	localResults, err := localClient.RunSweep(context.Background(),
-		rabiSweepTemplate(t), "hpcqc-sc", bindings, SubmitOptions{Shots: shots})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range bindings {
-		res, err := adapter.SubmitBoundCtx(context.Background(), "hpcqc-sc", compiled, b,
-			SubmitOptions{Shots: shots})
-		if err != nil {
-			t.Fatalf("point %d: %v", i, err)
-		}
-		got, want := res.Probability(1), localResults[i].Result.Probability(1)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("point %d: remote P(1)=%g, local %g", i, got, want)
-		}
-	}
-
-	// Bad points fail client-side with the typed sentinel, before the wire.
-	if _, err := adapter.SubmitBoundCtx(context.Background(), "hpcqc-sc", compiled,
-		ptemplate.Bindings{"theta": math.Inf(1)}, SubmitOptions{Shots: shots}); !errors.Is(err, ptemplate.ErrBadParam) {
-		t.Fatalf("non-finite binding crossed the wire: err = %v", err)
-	}
-}
-
 // TestSweepBindWireErrorKinds: the bad_param error kind rebuilds its typed
 // error from the wire.
 func TestSweepBindWireErrorKinds(t *testing.T) {

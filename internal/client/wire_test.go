@@ -23,18 +23,6 @@ import (
 	"mqsspulse/internal/telemetry"
 )
 
-// SubmitBoundCtx is the tests' client for the server's bindings frame: it
-// submits one sweep point of a compiled program, whose text ships once per
-// pooled connection, named as a payload is by its text and the epoch it was
-// lowered at; every point afterwards is a small bindings frame. Bindings
-// are validated locally first, as the server validates them again.
-func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compiled *ptemplate.Compiled, b ptemplate.Bindings, opts SubmitOptions) (*qpi.Result, error) {
-	if err := compiled.Validate(b); err != nil {
-		return nil, err
-	}
-	return r.submit(ctx, device, wireProgram{text: compiled.Text(), params: compiled.Params, epoch: compiled.Epoch}, b, opts)
-}
-
 // recordingConn keeps every frame the adapter writes (one Write is one
 // request line) and can be pointed at a fresh connection — what a reconnect,
 // or a server restarted behind a relay, looks like from the server's side:
@@ -110,82 +98,22 @@ func rotation(t *testing.T, theta float64) *qpi.Circuit {
 }
 
 // TestRemoteRecalibrationOnOneConnection: a program lowered again after a
-// recalibration is a different program on the wire. The adapter used to
-// remember a template by its structure alone, so on a connection that had
-// seen the template before, the re-lowered module was never sent: the server
-// bound the old one, stamped with the new epoch, and the staleness gate
-// passed — stale pulses, silently. Here the π amplitude is halved between
-// two θ=π points, so stale pulses read P(1)≈1 and fresh ones ≈½; the reused
-// connection must return what a fresh connection and a local sweep return on
-// identically seeded stacks, and the program lowered before the
-// recalibration must be refused as stale. The payload front gets the same
-// pair of checks.
+// recalibration is a different program on the wire, because its ID covers
+// the calibration epoch as well as the text. Here the π amplitude is halved
+// between two π rotations, so stale pulses read P(1)≈1 and fresh ones ≈½;
+// the reused connection must return what a fresh connection and a local run
+// return on identically seeded stacks, and the payload compiled before the
+// recalibration must be refused as stale.
 func TestRemoteRecalibrationOnOneConnection(t *testing.T) {
 	const shots, seed = 4000, 47
 	ctx := context.Background()
 	opts := SubmitOptions{Shots: shots}
-	pi := ptemplate.Bindings{"theta": math.Pi}
 	halve := func(dev interface {
 		CalibratedPiAmplitude(int) float64
 		SetCalibratedPiAmplitude(int, float64)
 	}) {
 		dev.SetCalibratedPiAmplitude(0, dev.CalibratedPiAmplitude(0)/2)
 	}
-
-	t.Run("bound", func(t *testing.T) {
-		// Each stack runs the same two jobs, so the second draws the same seed.
-		remoteSecond := func(t *testing.T, freshConnection bool) (*qpi.Result, *RemoteAdapter, *ptemplate.Compiled) {
-			c, dev := sweepStack(t, seed)
-			srv := serveTest(t, c)
-			adapter, _ := recordedAdapter(t, srv)
-			before, err := c.CompileTemplate(rabiSweepTemplate(t), "hpcqc-sc")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := adapter.SubmitBoundCtx(ctx, "hpcqc-sc", before, pi, opts); err != nil {
-				t.Fatal(err)
-			}
-			halve(dev)
-			after, err := c.CompileTemplate(rabiSweepTemplate(t), "hpcqc-sc")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after.Epoch == before.Epoch {
-				t.Fatalf("re-lowering kept epoch %d", before.Epoch)
-			}
-			if freshConnection {
-				adapter, _ = recordedAdapter(t, srv)
-			}
-			res, err := adapter.SubmitBoundCtx(ctx, "hpcqc-sc", after, pi, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res, adapter, before
-		}
-		reused, adapter, stale := remoteSecond(t, false)
-		fresh, _, _ := remoteSecond(t, true)
-
-		c, dev := sweepStack(t, seed)
-		if _, err := c.RunSweep(ctx, rabiSweepTemplate(t), "hpcqc-sc", []ptemplate.Bindings{pi}, opts); err != nil {
-			t.Fatal(err)
-		}
-		halve(dev)
-		local, err := c.RunSweep(ctx, rabiSweepTemplate(t), "hpcqc-sc", []ptemplate.Bindings{pi}, opts)
-		if err != nil || local[0].Err != nil {
-			t.Fatal(err, local[0].Err)
-		}
-
-		if p := fresh.Probability(1); math.Abs(p-0.5) > 0.1 {
-			t.Fatalf("fresh connection after halving the π amplitude: P(1) = %g, want ≈ 0.5", p)
-		}
-		if !reflect.DeepEqual(reused.Counts, fresh.Counts) || !reflect.DeepEqual(reused.Counts, local[0].Result.Counts) {
-			t.Fatalf("after a recalibration the reused connection ran different pulses:\nreused %v\nfresh  %v\nlocal  %v",
-				reused.Counts, fresh.Counts, local[0].Result.Counts)
-		}
-		if _, err := adapter.SubmitBoundCtx(ctx, "hpcqc-sc", stale, pi, opts); !errors.Is(err, qrm.ErrStaleCalibration) {
-			t.Fatalf("program lowered before the recalibration: err = %v, want qrm.ErrStaleCalibration", err)
-		}
-	})
 
 	t.Run("payload", func(t *testing.T) {
 		k := rotation(t, math.Pi)
@@ -245,9 +173,8 @@ func TestRemoteRecalibrationOnOneConnection(t *testing.T) {
 }
 
 // TestRemoteProgramTextCrossesOnce: on a connection, a program's text is in
-// its register frame and nowhere else. Every later job on it — through
-// either front — is a submit frame of a small fixed size that names the
-// program by ID.
+// its register frame and nowhere else. Every later job on it is a submit
+// frame of a small fixed size that names the program by ID.
 func TestRemoteProgramTextCrossesOnce(t *testing.T) {
 	const maxSubmitFrame = 256
 	c, dev := testStack(t)
@@ -259,39 +186,22 @@ func TestRemoteProgramTextCrossesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := c.CompileTemplate(rabiSweepTemplate(t), "hpcqc-sc")
-	if err != nil {
-		t.Fatal(err)
+	opts := SubmitOptions{Shots: 8, CalibrationEpoch: dev.CalibrationEpoch()}
+	for i := 0; i < 4; i++ {
+		if _, err := adapter.SubmitPayloadCtx(ctx, "hpcqc-sc", payload, format, opts); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
 	}
-	fronts := map[string]func(i int) error{
-		"payload": func(int) error {
-			_, err := adapter.SubmitPayloadCtx(ctx, "hpcqc-sc", payload, format,
-				SubmitOptions{Shots: 8, CalibrationEpoch: dev.CalibrationEpoch()})
-			return err
-		},
-		"bound": func(i int) error {
-			_, err := adapter.SubmitBoundCtx(ctx, "hpcqc-sc", compiled,
-				ptemplate.Bindings{"theta": math.Pi / float64(i+3)}, SubmitOptions{Shots: 8})
-			return err
-		},
+	ops, frames := rc.take(t)
+	if want := []string{"register", "submit", "submit", "submit", "submit"}; !reflect.DeepEqual(ops, want) {
+		t.Fatalf("four jobs on one program sent %v, want %v", ops, want)
 	}
-	for name, submit := range fronts {
-		for i := 0; i < 4; i++ {
-			if err := submit(i); err != nil {
-				t.Fatalf("%s job %d: %v", name, i, err)
-			}
-		}
-		ops, frames := rc.take(t)
-		if want := []string{"register", "submit", "submit", "submit", "submit"}; !reflect.DeepEqual(ops, want) {
-			t.Fatalf("%s: four jobs on one program sent %v, want %v", name, ops, want)
-		}
-		if !strings.Contains(frames[0], "define void @") {
-			t.Fatalf("%s: the register frame carries no program text:\n%s", name, frames[0])
-		}
-		for i, f := range frames[1:] {
-			if len(f) > maxSubmitFrame || strings.Contains(f, "define void @") || strings.Contains(f, "program") {
-				t.Fatalf("%s: submit %d is %d bytes (bound %d) or carries program text:\n%s", name, i, len(f), maxSubmitFrame, f)
-			}
+	if !strings.Contains(frames[0], "define void @") {
+		t.Fatalf("the register frame carries no program text:\n%s", frames[0])
+	}
+	for i, f := range frames[1:] {
+		if len(f) > maxSubmitFrame || strings.Contains(f, "define void @") || strings.Contains(f, "program") {
+			t.Fatalf("submit %d is %d bytes (bound %d) or carries program text:\n%s", i, len(f), maxSubmitFrame, f)
 		}
 	}
 }
@@ -528,8 +438,8 @@ func TestRemoteRegisterRejectsBadPrograms(t *testing.T) {
 	for name, text := range map[string][]byte{
 		"not a program":   []byte("garbage"),
 		"does not verify": unverifiable,
-		// A template's text sent as if it were concrete: a slot nobody declared.
-		"undeclared slot": compiled.Text(),
+		// A template's text sent as if it were concrete.
+		"text with slots": compiled.Text(),
 	} {
 		for attempt := 0; attempt < 2; attempt++ {
 			_, err := adapter.SubmitPayloadCtx(ctx, "hpcqc-sc", text, format, opts)
@@ -541,16 +451,11 @@ func TestRemoteRegisterRejectsBadPrograms(t *testing.T) {
 			}
 		}
 	}
-	// Declared parameters that miss a slot of the text, on the template front.
-	undeclared := &ptemplate.Compiled{Epoch: compiled.Epoch, Module: compiled.Module}
-	if _, err := adapter.SubmitBoundCtx(ctx, "hpcqc-sc", undeclared, nil, opts); !errors.Is(err, qdmi.ErrInvalidArgument) {
-		t.Fatalf("template registered without its parameter: err = %v, want qdmi.ErrInvalidArgument", err)
-	}
 	if _, err := adapter.SubmitPayloadCtx(ctx, "hpcqc-sc", good, format, opts); err != nil {
 		t.Fatalf("a good program after the bad ones: %v", err)
 	}
-	if _, err := adapter.SubmitBoundCtx(ctx, "hpcqc-sc", compiled, ptemplate.Bindings{"theta": 1}, opts); err != nil {
-		t.Fatalf("a good template after the bad ones: %v", err)
+	if ops, _ := rc.take(t); !reflect.DeepEqual(ops, []string{"register", "submit"}) {
+		t.Fatalf("the good program after the bad ones sent %v, want register and submit", ops)
 	}
 }
 
@@ -775,27 +680,21 @@ func TestServerEndsItsJobsInFlight(t *testing.T) {
 
 // TestLocalAndRemoteAgreeAtEveryMeasLevel: a job is the same job whichever
 // side of the wire asks for it. On identically seeded stacks, a concrete
-// kernel and a bound template point return identical counts, IQ points and
-// raw traces locally and through a RemoteAdapter, at each measurement level.
+// kernel returns identical counts, IQ points and raw traces locally and
+// through a RemoteAdapter, at each measurement level.
 func TestLocalAndRemoteAgreeAtEveryMeasLevel(t *testing.T) {
 	const shots, seed = 24, 5
 	ctx := context.Background()
 	k := rotation(t, 1.1)
-	point := ptemplate.Bindings{"theta": 2.2}
 	for _, level := range []readout.MeasLevel{readout.LevelDiscriminated, readout.LevelKerneled, readout.LevelRaw} {
 		t.Run(level.String(), func(t *testing.T) {
 			opts := SubmitOptions{Shots: shots, MeasLevel: level}
 
 			local, _ := sweepStack(t, seed)
-			wantKernel, err := local.RunCtx(ctx, k, "hpcqc-sc", opts)
+			want, err := local.RunCtx(ctx, k, "hpcqc-sc", opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sweep, err := local.RunSweep(ctx, rabiSweepTemplate(t), "hpcqc-sc", []ptemplate.Bindings{point}, opts)
-			if err != nil || sweep[0].Err != nil {
-				t.Fatal(err, sweep[0].Err)
-			}
-			wantPoint := sweep[0].Result
 
 			served, _ := sweepStack(t, seed)
 			adapter, _ := recordedAdapter(t, serveTest(t, served))
@@ -803,40 +702,27 @@ func TestLocalAndRemoteAgreeAtEveryMeasLevel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotKernel, err := adapter.SubmitPayloadCtx(ctx, "hpcqc-sc", payload, format, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compiled, err := served.CompileTemplate(rabiSweepTemplate(t), "hpcqc-sc")
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotPoint, err := adapter.SubmitBoundCtx(ctx, "hpcqc-sc", compiled, point, opts)
+			got, err := adapter.SubmitPayloadCtx(ctx, "hpcqc-sc", payload, format, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			for name, pair := range map[string][2]*qpi.Result{
-				"concrete kernel": {gotKernel, wantKernel}, "bound point": {gotPoint, wantPoint},
-			} {
-				got, want := pair[0], pair[1]
-				if level != readout.LevelDiscriminated && len(want.IQ) == 0 {
-					t.Fatalf("%s: the local %s job returned no IQ data", name, level)
-				}
-				if level == readout.LevelRaw && len(want.Raw) == 0 {
-					t.Fatalf("%s: the local raw job returned no traces", name)
-				}
-				// The acquisition records exist at the levels that ask for them.
-				same := reflect.DeepEqual(got.Counts, want.Counts)
-				if level != readout.LevelDiscriminated {
-					same = same && reflect.DeepEqual(got.Bits, want.Bits) && reflect.DeepEqual(got.IQ, want.IQ)
-				}
-				if level == readout.LevelRaw {
-					same = same && reflect.DeepEqual(got.Raw, want.Raw)
-				}
-				if !same {
-					t.Fatalf("%s: remote and local results differ\nremote counts %v\nlocal counts  %v", name, got.Counts, want.Counts)
-				}
+			if level != readout.LevelDiscriminated && len(want.IQ) == 0 {
+				t.Fatalf("the local %s job returned no IQ data", level)
+			}
+			if level == readout.LevelRaw && len(want.Raw) == 0 {
+				t.Fatal("the local raw job returned no traces")
+			}
+			// The acquisition records exist at the levels that ask for them.
+			same := reflect.DeepEqual(got.Counts, want.Counts)
+			if level != readout.LevelDiscriminated {
+				same = same && reflect.DeepEqual(got.Bits, want.Bits) && reflect.DeepEqual(got.IQ, want.IQ)
+			}
+			if level == readout.LevelRaw {
+				same = same && reflect.DeepEqual(got.Raw, want.Raw)
+			}
+			if !same {
+				t.Fatalf("remote and local results differ\nremote counts %v\nlocal counts  %v", got.Counts, want.Counts)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -13,7 +12,6 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
-	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/readout"
 	"mqsspulse/internal/telemetry"
 )
@@ -50,27 +48,7 @@ func appendRequest(dst []byte, r *remoteRequest) ([]byte, error) {
 	e.str(r.Op)
 	e.optStr(o, "id", r.ID)
 	e.optStr(o, "program", r.Program)
-	if len(r.Params) > 0 {
-		e.key(o, "params")
-		e.b = append(e.b, '[')
-		for i, p := range r.Params {
-			e.sep(i)
-			po := e.open()
-			e.key(po, "name")
-			e.str(p.Name)
-			e.key(po, "min")
-			e.float(p.Min)
-			e.key(po, "max")
-			e.float(p.Max)
-			e.b = append(e.b, '}')
-		}
-		e.b = append(e.b, ']')
-	}
 	e.optInt(o, "epoch", r.Epoch)
-	if len(r.Bindings) > 0 {
-		e.key(o, "bindings")
-		e.floatMap(r.Bindings)
-	}
 	e.optStr(o, "device", r.Device)
 	e.optStr(o, "pool", r.Pool)
 	e.optInt(o, "shots", int64(r.Shots))
@@ -337,20 +315,6 @@ func (e *wireEncoder) counts(m map[uint64]int) {
 	e.b = append(e.b, '}')
 }
 
-// floatMap writes a string-keyed map of numbers, keys sorted.
-func (e *wireEncoder) floatMap(m map[string]float64) {
-	o := e.open()
-	for _, k := range slices.Sorted(maps.Keys(m)) {
-		if len(e.b) > o {
-			e.b = append(e.b, ',')
-		}
-		e.str(k)
-		e.b = append(e.b, ':')
-		e.float(m[k])
-	}
-	e.b = append(e.b, '}')
-}
-
 // span writes one server-side span. Its start crosses as Unix nanoseconds —
 // the wall clock: a monotonic reading cannot cross a process boundary — so
 // imported spans order correctly against each other but may skew against
@@ -431,12 +395,11 @@ func parseResponse(line []byte, r *remoteResponse) error {
 // requestFields and responseFields are the frames' JSON names, the keys a
 // member may select exactly or under case folding.
 var (
-	requestFields = []string{"op", "id", "program", "params", "epoch", "bindings", "device", "pool",
+	requestFields = []string{"op", "id", "program", "epoch", "device", "pool",
 		"shots", "priority", "timeout_ms", "meas_level", "meas_return", "trace_id"}
 	responseFields = []string{"error", "error_kind", "counts", "shots", "duration_seconds",
 		"meas_level", "bits", "iq", "raw", "spans", "telemetry"}
-	paramFields = []string{"name", "min", "max"}
-	spanFields  = []string{"id", "parent", "stage", "device", "start_unix_nano", "duration_ns"}
+	spanFields = []string{"id", "parent", "stage", "device", "start_unix_nano", "duration_ns"}
 )
 
 // wireDecoder reads one frame out of data. It checks the syntax encoding/json
@@ -478,12 +441,8 @@ func (d *wireDecoder) request(r *remoteRequest) error {
 			return d.string(&r.ID)
 		case "program":
 			return d.string(&r.Program)
-		case "params":
-			return decodeSlice(d, &r.Params, (*wireDecoder).param)
 		case "epoch":
 			return decodeInt(d, &r.Epoch)
-		case "bindings":
-			return d.bindings(&r.Bindings)
 		case "device":
 			return d.string(&r.Device)
 		case "pool":
@@ -543,21 +502,6 @@ func (d *wireDecoder) response(r *remoteResponse) error {
 			}
 			r.Telemetry = append(r.Telemetry[:0], d.data[start:d.pos]...)
 			return nil
-		}
-		return d.skip()
-	})
-}
-
-// param decodes one declared parameter of a register frame.
-func (d *wireDecoder) param(p *ptemplate.Param) error {
-	return d.object(func(key []byte) error {
-		switch field(key, paramFields) {
-		case "name":
-			return d.string(&p.Name)
-		case "min":
-			return d.float(&p.Min)
-		case "max":
-			return d.float(&p.Max)
 		}
 		return d.skip()
 	})
@@ -668,26 +612,6 @@ func (d *wireDecoder) counts(m *map[uint64]int) error {
 		}
 		var v int
 		if err := decodeInt(d, &v); err != nil {
-			return err
-		}
-		(*m)[k] = v
-		return nil
-	})
-}
-
-// bindings decodes a map of numbers as counts decodes counts.
-func (d *wireDecoder) bindings(m *map[string]float64) error {
-	if d.peek() == 'n' {
-		*m = nil
-		return d.literal("null")
-	}
-	if *m == nil {
-		*m = map[string]float64{}
-	}
-	return d.object(func(key []byte) error {
-		k := string(key)
-		var v float64
-		if err := d.float(&v); err != nil {
 			return err
 		}
 		(*m)[k] = v

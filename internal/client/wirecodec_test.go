@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"mqsspulse/internal/ptemplate"
 	"mqsspulse/internal/readout"
 	"mqsspulse/internal/telemetry"
 )
@@ -21,20 +20,18 @@ import (
 // to it; TestReferenceKeysAreTheCodecs keeps its keys the codec's.
 
 type jsonRequest struct {
-	Op         string             `json:"op"`
-	ID         string             `json:"id,omitempty"`
-	Program    string             `json:"program,omitempty"`
-	Params     []jsonParam        `json:"params,omitempty"`
-	Epoch      int64              `json:"epoch,omitempty"`
-	Bindings   map[string]float64 `json:"bindings,omitempty"`
-	Device     string             `json:"device,omitempty"`
-	Pool       string             `json:"pool,omitempty"`
-	Shots      int                `json:"shots,omitempty"`
-	Priority   int                `json:"priority,omitempty"`
-	TimeoutMs  int64              `json:"timeout_ms,omitempty"`
-	MeasLevel  jsonMeasLevel      `json:"meas_level,omitempty"`
-	MeasReturn jsonMeasReturn     `json:"meas_return,omitzero"`
-	TraceID    string             `json:"trace_id,omitempty"`
+	Op         string         `json:"op"`
+	ID         string         `json:"id,omitempty"`
+	Program    string         `json:"program,omitempty"`
+	Epoch      int64          `json:"epoch,omitempty"`
+	Device     string         `json:"device,omitempty"`
+	Pool       string         `json:"pool,omitempty"`
+	Shots      int            `json:"shots,omitempty"`
+	Priority   int            `json:"priority,omitempty"`
+	TimeoutMs  int64          `json:"timeout_ms,omitempty"`
+	MeasLevel  jsonMeasLevel  `json:"meas_level,omitempty"`
+	MeasReturn jsonMeasReturn `json:"meas_return,omitzero"`
+	TraceID    string         `json:"trace_id,omitempty"`
 }
 
 type jsonResponse struct {
@@ -49,12 +46,6 @@ type jsonResponse struct {
 	Raw             [][][][2]float64 `json:"raw,omitempty"`
 	Spans           []jsonSpan       `json:"spans,omitempty"`
 	Telemetry       json.RawMessage  `json:"telemetry,omitempty"`
-}
-
-type jsonParam struct {
-	Name string  `json:"name"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
 }
 
 type jsonSpan struct {
@@ -128,19 +119,17 @@ func convert[A, B any](s []A, f func(A) B) []B {
 func requestToJSON(r *remoteRequest) jsonRequest {
 	j := jsonRequest{
 		Op: r.Op, ID: r.ID, Program: r.Program, Epoch: r.Epoch,
-		Bindings: r.Bindings, Device: r.Device, Pool: r.Pool, Shots: r.Shots,
+		Device: r.Device, Pool: r.Pool, Shots: r.Shots,
 		Priority: r.Priority, TimeoutMs: r.TimeoutMs, MeasLevel: jsonMeasLevel(r.MeasLevel), TraceID: r.TraceID,
 	}
 	j.MeasReturn = jsonMeasReturn{v: r.MeasReturn, sent: r.MeasLevel != readout.LevelDiscriminated}
-	j.Params = convert(r.Params, func(p ptemplate.Param) jsonParam { return jsonParam(p) })
 	return j
 }
 
 func requestFromJSON(j *jsonRequest) remoteRequest {
 	r := remoteRequest{
 		Op: j.Op, ID: j.ID, Program: j.Program, Epoch: j.Epoch,
-		Params:   convert(j.Params, func(p jsonParam) ptemplate.Param { return ptemplate.Param(p) }),
-		Bindings: j.Bindings, Device: j.Device, TimeoutMs: j.TimeoutMs,
+		Device: j.Device, TimeoutMs: j.TimeoutMs,
 	}
 	r.Pool, r.Shots, r.Priority, r.TraceID = j.Pool, j.Shots, j.Priority, j.TraceID
 	r.MeasLevel, r.MeasReturn = readout.MeasLevel(j.MeasLevel), j.MeasReturn.v
@@ -212,7 +201,6 @@ func TestReferenceKeysAreTheCodecs(t *testing.T) {
 		{reflect.TypeFor[jsonRequest](), requestFields},
 		{reflect.TypeFor[jsonResponse](), responseFields},
 		{reflect.TypeFor[jsonSpan](), spanFields},
-		{reflect.TypeFor[jsonParam](), paramFields},
 	} {
 		if got := keys(tc.typ); !slices.Equal(got, tc.want) {
 			t.Errorf("%v keys %q, the codec's %q", tc.typ, got, tc.want)
@@ -223,8 +211,8 @@ func TestReferenceKeysAreTheCodecs(t *testing.T) {
 // wireCodecSeeds are frames of every shape the protocol carries, and lines
 // that probe where a hand-written JSON reader can part from encoding/json.
 var wireCodecSeeds = []string{
-	`{"op":"register","id":"x@1","program":"define void @m() #0 {\n}\n","params":[{"name":"theta","min":0.001,"max":3.14}],"epoch":1}`,
-	`{"op":"submit","id":"rabi","bindings":{"theta":1.5,"phi":-2e-7},"device":"tiny-1","pool":"p","shots":16,"priority":2,"timeout_ms":50,"meas_level":"kerneled","meas_return":"avg","trace_id":"abc"}`,
+	`{"op":"register","id":"x@1","program":"define void @m() #0 {\n}\n","epoch":1}`,
+	`{"op":"submit","id":"rabi","device":"tiny-1","pool":"p","shots":16,"priority":2,"timeout_ms":50,"meas_level":"kerneled","meas_return":"avg","trace_id":"abc"}`,
 	// An older client's submit frame: "tag" is no field, so it is skipped.
 	`{"op":"submit","id":"rabi","device":"tiny-1","shots":16,"tag":"calibration","TAG":{"a":[1]}}`,
 	`{"op":"telemetry"}`,
@@ -240,6 +228,8 @@ var wireCodecSeeds = []string{
 	`{"bits":[1,2,3],"bits":[7],"bits":[7,null,null]}`,
 	`{"iq":[[[1,2],[3,4]]],"iq":[[null,[5]]],"iq":[[[null,9],[],[1,2,"extra",{}]]]}`,
 	`{"iq":[[[1,2],[3,4]]],"iq":[[[5],null]]}`, `{"raw":[[[[1,2]]]],"raw":[[[[5]]]]}`,
+	// An older client's template fields: "params" and "bindings" are no
+	// fields, so they are skipped.
 	`{"params":[{"name":"a","min":1},{"name":"b","max":2}],"params":[{"name":"c"}],"params":[{},{}]}`,
 	`{"counts":{"007":1,"1":null,"2":2},"counts":{"3":3}}`,
 	`{"bindings":{"x":1},"bindings":{"y":2},"bindings":null,"bindings":{}}`,
@@ -467,8 +457,7 @@ func (g *valueGen) ret() readout.MeasReturn  { return readout.MeasReturn(int(g.b
 func (g *valueGen) request() remoteRequest {
 	r := remoteRequest{
 		Op: g.str(), ID: g.str(), Program: g.str(),
-		Params: genSlice(g, func() ptemplate.Param { return ptemplate.Param{Name: g.str(), Min: g.float(), Max: g.float()} }),
-		Epoch:  g.int(), Bindings: genMap(g, g.str, g.float), Device: g.str(), TimeoutMs: g.int(),
+		Epoch: g.int(), Device: g.str(), TimeoutMs: g.int(),
 	}
 	r.Pool, r.Shots, r.Priority = g.str(), int(g.int()), int(g.int())
 	r.MeasLevel, r.MeasReturn, r.TraceID = g.level(), g.ret(), g.str()

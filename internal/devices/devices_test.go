@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
+	"mqsspulse/internal/waveform"
 )
 
 // run executes a QIR module on a device and returns counts.
@@ -464,6 +466,39 @@ func TestOperationQueriesRefuseWhatTheDeviceLacks(t *testing.T) {
 	for op, want := range map[string]int{"x": 1, "cz": 2, "measure": 1, "pairgate": 2} {
 		if n, err := d.QueryOperationProperty(op, nil, qdmi.OpPropArity); err != nil || n != want {
 			t.Errorf("%s arity %v, %v; want %d", op, n, err, want)
+		}
+	}
+}
+
+// TestCheckOperationAllocatesNothing: the membership test behind every
+// operation-property query answers as Operations does — gate-table rows,
+// measure, installed pulses — without building that list: a query on a
+// listed operation allocates nothing.
+func TestCheckOperationAllocatesNothing(t *testing.T) {
+	d := newSC(t)
+	if err := d.SetPulseImpl("pairgate", []int{0, 1}, keptImpl()); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"measure", "pairgate", "bogus", ""}
+	for i := range waveform.Gates {
+		names = append(names, waveform.Gates[i].Name)
+	}
+	listed := d.Operations()
+	for _, op := range names {
+		if got, want := d.hasOperation(op), slices.Contains(listed, op); got != want {
+			t.Errorf("hasOperation(%q) = %v, Operations lists it: %v", op, got, want)
+		}
+	}
+	for _, tc := range []struct {
+		op    string
+		sites []int
+	}{{"x", nil}, {"x", []int{1}}, {"cz", []int{1, 0}}, {"measure", []int{0}}, {"pairgate", []int{0, 1}}} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := d.checkOperation(tc.op, tc.sites); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("checkOperation(%s%v) allocates %v objects, want 0", tc.op, tc.sites, n)
 		}
 	}
 }

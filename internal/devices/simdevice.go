@@ -436,7 +436,7 @@ func (d *SimDevice) QueryOperationProperty(op string, sites []int, p qdmi.Operat
 // wrong length or out of range (ErrInvalidArgument). Nil sites pass.
 func (d *SimDevice) checkOperation(op string, sites []int) error {
 	switch {
-	case !slices.Contains(d.Operations(), op):
+	case !d.hasOperation(op):
 		return fmt.Errorf("%w: no operation %q", qdmi.ErrNotSupported, op)
 	case sites == nil:
 		return nil
@@ -448,6 +448,20 @@ func (d *SimDevice) checkOperation(op string, sites []int) error {
 		return fmt.Errorf("%w: no coupler between sites %v", qdmi.ErrNotSupported, sites)
 	}
 	return nil
+}
+
+// hasOperation reports whether Operations lists op, building nothing: a
+// gate-table row with a lowering, measure, or the op of an installed pulse.
+func (d *SimDevice) hasOperation(op string) bool {
+	if g := waveform.GateByName(op); (g != nil && g.HasLowering()) || op == "measure" {
+		return true
+	}
+	for key := range d.calib.Load().pulses {
+		if name, _, _ := strings.Cut(key, "@"); name == op { // an implKey
+			return true
+		}
+	}
+	return false
 }
 
 // arity returns how many sites op acts on: its gate-table row's count, or

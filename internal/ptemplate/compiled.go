@@ -27,9 +27,8 @@ type Compiled struct {
 	Epoch int64
 	// Format is the QDMI submission format of the (bound) payload.
 	Format qdmi.ProgramFormat
-	// Params is the declared parameter space, carried along so a Compiled
-	// rebuilt from its text (FromText) can validate bindings without the
-	// Template. Empty for a concrete kernel.
+	// Params is the declared parameter space, carried along so Bind can
+	// validate a point without the Template. Empty for a concrete kernel.
 	Params []Param
 	// Module is the QIR payload, parametric iff Params is non-empty.
 	Module *qir.Module
@@ -43,23 +42,20 @@ type Compiled struct {
 // interface is text: Client.Compile callers and the remote wire. A job that
 // runs in this process hands the device Module and never asks, so the text
 // is emitted by the first call and shared by every later one; callers must
-// not modify it. A template's text carries its slots (FromText reads it
-// back); only a bound point's text (Bind, then Emit) is something a device
-// can run.
+// not modify it. A template's text carries its slots; only a concrete
+// kernel's text, or a bound point's (Bind, then Emit), is something a device
+// can run, and only such text crosses a machine boundary (FromText).
 func (c *Compiled) Text() []byte {
 	c.textOnce.Do(func() { c.text = c.Module.Emit() })
 	return c.text
 }
 
-// FromText rebuilds a program from what crosses a machine boundary: its
-// exchange text, the declared parameter space and the calibration epoch it
-// was lowered at. The text is parsed
-// and verified here, once, and params must declare every parameter the
-// text's slots name, each once, so a program that arrives malformed fails at
-// the boundary (wrapping qdmi.ErrInvalidArgument) and not at bind or
-// dispatch. A declared parameter with no slot is legal: lowering drops a
-// waveform that is defined and never played, amplitude slot and all.
-func FromText(text string, params []Param, epoch int64) (*Compiled, error) {
+// FromText rebuilds a concrete program from what crosses a machine
+// boundary: its exchange text and the calibration epoch it was lowered at.
+// The text is parsed and verified here, once, and must have no slots, so a
+// program that arrives malformed or unbound fails at the boundary (wrapping
+// qdmi.ErrInvalidArgument) and not at dispatch.
+func FromText(text string, epoch int64) (*Compiled, error) {
 	mod, err := qir.ParseModule(text)
 	if err == nil {
 		err = mod.Verify()
@@ -67,25 +63,10 @@ func FromText(text string, params []Param, epoch int64) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: ptemplate: program text: %v", qdmi.ErrInvalidArgument, err)
 	}
-	declared := make(map[string]bool, len(params))
-	for _, p := range params {
-		if declared[p.Name] {
-			return nil, fmt.Errorf("%w: ptemplate: parameter %q declared twice", qdmi.ErrInvalidArgument, p.Name)
-		}
-		declared[p.Name] = true
+	if mod.IsParametric() {
+		return nil, fmt.Errorf("%w: ptemplate: program text has slots for %v", qdmi.ErrInvalidArgument, mod.ParamNames())
 	}
-	for _, name := range mod.ParamNames() {
-		if !declared[name] {
-			return nil, fmt.Errorf("%w: ptemplate: program text has a slot for undeclared parameter %q",
-				qdmi.ErrInvalidArgument, name)
-		}
-	}
-	return &Compiled{
-		Epoch:  epoch,
-		Format: compiler.FormatFor(mod),
-		Params: params,
-		Module: mod,
-	}, nil
+	return &Compiled{Epoch: epoch, Format: compiler.FormatFor(mod), Module: mod}, nil
 }
 
 // Lower compiles the template against a device exactly once, producing the

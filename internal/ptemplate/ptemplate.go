@@ -17,8 +17,8 @@
 //
 // A lowered program has one serialised form, concrete or not: its QIR
 // exchange text (Compiled.Text), in which an unbound slot is written
-// param("name", scale, offset). FromText is the inverse, for the far side of
-// a machine boundary.
+// param("name", scale, offset). FromText is the inverse for a concrete
+// program, on the far side of a machine boundary.
 package ptemplate
 
 import (

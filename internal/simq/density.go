@@ -10,15 +10,13 @@ import (
 )
 
 // Density is a density-matrix state, used when decoherence (T1/T2) matters.
+// It holds ρ alone: the site dimensions are its model's.
 type Density struct {
-	Dims []int
-	Rho  *linalg.Matrix
+	Rho *linalg.Matrix
 }
 
-// NewDensity creates |00...0⟩⟨00...0|. The density keeps dims, which its
-// caller must not change: a run's density shares its model's dimensions.
-// The Density and its matrix header are one allocation, the entries a
-// second.
+// NewDensity creates |00...0⟩⟨00...0| over the given local dimensions. The
+// Density and its matrix header are one allocation, the entries a second.
 func NewDensity(dims []int) *Density {
 	n := 1
 	for _, d := range dims {
@@ -32,7 +30,7 @@ func NewDensity(dims []int) *Density {
 		rho linalg.Matrix
 	}{rho: linalg.Matrix{Rows: n, Cols: n, Data: make([]complex128, n*n)}}
 	b.rho.Set(0, 0, 1)
-	b.Density = Density{Dims: dims, Rho: &b.rho}
+	b.Density = Density{Rho: &b.rho}
 	return &b.Density
 }
 

@@ -23,7 +23,7 @@ func TestNewDensityGround(t *testing.T) {
 }
 
 func TestDensityUnitaryConjugation(t *testing.T) {
-	d := NewDensity([]int{2})
+	d := newDensity([]int{2})
 	d.ApplyAt(linalg.PauliX(), 0)
 	if p := d.PopulationOfLevel(0, 1); math.Abs(p-1) > 1e-12 {
 		t.Fatalf("P(1) = %g after X", p)
@@ -37,7 +37,7 @@ func TestT1Decay(t *testing.T) {
 	// Prepare |1⟩, evolve under pure relaxation, expect exp(-t/T1).
 	t1 := 20e-6
 	dims := []int{2}
-	d := NewDensity(dims)
+	d := newDensity(dims)
 	d.ApplyAt(linalg.PauliX(), 0)
 	collapses := RelaxationCollapses(dims, 0, t1, 0)
 	h := linalg.NewMatrix(2, 2)
@@ -45,7 +45,7 @@ func TestT1Decay(t *testing.T) {
 	steps := 200
 	dt := total / float64(steps)
 	for i := 0; i < steps; i++ {
-		LindbladStepRK4(h, d, collapses, dt)
+		LindbladStepRK4(h, d.Density, collapses, dt)
 	}
 	want := math.Exp(-total / t1)
 	got := d.PopulationOfLevel(0, 1)
@@ -61,7 +61,7 @@ func TestT2Dephasing(t *testing.T) {
 	// Prepare |+⟩, evolve under dephasing, ⟨X⟩ decays as exp(-t/T2).
 	t2 := 15e-6
 	dims := []int{2}
-	d := NewDensity(dims)
+	d := newDensity(dims)
 	d.ApplyAt(testutil.Hadamard(), 0)
 	collapses := RelaxationCollapses(dims, 0, 0, t2)
 	h := linalg.NewMatrix(2, 2)
@@ -69,7 +69,7 @@ func TestT2Dephasing(t *testing.T) {
 	steps := 200
 	dt := total / float64(steps)
 	for i := 0; i < steps; i++ {
-		LindbladStepRK4(h, d, collapses, dt)
+		LindbladStepRK4(h, d.Density, collapses, dt)
 	}
 	want := math.Exp(-total / t2)
 	got := real(d.Expectation(linalg.PauliX()))
@@ -87,13 +87,13 @@ func TestCombinedT1T2Consistency(t *testing.T) {
 	if len(cs) != 1 {
 		t.Fatalf("T1-limited should give only the damping collapse, got %d", len(cs))
 	}
-	d := NewDensity(dims)
+	d := newDensity(dims)
 	d.ApplyAt(testutil.Hadamard(), 0)
 	h := linalg.NewMatrix(2, 2)
 	total := 5e-6
 	steps := 200
 	for i := 0; i < steps; i++ {
-		LindbladStepRK4(h, d, cs, total/float64(steps))
+		LindbladStepRK4(h, d.Density, cs, total/float64(steps))
 	}
 	want := math.Exp(-total / (2 * t1))
 	got := real(d.Expectation(linalg.PauliX()))
@@ -105,7 +105,7 @@ func TestCombinedT1T2Consistency(t *testing.T) {
 func TestLindbladTracePreservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	dims := []int{2, 2}
-	d := NewDensity(dims)
+	d := newDensity(dims)
 	d.ApplyAt(testutil.Hadamard(), 0)
 	d.ApplyAt(testutil.RX(0.8), 1)
 	var collapses []Collapse
@@ -126,7 +126,7 @@ func TestLindbladTracePreservation(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		LindbladStepRK4(h, d, collapses, 2e-9)
+		LindbladStepRK4(h, d.Density, collapses, 2e-9)
 	}
 	if math.Abs(d.Trace()-1) > 1e-6 {
 		t.Fatalf("trace drifted to %g", d.Trace())
@@ -138,13 +138,13 @@ func TestLindbladTracePreservation(t *testing.T) {
 
 func TestPurityDecreasesUnderDecoherence(t *testing.T) {
 	dims := []int{2}
-	d := NewDensity(dims)
+	d := newDensity(dims)
 	d.ApplyAt(testutil.Hadamard(), 0)
 	p0 := d.Purity()
 	cs := RelaxationCollapses(dims, 0, 10e-6, 5e-6)
 	h := linalg.NewMatrix(2, 2)
 	for i := 0; i < 100; i++ {
-		LindbladStepRK4(h, d, cs, 50e-9)
+		LindbladStepRK4(h, d.Density, cs, 50e-9)
 	}
 	if d.Purity() >= p0 {
 		t.Fatalf("purity did not decrease: %g -> %g", p0, d.Purity())
@@ -158,7 +158,7 @@ func TestRelaxationCollapsesDisabled(t *testing.T) {
 }
 
 func TestFromStateMatchesExpectations(t *testing.T) {
-	s := NewState([]int{2})
+	s := newState([]int{2})
 	s.ApplyAt(testutil.Hadamard(), 0)
 	d := FromState(s)
 	ex := real(d.Expectation(linalg.PauliX()))
@@ -168,13 +168,13 @@ func TestFromStateMatchesExpectations(t *testing.T) {
 }
 
 func TestStateFidelityDensity(t *testing.T) {
-	s := NewState([]int{2})
+	s := newState([]int{2})
 	s.ApplyAt(testutil.Hadamard(), 0)
 	d := FromState(s)
 	if f := StateFidelity(d, s); math.Abs(f-1) > 1e-12 {
 		t.Fatalf("fidelity = %g, want 1", f)
 	}
-	orth := NewState([]int{2})
+	orth := newState([]int{2})
 	orth.ApplyAt(testutil.Hadamard(), 0)
 	orth.ApplyAt(linalg.PauliZ(), 0)
 	if f := StateFidelity(d, orth); f > 1e-12 {
@@ -183,7 +183,7 @@ func TestStateFidelityDensity(t *testing.T) {
 }
 
 func TestDensitySampleBits(t *testing.T) {
-	d := NewDensity([]int{2})
+	d := newDensity([]int{2})
 	d.ApplyAt(testutil.Hadamard(), 0)
 	rng := rand.New(rand.NewSource(3))
 	n1 := 0

@@ -170,8 +170,8 @@ func TestExecutorWarmRunsMatchCold(t *testing.T) {
 		}
 		return sp
 	}
-	run := func(ex *Executor, sp *pulse.ScheduledProgram) *ExecResult {
-		res, err := ex.Run(sp, ExecOptions{Shots: 1})
+	run := func(ex *Executor, sp *pulse.ScheduledProgram) *evolved {
+		res, err := execEvolved(ex, sp, ExecOptions{Shots: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestDensityEngineKeepsRhoHermitian(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sp := twoPortProgram(t, func(s *pulse.Schedule) { c.fill(t, s) })
-			res, err := twoTransmonOpenRig(t).Run(sp, ExecOptions{Shots: 1, exact: c.exact})
+			res, err := execEvolved(twoTransmonOpenRig(t), sp, ExecOptions{Shots: 1, exact: c.exact})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -79,14 +79,6 @@ type ExecResult struct {
 	// Raw holds the per-sample capture traces, [shot][capture][sample];
 	// set for raw runs only.
 	Raw [][][]complex128
-	// FinalState is set when the state-vector engine ran (a model without
-	// collapse operators).
-	FinalState *State
-	// FinalDensity is set when the density-matrix engine ran (a model with
-	// collapse operators). Exactly one of the two is set. Its matrix is
-	// exactly Hermitian: every entry below the diagonal is the conjugate of
-	// its mirror and the diagonal is real.
-	FinalDensity *Density
 	// ReadoutWall is the wall-clock time spent sampling and post-processing
 	// measurement outcomes (bit sampling, readout error, IQ synthesis) after
 	// the state evolution finished — the telemetry split between the
@@ -411,6 +403,16 @@ func (st *frameStep) apply(frames []pulse.Frame, plays []playEvent, b *Binding) 
 // counters, the shot sampler's inputs — is built here or reset in the
 // pooled engine; the Program is only read.
 func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
+	res, _, _, err := p.run(opts)
+	return res, err
+}
+
+// run is Run, also handing back the state the run evolved to: st when the
+// state-vector engine ran (a model without collapse operators), rho when
+// the density engine did (a model with them), the other nil. rho is exactly
+// Hermitian: every entry below the diagonal is the conjugate of its mirror
+// and the diagonal is real.
+func (p *Program) run(opts ExecOptions) (res *ExecResult, st *State, rho *Density, err error) {
 	e := p.exec
 	if opts.Shots <= 0 {
 		opts.Shots = 1024
@@ -424,8 +426,6 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 	// density matrix, a closed system the state vector. Either way the
 	// evolution is shot-independent: integrate once, then every shot
 	// samples the same final state.
-	var st *State
-	var rho *Density
 	if e.openSystem() {
 		rho = NewDensity(e.Model.Dims)
 	} else {
@@ -436,15 +436,13 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 	eng := e.acquireEngine(p.dt)
 	defer e.scratch.Put(eng)
 	if err := e.evolve(eng, st, rho, p, opts); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 
-	res := &ExecResult{
+	res = &ExecResult{
 		Counts:          map[uint64]int{},
 		Shots:           opts.Shots,
 		DurationSeconds: float64(p.makespan) * p.dt,
-		FinalState:      st,
-		FinalDensity:    rho,
 		Workers:         1,
 		EngineStats:     eng.EngineStats,
 	}
@@ -454,7 +452,7 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 		if opts.Readout != nil {
 			res.MeasLevel = opts.Readout.Level
 		}
-		return res, nil
+		return res, st, rho, nil
 	}
 
 	roStart := time.Now()
@@ -462,11 +460,11 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 	// The caller owns the result; the Program's slice stays its own.
 	res.MeasuredBits = slices.Clone(p.bits)
 	if err := eng.shots.sampleAll(res); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	res.ReadoutWall = time.Since(roStart)
 	res.WorkerBusy = []time.Duration{res.ReadoutWall}
-	return res, nil
+	return res, st, rho, nil
 }
 
 // sampleDt returns the common sample period; mixed sample rates across

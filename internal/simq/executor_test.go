@@ -50,13 +50,13 @@ func playConst(t *testing.T, s *pulse.Schedule, port, frame string, amp float64,
 	}
 }
 
-func runSchedule(t *testing.T, s *pulse.Schedule, ex *Executor, opts ExecOptions) *ExecResult {
+func runSchedule(t *testing.T, s *pulse.Schedule, ex *Executor, opts ExecOptions) *evolved {
 	t.Helper()
 	sp, err := s.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.Run(sp, opts)
+	res, err := execEvolved(ex, sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +147,10 @@ func TestVirtualZHalfPhaseMakesY(t *testing.T) {
 
 	// Reference: RY(π/2)·RX(π/2)|0⟩ — note our drive phase convention:
 	// H = (Ω/2)(cos φ·X + sin φ·Y) with χ = e^{-iφ}.
-	want := NewState([]int{2})
+	want := newState([]int{2})
 	want.ApplyAt(testutil.RX(math.Pi/2), 0)
 	want.ApplyAt(testutil.RY(math.Pi/2), 0)
-	f := Fidelity(res.FinalState, want)
+	f := Fidelity(res.FinalState.State, want.State)
 	if math.Abs(f-1) > 1e-3 {
 		t.Fatalf("fidelity vs RY·RX = %g, want 1", f)
 	}
@@ -296,11 +296,11 @@ func TestZZCouplerCZPhase(t *testing.T) {
 	playConst(t, s, "c01", "fc", 1.0, ticks)
 	res := runSchedule(t, s, NewExecutor(model), ExecOptions{Shots: 1})
 
-	want := NewState(dims)
+	want := newState(dims)
 	want.ApplyAt(testutil.RX(math.Pi/2), 0)
 	want.ApplyAt(testutil.RX(math.Pi/2), 1)
 	want.ApplyTwo(testutil.CZ(), 0, 1)
-	f := Fidelity(res.FinalState, want)
+	f := Fidelity(res.FinalState.State, want.State)
 	if math.Abs(f-1) > 2e-3 {
 		t.Fatalf("CZ fidelity = %g, want ~1", f)
 	}
@@ -618,7 +618,7 @@ func TestExecutorDensityPhysicalInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := NewExecutor(model).Run(sp, ExecOptions{Shots: 1})
+		res, err := execEvolved(NewExecutor(model), sp, ExecOptions{Shots: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

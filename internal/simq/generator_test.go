@@ -294,7 +294,7 @@ func TestDissipatorStepMemoWarmRun(t *testing.T) {
 		defer ex.steps.mu.RUnlock()
 		return maps.Clone(ex.steps.m)
 	}
-	cold, err := p.Run(ExecOptions{Shots: 1})
+	cold, err := runEvolved(p, ExecOptions{Shots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestDissipatorStepMemoWarmRun(t *testing.T) {
 	if len(built) != 2 {
 		t.Fatalf("cold run built %d step maps, want 2 (the tick and the idle sub-step)", len(built))
 	}
-	warm, err := p.Run(ExecOptions{Shots: 1})
+	warm, err := runEvolved(p, ExecOptions{Shots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestDissipatorStepMemoRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	const runs = 8
-	results := make([]*ExecResult, runs)
+	results := make([]*evolved, runs)
 	errs := make([]error, runs)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -338,7 +338,7 @@ func TestDissipatorStepMemoRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			results[g], errs[g] = p.Run(ExecOptions{Shots: 1})
+			results[g], errs[g] = runEvolved(p, ExecOptions{Shots: 1})
 		}()
 	}
 	close(start)

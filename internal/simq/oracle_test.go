@@ -17,14 +17,63 @@ import (
 // pulse Hamiltonian — so these live beside the tests that compare against
 // them.
 
+// qstate and qdensity are a State and a Density with the site dimensions
+// the algebra addresses a site by, which the product types leave to their
+// model.
+type qstate struct {
+	*State
+	dims []int
+}
+
+type qdensity struct {
+	*Density
+	dims []int
+}
+
+// newState and newDensity are NewState and NewDensity, keeping dims.
+func newState(dims []int) *qstate     { return &qstate{NewState(dims), dims} }
+func newDensity(dims []int) *qdensity { return &qdensity{NewDensity(dims), dims} }
+
+// evolved is a run's result together with the state the run evolved to:
+// FinalState on the state-vector engine, FinalDensity on the density engine,
+// the other nil.
+type evolved struct {
+	*ExecResult
+	FinalState   *qstate
+	FinalDensity *qdensity
+}
+
+// runEvolved is p.Run, keeping the evolved state.
+func runEvolved(p *Program, opts ExecOptions) (*evolved, error) {
+	res, st, rho, err := p.run(opts)
+	if err != nil {
+		return nil, err
+	}
+	out, dims := &evolved{ExecResult: res}, p.exec.Model.Dims
+	if st != nil {
+		out.FinalState = &qstate{st, dims}
+	}
+	if rho != nil {
+		out.FinalDensity = &qdensity{rho, dims}
+	}
+	return out, nil
+}
+
+// execEvolved is ex.Run, keeping the evolved state.
+func execEvolved(ex *Executor, sp *pulse.ScheduledProgram, opts ExecOptions) (*evolved, error) {
+	p, err := ex.Prepare(sp, nil)
+	if err != nil {
+		return nil, err
+	}
+	return runEvolved(p, opts)
+}
+
 // Dim returns the total Hilbert space dimension.
 func (s *State) Dim() int { return len(s.Amp) }
 
 // Clone deep-copies the state.
-func (s *State) Clone() *State {
-	c := &State{Dims: append([]int(nil), s.Dims...), Amp: make([]complex128, len(s.Amp))}
-	copy(c.Amp, s.Amp)
-	return c
+func (s *qstate) Clone() *qstate {
+	return &qstate{&State{Amp: append([]complex128(nil), s.Amp...)}, append([]int(nil), s.dims...)}
 }
 
 // ApplyFull applies a full-dimension unitary to the state.
@@ -37,12 +86,12 @@ func (s *State) ApplyFull(u *linalg.Matrix) {
 
 // ApplyAt applies a local operator (dims[site] × dims[site]) to one site
 // without building the full tensor product.
-func (s *State) ApplyAt(op *linalg.Matrix, site int) {
-	d := s.Dims[site]
+func (s *qstate) ApplyAt(op *linalg.Matrix, site int) {
+	d := s.dims[site]
 	if op.Rows != d || op.Cols != d {
 		panic(fmt.Sprintf("simq: op dim %d does not match site dim %d", op.Rows, d))
 	}
-	st := strides(s.Dims)
+	st := strides(s.dims)
 	stride := st[site]
 	block := stride * d
 	tmp := make([]complex128, d)
@@ -66,15 +115,15 @@ func (s *State) ApplyAt(op *linalg.Matrix, site int) {
 
 // ApplyTwo applies a two-site operator to sites (a, b), a != b. The operator
 // is indexed with site a as the more significant subsystem.
-func (s *State) ApplyTwo(op *linalg.Matrix, a, b int) {
-	da, db := s.Dims[a], s.Dims[b]
+func (s *qstate) ApplyTwo(op *linalg.Matrix, a, b int) {
+	da, db := s.dims[a], s.dims[b]
 	if op.Rows != da*db {
 		panic(fmt.Sprintf("simq: two-site op dim %d != %d", op.Rows, da*db))
 	}
 	if a == b {
 		panic("simq: ApplyTwo with identical sites")
 	}
-	st := strides(s.Dims)
+	st := strides(s.dims)
 	sa, sb := st[a], st[b]
 	n := len(s.Amp)
 	visited := make([]bool, n)
@@ -118,8 +167,8 @@ func (s *State) Expectation(m *linalg.Matrix) complex128 {
 // Levels above |1⟩ (leakage) discriminate as 1, matching typical dispersive
 // readout behaviour. Each shot is a bitmask: bit i set means sites[i]
 // measured 1.
-func (s *State) SampleBits(rng *rand.Rand, sites []int, shots int) []uint64 {
-	return sampleBits(rng, s.Probabilities(), s.Dims, sites, shots)
+func (s *qstate) SampleBits(rng *rand.Rand, sites []int, shots int) []uint64 {
+	return sampleBits(rng, s.Probabilities(), s.dims, sites, shots)
 }
 
 func sampleBits(rng *rand.Rand, probs []float64, dims []int, sites []int, shots int) []uint64 {
@@ -137,10 +186,10 @@ func sampleBits(rng *rand.Rand, probs []float64, dims []int, sites []int, shots 
 
 // PopulationOfLevel returns the total probability that `site` occupies
 // `level`.
-func (s *State) PopulationOfLevel(site, level int) float64 {
+func (s *qstate) PopulationOfLevel(site, level int) float64 {
 	var p float64
 	for i, a := range s.Amp {
-		if SiteLevel(s.Dims, i, site) == level {
+		if SiteLevel(s.dims, i, site) == level {
 			p += real(a)*real(a) + imag(a)*imag(a)
 		}
 	}
@@ -152,12 +201,12 @@ func (d *Density) Dim() int { return d.Rho.Rows }
 
 // Clone deep-copies.
 func (d *Density) Clone() *Density {
-	return &Density{Dims: append([]int(nil), d.Dims...), Rho: d.Rho.Clone()}
+	return &Density{Rho: d.Rho.Clone()}
 }
 
 // ApplyAt applies a local unitary to one site.
-func (d *Density) ApplyAt(op *linalg.Matrix, site int) {
-	full := linalg.EmbedAt(op, d.Dims, site)
+func (d *qdensity) ApplyAt(op *linalg.Matrix, site int) {
+	full := linalg.EmbedAt(op, d.dims, site)
 	d.ApplyFull(full)
 }
 
@@ -167,10 +216,10 @@ func (d *Density) Expectation(m *linalg.Matrix) complex128 {
 }
 
 // PopulationOfLevel returns P(site at level).
-func (d *Density) PopulationOfLevel(site, level int) float64 {
+func (d *qdensity) PopulationOfLevel(site, level int) float64 {
 	var p float64
 	for i := 0; i < d.Rho.Rows; i++ {
-		if SiteLevel(d.Dims, i, site) == level {
+		if SiteLevel(d.dims, i, site) == level {
 			p += real(d.Rho.At(i, i))
 		}
 	}
@@ -237,17 +286,17 @@ func (s *State) GlobalPhaseAlign() {
 }
 
 // FromState builds ρ = |ψ⟩⟨ψ|.
-func FromState(s *State) *Density {
-	return &Density{Dims: append([]int(nil), s.Dims...), Rho: testutil.Outer(s.Amp, s.Amp)}
+func FromState(s *qstate) *qdensity {
+	return &qdensity{&Density{Rho: testutil.Outer(s.Amp, s.Amp)}, append([]int(nil), s.dims...)}
 }
 
 // SampleBits draws joint measurement outcomes from the diagonal of ρ.
-func (d *Density) SampleBits(rng *rand.Rand, sites []int, shots int) []uint64 {
-	return sampleBits(rng, d.Populations(), d.Dims, sites, shots)
+func (d *qdensity) SampleBits(rng *rand.Rand, sites []int, shots int) []uint64 {
+	return sampleBits(rng, d.Populations(), d.dims, sites, shots)
 }
 
 // StateFidelity returns ⟨ψ|ρ|ψ⟩ for a pure target.
-func StateFidelity(rho *Density, psi *State) float64 {
+func StateFidelity(rho *qdensity, psi *qstate) float64 {
 	v := testutil.MulVec(rho.Rho, psi.Amp)
 	return real(linalg.Dot(psi.Amp, v))
 }

@@ -45,7 +45,7 @@ func playGaussian(t *testing.T, s *pulse.Schedule, port, frame string, amp float
 
 // sameRun fails unless two runs returned the same bits: counts, IQ records
 // and the final state itself.
-func sameRun(t *testing.T, what string, got, want *ExecResult) {
+func sameRun(t *testing.T, what string, got, want *evolved) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Counts, want.Counts) || !reflect.DeepEqual(got.MeasuredBits, want.MeasuredBits) ||
 		!reflect.DeepEqual(got.IQ, want.IQ) {
@@ -140,7 +140,7 @@ func TestProgramRunsMatchExecutorRun(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				got, err := prog.Run(opts)
+				got, err := runEvolved(prog, opts)
 				if err != nil {
 					t.Error(err)
 					return
@@ -207,7 +207,7 @@ func TestBoundProgramMatchesPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := tpl.Run(opts)
+	before, err := runEvolved(tpl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,17 +219,17 @@ func TestBoundProgramMatchesPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := prog.Run(opts)
+	got, err := runEvolved(prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp, _ := program(0.3, second)
-	want, err := ex.Run(sp, opts)
+	want, err := execEvolved(ex, sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameRun(t, "bound program vs the same values prepared as literals", got, want)
-	after, err := tpl.Run(opts)
+	after, err := runEvolved(tpl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,18 +181,18 @@ func TestFastIntegratorMatchesExactState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := ex.Run(sp, ExecOptions{Shots: 1})
+		fast, err := execEvolved(ex, sp, ExecOptions{Shots: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := ex.Run(sp, ExecOptions{Shots: 1, exact: true})
+		exact, err := execEvolved(ex, sp, ExecOptions{Shots: 1, exact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if norm := fast.FinalState.Norm(); math.Abs(norm-1) > 1e-9 {
 			t.Fatalf("trial %d: fast-path norm %.12g", trial, norm)
 		}
-		fid := Fidelity(fast.FinalState, exact.FinalState)
+		fid := Fidelity(fast.FinalState.State, exact.FinalState.State)
 		if fid < 1-1e-9 {
 			t.Fatalf("trial %d (dims=%v): fast vs exact fidelity %.15g", trial, dims, fid)
 		}
@@ -212,11 +212,11 @@ func TestFastIntegratorMatchesExactDensity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := ex.Run(sp, ExecOptions{Shots: 1})
+		fast, err := execEvolved(ex, sp, ExecOptions{Shots: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := ex.Run(sp, ExecOptions{Shots: 1, exact: true})
+		exact, err := execEvolved(ex, sp, ExecOptions{Shots: 1, exact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,15 +311,15 @@ func TestFastIntegratorDetunedDrive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := ex.Run(sp, ExecOptions{Shots: 1})
+	fast, err := execEvolved(ex, sp, ExecOptions{Shots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ex.Run(sp, ExecOptions{Shots: 1, exact: true})
+	exact, err := execEvolved(ex, sp, ExecOptions{Shots: 1, exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fid := Fidelity(fast.FinalState, exact.FinalState); fid < 1-1e-9 {
+	if fid := Fidelity(fast.FinalState.State, exact.FinalState.State); fid < 1-1e-9 {
 		t.Fatalf("detuned fast vs exact fidelity %.15g", fid)
 	}
 }
@@ -363,11 +363,11 @@ func TestLongStretchesMatchExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fast, err := ex.Run(sp, ExecOptions{Shots: 1})
+				fast, err := execEvolved(ex, sp, ExecOptions{Shots: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				exact, err := ex.Run(sp, ExecOptions{Shots: 1, exact: true})
+				exact, err := execEvolved(ex, sp, ExecOptions{Shots: 1, exact: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -380,7 +380,7 @@ func TestLongStretchesMatchExact(t *testing.T) {
 					}
 					continue
 				}
-				if fid := Fidelity(fast.FinalState, exact.FinalState); fid < 1-1e-9 {
+				if fid := Fidelity(fast.FinalState.State, exact.FinalState.State); fid < 1-1e-9 {
 					t.Errorf("%s, dims %v: fast vs exact fidelity %.15g", name, dims, fid)
 				}
 			}

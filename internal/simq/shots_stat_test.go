@@ -226,7 +226,7 @@ func TestResultsIndependentOfShotWorkers(t *testing.T) {
 	sites := map[int]ReadoutSite{0: {Fidelity: 0.97}, 1: {Fidelity: 0.99, T1Seconds: 1e-6}}
 	for _, level := range []readout.MeasLevel{readout.LevelDiscriminated, readout.LevelKerneled, readout.LevelRaw} {
 		for _, ret := range []readout.MeasReturn{readout.ReturnSingle, readout.ReturnAverage} {
-			run := func(workers int) *ExecResult {
+			run := func(workers int) *evolved {
 				s, exd := twoTransmonRig(t, 0.5e-6, 0.4e-6)
 				return runSchedule(t, s, exd, ExecOptions{
 					Shots: 600, Seed: 23, ShotWorkers: workers,
@@ -296,7 +296,7 @@ func TestShotDeterminismIQRecords(t *testing.T) {
 	// returns the same per-shot IQ points, and the averaged row is the
 	// shot-order mean of exactly those points, at kerneled and raw level.
 	for _, level := range []readout.MeasLevel{readout.LevelKerneled, readout.LevelRaw} {
-		run := func(ret readout.MeasReturn) *ExecResult {
+		run := func(ret readout.MeasReturn) *evolved {
 			s, exd := twoTransmonRig(t, 0.5e-6, 0.4e-6)
 			model := &ReadoutModel{
 				Level:  level,

@@ -14,14 +14,13 @@ import (
 
 // State is a pure quantum state over a tensor product of sites with
 // arbitrary local dimensions (qubits are dim 2; transmons simulated with
-// leakage are dim 3).
+// leakage are dim 3). It holds the amplitudes alone: the site dimensions are
+// its model's.
 type State struct {
-	Dims []int
-	Amp  []complex128
+	Amp []complex128
 }
 
-// NewState creates |00...0⟩ over the given local dimensions, which it keeps
-// and which must not change: a run passes its model's.
+// NewState creates |00...0⟩ over the given local dimensions.
 func NewState(dims []int) *State {
 	n := 1
 	for _, d := range dims {
@@ -32,7 +31,7 @@ func NewState(dims []int) *State {
 	}
 	amp := make([]complex128, n)
 	amp[0] = 1
-	return &State{Dims: dims, Amp: amp}
+	return &State{Amp: amp}
 }
 
 // Norm returns ⟨ψ|ψ⟩^(1/2).

@@ -36,7 +36,7 @@ func TestApplyAtMatchesFullKron(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	dims := []int{2, 3, 2}
 	// Random normalized state.
-	s1 := NewState(dims)
+	s1 := newState(dims)
 	for i := range s1.Amp {
 		s1.Amp[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
@@ -72,7 +72,7 @@ func TestApplyAtMatchesFullKron(t *testing.T) {
 func TestApplyTwoMatchesEmbed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dims := []int{2, 2, 2}
-	s1 := NewState(dims)
+	s1 := newState(dims)
 	for i := range s1.Amp {
 		s1.Amp[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
@@ -91,7 +91,7 @@ func TestApplyTwoMatchesEmbed(t *testing.T) {
 func TestApplyTwoNonAdjacent(t *testing.T) {
 	// CNOT between sites 0 and 2 (stride-crossing).
 	dims := []int{2, 2, 2}
-	s := NewState(dims)
+	s := newState(dims)
 	s.ApplyAt(linalg.PauliX(), 0) // |100⟩
 	s.ApplyTwo(testutil.CNOT(), 0, 2)
 	// Expect |101⟩ = index 5.
@@ -105,7 +105,7 @@ func TestUnitaryPreservesNormQuick(t *testing.T) {
 		if math.IsNaN(theta) || math.IsInf(theta, 0) {
 			return true
 		}
-		s := NewState([]int{2, 2})
+		s := newState([]int{2, 2})
 		s.ApplyAt(testutil.Hadamard(), 0)
 		s.ApplyTwo(testutil.CNOT(), 0, 1)
 		s.ApplyAt(testutil.RZ(math.Mod(theta, math.Pi)), 1)
@@ -126,7 +126,7 @@ func TestSiteLevel(t *testing.T) {
 }
 
 func TestSampleBitsBellState(t *testing.T) {
-	s := NewState([]int{2, 2})
+	s := newState([]int{2, 2})
 	s.ApplyAt(testutil.Hadamard(), 0)
 	s.ApplyTwo(testutil.CNOT(), 0, 1)
 	rng := rand.New(rand.NewSource(1))
@@ -146,7 +146,7 @@ func TestSampleBitsBellState(t *testing.T) {
 }
 
 func TestSampleBitsLeakageReadsAsOne(t *testing.T) {
-	s := NewState([]int{3})
+	s := newState([]int{3})
 	// Move population to |2⟩.
 	u := linalg.NewMatrix(3, 3)
 	u.Set(0, 2, 1)
@@ -162,7 +162,7 @@ func TestSampleBitsLeakageReadsAsOne(t *testing.T) {
 }
 
 func TestPopulationOfLevel(t *testing.T) {
-	s := NewState([]int{2, 2})
+	s := newState([]int{2, 2})
 	s.ApplyAt(testutil.Hadamard(), 1)
 	if p := s.PopulationOfLevel(1, 1); math.Abs(p-0.5) > 1e-12 {
 		t.Fatalf("P(site1=1) = %g, want 0.5", p)
@@ -173,24 +173,24 @@ func TestPopulationOfLevel(t *testing.T) {
 }
 
 func TestFidelityPureStates(t *testing.T) {
-	a := NewState([]int{2})
-	b := NewState([]int{2})
-	if f := Fidelity(a, b); math.Abs(f-1) > 1e-12 {
+	a := newState([]int{2})
+	b := newState([]int{2})
+	if f := Fidelity(a.State, b.State); math.Abs(f-1) > 1e-12 {
 		t.Fatal("identical states should have fidelity 1")
 	}
 	b.ApplyAt(linalg.PauliX(), 0)
-	if f := Fidelity(a, b); f > 1e-12 {
+	if f := Fidelity(a.State, b.State); f > 1e-12 {
 		t.Fatal("orthogonal states should have fidelity 0")
 	}
-	b2 := NewState([]int{2})
+	b2 := newState([]int{2})
 	b2.ApplyAt(testutil.Hadamard(), 0)
-	if f := Fidelity(a, b2); math.Abs(f-0.5) > 1e-12 {
+	if f := Fidelity(a.State, b2.State); math.Abs(f-0.5) > 1e-12 {
 		t.Fatalf("fidelity = %g, want 0.5", f)
 	}
 }
 
 func TestExpectation(t *testing.T) {
-	s := NewState([]int{2})
+	s := newState([]int{2})
 	s.ApplyAt(testutil.Hadamard(), 0)
 	x := s.Expectation(linalg.PauliX())
 	if math.Abs(real(x)-1) > 1e-12 {
@@ -203,7 +203,7 @@ func TestExpectation(t *testing.T) {
 }
 
 func TestGlobalPhaseAlign(t *testing.T) {
-	s := NewState([]int{2})
+	s := newState([]int{2})
 	s.ApplyAt(testutil.RZ(1.3), 0) // adds global-ish phase to |0⟩ component
 	s.GlobalPhaseAlign()
 	if imag(s.Amp[0]) > 1e-12 || real(s.Amp[0]) < 0 {

@@ -325,7 +325,8 @@ func TestPerfContractRemoteJob(t *testing.T) {
 		}
 	}
 	job() // registers the payload on the connection, prepares the program
-	// Measured 2026-10-18: 24, 29–32 under -race (28 and 35 while every
+	// Measured 2026-10-19: 23, 29–30 under -race (24 while the server's
+	// request decoder still read template fields; 28 and 35 while every
 	// remote ticket hooked onto the server's context and both ends copied
 	// the frames field by field; 47 while both ends wrote and read their
 	// frames with encoding/json and the adapter rendered the payload's ID

@@ -48,10 +48,6 @@ var allowed = map[string]string{
 	"internal/qpi.Circuit.FrameChangeP":     "the QPI builder for a swept frame change, the symbolic form of FrameChange",
 	"internal/qrm.Ticket.Device":            "the facade's Ticket reports the device a pool or a steal placed the job on",
 	"internal/simq.ExecOptions.ShotWorkers": "a deprecated no-op the benchmark compiles against (onlyhere's rule \"one sampler\")",
-	"internal/simq.ExecResult.FinalState":   "a test oracle: simq's tests pin the fast engines against the exact reference through the final state",
-	"internal/simq.ExecResult.FinalDensity": "a test oracle: simq's tests pin the fast engines against the exact reference through the final state",
-	"internal/simq.State.Dims":              "the shape simq's test algebra addresses a site of the final state by",
-	"internal/simq.Density.Dims":            "the shape simq's test algebra addresses a site of the final state by",
 	"internal/qrm.ticketCtx.AfterFunc":      "context.WithCancel and context.AfterFunc call it through the context package's unexported afterFuncer interface, so a context derived from a ticket's starts no goroutine",
 }
 
