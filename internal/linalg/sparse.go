@@ -98,30 +98,39 @@ func (s *Sparse) DaggerAddToDense(h *Matrix, scale complex128) {
 	}
 }
 
-// MulMatAccum accumulates dst += scale·S·src for dense src (row-major).
-// Each sparse entry (i,j,v) contributes scale·v·src_row(j) to dst_row(i),
-// so the cost is O(nnz·cols). dst and src must not alias.
-func (s *Sparse) MulMatAccum(dst, src *Matrix, scale complex128) {
-	cols := src.Cols
-	for k, val := range s.Vals {
-		c := scale * val
-		di := dst.Data[s.RowIdx[k]*cols : (s.RowIdx[k]+1)*cols]
-		sj := src.Data[s.ColIdx[k]*cols : (s.ColIdx[k]+1)*cols]
-		for x := range di {
-			di[x] += c * sj[x]
+// HermMulMatUpperAccum accumulates dst += (w·S + conj(w)·S†)·src on the
+// upper triangle of dst only: entry (i, j) for j ≥ i. Each sparse entry
+// (i, k, v) adds w·v·src[k][j] to row i for j ≥ i and conj(w·v)·src[i][j]
+// to row k for j ≥ k, so the cost is about nnz·cols, half that of the two
+// full products; a diagonal entry adds its two halves, 2·Re(w·v), in one
+// pass. src and dst are square of one side and must not alias; dst's
+// entries below the diagonal are not touched.
+//
+//mqss:hotloop
+func (s *Sparse) HermMulMatUpperAccum(dst, src *Matrix, w complex128) {
+	n := src.Cols
+	for e, val := range s.Vals {
+		i, k := s.RowIdx[e], s.ColIdx[e]
+		c := w * val
+		di := dst.Data[i*n+i : (i+1)*n]
+		// Re-sliced to the destination row's length so the loops carry no
+		// bounds check.
+		sk := src.Data[k*n+i : (k+1)*n][:len(di)]
+		if i == k {
+			r := 2 * real(c)
+			for x, v := range sk {
+				di[x] += complex(r*real(v), r*imag(v))
+			}
+			continue
 		}
-	}
-}
-
-// DaggerMulMatAccum accumulates dst += scale·S†·src.
-func (s *Sparse) DaggerMulMatAccum(dst, src *Matrix, scale complex128) {
-	cols := src.Cols
-	for k, val := range s.Vals {
-		c := scale * cmplx.Conj(val)
-		di := dst.Data[s.ColIdx[k]*cols : (s.ColIdx[k]+1)*cols]
-		sj := src.Data[s.RowIdx[k]*cols : (s.RowIdx[k]+1)*cols]
 		for x := range di {
-			di[x] += c * sj[x]
+			di[x] += c * sk[x]
+		}
+		c = cmplx.Conj(c)
+		dk := dst.Data[k*n+k : (k+1)*n]
+		si := src.Data[i*n+k : (i+1)*n][:len(dk)]
+		for x := range dk {
+			dk[x] += c * si[x]
 		}
 	}
 }

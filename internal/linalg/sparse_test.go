@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -110,19 +111,21 @@ func TestSparseMatKernels(t *testing.T) {
 		src := randomMatrix(rng, n, n, 1)
 		scale := complex(rng.NormFloat64(), rng.NormFloat64())
 
-		check := func(name string, got, want *Matrix) {
-			t.Helper()
-			if !got.Equal(want, 1e-11) {
-				t.Fatalf("trial %d: %s mismatch", trial, name)
+		// The kernel accumulates into the upper triangle and leaves the lower
+		// one as it was.
+		full := m.Scale(scale).Add(m.Dagger().Scale(cmplx.Conj(scale))).Mul(src)
+		start := randomMatrix(rng, n, n, 1)
+		dst := start.Clone()
+		s.HermMulMatUpperAccum(dst, src, scale)
+		want := start.Clone()
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				want.Set(i, j, start.At(i, j)+full.At(i, j))
 			}
 		}
-		dst := NewMatrix(n, n)
-		s.MulMatAccum(dst, src, scale)
-		check("MulMatAccum", dst, m.Mul(src).Scale(scale))
-
-		dst = NewMatrix(n, n)
-		s.DaggerMulMatAccum(dst, src, scale)
-		check("DaggerMulMatAccum", dst, m.Dagger().Mul(src).Scale(scale))
+		if !dst.Equal(want, 1e-11) {
+			t.Fatalf("trial %d: HermMulMatUpperAccum mismatch", trial)
+		}
 	}
 }
 

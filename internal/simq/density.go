@@ -3,6 +3,7 @@ package simq
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/cmplx"
 	"slices"
 
@@ -247,6 +248,26 @@ func (s *matStepper) dissipate(step *stepMap, rho *linalg.Matrix) {
 			rho.Data[i*n+j] = sum[i*n+j]
 			rho.Data[j*n+i] = cmplx.Conj(sum[i*n+j])
 		}
+	}
+}
+
+// flushSubnormals zeroes every real or imaginary part of m that is
+// subnormal (0 < |x| < 0x1p-1022). Over milliseconds of simulated time the
+// coherences of highly excited levels decay into that range, where every
+// arithmetic step on them costs many times a normal one, while no result
+// can tell them from zero. The density engine calls it at its poll
+// cadence, never per tick.
+func flushSubnormals(m *linalg.Matrix) {
+	const minNormal = 0x1p-1022
+	for i, v := range m.Data {
+		re, im := real(v), imag(v)
+		if re != 0 && math.Abs(re) < minNormal {
+			re = 0
+		}
+		if im != 0 && math.Abs(im) < minNormal {
+			im = 0
+		}
+		m.Data[i] = complex(re, im)
 	}
 }
 

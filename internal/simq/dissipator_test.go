@@ -1,6 +1,7 @@
 package simq
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -115,30 +116,107 @@ func twoTransmonOpenRig(t testing.TB) *Executor {
 	return NewExecutor(model)
 }
 
+// oneQubitOpenRig is the tiny-1 shape: one d=2 site with no drift, a
+// 250 MHz drive and T1 = T2 = 1 ms.
+func oneQubitOpenRig(t testing.TB) *Executor {
+	t.Helper()
+	dims := []int{2}
+	model, err := NewSystemModel(dims, nil, []*ControlChannel{
+		TransmonDriveChannel("d0", dims, 0, 250e6, 5.0e9),
+	}, RelaxationCollapses(dims, 0, 1e-3, 1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewExecutor(model)
+}
+
+// tickRig is what one driven tick of the density engine reads: the run's
+// scratch, the one-tick dissipator step, a random ρ and a fixed χ on each
+// drive channel d0, d1, … of the executor's model.
+type tickRig struct {
+	ex     *Executor
+	eng    *fastEngine
+	step   *stepMap
+	rho    *Density
+	active []playEvent
+	chis   []complex128
+}
+
+func newTickRig(ex *Executor) *tickRig {
+	r := &tickRig{ex: ex, eng: ex.newFastEngine(true, 1e-9)}
+	r.step = ex.dissipatorStep(r.eng, r.eng.dt)
+	r.rho = randomDensity(rand.New(rand.NewSource(3)), ex.Model.Dims)
+	for i, chi := range []complex128{complex(0.3, 0.1), complex(-0.2, 0.4)} {
+		if ch := ex.Model.Channels[fmt.Sprintf("d%d", i)]; ch != nil {
+			r.active = append(r.active, playEvent{ch: ch})
+			r.chis = append(r.chis, chi)
+		}
+	}
+	return r
+}
+
+// varyingTick is one tick of a varying envelope: load H, build and conjugate
+// by its Taylor propagator, step the dissipator.
+func (r *tickRig) varyingTick() {
+	r.eng.loadHam(r.active, r.chis)
+	r.eng.mat.conjugate(r.eng.ham, r.rho.Rho, r.eng.dt)
+	r.eng.dissipate(r.step, r.rho)
+}
+
 // TestDensityTickAllocatesNothing: the dissipator step, and one whole
 // driven tick of the density engine (load H, Taylor conjugation,
 // dissipator), allocate nothing once the run's scratch exists.
 func TestDensityTickAllocatesNothing(t *testing.T) {
-	ex := twoTransmonOpenRig(t)
-	eng := ex.newFastEngine(true, 1e-9)
-	step := ex.dissipatorStep(eng, eng.dt)
-	rho := randomDensity(rand.New(rand.NewSource(3)), ex.Model.Dims)
-	active := []playEvent{{ch: ex.Model.Channels["d0"]}, {ch: ex.Model.Channels["d1"]}}
-	chis := []complex128{complex(0.3, 0.1), complex(-0.2, 0.4)}
-	tick := func() {
-		eng.loadHam(active, chis)
-		eng.mat.conjugate(eng.ham, rho.Rho, eng.dt)
-		eng.dissipate(step, rho)
-	}
-	tick() // grows ham.ops to its steady-state capacity
-	if n := testing.AllocsPerRun(100, func() { eng.mat.dissipate(step, rho.Rho) }); n != 0 {
+	r := newTickRig(twoTransmonOpenRig(t))
+	r.varyingTick() // grows ham.ops to its steady-state capacity
+	if n := testing.AllocsPerRun(100, func() { r.eng.mat.dissipate(r.step, r.rho.Rho) }); n != 0 {
 		t.Fatalf("dissipator step allocates %v objects", n)
 	}
-	if n := testing.AllocsPerRun(100, tick); n != 0 {
+	if n := testing.AllocsPerRun(100, r.varyingTick); n != 0 {
 		t.Fatalf("driven density tick allocates %v objects", n)
 	}
-	if err := rho.CheckPhysical(1e-9); err != nil {
+	if err := r.rho.CheckPhysical(1e-9); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLongDensityRunEndsWithoutSubnormals: over milliseconds the
+// coherences of the excited levels decay through the subnormal range,
+// where every step on them is many times slower. A 4.096 ms idle stretch
+// after a drive that populates level 2 of both transmons (8,192 dissipator
+// sub-steps, so the last is followed by a flush) ends with no subnormal
+// part in ρ.
+func TestLongDensityRunEndsWithoutSubnormals(t *testing.T) {
+	s := pulse.NewSchedule()
+	for i, id := range []string{"d0", "d1"} {
+		if err := s.AddPort(&pulse.Port{ID: id, Kind: pulse.PortDrive, Sites: []int{i},
+			SampleRateHz: 1e9, MaxAmplitude: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddFrame(pulse.NewFrame(fmt.Sprintf("f%d", i), 5.0e9+0.1e9*float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	playConst(t, s, "d0", "f0", 0.9, 40)
+	playConst(t, s, "d1", "f1", 0.7, 40)
+	if err := s.Append(&pulse.Delay{Port: "d0", Samples: 4_096_000}); err != nil {
+		t.Fatal(err)
+	}
+	res := runSchedule(t, s, twoTransmonOpenRig(t), ExecOptions{Shots: 1})
+	rho := res.FinalDensity.Rho
+	var zeros int
+	for i, v := range rho.Data {
+		for _, x := range []float64{real(v), imag(v)} {
+			if x != 0 && math.Abs(x) < 0x1p-1022 {
+				t.Fatalf("ρ entry %d = %g has a subnormal part", i, v)
+			}
+			if x == 0 {
+				zeros++
+			}
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("no part of ρ decayed to zero: the run is too short to reach the subnormal range")
 	}
 }
 

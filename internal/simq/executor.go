@@ -503,12 +503,16 @@ func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, 
 
 	// poll charges `consumed` driven ticks against the cancellation budget
 	// and checks Interrupted once interruptPollTicks have accumulated, so
-	// a single multi-thousand-sample Play still cancels promptly.
+	// a single multi-thousand-sample Play still cancels promptly. At the
+	// same cadence it flushes ρ's subnormal parts.
 	var sincePoll int64
 	poll := func(consumed int64) bool {
 		sincePoll += consumed
 		if sincePoll >= interruptPollTicks {
 			sincePoll = 0
+			if rho != nil {
+				flushSubnormals(rho.Rho)
+			}
 			return opts.Interrupted != nil && opts.Interrupted()
 		}
 		return false
@@ -542,8 +546,11 @@ func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, 
 					steps = 1
 				}
 				sub := e.dissipatorStep(eng, segT/float64(steps))
-				for k := 0; k < steps; k++ {
+				for k := 1; k <= steps; k++ {
 					eng.dissipate(sub, rho)
+					if k%interruptPollTicks == 0 {
+						flushSubnormals(rho.Rho)
+					}
 				}
 			}
 			continue

@@ -20,41 +20,39 @@ import (
 // load, Taylor propagator build, conjugation, dissipator), a
 // propagator-cache miss (the key, the Taylor build of a one-tick stretch
 // and its cache entry) and a step-memo miss (the key, the build of the
-// dissipator's step map and its memo entry).
+// dissipator's step map and its memo entry). varying-tick-d2 is a tick of
+// a varying envelope at the tiny-1 shape (one d = 2 site), where a build's
+// fixed costs show first. Every sub-benchmark flushes ρ's subnormal parts
+// at the cadence a run does, so a reading does not depend on b.N.
 func BenchmarkDensityTick(b *testing.B) {
-	ex := twoTransmonOpenRig(b)
-	eng := ex.newFastEngine(true, 1e-9)
-	step := ex.dissipatorStep(eng, eng.dt)
-	rho := randomDensity(rand.New(rand.NewSource(3)), ex.Model.Dims)
-	active := []playEvent{{ch: ex.Model.Channels["d0"]}, {ch: ex.Model.Channels["d1"]}}
-	chis := []complex128{complex(0.3, 0.1), complex(-0.2, 0.4)}
-	u, err := ex.propagator(eng, active, chis, 1, false)
+	r := newTickRig(twoTransmonOpenRig(b))
+	ex, eng, rho := r.ex, r.eng, r.rho
+	u, err := ex.propagator(eng, r.active, r.chis, 1, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	missChis, missH := slices.Clone(chis), eng.dt
+	d2 := newTickRig(oneQubitOpenRig(b))
+	missChis, missH := slices.Clone(r.chis), eng.dt
 	for _, bc := range []struct {
 		name string
+		rho  *Density
 		tick func()
 	}{
-		{"conjugate", func() { eng.mat.conjugateWith(u, rho.Rho) }},
-		{"dissipate", func() { eng.mat.dissipate(step, rho.Rho) }},
-		{"constant-stretch-tick", func() {
+		{"conjugate", rho, func() { eng.mat.conjugateWith(u, rho.Rho) }},
+		{"dissipate", rho, func() { eng.mat.dissipate(r.step, rho.Rho) }},
+		{"constant-stretch-tick", rho, func() {
 			eng.mat.conjugateWith(u, rho.Rho)
-			eng.dissipate(step, rho)
+			eng.dissipate(r.step, rho)
 		}},
-		{"varying-tick", func() {
-			eng.loadHam(active, chis)
-			eng.mat.conjugate(eng.ham, rho.Rho, eng.dt)
-			eng.dissipate(step, rho)
-		}},
-		{"stretch-miss", func() {
+		{"varying-tick", rho, r.varyingTick},
+		{"varying-tick-d2", d2.rho, d2.varyingTick},
+		{"stretch-miss", rho, func() {
 			missChis[0] += 1e-6 // a χ no look-up has seen
-			if _, err := ex.propagator(eng, active, missChis, 1, false); err != nil {
+			if _, err := ex.propagator(eng, r.active, missChis, 1, false); err != nil {
 				b.Fatal(err)
 			}
 		}},
-		{"dissipator-build", func() {
+		{"dissipator-build", rho, func() {
 			missH *= 1 + 1e-9 // a step size no look-up has seen
 			ex.dissipatorStep(eng, missH)
 		}},
@@ -62,8 +60,11 @@ func BenchmarkDensityTick(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			bc.tick() // grows ham.ops to its steady-state capacity
-			for b.Loop() {
+			for i := 1; b.Loop(); i++ {
 				bc.tick()
+				if i%interruptPollTicks == 0 {
+					flushSubnormals(bc.rho.Rho)
+				}
 			}
 		})
 	}

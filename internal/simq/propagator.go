@@ -12,11 +12,15 @@ import (
 // This file implements the fast time-evolution path of the executor: a
 // matrix-free scaled-Taylor propagator that advances ψ (or ρ) under the
 // per-sample Hamiltonian without ever materializing a dense H, running an
-// eigendecomposition, or allocating in steady state. Idle segments and
-// constant-envelope stretches are built densely by the same series (once
-// per distinct stretch, memoized in the executor's propagator cache). The
-// exact eigendecomposition propagator (linalg.ExpI) is the reference only:
-// a property test that sets ExecOptions.exact gets it for every propagator.
+// eigendecomposition, or allocating in steady state. ψ takes the series
+// term by term; a dense propagator U — the density engine's per tick,
+// and every idle segment's and constant-envelope stretch's (once per
+// distinct stretch, memoized in the executor's propagator cache) — is
+// the sum of the signed Hermitian powers (-i)^k·(t·H)^k/k!, each built on
+// its upper triangle from the sparse H and mirrored (matStepper.taylor).
+// The exact eigendecomposition propagator (linalg.ExpI) is the reference
+// only: a property test that sets ExecOptions.exact gets it for every
+// propagator.
 //
 // Accuracy: each sample tick applies exp(-i·H·dt) expanded as a Taylor
 // series on the state, sub-stepped so that ‖H‖·dt_sub ≤ taylorThetaMax
@@ -44,7 +48,9 @@ const (
 	// interruptPollTicks is how many driven sample ticks may elapse between
 	// polls of ExecOptions.Interrupted: frequent enough that cancelling a
 	// single 100k-sample Play lands in microseconds, rare enough that the
-	// callback (an atomic load in devices) costs nothing.
+	// callback (an atomic load in devices) costs nothing. The density
+	// engine flushes ρ's subnormal parts at the same cadence, and every as
+	// many dissipator sub-steps of an idle segment.
 	interruptPollTicks = 1024
 	// maxIdleStep caps the dissipator step (seconds) in idle segments, whose
 	// unitary part is exact: only the collapse rates bound it.
@@ -110,19 +116,20 @@ func (h *tickHam) applyVec(dst, src []complex128) {
 	}
 }
 
-// applyLeft computes dst = H·src for dense src.
+// mulUpper writes the upper triangle (j ≥ i) of dst = r·H·src for a
+// Hermitian src stored in full. Every term, the drift included, enters
+// with its adjoint; the drift is Hermitian, so half its weight goes each
+// way. Below the diagonal dst holds nothing of the product; dst must not
+// alias src.
 //
 //mqss:hotloop
-func (h *tickHam) applyLeft(dst, src *linalg.Matrix) {
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
+func (h *tickHam) mulUpper(dst, src *linalg.Matrix, r float64) {
+	clear(dst.Data)
 	if h.drift != nil {
-		h.drift.MulMatAccum(dst, src, 1)
+		h.drift.HermMulMatUpperAccum(dst, src, complex(r/2, 0))
 	}
 	for _, d := range h.ops {
-		d.op.MulMatAccum(dst, src, d.w)
-		d.op.DaggerMulMatAccum(dst, src, cmplx.Conj(d.w))
+		d.op.HermMulMatUpperAccum(dst, src, complex(r, 0)*d.w)
 	}
 }
 
@@ -176,11 +183,10 @@ func (s *vecStepper) step(h *tickHam, psi []complex128, dt float64) {
 
 // matStepper advances a density matrix by one sample tick under the
 // unitary part of the dynamics: U = exp(-i·H·dt) is built densely by the
-// scaled-Taylor series applied to the identity (a one-sided matrix-free
-// expansion), then ρ ← U·ρ·U† is two allocation-free dense products, the
-// second computed on the upper triangle only and mirrored. The
-// dissipator is stepped separately by the splitting integrator
-// (dissipate, in density.go), on the same scratch.
+// scaled-Taylor series of Hermitian powers (taylor), then ρ ← U·ρ·U† is
+// two allocation-free dense products, the second computed on the upper
+// triangle only and mirrored. The dissipator is stepped separately by the
+// splitting integrator (dissipate, in density.go), on the same scratch.
 type matStepper struct {
 	u, acc, term, tmp, work *linalg.Matrix
 }
@@ -216,19 +222,20 @@ func (s *matStepper) conjugateWith(u, rho *linalg.Matrix) {
 }
 
 // propagator fills s.u with the scaled-Taylor approximation of
-// exp(-i·H·dt): one sub-step expansion on the identity, then the
-// remaining sub-steps applied by dense powering.
+// exp(-i·H·dt): one sub-step's series, then the remaining sub-steps
+// applied by dense powering.
 //
 //mqss:hotloop
 func (s *matStepper) propagator(h *tickHam, dt float64) {
 	theta := h.normBound() * dt
-	m := 1
-	if theta > taylorThetaMax {
-		m = int(math.Ceil(theta / taylorThetaMax))
+	if theta <= taylorThetaMax {
+		s.taylor(h, dt, s.u)
+		return
 	}
-	s.series(h, dt/float64(m))
-	copy(s.u.Data, s.acc.Data)
-	for i := 1; i < m; i++ {
+	m := int(math.Ceil(theta / taylorThetaMax))
+	s.taylor(h, dt/float64(m), s.acc)
+	s.acc.MulInto(s.u, s.acc)
+	for i := 2; i < m; i++ {
 		s.u.MulInto(s.work, s.acc)
 		s.u, s.work = s.work, s.u
 	}
@@ -244,7 +251,7 @@ func (s *matStepper) stretch(h *tickHam, t float64, phase complex128) *linalg.Ma
 	for theta := h.normBound() * t; theta > taylorThetaMax; theta /= 2 {
 		halvings++
 	}
-	s.series(h, math.Ldexp(t, -halvings))
+	s.taylor(h, math.Ldexp(t, -halvings), s.acc)
 	x, y := s.acc, s.work
 	for range halvings {
 		x.MulInto(y, x)
@@ -259,24 +266,58 @@ func (s *matStepper) stretch(h *tickHam, t float64, phase complex128) *linalg.Ma
 	return u
 }
 
-// series fills s.acc with the Taylor series of exp(-i·H·t) expanded on the
-// identity, truncated once the sup-norm of the next term drops below
-// taylorTol. t must satisfy ‖H‖·t ≤ taylorThetaMax.
+// taylor fills u with the Taylor series of exp(-i·H·t), truncated once the
+// sup-norm of the next term drops below taylorTol; t must satisfy
+// ‖H‖·t ≤ taylorThetaMax. Term k is (-i)^k·P_k with P_k = (t·H)^k/k!, a
+// power of a Hermitian matrix and so Hermitian itself. The recursion
+// carries Q_k = (−1)^⌊k/2⌋·P_k = ±(t/k)·H·Q_{k−1}, so that term k is Q_k
+// for even k and −i·Q_k for odd k. Of each Q_k only the upper triangle is
+// computed (tickHam.mulUpper), then mirrored for the next product; the
+// term is added into u's upper triangle and its mirror into the lower one:
+// conj(Q_k) for even k, −i·conj(Q_k) for odd k.
 //
 //mqss:hotloop
-func (s *matStepper) series(h *tickHam, t float64) {
-	setIdentity(s.acc)
-	setIdentity(s.term)
+func (s *matStepper) taylor(h *tickHam, t float64, u *linalg.Matrix) {
+	n := u.Rows
+	q, next := s.term, s.tmp
+	setIdentity(u)
+	setIdentity(q)
 	for k := 1; k <= taylorMaxTerms; k++ {
-		h.applyLeft(s.tmp, s.term)
-		c := complex(0, -t/float64(k))
+		odd := k%2 == 1
+		r := t / float64(k)
+		if !odd {
+			r = -r
+		}
+		h.mulUpper(next, q, r)
+		q, next = next, q
 		var mx float64
-		for j := range s.tmp.Data {
-			v := c * s.tmp.Data[j]
-			s.term.Data[j] = v
-			s.acc.Data[j] += v
-			if a := math.Abs(real(v)) + math.Abs(imag(v)); a > mx {
+		ud, qd := u.Data, q.Data[:len(u.Data)]
+		for i := 0; i < n; i++ {
+			ii := i*n + i
+			d := real(qd[ii])
+			qd[ii] = complex(d, 0)
+			if odd {
+				ud[ii] += complex(0, -d)
+			} else {
+				ud[ii] += complex(d, 0)
+			}
+			if a := math.Abs(d); a > mx {
 				mx = a
+			}
+			// j walks row i right of the diagonal, l column i below it.
+			for j, l := ii+1, ii+n; l < len(qd); j, l = j+1, l+n {
+				a, b := real(qd[j]), imag(qd[j])
+				qd[l] = complex(a, -b)
+				if v := math.Abs(a) + math.Abs(b); v > mx {
+					mx = v
+				}
+				if odd {
+					ud[j] += complex(b, -a)
+					ud[l] += complex(-b, -a)
+				} else {
+					ud[j] += complex(a, b)
+					ud[l] += complex(a, -b)
+				}
 			}
 		}
 		if mx < taylorTol {

@@ -1,8 +1,10 @@
 package simq
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mqsspulse/internal/linalg"
@@ -38,8 +40,7 @@ func TestVecStepperMatchesExpI(t *testing.T) {
 		n := 2 + rng.Intn(7)
 		scale := math.Pow(10, 7+3*rng.Float64()) // 1e7..1e10 rad/s
 		h := randHermitianM(rng, n, scale)
-		sp := linalg.NewSparse(h)
-		ham := &tickHam{drift: sp}
+		ham := &tickHam{drift: linalg.NewSparse(h)}
 
 		psi := make([]complex128, n)
 		for i := range psi {
@@ -77,8 +78,7 @@ func TestMatStepperMatchesExpI(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 2 + rng.Intn(5)
 		h := randHermitianM(rng, n, 1e9)
-		sp := linalg.NewSparse(h)
-		ham := &tickHam{drift: sp}
+		ham := &tickHam{drift: linalg.NewSparse(h)}
 
 		// Random pure-state density matrix.
 		psi := make([]complex128, n)
@@ -465,6 +465,73 @@ func TestStretchBuildMatchesExpI(t *testing.T) {
 					t.Errorf("dims %v, open %v, %d ticks, %d plays: built propagator off by %g",
 						dims, open, c.ticks, len(c.active), d)
 				}
+			}
+		}
+	}
+}
+
+// TestTaylorPropagatorMatchesExpI pins a tick's propagator build entry by
+// entry: the Hermitian-power series, with its sub-steps and dense
+// powering, equals exp(−i·H·dt) of the spectrally shifted tick Hamiltonian
+// within 1e-12 and is unitary within 1e-12. The models are one d = 2
+// site, two qubits with a static exchange term in the drift (so the
+// drift has entries off its diagonal) and an exchange coupler, and two
+// d = 3 transmons with a ZZ coupler; a random χ drives one to three of
+// their channels, and ‖H‖·dt runs from 0.1 to 4 (one to four sub-steps).
+func TestTaylorPropagatorMatchesExpI(t *testing.T) {
+	model := func(dims []int, drift *linalg.Matrix, channels ...*ControlChannel) *Executor {
+		m, err := NewSystemModel(dims, drift, channels, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewExecutor(m)
+	}
+	q1, q2, tr := []int{2}, []int{2, 2}, []int{3, 3}
+	exchange := linalg.EmbedTwo(linalg.Annihilation(2).Dagger().Kron(linalg.Annihilation(2)), q2, 0)
+	rigs := []*Executor{
+		model(q1, TransmonDrift(q1, 0, 30e6, 0), TransmonDriveChannel("d0", q1, 0, 250e6, 5e9)),
+		model(q2, TransmonDrift(q2, 0, 20e6, 0).Add(TransmonDrift(q2, 1, -15e6, 0)).
+			Add(exchange.Add(exchange.Dagger()).Scale(complex(2*math.Pi*5e6, 0))),
+			TransmonDriveChannel("d0", q2, 0, 40e6, 5e9), TransmonDriveChannel("d1", q2, 1, 45e6, 5.1e9),
+			ExchangeCouplerChannel("c01", q2, 0, 20e6)),
+		model(tr, TransmonDrift(tr, 0, 0, -220e6).Add(TransmonDrift(tr, 1, 0, -210e6)),
+			TransmonDriveChannel("d0", tr, 0, 40e6, 5e9), TransmonDriveChannel("d1", tr, 1, 40e6, 5.1e9),
+			ZZCouplerChannel("c01", tr, 0, 25e6)),
+	}
+	rng := rand.New(rand.NewSource(51))
+	for _, ex := range rigs {
+		n := ex.Model.HilbertDim()
+		ports := slices.Sorted(maps.Keys(ex.Model.Channels))
+		eng := ex.newFastEngine(true, 1e-9)
+		for trial := 0; trial < 40; trial++ {
+			var active []playEvent
+			var chis []complex128
+			for _, i := range rng.Perm(len(ports))[:1+rng.Intn(len(ports))] {
+				active = append(active, playEvent{ch: ex.Model.Channels[ports[i]]})
+				chis = append(chis, complex(2*rng.Float64()-1, 2*rng.Float64()-1))
+			}
+			eng.loadHam(active, chis)
+			theta := 0.1 + 3.9*rng.Float64()
+			dt := theta / eng.ham.normBound()
+			eng.mat.propagator(eng.ham, dt)
+			got := eng.mat.u
+
+			h := ex.Model.Drift.Clone()
+			for i := 0; i < n; i++ {
+				h.Set(i, i, h.At(i, i)-complex(ex.lam, 0))
+			}
+			for i := range active {
+				active[i].ch.driveTerm(h, chis[i])
+			}
+			want, err := linalg.ExpI(h, dt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := got.Sub(want).MaxAbs(); d > 1e-12 {
+				t.Fatalf("n=%d, θ=%.2f, %d channels: U off exp(−iH·dt) by %g", n, theta, len(active), d)
+			}
+			if d := got.Dagger().Mul(got).Sub(linalg.Identity(n)).MaxAbs(); d > 1e-12 {
+				t.Fatalf("n=%d, θ=%.2f, %d channels: U†U off I by %g", n, theta, len(active), d)
 			}
 		}
 	}
