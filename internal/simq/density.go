@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"slices"
 
@@ -247,6 +248,160 @@ func (s *matStepper) dissipate(step *stepMap, rho *linalg.Matrix) {
 		for j := i + 1; j < n; j++ {
 			rho.Data[i*n+j] = sum[i*n+j]
 			rho.Data[j*n+i] = cmplx.Conj(sum[i*n+j])
+		}
+	}
+}
+
+// A constant stretch of run ticks on the density engine repeats one
+// splitting step, S: ρ ↦ M(dt)(U·ρ·U†). S is real-linear on Hermitian
+// matrices, so over ρ's n² Hermitian coordinates — the real diagonal, then
+// the real and imaginary parts of each entry above it, row by row (toCoords)
+// — it is a real n²×n² matrix, and the stretch is S^run. A stretch of at
+// least n² ticks is applied as that one matrix, memoized per shape on the
+// Executor: its build costs about n² ticks and ⌈log₂ run⌉ products, its
+// apply one mat-vec. A shorter stretch steps tick by tick.
+
+// toCoords writes the Hermitian coordinates of rho's upper triangle into x.
+//
+//mqss:hotloop
+func toCoords(x []float64, rho *linalg.Matrix) {
+	n, d := rho.Rows, rho.Data
+	k := n
+	for i := 0; i < n; i++ {
+		x[i] = real(d[i*n+i])
+		for _, v := range d[i*n+i+1 : i*n+n] {
+			x[k], x[k+1] = real(v), imag(v)
+			k += 2
+		}
+	}
+}
+
+// fromCoords writes the Hermitian matrix with coordinates x into rho: a
+// real diagonal, each upper entry and its conjugate mirrored below.
+//
+//mqss:hotloop
+func fromCoords(rho *linalg.Matrix, x []float64) {
+	n, d := rho.Rows, rho.Data
+	k := n
+	for i := 0; i < n; i++ {
+		d[i*n+i] = complex(x[i], 0)
+		for j := i + 1; j < n; j++ {
+			d[i*n+j] = complex(x[k], x[k+1])
+			d[j*n+i] = complex(x[k], -x[k+1])
+			k += 2
+		}
+	}
+}
+
+// applyMap advances rho by the stretch map m: one n²×n² mat-vec over its
+// Hermitian coordinates in the stepper's scratch, written back exactly
+// Hermitian.
+//
+//mqss:hotloop
+func (s *matStepper) applyMap(m []float64, rho *linalg.Matrix) {
+	x, y := s.x, s.y
+	toCoords(x, rho)
+	for r := range y {
+		// Re-sliced to x's length so the loop carries no bounds check.
+		row := m[r*len(x) : (r+1)*len(x)][:len(x)]
+		var v float64
+		for c, a := range row {
+			v += a * x[c]
+		}
+		y[r] = v
+	}
+	fromCoords(rho, y)
+}
+
+// stretchMap returns a new n²×n² matrix holding S^run for the tick
+// Hamiltonian h and dissipator step: S column by column, as one tick's
+// propagator and dissipator step applied to each Hermitian basis matrix,
+// then raised to run by binary powering in the stepper's scratch. Every
+// product runs in one fixed order, so the map is a deterministic function
+// of (h, dt, step, run); the copy it returns is the build's one allocation
+// once the scratch exists.
+func (s *matStepper) stretchMap(h *tickHam, dt float64, step *stepMap, run int64) []float64 {
+	nn := len(s.x)
+	if s.pow == nil {
+		s.pow, s.prod = make([]float64, nn*nn), make([]float64, nn*nn)
+		s.powT, s.baseT = make([]float64, nn*nn), make([]float64, nn*nn)
+	}
+	s.propagator(h, dt)
+	e, x, baseT := s.term, s.x, s.baseT
+	for c := range nn {
+		clear(x)
+		x[c] = 1
+		fromCoords(e, x)
+		s.conjugateWith(s.u, e)
+		s.dissipate(step, e)
+		// Column c of S is row c of Sᵀ.
+		toCoords(baseT[c*nn:(c+1)*nn], e)
+	}
+	// Left to right over run's bits: square, then multiply by S on a one.
+	pow, prod, powT := s.pow, s.prod, s.powT
+	transpose(pow, baseT, nn)
+	for b := bits.Len64(uint64(run)) - 2; b >= 0; b-- {
+		transpose(powT, pow, nn)
+		mulReal(prod, pow, powT, nn)
+		pow, prod = prod, pow
+		if run>>b&1 == 1 {
+			mulReal(prod, pow, baseT, nn)
+			pow, prod = prod, pow
+		}
+	}
+	return slices.Clone(pow)
+}
+
+// transpose writes the transpose of the n×n row-major matrix a into dst.
+func transpose(dst, a []float64, n int) {
+	for i := 0; i < n; i++ {
+		for j, v := range a[i*n : (i+1)*n] {
+			dst[j*n+i] = v
+		}
+	}
+}
+
+// mulReal computes dst = a·b for n×n row-major real matrices, given
+// bt = bᵀ; dst must alias neither. Each entry is one dot product of a row
+// of a and a row of bt summed in ascending order, computed in 2×2 blocks
+// so that each load feeds two products.
+func mulReal(dst, a, bt []float64, n int) {
+	row := func(m []float64, i int) []float64 { return m[i*n : (i+1)*n] }
+	i := 0
+	for ; i+1 < n; i += 2 {
+		a0, a1 := row(a, i), row(a, i+1)[:n]
+		j := 0
+		for ; j+1 < n; j += 2 {
+			b0, b1 := row(bt, j)[:n], row(bt, j+1)[:n]
+			var s00, s01, s10, s11 float64
+			for k, x0 := range a0 {
+				x1, y0, y1 := a1[k], b0[k], b1[k]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s10 += x1 * y0
+				s11 += x1 * y1
+			}
+			dst[i*n+j], dst[i*n+j+1], dst[(i+1)*n+j], dst[(i+1)*n+j+1] = s00, s01, s10, s11
+		}
+		if j < n {
+			b0 := row(bt, j)[:n]
+			var s0, s1 float64
+			for k, x0 := range a0 {
+				s0 += x0 * b0[k]
+				s1 += a1[k] * b0[k]
+			}
+			dst[i*n+j], dst[(i+1)*n+j] = s0, s1
+		}
+	}
+	if i < n {
+		a0 := row(a, i)
+		for j := range n {
+			b0 := row(bt, j)[:n]
+			var v float64
+			for k, x := range a0 {
+				v += x * b0[k]
+			}
+			dst[i*n+j] = v
 		}
 	}
 }

@@ -130,6 +130,29 @@ func oneQubitOpenRig(t testing.TB) *Executor {
 	return NewExecutor(model)
 }
 
+// resonantProgram is twoPortProgram with each frame on its channel's
+// carrier in twoTransmonOpenRig (5.0 and 5.1 GHz), so a square pulse on
+// either port, or both, is a constant-χ stretch.
+func resonantProgram(t *testing.T, fill func(s *pulse.Schedule)) *pulse.ScheduledProgram {
+	t.Helper()
+	s := pulse.NewSchedule()
+	for i, id := range []string{"d0", "d1"} {
+		if err := s.AddPort(&pulse.Port{ID: id, Kind: pulse.PortDrive, Sites: []int{i},
+			SampleRateHz: 1e9, MaxAmplitude: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddFrame(pulse.NewFrame(fmt.Sprintf("f%d", i), 5.0e9+0.1e9*float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill(s)
+	sp, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
 // tickRig is what one driven tick of the density engine reads: the run's
 // scratch, the one-tick dissipator step, a random ρ and a fixed χ on each
 // drive channel d0, d1, … of the executor's model.
@@ -163,9 +186,10 @@ func (r *tickRig) varyingTick() {
 	r.eng.dissipate(r.step, r.rho)
 }
 
-// TestDensityTickAllocatesNothing: the dissipator step, and one whole
-// driven tick of the density engine (load H, Taylor conjugation,
-// dissipator), allocate nothing once the run's scratch exists.
+// TestDensityTickAllocatesNothing: the dissipator step, one whole driven
+// tick of the density engine (load H, Taylor conjugation, dissipator) and
+// the apply of a long constant stretch's map allocate nothing once the
+// run's scratch exists.
 func TestDensityTickAllocatesNothing(t *testing.T) {
 	r := newTickRig(twoTransmonOpenRig(t))
 	r.varyingTick() // grows ham.ops to its steady-state capacity
@@ -174,6 +198,10 @@ func TestDensityTickAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, r.varyingTick); n != 0 {
 		t.Fatalf("driven density tick allocates %v objects", n)
+	}
+	m := r.ex.stretchMap(r.eng, r.active, r.chis, r.step, 256)
+	if n := testing.AllocsPerRun(100, func() { r.eng.mat.applyMap(m, r.rho.Rho) }); n != 0 {
+		t.Fatalf("stretch map apply allocates %v objects", n)
 	}
 	if err := r.rho.CheckPhysical(1e-9); err != nil {
 		t.Fatal(err)
@@ -184,25 +212,23 @@ func TestDensityTickAllocatesNothing(t *testing.T) {
 // coherences of the excited levels decay through the subnormal range,
 // where every step on them is many times slower. A 4.096 ms idle stretch
 // after a drive that populates level 2 of both transmons (8,192 dissipator
-// sub-steps, so the last is followed by a flush) ends with no subnormal
-// part in ρ.
+// sub-steps, so the last is followed by a flush) ends physical — its idle
+// propagator is exact at any length — with no subnormal part in ρ.
 func TestLongDensityRunEndsWithoutSubnormals(t *testing.T) {
-	s := pulse.NewSchedule()
-	for i, id := range []string{"d0", "d1"} {
-		if err := s.AddPort(&pulse.Port{ID: id, Kind: pulse.PortDrive, Sites: []int{i},
-			SampleRateHz: 1e9, MaxAmplitude: 1}); err != nil {
+	sp := resonantProgram(t, func(s *pulse.Schedule) {
+		playConst(t, s, "d0", "f0", 0.9, 40)
+		playConst(t, s, "d1", "f1", 0.7, 40)
+		if err := s.Append(&pulse.Delay{Port: "d0", Samples: 4_096_000}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.AddFrame(pulse.NewFrame(fmt.Sprintf("f%d", i), 5.0e9+0.1e9*float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	playConst(t, s, "d0", "f0", 0.9, 40)
-	playConst(t, s, "d1", "f1", 0.7, 40)
-	if err := s.Append(&pulse.Delay{Port: "d0", Samples: 4_096_000}); err != nil {
+	})
+	res, err := execEvolved(twoTransmonOpenRig(t), sp, ExecOptions{Shots: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	res := runSchedule(t, s, twoTransmonOpenRig(t), ExecOptions{Shots: 1})
+	if err := res.FinalDensity.CheckPhysical(1e-9); err != nil {
+		t.Fatal(err)
+	}
 	rho := res.FinalDensity.Rho
 	var zeros int
 	for i, v := range rho.Data {
@@ -221,10 +247,11 @@ func TestLongDensityRunEndsWithoutSubnormals(t *testing.T) {
 }
 
 // TestExecutorWarmRunsMatchCold: an executor's second run of a program is
-// served from its propagator cache — square pulses and the idle gap
-// between them — and returns exactly what a cold executor returns; the
-// sample period is part of the key, so a program on another clock does
-// not pick up the first one's propagators.
+// served from its memos — square pulses, the idle gap between them and the
+// stretch map of a square of at least n² = 81 ticks — and returns exactly
+// what its cold run and a fresh executor return; the sample period is part
+// of the key, so a program on another clock does not pick up the first
+// one's propagators or maps.
 func TestExecutorWarmRunsMatchCold(t *testing.T) {
 	program := func(rateHz float64) *pulse.ScheduledProgram {
 		s := pulse.NewSchedule()
@@ -242,6 +269,7 @@ func TestExecutorWarmRunsMatchCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		playConst(t, s, "d0", "f0", 0.5, 40)
+		playConst(t, s, "d0", "f0", 0.3, 100)
 		sp, err := s.Resolve()
 		if err != nil {
 			t.Fatal(err)
@@ -259,28 +287,28 @@ func TestExecutorWarmRunsMatchCold(t *testing.T) {
 	fast, slow := program(1e9), program(0.5e9)
 
 	cold := run(warm, fast)
-	if cold.PropCacheMisses != 2 || cold.PropCacheHits != 1 {
-		t.Fatalf("cold run: %d misses, %d hits; want the pulse and the gap to miss once and the second pulse to hit",
+	if cold.PropCacheMisses != 3 || cold.PropCacheHits != 1 {
+		t.Fatalf("cold run: %d misses, %d hits; want the pulse, the gap and the long square's map to miss once and the second pulse to hit",
 			cold.PropCacheMisses, cold.PropCacheHits)
 	}
-	if want := int64(40 + 1 + 40); cold.DissipatorSteps != want {
+	if want := int64(40 + 1 + 40 + 100); cold.DissipatorSteps != want {
 		t.Fatalf("cold run: %d dissipator steps, want %d", cold.DissipatorSteps, want)
 	}
+	if warm.maps.size() != 1 {
+		t.Fatalf("cold run built %d stretch maps, want 1", warm.maps.size())
+	}
 	again := run(warm, fast)
-	if again.PropCacheMisses != 0 || again.PropCacheHits != 3 {
-		t.Fatalf("warm run: %d misses, %d hits; want 0 and 3", again.PropCacheMisses, again.PropCacheHits)
+	if again.PropCacheMisses != 0 || again.PropCacheHits != 4 {
+		t.Fatalf("warm run: %d misses, %d hits; want 0 and 4", again.PropCacheMisses, again.PropCacheHits)
 	}
-	if again.FinalDensity.Rho.Sub(cold.FinalDensity.Rho).MaxAbs() > 0 {
-		t.Fatal("warm run differs from the cold run of the same executor")
-	}
+	sameRun(t, "warm vs cold run of one executor", again, cold)
+	sameRun(t, "cold run vs a fresh executor", run(twoTransmonOpenRig(t), fast), cold)
 
 	other := run(warm, slow)
-	if other.PropCacheMisses != 2 {
-		t.Fatalf("program on another clock: %d misses, want 2", other.PropCacheMisses)
+	if other.PropCacheMisses != 3 {
+		t.Fatalf("program on another clock: %d misses, want 3", other.PropCacheMisses)
 	}
-	if fresh := run(twoTransmonOpenRig(t), slow); other.FinalDensity.Rho.Sub(fresh.FinalDensity.Rho).MaxAbs() > 0 {
-		t.Fatal("warm executor differs from a fresh one on the second clock")
-	}
+	sameRun(t, "warm executor vs a fresh one on the second clock", other, run(twoTransmonOpenRig(t), slow))
 }
 
 // hermitianDefects counts the entries of m that break exact Hermiticity: an
@@ -306,7 +334,8 @@ func hermitianDefects(m *linalg.Matrix) (defects int, coherent bool) {
 }
 
 // TestDensityEngineKeepsRhoHermitian: every density path — a constant
-// stretch with decoherence, varying ticks, an idle segment and the exact
+// stretch with decoherence stepped per tick and one of 96 ≥ n² ticks applied
+// as its stretch map, varying ticks, an idle segment and the exact
 // reference — leaves ρ exactly Hermitian, its lower triangle the bitwise
 // conjugate of its upper one and its diagonal real, on the sc-2 shape.
 func TestDensityEngineKeepsRhoHermitian(t *testing.T) {
@@ -314,31 +343,40 @@ func TestDensityEngineKeepsRhoHermitian(t *testing.T) {
 		name  string
 		fill  func(t *testing.T, s *pulse.Schedule)
 		exact bool
+		maps  int // stretch maps the run builds
 	}{
 		{"constant-stretch", func(t *testing.T, s *pulse.Schedule) {
 			playConst(t, s, "d0", "f0", 0.5, 64)
 			playConst(t, s, "d1", "f1", 0.4, 64)
-		}, false},
+		}, false, 0},
+		{"stretch-map", func(t *testing.T, s *pulse.Schedule) {
+			playGaussian(t, s, "d0", "f0", 0.5, 48)
+			playConst(t, s, "d0", "f0", 0.5, 96)
+		}, false, 1},
 		{"varying-tick", func(t *testing.T, s *pulse.Schedule) {
 			playGaussian(t, s, "d0", "f0", 0.5, 48)
 			playGaussian(t, s, "d1", "f1", 0.4, 48)
-		}, false},
+		}, false, 0},
 		{"idle", func(t *testing.T, s *pulse.Schedule) {
 			playGaussian(t, s, "d0", "f0", 0.5, 48)
 			if err := s.Append(&pulse.Delay{Port: "d0", Samples: 300}); err != nil {
 				t.Fatal(err)
 			}
-		}, false},
+		}, false, 0},
 		{"exact", func(t *testing.T, s *pulse.Schedule) {
 			playGaussian(t, s, "d0", "f0", 0.5, 16)
 			playGaussian(t, s, "d1", "f1", 0.4, 16)
-		}, true},
+		}, true, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sp := twoPortProgram(t, func(s *pulse.Schedule) { c.fill(t, s) })
-			res, err := execEvolved(twoTransmonOpenRig(t), sp, ExecOptions{Shots: 1, exact: c.exact})
+			ex := twoTransmonOpenRig(t)
+			res, err := execEvolved(ex, sp, ExecOptions{Shots: 1, exact: c.exact})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if n := ex.maps.size(); n != c.maps {
+				t.Fatalf("the run built %d stretch maps, want %d", n, c.maps)
 			}
 			defects, coherent := hermitianDefects(res.FinalDensity.Rho)
 			if !coherent {

@@ -112,21 +112,25 @@ type EngineStats struct {
 // intrinsics link against (paper, Section 5.4).
 //
 // An Executor holds everything that is a function of the model and not of
-// the program: the spectrally shifted sparse drift, the propagator cache
-// and the dissipator's step maps (the model itself carries the channels'
-// sparse operators and the collapse precompute). All of it is immutable or
-// locked, so one Executor serves any number of Runs, concurrently; a run's
-// mutable scratch comes from the executor's pool and goes back when the
-// evolution ends.
+// the program: the spectrally shifted sparse drift, the propagator cache,
+// the density engine's stretch maps and the dissipator's step maps (the
+// model itself carries the channels' sparse operators and the collapse
+// precompute). All of it is immutable or locked, so one Executor serves
+// any number of Runs, concurrently; a run's mutable scratch comes from the
+// executor's pool and goes back when the evolution ends.
 type Executor struct {
 	Model *SystemModel
 
 	props *memo[*linalg.Matrix] // constant-stretch propagators, by propKey
+	maps  *memo[[]float64]      // open-system stretch maps S^run, by propKey
 	steps *memo[*stepMap]       // dissipator step maps, by the step size's bits
 	// drift is the sparse view of Drift − λI (nil when that is zero) and
-	// lam the spectral shift λ in rad/s; see fastEngine.
-	drift *linalg.Sparse
-	lam   float64
+	// lam the spectral shift λ in rad/s; see fastEngine. When Drift − λI
+	// has nothing off its diagonal (every preset), driftDiag holds that
+	// diagonal, and an idle stretch's propagator is exact without a series.
+	drift     *linalg.Sparse
+	lam       float64
+	driftDiag []float64
 	// scratch holds idle *fastEngine values. They are sized by the model,
 	// so one executor's engines fit every program it runs.
 	scratch sync.Pool
@@ -134,11 +138,12 @@ type Executor struct {
 
 // NewExecutor wraps a system model.
 func NewExecutor(m *SystemModel) *Executor {
-	e := &Executor{Model: m, props: newMemo[*linalg.Matrix](), steps: newMemo[*stepMap]()}
+	n := m.HilbertDim()
+	e := &Executor{Model: m, props: newMemo[*linalg.Matrix](memoLimit), steps: newMemo[*stepMap](memoLimit),
+		maps: newMemo[[]float64](max(1, min(memoLimit, mapMemoBytes/(8*n*n*n*n))))}
 	if m.Drift.MaxAbs() == 0 {
 		return e
 	}
-	n := m.HilbertDim()
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := 0; i < n; i++ {
 		d := real(m.Drift.At(i, i))
@@ -152,8 +157,15 @@ func NewExecutor(m *SystemModel) *Executor {
 			shifted.Set(i, i, shifted.At(i, i)-complex(e.lam, 0))
 		}
 	}
-	if sp := linalg.NewSparse(shifted); sp.NNZ() > 0 {
+	sp := linalg.NewSparse(shifted)
+	if sp.NNZ() > 0 {
 		e.drift = sp
+	}
+	if slices.Equal(sp.RowIdx, sp.ColIdx) {
+		e.driftDiag = make([]float64, n)
+		for i := range e.driftDiag {
+			e.driftDiag[i] = real(shifted.At(i, i))
+		}
 	}
 	return e
 }
@@ -627,11 +639,12 @@ func (e *Executor) drivenExact(eng *fastEngine, st *State, rho *Density, step *s
 
 // drivenFast steps a driven segment with the fast path. Stretches of
 // constant χ (square pulses, flat-tops, repeated samples — detected by
-// lookahead) are built once, memoized in the propagator cache, and applied
-// as dense matrix-vector products; every other tick is
-// advanced matrix-free by the scaled-Taylor stepper with zero
-// steady-state allocations. step is the dissipator's step map for one
-// tick, nil when nothing dissipates.
+// lookahead) are built once, memoized on the executor, and applied as
+// dense products: a closed system's as one propagator, an open system's
+// of at least n² ticks as one stretch map, a shorter open one as its
+// tick's propagator per tick. Every other tick is advanced matrix-free by
+// the scaled-Taylor stepper with zero steady-state allocations. step is
+// the dissipator's step map for one tick, nil when nothing dissipates.
 func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, step *stepMap, t0, t1 int64, poll func(int64) bool) error {
 	active, dt := eng.active, eng.dt
 	for tick := t0; tick < t1; {
@@ -683,6 +696,15 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, step *st
 				return ErrInterrupted
 			}
 			tick++
+		case step != nil && run >= int64(len(rho.Rho.Data)):
+			// Long constant stretch with decoherence: its run splitting
+			// steps are one memoized map, applied once.
+			eng.mat.applyMap(e.stretchMap(eng, active, chis, step, run), rho.Rho)
+			eng.DissipatorSteps += run
+			if poll(run) {
+				return ErrInterrupted
+			}
+			tick += run
 		case allZero && e.driftFree():
 			// Zero drive over zero drift: nothing evolves (decoherence still
 			// applies on the density engine).
@@ -698,9 +720,9 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, step *st
 			}
 			tick += run
 		case step != nil:
-			// Constant stretch with decoherence: the splitting integrator
-			// still interleaves the dissipator per tick, but the unitary
-			// factor is built once and applied with the stepper's
+			// Short constant stretch with decoherence: the splitting
+			// integrator interleaves the dissipator per tick, and the
+			// unitary factor is built once and applied with the stepper's
 			// allocation-free conjugation.
 			u, err := e.propagator(eng, active, chis, 1, false)
 			if err != nil {
@@ -864,9 +886,11 @@ func (e *Executor) dissipatorStep(eng *fastEngine, h float64) *stepMap {
 // idle stretch. A fast run consults the executor's cache first and builds
 // a miss by the scaled-Taylor series in the engine's mat scratch (made on
 // the state-vector engine's first miss and pooled with it), times the
-// spectral shift's phase, so cached propagators are exact. The exact
-// reference (exact set) assembles the dense Hamiltonian with the true drift
-// and runs linalg.ExpI, neither reading nor filling the cache.
+// spectral shift's phase, so cached propagators are exact; an idle
+// stretch under a diagonal drift is diag(e^{−i·d_j·t})·e^{−iλt}, with no
+// series and no squaring, so it stays unitary however long it is. The
+// exact reference (exact set) assembles the dense Hamiltonian with the
+// true drift and runs linalg.ExpI, neither reading nor filling the cache.
 func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []complex128, ticks int64, exact bool) (*linalg.Matrix, error) {
 	n, t := e.Model.HilbertDim(), float64(ticks)*eng.dt
 	if exact {
@@ -886,13 +910,40 @@ func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []comple
 		return u, nil
 	}
 	eng.PropCacheMisses++
-	if eng.mat == nil {
-		eng.mat = newMatStepper(n) // the state-vector engine's build scratch
+	phase := cmplx.Exp(complex(0, -e.lam*t))
+	var u *linalg.Matrix
+	if len(active) == 0 && e.driftDiag != nil {
+		// An idle stretch under a diagonal drift: exact at any length.
+		u = linalg.NewMatrix(n, n)
+		for j, d := range e.driftDiag {
+			u.Data[j*n+j] = cmplx.Exp(complex(0, -d*t)) * phase
+		}
+	} else {
+		if eng.mat == nil {
+			eng.mat = newMatStepper(n) // the state-vector engine's build scratch
+		}
+		eng.loadHam(active, chis)
+		u = eng.mat.stretch(eng.ham, t, phase)
 	}
-	eng.loadHam(active, chis)
-	u := eng.mat.stretch(eng.ham, t, cmplx.Exp(complex(0, -e.lam*t)))
 	e.props.put(eng.keyBuf, u)
 	return u, nil
+}
+
+// stretchMap returns the density engine's map S^run of a constant stretch
+// of run ticks under (active, chis), whose per-tick dissipator step is
+// step: from the executor's memo, or built in the engine's scratch on a
+// miss. A look-up counts as a propagator-cache hit or miss.
+func (e *Executor) stretchMap(eng *fastEngine, active []playEvent, chis []complex128, step *stepMap, run int64) []float64 {
+	eng.keyBuf = propKey(eng.keyBuf, eng.dt, active, chis, run)
+	if m, ok := e.maps.get(eng.keyBuf); ok {
+		eng.PropCacheHits++
+		return m
+	}
+	eng.PropCacheMisses++
+	eng.loadHam(active, chis)
+	m := eng.mat.stretchMap(eng.ham, eng.dt, step, run)
+	e.maps.put(eng.keyBuf, m)
+	return m
 }
 
 // activePlays appends to dst the plays sounding at tick t.

@@ -451,7 +451,9 @@ func TestCancelDuringLongPlay(t *testing.T) {
 	// must land mid-pulse (the driven loop polls every 1024 ticks), not
 	// after the whole pulse has been integrated. The Interrupted callback
 	// reports false on its first poll (the segment boundary) and true from
-	// then on, so only the in-loop polling can abort the run.
+	// then on, so only the in-loop polling can abort the run. The Gaussian
+	// steps tick by tick; the open-system square is one stretch map, whose
+	// apply charges all its ticks to the next poll.
 	s, ex := oneQubitRig(t, 10e6, nil)
 	w, err := waveform.Gaussian{Amplitude: 0.9, SigmaFrac: 0.2}.Materialize("long", 100000)
 	if err != nil {
@@ -460,24 +462,34 @@ func TestCancelDuringLongPlay(t *testing.T) {
 	if err := s.Append(&pulse.Play{Port: "q0-drive-port", Frame: "q0-drive-frame", Waveform: w}); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.Resolve()
+	gaussian, err := s.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, exact := range []bool{false, true} {
-		calls := 0
-		_, err = ex.Run(sp, ExecOptions{Shots: 1, exact: exact, Interrupted: func() bool {
-			calls++
-			return calls > 1
-		}})
-		if err != ErrInterrupted {
-			t.Fatalf("exact=%v: err = %v, want ErrInterrupted", exact, err)
-		}
-		// Two segment-boundary-equivalent polls plus at most a few in-loop
-		// polls: the abort must not have waited for the full 100k samples
-		// (which would have needed ~97 further polls).
-		if calls > 5 {
-			t.Fatalf("exact=%v: %d polls before abort; cancellation latency unbounded", exact, calls)
+	square := resonantProgram(t, func(s *pulse.Schedule) { playConst(t, s, "d0", "f0", 0.5, 100000) })
+	for _, c := range []struct {
+		name string
+		ex   *Executor
+		sp   *pulse.ScheduledProgram
+	}{
+		{"gaussian", ex, gaussian},
+		{"open square", twoTransmonOpenRig(t), square},
+	} {
+		for _, exact := range []bool{false, true} {
+			calls := 0
+			_, err = c.ex.Run(c.sp, ExecOptions{Shots: 1, exact: exact, Interrupted: func() bool {
+				calls++
+				return calls > 1
+			}})
+			if err != ErrInterrupted {
+				t.Fatalf("%s, exact=%v: err = %v, want ErrInterrupted", c.name, exact, err)
+			}
+			// Two segment-boundary-equivalent polls plus at most a few
+			// in-loop polls: the abort must not have waited for the full
+			// 100k samples (which would have needed ~97 further polls).
+			if calls > 5 {
+				t.Fatalf("%s, exact=%v: %d polls before abort; cancellation latency unbounded", c.name, exact, calls)
+			}
 		}
 	}
 }

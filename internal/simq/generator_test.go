@@ -19,8 +19,11 @@ import (
 // stretch (the two together), a tick of a varying envelope (Hamiltonian
 // load, Taylor propagator build, conjugation, dissipator), a
 // propagator-cache miss (the key, the Taylor build of a one-tick stretch
-// and its cache entry) and a step-memo miss (the key, the build of the
-// dissipator's step map and its memo entry). varying-tick-d2 is a tick of
+// and its cache entry), a step-memo miss (the key, the build of the
+// dissipator's step map and its memo entry), the apply of a 256-tick
+// constant stretch's map (one whole stretch) and its build on a miss (the
+// key, 81 ticks on the basis, eight squarings and the memo entry; its
+// memo fills, so it also times evictions). varying-tick-d2 is a tick of
 // a varying envelope at the tiny-1 shape (one d = 2 site), where a build's
 // fixed costs show first. Every sub-benchmark flushes ρ's subnormal parts
 // at the cadence a run does, so a reading does not depend on b.N.
@@ -32,7 +35,9 @@ func BenchmarkDensityTick(b *testing.B) {
 		b.Fatal(err)
 	}
 	d2 := newTickRig(oneQubitOpenRig(b))
-	missChis, missH := slices.Clone(r.chis), eng.dt
+	missChis, missH, mapChis := slices.Clone(r.chis), eng.dt, slices.Clone(r.chis)
+	const mapRun = 256
+	m := ex.stretchMap(eng, r.active, r.chis, r.step, mapRun)
 	for _, bc := range []struct {
 		name string
 		rho  *Density
@@ -55,6 +60,11 @@ func BenchmarkDensityTick(b *testing.B) {
 		{"dissipator-build", rho, func() {
 			missH *= 1 + 1e-9 // a step size no look-up has seen
 			ex.dissipatorStep(eng, missH)
+		}},
+		{"stretch-map-apply", rho, func() { eng.mat.applyMap(m, rho.Rho) }},
+		{"stretch-map-build", rho, func() {
+			mapChis[0] += 1e-6 // a χ no look-up has seen
+			ex.stretchMap(eng, r.active, mapChis, r.step, mapRun)
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -351,6 +361,47 @@ func TestDissipatorStepMemoRace(t *testing.T) {
 	}
 	if n := ex.steps.size(); n != 1 {
 		t.Fatalf("the memo holds %d step maps, want 1", n)
+	}
+	for g := 1; g < runs; g++ {
+		sameRun(t, "racing runs", results[g], results[0])
+	}
+}
+
+// TestStretchMapMemoRace: eight runs racing an executor's first use of a
+// square pulse of at least n² ticks store one stretch map between them and
+// return bit-identical results.
+func TestStretchMapMemoRace(t *testing.T) {
+	ex := twoTransmonOpenRig(t)
+	sp := resonantProgram(t, func(s *pulse.Schedule) {
+		playConst(t, s, "d0", "f0", 0.5, 128)
+		playConst(t, s, "d1", "f1", 0.4, 128)
+	})
+	p, err := ex.Prepare(sp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	results := make([]*evolved, runs)
+	errs := make([]error, runs)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			results[g], errs[g] = runEvolved(p, ExecOptions{Shots: 1})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", g, err)
+		}
+	}
+	if n := ex.maps.size(); n != 1 {
+		t.Fatalf("the memo holds %d stretch maps, want 1", n)
 	}
 	for g := 1; g < runs; g++ {
 		sameRun(t, "racing runs", results[g], results[0])

@@ -60,6 +60,10 @@ const (
 	// and idle lengths, so a small cap only guards against sweeps over
 	// square-pulse amplitudes or delays and adversarial programs.
 	memoLimit = 128
+	// mapMemoBytes bounds the stretch-map memo's footprint as well: an
+	// entry is n⁴ float64s (52 KB at two d = 3 sites, 4.3 MB at three), so
+	// large models keep fewer than memoLimit maps.
+	mapMemoBytes = 64 << 20
 )
 
 // driveCoeff is one active drive contribution to a tick Hamiltonian:
@@ -186,9 +190,14 @@ func (s *vecStepper) step(h *tickHam, psi []complex128, dt float64) {
 // scaled-Taylor series of Hermitian powers (taylor), then ρ ← U·ρ·U† is
 // two allocation-free dense products, the second computed on the upper
 // triangle only and mirrored. The dissipator is stepped separately by the
-// splitting integrator (dissipate, in density.go), on the same scratch.
+// splitting integrator (dissipate, in density.go), on the same scratch, and
+// a long constant stretch as one map (stretchMap and applyMap, there too).
 type matStepper struct {
 	u, acc, term, tmp, work *linalg.Matrix
+	// x and y hold one ρ's n² Hermitian coordinates each; the four n²×n²
+	// matrices are a stretch map's build scratch, made on its first build.
+	x, y                   []float64
+	pow, prod, powT, baseT []float64
 }
 
 func newMatStepper(n int) *matStepper {
@@ -198,6 +207,8 @@ func newMatStepper(n int) *matStepper {
 		term: linalg.NewMatrix(n, n),
 		tmp:  linalg.NewMatrix(n, n),
 		work: linalg.NewMatrix(n, n),
+		x:    make([]float64, n*n),
+		y:    make([]float64, n*n),
 	}
 }
 
@@ -355,24 +366,25 @@ func propKey(buf []byte, dt float64, active []playEvent, chis []complex128, tick
 }
 
 // memo is the Executor's store of what a run builds from the model once
-// and reuses: propagators for constant-envelope stretches, keyed by the
-// active (port, χ) pairs and the stretch duration (propKey), so square
-// pulses, flat-tops, idle gaps and repeated calibrated envelopes are
-// built once per distinct shape; and the dissipator's step maps, keyed by
-// the step size. It is shared by all of the executor's runs, which may be
-// concurrent, so access is guarded: lookups take a read lock (the hot
-// case — a warmed memo serves concurrent readers without contention),
-// inserts a write lock. Values are immutable after insertion. Builds are
-// deterministic functions of the key and of the executor's model, so two
-// runs racing to insert the same key produce bit-identical values and a
-// result never depends on which won, nor on whether the memo was cold or
-// warm.
+// and reuses: propagators for constant-envelope stretches and the density
+// engine's maps of long ones, keyed by the active (port, χ) pairs and the
+// stretch duration (propKey), so square pulses, flat-tops, idle gaps and
+// repeated calibrated envelopes are built once per distinct shape; and the
+// dissipator's step maps, keyed by the step size. It is shared by all of
+// the executor's runs, which may be concurrent, so access is guarded:
+// lookups take a read lock (the hot case — a warmed memo serves concurrent
+// readers without contention), inserts a write lock. Values are immutable
+// after insertion. Builds are deterministic functions of the key and of
+// the executor's model, so two runs racing to insert the same key produce
+// bit-identical values and a result never depends on which won, nor on
+// whether the memo was cold or warm.
 type memo[V any] struct {
-	mu sync.RWMutex
-	m  map[string]V
+	mu    sync.RWMutex
+	m     map[string]V
+	limit int // the entry cap
 }
 
-func newMemo[V any]() *memo[V] { return &memo[V]{m: map[string]V{}} }
+func newMemo[V any](limit int) *memo[V] { return &memo[V]{m: map[string]V{}, limit: limit} }
 
 // get looks up k without allocating (the map index converts the byte
 // slice in place).
@@ -390,7 +402,7 @@ func (c *memo[V]) get(k []byte) (V, bool) {
 func (c *memo[V]) put(k []byte, v V) {
 	c.mu.Lock()
 	if _, ok := c.m[string(k)]; !ok {
-		if len(c.m) >= memoLimit {
+		if len(c.m) >= c.limit {
 			for victim := range c.m {
 				delete(c.m, victim)
 				break

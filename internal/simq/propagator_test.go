@@ -536,3 +536,113 @@ func TestTaylorPropagatorMatchesExpI(t *testing.T) {
 		}
 	}
 }
+
+// TestStretchMapMatchesExact pins the density engine's stretch map — a
+// constant stretch of at least n² ticks applied as one memoized S^run — on
+// the sc-2 shape (n = 9, so 81 ticks is the shortest stretch it takes).
+// Square pulses of 81, 256 and 4,096 ticks on both drives, between
+// Gaussians so ρ carries coherences into and out of the stretch, end
+// within 1e-11 of the same stretch played as pieces of at most 64 ticks,
+// which step tick by tick with the same propagator and dissipator step, and
+// within the property tests' 1e-9 of the exact reference (at 4,096 ticks
+// the per-tick integrator is itself 1.7e-11 from it); all three count every
+// tick's dissipator step. A zero drive over tiny-1's zero drift takes the
+// map too.
+func TestStretchMapMatchesExact(t *testing.T) {
+	ex := twoTransmonOpenRig(t)
+	program := func(ticks, piece int) *pulse.ScheduledProgram {
+		return resonantProgram(t, func(s *pulse.Schedule) {
+			playGaussian(t, s, "d0", "f0", 0.5, 32)
+			if err := s.Append(&pulse.Barrier{}); err != nil {
+				t.Fatal(err)
+			}
+			for left := ticks; left > 0; left -= piece {
+				playConst(t, s, "d0", "f0", 0.3, min(left, piece))
+				playConst(t, s, "d1", "f1", 0.4, min(left, piece))
+			}
+			playGaussian(t, s, "d1", "f1", 0.8, 32)
+		})
+	}
+	for _, ticks := range []int{81, 256, 4096} {
+		sp := program(ticks, ticks)
+		whole, err := execEvolved(ex, sp, ExecOptions{Shots: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ex.maps.size(); n == 0 {
+			t.Fatalf("%d ticks: no stretch map was built", ticks)
+		}
+		pieces, err := execEvolved(ex, program(ticks, 64), ExecOptions{Shots: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := execEvolved(ex, sp, ExecOptions{Shots: 1, exact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if whole.DissipatorSteps != pieces.DissipatorSteps || whole.DissipatorSteps != exact.DissipatorSteps {
+			t.Fatalf("%d ticks: %d dissipator steps, %d in pieces, %d exact",
+				ticks, whole.DissipatorSteps, pieces.DissipatorSteps, exact.DissipatorSteps)
+		}
+		rho := whole.FinalDensity.Rho
+		if d := rho.Sub(pieces.FinalDensity.Rho).MaxAbs(); d > 1e-11 {
+			t.Errorf("%d ticks: stretch map vs per-tick stepping off by %g", ticks, d)
+		}
+		if d := rho.Sub(exact.FinalDensity.Rho).MaxAbs(); d > 1e-9 {
+			t.Errorf("%d ticks: stretch map vs exact density off by %g", ticks, d)
+		}
+		if err := whole.FinalDensity.CheckPhysical(1e-9); err != nil {
+			t.Errorf("%d ticks: %v", ticks, err)
+		}
+	}
+
+	// A zero drive over a zero drift (the tiny-1 shape, n² = 4) is a
+	// constant stretch too: its map is the dissipator step's power.
+	tiny := oneQubitOpenRig(t)
+	sp := resonantProgram(t, func(s *pulse.Schedule) {
+		playGaussian(t, s, "d0", "f0", 0.5, 16)
+		playConst(t, s, "d0", "f0", 0, 64)
+		playGaussian(t, s, "d0", "f0", 0.3, 16)
+	})
+	fast, err := execEvolved(tiny, sp, ExecOptions{Shots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := execEvolved(tiny, sp, ExecOptions{Shots: 1, exact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tiny.maps.size(); n != 1 {
+		t.Fatalf("zero drive: %d stretch maps built, want 1", n)
+	}
+	if d := fast.FinalDensity.Rho.Sub(exact.FinalDensity.Rho).MaxAbs(); d > 1e-9 || fast.DissipatorSteps != exact.DissipatorSteps {
+		t.Errorf("zero drive: off the exact density by %g, %d dissipator steps against %d",
+			d, fast.DissipatorSteps, exact.DissipatorSteps)
+	}
+}
+
+// TestIdlePropagatorIsUnitary: on the sc-2 shape the drift is diagonal, so
+// an idle stretch's propagator is diag(e^{−i·d_j·t})·e^{−iλt}, built with
+// no series and no squaring. At 4,096,000 ticks (4 ms) it is unitary within
+// 1e-13 — a halve-and-square build drifts by 1.6e-8 there — and equals the
+// exact reference within its phases' rounding.
+func TestIdlePropagatorIsUnitary(t *testing.T) {
+	ex := twoTransmonOpenRig(t)
+	eng := ex.newFastEngine(true, 1e-9)
+	const ticks = 4_096_000
+	u, err := ex.propagator(eng, nil, nil, ticks, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ex.Model.HilbertDim()
+	if d := u.Dagger().Mul(u).Sub(linalg.Identity(n)).MaxAbs(); d > 1e-13 {
+		t.Fatalf("U†U off I by %g", d)
+	}
+	want, err := ex.propagator(eng, nil, nil, ticks, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := u.Sub(want).MaxAbs(); d > 1e-9 {
+		t.Fatalf("idle propagator off exp(−iH·t) by %g", d)
+	}
+}

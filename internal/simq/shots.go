@@ -32,15 +32,19 @@ func mix64(z uint64) uint64 {
 	return z
 }
 
+// streamBase mixes the job seed once into the base every shot's stream
+// state is derived from.
+func streamBase(jobSeed int64) uint64 { return mix64(uint64(jobSeed)) }
+
 // shotStreamState derives the initial RNG stream state of shot k from
-// the job seed. The argument of the outer mix64 is injective in k for a
-// fixed seed (the gamma multiplier is odd, hence invertible mod 2⁶⁴) and
+// the job's stream base. The argument of mix64 is injective in k for a
+// fixed base (the gamma multiplier is odd, hence invertible mod 2⁶⁴) and
 // mix64 itself is a bijection, so no two shots of one job ever receive
 // the same stream state — the aliasing property test pins this across
 // the shot index space. Plain math/rand.NewSource is NOT usable here: it
 // reduces seeds mod 2³¹−1, which would alias 64-bit derived seeds.
-func shotStreamState(jobSeed int64, shot int) uint64 {
-	return mix64(mix64(uint64(jobSeed)) + (uint64(shot)+1)*shotStreamGamma)
+func shotStreamState(base uint64, shot int) uint64 {
+	return mix64(base + (uint64(shot)+1)*shotStreamGamma)
 }
 
 // shotSource is a SplitMix64 rand.Source64. Each shot starts its own
@@ -88,7 +92,7 @@ type shotRunner struct {
 	// from ExecOptions.SiteError once per run; empty for kerneled/raw.
 	errs        [][2]float64
 	dt          float64
-	seed        int64
+	base        uint64 // streamBase of the job seed
 	shots       int
 	interrupted func() bool
 
@@ -108,7 +112,7 @@ type shotRunner struct {
 // Exactly one of st and rho carries the evolved final state.
 func (r *shotRunner) load(p *Program, st *State, rho *Density, seed int64, opts ExecOptions) {
 	r.captures, r.masks, r.dt = p.captures, p.masks, p.dt
-	r.seed, r.shots, r.interrupted = seed, opts.Shots, opts.Interrupted
+	r.base, r.shots, r.interrupted = streamBase(seed), opts.Shots, opts.Interrupted
 	r.model, r.errs = nil, r.errs[:0]
 	if m := opts.Readout; m != nil && m.Level != readout.LevelDiscriminated {
 		r.model = m
@@ -143,7 +147,7 @@ func (r *shotRunner) load(p *Program, st *State, rho *Density, seed int64, opts 
 // discriminated bitmask. At kerneled and raw levels it writes the shot's
 // point per capture into pts and, when trs is non-nil, its trace into trs.
 func (r *shotRunner) runShot(k int, pts []readout.IQ, trs [][]complex128) uint64 {
-	r.src.state = shotStreamState(r.seed, k)
+	r.src.state = shotStreamState(r.base, k)
 	rng := r.rng
 	raw := r.masks[drawIndex(rng, r.cum, r.total)]
 	var mask uint64

@@ -19,7 +19,7 @@ func TestShotStreamStatesNeverAlias(t *testing.T) {
 	for _, seed := range []int64{0, 1, -1, 0x6d717373, math.MaxInt64, math.MinInt64} {
 		seen := make(map[uint64]int, indices)
 		for k := 0; k < indices; k++ {
-			st := shotStreamState(seed, k)
+			st := shotStreamState(streamBase(seed), k)
 			if prev, dup := seen[st]; dup {
 				t.Fatalf("seed %d: shots %d and %d share stream state %#x", seed, prev, k, st)
 			}
@@ -36,7 +36,7 @@ func TestShotStreamDrawsDifferAcrossShots(t *testing.T) {
 	const shots = 1 << 15
 	seen := make(map[uint64]bool, shots)
 	for k := 0; k < shots; k++ {
-		src := &shotSource{state: shotStreamState(7, k)}
+		src := &shotSource{state: shotStreamState(streamBase(7), k)}
 		v := src.Uint64()
 		if seen[v] {
 			t.Fatalf("first draw of shot %d collides with an earlier shot", k)
@@ -46,8 +46,8 @@ func TestShotStreamDrawsDifferAcrossShots(t *testing.T) {
 }
 
 func TestShotSourceIsDeterministic(t *testing.T) {
-	a := &shotSource{state: shotStreamState(3, 9)}
-	b := &shotSource{state: shotStreamState(3, 9)}
+	a := &shotSource{state: shotStreamState(streamBase(3), 9)}
+	b := &shotSource{state: shotStreamState(streamBase(3), 9)}
 	for i := 0; i < 100; i++ {
 		if av, bv := a.Uint64(), b.Uint64(); av != bv {
 			t.Fatalf("draw %d diverged: %#x vs %#x", i, av, bv)
@@ -63,7 +63,7 @@ func TestPropCacheConcurrentHammer(t *testing.T) {
 	// 3× the capacity, mixing hits, misses, inserts, and evictions — the
 	// race detector (CI runs this with -race) catches any unsynchronized
 	// access, and value checks catch key collisions under eviction churn.
-	c := newMemo[*linalg.Matrix]()
+	c := newMemo[*linalg.Matrix](memoLimit)
 	const goroutines = 16
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
@@ -94,7 +94,7 @@ func TestPropCacheConcurrentHammer(t *testing.T) {
 }
 
 func TestPropCachePutIsFirstWriterWins(t *testing.T) {
-	c := newMemo[*linalg.Matrix]()
+	c := newMemo[*linalg.Matrix](memoLimit)
 	key := []byte{1}
 	m1 := linalg.NewMatrix(1, 1)
 	m1.Set(0, 0, 1)
