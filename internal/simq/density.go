@@ -256,10 +256,20 @@ func (s *matStepper) dissipate(step *stepMap, rho *linalg.Matrix) {
 // splitting step, S: ρ ↦ M(dt)(U·ρ·U†). S is real-linear on Hermitian
 // matrices, so over ρ's n² Hermitian coordinates — the real diagonal, then
 // the real and imaginary parts of each entry above it, row by row (toCoords)
-// — it is a real n²×n² matrix, and the stretch is S^run. A stretch of at
-// least n² ticks is applied as that one matrix, memoized per shape on the
-// Executor: its build costs about n² ticks and ⌈log₂ run⌉ products, its
-// apply one mat-vec. A shorter stretch steps tick by tick.
+// — it is a real n²×n² matrix, and the stretch is S^run. A stretch that
+// useStretchMap admits is applied as that one matrix, memoized per shape on
+// the Executor: its build costs n² ticks and up to 2·⌊log₂ run⌋ products,
+// its apply one mat-vec. Any other stretch steps tick by tick.
+
+// useStretchMap reports whether a constant open stretch of run ticks on an
+// n-dimensional model is applied as a stretch map: when n ≤ mapMaxDim, the
+// stretch is at least the n² ticks its build steps, and its build's
+// products cost at most mapBuildRatio times the ticks they replace. It
+// reads only (n, run), so a run's path never depends on a memo's state.
+func useStretchMap(n int, run int64) bool {
+	n3 := int64(n * n * n)
+	return n <= mapMaxDim && run >= int64(n*n) && int64(bits.Len64(uint64(run)))*n3 <= mapBuildRatio*run
+}
 
 // toCoords writes the Hermitian coordinates of rho's upper triangle into x.
 //
@@ -319,8 +329,10 @@ func (s *matStepper) applyMap(m []float64, rho *linalg.Matrix) {
 // then raised to run by binary powering in the stepper's scratch. Every
 // product runs in one fixed order, so the map is a deterministic function
 // of (h, dt, step, run); the copy it returns is the build's one allocation
-// once the scratch exists.
-func (s *matStepper) stretchMap(h *tickHam, dt float64, step *stepMap, run int64) []float64 {
+// once the scratch exists. interrupted, when non-nil, is consulted before
+// each squaring (at most two products apart); once it reports true the
+// build is abandoned and stretchMap returns nil.
+func (s *matStepper) stretchMap(h *tickHam, dt float64, step *stepMap, run int64, interrupted func() bool) []float64 {
 	nn := len(s.x)
 	if s.pow == nil {
 		s.pow, s.prod = make([]float64, nn*nn), make([]float64, nn*nn)
@@ -341,6 +353,9 @@ func (s *matStepper) stretchMap(h *tickHam, dt float64, step *stepMap, run int64
 	pow, prod, powT := s.pow, s.prod, s.powT
 	transpose(pow, baseT, nn)
 	for b := bits.Len64(uint64(run)) - 2; b >= 0; b-- {
+		if interrupted != nil && interrupted() {
+			return nil
+		}
 		transpose(powT, pow, nn)
 		mulReal(prod, pow, powT, nn)
 		pow, prod = prod, pow

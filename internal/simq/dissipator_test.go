@@ -116,6 +116,29 @@ func twoTransmonOpenRig(t testing.TB) *Executor {
 	return NewExecutor(model)
 }
 
+// openRig is an open transmon chain of the given level counts: site i
+// anharmonic by −220 MHz, driven on port di at 5.0 + 0.1·i GHz (so
+// resonantProgram's squares are constant stretches), T1 = 30 µs and
+// T2 = 20 µs.
+func openRig(t testing.TB, dims []int) *Executor {
+	t.Helper()
+	drift := TransmonDrift(dims, 0, 0, -220e6)
+	var chans []*ControlChannel
+	var cs []Collapse
+	for i := range dims {
+		if i > 0 {
+			drift = drift.Add(TransmonDrift(dims, i, 0, -220e6))
+		}
+		chans = append(chans, TransmonDriveChannel(fmt.Sprintf("d%d", i), dims, i, 40e6, 5.0e9+0.1e9*float64(i)))
+		cs = append(cs, RelaxationCollapses(dims, i, 30e-6, 20e-6)...)
+	}
+	model, err := NewSystemModel(dims, drift, chans, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewExecutor(model)
+}
+
 // oneQubitOpenRig is the tiny-1 shape: one d=2 site with no drift, a
 // 250 MHz drive and T1 = T2 = 1 ms.
 func oneQubitOpenRig(t testing.TB) *Executor {
@@ -199,7 +222,7 @@ func TestDensityTickAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, r.varyingTick); n != 0 {
 		t.Fatalf("driven density tick allocates %v objects", n)
 	}
-	m := r.ex.stretchMap(r.eng, r.active, r.chis, r.step, 256)
+	m := r.ex.stretchMap(r.eng, r.active, r.chis, r.step, 256, nil)
 	if n := testing.AllocsPerRun(100, func() { r.eng.mat.applyMap(m, r.rho.Rho) }); n != 0 {
 		t.Fatalf("stretch map apply allocates %v objects", n)
 	}
@@ -248,7 +271,7 @@ func TestLongDensityRunEndsWithoutSubnormals(t *testing.T) {
 
 // TestExecutorWarmRunsMatchCold: an executor's second run of a program is
 // served from its memos — square pulses, the idle gap between them and the
-// stretch map of a square of at least n² = 81 ticks — and returns exactly
+// stretch map of a 256-tick square — and returns exactly
 // what its cold run and a fresh executor return; the sample period is part
 // of the key, so a program on another clock does not pick up the first
 // one's propagators or maps.
@@ -269,7 +292,7 @@ func TestExecutorWarmRunsMatchCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		playConst(t, s, "d0", "f0", 0.5, 40)
-		playConst(t, s, "d0", "f0", 0.3, 100)
+		playConst(t, s, "d0", "f0", 0.3, 256)
 		sp, err := s.Resolve()
 		if err != nil {
 			t.Fatal(err)
@@ -291,7 +314,7 @@ func TestExecutorWarmRunsMatchCold(t *testing.T) {
 		t.Fatalf("cold run: %d misses, %d hits; want the pulse, the gap and the long square's map to miss once and the second pulse to hit",
 			cold.PropCacheMisses, cold.PropCacheHits)
 	}
-	if want := int64(40 + 1 + 40 + 100); cold.DissipatorSteps != want {
+	if want := int64(40 + 1 + 40 + 256); cold.DissipatorSteps != want {
 		t.Fatalf("cold run: %d dissipator steps, want %d", cold.DissipatorSteps, want)
 	}
 	if warm.maps.size() != 1 {
@@ -334,8 +357,8 @@ func hermitianDefects(m *linalg.Matrix) (defects int, coherent bool) {
 }
 
 // TestDensityEngineKeepsRhoHermitian: every density path — a constant
-// stretch with decoherence stepped per tick and one of 96 ≥ n² ticks applied
-// as its stretch map, varying ticks, an idle segment and the exact
+// stretch with decoherence stepped per tick and one of 256 ticks applied as
+// its stretch map, varying ticks, an idle segment and the exact
 // reference — leaves ρ exactly Hermitian, its lower triangle the bitwise
 // conjugate of its upper one and its diagonal real, on the sc-2 shape.
 func TestDensityEngineKeepsRhoHermitian(t *testing.T) {
@@ -351,7 +374,7 @@ func TestDensityEngineKeepsRhoHermitian(t *testing.T) {
 		}, false, 0},
 		{"stretch-map", func(t *testing.T, s *pulse.Schedule) {
 			playGaussian(t, s, "d0", "f0", 0.5, 48)
-			playConst(t, s, "d0", "f0", 0.5, 96)
+			playConst(t, s, "d0", "f0", 0.5, 256)
 		}, false, 1},
 		{"varying-tick", func(t *testing.T, s *pulse.Schedule) {
 			playGaussian(t, s, "d0", "f0", 0.5, 48)

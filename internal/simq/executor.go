@@ -37,9 +37,10 @@ type ExecOptions struct {
 	// then come from thresholding the synthesized points, so counts and IQ
 	// data are mutually consistent.
 	Readout *ReadoutModel
-	// Interrupted, when non-nil, is polled between integration segments and
-	// every interruptPollTicks (1024) driven samples inside them, so even a
-	// single very long Play cancels promptly; once it reports true the run
+	// Interrupted, when non-nil, is polled between integration segments,
+	// every interruptPollTicks (1024) driven samples inside them and between
+	// the squarings of a stretch map's build, so even a single very long
+	// Play cancels promptly; once it reports true the run
 	// aborts with ErrInterrupted. Devices wire it to their job-cancellation
 	// state. The sampler also polls it every 64 shots, so a cancelled run
 	// stops drawing within that many.
@@ -138,12 +139,11 @@ type Executor struct {
 
 // NewExecutor wraps a system model.
 func NewExecutor(m *SystemModel) *Executor {
-	n := m.HilbertDim()
-	e := &Executor{Model: m, props: newMemo[*linalg.Matrix](memoLimit), steps: newMemo[*stepMap](memoLimit),
-		maps: newMemo[[]float64](max(1, min(memoLimit, mapMemoBytes/(8*n*n*n*n))))}
+	e := &Executor{Model: m, props: newMemo[*linalg.Matrix](), maps: newMemo[[]float64](), steps: newMemo[*stepMap]()}
 	if m.Drift.MaxAbs() == 0 {
 		return e
 	}
+	n := m.HilbertDim()
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := 0; i < n; i++ {
 		d := real(m.Drift.At(i, i))
@@ -571,7 +571,7 @@ func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, 
 		if opts.exact {
 			err = e.drivenExact(eng, st, rho, tickStep, t0, t1, poll)
 		} else {
-			err = e.drivenFast(eng, st, rho, tickStep, t0, t1, poll)
+			err = e.drivenFast(eng, st, rho, tickStep, t0, t1, poll, opts.Interrupted)
 		}
 		if err != nil {
 			return err
@@ -641,11 +641,13 @@ func (e *Executor) drivenExact(eng *fastEngine, st *State, rho *Density, step *s
 // constant χ (square pulses, flat-tops, repeated samples — detected by
 // lookahead) are built once, memoized on the executor, and applied as
 // dense products: a closed system's as one propagator, an open system's
-// of at least n² ticks as one stretch map, a shorter open one as its
-// tick's propagator per tick. Every other tick is advanced matrix-free by
-// the scaled-Taylor stepper with zero steady-state allocations. step is
-// the dissipator's step map for one tick, nil when nothing dissipates.
-func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, step *stepMap, t0, t1 int64, poll func(int64) bool) error {
+// as one stretch map where useStretchMap admits it, any other open one as
+// its tick's propagator per tick. Every other tick is advanced matrix-free
+// by the scaled-Taylor stepper with zero steady-state allocations. step is
+// the dissipator's step map for one tick, nil when nothing dissipates;
+// interrupted is the run's ExecOptions.Interrupted, which a stretch map's
+// build consults between its squarings.
+func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, step *stepMap, t0, t1 int64, poll func(int64) bool, interrupted func() bool) error {
 	active, dt := eng.active, eng.dt
 	for tick := t0; tick < t1; {
 		chis := eng.chis[:0]
@@ -696,10 +698,14 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, step *st
 				return ErrInterrupted
 			}
 			tick++
-		case step != nil && run >= int64(len(rho.Rho.Data)):
+		case step != nil && useStretchMap(rho.Rho.Rows, run):
 			// Long constant stretch with decoherence: its run splitting
 			// steps are one memoized map, applied once.
-			eng.mat.applyMap(e.stretchMap(eng, active, chis, step, run), rho.Rho)
+			m := e.stretchMap(eng, active, chis, step, run, interrupted)
+			if m == nil {
+				return ErrInterrupted
+			}
+			eng.mat.applyMap(m, rho.Rho)
 			eng.DissipatorSteps += run
 			if poll(run) {
 				return ErrInterrupted
@@ -932,8 +938,9 @@ func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []comple
 // stretchMap returns the density engine's map S^run of a constant stretch
 // of run ticks under (active, chis), whose per-tick dissipator step is
 // step: from the executor's memo, or built in the engine's scratch on a
-// miss. A look-up counts as a propagator-cache hit or miss.
-func (e *Executor) stretchMap(eng *fastEngine, active []playEvent, chis []complex128, step *stepMap, run int64) []float64 {
+// miss. A look-up counts as a propagator-cache hit or miss. A build that
+// interrupted stops returns nil and stores nothing.
+func (e *Executor) stretchMap(eng *fastEngine, active []playEvent, chis []complex128, step *stepMap, run int64, interrupted func() bool) []float64 {
 	eng.keyBuf = propKey(eng.keyBuf, eng.dt, active, chis, run)
 	if m, ok := e.maps.get(eng.keyBuf); ok {
 		eng.PropCacheHits++
@@ -941,8 +948,10 @@ func (e *Executor) stretchMap(eng *fastEngine, active []playEvent, chis []comple
 	}
 	eng.PropCacheMisses++
 	eng.loadHam(active, chis)
-	m := eng.mat.stretchMap(eng.ham, eng.dt, step, run)
-	e.maps.put(eng.keyBuf, m)
+	m := eng.mat.stretchMap(eng.ham, eng.dt, step, run, interrupted)
+	if m != nil {
+		e.maps.put(eng.keyBuf, m)
+	}
 	return m
 }
 

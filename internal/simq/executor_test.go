@@ -452,8 +452,10 @@ func TestCancelDuringLongPlay(t *testing.T) {
 	// after the whole pulse has been integrated. The Interrupted callback
 	// reports false on its first poll (the segment boundary) and true from
 	// then on, so only the in-loop polling can abort the run. The Gaussian
-	// steps tick by tick; the open-system square is one stretch map, whose
-	// apply charges all its ticks to the next poll.
+	// steps tick by tick. An open-system square at sc-2 (n = 9) is one
+	// stretch map, whose build consults Interrupted between its squarings,
+	// so the abort lands inside the build and stores no map; at three d = 3
+	// sites (n = 27) the square is never a map and steps tick by tick.
 	s, ex := oneQubitRig(t, 10e6, nil)
 	w, err := waveform.Gaussian{Amplitude: 0.9, SigmaFrac: 0.2}.Materialize("long", 100000)
 	if err != nil {
@@ -468,14 +470,16 @@ func TestCancelDuringLongPlay(t *testing.T) {
 	}
 	square := resonantProgram(t, func(s *pulse.Schedule) { playConst(t, s, "d0", "f0", 0.5, 100000) })
 	for _, c := range []struct {
-		name string
-		ex   *Executor
-		sp   *pulse.ScheduledProgram
+		name  string
+		ex    *Executor
+		sp    *pulse.ScheduledProgram
+		exact []bool
 	}{
-		{"gaussian", ex, gaussian},
-		{"open square", twoTransmonOpenRig(t), square},
+		{"gaussian", ex, gaussian, []bool{false, true}},
+		{"open square, n = 9", twoTransmonOpenRig(t), square, []bool{false, true}},
+		{"open square, n = 27", openRig(t, []int{3, 3, 3}), square, []bool{false}},
 	} {
-		for _, exact := range []bool{false, true} {
+		for _, exact := range c.exact {
 			calls := 0
 			_, err = c.ex.Run(c.sp, ExecOptions{Shots: 1, exact: exact, Interrupted: func() bool {
 				calls++
@@ -489,6 +493,9 @@ func TestCancelDuringLongPlay(t *testing.T) {
 			// 100k samples (which would have needed ~97 further polls).
 			if calls > 5 {
 				t.Fatalf("%s, exact=%v: %d polls before abort; cancellation latency unbounded", c.name, exact, calls)
+			}
+			if n := c.ex.maps.size(); n != 0 {
+				t.Fatalf("%s, exact=%v: %d stretch maps stored; the abort must land before a build ends", c.name, exact, n)
 			}
 		}
 	}

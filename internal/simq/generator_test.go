@@ -37,7 +37,7 @@ func BenchmarkDensityTick(b *testing.B) {
 	d2 := newTickRig(oneQubitOpenRig(b))
 	missChis, missH, mapChis := slices.Clone(r.chis), eng.dt, slices.Clone(r.chis)
 	const mapRun = 256
-	m := ex.stretchMap(eng, r.active, r.chis, r.step, mapRun)
+	m := ex.stretchMap(eng, r.active, r.chis, r.step, mapRun, nil)
 	for _, bc := range []struct {
 		name string
 		rho  *Density
@@ -64,7 +64,7 @@ func BenchmarkDensityTick(b *testing.B) {
 		{"stretch-map-apply", rho, func() { eng.mat.applyMap(m, rho.Rho) }},
 		{"stretch-map-build", rho, func() {
 			mapChis[0] += 1e-6 // a χ no look-up has seen
-			ex.stretchMap(eng, r.active, mapChis, r.step, mapRun)
+			ex.stretchMap(eng, r.active, mapChis, r.step, mapRun, nil)
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -368,13 +368,13 @@ func TestDissipatorStepMemoRace(t *testing.T) {
 }
 
 // TestStretchMapMemoRace: eight runs racing an executor's first use of a
-// square pulse of at least n² ticks store one stretch map between them and
+// square pulse that takes a stretch map store one map between them and
 // return bit-identical results.
 func TestStretchMapMemoRace(t *testing.T) {
 	ex := twoTransmonOpenRig(t)
 	sp := resonantProgram(t, func(s *pulse.Schedule) {
-		playConst(t, s, "d0", "f0", 0.5, 128)
-		playConst(t, s, "d1", "f1", 0.4, 128)
+		playConst(t, s, "d0", "f0", 0.5, 256)
+		playConst(t, s, "d1", "f1", 0.4, 256)
 	})
 	p, err := ex.Prepare(sp, nil)
 	if err != nil {

@@ -60,10 +60,22 @@ const (
 	// and idle lengths, so a small cap only guards against sweeps over
 	// square-pulse amplitudes or delays and adversarial programs.
 	memoLimit = 128
-	// mapMemoBytes bounds the stretch-map memo's footprint as well: an
-	// entry is n⁴ float64s (52 KB at two d = 3 sites, 4.3 MB at three), so
-	// large models keep fewer than memoLimit maps.
-	mapMemoBytes = 64 << 20
+	// mapMaxDim is the largest Hilbert dimension n whose long open
+	// stretches are stretch maps (useStretchMap): two d = 3 sites or three
+	// d = 2 sites. A map is n⁴ float64s, so one is at most 52 KB, memoLimit
+	// of them 6.7 MB and a build's four scratch matrices 210 KB. At n = 16
+	// a build costs up to eight stepped stretches and a map 512 KB: a
+	// four-ion CZ job read 80 → 204 ms cold and 78 → 36 ms warm (six
+	// alternating pairs on a 2-vCPU x86 host), and a drifting device drops
+	// its executor at every time step, paying the build again.
+	mapMaxDim = 9
+	// mapBuildRatio bounds a stretch map's build against stepping the
+	// stretch it replaces: ⌈log₂(run+1)⌉·n³ ≤ mapBuildRatio·run. A product
+	// is n⁶ multiply-adds and a stepped tick's conjugation about 6n³; at
+	// 32 the first sighting costs at most six stepped stretches (measured
+	// at the shortest admitted stretch for n = 4, 8 and 9, on a 2-vCPU x86
+	// host) and every later one a mat-vec.
+	mapBuildRatio = 32
 )
 
 // driveCoeff is one active drive contribution to a tick Hamiltonian:
@@ -379,12 +391,11 @@ func propKey(buf []byte, dt float64, active []playEvent, chis []complex128, tick
 // bit-identical values and a result never depends on which won, nor on
 // whether the memo was cold or warm.
 type memo[V any] struct {
-	mu    sync.RWMutex
-	m     map[string]V
-	limit int // the entry cap
+	mu sync.RWMutex
+	m  map[string]V
 }
 
-func newMemo[V any](limit int) *memo[V] { return &memo[V]{m: map[string]V{}, limit: limit} }
+func newMemo[V any]() *memo[V] { return &memo[V]{m: map[string]V{}} }
 
 // get looks up k without allocating (the map index converts the byte
 // slice in place).
@@ -402,7 +413,7 @@ func (c *memo[V]) get(k []byte) (V, bool) {
 func (c *memo[V]) put(k []byte, v V) {
 	c.mu.Lock()
 	if _, ok := c.m[string(k)]; !ok {
-		if len(c.m) >= c.limit {
+		if len(c.m) >= memoLimit {
 			for victim := range c.m {
 				delete(c.m, victim)
 				break

@@ -538,16 +538,16 @@ func TestTaylorPropagatorMatchesExpI(t *testing.T) {
 }
 
 // TestStretchMapMatchesExact pins the density engine's stretch map — a
-// constant stretch of at least n² ticks applied as one memoized S^run — on
-// the sc-2 shape (n = 9, so 81 ticks is the shortest stretch it takes).
-// Square pulses of 81, 256 and 4,096 ticks on both drives, between
-// Gaussians so ρ carries coherences into and out of the stretch, end
-// within 1e-11 of the same stretch played as pieces of at most 64 ticks,
-// which step tick by tick with the same propagator and dissipator step, and
-// within the property tests' 1e-9 of the exact reference (at 4,096 ticks
-// the per-tick integrator is itself 1.7e-11 from it); all three count every
-// tick's dissipator step. A zero drive over tiny-1's zero drift takes the
-// map too.
+// long constant stretch applied as one memoized S^run — on the sc-2 shape
+// (n = 9, where 183 ticks is the shortest stretch it takes). Square pulses
+// of 81 ticks (stepped per tick), 183, 256 and 4,096 ticks on both drives,
+// between Gaussians so ρ carries coherences into and out of the stretch,
+// end within 1e-11 of the same stretch played as pieces of at most 64
+// ticks, which step tick by tick with the same propagator and dissipator
+// step, and within the property tests' 1e-9 of the exact reference (at
+// 4,096 ticks the per-tick integrator is itself 1.7e-11 from it); all three
+// count every tick's dissipator step. A zero drive over tiny-1's zero drift
+// takes the map too.
 func TestStretchMapMatchesExact(t *testing.T) {
 	ex := twoTransmonOpenRig(t)
 	program := func(ticks, piece int) *pulse.ScheduledProgram {
@@ -563,14 +563,18 @@ func TestStretchMapMatchesExact(t *testing.T) {
 			playGaussian(t, s, "d1", "f1", 0.8, 32)
 		})
 	}
-	for _, ticks := range []int{81, 256, 4096} {
+	for _, c := range []struct {
+		ticks int
+		maps  int // stretch maps built so far
+	}{{81, 0}, {183, 1}, {256, 2}, {4096, 3}} {
+		ticks := c.ticks
 		sp := program(ticks, ticks)
 		whole, err := execEvolved(ex, sp, ExecOptions{Shots: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := ex.maps.size(); n == 0 {
-			t.Fatalf("%d ticks: no stretch map was built", ticks)
+		if n := ex.maps.size(); n != c.maps {
+			t.Fatalf("%d ticks: %d stretch maps built, want %d", ticks, n, c.maps)
 		}
 		pieces, err := execEvolved(ex, program(ticks, 64), ExecOptions{Shots: 1})
 		if err != nil {
@@ -618,6 +622,28 @@ func TestStretchMapMatchesExact(t *testing.T) {
 	if d := fast.FinalDensity.Rho.Sub(exact.FinalDensity.Rho).MaxAbs(); d > 1e-9 || fast.DissipatorSteps != exact.DissipatorSteps {
 		t.Errorf("zero drive: off the exact density by %g, %d dissipator steps against %d",
 			d, fast.DissipatorSteps, exact.DissipatorSteps)
+	}
+}
+
+// TestUseStretchMap pins which constant open stretches become stretch
+// maps: at sc-2 (n = 9) from 183 ticks; at three d = 2 sites (n = 8) from
+// 112, so a three-atom CZ's 629-tick flat top; tiny-1 (n = 2) from its
+// n² = 4; and never above mapMaxDim — a four-ion CZ's 3,139-tick flat top
+// at n = 16, any square at three d = 3 sites (n = 27).
+func TestUseStretchMap(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		run  int64
+		want bool
+	}{
+		{9, 182, false}, {9, 183, true}, {9, 256, true}, {9, 100_000, true},
+		{8, 111, false}, {8, 112, true}, {8, 629, true}, {4, 15, false}, {4, 16, true},
+		{2, 3, false}, {2, 4, true},
+		{16, 3139, false}, {27, 1 << 20, false},
+	} {
+		if got := useStretchMap(c.n, c.run); got != c.want {
+			t.Errorf("useStretchMap(%d, %d) = %v, want %v", c.n, c.run, got, c.want)
+		}
 	}
 }
 

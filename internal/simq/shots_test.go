@@ -63,7 +63,7 @@ func TestPropCacheConcurrentHammer(t *testing.T) {
 	// 3× the capacity, mixing hits, misses, inserts, and evictions — the
 	// race detector (CI runs this with -race) catches any unsynchronized
 	// access, and value checks catch key collisions under eviction churn.
-	c := newMemo[*linalg.Matrix](memoLimit)
+	c := newMemo[*linalg.Matrix]()
 	const goroutines = 16
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
@@ -94,7 +94,7 @@ func TestPropCacheConcurrentHammer(t *testing.T) {
 }
 
 func TestPropCachePutIsFirstWriterWins(t *testing.T) {
-	c := newMemo[*linalg.Matrix](memoLimit)
+	c := newMemo[*linalg.Matrix]()
 	key := []byte{1}
 	m1 := linalg.NewMatrix(1, 1)
 	m1.Set(0, 0, 1)
