@@ -1,8 +1,14 @@
 package simq
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -377,5 +383,99 @@ func TestCancelBeforeFirstShot(t *testing.T) {
 	})
 	if err != ErrInterrupted || res != nil {
 		t.Fatalf("got (%v, %v), want (nil, ErrInterrupted)", res, err)
+	}
+}
+
+// samplerDigest is the SHA-256 of a run's sampled records, as hex: Counts
+// in ascending mask order, then every IQ point and every raw sample by its
+// float bits, each list prefixed with its length.
+func samplerDigest(res *ExecResult) string {
+	h := sha256.New()
+	word := func(v uint64) { _ = binary.Write(h, binary.LittleEndian, v) }
+	masks := slices.Sorted(maps.Keys(res.Counts))
+	word(uint64(len(masks)))
+	for _, m := range masks {
+		word(m)
+		word(uint64(res.Counts[m]))
+	}
+	word(uint64(len(res.IQ)))
+	for _, row := range res.IQ {
+		word(uint64(len(row)))
+		for _, p := range row {
+			word(math.Float64bits(p.I))
+			word(math.Float64bits(p.Q))
+		}
+	}
+	word(uint64(len(res.Raw)))
+	for _, shot := range res.Raw {
+		word(uint64(len(shot)))
+		for _, tr := range shot {
+			word(uint64(len(tr)))
+			for _, v := range tr {
+				word(math.Float64bits(real(v)))
+				word(math.Float64bits(imag(v)))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSamplerGoldenDigests pins every sampled record bit for bit at fixed
+// seeds: a change to how shots draw their variates or tally their outcomes
+// must leave all of them unchanged. The digests were recorded with the
+// sampler that drew every variate through math/rand's Rand and counted each
+// shot into the Counts map.
+func TestSamplerGoldenDigests(t *testing.T) {
+	// siteErr gives each site its own asymmetric assignment errors.
+	siteErr := func(site int) (float64, float64) { return 0.02 + 0.01*float64(site), 0.05 - 0.02*float64(site) }
+	// sc2 is a discriminated job on the sc-2 shape: a Gaussian on d0 and a
+	// square on d1, then one capture per bit of the given sites.
+	sc2 := func(seed int64, sites ...int) *ExecResult {
+		sp := resonantProgram(t, func(s *pulse.Schedule) {
+			playGaussian(t, s, "d0", "f0", 0.6, 48)
+			playConst(t, s, "d1", "f1", 0.4, 40)
+			if err := s.Append(&pulse.Barrier{}); err != nil {
+				t.Fatal(err)
+			}
+			for bit, site := range sites {
+				port, frame := fmt.Sprintf("d%d", site), fmt.Sprintf("f%d", site)
+				if err := s.Append(&pulse.Capture{Port: port, Frame: frame, Bit: 2 * bit, DurationSamples: 16}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		res, err := twoTransmonOpenRig(t).Run(sp, ExecOptions{Shots: 4096, Seed: seed, SiteError: siteErr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// levels is a kerneled or raw job on the two-qubit rig.
+	levels := func(level readout.MeasLevel, ret readout.MeasReturn, shots int, seed int64) *ExecResult {
+		s, exd := twoTransmonRig(t, 0.5e-6, 0.4e-6)
+		return runSchedule(t, s, exd, ExecOptions{
+			Shots: shots, Seed: seed,
+			Readout: &ReadoutModel{Level: level, Return: ret,
+				Sites: map[int]ReadoutSite{0: {Fidelity: 0.97}, 1: {Fidelity: 0.99, T1Seconds: 1e-6}}},
+		}).ExecResult
+	}
+	for _, c := range []struct {
+		name string
+		res  func() *ExecResult
+		want string
+	}{
+		{"sc2-discriminated-seed1", func() *ExecResult { return sc2(1, 0, 1) }, "ab296c2fb1cbd5fd198e68c3091eb73fa65ded3f59f0238012d54b1e9cf87c22"},
+		{"sc2-discriminated-seed21", func() *ExecResult { return sc2(21, 1, 0) }, "b4207f167ee1fb38100b879a047539e02f01189baa13f8c5bb8d59d3c1d617f1"},
+		// Three captures fill 8 of the 9 basis states; five exceed them.
+		{"sc2-three-captures", func() *ExecResult { return sc2(5, 0, 1, 1) }, "f463e0bcb9dc9283dded271657fd46cb8e4366df0f8402204ce47f96b04a70ca"},
+		{"sc2-five-captures", func() *ExecResult { return sc2(33, 0, 1, 0, 1, 1) }, "3bd688089756939de81e2421be8ac8d2f0811da4cee96599c6acd564f18d72b7"},
+		{"kerneled-single", func() *ExecResult { return levels(readout.LevelKerneled, readout.ReturnSingle, 512, 23) }, "ef1a0b9296ba353a42ee08142301042415bdaa0bf658b2dfa01ac84d045604a1"},
+		{"kerneled-average", func() *ExecResult { return levels(readout.LevelKerneled, readout.ReturnAverage, 512, 24) }, "6468807e61ed5eb9bc4a0e8f025244210e3b226b7e0ce2c05971cd5e6f490159"},
+		{"raw-single", func() *ExecResult { return levels(readout.LevelRaw, readout.ReturnSingle, 64, 25) }, "8f288c155b3bdca329ec8adb21252e0ed60c70f811ec3c4341308c8d9419ba3c"},
+		{"raw-average", func() *ExecResult { return levels(readout.LevelRaw, readout.ReturnAverage, 64, 26) }, "6f6f6262d925e289b70ddc30570430c052bfd273c5e10a0aca726fd9b84ff8c2"},
+	} {
+		if got := samplerDigest(c.res()); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }
