@@ -156,7 +156,7 @@ func oneQubitOpenRig(t testing.TB) *Executor {
 // resonantProgram is twoPortProgram with each frame on its channel's
 // carrier in twoTransmonOpenRig (5.0 and 5.1 GHz), so a square pulse on
 // either port, or both, is a constant-χ stretch.
-func resonantProgram(t *testing.T, fill func(s *pulse.Schedule)) *pulse.ScheduledProgram {
+func resonantProgram(t testing.TB, fill func(s *pulse.Schedule)) *pulse.ScheduledProgram {
 	t.Helper()
 	s := pulse.NewSchedule()
 	for i, id := range []string{"d0", "d1"} {

@@ -95,6 +95,8 @@ type ExecResult struct {
 	// EngineStats counts the run's propagator-cache traffic and dissipator
 	// steps.
 	EngineStats
+
+	busy [1]time.Duration // WorkerBusy's backing array, part of the result
 }
 
 // EngineStats is what a run did that a warm executor saves or a closed
@@ -475,7 +477,8 @@ func (p *Program) run(opts ExecOptions) (res *ExecResult, st *State, rho *Densit
 		return nil, nil, nil, err
 	}
 	res.ReadoutWall = time.Since(roStart)
-	res.WorkerBusy = []time.Duration{res.ReadoutWall}
+	res.busy[0] = res.ReadoutWall
+	res.WorkerBusy = res.busy[:]
 	return res, st, rho, nil
 }
 

@@ -39,7 +39,7 @@ func oneQubitRig(t *testing.T, rabiHz float64, collapses []Collapse) (*pulse.Sch
 	return s, NewExecutor(model)
 }
 
-func playConst(t *testing.T, s *pulse.Schedule, port, frame string, amp float64, n int) {
+func playConst(t testing.TB, s *pulse.Schedule, port, frame string, amp float64, n int) {
 	t.Helper()
 	w, err := waveform.Constant{Amplitude: amp}.Materialize("w", n)
 	if err != nil {

@@ -179,7 +179,7 @@ func sampleBits(rng *rand.Rand, probs []float64, dims []int, sites []int, shots 
 	total := buildCum(cum, probs)
 	out := make([]uint64, shots)
 	for k := 0; k < shots; k++ {
-		out[k] = siteMask(dims, sites, drawIndex(rng, cum, total))
+		out[k] = siteMask(dims, sites, drawIndex(cum, total, rng.Float64()))
 	}
 	return out
 }

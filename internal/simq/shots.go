@@ -2,6 +2,7 @@ package simq
 
 import (
 	"math/rand"
+	"slices"
 
 	"mqsspulse/internal/readout"
 )
@@ -66,6 +67,20 @@ func (s *shotSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 // Seed resets the stream state.
 func (s *shotSource) Seed(seed int64) { s.state = uint64(seed) }
 
+// Float64 returns a uniform variate in [0, 1) by math/rand's formula: Int63
+// over 2⁶³, drawn again when that rounds to 1. A shot that draws here sees
+// exactly the variates a rand.Rand over the same stream would give it,
+// without an interface call per variate.
+//
+//mqss:hotloop
+func (s *shotSource) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
 // eachShot runs fn for every shot index in [0, shots), in shot order, on
 // the calling goroutine. It polls interrupted before every serialShotPoll-th
 // shot, so a cancel lands within that many shots and no shot runs after the
@@ -99,11 +114,16 @@ type shotRunner struct {
 	// The shared cumulative distribution of the evolved state.
 	cum   []float64
 	total float64
+	// tally counts the shots of each outcome when 2^len(captures) ≤
+	// len(cum); see sampleAll.
+	tally []int
 
-	// src is re-pointed at shot k's stream before each shot. Nothing in the
-	// pipeline calls Rand.Read — the only rand.Rand method with state outside
-	// the source — so re-seeding the source alone gives a shot exactly the
-	// draws a fresh rand.New would, and one generator serves every run.
+	// A kerneled or raw shot hands its stream to src after the projective
+	// draw, and rng draws the IQ synthesis's normals from there. Nothing in
+	// the pipeline calls Rand.Read — the only rand.Rand method with state
+	// outside the source — so re-pointing the source alone gives a shot
+	// exactly the draws a fresh rand.New would, and one generator serves
+	// every run.
 	src shotSource
 	rng *rand.Rand
 }
@@ -144,34 +164,48 @@ func (r *shotRunner) load(p *Program, st *State, rho *Density, seed int64, opts 
 
 // runShot draws shot k — one projective draw, then per-capture readout error
 // or IQ synthesis, all from the shot's own RNG stream — and returns its
-// discriminated bitmask. At kerneled and raw levels it writes the shot's
-// point per capture into pts and, when trs is non-nil, its trace into trs.
+// outcome: bit i is capture i's discriminated bit. At kerneled and raw levels
+// it writes the shot's point per capture into pts and, when trs is non-nil,
+// its trace into trs.
 func (r *shotRunner) runShot(k int, pts []readout.IQ, trs [][]complex128) uint64 {
-	r.src.state = shotStreamState(r.base, k)
-	rng := r.rng
-	raw := r.masks[drawIndex(rng, r.cum, r.total)]
-	var mask uint64
-	if r.model != nil {
-		for i, c := range r.captures {
-			trueBit := (raw >> uint(i)) & 1
-			rec := r.model.synthesizeShot(rng, c.site, trueBit, c.samples, float64(c.samples)*r.dt, trs != nil)
-			pts[i] = rec.point
-			if trs != nil {
-				trs[i] = rec.trace
-			}
-			mask |= rec.bit << uint(c.bit)
-		}
-		return mask
+	src := shotSource{shotStreamState(r.base, k)}
+	raw := r.masks[drawIndex(r.cum, r.total, src.Float64())]
+	if r.model == nil {
+		return r.misread(raw, &src)
 	}
+	r.src = src
+	var out uint64
 	for i, c := range r.captures {
-		bit := (raw >> uint(i)) & 1
-		p01, p10 := r.errs[i][0], r.errs[i][1]
-		if bit == 0 && p01 > 0 && rng.Float64() < p01 {
-			bit = 1
-		} else if bit == 1 && p10 > 0 && rng.Float64() < p10 {
-			bit = 0
+		rec := r.model.synthesizeShot(r.rng, c.site, (raw>>uint(i))&1, c.samples, float64(c.samples)*r.dt, trs != nil)
+		pts[i] = rec.point
+		if trs != nil {
+			trs[i] = rec.trace
 		}
-		mask |= bit << uint(c.bit)
+		out |= rec.bit << uint(i)
+	}
+	return out
+}
+
+// misread applies the captures' assignment errors to the true outcome raw:
+// bit i flips with capture i's rate for its value (p01 from 0, p10 from 1),
+// and a variate is drawn from src only where that rate is positive.
+//
+//mqss:hotloop
+func (r *shotRunner) misread(raw uint64, src *shotSource) uint64 {
+	for i, e := range r.errs {
+		if p := e[(raw>>uint(i))&1]; p > 0 && src.Float64() < p {
+			raw ^= 1 << uint(i)
+		}
+	}
+	return raw
+}
+
+// classical translates an outcome (bit i is capture i's bit) into its
+// classical-bit mask.
+func (r *shotRunner) classical(out uint64) uint64 {
+	var mask uint64
+	for i, c := range r.captures {
+		mask |= ((out >> uint(i)) & 1) << uint(c.bit)
 	}
 	return mask
 }
@@ -179,7 +213,10 @@ func (r *shotRunner) runShot(k int, pts []readout.IQ, trs [][]complex128) uint64
 // sampleAll draws every shot in shot order and fills res: counts, and the
 // IQ/raw records per the model's return mode. Averaged records are running
 // sums each shot is added into as it is drawn, so no per-shot record is
-// kept and the sums see the shots in one fixed order.
+// kept and the sums see the shots in one fixed order. When the outcomes fit
+// a slice no longer than cum (2^len(captures) ≤ len(cum)), shots are counted
+// into the pooled dense tally and res.Counts is written once per outcome
+// seen; otherwise each shot is counted into res.Counts.
 func (r *shotRunner) sampleAll(res *ExecResult) error {
 	wantIQ := r.model != nil
 	wantRaw := wantIQ && r.model.Level == readout.LevelRaw
@@ -212,6 +249,12 @@ func (r *shotRunner) sampleAll(res *ExecResult) error {
 			traces = make([][][]complex128, r.shots)
 		}
 	}
+	var tally []int
+	if len(r.cum)>>n > 0 {
+		r.tally = slices.Grow(r.tally[:0], 1<<n)[:1<<n]
+		tally = r.tally
+		clear(tally)
+	}
 	err := eachShot(r.shots, r.interrupted, func(k int) {
 		if points != nil {
 			pts = make([]readout.IQ, n)
@@ -221,7 +264,11 @@ func (r *shotRunner) sampleAll(res *ExecResult) error {
 				traces[k] = trs
 			}
 		}
-		res.Counts[r.runShot(k, pts, trs)]++
+		if out := r.runShot(k, pts, trs); tally != nil {
+			tally[out]++
+		} else {
+			res.Counts[r.classical(out)]++
+		}
 		for i := range sumPts {
 			sumPts[i].I += pts[i].I
 			sumPts[i].Q += pts[i].Q
@@ -234,6 +281,11 @@ func (r *shotRunner) sampleAll(res *ExecResult) error {
 	})
 	if err != nil {
 		return err
+	}
+	for out, c := range tally {
+		if c > 0 {
+			res.Counts[r.classical(uint64(out))] = c
+		}
 	}
 	if !averaging {
 		res.IQ, res.Raw = points, traces

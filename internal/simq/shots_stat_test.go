@@ -118,7 +118,7 @@ func TestTrajectoryT1DecayMatchesDensityAndAnalytic(t *testing.T) {
 // on site 0 (exercising the matrix-free varying-envelope path) and a
 // square pulse on site 1 (exercising the cached constant-stretch path),
 // with captures on both sites.
-func twoTransmonRig(t *testing.T, t1, t2 float64) (*pulse.Schedule, *Executor) {
+func twoTransmonRig(t testing.TB, t1, t2 float64) (*pulse.Schedule, *Executor) {
 	t.Helper()
 	dims := []int{2, 2}
 	s := pulse.NewSchedule()
@@ -476,6 +476,47 @@ func TestSamplerGoldenDigests(t *testing.T) {
 	} {
 		if got := samplerDigest(c.res()); got != c.want {
 			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSamplerGoldenOneSidedErrors extends the golden digests to one-sided
+// assignment errors (p01 or p10 zero), where a shot draws a flip variate
+// for one value of a bit and none for the other. The digests were recorded
+// like TestSamplerGoldenDigests'.
+func TestSamplerGoldenOneSidedErrors(t *testing.T) {
+	oneSided := func(site int) (float64, float64) {
+		if site == 0 {
+			return 0, 0.08
+		}
+		return 0.04, 0
+	}
+	sp := resonantProgram(t, func(s *pulse.Schedule) {
+		playGaussian(t, s, "d0", "f0", 0.6, 48)
+		playConst(t, s, "d1", "f1", 0.4, 40)
+		if err := s.Append(&pulse.Barrier{}); err != nil {
+			t.Fatal(err)
+		}
+		for bit, site := range []int{0, 1, 0} {
+			port, frame := fmt.Sprintf("d%d", site), fmt.Sprintf("f%d", site)
+			if err := s.Append(&pulse.Capture{Port: port, Frame: frame, Bit: bit, DurationSamples: 16}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	for _, c := range []struct {
+		seed int64
+		want string
+	}{
+		{3, "6317c5ae0acd5f65238e696669247ee1f0adbc534cab3a4e56896ea0d6db18e8"},
+		{4, "c4771c286c0f7807999a6958ca9c9dcbddc57891c4ca8b4a7f4b2ceffcd49887"},
+	} {
+		res, err := twoTransmonOpenRig(t).Run(sp, ExecOptions{Shots: 4096, Seed: c.seed, SiteError: oneSided})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := samplerDigest(res); got != c.want {
+			t.Errorf("seed %d: digest %s, want %s", c.seed, got, c.want)
 		}
 	}
 }

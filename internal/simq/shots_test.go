@@ -1,13 +1,18 @@
 package simq
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"mqsspulse/internal/linalg"
+	"mqsspulse/internal/pulse"
+	"mqsspulse/internal/readout"
 )
 
 func TestShotStreamStatesNeverAlias(t *testing.T) {
@@ -55,6 +60,130 @@ func TestShotSourceIsDeterministic(t *testing.T) {
 	}
 	if v := a.Int63(); v < 0 {
 		t.Fatalf("Int63 returned negative %d", v)
+	}
+}
+
+// unmix64 inverts mix64: each xor-shift by iterating it to its fixed point,
+// each odd multiplier by its inverse mod 2⁶⁴ (Newton's iteration doubles
+// the correct low bits per step, from the 3 that m·m ≡ 1 mod 8 gives).
+func unmix64(z uint64) uint64 {
+	unshift := func(z uint64, s uint) uint64 {
+		y := z
+		for range 64 / s {
+			y = z ^ y>>s
+		}
+		return y
+	}
+	inverse := func(m uint64) uint64 {
+		x := m
+		for range 5 {
+			x *= 2 - m*x
+		}
+		return x
+	}
+	z = unshift(z, 31) * inverse(0x94D049BB133111EB)
+	z = unshift(z, 27) * inverse(0xBF58476D1CE4E5B9)
+	return unshift(z, 30)
+}
+
+func TestShotSourceFloat64MatchesRand(t *testing.T) {
+	// shotSource.Float64 draws exactly what math/rand's Rand.Float64 draws
+	// over the same stream, variate by variate, including the redraw when
+	// Int63 is 2⁶³−1 and its quotient by 2⁶³ rounds to 1.
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 100000; i++ {
+		x := rng.Uint64()
+		if got := mix64(unmix64(x)); got != x {
+			t.Fatalf("mix64(unmix64(%#x)) = %#x", x, got)
+		}
+	}
+	states := []uint64{0, math.MaxUint64}
+	// Uint64 mixes state+γ, so these states' first Int63 is 2⁶³−1.
+	for _, top := range []uint64{math.MaxUint64, math.MaxUint64 - 1} {
+		state := unmix64(top) - shotStreamGamma
+		if v := (&shotSource{state}).Int63(); v != math.MaxInt64 {
+			t.Fatalf("state %#x: first Int63 %#x, want 2⁶³−1", state, v)
+		}
+		states = append(states, state)
+	}
+	for len(states) < 100000 {
+		states = append(states, rng.Uint64())
+	}
+	for _, st := range states {
+		direct, viaRand := &shotSource{st}, rand.New(&shotSource{st})
+		for d := 0; d < 3; d++ {
+			got, want := direct.Float64(), viaRand.Float64()
+			if got != want || got >= 1 {
+				t.Fatalf("state %#x, draw %d: Float64 %v, rand.Float64 %v", st, d, got, want)
+			}
+		}
+	}
+}
+
+// TestCountsMapPathMatchesDenseTally: a run with more outcomes than basis
+// states counts each shot into the Counts map; on the same draws it must
+// agree with the dense tally. Without readout error a shot draws one
+// variate whatever its captures, so a program that captures each site again
+// under new bits sees the dense run's draws: its counts read on bits 0 and
+// 1 are the dense run's, and each repeated capture reads its site's bit.
+func TestCountsMapPathMatchesDenseTally(t *testing.T) {
+	sp := resonantProgram(t, func(s *pulse.Schedule) {
+		playGaussian(t, s, "d0", "f0", 0.6, 48)
+		playConst(t, s, "d1", "f1", 0.4, 40)
+		if err := s.Append(&pulse.Barrier{}); err != nil {
+			t.Fatal(err)
+		}
+		for i, port := range []string{"d0", "d1"} {
+			if err := s.Append(&pulse.Capture{Port: port, Frame: fmt.Sprintf("f%d", i), Bit: i, DurationSamples: 16}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	ex := twoTransmonOpenRig(t)
+	dense, err := ex.Prepare(sp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, rho, err := dense.run(ExecOptions{Shots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bits 3, 5 and 6 capture sites 0, 1 and 0 again: 2⁵ outcomes over 9
+	// basis states.
+	wide := *dense
+	wide.captures = append(slices.Clone(dense.captures),
+		captureEvent{bit: 3, site: 0, samples: 16}, captureEvent{bit: 5, site: 1, samples: 16}, captureEvent{bit: 6, site: 0, samples: 16})
+	sites := []int{0, 1, 0, 1, 0}
+	wide.masks = make([]uint64, len(dense.masks))
+	for idx := range wide.masks {
+		wide.masks[idx] = siteMask(ex.Model.Dims, sites, idx)
+	}
+	sample := func(p *Program, wantTally int) map[uint64]int {
+		var r shotRunner
+		r.load(p, nil, rho, 9, ExecOptions{Shots: 4096})
+		res := &ExecResult{Counts: map[uint64]int{}}
+		if err := r.sampleAll(res); err != nil {
+			t.Fatal(err)
+		}
+		if len(r.tally) != wantTally {
+			t.Fatalf("%d captures: dense tally of %d outcomes, want %d", len(p.captures), len(r.tally), wantTally)
+		}
+		return res.Counts
+	}
+	want := sample(dense, 4)
+	if len(want) < 3 {
+		t.Fatalf("counts %v: too few outcomes to compare", want)
+	}
+	got := map[uint64]int{}
+	for m, c := range sample(&wide, 0) {
+		b0, b1 := m&1, m>>1&1
+		if m>>3&1 != b0 || m>>5&1 != b1 || m>>6&1 != b0 || m&0b10100 != 0 {
+			t.Fatalf("outcome %b: a repeated capture disagrees with its site's first", m)
+		}
+		got[m&0b11] += c
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("map path counts %v on bits 0 and 1, dense tally %v", got, want)
 	}
 }
 
@@ -152,5 +281,53 @@ func TestShotPoolSerialPollsInterrupt(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Fatalf("sampler drew %d shots after a pre-cancelled start", calls)
+	}
+}
+
+// BenchmarkSampleShots times the sampling phase alone, over a final state
+// evolved once: 4,096 discriminated shots with readout error on the sc-2
+// shape, and 64 kerneled shots on the two-qubit rig.
+func BenchmarkSampleShots(b *testing.B) {
+	b.Run("discriminated-4096", func(b *testing.B) {
+		sp := resonantProgram(b, func(s *pulse.Schedule) {
+			playConst(b, s, "d0", "f0", 0.5, 64)
+			playConst(b, s, "d1", "f1", 0.5, 64)
+			for i, port := range []string{"d0", "d1"} {
+				if err := s.Append(&pulse.Capture{Port: port, Frame: fmt.Sprintf("f%d", i), Bit: i, DurationSamples: 16}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		benchSample(b, twoTransmonOpenRig(b), sp, ExecOptions{Shots: 4096, Seed: 1, SiteError: flips(0.02, 0.05)})
+	})
+	b.Run("kerneled-64", func(b *testing.B) {
+		s, ex := twoTransmonRig(b, 0.5e-6, 0.4e-6)
+		sp, err := s.Resolve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSample(b, ex, sp, ExecOptions{Shots: 64, Seed: 1,
+			Readout: &ReadoutModel{Level: readout.LevelKerneled, Sites: map[int]ReadoutSite{0: {Fidelity: 0.97}, 1: {Fidelity: 0.99, T1Seconds: 1e-6}}}})
+	})
+}
+
+// benchSample evolves sp once on ex, then times loading and sampling the
+// final state with opts.
+func benchSample(b *testing.B, ex *Executor, sp *pulse.ScheduledProgram, opts ExecOptions) {
+	p, err := ex.Prepare(sp, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, st, rho, err := p.run(ExecOptions{Shots: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var r shotRunner
+	b.ReportAllocs()
+	for b.Loop() {
+		r.load(p, st, rho, opts.Seed, opts)
+		if err := r.sampleAll(&ExecResult{Counts: map[uint64]int{}}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

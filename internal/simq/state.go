@@ -7,7 +7,6 @@ package simq
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mqsspulse/internal/linalg"
 )
@@ -71,20 +70,36 @@ func buildCum(cum, probs []float64) float64 {
 	return acc
 }
 
-// drawIndex draws one basis index from a cumulative distribution with a
-// single uniform variate and a binary search.
-func drawIndex(rng *rand.Rand, cum []float64, total float64) int {
-	r := rng.Float64() * total
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// drawIndex maps a uniform variate u in [0, 1) to a basis index of the
+// cumulative distribution cum with total mass total: the first i with
+// cum[i] ≥ u·total, clamped to the last index. The search halves the range
+// by a step masked with the comparison, not a branch on it, so a random u
+// costs no mispredicted branches. cum is non-decreasing unless total is
+// NaN, and then u·total is NaN and every comparison false: the draw is
+// index 0, as with an ordinary binary search.
+//
+//mqss:hotloop
+func drawIndex(cum []float64, total, u float64) int {
+	r := u * total
+	base, n := 0, len(cum)-1
+	if n == 0 {
+		return 0
 	}
-	return lo
+	for n > 1 {
+		half := n / 2
+		base += half & -less(cum[base+half], r)
+		n -= half
+	}
+	return base + less(cum[base], r)
+}
+
+// less is a < b as 0 or 1, which compiles to a flag set, not a branch.
+func less(a, b float64) int {
+	var x int
+	if a < b {
+		x = 1
+	}
+	return x
 }
 
 // siteMask assembles the measured bitmask of one basis index: bit i set

@@ -3,6 +3,7 @@ package simq
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -218,4 +219,75 @@ func (s *State) Probabilities() []float64 {
 		p[i] = real(a)*real(a) + imag(a)*imag(a)
 	}
 	return p
+}
+
+// binarySearchIndex is drawIndex as an ordinary branching binary search over
+// [0, len(cum)−1]: the reference the branch-light search must agree with on
+// every input, NaN and infinite masses included.
+func binarySearchIndex(cum []float64, total, u float64) int {
+	r := u * total
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cum[mid] < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func TestDrawIndexMatchesSortSearch(t *testing.T) {
+	// Property: drawIndex returns the first i with cum[i] ≥ u·total, clamped
+	// to the last index (sort.Search's answer), on random distributions with
+	// zero-probability runs and negative noise, at u = 0, just below 1, at
+	// random, and where u·total lands exactly on each boundary.
+	rng := rand.New(rand.NewSource(5))
+	var boundaries int
+	for trial := 0; trial < 20000; trial++ {
+		probs := make([]float64, 1+rng.Intn(40))
+		for i := range probs {
+			switch rng.Intn(4) {
+			case 0: // a zero-probability entry
+			case 1:
+				probs[i] = float64(rng.Intn(4)) // integer weights meet exactly
+			case 2:
+				probs[i] = -1e-17 * rng.Float64() // integration noise, clamped
+			default:
+				probs[i] = rng.Float64()
+			}
+		}
+		cum := make([]float64, len(probs))
+		total := buildCum(cum, probs)
+		us := []float64{0, rng.Float64(), math.Nextafter(1, 0)}
+		for _, c := range cum {
+			if u := c / total; total > 0 && u < 1 {
+				us = append(us, u, math.Nextafter(u, 0), math.Nextafter(u, 1))
+				if u*total == c {
+					boundaries++
+				}
+			}
+		}
+		for _, u := range us {
+			r := u * total
+			want := min(sort.Search(len(cum), func(i int) bool { return cum[i] >= r }), len(cum)-1)
+			if got := drawIndex(cum, total, u); got != want || got != binarySearchIndex(cum, total, u) {
+				t.Fatalf("cum %v, u %v: drawIndex %d, want %d", cum, u, got, want)
+			}
+		}
+	}
+	if boundaries < 10000 {
+		t.Fatalf("only %d draws landed exactly on a boundary", boundaries)
+	}
+	// A NaN or infinite mass: the branching search's answer.
+	for _, probs := range [][]float64{{0.5, math.NaN(), 0.5}, {0.2, math.Inf(1), 0.3}, {math.Inf(1)}} {
+		cum := make([]float64, len(probs))
+		total := buildCum(cum, probs)
+		for _, u := range []float64{0, 0.5, math.Nextafter(1, 0)} {
+			if got, want := drawIndex(cum, total, u), binarySearchIndex(cum, total, u); got != want {
+				t.Fatalf("cum %v, u %v: drawIndex %d, binary search %d", cum, u, got, want)
+			}
+		}
+	}
 }

@@ -77,7 +77,8 @@ func TestPerfContractCachedJob(t *testing.T) {
 		}
 	}
 	job() // compiles the kernel, builds the device's engine, prepares the program
-	// Measured 2026-10-18: 19, 25–27 under -race (34 and 38–41 while a
+	// Measured 2026-10-19: 18, 24–27 under -race (19 and 25–27 while a run
+	// allocated its one-element WorkerBusy slice; 34 and 38–41 while a
 	// ticket built a context.WithCancel child and an AfterFunc
 	// registration, a run its shot sampler and generator, a density a copy
 	// of its dimensions, and a trace ID two objects; 36 and 40–43 while every
@@ -208,7 +209,8 @@ func TestPerfContractOpenSystemShots(t *testing.T) {
 		job()
 	}
 	runtime.ReadMemStats(&after)
-	// Measured 2026-10-18 on 1 vCPU: 19.0 (34.0 while the ticket's context,
+	// Measured 2026-10-19: 18.0 (19.0 while a run allocated its
+	// one-element WorkerBusy slice; 34.0 while the ticket's context,
 	// the shot sampler and the density's dimensions were objects of their
 	// own per job; 41.0–41.6 on 2026-10-16 on 2 vCPU; 53.8 while the device
 	// drew the shots on two workers).
@@ -274,7 +276,8 @@ func TestPerfContractBoundSweepPoint(t *testing.T) {
 		}
 	}
 	sweep() // lowers the template once
-	// Measured 2026-10-18: 23.0, 28.7–29.2 under -race (37.0 and 41.9–42.0
+	// Measured 2026-10-19: 22.0, 28.9–29.2 under -race (23.0 while a run
+	// allocated its one-element WorkerBusy slice; 37.0 and 41.9–42.0
 	// while a point's ticket built a cancellation context and its run a shot
 	// sampler; 51.9 and 57.4 while each point's one propagator-cache miss — the Gaussian's equal middle
 	// pair at a new amplitude — was an eigendecomposition; 56.9 and
@@ -325,7 +328,8 @@ func TestPerfContractRemoteJob(t *testing.T) {
 		}
 	}
 	job() // registers the payload on the connection, prepares the program
-	// Measured 2026-10-19: 23, 29–30 under -race (24 while the server's
+	// Measured 2026-10-19: 22, 29–30 under -race (23 while a run allocated
+	// its one-element WorkerBusy slice; 24 while the server's
 	// request decoder still read template fields; 28 and 35 while every
 	// remote ticket hooked onto the server's context and both ends copied
 	// the frames field by field; 47 while both ends wrote and read their
