@@ -210,9 +210,9 @@ func (r *tickRig) varyingTick() {
 }
 
 // TestDensityTickAllocatesNothing: the dissipator step, one whole driven
-// tick of the density engine (load H, Taylor conjugation, dissipator) and
-// the apply of a long constant stretch's map allocate nothing once the
-// run's scratch exists.
+// tick of the density engine (load H, Taylor conjugation, dissipator; at
+// the tiny-1 shape the closed-form conjugation) and the apply of a long
+// constant stretch's map allocate nothing once the run's scratch exists.
 func TestDensityTickAllocatesNothing(t *testing.T) {
 	r := newTickRig(twoTransmonOpenRig(t))
 	r.varyingTick() // grows ham.ops to its steady-state capacity
@@ -221,6 +221,14 @@ func TestDensityTickAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, r.varyingTick); n != 0 {
 		t.Fatalf("driven density tick allocates %v objects", n)
+	}
+	d2 := newTickRig(oneQubitOpenRig(t))
+	d2.varyingTick()
+	if n := testing.AllocsPerRun(100, d2.varyingTick); n != 0 {
+		t.Fatalf("driven density tick at d = 2 allocates %v objects", n)
+	}
+	if err := d2.rho.CheckPhysical(1e-9); err != nil {
+		t.Fatal(err)
 	}
 	m := r.ex.stretchMap(r.eng, r.active, r.chis, r.step, 256, nil)
 	if n := testing.AllocsPerRun(100, func() { r.eng.mat.applyMap(m, r.rho.Rho) }); n != 0 {

@@ -103,7 +103,8 @@ type ExecResult struct {
 // system never does: a job on a warm device shows hits and no misses.
 type EngineStats struct {
 	// PropCacheHits and PropCacheMisses count look-ups of the executor's
-	// propagator cache; every miss is one dense Taylor build.
+	// propagator cache; every miss is one dense build (Taylor, or the closed
+	// form at n = 2).
 	PropCacheHits, PropCacheMisses int64
 	// DissipatorSteps counts RK4 steps of the density engine's dissipator,
 	// each one apply of a memoized step map.
@@ -893,7 +894,7 @@ func (e *Executor) dissipatorStep(eng *fastEngine, h float64) *stepMap {
 // propagator returns the dense propagator exp(-i·H·t) over `ticks` samples
 // of the constant Hamiltonian defined by (active, chis) — no plays for an
 // idle stretch. A fast run consults the executor's cache first and builds
-// a miss by the scaled-Taylor series in the engine's mat scratch (made on
+// a miss by matStepper.stretch in the engine's mat scratch (made on
 // the state-vector engine's first miss and pooled with it), times the
 // spectral shift's phase, so cached propagators are exact; an idle
 // stretch under a diagonal drift is diag(e^{−i·d_j·t})·e^{−iλt}, with no

@@ -24,9 +24,9 @@ import (
 // constant stretch's map (one whole stretch) and its build on a miss (the
 // key, 81 ticks on the basis, eight squarings and the memo entry; its
 // memo fills, so it also times evictions). varying-tick-d2 is a tick of
-// a varying envelope at the tiny-1 shape (one d = 2 site), where a build's
-// fixed costs show first. Every sub-benchmark flushes ρ's subnormal parts
-// at the cadence a run does, so a reading does not depend on b.N.
+// a varying envelope at the tiny-1 shape (one d = 2 site), whose
+// propagator is the closed form. Every sub-benchmark flushes ρ's subnormal
+// parts at the cadence a run does, so a reading does not depend on b.N.
 func BenchmarkDensityTick(b *testing.B) {
 	r := newTickRig(twoTransmonOpenRig(b))
 	ex, eng, rho := r.ex, r.eng, r.rho

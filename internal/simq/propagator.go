@@ -11,16 +11,17 @@ import (
 
 // This file implements the fast time-evolution path of the executor: a
 // matrix-free scaled-Taylor propagator that advances ψ (or ρ) under the
-// per-sample Hamiltonian without ever materializing a dense H, running an
-// eigendecomposition, or allocating in steady state. ψ takes the series
-// term by term; a dense propagator U — the density engine's per tick,
-// and every idle segment's and constant-envelope stretch's (once per
-// distinct stretch, memoized in the executor's propagator cache) — is
-// the sum of the signed Hermitian powers (-i)^k·(t·H)^k/k!, each built on
-// its upper triangle from the sparse H and mirrored (matStepper.taylor).
-// The exact eigendecomposition propagator (linalg.ExpI) is the reference
-// only: a property test that sets ExecOptions.exact gets it for every
-// propagator.
+// per-sample Hamiltonian without running an eigendecomposition or
+// allocating in steady state. ψ takes the series term by term; a dense
+// propagator U — the density engine's per tick, and every idle segment's
+// and constant-envelope stretch's (once per distinct stretch, memoized in
+// the executor's propagator cache) — is the sum of the signed Hermitian
+// powers (-i)^k·(t·H)^k/k!, each built on its upper triangle from the
+// sparse H and mirrored (matStepper.taylor). At Hilbert dimension 2 a
+// dense U is instead exact in closed form (matStepper.twoLevel), from H
+// assembled in a 2×2 scratch, the one dense H of the fast path. The exact
+// eigendecomposition propagator (linalg.ExpI) is the reference only: a
+// property test that sets ExecOptions.exact gets it for every propagator.
 //
 // Accuracy: each sample tick applies exp(-i·H·dt) expanded as a Taylor
 // series on the state, sub-stepped so that ‖H‖·dt_sub ≤ taylorThetaMax
@@ -29,7 +30,9 @@ import (
 // ≲ 1e-13 per sub-step — far below the 1e-9 state-fidelity bound the
 // property tests pin against exact ExpI. A stretch halves its duration s
 // times to reach θ ≤ 1 and squares the result s times, which can grow the
-// residual by up to 2^s; the long-stretch property tests pin that too.
+// residual by up to 2^s; the long-stretch property tests pin that too. The
+// closed form has no truncation and no squaring: its error is the rounding
+// of r·t and μ·t, so it stays unitary to rounding at any length.
 
 const (
 	// taylorThetaMax caps ‖H‖·dt per Taylor sub-step; above it the tick is
@@ -198,8 +201,9 @@ func (s *vecStepper) step(h *tickHam, psi []complex128, dt float64) {
 }
 
 // matStepper advances a density matrix by one sample tick under the
-// unitary part of the dynamics: U = exp(-i·H·dt) is built densely by the
-// scaled-Taylor series of Hermitian powers (taylor), then ρ ← U·ρ·U† is
+// unitary part of the dynamics: U = exp(-i·H·dt) is built densely, by the
+// closed form at n = 2 (twoLevel) and by the scaled-Taylor series of
+// Hermitian powers above it (taylor), then ρ ← U·ρ·U† is
 // two allocation-free dense products, the second computed on the upper
 // triangle only and mirrored. The dissipator is stepped separately by the
 // splitting integrator (dissipate, in density.go), on the same scratch, and
@@ -244,12 +248,16 @@ func (s *matStepper) conjugateWith(u, rho *linalg.Matrix) {
 	s.work.MulDaggerHermInto(rho, u)
 }
 
-// propagator fills s.u with the scaled-Taylor approximation of
-// exp(-i·H·dt): one sub-step's series, then the remaining sub-steps
-// applied by dense powering.
+// propagator fills s.u with exp(-i·H·dt): at n = 2 the closed form
+// (twoLevel), above it the scaled-Taylor approximation, one sub-step's
+// series and then the remaining sub-steps applied by dense powering.
 //
 //mqss:hotloop
 func (s *matStepper) propagator(h *tickHam, dt float64) {
+	if s.u.Rows == 2 {
+		s.twoLevel(h, dt, 1, s.u)
+		return
+	}
 	theta := h.normBound() * dt
 	if theta <= taylorThetaMax {
 		s.taylor(h, dt, s.u)
@@ -266,10 +274,16 @@ func (s *matStepper) propagator(h *tickHam, dt float64) {
 
 // stretch returns a new matrix holding exp(-i·H·t)·phase, where phase is
 // the spectral shift's e^{-iλt}, so the result is the unshifted propagator.
-// It halves t until ‖H‖·t ≤ taylorThetaMax, expands the series there and
-// squares the result back up in the stepper's scratch; the copy it returns
-// is the build's one allocation.
+// At n = 2 it is the closed form (twoLevel), exact at any length. Above
+// it, stretch halves t until ‖H‖·t ≤ taylorThetaMax, expands the series
+// there and squares the result back up in the stepper's scratch; the copy
+// it returns is the build's one allocation.
 func (s *matStepper) stretch(h *tickHam, t float64, phase complex128) *linalg.Matrix {
+	if s.u.Rows == 2 {
+		u := linalg.NewMatrix(2, 2)
+		s.twoLevel(h, t, phase, u)
+		return u
+	}
 	halvings := 0
 	for theta := h.normBound() * t; theta > taylorThetaMax; theta /= 2 {
 		halvings++
@@ -287,6 +301,39 @@ func (s *matStepper) stretch(h *tickHam, t float64, phase complex128) *linalg.Ma
 		}
 	}
 	return u
+}
+
+// twoLevel fills the 2×2 u with exp(-i·H·t)·phase in closed form. With
+// μ and δ the mean and half the difference of H's diagonal, c its
+// off-diagonal entry and r = √(δ² + |c|²), H − μI squares to r²·I, so
+// exp(-i·H·t) = e^{-iμt}·[cos(rt)·I − i·(sin(rt)/r)·(H − μI)], where
+// sin(rt)/r → t as r·t → 0. H is assembled in the tmp scratch.
+//
+//mqss:hotloop
+func (s *matStepper) twoLevel(h *tickHam, t float64, phase complex128, u *linalg.Matrix) {
+	hd := s.tmp
+	clear(hd.Data)
+	if h.drift != nil {
+		h.drift.AddToDense(hd, 1)
+	}
+	for _, d := range h.ops {
+		d.op.AddToDense(hd, d.w)
+		d.op.DaggerAddToDense(hd, cmplx.Conj(d.w))
+	}
+	a, b, c := real(hd.Data[0]), real(hd.Data[3]), hd.Data[1]
+	mu, delta := (a+b)/2, (a-b)/2
+	r := math.Sqrt(delta*delta + real(c)*real(c) + imag(c)*imag(c))
+	sn, cs := math.Sincos(r * t)
+	sinc := t
+	if r*t != 0 {
+		sinc = sn / r
+	}
+	sm, cm := math.Sincos(mu * t)
+	p := phase * complex(cm, -sm)
+	u.Data[0] = p * complex(cs, -sinc*delta)
+	u.Data[1] = p * complex(sinc*imag(c), -sinc*real(c))
+	u.Data[2] = p * complex(-sinc*imag(c), -sinc*real(c))
+	u.Data[3] = p * complex(cs, sinc*delta)
 }
 
 // taylor fills u with the Taylor series of exp(-i·H·t), truncated once the

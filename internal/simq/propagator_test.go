@@ -474,7 +474,8 @@ func TestStretchBuildMatchesExpI(t *testing.T) {
 // entry: the Hermitian-power series, with its sub-steps and dense
 // powering, equals exp(−i·H·dt) of the spectrally shifted tick Hamiltonian
 // within 1e-12 and is unitary within 1e-12. The models are one d = 2
-// site, two qubits with a static exchange term in the drift (so the
+// site (whose tick is the closed form, twoLevel, held to the same
+// bounds), two qubits with a static exchange term in the drift (so the
 // drift has entries off its diagonal) and an exchange coupler, and two
 // d = 3 transmons with a ZZ coupler; a random χ drives one to three of
 // their channels, and ‖H‖·dt runs from 0.1 to 4 (one to four sub-steps).
@@ -534,6 +535,77 @@ func TestTaylorPropagatorMatchesExpI(t *testing.T) {
 				t.Fatalf("n=%d, θ=%.2f, %d channels: U†U off I by %g", n, theta, len(active), d)
 			}
 		}
+	}
+}
+
+// TestTwoLevelPropagatorMatchesExpI pins the n = 2 closed form entry by
+// entry against the eigendecomposition: random Hermitian H with ‖H‖·t from
+// about 0.01 to 10, and the edges H = 0 and H ∝ I (r = 0, where sin(rt)/r
+// is its limit t), a diagonal H (c = 0) and |c| ≫ |δ|. Each U is within
+// 1e-13 of ExpI and unitary within 1e-15.
+func TestTwoLevelPropagatorMatchesExpI(t *testing.T) {
+	hs := []*linalg.Matrix{
+		linalg.NewMatrix(2, 2),
+		linalg.Identity(2).Scale(3e8),
+		linalg.FromRows([][]complex128{{2e8, 0}, {0, -5e7}}),
+		linalg.FromRows([][]complex128{{1e8 + 10, complex(3e8, -4e8)}, {complex(3e8, 4e8), 1e8 - 10}}),
+	}
+	rng := rand.New(rand.NewSource(54))
+	for range 200 {
+		hs = append(hs, randHermitianM(rng, 2, 1e8))
+	}
+	s, got := newMatStepper(2), linalg.NewMatrix(2, 2)
+	for i, h := range hs {
+		ham := &tickHam{}
+		if h.MaxAbs() != 0 {
+			ham.drift = linalg.NewSparse(h)
+		}
+		dt := 1e-10 * math.Pow(10, 2*rng.Float64())
+		s.twoLevel(ham, dt, 1, got)
+		if !got.IsFinite() {
+			t.Fatalf("case %d, H = %v, t = %g: U = %v", i, h.Data, dt, got.Data)
+		}
+		want, err := linalg.ExpI(h, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := got.Sub(want).MaxAbs(); d > 1e-13 {
+			t.Fatalf("case %d, H = %v, t = %g: U off exp(−iH·t) by %g", i, h.Data, dt, d)
+		}
+		if d := got.Dagger().Mul(got).Sub(linalg.Identity(2)).MaxAbs(); d > 1e-15 {
+			t.Fatalf("case %d, H = %v, t = %g: U†U off I by %g", i, h.Data, dt, d)
+		}
+	}
+}
+
+// TestTwoLevelStretchIsExact: at n = 2 a propagator-cache miss is the
+// closed form times the shift's phase, with no halvings or squarings, so a
+// detuned drive held for 4,096,000 ticks (4 ms, r·t ≈ 10⁶) is unitary
+// within 1e-13 and within 1e-9 of the exact reference (it reads 1e-16 and
+// 3e-10). Halving, the series and squaring back read 3.2e-9 and 3.5e-9.
+func TestTwoLevelStretchIsExact(t *testing.T) {
+	q1 := []int{2}
+	m, err := NewSystemModel(q1, TransmonDrift(q1, 0, 30e6, 0), []*ControlChannel{TransmonDriveChannel("d0", q1, 0, 250e6, 5e9)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExecutor(m)
+	eng := ex.newFastEngine(false, 1e-9)
+	active, chis := []playEvent{{ch: m.Channels["d0"]}}, []complex128{complex(0.3, -0.4)}
+	const ticks = 4_096_000
+	u, err := ex.propagator(eng, active, chis, ticks, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := u.Dagger().Mul(u).Sub(linalg.Identity(2)).MaxAbs(); d > 1e-13 {
+		t.Fatalf("U†U off I by %g", d)
+	}
+	want, err := ex.propagator(eng, active, chis, ticks, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := u.Sub(want).MaxAbs(); d > 1e-9 {
+		t.Fatalf("stretch propagator off exp(−iH·t) by %g", d)
 	}
 }
 

@@ -233,6 +233,8 @@ func (r *shotRunner) sampleAll(res *ExecResult) error {
 		traces [][][]complex128
 		sumPts []readout.IQ // running sums, ReturnAverage
 		sumTrs [][]complex128
+		allPts []readout.IQ // what the per-shot rows of points and traces view
+		allTrs [][]complex128
 	)
 	switch {
 	case averaging:
@@ -244,9 +246,9 @@ func (r *shotRunner) sampleAll(res *ExecResult) error {
 			}
 		}
 	case wantIQ:
-		points = make([][]readout.IQ, r.shots)
+		points, allPts = make([][]readout.IQ, r.shots), make([]readout.IQ, r.shots*n)
 		if wantRaw {
-			traces = make([][][]complex128, r.shots)
+			traces, allTrs = make([][][]complex128, r.shots), make([][]complex128, r.shots*n)
 		}
 	}
 	var tally []int
@@ -257,10 +259,12 @@ func (r *shotRunner) sampleAll(res *ExecResult) error {
 	}
 	err := eachShot(r.shots, r.interrupted, func(k int) {
 		if points != nil {
-			pts = make([]readout.IQ, n)
+			// Full slice expressions: a caller's append to one shot's row
+			// reallocates instead of writing into the next shot's.
+			pts = allPts[k*n : (k+1)*n : (k+1)*n]
 			points[k] = pts
 			if wantRaw {
-				trs = make([][]complex128, n)
+				trs = allTrs[k*n : (k+1)*n : (k+1)*n]
 				traces[k] = trs
 			}
 		}

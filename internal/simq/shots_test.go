@@ -284,6 +284,34 @@ func TestShotPoolSerialPollsInterrupt(t *testing.T) {
 	}
 }
 
+// TestShotRowsEndAtTheirLength: at ReturnSingle every shot's IQ row, and
+// at raw level its row of traces, is a view of one array per run capped at
+// its own length, so a caller's append to one shot's row moves that row and
+// leaves the next shot's as it was.
+func TestShotRowsEndAtTheirLength(t *testing.T) {
+	for _, level := range []readout.MeasLevel{readout.LevelKerneled, readout.LevelRaw} {
+		s, ex := twoTransmonRig(t, 0.5e-6, 0.4e-6)
+		res := runSchedule(t, s, ex, ExecOptions{Shots: 4, Seed: 3,
+			Readout: &ReadoutModel{Level: level, Return: readout.ReturnSingle,
+				Sites: map[int]ReadoutSite{0: {Fidelity: 0.97}, 1: {Fidelity: 0.99}}}})
+		next := slices.Clone(res.IQ[1])
+		_ = append(res.IQ[0], readout.IQ{I: 99, Q: 99})
+		if !slices.Equal(res.IQ[1], next) {
+			t.Fatalf("%v: an append to shot 0's IQ row changed shot 1's from %v to %v", level, next, res.IQ[1])
+		}
+		if level != readout.LevelRaw {
+			continue
+		}
+		nextTrs := slices.Clone(res.Raw[1])
+		_ = append(res.Raw[0], []complex128{99})
+		for i := range nextTrs {
+			if len(res.Raw[1][i]) != len(nextTrs[i]) || &res.Raw[1][i][0] != &nextTrs[i][0] {
+				t.Fatalf("an append to shot 0's trace row replaced shot 1's trace %d", i)
+			}
+		}
+	}
+}
+
 // BenchmarkSampleShots times the sampling phase alone, over a final state
 // evolved once: 4,096 discriminated shots with readout error on the sc-2
 // shape, and 64 kerneled shots on the two-qubit rig.

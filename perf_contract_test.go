@@ -11,6 +11,7 @@ import (
 
 	mqsspulse "mqsspulse"
 	"mqsspulse/internal/devices"
+	"mqsspulse/internal/experiments"
 	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/telemetry"
 	"mqsspulse/internal/testutil"
@@ -216,6 +217,40 @@ func TestPerfContractOpenSystemShots(t *testing.T) {
 	// drew the shots on two workers).
 	if n := float64(after.Mallocs-before.Mallocs) / jobs; n > 21 {
 		t.Fatalf("warm open-system job allocates %v objects, want ≤ 21", n)
+	}
+}
+
+// TestPerfContractKerneledShots: the benchmark's shaped_pulse operation, a
+// warm 64-shot kerneled job of experiments.PulseKernel (Gaussian plays on
+// both drives and the coupler, so every driven tick varies) on sc-2
+// through qpi.Run. Its per-shot IQ rows are views of one array per run.
+func TestPerfContractKerneledShots(t *testing.T) {
+	dev, err := mqsspulse.NewSuperconductingDevice("sc-2", 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err := mqsspulse.NewStack(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stack.Close)
+	ad := &mqsspulse.NativeAdapter{Client: stack.Client, Target: "sc-2"}
+	k := experiments.PulseKernel(dev)
+	job := func() {
+		res, err := mqsspulse.Run(context.Background(), ad, k, mqsspulse.WithShots(64), mqsspulse.WithMeasLevel(mqsspulse.MeasKerneled))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.IQ) != 64 {
+			t.Fatalf("%d IQ rows, want 64", len(res.IQ))
+		}
+	}
+	job() // compiles the kernel, prepares the program
+	// Measured 2026-10-19: 21, 31 under -race (84 while each shot's IQ row
+	// was an object of its own). The ceiling is the file's margin over the
+	// -race reading.
+	if n := testing.AllocsPerRun(200, job); n > 34 {
+		t.Fatalf("warm kerneled 64-shot job allocates %v objects, want ≤ 34", n)
 	}
 }
 
