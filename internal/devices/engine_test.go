@@ -167,8 +167,9 @@ func TestWarmJobAllocations(t *testing.T) {
 		submit  func(d *SimDevice) (qdmi.Job, error)
 		ceiling float64
 	}{
-		// Measured 2026-10-19: 81, 85–89 under -race (82 while a run
-		// allocated its one-element WorkerBusy slice; 87 and 90–91 on
+		// Measured 2026-10-19: 80, 83–87 under -race (81 while a run cloned
+		// its measured bits; 82 while it allocated its one-element WorkerBusy
+		// slice; 87 and 90–91 on
 		// 2026-10-15; 89 while Prepare latched frames through a map of frame
 		// clones; 105 before prepared programs and pooled scratch; 1,645 when
 		// every job rebuilt the model and the dissipator allocated its
@@ -176,8 +177,9 @@ func TestWarmJobAllocations(t *testing.T) {
 		{"text", func(d *SimDevice) (qdmi.Job, error) {
 			return d.SubmitJobOpts(payload, qdmi.FormatQIRBase, opts)
 		}, 97},
-		// Measured 2026-10-19: 12, 16–17 under -race (13 and 18 while a run
-		// allocated its one-element WorkerBusy slice; 22 and 24–27 on
+		// Measured 2026-10-19: 11, 15–19 under -race (12 and 16–17 while a
+		// run cloned its measured bits; 13 and 18 while it allocated its
+		// one-element WorkerBusy slice; 22 and 24–27 on
 		// 2026-10-03, while a run built its shot sampler and generator and
 		// a density copied its dimensions).
 		{"module", func(d *SimDevice) (qdmi.Job, error) { return d.SubmitModule(x, opts) }, 20},

@@ -258,13 +258,18 @@ func KronAll(ms ...*Matrix) *Matrix {
 	return acc
 }
 
-// MaxAbs returns max |m_ij|.
+// MaxAbs returns max |m_ij|, or NaN when an entry is NaN (a part NaN, the
+// other not infinite): a NaN difference never reads as a small one. A
+// tolerance check fails on it only when written to: !(d <= tol), or an
+// IsFinite check first, since NaN > tol is false.
 func (m *Matrix) MaxAbs() float64 {
 	var mx float64
 	for _, v := range m.Data {
-		if a := cmplx.Abs(v); a > mx {
-			mx = a
+		a := cmplx.Abs(v)
+		if math.IsNaN(a) {
+			return a
 		}
+		mx = math.Max(mx, a)
 	}
 	return mx
 }

@@ -288,3 +288,23 @@ func TestMatrixPanics(t *testing.T) {
 	mustPanic("bad shape", func() { NewMatrix(0, 3) })
 	mustPanic("ragged rows", func() { FromRows([][]complex128{{1, 2}, {1}}) })
 }
+
+// TestMaxAbsSeesNaN: a NaN entry makes MaxAbs NaN, wherever it sits, so a
+// check !(d <= tol) on it fails; an infinite one makes it +Inf.
+func TestMaxAbsSeesNaN(t *testing.T) {
+	for _, v := range []complex128{cmplx.NaN(), complex(math.NaN(), 0), complex(1, math.NaN())} {
+		for i := 0; i < 4; i++ {
+			m := FromRows([][]complex128{{3, -4i}, {0.5, 2}})
+			m.Data[i] = v
+			if got := m.MaxAbs(); !math.IsNaN(got) {
+				t.Errorf("entry %d = %v: MaxAbs %g, want NaN", i, v, got)
+			}
+		}
+	}
+	if got := FromRows([][]complex128{{1, complex(math.Inf(-1), 0)}}).MaxAbs(); !math.IsInf(got, 1) {
+		t.Errorf("an infinite entry: MaxAbs %g, want +Inf", got)
+	}
+	if got := FromRows([][]complex128{{3, -4i}, {0.5, 2}}).MaxAbs(); got != 4 {
+		t.Errorf("finite entries: MaxAbs %g, want 4", got)
+	}
+}

@@ -209,10 +209,20 @@ func (r *tickRig) varyingTick() {
 	r.eng.dissipate(r.step, r.rho)
 }
 
+// separableTick is one tick of a varying envelope that drives single
+// sites only: each site's factor built and applied leg by leg, then the
+// dissipator step.
+func (r *tickRig) separableTick() {
+	r.ex.conjugateTick(r.eng, r.active, r.chis, r.rho.Rho)
+	r.eng.dissipate(r.step, r.rho)
+}
+
 // TestDensityTickAllocatesNothing: the dissipator step, one whole driven
 // tick of the density engine (load H, Taylor conjugation, dissipator; at
-// the tiny-1 shape the closed-form conjugation) and the apply of a long
-// constant stretch's map allocate nothing once the run's scratch exists.
+// the tiny-1 shape the closed-form conjugation), a tick that drives both
+// sites of the sc-2 shape and so is applied site by site, and the apply of
+// a long constant stretch's map allocate nothing once the run's scratch
+// exists.
 func TestDensityTickAllocatesNothing(t *testing.T) {
 	r := newTickRig(twoTransmonOpenRig(t))
 	r.varyingTick() // grows ham.ops to its steady-state capacity
@@ -221,6 +231,13 @@ func TestDensityTickAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, r.varyingTick); n != 0 {
 		t.Fatalf("driven density tick allocates %v objects", n)
+	}
+	if !r.ex.loadSites(r.eng, r.active, r.chis) {
+		t.Fatal("a tick driving both sites of the sc-2 shape does not factor")
+	}
+	r.separableTick() // grows each site's ham.ops
+	if n := testing.AllocsPerRun(100, r.separableTick); n != 0 {
+		t.Fatalf("separable density tick allocates %v objects", n)
 	}
 	d2 := newTickRig(oneQubitOpenRig(t))
 	d2.varyingTick()

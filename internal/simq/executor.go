@@ -97,6 +97,9 @@ type ExecResult struct {
 	EngineStats
 
 	busy [1]time.Duration // WorkerBusy's backing array, part of the result
+	// bits backs MeasuredBits when a run has at most len(bits) captures; the
+	// array keeps the result in the 208-byte size class.
+	bits [4]int
 }
 
 // EngineStats is what a run did that a warm executor saves or a closed
@@ -116,7 +119,8 @@ type EngineStats struct {
 // intrinsics link against (paper, Section 5.4).
 //
 // An Executor holds everything that is a function of the model and not of
-// the program: the spectrally shifted sparse drift, the propagator cache,
+// the program: the spectrally shifted sparse drift (per site, too, when it
+// is separable, with the channels local to one site), the propagator cache,
 // the density engine's stretch maps and the dissipator's step maps (the
 // model itself carries the channels' sparse operators and the collapse
 // precompute). All of it is immutable or locked, so one Executor serves
@@ -135,6 +139,12 @@ type Executor struct {
 	drift     *linalg.Sparse
 	lam       float64
 	driftDiag []float64
+	// On the density engine of a model whose drift is separable (siteTerms),
+	// sites holds each site's local drift and locals every channel local to
+	// one site, so a tick that drives only those is applied site by site
+	// (conjugateTick); both are nil otherwise.
+	sites  []siteTerm
+	locals map[*ControlChannel]localChannel
 	// scratch holds idle *fastEngine values. They are sized by the model,
 	// so one executor's engines fit every program it runs.
 	scratch sync.Pool
@@ -143,6 +153,9 @@ type Executor struct {
 // NewExecutor wraps a system model.
 func NewExecutor(m *SystemModel) *Executor {
 	e := &Executor{Model: m, props: newMemo[*linalg.Matrix](), maps: newMemo[[]float64](), steps: newMemo[*stepMap]()}
+	if e.openSystem() {
+		e.sites, e.locals = siteTerms(m)
+	}
 	if m.Drift.MaxAbs() == 0 {
 		return e
 	}
@@ -473,7 +486,12 @@ func (p *Program) run(opts ExecOptions) (res *ExecResult, st *State, rho *Densit
 	roStart := time.Now()
 	eng.shots.load(p, st, rho, seed, opts)
 	// The caller owns the result; the Program's slice stays its own.
-	res.MeasuredBits = slices.Clone(p.bits)
+	if len(p.bits) <= len(res.bits) {
+		res.MeasuredBits = res.bits[:len(p.bits):len(p.bits)]
+		copy(res.MeasuredBits, p.bits)
+	} else {
+		res.MeasuredBits = slices.Clone(p.bits)
+	}
 	if err := eng.shots.sampleAll(res); err != nil {
 		return nil, nil, nil, err
 	}
@@ -683,14 +701,15 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, step *st
 
 		switch {
 		case run == 1:
-			// Varying envelope: one matrix-free Taylor tick (of the
-			// spectrally shifted H; the state engine restores the scalar
-			// phase, density conjugation cancels it).
-			eng.loadHam(active, chis)
+			// Varying envelope: one Taylor tick of the spectrally shifted H
+			// (the state engine restores the scalar phase, density
+			// conjugation cancels it), on the density engine site by site
+			// where the tick factors.
 			if rho != nil {
-				eng.mat.conjugate(eng.ham, rho.Rho, dt)
+				e.conjugateTick(eng, active, chis, rho.Rho)
 				eng.dissipate(step, rho)
 			} else {
+				eng.loadHam(active, chis)
 				eng.vec.step(eng.ham, st.Amp, dt)
 				if eng.tickPhase != 1 {
 					for i := range st.Amp {
@@ -764,10 +783,10 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, step *st
 }
 
 // fastEngine is the mutable scratch of one run: the reusable implicit
-// Hamiltonian, the Taylor steppers, key and play buffers, the run's
-// counters and its shot sampler. Everything it reads besides — sparse
-// operators, propagator cache, step maps — belongs to the executor and its
-// model and outlives the run.
+// Hamiltonian, the Taylor steppers (per site, too, on a separable density
+// engine), key and play buffers, the run's counters and its shot sampler.
+// Everything it reads besides — sparse operators, propagator cache, step
+// maps — belongs to the executor and its model and outlives the run.
 //
 // Engines are pooled per executor (acquireEngine), so a run may start on
 // one a previous run — finished, failed or interrupted mid-segment — left
@@ -788,10 +807,11 @@ func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, step *st
 type fastEngine struct {
 	EngineStats
 	ham       *tickHam
-	vec       *vecStepper // state-vector engine
-	mat       *matStepper // density engine; either engine's cache-miss build scratch
-	dt        float64     // sample period of the run
-	active    []playEvent // plays of the segment in flight
+	vec       *vecStepper   // state-vector engine
+	mat       *matStepper   // density engine; either engine's cache-miss build scratch
+	sites     []siteStepper // a separable density engine's per-site tick scratch
+	dt        float64       // sample period of the run
+	active    []playEvent   // plays of the segment in flight
 	chis      []complex128
 	scratch   []complex128
 	dense     *linalg.Matrix // the exact reference's Hamiltonian assembly scratch
@@ -803,21 +823,28 @@ type fastEngine struct {
 func (e *Executor) newFastEngine(forDensity bool, dt float64) *fastEngine {
 	n := e.Model.HilbertDim()
 	eng := &fastEngine{ham: &tickHam{drift: e.drift}}
-	eng.setDt(e.lam, dt)
 	if forDensity {
 		eng.mat = newMatStepper(n)
+		eng.sites = e.newSiteSteppers()
 	} else {
 		eng.vec = newVecStepper(n)
 		eng.scratch = make([]complex128, n)
 	}
+	eng.setDt(e, dt)
 	return eng
 }
 
-// setDt points the engine at a run's sample period.
-func (eng *fastEngine) setDt(lam, dt float64) {
+// setDt points the engine at a run's sample period: the state-vector
+// tick's scalar phase and the factors of undriven sites.
+func (eng *fastEngine) setDt(e *Executor, dt float64) {
 	eng.dt, eng.tickPhase = dt, 1
-	if lam != 0 {
-		eng.tickPhase = cmplx.Exp(complex(0, -lam*dt))
+	if e.lam != 0 {
+		eng.tickPhase = cmplx.Exp(complex(0, -e.lam*dt))
+	}
+	for s := range eng.sites {
+		for k, d := range e.sites[s].diag {
+			eng.sites[s].idle[k] = cmplx.Exp(complex(0, -d*dt))
+		}
 	}
 }
 
@@ -833,7 +860,7 @@ func (e *Executor) acquireEngine(dt float64) *fastEngine {
 	eng.ham.reset()
 	eng.active, eng.chis, eng.keyBuf = eng.active[:0], eng.chis[:0], eng.keyBuf[:0]
 	if eng.dt != dt {
-		eng.setDt(e.lam, dt)
+		eng.setDt(e, dt)
 	}
 	return eng
 }

@@ -549,6 +549,22 @@ func TestSystemModelValidation(t *testing.T) {
 	if _, err := NewSystemModel(dims, nonHerm, nil, nil); err == nil {
 		t.Fatal("non-Hermitian drift accepted")
 	}
+	// A NaN entry passes IsHermitian's tolerance comparison.
+	for _, v := range []complex128{cmplx.NaN(), complex(math.Inf(1), 0)} {
+		nonFinite := linalg.NewMatrix(2, 2)
+		nonFinite.Set(1, 1, v)
+		if _, err := NewSystemModel(dims, nonFinite, nil, nil); err == nil {
+			t.Fatalf("drift with entry %v accepted", v)
+		}
+		op := *ch
+		op.OpRaise, op.opSparse = nonFinite, nil
+		if _, err := NewSystemModel(dims, nil, []*ControlChannel{&op}, nil); err == nil {
+			t.Fatalf("channel operator with entry %v accepted", v)
+		}
+		if _, err := NewSystemModel(dims, nil, nil, []Collapse{{L: nonFinite, Rate: 1e4}}); err == nil {
+			t.Fatalf("collapse operator with entry %v accepted", v)
+		}
+	}
 	if _, err := NewSystemModel(dims, nil, []*ControlChannel{ch, ch}, nil); err == nil {
 		t.Fatal("duplicate channel accepted")
 	}

@@ -25,7 +25,9 @@ import (
 // key, 81 ticks on the basis, eight squarings and the memo entry; its
 // memo fills, so it also times evictions). varying-tick-d2 is a tick of
 // a varying envelope at the tiny-1 shape (one d = 2 site), whose
-// propagator is the closed form. Every sub-benchmark flushes ρ's subnormal
+// propagator is the closed form. varying-tick times the dense propagator
+// whatever the tick drives; separable-tick is the same tick (both drives,
+// no coupler) as a run steps it, site by site. Every sub-benchmark flushes ρ's subnormal
 // parts at the cadence a run does, so a reading does not depend on b.N.
 func BenchmarkDensityTick(b *testing.B) {
 	r := newTickRig(twoTransmonOpenRig(b))
@@ -51,6 +53,7 @@ func BenchmarkDensityTick(b *testing.B) {
 		}},
 		{"varying-tick", rho, r.varyingTick},
 		{"varying-tick-d2", d2.rho, d2.varyingTick},
+		{"separable-tick", rho, r.separableTick},
 		{"stretch-miss", rho, func() {
 			missChis[0] += 1e-6 // a χ no look-up has seen
 			if _, err := ex.propagator(eng, r.active, missChis, 1, false); err != nil {

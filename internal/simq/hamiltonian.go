@@ -64,6 +64,10 @@ func NewSystemModel(dims []int, drift *linalg.Matrix, channels []*ControlChannel
 	if drift.Rows != n || drift.Cols != n {
 		return nil, fmt.Errorf("simq: drift dim %dx%d != system dim %d", drift.Rows, drift.Cols, n)
 	}
+	// A NaN passes every tolerance comparison, IsHermitian's included.
+	if !drift.IsFinite() {
+		return nil, fmt.Errorf("simq: drift Hamiltonian is not finite")
+	}
 	if !drift.IsHermitian(1e-9 * (1 + drift.MaxAbs())) {
 		return nil, fmt.Errorf("simq: drift Hamiltonian is not Hermitian")
 	}
@@ -74,6 +78,9 @@ func NewSystemModel(dims []int, drift *linalg.Matrix, channels []*ControlChannel
 		}
 		if c.OpRaise == nil || c.OpRaise.Rows != n || c.OpRaise.Cols != n {
 			return nil, fmt.Errorf("simq: channel %s operator dimension mismatch", c.PortID)
+		}
+		if !c.OpRaise.IsFinite() {
+			return nil, fmt.Errorf("simq: channel %s operator is not finite", c.PortID)
 		}
 		if c.RabiHz <= 0 {
 			return nil, fmt.Errorf("simq: channel %s has non-positive Rabi frequency", c.PortID)
@@ -89,6 +96,9 @@ func NewSystemModel(dims []int, drift *linalg.Matrix, channels []*ControlChannel
 	for i, c := range collapses {
 		if c.L == nil || c.L.Rows != n || c.L.Cols != n {
 			return nil, fmt.Errorf("simq: collapse %d operator dimension mismatch", i)
+		}
+		if !c.L.IsFinite() {
+			return nil, fmt.Errorf("simq: collapse %d operator is not finite", i)
 		}
 		if c.Rate < 0 || math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0) {
 			return nil, fmt.Errorf("simq: collapse %d has rate %g, want finite and non-negative", i, c.Rate)

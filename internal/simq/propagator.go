@@ -19,9 +19,13 @@ import (
 // powers (-i)^k·(t·H)^k/k!, each built on its upper triangle from the
 // sparse H and mirrored (matStepper.taylor). At Hilbert dimension 2 a
 // dense U is instead exact in closed form (matStepper.twoLevel), from H
-// assembled in a 2×2 scratch, the one dense H of the fast path. The exact
-// eigendecomposition propagator (linalg.ExpI) is the reference only: a
-// property test that sets ExecOptions.exact gets it for every propagator.
+// assembled in a 2×2 scratch, the one dense H of the fast path. A density
+// tick that drives only single sites of a separable model builds no n×n U:
+// its per-site d×d factors, built the same way at site size, are applied to
+// ρ leg by leg (sites.go). The exact eigendecomposition propagator
+// (linalg.ExpI) is the reference only: a property test that sets
+// ExecOptions.exact gets it for every propagator, site-by-site ticks
+// included.
 //
 // Accuracy: each sample tick applies exp(-i·H·dt) expanded as a Taylor
 // series on the state, sub-stepped so that ‖H‖·dt_sub ≤ taylorThetaMax
@@ -32,7 +36,8 @@ import (
 // times to reach θ ≤ 1 and squares the result s times, which can grow the
 // residual by up to 2^s; the long-stretch property tests pin that too. The
 // closed form has no truncation and no squaring: its error is the rounding
-// of r·t and μ·t, so it stays unitary to rounding at any length.
+// of r·t and μ·t, so it stays unitary to rounding at any length. A
+// site-by-site tick carries each factor's error, summed over the sites.
 
 const (
 	// taylorThetaMax caps ‖H‖·dt per Taylor sub-step; above it the tick is

@@ -374,6 +374,10 @@ func TestLongStretchesMatchExact(t *testing.T) {
 				if fast.PropCacheMisses == 0 {
 					t.Fatalf("%s, dims %v: no stretch was built", name, dims)
 				}
+				if open && !fast.FinalDensity.Rho.IsFinite() ||
+					!open && !(&linalg.Matrix{Rows: 1, Cols: len(fast.FinalState.Amp), Data: fast.FinalState.Amp}).IsFinite() {
+					t.Fatalf("%s, dims %v: the final state has a non-finite entry", name, dims)
+				}
 				if open {
 					if diff := fast.FinalDensity.Rho.Sub(exact.FinalDensity.Rho).MaxAbs(); diff > 1e-9 {
 						t.Errorf("%s, dims %v: fast vs exact density off by %g", name, dims, diff)
@@ -457,6 +461,9 @@ func TestStretchBuildMatchesExpI(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if !got.IsFinite() {
+					t.Fatalf("dims %v, %d ticks: built propagator has a non-finite entry", dims, c.ticks)
+				}
 				want, err := ex.propagator(eng, c.active, c.chis, c.ticks, true)
 				if err != nil {
 					t.Fatal(err)
@@ -516,6 +523,9 @@ func TestTaylorPropagatorMatchesExpI(t *testing.T) {
 			dt := theta / eng.ham.normBound()
 			eng.mat.propagator(eng.ham, dt)
 			got := eng.mat.u
+			if !got.IsFinite() {
+				t.Fatalf("n=%d, θ=%.2f: U has a non-finite entry", n, theta)
+			}
 
 			h := ex.Model.Drift.Clone()
 			for i := 0; i < n; i++ {
@@ -597,6 +607,9 @@ func TestTwoLevelStretchIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !u.IsFinite() {
+		t.Fatal("stretch propagator has a non-finite entry")
+	}
 	if d := u.Dagger().Mul(u).Sub(linalg.Identity(2)).MaxAbs(); d > 1e-13 {
 		t.Fatalf("U†U off I by %g", d)
 	}
@@ -661,6 +674,9 @@ func TestStretchMapMatchesExact(t *testing.T) {
 				ticks, whole.DissipatorSteps, pieces.DissipatorSteps, exact.DissipatorSteps)
 		}
 		rho := whole.FinalDensity.Rho
+		if !rho.IsFinite() || !pieces.FinalDensity.Rho.IsFinite() {
+			t.Fatalf("%d ticks: ρ has a non-finite entry", ticks)
+		}
 		if d := rho.Sub(pieces.FinalDensity.Rho).MaxAbs(); d > 1e-11 {
 			t.Errorf("%d ticks: stretch map vs per-tick stepping off by %g", ticks, d)
 		}
@@ -690,6 +706,9 @@ func TestStretchMapMatchesExact(t *testing.T) {
 	}
 	if n := tiny.maps.size(); n != 1 {
 		t.Fatalf("zero drive: %d stretch maps built, want 1", n)
+	}
+	if !fast.FinalDensity.Rho.IsFinite() {
+		t.Fatal("zero drive: ρ has a non-finite entry")
 	}
 	if d := fast.FinalDensity.Rho.Sub(exact.FinalDensity.Rho).MaxAbs(); d > 1e-9 || fast.DissipatorSteps != exact.DissipatorSteps {
 		t.Errorf("zero drive: off the exact density by %g, %d dissipator steps against %d",

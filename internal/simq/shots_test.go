@@ -312,6 +312,43 @@ func TestShotRowsEndAtTheirLength(t *testing.T) {
 	}
 }
 
+// TestMeasuredBitsAreTheRunsOwn: a run's MeasuredBits lists its captured
+// bits in ascending order — a view of the result's own array capped at its
+// length up to four captures, a copy of its own past that — so what the
+// caller writes leaves the program and the next run as they were.
+func TestMeasuredBitsAreTheRunsOwn(t *testing.T) {
+	ex := twoTransmonOpenRig(t)
+	for _, bits := range [][]int{{3}, {0, 5, 2, 7}, {4, 0, 9, 1, 6}} {
+		sp := resonantProgram(t, func(s *pulse.Schedule) {
+			for i, bit := range bits {
+				port, frame := fmt.Sprintf("d%d", i%2), fmt.Sprintf("f%d", i%2)
+				if err := s.Append(&pulse.Capture{Port: port, Frame: frame, Bit: bit, DurationSamples: 16}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		p, err := ex.Prepare(sp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Sorted(slices.Values(bits))
+		for range 2 {
+			res, err := p.Run(ExecOptions{Shots: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.MeasuredBits, want) || len(want) <= 4 && cap(res.MeasuredBits) != len(want) {
+				t.Fatalf("MeasuredBits %v (cap %d), want %v", res.MeasuredBits, cap(res.MeasuredBits), want)
+			}
+			res.MeasuredBits[0] = -1
+			_ = append(res.MeasuredBits, -1)
+		}
+		if !slices.Equal(p.bits, want) {
+			t.Fatalf("the program's bits moved to %v", p.bits)
+		}
+	}
+}
+
 // BenchmarkSampleShots times the sampling phase alone, over a final state
 // evolved once: 4,096 discriminated shots with readout error on the sc-2
 // shape, and 64 kerneled shots on the two-qubit rig.

@@ -78,8 +78,9 @@ func TestPerfContractCachedJob(t *testing.T) {
 		}
 	}
 	job() // compiles the kernel, builds the device's engine, prepares the program
-	// Measured 2026-10-19: 18, 24–27 under -race (19 and 25–27 while a run
-	// allocated its one-element WorkerBusy slice; 34 and 38–41 while a
+	// Measured 2026-10-19: 17, 24–26 under -race (18 and 24–27 while a run
+	// cloned its measured bits; 19 and 25–27 while it allocated its
+	// one-element WorkerBusy slice; 34 and 38–41 while a
 	// ticket built a context.WithCancel child and an AfterFunc
 	// registration, a run its shot sampler and generator, a density a copy
 	// of its dimensions, and a trace ID two objects; 36 and 40–43 while every
@@ -150,8 +151,9 @@ func TestPerfContractColdCompile(t *testing.T) {
 		}
 		next++
 	}
-	// Measured 2026-10-17: 808, 882 under -race (811–812 and 883–885 while
-	// the client rendered the cache key per submit; End renders it now,
+	// Measured 2026-10-19: 789, 861–865 under -race (790 while a run
+	// cloned its measured bits; 808 and 882 on 2026-10-17; 811–812 and
+	// 883–885 while the client rendered the cache key per submit; End renders it now,
 	// before counting, so the job does no less work and the ceiling stays;
 	// 1,041–1,044 and 1,083–1,085 while every propagator-cache miss was an eigendecomposition
 	// and every module verification built its own symbol tables). The
@@ -210,11 +212,11 @@ func TestPerfContractOpenSystemShots(t *testing.T) {
 		job()
 	}
 	runtime.ReadMemStats(&after)
-	// Measured 2026-10-19: 18.0 (19.0 while a run allocated its
-	// one-element WorkerBusy slice; 34.0 while the ticket's context,
-	// the shot sampler and the density's dimensions were objects of their
-	// own per job; 41.0–41.6 on 2026-10-16 on 2 vCPU; 53.8 while the device
-	// drew the shots on two workers).
+	// Measured 2026-10-19: 17.0 (18.0 while a run cloned its measured bits;
+	// 19.0 while it allocated its one-element WorkerBusy slice; 34.0 while
+	// the ticket's context, the shot sampler and the density's dimensions
+	// were objects of their own per job; 41.0–41.6 on 2026-10-16 on 2 vCPU;
+	// 53.8 while the device drew the shots on two workers).
 	if n := float64(after.Mallocs-before.Mallocs) / jobs; n > 21 {
 		t.Fatalf("warm open-system job allocates %v objects, want ≤ 21", n)
 	}
@@ -246,8 +248,9 @@ func TestPerfContractKerneledShots(t *testing.T) {
 		}
 	}
 	job() // compiles the kernel, prepares the program
-	// Measured 2026-10-19: 21, 31 under -race (84 while each shot's IQ row
-	// was an object of its own). The ceiling is the file's margin over the
+	// Measured 2026-10-19: 20, 29–30 under -race (21 and 31 while a run
+	// cloned its measured bits; 84 while each shot's IQ row was an object
+	// of its own). The ceiling is the file's margin over the
 	// -race reading.
 	if n := testing.AllocsPerRun(200, job); n > 34 {
 		t.Fatalf("warm kerneled 64-shot job allocates %v objects, want ≤ 34", n)
@@ -311,8 +314,9 @@ func TestPerfContractBoundSweepPoint(t *testing.T) {
 		}
 	}
 	sweep() // lowers the template once
-	// Measured 2026-10-19: 22.0, 28.9–29.2 under -race (23.0 while a run
-	// allocated its one-element WorkerBusy slice; 37.0 and 41.9–42.0
+	// Measured 2026-10-19: 21.0, 27.9–28.1 under -race (22.0 and 28.9–29.2
+	// while a run cloned its measured bits; 23.0 while it allocated its
+	// one-element WorkerBusy slice; 37.0 and 41.9–42.0
 	// while a point's ticket built a cancellation context and its run a shot
 	// sampler; 51.9 and 57.4 while each point's one propagator-cache miss — the Gaussian's equal middle
 	// pair at a new amplitude — was an eigendecomposition; 56.9 and
@@ -363,8 +367,8 @@ func TestPerfContractRemoteJob(t *testing.T) {
 		}
 	}
 	job() // registers the payload on the connection, prepares the program
-	// Measured 2026-10-19: 22, 29–30 under -race (23 while a run allocated
-	// its one-element WorkerBusy slice; 24 while the server's
+	// Measured 2026-10-19: 21, 29–30 under -race (22 while a run cloned its
+	// measured bits; 23 while it allocated its one-element WorkerBusy slice; 24 while the server's
 	// request decoder still read template fields; 28 and 35 while every
 	// remote ticket hooked onto the server's context and both ends copied
 	// the frames field by field; 47 while both ends wrote and read their
