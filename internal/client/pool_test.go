@@ -208,7 +208,8 @@ func TestRemoteCloseDuringExchange(t *testing.T) {
 
 // TestRemoteSpansOnlyForTracedCallers: the server ships its lifecycle spans
 // back only to a submit that carries a trace ID. An untraced response line
-// has no spans key at all; a traced one carries the server's spans.
+// has no spans key at all, though the job still fed the server's stage
+// histograms; a traced one carries the server's spans.
 func TestRemoteSpansOnlyForTracedCallers(t *testing.T) {
 	c, _ := testStack(t)
 	srv := serveTest(t, c)
@@ -233,9 +234,16 @@ func TestRemoteSpansOnlyForTracedCallers(t *testing.T) {
 	if line := exchange(remoteRequest{Op: "register", ID: "p", Program: string(payload)}); bytes.Contains(line, []byte(`"error"`)) {
 		t.Fatalf("register: %s", line)
 	}
+	executed := func() int64 {
+		return c.telem.Snapshot().Histograms["stage/"+string(telemetry.StageDeviceExecute)].Count
+	}
+	before := executed()
 	submit := remoteRequest{Op: "submit", ID: "p", Device: "hpcqc-sc", SubmitOptions: SubmitOptions{Shots: 16}}
 	if line := exchange(submit); bytes.Contains(line, []byte(`"spans"`)) || bytes.Contains(line, []byte(`"error"`)) {
 		t.Fatalf("untraced response: %s", line)
+	}
+	if n := executed(); n != before+1 {
+		t.Fatalf("untraced submit: the server observed %d device-execute spans, want %d", n, before+1)
 	}
 	submit.TraceID = "trace-spans"
 	var resp remoteResponse

@@ -325,11 +325,16 @@ func (s *Server) handleSubmit(req *remoteRequest, store *programStore) remoteRes
 	if dl, ok := s.ctx.Deadline(); ok && (opts.Deadline.IsZero() || dl.Before(opts.Deadline)) {
 		opts.Deadline = dl
 	}
-	// The server-side timeline shares the caller's trace ID and feeds the
-	// server's own fleet registry. Its spans ship back with the response only
-	// to a caller that traces — one that sent a trace ID — so the
-	// client-side timeline covers both machines.
-	tl := s.client.NewTimeline(opts.TraceID)
+	// The server-side timeline feeds the server's own fleet registry. A
+	// caller that traces — one that sent a trace ID — has it share that ID
+	// and gets its spans back with the response, so the client-side
+	// timeline covers both machines; for any other caller it carries no ID.
+	var tl *telemetry.Timeline
+	if opts.TraceID != "" {
+		tl = s.client.NewTimeline(opts.TraceID)
+	} else {
+		tl = telemetry.NewUntracedTimeline(s.client.telem)
+	}
 	tk, err := s.client.enqueue(s.jobCtx, program, nil, req.Device, opts, tl)
 	var resp remoteResponse
 	if err == nil {

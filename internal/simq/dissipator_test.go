@@ -209,6 +209,22 @@ func (r *tickRig) varyingTick() {
 	r.eng.dissipate(r.step, r.rho)
 }
 
+// stretch is a constant stretch of run ticks at χ = chi on the rig's first
+// drive, as drivenFast steps a short open one: its propagator built (or
+// looked up), then per tick the conjugation by it and the dissipator step.
+// It leaves chi as the rig's χ there.
+func (r *tickRig) stretch(chi complex128, run int) {
+	r.chis[0] = chi
+	u, err := r.ex.propagator(r.eng, r.active, r.chis, 1, false)
+	if err != nil {
+		panic(err)
+	}
+	for range run {
+		r.eng.mat.conjugateWith(u, r.rho.Rho)
+		r.eng.dissipate(r.step, r.rho)
+	}
+}
+
 // separableTick is one tick of a varying envelope that drives single
 // sites only: each site's factor built and applied leg by leg, then the
 // dissipator step.
@@ -219,10 +235,12 @@ func (r *tickRig) separableTick() {
 
 // TestDensityTickAllocatesNothing: the dissipator step, one whole driven
 // tick of the density engine (load H, Taylor conjugation, dissipator; at
-// the tiny-1 shape the closed-form conjugation), a tick that drives both
-// sites of the sc-2 shape and so is applied site by site, and the apply of
-// a long constant stretch's map allocate nothing once the run's scratch
-// exists.
+// the tiny-1 shape the closed-form conjugation), a two-tick constant
+// stretch at the tiny-1 shape at a χ never played before (a sweep point's
+// Gaussian middle pair: its closed-form propagator is built in the
+// engine's scratch, not cached), a tick that drives both sites of the sc-2
+// shape and so is applied site by site, and the apply of a long constant
+// stretch's map allocate nothing once the run's scratch exists.
 func TestDensityTickAllocatesNothing(t *testing.T) {
 	r := newTickRig(twoTransmonOpenRig(t))
 	r.varyingTick() // grows ham.ops to its steady-state capacity
@@ -243,6 +261,13 @@ func TestDensityTickAllocatesNothing(t *testing.T) {
 	d2.varyingTick()
 	if n := testing.AllocsPerRun(100, d2.varyingTick); n != 0 {
 		t.Fatalf("driven density tick at d = 2 allocates %v objects", n)
+	}
+	chi := d2.chis[0]
+	if n := testing.AllocsPerRun(100, func() { chi += 1e-6; d2.stretch(chi, 2) }); n != 0 {
+		t.Fatalf("fresh two-tick stretch at d = 2 allocates %v objects", n)
+	}
+	if n := d2.ex.props.size(); n != 0 {
+		t.Fatalf("fresh stretches at d = 2 left %d propagators in the cache, want none", n)
 	}
 	if err := d2.rho.CheckPhysical(1e-9); err != nil {
 		t.Fatal(err)

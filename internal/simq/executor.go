@@ -106,8 +106,11 @@ type ExecResult struct {
 // system never does: a job on a warm device shows hits and no misses.
 type EngineStats struct {
 	// PropCacheHits and PropCacheMisses count look-ups of the executor's
-	// propagator cache; every miss is one dense build (Taylor, or the closed
-	// form at n = 2).
+	// propagator cache and stretch maps; every miss is one build. At
+	// Hilbert dimension 2 no propagator is looked up (its closed form costs
+	// about a hit): a one-site d = 2 device's gates read 0 on both, as do its
+	// simq/prop_cache/hit and miss counters; only a long open constant
+	// stretch (a stretch map) counts there.
 	PropCacheHits, PropCacheMisses int64
 	// DissipatorSteps counts RK4 steps of the density engine's dissipator,
 	// each one apply of a memoized step map.
@@ -120,7 +123,8 @@ type EngineStats struct {
 //
 // An Executor holds everything that is a function of the model and not of
 // the program: the spectrally shifted sparse drift (per site, too, when it
-// is separable, with the channels local to one site), the propagator cache,
+// is separable, with the channels local to one site), the propagator cache
+// (used at n ≥ 3 only),
 // the density engine's stretch maps and the dissipator's step maps (the
 // model itself carries the channels' sparse operators and the collapse
 // precompute). All of it is immutable or locked, so one Executor serves
@@ -129,7 +133,7 @@ type EngineStats struct {
 type Executor struct {
 	Model *SystemModel
 
-	props *memo[*linalg.Matrix] // constant-stretch propagators, by propKey
+	props *memo[*linalg.Matrix] // constant-stretch propagators at n ≥ 3, by propKey
 	maps  *memo[[]float64]      // open-system stretch maps S^run, by propKey
 	steps *memo[*stepMap]       // dissipator step maps, by the step size's bits
 	// drift is the sparse view of Drift − λI (nil when that is zero) and
@@ -920,14 +924,18 @@ func (e *Executor) dissipatorStep(eng *fastEngine, h float64) *stepMap {
 
 // propagator returns the dense propagator exp(-i·H·t) over `ticks` samples
 // of the constant Hamiltonian defined by (active, chis) — no plays for an
-// idle stretch. A fast run consults the executor's cache first and builds
-// a miss by matStepper.stretch in the engine's mat scratch (made on
-// the state-vector engine's first miss and pooled with it), times the
-// spectral shift's phase, so cached propagators are exact; an idle
-// stretch under a diagonal drift is diag(e^{−i·d_j·t})·e^{−iλt}, with no
-// series and no squaring, so it stays unitary however long it is. The
-// exact reference (exact set) assembles the dense Hamiltonian with the
-// true drift and runs linalg.ExpI, neither reading nor filling the cache.
+// idle stretch. At n = 2 a fast run builds it in closed form in the
+// engine's mat scratch (twoLevelStretch), which it shares with every other
+// build: the matrix it returns lives only until the engine's next build,
+// and no cache is consulted. Above n = 2 a fast run consults the
+// executor's cache first and builds a miss by matStepper.stretch in the
+// engine's mat scratch, times the spectral shift's phase, so cached
+// propagators are exact; an idle stretch under a diagonal drift is
+// diag(e^{−i·d_j·t})·e^{−iλt}, with no series and no squaring, so it stays
+// unitary however long it is. The state-vector engine makes its mat
+// scratch on its first build and pools it with the engine. The exact
+// reference (exact set) assembles the dense Hamiltonian with the true
+// drift and runs linalg.ExpI, neither reading nor filling the cache.
 func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []complex128, ticks int64, exact bool) (*linalg.Matrix, error) {
 	n, t := e.Model.HilbertDim(), float64(ticks)*eng.dt
 	if exact {
@@ -940,6 +948,12 @@ func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []comple
 			active[i].ch.driveTerm(h, chis[i])
 		}
 		return linalg.ExpI(h, t)
+	}
+	if n == 2 {
+		if eng.mat == nil {
+			eng.mat = newMatStepper(n) // the state-vector engine's build scratch
+		}
+		return e.twoLevelStretch(eng, active, chis, t), nil
 	}
 	eng.keyBuf = propKey(eng.keyBuf, eng.dt, active, chis, ticks)
 	if u, ok := e.props.get(eng.keyBuf); ok {
@@ -957,13 +971,36 @@ func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []comple
 		}
 	} else {
 		if eng.mat == nil {
-			eng.mat = newMatStepper(n) // the state-vector engine's build scratch
+			eng.mat = newMatStepper(n)
 		}
 		eng.loadHam(active, chis)
 		u = eng.mat.stretch(eng.ham, t, phase)
 	}
 	e.props.put(eng.keyBuf, u)
 	return u, nil
+}
+
+// twoLevelStretch fills the engine's 2×2 scratch eng.mat.u with
+// exp(-i·H·t) of the constant Hamiltonian (active, chis): the closed form
+// (twoLevel) times its phase e^{-iμt} and the spectral shift's e^{-iλt},
+// exact at any length, and returns it. When μ and λ are both 0 (a drive
+// over no drift) there is no phase to apply.
+//
+//mqss:hotloop
+func (e *Executor) twoLevelStretch(eng *fastEngine, active []playEvent, chis []complex128, t float64) *linalg.Matrix {
+	eng.loadHam(active, chis)
+	u := eng.mat.u
+	mu := eng.mat.twoLevel(eng.ham, t, u)
+	if mu == 0 && e.lam == 0 {
+		return u
+	}
+	sm, cm := math.Sincos(mu * t)
+	sl, cl := math.Sincos(-e.lam * t) // e^{-iλt}, as cmplx.Exp spells it
+	p := complex(cl, sl) * complex(cm, -sm)
+	for i := range u.Data {
+		u.Data[i] *= p
+	}
+	return u
 }
 
 // stretchMap returns the density engine's map S^run of a constant stretch

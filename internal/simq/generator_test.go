@@ -25,7 +25,9 @@ import (
 // key, 81 ticks on the basis, eight squarings and the memo entry; its
 // memo fills, so it also times evictions). varying-tick-d2 is a tick of
 // a varying envelope at the tiny-1 shape (one d = 2 site), whose
-// propagator is the closed form. varying-tick times the dense propagator
+// propagator is the closed form; fresh-stretch-d2 is a two-tick constant
+// stretch there at a χ never played before, what a Rabi sweep point pays
+// for its Gaussian's equal middle pair. varying-tick times the dense propagator
 // whatever the tick drives; separable-tick is the same tick (both drives,
 // no coupler) as a run steps it, site by site. Every sub-benchmark flushes ρ's subnormal
 // parts at the cadence a run does, so a reading does not depend on b.N.
@@ -37,7 +39,7 @@ func BenchmarkDensityTick(b *testing.B) {
 		b.Fatal(err)
 	}
 	d2 := newTickRig(oneQubitOpenRig(b))
-	missChis, missH, mapChis := slices.Clone(r.chis), eng.dt, slices.Clone(r.chis)
+	missChis, missH, mapChis, d2Chi := slices.Clone(r.chis), eng.dt, slices.Clone(r.chis), d2.chis[0]
 	const mapRun = 256
 	m := ex.stretchMap(eng, r.active, r.chis, r.step, mapRun, nil)
 	for _, bc := range []struct {
@@ -53,6 +55,10 @@ func BenchmarkDensityTick(b *testing.B) {
 		}},
 		{"varying-tick", rho, r.varyingTick},
 		{"varying-tick-d2", d2.rho, d2.varyingTick},
+		{"fresh-stretch-d2", d2.rho, func() {
+			d2Chi += 1e-6 // a χ no run has played
+			d2.stretch(d2Chi, 2)
+		}},
 		{"separable-tick", rho, r.separableTick},
 		{"stretch-miss", rho, func() {
 			missChis[0] += 1e-6 // a χ no look-up has seen

@@ -17,9 +17,13 @@ import (
 // and constant-envelope stretch's (once per distinct stretch, memoized in
 // the executor's propagator cache) — is the sum of the signed Hermitian
 // powers (-i)^k·(t·H)^k/k!, each built on its upper triangle from the
-// sparse H and mirrored (matStepper.taylor). At Hilbert dimension 2 a
-// dense U is instead exact in closed form (matStepper.twoLevel), from H
-// assembled in a 2×2 scratch, the one dense H of the fast path. A density
+// sparse H and mirrored (matStepper.taylor). At Hilbert dimension 2 every
+// dense U — tick, stretch or idle gap — is instead exact in closed form
+// (matStepper.twoLevel), from H assembled in a 2×2 scratch, the one dense
+// H of the fast path; it costs little more than a memo hit and a tenth of
+// a miss, so it is built in the engine's scratch where it is used and
+// never memoized, and the
+// density engine conjugates by it in closed form (conjugate2). A density
 // tick that drives only single sites of a separable model builds no n×n U:
 // its per-site d×d factors, built the same way at site size, are applied to
 // ρ leg by leg (sites.go). The exact eigendecomposition propagator
@@ -245,22 +249,45 @@ func (s *matStepper) conjugate(h *tickHam, rho *linalg.Matrix, dt float64) {
 // using the stepper's scratch; u may be any dense unitary (e.g. a cached
 // stretch propagator) and must not alias rho. W = u·rho is a full
 // product; of W·u† only the upper triangle is computed and mirrored, so
-// rho leaves exactly Hermitian.
+// rho leaves exactly Hermitian. At n = 2 the two products are spelled out
+// (conjugate2).
 //
 //mqss:hotloop
 func (s *matStepper) conjugateWith(u, rho *linalg.Matrix) {
+	if rho.Rows == 2 {
+		conjugate2(u, rho)
+		return
+	}
 	u.MulInto(s.work, rho)
 	s.work.MulDaggerHermInto(rho, u)
 }
 
-// propagator fills s.u with exp(-i·H·dt): at n = 2 the closed form
-// (twoLevel), above it the scaled-Taylor approximation, one sub-step's
-// series and then the remaining sub-steps applied by dense powering.
+// conjugate2 is conjugateWith at n = 2 in closed form: W = u·rho entry by
+// entry, then the upper triangle of W·u†, the diagonal's real part kept and
+// the corner mirrored, summed in the dense products' order so that it
+// rounds as they do.
+//
+//mqss:hotloop
+func conjugate2(u, rho *linalg.Matrix) {
+	r, u00, u01, u10, u11 := rho.Data[:4], u.Data[0], u.Data[1], u.Data[2], u.Data[3]
+	w00, w01 := u00*r[0]+u01*r[2], u00*r[1]+u01*r[3]
+	w10, w11 := u10*r[0]+u11*r[2], u10*r[1]+u11*r[3]
+	c := w00*cmplx.Conj(u10) + w01*cmplx.Conj(u11)
+	r[0] = complex(real(w00*cmplx.Conj(u00)+w01*cmplx.Conj(u01)), 0)
+	r[1], r[2] = c, cmplx.Conj(c)
+	r[3] = complex(real(w10*cmplx.Conj(u10)+w11*cmplx.Conj(u11)), 0)
+}
+
+// propagator fills s.u with the density engine's tick propagator, exp(-i·H·dt)
+// up to a scalar phase, which conjugation cancels: at n = 2 the closed form
+// (twoLevel) without its phase e^{-iμt}, above it the scaled-Taylor
+// approximation, one sub-step's series and then the remaining sub-steps
+// applied by dense powering.
 //
 //mqss:hotloop
 func (s *matStepper) propagator(h *tickHam, dt float64) {
 	if s.u.Rows == 2 {
-		s.twoLevel(h, dt, 1, s.u)
+		s.twoLevel(h, dt, s.u)
 		return
 	}
 	theta := h.normBound() * dt
@@ -278,17 +305,12 @@ func (s *matStepper) propagator(h *tickHam, dt float64) {
 }
 
 // stretch returns a new matrix holding exp(-i·H·t)·phase, where phase is
-// the spectral shift's e^{-iλt}, so the result is the unshifted propagator.
-// At n = 2 it is the closed form (twoLevel), exact at any length. Above
-// it, stretch halves t until ‖H‖·t ≤ taylorThetaMax, expands the series
-// there and squares the result back up in the stepper's scratch; the copy
-// it returns is the build's one allocation.
+// the spectral shift's e^{-iλt}, so the result is the unshifted propagator;
+// n ≥ 3 (at n = 2 the closed form needs no build, see twoLevelStretch). It
+// halves t until ‖H‖·t ≤ taylorThetaMax, expands the series there and
+// squares the result back up in the stepper's scratch; the copy it returns
+// is the build's one allocation.
 func (s *matStepper) stretch(h *tickHam, t float64, phase complex128) *linalg.Matrix {
-	if s.u.Rows == 2 {
-		u := linalg.NewMatrix(2, 2)
-		s.twoLevel(h, t, phase, u)
-		return u
-	}
 	halvings := 0
 	for theta := h.normBound() * t; theta > taylorThetaMax; theta /= 2 {
 		halvings++
@@ -308,14 +330,15 @@ func (s *matStepper) stretch(h *tickHam, t float64, phase complex128) *linalg.Ma
 	return u
 }
 
-// twoLevel fills the 2×2 u with exp(-i·H·t)·phase in closed form. With
-// μ and δ the mean and half the difference of H's diagonal, c its
-// off-diagonal entry and r = √(δ² + |c|²), H − μI squares to r²·I, so
-// exp(-i·H·t) = e^{-iμt}·[cos(rt)·I − i·(sin(rt)/r)·(H − μI)], where
+// twoLevel fills the 2×2 u with exp(-i·(H − μI)·t) in closed form and
+// returns μ, so that exp(-i·H·t) is e^{-iμt}·u. With μ and δ the mean and
+// half the difference of H's diagonal, c its off-diagonal entry and
+// r = √(δ² + |c|²), H − μI squares to r²·I, so
+// exp(-i·(H − μI)·t) = cos(rt)·I − i·(sin(rt)/r)·(H − μI), where
 // sin(rt)/r → t as r·t → 0. H is assembled in the tmp scratch.
 //
 //mqss:hotloop
-func (s *matStepper) twoLevel(h *tickHam, t float64, phase complex128, u *linalg.Matrix) {
+func (s *matStepper) twoLevel(h *tickHam, t float64, u *linalg.Matrix) (mu float64) {
 	hd := s.tmp
 	clear(hd.Data)
 	if h.drift != nil {
@@ -333,12 +356,11 @@ func (s *matStepper) twoLevel(h *tickHam, t float64, phase complex128, u *linalg
 	if r*t != 0 {
 		sinc = sn / r
 	}
-	sm, cm := math.Sincos(mu * t)
-	p := phase * complex(cm, -sm)
-	u.Data[0] = p * complex(cs, -sinc*delta)
-	u.Data[1] = p * complex(sinc*imag(c), -sinc*real(c))
-	u.Data[2] = p * complex(-sinc*imag(c), -sinc*real(c))
-	u.Data[3] = p * complex(cs, sinc*delta)
+	u.Data[0] = complex(cs, -sinc*delta)
+	u.Data[1] = complex(sinc*imag(c), -sinc*real(c))
+	u.Data[2] = complex(-sinc*imag(c), -sinc*real(c))
+	u.Data[3] = complex(cs, sinc*delta)
+	return mu
 }
 
 // taylor fills u with the Taylor series of exp(-i·H·t), truncated once the

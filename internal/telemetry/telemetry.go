@@ -147,7 +147,15 @@ func NewTimeline(traceID string, reg *Registry) *Timeline {
 	if traceID == "" {
 		traceID = NewTraceID()
 	}
-	t := &Timeline{traceID: traceID, reg: reg}
+	t := NewUntracedTimeline(reg)
+	t.traceID = traceID
+	return t
+}
+
+// NewUntracedTimeline builds a timeline that feeds reg as NewTimeline's
+// does but carries no trace ID, for a job nobody traces: it mints none.
+func NewUntracedTimeline(reg *Registry) *Timeline {
+	t := &Timeline{reg: reg}
 	t.spans = t.inline[:0]
 	return t
 }

@@ -10,7 +10,7 @@ import (
 
 // TestTimelineRecordAndOrder checks spans come back ordered by start time
 // with parent links intact, and that stage durations feed the attached
-// registry.
+// registry — an untraced timeline's too, which carries no trace ID.
 func TestTimelineRecordAndOrder(t *testing.T) {
 	reg := NewRegistry()
 	tl := NewTimeline("", reg)
@@ -39,6 +39,14 @@ func TestTimelineRecordAndOrder(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Histograms["stage/compile"].Count != 1 {
 		t.Fatalf("compile stage not observed: %+v", snap.Histograms)
+	}
+	untraced := NewUntracedTimeline(reg)
+	untraced.Record(StageCompile, "sc-0", t0, time.Millisecond, 0)
+	if untraced.TraceID() != "" || len(untraced.Spans()) != 1 {
+		t.Fatalf("untraced timeline: trace ID %q, %d spans", untraced.TraceID(), len(untraced.Spans()))
+	}
+	if n := reg.Snapshot().Histograms["stage/compile"].Count; n != 2 {
+		t.Fatalf("untraced compile span not observed: count %d, want 2", n)
 	}
 }
 

@@ -314,8 +314,10 @@ func TestPerfContractBoundSweepPoint(t *testing.T) {
 		}
 	}
 	sweep() // lowers the template once
-	// Measured 2026-10-19: 21.0, 27.9–28.1 under -race (22.0 and 28.9–29.2
-	// while a run cloned its measured bits; 23.0 while it allocated its
+	// Measured 2026-10-19: 18.0, 24.1–24.6 under -race (21.0 and 27.9–28.1
+	// while each point's Gaussian middle pair, a two-tick stretch at a new
+	// amplitude, was a propagator-cache miss: a key, a 2×2 matrix and an
+	// entry; 22.0 and 28.9–29.2 while a run cloned its measured bits; 23.0 while it allocated its
 	// one-element WorkerBusy slice; 37.0 and 41.9–42.0
 	// while a point's ticket built a cancellation context and its run a shot
 	// sampler; 51.9 and 57.4 while each point's one propagator-cache miss — the Gaussian's equal middle
@@ -326,8 +328,8 @@ func TestPerfContractBoundSweepPoint(t *testing.T) {
 	// 129.0 with a formatted trace ID per point and the worker's per-job
 	// names; 158 and 160.5 before prepared programs). The ceiling is the
 	// file's margin over the -race reading.
-	if perPoint := testing.AllocsPerRun(3, sweep) / points; perPoint > 32 {
-		t.Fatalf("warm bound sweep point allocates %.1f objects, want ≤ 32", perPoint)
+	if perPoint := testing.AllocsPerRun(3, sweep) / points; perPoint > 27 {
+		t.Fatalf("warm bound sweep point allocates %.1f objects, want ≤ 27", perPoint)
 	}
 }
 
@@ -367,7 +369,8 @@ func TestPerfContractRemoteJob(t *testing.T) {
 		}
 	}
 	job() // registers the payload on the connection, prepares the program
-	// Measured 2026-10-19: 21, 29–30 under -race (22 while a run cloned its
+	// Measured 2026-10-19: 20, 25–29 under -race (21 and 29–30 while the
+	// server minted a trace ID for every untraced submit; 22 while a run cloned its
 	// measured bits; 23 while it allocated its one-element WorkerBusy slice; 24 while the server's
 	// request decoder still read template fields; 28 and 35 while every
 	// remote ticket hooked onto the server's context and both ends copied
@@ -375,7 +378,7 @@ func TestPerfContractRemoteJob(t *testing.T) {
 	// frames with encoding/json and the adapter rendered the payload's ID
 	// per job). The ceiling is the file's margin over the highest -race
 	// reading.
-	if n := testing.AllocsPerRun(200, job); n > 35 {
-		t.Fatalf("warm remote job allocates %v objects, want ≤ 35", n)
+	if n := testing.AllocsPerRun(200, job); n > 32 {
+		t.Fatalf("warm remote job allocates %v objects, want ≤ 32", n)
 	}
 }
