@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
 	"mqsspulse/internal/readout"
+	"mqsspulse/internal/simq"
 	"mqsspulse/internal/telemetry"
 	"mqsspulse/internal/testutil"
 )
@@ -233,7 +235,8 @@ func TestJobRunsOnItsWaiter(t *testing.T) {
 
 // TestEngineTelemetryCounters: the metrics dump shows a warm device has
 // stopped exponentiating — the second identical job adds cache hits and
-// dissipator steps but no miss, fleet-wide and per device.
+// dissipator steps but no miss, fleet-wide and per device — and every job
+// adds its plan's ticks by step kind to simq/ticks/<kind>.
 func TestEngineTelemetryCounters(t *testing.T) {
 	d := openSC(t, 1)
 	reg := telemetry.NewRegistry()
@@ -252,9 +255,26 @@ func TestEngineTelemetryCounters(t *testing.T) {
 	if coldMiss == 0 || coldSteps == 0 {
 		t.Fatalf("cold job: %d misses, %d dissipator steps; want both positive", coldMiss, coldSteps)
 	}
+	ticks := func() (out [len(simq.StepKinds)]int64) {
+		for k, kind := range simq.StepKinds {
+			out[k] = reg.Counter("simq/ticks/" + kind).Load()
+		}
+		return out
+	}
+	coldTicks := ticks()
 	hit, miss, steps := counters()
 	if miss != coldMiss || hit <= coldHit || steps != 2*coldSteps {
 		t.Fatalf("warm job: hits %d→%d, misses %d→%d, steps %d→%d; want more hits, no new miss, the same steps again",
 			coldHit, hit, coldMiss, miss, coldSteps, steps)
+	}
+	// The one-site X job's Gaussian is varying ticks on the whole system;
+	// every job of one program adds its plan's ticks again.
+	if coldTicks[slices.Index(simq.StepKinds[:], "dense_tick")] == 0 {
+		t.Fatalf("cold job: ticks by kind %v, want dense ticks", coldTicks)
+	}
+	for k, n := range ticks() {
+		if n != 2*coldTicks[k] {
+			t.Fatalf("simq/ticks/%s: %d after one job, %d after two", simq.StepKinds[k], coldTicks[k], n)
+		}
 	}
 }

@@ -598,7 +598,7 @@ func (d *SimDevice) runJob(ctx context.Context, job *qdmi.AsyncJob, mod *qir.Mod
 		execStart, execEnd.Sub(execStart)-res.ReadoutWall, opts.TelemetryParent)
 	opts.Telemetry.Record(telemetry.StageReadoutPost, d.cfg.Name,
 		execEnd.Add(-res.ReadoutWall), res.ReadoutWall, opts.TelemetryParent)
-	metrics.record(res, execEnd.Sub(execStart))
+	metrics.record(prog, res, execEnd.Sub(execStart))
 	job.Finish(&qdmi.Result{
 		Counts:          res.Counts,
 		Shots:           res.Shots,
@@ -612,12 +612,14 @@ func (d *SimDevice) runJob(ctx context.Context, job *qdmi.AsyncJob, mod *qir.Mod
 
 // shotMetrics are the handles a job's execution throughput is published
 // through, resolved in one registry: the fleet-wide "simq/..." counters and
-// their per-device twins.
+// their per-device twins, and the fleet-wide "simq/ticks/<kind>" counters of
+// the ticks each kind of evolution step covered.
 type shotMetrics struct {
 	reg                                                   *telemetry.Registry
 	shots, propHit, propMiss, dissipatorSteps             *telemetry.Counter
 	devShots, devPropHit, devPropMiss, devDissipatorSteps *telemetry.Counter
 	devShotLatency                                        *telemetry.Histogram
+	ticks                                                 [len(simq.StepKinds)]*telemetry.Counter
 }
 
 // shotMetricsLocked returns the device's handles in reg — nil for an
@@ -643,15 +645,18 @@ func (d *SimDevice) shotMetricsLocked(reg *telemetry.Registry) *shotMetrics {
 		devDissipatorSteps: reg.Counter("simq/dissipator_steps/" + name),
 		devShotLatency:     reg.Hist("simq/shot_latency/" + name),
 	}
+	for k, kind := range simq.StepKinds {
+		d.shotMetrics.ticks[k] = reg.Counter("simq/ticks/" + kind)
+	}
 	return d.shotMetrics
 }
 
 // record publishes a job's execution throughput: total shots executed
 // (fleet-wide and per-device counters — shots-per-second over any window
-// is the counter delta over that window) and the mean per-shot latency
-// (its reciprocal is this job's shots/sec). An uninstrumented job's nil
-// handles record nothing.
-func (m *shotMetrics) record(res *simq.ExecResult, wall time.Duration) {
+// is the counter delta over that window), the mean per-shot latency (its
+// reciprocal is this job's shots/sec) and the ticks of prog's plan by step
+// kind. An uninstrumented job's nil handles record nothing.
+func (m *shotMetrics) record(prog *simq.Program, res *simq.ExecResult, wall time.Duration) {
 	if m == nil || res.Shots <= 0 {
 		return
 	}
@@ -664,6 +669,11 @@ func (m *shotMetrics) record(res *simq.ExecResult, wall time.Duration) {
 	m.devPropMiss.Add(res.PropCacheMisses)
 	m.dissipatorSteps.Add(res.DissipatorSteps)
 	m.devDissipatorSteps.Add(res.DissipatorSteps)
+	for k, n := range prog.Ticks() {
+		if n != 0 {
+			m.ticks[k].Add(n)
+		}
+	}
 	if wall > 0 {
 		m.devShotLatency.Observe(wall / time.Duration(res.Shots))
 	}

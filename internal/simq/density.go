@@ -265,7 +265,7 @@ func (s *matStepper) dissipate(step *stepMap, rho *linalg.Matrix) {
 // n-dimensional model is applied as a stretch map: when n ≤ mapMaxDim, the
 // stretch is at least the n² ticks its build steps, and its build's
 // products cost at most mapBuildRatio times the ticks they replace. It
-// reads only (n, run), so a run's path never depends on a memo's state.
+// reads only (n, run), so a plan never depends on a memo's state.
 func useStretchMap(n int, run int64) bool {
 	n3 := int64(n * n * n)
 	return n <= mapMaxDim && run >= int64(n*n) && int64(bits.Len64(uint64(run)))*n3 <= mapBuildRatio*run

@@ -14,10 +14,10 @@ func TestNewDensityGround(t *testing.T) {
 	if d.Dim() != 4 {
 		t.Fatalf("dim = %d", d.Dim())
 	}
-	if math.Abs(d.Trace()-1) > 1e-12 {
+	if !(math.Abs(d.Trace()-1) <= 1e-12) {
 		t.Fatal("trace != 1")
 	}
-	if math.Abs(d.Purity()-1) > 1e-12 {
+	if !(math.Abs(d.Purity()-1) <= 1e-12) {
 		t.Fatal("pure state should have purity 1")
 	}
 }
@@ -25,7 +25,7 @@ func TestNewDensityGround(t *testing.T) {
 func TestDensityUnitaryConjugation(t *testing.T) {
 	d := newDensity([]int{2})
 	d.ApplyAt(linalg.PauliX(), 0)
-	if p := d.PopulationOfLevel(0, 1); math.Abs(p-1) > 1e-12 {
+	if p := d.PopulationOfLevel(0, 1); !(math.Abs(p-1) <= 1e-12) {
 		t.Fatalf("P(1) = %g after X", p)
 	}
 	if err := d.CheckPhysical(1e-10); err != nil {
@@ -49,7 +49,7 @@ func TestT1Decay(t *testing.T) {
 	}
 	want := math.Exp(-total / t1)
 	got := d.PopulationOfLevel(0, 1)
-	if math.Abs(got-want) > 1e-4 {
+	if !(math.Abs(got-want) <= 1e-4) {
 		t.Fatalf("P(1) after T1 decay = %g, want %g", got, want)
 	}
 	if err := d.CheckPhysical(1e-8); err != nil {
@@ -73,7 +73,7 @@ func TestT2Dephasing(t *testing.T) {
 	}
 	want := math.Exp(-total / t2)
 	got := real(d.Expectation(linalg.PauliX()))
-	if math.Abs(got-want) > 1e-3 {
+	if !(math.Abs(got-want) <= 1e-3) {
 		t.Fatalf("⟨X⟩ after dephasing = %g, want %g", got, want)
 	}
 }
@@ -97,7 +97,7 @@ func TestCombinedT1T2Consistency(t *testing.T) {
 	}
 	want := math.Exp(-total / (2 * t1))
 	got := real(d.Expectation(linalg.PauliX()))
-	if math.Abs(got-want) > 1e-3 {
+	if !(math.Abs(got-want) <= 1e-3) {
 		t.Fatalf("⟨X⟩ = %g, want %g", got, want)
 	}
 }
@@ -128,7 +128,7 @@ func TestLindbladTracePreservation(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		LindbladStepRK4(h, d.Density, collapses, 2e-9)
 	}
-	if math.Abs(d.Trace()-1) > 1e-6 {
+	if !(math.Abs(d.Trace()-1) <= 1e-6) {
 		t.Fatalf("trace drifted to %g", d.Trace())
 	}
 	if err := d.CheckPhysical(1e-6); err != nil {
@@ -162,7 +162,7 @@ func TestFromStateMatchesExpectations(t *testing.T) {
 	s.ApplyAt(testutil.Hadamard(), 0)
 	d := FromState(s)
 	ex := real(d.Expectation(linalg.PauliX()))
-	if math.Abs(ex-1) > 1e-12 {
+	if !(math.Abs(ex-1) <= 1e-12) {
 		t.Fatalf("⟨X⟩ = %g, want 1", ex)
 	}
 }
@@ -171,13 +171,13 @@ func TestStateFidelityDensity(t *testing.T) {
 	s := newState([]int{2})
 	s.ApplyAt(testutil.Hadamard(), 0)
 	d := FromState(s)
-	if f := StateFidelity(d, s); math.Abs(f-1) > 1e-12 {
+	if f := StateFidelity(d, s); !(math.Abs(f-1) <= 1e-12) {
 		t.Fatalf("fidelity = %g, want 1", f)
 	}
 	orth := newState([]int{2})
 	orth.ApplyAt(testutil.Hadamard(), 0)
 	orth.ApplyAt(linalg.PauliZ(), 0)
-	if f := StateFidelity(d, orth); f > 1e-12 {
+	if f := StateFidelity(d, orth); !(f <= 1e-12) {
 		t.Fatalf("fidelity = %g, want 0", f)
 	}
 }
@@ -193,7 +193,7 @@ func TestDensitySampleBits(t *testing.T) {
 			n1++
 		}
 	}
-	if p := float64(n1) / float64(shots); math.Abs(p-0.5) > 0.02 {
+	if p := float64(n1) / float64(shots); !(math.Abs(p-0.5) <= 0.02) {
 		t.Fatalf("P(1) = %g, want 0.5", p)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // true mid-integration (the job was cancelled).
 var ErrInterrupted = errors.New("simq: execution interrupted")
 
-// ExecOptions configures schedule execution.
+// ExecOptions configures one run of a prepared program; its plan is fixed.
 type ExecOptions struct {
 	// Shots is the number of measurement samples to draw (default 1024).
 	Shots int
@@ -49,14 +49,6 @@ type ExecOptions struct {
 	// on the calling goroutine. It is kept only because the benchmark
 	// compiles against it.
 	ShotWorkers int
-
-	// exact replaces the fast path (matrix-free scaled-Taylor ticks,
-	// memoized Taylor-built propagators for idle segments and
-	// constant-envelope stretches) with the reference: one eigendecomposition
-	// (linalg.ExpI) per driven sample and per idle segment, never cached —
-	// orders of magnitude slower. Only this package's property tests set
-	// it: they pin the fast path against it (state fidelity ≥ 1−1e−9).
-	exact bool
 }
 
 // ExecResult is the outcome of executing a scheduled pulse program.
@@ -107,10 +99,8 @@ type ExecResult struct {
 type EngineStats struct {
 	// PropCacheHits and PropCacheMisses count look-ups of the executor's
 	// propagator cache and stretch maps; every miss is one build. At
-	// Hilbert dimension 2 no propagator is looked up (its closed form costs
-	// about a hit): a one-site d = 2 device's gates read 0 on both, as do its
-	// simq/prop_cache/hit and miss counters; only a long open constant
-	// stretch (a stretch map) counts there.
+	// Hilbert dimension 2 only stretch maps are looked up, so a one-site
+	// d = 2 device's gates read 0 on both.
 	PropCacheHits, PropCacheMisses int64
 	// DissipatorSteps counts RK4 steps of the density engine's dissipator,
 	// each one apply of a memoized step map.
@@ -124,12 +114,11 @@ type EngineStats struct {
 // An Executor holds everything that is a function of the model and not of
 // the program: the spectrally shifted sparse drift (per site, too, when it
 // is separable, with the channels local to one site), the propagator cache
-// (used at n ≥ 3 only),
-// the density engine's stretch maps and the dissipator's step maps (the
-// model itself carries the channels' sparse operators and the collapse
-// precompute). All of it is immutable or locked, so one Executor serves
-// any number of Runs, concurrently; a run's mutable scratch comes from the
-// executor's pool and goes back when the evolution ends.
+// (used at n ≥ 3 only), the density engine's stretch maps and the
+// dissipator's step maps. All of it is immutable or locked, so one Executor
+// serves any number of Runs, concurrently; a run's mutable scratch comes
+// from the executor's pool and goes back when the run ends. Prepare lowers
+// a program into a plan for it (plan.go), which Program.Run walks.
 type Executor struct {
 	Model *SystemModel
 
@@ -146,7 +135,7 @@ type Executor struct {
 	// On the density engine of a model whose drift is separable (siteTerms),
 	// sites holds each site's local drift and locals every channel local to
 	// one site, so a tick that drives only those is applied site by site
-	// (conjugateTick); both are nil otherwise.
+	// (kindSiteTick); both are nil otherwise.
 	sites  []siteTerm
 	locals map[*ControlChannel]localChannel
 	// scratch holds idle *fastEngine values. They are sized by the model,
@@ -216,14 +205,18 @@ type captureEvent struct {
 // Program is a scheduled pulse program prepared for one Executor:
 // everything a run derives from (program, model) and nothing it derives
 // from ExecOptions — the plays with their latched frame state and control
-// channel, the integration segment boundaries, the captures in classical-bit
+// channel, the evolution plan (plan.go), the captures in classical-bit
 // order, the makespan and the sample period. It is immutable, so any number
 // of runs, concurrent or not, may share it; it holds the inputs of the
 // evolution, never its output.
 type Program struct {
-	exec     *Executor
-	plays    []playEvent // by start tick, simultaneous plays in program order
-	ticks    []int64     // segmentTicks(plays, makespan)
+	exec  *Executor
+	plays []playEvent // by start tick, simultaneous plays in program order
+	// segs are the integration segments, on their plays (indices into
+	// plays) and steps the plan over them.
+	segs     []segment
+	on       []int32
+	steps    []step
 	captures []captureEvent
 	bits     []int // captures' classical bits, ascending
 	// masks holds each basis index's measured bitmask: bit i set when the
@@ -356,7 +349,8 @@ func (e *Executor) Prepare(sp *pulse.ScheduledProgram, slots map[pulse.Instructi
 		}
 	}
 
-	p.ticks = segmentTicks(p.plays, p.makespan)
+	p.segments()
+	p.plan(nil)
 	slices.SortFunc(p.captures, func(a, b captureEvent) int { return cmp.Compare(a.bit, b.bit) })
 	var sites []int
 	for _, c := range p.captures {
@@ -376,7 +370,8 @@ func (e *Executor) Prepare(sp *pulse.ScheduledProgram, slots map[pulse.Instructi
 // Samples slot plays b.Samples[that], a frame update with an Hz or Phase
 // slot takes b.Values[that], and the plays' latched frame state is walked
 // again from tick 0 by the steps Prepare took. Slots move no duration, so
-// the result shares p's segment ticks and captures; p itself is unchanged.
+// the result shares p's segments and captures; its plan is planned again
+// over them, sharing p's steps while they are equal. p itself is unchanged.
 // p must have been prepared with slots.
 func (p *Program) Bind(b Binding) (*Program, error) {
 	out := *p
@@ -388,6 +383,7 @@ func (p *Program) Bind(b Binding) (*Program, error) {
 			return nil, err
 		}
 	}
+	out.plan(p.steps)
 	return &out, nil
 }
 
@@ -439,11 +435,9 @@ func (p *Program) Run(opts ExecOptions) (*ExecResult, error) {
 	return res, err
 }
 
-// run is Run, also handing back the state the run evolved to: st when the
-// state-vector engine ran (a model without collapse operators), rho when
-// the density engine did (a model with them), the other nil. rho is exactly
-// Hermitian: every entry below the diagonal is the conjugate of its mirror
-// and the diagonal is real.
+// run is Run, also handing back the state the run evolved to: st on the
+// state-vector engine (a model without collapse operators), rho, exactly
+// Hermitian, on the density engine (a model with them), the other nil.
 func (p *Program) run(opts ExecOptions) (res *ExecResult, st *State, rho *Density, err error) {
 	e := p.exec
 	if opts.Shots <= 0 {
@@ -454,9 +448,7 @@ func (p *Program) run(opts ExecOptions) (res *ExecResult, st *State, rho *Densit
 		seed = 0x6d717373 // "mqss"
 	}
 
-	// The engine follows from the model alone: collapse operators need the
-	// density matrix, a closed system the state vector. Either way the
-	// evolution is shot-independent: integrate once, then every shot
+	// The evolution is shot-independent: integrate once, then every shot
 	// samples the same final state.
 	if e.openSystem() {
 		rho = NewDensity(e.Model.Dims)
@@ -467,8 +459,12 @@ func (p *Program) run(opts ExecOptions) (res *ExecResult, st *State, rho *Densit
 	// part of it.
 	eng := e.acquireEngine(p.dt)
 	defer e.scratch.Put(eng)
-	if err := e.evolve(eng, st, rho, p, opts); err != nil {
+	r := runState{eng: eng, st: st, rho: rho, step: e.dissipatorStep(eng, eng.dt), interrupted: opts.Interrupted}
+	if err := r.walk(p); err != nil {
 		return nil, nil, nil, err
+	}
+	if st != nil {
+		st.Renormalize()
 	}
 
 	res = &ExecResult{
@@ -525,106 +521,6 @@ func (e *Executor) sampleDt(sp *pulse.ScheduledProgram) (float64, error) {
 	return dt, nil
 }
 
-// evolve integrates the dynamics over [0, makespan) ticks. Idle segments
-// are advanced by one propagator each (cached per distinct segment
-// length); driven segments go through the matrix-free fast path. When a
-// test sets opts.exact, both use the reference eigendecomposition instead.
-// On the density engine the dissipator's step map for a tick is resolved
-// once per run and that for an idle segment's sub-step once per segment;
-// no tick looks one up.
-func (e *Executor) evolve(eng *fastEngine, st *State, rho *Density, p *Program, opts ExecOptions) error {
-	plays, ticks := p.plays, p.ticks
-	var tickStep *stepMap
-	if rho != nil {
-		tickStep = e.dissipatorStep(eng, eng.dt)
-	}
-
-	// poll charges `consumed` driven ticks against the cancellation budget
-	// and checks Interrupted once interruptPollTicks have accumulated, so
-	// a single multi-thousand-sample Play still cancels promptly. At the
-	// same cadence it flushes ρ's subnormal parts.
-	var sincePoll int64
-	poll := func(consumed int64) bool {
-		sincePoll += consumed
-		if sincePoll >= interruptPollTicks {
-			sincePoll = 0
-			if rho != nil {
-				flushSubnormals(rho.Rho)
-			}
-			return opts.Interrupted != nil && opts.Interrupted()
-		}
-		return false
-	}
-
-	for si := 0; si+1 < len(ticks); si++ {
-		if opts.Interrupted != nil && opts.Interrupted() {
-			return ErrInterrupted
-		}
-		t0, t1 := ticks[si], ticks[si+1]
-		if t0 == t1 {
-			continue
-		}
-		eng.active = activePlays(eng.active[:0], plays, t0)
-		if len(eng.active) == 0 {
-			// Idle segment: constant drift (+ decoherence). The unitary part
-			// is applied exactly in one shot; the dissipator is integrated
-			// with capped RK4 steps (its rates are slow, so this is stable),
-			// all of one size.
-			if !e.driftFree() {
-				u, err := e.propagator(eng, nil, nil, t1-t0, opts.exact)
-				if err != nil {
-					return err
-				}
-				eng.apply(u, st, rho)
-			}
-			if tickStep != nil {
-				segT := float64(t1-t0) * eng.dt
-				steps := int(math.Ceil(segT / maxIdleStep))
-				if steps < 1 {
-					steps = 1
-				}
-				sub := e.dissipatorStep(eng, segT/float64(steps))
-				for k := 1; k <= steps; k++ {
-					eng.dissipate(sub, rho)
-					if k%interruptPollTicks == 0 {
-						flushSubnormals(rho.Rho)
-					}
-				}
-			}
-			continue
-		}
-		var err error
-		if opts.exact {
-			err = e.drivenExact(eng, st, rho, tickStep, t0, t1, poll)
-		} else {
-			err = e.drivenFast(eng, st, rho, tickStep, t0, t1, poll, opts.Interrupted)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if st != nil {
-		st.Renormalize()
-	}
-	return nil
-}
-
-// segmentTicks returns the boundaries of a run's integration segments in
-// ascending order: 0, the makespan, and every play start and end between
-// them. Within a segment the set of sounding plays is constant.
-func segmentTicks(plays []playEvent, makespan int64) []int64 {
-	ticks := append(make([]int64, 0, 2+2*len(plays)), 0, makespan)
-	for _, p := range plays {
-		for _, t := range [2]int64{p.start, p.start + int64(len(p.samples))} {
-			if t > 0 && t < makespan {
-				ticks = append(ticks, t)
-			}
-		}
-	}
-	slices.Sort(ticks)
-	return slices.Compact(ticks)
-}
-
 // chiAt evaluates a play's latched drive value χ(t) at an absolute tick:
 // the envelope sample rotated by the frame's latched phase and the
 // detuning accumulated since t = 0.
@@ -640,174 +536,21 @@ func chiAt(p *playEvent, tick int64, dt float64) complex128 {
 	return s * p.chi0 * cmplx.Exp(complex(0, -2*math.Pi*p.detune*tAbs))
 }
 
-// drivenExact steps a driven segment with the reference integrator: one
-// eigendecomposition per sample tick (and, on the density engine, the
-// same dissipator step as the fast path).
-func (e *Executor) drivenExact(eng *fastEngine, st *State, rho *Density, step *stepMap, t0, t1 int64, poll func(int64) bool) error {
-	active := eng.active
-	for tick := t0; tick < t1; tick++ {
-		if poll(1) {
-			return ErrInterrupted
-		}
-		eng.chis = eng.chis[:0]
-		for i := range active {
-			eng.chis = append(eng.chis, chiAt(&active[i], tick, eng.dt))
-		}
-		u, err := e.propagator(eng, active, eng.chis, 1, true)
-		if err != nil {
-			return err
-		}
-		eng.apply(u, st, rho)
-		eng.dissipate(step, rho)
-	}
-	return nil
-}
-
-// drivenFast steps a driven segment with the fast path. Stretches of
-// constant χ (square pulses, flat-tops, repeated samples — detected by
-// lookahead) are built once, memoized on the executor, and applied as
-// dense products: a closed system's as one propagator, an open system's
-// as one stretch map where useStretchMap admits it, any other open one as
-// its tick's propagator per tick. Every other tick is advanced matrix-free
-// by the scaled-Taylor stepper with zero steady-state allocations. step is
-// the dissipator's step map for one tick, nil when nothing dissipates;
-// interrupted is the run's ExecOptions.Interrupted, which a stretch map's
-// build consults between its squarings.
-func (e *Executor) drivenFast(eng *fastEngine, st *State, rho *Density, step *stepMap, t0, t1 int64, poll func(int64) bool, interrupted func() bool) error {
-	active, dt := eng.active, eng.dt
-	for tick := t0; tick < t1; {
-		chis := eng.chis[:0]
-		allZero := true
-		for i := range active {
-			c := chiAt(&active[i], tick, dt)
-			if c != 0 {
-				allZero = false
-			}
-			chis = append(chis, c)
-		}
-		eng.chis = chis
-
-		// Lookahead: how many consecutive ticks share this exact χ tuple?
-		run := int64(1)
-		for tick+run < t1 {
-			same := true
-			for i := range active {
-				if chiAt(&active[i], tick+run, dt) != chis[i] {
-					same = false
-					break
-				}
-			}
-			if !same {
-				break
-			}
-			run++
-		}
-
-		switch {
-		case run == 1:
-			// Varying envelope: one Taylor tick of the spectrally shifted H
-			// (the state engine restores the scalar phase, density
-			// conjugation cancels it), on the density engine site by site
-			// where the tick factors.
-			if rho != nil {
-				e.conjugateTick(eng, active, chis, rho.Rho)
-				eng.dissipate(step, rho)
-			} else {
-				eng.loadHam(active, chis)
-				eng.vec.step(eng.ham, st.Amp, dt)
-				if eng.tickPhase != 1 {
-					for i := range st.Amp {
-						st.Amp[i] *= eng.tickPhase
-					}
-				}
-			}
-			if poll(1) {
-				return ErrInterrupted
-			}
-			tick++
-		case step != nil && useStretchMap(rho.Rho.Rows, run):
-			// Long constant stretch with decoherence: its run splitting
-			// steps are one memoized map, applied once.
-			m := e.stretchMap(eng, active, chis, step, run, interrupted)
-			if m == nil {
-				return ErrInterrupted
-			}
-			eng.mat.applyMap(m, rho.Rho)
-			eng.DissipatorSteps += run
-			if poll(run) {
-				return ErrInterrupted
-			}
-			tick += run
-		case allZero && e.driftFree():
-			// Zero drive over zero drift: nothing evolves (decoherence still
-			// applies on the density engine).
-			if step != nil {
-				for k := int64(0); k < run; k++ {
-					eng.dissipate(step, rho)
-					if poll(1) {
-						return ErrInterrupted
-					}
-				}
-			} else if poll(run) {
-				return ErrInterrupted
-			}
-			tick += run
-		case step != nil:
-			// Short constant stretch with decoherence: the splitting
-			// integrator interleaves the dissipator per tick, and the
-			// unitary factor is built once and applied with the stepper's
-			// allocation-free conjugation.
-			u, err := e.propagator(eng, active, chis, 1, false)
-			if err != nil {
-				return err
-			}
-			for k := int64(0); k < run; k++ {
-				eng.mat.conjugateWith(u, rho.Rho)
-				eng.dissipate(step, rho)
-				if poll(1) {
-					return ErrInterrupted
-				}
-			}
-			tick += run
-		default:
-			// Constant stretch, unitary dynamics: one propagator for the
-			// whole stretch.
-			u, err := e.propagator(eng, active, chis, run, false)
-			if err != nil {
-				return err
-			}
-			eng.apply(u, st, rho)
-			if poll(run) {
-				return ErrInterrupted
-			}
-			tick += run
-		}
-	}
-	return nil
-}
-
 // fastEngine is the mutable scratch of one run: the reusable implicit
 // Hamiltonian, the Taylor steppers (per site, too, on a separable density
 // engine), key and play buffers, the run's counters and its shot sampler.
-// Everything it reads besides — sparse operators, propagator cache, step
-// maps — belongs to the executor and its model and outlives the run.
-//
 // Engines are pooled per executor (acquireEngine), so a run may start on
-// one a previous run — finished, failed or interrupted mid-segment — left
-// behind. Nothing carries over: the counters and the play, χ and operator
-// lists are reset on acquisition, every numeric buffer (stepper matrices,
-// scratch, dense) is written in full before it is read, and the shot
-// sampler's load rewrites its inputs — error rates, cumulative
-// distribution, seed — before a shot is drawn (its generator is re-seeded
-// per shot).
+// one a previous run — finished, failed or interrupted — left behind.
+// Nothing carries over: counters are reset on acquisition, lists where they
+// are filled, every numeric buffer is written in full before it is read,
+// and the sampler's load rewrites its inputs before a shot is drawn.
 //
 // The implicit Hamiltonian is spectrally shifted: the steppers integrate
 // H − λI with λ centered on the drift's diagonal, which roughly halves
-// ‖H‖·dt for anharmonicity-dominated transmon drifts and with it the
-// Taylor sub-step count. The shift is exact — exp(-iH·dt) =
-// e^{-iλ·dt}·exp(-i(H−λI)·dt) — and the scalar phase cancels entirely in
-// density conjugation, so only the state-vector engine re-applies it (as
-// tickPhase per tick). A cached propagator carries it (see propagator).
+// ‖H‖·dt for transmon drifts and with it the Taylor sub-step count. The
+// shift is exact — exp(-iH·dt) = e^{-iλ·dt}·exp(-i(H−λI)·dt) — and density
+// conjugation cancels the phase, so only the state-vector engine re-applies
+// it (tickPhase, per tick); a stretch's propagator carries it.
 type fastEngine struct {
 	EngineStats
 	ham       *tickHam
@@ -818,10 +561,9 @@ type fastEngine struct {
 	active    []playEvent   // plays of the segment in flight
 	chis      []complex128
 	scratch   []complex128
-	dense     *linalg.Matrix // the exact reference's Hamiltonian assembly scratch
-	keyBuf    []byte         // propagator-cache key scratch
-	tickPhase complex128     // e^{-iλ·dt}, applied per state-vector tick
-	shots     shotRunner     // the sampling phase, once the evolution has ended
+	keyBuf    []byte     // propagator-cache key scratch
+	tickPhase complex128 // e^{-iλ·dt}, applied per state-vector tick
+	shots     shotRunner // the sampling phase, once the evolution has ended
 }
 
 func (e *Executor) newFastEngine(forDensity bool, dt float64) *fastEngine {
@@ -862,7 +604,6 @@ func (e *Executor) acquireEngine(dt float64) *fastEngine {
 	}
 	eng.EngineStats = EngineStats{}
 	eng.ham.reset()
-	eng.active, eng.chis, eng.keyBuf = eng.active[:0], eng.chis[:0], eng.keyBuf[:0]
 	if eng.dt != dt {
 		eng.setDt(e, dt)
 	}
@@ -922,43 +663,26 @@ func (e *Executor) dissipatorStep(eng *fastEngine, h float64) *stepMap {
 	return m
 }
 
-// propagator returns the dense propagator exp(-i·H·t) over `ticks` samples
-// of the constant Hamiltonian defined by (active, chis) — no plays for an
-// idle stretch. At n = 2 a fast run builds it in closed form in the
-// engine's mat scratch (twoLevelStretch), which it shares with every other
-// build: the matrix it returns lives only until the engine's next build,
-// and no cache is consulted. Above n = 2 a fast run consults the
-// executor's cache first and builds a miss by matStepper.stretch in the
-// engine's mat scratch, times the spectral shift's phase, so cached
-// propagators are exact; an idle stretch under a diagonal drift is
-// diag(e^{−i·d_j·t})·e^{−iλt}, with no series and no squaring, so it stays
-// unitary however long it is. The state-vector engine makes its mat
-// scratch on its first build and pools it with the engine. The exact
-// reference (exact set) assembles the dense Hamiltonian with the true
-// drift and runs linalg.ExpI, neither reading nor filling the cache.
-func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []complex128, ticks int64, exact bool) (*linalg.Matrix, error) {
+// propagator returns exp(-i·H·t) over ticks samples of the constant
+// Hamiltonian (active, chis); an idle stretch has no plays. At n = 2 it is
+// the closed form built in the engine's mat scratch (twoLevelStretch),
+// valid until the engine's next build. Above n = 2 it comes from the
+// executor's cache, a miss built in that scratch times the spectral shift's
+// phase: by matStepper.stretch, or for an idle stretch under a diagonal
+// drift as diag(e^{−i·d_j·t})·e^{−iλt}, unitary however long it is. The
+// state-vector engine makes its mat scratch on its first build.
+func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []complex128, ticks int64) *linalg.Matrix {
 	n, t := e.Model.HilbertDim(), float64(ticks)*eng.dt
-	if exact {
-		if eng.dense == nil {
-			eng.dense = linalg.NewMatrix(n, n)
-		}
-		h := eng.dense
-		copy(h.Data, e.Model.Drift.Data)
-		for i := range active {
-			active[i].ch.driveTerm(h, chis[i])
-		}
-		return linalg.ExpI(h, t)
-	}
 	if n == 2 {
 		if eng.mat == nil {
 			eng.mat = newMatStepper(n) // the state-vector engine's build scratch
 		}
-		return e.twoLevelStretch(eng, active, chis, t), nil
+		return e.twoLevelStretch(eng, active, chis, t)
 	}
 	eng.keyBuf = propKey(eng.keyBuf, eng.dt, active, chis, ticks)
 	if u, ok := e.props.get(eng.keyBuf); ok {
 		eng.PropCacheHits++
-		return u, nil
+		return u
 	}
 	eng.PropCacheMisses++
 	phase := cmplx.Exp(complex(0, -e.lam*t))
@@ -977,7 +701,7 @@ func (e *Executor) propagator(eng *fastEngine, active []playEvent, chis []comple
 		u = eng.mat.stretch(eng.ham, t, phase)
 	}
 	e.props.put(eng.keyBuf, u)
-	return u, nil
+	return u
 }
 
 // twoLevelStretch fills the engine's 2×2 scratch eng.mat.u with
@@ -1021,14 +745,4 @@ func (e *Executor) stretchMap(eng *fastEngine, active []playEvent, chis []comple
 		e.maps.put(eng.keyBuf, m)
 	}
 	return m
-}
-
-// activePlays appends to dst the plays sounding at tick t.
-func activePlays(dst, plays []playEvent, t int64) []playEvent {
-	for _, p := range plays {
-		if p.start <= t && t < p.start+int64(len(p.samples)) {
-			dst = append(dst, p)
-		}
-	}
-	return dst
 }

@@ -69,7 +69,7 @@ func TestRabiPiPulse(t *testing.T) {
 	playConst(t, s, "q0-drive-port", "q0-drive-frame", 1.0, 50)
 	res := runSchedule(t, s, ex, ExecOptions{Shots: 1})
 	p1 := res.FinalState.PopulationOfLevel(0, 1)
-	if math.Abs(p1-1) > 1e-3 {
+	if !(math.Abs(p1-1) <= 1e-3) {
 		t.Fatalf("P(1) after π pulse = %g, want ~1", p1)
 	}
 }
@@ -79,7 +79,7 @@ func TestRabiHalfPiPulse(t *testing.T) {
 	playConst(t, s, "q0-drive-port", "q0-drive-frame", 1.0, 25)
 	res := runSchedule(t, s, ex, ExecOptions{Shots: 1})
 	p1 := res.FinalState.PopulationOfLevel(0, 1)
-	if math.Abs(p1-0.5) > 1e-3 {
+	if !(math.Abs(p1-0.5) <= 1e-3) {
 		t.Fatalf("P(1) after π/2 pulse = %g, want 0.5", p1)
 	}
 }
@@ -91,7 +91,7 @@ func TestRabiAmplitudeScaling(t *testing.T) {
 	res := runSchedule(t, s, ex, ExecOptions{Shots: 1})
 	p1 := res.FinalState.PopulationOfLevel(0, 1)
 	want := math.Pow(math.Sin(math.Pi/4), 2) // sin²(θ/2), θ = π/2
-	if math.Abs(p1-want) > 1e-3 {
+	if !(math.Abs(p1-want) <= 1e-3) {
 		t.Fatalf("P(1) = %g, want %g", p1, want)
 	}
 }
@@ -112,7 +112,7 @@ func TestGaussianAreaPulse(t *testing.T) {
 	}
 	res := runSchedule(t, s, ex, ExecOptions{Shots: 1})
 	p1 := res.FinalState.PopulationOfLevel(0, 1)
-	if math.Abs(p1-1) > 1e-3 {
+	if !(math.Abs(p1-1) <= 1e-3) {
 		t.Fatalf("P(1) after Gaussian π pulse = %g, want ~1", p1)
 	}
 }
@@ -128,7 +128,7 @@ func TestVirtualZPhaseGate(t *testing.T) {
 	playConst(t, s, "q0-drive-port", "q0-drive-frame", 1.0, 25)
 	res := runSchedule(t, s, ex, ExecOptions{Shots: 1})
 	p0 := res.FinalState.PopulationOfLevel(0, 0)
-	if math.Abs(p0-1) > 1e-3 {
+	if !(math.Abs(p0-1) <= 1e-3) {
 		t.Fatalf("P(0) = %g, want 1 (echo via virtual Z)", p0)
 	}
 }
@@ -151,7 +151,7 @@ func TestVirtualZHalfPhaseMakesY(t *testing.T) {
 	want.ApplyAt(testutil.RX(math.Pi/2), 0)
 	want.ApplyAt(testutil.RY(math.Pi/2), 0)
 	f := Fidelity(res.FinalState.State, want.State)
-	if math.Abs(f-1) > 1e-3 {
+	if !(math.Abs(f-1) <= 1e-3) {
 		t.Fatalf("fidelity vs RY·RX = %g, want 1", f)
 	}
 }
@@ -178,7 +178,7 @@ func TestRamseyDetuningFringe(t *testing.T) {
 		// The detuning also acts during the 25ns pulses, so compare against
 		// a directly integrated reference rather than the ideal formula.
 		ref := ramseyReference(t, detune, 10e6, 25, tauTicks)
-		if math.Abs(p1-ref) > 5e-3 {
+		if !(math.Abs(p1-ref) <= 5e-3) {
 			t.Fatalf("tau=%d: P(1) = %g, reference %g", tauTicks, p1, ref)
 		}
 	}
@@ -301,7 +301,7 @@ func TestZZCouplerCZPhase(t *testing.T) {
 	want.ApplyAt(testutil.RX(math.Pi/2), 1)
 	want.ApplyTwo(testutil.CZ(), 0, 1)
 	f := Fidelity(res.FinalState.State, want.State)
-	if math.Abs(f-1) > 2e-3 {
+	if !(math.Abs(f-1) <= 2e-3) {
 		t.Fatalf("CZ fidelity = %g, want ~1", f)
 	}
 }
@@ -347,7 +347,7 @@ func TestExchangeCouplerISwap(t *testing.T) {
 			p01 += real(a)*real(a) + imag(a)*imag(a)
 		}
 	}
-	if math.Abs(p01-1) > 2e-3 {
+	if !(math.Abs(p01-1) <= 2e-3) {
 		t.Fatalf("iSWAP transfer P(01) = %g, want ~1", p01)
 	}
 }
@@ -363,7 +363,7 @@ func TestExecutorWithDecoherenceRabi(t *testing.T) {
 		t.Fatal("decoherent run should use the density engine")
 	}
 	p1 := res.FinalDensity.PopulationOfLevel(0, 1)
-	if p1 > 0.999 || p1 < 0.9 {
+	if !(p1 <= 0.999 && p1 >= 0.9) {
 		t.Fatalf("P(1) = %g, want slightly degraded from 1", p1)
 	}
 	if err := res.FinalDensity.CheckPhysical(1e-6); err != nil {
@@ -384,7 +384,7 @@ func TestCaptureCountsAndReadoutError(t *testing.T) {
 	// With 10% 1→0 readout error roughly 10% flip.
 	res2 := runSchedule(t, s, ex, ExecOptions{Shots: 4000, Seed: 7, SiteError: flips(0, 0.1)})
 	frac := float64(res2.Counts[0]) / 4000
-	if math.Abs(frac-0.1) > 0.03 {
+	if !(math.Abs(frac-0.1) <= 0.03) {
 		t.Fatalf("readout error rate %g, want ~0.1", frac)
 	}
 }
@@ -470,33 +470,30 @@ func TestCancelDuringLongPlay(t *testing.T) {
 	}
 	square := resonantProgram(t, func(s *pulse.Schedule) { playConst(t, s, "d0", "f0", 0.5, 100000) })
 	for _, c := range []struct {
-		name  string
-		ex    *Executor
-		sp    *pulse.ScheduledProgram
-		exact []bool
+		name string
+		ex   *Executor
+		sp   *pulse.ScheduledProgram
 	}{
-		{"gaussian", ex, gaussian, []bool{false, true}},
-		{"open square, n = 9", twoTransmonOpenRig(t), square, []bool{false, true}},
-		{"open square, n = 27", openRig(t, []int{3, 3, 3}), square, []bool{false}},
+		{"gaussian", ex, gaussian},
+		{"open square, n = 9", twoTransmonOpenRig(t), square},
+		{"open square, n = 27", openRig(t, []int{3, 3, 3}), square},
 	} {
-		for _, exact := range c.exact {
-			calls := 0
-			_, err = c.ex.Run(c.sp, ExecOptions{Shots: 1, exact: exact, Interrupted: func() bool {
-				calls++
-				return calls > 1
-			}})
-			if err != ErrInterrupted {
-				t.Fatalf("%s, exact=%v: err = %v, want ErrInterrupted", c.name, exact, err)
-			}
-			// Two segment-boundary-equivalent polls plus at most a few
-			// in-loop polls: the abort must not have waited for the full
-			// 100k samples (which would have needed ~97 further polls).
-			if calls > 5 {
-				t.Fatalf("%s, exact=%v: %d polls before abort; cancellation latency unbounded", c.name, exact, calls)
-			}
-			if n := c.ex.maps.size(); n != 0 {
-				t.Fatalf("%s, exact=%v: %d stretch maps stored; the abort must land before a build ends", c.name, exact, n)
-			}
+		calls := 0
+		_, err = c.ex.Run(c.sp, ExecOptions{Shots: 1, Interrupted: func() bool {
+			calls++
+			return calls > 1
+		}})
+		if err != ErrInterrupted {
+			t.Fatalf("%s: err = %v, want ErrInterrupted", c.name, err)
+		}
+		// Two segment-boundary-equivalent polls plus at most a few
+		// in-loop polls: the abort must not have waited for the full
+		// 100k samples (which would have needed ~97 further polls).
+		if calls > 5 {
+			t.Fatalf("%s: %d polls before abort; cancellation latency unbounded", c.name, calls)
+		}
+		if n := c.ex.maps.size(); n != 0 {
+			t.Fatalf("%s: %d stretch maps stored; the abort must land before a build ends", c.name, n)
 		}
 	}
 }
@@ -607,7 +604,7 @@ func TestDriveTermHermiticity(t *testing.T) {
 	}
 	// Magnitude: |H01| = π·Rabi·|χ|
 	want := math.Pi * 5e6 * 0.3
-	if got := cmplx.Abs(h.At(0, 1)); math.Abs(got-want) > 1e-3 {
+	if got := cmplx.Abs(h.At(0, 1)); !(math.Abs(got-want) <= 1e-3) {
 		t.Fatalf("drive magnitude %g, want %g", got, want)
 	}
 }

@@ -34,10 +34,7 @@ import (
 func BenchmarkDensityTick(b *testing.B) {
 	r := newTickRig(twoTransmonOpenRig(b))
 	ex, eng, rho := r.ex, r.eng, r.rho
-	u, err := ex.propagator(eng, r.active, r.chis, 1, false)
-	if err != nil {
-		b.Fatal(err)
-	}
+	u := ex.propagator(eng, r.active, r.chis, 1)
 	d2 := newTickRig(oneQubitOpenRig(b))
 	missChis, missH, mapChis, d2Chi := slices.Clone(r.chis), eng.dt, slices.Clone(r.chis), d2.chis[0]
 	const mapRun = 256
@@ -62,9 +59,7 @@ func BenchmarkDensityTick(b *testing.B) {
 		{"separable-tick", rho, r.separableTick},
 		{"stretch-miss", rho, func() {
 			missChis[0] += 1e-6 // a χ no look-up has seen
-			if _, err := ex.propagator(eng, r.active, missChis, 1, false); err != nil {
-				b.Fatal(err)
-			}
+			ex.propagator(eng, r.active, missChis, 1)
 		}},
 		{"dissipator-build", rho, func() {
 			missH *= 1 + 1e-9 // a step size no look-up has seen
@@ -169,7 +164,7 @@ func TestGeneratorMatchesDenseReference(t *testing.T) {
 			}
 		}
 		for c, v := range colSum {
-			if cmplx.Abs(v) > 1e-15*rateSum {
+			if !(cmplx.Abs(v) <= 1e-15*rateSum) {
 				t.Fatalf("dims %v: column %d of G sums to %g over the diagonal rows", dims, c, v)
 			}
 		}
@@ -183,11 +178,11 @@ func TestGeneratorMatchesDenseReference(t *testing.T) {
 			}
 			gx, gxd := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
 			s.dissipatorRHS(g, gx, x)
-			if ref := LindbladRHS(noH, x, cs); gx.Sub(ref).MaxAbs() > 1e-12*rateSum {
+			if ref := LindbladRHS(noH, x, cs); !(gx.Sub(ref).MaxAbs() <= 1e-12*rateSum) {
 				t.Fatalf("dims %v trial %d: G·vec(X) off by %g (rates sum to %g)", dims, trial, gx.Sub(ref).MaxAbs(), rateSum)
 			}
 			s.dissipatorRHS(g, gxd, x.Dagger())
-			if gxd.Sub(gx.Dagger()).MaxAbs() > 1e-12*rateSum {
+			if !(gxd.Sub(gx.Dagger()).MaxAbs() <= 1e-12*rateSum) {
 				t.Fatalf("dims %v trial %d: G·vec(X†) ≠ (G·vec(X))†, off by %g", dims, trial, gxd.Sub(gx.Dagger()).MaxAbs())
 			}
 		}
@@ -199,10 +194,10 @@ func TestGeneratorMatchesDenseReference(t *testing.T) {
 			s.dissipate(m, got.Rho)
 			LindbladStepRK4(noH, want, cs, 50e-9)
 		}
-		if got.Rho.Sub(want.Rho).MaxAbs() > 1e-12 {
+		if !(got.Rho.Sub(want.Rho).MaxAbs() <= 1e-12) {
 			t.Fatalf("dims %v: ρ off by %g after 200 steps", dims, got.Rho.Sub(want.Rho).MaxAbs())
 		}
-		if tr := got.Trace(); math.Abs(tr-1) > 1e-12 {
+		if tr := got.Trace(); !(math.Abs(tr-1) <= 1e-12) {
 			t.Fatalf("dims %v: trace %.15g", dims, tr)
 		}
 	}
@@ -231,7 +226,7 @@ func TestDissipatorStepIsRK4(t *testing.T) {
 			want := got.Clone()
 			eng.mat.dissipate(ex.dissipatorStep(eng, h), got.Rho)
 			LindbladStepRK4(noH, want, cs, h)
-			if d, norm := got.Rho.Sub(want.Rho).MaxAbs(), want.Rho.MaxAbs(); d > 1e-13*norm {
+			if d, norm := got.Rho.Sub(want.Rho).MaxAbs(), want.Rho.MaxAbs(); !(d <= 1e-13*norm) {
 				t.Fatalf("dims %v h %g: one step off the RK4 reference by %g (‖ρ‖ %g)", dims, h, d, norm)
 			}
 			if defects, _ := hermitianDefects(got.Rho); defects != 0 {

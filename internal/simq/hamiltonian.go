@@ -3,7 +3,6 @@ package simq
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"mqsspulse/internal/linalg"
 )
@@ -110,19 +109,6 @@ func NewSystemModel(dims []int, drift *linalg.Matrix, channels []*ControlChannel
 
 // HilbertDim returns the total dimension.
 func (m *SystemModel) HilbertDim() int { return m.Drift.Rows }
-
-// driveTerm accumulates the channel's contribution for complex drive value
-// chi into h: h += π·RabiHz·(χ·OpRaise + χ*·OpRaise†). It walks only the
-// O(n) non-zeros of the embedded operator instead of scanning the dense
-// n² entries.
-func (c *ControlChannel) driveTerm(h *linalg.Matrix, chi complex128) {
-	if chi == 0 {
-		return
-	}
-	w := complex(math.Pi*c.RabiHz, 0)
-	c.opSparse.AddToDense(h, w*chi)
-	c.opSparse.DaggerAddToDense(h, w*cmplx.Conj(chi))
-}
 
 // newChannel assembles a channel with its sparse operator view prebuilt.
 func newChannel(portID string, op *linalg.Matrix, rabiHz, carrierHz float64) *ControlChannel {

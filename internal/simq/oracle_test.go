@@ -234,11 +234,11 @@ func (d *Density) Purity() float64 {
 // CheckPhysical verifies trace ≈ 1 and diagonal ∈ [-tol, 1+tol]; used by
 // property tests to catch integration blow-ups.
 func (d *Density) CheckPhysical(tol float64) error {
-	if math.Abs(d.Trace()-1) > tol {
+	if !(math.Abs(d.Trace()-1) <= tol) {
 		return fmt.Errorf("simq: trace %g deviates from 1", d.Trace())
 	}
 	for i, p := range d.Populations() {
-		if p < -tol || p > 1+tol {
+		if !(p >= -tol && p <= 1+tol) {
 			return fmt.Errorf("simq: population[%d] = %g outside [0,1]", i, p)
 		}
 	}
@@ -303,3 +303,14 @@ func StateFidelity(rho *qdensity, psi *qstate) float64 {
 
 // Trace returns tr(ρ) (should remain 1).
 func (d *Density) Trace() float64 { return real(d.Rho.Trace()) }
+
+// strides returns the stride of each site in the flattened index.
+func strides(dims []int) []int {
+	st := make([]int, len(dims))
+	acc := 1
+	for i := len(dims) - 1; i >= 0; i-- {
+		st[i] = acc
+		acc *= dims[i]
+	}
+	return st
+}

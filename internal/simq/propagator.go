@@ -9,39 +9,27 @@ import (
 	"mqsspulse/internal/linalg"
 )
 
-// This file implements the fast time-evolution path of the executor: a
-// matrix-free scaled-Taylor propagator that advances ψ (or ρ) under the
-// per-sample Hamiltonian without running an eigendecomposition or
-// allocating in steady state. ψ takes the series term by term; a dense
-// propagator U — the density engine's per tick, and every idle segment's
-// and constant-envelope stretch's (once per distinct stretch, memoized in
-// the executor's propagator cache) — is the sum of the signed Hermitian
-// powers (-i)^k·(t·H)^k/k!, each built on its upper triangle from the
-// sparse H and mirrored (matStepper.taylor). At Hilbert dimension 2 every
-// dense U — tick, stretch or idle gap — is instead exact in closed form
-// (matStepper.twoLevel), from H assembled in a 2×2 scratch, the one dense
-// H of the fast path; it costs little more than a memo hit and a tenth of
-// a miss, so it is built in the engine's scratch where it is used and
-// never memoized, and the
-// density engine conjugates by it in closed form (conjugate2). A density
-// tick that drives only single sites of a separable model builds no n×n U:
-// its per-site d×d factors, built the same way at site size, are applied to
-// ρ leg by leg (sites.go). The exact eigendecomposition propagator
-// (linalg.ExpI) is the reference only: a property test that sets
-// ExecOptions.exact gets it for every propagator, site-by-site ticks
-// included.
+// This file implements the propagators the plan's steps apply (plan.go),
+// none of which runs an eigendecomposition or allocates in steady state. ψ
+// takes the scaled-Taylor series of exp(-i·H·dt) term by term under the
+// sparse tick Hamiltonian. A dense U — a density tick's, an idle segment's
+// or a constant stretch's (memoized once per distinct stretch) — is the sum
+// of the signed Hermitian powers (-i)^k·(t·H)^k/k!, each built on its upper
+// triangle and mirrored (matStepper.taylor); at Hilbert dimension 2 it is
+// the closed form (matStepper.twoLevel), built in the engine's scratch where
+// it is used, never memoized, and conjugated by in closed form
+// (conjugate2). A site tick builds per-site d×d factors the same way
+// (sites.go). The exact reference, linalg.ExpI per tick and per idle
+// segment, lives in the tests (runExact).
 //
-// Accuracy: each sample tick applies exp(-i·H·dt) expanded as a Taylor
-// series on the state, sub-stepped so that ‖H‖·dt_sub ≤ taylorThetaMax
-// and truncated once the next term falls below taylorTol. With
-// θ ≤ 1 the series converges superlinearly and the truncation error is
-// ≲ 1e-13 per sub-step — far below the 1e-9 state-fidelity bound the
-// property tests pin against exact ExpI. A stretch halves its duration s
-// times to reach θ ≤ 1 and squares the result s times, which can grow the
-// residual by up to 2^s; the long-stretch property tests pin that too. The
-// closed form has no truncation and no squaring: its error is the rounding
-// of r·t and μ·t, so it stays unitary to rounding at any length. A
-// site-by-site tick carries each factor's error, summed over the sites.
+// Accuracy: a tick is sub-stepped so that ‖H‖·dt_sub ≤ taylorThetaMax and
+// its series truncated once the next term falls below taylorTol, ≲ 1e-13
+// per sub-step — far below the 1e-9 state-fidelity bound the property tests
+// pin against the reference. A stretch halves its duration s times to reach
+// θ ≤ 1 and squares the result s times, which can grow the residual by up to
+// 2^s; the long-stretch property tests pin that too. The closed form has no
+// truncation and no squaring: it stays unitary to rounding at any length. A
+// site tick carries each factor's error, summed over the sites.
 
 const (
 	// taylorThetaMax caps ‖H‖·dt per Taylor sub-step; above it the tick is
@@ -74,19 +62,16 @@ const (
 	memoLimit = 128
 	// mapMaxDim is the largest Hilbert dimension n whose long open
 	// stretches are stretch maps (useStretchMap): two d = 3 sites or three
-	// d = 2 sites. A map is n⁴ float64s, so one is at most 52 KB, memoLimit
-	// of them 6.7 MB and a build's four scratch matrices 210 KB. At n = 16
-	// a build costs up to eight stepped stretches and a map 512 KB: a
-	// four-ion CZ job read 80 → 204 ms cold and 78 → 36 ms warm (six
-	// alternating pairs on a 2-vCPU x86 host), and a drifting device drops
-	// its executor at every time step, paying the build again.
+	// d = 2 sites. A map is n⁴ float64s, at most 52 KB, memoLimit of them
+	// 6.7 MB. At n = 16 a build costs up to eight stepped stretches and a map
+	// 512 KB, which a drifting device, dropping its executor at every time
+	// step, would pay again and again.
 	mapMaxDim = 9
 	// mapBuildRatio bounds a stretch map's build against stepping the
 	// stretch it replaces: ⌈log₂(run+1)⌉·n³ ≤ mapBuildRatio·run. A product
-	// is n⁶ multiply-adds and a stepped tick's conjugation about 6n³; at
-	// 32 the first sighting costs at most six stepped stretches (measured
-	// at the shortest admitted stretch for n = 4, 8 and 9, on a 2-vCPU x86
-	// host) and every later one a mat-vec.
+	// is n⁶ multiply-adds and a stepped tick's conjugation about 6n³; at 32
+	// the first sighting costs at most six stepped stretches and every later
+	// one a mat-vec.
 	mapBuildRatio = 32
 )
 
@@ -235,14 +220,6 @@ func newMatStepper(n int) *matStepper {
 		x:    make([]float64, n*n),
 		y:    make([]float64, n*n),
 	}
-}
-
-// conjugate advances rho ← exp(-i·H·dt)·rho·exp(+i·H·dt) in place.
-//
-//mqss:hotloop
-func (s *matStepper) conjugate(h *tickHam, rho *linalg.Matrix, dt float64) {
-	s.propagator(h, dt)
-	s.conjugateWith(s.u, rho)
 }
 
 // conjugateWith advances rho ← u·rho·u† in place without allocating,
@@ -452,18 +429,14 @@ func propKey(buf []byte, dt float64, active []playEvent, chis []complex128, tick
 }
 
 // memo is the Executor's store of what a run builds from the model once
-// and reuses: propagators for constant-envelope stretches and the density
-// engine's maps of long ones, keyed by the active (port, χ) pairs and the
-// stretch duration (propKey), so square pulses, flat-tops, idle gaps and
-// repeated calibrated envelopes are built once per distinct shape; and the
-// dissipator's step maps, keyed by the step size. It is shared by all of
-// the executor's runs, which may be concurrent, so access is guarded:
-// lookups take a read lock (the hot case — a warmed memo serves concurrent
-// readers without contention), inserts a write lock. Values are immutable
-// after insertion. Builds are deterministic functions of the key and of
-// the executor's model, so two runs racing to insert the same key produce
-// bit-identical values and a result never depends on which won, nor on
-// whether the memo was cold or warm.
+// and reuses: stretch propagators and stretch maps, keyed by the active
+// (port, χ) pairs and the stretch duration (propKey), and the dissipator's
+// step maps, keyed by the step size. The executor's runs, which may be
+// concurrent, share it: lookups take a read lock, inserts a write lock, and
+// values are immutable after insertion. Builds are deterministic functions
+// of the key and the model, so two runs racing to insert one key produce
+// bit-identical values, and no result depends on which won, nor on whether
+// the memo was cold or warm.
 type memo[V any] struct {
 	mu sync.RWMutex
 	m  map[string]V
@@ -496,11 +469,4 @@ func (c *memo[V]) put(k []byte, v V) {
 		c.m[string(k)] = v
 	}
 	c.mu.Unlock()
-}
-
-// size reports the current entry count (test hook).
-func (c *memo[V]) size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
 }

@@ -99,7 +99,8 @@ func TestMatStepperMatchesExpI(t *testing.T) {
 		}
 		stepper := newMatStepper(n)
 		for k := 0; k < 10; k++ {
-			stepper.conjugate(ham, rho, dt)
+			stepper.propagator(ham, dt)
+			stepper.conjugateWith(stepper.u, rho)
 			want = u.Mul(want).Mul(u.Dagger())
 		}
 		if d := rho.Sub(want).MaxAbs(); !(d <= 1e-11) {
@@ -192,7 +193,7 @@ func TestFastIntegratorMatchesExactState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := execEvolved(ex, sp, ExecOptions{Shots: 1, exact: true})
+		exact, err := execExact(ex, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +235,7 @@ func TestFastIntegratorMatchesExactDensity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := execEvolved(ex, sp, ExecOptions{Shots: 1, exact: true})
+		exact, err := execExact(ex, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +270,7 @@ func TestFastIntegratorMatchesExactDensity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := execEvolved(tiny, sp, ExecOptions{Shots: 1, exact: true})
+		exact, err := execExact(tiny, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +365,7 @@ func TestFastIntegratorDetunedDrive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := execEvolved(ex, sp, ExecOptions{Shots: 1, exact: true})
+	exact, err := execExact(ex, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +417,7 @@ func TestLongStretchesMatchExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				exact, err := execEvolved(ex, sp, ExecOptions{Shots: 1, exact: true})
+				exact, err := execExact(ex, sp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -442,7 +443,7 @@ func TestLongStretchesMatchExact(t *testing.T) {
 }
 
 // TestExactRunBypassesPropagatorCache: the exact reference computes every
-// propagator itself. A run with exact set after a fast run has filled the
+// propagator itself. A runExact walk after a fast run has filled the
 // executor's cache looks nothing up in it and adds nothing to it, on both
 // engines, so the fast path is never checked against its own output.
 func TestExactRunBypassesPropagatorCache(t *testing.T) {
@@ -469,7 +470,7 @@ func TestExactRunBypassesPropagatorCache(t *testing.T) {
 		if fast.PropCacheMisses == 0 || cached == 0 {
 			t.Fatalf("open=%v: the fast run cached nothing (%+v)", open, fast.EngineStats)
 		}
-		exact, err := ex.Run(sp, ExecOptions{Shots: 1, exact: true})
+		exact, err := execExact(ex, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,14 +507,11 @@ func TestStretchBuildMatchesExpI(t *testing.T) {
 				{nil, nil, 1},
 				{nil, nil, 100_000},
 			} {
-				got, err := ex.propagator(eng, c.active, c.chis, c.ticks, false)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := ex.propagator(eng, c.active, c.chis, c.ticks)
 				if !got.IsFinite() {
 					t.Fatalf("dims %v, %d ticks: built propagator has a non-finite entry", dims, c.ticks)
 				}
-				want, err := ex.propagator(eng, c.active, c.chis, c.ticks, true)
+				want, err := exactPropagator(ex, c.active, c.chis, float64(c.ticks)*eng.dt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -662,17 +660,14 @@ func TestTwoLevelStretchIsExact(t *testing.T) {
 	eng := ex.newFastEngine(false, 1e-9)
 	active, chis := []playEvent{{ch: m.Channels["d0"]}}, []complex128{complex(0.3, -0.4)}
 	const ticks = 4_096_000
-	u, err := ex.propagator(eng, active, chis, ticks, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := ex.propagator(eng, active, chis, ticks)
 	if !u.IsFinite() {
 		t.Fatal("stretch propagator has a non-finite entry")
 	}
 	if d := u.Dagger().Mul(u).Sub(linalg.Identity(2)).MaxAbs(); !(d <= 1e-13) {
 		t.Fatalf("U†U off I by %g", d)
 	}
-	want, err := ex.propagator(eng, active, chis, ticks, true)
+	want, err := exactPropagator(ex, active, chis, ticks*eng.dt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +719,7 @@ func TestStretchMapMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := execEvolved(ex, sp, ExecOptions{Shots: 1, exact: true})
+		exact, err := execExact(ex, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -759,7 +754,7 @@ func TestStretchMapMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := execEvolved(tiny, sp, ExecOptions{Shots: 1, exact: true})
+	exact, err := execExact(tiny, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -806,19 +801,23 @@ func TestIdlePropagatorIsUnitary(t *testing.T) {
 	ex := twoTransmonOpenRig(t)
 	eng := ex.newFastEngine(true, 1e-9)
 	const ticks = 4_096_000
-	u, err := ex.propagator(eng, nil, nil, ticks, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := ex.propagator(eng, nil, nil, ticks)
 	n := ex.Model.HilbertDim()
 	if d := u.Dagger().Mul(u).Sub(linalg.Identity(n)).MaxAbs(); !(d <= 1e-13) {
 		t.Fatalf("U†U off I by %g", d)
 	}
-	want, err := ex.propagator(eng, nil, nil, ticks, true)
+	want, err := exactPropagator(ex, nil, nil, ticks*eng.dt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := u.Sub(want).MaxAbs(); !(d <= 1e-9) {
 		t.Fatalf("idle propagator off exp(−iH·t) by %g", d)
 	}
+}
+
+// size reports the memo's current entry count.
+func (c *memo[V]) size() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.m)
 }

@@ -14,7 +14,7 @@ func TestCloudSeparationMatchesFidelity(t *testing.T) {
 	for _, f := range []float64{0.9, 0.95, 0.985, 0.996} {
 		d := cloudSeparation(f)
 		eps := 0.5 * math.Erfc(d/(2*math.Sqrt2))
-		if math.Abs(eps-(1-f)) > 1e-9 {
+		if !(math.Abs(eps-(1-f)) <= 1e-9) {
 			t.Fatalf("fidelity %g: separation %g reproduces ε=%g, want %g", f, d, eps, 1-f)
 		}
 	}
@@ -43,7 +43,7 @@ func TestSynthesizeShotStatistics(t *testing.T) {
 		}
 	}
 	e0, e1 := float64(miss0)/float64(shots), float64(miss1)/float64(shots)
-	if math.Abs(e0-0.05) > 0.005 || math.Abs(e1-0.05) > 0.005 {
+	if !(math.Abs(e0-0.05) <= 0.005 && math.Abs(e1-0.05) <= 0.005) {
 		t.Fatalf("assignment errors e0=%g e1=%g, want ≈0.05", e0, e1)
 	}
 }
@@ -60,7 +60,7 @@ func TestSynthesizeShotRawTraceConsistency(t *testing.T) {
 	}
 	// The kerneled point must be the boxcar integral of the trace.
 	p := (readout.Boxcar{}).Integrate(rec.trace)
-	if math.Abs(p.I-rec.point.I) > 1e-9 || math.Abs(p.Q-rec.point.Q) > 1e-9 {
+	if !(math.Abs(p.I-rec.point.I) <= 1e-9 && math.Abs(p.Q-rec.point.Q) <= 1e-9) {
 		t.Fatalf("kerneled point %+v != boxcar(trace) %+v", rec.point, p)
 	}
 }
@@ -85,7 +85,7 @@ func TestSynthesizeShotT1DecaySmearsOnes(t *testing.T) {
 	}
 	mean1 /= float64(shots)
 	d := cloudSeparation(0.9999)
-	if mean1 > 0.8*d/2 {
+	if !(mean1 <= 0.8*d/2) {
 		t.Fatalf("T1 decay should pull the |1⟩ mean below its centroid: mean %g vs centroid %g", mean1, d/2)
 	}
 	// Decay-induced misassignment must dominate the (negligible) overlap

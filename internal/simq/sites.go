@@ -179,17 +179,25 @@ func (e *Executor) newSiteSteppers() []siteStepper {
 	return out
 }
 
-// conjugateTick advances rho ← U·rho·U† for one tick of the varying
+// conjugateSites advances rho ← U·rho·U† for one tick of the varying
 // envelope (active, chis), U = exp(−iH·dt) of the spectrally shifted tick
-// Hamiltonian: site by site when the tick factors (loadSites), otherwise by
-// the dense Taylor propagator. rho leaves exactly Hermitian either way.
+// Hamiltonian, site by site: a tick the plan found to factor (every play
+// with χ ≠ 0 drives a channel local to one site) loads each site's tick
+// Hamiltonian, builds its factor and applies it leg by leg. rho leaves
+// exactly Hermitian.
 //
 //mqss:hotloop
-func (e *Executor) conjugateTick(eng *fastEngine, active []playEvent, chis []complex128, rho *linalg.Matrix) {
-	if !e.loadSites(eng, active, chis) {
-		eng.loadHam(active, chis)
-		eng.mat.conjugate(eng.ham, rho, eng.dt)
-		return
+func (e *Executor) conjugateSites(eng *fastEngine, active []playEvent, chis []complex128, rho *linalg.Matrix) {
+	for s := range eng.sites {
+		eng.sites[s].ham.reset()
+	}
+	for i := range active {
+		if chis[i] == 0 {
+			continue
+		}
+		ch := active[i].ch
+		lc := e.locals[ch]
+		eng.sites[lc.site].ham.add(lc.op, complex(math.Pi*ch.RabiHz, 0)*chis[i])
 	}
 	for s := range eng.sites {
 		ss, stride := &eng.sites[s], e.sites[s].stride
@@ -200,33 +208,6 @@ func (e *Executor) conjugateTick(eng *fastEngine, active []playEvent, chis []com
 		ss.mat.propagator(&ss.ham, eng.dt)
 		eng.mat.conjugateSite(ss.mat.u, stride, rho)
 	}
-}
-
-// loadSites loads each site's tick Hamiltonian for the plays (active,
-// chis) and reports whether the tick factors: the model is separable and
-// every play with χ ≠ 0 drives a channel local to one site. When it does
-// not, the sites' Hamiltonians are left part-loaded and unused.
-//
-//mqss:hotloop
-func (e *Executor) loadSites(eng *fastEngine, active []playEvent, chis []complex128) bool {
-	if eng.sites == nil {
-		return false
-	}
-	for s := range eng.sites {
-		eng.sites[s].ham.reset()
-	}
-	for i := range active {
-		if chis[i] == 0 {
-			continue
-		}
-		ch := active[i].ch
-		lc, ok := e.locals[ch]
-		if !ok {
-			return false
-		}
-		eng.sites[lc.site].ham.add(lc.op, complex(math.Pi*ch.RabiHz, 0)*chis[i])
-	}
-	return true
 }
 
 // conjugateSite advances rho ← L·rho·L† in place for L = I ⊗ u ⊗ I, the

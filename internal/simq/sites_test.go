@@ -94,7 +94,7 @@ func TestSiteLocality(t *testing.T) {
 				for _, st := range sites {
 					want += st.diag[0]
 				}
-				if d := sum - want; d > 1e-3 || d < -1e-3 {
+				if d := sum - want; !(d <= 1e-3 && d >= -1e-3) {
 					t.Fatalf("basis state %d: site drifts sum to %g, want %g", idx, sum, want)
 				}
 			}
@@ -201,7 +201,7 @@ func siteChainRig(t *testing.T, dims []int) (*pulse.Schedule, *Executor, []strin
 // checks that the programs hold ticks of both kinds.
 func TestSiteTicksMatchExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5501))
-	var separable, coupled int
+	var separable, coupled int64
 	for trial := 0; trial < 9; trial++ {
 		dims := [][]int{{3, 3}, {2, 3}, {2, 3, 2}}[trial%3]
 		s, ex, ports := siteChainRig(t, dims)
@@ -240,26 +240,14 @@ func TestSiteTicksMatchExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := ex.newFastEngine(true, p.dt)
-		for tick := int64(0); tick < p.makespan; tick++ {
-			active := activePlays(nil, p.plays, tick)
-			var chis []complex128
-			for i := range active {
-				chis = append(chis, chiAt(&active[i], tick, p.dt))
-			}
-			if len(active) == 0 {
-				continue
-			} else if ex.loadSites(eng, active, chis) {
-				separable++
-			} else {
-				coupled++
-			}
-		}
+		ticks := p.Ticks()
+		separable += ticks[kindSiteTick]
+		coupled += ticks[kindDenseTick]
 		fast, err := runEvolved(p, ExecOptions{Shots: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := runEvolved(p, ExecOptions{Shots: 1, exact: true})
+		exact, err := runExact(p)
 		if err != nil {
 			t.Fatal(err)
 		}

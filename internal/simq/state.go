@@ -36,17 +36,6 @@ func NewState(dims []int) *State {
 // Norm returns ⟨ψ|ψ⟩^(1/2).
 func (s *State) Norm() float64 { return linalg.Norm2(s.Amp) }
 
-// strides returns the stride of each site in the flattened index.
-func strides(dims []int) []int {
-	st := make([]int, len(dims))
-	acc := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		st[i] = acc
-		acc *= dims[i]
-	}
-	return st
-}
-
 // SiteLevel extracts the level of the given site from a flat basis index.
 func SiteLevel(dims []int, index, site int) int {
 	for i := len(dims) - 1; i > site; i-- {

@@ -19,7 +19,7 @@ func TestNewStateGround(t *testing.T) {
 	if s.Amp[0] != 1 {
 		t.Fatal("not in ground state")
 	}
-	if math.Abs(s.Norm()-1) > 1e-12 {
+	if !(math.Abs(s.Norm()-1) <= 1e-12) {
 		t.Fatal("norm != 1")
 	}
 }
@@ -48,7 +48,7 @@ func TestApplyAtMatchesFullKron(t *testing.T) {
 	s1.ApplyAt(op, 0)
 	s2.ApplyFull(linalg.EmbedAt(op, dims, 0))
 	for i := range s1.Amp {
-		if d := s1.Amp[i] - s2.Amp[i]; real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
+		if d := s1.Amp[i] - s2.Amp[i]; !(real(d)*real(d)+imag(d)*imag(d) <= 1e-18) {
 			t.Fatalf("site 0 mismatch at %d", i)
 		}
 	}
@@ -64,7 +64,7 @@ func TestApplyAtMatchesFullKron(t *testing.T) {
 	s3.ApplyAt(u3, 1)
 	s4.ApplyFull(linalg.EmbedAt(u3, dims, 1))
 	for i := range s3.Amp {
-		if d := s3.Amp[i] - s4.Amp[i]; real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
+		if d := s3.Amp[i] - s4.Amp[i]; !(real(d)*real(d)+imag(d)*imag(d) <= 1e-18) {
 			t.Fatalf("site 1 mismatch at %d", i)
 		}
 	}
@@ -83,7 +83,7 @@ func TestApplyTwoMatchesEmbed(t *testing.T) {
 	s1.ApplyTwo(cz, 1, 2)
 	s2.ApplyFull(linalg.EmbedTwo(cz, dims, 1))
 	for i := range s1.Amp {
-		if d := s1.Amp[i] - s2.Amp[i]; real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
+		if d := s1.Amp[i] - s2.Amp[i]; !(real(d)*real(d)+imag(d)*imag(d) <= 1e-18) {
 			t.Fatalf("mismatch at %d", i)
 		}
 	}
@@ -96,7 +96,7 @@ func TestApplyTwoNonAdjacent(t *testing.T) {
 	s.ApplyAt(linalg.PauliX(), 0) // |100⟩
 	s.ApplyTwo(testutil.CNOT(), 0, 2)
 	// Expect |101⟩ = index 5.
-	if math.Abs(real(s.Amp[5])-1) > 1e-12 {
+	if !(math.Abs(real(s.Amp[5])-1) <= 1e-12) {
 		t.Fatalf("CNOT(0→2) failed: %v", s.Amp)
 	}
 }
@@ -141,7 +141,7 @@ func TestSampleBitsBellState(t *testing.T) {
 		t.Fatalf("Bell state produced odd-parity outcomes: %v", counts)
 	}
 	p00 := float64(counts[0b00]) / float64(shots)
-	if math.Abs(p00-0.5) > 0.02 {
+	if !(math.Abs(p00-0.5) <= 0.02) {
 		t.Fatalf("P(00) = %g, want ~0.5", p00)
 	}
 }
@@ -165,10 +165,10 @@ func TestSampleBitsLeakageReadsAsOne(t *testing.T) {
 func TestPopulationOfLevel(t *testing.T) {
 	s := newState([]int{2, 2})
 	s.ApplyAt(testutil.Hadamard(), 1)
-	if p := s.PopulationOfLevel(1, 1); math.Abs(p-0.5) > 1e-12 {
+	if p := s.PopulationOfLevel(1, 1); !(math.Abs(p-0.5) <= 1e-12) {
 		t.Fatalf("P(site1=1) = %g, want 0.5", p)
 	}
-	if p := s.PopulationOfLevel(0, 1); p > 1e-12 {
+	if p := s.PopulationOfLevel(0, 1); !(p <= 1e-12) {
 		t.Fatalf("P(site0=1) = %g, want 0", p)
 	}
 }
@@ -176,16 +176,16 @@ func TestPopulationOfLevel(t *testing.T) {
 func TestFidelityPureStates(t *testing.T) {
 	a := newState([]int{2})
 	b := newState([]int{2})
-	if f := Fidelity(a.State, b.State); math.Abs(f-1) > 1e-12 {
+	if f := Fidelity(a.State, b.State); !(math.Abs(f-1) <= 1e-12) {
 		t.Fatal("identical states should have fidelity 1")
 	}
 	b.ApplyAt(linalg.PauliX(), 0)
-	if f := Fidelity(a.State, b.State); f > 1e-12 {
+	if f := Fidelity(a.State, b.State); !(f <= 1e-12) {
 		t.Fatal("orthogonal states should have fidelity 0")
 	}
 	b2 := newState([]int{2})
 	b2.ApplyAt(testutil.Hadamard(), 0)
-	if f := Fidelity(a.State, b2.State); math.Abs(f-0.5) > 1e-12 {
+	if f := Fidelity(a.State, b2.State); !(math.Abs(f-0.5) <= 1e-12) {
 		t.Fatalf("fidelity = %g, want 0.5", f)
 	}
 }
@@ -194,11 +194,11 @@ func TestExpectation(t *testing.T) {
 	s := newState([]int{2})
 	s.ApplyAt(testutil.Hadamard(), 0)
 	x := s.Expectation(linalg.PauliX())
-	if math.Abs(real(x)-1) > 1e-12 {
+	if !(math.Abs(real(x)-1) <= 1e-12) {
 		t.Fatalf("⟨X⟩ = %v, want 1", x)
 	}
 	z := s.Expectation(linalg.PauliZ())
-	if math.Abs(real(z)) > 1e-12 {
+	if !(math.Abs(real(z)) <= 1e-12) {
 		t.Fatalf("⟨Z⟩ = %v, want 0", z)
 	}
 }
@@ -207,7 +207,7 @@ func TestGlobalPhaseAlign(t *testing.T) {
 	s := newState([]int{2})
 	s.ApplyAt(testutil.RZ(1.3), 0) // adds global-ish phase to |0⟩ component
 	s.GlobalPhaseAlign()
-	if imag(s.Amp[0]) > 1e-12 || real(s.Amp[0]) < 0 {
+	if !(imag(s.Amp[0]) <= 1e-12 && real(s.Amp[0]) >= 0) {
 		t.Fatalf("not aligned: %v", s.Amp[0])
 	}
 }

@@ -151,8 +151,9 @@ func TestPerfContractColdCompile(t *testing.T) {
 		}
 		next++
 	}
-	// Measured 2026-10-19: 789, 861–865 under -race (790 while a run
-	// cloned its measured bits; 808 and 882 on 2026-10-17; 811–812 and
+	// Measured 2026-10-20: 792, 867 under -race (789 and 861–865 before
+	// Prepare planned the evolution; 790 while a run cloned its measured
+	// bits; 808 and 882 on 2026-10-17; 811–812 and
 	// 883–885 while the client rendered the cache key per submit; End renders it now,
 	// before counting, so the job does no less work and the ceiling stays;
 	// 1,041–1,044 and 1,083–1,085 while every propagator-cache miss was an eigendecomposition
