@@ -25,7 +25,7 @@ func TestEigenSymPauliZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(vals[0]+1) > 1e-10 || math.Abs(vals[1]-1) > 1e-10 {
+	if !(math.Abs(vals[0]+1) <= 1e-10 && math.Abs(vals[1]-1) <= 1e-10) {
 		t.Fatalf("eigenvalues of Z = %v, want [-1, 1]", vals)
 	}
 	if !vecs.IsUnitary(1e-9) {
@@ -183,7 +183,7 @@ func TestEigenSymDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range vals {
-		if math.Abs(v-1) > 1e-10 {
+		if !(math.Abs(v-1) <= 1e-10) {
 			t.Fatalf("eigenvalue %v, want 1", v)
 		}
 	}

@@ -45,7 +45,7 @@ func TestNormalizeZeroVector(t *testing.T) {
 		t.Fatal("Normalize changed the zero vector")
 	}
 	u := []complex128{complex(3, 0), complex(0, 4)}
-	if testutil.Normalize(u); math.Abs(linalg.Norm2(u)-1) > 1e-9 {
+	if testutil.Normalize(u); !(math.Abs(linalg.Norm2(u)-1) <= 1e-9) {
 		t.Fatal("Normalize did not produce unit vector")
 	}
 }

@@ -40,7 +40,7 @@ func (m *Matrix) IsUnitary(tol float64) bool {
 			if i == j {
 				want = 1
 			}
-			if cmplx.Abs(p.At(i, j)-want) > tol {
+			if !(cmplx.Abs(p.At(i, j)-want) <= tol) {
 				return false
 			}
 		}
@@ -54,7 +54,7 @@ func (m *Matrix) Equal(b *Matrix, tol float64) bool {
 		return false
 	}
 	for i := range m.Data {
-		if cmplx.Abs(m.Data[i]-b.Data[i]) > tol {
+		if !(cmplx.Abs(m.Data[i]-b.Data[i]) <= tol) {
 			return false
 		}
 	}
@@ -89,7 +89,7 @@ func TestMulVec(t *testing.T) {
 	got := a.MulVec(v)
 	want := []complex128{1 + complex(0, 2), 3 + complex(0, 4)}
 	for i := range want {
-		if cmplx.Abs(got[i]-want[i]) > tol {
+		if !(cmplx.Abs(got[i]-want[i]) <= tol) {
 			t.Fatalf("component %d: got %v want %v", i, got[i], want[i])
 		}
 	}
@@ -122,7 +122,7 @@ func TestPauliAlgebra(t *testing.T) {
 		t.Error("[X,Y] != 2iZ")
 	}
 	// {X, Y} = 0
-	if x.Mul(y).Add(y.Mul(x)).MaxAbs() > tol {
+	if !(x.Mul(y).Add(y.Mul(x)).MaxAbs() <= tol) {
 		t.Error("{X,Y} != 0")
 	}
 }
@@ -160,11 +160,11 @@ func TestKronMixedProduct(t *testing.T) {
 func TestTraceLinear(t *testing.T) {
 	a := FromRows([][]complex128{{1, 2}, {3, 4}})
 	b := FromRows([][]complex128{{5, 6}, {7, 8}})
-	if got := a.Add(b).Trace(); cmplx.Abs(got-(a.Trace()+b.Trace())) > tol {
+	if got := a.Add(b).Trace(); !(cmplx.Abs(got-(a.Trace()+b.Trace())) <= tol) {
 		t.Fatal("trace not linear")
 	}
 	// tr(AB) = tr(BA)
-	if cmplx.Abs(a.Mul(b).Trace()-b.Mul(a).Trace()) > tol {
+	if !(cmplx.Abs(a.Mul(b).Trace()-b.Mul(a).Trace()) <= tol) {
 		t.Fatal("cyclic trace property violated")
 	}
 }
@@ -176,7 +176,7 @@ func TestAnnihilationCreation(t *testing.T) {
 	// [a, a†] = I (up to truncation at the top level)
 	comm := a.Mul(ad).Sub(ad.Mul(a))
 	for i := 0; i < d-1; i++ {
-		if cmplx.Abs(comm.At(i, i)-1) > tol {
+		if !(cmplx.Abs(comm.At(i, i)-1) <= tol) {
 			t.Errorf("[a,a†][%d][%d] = %v, want 1", i, i, comm.At(i, i))
 		}
 	}
@@ -210,10 +210,10 @@ func TestEmbedTwo(t *testing.T) {
 
 func TestDotNorm(t *testing.T) {
 	v := []complex128{complex(3, 0), complex(0, 4)}
-	if got := Norm2(v); math.Abs(got-5) > tol {
+	if got := Norm2(v); !(math.Abs(got-5) <= tol) {
 		t.Fatalf("Norm2 = %v, want 5", got)
 	}
-	if got := Dot(v, v); cmplx.Abs(got-25) > tol {
+	if got := Dot(v, v); !(cmplx.Abs(got-25) <= tol) {
 		t.Fatalf("⟨v|v⟩ = %v, want 25", got)
 	}
 }

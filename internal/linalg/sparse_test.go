@@ -61,7 +61,7 @@ func TestSparseVecKernels(t *testing.T) {
 		}
 		s.MulVecAccum(dst, v, scale)
 		for i := range dst {
-			if d := dst[i] - want[i]; math.Hypot(real(d), imag(d)) > 1e-12 {
+			if d := dst[i] - want[i]; !(math.Hypot(real(d), imag(d)) <= 1e-12) {
 				t.Fatalf("trial %d: MulVecAccum[%d] off by %g", trial, i, d)
 			}
 		}
@@ -74,7 +74,7 @@ func TestSparseVecKernels(t *testing.T) {
 		}
 		s.DaggerMulVecAccum(dstD, vd, scale)
 		for i := range dstD {
-			if d := dstD[i] - wantD[i]; math.Hypot(real(d), imag(d)) > 1e-12 {
+			if d := dstD[i] - wantD[i]; !(math.Hypot(real(d), imag(d)) <= 1e-12) {
 				t.Fatalf("trial %d: DaggerMulVecAccum[%d] off by %g", trial, i, d)
 			}
 		}
