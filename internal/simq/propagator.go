@@ -440,6 +440,10 @@ func propKey(buf []byte, dt float64, active []playEvent, chis []complex128, tick
 type memo[V any] struct {
 	mu sync.RWMutex
 	m  map[string]V
+	// order holds the keys in insertion order: once full, a ring whose
+	// oldest key is order[next].
+	order []string
+	next  int
 }
 
 func newMemo[V any]() *memo[V] { return &memo[V]{m: map[string]V{}} }
@@ -454,19 +458,22 @@ func (c *memo[V]) get(k []byte) (V, bool) {
 }
 
 // put inserts v under k unless k is present: the first writer wins. At
-// capacity an arbitrary existing entry is evicted first, so long-running
-// jobs with many distinct stretches keep a bounded footprint while still
-// caching their current working set.
+// capacity the oldest entry is evicted first, so long-running jobs with
+// many distinct stretches keep a bounded footprint while still caching
+// their current working set, and what the memo holds — its hit and miss
+// counts too — follows from the order of its puts alone.
 func (c *memo[V]) put(k []byte, v V) {
 	c.mu.Lock()
 	if _, ok := c.m[string(k)]; !ok {
-		if len(c.m) >= memoLimit {
-			for victim := range c.m {
-				delete(c.m, victim)
-				break
-			}
+		key := string(k)
+		if len(c.order) < memoLimit {
+			c.order = append(c.order, key)
+		} else {
+			delete(c.m, c.order[c.next])
+			c.order[c.next] = key
+			c.next = (c.next + 1) % memoLimit
 		}
-		c.m[string(k)] = v
+		c.m[key] = v
 	}
 	c.mu.Unlock()
 }

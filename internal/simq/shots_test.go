@@ -237,6 +237,71 @@ func TestPropCachePutIsFirstWriterWins(t *testing.T) {
 	}
 }
 
+// TestMemoEvictsInInsertionOrder: at capacity a put evicts the oldest
+// entry, so a memo's contents, and the propagator cache's hit and miss
+// counts, follow from the order of its puts and never from map iteration.
+func TestMemoEvictsInInsertionOrder(t *testing.T) {
+	c := newMemo[int]()
+	key := func(i int) []byte { return []byte{byte(i), byte(i >> 8)} }
+	held := func(from, to int) {
+		t.Helper()
+		for i := range 2*memoLimit + 1 {
+			if _, ok := c.get(key(i)); ok != (from <= i && i < to) {
+				t.Fatalf("after %d puts key %d held = %v, want keys [%d, %d)", to, i, ok, from, to)
+			}
+		}
+	}
+	for i := range memoLimit + 1 {
+		c.put(key(i), i)
+	}
+	held(1, memoLimit+1)
+	for i := memoLimit + 1; i < 2*memoLimit+1; i++ {
+		c.put(key(i), i)
+	}
+	held(memoLimit+1, 2*memoLimit+1)
+
+	// 200 distinct constant stretches, run twice: a cycle longer than the
+	// memo, so every look-up of the second run misses too.
+	counts := func() (hits, misses int64) {
+		dims := []int{2, 2}
+		s := pulse.NewSchedule()
+		if err := s.AddPort(&pulse.Port{ID: "d0", Kind: pulse.PortDrive, Sites: []int{0}, SampleRateHz: 1e9, MaxAmplitude: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddFrame(pulse.NewFrame("f0", 5.0e9)); err != nil {
+			t.Fatal(err)
+		}
+		for i := range 200 {
+			playConst(t, s, "d0", "f0", 0.001*float64(i+1), 16)
+		}
+		model, err := NewSystemModel(dims, nil, []*ControlChannel{QubitDriveChannel("d0", dims, 0, 10e6, 5.0e9)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := s.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewExecutor(model).Prepare(sp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			res, err := p.Run(ExecOptions{Shots: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits, misses = hits+res.PropCacheHits, misses+res.PropCacheMisses
+		}
+		return hits, misses
+	}
+	h1, m1 := counts()
+	h2, m2 := counts()
+	if h1 != h2 || m1 != m2 || h1 != 0 || m1 != 400 {
+		t.Fatalf("two fresh executors read %d/%d and %d/%d hits/misses, want 0/400 both", h1, m1, h2, m2)
+	}
+}
+
 func TestShotPoolCoversEveryShotOnce(t *testing.T) {
 	// The sampler draws every shot exactly once, in shot order.
 	const shots = 2048
