@@ -100,7 +100,7 @@ func backend(m *mlir.Module, target *qdmi.Target) (*qir.Module, error) {
 			}
 			out.Body = append(out.Body, qir.Call{Callee: qir.IntrPlay,
 				Args: []qir.Arg{qir.PortArg(frameHandle[o.Frame.Ref]), qir.WaveformArg(sym)}})
-		case *mlir.FrameChangeOp:
+		case *mlir.FrameOp:
 			f, err := f64Arg(o.Freq)
 			if err != nil {
 				return nil, err
@@ -109,36 +109,7 @@ func backend(m *mlir.Module, target *qdmi.Target) (*qir.Module, error) {
 			if err != nil {
 				return nil, err
 			}
-			out.Body = append(out.Body, qir.Call{Callee: qir.IntrFrameChange,
-				Args: []qir.Arg{qir.PortArg(frameHandle[o.Frame.Ref]), f, p}})
-		case *mlir.ShiftPhaseOp:
-			p, err := f64Arg(o.Phase)
-			if err != nil {
-				return nil, err
-			}
-			out.Body = append(out.Body, qir.Call{Callee: qir.IntrShiftPhase,
-				Args: []qir.Arg{qir.PortArg(frameHandle[o.Frame.Ref]), p}})
-		case *mlir.SetPhaseOp:
-			p, err := f64Arg(o.Phase)
-			if err != nil {
-				return nil, err
-			}
-			out.Body = append(out.Body, qir.Call{Callee: qir.IntrSetPhase,
-				Args: []qir.Arg{qir.PortArg(frameHandle[o.Frame.Ref]), p}})
-		case *mlir.ShiftFrequencyOp:
-			f, err := f64Arg(o.Freq)
-			if err != nil {
-				return nil, err
-			}
-			out.Body = append(out.Body, qir.Call{Callee: qir.IntrShiftFrequency,
-				Args: []qir.Arg{qir.PortArg(frameHandle[o.Frame.Ref]), f}})
-		case *mlir.SetFrequencyOp:
-			f, err := f64Arg(o.Freq)
-			if err != nil {
-				return nil, err
-			}
-			out.Body = append(out.Body, qir.Call{Callee: qir.IntrSetFrequency,
-				Args: []qir.Arg{qir.PortArg(frameHandle[o.Frame.Ref]), f}})
+			out.Body = append(out.Body, qir.FrameIntrinsics[o.Kind].Call(qir.PortArg(frameHandle[o.Frame.Ref]), f, p))
 		case *mlir.DelayOp:
 			samples := qir.I64Arg(o.Samples)
 			if o.SamplesExpr != nil {

@@ -10,6 +10,7 @@ import (
 
 	"mqsspulse/internal/mlir"
 	"mqsspulse/internal/passes"
+	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qpi"
 	"mqsspulse/internal/waveform"
@@ -157,7 +158,8 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 			}
 			seq.Ops = append(seq.Ops, &mlir.PlayOp{Frame: plan.frame(op.Port), Waveform: v})
 		case qpi.OpFrameChange:
-			fc := &mlir.FrameChangeOp{
+			fc := &mlir.FrameOp{
+				Kind:  pulse.FrameChange,
 				Frame: plan.frame(op.Port),
 				Freq:  mlir.Lit(op.FrequencyHz),
 				Phase: mlir.Lit(op.PhaseRad),

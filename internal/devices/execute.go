@@ -114,7 +114,7 @@ func (d *SimDevice) lowerGate(cal *calibration, s *pulse.Schedule, gate *wavefor
 		switch p.Kind {
 		case waveform.PulseShiftPhase:
 			port := d.table.Drive(sites[p.Qubit]).ID
-			return s.Append(&pulse.ShiftPhase{Port: port, Frame: port + "-frame", Phase: p.Value})
+			return s.Append(&pulse.FrameUpdate{Port: port, Frame: port + "-frame", Kind: pulse.ShiftPhase, Phase: p.Value})
 		case waveform.PulseDrive:
 			site := sites[p.Qubit]
 			w, err := d.piEnvelope(cal, site)
@@ -166,7 +166,7 @@ func (d *SimDevice) play(cal *calibration, s *pulse.Schedule, op string, sites [
 		case "play":
 			in = &pulse.Play{Port: port, Frame: port + "-frame", Waveform: st.Waveform}
 		case "shift_phase":
-			in = &pulse.ShiftPhase{Port: port, Frame: port + "-frame", Phase: st.PhaseRad}
+			in = &pulse.FrameUpdate{Port: port, Frame: port + "-frame", Kind: pulse.ShiftPhase, Phase: st.PhaseRad}
 		default: // capture
 			in = &pulse.Capture{Port: port, Frame: port + "-frame", Bit: bit, DurationSamples: st.Samples}
 		}
@@ -317,17 +317,23 @@ func templateSlots(tpl *qir.Module, sched *pulse.Schedule, ends []int) map[pulse
 		appended := sched.Instructions()[start:ends[ci]]
 		start = ends[ci]
 		s := simq.Slot{Samples: -1, Hz: -1, Phase: -1}
-		switch c.Callee {
-		case qir.IntrPlay:
+		kind, isFrame := qir.FrameKindOf(c.Callee)
+		switch {
+		case isFrame:
+			// Slots are numbered in argument order.
+			fi := qir.FrameIntrinsics[kind]
+			for i := 1; i < len(c.Args); i++ {
+				switch i {
+				case fi.Hz:
+					s.Hz = value(c.Args[i])
+				case fi.Phase:
+					s.Phase = value(c.Args[i])
+				}
+			}
+		case c.Callee == qir.IntrPlay:
 			if k, ok := samples[c.Args[1].Sym]; ok {
 				s.Samples = k
 			}
-		case qir.IntrShiftPhase, qir.IntrSetPhase:
-			s.Phase = value(c.Args[1])
-		case qir.IntrShiftFrequency, qir.IntrSetFrequency:
-			s.Hz = value(c.Args[1])
-		case qir.IntrFrameChange:
-			s.Hz, s.Phase = value(c.Args[1]), value(c.Args[2])
 		default:
 			continue
 		}

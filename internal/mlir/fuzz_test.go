@@ -1,6 +1,7 @@
 package mlir_test
 
 import (
+	"strings"
 	"testing"
 
 	"mqsspulse/internal/compiler"
@@ -44,6 +45,15 @@ func FuzzParse(f *testing.F) {
 		`module { pulse.def @u kind = "sawtooth" length = 8 params = {amplitude = 0.5} }`,
 	} {
 		f.Add(seed)
+	}
+	// Every frame op, with a literal operand and with a reference to an f64
+	// argument.
+	for _, op := range []string{"shift_phase(%f, V)", "set_phase(%f, V)", "shift_frequency(%f, V)",
+		"set_frequency(%f, V)", "frame_change(%f, freq = V, phase = V)"} {
+		for _, v := range []string{"0.25", "%v"} {
+			f.Add(`module { pulse.sequence @s(%f: !pulse.mixed_frame, %v: f64) ports = ["q0-drive", ""] { pulse.` +
+				strings.ReplaceAll(op, "V", v) + ` pulse.return } }`)
+		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := mlir.Parse(src)

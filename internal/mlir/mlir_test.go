@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/waveform"
 )
 
@@ -54,8 +55,8 @@ func listing2Module() *Module {
 		&WaveformRefOp{Result: "wf3", Waveform: "waveform_3"},
 		&PlayOp{Frame: Ref("drive0"), Waveform: Ref("wf1")},
 		&PlayOp{Frame: Ref("drive1"), Waveform: Ref("wf2")},
-		&FrameChangeOp{Frame: Ref("drive0"), Freq: Ref("freq"), Phase: Ref("phase")},
-		&FrameChangeOp{Frame: Ref("drive1"), Freq: Ref("freq"), Phase: Ref("phase")},
+		&FrameOp{Kind: pulse.FrameChange, Frame: Ref("drive0"), Freq: Ref("freq"), Phase: Ref("phase")},
+		&FrameOp{Kind: pulse.FrameChange, Frame: Ref("drive1"), Freq: Ref("freq"), Phase: Ref("phase")},
 		&PlayOp{Frame: Ref("coupler"), Waveform: Ref("wf3")},
 		&BarrierOp{},
 		&WaveformRefOp{Result: "wfr", Waveform: "readout_pulse"},
@@ -165,12 +166,12 @@ func TestParseScientificNotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := m.Sequences[0].Ops[0].(*FrameChangeOp)
-	if fc.Freq.Lit != 5.1e9 || fc.Phase.Lit != -0.25 {
+	fc := m.Sequences[0].Ops[0].(*FrameOp)
+	if fc.Kind != pulse.FrameChange || fc.Freq.Lit != 5.1e9 || fc.Phase.Lit != -0.25 {
 		t.Fatalf("parsed freq=%g phase=%g", fc.Freq.Lit, fc.Phase.Lit)
 	}
-	sf := m.Sequences[0].Ops[1].(*SetFrequencyOp)
-	if sf.Freq.Lit != 4.8e9 {
+	sf := m.Sequences[0].Ops[1].(*FrameOp)
+	if sf.Kind != pulse.SetFrequency || sf.Freq.Lit != 4.8e9 {
 		t.Fatalf("parsed set_frequency %g", sf.Freq.Lit)
 	}
 }
@@ -309,7 +310,7 @@ func TestVerifyCatchesErrors(t *testing.T) {
 			m.Sequences[0].Ops[2] = &WaveformRefOp{Result: "wf1", Waveform: "ghost"}
 		}},
 		{"f64 op on frame value", func(m *Module) {
-			m.Sequences[0].Ops[7] = &FrameChangeOp{Frame: Ref("drive0"), Freq: Ref("drive1"), Phase: Lit(0)}
+			m.Sequences[0].Ops[7] = &FrameOp{Kind: pulse.FrameChange, Frame: Ref("drive0"), Freq: Ref("drive1"), Phase: Lit(0)}
 		}},
 		{"negative delay", func(m *Module) {
 			m.Sequences[0].Ops[10] = &DelayOp{Frame: Ref("drive0"), Samples: -5}
@@ -377,11 +378,11 @@ func TestOpRenderAll(t *testing.T) {
 		&StandardGateOp{Gate: "rx", Frames: []Value{Ref("f")}, Params: []float64{0.5}},
 		&WaveformRefOp{Result: "w", Waveform: "def"},
 		&PlayOp{Frame: Ref("f"), Waveform: Ref("w")},
-		&FrameChangeOp{Frame: Ref("f"), Freq: Lit(5e9), Phase: Lit(0.1)},
-		&ShiftPhaseOp{Frame: Ref("f"), Phase: Lit(0.2)},
-		&SetPhaseOp{Frame: Ref("f"), Phase: Lit(0.3)},
-		&ShiftFrequencyOp{Frame: Ref("f"), Freq: Lit(1e6)},
-		&SetFrequencyOp{Frame: Ref("f"), Freq: Lit(5e9)},
+		&FrameOp{Kind: pulse.FrameChange, Frame: Ref("f"), Freq: Lit(5e9), Phase: Lit(0.1)},
+		&FrameOp{Kind: pulse.ShiftPhase, Frame: Ref("f"), Phase: Lit(0.2)},
+		&FrameOp{Kind: pulse.SetPhase, Frame: Ref("f"), Phase: Lit(0.3)},
+		&FrameOp{Kind: pulse.ShiftFrequency, Frame: Ref("f"), Freq: Lit(1e6)},
+		&FrameOp{Kind: pulse.SetFrequency, Frame: Ref("f"), Freq: Lit(5e9)},
 		&DelayOp{Frame: Ref("f"), Samples: 100},
 		&BarrierOp{Frames: []Value{Ref("f")}},
 		&CaptureOp{Result: "m", Frame: Ref("f"), Samples: 64},

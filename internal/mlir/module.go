@@ -223,42 +223,19 @@ func (vt *verifier) sequence(s *Sequence) error {
 			if !o.Waveform.IsRef || !waveformValues[o.Waveform.Ref] {
 				return fmt.Errorf("op %d: play operand %s is not a waveform value", oi, o.Waveform)
 			}
-		case *FrameChangeOp:
-			if err := checkFrame(o.Frame); err != nil {
-				return fmt.Errorf("op %d: %w", oi, err)
+		case *FrameOp:
+			if !o.Kind.Known() {
+				return fmt.Errorf("op %d: unknown frame op kind %d", oi, o.Kind)
 			}
-			if err := checkF64(o.Freq); err != nil {
-				return fmt.Errorf("op %d: %w", oi, err)
+			hz, phase := o.Kind.Reads()
+			err := checkFrame(o.Frame)
+			if err == nil && hz {
+				err = checkF64(o.Freq)
 			}
-			if err := checkF64(o.Phase); err != nil {
-				return fmt.Errorf("op %d: %w", oi, err)
+			if err == nil && phase {
+				err = checkF64(o.Phase)
 			}
-		case *ShiftPhaseOp:
-			if err := checkFrame(o.Frame); err != nil {
-				return fmt.Errorf("op %d: %w", oi, err)
-			}
-			if err := checkF64(o.Phase); err != nil {
-				return fmt.Errorf("op %d: %w", oi, err)
-			}
-		case *SetPhaseOp:
-			if err := checkFrame(o.Frame); err != nil {
-				return fmt.Errorf("op %d: %w", oi, err)
-			}
-			if err := checkF64(o.Phase); err != nil {
-				return fmt.Errorf("op %d: %w", oi, err)
-			}
-		case *ShiftFrequencyOp:
-			if err := checkFrame(o.Frame); err != nil {
-				return fmt.Errorf("op %d: %w", oi, err)
-			}
-			if err := checkF64(o.Freq); err != nil {
-				return fmt.Errorf("op %d: %w", oi, err)
-			}
-		case *SetFrequencyOp:
-			if err := checkFrame(o.Frame); err != nil {
-				return fmt.Errorf("op %d: %w", oi, err)
-			}
-			if err := checkF64(o.Freq); err != nil {
+			if err != nil {
 				return fmt.Errorf("op %d: %w", oi, err)
 			}
 		case *DelayOp:

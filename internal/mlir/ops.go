@@ -3,6 +3,8 @@ package mlir
 import (
 	"fmt"
 	"strings"
+
+	"mqsspulse/internal/pulse"
 )
 
 // Op is one operation inside a pulse.sequence.
@@ -86,87 +88,36 @@ func (o *PlayOp) Render() string {
 
 func (o *PlayOp) isOp() {}
 
-// FrameChangeOp sets frequency and shifts phase in one op — the direct
-// lowering of the paper's qFrameChange (pulse.frame_change).
-type FrameChangeOp struct {
+// FrameOp updates a mixed frame's carrier in zero time, as Kind says:
+// pulse.shift_phase, pulse.set_phase, pulse.shift_frequency,
+// pulse.set_frequency, or pulse.frame_change — the direct lowering of the
+// paper's qFrameChange, which sets the frequency and shifts the phase.
+// Freq (Hz) and Phase (rad) are f64 refs, literals or parameter
+// expressions; a kind leaves the one it does not read (pulse.FrameKind.Reads)
+// zero.
+type FrameOp struct {
+	Kind  pulse.FrameKind
 	Frame Value
-	Freq  Value // f64 ref or literal, Hz
-	Phase Value // f64 ref or literal, rad
-}
-
-// OpName implements Op.
-func (o *FrameChangeOp) OpName() string { return "pulse.frame_change" }
-
-// Render implements Op.
-func (o *FrameChangeOp) Render() string {
-	return fmt.Sprintf("pulse.frame_change(%s, freq = %s, phase = %s)", o.Frame, o.Freq, o.Phase)
-}
-
-func (o *FrameChangeOp) isOp() {}
-
-// ShiftPhaseOp rotates the frame phase (pulse.shift_phase).
-type ShiftPhaseOp struct {
-	Frame Value
+	Freq  Value
 	Phase Value
 }
 
 // OpName implements Op.
-func (o *ShiftPhaseOp) OpName() string { return "pulse.shift_phase" }
+func (o *FrameOp) OpName() string { return "pulse." + o.Kind.String() }
 
 // Render implements Op.
-func (o *ShiftPhaseOp) Render() string {
-	return fmt.Sprintf("pulse.shift_phase(%s, %s)", o.Frame, o.Phase)
+func (o *FrameOp) Render() string {
+	if o.Kind == pulse.FrameChange {
+		return fmt.Sprintf("pulse.frame_change(%s, freq = %s, phase = %s)", o.Frame, o.Freq, o.Phase)
+	}
+	v := o.Phase
+	if hz, _ := o.Kind.Reads(); hz {
+		v = o.Freq
+	}
+	return fmt.Sprintf("%s(%s, %s)", o.OpName(), o.Frame, v)
 }
 
-func (o *ShiftPhaseOp) isOp() {}
-
-// SetPhaseOp overrides the frame phase (pulse.set_phase).
-type SetPhaseOp struct {
-	Frame Value
-	Phase Value
-}
-
-// OpName implements Op.
-func (o *SetPhaseOp) OpName() string { return "pulse.set_phase" }
-
-// Render implements Op.
-func (o *SetPhaseOp) Render() string {
-	return fmt.Sprintf("pulse.set_phase(%s, %s)", o.Frame, o.Phase)
-}
-
-func (o *SetPhaseOp) isOp() {}
-
-// ShiftFrequencyOp detunes the frame carrier (pulse.shift_frequency).
-type ShiftFrequencyOp struct {
-	Frame Value
-	Freq  Value
-}
-
-// OpName implements Op.
-func (o *ShiftFrequencyOp) OpName() string { return "pulse.shift_frequency" }
-
-// Render implements Op.
-func (o *ShiftFrequencyOp) Render() string {
-	return fmt.Sprintf("pulse.shift_frequency(%s, %s)", o.Frame, o.Freq)
-}
-
-func (o *ShiftFrequencyOp) isOp() {}
-
-// SetFrequencyOp overrides the frame carrier (pulse.set_frequency).
-type SetFrequencyOp struct {
-	Frame Value
-	Freq  Value
-}
-
-// OpName implements Op.
-func (o *SetFrequencyOp) OpName() string { return "pulse.set_frequency" }
-
-// Render implements Op.
-func (o *SetFrequencyOp) Render() string {
-	return fmt.Sprintf("pulse.set_frequency(%s, %s)", o.Frame, o.Freq)
-}
-
-func (o *SetFrequencyOp) isOp() {}
+func (o *FrameOp) isOp() {}
 
 // DelayOp idles a frame for a sample count (pulse.delay).
 type DelayOp struct {

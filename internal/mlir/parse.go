@@ -6,6 +6,7 @@ import (
 	"strings"
 	"unicode"
 
+	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/waveform"
 )
 
@@ -455,6 +456,9 @@ func (p *parser) parseOp() (Op, error) {
 	if t.kind != tokIdent {
 		return nil, p.errf("expected op name")
 	}
+	name, dialect := strings.CutPrefix(t.text, "pulse.")
+	kind, isFrame := pulse.FrameKindNamed(name)
+	isFrame = isFrame && dialect
 	switch {
 	case t.text == "pulse.play":
 		vals, err := p.parseValueList(2)
@@ -462,60 +466,8 @@ func (p *parser) parseOp() (Op, error) {
 			return nil, err
 		}
 		return &PlayOp{Frame: vals[0], Waveform: vals[1]}, nil
-	case t.text == "pulse.frame_change":
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		frame, err := p.parseValue()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		if err := p.expectIdent("freq"); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
-		freq, err := p.parseValue()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		if err := p.expectIdent("phase"); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
-		phase, err := p.parseValue()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return &FrameChangeOp{Frame: frame, Freq: freq, Phase: phase}, nil
-	case t.text == "pulse.shift_phase", t.text == "pulse.set_phase",
-		t.text == "pulse.shift_frequency", t.text == "pulse.set_frequency":
-		vals, err := p.parseValueList(2)
-		if err != nil {
-			return nil, err
-		}
-		switch t.text {
-		case "pulse.shift_phase":
-			return &ShiftPhaseOp{Frame: vals[0], Phase: vals[1]}, nil
-		case "pulse.set_phase":
-			return &SetPhaseOp{Frame: vals[0], Phase: vals[1]}, nil
-		case "pulse.shift_frequency":
-			return &ShiftFrequencyOp{Frame: vals[0], Freq: vals[1]}, nil
-		default:
-			return &SetFrequencyOp{Frame: vals[0], Freq: vals[1]}, nil
-		}
+	case isFrame:
+		return p.parseFrameOp(kind)
 	case t.text == "pulse.delay":
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
@@ -619,6 +571,54 @@ func (p *parser) parseOp() (Op, error) {
 	default:
 		return nil, p.errf("unknown op %q", t.text)
 	}
+}
+
+// parseFrameOp reads a frame op's operands after its mnemonic: (%frame, v),
+// or for a frame change (%frame, freq = v, phase = v).
+func (p *parser) parseFrameOp(k pulse.FrameKind) (Op, error) {
+	op := &FrameOp{Kind: k}
+	if k != pulse.FrameChange {
+		vals, err := p.parseValueList(2)
+		if err != nil {
+			return nil, err
+		}
+		op.Frame = vals[0]
+		if hz, _ := k.Reads(); hz {
+			op.Freq = vals[1]
+		} else {
+			op.Phase = vals[1]
+		}
+		return op, nil
+	}
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	frame, err := p.parseValue()
+	if err != nil {
+		return nil, err
+	}
+	op.Frame = frame
+	for _, kw := range []struct {
+		name string
+		v    *Value
+	}{{"freq", &op.Freq}, {"phase", &op.Phase}} {
+		if err := p.expectPunct(","); err != nil {
+			return nil, err
+		}
+		if err := p.expectIdent(kw.name); err != nil {
+			return nil, err
+		}
+		if err := p.expectPunct("="); err != nil {
+			return nil, err
+		}
+		if *kw.v, err = p.parseValue(); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.expectPunct(")"); err != nil {
+		return nil, err
+	}
+	return op, nil
 }
 
 func (p *parser) parseValueList(n int) ([]Value, error) {

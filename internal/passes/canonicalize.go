@@ -2,6 +2,7 @@ package passes
 
 import (
 	"mqsspulse/internal/mlir"
+	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/waveform"
 )
 
@@ -42,39 +43,28 @@ func canonicalizeOps(ops []mlir.Op, ctx *Context) []mlir.Op {
 
 	for _, op := range ops {
 		switch o := op.(type) {
-		case *mlir.ShiftPhaseOp:
-			if !o.Phase.IsRef && o.Phase.Expr == nil && o.Phase.Lit == 0 {
+		case *mlir.FrameOp:
+			if o.Kind != pulse.ShiftPhase && o.Kind != pulse.FrameChange {
+				push(op)
+				continue
+			}
+			if o.Kind == pulse.ShiftPhase && literal(o.Phase) && o.Phase.Lit == 0 {
 				removed++
 				continue
 			}
-			if prev, ok := last().(*mlir.ShiftPhaseOp); ok &&
-				prev.Frame == o.Frame && !prev.Phase.IsRef && !o.Phase.IsRef &&
-				prev.Phase.Expr == nil && o.Phase.Expr == nil {
-				pop()
-				sum := waveform.WrapPhase(prev.Phase.Lit + o.Phase.Lit)
-				removed++
-				if sum != 0 {
-					push(&mlir.ShiftPhaseOp{Frame: o.Frame, Phase: mlir.Lit(sum)})
-				}
+			prev, ok := last().(*mlir.FrameOp)
+			if !ok || prev.Kind != o.Kind || prev.Frame != o.Frame || !foldable(prev) || !foldable(o) {
+				push(op)
 				continue
 			}
-			push(op)
-		case *mlir.FrameChangeOp:
-			if prev, ok := last().(*mlir.FrameChangeOp); ok &&
-				prev.Frame == o.Frame &&
-				!prev.Freq.IsRef && !prev.Phase.IsRef && !o.Freq.IsRef && !o.Phase.IsRef &&
-				prev.Freq.Expr == nil && prev.Phase.Expr == nil &&
-				o.Freq.Expr == nil && o.Phase.Expr == nil {
-				pop()
-				removed++
-				push(&mlir.FrameChangeOp{
-					Frame: o.Frame,
-					Freq:  o.Freq, // last set_frequency wins
-					Phase: mlir.Lit(waveform.WrapPhase(prev.Phase.Lit + o.Phase.Lit)),
-				})
-				continue
+			pop()
+			removed++
+			// The last frequency wins (a shift_phase has none); phases add.
+			merged := &mlir.FrameOp{Kind: o.Kind, Frame: o.Frame, Freq: o.Freq,
+				Phase: mlir.Lit(waveform.WrapPhase(prev.Phase.Lit + o.Phase.Lit))}
+			if o.Kind == pulse.FrameChange || merged.Phase.Lit != 0 {
+				push(merged)
 			}
-			push(op)
 		case *mlir.DelayOp:
 			if o.SamplesExpr == nil && o.Samples == 0 {
 				removed++
@@ -102,6 +92,16 @@ func canonicalizeOps(ops []mlir.Op, ctx *Context) []mlir.Op {
 		ctx.Stats["canonicalize.removed"] += removed
 	}
 	return out
+}
+
+// literal reports whether v is an f64 literal: neither a value reference nor
+// a parameter expression.
+func literal(v mlir.Value) bool { return !v.IsRef && v.Expr == nil }
+
+// foldable reports whether every value o reads is a literal.
+func foldable(o *mlir.FrameOp) bool {
+	hz, phase := o.Kind.Reads()
+	return (!hz || literal(o.Freq)) && (!phase || literal(o.Phase))
 }
 
 func sameFrames(a, b []mlir.Value) bool {

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"mqsspulse/internal/mlir"
+	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/waveform"
 )
@@ -147,7 +148,7 @@ func (pl *Player) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
 			if p.Expr != nil {
 				phase = mlir.ExprVal(p.Expr)
 			}
-			ops = append(ops, &mlir.ShiftPhaseOp{Frame: g.Frames[p.Qubit], Phase: phase})
+			ops = append(ops, &mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: g.Frames[p.Qubit], Phase: phase})
 		case waveform.PulseDrive:
 			w, err := pl.target.Envelope("x", sites[p.Qubit])
 			if err == nil && p.Expr == nil {
@@ -202,7 +203,7 @@ func (pl *Player) Play(ops []mlir.Op, op string, sites []int, result string) ([]
 			refOp, val := pl.freshWaveform(st.Waveform, nil)
 			ops = append(ops, refOp, &mlir.PlayOp{Frame: f, Waveform: val})
 		case "shift_phase":
-			ops = append(ops, &mlir.ShiftPhaseOp{Frame: f, Phase: mlir.Lit(st.PhaseRad)})
+			ops = append(ops, &mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: f, Phase: mlir.Lit(st.PhaseRad)})
 		default: // capture
 			ops = append(ops, &mlir.CaptureOp{Result: result, Frame: f, Samples: st.Samples})
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mqsspulse/internal/mlir"
+	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/waveform"
 )
 
@@ -25,9 +26,9 @@ func pulseOnlyModule() *mlir.Module {
 	seq.Ops = []mlir.Op{
 		&mlir.WaveformRefOp{Result: "v1", Waveform: "w1"},
 		&mlir.WaveformRefOp{Result: "v2", Waveform: "w2"}, // dead: never played
-		&mlir.ShiftPhaseOp{Frame: mlir.Ref("f0"), Phase: mlir.Lit(0.3)},
-		&mlir.ShiftPhaseOp{Frame: mlir.Ref("f0"), Phase: mlir.Lit(0.4)},
-		&mlir.ShiftPhaseOp{Frame: mlir.Ref("f0"), Phase: mlir.Lit(0)},
+		&mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: mlir.Ref("f0"), Phase: mlir.Lit(0.3)},
+		&mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: mlir.Ref("f0"), Phase: mlir.Lit(0.4)},
+		&mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: mlir.Ref("f0"), Phase: mlir.Lit(0)},
 		&mlir.DelayOp{Frame: mlir.Ref("f0"), Samples: 4},
 		&mlir.DelayOp{Frame: mlir.Ref("f0"), Samples: 6},
 		&mlir.DelayOp{Frame: mlir.Ref("f0"), Samples: 0},
@@ -52,7 +53,7 @@ func TestCanonicalizeMerges(t *testing.T) {
 	var shifts, delays, barriers int
 	for _, op := range m.Sequences[0].Ops {
 		switch o := op.(type) {
-		case *mlir.ShiftPhaseOp:
+		case *mlir.FrameOp:
 			shifts++
 			if math.Abs(o.Phase.Lit-0.7) > 1e-12 {
 				t.Fatalf("merged phase %g, want 0.7", o.Phase.Lit)
@@ -80,8 +81,8 @@ func TestCanonicalizeSkipsValueRefs(t *testing.T) {
 	m.Sequences[0].ArgPorts = append(m.Sequences[0].ArgPorts, "")
 	// Two shifts where one is a runtime value: must not merge.
 	m.Sequences[0].Ops = []mlir.Op{
-		&mlir.ShiftPhaseOp{Frame: mlir.Ref("f0"), Phase: mlir.Ref("p")},
-		&mlir.ShiftPhaseOp{Frame: mlir.Ref("f0"), Phase: mlir.Lit(0.4)},
+		&mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: mlir.Ref("f0"), Phase: mlir.Ref("p")},
+		&mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: mlir.Ref("f0"), Phase: mlir.Lit(0.4)},
 		&mlir.ReturnOp{},
 	}
 	if err := (CanonicalizePass{}).Run(m, NewContext(nil)); err != nil {
@@ -89,7 +90,7 @@ func TestCanonicalizeSkipsValueRefs(t *testing.T) {
 	}
 	shifts := 0
 	for _, op := range m.Sequences[0].Ops {
-		if _, ok := op.(*mlir.ShiftPhaseOp); ok {
+		if o, ok := op.(*mlir.FrameOp); ok && o.Kind == pulse.ShiftPhase {
 			shifts++
 		}
 	}
@@ -101,14 +102,14 @@ func TestCanonicalizeSkipsValueRefs(t *testing.T) {
 func TestCanonicalizePhaseWraps(t *testing.T) {
 	m := pulseOnlyModule()
 	m.Sequences[0].Ops = []mlir.Op{
-		&mlir.ShiftPhaseOp{Frame: mlir.Ref("f0"), Phase: mlir.Lit(3)},
-		&mlir.ShiftPhaseOp{Frame: mlir.Ref("f0"), Phase: mlir.Lit(3.5)},
+		&mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: mlir.Ref("f0"), Phase: mlir.Lit(3)},
+		&mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: mlir.Ref("f0"), Phase: mlir.Lit(3.5)},
 		&mlir.ReturnOp{},
 	}
 	if err := (CanonicalizePass{}).Run(m, NewContext(nil)); err != nil {
 		t.Fatal(err)
 	}
-	sp := m.Sequences[0].Ops[0].(*mlir.ShiftPhaseOp)
+	sp := m.Sequences[0].Ops[0].(*mlir.FrameOp)
 	if sp.Phase.Lit > math.Pi || sp.Phase.Lit <= -math.Pi {
 		t.Fatalf("phase %g not wrapped", sp.Phase.Lit)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"mqsspulse/internal/devices"
 	"mqsspulse/internal/mlir"
+	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/waveform"
 )
 
@@ -51,15 +52,8 @@ func TestWrapBoundary(t *testing.T) {
 func accumulatedPhase(ops []mlir.Op) map[string]float64 {
 	sum := map[string]float64{}
 	for _, op := range ops {
-		switch o := op.(type) {
-		case *mlir.ShiftPhaseOp:
-			if !o.Phase.IsRef {
-				sum[o.Frame.Ref] += o.Phase.Lit
-			}
-		case *mlir.FrameChangeOp:
-			if !o.Phase.IsRef {
-				sum[o.Frame.Ref] += o.Phase.Lit
-			}
+		if o, ok := op.(*mlir.FrameOp); ok && (o.Kind == pulse.ShiftPhase || o.Kind == pulse.FrameChange) && !o.Phase.IsRef {
+			sum[o.Frame.Ref] += o.Phase.Lit
 		}
 	}
 	return sum
@@ -79,9 +73,9 @@ func randomFrameOps(rng *rand.Rand, frames []mlir.Value, n int) []mlir.Op {
 		f := frames[rng.Intn(len(frames))]
 		switch rng.Intn(4) {
 		case 0, 1:
-			ops = append(ops, &mlir.ShiftPhaseOp{Frame: f, Phase: mlir.Lit(randPhase())})
+			ops = append(ops, &mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: f, Phase: mlir.Lit(randPhase())})
 		case 2:
-			ops = append(ops, &mlir.FrameChangeOp{
+			ops = append(ops, &mlir.FrameOp{Kind: pulse.FrameChange,
 				Frame: f, Freq: mlir.Lit(5e9 + rng.Float64()*1e6), Phase: mlir.Lit(randPhase())})
 		case 3:
 			if rng.Intn(2) == 0 {
@@ -152,7 +146,7 @@ func randomGateOps(rng *rand.Rand) []mlir.Op {
 			ops = append(ops, &mlir.StandardGateOp{
 				Gate: "cz", Frames: []mlir.Value{frames[0], frames[1]}})
 		case 3:
-			ops = append(ops, &mlir.ShiftPhaseOp{
+			ops = append(ops, &mlir.FrameOp{Kind: pulse.ShiftPhase,
 				Frame: frames[rng.Intn(2)], Phase: mlir.Lit(phaseCases[rng.Intn(len(phaseCases))])})
 		}
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // Instruction is one timed pulse-level operation. The set mirrors the
-// paper's MLIR pulse dialect (Section 5.2): play, delay, barrier,
-// shift/set phase, shift/set frequency, and capture.
+// paper's MLIR pulse dialect (Section 5.2): play, delay, barrier, frame
+// update (FrameUpdate: shift/set phase, shift/set frequency, frame change),
+// and capture.
 type Instruction interface {
 	// PortID names the port this instruction acts on. Barriers return "".
 	PortID() string
@@ -57,108 +58,38 @@ func (d *Delay) String() string { return fmt.Sprintf("delay %d on %s", d.Samples
 
 func (d *Delay) isInstruction() {}
 
-// ShiftPhase rotates the frame's carrier phase by Phase radians — a virtual
-// Z rotation, instantaneous on hardware (pulse.shift_phase).
-type ShiftPhase struct {
+// FrameUpdate changes the carrier of a port's frame in zero time, as Kind
+// says (Frame.Apply): pulse.shift_phase, set_phase, shift_frequency,
+// set_frequency or frame_change. A kind ignores the value it does not read
+// (FrameKind.Reads). A phase shift is a virtual Z rotation, instantaneous
+// on hardware; a frame change is the paper's qFrameChange (Listing 1).
+type FrameUpdate struct {
 	Port  string
 	Frame string
-	Phase float64
-}
-
-// PortID implements Instruction.
-func (s *ShiftPhase) PortID() string { return s.Port }
-
-// Duration implements Instruction.
-func (s *ShiftPhase) Duration(*Port) int64 { return 0 }
-
-// String implements Instruction.
-func (s *ShiftPhase) String() string {
-	return fmt.Sprintf("shift_phase %.6g on %s/%s", s.Phase, s.Port, s.Frame)
-}
-
-func (s *ShiftPhase) isInstruction() {}
-
-// SetPhase overrides the frame's carrier phase (pulse.set_phase).
-type SetPhase struct {
-	Port  string
-	Frame string
-	Phase float64
-}
-
-// PortID implements Instruction.
-func (s *SetPhase) PortID() string { return s.Port }
-
-// Duration implements Instruction.
-func (s *SetPhase) Duration(*Port) int64 { return 0 }
-
-// String implements Instruction.
-func (s *SetPhase) String() string {
-	return fmt.Sprintf("set_phase %.6g on %s/%s", s.Phase, s.Port, s.Frame)
-}
-
-func (s *SetPhase) isInstruction() {}
-
-// ShiftFrequency detunes the frame's carrier by Hz (pulse.shift_frequency).
-type ShiftFrequency struct {
-	Port  string
-	Frame string
-	Hz    float64
-}
-
-// PortID implements Instruction.
-func (s *ShiftFrequency) PortID() string { return s.Port }
-
-// Duration implements Instruction.
-func (s *ShiftFrequency) Duration(*Port) int64 { return 0 }
-
-// String implements Instruction.
-func (s *ShiftFrequency) String() string {
-	return fmt.Sprintf("shift_frequency %.6g on %s/%s", s.Hz, s.Port, s.Frame)
-}
-
-func (s *ShiftFrequency) isInstruction() {}
-
-// SetFrequency overrides the frame's carrier frequency (pulse.set_frequency).
-type SetFrequency struct {
-	Port  string
-	Frame string
-	Hz    float64
-}
-
-// PortID implements Instruction.
-func (s *SetFrequency) PortID() string { return s.Port }
-
-// Duration implements Instruction.
-func (s *SetFrequency) Duration(*Port) int64 { return 0 }
-
-// String implements Instruction.
-func (s *SetFrequency) String() string {
-	return fmt.Sprintf("set_frequency %.6g on %s/%s", s.Hz, s.Port, s.Frame)
-}
-
-func (s *SetFrequency) isInstruction() {}
-
-// FrameChange is the paper's qFrameChange primitive (Listing 1): set both
-// frequency and shift phase in one instruction.
-type FrameChange struct {
-	Port  string
-	Frame string
+	Kind  FrameKind
 	Hz    float64
 	Phase float64
 }
 
 // PortID implements Instruction.
-func (f *FrameChange) PortID() string { return f.Port }
+func (u *FrameUpdate) PortID() string { return u.Port }
 
 // Duration implements Instruction.
-func (f *FrameChange) Duration(*Port) int64 { return 0 }
+func (u *FrameUpdate) Duration(*Port) int64 { return 0 }
 
 // String implements Instruction.
-func (f *FrameChange) String() string {
-	return fmt.Sprintf("frame_change f=%.6g phi=%.6g on %s/%s", f.Hz, f.Phase, f.Port, f.Frame)
+func (u *FrameUpdate) String() string {
+	if u.Kind == FrameChange {
+		return fmt.Sprintf("frame_change f=%.6g phi=%.6g on %s/%s", u.Hz, u.Phase, u.Port, u.Frame)
+	}
+	v := u.Phase
+	if hz, _ := u.Kind.Reads(); hz {
+		v = u.Hz
+	}
+	return fmt.Sprintf("%s %.6g on %s/%s", u.Kind, v, u.Port, u.Frame)
 }
 
-func (f *FrameChange) isInstruction() {}
+func (u *FrameUpdate) isInstruction() {}
 
 // Barrier synchronizes the listed ports: no instruction after the barrier
 // may start before every listed port has finished its prior work

@@ -2,6 +2,11 @@
 // (Section 4): ports (hardware I/O channels), frames (stateful timing and
 // carrier signal context), and the schedule of timed instructions that plays
 // waveforms on them.
+//
+// A frame update is one instruction, FrameUpdate, whose FrameKind is one of
+// the dialect's five frame ops (shift_phase, set_phase, shift_frequency,
+// set_frequency, frame_change); what each kind does to a Frame is written
+// once, in Frame.Apply.
 package pulse
 
 import (

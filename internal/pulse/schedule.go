@@ -96,23 +96,10 @@ func (s *Schedule) Append(in Instruction) error {
 		if v.Samples < 0 {
 			return fmt.Errorf("pulse: negative delay %d", v.Samples)
 		}
-	case *ShiftPhase:
-		if err := s.checkPortFrame(v.Port, v.Frame); err != nil {
-			return err
+	case *FrameUpdate:
+		if !v.Kind.Known() {
+			return fmt.Errorf("pulse: unknown frame update kind %d", v.Kind)
 		}
-	case *SetPhase:
-		if err := s.checkPortFrame(v.Port, v.Frame); err != nil {
-			return err
-		}
-	case *ShiftFrequency:
-		if err := s.checkPortFrame(v.Port, v.Frame); err != nil {
-			return err
-		}
-	case *SetFrequency:
-		if err := s.checkPortFrame(v.Port, v.Frame); err != nil {
-			return err
-		}
-	case *FrameChange:
 		if err := s.checkPortFrame(v.Port, v.Frame); err != nil {
 			return err
 		}

@@ -115,11 +115,11 @@ func TestPortCheckWaveformLen(t *testing.T) {
 
 func TestFramePhaseWrap(t *testing.T) {
 	f := NewFrame("f", 5e9)
-	f.ShiftPhase(3 * math.Pi)
+	f.Apply(ShiftPhase, 0, 3*math.Pi)
 	if math.Abs(f.PhaseRad-math.Pi) > 1e-12 && math.Abs(f.PhaseRad+math.Pi) > 1e-12 {
 		t.Fatalf("phase %g not wrapped to ±π", f.PhaseRad)
 	}
-	f.SetPhase(0.5)
+	f.Apply(SetPhase, 0, 0.5)
 	if f.PhaseRad != 0.5 {
 		t.Fatal("SetPhase failed")
 	}
@@ -136,10 +136,10 @@ func TestFrameShiftComposition(t *testing.T) {
 		a = math.Mod(a, 8*math.Pi)
 		b = math.Mod(b, 8*math.Pi)
 		f1 := NewFrame("f", 0)
-		f1.ShiftPhase(a)
-		f1.ShiftPhase(b)
+		f1.Apply(ShiftPhase, 0, a)
+		f1.Apply(ShiftPhase, 0, b)
 		f2 := NewFrame("f", 0)
-		f2.ShiftPhase(a + b)
+		f2.Apply(ShiftPhase, 0, a+b)
 		d := math.Mod(f1.PhaseRad-f2.PhaseRad, 2*math.Pi)
 		if d > math.Pi {
 			d -= 2 * math.Pi
@@ -157,13 +157,13 @@ func TestFrameShiftComposition(t *testing.T) {
 
 func TestFrameSetOverridesShift(t *testing.T) {
 	f := NewFrame("f", 5e9)
-	f.ShiftPhase(1.0)
-	f.SetPhase(0.25)
+	f.Apply(ShiftPhase, 0, 1.0)
+	f.Apply(SetPhase, 0, 0.25)
 	if f.PhaseRad != 0.25 {
 		t.Fatal("SetPhase did not override accumulated shifts")
 	}
-	f.ShiftFrequency(1e6)
-	f.SetFrequency(4.9e9)
+	f.Apply(ShiftFrequency, 1e6, 0)
+	f.Apply(SetFrequency, 4.9e9, 0)
 	if f.FrequencyHz != 4.9e9 {
 		t.Fatal("SetFrequency did not override shift")
 	}
@@ -178,8 +178,9 @@ func TestScheduleAppendValidation(t *testing.T) {
 		&Play{Port: "q0-drive-port", Frame: "q0-drive-frame"},
 		&Delay{Port: "nope", Samples: 10},
 		&Delay{Port: "q0-drive-port", Samples: -1},
-		&ShiftPhase{Port: "nope", Frame: "q0-drive-frame"},
-		&SetFrequency{Port: "q0-drive-port", Frame: "nope"},
+		&FrameUpdate{Port: "nope", Frame: "q0-drive-frame", Kind: ShiftPhase},
+		&FrameUpdate{Port: "q0-drive-port", Frame: "nope", Kind: SetFrequency},
+		&FrameUpdate{Port: "q0-drive-port", Frame: "q0-drive-frame", Kind: FrameChange + 1},
 		&Barrier{Ports: []string{"nope"}},
 		&Capture{Port: "q0-drive-port", Frame: "q0-drive-frame", DurationSamples: 0},
 		&Capture{Port: "q0-drive-port", Frame: "q0-drive-frame", DurationSamples: 10, Bit: -1},
@@ -313,7 +314,7 @@ func TestResolveZeroDurationOps(t *testing.T) {
 	s := newTestSchedule(t)
 	w := wf(t, "w", 16)
 	_ = s.Append(&Play{Port: "q0-drive-port", Frame: "q0-drive-frame", Waveform: w})
-	_ = s.Append(&ShiftPhase{Port: "q0-drive-port", Frame: "q0-drive-frame", Phase: 0.5})
+	_ = s.Append(&FrameUpdate{Port: "q0-drive-port", Frame: "q0-drive-frame", Kind: ShiftPhase, Phase: 0.5})
 	_ = s.Append(&Play{Port: "q0-drive-port", Frame: "q0-drive-frame", Waveform: w})
 	sp, err := s.Resolve()
 	if err != nil {
@@ -394,7 +395,7 @@ func TestQuickRandomProgramsNoOverlap(t *testing.T) {
 			case 1:
 				_ = s.Append(&Delay{Port: ports[pi], Samples: int64(rng.Intn(50))})
 			case 2:
-				_ = s.Append(&ShiftPhase{Port: ports[pi], Frame: frames[pi], Phase: rng.Float64()})
+				_ = s.Append(&FrameUpdate{Port: ports[pi], Frame: frames[pi], Kind: ShiftPhase, Phase: rng.Float64()})
 			case 3:
 				_ = s.Append(&Barrier{})
 			}
@@ -429,11 +430,11 @@ func TestInstructionStrings(t *testing.T) {
 	instrs := []Instruction{
 		&Play{Port: "p", Frame: "f", Waveform: w},
 		&Delay{Port: "p", Samples: 4},
-		&ShiftPhase{Port: "p", Frame: "f", Phase: 0.1},
-		&SetPhase{Port: "p", Frame: "f", Phase: 0.2},
-		&ShiftFrequency{Port: "p", Frame: "f", Hz: 1e6},
-		&SetFrequency{Port: "p", Frame: "f", Hz: 5e9},
-		&FrameChange{Port: "p", Frame: "f", Hz: 5e9, Phase: 0.3},
+		&FrameUpdate{Port: "p", Frame: "f", Kind: ShiftPhase, Phase: 0.1},
+		&FrameUpdate{Port: "p", Frame: "f", Kind: SetPhase, Phase: 0.2},
+		&FrameUpdate{Port: "p", Frame: "f", Kind: ShiftFrequency, Hz: 1e6},
+		&FrameUpdate{Port: "p", Frame: "f", Kind: SetFrequency, Hz: 5e9},
+		&FrameUpdate{Port: "p", Frame: "f", Kind: FrameChange, Hz: 5e9, Phase: 0.3},
 		&Barrier{},
 		&Barrier{Ports: []string{"p"}},
 		&Capture{Port: "p", Frame: "f", Bit: 1, DurationSamples: 64},
@@ -454,5 +455,30 @@ func TestPortKindString(t *testing.T) {
 		if k.String() == "" {
 			t.Errorf("empty String for kind %d", int(k))
 		}
+	}
+}
+
+// TestFrameUpdateStrings: each kind prints under its dialect mnemonic with
+// the value it reads, and the mnemonic names the kind back.
+func TestFrameUpdateStrings(t *testing.T) {
+	for _, c := range []struct {
+		in   FrameUpdate
+		want string
+	}{
+		{FrameUpdate{Port: "p", Frame: "f", Kind: ShiftPhase, Hz: 7, Phase: 0.1}, "shift_phase 0.1 on p/f"},
+		{FrameUpdate{Port: "p", Frame: "f", Kind: SetPhase, Hz: 7, Phase: 0.2}, "set_phase 0.2 on p/f"},
+		{FrameUpdate{Port: "p", Frame: "f", Kind: ShiftFrequency, Hz: 1e6, Phase: 7}, "shift_frequency 1e+06 on p/f"},
+		{FrameUpdate{Port: "p", Frame: "f", Kind: SetFrequency, Hz: 5e9, Phase: 7}, "set_frequency 5e+09 on p/f"},
+		{FrameUpdate{Port: "p", Frame: "f", Kind: FrameChange, Hz: 5e9, Phase: 0.3}, "frame_change f=5e+09 phi=0.3 on p/f"},
+	} {
+		if got := c.in.String(); got != c.want {
+			t.Errorf("%v: String() = %q, want %q", c.in.Kind, got, c.want)
+		}
+		if k, ok := FrameKindNamed(c.in.Kind.String()); !ok || k != c.in.Kind {
+			t.Errorf("FrameKindNamed(%q) = %v, %v", c.in.Kind, k, ok)
+		}
+	}
+	if _, ok := FrameKindNamed("frame"); ok || (FrameChange + 1).Known() {
+		t.Fatal("a sixth frame kind is known")
 	}
 }

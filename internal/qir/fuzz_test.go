@@ -20,7 +20,7 @@ func fuzzSeeds() []string {
 			{Callee: IntrCapture, Args: []Arg{PortArg(1), ResultArg(0), I64Arg(96)}},
 		},
 	}
-	return []string{
+	seeds := []string{
 		string(valid.Emit()),
 		"define void @empty() #0 {\nentry:\n  ret void\n}\n",
 		"; ModuleID = 'x'\n@w = private constant [2 x double] [double 1, double 0]\ndefine void @m() {\nentry:\n}\n",
@@ -33,6 +33,17 @@ func fuzzSeeds() []string {
 		"@w = private constant [2 x double] [double 1, double 0], !amp param(\"a, (b\", -0.5, 1e-3)\n" +
 			"define void @m() #0 {\n  call void @__quantum__pulse__delay__body(%Port* inttoptr (i64 0 to %Port*), i64 param(`dt`, 1, 0))\n}\n",
 	}
+	// Every frame update, with literal values and with slots for them.
+	for _, fi := range FrameIntrinsics {
+		hz, phase := F64Arg(5.1e9), F64Arg(0.25)
+		m := &Module{ID: "frame", Profile: ProfilePulse, EntryName: "frame", NumPorts: 1,
+			PortNames: []string{"q0-drive"}, Body: []Call{fi.Call(PortArg(0), hz, phase)}}
+		seeds = append(seeds, string(m.Emit()))
+		hz.Expr, phase.Expr = &ParamExpr{Param: "df", Scale: 1, Offset: 5e9}, &ParamExpr{Param: "phi", Scale: -2}
+		m.Body = []Call{fi.Call(PortArg(0), hz, phase)}
+		seeds = append(seeds, string(m.Emit()))
+	}
+	return seeds
 }
 
 // FuzzParseModule exercises the textual QIR parser with arbitrary input:

@@ -60,45 +60,34 @@ func BuildSchedule(m *Module, b *DeviceBinding) (s *pulse.Schedule, ends []int, 
 
 	ends = make([]int, len(m.Body))
 	for ci, c := range m.Body {
-		switch c.Callee {
-		case IntrWaveform:
+		kind, isFrame := frameKinds[c.Callee]
+		switch {
+		case isFrame:
+			pid := portID(c.Args[0].I)
+			hz, phase := FrameIntrinsics[kind].values(c)
+			err = s.Append(&pulse.FrameUpdate{Port: pid, Frame: frameOf[pid], Kind: kind, Hz: hz, Phase: phase})
+		case c.Callee == IntrWaveform:
 			// Upload hint; waveform constants are already module-resident.
-		case IntrPlay:
+		case c.Callee == IntrPlay:
 			wc, _ := m.FindWaveform(c.Args[1].Sym)
 			w := &waveform.Waveform{Name: wc.Name, Samples: wc.Samples}
 			if err = w.Check(); err == nil {
 				pid := portID(c.Args[0].I)
 				err = s.Append(&pulse.Play{Port: pid, Frame: frameOf[pid], Waveform: w})
 			}
-		case IntrFrameChange:
-			pid := portID(c.Args[0].I)
-			err = s.Append(&pulse.FrameChange{Port: pid, Frame: frameOf[pid],
-				Hz: c.Args[1].F, Phase: c.Args[2].F})
-		case IntrShiftPhase:
-			pid := portID(c.Args[0].I)
-			err = s.Append(&pulse.ShiftPhase{Port: pid, Frame: frameOf[pid], Phase: c.Args[1].F})
-		case IntrSetPhase:
-			pid := portID(c.Args[0].I)
-			err = s.Append(&pulse.SetPhase{Port: pid, Frame: frameOf[pid], Phase: c.Args[1].F})
-		case IntrShiftFrequency:
-			pid := portID(c.Args[0].I)
-			err = s.Append(&pulse.ShiftFrequency{Port: pid, Frame: frameOf[pid], Hz: c.Args[1].F})
-		case IntrSetFrequency:
-			pid := portID(c.Args[0].I)
-			err = s.Append(&pulse.SetFrequency{Port: pid, Frame: frameOf[pid], Hz: c.Args[1].F})
-		case IntrDelay:
+		case c.Callee == IntrDelay:
 			err = s.Append(&pulse.Delay{Port: portID(c.Args[0].I), Samples: c.Args[1].I})
-		case IntrBarrier:
+		case c.Callee == IntrBarrier:
 			ids := make([]string, len(c.Args))
 			for i, a := range c.Args {
 				ids[i] = portID(a.I)
 			}
 			err = s.Append(&pulse.Barrier{Ports: ids})
-		case IntrCapture:
+		case c.Callee == IntrCapture:
 			pid := portID(c.Args[0].I)
 			err = s.Append(&pulse.Capture{Port: pid, Frame: frameOf[pid],
 				Bit: int(c.Args[1].I), DurationSamples: c.Args[2].I})
-		case IntrMz:
+		case c.Callee == IntrMz:
 			if b.LowerMeasure == nil {
 				return nil, nil, fmt.Errorf("qir: call %d: device cannot lower measurements", ci)
 			}

@@ -42,17 +42,76 @@ const (
 	IntrMz = "__quantum__qis__mz__body"
 )
 
+// FrameIntrinsic is the exchange form of one frame-update kind: its callee,
+// and the positions of its frequency (Hz) and phase among its arguments.
+// Argument 0 is the port; every other argument is a double; a position is 0
+// for a value the kind does not read.
+type FrameIntrinsic struct {
+	Callee    string
+	Hz, Phase int
+}
+
+// FrameIntrinsics maps each frame-update kind to its intrinsic. The
+// backend's emission, the link and a device's slot numbering all read it.
+var FrameIntrinsics = [...]FrameIntrinsic{
+	pulse.ShiftPhase:     {IntrShiftPhase, 0, 1},
+	pulse.SetPhase:       {IntrSetPhase, 0, 1},
+	pulse.ShiftFrequency: {IntrShiftFrequency, 1, 0},
+	pulse.SetFrequency:   {IntrSetFrequency, 1, 0},
+	pulse.FrameChange:    {IntrFrameChange, 1, 2},
+}
+
+// frameKinds inverts FrameIntrinsics.
+var frameKinds = map[string]pulse.FrameKind{}
+
+// FrameKindOf returns the frame-update kind whose intrinsic callee is.
+func FrameKindOf(callee string) (pulse.FrameKind, bool) {
+	k, ok := frameKinds[callee]
+	return k, ok
+}
+
+// Call is the kind's call on port with frequency hz and phase phase; a
+// value the kind does not read is dropped.
+func (fi FrameIntrinsic) Call(port, hz, phase Arg) Call {
+	args := make([]Arg, 1+max(fi.Hz, fi.Phase))
+	args[0] = port
+	if fi.Hz > 0 {
+		args[fi.Hz] = hz
+	}
+	if fi.Phase > 0 {
+		args[fi.Phase] = phase
+	}
+	return Call{Callee: fi.Callee, Args: args}
+}
+
+// values returns c's frequency and phase, 0 for a value the kind does not
+// read.
+func (fi FrameIntrinsic) values(c Call) (hz, phase float64) {
+	if fi.Hz > 0 {
+		hz = c.Args[fi.Hz].F
+	}
+	if fi.Phase > 0 {
+		phase = c.Args[fi.Phase].F
+	}
+	return hz, phase
+}
+
 // GateIntrinsics maps QPI gate names to QIS intrinsic callees, as the gate
 // table declares them.
 var GateIntrinsics = map[string]string{}
 
 // Every gate-table row contributes its callee and its signature: its angle
-// parameters, then its qubits.
+// parameters, then its qubits. Every frame update contributes its port and
+// its doubles.
 func init() {
 	for _, g := range waveform.Gates {
 		GateIntrinsics[g.Name] = g.QIS
 		intrinsicSigs[g.QIS] = append(slices.Repeat([]ArgKind{ArgF64}, g.Params),
 			slices.Repeat([]ArgKind{ArgQubit}, g.Arity)...)
+	}
+	for k, fi := range FrameIntrinsics {
+		frameKinds[fi.Callee] = pulse.FrameKind(k)
+		intrinsicSigs[fi.Callee] = append([]ArgKind{ArgPort}, slices.Repeat([]ArgKind{ArgF64}, max(fi.Hz, fi.Phase))...)
 	}
 }
 
@@ -183,21 +242,16 @@ func (m *Module) UsesPulse() bool {
 }
 
 // intrinsicSigs describes each intrinsic's expected argument kinds; a nil
-// signature marks a variadic list of ports (barrier). Gate rows are added
-// from the gate table.
+// signature marks a variadic list of ports (barrier). Gate rows and frame
+// updates are added from their tables.
 var intrinsicSigs = map[string][]ArgKind{
 	IntrWaveform: {ArgWaveform}, // upload/bind a waveform constant
 
-	IntrPlay:           {ArgPort, ArgWaveform},
-	IntrFrameChange:    {ArgPort, ArgF64, ArgF64},
-	IntrShiftPhase:     {ArgPort, ArgF64},
-	IntrSetPhase:       {ArgPort, ArgF64},
-	IntrShiftFrequency: {ArgPort, ArgF64},
-	IntrSetFrequency:   {ArgPort, ArgF64},
-	IntrDelay:          {ArgPort, ArgI64},
-	IntrBarrier:        nil,
-	IntrCapture:        {ArgPort, ArgResult, ArgI64},
-	IntrMz:             {ArgQubit, ArgResult},
+	IntrPlay:    {ArgPort, ArgWaveform},
+	IntrDelay:   {ArgPort, ArgI64},
+	IntrBarrier: nil,
+	IntrCapture: {ArgPort, ArgResult, ArgI64},
+	IntrMz:      {ArgQubit, ArgResult},
 }
 
 // Verify checks profile conformance: declared resource counts cover every

@@ -318,15 +318,7 @@ func (e *Executor) Prepare(sp *pulse.ScheduledProgram, slots map[pulse.Instructi
 			}
 			p.plays = append(p.plays, playEvent{start: ti.Start, samples: v.Waveform.Samples, ch: ch})
 			err = step(v, v.Frame)
-		case *pulse.ShiftPhase:
-			err = step(v, v.Frame)
-		case *pulse.SetPhase:
-			err = step(v, v.Frame)
-		case *pulse.ShiftFrequency:
-			err = step(v, v.Frame)
-		case *pulse.SetFrequency:
-			err = step(v, v.Frame)
-		case *pulse.FrameChange:
+		case *pulse.FrameUpdate:
 			err = step(v, v.Frame)
 		case *pulse.Capture:
 			port, _ := sp.Schedule.Port(v.Port)
@@ -412,17 +404,8 @@ func (st *frameStep) apply(frames []pulse.Frame, plays []playEvent, b *Binding) 
 		}
 		pl.chi0 = cmplx.Exp(complex(0, -f.PhaseRad))
 		pl.detune = f.FrequencyHz - pl.ch.CarrierFreqHz
-	case *pulse.ShiftPhase:
-		f.ShiftPhase(value(v.Phase, s.Phase))
-	case *pulse.SetPhase:
-		f.SetPhase(value(v.Phase, s.Phase))
-	case *pulse.ShiftFrequency:
-		f.ShiftFrequency(value(v.Hz, s.Hz))
-	case *pulse.SetFrequency:
-		f.SetFrequency(value(v.Hz, s.Hz))
-	case *pulse.FrameChange:
-		f.SetFrequency(value(v.Hz, s.Hz))
-		f.ShiftPhase(value(v.Phase, s.Phase))
+	case *pulse.FrameUpdate:
+		f.Apply(v.Kind, value(v.Hz, s.Hz), value(v.Phase, s.Phase))
 	}
 	return nil
 }

@@ -122,7 +122,7 @@ func TestVirtualZPhaseGate(t *testing.T) {
 	// the second pulse is driven along -X and undoes the first.
 	s, ex := oneQubitRig(t, 10e6, nil)
 	playConst(t, s, "q0-drive-port", "q0-drive-frame", 1.0, 25)
-	if err := s.Append(&pulse.ShiftPhase{Port: "q0-drive-port", Frame: "q0-drive-frame", Phase: math.Pi}); err != nil {
+	if err := s.Append(&pulse.FrameUpdate{Port: "q0-drive-port", Frame: "q0-drive-frame", Kind: pulse.ShiftPhase, Phase: math.Pi}); err != nil {
 		t.Fatal(err)
 	}
 	playConst(t, s, "q0-drive-port", "q0-drive-frame", 1.0, 25)
@@ -139,7 +139,7 @@ func TestVirtualZHalfPhaseMakesY(t *testing.T) {
 	// matrix product.
 	s, ex := oneQubitRig(t, 10e6, nil)
 	playConst(t, s, "q0-drive-port", "q0-drive-frame", 1.0, 25)
-	if err := s.Append(&pulse.ShiftPhase{Port: "q0-drive-port", Frame: "q0-drive-frame", Phase: math.Pi / 2}); err != nil {
+	if err := s.Append(&pulse.FrameUpdate{Port: "q0-drive-port", Frame: "q0-drive-frame", Kind: pulse.ShiftPhase, Phase: math.Pi / 2}); err != nil {
 		t.Fatal(err)
 	}
 	playConst(t, s, "q0-drive-port", "q0-drive-frame", 1.0, 25)
@@ -165,7 +165,7 @@ func TestRamseyDetuningFringe(t *testing.T) {
 	for _, tauTicks := range []int64{0, 5, 10, 20, 25} {
 		s, ex := oneQubitRig(t, 10e6, nil)
 		f := frameByID(s, "q0-drive-frame")
-		f.SetFrequency(5.0e9 + detune)
+		f.Apply(pulse.SetFrequency, 5.0e9+detune, 0)
 		playConst(t, s, "q0-drive-port", "q0-drive-frame", 1.0, 25)
 		if tauTicks > 0 {
 			if err := s.Append(&pulse.Delay{Port: "q0-drive-port", Samples: tauTicks}); err != nil {
@@ -643,7 +643,7 @@ func TestExecutorDensityPhysicalInvariants(t *testing.T) {
 			case 1:
 				_ = s.Append(&pulse.Delay{Port: "d0", Samples: int64(rng.Intn(3000))})
 			case 2:
-				_ = s.Append(&pulse.ShiftPhase{Port: "d0", Frame: "f0", Phase: rng.Float64() * 6})
+				_ = s.Append(&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.ShiftPhase, Phase: rng.Float64() * 6})
 			}
 		}
 		sp, err := s.Resolve()

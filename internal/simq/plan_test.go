@@ -139,7 +139,7 @@ func bindProgram(t *testing.T, samples []complex128, hz float64) (*pulse.Schedul
 		if err != nil {
 			t.Fatal(err)
 		}
-		d0, f1 = &pulse.Play{Port: "d0", Frame: "f0", Waveform: w}, &pulse.SetFrequency{Port: "d1", Frame: "f1", Hz: hz}
+		d0, f1 = &pulse.Play{Port: "d0", Frame: "f0", Waveform: w}, &pulse.FrameUpdate{Port: "d1", Frame: "f1", Kind: pulse.SetFrequency, Hz: hz}
 		for _, in := range []pulse.Instruction{d0, f1} {
 			if err := s.Append(in); err != nil {
 				t.Fatal(err)

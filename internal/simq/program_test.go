@@ -68,10 +68,10 @@ func TestPooledScratchIsClean(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			playGaussian(t, s, "d0", "f0", 0.3+0.2*float64(i), 40+16*i)
 			playConst(t, s, "d1", "f1", 0.5, 30+10*i)
-			if err := s.Append(&pulse.ShiftFrequency{Port: "d0", Frame: "f0", Hz: 3e6}); err != nil {
+			if err := s.Append(&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.ShiftFrequency, Hz: 3e6}); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Append(&pulse.ShiftPhase{Port: "d1", Frame: "f1", Phase: 0.4}); err != nil {
+			if err := s.Append(&pulse.FrameUpdate{Port: "d1", Frame: "f1", Kind: pulse.ShiftPhase, Phase: 0.4}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -181,12 +181,12 @@ func TestBoundProgramMatchesPrepared(t *testing.T) {
 				slot Slot
 			}{
 				{&pulse.Play{Port: "d0", Frame: "f0", Waveform: w}, Slot{0, -1, -1}},
-				{&pulse.ShiftPhase{Port: "d0", Frame: "f0", Phase: vals[0]}, Slot{-1, -1, 0}},
-				{&pulse.SetFrequency{Port: "d1", Frame: "f1", Hz: vals[1]}, Slot{-1, 1, -1}},
+				{&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.ShiftPhase, Phase: vals[0]}, Slot{-1, -1, 0}},
+				{&pulse.FrameUpdate{Port: "d1", Frame: "f1", Kind: pulse.SetFrequency, Hz: vals[1]}, Slot{-1, 1, -1}},
 				{&pulse.Play{Port: "d1", Frame: "f1", Waveform: env}, Slot{-1, -1, -1}},
-				{&pulse.ShiftFrequency{Port: "d0", Frame: "f0", Hz: vals[2]}, Slot{-1, 2, -1}},
-				{&pulse.SetPhase{Port: "d1", Frame: "f1", Phase: vals[3]}, Slot{-1, -1, 3}},
-				{&pulse.FrameChange{Port: "d0", Frame: "f0", Hz: vals[4], Phase: vals[5]}, Slot{-1, 4, 5}},
+				{&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.ShiftFrequency, Hz: vals[2]}, Slot{-1, 2, -1}},
+				{&pulse.FrameUpdate{Port: "d1", Frame: "f1", Kind: pulse.SetPhase, Phase: vals[3]}, Slot{-1, -1, 3}},
+				{&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.FrameChange, Hz: vals[4], Phase: vals[5]}, Slot{-1, 4, 5}},
 				{&pulse.Play{Port: "d0", Frame: "f0", Waveform: w}, Slot{0, -1, -1}},
 				{&pulse.Play{Port: "d1", Frame: "f1", Waveform: w}, Slot{0, -1, -1}},
 				{&pulse.Capture{Port: "d0", Frame: "f0", Bit: 0, DurationSamples: 8}, Slot{-1, -1, -1}},

@@ -164,9 +164,9 @@ func appendRandomProgram(t *testing.T, rng *rand.Rand, s *pulse.Schedule) {
 		case 3:
 			_ = s.Append(&pulse.Delay{Port: "d0", Samples: int64(1 + rng.Intn(200))})
 		case 4:
-			_ = s.Append(&pulse.ShiftPhase{Port: "d0", Frame: "f0", Phase: rng.Float64() * 6})
+			_ = s.Append(&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.ShiftPhase, Phase: rng.Float64() * 6})
 			if rng.Intn(2) == 0 {
-				_ = s.Append(&pulse.ShiftFrequency{Port: "d0", Frame: "f0", Hz: (rng.Float64() - 0.5) * 40e6})
+				_ = s.Append(&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.ShiftFrequency, Hz: (rng.Float64() - 0.5) * 40e6})
 			}
 		}
 	}
@@ -355,7 +355,7 @@ func TestFastPathSteadyStateAllocations(t *testing.T) {
 func TestFastIntegratorDetunedDrive(t *testing.T) {
 	s, ex := oneQubitRig(t, 10e6, nil)
 	f := frameByID(s, "q0-drive-frame")
-	f.SetFrequency(5.0e9 + 15e6)
+	f.Apply(pulse.SetFrequency, 5.0e9+15e6, 0)
 	playConst(t, s, "q0-drive-port", "q0-drive-frame", 1.0, 80)
 	sp, err := s.Resolve()
 	if err != nil {

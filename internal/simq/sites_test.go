@@ -223,9 +223,9 @@ func TestSiteTicksMatchExact(t *testing.T) {
 				case op == 3:
 					err = s.Append(&pulse.Delay{Port: port, Samples: int64(1 + rng.Intn(30))})
 				case op == 4:
-					err = s.Append(&pulse.ShiftPhase{Port: port, Frame: frame, Phase: 6 * rng.Float64()})
+					err = s.Append(&pulse.FrameUpdate{Port: port, Frame: frame, Kind: pulse.ShiftPhase, Phase: 6 * rng.Float64()})
 				default:
-					err = s.Append(&pulse.ShiftFrequency{Port: port, Frame: frame, Hz: 20e6 * (rng.Float64() - 0.5)})
+					err = s.Append(&pulse.FrameUpdate{Port: port, Frame: frame, Kind: pulse.ShiftFrequency, Hz: 20e6 * (rng.Float64() - 0.5)})
 				}
 				if err != nil {
 					t.Fatal(err)
