@@ -44,26 +44,22 @@ func canonicalizeOps(ops []mlir.Op, ctx *Context) []mlir.Op {
 	for _, op := range ops {
 		switch o := op.(type) {
 		case *mlir.FrameOp:
-			if o.Kind != pulse.ShiftPhase && o.Kind != pulse.FrameChange {
-				push(op)
-				continue
-			}
-			if o.Kind == pulse.ShiftPhase && literal(o.Phase) && o.Phase.Lit == 0 {
+			prev, _ := last().(*mlir.FrameOp)
+			switch {
+			case o.Kind == pulse.ShiftPhase && literal(o.Phase) && o.Phase.Lit == 0:
 				removed++
-				continue
-			}
-			prev, ok := last().(*mlir.FrameOp)
-			if !ok || prev.Kind != o.Kind || prev.Frame != o.Frame || !foldable(prev) || !foldable(o) {
+			case (o.Kind == pulse.ShiftPhase || o.Kind == pulse.FrameChange) && prev != nil &&
+				prev.Kind == o.Kind && prev.Frame == o.Frame && foldable(prev) && foldable(o):
+				pop()
+				removed++
+				// The last frequency wins (a shift_phase has none); phases add.
+				merged := &mlir.FrameOp{Kind: o.Kind, Frame: o.Frame, Freq: o.Freq,
+					Phase: mlir.Lit(waveform.WrapPhase(prev.Phase.Lit + o.Phase.Lit))}
+				if o.Kind == pulse.FrameChange || merged.Phase.Lit != 0 {
+					push(merged)
+				}
+			default:
 				push(op)
-				continue
-			}
-			pop()
-			removed++
-			// The last frequency wins (a shift_phase has none); phases add.
-			merged := &mlir.FrameOp{Kind: o.Kind, Frame: o.Frame, Freq: o.Freq,
-				Phase: mlir.Lit(waveform.WrapPhase(prev.Phase.Lit + o.Phase.Lit))}
-			if o.Kind == pulse.FrameChange || merged.Phase.Lit != 0 {
-				push(merged)
 			}
 		case *mlir.DelayOp:
 			if o.SamplesExpr == nil && o.Samples == 0 {
