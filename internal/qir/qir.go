@@ -64,7 +64,7 @@ var FrameIntrinsics = [...]FrameIntrinsic{
 // frameKinds inverts FrameIntrinsics.
 var frameKinds = map[string]pulse.FrameKind{}
 
-// FrameKindOf returns the frame-update kind whose intrinsic callee is.
+// FrameKindOf returns the frame-update kind whose intrinsic is callee, if any.
 func FrameKindOf(callee string) (pulse.FrameKind, bool) {
 	k, ok := frameKinds[callee]
 	return k, ok
