@@ -156,7 +156,7 @@ func TestFacadeVQEPieces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(g+1.8573) > 1e-3 {
+	if !(math.Abs(g+1.8573) <= 1e-3) {
 		t.Fatalf("ground = %g", g)
 	}
 	dev, err := mqsspulse.NewSuperconductingDevice("fac-vqe", 2, 7)

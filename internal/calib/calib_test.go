@@ -36,7 +36,7 @@ func clientFor(t *testing.T, devs ...qdmi.Device) *client.Client {
 
 func TestGoldenMin(t *testing.T) {
 	min := goldenMin(func(x float64) float64 { return (x - 1.7) * (x - 1.7) }, -5, 5, 80)
-	if math.Abs(min-1.7) > 1e-6 {
+	if !(math.Abs(min-1.7) <= 1e-6) {
 		t.Fatalf("goldenMin = %g, want 1.7", min)
 	}
 }

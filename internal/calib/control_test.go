@@ -18,7 +18,7 @@ func TestMismatchStudyModelFromQDMI(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := res.Problem
-	if p.Slots != 32 || p.Dt != 1e-9 || p.AnharmHz != -220e6 || math.Abs(p.RabiHz*1.05/40e6-1) > 1e-12 {
+	if p.Slots != 32 || p.Dt != 1e-9 || p.AnharmHz != -220e6 || !(math.Abs(p.RabiHz*1.05/40e6-1) <= 1e-12) {
 		t.Fatalf("model %+v, want 32 slots of 1 ns, −220 MHz, 40 MHz/1.05", p)
 	}
 	if got, want := res.Evals, 1+2*(1+3*150+1); got != want {

@@ -414,10 +414,9 @@ func TestCompileMLIRTextPath(t *testing.T) {
 	if len(res.Payload) == 0 || !bytes.Equal(res.Payload, direct.Payload) {
 		t.Fatalf("MLIR-text payload (%d bytes) differs from Compile's (%d bytes)", len(res.Payload), len(direct.Payload))
 	}
-	// A parametric module has no runnable payload until it is bound. The
-	// MLIR parser takes no parameter expressions today, so such a module
-	// cannot arrive on this path; if it ever does, the rule both paths share
-	// (emit) withholds the payload rather than hand out text no device runs.
+	// A parametric module has no runnable payload until it is bound: the
+	// rule both paths share (emit) withholds the payload rather than hand
+	// out text no device runs.
 	sym := qpi.NewCircuit("rabi", 1, 1).RXP(0, qpi.Sym("theta")).Measure(0, 0)
 	if err := sym.End(); err != nil {
 		t.Fatal(err)
@@ -438,6 +437,62 @@ func TestCompileMLIRTextPath(t *testing.T) {
 	}
 	if _, err := CompileMLIRText("not mlir at all", dev); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestTemplateMLIRTextRoundTrips checks that MLIR text carries a
+// template's slots in each position the frontend writes one — a gate angle,
+// a frame change's frequency and phase, a delay count, a def's amplitude —
+// and under a name that is no identifier: the frontend's printed text parses
+// back to text that prints the same, and compiling that text lowers to the
+// QIR module compiling the kernel does.
+func TestTemplateMLIRTextRoundTrips(t *testing.T) {
+	dev, err := devices.Superconducting("sc-2", 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := []complex128{0.1, 0.3, 0.5, 0.3, 0.1, 0, 0, 0}
+	kernels := map[string]*qpi.Circuit{
+		"rxp": qpi.NewCircuit("rxp", 1, 1).RXP(0, qpi.Sym("theta")).Measure(0, 0),
+		"rzp": qpi.NewCircuit("rzp", 1, 1).H(0).RZP(0, qpi.SymAffine("phi", -2, 0.5)).H(0).Measure(0, 0),
+		"framechangep": qpi.NewCircuit("fcp", 1, 1).FrameChangeP("q0-drive", qpi.SymAffine("df", 1e6, 5e9), qpi.Sym("phase")).
+			X(0).Measure(0, 0),
+		"delayp": qpi.NewCircuit("delayp", 1, 1).X(0).DelayP("q0-drive", qpi.SymAffine("t", 16, 32)).Measure(0, 0),
+		"waveformp": qpi.NewCircuit("waveformp", 1, 1).WaveformP("env", env, qpi.SymAffine("amp", 0.5, 1e-3)).
+			PlayWaveform("q0-drive", "env").Measure(0, 0),
+		"quoted": qpi.NewCircuit("quoted", 2, 2).RXP(1, qpi.Sym(`θ "x" 1`)).CX(0, 1).
+			DelayP("q1-drive", qpi.Sym("9lives")).Measure(0, 0).Measure(1, 1),
+	}
+	for name, k := range kernels {
+		if err := k.End(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		front, err := Frontend(k, dev)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		text := front.Print()
+		if !strings.Contains(text, "param<") {
+			t.Fatalf("%s: frontend text carries no slot:\n%s", name, text)
+		}
+		back, err := mlir.Parse(text)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, text)
+		}
+		if again := back.Print(); again != text {
+			t.Fatalf("%s: printed text is not a fixed point\nfirst:\n%s\nsecond:\n%s", name, text, again)
+		}
+		fromText, err := CompileMLIRText(text, dev)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		direct, err := Lower(k, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fromText.QIR.Emit(), direct.QIR.Emit(); !bytes.Equal(got, want) {
+			t.Fatalf("%s: QIR from MLIR text differs from the kernel's\ntext:\n%s\nkernel:\n%s", name, got, want)
+		}
 	}
 }
 

@@ -179,7 +179,7 @@ func TestRotationPastPiPlaysNegativeAmplitude(t *testing.T) {
 			t.Fatalf("rx(%g) plays %d samples, the π envelope has %d", theta, len(w.Samples), len(env.Samples))
 		}
 		for i, x := range env.Samples {
-			if d := cmplx.Abs(w.Samples[i] - complex(scale, 0)*x); d > 1e-12 {
+			if d := cmplx.Abs(w.Samples[i] - complex(scale, 0)*x); !(d <= 1e-12) {
 				t.Fatalf("rx(%g) sample %d = %v, want %v·%v", theta, i, w.Samples[i], scale, x)
 			}
 		}

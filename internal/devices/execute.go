@@ -205,9 +205,9 @@ const preparedCap = 32
 // against the port, frame and calibration tables, resolved to start ticks
 // and latched against the engine's channels. The first job that presents a
 // module builds it; later jobs presenting the same *qir.Module reuse it. A
-// template's entry is keyed on the template: its program was linked from the
-// first point's binding and records which plays and frame updates each slot
-// feeds, so every later point binds into it (simq.Program.Bind).
+// template's entry is keyed on the template: its program was linked at the
+// first point, with the slots the link numbered, so every later point binds
+// into it (simq.Program.Bind).
 //
 // Identity, not content, is the key: the holders that resubmit a program —
 // the lowering cache, a server connection's program store — keep one
@@ -226,55 +226,47 @@ type preparedProgram struct {
 	prog   *simq.Program
 }
 
-// program returns what a job runs on mod. A concrete module runs its
-// prepared program. A template with the job's bindings runs its prepared
-// program with the point bound in — recorded as the job's bind span — unless
-// a slot moves a duration: that point binds to a concrete module and runs
-// as one.
+// program returns what a job runs on mod: the store's program for it, or
+// one linked now and stored. A template runs at the job's point: a store hit
+// binds the point into the stored program, a miss links the template at it
+// and stores the result only if it can take later points in place. The bind
+// span records the point's evaluation and, on a hit, its binding.
 func (d *SimDevice) program(mod *qir.Module, opts qdmi.JobOptions) (*simq.Program, error) {
-	if opts.Bindings == nil {
-		return d.prepared(mod)
-	}
-	start := time.Now()
-	recordBind := func() {
-		opts.Telemetry.Record(telemetry.StageBind, d.cfg.Name, start, time.Since(start), opts.TelemetryParent)
-	}
 	prog, cal, engine, err := d.lookup(mod)
 	if err != nil {
 		return nil, err
 	}
-	if prog != nil {
+	var pt *pulse.Binding
+	if opts.Bindings != nil {
+		start := time.Now()
 		var sbuf [4][]complex128
 		var vbuf [8]float64
 		samples, values, err := mod.BindSlots(opts.Bindings, sbuf[:0], vbuf[:0])
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err)
 		}
-		if prog, err = prog.Bind(simq.Binding{Samples: samples, Values: values}); err != nil {
-			return nil, err
+		pt = &pulse.Binding{Samples: samples, Values: values}
+		if prog != nil {
+			if prog, err = prog.Bind(*pt); err != nil {
+				return nil, err
+			}
 		}
-		recordBind()
+		opts.Telemetry.Record(telemetry.StageBind, d.cfg.Name, start, time.Since(start), opts.TelemetryParent)
+	}
+	if prog != nil {
 		return prog, nil
 	}
-	point, err := mod.Bind(opts.Bindings)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err)
-	}
-	recordBind()
-	if !bindsInPlace(mod) {
-		// A one-shot module: linked for this job and not stored, where it
-		// could never be hit and would push out programs that can.
-		_, prog, err = d.link(cal, engine, point, nil)
-		return prog, err
-	}
-	// The template is linked with this point's values, never its base
-	// shapes: an envelope whose base exceeds full scale is legal in a
-	// template whose amplitude range scales it down.
-	_, prog, err = d.link(cal, engine, point, mod)
-	if err != nil {
+	// A template is linked with this point's values, never its base shapes:
+	// an envelope whose base exceeds full scale is legal in a template whose
+	// amplitude range scales it down.
+	if _, prog, err = d.link(cal, engine, mod, pt); err != nil {
 		return nil, err
 	}
-	d.store(mod, cal, engine, prog)
+	if pt == nil || bindsInPlace(mod) {
+		// Any other program is one-shot: stored, it could never be hit and
+		// would push out programs that can.
+		d.store(mod, cal, engine, prog)
+	}
 	return prog, nil
 }
 
@@ -290,73 +282,6 @@ func bindsInPlace(tpl *qir.Module) bool {
 		}
 	}
 	return true
-}
-
-// templateSlots maps the plays and frame updates of sched — linked from a
-// point of tpl, whose calls ended at ends (qir.BuildSchedule) — to the
-// template's slots, numbered as qir.Module.BindSlots orders a point's values:
-// a play or frame-update call's slot feeds the instruction it appended.
-func templateSlots(tpl *qir.Module, sched *pulse.Schedule, ends []int) map[pulse.Instruction]simq.Slot {
-	samples := map[string]int{} // amplitude-slot waveform → its index in a point's samples
-	for _, w := range tpl.Waveforms {
-		if w.AmpExpr != nil {
-			samples[w.Name] = len(samples)
-		}
-	}
-	values := 0
-	// value numbers arg's slot among the point's values, if it has one.
-	value := func(arg qir.Arg) int {
-		if arg.Expr == nil {
-			return -1
-		}
-		values++
-		return values - 1
-	}
-	slots, start := map[pulse.Instruction]simq.Slot{}, 0
-	for ci, c := range tpl.Body {
-		appended := sched.Instructions()[start:ends[ci]]
-		start = ends[ci]
-		s := simq.Slot{Samples: -1, Hz: -1, Phase: -1}
-		kind, isFrame := qir.FrameKindOf(c.Callee)
-		switch {
-		case isFrame:
-			// Slots are numbered in argument order.
-			fi := qir.FrameIntrinsics[kind]
-			for i := 1; i < len(c.Args); i++ {
-				switch i {
-				case fi.Hz:
-					s.Hz = value(c.Args[i])
-				case fi.Phase:
-					s.Phase = value(c.Args[i])
-				}
-			}
-		case c.Callee == qir.IntrPlay:
-			if k, ok := samples[c.Args[1].Sym]; ok {
-				s.Samples = k
-			}
-		default:
-			continue
-		}
-		for _, in := range appended {
-			slots[in] = s
-		}
-	}
-	return slots
-}
-
-// prepared returns mod's prepared program under the device's current
-// calibration and engine, linking and storing it when the store has none
-// that is current.
-func (d *SimDevice) prepared(mod *qir.Module) (*simq.Program, error) {
-	prog, cal, engine, err := d.lookup(mod)
-	if err != nil || prog != nil {
-		return prog, err
-	}
-	if _, prog, err = d.link(cal, engine, mod, nil); err != nil {
-		return nil, err
-	}
-	d.store(mod, cal, engine, prog)
-	return prog, nil
 }
 
 // lookup returns the store's program for mod under the device's current
@@ -395,17 +320,17 @@ func (d *SimDevice) store(mod *qir.Module, cal *calibration, engine *simq.Execut
 }
 
 // link is the device's one way from a module to what it runs, template or
-// not: mod linked against cal's port, frame and calibration tables by
-// qir.BuildSchedule — which verifies mod, so a module is verified once per
-// store entry — then, given an engine, resolved to start ticks and prepared
-// for it. tpl, when set, is the template mod is a point of, and the program
-// records which of its instructions the template's slots feed.
-func (d *SimDevice) link(cal *calibration, engine *simq.Executor, mod, tpl *qir.Module) (*pulse.Schedule, *simq.Program, error) {
+// not: mod linked at pt (nil for a concrete module) against cal's port,
+// frame and calibration tables by qir.BuildSchedule — which verifies mod, so
+// a module is verified once per store entry — then, given an engine,
+// resolved to start ticks and prepared for it with the slots the link
+// numbered.
+func (d *SimDevice) link(cal *calibration, engine *simq.Executor, mod *qir.Module, pt *pulse.Binding) (*pulse.Schedule, *simq.Program, error) {
 	binding, err := d.binding(cal, mod.PortNames)
 	if err != nil {
 		return nil, nil, err
 	}
-	sched, ends, err := qir.BuildSchedule(mod, binding)
+	sched, slots, err := qir.BuildSchedule(mod, binding, pt)
 	if err != nil {
 		if mod.Verify() != nil { // malformed, not merely unlinkable here
 			err = fmt.Errorf("%w: %v", qdmi.ErrInvalidArgument, err)
@@ -418,10 +343,6 @@ func (d *SimDevice) link(cal *calibration, engine *simq.Executor, mod, tpl *qir.
 	sp, err := sched.Resolve()
 	if err != nil {
 		return nil, nil, err
-	}
-	var slots map[pulse.Instruction]simq.Slot
-	if tpl != nil {
-		slots = templateSlots(tpl, sched, ends)
 	}
 	prog, err := engine.Prepare(sp, slots)
 	if err != nil {

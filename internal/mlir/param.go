@@ -2,6 +2,7 @@ package mlir
 
 import (
 	"fmt"
+	"strconv"
 
 	"mqsspulse/internal/waveform"
 )
@@ -12,9 +13,15 @@ import (
 // the backend emits.
 type ParamExpr = waveform.ParamExpr
 
-// exprString renders the expression in the textual form used by the printer.
+// exprString renders the expression in the textual form used by the printer
+// and read by the parser: param<scale*name+offset>, a name that is not an
+// identifier Go-quoted.
 func exprString(e *ParamExpr) string {
-	return fmt.Sprintf("param<%g*%s%+g>", e.Scale, e.Param, e.Offset)
+	name := e.Param
+	if !isIdent(name) {
+		name = strconv.Quote(name)
+	}
+	return fmt.Sprintf("param<%g*%s%+g>", e.Scale, name, e.Offset)
 }
 
 // ExprVal makes an operand carrying an unbound parameter expression.

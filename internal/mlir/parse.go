@@ -2,6 +2,7 @@ package mlir
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -111,6 +112,19 @@ func isIdentChar(c byte) bool {
 	return c == '_' || isLetter(c) || isDigit(c)
 }
 
+// isIdent reports whether s reads back as one identifier token.
+func isIdent(s string) bool {
+	if s == "" || !isLetter(s[0]) && s[0] != '_' {
+		return false
+	}
+	for i := range len(s) {
+		if !isIdentChar(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func isLetter(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
 func isDigit(c byte) bool  { return c >= '0' && c <= '9' }
 
@@ -217,6 +231,16 @@ func (p *parser) parseWaveformDef() (*WaveformDef, error) {
 		return nil, p.errf("expected @symbol after pulse.def")
 	}
 	w := &WaveformDef{Name: sym.text}
+	if p.peek().text == "amp" {
+		p.next()
+		if err := p.expectPunct("="); err != nil {
+			return nil, err
+		}
+		var err error
+		if w.AmpExpr, err = p.parseExpr(); err != nil {
+			return nil, err
+		}
+	}
 	switch p.peek().text {
 	case "kind":
 		p.next()
@@ -479,14 +503,19 @@ func (p *parser) parseOp() (Op, error) {
 		if err := p.expectPunct(","); err != nil {
 			return nil, err
 		}
-		n, err := p.parseInt()
+		op := &DelayOp{Frame: frame}
+		if p.atExpr() {
+			op.SamplesExpr, err = p.parseExpr()
+		} else {
+			op.Samples, err = p.parseInt()
+		}
 		if err != nil {
 			return nil, err
 		}
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}
-		return &DelayOp{Frame: frame, Samples: n}, nil
+		return op, nil
 	case t.text == "pulse.barrier":
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
@@ -549,19 +578,27 @@ func (p *parser) parseOp() (Op, error) {
 			if err := p.expectPunct("["); err != nil {
 				return nil, err
 			}
+			var exprs []*ParamExpr
 			for {
 				if p.peek().text == "]" {
 					p.next()
 					break
 				}
-				v, err := p.parseFloat()
+				v, err := p.parseValue()
 				if err != nil {
 					return nil, err
 				}
-				op.Params = append(op.Params, v)
+				if v.IsRef {
+					return nil, p.errf("gate parameter %s is not a number or a slot", v)
+				}
+				op.Params = append(op.Params, v.Lit)
+				exprs = append(exprs, v.Expr)
 				if p.peek().text == "," {
 					p.next()
 				}
+			}
+			if slices.ContainsFunc(exprs, func(e *ParamExpr) bool { return e != nil }) {
+				op.ParamExprs = exprs
 			}
 			if err := p.expectPunct("}"); err != nil {
 				return nil, err
@@ -645,6 +682,10 @@ func (p *parser) parseValueList(n int) ([]Value, error) {
 }
 
 func (p *parser) parseValue() (Value, error) {
+	if p.atExpr() {
+		e, err := p.parseExpr()
+		return Value{Expr: e}, err
+	}
 	t := p.next()
 	switch t.kind {
 	case tokValue:
@@ -659,6 +700,42 @@ func (p *parser) parseValue() (Value, error) {
 		p.pos--
 		return Value{}, p.errf("expected value or literal")
 	}
+}
+
+// atExpr reports whether a template slot starts at the current token.
+func (p *parser) atExpr() bool {
+	t := p.peek()
+	return t.kind == tokIdent && t.text == "param"
+}
+
+// parseExpr reads a template slot as exprString writes it.
+func (p *parser) parseExpr() (*ParamExpr, error) {
+	if err := p.expectIdent("param"); err != nil {
+		return nil, err
+	}
+	if err := p.expectPunct("<"); err != nil {
+		return nil, err
+	}
+	scale, err := p.parseFloat()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectPunct("*"); err != nil {
+		return nil, err
+	}
+	name := p.next()
+	if name.kind != tokIdent && name.kind != tokString {
+		p.pos--
+		return nil, p.errf("expected parameter name")
+	}
+	offset, err := p.parseFloat()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectPunct(">"); err != nil {
+		return nil, err
+	}
+	return &ParamExpr{Param: name.text, Scale: scale, Offset: offset}, nil
 }
 
 func (p *parser) parseFloat() (float64, error) {

@@ -65,7 +65,7 @@ func TestPropagateConstantPulseIsRabi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := GateFidelity(linalg.PauliX(), u, nil); math.Abs(f-1) > 1e-9 {
+	if f := GateFidelity(linalg.PauliX(), u, nil); !(math.Abs(f-1) <= 1e-9) {
 		t.Fatalf("constant π pulse fidelity %g", f)
 	}
 }
@@ -164,10 +164,10 @@ func TestNelderMeadQuadratic(t *testing.T) {
 		return (x[0]-1)*(x[0]-1) + 10*(x[1]+2)*(x[1]+2)
 	}
 	x, fv, evals := NelderMead(f, []float64{0, 0}, NelderMeadOptions{})
-	if math.Abs(x[0]-1) > 1e-4 || math.Abs(x[1]+2) > 1e-4 {
+	if !(math.Abs(x[0]-1) <= 1e-4) || !(math.Abs(x[1]+2) <= 1e-4) {
 		t.Fatalf("NM solution %v after %d evals", x, evals)
 	}
-	if fv > 1e-7 {
+	if !(fv <= 1e-7) {
 		t.Fatalf("NM value %g", fv)
 	}
 }

@@ -55,7 +55,7 @@ func TestCanonicalizeMerges(t *testing.T) {
 		switch o := op.(type) {
 		case *mlir.FrameOp:
 			shifts++
-			if math.Abs(o.Phase.Lit-0.7) > 1e-12 {
+			if !(math.Abs(o.Phase.Lit-0.7) <= 1e-12) {
 				t.Fatalf("merged phase %g, want 0.7", o.Phase.Lit)
 			}
 		case *mlir.DelayOp:

@@ -41,7 +41,7 @@ func TestWrapBoundary(t *testing.T) {
 		if w <= -math.Pi || w > math.Pi {
 			t.Fatalf("wrap(%g) = %g outside (-π, π]", p, w)
 		}
-		if math.Abs(math.Cos(w)-math.Cos(p)) > 1e-9 || math.Abs(math.Sin(w)-math.Sin(p)) > 1e-9 {
+		if !(math.Abs(math.Cos(w)-math.Cos(p)) <= 1e-9) || !(math.Abs(math.Sin(w)-math.Sin(p)) <= 1e-9) {
 			t.Fatalf("wrap(%g) = %g is not phase-equivalent", p, w)
 		}
 	}
@@ -102,7 +102,7 @@ func TestCanonicalizePreservesAccumulatedPhase(t *testing.T) {
 		for _, f := range []string{"f0", "f1"} {
 			// The sums may differ only by whole turns, so the wrapped
 			// difference must vanish.
-			if d := waveform.WrapPhase(before[f] - after[f]); math.Abs(d) > 1e-9 {
+			if d := waveform.WrapPhase(before[f] - after[f]); !(math.Abs(d) <= 1e-9) {
 				t.Fatalf("trial %d frame %s: accumulated phase %g → %g (Δwrap %g)",
 					trial, f, before[f], after[f], d)
 			}

@@ -38,9 +38,7 @@ var ErrBadParam = errors.New("ptemplate: bad parameter value")
 
 // Param declares one template parameter and its inclusive legal range.
 // Template compilation proves the whole range lowers legally, so Bind can
-// admit any in-range finite value without consulting the compiler. A
-// register frame carries it as {"name","min","max"} (internal/client's
-// wire codec).
+// admit any in-range finite value without consulting the compiler.
 type Param struct {
 	// Name identifies the parameter; expressions reference it by name.
 	Name string

@@ -139,3 +139,18 @@ func (c *Capture) String() string {
 }
 
 func (c *Capture) isInstruction() {}
+
+// Binding is one point of a template: its slots' values, numbered as the
+// exchange format's link numbers them. Samples holds the bound sample set of
+// each amplitude slot, Values the value of each argument slot.
+type Binding struct {
+	Samples [][]complex128
+	Values  []float64
+}
+
+// Slot marks an instruction of a template's schedule whose value each point
+// binds anew: Samples indexes the Binding.Samples a play takes its samples
+// from, Hz and Phase the Binding.Values a frame update takes its frequency
+// and phase from. -1 marks a field the instruction keeps. No slot moves a
+// duration, so a template's timing holds at every point.
+type Slot struct{ Samples, Hz, Phase int }

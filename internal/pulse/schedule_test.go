@@ -116,7 +116,7 @@ func TestPortCheckWaveformLen(t *testing.T) {
 func TestFramePhaseWrap(t *testing.T) {
 	f := NewFrame("f", 5e9)
 	f.Apply(ShiftPhase, 0, 3*math.Pi)
-	if math.Abs(f.PhaseRad-math.Pi) > 1e-12 && math.Abs(f.PhaseRad+math.Pi) > 1e-12 {
+	if !(math.Abs(f.PhaseRad-math.Pi) <= 1e-12) && !(math.Abs(f.PhaseRad+math.Pi) <= 1e-12) {
 		t.Fatalf("phase %g not wrapped to ±π", f.PhaseRad)
 	}
 	f.Apply(SetPhase, 0, 0.5)
@@ -364,7 +364,7 @@ func TestTotalDurationSeconds(t *testing.T) {
 	_ = s.Append(&Play{Port: "q0-drive-port", Frame: "q0-drive-frame", Waveform: w})
 	sp, _ := s.Resolve()
 	want := 100e-9 // 100 samples at 1 GS/s
-	if math.Abs(sp.TotalDurationSeconds()-want) > 1e-15 {
+	if !(math.Abs(sp.TotalDurationSeconds()-want) <= 1e-15) {
 		t.Fatalf("seconds = %g, want %g", sp.TotalDurationSeconds(), want)
 	}
 }

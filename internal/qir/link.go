@@ -2,6 +2,8 @@ package qir
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/waveform"
@@ -29,11 +31,18 @@ type DeviceBinding struct {
 // BuildSchedule links a verified pulse-profile module against a device
 // binding, producing an executable pulse schedule. Pulse intrinsics map
 // 1:1 onto schedule instructions; gate intrinsics go through the device's
-// calibration callbacks. ends records, as it appends, which instructions
-// each call became: m.Body[i] appended s.Instructions()[ends[i-1]:ends[i]]
-// (from 0 for the first call).
-func BuildSchedule(m *Module, b *DeviceBinding) (s *pulse.Schedule, ends []int, err error) {
+// calibration callbacks.
+//
+// A template links at a point, pt, numbered as BindSlots numbers it: the
+// link writes each value where its slot sits and returns which play or frame
+// update each index of pt feeds, so a program prepared from the schedule can
+// take later points in place. A concrete module takes a nil point and gets
+// no slots.
+func BuildSchedule(m *Module, b *DeviceBinding, pt *pulse.Binding) (s *pulse.Schedule, slots map[pulse.Instruction]pulse.Slot, err error) {
 	if err := m.Verify(); err != nil {
+		return nil, nil, err
+	}
+	if err := m.checkPoint(pt); err != nil {
 		return nil, nil, err
 	}
 	if len(b.Ports) < m.NumPorts {
@@ -57,23 +66,39 @@ func BuildSchedule(m *Module, b *DeviceBinding) (s *pulse.Schedule, ends []int, 
 		frameOf[p.ID] = f.ID
 	}
 	portID := func(i int64) string { return b.Ports[i].ID }
+	if pt != nil {
+		slots = map[pulse.Instruction]pulse.Slot{}
+	}
 
-	ends = make([]int, len(m.Body))
+	next := 0 // index in pt.Values of the next argument slot
 	for ci, c := range m.Body {
+		first := next
+		if pt != nil {
+			c, next = c.at(pt.Values, next)
+		}
 		kind, isFrame := frameKinds[c.Callee]
 		switch {
 		case isFrame:
 			pid := portID(c.Args[0].I)
-			hz, phase := FrameIntrinsics[kind].values(c)
-			err = s.Append(&pulse.FrameUpdate{Port: pid, Frame: frameOf[pid], Kind: kind, Hz: hz, Phase: phase})
+			fi := FrameIntrinsics[kind]
+			hz, phase := fi.values(c)
+			in := &pulse.FrameUpdate{Port: pid, Frame: frameOf[pid], Kind: kind, Hz: hz, Phase: phase}
+			if hzAt, phaseAt := slotIndex(m.Body[ci], first, fi.Hz), slotIndex(m.Body[ci], first, fi.Phase); hzAt >= 0 || phaseAt >= 0 {
+				slots[in] = pulse.Slot{Samples: -1, Hz: hzAt, Phase: phaseAt}
+			}
+			err = s.Append(in)
 		case c.Callee == IntrWaveform:
 			// Upload hint; waveform constants are already module-resident.
 		case c.Callee == IntrPlay:
 			wc, _ := m.FindWaveform(c.Args[1].Sym)
-			w := &waveform.Waveform{Name: wc.Name, Samples: wc.Samples}
-			if err = w.Check(); err == nil {
-				pid := portID(c.Args[0].I)
-				err = s.Append(&pulse.Play{Port: pid, Frame: frameOf[pid], Waveform: w})
+			pid := portID(c.Args[0].I)
+			in := &pulse.Play{Port: pid, Frame: frameOf[pid], Waveform: &waveform.Waveform{Name: wc.Name, Samples: wc.Samples}}
+			if k := m.ampSlot(wc); k >= 0 {
+				in.Waveform.Samples = pt.Samples[k]
+				slots[in] = pulse.Slot{Samples: k, Hz: -1, Phase: -1}
+			}
+			if err = in.Waveform.Check(); err == nil {
+				err = s.Append(in)
 			}
 		case c.Callee == IntrDelay:
 			err = s.Append(&pulse.Delay{Port: portID(c.Args[0].I), Samples: c.Args[1].I})
@@ -106,9 +131,46 @@ func BuildSchedule(m *Module, b *DeviceBinding) (s *pulse.Schedule, ends []int, 
 		if err != nil {
 			return nil, nil, fmt.Errorf("qir: call %d (%s): %w", ci, c.Callee, err)
 		}
-		ends[ci] = s.Len()
 	}
-	return s, ends, nil
+	return s, slots, nil
+}
+
+// slotIndex returns the index in a point's values of c's argument ai, c's
+// first slot being value first; -1 for a literal.
+func slotIndex(c Call, first, ai int) int {
+	if c.Args[ai].Expr == nil {
+		return -1
+	}
+	return first + countSlots(c.Args[:ai])
+}
+
+// ampSlot returns the index in a point's samples of w's amplitude slot; -1
+// when w, one of m's waveform constants, has none.
+func (m *Module) ampSlot(w *WaveformConst) int {
+	if w.AmpExpr == nil {
+		return -1
+	}
+	return ampSlots(m.Waveforms[:slices.IndexFunc(m.Waveforms, func(v WaveformConst) bool { return v.Name == w.Name })])
+}
+
+// checkPoint checks that pt is a point of m, as BindSlots evaluates one:
+// nil or empty for a concrete module, else one sample set per amplitude
+// slot and one value, finite as Verify wants a bound double, per argument
+// slot.
+func (m *Module) checkPoint(pt *pulse.Binding) error {
+	if pt == nil {
+		pt = &pulse.Binding{}
+	}
+	if samples, values := m.slotCounts(); len(pt.Samples) != samples || len(pt.Values) != values {
+		return fmt.Errorf("qir: module %q has %d amplitude and %d argument slots, its point %d sample sets and %d values",
+			m.ID, samples, values, len(pt.Samples), len(pt.Values))
+	}
+	for i, v := range pt.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("qir: point value %d is %g, not finite", i, v)
+		}
+	}
+	return nil
 }
 
 // decodeGateCall maps a QIS call back to (gate table row, angles, qubits);

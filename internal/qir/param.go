@@ -2,10 +2,10 @@ package qir
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/cmplx"
 	"slices"
-	"sort"
 
 	"mqsspulse/internal/waveform"
 )
@@ -19,19 +19,37 @@ type ParamExpr = waveform.ParamExpr
 
 // IsParametric reports whether the module carries any unbound slot.
 func (m *Module) IsParametric() bool {
-	for i := range m.Waveforms {
-		if m.Waveforms[i].AmpExpr != nil {
-			return true
-		}
-	}
+	samples, values := m.slotCounts()
+	return samples+values > 0
+}
+
+// slotCounts returns how many amplitude slots and argument slots the module
+// has: the lengths of a point's samples and values.
+func (m *Module) slotCounts() (samples, values int) {
 	for _, c := range m.Body {
-		for _, a := range c.Args {
-			if a.Expr != nil {
-				return true
-			}
+		values += countSlots(c.Args)
+	}
+	return ampSlots(m.Waveforms), values
+}
+
+// ampSlots returns how many of ws have an amplitude slot.
+func ampSlots(ws []WaveformConst) (n int) {
+	for i := range ws {
+		if ws[i].AmpExpr != nil {
+			n++
 		}
 	}
-	return false
+	return n
+}
+
+// countSlots returns how many of args are template slots.
+func countSlots(args []Arg) (n int) {
+	for _, a := range args {
+		if a.Expr != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // ParamNames returns the sorted, de-duplicated parameter names the module's
@@ -50,12 +68,7 @@ func (m *Module) ParamNames() []string {
 			}
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // evalExpr evaluates an expression against a binding map, rejecting missing
@@ -78,8 +91,9 @@ func evalExpr(e *ParamExpr, vals map[string]float64) (float64, error) {
 // Waveforms order), its base samples scaled by the bound value, each within
 // full scale; to values, per argument slot (in Body order, arguments left to
 // right), the bound value, an i64 slot's rounded to its non-negative count.
-// The pair is a template's binding vector: a device that prepared the
-// template once runs a point by writing it in, with no module built.
+// The pair is the template's point (pulse.Binding), which the link writes
+// into the template (BuildSchedule) and a program prepared from that link
+// takes in place.
 func (m *Module) BindSlots(vals map[string]float64, samples [][]complex128, values []float64) ([][]complex128, []float64, error) {
 	for i := range m.Waveforms {
 		w := &m.Waveforms[i]
@@ -94,9 +108,7 @@ func (m *Module) BindSlots(vals map[string]float64, samples [][]complex128, valu
 		bound := make([]complex128, len(w.Samples))
 		for j, x := range w.Samples {
 			bound[j] = s * x
-		}
-		for j, x := range bound {
-			if a := cmplx.Abs(x); math.IsNaN(a) || a > 1.0+1e-12 {
+			if a := cmplx.Abs(bound[j]); math.IsNaN(a) || a > 1.0+1e-12 {
 				return nil, nil, fmt.Errorf("qir: bind waveform @%s: sample %d has magnitude %g", w.Name, j, a)
 			}
 		}
@@ -151,23 +163,31 @@ func (m *Module) Bind(vals map[string]float64) (*Module, error) {
 		}
 	}
 	out.Body = slices.Clone(m.Body)
+	next := 0
 	for ci := range out.Body {
-		c := &out.Body[ci]
-		if !slices.ContainsFunc(c.Args, func(a Arg) bool { return a.Expr != nil }) {
-			continue
-		}
-		c.Args = slices.Clone(c.Args)
-		for ai, a := range c.Args {
-			switch {
-			case a.Expr == nil:
-				continue
-			case a.Kind == ArgF64:
-				c.Args[ai] = F64Arg(values[0])
-			default: // ArgI64
-				c.Args[ai] = I64Arg(int64(values[0]))
-			}
-			values = values[1:]
-		}
+		out.Body[ci], next = out.Body[ci].at(values, next)
 	}
 	return &out, nil
+}
+
+// at returns c with each slot argument replaced by its value, the slots
+// numbered from values[next] on, and the number of the slot after c's last:
+// the one substitution Bind and the link make.
+func (c Call) at(values []float64, next int) (Call, int) {
+	if countSlots(c.Args) == 0 {
+		return c, next
+	}
+	c.Args = slices.Clone(c.Args)
+	for ai, a := range c.Args {
+		switch {
+		case a.Expr == nil:
+			continue
+		case a.Kind == ArgF64:
+			c.Args[ai] = F64Arg(values[next])
+		default: // ArgI64
+			c.Args[ai] = I64Arg(int64(values[next]))
+		}
+		next++
+	}
+	return c, next
 }

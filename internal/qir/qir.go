@@ -52,7 +52,7 @@ type FrameIntrinsic struct {
 }
 
 // FrameIntrinsics maps each frame-update kind to its intrinsic. The
-// backend's emission, the link and a device's slot numbering all read it.
+// backend's emission and the link read it.
 var FrameIntrinsics = [...]FrameIntrinsic{
 	pulse.ShiftPhase:     {IntrShiftPhase, 0, 1},
 	pulse.SetPhase:       {IntrSetPhase, 0, 1},
@@ -63,12 +63,6 @@ var FrameIntrinsics = [...]FrameIntrinsic{
 
 // frameKinds inverts FrameIntrinsics.
 var frameKinds = map[string]pulse.FrameKind{}
-
-// FrameKindOf returns the frame-update kind whose intrinsic is callee, if any.
-func FrameKindOf(callee string) (pulse.FrameKind, bool) {
-	k, ok := frameKinds[callee]
-	return k, ok
-}
 
 // Call is the kind's call on port with frequency hz and phase phase; a
 // value the kind does not read is dropped.

@@ -30,7 +30,7 @@ func TestMeasLevelStringRoundTrip(t *testing.T) {
 func TestBoxcarIntegrate(t *testing.T) {
 	trace := []complex128{complex(1, 2), complex(3, -2), complex(2, 0)}
 	p := Boxcar{}.Integrate(trace)
-	if math.Abs(p.I-2) > 1e-12 || math.Abs(p.Q-0) > 1e-12 {
+	if !(math.Abs(p.I-2) <= 1e-12) || !(math.Abs(p.Q-0) <= 1e-12) {
 		t.Fatalf("boxcar = %+v, want (2, 0)", p)
 	}
 	if p := (Boxcar{}).Integrate(nil); p != (IQ{}) {

@@ -231,29 +231,14 @@ type Program struct {
 	walk   []frameStep
 }
 
-// Slot marks an instruction of a template's scheduled program whose value
-// each job binds anew (see Program.Bind). Samples indexes the bound sample
-// sets a play takes its samples from; Hz and Phase index the bound values a
-// frame update takes its frequency and phase from. -1 marks a field the
-// instruction keeps. No slot moves a duration: the segment boundaries of a
-// template's program hold for every binding.
-type Slot struct{ Samples, Hz, Phase int }
-
-// Binding is one job's values for the slots of a template's program,
-// indexed as its Slots index them.
-type Binding struct {
-	Samples [][]complex128
-	Values  []float64
-}
-
 // frameStep is one step of a program's frame walk: in, an update of
-// frames[frame] or the play latching it into plays[play], and the Slot of
+// frames[frame] or the play latching it into plays[play], and the slot of
 // in (all -1 when nothing rebinds it).
 type frameStep struct {
 	in    pulse.Instruction
 	frame int
 	play  int
-	slot  Slot
+	slot  pulse.Slot
 }
 
 // Run executes the scheduled program: Prepare, then one run of the
@@ -269,10 +254,10 @@ func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResul
 
 // Prepare links a scheduled program against the executor's model. The port
 // set of the schedule must be covered by the model's channels for every
-// played port; capture ports must reference single-site ports. slots marks
-// the instructions of a template's program that Bind rebinds; nil for a
-// concrete program.
-func (e *Executor) Prepare(sp *pulse.ScheduledProgram, slots map[pulse.Instruction]Slot) (*Program, error) {
+// played port; capture ports must reference single-site ports. slots, which
+// the link returns for a template (qir.BuildSchedule), mark the plays and
+// frame updates Bind rebinds; nil for a concrete program.
+func (e *Executor) Prepare(sp *pulse.ScheduledProgram, slots map[pulse.Instruction]pulse.Slot) (*Program, error) {
 	dt, err := e.sampleDt(sp)
 	if err != nil {
 		return nil, err
@@ -292,7 +277,7 @@ func (e *Executor) Prepare(sp *pulse.ScheduledProgram, slots map[pulse.Instructi
 	step := func(in pulse.Instruction, frame string) error {
 		s, ok := slots[in]
 		if !ok {
-			s = Slot{Samples: -1, Hz: -1, Phase: -1}
+			s = pulse.Slot{Samples: -1, Hz: -1, Phase: -1}
 		}
 		st := frameStep{in: in, play: len(p.plays) - 1, slot: s,
 			frame: slices.IndexFunc(frames, func(f pulse.Frame) bool { return f.ID == frame })}
@@ -358,14 +343,13 @@ func (e *Executor) Prepare(sp *pulse.ScheduledProgram, slots map[pulse.Instructi
 	return p, nil
 }
 
-// Bind returns the program with one job's binding written in: a play with a
+// Bind returns the program with one point written in: a play with a
 // Samples slot plays b.Samples[that], a frame update with an Hz or Phase
 // slot takes b.Values[that], and the plays' latched frame state is walked
 // again from tick 0 by the steps Prepare took. Slots move no duration, so
 // the result shares p's segments and captures; its plan is planned again
 // over them, sharing p's steps while they are equal. p itself is unchanged.
-// p must have been prepared with slots.
-func (p *Program) Bind(b Binding) (*Program, error) {
+func (p *Program) Bind(b pulse.Binding) (*Program, error) {
 	out := *p
 	out.plays = slices.Clone(p.plays)
 	var buf [8]pulse.Frame
@@ -383,7 +367,7 @@ func (p *Program) Bind(b Binding) (*Program, error) {
 // or latches the frame's carrier phase (χ0) and detuning into plays[st.play]
 // — with the instruction's own values or, given a binding, its values where
 // st has a slot.
-func (st *frameStep) apply(frames []pulse.Frame, plays []playEvent, b *Binding) error {
+func (st *frameStep) apply(frames []pulse.Frame, plays []playEvent, b *pulse.Binding) error {
 	f, s := &frames[st.frame], st.slot
 	// value is lit, or the binding's value i where it has one.
 	value := func(lit float64, i int) float64 {

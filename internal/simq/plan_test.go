@@ -132,7 +132,7 @@ func TestPlanKinds(t *testing.T) {
 // bindProgram is a template's program on the sc-2 shape written at
 // (samples, hz), and its slots: a Gaussian on d0 whose samples are slot 0,
 // then a SetFrequency on f1 whose Hz is value 0 and a square on d1.
-func bindProgram(t *testing.T, samples []complex128, hz float64) (*pulse.ScheduledProgram, map[pulse.Instruction]Slot) {
+func bindProgram(t *testing.T, samples []complex128, hz float64) (*pulse.ScheduledProgram, map[pulse.Instruction]pulse.Slot) {
 	var d0, f1 pulse.Instruction
 	sp := resonantProgram(t, func(s *pulse.Schedule) {
 		w, err := waveform.New("g", samples)
@@ -147,7 +147,7 @@ func bindProgram(t *testing.T, samples []complex128, hz float64) (*pulse.Schedul
 		}
 		playConst(t, s, "d1", "f1", 0.4, 200)
 	})
-	return sp, map[pulse.Instruction]Slot{d0: {0, -1, -1}, f1: {-1, 0, -1}}
+	return sp, map[pulse.Instruction]pulse.Slot{d0: {Samples: 0, Hz: -1, Phase: -1}, f1: {Samples: -1, Hz: 0, Phase: -1}}
 }
 
 // TestBindPlansLikePrepare: a bound program's plan is the plan Prepare
@@ -202,7 +202,7 @@ func TestBindPlansLikePrepare(t *testing.T) {
 			{"repeated samples", stairs, 5.1e9, false},
 		} {
 			what := fmt.Sprintf("%s, %s", name, c.name)
-			bound, err := tpl.Bind(Binding{Samples: [][]complex128{c.samples}, Values: []float64{c.hz}})
+			bound, err := tpl.Bind(pulse.Binding{Samples: [][]complex128{c.samples}, Values: []float64{c.hz}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +227,7 @@ func TestBindPlansLikePrepare(t *testing.T) {
 			}
 			sameRun(t, what, got, ref)
 		}
-		b := Binding{Samples: [][]complex128{scaled(0.5)}, Values: []float64{5.1e9}}
+		b := pulse.Binding{Samples: [][]complex128{scaled(0.5)}, Values: []float64{5.1e9}}
 		if n := testing.AllocsPerRun(100, func() { _, _ = tpl.Bind(b) }); n != 2 {
 			t.Fatalf("%s: Bind makes %v objects, want 2", name, n)
 		}
@@ -248,7 +248,7 @@ func TestPreparedPlanRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := []Binding{
+	points := []pulse.Binding{
 		{Samples: [][]complex128{gauss.Samples}, Values: []float64{5.1e9}},
 		{Samples: [][]complex128{make([]complex128, 24)}, Values: []float64{5.1e9}},
 		{Samples: [][]complex128{gauss.Samples}, Values: []float64{5.1e9 - 3e6}},
@@ -261,7 +261,7 @@ func TestPreparedPlanRace(t *testing.T) {
 		}
 		return res.FinalDensity.Density
 	}
-	bind := func(b Binding) *Program {
+	bind := func(b pulse.Binding) *Program {
 		p, err := tpl.Bind(b)
 		if err != nil {
 			t.Fatal(err)

@@ -169,27 +169,27 @@ func TestBoundProgramMatchesPrepared(t *testing.T) {
 	}
 	// program writes the schedule at (amp, vals) and marks which
 	// instruction takes which of them.
-	program := func(amp float64, vals []float64) (*pulse.ScheduledProgram, map[pulse.Instruction]Slot) {
+	program := func(amp float64, vals []float64) (*pulse.ScheduledProgram, map[pulse.Instruction]pulse.Slot) {
 		w, err := env.Scale(complex(amp, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		slots := map[pulse.Instruction]Slot{}
+		slots := map[pulse.Instruction]pulse.Slot{}
 		sp := twoPortProgram(t, func(s *pulse.Schedule) {
 			for _, in := range []struct {
 				in   pulse.Instruction
-				slot Slot
+				slot pulse.Slot
 			}{
-				{&pulse.Play{Port: "d0", Frame: "f0", Waveform: w}, Slot{0, -1, -1}},
-				{&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.ShiftPhase, Phase: vals[0]}, Slot{-1, -1, 0}},
-				{&pulse.FrameUpdate{Port: "d1", Frame: "f1", Kind: pulse.SetFrequency, Hz: vals[1]}, Slot{-1, 1, -1}},
-				{&pulse.Play{Port: "d1", Frame: "f1", Waveform: env}, Slot{-1, -1, -1}},
-				{&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.ShiftFrequency, Hz: vals[2]}, Slot{-1, 2, -1}},
-				{&pulse.FrameUpdate{Port: "d1", Frame: "f1", Kind: pulse.SetPhase, Phase: vals[3]}, Slot{-1, -1, 3}},
-				{&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.FrameChange, Hz: vals[4], Phase: vals[5]}, Slot{-1, 4, 5}},
-				{&pulse.Play{Port: "d0", Frame: "f0", Waveform: w}, Slot{0, -1, -1}},
-				{&pulse.Play{Port: "d1", Frame: "f1", Waveform: w}, Slot{0, -1, -1}},
-				{&pulse.Capture{Port: "d0", Frame: "f0", Bit: 0, DurationSamples: 8}, Slot{-1, -1, -1}},
+				{&pulse.Play{Port: "d0", Frame: "f0", Waveform: w}, pulse.Slot{Samples: 0, Hz: -1, Phase: -1}},
+				{&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.ShiftPhase, Phase: vals[0]}, pulse.Slot{Samples: -1, Hz: -1, Phase: 0}},
+				{&pulse.FrameUpdate{Port: "d1", Frame: "f1", Kind: pulse.SetFrequency, Hz: vals[1]}, pulse.Slot{Samples: -1, Hz: 1, Phase: -1}},
+				{&pulse.Play{Port: "d1", Frame: "f1", Waveform: env}, pulse.Slot{Samples: -1, Hz: -1, Phase: -1}},
+				{&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.ShiftFrequency, Hz: vals[2]}, pulse.Slot{Samples: -1, Hz: 2, Phase: -1}},
+				{&pulse.FrameUpdate{Port: "d1", Frame: "f1", Kind: pulse.SetPhase, Phase: vals[3]}, pulse.Slot{Samples: -1, Hz: -1, Phase: 3}},
+				{&pulse.FrameUpdate{Port: "d0", Frame: "f0", Kind: pulse.FrameChange, Hz: vals[4], Phase: vals[5]}, pulse.Slot{Samples: -1, Hz: 4, Phase: 5}},
+				{&pulse.Play{Port: "d0", Frame: "f0", Waveform: w}, pulse.Slot{Samples: 0, Hz: -1, Phase: -1}},
+				{&pulse.Play{Port: "d1", Frame: "f1", Waveform: w}, pulse.Slot{Samples: 0, Hz: -1, Phase: -1}},
+				{&pulse.Capture{Port: "d0", Frame: "f0", Bit: 0, DurationSamples: 8}, pulse.Slot{Samples: -1, Hz: -1, Phase: -1}},
 			} {
 				if err := s.Append(in.in); err != nil {
 					t.Fatal(err)
@@ -215,7 +215,7 @@ func TestBoundProgramMatchesPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := tpl.Bind(Binding{Samples: [][]complex128{bound.Samples}, Values: second})
+	prog, err := tpl.Bind(pulse.Binding{Samples: [][]complex128{bound.Samples}, Values: second})
 	if err != nil {
 		t.Fatal(err)
 	}

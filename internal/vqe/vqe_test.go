@@ -56,7 +56,7 @@ func TestH2MinimalGroundEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Literature value for this coefficient set.
-	if math.Abs(g-(-1.8572)) > 1e-3 {
+	if !(math.Abs(g-(-1.8572)) <= 1e-3) {
 		t.Fatalf("H2 ground energy = %.10f", g)
 	}
 }
@@ -82,13 +82,13 @@ func TestTFIMKnownEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(g+0.7) > 1e-9 {
+	if !(math.Abs(g+0.7) <= 1e-9) {
 		t.Fatalf("tfim(1) ground = %g", g)
 	}
 	// Two qubits, J=1, h=0: ground -J (from -J·ZZ).
 	h2 := tfim(2, 1, 0)
 	g2, _ := h2.GroundEnergy()
-	if math.Abs(g2+1) > 1e-9 {
+	if !(math.Abs(g2+1) <= 1e-9) {
 		t.Fatalf("tfim(2, h=0) ground = %g", g2)
 	}
 }
@@ -96,7 +96,7 @@ func TestTFIMKnownEnergy(t *testing.T) {
 func TestGroupTerms(t *testing.T) {
 	h := H2Minimal()
 	groups, identity := h.GroupTerms()
-	if math.Abs(identity-(-1.052373245772859)) > 1e-12 {
+	if !(math.Abs(identity-(-1.052373245772859)) <= 1e-12) {
 		t.Fatalf("identity offset %g", identity)
 	}
 	// ZI, IZ, ZZ share the ZZ basis; XX is separate → 2 groups.
@@ -138,7 +138,7 @@ func TestGroupEnergy(t *testing.T) {
 	counts := map[uint64]int{0b00: 750, 0b01: 250}
 	e := GroupEnergy(g, counts, 1000)
 	// ⟨ZZ⟩ = (750 - 250)/1000 = 0.5 → energy 1.0
-	if math.Abs(e-1.0) > 1e-12 {
+	if !(math.Abs(e-1.0) <= 1e-12) {
 		t.Fatalf("group energy %g", e)
 	}
 	if GroupEnergy(g, counts, 0) != 0 {
@@ -154,10 +154,10 @@ func TestExpectationExactMatchesMatrix(t *testing.T) {
 	e := h.ExpectationExact(amp)
 	m := h.Matrix()
 	want := real(m.At(2, 2))
-	if math.Abs(e-want) > 1e-12 {
+	if !(math.Abs(e-want) <= 1e-12) {
 		t.Fatalf("expectation %g vs diagonal %g", e, want)
 	}
-	if math.Abs(e-(-1.8370)) > 1e-3 {
+	if !(math.Abs(e-(-1.8370)) <= 1e-3) {
 		t.Fatalf("HF energy %g, want ≈ -1.8370", e)
 	}
 	// The Hartree-Fock state should be close to but above ground.
@@ -198,7 +198,7 @@ func TestGateAnsatzKernel(t *testing.T) {
 	want := []float64{0.1, -0.2, 0.3, 7.5 - 2*math.Pi}
 	for i, at := range []int{0, 1, 3, 4} {
 		e := k.Ops()[at].AngleExpr
-		if v := point[e.Param]; e.Scale != 1 || e.Offset != 0 || math.Abs(v-want[i]) > 1e-15 {
+		if v := point[e.Param]; e.Scale != 1 || e.Offset != 0 || !(math.Abs(v-want[i]) <= 1e-15) {
 			t.Fatalf("param %d: ry slot %+v bound at %g, want %g", i, e, v, want[i])
 		}
 	}
@@ -272,7 +272,7 @@ func TestPulseAnsatzKernel(t *testing.T) {
 	}
 	inSpace(t, tpl, point)
 	if point["amp0"] != 1 || point["amp1"] != -1 || point["amp_c"] != 1 ||
-		math.Abs(point["phase0"]-(4-2*math.Pi)) > 1e-15 || math.Abs(point["phase1"]-(2*math.Pi-4)) > 1e-15 {
+		!(math.Abs(point["phase0"]-(4-2*math.Pi)) <= 1e-15) || !(math.Abs(point["phase1"]-(2*math.Pi-4)) <= 1e-15) {
 		t.Fatalf("folded point %v", point)
 	}
 	// At zero amplitude the three pulses are zeros, still played.

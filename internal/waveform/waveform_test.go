@@ -78,7 +78,7 @@ func TestConcat(t *testing.T) {
 func TestAreaLinearInAmplitude(t *testing.T) {
 	g1, _ := Gaussian{Amplitude: 0.4, SigmaFrac: 0.2}.Materialize("g", 64)
 	g2, _ := Gaussian{Amplitude: 0.8, SigmaFrac: 0.2}.Materialize("g", 64)
-	if math.Abs(g2.Area()-2*g1.Area()) > 1e-9 {
+	if !(math.Abs(g2.Area()-2*g1.Area()) <= 1e-9) {
 		t.Fatalf("area not linear: %g vs %g", g2.Area(), 2*g1.Area())
 	}
 }
@@ -100,14 +100,14 @@ func TestGaussianShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Peak at center, ~zero at edges, symmetric.
-	if math.Abs(real(g.Samples[50])-0.9) > 1e-9 {
+	if !(math.Abs(real(g.Samples[50])-0.9) <= 1e-9) {
 		t.Fatalf("peak = %v, want 0.9", g.Samples[50])
 	}
-	if cmplx.Abs(g.Samples[0]) > 1e-9 || cmplx.Abs(g.Samples[100]) > 1e-9 {
+	if !(cmplx.Abs(g.Samples[0]) <= 1e-9) || !(cmplx.Abs(g.Samples[100]) <= 1e-9) {
 		t.Fatal("edges not lifted to zero")
 	}
 	for i := 0; i <= 50; i++ {
-		if cmplx.Abs(g.Samples[i]-g.Samples[100-i]) > 1e-9 {
+		if !(cmplx.Abs(g.Samples[i]-g.Samples[100-i]) <= 1e-9) {
 			t.Fatalf("asymmetric at %d", i)
 		}
 	}
@@ -120,7 +120,7 @@ func TestDRAGQuadrature(t *testing.T) {
 	}
 	// Q component must be antisymmetric (derivative of symmetric I).
 	for i := 0; i < 32; i++ {
-		if math.Abs(imag(d.Samples[i])+imag(d.Samples[63-i])) > 1e-9 {
+		if !(math.Abs(imag(d.Samples[i])+imag(d.Samples[63-i])) <= 1e-9) {
 			t.Fatalf("DRAG quadrature not antisymmetric at %d", i)
 		}
 	}
@@ -138,7 +138,7 @@ func TestGaussianSquareFlatTop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 25; i < 75; i++ {
-		if math.Abs(real(g.Samples[i])-0.6) > 1e-9 {
+		if !(math.Abs(real(g.Samples[i])-0.6) <= 1e-9) {
 			t.Fatalf("top not flat at %d: %v", i, g.Samples[i])
 		}
 	}
@@ -329,7 +329,7 @@ func (w *Waveform) Equal(v *Waveform, tol float64) bool {
 		return false
 	}
 	for i := range w.Samples {
-		if cmplx.Abs(w.Samples[i]-v.Samples[i]) > tol {
+		if !(cmplx.Abs(w.Samples[i]-v.Samples[i]) <= tol) {
 			return false
 		}
 	}

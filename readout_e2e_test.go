@@ -108,7 +108,7 @@ func TestAcquireEndToEndAllMeasLevels(t *testing.T) {
 			acc += v
 		}
 		acc /= complex(float64(window), 0)
-		if math.Abs(real(acc)-res.IQ[k][0].I) > 1e-9 || math.Abs(imag(acc)-res.IQ[k][0].Q) > 1e-9 {
+		if !(math.Abs(real(acc)-res.IQ[k][0].I) <= 1e-9) || !(math.Abs(imag(acc)-res.IQ[k][0].Q) <= 1e-9) {
 			t.Fatalf("shot %d: boxcar(trace) != kerneled point", k)
 		}
 	}

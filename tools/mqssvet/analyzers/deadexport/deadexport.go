@@ -47,6 +47,7 @@ var allowed = map[string]string{
 	"internal/qpi.Circuit.RY":               "the paper's QPI gate builder; the facade's Circuit offers every gate of the gate table",
 	"internal/qpi.Circuit.FrameChangeP":     "the QPI builder for a swept frame change, the symbolic form of FrameChange",
 	"internal/qrm.Ticket.Device":            "the facade's Ticket reports the device a pool or a steal placed the job on",
+	"internal/pulse.Schedule.Instructions":  "a linked schedule's read view: the exchange golden and the link and lowering tests of four packages read what a program became through it",
 	"internal/simq.ExecOptions.ShotWorkers": "a deprecated no-op the benchmark compiles against (onlyhere's rule \"one sampler\")",
 	"internal/qrm.ticketCtx.AfterFunc":      "context.WithCancel and context.AfterFunc call it through the context package's unexported afterFuncer interface, so a context derived from a ticket's starts no goroutine",
 }

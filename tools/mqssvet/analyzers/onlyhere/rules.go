@@ -16,9 +16,11 @@ var Rules = []Rule{
 	{ID: "one calibration writer", Why: "recalibrate copies the calibration, applies the edit, bumps the epoch and publishes, so every write bumps the epoch",
 		Facts: []string{"sync/atomic.Pointer[internal/devices.calibration].Store", "internal/devices.calibration.epoch="},
 		Scope: []string{"internal/devices"}, Allow: []string{"internal/devices.SimDevice.recalibrate"}},
-	{ID: "one prepare path", Why: "a concrete module and a template's first point are linked, resolved and prepared by link alone",
+	{ID: "one prepare path", Why: "a concrete module, and a template at a point its device has no program for, are linked, resolved and prepared by link alone",
 		Facts: []string{"internal/qir.BuildSchedule", "internal/simq.Executor.Prepare"},
 		Scope: []string{"internal/devices"}, Allow: []string{"internal/devices.SimDevice.link"}},
+	{ID: "one slot numbering", Why: "the QIR link numbers a template's slots in the Body-order walk BindSlots numbers a point's values in; a second numbering agrees with it only while every template it sees is one it was written for",
+		Facts: []string{"internal/pulse.Slot{}"}, Allow: []string{"internal/qir", "internal/simq.Executor.Prepare"}},
 	{ID: "one place a program becomes a schedule", Why: "the device's link verifies and resolves a program once; a pass must not build a schedule to re-check it",
 		Facts: []string{"internal/pulse.NewSchedule"}, Scope: []string{"internal/passes", "internal/compiler"}},
 	{ID: "one impl player", Why: "a cz or a measurement is played from its qdmi.PulseImpl by play alone, so no hand-built one comes back",
