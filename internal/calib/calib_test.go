@@ -356,7 +356,7 @@ func TestKernelsMatchHandAssembledModules(t *testing.T) {
 	const shots = 300
 	ctx := context.Background()
 	play := func(w string) qir.Call {
-		return qir.Call{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg(w)}}
+		return qir.Call{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg(w), qir.F64Arg(1)}}
 	}
 	delay := func(n int64) qir.Call {
 		return qir.Call{Callee: qir.IntrDelay, Args: []qir.Arg{qir.PortArg(0), qir.I64Arg(n)}}

@@ -47,12 +47,11 @@ func backend(m *mlir.Module, target *qdmi.Target) (*qir.Module, error) {
 	}
 	out.NumPorts = len(out.PortNames)
 
-	// Waveform constants. Parametric defs keep their amplitude slot: the
-	// stored samples are the base envelope until Bind scales them.
+	// Waveform constants, one per def: a play carries its own factor.
 	wfOfValue := map[string]string{}
-	for _, def := range m.WaveformDefs {
-		out.Waveforms = append(out.Waveforms, qir.WaveformConst{
-			Name: def.Name, Samples: def.Waveform.Samples, AmpExpr: def.AmpExpr})
+	out.Waveforms = make([]qir.WaveformConst, len(m.WaveformDefs))
+	for i, def := range m.WaveformDefs {
+		out.Waveforms[i] = qir.WaveformConst{Name: def.Name, Samples: def.Waveform.Samples}
 	}
 
 	// Site lookup for residual gate ops.
@@ -98,8 +97,12 @@ func backend(m *mlir.Module, target *qdmi.Target) (*qir.Module, error) {
 			if !ok {
 				return nil, fmt.Errorf("compiler: play of unbound waveform value %%%s", o.Waveform.Ref)
 			}
+			factor, err := f64Arg(o.Factor)
+			if err != nil {
+				return nil, err
+			}
 			out.Body = append(out.Body, qir.Call{Callee: qir.IntrPlay,
-				Args: []qir.Arg{qir.PortArg(frameHandle[o.Frame.Ref]), qir.WaveformArg(sym)}})
+				Args: []qir.Arg{qir.PortArg(frameHandle[o.Frame.Ref]), qir.WaveformArg(sym), factor}})
 		case *mlir.FrameOp:
 			f, err := f64Arg(o.Freq)
 			if err != nil {

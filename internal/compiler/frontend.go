@@ -115,21 +115,21 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 		seq.ArgPorts = append(seq.ArgPorts, port)
 	}
 
-	// One def per defining op, carrying its amplitude slot if it has one.
-	// The def shares the kernel's waveform: nothing downstream writes
-	// samples.
+	// One def per defining op. The def shares the kernel's waveform:
+	// nothing downstream writes samples.
 	for _, op := range ops {
 		if op.Kind == qpi.OpWaveformDef {
 			w, _ := c.LookupWaveform(op.WaveformName)
-			m.WaveformDefs = append(m.WaveformDefs, &mlir.WaveformDef{
-				Name: op.WaveformName, Waveform: w, AmpExpr: op.AmpExpr})
+			m.WaveformDefs = append(m.WaveformDefs, &mlir.WaveformDef{Name: op.WaveformName, Waveform: w})
 		}
 	}
 	// The module lists defs by name, whatever order the kernel defined them in.
 	sortWaveformDefs(m.WaveformDefs)
 
-	// Pass 2: emit ops; a measurement is played from its implementation.
-	wfValue := map[string]mlir.Value{}
+	// Pass 2: emit ops; a measurement is played from its implementation,
+	// and a waveform's amplitude slot is the factor of each of its plays.
+	type played struct{ val, factor mlir.Value }
+	wfValue := map[string]played{}
 	nextVal := 0
 	var captureNames []string
 	player := passes.NewPlayer(m, seq, target)
@@ -150,13 +150,17 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 			nextVal++
 			val := fmt.Sprintf("w%d", nextVal)
 			seq.Ops = append(seq.Ops, &mlir.WaveformRefOp{Result: val, Waveform: op.WaveformName})
-			wfValue[op.WaveformName] = mlir.Ref(val)
+			p := played{val: mlir.Ref(val), factor: mlir.Lit(1)}
+			if op.AmpExpr != nil {
+				p.factor = mlir.ExprVal(op.AmpExpr)
+			}
+			wfValue[op.WaveformName] = p
 		case qpi.OpPlayWaveform:
-			v, ok := wfValue[op.WaveformName]
+			p, ok := wfValue[op.WaveformName]
 			if !ok {
 				return nil, fmt.Errorf("compiler: play of unmaterialized waveform %q", op.WaveformName)
 			}
-			seq.Ops = append(seq.Ops, &mlir.PlayOp{Frame: plan.frame(op.Port), Waveform: v})
+			seq.Ops = append(seq.Ops, &mlir.PlayOp{Frame: plan.frame(op.Port), Waveform: p.val, Factor: p.factor})
 		case qpi.OpFrameChange:
 			fc := &mlir.FrameOp{
 				Kind:  pulse.FrameChange,

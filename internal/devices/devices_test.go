@@ -238,7 +238,7 @@ func TestPulseLevelPayload(t *testing.T) {
 		PortNames: []string{"q0-drive", "q0-readout"},
 		Waveforms: []qir.WaveformConst{{Name: "pi_pulse", Samples: w.Samples}},
 		Body: []qir.Call{
-			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("pi_pulse")}},
+			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("pi_pulse"), qir.F64Arg(1)}},
 			{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1)}},
 			{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(96)}},
 		},
@@ -257,7 +257,7 @@ func TestPulsePayloadRequiresPulseFormat(t *testing.T) {
 		NumPorts: 1, PortNames: []string{"q0-drive"},
 		Waveforms: []qir.WaveformConst{{Name: "w", Samples: []complex128{0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1}}},
 		Body: []qir.Call{
-			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("w")}},
+			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("w"), qir.F64Arg(1)}},
 		},
 	}
 	if _, err := d.SubmitJob(m.Emit(), qdmi.FormatQIRBase, 10); err == nil {
@@ -284,7 +284,7 @@ func TestSubmitJobValidation(t *testing.T) {
 		NumPorts: 1, PortNames: []string{"ghost-port"},
 		Waveforms: []qir.WaveformConst{{Name: "w", Samples: []complex128{0.1}}},
 		Body: []qir.Call{
-			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("w")}},
+			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("w"), qir.F64Arg(1)}},
 		}}
 	if _, err := d.SubmitJob(bad.Emit(), qdmi.FormatQIRPulse, 10); err == nil {
 		t.Fatal("unknown port accepted")
@@ -313,10 +313,9 @@ func TestUnboundTemplateRejectedAtEveryEntry(t *testing.T) {
 	tpl := &qir.Module{
 		ID: "tpl", Profile: qir.ProfilePulse, EntryName: "tpl",
 		NumResults: 1, NumPorts: 2, PortNames: []string{"q0-drive", "q0-readout"},
-		Waveforms: []qir.WaveformConst{{Name: "env", Samples: []complex128{0.1, 0.2, 0.2, 0.1, 0.1, 0.2, 0.2, 0.1},
-			AmpExpr: &qir.ParamExpr{Param: "amp", Scale: 1}}},
+		Waveforms: []qir.WaveformConst{{Name: "env", Samples: []complex128{0.1, 0.2, 0.2, 0.1, 0.1, 0.2, 0.2, 0.1}}},
 		Body: []qir.Call{
-			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("env")}},
+			{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("env"), {Kind: qir.ArgF64, Expr: &qir.ParamExpr{Param: "amp", Scale: 1}}}},
 			{Callee: qir.IntrShiftPhase, Args: []qir.Arg{qir.PortArg(0), {Kind: qir.ArgF64, Expr: &qir.ParamExpr{Param: "phi", Scale: 2}}}},
 			{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(96)}},
 		},

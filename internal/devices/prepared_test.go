@@ -129,10 +129,9 @@ func overdrivenTemplate() (*qir.Module, []map[string]float64) {
 	return &qir.Module{
 			ID: "overdriven", Profile: qir.ProfilePulse, EntryName: "overdriven",
 			NumResults: 1, NumPorts: 2, PortNames: []string{"q0-drive", "q0-readout"},
-			Waveforms: []qir.WaveformConst{{Name: "env", Samples: []complex128{0.4, 1.2, 1.6, 1.6, 1.2, 0.4, 0.2, 0.1},
-				AmpExpr: &qir.ParamExpr{Param: "amp", Scale: 1}}},
+			Waveforms: []qir.WaveformConst{{Name: "env", Samples: []complex128{0.4, 1.2, 1.6, 1.6, 1.2, 0.4, 0.2, 0.1}}},
 			Body: []qir.Call{
-				{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("env")}},
+				{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("env"), {Kind: qir.ArgF64, Expr: &qir.ParamExpr{Param: "amp", Scale: 1}}}},
 				{Callee: qir.IntrBarrier, Args: []qir.Arg{qir.PortArg(0), qir.PortArg(1)}},
 				{Callee: qir.IntrCapture, Args: []qir.Arg{qir.PortArg(1), qir.ResultArg(0), qir.I64Arg(96)}},
 			},
@@ -459,7 +458,7 @@ func TestModuleVerifiedOncePerEntry(t *testing.T) {
 	tpl, points := sweepTemplate(t, d, false)
 	malformed := func(m *qir.Module) *qir.Module {
 		bad := *m
-		bad.Body = append([]qir.Call{{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("ghost")}}}, m.Body...)
+		bad.Body = append([]qir.Call{{Callee: qir.IntrPlay, Args: []qir.Arg{qir.PortArg(0), qir.WaveformArg("ghost"), qir.F64Arg(1)}}}, m.Body...)
 		return &bad
 	}
 

@@ -53,16 +53,16 @@ func listing2Module() *Module {
 		&WaveformRefOp{Result: "wf1", Waveform: "waveform_1"},
 		&WaveformRefOp{Result: "wf2", Waveform: "waveform_2"},
 		&WaveformRefOp{Result: "wf3", Waveform: "waveform_3"},
-		&PlayOp{Frame: Ref("drive0"), Waveform: Ref("wf1")},
-		&PlayOp{Frame: Ref("drive1"), Waveform: Ref("wf2")},
+		&PlayOp{Frame: Ref("drive0"), Waveform: Ref("wf1"), Factor: Lit(1)},
+		&PlayOp{Frame: Ref("drive1"), Waveform: Ref("wf2"), Factor: Lit(1)},
 		&FrameOp{Kind: pulse.FrameChange, Frame: Ref("drive0"), Freq: Ref("freq"), Phase: Ref("phase")},
 		&FrameOp{Kind: pulse.FrameChange, Frame: Ref("drive1"), Freq: Ref("freq"), Phase: Ref("phase")},
-		&PlayOp{Frame: Ref("coupler"), Waveform: Ref("wf3")},
+		&PlayOp{Frame: Ref("coupler"), Waveform: Ref("wf3"), Factor: Lit(1)},
 		&BarrierOp{},
 		&WaveformRefOp{Result: "wfr", Waveform: "readout_pulse"},
-		&PlayOp{Frame: Ref("readout0"), Waveform: Ref("wfr")},
+		&PlayOp{Frame: Ref("readout0"), Waveform: Ref("wfr"), Factor: Lit(1)},
 		&CaptureOp{Result: "m0", Frame: Ref("readout0"), Samples: 128},
-		&PlayOp{Frame: Ref("readout1"), Waveform: Ref("wfr")},
+		&PlayOp{Frame: Ref("readout1"), Waveform: Ref("wfr"), Factor: Lit(1)},
 		&CaptureOp{Result: "m1", Frame: Ref("readout1"), Samples: 128},
 		&ReturnOp{Values: []Value{Ref("m0"), Ref("m1")}},
 	}
@@ -225,7 +225,7 @@ func TestVerifyVerdictIsPerModule(t *testing.T) {
 				Waveform: &waveform.Waveform{Name: def, Samples: []complex128{0.5}}}},
 			Sequences: []*Sequence{{Name: "k", Args: []Arg{{Name: arg, Type: TypeMixedFrame}}, Ops: []Op{
 				&WaveformRefOp{Result: "wf", Waveform: "ghost"},
-				&PlayOp{Frame: Ref("ghost"), Waveform: Ref("wf")},
+				&PlayOp{Frame: Ref("ghost"), Waveform: Ref("wf"), Factor: Lit(1)},
 				&ReturnOp{},
 			}}},
 		}
@@ -304,7 +304,7 @@ func TestVerifyCatchesErrors(t *testing.T) {
 			m.Sequences[0].Ops[0] = &StandardGateOp{Gate: "x", Frames: []Value{Ref("ghost")}}
 		}},
 		{"play of non-waveform", func(m *Module) {
-			m.Sequences[0].Ops[5] = &PlayOp{Frame: Ref("drive0"), Waveform: Ref("freq")}
+			m.Sequences[0].Ops[5] = &PlayOp{Frame: Ref("drive0"), Waveform: Ref("freq"), Factor: Lit(1)}
 		}},
 		{"undefined waveform def", func(m *Module) {
 			m.Sequences[0].Ops[2] = &WaveformRefOp{Result: "wf1", Waveform: "ghost"}
@@ -377,7 +377,7 @@ func TestOpRenderAll(t *testing.T) {
 	ops := []Op{
 		&StandardGateOp{Gate: "rx", Frames: []Value{Ref("f")}, Params: []float64{0.5}},
 		&WaveformRefOp{Result: "w", Waveform: "def"},
-		&PlayOp{Frame: Ref("f"), Waveform: Ref("w")},
+		&PlayOp{Frame: Ref("f"), Waveform: Ref("w"), Factor: Lit(1)},
 		&FrameOp{Kind: pulse.FrameChange, Frame: Ref("f"), Freq: Lit(5e9), Phase: Lit(0.1)},
 		&FrameOp{Kind: pulse.ShiftPhase, Frame: Ref("f"), Phase: Lit(0.2)},
 		&FrameOp{Kind: pulse.SetPhase, Frame: Ref("f"), Phase: Lit(0.3)},

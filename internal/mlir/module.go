@@ -12,7 +12,8 @@ import (
 
 // WaveformDef is a module-level waveform symbol (pulse.def @name in the
 // paper's Listing 2): its samples, and for a def parsed from a `kind = …`
-// line the envelope they were sampled from.
+// line the envelope they were sampled from. A play scales them by its own
+// factor (PlayOp.Factor).
 type WaveformDef struct {
 	Name string
 	// Waveform holds the samples. The verifier, the passes and the backend
@@ -22,11 +23,6 @@ type WaveformDef struct {
 	// Envelope, when non-nil, is the parametric envelope Waveform was
 	// sampled from, so the printer writes the def back as `kind = …`.
 	Envelope waveform.Envelope
-	// AmpExpr, when non-nil, marks the definition as an unbound template
-	// slot: the stored samples are the base envelope, multiplied by the
-	// expression's bound value at bind time. Legalization (padding) applies
-	// to the base samples and preserves the slot.
-	AmpExpr *ParamExpr
 }
 
 // Sequence is a pulse.sequence: the pulse-level analogue of a function. Its
@@ -223,6 +219,9 @@ func (vt *verifier) sequence(s *Sequence) error {
 			if !o.Waveform.IsRef || !waveformValues[o.Waveform.Ref] {
 				return fmt.Errorf("op %d: play operand %s is not a waveform value", oi, o.Waveform)
 			}
+			if err := checkF64(o.Factor); err != nil {
+				return fmt.Errorf("op %d: play factor: %w", oi, err)
+			}
 		case *FrameOp:
 			if !o.Kind.Known() {
 				return fmt.Errorf("op %d: unknown frame op kind %d", oi, o.Kind)
@@ -314,9 +313,6 @@ func (m *Module) Print() string {
 func renderWaveformDef(w *WaveformDef) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "pulse.def @%s", w.Name)
-	if w.AmpExpr != nil {
-		fmt.Fprintf(&sb, " amp = %s", exprString(w.AmpExpr))
-	}
 	if w.Envelope != nil {
 		params := w.Envelope.Params()
 		fmt.Fprintf(&sb, " kind = %q length = %d params = {", w.Envelope.Kind(), w.Waveform.Len())

@@ -72,10 +72,14 @@ func (o *WaveformRefOp) Render() string {
 
 func (o *WaveformRefOp) isOp() {}
 
-// PlayOp emits a waveform on a mixed frame (pulse.play).
+// PlayOp emits a waveform on a mixed frame (pulse.play), every sample
+// multiplied by Factor: an f64 literal, ref or parameter expression. The
+// factor is the one place a play's amplitude is written, so a calibrated
+// pulse is one def that each play of it scales.
 type PlayOp struct {
 	Frame    Value
 	Waveform Value // must reference a WaveformRefOp result
+	Factor   Value
 }
 
 // OpName implements Op.
@@ -83,7 +87,7 @@ func (o *PlayOp) OpName() string { return "pulse.play" }
 
 // Render implements Op.
 func (o *PlayOp) Render() string {
-	return fmt.Sprintf("pulse.play(%s, %s)", o.Frame, o.Waveform)
+	return fmt.Sprintf("pulse.play(%s, %s, %s)", o.Frame, o.Waveform, o.Factor)
 }
 
 func (o *PlayOp) isOp() {}

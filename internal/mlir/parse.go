@@ -231,16 +231,6 @@ func (p *parser) parseWaveformDef() (*WaveformDef, error) {
 		return nil, p.errf("expected @symbol after pulse.def")
 	}
 	w := &WaveformDef{Name: sym.text}
-	if p.peek().text == "amp" {
-		p.next()
-		if err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
-		var err error
-		if w.AmpExpr, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
 	switch p.peek().text {
 	case "kind":
 		p.next()
@@ -485,11 +475,7 @@ func (p *parser) parseOp() (Op, error) {
 	isFrame = isFrame && dialect
 	switch {
 	case t.text == "pulse.play":
-		vals, err := p.parseValueList(2)
-		if err != nil {
-			return nil, err
-		}
-		return &PlayOp{Frame: vals[0], Waveform: vals[1]}, nil
+		return p.parsePlay()
 	case isFrame:
 		return p.parseFrameOp(kind)
 	case t.text == "pulse.delay":
@@ -608,6 +594,33 @@ func (p *parser) parseOp() (Op, error) {
 	default:
 		return nil, p.errf("unknown op %q", t.text)
 	}
+}
+
+// parsePlay reads a play's operands after its mnemonic: (%frame, %wf,
+// factor), the factor 1 where the text leaves it out.
+func (p *parser) parsePlay() (Op, error) {
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	op := &PlayOp{Factor: Lit(1)}
+	for i, v := range []*Value{&op.Frame, &op.Waveform, &op.Factor} {
+		if i == 2 && p.peek().text == ")" {
+			break
+		}
+		if i > 0 {
+			if err := p.expectPunct(","); err != nil {
+				return nil, err
+			}
+		}
+		var err error
+		if *v, err = p.parseValue(); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.expectPunct(")"); err != nil {
+		return nil, err
+	}
+	return op, nil
 }
 
 // parseFrameOp reads a frame op's operands after its mnemonic: (%frame, v),

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"mqsspulse/internal/mlir"
 	"mqsspulse/internal/pulse"
@@ -17,7 +17,7 @@ import (
 // for the MQSS compiler (Section 5.2). What a gate means in pulses is the gate
 // table's (waveform.Gates); this pass writes the table's three primitives as
 // dialect ops: a frame shift is a shift_phase, a drive is a play of the
-// site's calibrated π envelope scaled, a cz is the pair's calibrated
+// site's calibrated π envelope by a factor, a cz is the pair's calibrated
 // implementation, played (Player.Play).
 type GateLoweringPass struct{}
 
@@ -46,35 +46,71 @@ func (GateLoweringPass) Run(m *mlir.Module, ctx *Context) error {
 
 // Player writes calibrated pulses into one sequence of a module: a gate's
 // primitives, and through Play an operation's calibrated implementation.
+// Each calibrated pulse is one waveform def per module, installed at its
+// first play, and every play of it scales it by the play's own factor.
 type Player struct {
 	m       *mlir.Module
 	seq     *mlir.Sequence
 	target  *qdmi.Target
 	lowered int
-	nextWf  int
+	// played are the calibrated pulses this player has given a def, each
+	// with the sequence value its ref op defines.
+	played []calibratedDef
 }
 
-// NewPlayer returns the player for seq, a sequence of m, against target. The
-// waveform defs it adds are numbered after those an earlier player added.
+// calibratedDef is a calibrated pulse's def: the pulse is step step of
+// operation op's implementation on sites a and b (b = -1 for one site, a < b
+// for a pair).
+type calibratedDef struct {
+	op         string
+	a, b, step int
+	val        mlir.Value
+}
+
+// NewPlayer returns the player for seq, a sequence of m, against target.
 func NewPlayer(m *mlir.Module, seq *mlir.Sequence, target *qdmi.Target) *Player {
-	p := &Player{m: m, seq: seq, target: target}
-	for _, def := range m.WaveformDefs {
-		if strings.HasPrefix(def.Name, "lowered_wf_") {
-			p.nextWf++
-		}
-	}
-	return p
+	return &Player{m: m, seq: seq, target: target}
 }
 
-// freshWaveform installs a waveform def holding w and returns a ref op +
-// value. A non-nil amp marks the def as a deferred-binding slot: the stored
-// samples are the base envelope, multiplied by the bound expression value.
-func (pl *Player) freshWaveform(w *waveform.Waveform, amp *mlir.ParamExpr) (*mlir.WaveformRefOp, mlir.Value) {
-	pl.nextWf++
-	defName := fmt.Sprintf("lowered_wf_%d", pl.nextWf)
-	valName := fmt.Sprintf("lw%d", pl.nextWf)
-	pl.m.WaveformDefs = append(pl.m.WaveformDefs, &mlir.WaveformDef{Name: defName, Waveform: w, AmpExpr: amp})
-	return &mlir.WaveformRefOp{Result: valName, Waveform: defName}, mlir.Ref(valName)
+// play appends to ops a play of w — the play-th pulse of op's calibrated
+// implementation, step step of it, on sites — on frame f, scaled by factor.
+// The first play of a pulse installs its def, named after the pulse (x_q0,
+// cz_q0_q1, measure_q2_1 for a second pulse) and never after a def the module
+// already has, and the ref op that binds it; later plays reuse both.
+func (pl *Player) play(ops []mlir.Op, op string, sites []int, step, play int, w *waveform.Waveform, f, factor mlir.Value) []mlir.Op {
+	a, b := sites[0], -1
+	if len(sites) == 2 {
+		a, b = min(sites[0], sites[1]), max(sites[0], sites[1])
+	}
+	i := slices.IndexFunc(pl.played, func(d calibratedDef) bool {
+		return d.op == op && d.a == a && d.b == b && d.step == step
+	})
+	if i < 0 {
+		name := append([]byte(op), "_q"...)
+		name = strconv.AppendInt(name, int64(a), 10)
+		if b >= 0 {
+			name = strconv.AppendInt(append(name, "_q"...), int64(b), 10)
+		}
+		if play > 0 {
+			name = strconv.AppendInt(append(name, '_'), int64(play), 10)
+		}
+		def := pl.freeName(string(name))
+		pl.m.WaveformDefs = append(pl.m.WaveformDefs, &mlir.WaveformDef{Name: def, Waveform: w})
+		ops = append(ops, &mlir.WaveformRefOp{Result: def, Waveform: def})
+		i = len(pl.played)
+		pl.played = append(pl.played, calibratedDef{op: op, a: a, b: b, step: step, val: mlir.Ref(def)})
+	}
+	return append(ops, &mlir.PlayOp{Frame: f, Waveform: pl.played[i].val, Factor: factor})
+}
+
+// freeName returns base, or of base_2, base_3, … the first, that no def of
+// the module has.
+func (pl *Player) freeName(base string) string {
+	name := base
+	for k := 2; slices.ContainsFunc(pl.m.WaveformDefs, func(d *mlir.WaveformDef) bool { return d.Name == name }); k++ {
+		name = base + "_" + strconv.Itoa(k)
+	}
+	return name
 }
 
 func (pl *Player) lowerSequence() error {
@@ -85,19 +121,19 @@ func (pl *Player) lowerSequence() error {
 			out = append(out, op)
 			continue
 		}
-		ops, err := pl.lowerGate(g)
-		if err != nil {
+		var err error
+		if out, err = pl.lowerGate(out, g); err != nil {
 			return fmt.Errorf("lowering %s: %w", g.OpName(), err)
 		}
-		out = append(out, ops...)
 		pl.lowered++
 	}
 	pl.seq.Ops = out
 	return nil
 }
 
-// lowerGate expands one gate op through its row of the gate table.
-func (pl *Player) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
+// lowerGate appends to ops one gate op expanded through its row of the gate
+// table.
+func (pl *Player) lowerGate(ops []mlir.Op, g *mlir.StandardGateOp) ([]mlir.Op, error) {
 	row := waveform.GateByName(g.Gate)
 	if row == nil || !row.HasLowering() {
 		return nil, fmt.Errorf("%w: gate %q has no calibrated lowering", qdmi.ErrNotSupported, g.Gate)
@@ -129,18 +165,6 @@ func (pl *Player) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
 		return nil, fmt.Errorf("gate %q does not accept a symbolic angle", g.Gate)
 	}
 
-	// A two-qubit gate's cz is played before the gate is walked, so its
-	// waveform takes the gate's first lowered_wf_ name even where single-qubit
-	// pulses precede it (cx's H): names are payload bytes, and these are the
-	// ones every payload compiled so far carries.
-	var czOps []mlir.Op
-	if row.PlaysCZ() {
-		var err error
-		if czOps, err = pl.Play(nil, "cz", sites, ""); err != nil {
-			return nil, err
-		}
-	}
-	var ops []mlir.Op
 	err := row.Lower(theta, thetaExpr, func(p waveform.GatePulse) error {
 		switch p.Kind {
 		case waveform.PulseShiftPhase:
@@ -151,18 +175,19 @@ func (pl *Player) lowerGate(g *mlir.StandardGateOp) ([]mlir.Op, error) {
 			ops = append(ops, &mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: g.Frames[p.Qubit], Phase: phase})
 		case waveform.PulseDrive:
 			w, err := pl.target.Envelope("x", sites[p.Qubit])
-			if err == nil && p.Expr == nil {
-				w, err = w.Scale(complex(p.Value, 0))
-			}
 			if err != nil {
 				return err
 			}
-			// A symbolic drive keeps the π envelope whole: its scale is the
-			// def's unbound amplitude slot.
-			refOp, val := pl.freshWaveform(w, p.Expr)
-			ops = append(ops, refOp, &mlir.PlayOp{Frame: g.Frames[p.Qubit], Waveform: val})
+			// A symbolic drive's factor is the slot the template binds.
+			factor := mlir.Lit(p.Value)
+			if p.Expr != nil {
+				factor = mlir.ExprVal(p.Expr)
+			}
+			ops = pl.play(ops, "x", sites[p.Qubit:p.Qubit+1], 0, 0, w, g.Frames[p.Qubit], factor)
 		case waveform.PulseCZ:
-			ops = append(ops, czOps...)
+			var err error
+			ops, err = pl.Play(ops, "cz", sites, "")
+			return err
 		}
 		return nil
 	})
@@ -189,6 +214,7 @@ func (pl *Player) Play(ops []mlir.Op, op string, sites []int, result string) ([]
 			return nil, err
 		}
 	}
+	plays := 0
 	for i, st := range impl.Steps {
 		if st.Kind == "barrier" {
 			ops = append(ops, barrier)
@@ -200,8 +226,8 @@ func (pl *Player) Play(ops []mlir.Op, op string, sites []int, result string) ([]
 		}
 		switch st.Kind {
 		case "play":
-			refOp, val := pl.freshWaveform(st.Waveform, nil)
-			ops = append(ops, refOp, &mlir.PlayOp{Frame: f, Waveform: val})
+			ops = pl.play(ops, op, sites, i, plays, st.Waveform, f, mlir.Lit(1))
+			plays++
 		case "shift_phase":
 			ops = append(ops, &mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: f, Phase: mlir.Lit(st.PhaseRad)})
 		default: // capture

@@ -32,7 +32,7 @@ func pulseOnlyModule() *mlir.Module {
 		&mlir.DelayOp{Frame: mlir.Ref("f0"), Samples: 4},
 		&mlir.DelayOp{Frame: mlir.Ref("f0"), Samples: 6},
 		&mlir.DelayOp{Frame: mlir.Ref("f0"), Samples: 0},
-		&mlir.PlayOp{Frame: mlir.Ref("f0"), Waveform: mlir.Ref("v1")},
+		&mlir.PlayOp{Frame: mlir.Ref("f0"), Waveform: mlir.Ref("v1"), Factor: mlir.Lit(1)},
 		&mlir.BarrierOp{},
 		&mlir.BarrierOp{},
 		&mlir.ReturnOp{},

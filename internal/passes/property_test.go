@@ -165,7 +165,7 @@ func TestVerifyCalibrationPassCatchesOverAmplitude(t *testing.T) {
 	}}}
 	ops := []mlir.Op{
 		&mlir.WaveformRefOp{Result: "w", Waveform: "hot"},
-		&mlir.PlayOp{Frame: mlir.Ref("f0"), Waveform: mlir.Ref("w")},
+		&mlir.PlayOp{Frame: mlir.Ref("f0"), Waveform: mlir.Ref("w"), Factor: mlir.Lit(1)},
 	}
 	m := propertyModule(ops, defs)
 	err = VerifyCalibrationPass{}.Run(m, NewContext(dev))

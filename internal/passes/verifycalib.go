@@ -2,6 +2,7 @@ package passes
 
 import (
 	"fmt"
+	"math"
 
 	"mqsspulse/internal/mlir"
 )
@@ -24,9 +25,10 @@ func (VerifyCalibrationPass) Run(m *mlir.Module, ctx *Context) error {
 	if ctx == nil || ctx.Target == nil {
 		return nil // target-independent compilation has no limits to check
 	}
-	defs := make(map[string]*mlir.WaveformDef, len(m.WaveformDefs))
+	// Each def's peak, taken once however often it is played.
+	peaks := make(map[string]float64, len(m.WaveformDefs))
 	for _, d := range m.WaveformDefs {
-		defs[d.Name] = d
+		peaks[d.Name] = d.Waveform.PeakAmplitude()
 	}
 	plays := 0
 	for _, seq := range m.Sequences {
@@ -36,8 +38,9 @@ func (VerifyCalibrationPass) Run(m *mlir.Module, ctx *Context) error {
 			case *mlir.WaveformRefOp:
 				wfOfValue[o.Result] = o.Waveform
 			case *mlir.PlayOp:
-				def := defs[wfOfValue[o.Waveform.Ref]]
-				if def == nil {
+				def := wfOfValue[o.Waveform.Ref]
+				peak, ok := peaks[def]
+				if !ok {
 					return fmt.Errorf("sequence %s: play of unbound waveform value %%%s", seq.Name, o.Waveform.Ref)
 				}
 				pid, _ := argPort(seq, o.Frame.Ref)
@@ -45,13 +48,15 @@ func (VerifyCalibrationPass) Run(m *mlir.Module, ctx *Context) error {
 				if p == nil {
 					return fmt.Errorf("sequence %s: frame %%%s binds no port of the target device", seq.Name, o.Frame.Ref)
 				}
-				// For a parametric def (AmpExpr set) the samples are the base
-				// envelope, the |scale| = 1 worst case: template compilation
-				// bounds |scale| ≤ 1 over the declared range. A port without a
-				// positive limit is unconstrained.
-				if peak := def.Waveform.PeakAmplitude(); p.MaxAmplitude > 0 && peak > p.MaxAmplitude+1e-12 {
-					return fmt.Errorf("sequence %s: lowered waveform @%s peak %.6g exceeds port %s amplitude limit %g",
-						seq.Name, def.Name, peak, pid, p.MaxAmplitude)
+				// A slot factor counts as |factor| = 1, its worst case:
+				// template compilation bounds it by 1 over the declared
+				// range. A port without a positive limit is unconstrained.
+				if literal(o.Factor) {
+					peak *= math.Abs(o.Factor.Lit)
+				}
+				if p.MaxAmplitude > 0 && peak > p.MaxAmplitude+1e-12 {
+					return fmt.Errorf("sequence %s: play of @%s peaks at %.6g, above port %s amplitude limit %g",
+						seq.Name, def, peak, pid, p.MaxAmplitude)
 				}
 				plays++
 			}

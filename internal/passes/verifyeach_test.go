@@ -23,7 +23,7 @@ func verifyCorpus(n int) []*mlir.Module {
 		}}}
 		ops := append([]mlir.Op{
 			&mlir.WaveformRefOp{Result: "wodd", Waveform: "odd"},
-			&mlir.PlayOp{Frame: mlir.Ref("f0"), Waveform: mlir.Ref("wodd")},
+			&mlir.PlayOp{Frame: mlir.Ref("f0"), Waveform: mlir.Ref("wodd"), Factor: mlir.Lit(1)},
 		}, randomGateOps(rng)...)
 		corpus = append(corpus, propertyModule(ops, defs))
 	}

@@ -11,6 +11,7 @@ import (
 
 	"mqsspulse/internal/compiler"
 	"mqsspulse/internal/devices"
+	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/qdmi"
 	"mqsspulse/internal/qir"
 	"mqsspulse/internal/qpi"
@@ -191,11 +192,14 @@ func TestNewProvesRangeLegality(t *testing.T) {
 
 // TestBindMatchesPerPointCompile is the deferred-binding correctness core:
 // a payload produced by compile-once-then-bind must be byte-identical to a
-// fresh compilation at the same concrete value — of a gate angle anywhere in
-// (−π, π] but 0, and of the amplitude of an explicit-sample waveform (the
-// calibration Rabi sweep). At 0 and −π a bound rotation plays a different
-// schedule (a zero-amplitude envelope, the π envelope negated) for the same
-// unitary, so those points must give the fresh compile's counts instead.
+// fresh compilation at the same concrete value of a gate angle anywhere in
+// (−π, π] but 0. At 0 and −π a bound rotation plays a different schedule (a
+// zero-amplitude envelope, the π envelope negated) for the same unitary, so
+// those points must give the fresh compile's counts instead. A bound
+// amplitude of an explicit-sample waveform (the calibration Rabi sweep) is a
+// play's factor where the fresh compile plays pre-scaled samples by 1, so
+// there the linked plays must hold the same samples, bit for bit, and the
+// counts must agree.
 func TestBindMatchesPerPointCompile(t *testing.T) {
 	dev := templateDevice(t)
 	samples := make([]complex128, 32)
@@ -235,11 +239,14 @@ func TestBindMatchesPerPointCompile(t *testing.T) {
 		// sameCounts are the points whose schedule differs from a fresh
 		// compile's but whose counts must not.
 		sameCounts []float64
+		// linked compares every point by its linked plays and counts, not
+		// by its bytes.
+		linked bool
 	}{
 		{rabiTemplate(t), "theta", []float64{0.1, 0.7, 1.5, math.Pi / 2, 3.0, math.Pi},
-			func(theta float64) *qpi.Circuit { return qpi.NewCircuit("rabi", 1, 1).RX(0, theta).Measure(0, 0) }, nil},
-		{rxTemplate, "theta", signed, rxRef, []float64{0, -math.Pi}},
-		{ryTemplate, "theta", signed, ryRef, []float64{0, -math.Pi}},
+			func(theta float64) *qpi.Circuit { return qpi.NewCircuit("rabi", 1, 1).RX(0, theta).Measure(0, 0) }, nil, false},
+		{rxTemplate, "theta", signed, rxRef, []float64{0, -math.Pi}, false},
+		{ryTemplate, "theta", signed, ryRef, []float64{0, -math.Pi}, false},
 		{ampTemplate, "amp", []float64{0.05, 0.3, 1, 1.9},
 			func(amp float64) *qpi.Circuit {
 				scaled := make([]complex128, len(samples))
@@ -248,7 +255,7 @@ func TestBindMatchesPerPointCompile(t *testing.T) {
 				}
 				return qpi.NewCircuit("scaled", 1, 1).
 					Waveform("w", scaled).PlayWaveform("q0-drive", "w").Measure(0, 0)
-			}, nil},
+			}, nil, true},
 	} {
 		compiled, err := Lower(row.tpl, dev, "tpl-sc")
 		if err != nil {
@@ -264,6 +271,15 @@ func TestBindMatchesPerPointCompile(t *testing.T) {
 			}
 			bound := mod.Emit()
 			res := compileRef(t, row.ref(v), dev)
+			if row.linked {
+				if got, want := linkedPlays(t, dev, mod), linkedPlays(t, dev, res.QIR); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s=%g: bound module plays %v, per-point compile %v", row.tpl.circuit.Name(), row.param, v, got, want)
+				}
+				if got, want := countsOnFreshDevice(t, mod), countsOnFreshDevice(t, res.QIR); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s=%g: bound counts %v, per-point compile's %v", row.tpl.circuit.Name(), row.param, v, got, want)
+				}
+				continue
+			}
 			if !bytes.Equal(bound, res.Payload) {
 				t.Fatalf("%s %s=%g: bound payload differs from per-point compile\nbound:\n%s\nref:\n%s",
 					row.tpl.circuit.Name(), row.param, v, bound, res.Payload)
@@ -285,6 +301,27 @@ func TestBindMatchesPerPointCompile(t *testing.T) {
 			}
 		}
 	}
+}
+
+// linkedPlays links mod on dev and returns the bits of each play's samples,
+// in schedule order.
+func linkedPlays(t *testing.T, dev *devices.SimDevice, mod *qir.Module) [][]uint64 {
+	t.Helper()
+	s, err := dev.BuildScheduleForPayload(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plays [][]uint64
+	for _, in := range s.Instructions() {
+		if p, ok := in.(*pulse.Play); ok {
+			var bits []uint64
+			for _, x := range p.Waveform.Samples {
+				bits = append(bits, math.Float64bits(real(x)), math.Float64bits(imag(x)))
+			}
+			plays = append(plays, bits)
+		}
+	}
+	return plays
 }
 
 // compileRef finishes k and compiles it against dev.

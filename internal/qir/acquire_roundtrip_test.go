@@ -19,7 +19,7 @@ func TestAcquisitionPayloadRoundTrip(t *testing.T) {
 			{Name: "stim", Samples: []complex128{complex(0.25, 0.1), complex(-0.5, 0), 0.125}},
 		},
 		Body: []Call{
-			{Callee: IntrPlay, Args: []Arg{PortArg(0), WaveformArg("stim")}},
+			{Callee: IntrPlay, Args: []Arg{PortArg(0), WaveformArg("stim"), F64Arg(1)}},
 			{Callee: IntrBarrier, Args: []Arg{PortArg(0), PortArg(1), PortArg(2)}},
 			{Callee: IntrCapture, Args: []Arg{PortArg(1), ResultArg(0), I64Arg(96)}},
 			{Callee: IntrCapture, Args: []Arg{PortArg(2), ResultArg(1), I64Arg(4000)}},

@@ -44,7 +44,7 @@ const maxF64Text = 24
 func (m *Module) textSizeBound() int {
 	n := 512 + len(m.ID) + len(m.EntryName) + len(m.Profile)
 	for _, w := range m.Waveforms {
-		n += 64 + len(w.Name) + 2*len(w.Samples)*(len(", double ")+maxF64Text) + slotTextBound(w.AmpExpr)
+		n += 64 + len(w.Name) + 2*len(w.Samples)*(len(", double ")+maxF64Text)
 	}
 	for _, c := range m.Body {
 		// Once in the body, at most once among the declarations.
@@ -86,13 +86,7 @@ func (m *Module) Emit() []byte {
 		e.int(int64(2 * len(w.Samples)))
 		e.str(" x double] [")
 		e.samples(w.Samples)
-		e.str("]")
-		if w.AmpExpr != nil {
-			// An amplitude slot: the samples are the base envelope.
-			e.str(", !amp ")
-			e.slot(w.AmpExpr)
-		}
-		e.str("\n")
+		e.str("]\n")
 	}
 	if len(m.Waveforms) > 0 {
 		e.str("\n")

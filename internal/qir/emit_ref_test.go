@@ -27,11 +27,7 @@ func EmitReference(m *Module) string {
 			}
 			fmt.Fprintf(&sb, "double %g, double %g", real(s), imag(s))
 		}
-		sb.WriteString("]")
-		if w.AmpExpr != nil {
-			sb.WriteString(", !amp " + refSlot(w.AmpExpr))
-		}
-		sb.WriteString("\n")
+		sb.WriteString("]\n")
 	}
 	if len(m.Waveforms) > 0 {
 		sb.WriteString("\n")

@@ -38,7 +38,7 @@ func edgeModule(floats []float64) *Module {
 		{Name: "one", Samples: []complex128{complex(0.5, -0.25)}},
 	}
 	m.Body = append(m.Body,
-		Call{Callee: IntrPlay, Args: []Arg{PortArg(0), WaveformArg("edges")}},
+		Call{Callee: IntrPlay, Args: []Arg{PortArg(0), WaveformArg("edges"), F64Arg(1)}},
 		Call{Callee: IntrDelay, Args: []Arg{PortArg(0), I64Arg(math.MinInt64)}},
 	)
 	return m

@@ -15,7 +15,7 @@ func fuzzSeeds() []string {
 		PortNames: []string{"q0-drive", "q0-readout"},
 		Waveforms: []WaveformConst{{Name: "wf", Samples: []complex128{0.5, complex(0.1, -0.2)}}},
 		Body: []Call{
-			{Callee: IntrPlay, Args: []Arg{PortArg(0), WaveformArg("wf")}},
+			{Callee: IntrPlay, Args: []Arg{PortArg(0), WaveformArg("wf"), F64Arg(1)}},
 			{Callee: IntrBarrier, Args: []Arg{PortArg(0), PortArg(1)}},
 			{Callee: IntrCapture, Args: []Arg{PortArg(1), ResultArg(0), I64Arg(96)}},
 		},

@@ -3,7 +3,6 @@ package qir
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"mqsspulse/internal/pulse"
 	"mqsspulse/internal/waveform"
@@ -70,7 +69,9 @@ func BuildSchedule(m *Module, b *DeviceBinding, pt *pulse.Binding) (s *pulse.Sch
 		slots = map[pulse.Instruction]pulse.Slot{}
 	}
 
-	next := 0 // index in pt.Values of the next argument slot
+	next := 0   // index in pt.Values of the next argument slot
+	played := 0 // index in pt.Samples of the next play slot
+	var shapes []shape
 	for ci, c := range m.Body {
 		first := next
 		if pt != nil {
@@ -92,12 +93,17 @@ func BuildSchedule(m *Module, b *DeviceBinding, pt *pulse.Binding) (s *pulse.Sch
 		case c.Callee == IntrPlay:
 			wc, _ := m.FindWaveform(c.Args[1].Sym)
 			pid := portID(c.Args[0].I)
-			in := &pulse.Play{Port: pid, Frame: frameOf[pid], Waveform: &waveform.Waveform{Name: wc.Name, Samples: wc.Samples}}
-			if k := m.ampSlot(wc); k >= 0 {
-				in.Waveform.Samples = pt.Samples[k]
-				slots[in] = pulse.Slot{Samples: k, Hz: -1, Phase: -1}
+			in := &pulse.Play{Port: pid, Frame: frameOf[pid]}
+			if m.Body[ci].playSlot() {
+				// The point's samples: its own, since each point rebinds them.
+				in.Waveform = &waveform.Waveform{Name: wc.Name, Samples: pt.Samples[played]}
+				slots[in] = pulse.Slot{Samples: played, Hz: -1, Phase: -1}
+				played++
+				err = in.Waveform.Check()
+			} else {
+				in.Waveform, shapes, err = shapeOf(shapes, wc, c.Args[2].F)
 			}
-			if err = in.Waveform.Check(); err == nil {
+			if err == nil {
 				err = s.Append(in)
 			}
 		case c.Callee == IntrDelay:
@@ -144,25 +150,47 @@ func slotIndex(c Call, first, ai int) int {
 	return first + countSlots(c.Args[:ai])
 }
 
-// ampSlot returns the index in a point's samples of w's amplitude slot; -1
-// when w, one of m's waveform constants, has none.
-func (m *Module) ampSlot(w *WaveformConst) int {
-	if w.AmpExpr == nil {
-		return -1
+// shape is the waveform the plays of constant w by factor f share.
+type shape struct {
+	w  *WaveformConst
+	f  uint64 // the factor's bits: -0 scales to other samples than 0
+	wf *waveform.Waveform
+}
+
+// shapeOf returns the waveform a play of w by factor f plays, built at the
+// first such play a link meets and added to shapes: w's own samples at
+// factor 1, else w scaled as waveform.Waveform.Scale scales, within full
+// scale.
+func shapeOf(shapes []shape, w *WaveformConst, f float64) (*waveform.Waveform, []shape, error) {
+	bits := math.Float64bits(f)
+	for _, sh := range shapes {
+		if sh.w == w && sh.f == bits {
+			return sh.wf, shapes, nil
+		}
 	}
-	return ampSlots(m.Waveforms[:slices.IndexFunc(m.Waveforms, func(v WaveformConst) bool { return v.Name == w.Name })])
+	wf := &waveform.Waveform{Name: w.Name, Samples: w.Samples}
+	var err error
+	if f == 1 {
+		err = wf.Check()
+	} else {
+		wf.Samples, err = scaled(w, f)
+	}
+	if err != nil {
+		return nil, shapes, err
+	}
+	return wf, append(shapes, shape{w: w, f: bits, wf: wf}), nil
 }
 
 // checkPoint checks that pt is a point of m, as BindSlots evaluates one:
-// nil or empty for a concrete module, else one sample set per amplitude
-// slot and one value, finite as Verify wants a bound double, per argument
-// slot.
+// nil or empty for a concrete module, else one sample set per play whose
+// factor is a slot and one value, finite as Verify wants a bound double, per
+// argument slot.
 func (m *Module) checkPoint(pt *pulse.Binding) error {
 	if pt == nil {
 		pt = &pulse.Binding{}
 	}
 	if samples, values := m.slotCounts(); len(pt.Samples) != samples || len(pt.Values) != values {
-		return fmt.Errorf("qir: module %q has %d amplitude and %d argument slots, its point %d sample sets and %d values",
+		return fmt.Errorf("qir: module %q has %d play and %d argument slots, its point %d sample sets and %d values",
 			m.ID, samples, values, len(pt.Samples), len(pt.Values))
 	}
 	for i, v := range pt.Values {

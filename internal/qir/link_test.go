@@ -12,7 +12,7 @@ import (
 )
 
 // slottedTemplate is a seeded template on two ports holding every slot the
-// link substitutes — two amplitude slots, the frequency and phase slots of
+// link substitutes — two play factors, the frequency and phase slots of
 // each frame-update kind, a delay count and a gate angle — among literal
 // plays, frame updates and delays, in shuffled order.
 func slottedTemplate(rng *rand.Rand, trial int) *Module {
@@ -28,20 +28,21 @@ func slottedTemplate(rng *rand.Rand, trial int) *Module {
 		NumQubits: 1, NumResults: 1, NumPorts: 2,
 		PortNames: []string{"q0-drive-port", "q1-drive-port"},
 	}
-	for w := range 3 {
+	factors := make([]Arg, 3)
+	for w := range factors {
 		samples := make([]complex128, 1+rng.Intn(8))
 		for i := range samples {
 			samples[i] = complex(rng.Float64()*0.6-0.3, rng.Float64()*0.6-0.3)
 		}
-		wc := WaveformConst{Name: fmt.Sprintf("wf_%d", w), Samples: samples}
+		m.Waveforms = append(m.Waveforms, WaveformConst{Name: fmt.Sprintf("wf_%d", w), Samples: samples})
+		factors[w] = F64Arg(rng.Float64()*2 - 1)
 		if w != 1 {
-			wc.AmpExpr = &ParamExpr{Param: fmt.Sprintf("p%d", rng.Intn(3)), Scale: rng.Float64()*2 - 1}
+			factors[w] = Arg{Kind: ArgF64, Expr: &ParamExpr{Param: fmt.Sprintf("p%d", rng.Intn(3)), Scale: rng.Float64()*2 - 1}}
 		}
-		m.Waveforms = append(m.Waveforms, wc)
 	}
 	port := func() Arg { return PortArg(int64(rng.Intn(2))) }
 	play := func(w int) Call {
-		return Call{Callee: IntrPlay, Args: []Arg{port(), WaveformArg(fmt.Sprintf("wf_%d", w))}}
+		return Call{Callee: IntrPlay, Args: []Arg{port(), WaveformArg(fmt.Sprintf("wf_%d", w)), factors[w]}}
 	}
 	m.Body = []Call{
 		play(0), play(1), play(2),
@@ -182,13 +183,13 @@ func TestTemplateLinksLikeItsPoint(t *testing.T) {
 
 // TestLinkRefusesPointsNotOfItsModule checks the point a link is given: a
 // template needs one, a concrete module takes none, and a point carries one
-// sample set per amplitude slot and one finite value per argument slot, all
-// of which the link checks as it checks a bound module's.
+// sample set per play whose factor is a slot and one finite value per
+// argument slot, all of which the link checks as it checks a bound module's.
 func TestLinkRefusesPointsNotOfItsModule(t *testing.T) {
 	tpl := parametricModule()
-	tpl.Body = append(tpl.Body, Call{Callee: IntrPlay, Args: []Arg{PortArg(0), WaveformArg("env")}})
+	tpl.Body = append(tpl.Body, Call{Callee: IntrPlay, Args: []Arg{PortArg(0), WaveformArg("env"), F64Arg(1)}})
 	good := func() *pulse.Binding {
-		return &pulse.Binding{Samples: [][]complex128{{0.1, 0.2, 0.1}}, Values: []float64{0.5, 16}}
+		return &pulse.Binding{Samples: [][]complex128{{0.1, 0.2, 0.1}}, Values: []float64{0.5, 16, 0.4}}
 	}
 	if _, _, err := BuildSchedule(tpl, testBinding(), good()); err != nil {
 		t.Fatalf("a point of the template: %v", err)
@@ -196,11 +197,11 @@ func TestLinkRefusesPointsNotOfItsModule(t *testing.T) {
 	cases := map[string]*pulse.Binding{
 		"no point":             nil,
 		"missing sample set":   {Values: good().Values},
-		"missing value":        {Samples: good().Samples, Values: []float64{0.5}},
-		"extra value":          {Samples: good().Samples, Values: []float64{0.5, 16, 1}},
-		"non-finite value":     {Samples: good().Samples, Values: []float64{math.NaN(), 16}},
+		"missing value":        {Samples: good().Samples, Values: []float64{0.5, 16}},
+		"extra value":          {Samples: good().Samples, Values: []float64{0.5, 16, 0.4, 1}},
+		"non-finite value":     {Samples: good().Samples, Values: []float64{math.NaN(), 16, 0.4}},
 		"overdriven sample":    {Samples: [][]complex128{{0.1, 2, 0.1}}, Values: good().Values},
-		"negative delay count": {Samples: good().Samples, Values: []float64{0.5, -16}},
+		"negative delay count": {Samples: good().Samples, Values: []float64{0.5, -16, 0.4}},
 	}
 	for name, pt := range cases {
 		if _, _, err := BuildSchedule(tpl, testBinding(), pt); err == nil {

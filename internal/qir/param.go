@@ -23,23 +23,21 @@ func (m *Module) IsParametric() bool {
 	return samples+values > 0
 }
 
-// slotCounts returns how many amplitude slots and argument slots the module
-// has: the lengths of a point's samples and values.
+// slotCounts returns the lengths of a point's samples and values: the
+// plays whose factor is a slot, and all argument slots.
 func (m *Module) slotCounts() (samples, values int) {
 	for _, c := range m.Body {
+		if c.playSlot() {
+			samples++
+		}
 		values += countSlots(c.Args)
 	}
-	return ampSlots(m.Waveforms), values
+	return samples, values
 }
 
-// ampSlots returns how many of ws have an amplitude slot.
-func ampSlots(ws []WaveformConst) (n int) {
-	for i := range ws {
-		if ws[i].AmpExpr != nil {
-			n++
-		}
-	}
-	return n
+// playSlot reports whether c is a play whose factor is a slot.
+func (c Call) playSlot() bool {
+	return c.Callee == IntrPlay && len(c.Args) == 3 && c.Args[2].Expr != nil
 }
 
 // countSlots returns how many of args are template slots.
@@ -56,11 +54,6 @@ func countSlots(args []Arg) (n int) {
 // unbound slots reference.
 func (m *Module) ParamNames() []string {
 	seen := map[string]bool{}
-	for i := range m.Waveforms {
-		if e := m.Waveforms[i].AmpExpr; e != nil {
-			seen[e.Param] = true
-		}
-	}
 	for _, c := range m.Body {
 		for _, a := range c.Args {
 			if a.Expr != nil {
@@ -87,33 +80,13 @@ func evalExpr(e *ParamExpr, vals map[string]float64) (float64, error) {
 
 // BindSlots evaluates every unbound slot of the module at vals — the one
 // evaluation Bind is made of, checks included — and appends the results in
-// slot order: to samples, per waveform constant with an amplitude slot (in
-// Waveforms order), its base samples scaled by the bound value, each within
-// full scale; to values, per argument slot (in Body order, arguments left to
-// right), the bound value, an i64 slot's rounded to its non-negative count.
-// The pair is the template's point (pulse.Binding), which the link writes
-// into the template (BuildSchedule) and a program prepared from that link
-// takes in place.
+// slot order (in Body order, arguments left to right): to values, each slot's
+// bound value, an i64 slot's rounded to its non-negative count; to samples,
+// per play whose factor is a slot, its waveform constant's samples scaled by
+// that factor, each within full scale. The pair is the template's point
+// (pulse.Binding), which the link writes into the template (BuildSchedule)
+// and a program prepared from that link takes in place.
 func (m *Module) BindSlots(vals map[string]float64, samples [][]complex128, values []float64) ([][]complex128, []float64, error) {
-	for i := range m.Waveforms {
-		w := &m.Waveforms[i]
-		if w.AmpExpr == nil {
-			continue
-		}
-		v, err := evalExpr(w.AmpExpr, vals)
-		if err != nil {
-			return nil, nil, fmt.Errorf("qir: bind waveform @%s: %w", w.Name, err)
-		}
-		s := complex(v, 0)
-		bound := make([]complex128, len(w.Samples))
-		for j, x := range w.Samples {
-			bound[j] = s * x
-			if a := cmplx.Abs(bound[j]); math.IsNaN(a) || a > 1.0+1e-12 {
-				return nil, nil, fmt.Errorf("qir: bind waveform @%s: sample %d has magnitude %g", w.Name, j, a)
-			}
-		}
-		samples = append(samples, bound)
-	}
 	for ci, c := range m.Body {
 		for ai, a := range c.Args {
 			if a.Expr == nil {
@@ -138,30 +111,48 @@ func (m *Module) BindSlots(vals map[string]float64, samples [][]complex128, valu
 			}
 			values = append(values, v)
 		}
+		if c.playSlot() {
+			w, ok := m.FindWaveform(c.Args[1].Sym)
+			if !ok {
+				return nil, nil, fmt.Errorf("qir: bind call %d: undefined waveform @%s", ci, c.Args[1].Sym)
+			}
+			bound, err := scaled(w, values[len(values)-1])
+			if err != nil {
+				return nil, nil, fmt.Errorf("qir: bind call %d: %w", ci, err)
+			}
+			samples = append(samples, bound)
+		}
 	}
 	return samples, values, nil
 }
 
+// scaled returns w's samples times f, as waveform.Waveform.Scale multiplies
+// them, each within full scale.
+func scaled(w *WaveformConst, f float64) ([]complex128, error) {
+	s := complex(f, 0)
+	out := make([]complex128, len(w.Samples))
+	for j, x := range w.Samples {
+		out[j] = s * x
+		if a := cmplx.Abs(out[j]); math.IsNaN(a) || a > 1.0+1e-12 {
+			return nil, fmt.Errorf("waveform @%s times %g: sample %d has magnitude %g", w.Name, f, j, a)
+		}
+	}
+	return out, nil
+}
+
 // Bind substitutes concrete parameter values into every unbound slot and
 // returns a fully concrete module ready to emit or execute. The receiver is
-// not modified; unchanged waveforms and calls are shared, not copied. Bound
-// waveform samples are range-checked (|sample| ≤ full scale), and bound
-// delay counts must round to a non-negative integer (see BindSlots).
+// not modified; its waveforms and unchanged calls are shared, not copied.
+// A play's factor must keep its samples within full scale, and bound delay
+// counts must round to a non-negative integer (see BindSlots).
 func (m *Module) Bind(vals map[string]float64) (*Module, error) {
 	var sbuf [4][]complex128
 	var vbuf [8]float64
-	samples, values, err := m.BindSlots(vals, sbuf[:0], vbuf[:0])
+	_, values, err := m.BindSlots(vals, sbuf[:0], vbuf[:0])
 	if err != nil {
 		return nil, err
 	}
 	out := *m
-	out.Waveforms = slices.Clone(m.Waveforms)
-	for i := range out.Waveforms {
-		if w := &out.Waveforms[i]; w.AmpExpr != nil {
-			*w = WaveformConst{Name: w.Name, Samples: samples[0]}
-			samples = samples[1:]
-		}
-	}
 	out.Body = slices.Clone(m.Body)
 	next := 0
 	for ci := range out.Body {

@@ -13,8 +13,7 @@ func parametricModule() *Module {
 		NumQubits: 1, NumResults: 1, NumPorts: 1,
 		PortNames: []string{"q0-drive"},
 		Waveforms: []WaveformConst{
-			{Name: "env", Samples: []complex128{0.25, 0.5, 0.25},
-				AmpExpr: &ParamExpr{Param: "amp", Scale: 1}},
+			{Name: "env", Samples: []complex128{0.25, 0.5, 0.25}},
 			{Name: "fixed", Samples: []complex128{0.1}},
 		},
 		Body: []Call{
@@ -25,6 +24,10 @@ func parametricModule() *Module {
 			{Callee: IntrDelay, Args: []Arg{
 				PortArg(0),
 				{Kind: ArgI64, Expr: &ParamExpr{Param: "dt", Scale: 1}},
+			}},
+			{Callee: IntrPlay, Args: []Arg{
+				PortArg(0), WaveformArg("env"),
+				{Kind: ArgF64, Expr: &ParamExpr{Param: "amp", Scale: 1}},
 			}},
 		},
 	}
@@ -60,11 +63,12 @@ func TestBindSubstitutesEverySlot(t *testing.T) {
 	if !m.IsParametric() {
 		t.Fatal("Bind mutated the template module")
 	}
-	if got := bound.Waveforms[0].Samples[1]; got != 0.25 {
-		t.Fatalf("scaled sample = %v, want 0.25", got)
+	// amp binds the play's factor; the waveform it scales is shared.
+	if got := bound.Body[2].Args[2]; got.Kind != ArgF64 || got.F != 0.5 || got.Expr != nil {
+		t.Fatalf("bound play factor = %+v", got)
 	}
-	if got := bound.Waveforms[1].Samples[0]; got != 0.1 {
-		t.Fatalf("concrete waveform disturbed: %v", got)
+	if &bound.Waveforms[0] != &m.Waveforms[0] {
+		t.Fatal("Bind copied the waveform constants")
 	}
 	// phi binds through the affine map 2·1.0 + 0.5.
 	if got := bound.Body[0].Args[1]; got.Kind != ArgF64 || got.F != 2.5 || got.Expr != nil {
@@ -102,13 +106,13 @@ func TestBindRejections(t *testing.T) {
 // SlottedModules is the in-package half of the parametric round-trip
 // corpus: the hand-written template above, one whose parameter names hold
 // everything a quoted string can, and the property test's random modules
-// with a share of their numeric arguments and waveform constants turned into
-// slots. It is exported (from a _test.go file) so the external test, which
+// with a share of their numeric arguments, play factors among them, turned
+// into slots. It is exported (from a _test.go file) so the external test, which
 // adds what the compiler produces, can use it.
 func SlottedModules() map[string]*Module {
 	awkward := parametricModule()
 	awkward.ID = "awkward"
-	awkward.Waveforms[0].AmpExpr.Param = `a "quoted", (nested) name`
+	awkward.Body[2].Args[2].Expr.Param = `a "quoted", (nested) name`
 	awkward.Body[0].Args[1].Expr = &ParamExpr{Param: "line\nbreak\\θ", Scale: -1e-300, Offset: math.MaxFloat64}
 	awkward.Body[1].Args[1].Expr.Param = ""
 	corpus := map[string]*Module{"hand-written": parametricModule(), "awkward": awkward}
@@ -118,11 +122,6 @@ func SlottedModules() map[string]*Module {
 	}
 	for trial := 0; trial < 40; trial++ {
 		m := randomModule(rng, trial)
-		for wi := range m.Waveforms {
-			if rng.Intn(2) == 0 {
-				m.Waveforms[wi].AmpExpr = slot()
-			}
-		}
 		for _, c := range m.Body {
 			for ai, a := range c.Args {
 				if (a.Kind == ArgF64 || a.Kind == ArgI64) && rng.Intn(2) == 0 {

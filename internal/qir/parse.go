@@ -10,7 +10,7 @@ import (
 // the straight-line Base/Pulse-Profile subset: one entry function of call
 // instructions, waveform constants, the #0 attribute group, and the !ports
 // metadata line — with a template's unbound slots where Emit writes them,
-// on double and i64 arguments and on waveform constants.
+// on double and i64 arguments.
 func ParseModule(src string) (*Module, error) {
 	m := &Module{Profile: ProfileBase}
 	lines := strings.Split(src, "\n")
@@ -77,7 +77,6 @@ func ParseModule(src string) (*Module, error) {
 
 func parseWaveformConst(line string) (WaveformConst, error) {
 	// @name = private constant [N x double] [double a, double b, ...]
-	// optionally followed by an amplitude slot: , !amp param("p", s, o)
 	var w WaveformConst
 	eq := strings.Index(line, " =")
 	if eq < 0 {
@@ -93,15 +92,7 @@ func parseWaveformConst(line string) (WaveformConst, error) {
 		return w, fmt.Errorf("unterminated waveform data")
 	}
 	if tail != "" {
-		slot, ok := strings.CutPrefix(tail, ", !amp ")
-		if !ok {
-			return w, fmt.Errorf("unrecognized text %q after waveform data", tail)
-		}
-		expr, err := parseSlot(slot)
-		if err != nil {
-			return w, err
-		}
-		w.AmpExpr = expr
+		return w, fmt.Errorf("unrecognized text %q after waveform data", tail)
 	}
 	fields := strings.Split(data, ",")
 	vals := make([]float64, 0, len(fields))

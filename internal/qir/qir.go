@@ -186,14 +186,11 @@ type Call struct {
 }
 
 // WaveformConst is a module-level waveform constant: interleaved I/Q sample
-// data, the linkable analogue of an AWG memory upload.
+// data, the linkable analogue of an AWG memory upload. A play scales it by
+// the play's factor, its double argument.
 type WaveformConst struct {
 	Name    string
 	Samples []complex128
-	// AmpExpr, when non-nil, marks the constant as an unbound template
-	// slot: Samples hold the base envelope, multiplied by the expression's
-	// bound value at bind time.
-	AmpExpr *ParamExpr
 }
 
 // Module is a QIR module specialized to the Base-Profile shape (one entry
@@ -241,7 +238,7 @@ func (m *Module) UsesPulse() bool {
 var intrinsicSigs = map[string][]ArgKind{
 	IntrWaveform: {ArgWaveform}, // upload/bind a waveform constant
 
-	IntrPlay:    {ArgPort, ArgWaveform},
+	IntrPlay:    {ArgPort, ArgWaveform, ArgF64}, // port, waveform, factor
 	IntrDelay:   {ArgPort, ArgI64},
 	IntrBarrier: nil,
 	IntrCapture: {ArgPort, ArgResult, ArgI64},

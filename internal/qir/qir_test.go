@@ -27,7 +27,7 @@ func listing3Module() *Module {
 		},
 		Body: []Call{
 			{Callee: IntrWaveform, Args: []Arg{WaveformArg("waveform0")}},
-			{Callee: IntrPlay, Args: []Arg{PortArg(0), WaveformArg("waveform0")}},
+			{Callee: IntrPlay, Args: []Arg{PortArg(0), WaveformArg("waveform0"), F64Arg(1)}},
 			{Callee: IntrFrameChange, Args: []Arg{PortArg(0), F64Arg(5.1e9), F64Arg(0.25)}},
 			{Callee: IntrDelay, Args: []Arg{PortArg(0), I64Arg(1024)}},
 			{Callee: IntrMz, Args: []Arg{QubitArg(0), ResultArg(0)}},
@@ -59,7 +59,7 @@ func TestEmitContainsListing3Landmarks(t *testing.T) {
 		"call void @__quantum__qis__mz__body",
 		`"qir_profiles"="pulse"`,
 		`"required_num_ports"="1"`,
-		"declare void @__quantum__pulse__waveform_play__body(%Port*, %Waveform*)",
+		"declare void @__quantum__pulse__waveform_play__body(%Port*, %Waveform*, double)",
 		`!ports = !{!"q0-drive-port"}`,
 	} {
 		if !strings.Contains(text, want) {
@@ -306,7 +306,7 @@ func randomModule(rng *rand.Rand, trial int) *Module {
 		switch rng.Intn(6) {
 		case 0:
 			m.Body = append(m.Body, Call{Callee: IntrPlay, Args: []Arg{
-				port, WaveformArg(fmt.Sprintf("wf_%d", rng.Intn(nw)))}})
+				port, WaveformArg(fmt.Sprintf("wf_%d", rng.Intn(nw))), F64Arg(rng.Float64()*2 - 1)}})
 		case 1:
 			m.Body = append(m.Body, Call{Callee: IntrFrameChange, Args: []Arg{
 				port, F64Arg(rng.NormFloat64() * 1e9), F64Arg(rng.NormFloat64())}})

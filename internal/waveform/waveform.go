@@ -76,11 +76,14 @@ func (w *Waveform) Clone() *Waveform {
 // Scale returns a copy with every sample multiplied by s. It returns an
 // error if scaling pushes any sample out of full-scale range.
 func (w *Waveform) Scale(s complex128) (*Waveform, error) {
-	out := make([]complex128, len(w.Samples))
+	out := &Waveform{Name: w.Name, Samples: make([]complex128, len(w.Samples))}
 	for i, v := range w.Samples {
-		out[i] = s * v
+		out.Samples[i] = s * v
 	}
-	return New(w.Name, out)
+	if err := out.Check(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Concat returns the concatenation w ++ v.

@@ -61,8 +61,21 @@ func TestScaleEnergy(t *testing.T) {
 
 func TestScaleRejectsOverflow(t *testing.T) {
 	w, _ := FromReal("w", []float64{0.9})
-	if _, err := w.Scale(2); err == nil {
-		t.Fatal("Scale accepted overflow")
+	if _, err := w.Scale(2); !errors.Is(err, ErrAmplitudeRange) {
+		t.Fatalf("Scale of overflow: got %v, want ErrAmplitudeRange", err)
+	}
+}
+
+// TestScaleAllocatesTwice: a scaled copy is its waveform and its samples,
+// nothing more.
+func TestScaleAllocatesTwice(t *testing.T) {
+	w, _ := FromReal("w", []float64{0.5, 0.25, 0.125, -0.5})
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := w.Scale(complex(-0.7, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Fatalf("Scale allocates %v objects, want 2", n)
 	}
 }
 
