@@ -290,20 +290,20 @@ func TestExchangeGoldenDigests(t *testing.T) {
 	got["slots/counts"] = slotCounts.sum()
 
 	want := map[string]string{
-		"cold/mlir":          "a4b00cd70cf82c6a82d6fca288df3f73cd9c391f8216a52a836483b72e48bba9",
-		"cold/qir":           "4aef7bab3fd13c7e645b77c34e99b499b80cff3955010c423d97e5b6d5686cbe",
-		"cold/schedule":      "7dd6b897b36722655171a595386281d9181aafa322fbea5294dc02fc8402a56c",
-		"kernels/mlir":       "25194bacd1b7374356915315c1d46c7616e2de6ea6f581fbb283f87168c9c2ae",
-		"kernels/qir":        "7296d36b2e3ea05fb41b7bfcc5c6700da57e9f281d32be0b636ebfb4ba51f401",
-		"kernels/schedule":   "f39c461124e5b81b97ed2d1fca93600e70cee25039aa9ba2f8998824975121e6",
+		"cold/mlir":          "c7d3c51bd73d7715e8e40ec496abd720c379cb56fd4eaf36112d66ccce4f7da2",
+		"cold/qir":           "69d9f3566cc47a4bc66808f715b5033d2669c939108470ae4d4a19d73dc08f23",
+		"cold/schedule":      "1083df6639c9e74b76e1d592bdc787dec3607bc40ad2d953320df8e7f77713e5",
+		"kernels/mlir":       "ca836d9c76039a99bb55110fc2a0045c1308639ede768114a6103bc1dec5dde6",
+		"kernels/qir":        "18f01ead940857091218fed7a1d8f170623b0ef8490a2f0f37a73e7972c880de",
+		"kernels/schedule":   "661a1689c10745c5f185b6bbbf5870fd2c9f06aa2d5139adcdebf3c96c8e9ef8",
 		"mlir-text/counts":   "b158fc5007139ffa68852e2d3ae92488813d985a81cd82e2679bd5e0c05ad37a",
-		"mlir-text/mlir":     "07a381aa46e742dc486f676e5e4a9491c5623c6aa3d895cefb323f97d85937f3",
-		"mlir-text/qir":      "debbfd612613a1f6c838d006fcfcbb83ac93affd41a756c52db5fc2627cf0c30",
+		"mlir-text/mlir":     "2d427d6c2de7adacfcc8cb2152d90c54a40639aa71439b6c712003f17ae392f1",
+		"mlir-text/qir":      "8df2458adfb488f9539aad6ff3a7a4f9e9a87a121b6d29955acdaf1bf5a8b5f5",
 		"mlir-text/schedule": "ede93382361f2033dacf8f03d54e5b4300714aa84a6a2390f3f959e951714000",
 		"slots/counts":       "6e73a596961fa7554926930dda647edd6175aad4ffd995fa639254d1fa10d967",
-		"slots/mlir":         "6a666d7e75a45131eee1ed9d9844da5352673d10f4ec82f0c9d13ac1336f765e",
-		"slots/qir":          "0f24acc7965a10717b8c09481733110249417562bb3e91c32b0ce663ca4246f3",
-		"slots/schedule":     "c8e367a9a4e16826467d2d1f1d7dfe39bfd3678078950bb86e3ada903f4aed2b",
+		"slots/mlir":         "78c1679f43ac3737d5f44e80b0c6027bb045894b6649b7c94d91ab8f4212ed40",
+		"slots/qir":          "d734a67bc7cb8f382898acacb8f61918e92125589126ac14b964965e1dc30f7e",
+		"slots/schedule":     "1dc98ce3333a694ad178f6f6fc3ed76142113640079b751b070a1242f5b15639",
 	}
 	for _, name := range slices.Sorted(maps.Keys(got)) {
 		if got[name] != want[name] {
