@@ -125,11 +125,10 @@ func backend(m *mlir.Module, target *qdmi.Target) (*qir.Module, error) {
 			for _, f := range o.Frames {
 				args = append(args, qir.PortArg(frameHandle[f.Ref]))
 			}
-			if len(o.Frames) == 0 {
-				for _, h := range frameHandle {
-					args = append(args, qir.PortArg(h))
+			if len(o.Frames) == 0 { // every port, in handle order
+				for h := range out.NumPorts {
+					args = append(args, qir.PortArg(int64(h)))
 				}
-				sortPortArgs(args)
 			}
 			out.Body = append(out.Body, qir.Call{Callee: qir.IntrBarrier, Args: args})
 		case *mlir.CaptureOp:
@@ -179,14 +178,6 @@ func backend(m *mlir.Module, target *qdmi.Target) (*qir.Module, error) {
 		return nil, fmt.Errorf("compiler: backend produced invalid QIR: %w", err)
 	}
 	return out, nil
-}
-
-func sortPortArgs(args []qir.Arg) {
-	for i := 1; i < len(args); i++ {
-		for j := i; j > 0 && args[j].I < args[j-1].I; j-- {
-			args[j], args[j-1] = args[j-1], args[j]
-		}
-	}
 }
 
 // StageTimings reports where compilation time went.

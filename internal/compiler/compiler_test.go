@@ -442,10 +442,11 @@ func TestCompileMLIRTextPath(t *testing.T) {
 
 // TestTemplateMLIRTextRoundTrips checks that MLIR text carries a
 // template's slots in each position the frontend writes one — a gate angle,
-// a frame change's frequency and phase, a delay count, a def's amplitude —
-// and under a name that is no identifier: the frontend's printed text parses
-// back to text that prints the same, and compiling that text lowers to the
-// QIR module compiling the kernel does.
+// a frame change's frequency and phase, a delay count, a play's factor —
+// and under a name that is no identifier, and a concrete kernel's drives of
+// several angles: the frontend's printed text, and the lowered module's,
+// parse back to text that prints the same, and compiling either text lowers
+// to the QIR module compiling the kernel does.
 func TestTemplateMLIRTextRoundTrips(t *testing.T) {
 	dev, err := devices.Superconducting("sc-2", 2, 7)
 	if err != nil {
@@ -462,6 +463,8 @@ func TestTemplateMLIRTextRoundTrips(t *testing.T) {
 			PlayWaveform("q0-drive", "env").Measure(0, 0),
 		"quoted": qpi.NewCircuit("quoted", 2, 2).RXP(1, qpi.Sym(`θ "x" 1`)).CX(0, 1).
 			DelayP("q1-drive", qpi.Sym("9lives")).Measure(0, 0).Measure(1, 1),
+		"angles": qpi.NewCircuit("angles", 2, 2).RX(0, 0.3).RX(0, -2.2).RY(1, 1e-7).X(1).SX(0).
+			RX(1, 5.5).CZ(0, 1).RY(0, math.Pi).Measure(0, 0).Measure(1, 1),
 	}
 	for name, k := range kernels {
 		if err := k.End(); err != nil {
@@ -472,26 +475,28 @@ func TestTemplateMLIRTextRoundTrips(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		text := front.Print()
-		if !strings.Contains(text, "param<") {
+		if !strings.Contains(text, "param<") && k.IsParametric() {
 			t.Fatalf("%s: frontend text carries no slot:\n%s", name, text)
-		}
-		back, err := mlir.Parse(text)
-		if err != nil {
-			t.Fatalf("%s: %v\n%s", name, err, text)
-		}
-		if again := back.Print(); again != text {
-			t.Fatalf("%s: printed text is not a fixed point\nfirst:\n%s\nsecond:\n%s", name, text, again)
-		}
-		fromText, err := CompileMLIRText(text, dev)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
 		}
 		direct, err := Lower(k, dev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := fromText.QIR.Emit(), direct.QIR.Emit(); !bytes.Equal(got, want) {
-			t.Fatalf("%s: QIR from MLIR text differs from the kernel's\ntext:\n%s\nkernel:\n%s", name, got, want)
+		for _, text := range []string{text, direct.MLIR.Print()} {
+			back, err := mlir.Parse(text)
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", name, err, text)
+			}
+			if again := back.Print(); again != text {
+				t.Fatalf("%s: printed text is not a fixed point\nfirst:\n%s\nsecond:\n%s", name, text, again)
+			}
+			fromText, err := CompileMLIRText(text, dev)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got, want := fromText.QIR.Emit(), direct.QIR.Emit(); !bytes.Equal(got, want) {
+				t.Fatalf("%s: QIR from MLIR text differs from the kernel's\ntext:\n%s\nkernel:\n%s", name, got, want)
+			}
 		}
 	}
 }

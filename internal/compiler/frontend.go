@@ -7,6 +7,8 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"mqsspulse/internal/mlir"
 	"mqsspulse/internal/passes"
@@ -124,7 +126,7 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 		}
 	}
 	// The module lists defs by name, whatever order the kernel defined them in.
-	sortWaveformDefs(m.WaveformDefs)
+	slices.SortStableFunc(m.WaveformDefs, func(a, b *mlir.WaveformDef) int { return strings.Compare(a.Name, b.Name) })
 
 	// Pass 2: emit ops; a measurement is played from its implementation,
 	// and a waveform's amplitude slot is the factor of each of its plays.
@@ -208,12 +210,4 @@ func frontend(c *qpi.Circuit, target *qdmi.Target) (*mlir.Module, error) {
 	seq.Ops = append(seq.Ops, ret)
 	m.Sequences = append(m.Sequences, seq)
 	return m, nil
-}
-
-func sortWaveformDefs(defs []*mlir.WaveformDef) {
-	for i := 1; i < len(defs); i++ {
-		for j := i; j > 0 && defs[j].Name < defs[j-1].Name; j-- {
-			defs[j], defs[j-1] = defs[j-1], defs[j]
-		}
-	}
 }

@@ -3,6 +3,8 @@ package compiler
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -204,5 +206,93 @@ func TestCZRolesResolveOnBothPaths(t *testing.T) {
 		if !slices.ContainsFunc(gates, func(s string) bool { return strings.HasPrefix(s, want) }) {
 			t.Errorf("cz%v: drive0's play is not on %s: %q", pair, drive, gates)
 		}
+	}
+}
+
+// TestDerivedNamesNeverTakeAKernelsOwn: a calibrated pulse's def is named
+// after the pulse (x_q0), but a kernel whose own waveform already has that
+// name keeps it, the pulse's def takes another, and the kernel runs to the
+// counts of the same kernel with its waveform renamed.
+func TestDerivedNamesNeverTakeAKernelsOwn(t *testing.T) {
+	own := []complex128{0.05, 0.1, 0.2, 0.3, 0.3, 0.2, 0.1, 0.05}
+	kernel := func(name string) *qpi.Circuit {
+		k := qpi.NewCircuit("clash", 2, 2).Waveform(name, own).PlayWaveform("q0-drive", name).
+			X(0).RX(0, 0.4).CZ(0, 1).Measure(0, 0).Measure(1, 1)
+		if err := k.End(); err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	counts := func(k *qpi.Circuit) (map[uint64]int, *Result) {
+		d := scDevice(t)
+		res, err := Compile(k, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := d.SubmitJob(res.Payload, FormatFor(res.QIR), 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := job.Wait(context.Background()); st != qdmi.JobDone {
+			t.Fatalf("job status %v", st)
+		}
+		out, err := job.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Counts, res
+	}
+	got, clash := counts(kernel("x_q0"))
+	want, renamed := counts(kernel("mine"))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("kernel with its own x_q0 counts %v, renamed %v", got, want)
+	}
+	defs := map[string][]complex128{}
+	for _, w := range clash.QIR.Waveforms {
+		defs[w.Name] = w.Samples
+	}
+	if !slices.Equal(defs["x_q0"], own) {
+		t.Fatalf("the kernel's x_q0 holds %v, not its own samples", defs["x_q0"])
+	}
+	if pi, ok := renamed.QIR.FindWaveform("x_q0"); !ok || !slices.Equal(defs["x_q0_2"], pi.Samples) {
+		t.Fatalf("the π envelope of q0 is not x_q0_2 beside the kernel's x_q0: defs %v", slices.Collect(maps.Keys(defs)))
+	}
+}
+
+// TestAnglesDifferOnlyInTheFactor: two circuits that differ only in one
+// rotation angle lower to the same waveform constants and to bodies that
+// differ only in that rotation's play factor.
+func TestAnglesDifferOnlyInTheFactor(t *testing.T) {
+	dev := scDevice(t)
+	lower := func(theta float64) *qir.Module {
+		k := qpi.NewCircuit("angle", 2, 2).H(0).RX(0, 0.3).CZ(0, 1).RX(1, theta).SX(1).Measure(0, 0).Measure(1, 1)
+		if err := k.End(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Compile(k, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.QIR
+	}
+	a, b := lower(1.1), lower(-2.0)
+	if !reflect.DeepEqual(a.Waveforms, b.Waveforms) {
+		t.Fatalf("waveform constants differ: %d and %d", len(a.Waveforms), len(b.Waveforms))
+	}
+	if len(a.Body) != len(b.Body) {
+		t.Fatalf("bodies of %d and %d calls", len(a.Body), len(b.Body))
+	}
+	var differ []int
+	for i := range a.Body {
+		if !reflect.DeepEqual(a.Body[i], b.Body[i]) {
+			differ = append(differ, i)
+		}
+	}
+	if len(differ) != 1 {
+		t.Fatalf("calls %v differ, want one", differ)
+	}
+	ca, cb := a.Body[differ[0]], b.Body[differ[0]]
+	if ca.Callee != qir.IntrPlay || !reflect.DeepEqual(ca.Args[:2], cb.Args[:2]) || ca.Args[2].F != 1.1*(1/math.Pi) || cb.Args[2].F != -2.0*(1/math.Pi) {
+		t.Fatalf("the calls that differ are %v and %v, want one play by 1.1/π and by -2/π", ca, cb)
 	}
 }

@@ -56,14 +56,17 @@ func FuzzParse(f *testing.F) {
 		}
 	}
 	// A template slot in each position Print writes one: a gate angle, an f64
-	// frame operand (under a quoted name), a delay count and a def's
-	// amplitude.
+	// frame operand (under a quoted name), a delay count and a play's
+	// factor; and a play by a literal factor.
 	for _, seq := range []string{"pulse.standard_rx(%f) {params = [param<1*theta+0>]}",
 		`pulse.frame_change(%f, freq = param<1e+06*df+5e+09>, phase = param<-2*"θ x"+0.5>)`,
 		"pulse.delay(%f, param<16*t+32>)"} {
 		f.Add(`module { pulse.sequence @s(%f: !pulse.mixed_frame) ports = ["q0-drive"] { ` + seq + ` pulse.return } }`)
 	}
-	f.Add(`module { pulse.def @w amp = param<0.5*amp-0.001> samples = [(0.5, 0), (0.25, -0.25)] }`)
+	for _, factor := range []string{"-0.75", "param<0.5*amp-0.001>"} {
+		f.Add(`module { pulse.def @w samples = [(0.5, 0), (0.25, -0.25)] pulse.sequence @s(%f: !pulse.mixed_frame) ` +
+			`ports = ["q0-drive"] { %v = pulse.waveform_ref @w pulse.play(%f, %v, ` + factor + `) pulse.return } }`)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := mlir.Parse(src)
 		if err != nil {

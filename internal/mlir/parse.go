@@ -260,30 +260,21 @@ func (p *parser) parseWaveformDef() (*WaveformDef, error) {
 		if err := p.expectPunct("="); err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct("{"); err != nil {
-			return nil, err
-		}
 		params := map[string]float64{}
-		for {
-			if p.peek().text == "}" {
-				p.next()
-				break
-			}
+		err = p.list("{", "}", func() error {
 			key := p.next()
 			if key.kind != tokIdent {
-				return nil, p.errf("expected param name")
+				return p.errf("expected param name")
 			}
 			if err := p.expectPunct("="); err != nil {
-				return nil, err
+				return err
 			}
 			v, err := p.parseFloat()
-			if err != nil {
-				return nil, err
-			}
 			params[key.text] = v
-			if p.peek().text == "," {
-				p.next()
-			}
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		env, err := waveform.EnvelopeFromSpec(k.text, params)
 		if err == nil {
@@ -299,35 +290,26 @@ func (p *parser) parseWaveformDef() (*WaveformDef, error) {
 		if err := p.expectPunct("="); err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct("["); err != nil {
-			return nil, err
-		}
-		for {
-			if p.peek().text == "]" {
-				p.next()
-				break
-			}
+		err := p.list("[", "]", func() error {
 			if err := p.expectPunct("("); err != nil {
-				return nil, err
+				return err
 			}
 			re, err := p.parseFloat()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := p.expectPunct(","); err != nil {
-				return nil, err
+				return err
 			}
 			im, err := p.parseFloat()
 			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
+				return err
 			}
 			w.Waveform.Samples = append(w.Waveform.Samples, complex(re, im))
-			if p.peek().text == "," {
-				p.next()
-			}
+			return p.expectPunct(")")
+		})
+		if err != nil {
+			return nil, err
 		}
 	default:
 		return nil, p.errf("expected kind= or samples= in pulse.def")
@@ -342,50 +324,30 @@ func (p *parser) parseSequence() (*Sequence, error) {
 		return nil, p.errf("expected @symbol after pulse.sequence")
 	}
 	s := &Sequence{Name: sym.text}
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	for {
-		if p.peek().text == ")" {
-			p.next()
-			break
-		}
+	err := p.list("(", ")", func() error {
 		v := p.next()
 		if v.kind != tokValue {
-			return nil, p.errf("expected %%arg name")
+			return p.errf("expected %%arg name")
 		}
 		if err := p.expectPunct(":"); err != nil {
-			return nil, err
+			return err
 		}
-		tt := p.next()
-		ty, err := ParseType(tt.text)
-		if err != nil {
-			return nil, err
-		}
+		ty, err := ParseType(p.next().text)
 		s.Args = append(s.Args, Arg{Name: v.text, Type: ty})
-		if p.peek().text == "," {
-			p.next()
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if p.peek().text == "->" {
 		p.next()
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		for {
-			if p.peek().text == ")" {
-				p.next()
-				break
-			}
-			tt := p.next()
-			ty, err := ParseType(tt.text)
-			if err != nil {
-				return nil, err
-			}
+		err := p.list("(", ")", func() error {
+			ty, err := ParseType(p.next().text)
 			s.Results = append(s.Results, ty)
-			if p.peek().text == "," {
-				p.next()
-			}
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	if p.peek().text == "ports" {
@@ -393,22 +355,16 @@ func (p *parser) parseSequence() (*Sequence, error) {
 		if err := p.expectPunct("="); err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct("["); err != nil {
-			return nil, err
-		}
-		for {
-			if p.peek().text == "]" {
-				p.next()
-				break
-			}
+		err := p.list("[", "]", func() error {
 			t := p.next()
 			if t.kind != tokString {
-				return nil, p.errf("expected string port name")
+				return p.errf("expected string port name")
 			}
 			s.ArgPorts = append(s.ArgPorts, t.text)
-			if p.peek().text == "," {
-				p.next()
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	if err := p.expectPunct("{"); err != nil {
@@ -475,7 +431,16 @@ func (p *parser) parseOp() (Op, error) {
 	isFrame = isFrame && dialect
 	switch {
 	case t.text == "pulse.play":
-		return p.parsePlay()
+		// The factor is 1 where the text leaves it out.
+		vals, err := p.parseValueList(2, 3)
+		if err != nil {
+			return nil, err
+		}
+		op := &PlayOp{Frame: vals[0], Waveform: vals[1], Factor: Lit(1)}
+		if len(vals) == 3 {
+			op.Factor = vals[2]
+		}
+		return op, nil
 	case isFrame:
 		return p.parseFrameOp(kind)
 	case t.text == "pulse.delay":
@@ -503,23 +468,9 @@ func (p *parser) parseOp() (Op, error) {
 		}
 		return op, nil
 	case t.text == "pulse.barrier":
-		if err := p.expectPunct("("); err != nil {
+		frames, err := p.parseOperands()
+		if err != nil {
 			return nil, err
-		}
-		var frames []Value
-		for {
-			if p.peek().text == ")" {
-				p.next()
-				break
-			}
-			v, err := p.parseValue()
-			if err != nil {
-				return nil, err
-			}
-			frames = append(frames, v)
-			if p.peek().text == "," {
-				p.next()
-			}
 		}
 		return &BarrierOp{Frames: frames}, nil
 	case t.text == "pulse.return":
@@ -532,26 +483,11 @@ func (p *parser) parseOp() (Op, error) {
 		}
 		return &ReturnOp{Values: vals}, nil
 	case strings.HasPrefix(t.text, "pulse.standard_"):
-		gate := strings.TrimPrefix(t.text, "pulse.standard_")
-		if err := p.expectPunct("("); err != nil {
+		frames, err := p.parseOperands()
+		if err != nil {
 			return nil, err
 		}
-		var frames []Value
-		for {
-			if p.peek().text == ")" {
-				p.next()
-				break
-			}
-			v, err := p.parseValue()
-			if err != nil {
-				return nil, err
-			}
-			frames = append(frames, v)
-			if p.peek().text == "," {
-				p.next()
-			}
-		}
-		op := &StandardGateOp{Gate: gate, Frames: frames}
+		op := &StandardGateOp{Gate: strings.TrimPrefix(t.text, "pulse.standard_"), Frames: frames}
 		// Optional {params = [...]} attribute.
 		if p.peek().text == "{" {
 			p.next()
@@ -561,27 +497,18 @@ func (p *parser) parseOp() (Op, error) {
 			if err := p.expectPunct("="); err != nil {
 				return nil, err
 			}
-			if err := p.expectPunct("["); err != nil {
-				return nil, err
-			}
 			var exprs []*ParamExpr
-			for {
-				if p.peek().text == "]" {
-					p.next()
-					break
-				}
+			err := p.list("[", "]", func() error {
 				v, err := p.parseValue()
-				if err != nil {
-					return nil, err
-				}
-				if v.IsRef {
-					return nil, p.errf("gate parameter %s is not a number or a slot", v)
+				if err == nil && v.IsRef {
+					err = p.errf("gate parameter %s is not a number or a slot", v)
 				}
 				op.Params = append(op.Params, v.Lit)
 				exprs = append(exprs, v.Expr)
-				if p.peek().text == "," {
-					p.next()
-				}
+				return err
+			})
+			if err != nil {
+				return nil, err
 			}
 			if slices.ContainsFunc(exprs, func(e *ParamExpr) bool { return e != nil }) {
 				op.ParamExprs = exprs
@@ -596,39 +523,12 @@ func (p *parser) parseOp() (Op, error) {
 	}
 }
 
-// parsePlay reads a play's operands after its mnemonic: (%frame, %wf,
-// factor), the factor 1 where the text leaves it out.
-func (p *parser) parsePlay() (Op, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	op := &PlayOp{Factor: Lit(1)}
-	for i, v := range []*Value{&op.Frame, &op.Waveform, &op.Factor} {
-		if i == 2 && p.peek().text == ")" {
-			break
-		}
-		if i > 0 {
-			if err := p.expectPunct(","); err != nil {
-				return nil, err
-			}
-		}
-		var err error
-		if *v, err = p.parseValue(); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	return op, nil
-}
-
 // parseFrameOp reads a frame op's operands after its mnemonic: (%frame, v),
 // or for a frame change (%frame, freq = v, phase = v).
 func (p *parser) parseFrameOp(k pulse.FrameKind) (Op, error) {
 	op := &FrameOp{Kind: k}
 	if k != pulse.FrameChange {
-		vals, err := p.parseValueList(2)
+		vals, err := p.parseValueList(2, 2)
 		if err != nil {
 			return nil, err
 		}
@@ -671,22 +571,51 @@ func (p *parser) parseFrameOp(k pulse.FrameKind) (Op, error) {
 	return op, nil
 }
 
-func (p *parser) parseValueList(n int) ([]Value, error) {
+// list reads a list from open to close, calling item for each element;
+// a comma may follow each.
+func (p *parser) list(open, close string, item func() error) error {
+	if err := p.expectPunct(open); err != nil {
+		return err
+	}
+	for p.peek().text != close {
+		if err := item(); err != nil {
+			return err
+		}
+		if p.peek().text == "," {
+			p.next()
+		}
+	}
+	p.next()
+	return nil
+}
+
+// parseOperands reads a parenthesised list of values.
+func (p *parser) parseOperands() (vals []Value, err error) {
+	err = p.list("(", ")", func() error {
+		v, err := p.parseValue()
+		vals = append(vals, v)
+		return err
+	})
+	return vals, err
+}
+
+// parseValueList reads a parenthesised list of lo to hi values.
+func (p *parser) parseValueList(lo, hi int) ([]Value, error) {
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	out := make([]Value, 0, n)
-	for i := 0; i < n; i++ {
+	out := make([]Value, 0, hi)
+	for len(out) < lo || len(out) < hi && p.peek().text == "," {
+		if len(out) > 0 {
+			if err := p.expectPunct(","); err != nil {
+				return nil, err
+			}
+		}
 		v, err := p.parseValue()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, v)
-		if i < n-1 {
-			if err := p.expectPunct(","); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if err := p.expectPunct(")"); err != nil {
 		return nil, err

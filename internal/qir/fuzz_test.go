@@ -28,10 +28,15 @@ func fuzzSeeds() []string {
 		// A double that is not a number: parsed, and refused by Verify.
 		"define void @m() #0 {\nentry:\n  call void @__quantum__qis__rz__body(double NaN, %Qubit* inttoptr (i64 0 to %Qubit*))\n}\n" +
 			"attributes #0 = { \"qir_profiles\"=\"base\" \"required_num_qubits\"=\"1\" }\n",
-		// Templates: slots on a waveform constant, a double and an i64.
+		// Templates: slots on a double, a play's factor among them, and on an
+		// i64; and a play by a literal factor.
 		string(parametricModule().Emit()),
-		"@w = private constant [2 x double] [double 1, double 0], !amp param(\"a, (b\", -0.5, 1e-3)\n" +
-			"define void @m() #0 {\n  call void @__quantum__pulse__delay__body(%Port* inttoptr (i64 0 to %Port*), i64 param(`dt`, 1, 0))\n}\n",
+		"@w = private constant [2 x double] [double 1, double 0]\n" +
+			"define void @m() #0 {\n  call void @__quantum__pulse__waveform_play__body(%Port* inttoptr (i64 0 to %Port*), %Waveform* @w, double param(\"a, (b\", -0.5, 1e-3))\n" +
+			"  call void @__quantum__pulse__delay__body(%Port* inttoptr (i64 0 to %Port*), i64 param(`dt`, 1, 0))\n}\n",
+		"@w = private constant [2 x double] [double 1, double 0]\n" +
+			"define void @m() #0 {\n  call void @__quantum__pulse__waveform_play__body(%Port* inttoptr (i64 0 to %Port*), %Waveform* @w, double -0.5)\n}\n" +
+			"attributes #0 = { \"qir_profiles\"=\"pulse\" \"required_num_ports\"=\"1\" }\n",
 	}
 	// Every frame update, with literal values and with slots for them.
 	for _, fi := range FrameIntrinsics {

@@ -151,16 +151,17 @@ func TestPerfContractColdCompile(t *testing.T) {
 		}
 		next++
 	}
-	// Measured 2026-10-20: 792, 867 under -race (789 and 861–865 before
-	// Prepare planned the evolution; 790 while a run cloned its measured
-	// bits; 808 and 882 on 2026-10-17; 811–812 and
-	// 883–885 while the client rendered the cache key per submit; End renders it now,
-	// before counting, so the job does no less work and the ceiling stays;
-	// 1,041–1,044 and 1,083–1,085 while every propagator-cache miss was an eigendecomposition
-	// and every module verification built its own symbol tables). The
-	// ceiling is the file's margin over the -race reading.
-	if n := testing.AllocsPerRun(jobs, job); n > 965 {
-		t.Fatalf("cold compile-and-run allocates %v objects, want ≤ 965", n)
+	// Measured 2026-10-20: 558, 587–588 under -race (792 and 867 while each
+	// calibrated play had a def and a scaled copy of its pulse of its own;
+	// 789 and 861–865 before Prepare planned the evolution; 790 while a run
+	// cloned its measured bits; 808 and 882 on 2026-10-17; 811–812 and
+	// 883–885 while the client rendered the cache key per submit; End renders
+	// it now, before counting, so the job does no less work and the ceiling
+	// stays; 1,041–1,044 and 1,083–1,085 while every propagator-cache miss was
+	// an eigendecomposition and every module verification built its own
+	// symbol tables). The ceiling is the file's margin over the -race reading.
+	if n := testing.AllocsPerRun(jobs, job); n > 641 {
+		t.Fatalf("cold compile-and-run allocates %v objects, want ≤ 641", n)
 	}
 }
 
