@@ -58,9 +58,9 @@ type Player struct {
 	played []calibratedDef
 }
 
-// calibratedDef is a calibrated pulse's def: the pulse is step step of
-// operation op's implementation on sites a and b (b = -1 for one site, a < b
-// for a pair).
+// calibratedDef is a calibrated pulse's def: the pulse is the step-th play
+// of operation op's implementation on sites a and b (b = -1 for one site,
+// a < b for a pair).
 type calibratedDef struct {
 	op         string
 	a, b, step int
@@ -72,12 +72,12 @@ func NewPlayer(m *mlir.Module, seq *mlir.Sequence, target *qdmi.Target) *Player 
 	return &Player{m: m, seq: seq, target: target}
 }
 
-// play appends to ops a play of w — the play-th pulse of op's calibrated
-// implementation, step step of it, on sites — on frame f, scaled by factor.
-// The first play of a pulse installs its def, named after the pulse (x_q0,
-// cz_q0_q1, measure_q2_1 for a second pulse) and never after a def the module
-// already has, and the ref op that binds it; later plays reuse both.
-func (pl *Player) play(ops []mlir.Op, op string, sites []int, step, play int, w *waveform.Waveform, f, factor mlir.Value) []mlir.Op {
+// play appends to ops a play of w — the step-th play of op's calibrated
+// implementation on sites — on frame f, scaled by factor. The first play of
+// a pulse installs its def, named after the pulse (x_q0, cz_q0_q1,
+// measure_q2_1 for a second play) and never after a def the module already
+// has, and the ref op that binds it; later plays reuse both.
+func (pl *Player) play(ops []mlir.Op, op string, sites []int, step int, w *waveform.Waveform, f, factor mlir.Value) []mlir.Op {
 	a, b := sites[0], -1
 	if len(sites) == 2 {
 		a, b = min(sites[0], sites[1]), max(sites[0], sites[1])
@@ -91,8 +91,8 @@ func (pl *Player) play(ops []mlir.Op, op string, sites []int, step, play int, w 
 		if b >= 0 {
 			name = strconv.AppendInt(append(name, "_q"...), int64(b), 10)
 		}
-		if play > 0 {
-			name = strconv.AppendInt(append(name, '_'), int64(play), 10)
+		if step > 0 {
+			name = strconv.AppendInt(append(name, '_'), int64(step), 10)
 		}
 		def := pl.freeName(string(name))
 		pl.m.WaveformDefs = append(pl.m.WaveformDefs, &mlir.WaveformDef{Name: def, Waveform: w})
@@ -183,7 +183,7 @@ func (pl *Player) lowerGate(ops []mlir.Op, g *mlir.StandardGateOp) ([]mlir.Op, e
 			if p.Expr != nil {
 				factor = mlir.ExprVal(p.Expr)
 			}
-			ops = pl.play(ops, "x", sites[p.Qubit:p.Qubit+1], 0, 0, w, g.Frames[p.Qubit], factor)
+			ops = pl.play(ops, "x", sites[p.Qubit:p.Qubit+1], 0, w, g.Frames[p.Qubit], factor)
 		case waveform.PulseCZ:
 			var err error
 			ops, err = pl.Play(ops, "cz", sites, "")
@@ -226,7 +226,7 @@ func (pl *Player) Play(ops []mlir.Op, op string, sites []int, result string) ([]
 		}
 		switch st.Kind {
 		case "play":
-			ops = pl.play(ops, op, sites, i, plays, st.Waveform, f, mlir.Lit(1))
+			ops = pl.play(ops, op, sites, plays, st.Waveform, f, mlir.Lit(1))
 			plays++
 		case "shift_phase":
 			ops = append(ops, &mlir.FrameOp{Kind: pulse.ShiftPhase, Frame: f, Phase: mlir.Lit(st.PhaseRad)})

@@ -141,8 +141,9 @@ func (c *Capture) String() string {
 func (c *Capture) isInstruction() {}
 
 // Binding is one point of a template: its slots' values, numbered as the
-// exchange format's link numbers them. Samples holds the bound sample set of
-// each amplitude slot, Values the value of each argument slot.
+// exchange format's link numbers them. Values holds the value of each
+// argument slot, Samples the bound sample set of each play whose factor is
+// one of them.
 type Binding struct {
 	Samples [][]complex128
 	Values  []float64

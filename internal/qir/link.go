@@ -71,7 +71,8 @@ func BuildSchedule(m *Module, b *DeviceBinding, pt *pulse.Binding) (s *pulse.Sch
 
 	next := 0   // index in pt.Values of the next argument slot
 	played := 0 // index in pt.Samples of the next play slot
-	var shapes []shape
+	var buf [4]shape
+	shapes := buf[:0]
 	for ci, c := range m.Body {
 		first := next
 		if pt != nil {

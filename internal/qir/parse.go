@@ -125,7 +125,9 @@ func parseCall(line string) (Call, error) {
 	if strings.TrimSpace(argstr) == "" {
 		return c, nil
 	}
-	for _, part := range splitTopLevel(argstr) {
+	parts := splitTopLevel(argstr)
+	c.Args = make([]Arg, 0, len(parts))
+	for _, part := range parts {
 		a, err := parseArg(strings.TrimSpace(part))
 		if err != nil {
 			return c, err
