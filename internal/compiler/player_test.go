@@ -212,7 +212,8 @@ func TestCZRolesResolveOnBothPaths(t *testing.T) {
 // TestDerivedNamesNeverTakeAKernelsOwn: a calibrated pulse's def is named
 // after the pulse (x_q0), but a kernel whose own waveform already has that
 // name keeps it, the pulse's def takes another, and the kernel runs to the
-// counts of the same kernel with its waveform renamed.
+// counts of the same kernel with its waveform renamed. A value of MLIR text
+// that has the name is not redefined either.
 func TestDerivedNamesNeverTakeAKernelsOwn(t *testing.T) {
 	own := []complex128{0.05, 0.1, 0.2, 0.3, 0.3, 0.2, 0.1, 0.05}
 	kernel := func(name string) *qpi.Circuit {
@@ -256,6 +257,14 @@ func TestDerivedNamesNeverTakeAKernelsOwn(t *testing.T) {
 	}
 	if pi, ok := renamed.QIR.FindWaveform("x_q0"); !ok || !slices.Equal(defs["x_q0_2"], pi.Samples) {
 		t.Fatalf("the π envelope of q0 is not x_q0_2 beside the kernel's x_q0: defs %v", slices.Collect(maps.Keys(defs)))
+	}
+	text := `module { pulse.sequence @k(%f0: !pulse.mixed_frame, %f1: !pulse.mixed_frame) -> (i1) ports = ["q0-drive", "q0-readout"] {
+    %x_q0 = pulse.capture(%f1, 96)
+    pulse.standard_x(%f0)
+    pulse.return %x_q0
+  } }`
+	if _, err := CompileMLIRText(text, scDevice(t)); err != nil {
+		t.Fatalf("MLIR text with a value named x_q0: %v", err)
 	}
 }
 

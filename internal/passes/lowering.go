@@ -75,8 +75,9 @@ func NewPlayer(m *mlir.Module, seq *mlir.Sequence, target *qdmi.Target) *Player 
 // play appends to ops a play of w — the step-th play of op's calibrated
 // implementation on sites — on frame f, scaled by factor. The first play of
 // a pulse installs its def, named after the pulse (x_q0, cz_q0_q1,
-// measure_q2_1 for a second play) and never after a def the module already
-// has, and the ref op that binds it; later plays reuse both.
+// measure_q2_1 for a second play) and never after a def or value the
+// module already has, and the ref op that binds it to a value of the same
+// name; later plays reuse both.
 func (pl *Player) play(ops []mlir.Op, op string, sites []int, step int, w *waveform.Waveform, f, factor mlir.Value) []mlir.Op {
 	a, b := sites[0], -1
 	if len(sites) == 2 {
@@ -103,14 +104,31 @@ func (pl *Player) play(ops []mlir.Op, op string, sites []int, step int, w *wavef
 	return append(ops, &mlir.PlayOp{Frame: f, Waveform: pl.played[i].val, Factor: factor})
 }
 
-// freeName returns base, or of base_2, base_3, … the first, that no def of
-// the module has.
+// freeName returns base, or of base_2, base_3, … the first, that names
+// neither a def of the module nor a value of the sequence, so a pulse's def
+// and the value that binds it can share it.
 func (pl *Player) freeName(base string) string {
+	taken := func(n string) bool {
+		return slices.ContainsFunc(pl.m.WaveformDefs, func(d *mlir.WaveformDef) bool { return d.Name == n }) ||
+			slices.ContainsFunc(pl.seq.Args, func(a mlir.Arg) bool { return a.Name == n }) ||
+			slices.ContainsFunc(pl.seq.Ops, func(op mlir.Op) bool { return defines(op, n) })
+	}
 	name := base
-	for k := 2; slices.ContainsFunc(pl.m.WaveformDefs, func(d *mlir.WaveformDef) bool { return d.Name == name }); k++ {
+	for k := 2; taken(name); k++ {
 		name = base + "_" + strconv.Itoa(k)
 	}
 	return name
+}
+
+// defines reports whether op defines the value name.
+func defines(op mlir.Op, name string) bool {
+	switch o := op.(type) {
+	case *mlir.WaveformRefOp:
+		return o.Result == name
+	case *mlir.CaptureOp:
+		return o.Result == name
+	}
+	return false
 }
 
 func (pl *Player) lowerSequence() error {
